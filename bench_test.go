@@ -1,5 +1,5 @@
-// Benchmarks regenerating the paper's figures (DESIGN.md §4 maps each to
-// its experiment). Run them all with:
+// Benchmarks regenerating the paper's figures (docs/benchmarks.md maps
+// each to its experiment). Run them all with:
 //
 //	go test -bench=. -benchmem
 //

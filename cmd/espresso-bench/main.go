@@ -1,5 +1,6 @@
-// Command espresso-bench regenerates the paper's tables and figures (see
-// DESIGN.md §4 for the experiment index):
+// Command espresso-bench regenerates the paper's tables and figures and
+// the deterministic device-cost contracts (docs/benchmarks.md has the
+// experiment index):
 //
 //	espresso-bench -exp fig4     JPA commit breakdown
 //	espresso-bench -exp fig6     PCJ create breakdown
@@ -19,14 +20,13 @@
 //	espresso-bench -exp faults   media-fault matrix: fault kind × metadata structure vs a DRAM oracle
 //	espresso-bench -exp all      everything
 //
-// -scale N divides workload sizes by N for quick runs. -parallel N caps
-// the alloc experiment's goroutine curve (instead of hardcoding
-// GOMAXPROCS), sets the gcpause experiment's mutator count, and the
+// -scale N divides workload sizes by N for quick runs. -parallel N tops
+// the alloc/kv/refstore mutator curves and sets the gcpause and
 // shardedkv mutator count. -shards tops the shardedkv shard curve and
 // -recoverykeys sizes its restart population. -json FILE writes the
-// fastpath, alloc, gcpause, kv, refstore, shardedkv, or telemetry rows
-// as JSON (the BENCH_*.json baselines that CI's bench gate compares
-// against).
+// experiment's rows as JSON (the BENCH_*.json baselines that CI's bench
+// gate compares against); with -exp all it writes one object keyed by
+// experiment name.
 package main
 
 import (
@@ -35,237 +35,180 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"espresso/internal/experiments"
 )
 
+// experiment is one -exp entry: run prints its report to w and returns
+// the rows -json writes (nil for the print-only breakdowns).
+type experiment struct {
+	name string
+	run  func(w io.Writer) (rows any, err error)
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4|fig6|fig15|fig16|fig17|fig18|gcflush|fastpath|alloc|gcpause|kv|refstore|shardedkv|telemetry|blackbox|faults|all")
+	exp := flag.String("exp", "all", "experiment to run (see the command doc), or all")
 	scale := flag.Int("scale", 1, "divide workload sizes by this factor")
 	gcMB := flag.Int("gcmb", 256, "live megabytes for the gcflush experiment")
 	parallel := flag.Int("parallel", 8, "top of the alloc/kv/refstore goroutine curves / gcpause and shardedkv mutator count")
 	shards := flag.Int("shards", 4, "top of the shardedkv shard curve")
 	recoveryKeys := flag.Int("recoverykeys", 1000000, "committed keys in the shardedkv restart series")
-	jsonPath := flag.String("json", "", "write fastpath/alloc/gcpause/kv/refstore/shardedkv/telemetry/blackbox rows to this JSON file")
+	jsonPath := flag.String("json", "", "write the experiment's rows to this JSON file")
 	snapPath := flag.String("snapshotjson", "", "write the telemetry experiment's folded metrics snapshot to this JSON file")
 	timelinePath := flag.String("timelinejson", "", "write the blackbox experiment's decoded journal timeline to this JSON file")
 	faultDir := flag.String("faultdir", "", "faults experiment: also dump golden + corrupted images here for heaptool scrub checks")
 	flag.Parse()
 
-	switch *exp {
-	case "fastpath", "alloc", "gcpause", "kv", "refstore", "shardedkv", "telemetry", "blackbox", "faults":
-	default:
-		if *jsonPath != "" {
-			fmt.Fprintln(os.Stderr, "espresso-bench: -json requires -exp fastpath, -exp alloc, -exp gcpause, -exp kv, -exp refstore, -exp shardedkv, -exp telemetry, or -exp blackbox")
-			os.Exit(2)
-		}
-	}
-
 	s := experiments.Scale(*scale)
-	w := os.Stdout
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		fmt.Fprintf(w, "\n=== %s ===\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
+	// table is an experiment whose whole report is its rows.
+	table := func(name, title string, run func() (any, error)) experiment {
+		return experiment{name, func(w io.Writer) (any, error) {
+			rows, err := run()
+			if err == nil {
+				experiments.PrintRows(w, title, rows)
+			}
+			return rows, err
+		}}
 	}
-	writeJSON := func(rows any) error {
-		if *jsonPath == "" {
-			return nil
-		}
-		b, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", *jsonPath)
-		return nil
+	scaling := func(name, title string) experiment {
+		return table(name, title, func() (any, error) { return experiments.Scaling(name, s, *shards, *parallel) })
 	}
-
-	run("fig4", func() error { return experiments.Fig4(w, s) })
-	run("fig6", func() error { return experiments.Fig6(w, s) })
-	run("fig15", func() error {
-		rows, err := experiments.Fig15(s)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig15(w, rows)
-		return nil
-	})
-	run("fig16", func() error {
-		rows, err := experiments.Fig16(s)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig16(w, rows)
-		return nil
-	})
-	run("fig17", func() error { return experiments.Fig17(w, s) })
-	run("fig18", func() error {
-		points, err := experiments.Fig18(s)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig18(w, points)
-		return nil
-	})
-	run("gcflush", func() error {
-		r, err := experiments.GCFlushCost(*gcMB << 20)
-		if err != nil {
-			return err
-		}
-		experiments.PrintGCFlush(w, r)
-		return nil
-	})
-	run("fastpath", func() error {
-		rows, err := experiments.Fastpath(s)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFastpath(w, rows)
-		if *exp == "fastpath" {
-			return writeJSON(rows)
-		}
-		return nil
-	})
-	run("alloc", func() error {
-		rows, err := experiments.AllocScaling(s, *parallel)
-		if err != nil {
-			return err
-		}
-		experiments.PrintAllocScaling(w, rows)
-		if *exp == "alloc" {
-			return writeJSON(rows)
-		}
-		return nil
-	})
-	run("gcpause", func() error {
-		rows, err := experiments.GCPause(s, *parallel)
-		if err != nil {
-			return err
-		}
-		experiments.PrintGCPause(w, rows)
-		if *exp == "gcpause" {
-			return writeJSON(rows)
-		}
-		return nil
-	})
-	run("kv", func() error {
-		rows, err := experiments.KVScaling(s, *parallel)
-		if err != nil {
-			return err
-		}
-		experiments.PrintKVScaling(w, rows)
-		if *exp == "kv" {
-			return writeJSON(rows)
-		}
-		return nil
-	})
-	run("refstore", func() error {
-		rows, err := experiments.RefStoreScaling(s, *parallel)
-		if err != nil {
-			return err
-		}
-		experiments.PrintRefStoreScaling(w, rows)
-		if *exp == "refstore" {
-			return writeJSON(rows)
-		}
-		return nil
-	})
-	run("shardedkv", func() error {
-		scaling, err := experiments.ShardedKVScaling(s, *shards, *parallel)
-		if err != nil {
-			return err
-		}
-		// The restart series is deliberately not divided by -scale: the
-		// recovery-speedup claim is about a population large enough that
-		// per-shard replay dominates fixed open cost (CI runs 1M keys).
-		recovery, err := experiments.ShardedRecovery(*shards, *recoveryKeys, []int{1, 2, 4})
-		if err != nil {
-			return err
-		}
-		experiments.PrintShardedKV(w, scaling, recovery)
-		if *exp == "shardedkv" {
-			all := make([]any, 0, len(scaling)+len(recovery))
-			for _, r := range scaling {
+	exps := []experiment{
+		{"fig4", func(w io.Writer) (any, error) { return nil, experiments.Fig4(w, s) }},
+		{"fig6", func(w io.Writer) (any, error) { return nil, experiments.Fig6(w, s) }},
+		{"fig15", func(w io.Writer) (any, error) {
+			rows, err := experiments.Fig15(s)
+			if err == nil {
+				experiments.PrintFig15(w, rows)
+			}
+			return rows, err
+		}},
+		{"fig16", func(w io.Writer) (any, error) {
+			rows, err := experiments.Fig16(s)
+			if err == nil {
+				experiments.PrintFig16(w, rows)
+			}
+			return rows, err
+		}},
+		{"fig17", func(w io.Writer) (any, error) { return nil, experiments.Fig17(w, s) }},
+		{"fig18", func(w io.Writer) (any, error) {
+			points, err := experiments.Fig18(s)
+			if err == nil {
+				experiments.PrintFig18(w, points)
+			}
+			return points, err
+		}},
+		{"gcflush", func(w io.Writer) (any, error) {
+			r, err := experiments.GCFlushCost(*gcMB << 20)
+			if err == nil {
+				experiments.PrintGCFlush(w, r)
+			}
+			return r, err
+		}},
+		table("fastpath", "Fast path — resolved handles, bulk I/O, coalesced flushes (per op)",
+			func() (any, error) { return experiments.Fastpath(s) }),
+		scaling("alloc", "Allocation scaling — one PLAB (region-local allocation buffer) per mutator"),
+		table("gcpause", "GC pause — stop-the-world vs concurrent SATB marking vs parallel workers (ns)",
+			func() (any, error) { return experiments.GCPause(s, *parallel) }),
+		scaling("kv", "KV index scaling — durable lock-free persistent hash map (internal/pindex)"),
+		scaling("refstore", "Ref-store scaling — write-combining remset barrier (per-mutator delta buffers)"),
+		{"shardedkv", func(w io.Writer) (any, error) {
+			rows, err := experiments.Scaling("shardedkv", s, *shards, *parallel)
+			if err != nil {
+				return nil, err
+			}
+			// The restart series is deliberately not divided by -scale: the
+			// recovery-speedup claim is about a population large enough that
+			// per-shard replay dominates fixed open cost (CI runs 1M keys).
+			recovery, err := experiments.ShardedRecovery(*shards, *recoveryKeys, []int{1, 2, 4})
+			if err != nil {
+				return nil, err
+			}
+			experiments.PrintRows(w, "Sharded KV scaling — range-partitioned multi-heap sharding (internal/pshard)", rows)
+			experiments.PrintRows(w, "Sharded parallel recovery — restart time vs recovery workers", recovery)
+			// One array, both series: BENCH_shardedkv.json gates them together.
+			all := make([]any, 0, len(rows)+len(recovery))
+			for _, r := range rows {
 				all = append(all, r)
 			}
 			for _, r := range recovery {
 				all = append(all, r)
 			}
-			return writeJSON(all)
-		}
-		return nil
-	})
-	run("telemetry", func() error {
-		rows, report, err := experiments.TelemetryOverhead(s)
-		if err != nil {
-			return err
-		}
-		experiments.PrintTelemetry(w, rows, report)
-		if *snapPath != "" {
-			b, err := json.MarshalIndent(report.Snapshot, "", "  ")
+			return all, nil
+		}},
+		{"telemetry", func(w io.Writer) (any, error) {
+			rows, report, err := experiments.TelemetryOverhead(s)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if err := os.WriteFile(*snapPath, append(b, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", *snapPath)
-		}
-		if *exp == "telemetry" {
-			return writeJSON(rows)
-		}
-		return nil
-	})
-	run("blackbox", func() error {
-		rows, report, err := experiments.Blackbox(s)
-		if err != nil {
+			experiments.PrintRows(w, "Telemetry overhead — device ops per op must be identical off vs on", rows)
+			report.Print(w)
+			return rows, writeJSON(w, *snapPath, report.Snapshot)
+		}},
+		{"blackbox", func(w io.Writer) (any, error) {
+			rows, report, err := experiments.Blackbox(s)
 			// The decoded timeline is the failure evidence — write it even
-			// (especially) when the sweep or a gate fails.
-			writeTimeline(*timelinePath, w, report)
-			return err
+			// (especially) when the sweep or a gate fails; a failure to
+			// write it is secondary to the experiment's own result.
+			if werr := writeJSON(w, *timelinePath, report); werr != nil {
+				fmt.Fprintf(os.Stderr, "espresso-bench: writing timeline: %v\n", werr)
+			}
+			if err != nil {
+				return nil, err
+			}
+			experiments.PrintRows(w, "Flight recorder overhead — fences/reads identical off vs on; writes/lines +1 per event", rows)
+			report.Print(w)
+			return rows, nil
+		}},
+		table("faults", "Media-fault matrix, degraded serving, and fault-hook overhead",
+			func() (any, error) { return experiments.Faults(s, *faultDir) }),
+	}
+
+	w := os.Stdout
+	results := map[string]any{}
+	for _, e := range exps {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		experiments.PrintBlackbox(w, rows, report)
-		writeTimeline(*timelinePath, w, report)
-		if *exp == "blackbox" {
-			return writeJSON(rows)
-		}
-		return nil
-	})
-	run("faults", func() error {
-		rows, err := experiments.FaultsWithImages(s, *faultDir)
+		fmt.Fprintf(w, "\n=== %s ===\n", e.name)
+		rows, err := e.run(w)
 		if err != nil {
-			return err
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			os.Exit(1)
 		}
-		experiments.PrintFaults(w, rows)
-		if *exp == "faults" {
-			return writeJSON(rows)
+		results[e.name] = rows
+	}
+	if len(results) == 0 {
+		names := make([]string, len(exps))
+		for i, e := range exps {
+			names[i] = e.name
 		}
-		return nil
-	})
+		fmt.Fprintf(os.Stderr, "espresso-bench: unknown experiment %q (want %s, or all)\n", *exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
+	var out any = results
+	if *exp != "all" {
+		out = results[*exp]
+	}
+	if err := writeJSON(w, *jsonPath, out); err != nil {
+		fmt.Fprintln(os.Stderr, "espresso-bench:", err)
+		os.Exit(1)
+	}
 }
 
-// writeTimeline dumps the blackbox experiment's decoded journal to path
-// (no-op when unset). Failures here are secondary to the experiment's
-// own result, so they are reported but not fatal.
-func writeTimeline(path string, w io.Writer, report experiments.BlackboxReport) {
+// writeJSON writes v, indented, to path (no-op when path is unset).
+func writeJSON(w io.Writer, path string, v any) error {
 	if path == "" {
-		return
+		return nil
 	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err == nil {
-		err = os.WriteFile(path, append(b, '\n'), 0o644)
-	}
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "espresso-bench: writing timeline: %v\n", err)
-		return
+		return err
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "wrote %s\n", path)
+	return nil
 }

@@ -141,13 +141,13 @@ func main() {
 	}
 	if cmd == "scrub" {
 		// Scrub, like postmortem, works on the raw device: Load would
-		// upgrade formats, replay redo, and plug regions — all mutations
-		// an image under investigation must not suffer.
+		// replay redo and plug regions — mutations an image under
+		// investigation must not suffer.
 		rep, err := pheap.Scrub(dev)
 		if err != nil {
 			fatalf(exitUnreadable, "unreadable image: %v", err)
 		}
-		fmt.Printf("format version %d (checksummed: %v)\n", rep.FormatVersion, rep.Checksummed)
+		fmt.Printf("format version %d\n", rep.FormatVersion)
 		fmt.Printf("gc active      %v\n", rep.GCActive)
 		fmt.Printf("redo pending   %v\n", rep.RedoPending)
 		fmt.Printf("regions checked %d\n", rep.RegionsChecked)

@@ -100,15 +100,11 @@ func (rt *Runtime) LoadHeap(name string) (*pheap.Heap, error) {
 		if _, err := h.EnableFlightRecorder(); err != nil {
 			return nil, fmt.Errorf("core: flight recorder on %q: %w", name, err)
 		}
-		fr := h.FlightRecorder()
-		if from := h.UpgradedFrom(); from != 0 {
-			fr.Append(blackbox.EvFormatUpgrade, from, h.FormatVersion(), 0)
-		}
 		active := uint64(0)
 		if h.GCActive() {
 			active = 1
 		}
-		fr.Append(blackbox.EvHeapLoad, h.GlobalTS(), active, uint64(h.GCPhase()))
+		h.FlightRecorder().Append(blackbox.EvHeapLoad, h.GlobalTS(), active, uint64(h.GCPhase()))
 	}
 	// Crash recovery (paper §4.3) runs before the heap is used. A
 	// persisted concurrent-mark phase with gcActive clear means the crash

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // motivation and evaluation sections (the per-experiment index lives in
-// DESIGN.md §4). Each experiment builds the real systems, runs the real
+// docs/benchmarks.md). Each experiment builds the real systems, runs the real
 // workloads, and prints rows/series shaped like the paper's plots.
 //
 // Absolute numbers differ from the paper — the substrate is a simulated
@@ -100,10 +100,11 @@ func Fig6(w io.Writer, scale Scale) error {
 
 // Fig15Row is one (data type, operation) speedup.
 type Fig15Row struct {
-	Type, Op string
-	PCJ      time.Duration
-	Espresso time.Duration
-	Speedup  float64
+	Type     string        `json:"type"`
+	Op       string        `json:"op"`
+	PCJ      time.Duration `json:"pcj"`
+	Espresso time.Duration `json:"espresso"`
+	Speedup  float64       `json:"speedup"`
 }
 
 // Fig15 runs create/set/get on the five data types of §6.2 over both
@@ -432,15 +433,7 @@ func Fig15(scale Scale) ([]Fig15Row, error) {
 
 // PrintFig15 renders the speedup table.
 func PrintFig15(w io.Writer, rows []Fig15Row) {
-	t := &bench.Table{Header: []string{"Type", "Op", "PCJ", "Espresso", "Speedup"}}
-	for _, r := range rows {
-		t.AddRow(r.Type, r.Op,
-			r.PCJ.Round(time.Microsecond).String(),
-			r.Espresso.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.1fx", r.Speedup))
-	}
-	fmt.Fprintln(w, "Figure 15 — normalized speedup, PJH over PCJ (ACID on both sides)")
-	t.Print(w)
+	PrintRows(w, "Figure 15 — normalized speedup, PJH over PCJ (ACID on both sides)", rows)
 	fmt.Fprintln(w, "paper: speedups from 6.0x (gets) up to 256.3x (tuple sets)")
 }
 
@@ -448,8 +441,11 @@ func PrintFig15(w io.Writer, rows []Fig15Row) {
 
 // Fig16Row is one (test, operation) throughput pair.
 type Fig16Row struct {
-	Test, Op string
-	JPA, PJO float64 // ops/sec
+	Test    string  `json:"test"`
+	Op      string  `json:"op"`
+	JPA     float64 `json:"h2_jpa_ops_per_s"`
+	PJO     float64 `json:"h2_pjo_ops_per_s"`
+	Speedup float64 `json:"pjo_over_jpa"`
 }
 
 // stackSize scales the backing stores with the workload so small test
@@ -537,7 +533,7 @@ func Fig16(scale Scale) ([]Fig16Row, error) {
 			return nil, fmt.Errorf("fig16 %s PJO: %w", mk.Name, err)
 		}
 		for _, op := range []string{"Retrieve", "Update", "Delete", "Create"} {
-			rows = append(rows, Fig16Row{Test: mk.Name, Op: op, JPA: rJPA[op], PJO: rPJO[op]})
+			rows = append(rows, Fig16Row{mk.Name, op, rJPA[op], rPJO[op], rPJO[op] / rJPA[op]})
 		}
 	}
 	return rows, nil
@@ -545,13 +541,7 @@ func Fig16(scale Scale) ([]Fig16Row, error) {
 
 // PrintFig16 renders the throughput table with speedups.
 func PrintFig16(w io.Writer, rows []Fig16Row) {
-	t := &bench.Table{Header: []string{"Test", "Op", "H2-JPA (ops/s)", "H2-PJO (ops/s)", "PJO/JPA"}}
-	for _, r := range rows {
-		t.AddRow(r.Test, r.Op, fmt.Sprintf("%.0f", r.JPA), fmt.Sprintf("%.0f", r.PJO),
-			fmt.Sprintf("%.2fx", r.PJO/r.JPA))
-	}
-	fmt.Fprintln(w, "Figure 16 — JPAB throughput, H2-JPA vs H2-PJO")
-	t.Print(w)
+	PrintRows(w, "Figure 16 — JPAB throughput, H2-JPA vs H2-PJO", rows)
 	fmt.Fprintln(w, "paper: H2-PJO wins every cell, up to 3.24x")
 }
 

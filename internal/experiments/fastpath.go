@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -14,8 +13,8 @@ import (
 
 // The fast-path experiment measures the resolved-accessor layer the way
 // the paper measures everything else: wall time next to accounted device
-// traffic. It is the source of BENCH_fastpath.json, the baseline CI
-// compares new runs against by eye.
+// traffic. It is the source of BENCH_fastpath.json, whose device
+// columns CI's bench gate bounds.
 
 // FastpathRow is one operation's cost, per op.
 type FastpathRow struct {
@@ -55,14 +54,7 @@ func Fastpath(scale Scale) ([]FastpathRow, error) {
 	}
 
 	var rows []FastpathRow
-	measure := func(op string, iters int, fn func() error) error {
-		s0 := dev.Stats()
-		t0 := time.Now()
-		if err := fn(); err != nil {
-			return fmt.Errorf("fastpath %s: %w", op, err)
-		}
-		wall := time.Since(t0)
-		d := dev.Stats().Sub(s0)
+	record := func(op string, iters int, wall time.Duration, d nvm.Stats) {
 		rows = append(rows, FastpathRow{
 			Op:           op,
 			NsPerOp:      float64(wall.Nanoseconds()) / float64(iters),
@@ -71,6 +63,15 @@ func Fastpath(scale Scale) ([]FastpathRow, error) {
 			FlushedLines: float64(d.FlushedLines) / float64(iters),
 			Fences:       float64(d.Fences) / float64(iters),
 		})
+	}
+	measure := func(op string, iters int, fn func() error) error {
+		s0 := dev.Stats()
+		t0 := time.Now()
+		if err := fn(); err != nil {
+			return fmt.Errorf("fastpath %s: %w", op, err)
+		}
+		wall := time.Since(t0)
+		record(op, iters, wall, dev.Stats().Sub(s0))
 		return nil
 	}
 
@@ -141,11 +142,7 @@ func Fastpath(scale Scale) ([]FastpathRow, error) {
 				}
 			}
 			wall += time.Since(t0)
-			d := dev.Stats().Sub(s0)
-			traffic.Reads += d.Reads
-			traffic.Writes += d.Writes
-			traffic.FlushedLines += d.FlushedLines
-			traffic.Fences += d.Fences
+			traffic = traffic.Add(dev.Stats().Sub(s0))
 			done += step
 			if done < strN {
 				if _, err := rt.PersistentGC("fastpath"); err != nil {
@@ -153,14 +150,7 @@ func Fastpath(scale Scale) ([]FastpathRow, error) {
 				}
 			}
 		}
-		rows = append(rows, FastpathRow{
-			Op:           "string-roundtrip",
-			NsPerOp:      float64(wall.Nanoseconds()) / float64(strN),
-			DevReads:     float64(traffic.Reads) / float64(strN),
-			DevWrites:    float64(traffic.Writes) / float64(strN),
-			FlushedLines: float64(traffic.FlushedLines) / float64(strN),
-			Fences:       float64(traffic.Fences) / float64(strN),
-		})
+		record("string-roundtrip", strN, wall, traffic)
 	}
 
 	// Transitive flush over a 64-node chain.
@@ -209,24 +199,4 @@ func Fastpath(scale Scale) ([]FastpathRow, error) {
 		return nil, err
 	}
 	return rows, nil
-}
-
-// PrintFastpath renders the fast-path table with the headline ratios.
-func PrintFastpath(w io.Writer, rows []FastpathRow) {
-	fmt.Fprintln(w, "Fast path — resolved handles, bulk I/O, coalesced flushes (per op)")
-	byOp := map[string]FastpathRow{}
-	fmt.Fprintf(w, "  %-18s %12s %10s %10s %8s %8s\n", "op", "ns", "reads", "writes", "lines", "fences")
-	for _, r := range rows {
-		byOp[r.Op] = r
-		fmt.Fprintf(w, "  %-18s %12.1f %10.2f %10.2f %8.2f %8.2f\n",
-			r.Op, r.NsPerOp, r.DevReads, r.DevWrites, r.FlushedLines, r.Fences)
-	}
-	if ng, rg := byOp["named-get"], byOp["resolved-get"]; rg.NsPerOp > 0 && rg.DevReads > 0 {
-		fmt.Fprintf(w, "  resolved get: %.2fx faster, %.1fx fewer device reads\n",
-			ng.NsPerOp/rg.NsPerOp, ng.DevReads/rg.DevReads)
-	}
-	if po, tr := byOp["flush-per-object"], byOp["flush-transitive"]; tr.Fences > 0 {
-		fmt.Fprintf(w, "  coalesced flush: %.0fx fewer fences, %.1fx fewer flushed lines\n",
-			po.Fences/tr.Fences, po.FlushedLines/tr.FlushedLines)
-	}
 }

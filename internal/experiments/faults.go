@@ -28,7 +28,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -755,165 +754,47 @@ func (fx *faultsFixture) runFaultsBackoff() (FaultsRow, error) {
 	return row, nil
 }
 
-// runFaultsOverhead measures the fault hooks' cost contract: a fixed
-// single-goroutine put/get/delete workload, run once bare and once with
-// faultdev.Passthrough armed on every shard device, must produce
-// bit-identical device counters — installed-but-silent hooks are free,
-// which is what makes leaving them compiled into the device affordable.
+// runFaultsOverhead measures the fault hooks' cost contract: the kvmix
+// workload, run once bare and once with faultdev.Passthrough armed on
+// every shard device, must produce bit-identical device counters —
+// installed-but-silent hooks are free, which is what makes leaving them
+// compiled into the device affordable.
 func runFaultsOverhead(s Scale) ([]FaultsRow, error) {
-	n := s.div(20000)
-	if n < 2000 {
-		n = 2000
-	}
-	workload := func(hooks bool) (nvm.Stats, error) {
-		store := pshard.NewMemStore()
-		set, err := pshard.OpenSet(store, "faults-ovh", pshard.Options{
-			Shards:        2,
-			ShardDataSize: 4 << 20,
-			Mode:          nvm.Direct,
-			Index:         faultsIndexOpts(),
+	pair, err := runContract(workloads["kvmix"], max(s.div(20000), 2000),
+		func(h *pheap.Heap) error {
+			faultdev.Passthrough(h.Device())
+			return nil
+		},
+		func(bare, hooked *Row) error {
+			if bare.raw != hooked.raw {
+				return fmt.Errorf("fault hooks changed device counters: bare %+v, hooked %+v", bare.raw, hooked.raw)
+			}
+			return nil
 		})
-		if err != nil {
-			return nvm.Stats{}, err
-		}
-		defer set.Close()
-		devs := make([]*nvm.Device, set.NumShards())
-		for i := range devs {
-			devs[i] = set.Shard(i).Heap().Device()
-			if hooks {
-				faultdev.Passthrough(devs[i])
-			}
-		}
-		var before nvm.Stats
-		for _, d := range devs {
-			before = before.Add(d.Stats())
-		}
-		ctx := set.NewCtx()
-		for k := int64(1); k <= int64(n); k++ {
-			if err := ctx.Put(k, k*3+1); err != nil {
-				return nvm.Stats{}, err
-			}
-		}
-		for k := int64(1); k <= int64(n); k++ {
-			if _, ok := ctx.Get(k); !ok {
-				return nvm.Stats{}, fmt.Errorf("overhead workload lost key %d", k)
-			}
-		}
-		for k := int64(1); k <= int64(n); k += 2 {
-			ctx.Delete(k)
-		}
-		ctx.Release()
-		var after nvm.Stats
-		for _, d := range devs {
-			after = after.Add(d.Stats())
-		}
-		return after.Sub(before), nil
-	}
-
-	bare, err := workload(false)
 	if err != nil {
 		return nil, err
 	}
-	hooked, err := workload(true)
-	if err != nil {
-		return nil, err
-	}
-	if bare != hooked {
-		return nil, fmt.Errorf("fault hooks changed device counters: bare %+v, hooked %+v", bare, hooked)
-	}
-	ops := n + n + (n+1)/2
-	mk := func(op string, st nvm.Stats, identical bool) FaultsRow {
-		return FaultsRow{
+	rows := make([]FaultsRow, 2)
+	for i, op := range []string{"kvmix-nohooks", "kvmix-hooks"} {
+		rows[i] = FaultsRow{
 			Series:               "overhead",
 			Op:                   op,
-			Ops:                  ops,
-			DevWritesPerOp:       float64(st.Writes) / float64(ops),
-			DevFlushedLinesPerOp: float64(st.FlushedLines) / float64(ops),
-			DevFencesPerOp:       float64(st.Fences) / float64(ops),
-			HooksIdentical:       identical,
+			Ops:                  pair[i].Ops,
+			DevWritesPerOp:       pair[i].DevWrites,
+			DevFlushedLinesPerOp: pair[i].FlushedLines,
+			DevFencesPerOp:       pair[i].Fences,
+			HooksIdentical:       true,
 		}
 	}
-	return []FaultsRow{mk("kvmix-nohooks", bare, true), mk("kvmix-hooks", hooked, true)}, nil
+	return rows, nil
 }
 
 // Faults runs the full experiment: the 16-cell matrix, the
 // degraded-serving backoff scenario, and the hook-overhead contract.
 // Any contract violation is a hard error, so CI fails on the violation
-// itself rather than on a drifted number.
-func Faults(s Scale) ([]FaultsRow, error) {
-	fx, err := buildFaultsFixture(s)
-	if err != nil {
-		return nil, err
-	}
-	var rows []FaultsRow
-	for _, c := range faultsMatrix {
-		row, err := fx.runMatrixCell(c)
-		if err != nil {
-			return nil, fmt.Errorf("faults %s/%s: %w", c.structure, c.kind, err)
-		}
-		rows = append(rows, row)
-	}
-	row, err := fx.runFaultsBackoff()
-	if err != nil {
-		return nil, fmt.Errorf("faults degraded scenario: %w", err)
-	}
-	rows = append(rows, row)
-	ovh, err := runFaultsOverhead(s)
-	if err != nil {
-		return nil, fmt.Errorf("faults overhead: %w", err)
-	}
-	return append(rows, ovh...), nil
-}
-
-// WriteFaultImages dumps deterministic golden and corrupted images into
-// dir as .pjh files for heaptool's CI exit-code checks: a clean shard
-// image and manifest (scrub exits 0), checksum-corrupted variants
-// (exit 4), and an unreadable bad-magic variant (exit 3).
-func (fx *faultsFixture) WriteFaultImages(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	save := func(name string, img []byte) error {
-		dev := nvm.FromImage(img, nvm.Config{Mode: nvm.Tracked})
-		return dev.Save(filepath.Join(dir, name))
-	}
-	if err := save("shard-golden.pjh", fx.shards[0]); err != nil {
-		return err
-	}
-	gcFlip := cloneImg(fx.shards[0])
-	faultdev.FlipBitInImage(gcFlip, fx.gcPhaseOff, 0)
-	if err := save("shard-gcphase-bitflip.pjh", gcFlip); err != nil {
-		return err
-	}
-	topFlip := cloneImg(fx.shards[0])
-	faultdev.FlipBitInImage(topFlip, fx.topOff, 2)
-	if err := save("shard-regiontop-bitflip.pjh", topFlip); err != nil {
-		return err
-	}
-	redoTorn, err := fx.imgRedoPending(false)
-	if err != nil {
-		return err
-	}
-	faultdev.CorruptLineInImage(redoTorn, fx.redoOff, 99)
-	if err := save("shard-redo-torn.pjh", redoTorn); err != nil {
-		return err
-	}
-	badMagic := cloneImg(fx.shards[0])
-	faultdev.FlipBitInImage(badMagic, 0, 7)
-	if err := save("shard-badmagic.pjh", badMagic); err != nil {
-		return err
-	}
-	if err := save("manifest-golden.pjh", fx.manifest); err != nil {
-		return err
-	}
-	maniFlip := cloneImg(fx.manifest)
-	faultdev.FlipBitInImage(maniFlip, pshard.ManifestBoundsOff+8, 4)
-	return save("manifest-bitflip.pjh", maniFlip)
-}
-
-// FaultsWithImages is Faults plus a dump of the CI scrub images into
-// dir (skipped when dir is empty).
-func FaultsWithImages(s Scale, dir string) ([]FaultsRow, error) {
+// itself rather than on a drifted number. A non-empty dir also receives
+// the golden + corrupted images of heaptool's scrub exit-code checks.
+func Faults(s Scale, dir string) ([]FaultsRow, error) {
 	fx, err := buildFaultsFixture(s)
 	if err != nil {
 		return nil, err
@@ -943,26 +824,37 @@ func FaultsWithImages(s Scale, dir string) ([]FaultsRow, error) {
 	return append(rows, ovh...), nil
 }
 
-// PrintFaults renders the matrix, the degraded scenario, and the
-// overhead rows as the experiment's report.
-func PrintFaults(w io.Writer, rows []FaultsRow) {
-	fmt.Fprintf(w, "%-26s %-11s %-8s %-6s %-6s %9s %9s %9s\n",
-		"case", "expect", "detected", "quar", "healed", "lost", "served", "exact")
-	for _, r := range rows {
-		if r.Series == "overhead" {
-			continue
-		}
-		fmt.Fprintf(w, "%-26s %-11s %-8v %-6v %-6v %9d %9d %9v\n",
-			r.Op, r.Expect, r.Detected, r.Quarantined, r.Healed, r.KeysLost, r.KeysServed, r.RecoveredExact)
+// WriteFaultImages dumps deterministic golden and corrupted images into
+// dir as .pjh files for heaptool's CI exit-code checks: a clean shard
+// image and manifest (scrub exits 0), checksum-corrupted variants
+// (exit 4), and an unreadable bad-magic variant (exit 3).
+func (fx *faultsFixture) WriteFaultImages(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-16s %9s %14s %18s %14s %10s\n",
-		"overhead", "ops", "dev writes/op", "flushed lines/op", "fences/op", "identical")
-	for _, r := range rows {
-		if r.Series != "overhead" {
-			continue
-		}
-		fmt.Fprintf(w, "%-16s %9d %14.3f %18.3f %14.3f %10v\n",
-			r.Op, r.Ops, r.DevWritesPerOp, r.DevFlushedLinesPerOp, r.DevFencesPerOp, r.HooksIdentical)
+	redoTorn, err := fx.imgRedoPending(false)
+	if err != nil {
+		return err
 	}
+	faultdev.CorruptLineInImage(redoTorn, fx.redoOff, 99)
+	flipped := func(img []byte, off int, bit uint) []byte {
+		img = cloneImg(img)
+		faultdev.FlipBitInImage(img, off, bit)
+		return img
+	}
+	for name, img := range map[string][]byte{
+		"shard-golden":            fx.shards[0],
+		"shard-gcphase-bitflip":   flipped(fx.shards[0], fx.gcPhaseOff, 0),
+		"shard-regiontop-bitflip": flipped(fx.shards[0], fx.topOff, 2),
+		"shard-redo-torn":         redoTorn,
+		"shard-badmagic":          flipped(fx.shards[0], 0, 7),
+		"manifest-golden":         fx.manifest,
+		"manifest-bitflip":        flipped(fx.manifest, pshard.ManifestBoundsOff+8, 4),
+	} {
+		dev := nvm.FromImage(img, nvm.Config{Mode: nvm.Tracked})
+		if err := dev.Save(filepath.Join(dir, name+".pjh")); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,0 +1,321 @@
+package experiments
+
+import (
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
+	"sync"
+	"time"
+
+	"espresso/internal/bench"
+	"espresso/internal/nvm"
+	"espresso/internal/pheap"
+)
+
+// The device-cost experiments (alloc, kv, refstore, shardedkv scaling;
+// telemetry, blackbox, faults overhead contracts) share one harness: a
+// workload builds its heaps and hands back a per-mutator body, and two
+// drivers run it. runScaling walks a (shards, mutators) curve and
+// reports the deterministic modeled critical path — the slowest
+// chain's flushed lines × NVMWriteLatency; chains flush disjoint lines
+// (their own PLAB regions, their own publications, their own shard
+// devices), so their media time overlaps and the slowest one bounds
+// completion. runContract runs the workload twice, a feature off and
+// on, and hands both rows to the contract's check. Wall clock rides
+// along in every row and is never gated; docs/benchmarks.md has the
+// experiment index and the gate classes.
+
+// Row is one measurement of a device-cost workload. The same type
+// serves every scaling curve and every off/on contract; fields a
+// workload does not report are omitted from its JSON. Events and
+// HelpFlushes are pointers because zero is a reported value for them.
+type Row struct {
+	Series          string  `json:"series"`
+	Op              string  `json:"op,omitempty"`
+	Shards          int     `json:"shards,omitempty"`
+	Goroutines      int     `json:"goroutines,omitempty"`
+	Allocs          int     `json:"allocs,omitempty"`
+	Ops             int     `json:"ops,omitempty"`
+	Events          *int    `json:"events,omitempty"` // journal records appended in the window
+	WallNsPerOp     float64 `json:"wall_ns_per_op"`
+	ModeledNsPerOp  float64 `json:"modeled_ns_per_op,omitempty"`
+	ModeledSpeedup  float64 `json:"modeled_speedup_vs_1,omitempty"`
+	DevReads        float64 `json:"dev_reads_per_op"`
+	DevWrites       float64 `json:"dev_writes_per_op"`
+	FlushedLines    float64 `json:"flushed_lines_per_op"`
+	Fences          float64 `json:"fences_per_op"`
+	RegionDispenses int     `json:"region_dispenses,omitempty"`
+	HelpFlushes     *int    `json:"help_flushes,omitempty"`
+	FinalEntries    int     `json:"final_entries,omitempty"`
+	RemsetSlots     int     `json:"remset_slots,omitempty"`
+	// SpeedupFloor is the scaling claim, emitted on the row that carries
+	// it; benchgate bounds ModeledSpeedup by the baseline's copy.
+	SpeedupFloor float64 `json:"modeled_speedup_vs_1_floor,omitempty"`
+
+	// raw is the undivided device delta and events the recorder sequence
+	// delta — contract checks compare these exactly, immune to per-op
+	// float rounding.
+	raw    nvm.Stats
+	events int
+}
+
+// point is one configuration of a scaling curve.
+type point struct{ shards, mutators int }
+
+// env is what a workload's setup is handed.
+type env struct {
+	point
+	ops int // per mutator
+	// configure switches a contract's feature on. Setup applies it to
+	// every heap it creates, before any mutator context attaches; nil
+	// leaves the feature off.
+	configure func(*pheap.Heap) error
+}
+
+func (e env) arm(h *pheap.Heap) error {
+	if e.configure == nil {
+		return nil
+	}
+	return e.configure(h)
+}
+
+// run is a prepared workload instance.
+type run struct {
+	heaps []*pheap.Heap // every heap the bodies touch; their device stats are summed
+	ops   int           // measured ops when not mutators × env.ops (gccycle: one collection)
+	body  func(g int) error
+	// critical reports the flushed lines of the slowest chain, read
+	// after the bodies join; runScaling only.
+	critical func() int
+	// finish runs the workload's self-checks and releases its mutator
+	// contexts (nil when there is nothing to do).
+	finish func() error
+	// report fills the workload's own scaling columns, after finish;
+	// runScaling only.
+	report func(*Row)
+}
+
+// workload is one entry of the table in workloads.go.
+type workload struct {
+	name   string // scaling experiment name and contract rows' op
+	series string // scaling rows' series label
+	ops    int    // paper-scale op count of the scaling curve
+	// curve lays out the scaling curve for espresso-bench's -shards and
+	// -parallel (nil: contract-only workload), and claim is the point on
+	// it the ≥3x modeled-speedup floor is stated for (CI's flags reach it).
+	curve func(shards, mutators int) []point
+	claim point
+	setup func(env) (*run, error)
+}
+
+// fanOut runs body(0..n-1) on n goroutines and joins them.
+func fanOut(n int, body func(g int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs[g] = body(g)
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sample sums the device counters and recorder sequences of the run's
+// heaps (a disabled recorder reads as sequence 0).
+func (r *run) sample() (st nvm.Stats, seq uint64) {
+	for _, h := range r.heaps {
+		st = st.Add(h.Device().Stats())
+		seq += h.FlightRecorder().Seq()
+	}
+	return st, seq
+}
+
+// measure sets the workload up, runs its bodies inside the measured
+// window, and returns the row with its common fields filled. The caller
+// owns the run's finish.
+func (w *workload) measure(e env) (Row, *run, error) {
+	r, err := w.setup(e)
+	if err != nil {
+		return Row{}, nil, err
+	}
+	s0, seq0 := r.sample()
+	t0 := time.Now()
+	if err := fanOut(e.mutators, r.body); err != nil {
+		return Row{}, nil, err
+	}
+	wall := time.Since(t0)
+	s1, seq1 := r.sample()
+	d := s1.Sub(s0)
+	ops := r.ops
+	if ops == 0 {
+		ops = e.mutators * e.ops
+	}
+	n := float64(ops)
+	return Row{
+		Ops:          ops,
+		WallNsPerOp:  float64(wall.Nanoseconds()) / n,
+		DevReads:     float64(d.Reads) / n,
+		DevWrites:    float64(d.Writes) / n,
+		FlushedLines: float64(d.FlushedLines) / n,
+		Fences:       float64(d.Fences) / n,
+		raw:          d,
+		events:       int(seq1 - seq0),
+	}, r, nil
+}
+
+func (r *run) done() error {
+	if r.finish == nil {
+		return nil
+	}
+	return r.finish()
+}
+
+// runScaling measures w at every point of curve; speedups are relative
+// to the first point.
+func runScaling(w *workload, scale Scale, curve []point) ([]Row, error) {
+	n := scale.div(w.ops)
+	var rows []Row
+	for _, p := range curve {
+		perG := n / p.mutators
+		if perG < 1 {
+			perG = 1
+		}
+		row, r, err := w.measure(env{point: p, ops: perG})
+		if err == nil {
+			modeled := time.Duration(r.critical()) * NVMWriteLatency
+			row.ModeledNsPerOp = float64(modeled.Nanoseconds()) / float64(row.Ops)
+			if err = r.done(); err == nil {
+				r.report(&row)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s %d shards, %d mutators: %w", w.name, p.shards, p.mutators, err)
+		}
+		row.Series, row.Shards, row.Goroutines = w.series, p.shards, p.mutators
+		row.ModeledSpeedup = 1
+		if len(rows) > 0 && row.ModeledNsPerOp > 0 {
+			row.ModeledSpeedup = rows[0].ModeledNsPerOp / row.ModeledNsPerOp
+		}
+		if p == w.claim {
+			row.SpeedupFloor = 3
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// runContract measures ops operations of w on one mutator with the
+// feature off, then on, and hands both rows to check.
+func runContract(w *workload, ops int, configure func(*pheap.Heap) error, check func(off, on *Row) error) ([]Row, error) {
+	rows := make([]Row, 2)
+	for i, series := range []string{"off", "on"} {
+		e := env{point: point{shards: 1, mutators: 1}, ops: ops}
+		if series == "on" {
+			e.configure = configure
+		}
+		row, r, err := w.measure(e)
+		if err == nil {
+			err = r.done()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", w.name, series, err)
+		}
+		row.Series, row.Op = series, w.name
+		rows[i] = row
+	}
+	if err := check(&rows[0], &rows[1]); err != nil {
+		return nil, fmt.Errorf("%s: %w", w.name, err)
+	}
+	return rows, nil
+}
+
+// mutatorCurve is 1, 2, 4, … up to `mutators` mutators on one heap.
+func mutatorCurve(_, mutators int) []point {
+	var curve []point
+	for g := 1; g < mutators; g *= 2 {
+		curve = append(curve, point{mutators: g})
+	}
+	return append(curve, point{mutators: max(mutators, 1)})
+}
+
+// shardCurve is the (1 shard, 1 mutator) baseline, then shard counts
+// 1, 2, 4, … up to maxShards, each with `mutators` mutators.
+func shardCurve(maxShards, mutators int) []point {
+	if mutators < 1 {
+		mutators = 1
+	}
+	curve := []point{{1, 1}}
+	for s := 1; s <= maxShards; s *= 2 {
+		if p := (point{s, mutators}); p != curve[0] {
+			curve = append(curve, p)
+		}
+	}
+	return curve
+}
+
+// Scaling runs the named scaling curve: alloc, kv, and refstore sweep
+// mutators 1, 2, 4, … up to `mutators` on one heap; shardedkv sweeps
+// shards up to `shards` at a fixed mutator count.
+func Scaling(name string, scale Scale, shards, mutators int) ([]Row, error) {
+	w, ok := workloads[name]
+	if !ok || w.curve == nil {
+		return nil, fmt.Errorf("experiments: no scaling curve %q", name)
+	}
+	return runScaling(w, scale, w.curve(shards, mutators))
+}
+
+// PrintRows renders any experiment's row slice as one aligned table: a
+// column per JSON field, in struct order, skipping columns no row
+// fills; "-" marks a field the row omits from its JSON.
+func PrintRows(w io.Writer, title string, rows any) {
+	fmt.Fprintln(w, title)
+	rv := reflect.ValueOf(rows)
+	if rv.Kind() != reflect.Slice || rv.Len() == 0 {
+		return
+	}
+	rt := rv.Index(0).Type()
+	t := &bench.Table{}
+	var cols []int
+	for f := 0; f < rt.NumField(); f++ {
+		name, _, _ := strings.Cut(rt.Field(f).Tag.Get("json"), ",")
+		if name == "" {
+			continue
+		}
+		for i := 0; i < rv.Len(); i++ {
+			if !rv.Index(i).Field(f).IsZero() {
+				cols = append(cols, f)
+				t.Header = append(t.Header, name)
+				break
+			}
+		}
+	}
+	for i := 0; i < rv.Len(); i++ {
+		cells := make([]string, len(cols))
+		for c, f := range cols {
+			v := rv.Index(i).Field(f)
+			if v.IsZero() && strings.HasSuffix(rt.Field(f).Tag.Get("json"), ",omitempty") {
+				cells[c] = "-"
+				continue
+			}
+			if v.Kind() == reflect.Pointer {
+				v = v.Elem()
+			}
+			if v.Kind() == reflect.Float64 {
+				cells[c] = strings.TrimSuffix(strings.TrimRight(fmt.Sprintf("%.4f", v.Float()), "0"), ".")
+			} else {
+				cells[c] = fmt.Sprint(v.Interface())
+			}
+		}
+		t.AddRow(cells...)
+	}
+	t.Print(w)
+}

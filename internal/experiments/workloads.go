@@ -1,0 +1,486 @@
+package experiments
+
+import (
+	"fmt"
+
+	"espresso/internal/core"
+	"espresso/internal/klass"
+	"espresso/internal/layout"
+	"espresso/internal/nvm"
+	"espresso/internal/pgc"
+	"espresso/internal/pheap"
+	"espresso/internal/pindex"
+	"espresso/internal/pshard"
+)
+
+// workloads is the one table every device-cost experiment draws from.
+// The first four carry a scaling curve (espresso-bench -exp <name>);
+// any entry can serve as an off/on contract body.
+var workloads = map[string]*workload{
+	// PLAB allocation: every mutator bump-allocates from its own region,
+	// flushing only its own objects and its own region-top line. The
+	// curve runs warm (klass already in the segment) on 4-long nodes.
+	"alloc": {name: "alloc", series: "plab", ops: 200000, curve: mutatorCurve, claim: point{mutators: 8},
+		setup: allocLoad{fields: 4, warm: true}.setup},
+	// The durable lock-free index under a serving mix, one operation
+	// context (PLAB allocator + SATB buffer) per mutator over disjoint
+	// key ranges: the CAS publication adds no shared persisted word.
+	"kv": {name: "kv", series: "pindex", ops: 160000, curve: mutatorCurve, claim: point{mutators: 8}, setup: kvSetup},
+	// Durable reference stores through per-mutator remset delta buffers.
+	"refstore": {name: "refstore", series: "refstore", ops: 320000, curve: mutatorCurve, claim: point{mutators: 8},
+		setup: refstoreSetup},
+	// The kv serving mix routed over independent shard heaps: a
+	// mutator's flushes to different shards land on different media.
+	"shardedkv": {name: "shardedkv", series: "sharded", ops: 160000, curve: shardCurve, claim: point{shards: 4, mutators: 2},
+		setup: shardedKVSetup},
+
+	// Contract-only bodies. The contract alloc runs cold on 2-long
+	// nodes, so klass registration and the first region dispense — where
+	// an observer is most likely to hook — fall inside the window.
+	"alloc-cold": {name: "alloc", setup: allocLoad{fields: 2}.setup},
+	"kvput":      {name: "kvput", setup: kvPutSetup},
+	"gccycle":    {name: "gccycle", setup: gcCycleSetup},
+	"kvmix":      {name: "kvmix", setup: kvMixSetup},
+}
+
+// allocLoad allocates fixed-size nodes through one PLAB allocator per
+// mutator.
+type allocLoad struct {
+	fields int  // longs per node
+	warm   bool // register the klass before the measured window
+}
+
+func (a allocLoad) setup(e env) (*run, error) {
+	total := e.mutators * e.ops
+	fields := []klass.Field{
+		{Name: "a", Type: layout.FTLong}, {Name: "b", Type: layout.FTLong},
+		{Name: "c", Type: layout.FTLong}, {Name: "d", Type: layout.FTLong},
+	}[:a.fields]
+	reg := klass.NewRegistry()
+	nk, err := reg.Define(klass.MustInstance("alloc/Node", nil, fields...))
+	if err != nil {
+		return nil, err
+	}
+	h, err := pheap.Create(reg, pheap.Config{
+		DataSize: total*nk.SizeOf(0) + (e.mutators+16)*layout.RegionSize,
+		Mode:     nvm.Direct,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := e.arm(h); err != nil {
+		return nil, err
+	}
+	if a.warm {
+		warm := h.NewAllocator()
+		if _, err := warm.Alloc(nk, 0); err != nil {
+			return nil, err
+		}
+		warm.Release()
+	}
+	allocs := make([]*pheap.Allocator, e.mutators)
+	for i := range allocs {
+		allocs[i] = h.NewAllocator()
+	}
+	return &run{
+		heaps: []*pheap.Heap{h},
+		body: func(g int) error {
+			for i := 0; i < e.ops; i++ {
+				if _, err := allocs[g].Alloc(nk, 0); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		critical: func() int {
+			lines := 0
+			for _, a := range allocs {
+				lines = max(lines, a.Stats().FlushedLines)
+			}
+			return lines
+		},
+		report: func(row *Row) {
+			row.Allocs, row.Ops = row.Ops, 0
+			for _, a := range allocs {
+				row.RegionDispenses += a.Stats().Dispenses
+			}
+		},
+		finish: releaseAll(allocs),
+	}, nil
+}
+
+// releaseAll is the finish of a workload whose only teardown is handing
+// its mutator contexts back.
+func releaseAll[C interface{ Release() }](cs []C) func() error {
+	return func() error {
+		for _, c := range cs {
+			c.Release()
+		}
+		return nil
+	}
+}
+
+// servingMix is the kv experiments' deterministic 10-op rotation over
+// mutator g's own key range: 6 puts, 3 gets, 1 delete — the usual
+// read-light serving mix flipped toward writes so the durability
+// protocol (not raw reads) dominates.
+func servingMix(g, n int, put func(k int64) error, get, del func(k int64) bool) error {
+	base := int64(g) << 32
+	live := int64(0) // keys [base, base+live) are present
+	for i := 0; i < n; i++ {
+		switch i % 10 {
+		case 0, 1, 2, 3, 4, 5:
+			if err := put(base + live); err != nil {
+				return err
+			}
+			live++
+		case 6, 7, 8:
+			if live > 0 {
+				if k := base + int64(i)%live; !get(k) {
+					return fmt.Errorf("key %d lost", k)
+				}
+			}
+		default:
+			if live > 0 {
+				live--
+				if !del(base + live) {
+					return fmt.Errorf("delete %d missed", base+live)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// kvIndex creates a heap with dataSize bytes of data and opens a
+// steady-state index on it (a fixed 1024-bucket table, so runs are
+// comparable).
+func kvIndex(e env, dataSize int) (*pheap.Heap, *pindex.Index, error) {
+	h, err := pheap.Create(klass.NewRegistry(), pheap.Config{DataSize: dataSize, Mode: nvm.Direct})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.arm(h); err != nil {
+		return nil, nil, err
+	}
+	ix, err := pindex.Open(h, pindex.NoPin{}, "bench", pindex.Options{InitialBuckets: 1024, MaxLoadFactor: 64})
+	return h, ix, err
+}
+
+func kvSetup(e env) (*run, error) {
+	// Node (48 B) + boxed value (32 B) per put, ~60% of ops are puts,
+	// plus PLAB slack per mutator and the bucket tables.
+	h, ix, err := kvIndex(e, e.mutators*e.ops*96+(e.mutators+16)*2*layout.RegionSize)
+	if err != nil {
+		return nil, err
+	}
+	boxK, err := h.Registry().Define(klass.MustInstance("kv/Box", nil,
+		klass.Field{Name: "v", Type: layout.FTLong}))
+	if err != nil {
+		return nil, err
+	}
+	ctxs := make([]*pindex.Ctx, e.mutators)
+	for i := range ctxs {
+		ctxs[i] = ix.NewCtx()
+	}
+	// Lines each mutator flushes outside its ctx (the value-box
+	// persists), so the critical path charges them to their owner too.
+	boxLines := make([]int, e.mutators)
+	return &run{
+		heaps: []*pheap.Heap{h},
+		body: func(g int) error {
+			c := ctxs[g]
+			return servingMix(g, e.ops, func(k int64) error {
+				// Value box on the mutator's own PLAB, persisted before
+				// the put publishes a durable reference to it.
+				box, err := c.Allocator().Alloc(boxK, 0)
+				if err != nil {
+					return err
+				}
+				h.SetWord(box, layout.FieldOff(0), uint64(k))
+				n, off := boxK.SizeOf(0), h.OffOf(box)
+				boxLines[g] += (off+n-1)/layout.LineSize - off/layout.LineSize + 1
+				h.FlushRange(box, 0, n)
+				return c.Put(k, box)
+			}, func(k int64) bool {
+				_, ok := c.Get(k)
+				return ok
+			}, c.Delete)
+		},
+		critical: func() int {
+			lines := 0
+			for g, c := range ctxs {
+				lines = max(lines, c.Stats().FlushedLines+c.AllocStats().FlushedLines+boxLines[g])
+			}
+			return lines
+		},
+		report: func(row *Row) {
+			help := 0
+			for _, c := range ctxs {
+				help += c.Stats().HelpFlushes
+			}
+			row.HelpFlushes, row.FinalEntries = &help, ix.Len()
+		},
+		finish: releaseAll(ctxs),
+	}, nil
+}
+
+// kvPutSetup is the contracts' index body: sequential puts of a null
+// value through one context.
+func kvPutSetup(e env) (*run, error) {
+	h, ix, err := kvIndex(e, e.ops*64+16*layout.RegionSize)
+	if err != nil {
+		return nil, err
+	}
+	c := ix.NewCtx()
+	return &run{
+		heaps: []*pheap.Heap{h},
+		body: func(int) error {
+			for i := 0; i < e.ops; i++ {
+				if err := c.Put(int64(i), 0); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		finish: func() error { c.Release(); return nil },
+	}, nil
+}
+
+func shardedKVSetup(e env) (*run, error) {
+	// The aggregate bucket table is held constant across shard counts
+	// (1024 split over the shards) so per-op device costs are comparable:
+	// sentinel setup scales with total buckets, and letting it grow with
+	// the shard count would smear fixed cost into the per-op columns.
+	set, err := pshard.OpenSet(pshard.NewMemStore(), "bench", pshard.Options{
+		Shards: e.shards,
+		// Node + box footprint split across shards, plus PLAB slack per
+		// (mutator, shard) pair — every mutator lazily attaches an
+		// allocator on every shard it touches.
+		ShardDataSize: e.mutators*e.ops*96/e.shards + (e.mutators+16)*2*layout.RegionSize,
+		Index:         pindex.Options{InitialBuckets: max(1024/e.shards, 64), MaxLoadFactor: 64},
+		Mode:          nvm.Direct,
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := &run{}
+	for i := 0; i < e.shards; i++ {
+		r.heaps = append(r.heaps, set.Shard(i).Heap())
+		if err := e.arm(r.heaps[i]); err != nil {
+			return nil, err
+		}
+	}
+	ctxs := make([]*pshard.Ctx, e.mutators)
+	for i := range ctxs {
+		ctxs[i] = set.NewCtx()
+	}
+	r.body = func(g int) error {
+		c := ctxs[g]
+		return servingMix(g, e.ops, func(k int64) error { return c.Put(k, k) },
+			func(k int64) bool {
+				_, ok := c.Get(k)
+				return ok
+			}, c.Delete)
+	}
+	// Every (mutator, shard) chain flushes disjoint lines on its own
+	// device; the slowest chain bounds completion.
+	r.critical = func() int {
+		lines := 0
+		for _, c := range ctxs {
+			for i := 0; i < e.shards; i++ {
+				lines = max(lines, c.ShardFlushedLines(i))
+			}
+		}
+		return lines
+	}
+	r.report = func(row *Row) { row.FinalEntries = set.Len() }
+	r.finish = releaseAll(ctxs)
+	return r, nil
+}
+
+// kvMixSetup is the fault-hook contract's body: put, read back, and
+// half-delete a key population through one ctx over a 2-shard set. The
+// ctx lives and dies inside the window.
+func kvMixSetup(e env) (*run, error) {
+	set, err := pshard.OpenSet(pshard.NewMemStore(), "faults-ovh", pshard.Options{
+		Shards:        2,
+		ShardDataSize: 4 << 20,
+		Mode:          nvm.Direct,
+		Index:         faultsIndexOpts(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := &run{ops: e.ops + e.ops + (e.ops+1)/2, finish: func() error { set.Close(); return nil }}
+	for i := 0; i < set.NumShards(); i++ {
+		r.heaps = append(r.heaps, set.Shard(i).Heap())
+		if err := e.arm(r.heaps[i]); err != nil {
+			return nil, err
+		}
+	}
+	r.body = func(int) error {
+		ctx := set.NewCtx()
+		defer ctx.Release()
+		for k := int64(1); k <= int64(e.ops); k++ {
+			if err := ctx.Put(k, k*3+1); err != nil {
+				return err
+			}
+		}
+		for k := int64(1); k <= int64(e.ops); k++ {
+			if _, ok := ctx.Get(k); !ok {
+				return fmt.Errorf("lost key %d", k)
+			}
+		}
+		for k := int64(1); k <= int64(e.ops); k += 2 {
+			ctx.Delete(k)
+		}
+		return nil
+	}
+	return r, nil
+}
+
+// refstoreSetup has every mutator hammer NVM→NVM and NVM→volatile
+// reference stores over its own objects, each made durable with a slot
+// flush (the paper's persistent write path: one word write, one line
+// flush, one fence). Stores route through the mutator's own
+// core.Mutator, so remembered-set maintenance is an append to a
+// mutator-local delta buffer — no shared lock, no shared cache line;
+// the shared set learns of them at publication points (buffer overflow
+// and the final snapshot). The run ends with a self-check: the
+// published remembered set must equal the single-threaded oracle (the
+// slots whose last store was volatile), proving no delta was lost or
+// misordered on the way.
+func refstoreSetup(e env) (*run, error) {
+	const nodesPerG = 64
+	rt, err := core.NewRuntime(core.Config{
+		PJHDataSize: (e.mutators + 4) * 4 * layout.RegionSize,
+		NVMMode:     nvm.Direct,
+	})
+	if err != nil {
+		return nil, err
+	}
+	h, err := rt.CreateHeap("refstore", 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.arm(h); err != nil {
+		return nil, err
+	}
+	node := klass.MustInstance("refstore/Node", nil,
+		klass.Field{Name: "ref", Type: layout.FTRef},
+		klass.Field{Name: "pad", Type: layout.FTLong})
+	refF, err := rt.ResolveField(node, "ref")
+	if err != nil {
+		return nil, err
+	}
+	// Disjoint working sets: each mutator owns nodesPerG persistent nodes
+	// (allocated on its own PLAB, so its slot flushes touch no other
+	// mutator's lines) plus one volatile target allocated up front (vheap
+	// keeps the seed's single-volatile-mutator contract, so workers only
+	// store references to it, never mutate it).
+	muts := make([]*core.Mutator, e.mutators)
+	nodes := make([][]layout.Ref, e.mutators)
+	vols := make([]layout.Ref, e.mutators)
+	for g := range muts {
+		if muts[g], err = rt.NewMutator(); err != nil {
+			return nil, err
+		}
+		nodes[g] = make([]layout.Ref, nodesPerG)
+		for j := range nodes[g] {
+			if nodes[g][j], err = muts[g].PNew(node, 0); err != nil {
+				return nil, err
+			}
+		}
+		if vols[g], err = rt.NewString(fmt.Sprintf("vol-%d", g), false); err != nil {
+			return nil, err
+		}
+	}
+	slots := 0 // published remembered-set size, counted by finish
+	return &run{
+		heaps: []*pheap.Heap{h},
+		body: func(g int) error {
+			m, own, boff := muts[g], nodes[g], refF.Offset()
+			for i := 0; i < e.ops; i++ {
+				obj := own[i%nodesPerG]
+				// 4:1 NVM→NVM vs NVM→volatile mix. The mix period (5) is
+				// coprime with nodesPerG (64), so every slot alternates
+				// between volatile and persistent values over the run —
+				// the remset churns (adds and removes) through the delta
+				// buffers, and the oracle below would catch a lost or
+				// stale delta.
+				val := own[(i+1)%nodesPerG]
+				if i%5 == 4 {
+					val = vols[g]
+				}
+				if err := m.SetRefFast(obj, refF, val); err != nil {
+					return err
+				}
+				h.FlushRange(obj, boff, layout.WordSize)
+			}
+			return nil
+		},
+		// One slot line per store, every mutator alike.
+		critical: func() int { return e.ops },
+		report:   func(row *Row) { row.RemsetSlots = slots },
+		finish: func() error {
+			// Per node, the largest op index that targeted it decides.
+			expected := 0
+			for j := 0; j < nodesPerG && j < e.ops; j++ {
+				if last := j + (e.ops-1-j)/nodesPerG*nodesPerG; last%5 == 4 {
+					expected++
+				}
+			}
+			expected *= e.mutators
+			if slots = len(rt.NVMToVolSlots()); slots != expected {
+				return fmt.Errorf("remset holds %d slots, oracle says %d", slots, expected)
+			}
+			for _, m := range muts {
+				m.Release()
+			}
+			return nil
+		},
+	}, nil
+}
+
+// gcCycleSetup builds a rooted chain interleaved with garbage; the
+// measured op is one stop-the-world collection of it.
+func gcCycleSetup(e env) (*run, error) {
+	reg := klass.NewRegistry()
+	h, err := pheap.Create(reg, pheap.Config{DataSize: e.ops*96 + 8*layout.RegionSize, Mode: nvm.Direct})
+	if err != nil {
+		return nil, err
+	}
+	if err := e.arm(h); err != nil {
+		return nil, err
+	}
+	node, err := reg.Define(klass.MustInstance("gccycle/Node", nil,
+		klass.Field{Name: "next", Type: layout.FTRef},
+		klass.Field{Name: "pad", Type: layout.FTLong}))
+	if err != nil {
+		return nil, err
+	}
+	var prev layout.Ref
+	for i := 0; i < e.ops; i++ {
+		if _, err := h.Alloc(node, 0); err != nil { // garbage
+			return nil, err
+		}
+		ref, err := h.Alloc(node, 0)
+		if err != nil {
+			return nil, err
+		}
+		h.SetWord(ref, layout.FieldOff(0), uint64(prev))
+		prev = ref
+	}
+	if err := h.SetRoot("chain", prev); err != nil {
+		return nil, err
+	}
+	return &run{
+		heaps: []*pheap.Heap{h},
+		ops:   1, // per-op figures are per collection, not per object
+		body: func(int) error {
+			_, err := pgc.Collect(h, pgc.NoRoots{})
+			return err
+		},
+	}, nil
+}

@@ -4,7 +4,8 @@ package h2
 // H2 proper persists its indexes in the MVStore; here the index is
 // volatile and rebuilt by scanning the row pages at open — a legitimate
 // recovery design (the pages are the durable truth) that keeps index
-// maintenance off the crash-consistency critical path. See DESIGN.md.
+// maintenance off the crash-consistency critical path. See the substrate
+// note in docs/benchmarks.md.
 
 const btreeOrder = 64 // max keys per node
 

@@ -54,8 +54,7 @@ const redoSeed = heapMagic ^ 0x5245444F
 // redoSumAt computes the committed-batch checksum over the entry count
 // and the first count {off, val} pairs as currently stored in the redo
 // area. RedoCommit calls it after writing the entries (so the sum
-// provably covers the committed bytes); validation calls it on load,
-// and the format upgrade uses it to stamp a pending pre-v5 batch.
+// provably covers the committed bytes); validation calls it on load.
 func redoSumAt(dev *nvm.Device, geo Geometry, count int) uint64 {
 	base := geo.RedoOff
 	s := sumMix(redoSeed, uint64(count))

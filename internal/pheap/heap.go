@@ -32,28 +32,15 @@ import (
 
 const (
 	heapMagic = 0x4553_5052_4845_4150 // "ESPRHEAP"
-	// Version 2 added the per-region top table (PLAB allocation) and
-	// retired the single global top word. Version 3 added the GC-phase
-	// word in what was metadata padding, so v2 images (where that word
-	// reads zero = idle) load unchanged and are upgraded in place.
-	// Version 4 added the flight-recorder ring (two metadata words, still
-	// inside the padded metadata block, plus a carve-out between the Klass
-	// segment and the data heap on freshly created heaps); v2/v3 images
-	// upgrade in place with a zero-sized ring — their geometry has no room
-	// for one — and simply run without a recorder.
-	// Version 5 added metadata checksums: a checksum word beside each
-	// region-top table value (same cache line), a committed-batch
-	// checksum in the redo area's trailing word, and a GC-phase checksum
-	// in former metadata padding. All live inside space older formats
-	// kept zero or spare, so pre-v5 images upgrade in place: their
-	// checksums are stamped from the values as read (detection starts
-	// with the upgrade — rot that predates it is indistinguishable from
-	// data).
-	heapVersion         = 5
-	heapVersionChecksum = 5
-	heapVersionBlackbox = 4
-	heapVersionGCPhase  = 3
-	heapVersionPLAB     = 2
+	// heapVersion is the one format this package reads and writes:
+	// per-region top table, GC-phase word, flight-recorder ring, and
+	// checksums over the critical metadata (a checksum word beside each
+	// region-top value, a committed-batch checksum in the redo area's
+	// trailing word, a GC-phase checksum). Load, LoadSalvage, Scrub and
+	// BlackboxRegion reject every other version, which is what lets the
+	// version word go without a checksum of its own: any corruption of
+	// it lands on a rejected value (docs/robustness.md).
+	heapVersion = 5
 )
 
 // GC-phase word values (mGCPhase). The phase word records that a
@@ -99,10 +86,10 @@ const (
 	mScratchOff    = 184
 	mRegionTopOff  = 192
 	mRegionTopSize = 200
-	mGCPhase       = 208 // v3; zero padding in v2 images, so idle by construction
-	mBlackboxOff   = 216 // v4; zero in upgraded pre-v4 images (no ring)
-	mBlackboxSize  = 224 // v4; zero = no flight-recorder ring
-	mGCPhaseSum    = 232 // v5; checksum over mGCPhase, same cache line as it
+	mGCPhase       = 208
+	mBlackboxOff   = 216
+	mBlackboxSize  = 224
+	mGCPhaseSum    = 232 // checksum over mGCPhase, same cache line as it
 	metadataBytes  = 240
 )
 
@@ -165,7 +152,7 @@ type Geometry struct {
 	RegionBmpOff, RegionBmpSize int
 	RegionTopOff, RegionTopSize int
 	KsegOff, KsegSize           int
-	BlackboxOff, BlackboxSize   int // flight-recorder ring; size 0 = absent
+	BlackboxOff, BlackboxSize   int // flight-recorder ring
 	DataOff, DataSize           int // includes the scratch region
 	ScratchOff                  int
 }
@@ -283,11 +270,6 @@ type Heap struct {
 	// no-ops, so emission sites never branch). Installed once by
 	// EnableFlightRecorder before mutators run.
 	fr *blackbox.Recorder
-
-	// upgradedFrom records an in-place format upgrade performed by this
-	// Load (0 = image was already current), so the embedding runtime can
-	// journal it once the recorder is attached.
-	upgradedFrom uint64
 
 	// quarantined marks data regions amputated by LoadSalvage (nil on a
 	// strict or clean load). Quarantined regions were zeroed and their
@@ -417,56 +399,9 @@ func Load(dev *nvm.Device, reg *klass.Registry) (*Heap, error) {
 func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, error) {
 	// Unreadable-image checks first: these reject images we cannot even
 	// interpret, and apply identically in both modes.
-	if dev.Size() < metadataBytes {
-		return nil, fmt.Errorf("pheap: image too small")
-	}
-	if dev.ReadU64(mMagic) != heapMagic {
-		return nil, fmt.Errorf("pheap: bad heap magic")
-	}
-	v := dev.ReadU64(mVersion)
-	if v < heapVersionPLAB || v > heapVersion {
-		return nil, fmt.Errorf("pheap: unsupported heap version %d", v)
-	}
-	if sz := dev.ReadU64(mDeviceSize); int(sz) != dev.Size() {
-		return nil, fmt.Errorf("pheap: image size %d does not match metadata %d", dev.Size(), sz)
-	}
-	geo := Geometry{
-		NameTabOff: int(dev.ReadU64(mNameTabOff)), NameTabCap: int(dev.ReadU64(mNameTabCap)),
-		ArenaOff: int(dev.ReadU64(mArenaOff)), ArenaSize: int(dev.ReadU64(mArenaSize)),
-		RedoOff: int(dev.ReadU64(mRedoOff)), RedoSize: int(dev.ReadU64(mRedoSize)),
-		MarkBmpOff: int(dev.ReadU64(mMarkBmpOff)), MarkBmpSize: int(dev.ReadU64(mMarkBmpSize)),
-		RegionBmpOff: int(dev.ReadU64(mRegionBmpOff)), RegionBmpSize: int(dev.ReadU64(mRegionBmpSize)),
-		RegionTopOff: int(dev.ReadU64(mRegionTopOff)), RegionTopSize: int(dev.ReadU64(mRegionTopSize)),
-		KsegOff: int(dev.ReadU64(mKsegOff)), KsegSize: int(dev.ReadU64(mKsegSize)),
-		BlackboxOff: int(dev.ReadU64(mBlackboxOff)), BlackboxSize: int(dev.ReadU64(mBlackboxSize)),
-		DataOff: int(dev.ReadU64(mDataOff)), DataSize: int(dev.ReadU64(mDataSize)),
-		ScratchOff: int(dev.ReadU64(mScratchOff)),
-	}
-	if err := geo.sanity(dev.Size()); err != nil {
+	geo, err := readGeometry(dev)
+	if err != nil {
 		return nil, err
-	}
-	upgradedFrom := uint64(0)
-	if v < heapVersion {
-		// In-place upgrade: every word added since v2 lives in what older
-		// versions kept as zero metadata padding, so the component
-		// geometry is unchanged. v2 gains the GC-phase word (stamped
-		// idle); pre-v4 images gain zero-sized flight-recorder ring
-		// coordinates — their layout has no ring region, so the recorder
-		// simply stays absent. Pre-v5 images gain checksums stamped from
-		// the metadata as read.
-		if v == heapVersionPLAB {
-			dev.WriteU64(mGCPhase, GCPhaseIdle)
-		}
-		// mBlackboxOff/Size are left as read: genuine pre-v4 images have
-		// zero padding there (= no ring), and a forged-downgrade image
-		// that physically carries a ring keeps it.
-		if v < heapVersionChecksum {
-			stampChecksums(dev, geo)
-		}
-		dev.WriteU64(mVersion, heapVersion)
-		dev.Flush(0, metadataBytes)
-		dev.Fence()
-		upgradedFrom = v
 	}
 	if p := dev.ReadU64(mGCPhase); p > GCPhaseConcurrentMark || dev.ReadU64(mGCPhaseSum) != gcPhaseSum(p) {
 		if salv == nil {
@@ -484,14 +419,13 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	}
 	h := &Heap{
 		dev: dev, reg: reg,
-		base:         layout.Ref(dev.ReadU64(mAddressHint)),
-		geo:          geo,
-		upgradedFrom: upgradedFrom,
-		ksegUsed:     int(dev.ReadU64(mKsegUsed)),
-		arenaUsed:    int(dev.ReadU64(mArenaUsed)),
-		regionTops:   make([]atomic.Int64, geo.Regions()),
-		segByAddr:    make(map[layout.Ref]*klass.Klass),
-		segByName:    make(map[string]layout.Ref),
+		base:       layout.Ref(dev.ReadU64(mAddressHint)),
+		geo:        geo,
+		ksegUsed:   int(dev.ReadU64(mKsegUsed)),
+		arenaUsed:  int(dev.ReadU64(mArenaUsed)),
+		regionTops: make([]atomic.Int64, geo.Regions()),
+		segByAddr:  make(map[layout.Ref]*klass.Klass),
+		segByName:  make(map[string]layout.Ref),
 	}
 	h.globalTS.Store(dev.ReadU64(mGlobalTS))
 	h.gcActive.Store(dev.ReadU64(mGCActive) != 0)
@@ -529,6 +463,46 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	h.rebuildRegionState(!h.gcActive.Load())
 	h.defAlloc = h.NewAllocator()
 	return h, nil
+}
+
+// checkHeader rejects what is not a heap image in the current format.
+func checkHeader(dev *nvm.Device) error {
+	if dev.Size() < metadataBytes {
+		return fmt.Errorf("pheap: image too small")
+	}
+	if dev.ReadU64(mMagic) != heapMagic {
+		return fmt.Errorf("pheap: bad heap magic")
+	}
+	if v := dev.ReadU64(mVersion); v != heapVersion {
+		return fmt.Errorf("pheap: unsupported heap version %d (want %d)", v, heapVersion)
+	}
+	return nil
+}
+
+// readGeometry is the shared front door of Load, LoadSalvage and Scrub:
+// it rejects what is not a current-format heap image of this device's
+// size (the "unreadable" class) and decodes the component layout.
+func readGeometry(dev *nvm.Device) (Geometry, error) {
+	if err := checkHeader(dev); err != nil {
+		return Geometry{}, err
+	}
+	if sz := dev.ReadU64(mDeviceSize); int(sz) != dev.Size() {
+		return Geometry{}, fmt.Errorf("pheap: image size %d does not match metadata %d", dev.Size(), sz)
+	}
+	word := func(off int) int { return int(dev.ReadU64(off)) }
+	geo := Geometry{
+		NameTabOff: word(mNameTabOff), NameTabCap: word(mNameTabCap),
+		ArenaOff: word(mArenaOff), ArenaSize: word(mArenaSize),
+		RedoOff: word(mRedoOff), RedoSize: word(mRedoSize),
+		MarkBmpOff: word(mMarkBmpOff), MarkBmpSize: word(mMarkBmpSize),
+		RegionBmpOff: word(mRegionBmpOff), RegionBmpSize: word(mRegionBmpSize),
+		RegionTopOff: word(mRegionTopOff), RegionTopSize: word(mRegionTopSize),
+		KsegOff: word(mKsegOff), KsegSize: word(mKsegSize),
+		BlackboxOff: word(mBlackboxOff), BlackboxSize: word(mBlackboxSize),
+		DataOff: word(mDataOff), DataSize: word(mDataSize),
+		ScratchOff: word(mScratchOff),
+	}
+	return geo, geo.sanity(dev.Size())
 }
 
 // sanity rejects geometry words that point outside the device — the
@@ -571,35 +545,9 @@ func (g Geometry) sanity(size int) error {
 	return nil
 }
 
-// stampChecksums writes the v5 checksums onto a pre-v5 image from its
-// metadata as read: region-top line checksums for every touched line,
-// and the committed-batch checksum if a redo batch is pending. The
-// GC-phase checksum is stamped by the caller's metadata flush path.
-func stampChecksums(dev *nvm.Device, geo Geometry) {
-	dev.WriteU64(mGCPhaseSum, gcPhaseSum(dev.ReadU64(mGCPhase)))
-	for r := 0; r < geo.Regions(); r++ {
-		off := geo.RegionTopOff + r*layout.RegionTopStride
-		top := dev.ReadU64(off)
-		if top == 0 {
-			continue // the all-zero line is already valid
-		}
-		dev.WriteU64(off+8, regionTopSum(r, top))
-		dev.Flush(off, 16)
-	}
-	if dev.ReadU64(geo.RedoOff) == 1 {
-		count := int(dev.ReadU64(geo.RedoOff + 8))
-		if count >= 0 && count <= (geo.RedoSize-24)/16 {
-			dev.WriteU64(geo.RedoOff+geo.RedoSize-8, redoSumAt(dev, geo, count))
-			dev.Flush(geo.RedoOff+geo.RedoSize-8, 8)
-		}
-		// An out-of-range count is left as-is: validation will reject
-		// it, exactly as it would a corrupt v5 batch.
-	}
-}
-
 // resolveFillers caches the filler klass records so gap plugging never
-// needs the metadata lock. Create ensures both records exist; any v2
-// image therefore carries them.
+// needs the metadata lock. Create ensures both records exist, so every
+// image carries them.
 func (h *Heap) resolveFillers() {
 	h.fillerK = h.reg.Filler()
 	h.fillerArrK = h.reg.FillerArray()
@@ -630,15 +578,10 @@ func (h *Heap) Telemetry() *telemetry.Registry { return h.tel }
 
 // EnableFlightRecorder attaches the heap's NVM event journal for
 // appending. Call before mutators run (and before GC recovery, so
-// recovery steps are journaled). Returns (nil, nil) when the image
-// carries no ring — pre-v4 images upgraded in place — which simply
-// leaves the recorder disabled. Idempotent.
+// recovery steps are journaled). Idempotent.
 func (h *Heap) EnableFlightRecorder() (*blackbox.Recorder, error) {
 	if h.fr != nil {
 		return h.fr, nil
-	}
-	if h.geo.BlackboxSize == 0 {
-		return nil, nil
 	}
 	r, err := blackbox.Attach(h.dev, h.geo.BlackboxOff, h.geo.BlackboxSize)
 	if err != nil {
@@ -654,30 +597,15 @@ func (h *Heap) EnableFlightRecorder() (*blackbox.Recorder, error) {
 // branching.
 func (h *Heap) FlightRecorder() *blackbox.Recorder { return h.fr }
 
-// UpgradedFrom reports the format version this Load upgraded the image
-// from, or 0 if it was already current.
-func (h *Heap) UpgradedFrom() uint64 { return h.upgradedFrom }
-
 // BlackboxRegion locates the flight-recorder ring on a raw heap image
 // without loading (or mutating) the heap — Load would apply redo
-// batches, plug regions, and upgrade formats, all wrong for a crashed
-// image being post-mortemed. Only the magic, version, and ring
-// coordinates are read.
+// batches and plug regions, both wrong for a crashed image being
+// post-mortemed. Only the magic, version, and ring coordinates are read.
 func BlackboxRegion(dev *nvm.Device) (off, size int, err error) {
-	if dev.Size() < metadataBytes {
-		return 0, 0, fmt.Errorf("pheap: image too small")
+	if err := checkHeader(dev); err != nil {
+		return 0, 0, err
 	}
-	if dev.ReadU64(mMagic) != heapMagic {
-		return 0, 0, fmt.Errorf("pheap: bad heap magic")
-	}
-	if v := dev.ReadU64(mVersion); v < heapVersionBlackbox {
-		return 0, 0, fmt.Errorf("pheap: image format v%d predates the flight recorder (v%d)", v, heapVersionBlackbox)
-	}
-	off, size = int(dev.ReadU64(mBlackboxOff)), int(dev.ReadU64(mBlackboxSize))
-	if size == 0 {
-		return 0, 0, fmt.Errorf("pheap: image carries no flight-recorder ring (upgraded from an older format)")
-	}
-	return off, size, nil
+	return int(dev.ReadU64(mBlackboxOff)), int(dev.ReadU64(mBlackboxSize)), nil
 }
 
 // Registry returns the klass registry this heap resolves against.
@@ -758,8 +686,7 @@ func (h *Heap) Top() int {
 func (h *Heap) UsedBytes() int { return h.Top() - h.geo.DataOff }
 
 // FormatVersion reports the persisted heap format version (diagnostics;
-// Load upgrades supported older versions in place, so a loaded heap
-// normally reads the current version).
+// only the current version loads).
 func (h *Heap) FormatVersion() uint64 { return h.dev.ReadU64(mVersion) }
 
 // GlobalTS reports the persisted global GC timestamp.

@@ -74,8 +74,7 @@ func (h *Heap) RedoPending() bool {
 // on a region-top table slot refresh the line checksum in the same
 // per-entry flush, so a batch that republishes tops (the GC finish)
 // leaves every covered line verifiable without carrying checksum
-// entries of its own — which also keeps the batch within the redo
-// capacity of pre-v5 images.
+// entries of its own.
 func (h *Heap) RedoApply() {
 	base := h.geo.RedoOff
 	count := int(h.dev.ReadU64(base + 8))

@@ -9,15 +9,12 @@ import (
 )
 
 // ScrubReport is the result of a read-only integrity walk over a raw
-// heap image. Findings list detected corruption; an empty list on a
-// checksummed image means every verifiable structure verified.
+// heap image. Findings list detected corruption; an empty list means
+// every verifiable structure verified.
 type ScrubReport struct {
 	FormatVersion uint64 `json:"format_version"`
 	GCActive      bool   `json:"gc_active"`
 	RedoPending   bool   `json:"redo_pending"`
-	// Checksummed reports whether the image carries v5 metadata
-	// checksums; pre-v5 images scrub structurally only.
-	Checksummed bool `json:"checksummed"`
 	// RegionsChecked counts region-top lines verified.
 	RegionsChecked int `json:"regions_checked"`
 	// Findings describes each detected corruption, one line per fault.
@@ -28,57 +25,32 @@ type ScrubReport struct {
 func (r *ScrubReport) Corrupt() bool { return len(r.Findings) > 0 }
 
 // Scrub verifies a raw heap image's metadata checksums without loading
-// (or mutating) it — Load would upgrade formats, apply redo batches,
-// and plug regions, all wrong for an image under investigation. A
-// committed-pending redo batch with a valid checksum is healthy (a
-// crash between commit and apply is a designed-for state), so scrub
-// validates it rather than flagging it. Returns an error only for
-// unreadable images; corruption lands in the report's findings.
+// (or mutating) it — Load would apply redo batches and plug regions,
+// both wrong for an image under investigation. A committed-pending redo
+// batch with a valid checksum is healthy (a crash between commit and
+// apply is a designed-for state), so scrub validates it rather than
+// flagging it. Returns an error only for unreadable images (any format
+// version but the current one included); corruption lands in the
+// report's findings.
 func Scrub(dev *nvm.Device) (*ScrubReport, error) {
-	if dev.Size() < metadataBytes {
-		return nil, fmt.Errorf("pheap: image too small")
-	}
-	if dev.ReadU64(mMagic) != heapMagic {
-		return nil, fmt.Errorf("pheap: bad heap magic")
-	}
-	v := dev.ReadU64(mVersion)
-	if v < heapVersionPLAB || v > heapVersion {
-		return nil, fmt.Errorf("pheap: unsupported heap version %d", v)
-	}
-	if sz := dev.ReadU64(mDeviceSize); int(sz) != dev.Size() {
-		return nil, fmt.Errorf("pheap: image size %d does not match metadata %d", dev.Size(), sz)
-	}
-	geo := Geometry{
-		NameTabOff: int(dev.ReadU64(mNameTabOff)), NameTabCap: int(dev.ReadU64(mNameTabCap)),
-		ArenaOff: int(dev.ReadU64(mArenaOff)), ArenaSize: int(dev.ReadU64(mArenaSize)),
-		RedoOff: int(dev.ReadU64(mRedoOff)), RedoSize: int(dev.ReadU64(mRedoSize)),
-		MarkBmpOff: int(dev.ReadU64(mMarkBmpOff)), MarkBmpSize: int(dev.ReadU64(mMarkBmpSize)),
-		RegionBmpOff: int(dev.ReadU64(mRegionBmpOff)), RegionBmpSize: int(dev.ReadU64(mRegionBmpSize)),
-		RegionTopOff: int(dev.ReadU64(mRegionTopOff)), RegionTopSize: int(dev.ReadU64(mRegionTopSize)),
-		KsegOff: int(dev.ReadU64(mKsegOff)), KsegSize: int(dev.ReadU64(mKsegSize)),
-		BlackboxOff: int(dev.ReadU64(mBlackboxOff)), BlackboxSize: int(dev.ReadU64(mBlackboxSize)),
-		DataOff: int(dev.ReadU64(mDataOff)), DataSize: int(dev.ReadU64(mDataSize)),
-		ScratchOff: int(dev.ReadU64(mScratchOff)),
-	}
-	if err := geo.sanity(dev.Size()); err != nil {
+	geo, err := readGeometry(dev)
+	if err != nil {
 		return nil, err
 	}
 
 	rep := &ScrubReport{
-		FormatVersion: v,
+		FormatVersion: heapVersion,
 		GCActive:      dev.ReadU64(mGCActive) != 0,
 		RedoPending:   dev.ReadU64(geo.RedoOff) == 1,
-		Checksummed:   v >= heapVersionChecksum,
 	}
 	finding := func(format string, args ...any) {
 		rep.Findings = append(rep.Findings, fmt.Sprintf(format, args...))
 	}
 
-	// GC-phase word: range-checked on every format, checksummed on v5.
 	phase := dev.ReadU64(mGCPhase)
 	if phase > GCPhaseConcurrentMark {
 		finding("gc-phase: word %d out of range", phase)
-	} else if rep.Checksummed && dev.ReadU64(mGCPhaseSum) != gcPhaseSum(phase) {
+	} else if dev.ReadU64(mGCPhaseSum) != gcPhaseSum(phase) {
 		finding("gc-phase: checksum mismatch (word %d)", phase)
 	}
 
@@ -93,23 +65,21 @@ func Scrub(dev *nvm.Device) (*ScrubReport, error) {
 		capacity := (geo.RedoSize - 24) / 16
 		if count < 0 || count > capacity {
 			finding("redo: committed batch count %d exceeds capacity %d", count, capacity)
-		} else if rep.Checksummed && dev.ReadU64(geo.RedoOff+geo.RedoSize-8) != redoSumAt(dev, geo, count) {
+		} else if dev.ReadU64(geo.RedoOff+geo.RedoSize-8) != redoSumAt(dev, geo, count) {
 			finding("redo: committed batch of %d entries fails its checksum", count)
 		}
 	}
 
 	// Region-top table: every line either untouched (all zero) or
-	// checksum-valid (v5), and structurally plausible on any format.
+	// checksum-valid, and structurally plausible.
 	for r := 0; r < geo.Regions(); r++ {
 		off := geo.RegionTopOff + r*layout.RegionTopStride
 		top := dev.ReadU64(off)
 		sum := dev.ReadU64(off + 8)
 		rep.RegionsChecked++
-		if rep.Checksummed {
-			if !regionTopLineValid(r, top, sum) {
-				finding("region %d: top line fails its checksum (top %#x)", r, top)
-				continue
-			}
+		if !regionTopLineValid(r, top, sum) {
+			finding("region %d: top line fails its checksum (top %#x)", r, top)
+			continue
 		}
 		start := uint64(geo.DataOff + r*layout.RegionSize)
 		if top != 0 && top != regionTopHumongousCont && (top <= start || top > uint64(geo.DataOff+geo.DataSize)) {
@@ -120,10 +90,8 @@ func Scrub(dev *nvm.Device) (*ScrubReport, error) {
 	// Flight-recorder ring: Decode already implements detect-don't-
 	// fabricate; a header that fails to decode is a finding, torn or
 	// invalid records are not (the ring is designed to lose its tail).
-	if geo.BlackboxSize > 0 {
-		if _, err := blackbox.Decode(dev, geo.BlackboxOff, geo.BlackboxSize); err != nil {
-			finding("blackbox: ring undecodable: %v", err)
-		}
+	if _, err := blackbox.Decode(dev, geo.BlackboxOff, geo.BlackboxSize); err != nil {
+		finding("blackbox: ring undecodable: %v", err)
 	}
 	return rep, nil
 }

@@ -45,9 +45,6 @@ func TestScrubCleanImage(t *testing.T) {
 	if rep.Corrupt() {
 		t.Fatalf("clean image scrubbed dirty: %v", rep.Findings)
 	}
-	if !rep.Checksummed {
-		t.Fatal("current-format image not recognized as checksummed")
-	}
 	if rep.RegionsChecked == 0 {
 		t.Fatal("scrub checked no region-top lines")
 	}
@@ -61,6 +58,34 @@ func TestScrubRejectsUnreadableImage(t *testing.T) {
 	}
 	if _, _, err := LoadSalvage(imgDev(img), klass.NewRegistry()); err == nil {
 		t.Fatal("salvage opened an unrecognizable image")
+	}
+}
+
+// TestFlippedVersionBitDoesNotBlessCorruption: the version word sits
+// outside every checksum, and 5→4 is one bit flip. With the upgrade
+// ladder that flip re-stamped every checksum from the media as read, so
+// a rotted region-top line loaded clean. Only the current version may
+// load, in either mode, and scrub must not report the image healthy.
+func TestFlippedVersionBitDoesNotBlessCorruption(t *testing.T) {
+	img := buildScrubImage(t)
+	h0, err := Load(imgDev(img), klass.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultdev.CorruptLineInImage(img, h0.RegionTopMetaOff(1), 7)
+	faultdev.FlipBitInImage(img, mVersion, 0)
+
+	if _, err := Load(imgDev(img), klass.NewRegistry()); err == nil {
+		t.Fatal("strict load accepted a downgraded-version image with a corrupt region-top line")
+	}
+	if _, _, err := LoadSalvage(imgDev(img), klass.NewRegistry()); err == nil {
+		t.Fatal("salvage load accepted a non-current format version")
+	}
+	if rep, err := Scrub(imgDev(img)); err == nil && !rep.Corrupt() {
+		t.Fatalf("scrub reported the image healthy: %+v", rep)
+	}
+	if _, _, err := BlackboxRegion(imgDev(img)); err == nil {
+		t.Fatal("BlackboxRegion accepted a non-current format version")
 	}
 }
 

@@ -42,12 +42,9 @@ import (
 // ManifestMagic identifies a shard-manifest device ("ESPRSHRD").
 const ManifestMagic = 0x4553_5052_5348_5244
 
-// ManifestVersion is the current manifest format. v2 added the metadata
-// checksum word; v1 images are upgraded in place on reopen.
+// ManifestVersion is the one manifest format ReadManifest accepts
+// (header, boundary table, metadata checksum word).
 const ManifestVersion = 2
-
-// manifestVersionChecksum is the first format carrying the checksum.
-const manifestVersionChecksum = 2
 
 // ManifestDeviceSize is the manifest device's fixed size. 4 KB holds the
 // header plus a boundary word for every shard up to MaxShards.
@@ -94,10 +91,9 @@ const (
 // count, shard size, and the whole boundary table. The generation word
 // is deliberately excluded — it is the manifest's one post-creation
 // mutation, a single-word bump that must stay all-old-or-all-new with
-// no companion write. The version word is excluded too, so the v1→v2
-// upgrade can stamp the sum and bump the version in separate ordered
-// steps (a crash between them leaves a valid v1 image). Same mixer as
-// the flight recorder and pheap metadata checksums.
+// no companion write. The version word needs no cover either: only
+// ManifestVersion parses, so any corruption of it is rejected outright.
+// Same mixer as the flight recorder and pheap metadata checksums.
 func manifestSum(dev *nvm.Device, n int) uint64 {
 	const mult = 0x9E3779B97F4A7C15
 	mix := func(s, w uint64) uint64 {
@@ -196,9 +192,8 @@ func ReadManifest(dev *nvm.Device) (*Manifest, error) {
 	if !IsManifest(dev) {
 		return nil, fmt.Errorf("pshard: not a shard manifest (magic %#x)", dev.ReadU64(manMagic))
 	}
-	v := dev.ReadU64(manVersion)
-	if v < 1 || v > ManifestVersion {
-		return nil, fmt.Errorf("pshard: manifest version %d, want <= %d", v, ManifestVersion)
+	if v := dev.ReadU64(manVersion); v != ManifestVersion {
+		return nil, fmt.Errorf("pshard: manifest version %d, want %d", v, ManifestVersion)
 	}
 	if st := dev.ReadU64(manState); st != manifestComplete {
 		return nil, fmt.Errorf("pshard: manifest state %d is not complete", st)
@@ -207,7 +202,7 @@ func ReadManifest(dev *nvm.Device) (*Manifest, error) {
 	if n < 1 || n > MaxShards || dev.Size() < manBounds+8*n {
 		return nil, fmt.Errorf("pshard: manifest shard count %d invalid", n)
 	}
-	if v >= manifestVersionChecksum && dev.ReadU64(manSum) != manifestSum(dev, n) {
+	if dev.ReadU64(manSum) != manifestSum(dev, n) {
 		return nil, fmt.Errorf("pshard: manifest checksum mismatch")
 	}
 	m := &Manifest{
@@ -228,22 +223,6 @@ func ReadManifest(dev *nvm.Device) (*Manifest, error) {
 		}
 	}
 	return m, nil
-}
-
-// upgradeManifest stamps the v2 checksum onto a v1 manifest in place.
-// Order matters: the sum persists (flush + fence) before the version
-// word flips, so a crash between the two leaves a valid v1 image that
-// the next open simply upgrades again.
-func upgradeManifest(dev *nvm.Device, m *Manifest) {
-	if dev.ReadU64(manVersion) >= manifestVersionChecksum {
-		return
-	}
-	dev.WriteU64(manSum, manifestSum(dev, m.Shards))
-	dev.Flush(manSum, 8)
-	dev.Fence()
-	dev.WriteU64(manVersion, ManifestVersion)
-	dev.Flush(manVersion, 8)
-	dev.Fence()
 }
 
 // bumpGeneration records a completed open: one atomic word, one flushed

@@ -13,7 +13,8 @@ import (
 // still decode, but it must never panic, and whatever it returns must be
 // structurally valid routing state: in-range shard count and a strictly
 // increasing boundary table starting at 0. Corruption that lands inside
-// the checksummed byte ranges must always be rejected.
+// the checksummed byte ranges or the version word must always be
+// rejected.
 func TestReadManifestUnderRandomCorruption(t *testing.T) {
 	golden := nvm.New(nvm.Config{Size: ManifestDeviceSize, Mode: nvm.Tracked})
 	if err := WriteManifest(golden, &Manifest{
@@ -26,10 +27,13 @@ func TestReadManifestUnderRandomCorruption(t *testing.T) {
 	}
 	img := golden.CrashImage(nvm.CrashFlushedOnly, 0)
 
-	// The v2 checksum covers state, shard count, shard size, the live
-	// boundary table, and the sum word itself.
-	checksummed := func(off int) bool {
+	// The checksum covers state, shard count, shard size, the live
+	// boundary table, and the sum word itself; the version word guards
+	// itself, since only ManifestVersion parses.
+	guarded := func(off int) bool {
 		switch {
+		case off >= 8 && off < 16:
+			return true
 		case off >= ManifestStateOff && off < ManifestStateOff+8:
 			return true
 		case off >= 24 && off < 48: // shard count + shard size words
@@ -45,28 +49,19 @@ func TestReadManifestUnderRandomCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 500; trial++ {
 		cp := append([]byte(nil), img...)
-		hitChecksummed, hitVersion := false, false
+		hitGuarded := false
 		for i, n := 0, 1+rng.Intn(8); i < n; i++ {
 			off := rng.Intn(ManifestDeviceSize)
 			cp[off] ^= byte(1 + rng.Intn(255))
-			if checksummed(off) {
-				hitChecksummed = true
-			}
-			if off >= 8 && off < 16 {
-				// The version word is deliberately outside the checksum (the
-				// v1→v2 upgrade needs it): corruption here can downgrade the
-				// parse to the checksum-free v1 path, so detection of a
-				// same-trial checksummed-range hit is no longer guaranteed.
-				hitVersion = true
-			}
+			hitGuarded = hitGuarded || guarded(off)
 		}
 		dev := nvm.FromImage(cp, nvm.Config{Mode: nvm.Tracked})
 		m, err := ReadManifest(dev)
 		if err != nil {
 			continue
 		}
-		if hitChecksummed && !hitVersion {
-			t.Fatalf("trial %d: corruption inside the checksummed ranges parsed anyway: %+v", trial, m)
+		if hitGuarded {
+			t.Fatalf("trial %d: corruption inside the guarded ranges parsed anyway: %+v", trial, m)
 		}
 		if m.Shards < 1 || m.Shards > MaxShards || len(m.Bounds) != m.Shards {
 			t.Fatalf("trial %d: structurally invalid manifest accepted: %+v", trial, m)

@@ -292,7 +292,6 @@ func (s *Set) reopen() error {
 	if err != nil {
 		return err
 	}
-	upgradeManifest(dev, mani)
 	s.mani, s.maniDev = mani, dev
 	s.shards = make([]atomic.Pointer[Shard], mani.Shards)
 	s.quar = make([]quarShard, mani.Shards)
@@ -490,9 +489,6 @@ func (s *Set) FlightTimelines() ([]blackbox.Timeline, error) {
 			continue // quarantined: its ring is unreachable until reopen
 		}
 		geo := sh.heap.Geo()
-		if geo.BlackboxSize == 0 {
-			continue // pre-flight-recorder image upgraded in place
-		}
 		tl, err := blackbox.Decode(sh.heap.Device(), geo.BlackboxOff, geo.BlackboxSize)
 		if err != nil {
 			return nil, fmt.Errorf("pshard: decoding shard %d journal: %w", i, err)

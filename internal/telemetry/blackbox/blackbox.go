@@ -72,7 +72,10 @@ const (
 	// EvHeapLoad: heap reopened from an image. p0=global TS, p1=GC-active
 	// word, p2=persisted GC phase.
 	EvHeapLoad
-	// EvFormatUpgrade: in-place heap format upgrade. p0=from, p1=to.
+	// EvFormatUpgrade: in-place heap format upgrade. p0=from, p1=to. No
+	// longer emitted (only the current format loads); the slot stays
+	// because kinds are persisted numbers and rings written before the
+	// ladder went may still carry it.
 	EvFormatUpgrade
 	// EvGCBegin: collection cycle entered. p0=mode (0 STW, 1 concurrent),
 	// p1=global TS at begin.

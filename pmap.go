@@ -2,11 +2,8 @@ package espresso
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"espresso/internal/pindex"
-	"espresso/internal/telemetry"
 )
 
 // PMapOptions configures OpenPMap. Zero values select the pindex
@@ -20,15 +17,6 @@ type PMapOptions struct {
 	// MaxBuckets caps the table (power of two).
 	MaxBuckets int
 }
-
-// maxIdleCtxs bounds every per-map (and, through ShardedPMap, per-shard)
-// idle operation-context pool. Each idle ctx pins a PLAB region
-// (layout.RegionSize, 256 KB) of its heap until the next persistent
-// collection, so an unbounded pool multiplied by N sharded heaps would
-// quietly pin N × peak-concurrency regions. 32 covers any plausible
-// serving concurrency per map while capping the idle footprint at
-// 8 MB per map (or per shard).
-const maxIdleCtxs = 32
 
 // PMap is a durable, lock-free, resizable persistent hash map — the
 // serving-style concurrent index over the persistent heap
@@ -46,39 +34,8 @@ const maxIdleCtxs = 32
 // a collector pause waiting between the two lock acquisitions deadlocks
 // the process.
 type PMap struct {
-	ix *pindex.Index
-
-	// ctxs is a free list of operation contexts, capped at maxIdleCtxs.
-	// sync.Pool would be the obvious choice, but it sheds entries on
-	// runtime GCs (and randomly under the race detector), and a shed Ctx
-	// leaks its attached PLAB region until the next persistent collection
-	// — a quarter-megabyte per drop. Releasing past the cap is explicit
-	// instead: the ctx hands its PLAB headroom back to the heap first.
-	mu   sync.Mutex
-	ctxs []*pindex.Ctx
-
-	// Pool telemetry (gauges on the heap's registry when enabled):
-	// created counts every NewCtx, retired every release past the cap.
-	// created − retired − idle is the number checked out right now;
-	// retired > 0 flags a concurrency burst past maxIdleCtxs, each drop
-	// costing a PLAB detach/reattach on the next miss.
-	created atomic.Int64
-	retired atomic.Int64
-}
-
-// registerPoolGauges publishes the ctx pool's occupancy on reg under
-// prefix (e.g. "pmap.sessions.ctx"). idle is sampled at snapshot time —
-// gauge callbacks run outside the registry lock precisely so this can
-// take the pool lock.
-func (m *PMap) registerPoolGauges(reg *telemetry.Registry, prefix string) {
-	reg.RegisterGauge(prefix+".idle", func() int64 {
-		m.mu.Lock()
-		n := len(m.ctxs)
-		m.mu.Unlock()
-		return int64(n)
-	})
-	reg.RegisterGauge(prefix+".created", m.created.Load)
-	reg.RegisterGauge(prefix+".retired", m.retired.Load)
+	ix   *pindex.Index
+	pool ctxPool[*pindex.Ctx]
 }
 
 // OpenPMap attaches to (or creates) the persistent map registered under
@@ -99,7 +56,8 @@ func (rt *Runtime) OpenPMap(heapName, mapName string, opts PMapOptions) (*PMap, 
 		return nil, err
 	}
 	m := &PMap{ix: ix}
-	m.registerPoolGauges(h.Telemetry(), "pmap."+mapName+".ctx")
+	m.pool.newCtx = ix.NewCtx
+	m.pool.registerGauges(h.Telemetry(), "pmap."+mapName+".ctx")
 	return m, nil
 }
 
@@ -107,53 +65,26 @@ func (rt *Runtime) OpenPMap(heapName, mapName string, opts PMapOptions) (*PMap, 
 // stats, tooling).
 func (m *PMap) Index() *pindex.Index { return m.ix }
 
-func (m *PMap) borrow() *pindex.Ctx {
-	m.mu.Lock()
-	if n := len(m.ctxs); n > 0 {
-		c := m.ctxs[n-1]
-		m.ctxs = m.ctxs[:n-1]
-		m.mu.Unlock()
-		return c
-	}
-	m.mu.Unlock()
-	m.created.Add(1)
-	return m.ix.NewCtx()
-}
-
-func (m *PMap) put(c *pindex.Ctx) {
-	m.mu.Lock()
-	if len(m.ctxs) < maxIdleCtxs {
-		m.ctxs = append(m.ctxs, c)
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-	// Past the cap: retire the ctx properly so its PLAB region unpins now
-	// rather than at the next collection.
-	m.retired.Add(1)
-	c.Release()
-}
-
 // Put durably inserts or updates key → val. val must be 0 or reference
 // an object in the same persistent heap (volatile references are
 // rejected — see pindex.Ctx.Put).
 func (m *PMap) Put(key int64, val Ref) error {
-	c := m.borrow()
-	defer m.put(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	return c.Put(key, val)
 }
 
 // Get looks key up; the answer is durable before it is returned.
 func (m *PMap) Get(key int64) (Ref, bool) {
-	c := m.borrow()
-	defer m.put(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	return c.Get(key)
 }
 
 // Delete durably removes key, reporting whether it was present.
 func (m *PMap) Delete(key int64) bool {
-	c := m.borrow()
-	defer m.put(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	return c.Delete(key)
 }
 
@@ -163,8 +94,8 @@ func (m *PMap) Delete(key int64) bool {
 // other PMap or Runtime operations from fn (see the type doc: nested
 // safepoint intervals can deadlock against a waiting collector pause).
 func (m *PMap) Scan(fn func(key int64, val Ref) bool) {
-	c := m.borrow()
-	defer m.put(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	c.Scan(fn)
 }
 

@@ -1,8 +1,6 @@
 package espresso
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"espresso/internal/pgc"
@@ -59,17 +57,8 @@ var ErrShardQuarantined = pshard.ErrShardQuarantined
 // and is durable-linearizable. Operations must not nest (see PMap's
 // type doc).
 type ShardedPMap struct {
-	set *pshard.Set
-
-	mu   sync.Mutex
-	ctxs []*pshard.Ctx
-
-	// Pool telemetry, mirroring PMap's: created counts NewCtx calls,
-	// retired releases past maxIdleCtxs. A sharded ctx lazily holds up to
-	// one PLAB region per shard, so a high retired count here costs N
-	// detach/reattach cycles per drop.
-	created atomic.Int64
-	retired atomic.Int64
+	set  *pshard.Set
+	pool ctxPool[*pshard.Ctx]
 }
 
 // OpenSharded opens (or creates) the sharded persistent map registered
@@ -103,16 +92,8 @@ func (rt *Runtime) OpenSharded(base string, opts ShardedPMapOptions) (*ShardedPM
 		return nil, err
 	}
 	m := &ShardedPMap{set: set}
-	if reg := set.Telemetry(); reg != nil {
-		reg.RegisterGauge("shardedpmap."+base+".ctx.idle", func() int64 {
-			m.mu.Lock()
-			n := len(m.ctxs)
-			m.mu.Unlock()
-			return int64(n)
-		})
-		reg.RegisterGauge("shardedpmap."+base+".ctx.created", m.created.Load)
-		reg.RegisterGauge("shardedpmap."+base+".ctx.retired", m.retired.Load)
-	}
+	m.pool.newCtx = set.NewCtx
+	m.pool.registerGauges(set.Telemetry(), "shardedpmap."+base+".ctx")
 	return m, nil
 }
 
@@ -129,37 +110,10 @@ func (m *ShardedPMap) ShardMetrics(i int) MetricsSnapshot { return m.set.ShardMe
 // management, tooling).
 func (m *ShardedPMap) Set() *pshard.Set { return m.set }
 
-func (m *ShardedPMap) borrow() *pshard.Ctx {
-	m.mu.Lock()
-	if n := len(m.ctxs); n > 0 {
-		c := m.ctxs[n-1]
-		m.ctxs = m.ctxs[:n-1]
-		m.mu.Unlock()
-		return c
-	}
-	m.mu.Unlock()
-	m.created.Add(1)
-	return m.set.NewCtx()
-}
-
-func (m *ShardedPMap) putCtx(c *pshard.Ctx) {
-	m.mu.Lock()
-	if len(m.ctxs) < maxIdleCtxs {
-		m.ctxs = append(m.ctxs, c)
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-	// Past the cap: a sharded ctx can hold one PLAB region per shard, so
-	// releasing promptly matters N times more here than on PMap.
-	m.retired.Add(1)
-	c.Release()
-}
-
 // Put durably maps key → val on the key's owning shard.
 func (m *ShardedPMap) Put(key, val int64) error {
-	c := m.borrow()
-	defer m.putCtx(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	return c.Put(key, val)
 }
 
@@ -167,16 +121,16 @@ func (m *ShardedPMap) Put(key, val int64) error {
 // degraded set a quarantined shard reads as absent — use Lookup when
 // "not present" and "shard unavailable" must stay distinguishable.
 func (m *ShardedPMap) Get(key int64) (int64, bool) {
-	c := m.borrow()
-	defer m.putCtx(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	return c.Get(key)
 }
 
 // Lookup is Get with degraded-mode quarantines made visible: the error
 // matches ErrShardQuarantined when key's owning shard is fenced off.
 func (m *ShardedPMap) Lookup(key int64) (int64, bool, error) {
-	c := m.borrow()
-	defer m.putCtx(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	return c.Lookup(key)
 }
 
@@ -184,8 +138,8 @@ func (m *ShardedPMap) Lookup(key int64) (int64, bool, error) {
 // degraded set a quarantined shard reports false — use Remove when the
 // cases must stay distinguishable.
 func (m *ShardedPMap) Delete(key int64) bool {
-	c := m.borrow()
-	defer m.putCtx(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	return c.Delete(key)
 }
 
@@ -193,8 +147,8 @@ func (m *ShardedPMap) Delete(key int64) bool {
 // error matches ErrShardQuarantined when key's owning shard is fenced
 // off.
 func (m *ShardedPMap) Remove(key int64) (bool, error) {
-	c := m.borrow()
-	defer m.putCtx(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	return c.Remove(key)
 }
 
@@ -202,8 +156,8 @@ func (m *ShardedPMap) Remove(key int64) (bool, error) {
 // consistent per shard; shards visited in hash-range order). It pins one
 // shard at a time, and fn must not call other map operations.
 func (m *ShardedPMap) Scan(fn func(key, val int64) bool) {
-	c := m.borrow()
-	defer m.putCtx(c)
+	c := m.pool.borrow()
+	defer m.pool.put(c)
 	c.Scan(fn)
 }
 

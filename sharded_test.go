@@ -128,10 +128,7 @@ func TestShardedPMapCtxPoolBounded(t *testing.T) {
 	ready.Wait()
 	close(start)
 	done.Wait()
-	m.mu.Lock()
-	idle := len(m.ctxs)
-	m.mu.Unlock()
-	if idle > maxIdleCtxs {
+	if idle := m.pool.idleCount(); idle > maxIdleCtxs {
 		t.Fatalf("idle ctx pool holds %d, cap is %d", idle, maxIdleCtxs)
 	}
 }
@@ -172,10 +169,7 @@ func TestPMapCtxPoolBounded(t *testing.T) {
 	ready.Wait()
 	close(start)
 	done.Wait()
-	m.mu.Lock()
-	idle := len(m.ctxs)
-	m.mu.Unlock()
-	if idle > maxIdleCtxs {
+	if idle := m.pool.idleCount(); idle > maxIdleCtxs {
 		t.Fatalf("idle ctx pool holds %d, cap is %d", idle, maxIdleCtxs)
 	}
 }

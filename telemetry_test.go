@@ -30,10 +30,10 @@ func TestTelemetryPoolGaugeBurst(t *testing.T) {
 	const burst = maxIdleCtxs + 8
 	ctxs := make([]*pindex.Ctx, 0, burst)
 	for i := 0; i < burst; i++ {
-		ctxs = append(ctxs, m.borrow())
+		ctxs = append(ctxs, m.pool.borrow())
 	}
 	for _, c := range ctxs {
-		m.put(c)
+		m.pool.put(c)
 	}
 	snap := rt.Metrics()
 	if got := snap.Gauges["pmap.burst.ctx.created"]; got != burst {
