@@ -6,6 +6,7 @@ package espresso_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"espresso"
@@ -163,6 +164,112 @@ func BenchmarkSetRefFast(b *testing.B) {
 		})
 		report(b, s0)
 	})
+}
+
+// BenchmarkMutatorAccessParallel is the scaling check for the mutator
+// access path: one Mutator per goroutine, each on its own 64-node chain,
+// so nothing the program itself shares is touched — whatever one
+// goroutine's accessor costs at -cpu 2 beyond what it costs at -cpu 1
+// is the runtime's own bookkeeping (safepoint pin, device accounting)
+// bouncing a cache line. Read it at -cpu 1,2: ns/op should halve.
+func BenchmarkMutatorAccessParallel(b *testing.B) {
+	rt, dev := benchRT(b)
+	node := espresso.MustClass("bench/AccessNode", nil,
+		espresso.Long("v"), espresso.RefTo("next", "bench/AccessNode"))
+	vF := rt.MustResolveField(node, "v")
+	nextF := rt.MustResolveField(node, "next")
+	const chain = 64
+
+	// run hands every goroutine a Mutator and the head of a private
+	// chain, and times op(m, head, node i of the chain) per iteration.
+	run := func(b *testing.B, op func(m *espresso.Mutator, n espresso.Ref, i int) espresso.Ref) {
+		s0 := dev.Stats()
+		b.RunParallel(func(pb *testing.PB) {
+			m, err := rt.NewMutator()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			defer m.Release()
+			var head espresso.Ref
+			for i := 0; i < chain; i++ {
+				n, err := m.PNew(node, 0)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				m.SetLongFast(n, vF, int64(i))
+				if err := m.SetRefFast(n, nextF, head); err != nil {
+					b.Error(err)
+					return
+				}
+				head = n
+			}
+			n := head
+			for i := 0; pb.Next(); i++ {
+				if n = op(m, n, i); n == 0 {
+					n = head
+				}
+			}
+		})
+		d := dev.Stats().Sub(s0)
+		b.ReportMetric(float64(d.Reads+d.Writes)/float64(b.N), "devops/op")
+	}
+
+	var sink int64
+	b.Run("walk", func(b *testing.B) { // GetLongFast + GetRefFast per node
+		run(b, func(m *espresso.Mutator, n espresso.Ref, _ int) espresso.Ref {
+			sink += m.GetLongFast(n, vF)
+			return m.GetRefFast(n, nextF)
+		})
+	})
+	b.Run("set-long", func(b *testing.B) {
+		run(b, func(m *espresso.Mutator, n espresso.Ref, i int) espresso.Ref {
+			m.SetLongFast(n, vF, int64(i))
+			return n
+		})
+	})
+	b.Run("set-ref", func(b *testing.B) {
+		run(b, func(m *espresso.Mutator, n espresso.Ref, _ int) espresso.Ref {
+			if err := m.SetRefFast(n, nextF, n); err != nil {
+				b.Error(err)
+			}
+			return n
+		})
+	})
+}
+
+// BenchmarkPMapGetParallel is the same check for the index read path:
+// every goroutine looks up its own keys of one shared PMap. A get is
+// ~35 device loads through the borrowed ctx's own view; the ctx pool
+// and the ownerless safepoint pin are what remains shared.
+func BenchmarkPMapGetParallel(b *testing.B) {
+	rt, dev := benchRT(b)
+	pm, err := rt.OpenPMap("bench", "bench/map", espresso.PMapOptions{InitialBuckets: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const keys = 1 << 14
+	for k := int64(0); k < keys; k++ {
+		if err := pm.Put(k, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var lane atomic.Int64
+	s0 := dev.Stats()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		k := lane.Add(1) * 7919
+		for pb.Next() {
+			k = (k + 1) % keys
+			if _, ok := pm.Get(k); !ok {
+				b.Errorf("key %d missing", k)
+				return
+			}
+		}
+	})
+	d := dev.Stats().Sub(s0)
+	b.ReportMetric(float64(d.Reads)/float64(b.N), "devreads/op")
 }
 
 // BenchmarkStringRoundTrip writes and reads back persistent strings. The

@@ -21,45 +21,61 @@ import (
 //     referent is recorded in a SATB buffer (pre-write barrier), so the
 //     snapshot-at-the-beginning marker never loses a reachable object.
 //
-// Public accessors run under the runtime's safepoint read lock; the
-// lowercase helpers assume the caller holds it and never re-acquire it.
+// Public accessors run inside a safepoint interval; the lowercase helpers
+// assume the caller is in one and never enter another. Each takes the
+// calling mutator as its context (see Mutator), nil from the Runtime-level
+// accessors.
 
-func (rt *Runtime) getWord(ref layout.Ref, boff int) uint64 {
+// heapAccess resolves the persistent heap whose image holds ref, with the
+// object access m's operations on it go through: m's allocator's own
+// device view when ref is in m's heap, the heap's ownerless one
+// otherwise.
+func (rt *Runtime) heapAccess(m *Mutator, ref layout.Ref) (pheap.Access, bool) {
+	if m != nil && m.h.ContainsImage(ref) {
+		return m.alloc.Access, true
+	}
+	if h := rt.heapOf(ref); h != nil {
+		return h.Access, true
+	}
+	return pheap.Access{}, false
+}
+
+func (rt *Runtime) getWord(m *Mutator, ref layout.Ref, boff int) uint64 {
 	if rt.vol.Contains(ref) {
 		return rt.vol.GetWord(ref, boff)
 	}
-	if h := rt.heapOf(ref); h != nil {
-		return h.GetWord(ref, boff)
+	if x, ok := rt.heapAccess(m, ref); ok {
+		return x.GetWord(ref, boff)
 	}
 	panic(fmt.Sprintf("core: load from non-object address %#x", uint64(ref)))
 }
 
-func (rt *Runtime) setWord(ref layout.Ref, boff int, v uint64) {
+func (rt *Runtime) setWord(m *Mutator, ref layout.Ref, boff int, v uint64) {
 	if rt.vol.Contains(ref) {
 		rt.vol.SetWord(ref, boff, v)
 		return
 	}
-	if h := rt.heapOf(ref); h != nil {
-		h.SetWord(ref, boff, v)
+	if x, ok := rt.heapAccess(m, ref); ok {
+		x.SetWord(ref, boff, v)
 		return
 	}
 	panic(fmt.Sprintf("core: store to non-object address %#x", uint64(ref)))
 }
 
-func (rt *Runtime) arrayLen(ref layout.Ref) int {
-	return int(rt.getWord(ref, layout.ArrayLenOff))
+func (rt *Runtime) arrayLen(m *Mutator, ref layout.Ref) int {
+	return int(rt.getWord(m, ref, layout.ArrayLenOff))
 }
 
 // ArrayLen reports the length of the array at ref.
 func (rt *Runtime) ArrayLen(ref layout.Ref) int {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	return rt.arrayLen(ref)
+	return rt.arrayLen(nil, ref)
 }
 
 // fieldOff resolves a named field to its byte offset.
-func (rt *Runtime) fieldOff(ref layout.Ref, name string) (int, *klass.Klass, error) {
-	k, err := rt.klassOf(ref)
+func (rt *Runtime) fieldOff(m *Mutator, ref layout.Ref, name string) (int, *klass.Klass, error) {
+	k, err := rt.klassOf(m, ref)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -74,22 +90,22 @@ func (rt *Runtime) fieldOff(ref layout.Ref, name string) (int, *klass.Klass, err
 func (rt *Runtime) GetLong(ref layout.Ref, field string) (int64, error) {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	boff, _, err := rt.fieldOff(ref, field)
+	boff, _, err := rt.fieldOff(nil, ref, field)
 	if err != nil {
 		return 0, err
 	}
-	return int64(rt.getWord(ref, boff)), nil
+	return int64(rt.getWord(nil, ref, boff)), nil
 }
 
 // SetLong writes a primitive field as a 64-bit integer.
 func (rt *Runtime) SetLong(ref layout.Ref, field string, v int64) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	boff, _, err := rt.fieldOff(ref, field)
+	boff, _, err := rt.fieldOff(nil, ref, field)
 	if err != nil {
 		return err
 	}
-	rt.setWord(ref, boff, uint64(v))
+	rt.setWord(nil, ref, boff, uint64(v))
 	return nil
 }
 
@@ -97,102 +113,109 @@ func (rt *Runtime) SetLong(ref layout.Ref, field string, v int64) error {
 func (rt *Runtime) GetRef(ref layout.Ref, field string) (layout.Ref, error) {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	boff, k, err := rt.fieldOff(ref, field)
+	boff, k, err := rt.fieldOff(nil, ref, field)
 	if err != nil {
 		return 0, err
 	}
 	if i, _ := k.FieldIndex(field); k.FieldAt(i).Type != layout.FTRef {
 		return 0, fmt.Errorf("core: field %s.%s is not a reference", k.Name, field)
 	}
-	return layout.Ref(rt.getWord(ref, boff)), nil
+	return layout.Ref(rt.getWord(nil, ref, boff)), nil
 }
 
 // SetRef writes a reference field through the write barrier.
 func (rt *Runtime) SetRef(ref layout.Ref, field string, val layout.Ref) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	return rt.setRefNamed(ref, field, val, nil, nil, nil)
+	return rt.setRefNamed(nil, ref, field, val)
 }
 
-func (rt *Runtime) setRefNamed(ref layout.Ref, field string, val layout.Ref, satb *pheap.SATBBuffer, rdelta *pheap.RemsetDeltaBuffer, cell *telemetry.Cell) error {
-	boff, k, err := rt.fieldOff(ref, field)
+func (rt *Runtime) setRefNamed(m *Mutator, ref layout.Ref, field string, val layout.Ref) error {
+	boff, k, err := rt.fieldOff(m, ref, field)
 	if err != nil {
 		return err
 	}
 	if i, _ := k.FieldIndex(field); k.FieldAt(i).Type != layout.FTRef {
 		return fmt.Errorf("core: field %s.%s is not a reference", k.Name, field)
 	}
-	return rt.storeRef(ref, boff, val, satb, rdelta, cell)
+	return rt.storeRef(m, ref, boff, val)
 }
 
 // GetElem reads element i of a reference array.
 func (rt *Runtime) GetElem(arr layout.Ref, i int) (layout.Ref, error) {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	if err := rt.boundsCheck(arr, i); err != nil {
+	if err := rt.boundsCheck(nil, arr, i); err != nil {
 		return 0, err
 	}
-	return layout.Ref(rt.getWord(arr, layout.ElemOff(layout.FTRef, i))), nil
+	return layout.Ref(rt.getWord(nil, arr, layout.ElemOff(layout.FTRef, i))), nil
 }
 
 // SetElem stores element i of a reference array through the write barrier.
 func (rt *Runtime) SetElem(arr layout.Ref, i int, val layout.Ref) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	return rt.setElem(arr, i, val, nil, nil, nil)
+	return rt.setElem(nil, arr, i, val)
 }
 
-func (rt *Runtime) setElem(arr layout.Ref, i int, val layout.Ref, satb *pheap.SATBBuffer, rdelta *pheap.RemsetDeltaBuffer, cell *telemetry.Cell) error {
-	if err := rt.boundsCheck(arr, i); err != nil {
+func (rt *Runtime) setElem(m *Mutator, arr layout.Ref, i int, val layout.Ref) error {
+	if err := rt.boundsCheck(m, arr, i); err != nil {
 		return err
 	}
-	return rt.storeRef(arr, layout.ElemOff(layout.FTRef, i), val, satb, rdelta, cell)
+	return rt.storeRef(m, arr, layout.ElemOff(layout.FTRef, i), val)
 }
 
 // GetLongElem reads element i of a long array.
 func (rt *Runtime) GetLongElem(arr layout.Ref, i int) (int64, error) {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	if err := rt.boundsCheck(arr, i); err != nil {
+	if err := rt.boundsCheck(nil, arr, i); err != nil {
 		return 0, err
 	}
-	return int64(rt.getWord(arr, layout.ElemOff(layout.FTLong, i))), nil
+	return int64(rt.getWord(nil, arr, layout.ElemOff(layout.FTLong, i))), nil
 }
 
 // SetLongElem stores element i of a long array.
 func (rt *Runtime) SetLongElem(arr layout.Ref, i int, v int64) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	if err := rt.boundsCheck(arr, i); err != nil {
+	if err := rt.boundsCheck(nil, arr, i); err != nil {
 		return err
 	}
-	rt.setWord(arr, layout.ElemOff(layout.FTLong, i), uint64(v))
+	rt.setWord(nil, arr, layout.ElemOff(layout.FTLong, i), uint64(v))
 	return nil
 }
 
-func (rt *Runtime) boundsCheck(arr layout.Ref, i int) error {
-	k, err := rt.klassOf(arr)
+func (rt *Runtime) boundsCheck(m *Mutator, arr layout.Ref, i int) error {
+	k, err := rt.klassOf(m, arr)
 	if err != nil {
 		return err
 	}
 	if !k.IsArray() {
 		return fmt.Errorf("core: %s is not an array class", k.Name)
 	}
-	if n := rt.arrayLen(arr); i < 0 || i >= n {
+	if n := rt.arrayLen(m, arr); i < 0 || i >= n {
 		return fmt.Errorf("core: index %d out of bounds for length %d", i, n)
 	}
 	return nil
 }
 
-// storeRef performs the reference store plus barrier bookkeeping. satb
-// and rdelta select the buffers the two barriers record into: the
-// calling mutator's own, or (nil) the heap's shared default buffers.
-// cell is the calling mutator's telemetry cell (owner-counted, fence-free)
-// or nil — facade-routed stores then tally into the heap registry's
-// shared cell with atomic ops, so the op mix stays complete either way.
-func (rt *Runtime) storeRef(obj layout.Ref, boff int, val layout.Ref, satb *pheap.SATBBuffer, rdelta *pheap.RemsetDeltaBuffer, cell *telemetry.Cell) error {
+// storeRef performs the reference store plus barrier bookkeeping. m
+// selects where everything owned lands: the calling mutator's SATB and
+// remembered-set delta buffers, its telemetry cell (owner-counted,
+// fence-free) and its device view — or, for nil, the heap's shared
+// default buffers, the heap registry's shared cell (atomic ops, so the
+// op mix stays complete either way) and the device's shared counters.
+func (rt *Runtime) storeRef(m *Mutator, obj layout.Ref, boff int, val layout.Ref) error {
 	slot := obj + layout.Ref(boff)
-	if h := rt.heapOf(obj); h != nil {
+	if x, ok := rt.heapAccess(m, obj); ok {
+		h := x.Heap()
+		var satb *pheap.SATBBuffer
+		var rdelta *pheap.RemsetDeltaBuffer
+		var cell *telemetry.Cell
+		if m != nil {
+			satb, rdelta, cell = m.satb, m.rdelta, m.cell
+		}
 		// Persistent object. The paper permits NVM→DRAM references at the
 		// language level (§3.2); type-based safety forbids them (§3.4).
 		// Remembered-set maintenance is write-combined: the store appends
@@ -219,7 +242,7 @@ func (rt *Runtime) storeRef(obj layout.Ref, boff int, val layout.Ref, satb *phea
 			// store may retarget this object at something the marker's
 			// outgoing-reference summary did not see, so its card must be
 			// rescanned in the compaction pause.
-			h.SATBRecordBarrier(obj, h.GetWordAtomic(obj, boff), satb)
+			h.SATBRecordBarrier(obj, x.GetWordAtomic(obj, boff), satb)
 			satbReads = 1
 		}
 		// The store (a single atomic machine store, so the concurrent
@@ -227,7 +250,7 @@ func (rt *Runtime) storeRef(obj layout.Ref, boff int, val layout.Ref, satb *phea
 		// as one drain-atomic step: no publication can consume the delta
 		// before the value it must re-derive from is on the device.
 		rdelta.RecordStore(slot, isVol, func() {
-			h.SetWordAtomic(obj, boff, uint64(val))
+			x.SetWordAtomic(obj, boff, uint64(val))
 		})
 		if cell != nil {
 			cell.Inc(telemetry.CtrRefStores)

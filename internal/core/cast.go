@@ -49,7 +49,7 @@ func (rt *Runtime) CheckCast(obj layout.Ref, className string) error {
 	if obj == layout.NullRef {
 		return nil // casting null always succeeds
 	}
-	objKlassAddr := layout.Ref(rt.getWord(obj, layout.KlassWordOff))
+	objKlassAddr := layout.Ref(rt.getWord(nil, obj, layout.KlassWordOff))
 	slotAddr, resolved := rt.cp.Get(className)
 	if !resolved {
 		// First use of the symbol: resolve it against the object's own
@@ -85,7 +85,7 @@ func (rt *Runtime) InstanceOf(obj layout.Ref, className string) (bool, error) {
 	if obj == layout.NullRef {
 		return false, nil
 	}
-	objK, err := rt.klassOf(obj)
+	objK, err := rt.klassOf(nil, obj)
 	if err != nil {
 		return false, err
 	}

@@ -6,8 +6,6 @@ import (
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
-	"espresso/internal/pheap"
-	"espresso/internal/telemetry"
 )
 
 // The resolved-accessor fast path. GetLong/SetRef and friends re-resolve
@@ -73,11 +71,11 @@ func (rt *Runtime) MustResolveField(k *klass.Klass, name string) FieldRef {
 func (rt *Runtime) GetLongFast(ref layout.Ref, f FieldRef) int64 {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	return rt.getLongFast(ref, f)
+	return rt.getLongFast(nil, ref, f)
 }
 
-func (rt *Runtime) getLongFast(ref layout.Ref, f FieldRef) int64 {
-	return int64(rt.getWord(ref, f.boff))
+func (rt *Runtime) getLongFast(m *Mutator, ref layout.Ref, f FieldRef) int64 {
+	return int64(rt.getWord(m, ref, f.boff))
 }
 
 // SetLongFast writes a primitive field through a resolved handle. A
@@ -87,14 +85,14 @@ func (rt *Runtime) getLongFast(ref layout.Ref, f FieldRef) int64 {
 func (rt *Runtime) SetLongFast(ref layout.Ref, f FieldRef, v int64) {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	rt.setLongFast(ref, f, v)
+	rt.setLongFast(nil, ref, f, v)
 }
 
-func (rt *Runtime) setLongFast(ref layout.Ref, f FieldRef, v int64) {
+func (rt *Runtime) setLongFast(m *Mutator, ref layout.Ref, f FieldRef, v int64) {
 	if f.ftype == layout.FTRef {
 		panic("core: SetLongFast through a ref field handle; use SetRefFast")
 	}
-	rt.setWord(ref, f.boff, uint64(v))
+	rt.setWord(m, ref, f.boff, uint64(v))
 }
 
 // GetRefFast reads a reference field through a resolved handle. The
@@ -103,14 +101,14 @@ func (rt *Runtime) setLongFast(ref layout.Ref, f FieldRef, v int64) {
 func (rt *Runtime) GetRefFast(ref layout.Ref, f FieldRef) layout.Ref {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	return rt.getRefFast(ref, f)
+	return rt.getRefFast(nil, ref, f)
 }
 
-func (rt *Runtime) getRefFast(ref layout.Ref, f FieldRef) layout.Ref {
+func (rt *Runtime) getRefFast(m *Mutator, ref layout.Ref, f FieldRef) layout.Ref {
 	if f.ftype != layout.FTRef {
 		panic("core: GetRefFast through a " + f.ftype.String() + " field handle")
 	}
-	return layout.Ref(rt.getWord(ref, f.boff))
+	return layout.Ref(rt.getWord(m, ref, f.boff))
 }
 
 // SetRefFast writes a reference field through a resolved handle, keeping
@@ -121,14 +119,14 @@ func (rt *Runtime) getRefFast(ref layout.Ref, f FieldRef) layout.Ref {
 func (rt *Runtime) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	return rt.setRefFast(ref, f, val, nil, nil, nil)
+	return rt.setRefFast(nil, ref, f, val)
 }
 
-func (rt *Runtime) setRefFast(ref layout.Ref, f FieldRef, val layout.Ref, satb *pheap.SATBBuffer, rdelta *pheap.RemsetDeltaBuffer, cell *telemetry.Cell) error {
+func (rt *Runtime) setRefFast(m *Mutator, ref layout.Ref, f FieldRef, val layout.Ref) error {
 	if f.ftype != layout.FTRef {
 		return fmt.Errorf("core: SetRefFast through a %s field handle", f.ftype)
 	}
-	return rt.storeRef(ref, f.boff, val, satb, rdelta, cell)
+	return rt.storeRef(m, ref, f.boff, val)
 }
 
 // --- Bulk primitive-array transfer ---
@@ -140,14 +138,14 @@ func (rt *Runtime) setRefFast(ref layout.Ref, f FieldRef, val layout.Ref, satb *
 // bulkCheck validates arr as a t-typed array covering [start, start+n)
 // and returns the byte offset of element start.
 func (rt *Runtime) bulkCheck(arr layout.Ref, t layout.FieldType, start, n int) (int, error) {
-	k, err := rt.klassOf(arr)
+	k, err := rt.klassOf(nil, arr)
 	if err != nil {
 		return 0, err
 	}
 	if !k.IsArray() || k.ElemType() != t {
 		return 0, fmt.Errorf("core: %s is not a %s array class", k.Name, t)
 	}
-	if l := rt.arrayLen(arr); start < 0 || n < 0 || start+n > l {
+	if l := rt.arrayLen(nil, arr); start < 0 || n < 0 || start+n > l {
 		return 0, fmt.Errorf("core: range [%d,%d) out of bounds for length %d", start, start+n, l)
 	}
 	return layout.ElemOff(t, start), nil

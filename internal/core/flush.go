@@ -22,15 +22,19 @@ import (
 func (rt *Runtime) FlushField(obj layout.Ref, field string) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	h := rt.heapOf(obj)
-	if h == nil {
+	return rt.flushField(nil, obj, field)
+}
+
+func (rt *Runtime) flushField(m *Mutator, obj layout.Ref, field string) error {
+	x, ok := rt.heapAccess(m, obj)
+	if !ok {
 		return fmt.Errorf("core: flush of a non-persistent object")
 	}
-	boff, _, err := rt.fieldOff(obj, field)
+	boff, _, err := rt.fieldOff(m, obj, field)
 	if err != nil {
 		return err
 	}
-	h.FlushRange(obj, boff, layout.WordSize)
+	x.FlushRange(obj, boff, layout.WordSize)
 	return nil
 }
 
@@ -39,22 +43,26 @@ func (rt *Runtime) FlushField(obj layout.Ref, field string) error {
 func (rt *Runtime) FlushArrayElem(arr layout.Ref, i int) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	h := rt.heapOf(arr)
-	if h == nil {
+	return rt.flushArrayElem(nil, arr, i)
+}
+
+func (rt *Runtime) flushArrayElem(m *Mutator, arr layout.Ref, i int) error {
+	x, ok := rt.heapAccess(m, arr)
+	if !ok {
 		return fmt.Errorf("core: flush of a non-persistent array")
 	}
-	k, err := rt.klassOf(arr)
+	k, err := rt.klassOf(m, arr)
 	if err != nil {
 		return err
 	}
 	if !k.IsArray() {
 		return fmt.Errorf("core: %s is not an array class", k.Name)
 	}
-	if err := rt.boundsCheck(arr, i); err != nil {
+	if err := rt.boundsCheck(m, arr, i); err != nil {
 		return err
 	}
 	et := k.ElemType()
-	h.FlushRange(arr, layout.ElemOff(et, i), et.ElemSize())
+	x.FlushRange(arr, layout.ElemOff(et, i), et.ElemSize())
 	return nil
 }
 
@@ -64,19 +72,23 @@ func (rt *Runtime) FlushArrayElem(arr layout.Ref, i int) error {
 func (rt *Runtime) FlushObject(obj layout.Ref) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	h := rt.heapOf(obj)
-	if h == nil {
+	return rt.flushObject(nil, obj)
+}
+
+func (rt *Runtime) flushObject(m *Mutator, obj layout.Ref) error {
+	x, ok := rt.heapAccess(m, obj)
+	if !ok {
 		return fmt.Errorf("core: flush of a non-persistent object")
 	}
-	k, err := rt.klassOf(obj)
+	k, err := rt.klassOf(m, obj)
 	if err != nil {
 		return err
 	}
 	n := 0
 	if k.IsArray() {
-		n = rt.arrayLen(obj)
+		n = rt.arrayLen(m, obj)
 	}
-	h.FlushRange(obj, 0, k.SizeOf(n))
+	x.FlushRange(obj, 0, k.SizeOf(n))
 	return nil
 }
 

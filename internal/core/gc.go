@@ -146,9 +146,9 @@ func (r persRoots) UpdateRoots(fwd func(layout.Ref) layout.Ref) {
 	rt.rebuildNVMRemset(r.h)
 }
 
-// worldLocker adapts the runtime's safepoint lock to pgc.World: stopping
+// worldLocker adapts the runtime's safepoint to pgc.World: stopping
 // the world means waiting out every in-flight mutator operation and
-// holding new ones at the lock — the mutator handshake. Each stop is
+// holding new ones at the safepoint — the mutator handshake. Each stop is
 // timed into the telemetry safepoint.wait histogram, so handshake delays
 // caused by long mutator ops are observable, and journaled as an
 // EvSafepoint aggregate when h carries a flight recorder (the append
@@ -163,7 +163,7 @@ func (w worldLocker) StopWorld() {
 	w.h.FlightRecorder().Append(blackbox.EvSafepoint,
 		w.rt.spWaits.Load(), w.rt.spWaitNS.Load(), uint64(wait))
 }
-func (w worldLocker) StartWorld() { w.rt.world.Unlock() }
+func (w worldLocker) StartWorld() { w.rt.world.Start() }
 
 // PersistentGC runs the crash-consistent collection of paper §4 on the
 // named heap (System.gc() for the persistent space). Mutators on other
@@ -181,7 +181,7 @@ func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 	rt.gcMu.Lock()
 	defer rt.gcMu.Unlock()
 	wait := rt.lockWorldCounted()
-	defer rt.world.Unlock()
+	defer rt.world.Start()
 	h.FlightRecorder().Append(blackbox.EvSafepoint,
 		rt.spWaits.Load(), rt.spWaitNS.Load(), uint64(wait))
 	return pgc.Collect(h, persRoots{rt, h})

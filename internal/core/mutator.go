@@ -6,6 +6,7 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/pheap"
+	"espresso/internal/safepoint"
 	"espresso/internal/telemetry"
 )
 
@@ -28,9 +29,13 @@ import (
 // Klass-segment append) happens once per class per mutator, serialized
 // on the runtime lock.
 //
-// Every Mutator operation is a safepoint interval: it runs under the
-// runtime's safepoint read lock, and the concurrent collector's pauses
-// wait for it to finish (the mutator handshake). References held across
+// Every Mutator operation is a safepoint interval: it runs pinned on the
+// mutator's own safepoint slot (a store to a line only this mutator
+// writes and a load of the runtime's read-mostly stopping flag — no
+// shared read-modify-write), and the collector's pauses wait for it to
+// finish (the mutator handshake). Its device accesses likewise count in
+// its allocator's own view of the device, so two mutators on two cores
+// share no cache line on the access path. References held across
 // operations can be invalidated by a pause — compaction moves objects
 // and patches only roots it can see (handles, named roots, heap and
 // volatile slots), never Go locals. Wrap multi-step sequences in Do to
@@ -44,8 +49,14 @@ import (
 //	})
 //
 // Inside Do, use the Mutator's own accessors only — Runtime methods
-// would re-acquire the safepoint lock and can deadlock against a
+// would enter a second safepoint interval and can deadlock against a
 // collector waiting to pause.
+//
+// The runtime's internal access helpers take a *Mutator as their context:
+// it carries the barrier buffers, the telemetry cell and (through alloc)
+// the device view an owned access uses. A nil *Mutator is the ownerless
+// context of the Runtime-level accessors: the heap's shared buffers and
+// the device's shared counters.
 type Mutator struct {
 	rt       *Runtime
 	h        *pheap.Heap
@@ -53,8 +64,9 @@ type Mutator struct {
 	satb     *pheap.SATBBuffer
 	rdelta   *pheap.RemsetDeltaBuffer
 	cell     *telemetry.Cell // the allocator's counter cell, shared across this mutator's paths
+	slot     *safepoint.Slot
 	prepared map[*klass.Klass]bool
-	locked   bool // inside Do: safepoint lock already held
+	locked   bool // inside Do: already pinned
 }
 
 // NewMutator attaches a new mutator context to the active heap.
@@ -71,6 +83,7 @@ func (rt *Runtime) NewMutator() (*Mutator, error) {
 		satb:     h.NewSATBBuffer(),
 		rdelta:   h.NewRemsetDeltaBuffer(),
 		cell:     alloc.TelemetryCell(),
+		slot:     rt.world.NewSlot(),
 		prepared: make(map[*klass.Klass]bool),
 	}, nil
 }
@@ -81,18 +94,18 @@ func (m *Mutator) Heap() *pheap.Heap { return m.h }
 // AllocStats snapshots the underlying allocator's own-path counters.
 func (m *Mutator) AllocStats() pheap.AllocatorStats { return m.alloc.Stats() }
 
-// enter acquires the safepoint read lock unless Do already holds it.
-// exit is its paired release. The flag is mutator-local state, touched
-// only by the owning goroutine.
+// enter pins the mutator's safepoint slot unless Do already has. exit is
+// its paired release. The flag is mutator-local state, touched only by
+// the owning goroutine.
 func (m *Mutator) enter() {
 	if !m.locked {
-		m.rt.world.RLock()
+		m.slot.Pin()
 	}
 }
 
 func (m *Mutator) exit() {
 	if !m.locked {
-		m.rt.world.RUnlock()
+		m.slot.Unpin()
 	}
 }
 
@@ -101,11 +114,11 @@ func (m *Mutator) exit() {
 // Keep fn short — it delays every collector pause (and any other caller
 // of a stop-the-world operation). Do must not nest.
 func (m *Mutator) Do(fn func()) {
-	m.rt.world.RLock()
+	m.slot.Pin()
 	m.locked = true
 	defer func() {
 		m.locked = false
-		m.rt.world.RUnlock()
+		m.slot.Unpin()
 	}()
 	fn()
 }
@@ -157,7 +170,7 @@ func (m *Mutator) prepare(k *klass.Klass) error {
 func (m *Mutator) SetRef(ref layout.Ref, field string, val layout.Ref) error {
 	m.enter()
 	defer m.exit()
-	return m.rt.setRefNamed(ref, field, val, m.satb, m.rdelta, m.cell)
+	return m.rt.setRefNamed(m, ref, field, val)
 }
 
 // SetRefFast writes a reference field through a resolved handle, with
@@ -165,7 +178,7 @@ func (m *Mutator) SetRef(ref layout.Ref, field string, val layout.Ref) error {
 func (m *Mutator) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
 	m.enter()
 	defer m.exit()
-	return m.rt.setRefFast(ref, f, val, m.satb, m.rdelta, m.cell)
+	return m.rt.setRefFast(m, ref, f, val)
 }
 
 // SetElem stores element i of a reference array through the write
@@ -173,7 +186,7 @@ func (m *Mutator) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
 func (m *Mutator) SetElem(arr layout.Ref, i int, val layout.Ref) error {
 	m.enter()
 	defer m.exit()
-	return m.rt.setElem(arr, i, val, m.satb, m.rdelta, m.cell)
+	return m.rt.setElem(m, arr, i, val)
 }
 
 // GetElem reads element i of a reference array on this mutator's thread
@@ -181,31 +194,55 @@ func (m *Mutator) SetElem(arr layout.Ref, i int, val layout.Ref) error {
 func (m *Mutator) GetElem(arr layout.Ref, i int) (layout.Ref, error) {
 	m.enter()
 	defer m.exit()
-	if err := m.rt.boundsCheck(arr, i); err != nil {
+	if err := m.rt.boundsCheck(m, arr, i); err != nil {
 		return 0, err
 	}
-	return layout.Ref(m.rt.getWord(arr, layout.ElemOff(layout.FTRef, i))), nil
+	return layout.Ref(m.rt.getWord(m, arr, layout.ElemOff(layout.FTRef, i))), nil
 }
 
 // GetRefFast reads a reference field through a resolved handle.
 func (m *Mutator) GetRefFast(ref layout.Ref, f FieldRef) layout.Ref {
 	m.enter()
 	defer m.exit()
-	return m.rt.getRefFast(ref, f)
+	return m.rt.getRefFast(m, ref, f)
 }
 
 // GetLongFast reads a primitive field through a resolved handle.
 func (m *Mutator) GetLongFast(ref layout.Ref, f FieldRef) int64 {
 	m.enter()
 	defer m.exit()
-	return m.rt.getLongFast(ref, f)
+	return m.rt.getLongFast(m, ref, f)
 }
 
 // SetLongFast writes a primitive field through a resolved handle.
 func (m *Mutator) SetLongFast(ref layout.Ref, f FieldRef, v int64) {
 	m.enter()
 	defer m.exit()
-	m.rt.setLongFast(ref, f, v)
+	m.rt.setLongFast(m, ref, f, v)
+}
+
+// FlushField persists one named field of a persistent object on this
+// mutator's thread (usable inside Do, unlike the Runtime accessor).
+func (m *Mutator) FlushField(obj layout.Ref, field string) error {
+	m.enter()
+	defer m.exit()
+	return m.rt.flushField(m, obj, field)
+}
+
+// FlushArrayElem persists element i of a persistent array on this
+// mutator's thread.
+func (m *Mutator) FlushArrayElem(arr layout.Ref, i int) error {
+	m.enter()
+	defer m.exit()
+	return m.rt.flushArrayElem(m, arr, i)
+}
+
+// FlushObject persists every data field of a persistent object, with one
+// trailing fence, on this mutator's thread.
+func (m *Mutator) FlushObject(obj layout.Ref) error {
+	m.enter()
+	defer m.exit()
+	return m.rt.flushObject(m, obj)
 }
 
 // GetRoot fetches a named root (Table 1: getRoot) on this mutator's
@@ -233,8 +270,11 @@ func (m *Mutator) PendingRemsetDeltas() int { return m.rdelta.Pending() }
 // its SATB buffer is unregistered (pending barrier records are handed to
 // the heap's shared buffer, so none are lost mid-mark), and its
 // remembered-set delta buffer is unregistered after publishing anything
-// still pending. Like every mutator operation it is a safepoint interval.
+// still pending. Like every mutator operation it is a safepoint interval;
+// the safepoint slot is given up after the interval ends (or, inside Do,
+// keeps holding pauses off until Do returns).
 func (m *Mutator) Release() {
+	defer m.slot.Retire()
 	m.enter()
 	defer m.exit()
 	m.alloc.Release()

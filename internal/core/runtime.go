@@ -23,6 +23,7 @@ import (
 	"espresso/internal/namemgr"
 	"espresso/internal/nvm"
 	"espresso/internal/pheap"
+	"espresso/internal/safepoint"
 	"espresso/internal/telemetry"
 	"espresso/internal/vheap"
 )
@@ -108,18 +109,19 @@ type Runtime struct {
 	mu  sync.Mutex
 	cfg Config
 
-	// world is the safepoint lock — the mutator-handshake mechanism of
-	// the concurrent persistent GC. Every heap-touching public operation
-	// runs under a read lock (mutators are "in" an op or parked between
-	// ops, never mid-op when a pause begins); the collector's pauses take
-	// the write lock, so StopWorld returns exactly when every in-flight
-	// operation has drained. The lock makes *persistent-heap* access safe
+	// world is the safepoint — the mutator-handshake mechanism of the
+	// persistent GC. Every heap-touching public operation is a safepoint
+	// interval (mutators are "in" an op or parked between ops, never
+	// mid-op when a pause begins): Runtime-level accessors take world's
+	// read lock, a Mutator pins its own slot; the collector's pauses
+	// Stop the world, which returns exactly when every in-flight
+	// operation has drained. It makes *persistent-heap* access safe
 	// against collector pauses; the volatile heap keeps the seed's
 	// single-volatile-mutator contract (vheap has no internal locking).
-	// Internal (lowercase) helpers assume the caller holds the read lock
-	// and must never re-acquire it: a nested RLock can deadlock against a
-	// waiting writer.
-	world sync.RWMutex
+	// Internal (lowercase) helpers assume the caller is inside an
+	// interval and must never enter another: a nested one can deadlock
+	// against a waiting stop.
+	world safepoint.Point
 
 	// gcMu serializes persistent collections: a collector whose marking
 	// phase runs with the world released must never overlap another
@@ -216,19 +218,19 @@ func (rt *Runtime) Telemetry() *telemetry.Registry { return rt.tel }
 // telemetry is disabled).
 func (rt *Runtime) Metrics() telemetry.Snapshot { return rt.tel.Snapshot() }
 
-// lockWorldCounted acquires the safepoint write lock — the collector
-// pause handshake — timing how long the world took to stop (mutators
-// drain their in-flight ops) and recording it as a safepoint.wait span.
-// It returns the wait so the flight recorder can journal the stop; the
-// runtime-level aggregates feed the same EvSafepoint event. With neither
-// telemetry nor the recorder enabled it is just the lock.
+// lockWorldCounted stops the world — the collector pause handshake —
+// timing how long the world took to stop (mutators drain their in-flight
+// ops) and recording it as a safepoint.wait span. It returns the wait so
+// the flight recorder can journal the stop; the runtime-level aggregates
+// feed the same EvSafepoint event. With neither telemetry nor the
+// recorder enabled it is just the stop. Undo with rt.world.Start.
 func (rt *Runtime) lockWorldCounted() time.Duration {
 	if rt.tel == nil && !rt.cfg.FlightRecorder {
-		rt.world.Lock()
+		rt.world.Stop()
 		return 0
 	}
 	start := time.Now()
-	rt.world.Lock()
+	rt.world.Stop()
 	wait := time.Since(start)
 	rt.spWaits.Add(1)
 	rt.spWaitNS.Add(uint64(wait))
@@ -239,11 +241,12 @@ func (rt *Runtime) lockWorldCounted() time.Duration {
 	return wait
 }
 
-// SafepointPin exposes the runtime's safepoint read lock as a Pin/Unpin
-// pair — the hook lock-free subsystems (internal/pindex) use to make
-// each of their operations a safepoint interval without going through a
-// Mutator. Pin must not be held across a call to any public Runtime or
-// Mutator accessor (they re-acquire the lock) nor nested.
+// SafepointPin exposes the runtime's safepoint as a Pin/Unpin pair for
+// an ownerless reader — the hook lock-free subsystems (internal/pindex)
+// use to make each of their operations a safepoint interval without
+// going through a Mutator. Pin must not be held across a call to any
+// public Runtime or Mutator accessor (they enter an interval of their
+// own) nor nested.
 type SafepointPin struct{ rt *Runtime }
 
 // SafepointPinner returns the runtime's safepoint pin handle.
@@ -290,15 +293,15 @@ func (rt *Runtime) InVolatile(ref layout.Ref) bool { return rt.vol.Contains(ref)
 func (rt *Runtime) KlassOf(ref layout.Ref) (*klass.Klass, error) {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	return rt.klassOf(ref)
+	return rt.klassOf(nil, ref)
 }
 
-func (rt *Runtime) klassOf(ref layout.Ref) (*klass.Klass, error) {
+func (rt *Runtime) klassOf(m *Mutator, ref layout.Ref) (*klass.Klass, error) {
 	if rt.vol.Contains(ref) {
 		return rt.vol.KlassOf(ref)
 	}
-	if h := rt.heapOf(ref); h != nil {
-		return h.KlassOf(ref)
+	if x, ok := rt.heapAccess(m, ref); ok {
+		return x.KlassOf(ref)
 	}
 	return nil, fmt.Errorf("core: %#x is not an object address", uint64(ref))
 }
@@ -405,7 +408,7 @@ func (rt *Runtime) pnewMulti(chain []*klass.Klass, dims []int) (layout.Ref, erro
 		if err != nil {
 			return 0, err
 		}
-		if err := rt.setElem(arr, i, sub, nil, nil, nil); err != nil {
+		if err := rt.setElem(nil, arr, i, sub); err != nil {
 			return 0, err
 		}
 	}
@@ -466,14 +469,14 @@ func (rt *Runtime) NewString(s string, persistent bool) (layout.Ref, error) {
 func (rt *Runtime) GetString(ref layout.Ref) (string, error) {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	k, err := rt.klassOf(ref)
+	k, err := rt.klassOf(nil, ref)
 	if err != nil {
 		return "", err
 	}
 	if !klass.SameLogical(k, rt.stringKlass) {
 		return "", fmt.Errorf("core: %#x is a %s, not a string", uint64(ref), k.Name)
 	}
-	n := rt.arrayLen(ref)
+	n := rt.arrayLen(nil, ref)
 	if n == 0 {
 		return "", nil
 	}

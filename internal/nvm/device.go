@@ -16,12 +16,22 @@
 // device also accounts flush/fence/byte traffic and can model the write
 // latency of NVM media so benchmarks can report device-level cost next to
 // wall-clock time.
+//
+// Accounting has two homes. An access made through the Device's own
+// methods counts in shared counters, with atomic adds on one cache line —
+// fine for tools, metadata and anything without an identity. A context
+// that is one goroutine at a time (a mutator's allocator, an index
+// context, a GC worker) takes a View (view.go): the same accesses through
+// the same code, counted in a padded cell only that owner writes. Stats
+// sums the shared counters and every live cell, so where a count is kept
+// never changes what it adds up to.
 package nvm
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -104,29 +114,77 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// counters is the device's internal atomic form of Stats.
+// counters is the device's internal atomic form of Stats: the shared
+// counters every ownerless access bumps with an atomic add. Owned
+// accesses count in their view's cell instead (view.go).
 type counters struct {
 	writes, bytesWritten, reads, bytesRead   atomic.Uint64
 	flushes, flushedLines, fences, modeledNS atomic.Uint64
 }
 
-// Device is a simulated NVM device. Traffic counters and the Tracked-mode
-// dirty bitmap are atomic, so concurrent use is race-free provided the
-// callers' protocol keeps concurrent writers and flushers on *disjoint
-// cache lines* — exactly the discipline real hardware demands, and the
-// one the PLAB allocator enforces (each mutator owns its region and its
-// region's line in the top table). Accesses that may share lines (heap
-// metadata, the klass segment, the name table, GC) remain serialized by
-// their callers, mirroring the JVM's allocation locks and stop-the-world
-// pauses.
+func (c *counters) load() Stats {
+	return Stats{
+		Writes:         c.writes.Load(),
+		BytesWritten:   c.bytesWritten.Load(),
+		Reads:          c.reads.Load(),
+		BytesRead:      c.bytesRead.Load(),
+		Flushes:        c.flushes.Load(),
+		FlushedLines:   c.flushedLines.Load(),
+		Fences:         c.fences.Load(),
+		ModeledFlushNS: c.modeledNS.Load(),
+	}
+}
+
+// add folds s into the counters. Flushes is left out: the flush ordinal
+// already counted every flush as it was issued.
+func (c *counters) add(s Stats) {
+	c.writes.Add(s.Writes)
+	c.bytesWritten.Add(s.BytesWritten)
+	c.reads.Add(s.Reads)
+	c.bytesRead.Add(s.BytesRead)
+	c.flushedLines.Add(s.FlushedLines)
+	c.fences.Add(s.Fences)
+	c.modeledNS.Add(s.ModeledFlushNS)
+}
+
+func (c *counters) reset() {
+	for _, w := range []*atomic.Uint64{&c.writes, &c.bytesWritten, &c.reads, &c.bytesRead,
+		&c.flushes, &c.flushedLines, &c.fences, &c.modeledNS} {
+		w.Store(0)
+	}
+}
+
+// Device is a simulated NVM device. Traffic counters (shared and
+// per-View) and the Tracked-mode dirty bitmap are atomic, so concurrent
+// use is race-free provided the callers' protocol keeps concurrent
+// writers and flushers on *disjoint cache lines* — exactly the
+// discipline real hardware demands, and the one the PLAB allocator
+// enforces (each mutator owns its region and its region's line in the
+// top table). Accesses that may share lines (heap metadata, the klass
+// segment, the name table, GC) remain serialized by their callers,
+// mirroring the JVM's allocation locks and stop-the-world pauses.
 type Device struct {
 	size      int
 	mode      Mode
 	mem       []byte
 	persisted []byte   // Tracked only: the power-loss view
 	dirty     []uint64 // Tracked only: bitmap, one bit per line (atomic)
-	stats     counters
 	latNS     uint64
+
+	// stats is what every ownerless access writes; the pads keep it off
+	// the lines holding the fields every access reads (mem, dirty, latNS,
+	// the hooks), so ownerless traffic does not slow owned accesses down.
+	_     [8]uint64
+	stats counters
+	_     [8]uint64
+
+	// views are the live per-owner accounting views (view.go); viewMu
+	// guards the list and makes a view's release (fold into stats, drop
+	// from the list) atomic against Stats. unowned is the view that
+	// counts in stats itself.
+	viewMu  sync.Mutex
+	views   []*View
+	unowned View
 
 	// flushHook, if set, runs after every Flush with the running flush
 	// count. Crash-injection tests use it to panic at a chosen boundary.
@@ -153,6 +211,7 @@ func New(cfg Config) *Device {
 		mem:   alignedBytes(size),
 		latNS: uint64(cfg.WriteLatency.Nanoseconds()),
 	}
+	d.unowned.d = d
 	if cfg.Mode == Tracked {
 		d.persisted = make([]byte, size)
 		d.dirty = make([]uint64, (size/LineSize+63)/64)
@@ -212,53 +271,67 @@ func (d *Device) markDirty(off, n int) {
 	}
 }
 
-func (d *Device) countWrite(n int) {
-	d.stats.writes.Add(1)
-	d.stats.bytesWritten.Add(uint64(n))
+// The access bodies below are shared by the Device's own methods and by
+// View (view.go): each takes the cell its traffic counts in — nil for the
+// device's shared counters, an owner's cell otherwise — so an owned and an
+// ownerless access run the same bounds and alignment checks, consult the
+// same fault hooks and dirty the same lines, and differ only in where
+// the count lands.
+
+func (d *Device) countWrite(c *cell, n int) {
+	if c == nil {
+		d.stats.writes.Add(1)
+		d.stats.bytesWritten.Add(uint64(n))
+		return
+	}
+	if n == 8 {
+		bump(&c.writeWords, 1)
+		return
+	}
+	bump(&c.writeOps, 1)
+	bump(&c.writeBytes, uint64(n))
 }
 
-func (d *Device) countRead(n int) {
-	d.stats.reads.Add(1)
-	d.stats.bytesRead.Add(uint64(n))
+func (d *Device) countRead(c *cell, n int) {
+	if c == nil {
+		d.stats.reads.Add(1)
+		d.stats.bytesRead.Add(uint64(n))
+		return
+	}
+	if n == 8 {
+		bump(&c.readWords, 1)
+		return
+	}
+	bump(&c.readOps, 1)
+	bump(&c.readBytes, uint64(n))
 }
 
-// The uncounted internals below perform the access (and dirty tracking)
-// without touching the shared traffic counters. They exist for
-// WorkerDevice: the counters live on one cache line, so per-access
-// atomic adds from a pool of GC workers would ping-pong that line on
-// every single device operation. Workers account locally through these
-// and fold the totals into the shared counters when their phase joins.
+func (d *Device) checkWord(off int, op string) {
+	d.check(off, 8)
+	if off%8 != 0 {
+		panic(fmt.Sprintf("nvm: unaligned atomic %s at %d", op, off))
+	}
+}
 
-func (d *Device) writeU64Uncounted(off int, v uint64) {
+func (d *Device) writeU64(c *cell, off int, v uint64) {
 	d.check(off, 8)
 	binary.LittleEndian.PutUint64(d.mem[off:], v)
+	d.countWrite(c, 8)
 	d.markDirty(off, 8)
 }
 
-func (d *Device) readU64Uncounted(off int) uint64 {
+func (d *Device) readU64(c *cell, off int) uint64 {
 	d.check(off, 8)
+	d.failRead(off, 8)
+	d.countRead(c, 8)
 	return binary.LittleEndian.Uint64(d.mem[off:])
 }
 
-func (d *Device) moveUncounted(dst, src, n int) {
-	d.check(src, n)
-	d.check(dst, n)
-	copy(d.mem[dst:dst+n], d.mem[src:src+n])
-	d.markDirty(dst, n)
-}
-
 // WriteU64 stores v at byte offset off, little-endian.
-func (d *Device) WriteU64(off int, v uint64) {
-	d.writeU64Uncounted(off, v)
-	d.countWrite(8)
-}
+func (d *Device) WriteU64(off int, v uint64) { d.writeU64(nil, off, v) }
 
 // ReadU64 loads the little-endian uint64 at byte offset off.
-func (d *Device) ReadU64(off int) uint64 {
-	d.failRead(off, 8)
-	d.countRead(8)
-	return d.readU64Uncounted(off)
-}
+func (d *Device) ReadU64(off int) uint64 { return d.readU64(nil, off) }
 
 // alignedBytes allocates a zero-filled byte slice whose backing array is
 // 8-byte aligned, so the word-atomic accessors below may point straight
@@ -275,22 +348,36 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
+func (d *Device) writeU64Atomic(c *cell, off int, v uint64) {
+	d.checkWord(off, "store")
+	if !hostLittleEndian {
+		v = bits.ReverseBytes64(v)
+	}
+	atomic.StoreUint64((*uint64)(unsafe.Pointer(&d.mem[off])), v)
+	d.countWrite(c, 8)
+	d.markDirty(off, 8)
+}
+
 // WriteU64Atomic stores v at the 8-aligned byte offset off with a single
 // atomic machine store. It is the word-store variant for slots that a
 // concurrent reader (the SATB marker) may load while the owning mutator
 // stores — the same pair of accesses an x86 CPU makes atomic for aligned
 // words. Accounting and dirty tracking match WriteU64.
-func (d *Device) WriteU64Atomic(off int, v uint64) {
-	d.check(off, 8)
-	if off%8 != 0 {
-		panic(fmt.Sprintf("nvm: unaligned atomic store at %d", off))
-	}
+func (d *Device) WriteU64Atomic(off int, v uint64) { d.writeU64Atomic(nil, off, v) }
+
+func (d *Device) compareAndSwapU64(c *cell, off int, old, new uint64) bool {
+	d.checkWord(off, "cas")
 	if !hostLittleEndian {
-		v = bits.ReverseBytes64(v)
+		old = bits.ReverseBytes64(old)
+		new = bits.ReverseBytes64(new)
 	}
-	atomic.StoreUint64((*uint64)(unsafe.Pointer(&d.mem[off])), v)
-	d.countWrite(8)
+	d.countRead(c, 8)
+	if !atomic.CompareAndSwapUint64((*uint64)(unsafe.Pointer(&d.mem[off])), old, new) {
+		return false
+	}
+	d.countWrite(c, 8)
 	d.markDirty(off, 8)
+	return true
 }
 
 // CompareAndSwapU64 atomically replaces the word at the 8-aligned byte
@@ -302,21 +389,30 @@ func (d *Device) WriteU64Atomic(off int, v uint64) {
 // Accounting: every attempt counts one read; a successful swap
 // additionally counts one write and dirties the line.
 func (d *Device) CompareAndSwapU64(off int, old, new uint64) bool {
-	d.check(off, 8)
-	if off%8 != 0 {
-		panic(fmt.Sprintf("nvm: unaligned atomic cas at %d", off))
-	}
+	return d.compareAndSwapU64(nil, off, old, new)
+}
+
+func (d *Device) orU64Atomic(c *cell, off int, mask uint64) uint64 {
+	d.checkWord(off, "or")
+	d.countRead(c, 8)
 	if !hostLittleEndian {
-		old = bits.ReverseBytes64(old)
-		new = bits.ReverseBytes64(new)
+		mask = bits.ReverseBytes64(mask)
 	}
-	d.countRead(8)
-	if !atomic.CompareAndSwapUint64((*uint64)(unsafe.Pointer(&d.mem[off])), old, new) {
-		return false
+	addr := (*uint64)(unsafe.Pointer(&d.mem[off]))
+	for {
+		old := atomic.LoadUint64(addr)
+		if old|mask != old {
+			if !atomic.CompareAndSwapUint64(addr, old, old|mask) {
+				continue
+			}
+			d.countWrite(c, 8)
+			d.markDirty(off, 8)
+		}
+		if !hostLittleEndian {
+			old = bits.ReverseBytes64(old)
+		}
+		return old
 	}
-	d.countWrite(8)
-	d.markDirty(off, 8)
-	return true
 }
 
 // OrU64Atomic atomically ORs mask into the word at the 8-aligned byte
@@ -327,59 +423,12 @@ func (d *Device) CompareAndSwapU64(off int, old, new uint64) bool {
 // Accounting: one read per call; one write (and a dirtied line) only
 // when the stored value actually changed, so re-marking an already-set
 // bit costs exactly what the racing Get would have.
-func (d *Device) OrU64Atomic(off int, mask uint64) uint64 {
-	old, wrote := d.orU64AtomicUncounted(off, mask)
-	d.countRead(8)
-	if wrote {
-		d.countWrite(8)
-	}
-	return old
-}
+func (d *Device) OrU64Atomic(off int, mask uint64) uint64 { return d.orU64Atomic(nil, off, mask) }
 
-// orU64AtomicUncounted is OrU64Atomic minus the traffic counters; it
-// additionally reports whether the word changed, so a locally-accounting
-// caller can count the write itself.
-func (d *Device) orU64AtomicUncounted(off int, mask uint64) (old uint64, wrote bool) {
-	d.check(off, 8)
-	if off%8 != 0 {
-		panic(fmt.Sprintf("nvm: unaligned atomic or at %d", off))
-	}
-	if !hostLittleEndian {
-		mask = bits.ReverseBytes64(mask)
-	}
-	addr := (*uint64)(unsafe.Pointer(&d.mem[off]))
-	for {
-		old := atomic.LoadUint64(addr)
-		if old|mask == old {
-			if !hostLittleEndian {
-				old = bits.ReverseBytes64(old)
-			}
-			return old, false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old|mask) {
-			d.markDirty(off, 8)
-			if !hostLittleEndian {
-				old = bits.ReverseBytes64(old)
-			}
-			return old, true
-		}
-	}
-}
-
-// ReadU64Atomic loads the word at the 8-aligned byte offset off with a
-// single atomic machine load — never torn, even against a concurrent
-// WriteU64Atomic to the same word.
-func (d *Device) ReadU64Atomic(off int) uint64 {
+func (d *Device) readU64Atomic(c *cell, off int) uint64 {
+	d.checkWord(off, "load")
 	d.failRead(off, 8)
-	d.countRead(8)
-	return d.readU64AtomicUncounted(off)
-}
-
-func (d *Device) readU64AtomicUncounted(off int) uint64 {
-	d.check(off, 8)
-	if off%8 != 0 {
-		panic(fmt.Sprintf("nvm: unaligned atomic load at %d", off))
-	}
+	d.countRead(c, 8)
 	v := atomic.LoadUint64((*uint64)(unsafe.Pointer(&d.mem[off])))
 	if !hostLittleEndian {
 		v = bits.ReverseBytes64(v)
@@ -387,11 +436,16 @@ func (d *Device) readU64AtomicUncounted(off int) uint64 {
 	return v
 }
 
+// ReadU64Atomic loads the word at the 8-aligned byte offset off with a
+// single atomic machine load — never torn, even against a concurrent
+// WriteU64Atomic to the same word.
+func (d *Device) ReadU64Atomic(off int) uint64 { return d.readU64Atomic(nil, off) }
+
 // WriteU32 stores v at byte offset off, little-endian.
 func (d *Device) WriteU32(off int, v uint32) {
 	d.check(off, 4)
 	binary.LittleEndian.PutUint32(d.mem[off:], v)
-	d.countWrite(4)
+	d.countWrite(nil, 4)
 	d.markDirty(off, 4)
 }
 
@@ -399,7 +453,7 @@ func (d *Device) WriteU32(off int, v uint32) {
 func (d *Device) ReadU32(off int) uint32 {
 	d.check(off, 4)
 	d.failRead(off, 4)
-	d.countRead(4)
+	d.countRead(nil, 4)
 	return binary.LittleEndian.Uint32(d.mem[off:])
 }
 
@@ -407,7 +461,7 @@ func (d *Device) ReadU32(off int) uint32 {
 func (d *Device) WriteU16(off int, v uint16) {
 	d.check(off, 2)
 	binary.LittleEndian.PutUint16(d.mem[off:], v)
-	d.countWrite(2)
+	d.countWrite(nil, 2)
 	d.markDirty(off, 2)
 }
 
@@ -415,7 +469,7 @@ func (d *Device) WriteU16(off int, v uint16) {
 func (d *Device) ReadU16(off int) uint16 {
 	d.check(off, 2)
 	d.failRead(off, 2)
-	d.countRead(2)
+	d.countRead(nil, 2)
 	return binary.LittleEndian.Uint16(d.mem[off:])
 }
 
@@ -423,7 +477,7 @@ func (d *Device) ReadU16(off int) uint16 {
 func (d *Device) WriteByteAt(off int, v byte) {
 	d.check(off, 1)
 	d.mem[off] = v
-	d.countWrite(1)
+	d.countWrite(nil, 1)
 	d.markDirty(off, 1)
 }
 
@@ -431,25 +485,29 @@ func (d *Device) WriteByteAt(off int, v byte) {
 func (d *Device) ReadByteAt(off int) byte {
 	d.check(off, 1)
 	d.failRead(off, 1)
-	d.countRead(1)
+	d.countRead(nil, 1)
 	return d.mem[off]
 }
 
-// WriteBytes stores p at off.
-func (d *Device) WriteBytes(off int, p []byte) {
+func (d *Device) writeBytes(c *cell, off int, p []byte) {
 	d.check(off, len(p))
 	copy(d.mem[off:], p)
-	d.countWrite(len(p))
+	d.countWrite(c, len(p))
 	d.markDirty(off, len(p))
 }
 
-// ReadBytes fills p from the memory view starting at off.
-func (d *Device) ReadBytes(off int, p []byte) {
+func (d *Device) readBytes(c *cell, off int, p []byte) {
 	d.check(off, len(p))
 	d.failRead(off, len(p))
 	copy(p, d.mem[off:])
-	d.countRead(len(p))
+	d.countRead(c, len(p))
 }
+
+// WriteBytes stores p at off.
+func (d *Device) WriteBytes(off int, p []byte) { d.writeBytes(nil, off, p) }
+
+// ReadBytes fills p from the memory view starting at off.
+func (d *Device) ReadBytes(off int, p []byte) { d.readBytes(nil, off, p) }
 
 // View returns a read-only window into the memory view. Mutating the
 // returned slice bypasses accounting and dirty tracking; use the Write
@@ -460,29 +518,31 @@ func (d *Device) View(off, n int) []byte {
 	return d.mem[off : off+n : off+n]
 }
 
-// Move copies n bytes from src to dst within the device, with memmove
-// overlap semantics. It is the GC's object-copy primitive.
-func (d *Device) Move(dst, src, n int) {
+func (d *Device) move(c *cell, dst, src, n int) {
 	d.check(src, n)
 	d.check(dst, n)
+	d.failRead(src, n)
 	copy(d.mem[dst:dst+n], d.mem[src:src+n])
-	d.countWrite(n)
-	d.countRead(n)
+	d.countWrite(c, n)
+	d.countRead(c, n)
 	d.markDirty(dst, n)
 }
 
-// Zero clears n bytes starting at off.
-func (d *Device) Zero(off, n int) {
+// Move copies n bytes from src to dst within the device, with memmove
+// overlap semantics. It is the GC's object-copy primitive.
+func (d *Device) Move(dst, src, n int) { d.move(nil, dst, src, n) }
+
+func (d *Device) zero(c *cell, off, n int) {
 	d.check(off, n)
 	clear(d.mem[off : off+n])
-	d.countWrite(n)
+	d.countWrite(c, n)
 	d.markDirty(off, n)
 }
 
-// Flush writes back the cache lines covering [off, off+n), like a run of
-// clflush instructions. In Tracked mode the covered lines become part of
-// the persisted view and their dirty bits clear.
-func (d *Device) Flush(off, n int) {
+// Zero clears n bytes starting at off.
+func (d *Device) Zero(off, n int) { d.zero(nil, off, n) }
+
+func (d *Device) flush(c *cell, off, n int) {
 	if n <= 0 {
 		return
 	}
@@ -490,15 +550,26 @@ func (d *Device) Flush(off, n int) {
 	first := off / LineSize
 	last := (off + n - 1) / LineSize
 	lines := uint64(last - first + 1)
+	// The flush ordinal stays one shared counter whoever issues the
+	// flush: crash-injection hooks and FlushIndex fault plans name a
+	// flush by its place in the device-wide order.
 	count := d.stats.flushes.Add(1)
+	if c != nil {
+		bump(&c.flushes, 1)
+	}
 	// A dropped flush still accounts like an honest one: the CPU issued
 	// the clflush instructions, the loss happens downstream. Only the
 	// persisted-view copy (and dirty-bit clearing) is skipped, so the
 	// fault is observable solely through a later crash image.
 	dropped := d.flushFault != nil && d.flushFault(off, n, count)
 	if !d.noFlush {
-		d.stats.flushedLines.Add(lines)
-		d.stats.modeledNS.Add(lines * d.latNS)
+		if c == nil {
+			d.stats.flushedLines.Add(lines)
+			d.stats.modeledNS.Add(lines * d.latNS)
+		} else {
+			bump(&c.flushedLines, lines)
+			bump(&c.modeledNS, lines*d.latNS)
+		}
 		if d.mode == Tracked && !dropped {
 			lo, hi := first*LineSize, (last+1)*LineSize
 			copy(d.persisted[lo:hi], d.mem[lo:hi])
@@ -519,6 +590,11 @@ func (d *Device) Flush(off, n int) {
 	}
 }
 
+// Flush writes back the cache lines covering [off, off+n), like a run of
+// clflush instructions. In Tracked mode the covered lines become part of
+// the persisted view and their dirty bits clear.
+func (d *Device) Flush(off, n int) { d.flush(nil, off, n) }
+
 // Range is a byte range [Off, Off+N) used by FlushBatch.
 type Range struct{ Off, N int }
 
@@ -533,11 +609,19 @@ func (d *Device) FlushBatch(ranges []Range) {
 	d.Fence()
 }
 
+func (d *Device) fence(c *cell) {
+	if c == nil {
+		d.stats.fences.Add(1)
+		return
+	}
+	bump(&c.fences, 1)
+}
+
 // Fence orders earlier flushes before later stores, like sfence. Flush is
 // synchronous in this simulator, so Fence only accounts the instruction;
 // protocols still call it wherever real hardware would need it so the
 // counted cost is honest.
-func (d *Device) Fence() { d.stats.fences.Add(1) }
+func (d *Device) Fence() { d.fence(nil) }
 
 // FlushAll persists the entire device, like a shutdown msync.
 func (d *Device) FlushAll() {
@@ -548,31 +632,30 @@ func (d *Device) FlushAll() {
 	d.Flush(0, d.size)
 }
 
-// Stats returns a snapshot of the traffic counters. Under concurrent
-// traffic the snapshot is per-counter atomic, not globally consistent.
+// Stats returns a snapshot of the traffic counters: the shared counters
+// plus every live view's cell. Each counter has exactly one writer path
+// and is published as it is bumped, so the snapshot is exact whenever
+// the device is quiescent; under concurrent traffic it is per-counter
+// atomic, not globally consistent.
 func (d *Device) Stats() Stats {
-	return Stats{
-		Writes:         d.stats.writes.Load(),
-		BytesWritten:   d.stats.bytesWritten.Load(),
-		Reads:          d.stats.reads.Load(),
-		BytesRead:      d.stats.bytesRead.Load(),
-		Flushes:        d.stats.flushes.Load(),
-		FlushedLines:   d.stats.flushedLines.Load(),
-		Fences:         d.stats.fences.Load(),
-		ModeledFlushNS: d.stats.modeledNS.Load(),
+	d.viewMu.Lock()
+	defer d.viewMu.Unlock()
+	s := d.stats.load()
+	for _, v := range d.views {
+		s = s.Add(v.c.unfolded())
 	}
+	return s
 }
 
-// ResetStats zeroes the traffic counters.
+// ResetStats zeroes the traffic counters, the views' cells included. Like
+// the hooks, call it only while the device is quiescent.
 func (d *Device) ResetStats() {
-	d.stats.writes.Store(0)
-	d.stats.bytesWritten.Store(0)
-	d.stats.reads.Store(0)
-	d.stats.bytesRead.Store(0)
-	d.stats.flushes.Store(0)
-	d.stats.flushedLines.Store(0)
-	d.stats.fences.Store(0)
-	d.stats.modeledNS.Store(0)
+	d.viewMu.Lock()
+	defer d.viewMu.Unlock()
+	d.stats.reset()
+	for _, v := range d.views {
+		v.c.reset()
+	}
 }
 
 // DirtyLines reports how many lines are modified but not yet persisted.

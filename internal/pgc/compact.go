@@ -127,7 +127,8 @@ func compact(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool, workers in
 	fixTimes := make([]time.Duration, workers)
 	fixShard := func(w int) {
 		shardStart := time.Now()
-		wd := nvm.NewWorkerDevice(dev)
+		wd := dev.NewView()
+		defer wd.Release()
 		for si := w; si < len(spans); si += workers {
 			sp := spans[si]
 			if bitSet[sp.r] {
@@ -159,11 +160,8 @@ func compact(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool, workers in
 				}
 			}
 		}
-		fixStats[w] = wd.Local
+		fixStats[w] = wd.Stats()
 		fixTimes[w] = time.Since(shardStart)
-		// Publish the locally-tallied traffic into the shared counters so
-		// the serial-stats subtraction below sees the whole phase.
-		wd.Fold()
 	}
 	if s.MovedObjects > 0 {
 		runShards(workers, fixShard)
@@ -296,8 +294,8 @@ func buildCleanCards(s *Summary, maxOut []int, dirty []bool) []bool {
 }
 
 // fixDevice is the device surface fixRefs needs — the shared *nvm.Device
-// on the serial paths, a per-worker *nvm.WorkerDevice in the parallel
-// fix pass.
+// on the serial paths, a worker's own *nvm.View in the parallel fix
+// pass.
 type fixDevice interface {
 	ReadU64(off int) uint64
 	WriteU64(off int, v uint64)

@@ -124,6 +124,7 @@ func CollectConcurrentWorkers(h *pheap.Heap, ext Rooter, w World, workers int) (
 	// barrier under a pause and clear the phase word — nothing has moved.
 	markStart := time.Now()
 	mk := concurrent.NewMarker(h, snap, workers)
+	defer mk.Release()
 	abort := func(err error) (Result, error) {
 		w.StopWorld()
 		h.EndConcurrentMark()
@@ -140,12 +141,12 @@ func CollectConcurrentWorkers(h *pheap.Heap, ext Rooter, w World, workers int) (
 	}
 	markTime := time.Since(markStart)
 	tel.RecordSpan(telemetry.SpanGCMark, -1, -1, markStart, markTime)
-	// Snapshot the workers' locally-tallied device traffic now, while it
-	// covers exactly the concurrent phase: these reads and writes were
-	// folded into the shared counters between the pauses (or will be
-	// folded during pause 2, for the remark's share), so the pause-window
-	// deltas below miss precisely this amount. Mutator traffic during
-	// marking is attributed at its own call sites and never lands here.
+	// Snapshot the workers' own device traffic now, while it covers
+	// exactly the concurrent phase: it was issued between the pauses, so
+	// the pause-window deltas below miss precisely this amount (the
+	// remark's share is issued inside pause 2 and lands in its window).
+	// Mutator traffic during marking is attributed at its own call sites
+	// and never lands here.
 	var concStats nvm.Stats
 	for _, ws := range mk.MarkWorkerStats() {
 		concStats = concStats.Add(ws)

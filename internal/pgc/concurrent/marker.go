@@ -109,7 +109,7 @@ type Marker struct {
 type workerState struct {
 	id          int
 	dq          *deque
-	wd          *nvm.WorkerDevice
+	wd          *nvm.View
 	bm          *pheap.Bitmap
 	liveObjects int
 	liveBytes   int
@@ -145,7 +145,8 @@ const (
 // NewMarker prepares a marker over the given region-top snapshot with a
 // pool of workers tracing goroutines (values < 1 mean 1). The caller has
 // already cleared the mark and region bitmaps (with the world stopped,
-// as part of the same handshake that took the snapshot).
+// as part of the same handshake that took the snapshot), and calls
+// Release when the cycle is over.
 func NewMarker(h *pheap.Heap, snapTops []int, workers int) *Marker {
 	if workers < 1 {
 		workers = 1
@@ -156,10 +157,19 @@ func NewMarker(h *pheap.Heap, snapTops []int, workers int) *Marker {
 	}
 	m := &Marker{h: h, snap: snapTops, dataOff: h.Geo().DataOff, workers: workers, maxOut: maxOut}
 	for i := 0; i < workers; i++ {
-		wd := nvm.NewWorkerDevice(h.Device())
+		wd := h.Device().NewView()
 		m.ws = append(m.ws, &workerState{id: i, dq: &deque{}, wd: wd, bm: h.MarkBitmapOn(wd)})
 	}
 	return m
+}
+
+// Release retires the workers' device views, folding their counts into
+// the device's shared counters. The per-worker accessors below keep
+// reporting the final tallies.
+func (m *Marker) Release() {
+	for _, w := range m.ws {
+		w.wd.Release()
+	}
 }
 
 // Workers reports the pool size.
@@ -192,7 +202,7 @@ func (m *Marker) WorkerObjectCounts() []int {
 func (m *Marker) MarkWorkerStats() []nvm.Stats {
 	stats := make([]nvm.Stats, m.workers)
 	for i, w := range m.ws {
-		stats[i] = w.wd.Local
+		stats[i] = w.wd.Stats()
 	}
 	return stats
 }
@@ -262,7 +272,7 @@ func (m *Marker) noteOutgoing(c int, tgt int) {
 // atomicReader adapts a worker's accounting device to the ReadU64
 // interface pheap.RefSlots walks, loading each slot with one atomic
 // machine load (slots may be concurrently stored by mutators).
-type atomicReader struct{ wd *nvm.WorkerDevice }
+type atomicReader struct{ wd *nvm.View }
 
 func (a atomicReader) ReadU64(off int) uint64 { return a.wd.ReadU64Atomic(off) }
 
@@ -495,11 +505,6 @@ func (m *Marker) trace(drainBudget int) error {
 		if p != nil {
 			panic(p)
 		}
-	}
-	// Publish the workers' locally-accounted device traffic before the
-	// collector's next stats snapshot.
-	for _, w := range m.ws {
-		w.wd.Fold()
 	}
 	m.errMu.Lock()
 	defer m.errMu.Unlock()

@@ -119,6 +119,7 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer mk.Release()
 	liveObjects, liveBytes := mk.Counts()
 	markTime := time.Since(markStart)
 	h.PersistMarkBitmapUsed()

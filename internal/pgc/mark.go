@@ -50,7 +50,8 @@ func heapRoots(h *pheap.Heap, ext Rooter) []layout.Ref {
 
 // mark traces the heap from the name-table roots plus ext's roots,
 // setting begin and end bits in the mark bitmap for every live object,
-// and returns the marker (counts, outgoing-reference summary). The
+// and returns the marker (counts, outgoing-reference summary), which the
+// caller releases. The
 // tracer is the shared SATB engine run with the snapshot at the current
 // tops — with the world stopped that covers every object, so with one
 // worker it degenerates to the seed's stop-the-world mark.
@@ -59,6 +60,7 @@ func mark(h *pheap.Heap, ext Rooter, workers int) (*concurrent.Marker, error) {
 	h.RegionBitmap().ClearAll()
 	mk := concurrent.NewMarker(h, h.SnapshotRegionTops(), workers)
 	if err := mk.MarkRoots(heapRoots(h, ext)); err != nil {
+		mk.Release()
 		return nil, err
 	}
 	return mk, nil

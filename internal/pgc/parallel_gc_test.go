@@ -2,6 +2,7 @@ package pgc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"espresso/internal/klass"
@@ -476,6 +477,56 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 		}
 		if !crashed {
 			break
+		}
+	}
+}
+
+// TestReadErrorSurfacesFromPoolWorkers pins that a GC pool worker's loads
+// consult the device's read-fault hook like any other load. A hard read
+// error sits on the line of a live object only the tracers and the
+// compactor's workers and copy loop ever load (the summary works from the
+// bitmap alone); the collection must die of the media error in the mark
+// phase — at every pool size, on both collectors — instead of quietly
+// marking bytes the device said it could not read.
+func TestReadErrorSurfacesFromPoolWorkers(t *testing.T) {
+	collectors := map[string]func(h *pheap.Heap, workers int) error{
+		"stw": func(h *pheap.Heap, _ int) error {
+			_, err := Collect(h, NoRoots{})
+			return err
+		},
+		"concurrent": func(h *pheap.Heap, workers int) error {
+			_, err := CollectConcurrentWorkers(h, NoRoots{}, nil, workers)
+			return err
+		},
+	}
+	for name, collect := range collectors {
+		for _, workers := range []int{1, 4} {
+			h, reg := newHeap(t, 4<<20)
+			buildGarbageBelt(t, h, reg, 200) // everything live moves
+			buildGraph(t, h, reg, 11, 400, 4)
+			victim, ok := h.GetRoot("root0")
+			if !ok {
+				t.Fatal("root0 missing")
+			}
+			line := h.OffOf(victim) &^ (nvm.LineSize - 1)
+			in := faultdev.Install(h.Device(), faultdev.Plan{Kind: faultdev.ReadError, Off: line, N: nvm.LineSize})
+			err := nvm.CatchMedia(func() error { return collect(h, workers) })
+			in.Remove()
+			var me *nvm.MediaError
+			if !errors.As(err, &me) {
+				t.Fatalf("%s, %d workers: collection over an unreadable live line returned %v, want a media error", name, workers, err)
+			}
+			if me.Off >= line+nvm.LineSize || me.Off+me.N <= line {
+				t.Fatalf("%s, %d workers: media error at [%d,%d), fault planted at line %d", name, workers, me.Off, me.Off+me.N, line)
+			}
+			if in.Fired() == 0 {
+				t.Fatalf("%s, %d workers: fault never delivered", name, workers)
+			}
+			// The victim is a root, so the tracers load it first; the heap
+			// is stamped mid-collection only after marking.
+			if h.GCActive() {
+				t.Fatalf("%s, %d workers: the error surfaced only after marking — the tracers read the line without noticing", name, workers)
+			}
 		}
 	}
 }

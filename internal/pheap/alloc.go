@@ -88,7 +88,12 @@ type AllocatorStats struct {
 // the top table. Obtain one with Heap.NewAllocator; release it with
 // Release when the mutator retires.
 type Allocator struct {
-	h *Heap
+	// Access reaches the heap's objects through this allocator's own
+	// accounting view of the device: the allocation path below and every
+	// accessor the owning mutator calls on the allocator count in a cell
+	// nobody else writes. NewAllocator creates the view, Release retires
+	// it.
+	Access
 
 	// Attached PLAB: bump-allocates in [cur, end) of region. region < 0
 	// means none attached.
@@ -114,7 +119,10 @@ type Allocator struct {
 
 // NewAllocator creates and registers a mutator-local allocator.
 func (h *Heap) NewAllocator() *Allocator {
-	a := &Allocator{h: h, region: -1, kaddrs: make(map[*klass.Klass]layout.Ref)}
+	a := &Allocator{
+		Access: Access{heap: h, view: h.dev.NewView()},
+		region: -1, kaddrs: make(map[*klass.Klass]layout.Ref),
+	}
 	a.cell = h.tel.NewCell()
 	h.mu.Lock()
 	h.allocators = append(h.allocators, a)
@@ -139,7 +147,7 @@ func (a *Allocator) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 	if k.IsArray() && arrayLen < 0 {
 		return 0, fmt.Errorf("pheap: negative array length %d", arrayLen)
 	}
-	if a.h.gcActive.Load() {
+	if a.heap.gcActive.Load() {
 		return 0, fmt.Errorf("pheap: allocation while collection in progress")
 	}
 	size := k.SizeOf(arrayLen)
@@ -156,8 +164,8 @@ func (a *Allocator) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 	if a.holeCur != 0 && a.holeCur+size <= a.holeEnd {
 		return a.allocInHole(k, kaddr, arrayLen, size), nil
 	}
-	if a.h.holeCount.Load() > 0 {
-		if hole, ok := a.h.takeHole(size); ok {
+	if a.heap.holeCount.Load() > 0 {
+		if hole, ok := a.heap.takeHole(size); ok {
 			a.holeCur, a.holeEnd = hole.Lo, hole.Hi
 			return a.allocInHole(k, kaddr, arrayLen, size), nil
 		}
@@ -169,15 +177,14 @@ func (a *Allocator) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 		}
 	}
 	off := a.cur
-	h := a.h
-	h.dev.Zero(off, size)
-	h.writeHeader(off, kaddr, k, arrayLen)
-	h.dev.Flush(off, headerBytesOf(k))
-	h.dev.Fence()
+	a.view.Zero(off, size)
+	a.writeHeader(off, kaddr, k, arrayLen)
+	a.view.Flush(off, headerBytesOf(k))
+	a.view.Fence()
 	a.cur = off + size
 	// Publication: the region's persisted top moves past the object only
 	// after its header is durable.
-	h.persistRegionTop(a.region, a.cur)
+	a.persistRegionTop(a.region, a.cur)
 	a.stats.Allocs++
 	a.stats.FlushedLines += lineSpan(off, headerBytesOf(k)) + 1
 	a.stats.Fences += 2
@@ -187,7 +194,7 @@ func (a *Allocator) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 		// Zero + header words + top word; header lines + top line; two fences.
 		c.Dev(nvm.SubAlloc, 0, 2+headerWrites(k), uint64(lineSpan(off, headerBytesOf(k))+1), 2)
 	}
-	return h.AddrOf(off), nil
+	return a.heap.AddrOf(off), nil
 }
 
 // allocInHole claims size bytes from the attached hole. The hole is
@@ -201,21 +208,20 @@ func (a *Allocator) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 // persist a half-rewritten filler header. Real x86 persists a line at
 // store granularity, so the klass-word store itself is never torn.)
 func (a *Allocator) allocInHole(k *klass.Klass, kaddr layout.Ref, arrayLen, size int) layout.Ref {
-	h := a.h
 	off := a.holeCur
 	a.holeCur += size
 	var devW, devL, devF uint64
 	if tail := a.holeEnd - (off + size); tail > 0 {
-		h.fillGapRaw(off+size, tail)
+		a.fillGapRaw(off+size, tail)
 		a.stats.FlushedLines += lineSpan(off+size, layout.ArrayHdrBytes)
 		a.stats.Fences++
 		fw, fl := fillerCost(off+size, tail)
 		devW, devL, devF = fw, fl, 1
 	}
-	h.dev.Zero(off, size)
-	h.writeHeader(off, kaddr, k, arrayLen)
-	h.dev.Flush(off, headerBytesOf(k))
-	h.dev.Fence()
+	a.view.Zero(off, size)
+	a.writeHeader(off, kaddr, k, arrayLen)
+	a.view.Flush(off, headerBytesOf(k))
+	a.view.Fence()
 	a.stats.Allocs++
 	a.stats.FlushedLines += lineSpan(off, headerBytesOf(k))
 	a.stats.Fences++
@@ -226,20 +232,20 @@ func (a *Allocator) allocInHole(k *klass.Klass, kaddr layout.Ref, arrayLen, size
 		c.Dev(nvm.SubAlloc, 0,
 			devW+1+headerWrites(k), devL+uint64(lineSpan(off, headerBytesOf(k))), devF+1)
 	}
-	return h.AddrOf(off)
+	return a.heap.AddrOf(off)
 }
 
 // refill retires the attached PLAB and fetches a region with at least
 // size bytes of bump headroom from the dispenser.
 func (a *Allocator) refill(size int) error {
 	a.retirePLAB()
-	r, cur, err := a.h.dispense(size, a.cell)
+	r, cur, err := a.heap.dispense(size, a)
 	if err != nil {
 		return err
 	}
 	a.region = r
 	a.cur = cur
-	a.end = a.h.geo.DataOff + (r+1)*layout.RegionSize
+	a.end = a.heap.geo.DataOff + (r+1)*layout.RegionSize
 	a.stats.Dispenses++
 	a.cell.Inc(telemetry.CtrPLABRefills)
 	return nil
@@ -254,8 +260,8 @@ func (a *Allocator) retirePLAB() {
 		return
 	}
 	if gap := a.end - a.cur; gap > 0 {
-		a.h.fillGapRaw(a.cur, gap)
-		a.h.persistRegionTop(a.region, a.end)
+		a.fillGapRaw(a.cur, gap)
+		a.persistRegionTop(a.region, a.end)
 		a.stats.FlushedLines += lineSpan(a.cur, layout.ArrayHdrBytes) + 1
 		a.stats.Fences += 2
 		if c := a.cell; c != nil {
@@ -276,11 +282,13 @@ func (a *Allocator) retirePLAB() {
 // mutator's last object, and stays filler-covered until the next
 // collection re-reports it.
 func (a *Allocator) Release() {
-	h := a.h
+	h := a.heap
 	// Fold the cell's counts into the registry's retired accumulator
 	// before unregistering, so totals stay monotonic across mutator churn.
 	h.tel.ReleaseCell(a.cell)
 	a.cell = nil
+	// Likewise the device view: its counts move to the shared counters.
+	a.view.Release()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if a.region >= 0 && a.cur < a.end {
@@ -310,7 +318,7 @@ func (a *Allocator) klassAddr(k *klass.Klass) (layout.Ref, error) {
 	if addr, ok := a.kaddrs[k]; ok {
 		return addr, nil
 	}
-	addr, err := a.h.EnsureKlass(k)
+	addr, err := a.heap.EnsureKlass(k)
 	if err != nil {
 		return 0, err
 	}
@@ -345,10 +353,11 @@ func (h *Heap) dataLimit() int { return h.geo.ScratchOff }
 // owner's last object. The one-time plug is the handoff cost; every
 // later write by the new owner lands on its own lines.
 //
-// cell is the requesting mutator's telemetry cell (nil when disabled):
-// the handoff plug is device traffic issued on the mutator's behalf, so
-// it is attributed to the requester even though the heap lock is held.
-func (h *Heap) dispense(size int, cell *telemetry.Cell) (region, cur int, err error) {
+// a is the requesting allocator: the handoff plug is device traffic
+// issued on its goroutine and on its behalf, so it goes through a's
+// view and is attributed to a's telemetry cell even though the heap
+// lock is held.
+func (h *Heap) dispense(size int, a *Allocator) (region, cur int, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.gcActive.Load() {
@@ -367,11 +376,11 @@ func (h *Heap) dispense(size int, cell *telemetry.Cell) (region, cur int, err er
 			continue // abandoned until the next collection
 		}
 		if aligned > cur {
-			h.fillGapRaw(cur, aligned-cur)
-			h.persistRegionTop(r, aligned)
-			if cell != nil {
+			a.fillGapRaw(cur, aligned-cur)
+			a.persistRegionTop(r, aligned)
+			if a.cell != nil {
 				fw, fl := fillerCost(cur, aligned-cur)
-				cell.Dev(nvm.SubAlloc, 0, fw+1, fl+1, 2)
+				a.cell.Dev(nvm.SubAlloc, 0, fw+1, fl+1, 2)
 			}
 			cur = aligned
 		}
@@ -430,7 +439,7 @@ func (h *Heap) freeRegionsInsert(r int) {
 // one flush+fence over the (contiguous) table span.
 func (a *Allocator) allocHumongous(k *klass.Klass, kaddr layout.Ref, arrayLen, size int) (layout.Ref, error) {
 	a.retirePLAB()
-	h := a.h
+	h := a.heap
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	start := h.geo.DataOff + h.frontier*layout.RegionSize
@@ -441,23 +450,24 @@ func (a *Allocator) allocHumongous(k *klass.Klass, kaddr layout.Ref, arrayLen, s
 	nRegions := (end - start) / layout.RegionSize
 	h.frontier += nRegions
 
-	h.dev.Zero(start, size)
-	h.writeHeader(start, kaddr, k, arrayLen)
-	h.dev.Flush(start, headerBytesOf(k))
+	dev := a.view
+	dev.Zero(start, size)
+	a.writeHeader(start, kaddr, k, arrayLen)
+	dev.Flush(start, headerBytesOf(k))
 	if end > start+size {
-		h.fillGapRawNoFence(start+size, end-start-size)
+		a.fillGapRawNoFence(start+size, end-start-size)
 	}
-	h.dev.Fence()
+	dev.Fence()
 
 	r0 := (start - h.geo.DataOff) / layout.RegionSize
-	h.dev.WriteU64(h.RegionTopMetaOff(r0), uint64(end))
-	h.dev.WriteU64(h.RegionTopMetaOff(r0)+8, regionTopSum(r0, uint64(end)))
+	dev.WriteU64(h.RegionTopMetaOff(r0), uint64(end))
+	dev.WriteU64(h.RegionTopMetaOff(r0)+8, regionTopSum(r0, uint64(end)))
 	for r := r0 + 1; r < r0+nRegions; r++ {
-		h.dev.WriteU64(h.RegionTopMetaOff(r), regionTopHumongousCont)
-		h.dev.WriteU64(h.RegionTopMetaOff(r)+8, regionTopSum(r, regionTopHumongousCont))
+		dev.WriteU64(h.RegionTopMetaOff(r), regionTopHumongousCont)
+		dev.WriteU64(h.RegionTopMetaOff(r)+8, regionTopSum(r, regionTopHumongousCont))
 	}
-	h.dev.Flush(h.RegionTopMetaOff(r0), nRegions*layout.RegionTopStride)
-	h.dev.Fence()
+	dev.Flush(h.RegionTopMetaOff(r0), nRegions*layout.RegionTopStride)
+	dev.Fence()
 	h.regionTops[r0].Store(int64(end))
 	for r := r0 + 1; r < r0+nRegions; r++ {
 		h.regionTops[r].Store(regionTopHumongousCont)
@@ -516,25 +526,27 @@ func fillerCost(off, n int) (writes, lines uint64) {
 	return 3, uint64(lineSpan(off, layout.ArrayHdrBytes))
 }
 
-func (h *Heap) writeHeader(off int, kaddr layout.Ref, k *klass.Klass, arrayLen int) {
-	h.dev.WriteU64(off+layout.MarkWordOff, layout.MarkWord(h.globalTS.Load(), 0))
-	h.dev.WriteU64(off+layout.KlassWordOff, uint64(kaddr))
+func (x Access) writeHeader(off int, kaddr layout.Ref, k *klass.Klass, arrayLen int) {
+	x.view.WriteU64(off+layout.MarkWordOff, layout.MarkWord(x.heap.globalTS.Load(), 0))
+	x.view.WriteU64(off+layout.KlassWordOff, uint64(kaddr))
 	if k.IsArray() {
-		h.dev.WriteU64(off+layout.ArrayLenOff, uint64(arrayLen))
+		x.view.WriteU64(off+layout.ArrayLenOff, uint64(arrayLen))
 	}
 }
 
 // fillGapRaw writes and persists a filler object covering exactly
-// [off, off+n). It is lock-free: the filler klass addresses are resolved
-// once at create/load, and the caller owns the covered bytes. n must be
+// [off, off+n), through x's view (an allocator plugging its own PLAB, or
+// the heap for the collector). It is lock-free: the filler klass addresses
+// are resolved once at create/load, and the caller owns the covered bytes. n must be
 // 16-aligned; a 16-byte gap takes the 2-word filler, larger gaps a
 // byte-array filler.
-func (h *Heap) fillGapRaw(off, n int) {
-	h.fillGapRawNoFence(off, n)
-	h.dev.Fence()
+func (x Access) fillGapRaw(off, n int) {
+	x.fillGapRawNoFence(off, n)
+	x.view.Fence()
 }
 
-func (h *Heap) fillGapRawNoFence(off, n int) {
+func (x Access) fillGapRawNoFence(off, n int) {
+	h := x.heap
 	if n == 0 {
 		return
 	}
@@ -545,8 +557,8 @@ func (h *Heap) fillGapRawNoFence(off, n int) {
 		panic("pheap: filler klasses not resolved")
 	}
 	if n == layout.HeaderBytes {
-		h.writeHeader(off, h.fillerAddr, h.fillerK, 0)
-		h.dev.Flush(off, layout.HeaderBytes)
+		x.writeHeader(off, h.fillerAddr, h.fillerK, 0)
+		x.view.Flush(off, layout.HeaderBytes)
 		return
 	}
 	// Choose the largest length whose aligned size equals n exactly.
@@ -554,8 +566,8 @@ func (h *Heap) fillGapRawNoFence(off, n int) {
 	if layout.ArrayBytes(layout.FTByte, elems) != n {
 		elems -= layout.ArrayBytes(layout.FTByte, elems) - n
 	}
-	h.writeHeader(off, h.fillerArrAddr, h.fillerArrK, elems)
-	h.dev.Flush(off, layout.ArrayHdrBytes)
+	x.writeHeader(off, h.fillerArrAddr, h.fillerArrK, elems)
+	x.view.Flush(off, layout.ArrayHdrBytes)
 }
 
 // IsFiller reports whether k is one of the gap-filler klasses.

@@ -17,9 +17,9 @@ type Bitmap struct {
 }
 
 // bitmapDevice is the device surface a Bitmap needs — satisfied by both
-// *nvm.Device and the per-worker accounting wrapper *nvm.WorkerDevice,
-// so parallel GC workers can operate on the shared bitmap while their
-// word traffic is tallied per worker.
+// *nvm.Device and a GC worker's own *nvm.View, so parallel GC workers
+// can operate on the shared bitmap while their word traffic is counted
+// per worker.
 type bitmapDevice interface {
 	ReadU64(off int) uint64
 	WriteU64(off int, v uint64)
@@ -34,11 +34,11 @@ func (h *Heap) MarkBitmap() *Bitmap {
 	return &Bitmap{dev: h.dev, off: h.geo.MarkBmpOff, bits: h.geo.DataSize / layout.WordSize}
 }
 
-// MarkBitmapOn is MarkBitmap with the word operations routed through dev
-// — a *nvm.WorkerDevice so each parallel marking worker's bitmap traffic
-// lands in its own Stats. All views share the one device-backed bit
-// array; only the accounting differs.
-func (h *Heap) MarkBitmapOn(dev *nvm.WorkerDevice) *Bitmap {
+// MarkBitmapOn is MarkBitmap with the word operations routed through a
+// parallel marking worker's view, so its bitmap traffic lands in its own
+// Stats. All of them share the one device-backed bit array; only the
+// accounting differs.
+func (h *Heap) MarkBitmapOn(dev *nvm.View) *Bitmap {
 	return &Bitmap{dev: dev, off: h.geo.MarkBmpOff, bits: h.geo.DataSize / layout.WordSize}
 }
 

@@ -171,6 +171,10 @@ func (g Geometry) DataRegions() int { return (g.ScratchOff - g.DataOff) / layout
 // bump-allocate lock-free. GC and load/recovery assume the world is
 // stopped, as in the JVM.
 type Heap struct {
+	// Access is the heap's own, ownerless object access (object.go): the
+	// accessors it promotes count in the device's shared counters.
+	Access
+
 	dev  *nvm.Device
 	reg  *klass.Registry
 	name string
@@ -326,6 +330,7 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 		segByAddr:  make(map[layout.Ref]*klass.Klass),
 		segByName:  make(map[string]layout.Ref),
 	}
+	h.Access = Access{heap: h, view: dev.Unowned()}
 
 	dev.WriteU64(mMagic, heapMagic)
 	dev.WriteU64(mVersion, heapVersion)
@@ -427,6 +432,7 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 		segByAddr:  make(map[layout.Ref]*klass.Klass),
 		segByName:  make(map[string]layout.Ref),
 	}
+	h.Access = Access{heap: h, view: dev.Unowned()}
 	h.globalTS.Store(dev.ReadU64(mGlobalTS))
 	h.gcActive.Store(dev.ReadU64(mGCActive) != 0)
 	h.gcPhase.Store(dev.ReadU64(mGCPhase))
@@ -658,13 +664,13 @@ func (h *Heap) RegionTop(r int) int { return int(h.regionTops[r].Load()) }
 // top — this store is the publication point. The line checksum rides
 // the same flush (value and checksum share the 64-byte table line), so
 // detection costs one extra store and zero extra flushes or fences.
-func (h *Heap) persistRegionTop(r, top int) {
-	off := h.RegionTopMetaOff(r)
-	h.dev.WriteU64(off, uint64(top))
-	h.dev.WriteU64(off+8, regionTopSum(r, uint64(top)))
-	h.dev.Flush(off, 16)
-	h.dev.Fence()
-	h.regionTops[r].Store(int64(top))
+func (x Access) persistRegionTop(r, top int) {
+	off := x.heap.RegionTopMetaOff(r)
+	x.view.WriteU64(off, uint64(top))
+	x.view.WriteU64(off+8, regionTopSum(r, uint64(top)))
+	x.view.Flush(off, 16)
+	x.view.Fence()
+	x.heap.regionTops[r].Store(int64(top))
 }
 
 // Top reports one past the highest allocated byte across all regions —

@@ -5,17 +5,32 @@ import (
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
+	"espresso/internal/nvm"
 )
 
 // Object access and heap parsing. All accessors take virtual addresses
 // (layout.Ref) and byte-offsets computed from the klass field tables; the
 // type-aware convenience layer lives in internal/core.
 
+// Access is object access on one heap through one accounting view of its
+// device (nvm.View). The Heap embeds the ownerless one, so h.GetWord and
+// friends count in the device's shared counters; every Allocator embeds
+// its own, so a mutator that reaches objects through its allocator
+// (core.Mutator, pindex.Ctx, pshard.Ctx all hold exactly one) counts in a
+// cell no other goroutine writes. The access itself — checks, fault
+// hooks, dirty tracking — is the same either way.
+type Access struct {
+	heap *Heap
+	view *nvm.View
+}
+
+// Heap reports the heap x reaches into.
+func (x Access) Heap() *Heap { return x.heap }
+
 // KlassOf resolves the klass of the object at ref.
-func (h *Heap) KlassOf(ref layout.Ref) (*klass.Klass, error) {
-	off := h.OffOf(ref)
-	kaddr := layout.Ref(h.dev.ReadU64(off + layout.KlassWordOff))
-	k, ok := h.KlassByAddr(kaddr)
+func (x Access) KlassOf(ref layout.Ref) (*klass.Klass, error) {
+	kaddr := layout.Ref(x.view.ReadU64(x.heap.OffOf(ref) + layout.KlassWordOff))
+	k, ok := x.heap.KlassByAddr(kaddr)
 	if !ok {
 		return nil, fmt.Errorf("pheap: object %#x has dangling klass word %#x", uint64(ref), uint64(kaddr))
 	}
@@ -38,8 +53,8 @@ func (h *Heap) SizeOfObjectAt(off int) (*klass.Klass, int, error) {
 }
 
 // ArrayLen reads the length word of the array object at ref.
-func (h *Heap) ArrayLen(ref layout.Ref) int {
-	return int(h.dev.ReadU64(h.OffOf(ref) + layout.ArrayLenOff))
+func (x Access) ArrayLen(ref layout.Ref) int {
+	return int(x.view.ReadU64(x.heap.OffOf(ref) + layout.ArrayLenOff))
 }
 
 // MarkOf reads the mark word of the object at ref.
@@ -54,34 +69,56 @@ func (h *Heap) SetMark(ref layout.Ref, mark uint64) {
 }
 
 // GetWord loads the 8-byte slot at byte offset boff inside the object.
-func (h *Heap) GetWord(ref layout.Ref, boff int) uint64 {
-	return h.dev.ReadU64(h.OffOf(ref) + boff)
+func (x Access) GetWord(ref layout.Ref, boff int) uint64 {
+	return x.view.ReadU64(x.heap.OffOf(ref) + boff)
 }
 
 // SetWord stores the 8-byte slot at byte offset boff inside the object.
-func (h *Heap) SetWord(ref layout.Ref, boff int, v uint64) {
-	h.dev.WriteU64(h.OffOf(ref)+boff, v)
+func (x Access) SetWord(ref layout.Ref, boff int, v uint64) {
+	x.view.WriteU64(x.heap.OffOf(ref)+boff, v)
+}
+
+// CasWord atomically compares-and-swaps the 8-byte slot at byte offset
+// boff of the object at ref — the heap-level cmpxchg the lock-free
+// persistent index publishes through. The slot must be 8-aligned (all
+// field and element slots are).
+func (x Access) CasWord(ref layout.Ref, boff int, old, new uint64) bool {
+	return x.view.CompareAndSwapU64(x.heap.OffOf(ref)+boff, old, new)
+}
+
+// GetWordAtomic loads an 8-byte object slot with a single atomic machine
+// load; the concurrent marker reads reference slots this way while
+// mutators may be storing to them.
+func (x Access) GetWordAtomic(ref layout.Ref, boff int) uint64 {
+	return x.view.ReadU64Atomic(x.heap.OffOf(ref) + boff)
+}
+
+// SetWordAtomic stores an 8-byte object slot with a single atomic machine
+// store — the mutator half of the marker/mutator pair above. Device
+// accounting matches SetWord.
+func (x Access) SetWordAtomic(ref layout.Ref, boff int, v uint64) {
+	x.view.WriteU64Atomic(x.heap.OffOf(ref)+boff, v)
 }
 
 // ReadBytesAt fills p from byte offset boff inside the object — one
 // device read regardless of length, the bulk path under string and
 // primitive-array copies.
-func (h *Heap) ReadBytesAt(ref layout.Ref, boff int, p []byte) {
-	h.dev.ReadBytes(h.OffOf(ref)+boff, p)
+func (x Access) ReadBytesAt(ref layout.Ref, boff int, p []byte) {
+	x.view.ReadBytes(x.heap.OffOf(ref)+boff, p)
 }
 
 // WriteBytesAt stores p at byte offset boff inside the object — one
 // device write regardless of length.
-func (h *Heap) WriteBytesAt(ref layout.Ref, boff int, p []byte) {
-	h.dev.WriteBytes(h.OffOf(ref)+boff, p)
+func (x Access) WriteBytesAt(ref layout.Ref, boff int, p []byte) {
+	x.view.WriteBytes(x.heap.OffOf(ref)+boff, p)
 }
 
 // FlushRange persists n bytes at byte offset boff inside the object,
 // followed by a fence — the primitive under the field/array/object flush
 // APIs of paper §3.5.
-func (h *Heap) FlushRange(ref layout.Ref, boff, n int) {
-	h.dev.Flush(h.OffOf(ref)+boff, n)
-	h.dev.Fence()
+func (x Access) FlushRange(ref layout.Ref, boff, n int) {
+	x.view.Flush(x.heap.OffOf(ref)+boff, n)
+	x.view.Fence()
 }
 
 // ForEachObject walks the data heap in address order, region by region,

@@ -231,25 +231,3 @@ func (h *Heap) SATBRecordBarrier(obj layout.Ref, raw uint64, buf *SATBBuffer) {
 	}
 	h.SATBMarkDirtyCard(obj)
 }
-
-// CasWord atomically compares-and-swaps the 8-byte slot at byte offset
-// boff of the object at ref — the heap-level cmpxchg the lock-free
-// persistent index publishes through. The slot must be 8-aligned (all
-// field and element slots are).
-func (h *Heap) CasWord(ref layout.Ref, boff int, old, new uint64) bool {
-	return h.dev.CompareAndSwapU64(h.OffOf(ref)+boff, old, new)
-}
-
-// GetWordAtomic loads an 8-byte object slot with a single atomic machine
-// load; the concurrent marker reads reference slots this way while
-// mutators may be storing to them.
-func (h *Heap) GetWordAtomic(ref layout.Ref, boff int) uint64 {
-	return h.dev.ReadU64Atomic(h.OffOf(ref) + boff)
-}
-
-// SetWordAtomic stores an 8-byte object slot with a single atomic machine
-// store — the mutator half of the marker/mutator pair above. Device
-// accounting matches SetWord.
-func (h *Heap) SetWordAtomic(ref layout.Ref, boff int, v uint64) {
-	h.dev.WriteU64Atomic(h.OffOf(ref)+boff, v)
-}

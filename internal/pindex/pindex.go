@@ -189,8 +189,11 @@ type CtxStats struct {
 
 // Ctx is a per-goroutine operation context: a PLAB allocator for node
 // bodies and a SATB buffer for the pre-write barrier, mirroring
-// core.Mutator. Not safe for concurrent use; give each goroutine its
-// own and Release it when done.
+// core.Mutator. Every device access of an operation — traversal loads,
+// CAS publications, flushes, node initialisation — goes through the
+// allocator's own view of the device (pheap.Access), so contexts on
+// different cores share no counter line. Not safe for concurrent use;
+// give each goroutine its own and Release it when done.
 type Ctx struct {
 	ix    *Index
 	alloc *pheap.Allocator
@@ -366,7 +369,7 @@ func soLess(aSort, aKey, bSort, bKey uint64) bool {
 // flushWord persists the slot's cache line and fences — the
 // link-and-persist flush, also used for helping.
 func (c *Ctx) flushWord(obj layout.Ref, boff int) {
-	c.ix.h.FlushRange(obj, boff, 8)
+	c.alloc.FlushRange(obj, boff, 8)
 	c.stats.FlushedLines++
 	c.stats.Fences++
 	c.cell.Dev(nvm.SubIndex, 0, 0, 1, 1)
@@ -380,14 +383,14 @@ func (c *Ctx) flushRange(obj layout.Ref, boff, n int) {
 	c.stats.FlushedLines += lines
 	c.stats.Fences++
 	c.cell.Dev(nvm.SubIndex, 0, 0, uint64(lines), 1)
-	h.FlushRange(obj, boff, n)
+	c.alloc.FlushRange(obj, boff, n)
 }
 
-// cas is h.CasWord with index-subsystem device attribution, matching the
+// cas is CasWord with index-subsystem device attribution, matching the
 // device's own accounting: one read per attempt, one write when the swap
 // lands.
 func (c *Ctx) cas(obj layout.Ref, boff int, old, new uint64) bool {
-	if c.ix.h.CasWord(obj, boff, old, new) {
+	if c.alloc.CasWord(obj, boff, old, new) {
 		c.cell.Dev(nvm.SubIndex, 1, 1, 0, 0)
 		return true
 	}
@@ -400,9 +403,8 @@ func (c *Ctx) cas(obj layout.Ref, boff int, old, new uint64) bool {
 // the reader half of link-and-persist: no caller ever acts on a link
 // that is not durable.
 func (c *Ctx) loadClean(obj layout.Ref, boff int) uint64 {
-	h := c.ix.h
 	for {
-		w := h.GetWordAtomic(obj, boff)
+		w := c.alloc.GetWordAtomic(obj, boff)
 		c.cell.Dev(nvm.SubIndex, 1, 0, 0, 0)
 		if w&tagDirty == 0 {
 			return w
@@ -445,7 +447,7 @@ func (c *Ctx) publish(obj layout.Ref, boff int, expect, val uint64) bool {
 // loadClean preceded the unlink — so unlinking can never lose an
 // uncommitted delete).
 func (c *Ctx) find(head layout.Ref, sort, key uint64) (pred layout.Ref, predW uint64, curr layout.Ref, found bool) {
-	h := c.ix.h
+	a := c.alloc
 restart:
 	for {
 		pred = head
@@ -474,8 +476,8 @@ restart:
 				curr = layout.Ref(predW)
 				continue
 			}
-			cs := h.GetWord(curr, c.ix.fSort)
-			ck := h.GetWord(curr, c.ix.fKey)
+			cs := a.GetWord(curr, c.ix.fSort)
+			ck := a.GetWord(curr, c.ix.fKey)
 			if !soLess(cs, ck, sort, key) {
 				return pred, predW, curr, cs == sort && ck == key
 			}
@@ -491,7 +493,7 @@ restart:
 // body is fully persisted (one flush + fence) before the publishing CAS,
 // so a durable link always targets a durable node.
 func (c *Ctx) insert(head layout.Ref, sort, key uint64, val layout.Ref) (node layout.Ref, existed bool, err error) {
-	h := c.ix.h
+	a := c.alloc
 	node = layout.NullRef
 	for {
 		pred, predW, curr, found := c.find(head, sort, key)
@@ -502,16 +504,16 @@ func (c *Ctx) insert(head layout.Ref, sort, key uint64, val layout.Ref) (node la
 			if node, err = c.alloc.Alloc(c.ix.nodeK, 0); err != nil {
 				return 0, false, fmt.Errorf("pindex: insert: %w", err)
 			}
-			h.SetWord(node, c.ix.fSort, sort)
-			h.SetWord(node, c.ix.fKey, key)
-			h.SetWord(node, c.ix.fVal, uint64(val))
-			h.SetWordAtomic(node, c.ix.fNext, uint64(curr))
+			a.SetWord(node, c.ix.fSort, sort)
+			a.SetWord(node, c.ix.fKey, key)
+			a.SetWord(node, c.ix.fVal, uint64(val))
+			a.SetWordAtomic(node, c.ix.fNext, uint64(curr))
 			c.cell.Dev(nvm.SubIndex, 0, 4, 0, 0)
 			c.flushRange(node, 0, c.ix.nodeSize)
 		} else {
 			// Retrying with a different successor: repoint and re-persist
 			// just the next word before republishing.
-			h.SetWordAtomic(node, c.ix.fNext, uint64(curr))
+			a.SetWordAtomic(node, c.ix.fNext, uint64(curr))
 			c.cell.Dev(nvm.SubIndex, 0, 1, 0, 0)
 			c.flushWord(node, c.ix.fNext)
 		}
@@ -556,7 +558,7 @@ func (c *Ctx) header() layout.Ref {
 func (c *Ctx) buckets(hdr layout.Ref) (layout.Ref, int) {
 	w := c.loadClean(hdr, c.ix.fBuckets)
 	arr := layout.Ref(layout.UntagRef(layout.Ref(w)))
-	return arr, c.ix.h.ArrayLen(arr)
+	return arr, c.alloc.ArrayLen(arr)
 }
 
 // bucketHead resolves bucket b's sentinel, lazily splicing it (and,
@@ -566,9 +568,9 @@ func (c *Ctx) buckets(hdr layout.Ref) (layout.Ref, int) {
 // needs no CAS protocol, and losing the store to a crash just means the
 // next process re-resolves it.
 func (c *Ctx) bucketHead(arr layout.Ref, b uint64) (layout.Ref, error) {
-	h := c.ix.h
+	a := c.alloc
 	boff := layout.ElemOff(layout.FTRef, int(b))
-	if w := h.GetWordAtomic(arr, boff); w != 0 {
+	if w := a.GetWordAtomic(arr, boff); w != 0 {
 		return layout.Ref(layout.UntagRef(layout.Ref(w))), nil
 	}
 	parent, err := c.bucketHead(arr, parentBucket(b))
@@ -579,9 +581,9 @@ func (c *Ctx) bucketHead(arr layout.Ref, b uint64) (layout.Ref, error) {
 	if err != nil {
 		return 0, err
 	}
-	h.SetWordAtomic(arr, boff, uint64(sent))
-	if h.ConcurrentMarkActive() {
-		h.SATBMarkDirtyCard(arr) // overwrites null: nothing to record
+	a.SetWordAtomic(arr, boff, uint64(sent))
+	if c.ix.h.ConcurrentMarkActive() {
+		c.ix.h.SATBMarkDirtyCard(arr) // overwrites null: nothing to record
 	}
 	c.flushWord(arr, boff)
 	return sent, nil
@@ -595,9 +597,9 @@ func (c *Ctx) bucketHead(arr layout.Ref, b uint64) (layout.Ref, error) {
 // 0's sentinel is persisted before the index root publishes, so the
 // walk always terminates.
 func (c *Ctx) bucketHeadRead(arr layout.Ref, b uint64) layout.Ref {
-	h := c.ix.h
+	a := c.alloc
 	for {
-		if w := h.GetWordAtomic(arr, layout.ElemOff(layout.FTRef, int(b))); w != 0 {
+		if w := a.GetWordAtomic(arr, layout.ElemOff(layout.FTRef, int(b))); w != 0 {
 			return layout.Ref(layout.UntagRef(layout.Ref(w)))
 		}
 		if b == 0 {
@@ -623,7 +625,7 @@ func (c *Ctx) bucketHeadRead(arr layout.Ref, b uint64) layout.Ref {
 // durably present.
 func (c *Ctx) grow() {
 	ix := c.ix
-	h := ix.h
+	a := c.alloc
 	if !ix.growing.CompareAndSwap(false, true) {
 		return
 	}
@@ -633,7 +635,7 @@ func (c *Ctx) grow() {
 	hdr := c.header()
 	w := c.loadClean(hdr, ix.fBuckets)
 	arr := layout.Ref(layout.UntagRef(layout.Ref(w)))
-	n := h.ArrayLen(arr)
+	n := a.ArrayLen(arr)
 	if float64(ix.size.Load()) <= ix.opts.MaxLoadFactor*float64(n) || 2*n > ix.opts.MaxBuckets {
 		return
 	}
@@ -643,7 +645,7 @@ func (c *Ctx) grow() {
 	}
 	for i := 0; i < n; i++ {
 		boff := layout.ElemOff(layout.FTRef, i)
-		h.SetWord(bigger, boff, h.GetWordAtomic(arr, boff))
+		a.SetWord(bigger, boff, a.GetWordAtomic(arr, boff))
 	}
 	c.flushRange(bigger, 0, ix.arrK.SizeOf(2*n))
 	if c.publish(hdr, ix.fBuckets, w, uint64(bigger)) {
@@ -779,15 +781,15 @@ func (c *Ctx) Scan(fn func(key int64, val layout.Ref) bool) {
 	ix.pin.Pin()
 	defer ix.pin.Unpin()
 	c.cell.Inc(telemetry.CtrIndexScans)
-	h := ix.h
+	a := c.alloc
 	arr, _ := c.buckets(c.header())
 	node := c.bucketHeadRead(arr, 0)
 	for node != layout.NullRef {
 		w := c.loadClean(node, ix.fNext)
-		isData := h.GetWord(node, ix.fSort)&1 == 1
+		isData := a.GetWord(node, ix.fSort)&1 == 1
 		if isData && w&tagDel == 0 {
 			vw := c.loadClean(node, ix.fVal)
-			if !fn(int64(h.GetWord(node, ix.fKey)), layout.UntagRef(layout.Ref(vw))) {
+			if !fn(int64(a.GetWord(node, ix.fKey)), layout.UntagRef(layout.Ref(vw))) {
 				return
 			}
 		}

@@ -3,6 +3,7 @@ package pshard
 import (
 	"espresso/internal/layout"
 	"espresso/internal/pindex"
+	"espresso/internal/safepoint"
 )
 
 // Ctx is a per-goroutine operation handle over the whole set: one lazily
@@ -10,14 +11,15 @@ import (
 // SATB buffer on that shard's heap. Not safe for concurrent use; give
 // each goroutine its own and Release it when done.
 //
-// Every operation is one safepoint interval on the owning shard (a read
-// lock on that shard's world), so a shard collection waits for in-flight
-// operations on *its* shard only and never touches a sibling's. The
-// interval covers the whole operation — for Put, the value-box
-// allocation, its persist, and the index publication — so the shard's
-// compactor can never move the box between those steps. Operations must
-// not nest (no Ctx or Set calls from inside a Scan callback): the
-// second pin can deadlock behind a waiting collector pause.
+// Every operation is one safepoint interval on the owning shard (a pin
+// on the ctx's own slot of that shard's safepoint — a line no other ctx
+// writes), so a shard collection waits for in-flight operations on
+// *its* shard only and never touches a sibling's. The interval covers
+// the whole operation — for Put, the value-box allocation, its persist,
+// and the index publication — so the shard's compactor can never move
+// the box between those steps. Operations must not nest (no Ctx or Set
+// calls from inside a Scan callback): the second pin can deadlock behind
+// a waiting collector pause.
 //
 // On a degraded set, operations routed to a quarantined shard fail
 // with an error matching ErrShardQuarantined (Put, PutRef, Lookup,
@@ -28,8 +30,9 @@ import (
 type Ctx struct {
 	set      *Set
 	subs     []*pindex.Ctx
-	subShard []*Shard // the Shard instance each sub was created against
-	boxLines []int    // value-box cache lines flushed, per shard
+	subShard []*Shard          // the Shard instance each sub was created against
+	slots    []*safepoint.Slot // this ctx's pin on subShard[i]'s safepoint, created with subs[i]
+	boxLines []int             // value-box cache lines flushed, per shard
 }
 
 // NewCtx attaches a per-goroutine operation handle.
@@ -38,25 +41,33 @@ func (s *Set) NewCtx() *Ctx {
 		set:      s,
 		subs:     make([]*pindex.Ctx, len(s.shards)),
 		subShard: make([]*Shard, len(s.shards)),
+		slots:    make([]*safepoint.Slot, len(s.shards)),
 		boxLines: make([]int, len(s.shards)),
 	}
 }
 
-// acquire pins shard i (read-locking its world) and returns it with the
-// ctx's handle for it, re-attaching if the shard was reopened since the
-// handle was created. Fails without pinning anything when the shard is
-// quarantined; on success the caller must sh.world.RUnlock().
+// acquire pins shard i (on the ctx's slot of its safepoint) and returns
+// it with the ctx's handle for it, re-attaching if the shard was
+// reopened since the handle was created. Fails without pinning anything
+// when the shard is quarantined; on success the caller must
+// c.slots[i].Unpin().
 func (c *Ctx) acquire(i int) (*Shard, *pindex.Ctx, error) {
 	sh := c.set.shard(i)
 	if sh == nil {
 		return nil, nil, &QuarantinedError{Shard: i, Cause: c.set.QuarantineCause(i)}
 	}
-	sh.world.RLock()
-	if c.subShard[i] != sh {
-		// First touch, or the shard was rebuilt (quarantine + reopen)
-		// since this ctx last saw it. The old sub's heap is gone — drop
-		// the handle without Release (releasing would write PLAB metadata
-		// through the dead instance onto the live device).
+	// First touch, or the shard was rebuilt (quarantine + reopen) since
+	// this ctx last saw it. The old sub's heap is gone — drop the handle
+	// without Release (releasing would write PLAB metadata through the
+	// dead instance onto the live device), and the old slot with it: it
+	// belongs to the dead instance's safepoint, which nobody will stop
+	// again.
+	fresh := c.subShard[i] != sh
+	if fresh {
+		c.slots[i] = sh.world.NewSlot()
+	}
+	c.slots[i].Pin()
+	if fresh {
 		c.subs[i] = sh.ix.NewCtx()
 		c.subShard[i] = sh
 	}
@@ -72,17 +83,17 @@ func (c *Ctx) Put(key, val int64) error {
 	if err != nil {
 		return err
 	}
-	defer sh.world.RUnlock()
-	box, err := sub.Allocator().Alloc(sh.boxK, 0)
+	defer c.slots[i].Unpin()
+	a := sub.Allocator()
+	box, err := a.Alloc(sh.boxK, 0)
 	if err != nil {
 		return err
 	}
-	h := sh.heap
-	h.SetWord(box, layout.FieldOff(0), uint64(val))
+	a.SetWord(box, layout.FieldOff(0), uint64(val))
 	n := sh.boxK.SizeOf(0)
-	off := h.OffOf(box)
+	off := sh.heap.OffOf(box)
 	c.boxLines[i] += (off+n-1)/layout.LineSize - off/layout.LineSize + 1
-	h.FlushRange(box, 0, n)
+	a.FlushRange(box, 0, n)
 	return sub.Put(key, box)
 }
 
@@ -98,16 +109,16 @@ func (c *Ctx) Get(key int64) (int64, bool) {
 // ErrShardQuarantined when the owning shard is fenced off.
 func (c *Ctx) Lookup(key int64) (int64, bool, error) {
 	i := c.set.mani.ShardOf(key)
-	sh, sub, err := c.acquire(i)
+	_, sub, err := c.acquire(i)
 	if err != nil {
 		return 0, false, err
 	}
-	defer sh.world.RUnlock()
+	defer c.slots[i].Unpin()
 	box, ok := sub.Get(key)
 	if !ok || box == layout.NullRef {
 		return 0, false, nil
 	}
-	return int64(sh.heap.GetWord(box, layout.FieldOff(0))), true, nil
+	return int64(sub.Allocator().GetWord(box, layout.FieldOff(0))), true, nil
 }
 
 // Delete durably removes key from its owning shard, reporting whether it
@@ -122,11 +133,11 @@ func (c *Ctx) Delete(key int64) bool {
 // ErrShardQuarantined when the owning shard is fenced off.
 func (c *Ctx) Remove(key int64) (bool, error) {
 	i := c.set.mani.ShardOf(key)
-	sh, sub, err := c.acquire(i)
+	_, sub, err := c.acquire(i)
 	if err != nil {
 		return false, err
 	}
-	defer sh.world.RUnlock()
+	defer c.slots[i].Unpin()
 	return sub.Delete(key), nil
 }
 
@@ -137,11 +148,11 @@ func (c *Ctx) Remove(key int64) (bool, error) {
 // right shard, inside a Do interval.
 func (c *Ctx) PutRef(key int64, val layout.Ref) error {
 	i := c.set.mani.ShardOf(key)
-	sh, sub, err := c.acquire(i)
+	_, sub, err := c.acquire(i)
 	if err != nil {
 		return err
 	}
-	defer sh.world.RUnlock()
+	defer c.slots[i].Unpin()
 	return sub.Put(key, val)
 }
 
@@ -149,11 +160,11 @@ func (c *Ctx) PutRef(key int64, val layout.Ref) error {
 // reads as absent.
 func (c *Ctx) GetRef(key int64) (layout.Ref, bool) {
 	i := c.set.mani.ShardOf(key)
-	sh, sub, err := c.acquire(i)
+	_, sub, err := c.acquire(i)
 	if err != nil {
 		return layout.NullRef, false
 	}
-	defer sh.world.RUnlock()
+	defer c.slots[i].Unpin()
 	return sub.Get(key)
 }
 
@@ -164,12 +175,10 @@ func (c *Ctx) GetRef(key int64) (layout.Ref, bool) {
 // error matches ErrShardQuarantined.
 func (c *Ctx) Do(key int64, fn func(shard int)) error {
 	i := c.set.mani.ShardOf(key)
-	sh := c.set.shard(i)
-	if sh == nil {
-		return &QuarantinedError{Shard: i, Cause: c.set.QuarantineCause(i)}
+	if _, _, err := c.acquire(i); err != nil {
+		return err
 	}
-	sh.world.RLock()
-	defer sh.world.RUnlock()
+	defer c.slots[i].Unpin()
 	fn(i)
 	return nil
 }
@@ -180,7 +189,7 @@ func (c *Ctx) Do(key int64, fn func(shard int)) error {
 // shards are skipped — their entries are unreachable, not invented.
 func (c *Ctx) Scan(fn func(key, val int64) bool) {
 	for i := range c.set.shards {
-		sh, sub, err := c.acquire(i)
+		_, sub, err := c.acquire(i)
 		if err != nil {
 			continue
 		}
@@ -188,12 +197,12 @@ func (c *Ctx) Scan(fn func(key, val int64) bool) {
 		sub.Scan(func(key int64, box layout.Ref) bool {
 			v := int64(0)
 			if box != layout.NullRef {
-				v = int64(sh.heap.GetWord(box, layout.FieldOff(0)))
+				v = int64(sub.Allocator().GetWord(box, layout.FieldOff(0)))
 			}
 			more = fn(key, v)
 			return more
 		})
-		sh.world.RUnlock()
+		c.slots[i].Unpin()
 		if !more {
 			return
 		}
@@ -225,12 +234,13 @@ func (c *Ctx) Release() {
 		}
 		sh := c.set.shard(i)
 		if sh == nil || sh != c.subShard[i] {
-			c.subs[i], c.subShard[i] = nil, nil
+			c.subs[i], c.subShard[i], c.slots[i] = nil, nil, nil
 			continue
 		}
-		sh.world.RLock()
+		c.slots[i].Pin()
 		sub.Release()
-		sh.world.RUnlock()
-		c.subs[i], c.subShard[i] = nil, nil
+		c.slots[i].Unpin()
+		c.slots[i].Retire()
+		c.subs[i], c.subShard[i], c.slots[i] = nil, nil, nil
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"espresso/internal/pgc"
 	"espresso/internal/pheap"
 	"espresso/internal/pindex"
+	"espresso/internal/safepoint"
 	"espresso/internal/telemetry"
 	"espresso/internal/telemetry/blackbox"
 )
@@ -108,12 +109,12 @@ func (o *Options) fillDefaults() error {
 // region-top table, the redo log, the GC phase word, and the safepoint
 // domain below are all per-shard.
 type Shard struct {
-	// world is the shard's safepoint lock: every Ctx operation on this
-	// shard runs under a read lock, and the shard's collector pauses
-	// take the write lock. Because each shard has its own, a collection
-	// of shard 3 never blocks — or shares so much as a cache line with —
+	// world is the shard's safepoint: every Ctx operation on this shard
+	// runs pinned on the ctx's own slot of it, and the shard's collector
+	// pauses stop it. Because each shard has its own, a collection of
+	// shard 3 never blocks — or shares so much as a cache line with —
 	// an operation on shard 5.
-	world sync.RWMutex
+	world safepoint.Point
 
 	heap *pheap.Heap
 	ix   *pindex.Index
@@ -391,7 +392,7 @@ func (s *Set) recoverShard(i int) error {
 
 // attachShard opens the shard's index (running its recovery pass) and
 // resolves the boxed-value class. The index is opened with NoPin: Ctx
-// operations pin through the shard's own world lock, at whole-operation
+// operations pin through the shard's own safepoint, at whole-operation
 // granularity, so a value box allocated just before a Put can never be
 // moved out from under it by the shard's collector.
 func attachShard(h *pheap.Heap, iopts pindex.Options) (*Shard, error) {
@@ -502,7 +503,7 @@ func (s *Set) FlightTimelines() ([]blackbox.Timeline, error) {
 }
 
 // GCShard runs a crash-consistent collection of one shard. Only that
-// shard's operations pause — its world lock is taken for the compaction,
+// shard's operations pause — its world is stopped for the compaction,
 // while every other shard keeps serving. Collecting shards one at a time
 // is how a sharded deployment staggers its pauses.
 func (s *Set) GCShard(i int) (pgc.Result, error) {
@@ -510,8 +511,8 @@ func (s *Set) GCShard(i int) (pgc.Result, error) {
 	if sh == nil {
 		return pgc.Result{}, &QuarantinedError{Shard: i, Cause: s.QuarantineCause(i)}
 	}
-	sh.world.Lock()
-	defer sh.world.Unlock()
+	sh.world.Stop()
+	defer sh.world.Start()
 	// Journaled before the cycle so a crash mid-collection still shows
 	// which shard was collecting; the append's flush precedes the
 	// collection's first fence.

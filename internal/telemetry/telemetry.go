@@ -9,11 +9,16 @@
 // So the hot-path primitive here is the Cell — a cache-line-padded block
 // of counters owned by exactly one mutator, registered with the Registry
 // the same way remembered-set delta buffers register with their heap.
-// The owner bumps counters with plain load+store pairs on atomic words
-// (one MOV each on x86 — no RMW, no lock prefix, no fence) and a
-// snapshot folds every registered cell with atomic loads. Nothing on the
-// mutator fast path takes a lock, issues a fence, allocates, or touches
-// a cache line another thread writes.
+// The owner bumps counters with a load and a store on atomic words and a
+// snapshot folds every registered cell with atomic loads. The store is
+// not free — sync/atomic's Store is an XCHG on amd64, which is implicitly
+// locked, so a bump costs about what an uncontended atomic add does.
+// What the contract buys is what matters at scale: each word has exactly
+// one writer, on a line no other thread writes, so the line never leaves
+// the owner's cache and a second mutator on a second core costs the
+// first nothing. Nothing on the mutator fast path takes a lock, issues a
+// device fence, allocates, or touches a cache line another thread
+// writes.
 //
 // Everything else — histograms, spans, gauges, the shared cell for
 // pathways without an owner — is cold-path machinery and uses ordinary
@@ -119,8 +124,9 @@ type Cell struct {
 }
 
 // Inc bumps ctr by one. Owner-only: the load+store pair is not an
-// atomic RMW — that is the point (no lock prefix, no fence) — so racing
-// owners would lose updates. Concurrent snapshot reads are safe.
+// atomic read-modify-write, so racing owners would lose updates — the
+// single writer is what keeps the line in the owner's cache. Concurrent
+// snapshot reads are safe.
 func (c *Cell) Inc(ctr Counter) {
 	if c == nil {
 		return
