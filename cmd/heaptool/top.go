@@ -72,16 +72,28 @@ func printFrame(snap, prev telemetry.Snapshot, prevSeq uint64, first bool, inter
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// The hint-hit row carries a third column: the share of the frame's
+	// index probes (first frame: of all so far) that the volatile hint
+	// table answered without a chain walk.
+	const hits, misses = "index.hint_hits", "index.hint_misses"
+	hitRate := ""
+	if h, m := snap.Counters[hits]-prev.Counters[hits], snap.Counters[misses]-prev.Counters[misses]; h+m != 0 {
+		hitRate = fmt.Sprintf("  hit %.1f%%", 100*float64(h)/float64(h+m))
+	}
 	for _, name := range names {
 		v := snap.Counters[name]
+		col := ""
+		if name == hits {
+			col = hitRate
+		}
 		if first {
 			if v != 0 {
-				fmt.Printf("  %-32s %d\n", name, v)
+				fmt.Printf("  %-32s %d%s\n", name, v, col)
 			}
 			continue
 		}
 		if d := v - prev.Counters[name]; d != 0 {
-			fmt.Printf("  %-32s %.0f/s\n", name, float64(d)/secs)
+			fmt.Printf("  %-32s %.0f/s%s\n", name, float64(d)/secs, col)
 		}
 	}
 	gnames := make([]string, 0, len(snap.Gauges))

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"espresso/internal/layout"
-	"espresso/internal/pindex"
 	"espresso/internal/pshard"
 )
 
@@ -54,7 +53,7 @@ func TestCtxPoolBurstRetiresAndReleases(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, _ := rt.Heap("kv")
-		burstThroughPool(t, &m.pool, func(c *pindex.Ctx, i int) error { return c.Put(int64(i), 0) }, h.FreeBytes)
+		burstThroughPool(t, &m.pool, func(c pmapCtx, i int) error { return c.Put(int64(i), 0) }, h.FreeBytes)
 	})
 	t.Run("ShardedPMap", func(t *testing.T) {
 		m, err := rt.OpenSharded("burst", ShardedPMapOptions{Shards: 2, ShardDataSize: 16 << 20})

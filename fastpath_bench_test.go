@@ -5,6 +5,7 @@
 package espresso_test
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -240,36 +241,60 @@ func BenchmarkMutatorAccessParallel(b *testing.B) {
 }
 
 // BenchmarkPMapGetParallel is the same check for the index read path:
-// every goroutine looks up its own keys of one shared PMap. A get is
-// ~35 device loads through the borrowed ctx's own view; the ctx pool
-// and the ownerless safepoint pin are what remains shared.
+// every goroutine looks up its own keys (one residue class each) of one
+// shared PMap through pooled contexts that pin their own safepoint slot;
+// the ctx pool's lock is what remains shared. hot re-reads keys whose
+// hints are in place — three device loads a get where the key owns its
+// hint slot, the chain walk for the few that share one; cold bumps the
+// heap's layout epoch at the end of every lap, so each get is the first
+// touch of its key in a new epoch and walks its bucket's chain (four
+// nodes at this load). Both report devreads/op; read them at -cpu 1,2.
 func BenchmarkPMapGetParallel(b *testing.B) {
-	rt, dev := benchRT(b)
-	pm, err := rt.OpenPMap("bench", "bench/map", espresso.PMapOptions{InitialBuckets: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const keys = 1 << 14
-	for k := int64(0); k < keys; k++ {
-		if err := pm.Put(k, 0); err != nil {
-			b.Fatal(err)
+	for _, cold := range []bool{false, true} {
+		name := "hot"
+		if cold {
+			name = "cold"
 		}
-	}
-	var lane atomic.Int64
-	s0 := dev.Stats()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		k := lane.Add(1) * 7919
-		for pb.Next() {
-			k = (k + 1) % keys
-			if _, ok := pm.Get(k); !ok {
-				b.Errorf("key %d missing", k)
-				return
+		b.Run(name, func(b *testing.B) {
+			rt, dev := benchRT(b)
+			pm, err := rt.OpenPMap("bench", "bench/map", espresso.PMapOptions{InitialBuckets: 1024})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-	})
-	d := dev.Stats().Sub(s0)
-	b.ReportMetric(float64(d.Reads)/float64(b.N), "devreads/op")
+			const keys = 1 << 14
+			for k := int64(0); k < keys; k++ {
+				if err := pm.Put(k, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for k := int64(0); k < keys; k++ {
+				pm.Get(k) // keys that lost their slot to a later insert take it back
+			}
+			h, _ := rt.Heap("bench")
+			lanes := int64(runtime.GOMAXPROCS(0))
+			var lane atomic.Int64
+			s0 := dev.Stats()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				first := lane.Add(1) - 1
+				k := first
+				for pb.Next() {
+					if k += lanes; k >= keys {
+						k = first
+						if cold {
+							h.BumpLayoutEpoch()
+						}
+					}
+					if _, ok := pm.Get(k); !ok {
+						b.Errorf("key %d missing", k)
+						return
+					}
+				}
+			})
+			d := dev.Stats().Sub(s0)
+			b.ReportMetric(float64(d.Reads)/float64(b.N), "devreads/op")
+		})
+	}
 }
 
 // BenchmarkStringRoundTrip writes and reads back persistent strings. The

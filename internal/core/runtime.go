@@ -259,6 +259,13 @@ func (p SafepointPin) Pin() { p.rt.world.RLock() }
 // Unpin leaves the safepoint interval.
 func (p SafepointPin) Unpin() { p.rt.world.RUnlock() }
 
+// NewSafepointSlot registers an owner-local pin on the runtime's
+// safepoint for a context with an identity of its own (a pooled
+// pindex.Ctx): pinning it writes a line no other owner writes, where
+// SafepointPin read-locks one every reader shares. The same rules as
+// SafepointPin apply to its intervals; Retire it with its owner.
+func (rt *Runtime) NewSafepointSlot() *safepoint.Slot { return rt.world.NewSlot() }
+
 // NameManager exposes the external name manager.
 func (rt *Runtime) NameManager() *namemgr.Manager { return rt.mgr }
 

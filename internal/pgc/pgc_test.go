@@ -558,3 +558,82 @@ func TestGCFlushOverheadMeasurable(t *testing.T) {
 		t.Fatalf("flushed lines: with=%d without=%d", r1.DeviceStats.FlushedLines, r2.DeviceStats.FlushedLines)
 	}
 }
+
+// summarizeMarks runs the summary phase over a hand-drawn mark bitmap —
+// the phase reads nothing else — given as (offset from the data area's
+// start, size) pairs in ascending order.
+func summarizeMarks(t *testing.T, objs [][2]int) (*Summary, pheap.Geometry) {
+	t.Helper()
+	h, reg := newHeap(t, 16<<20)
+	// One allocation that raises the top past every drawn object.
+	if _, err := h.Alloc(reg.PrimArray(layout.FTLong), 13*layout.RegionSize/8); err != nil {
+		t.Fatal(err)
+	}
+	bm := h.MarkBitmap()
+	bm.ClearAll()
+	for _, o := range objs {
+		bm.Set(o[0] / layout.WordSize)
+		bm.Set((o[0]+o[1])/layout.WordSize - 1)
+	}
+	s, err := Summarize(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, h.Geo()
+}
+
+// checkDestinations requires what the source-as-undo-log protocol rests
+// on: no two objects end up on the same bytes, and no evacuated object
+// straddles a region boundary.
+func checkDestinations(t *testing.T, s *Summary, geo pheap.Geometry) {
+	t.Helper()
+	moved, prevEnd := 0, -1
+	for _, mv := range sortedByDst(s.Moves) {
+		if mv.Dst < prevEnd {
+			t.Fatalf("object from %d lands on %d, inside the object ending at %d", mv.Src, mv.Dst, prevEnd)
+		}
+		prevEnd = mv.Dst + mv.Size
+		if mv.Dst == mv.Src {
+			continue
+		}
+		moved++
+		if (mv.Dst-geo.DataOff)/layout.RegionSize != (mv.Dst+mv.Size-1-geo.DataOff)/layout.RegionSize {
+			t.Fatalf("object from %d evacuated to [%d,%d), across a region boundary", mv.Src, mv.Dst, mv.Dst+mv.Size)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("nothing evacuated; the checks above are vacuous")
+	}
+}
+
+// TestSummaryTailShorterThanObject: the space behind an in-place prefix
+// is offered as a destination even when it is 16 bytes long; a 32-byte
+// object must pass it by, not run over into the next region.
+func TestSummaryTailShorterThanObject(t *testing.T) {
+	const R = layout.RegionSize
+	objs := [][2]int{{0, R / 4}, {R / 4, R / 4}, {R / 2, R / 4}, {3 * R / 4, R/4 - 16}} // region 0, dense
+	for i := 0; i < 64; i++ {                                                           // region 1 is garbage; region 2:
+		objs = append(objs, [2]int{2*R + 32*i, 32})
+	}
+	s, geo := summarizeMarks(t, objs)
+	checkDestinations(t, s, geo)
+}
+
+// TestSummaryObjectsBehindPinnedHumongousTail: an earlier collection
+// packed small objects behind a pinned humongous object's tail. When
+// they are evacuated to lower space, the tail must enter the destination
+// pool once, not once for the humongous object and again for the last of
+// them.
+func TestSummaryObjectsBehindPinnedHumongousTail(t *testing.T) {
+	const R = layout.RegionSize
+	objs := [][2]int{{0, R / 4}, {R / 4, R / 4}, {R / 2, R / 4}, {3 * R / 4, R / 4}} // region 0, dense
+	objs = append(objs, [2]int{5 * R, R + R/2})                                      // regions 1–4 garbage; humongous on 5–6
+	for i := 0; i < 4; i++ {
+		objs = append(objs, [2]int{6*R + R/2 + 32*i, 32}) // behind its tail
+	}
+	for off := 7 * R; off < 12*R; off += 32 { // five full regions above: more than regions 1–4 and one tail hold
+		objs = append(objs, [2]int{off, 32})
+	}
+	s, geo := summarizeMarks(t, objs)
+	checkDestinations(t, s, geo)
+}

@@ -216,16 +216,24 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 		case o.src+o.size <= densePrefixEnd:
 			dst = o.src
 		case o.size > pheap.HugeThreshold:
-			// Pinned humongous object: allocated on exclusive region-
-			// aligned runs, stays put; its final region's tail becomes
-			// destination space immediately (nothing else lives there).
+			// Pinned humongous object: allocated on a region-aligned run
+			// of its own, stays put. Its final region's tail becomes
+			// destination space immediately only while nothing else lives
+			// there: an earlier collection may have packed objects behind
+			// the tail, and then the last of them releases it, below, like
+			// the space behind any other in-place prefix — releasing it
+			// here as well would hand the same bytes out twice.
 			dst = o.src
 			tail := o.src + o.size
-			if tail%layout.RegionSize != 0 {
+			if last := lastObj[regionOf(tail-1)]; tail%layout.RegionSize != 0 && (last < 0 || last == i) {
 				pool.push(tail)
 			}
 		default:
-			if destRegion < 0 || destFill+o.size > regionStart(destRegion)+layout.RegionSize {
+			// A pool entry is a whole region or the tail behind an
+			// in-place prefix, and a tail can be shorter than the object:
+			// such an entry is dropped (the fill pass plugs it), never
+			// overrun into the next region.
+			for destRegion < 0 || destFill+o.size > regionStart(destRegion)+layout.RegionSize {
 				retireDest()
 				if pool.empty() {
 					return nil, ErrNoSpaceToCompact

@@ -40,12 +40,12 @@ func crashScript() []kvOp {
 		ops = append(ops, kvOp{del: true, key: i}) // delete seeded
 	}
 	ops = append(ops,
-		kvOp{del: true, key: 203},     // delete a fresh insert
-		kvOp{key: 203, val: 3333},     // re-insert it
-		kvOp{key: 300, val: 4444},     // one more fresh
-		kvOp{del: true, key: 5},       // delete an overwritten key
-		kvOp{del: true, key: 999},     // delete a key never present
-		kvOp{key: 0, val: 9999},       // second overwrite of key 0
+		kvOp{del: true, key: 203}, // delete a fresh insert
+		kvOp{key: 203, val: 3333}, // re-insert it
+		kvOp{key: 300, val: 4444}, // one more fresh
+		kvOp{del: true, key: 5},   // delete an overwritten key
+		kvOp{del: true, key: 999}, // delete a key never present
+		kvOp{key: 0, val: 9999},   // second overwrite of key 0
 	)
 	return ops
 }
@@ -322,5 +322,176 @@ func TestCrashDuringConcurrentGCWithIndexTraffic(t *testing.T) {
 			}
 		}
 		verifyExact(t, tag, h2, model, inflight, beforeVal)
+	}
+}
+
+// hintStep is one scripted step of the warm-hint sweep. stall steps play
+// a publisher that died between its CAS and its flush — the word is left
+// dirty and unflushed by hand — followed by the Get that finds the node
+// through its hint and has to help.
+type hintStep struct {
+	kvOp
+	stall bool
+}
+
+func warmHintScript() []hintStep {
+	return []hintStep{
+		{kvOp: kvOp{key: 3, val: 7003}},               // put-update through the hint
+		{kvOp: kvOp{key: 7, val: 7007}, stall: true},  // get helps a stalled value publication
+		{kvOp: kvOp{del: true, key: 20}},              // delete of a hinted key
+		{kvOp: kvOp{key: 20, val: 7020}},              // re-put: the hint names the marked node
+		{kvOp: kvOp{del: true, key: 23}, stall: true}, // get helps a stalled delete mark
+		{kvOp: kvOp{key: 23, val: 7023}},              // and the key comes back
+		{kvOp: kvOp{key: 3, val: 7103}},               // second update, same hinted node
+		{kvOp: kvOp{del: true, key: 3}},               // delete it
+		{kvOp: kvOp{del: true, key: 7}, stall: true},  // stalled delete of the helped key
+		{kvOp: kvOp{key: 26, val: 7026}, stall: true}, // stalled update of an untouched hinted key
+	}
+}
+
+// TestCrashWithWarmHints is the flush-boundary sweep with the volatile
+// shortcut in play: every seeded key is read once (its hint installed),
+// then updates, deletes, re-puts and helping gets run on hinted keys with
+// a crash at boundary k, for every k the script reaches. The reloaded
+// image must hold exactly the acknowledged mappings, and the reopened
+// index must start with no table: its first probe is a miss.
+func TestCrashWithWarmHints(t *testing.T) {
+	pristine, baseModel := buildCrashBase(t)
+	script := warmHintScript()
+
+	for k := uint64(1); ; k++ {
+		tag := fmt.Sprintf("k=%d", k)
+		img := make([]byte, len(pristine))
+		copy(img, pristine)
+		dev := nvm.FromImage(img, nvm.Config{Mode: nvm.Tracked})
+		h, err := pheap.Load(dev, klass.NewRegistry())
+		if err != nil {
+			t.Fatalf("%s: load: %v", tag, err)
+		}
+		ix, err := Open(h, NoPin{}, "kv", Options{})
+		if err != nil {
+			t.Fatalf("%s: open: %v", tag, err)
+		}
+		bk := boxKlass(t, h)
+		c := ix.NewCtx()
+		model := map[int64]int64{}
+		for key, v := range baseModel {
+			model[key] = v
+			if _, ok := c.Get(key); !ok { // warm: the walk installs the hint, flushing nothing
+				t.Fatalf("%s: seeded key %d missing", tag, key)
+			}
+		}
+		// 100 keys share 128 slots: the script's own keys go in last, and
+		// must not evict one another.
+		for pass := 0; pass < 2; pass++ {
+			for _, st := range script {
+				if pass == 0 {
+					c.Get(st.key)
+				} else if c.probe(mixHash(st.key), uint64(st.key)) == layout.NullRef {
+					t.Fatalf("%s: scripted key %d lost its slot to another scripted key", tag, st.key)
+				}
+			}
+		}
+		// get reads key through c and checks the answer against want.
+		get := func(key, want int64) error {
+			got := absent
+			if box, ok := c.Get(key); ok {
+				got = int64(h.GetWord(box, layout.FieldOff(0)))
+			}
+			if got != want {
+				return fmt.Errorf("get %d = %d, want %d", key, got, want)
+			}
+			return nil
+		}
+
+		faultdev.CrashIn(dev, k)
+		var inflight *kvOp
+		var beforeVal int64
+		crashed, err := faultdev.Run(dev, func() error {
+			for i := range script {
+				st := script[i]
+				op := st.kvOp
+				inflight, beforeVal = &op, model[op.key]
+				hits := c.Stats().HintHits
+				switch {
+				case st.stall:
+					// The dead publisher: CAS only, on the node the hint
+					// table names (read back through the walk-free path).
+					node := c.probe(mixHash(op.key), uint64(op.key))
+					if node == layout.NullRef {
+						return fmt.Errorf("step %d: key %d not hinted", i, op.key)
+					}
+					want := absent
+					if op.del {
+						cw := c.loadClean(node, ix.fNext)
+						c.cas(node, ix.fNext, cw, cw|tagDel|tagDirty)
+						ix.size.Add(-1)
+					} else {
+						box, err := h.Alloc(bk, 0)
+						if err != nil {
+							return err
+						}
+						h.SetWord(box, layout.FieldOff(0), uint64(op.val))
+						h.FlushRange(box, 0, bk.SizeOf(0))
+						c.cas(node, ix.fVal, c.loadClean(node, ix.fVal), uint64(box)|tagDirty)
+						want = op.val
+					}
+					helps := c.Stats().HelpFlushes
+					if err := get(op.key, want); err != nil {
+						return fmt.Errorf("step %d: %v", i, err)
+					}
+					if c.Stats().HelpFlushes == helps {
+						return fmt.Errorf("step %d: get of key %d helped nothing", i, op.key)
+					}
+				case op.del:
+					c.Delete(op.key)
+				default:
+					if err := putBoxed(t, h, c, bk, op.key, op.val); err != nil {
+						return fmt.Errorf("put %d: %v", op.key, err)
+					}
+					if beforeVal != absent && c.Stats().HintHits == hits {
+						return fmt.Errorf("step %d: update of key %d walked the chain", i, op.key)
+					}
+				}
+				apply(model, op)
+				inflight = nil
+				// Every acknowledged state reads back, hint or no hint.
+				if err := get(op.key, model[op.key]); err != nil {
+					return fmt.Errorf("step %d: %v", i, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		if !crashed {
+			if k == 1 {
+				t.Fatal("script issued no flushes")
+			}
+			t.Logf("covered %d flush boundaries over %d steps", k-1, len(script))
+			return
+		}
+
+		after := nvm.FromImage(dev.CrashImage(nvm.CrashRandomEviction, int64(k)), nvm.Config{Mode: nvm.Tracked})
+		h2, err := pheap.Load(after, klass.NewRegistry())
+		if err != nil {
+			t.Fatalf("%s: reload: %v", tag, err)
+		}
+		verifyExact(t, tag, h2, model, inflight, beforeVal)
+
+		ix2, err := Open(h2, NoPin{}, "kv", Options{})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", tag, err)
+		}
+		if ix2.hints.Load() != nil {
+			t.Fatalf("%s: reopened index carries a hint table", tag)
+		}
+		c2 := ix2.NewCtx()
+		c2.Get(0)
+		if st := c2.Stats(); st.HintHits != 0 || st.HintMisses != 1 {
+			t.Fatalf("%s: first probe after reopen: %d hits, %d misses; want a miss", tag, st.HintHits, st.HintMisses)
+		}
+		c2.Release()
 	}
 }

@@ -51,6 +51,65 @@
 // while pgc.CollectConcurrent marks. Each operation runs as one
 // safepoint interval through the Pinner, so compaction never moves a
 // node out from under an operation's local references.
+//
+// # Volatile shortcut
+//
+// The list is the only durable search structure, and with the bucket
+// table capped a lookup in a large map walks a chain of device loads. On
+// top of it the Index keeps a volatile, direct-mapped hint table in DRAM
+// (hint.go): one word per slot naming a data node — its heap offset plus
+// a 16-bit fingerprint of the key's hash — in the slot the hash's top
+// bits select (the bucket index uses the low ones, so keys of one chain
+// spread over the table). Nothing about it is persisted, flushed or
+// recovered, following the split Zuriel et al. use for their fastest
+// durable set: search structure volatile, members durable.
+//
+// Protocol. Get and Put probe the table first, inside their pin. A slot
+// whose fingerprint matches is checked against the node itself: its key
+// must be the key, and its next word — read through loadClean, so helped
+// durable first — must carry no delete mark. That read is the
+// linearization point, the same one the chain walk ends on: an unmarked
+// data node is the one live resident for its key. From there the
+// operation continues exactly as after find (Get reads the value clean;
+// Put publishes the value, then re-checks the mark and falls back to the
+// walk if a delete won). Every other outcome — no table, empty slot,
+// other fingerprint, other key, mark set (the slot is cleared) — is a
+// miss: the operation walks the chain unchanged and then records the
+// node it ended on. Delete, Scan, grow and Recover neither read nor
+// write the table.
+//
+// Why acting on a hinted node is durable-linearizable:
+//
+//   - A hint is recorded only for a node whose inbound link is known
+//     durable: find returned it (every link find crosses was read clean)
+//     or insert's publish of it returned. From then on the node stays
+//     durably reachable until its own delete mark persists. Every CAS on
+//     the path to it either splices a new node in front (the new node's
+//     next, pointing onward, is persisted before the CAS, and the old
+//     link stays in the image until the new one is flushed) or unlinks a
+//     neighbour (whose successor link led here and was clean); the only
+//     CAS that disconnects the node itself is its own unlink, which find
+//     and Delete issue only after reading its mark clean, i.e. durable.
+//     So "key matches, mark clear" read from the node implies what the
+//     walk would have established: the node is in the durable list.
+//   - Within one layout epoch an offset can never name reused memory.
+//     Nodes are freed only by a collection and moved only by a collection
+//     or a rebase, both of which bump pheap.LayoutEpoch before the world
+//     restarts; the table is tagged with the epoch it was filled under
+//     and a table of another epoch reads as empty (the same rule the
+//     cached header ref follows). A pin holds the epoch still, so a probe
+//     that saw the current epoch dereferences only nodes of this epoch —
+//     live, or unlinked and still carrying their mark.
+//   - A crash forgets the table. Open starts without one, and since no
+//     decision was ever taken on a hint alone, nothing the image holds
+//     depends on what the table said.
+//
+// Sizing. The code sizes the table from Len: the smallest power of two
+// ≥ Len (at least 64 slots), allocated empty on the first record and
+// started over empty when Len outgrows it or the epoch moves — 8 bytes
+// of DRAM per slot, under 16 per entry. A direct-mapped table this size
+// keeps roughly the most recently touched two thirds of a uniformly
+// hashed population; which entries those are is only a matter of speed.
 package pindex
 
 import (
@@ -130,7 +189,10 @@ func (o *Options) fillDefaults() error {
 // moves objects and patches only the slots it can see, never Go locals)
 // waits for the operation to finish. core.Runtime's SafepointPinner
 // adapts the runtime's safepoint lock; callers whose heap never collects
-// concurrently with index traffic pass NoPin. Operations must not nest
+// concurrently with index traffic pass NoPin. The index's Pinner is the
+// default for its contexts; one created with NewCtxPinned pins through
+// a Pinner of its own instead (PMap gives each pooled ctx a private slot
+// of the runtime's safepoint). Operations must not nest
 // on one goroutine (e.g. calling Get from inside a Scan callback): the
 // second Pin can deadlock behind a collector pause waiting on the
 // first.
@@ -169,6 +231,10 @@ type Index struct {
 	// bump the epoch, which invalidates the pair.
 	root atomic.Pointer[rootCache]
 
+	// hints is the volatile shortcut over the durable list (hint.go):
+	// key → data node, epoch-tagged like root, never persisted.
+	hints atomic.Pointer[hintTable]
+
 	nodeK, hdrK, arrK *klass.Klass
 	nodeSize          int
 	fSort, fKey       int // immutable node fields
@@ -185,6 +251,8 @@ type CtxStats struct {
 	Fences              int // fences this ctx issued
 	HelpFlushes         int // dirty links persisted on behalf of other threads
 	Retries             int // CAS publications that lost a race
+	HintHits            int // Gets and Puts that reached their node through the hint table
+	HintMisses          int // Gets and Puts that walked the bucket chain
 }
 
 // Ctx is a per-goroutine operation context: a PLAB allocator for node
@@ -195,7 +263,10 @@ type CtxStats struct {
 // different cores share no counter line. Not safe for concurrent use;
 // give each goroutine its own and Release it when done.
 type Ctx struct {
-	ix    *Index
+	ix *Index
+	// pin makes each of this ctx's operations a safepoint interval: the
+	// index's Pinner, or the owner's private one (NewCtxPinned).
+	pin   Pinner
 	alloc *pheap.Allocator
 	satb  *pheap.SATBBuffer
 	stats CtxStats
@@ -313,17 +384,24 @@ func (ix *Index) Name() string { return ix.name }
 // (exact when no operation is in flight; recounted by recovery).
 func (ix *Index) Len() int { return int(ix.size.Load()) }
 
-// NewCtx attaches a per-goroutine operation context.
-func (ix *Index) NewCtx() *Ctx {
+// NewCtx attaches a per-goroutine operation context that pins through
+// the index's Pinner.
+func (ix *Index) NewCtx() *Ctx { return ix.NewCtxPinned(ix.pin) }
+
+// NewCtxPinned attaches a per-goroutine operation context whose
+// operations (grow and Release included) pin through pin instead of the
+// index's Pinner — a pin the owner shares with nobody, such as its own
+// safepoint.Slot of the domain the index's Pinner belongs to.
+func (ix *Index) NewCtxPinned(pin Pinner) *Ctx {
 	alloc := ix.h.NewAllocator()
-	return &Ctx{ix: ix, alloc: alloc, satb: ix.h.NewSATBBuffer(), cell: alloc.TelemetryCell()}
+	return &Ctx{ix: ix, pin: pin, alloc: alloc, satb: ix.h.NewSATBBuffer(), cell: alloc.TelemetryCell()}
 }
 
 // Release retires the ctx: PLAB headroom returns to the dispenser and
 // pending barrier records are handed to the heap's shared buffer.
 func (c *Ctx) Release() {
-	c.ix.pin.Pin()
-	defer c.ix.pin.Unpin()
+	c.pin.Pin()
+	defer c.pin.Unpin()
 	c.alloc.Release()
 	c.cell = nil // released with the allocator; counts folded into the registry
 	c.ix.h.ReleaseSATBBuffer(c.satb)
@@ -476,10 +554,15 @@ restart:
 				curr = layout.Ref(predW)
 				continue
 			}
-			cs := a.GetWord(curr, c.ix.fSort)
-			ck := a.GetWord(curr, c.ix.fKey)
-			if !soLess(cs, ck, sort, key) {
-				return pred, predW, curr, cs == sort && ck == key
+			// The list's total order is (sort, key); key only breaks a
+			// split-order tie (two keys with one hash), so it is loaded
+			// only then.
+			if cs := a.GetWord(curr, c.ix.fSort); cs > sort {
+				return pred, predW, curr, false
+			} else if cs == sort {
+				if ck := a.GetWord(curr, c.ix.fKey); ck >= key {
+					return pred, predW, curr, ck == key
+				}
 			}
 			pred, predW = curr, cw
 			curr = layout.Ref(succ)
@@ -630,8 +713,8 @@ func (c *Ctx) grow() {
 		return
 	}
 	defer ix.growing.Store(false)
-	ix.pin.Pin()
-	defer ix.pin.Unpin()
+	c.pin.Pin()
+	defer c.pin.Unpin()
 	hdr := c.header()
 	w := c.loadClean(hdr, ix.fBuckets)
 	arr := layout.Ref(layout.UntagRef(layout.Ref(w)))
@@ -677,25 +760,29 @@ func (c *Ctx) Put(key int64, val layout.Ref) error {
 
 func (c *Ctx) putPinned(key int64, val layout.Ref) (overloaded bool, err error) {
 	ix := c.ix
-	ix.pin.Pin()
-	defer ix.pin.Unpin()
+	c.pin.Pin()
+	defer c.pin.Unpin()
 	c.stats.Puts++
 	c.cell.Inc(telemetry.CtrIndexPuts)
-	sort := dataSort(mixHash(key))
+	hash := mixHash(key)
+	node := c.probe(hash, uint64(key))
 	for {
-		hdr := c.header()
-		arr, n := c.buckets(hdr)
-		head, err := c.bucketHead(arr, mixHash(key)&uint64(n-1))
-		if err != nil {
-			return false, err
-		}
-		node, existed, err := c.insert(head, sort, uint64(key), val)
-		if err != nil {
-			return false, err
-		}
-		if !existed {
-			ix.size.Add(1)
-			return float64(ix.size.Load()) > ix.opts.MaxLoadFactor*float64(n), nil
+		if node == layout.NullRef {
+			hdr := c.header()
+			arr, n := c.buckets(hdr)
+			head, err := c.bucketHead(arr, hash&uint64(n-1))
+			if err != nil {
+				return false, err
+			}
+			var existed bool
+			if node, existed, err = c.insert(head, dataSort(hash), uint64(key), val); err != nil {
+				return false, err
+			}
+			c.hint(hash, node)
+			if !existed {
+				ix.size.Add(1)
+				return float64(ix.size.Load()) > ix.opts.MaxLoadFactor*float64(n), nil
+			}
 		}
 		// Existing key: publish the new value on its slot, then re-check
 		// the node was not deleted underneath — if it was, the delete
@@ -712,6 +799,7 @@ func (c *Ctx) putPinned(key int64, val layout.Ref) (overloaded bool, err error) 
 		if c.loadClean(node, ix.fNext)&tagDel == 0 {
 			return false, nil
 		}
+		node = layout.NullRef
 	}
 }
 
@@ -722,17 +810,22 @@ func (c *Ctx) putPinned(key int64, val layout.Ref) (overloaded bool, err error) 
 // absent — never a masked failure.
 func (c *Ctx) Get(key int64) (layout.Ref, bool) {
 	ix := c.ix
-	ix.pin.Pin()
-	defer ix.pin.Unpin()
+	c.pin.Pin()
+	defer c.pin.Unpin()
 	c.stats.Gets++
 	c.cell.Inc(telemetry.CtrIndexGets)
-	arr, n := c.buckets(c.header())
-	head := c.bucketHeadRead(arr, mixHash(key)&uint64(n-1))
-	_, _, curr, found := c.find(head, dataSort(mixHash(key)), uint64(key))
-	if !found {
-		return 0, false
+	hash := mixHash(key)
+	node := c.probe(hash, uint64(key))
+	if node == layout.NullRef {
+		arr, n := c.buckets(c.header())
+		head := c.bucketHeadRead(arr, hash&uint64(n-1))
+		var found bool
+		if _, _, node, found = c.find(head, dataSort(hash), uint64(key)); !found {
+			return 0, false
+		}
+		c.hint(hash, node)
 	}
-	vw := c.loadClean(curr, ix.fVal)
+	vw := c.loadClean(node, ix.fVal)
 	return layout.UntagRef(layout.Ref(vw)), true
 }
 
@@ -742,8 +835,8 @@ func (c *Ctx) Get(key int64) (layout.Ref, bool) {
 // recovery. Like Get, the path never allocates and so cannot fail.
 func (c *Ctx) Delete(key int64) bool {
 	ix := c.ix
-	ix.pin.Pin()
-	defer ix.pin.Unpin()
+	c.pin.Pin()
+	defer c.pin.Unpin()
 	c.stats.Deletes++
 	c.cell.Inc(telemetry.CtrIndexDeletes)
 	sort := dataSort(mixHash(key))
@@ -778,8 +871,8 @@ func (c *Ctx) Delete(key int64) bool {
 // seen — the usual weakly consistent lock-free iteration.
 func (c *Ctx) Scan(fn func(key int64, val layout.Ref) bool) {
 	ix := c.ix
-	ix.pin.Pin()
-	defer ix.pin.Unpin()
+	c.pin.Pin()
+	defer c.pin.Unpin()
 	c.cell.Inc(telemetry.CtrIndexScans)
 	a := c.alloc
 	arr, _ := c.buckets(c.header())

@@ -4,10 +4,10 @@
 // every pshard.Shard has one of its own.
 //
 // A Point serves two kinds of reader. Ownerless readers (Runtime-level
-// accessors, PMap operations, tools) take the read side of an RWMutex,
-// which costs two locked read-modify-writes on a line every reader
-// shares. A reader with an identity — a core.Mutator, a pshard.Ctx's
-// handle on one shard — gets a Slot instead: a cache-line-padded word
+// accessors, tools) take the read side of an RWMutex, which costs two
+// locked read-modify-writes on a line every reader shares. A reader with
+// an identity — a core.Mutator, a pshard.Ctx's handle on one shard, a
+// PMap's pooled pindex.Ctx — gets a Slot instead: a cache-line-padded word
 // only it writes. Pinning stores 1 to the slot and then loads the
 // Point's stopping flag, a line that is only ever written by a stop and
 // so stays Shared in every cache; unpinning stores 0. A HotSpot

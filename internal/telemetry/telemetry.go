@@ -63,6 +63,8 @@ const (
 	CtrIndexScans       // Scan operations
 	CtrIndexHelpFlushes // dirty links persisted on behalf of other threads
 	CtrIndexGrows       // bucket-table doublings
+	CtrIndexHintHits    // Gets and Puts that reached their node through the volatile hint table
+	CtrIndexHintMisses  // Gets and Puts that walked the bucket chain instead
 
 	// GC event counters (subsystem gc).
 	CtrGCCycles     // persistent collections completed
@@ -96,7 +98,7 @@ var opNames = [...]string{
 	"refstore.stores", "refstore.satb_records", "refstore.remset_publishes",
 	"refstore.remset_deltas", "safepoint.pauses",
 	"index.gets", "index.puts", "index.deletes", "index.scans",
-	"index.help_flushes", "index.grows",
+	"index.help_flushes", "index.grows", "index.hint_hits", "index.hint_misses",
 	"gc.cycles", "gc.recoveries",
 	"shard.quarantined", "salvage.regions_lost",
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"espresso/internal/pindex"
+	"espresso/internal/safepoint"
 )
 
 // PMapOptions configures OpenPMap. Zero values select the pindex
@@ -23,8 +24,9 @@ type PMapOptions struct {
 // (internal/pindex), opened by name like any other root object. All
 // methods are safe for concurrent use from any goroutine: each call
 // borrows a per-goroutine operation context (PLAB allocator + SATB
-// barrier buffer) from an internal pool, runs as one safepoint interval,
-// and is durable-linearizable — when Put or Delete returns, the mutation
+// barrier buffer + a private slot of the runtime's safepoint) from an
+// internal pool, runs as one safepoint interval on that slot — a line no
+// other context writes — and is durable-linearizable — when Put or Delete returns, the mutation
 // has been persisted (no FlushObject call needed), and a reload after a
 // crash recovers exactly the committed mappings.
 //
@@ -35,7 +37,22 @@ type PMapOptions struct {
 // the process.
 type PMap struct {
 	ix   *pindex.Index
-	pool ctxPool[*pindex.Ctx]
+	pool ctxPool[pmapCtx]
+}
+
+// pmapCtx is a pooled operation context: a pindex.Ctx that pins through
+// its own slot of the runtime's safepoint, the way a pshard.Ctx holds one
+// slot per shard.
+type pmapCtx struct {
+	*pindex.Ctx
+	slot *safepoint.Slot
+}
+
+// Release retires the context and then its slot (Ctx.Release pins
+// through it one last time).
+func (c pmapCtx) Release() {
+	c.Ctx.Release()
+	c.slot.Retire()
 }
 
 // OpenPMap attaches to (or creates) the persistent map registered under
@@ -56,7 +73,10 @@ func (rt *Runtime) OpenPMap(heapName, mapName string, opts PMapOptions) (*PMap, 
 		return nil, err
 	}
 	m := &PMap{ix: ix}
-	m.pool.newCtx = ix.NewCtx
+	m.pool.newCtx = func() pmapCtx {
+		slot := rt.Runtime.NewSafepointSlot()
+		return pmapCtx{ix.NewCtxPinned(slot), slot}
+	}
 	m.pool.registerGauges(h.Telemetry(), "pmap."+mapName+".ctx")
 	return m, nil
 }

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"espresso/internal/pindex"
 )
 
 // TestTelemetryPoolGaugeBurst pins the ctx-pool gauges: a borrow burst
@@ -28,7 +26,7 @@ func TestTelemetryPoolGaugeBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	const burst = maxIdleCtxs + 8
-	ctxs := make([]*pindex.Ctx, 0, burst)
+	ctxs := make([]pmapCtx, 0, burst)
 	for i := 0; i < burst; i++ {
 		ctxs = append(ctxs, m.pool.borrow())
 	}
@@ -179,6 +177,10 @@ func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
 	if got := delta("index.puts"); got != ops {
 		t.Fatalf("index.puts delta = %d, want %d", got, ops)
 	}
+	// Every Put (and Get) probes the hint table exactly once.
+	if got := delta("index.hint_hits") + delta("index.hint_misses"); got != ops {
+		t.Fatalf("index.hint_hits + index.hint_misses delta = %d, want %d", got, ops)
+	}
 	if got := delta("index.grows"); got != 0 {
 		t.Fatalf("index.grows delta = %d, want 0 (oracle assumes no table growth)", got)
 	}
@@ -274,6 +276,18 @@ func TestTelemetryHTTPFacade(t *testing.T) {
 	if _, err := rt.PNew(person); err != nil {
 		t.Fatal(err)
 	}
+	// One insert (the probe misses, the walk leaves a hint) and one
+	// lookup through it.
+	pm, err := rt.OpenPMap("web", "hinted", PMapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Put(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pm.Get(1); !ok {
+		t.Fatal("key 1 absent")
+	}
 	get := func(path string) string {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
@@ -294,6 +308,17 @@ func TestTelemetryHTTPFacade(t *testing.T) {
 	}
 	if body := get("/vars"); !strings.Contains(body, `"alloc.objects"`) {
 		t.Fatalf("/vars misses alloc.objects:\n%s", body)
+	}
+	for path, want := range map[string][]string{
+		"/metrics": {"espresso_index_hint_hits_total 1", "espresso_index_hint_misses_total 1"},
+		"/vars":    {`"index.hint_hits":1`, `"index.hint_misses":1`},
+	} {
+		body := strings.ReplaceAll(get(path), `": `, `":`)
+		for _, w := range want {
+			if !strings.Contains(body, w) {
+				t.Fatalf("%s misses %s:\n%s", path, w, body)
+			}
+		}
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
