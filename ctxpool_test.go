@@ -1,6 +1,9 @@
 package espresso
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"espresso/internal/layout"
@@ -66,6 +69,136 @@ func TestCtxPoolBurstRetiresAndReleases(t *testing.T) {
 				free += m.Set().Shard(i).Heap().FreeBytes()
 			}
 			return free
+		})
+	})
+}
+
+// stressPool has 8 goroutines borrow, use and hand back ctxs of p — one
+// to three at a time — as fast as they can while another goroutine keeps
+// sampling the gauges. Each starts by holding five at once until all do
+// — 40 out against a cap of 32 — so handing those back races the retire
+// path as well. id names a
+// ctx; no ctx may be out with two borrowers at once, and once everyone is
+// done nothing may be missing: created − retired − idle, the number
+// checked out, is 0.
+func stressPool[C interface{ Release() }](t *testing.T, p *ctxPool[C], id func(C) any, use func(c C, g, i int) error) {
+	t.Helper()
+	const goroutines, rounds = 8, 400
+	var held sync.Map
+	take := func(g int) C {
+		c := p.borrow()
+		if other, dup := held.LoadOrStore(id(c), g); dup {
+			t.Errorf("goroutine %d was handed a ctx goroutine %d still holds", g, other)
+		}
+		return c
+	}
+	give := func(c C) {
+		held.Delete(id(c))
+		p.put(c)
+	}
+	done := make(chan struct{})
+	var sampler, workers sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if idle := p.idleCount(); idle < 0 || idle > maxIdleCtxs {
+				t.Errorf("idle gauge read %d with a cap of %d", idle, maxIdleCtxs)
+				return
+			}
+			if live := p.created.Load() - p.retired.Load(); live < 0 {
+				t.Errorf("created − retired read %d", live)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	var allHolding sync.WaitGroup
+	allHolding.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		workers.Add(1)
+		go func(g int) {
+			defer workers.Done()
+			var cs [5]C
+			for j := range cs {
+				cs[j] = take(g)
+			}
+			allHolding.Done()
+			allHolding.Wait()
+			for j := range cs {
+				give(cs[j])
+			}
+			for i := 0; i < rounds; i++ {
+				n := 1 + i%3
+				for j := 0; j < n; j++ {
+					cs[j] = take(g)
+				}
+				for j := 0; j < n; j++ {
+					if err := use(cs[j], g, i*3+j); err != nil {
+						t.Errorf("goroutine %d: %v", g, err)
+					}
+					give(cs[j])
+				}
+			}
+		}(g)
+	}
+	workers.Wait()
+	close(done)
+	sampler.Wait()
+	created, idle, retired := p.created.Load(), p.idleCount(), p.retired.Load()
+	if out := created - retired - idle; out != 0 || idle > maxIdleCtxs {
+		t.Fatalf("at rest created/idle/retired = %d/%d/%d: %d checked out, want 0", created, idle, retired, out)
+	}
+	if retired == 0 {
+		t.Fatalf("%d ctxs were out at once and none was retired at a cap of %d", 5*goroutines, maxIdleCtxs)
+	}
+}
+
+// TestCtxPoolStress is the pool's -race target, over both facades' ctx
+// types: real ctxs doing real puts and gets on disjoint keys.
+func TestCtxPoolStress(t *testing.T) {
+	rt, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("PMap", func(t *testing.T) {
+		if err := rt.CreateHeap("kv", 64<<20); err != nil {
+			t.Fatal(err)
+		}
+		m, err := rt.OpenPMap("kv", "stress", PMapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stressPool(t, &m.pool, func(c pmapCtx) any { return c.Ctx }, func(c pmapCtx, g, i int) error {
+			k := int64(g)<<32 | int64(i)
+			if err := c.Put(k, 0); err != nil {
+				return err
+			}
+			if _, ok := c.Get(k); !ok {
+				return fmt.Errorf("key %d lost", k)
+			}
+			return nil
+		})
+	})
+	t.Run("ShardedPMap", func(t *testing.T) {
+		m, err := rt.OpenSharded("stress", ShardedPMapOptions{Shards: 2, ShardDataSize: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stressPool(t, &m.pool, func(c *pshard.Ctx) any { return c }, func(c *pshard.Ctx, g, i int) error {
+			k := int64(g)<<32 | int64(i)
+			if err := c.Put(k, k); err != nil {
+				return err
+			}
+			if v, ok := c.Get(k); !ok || v != k {
+				return fmt.Errorf("key %d = (%d, %v)", k, v, ok)
+			}
+			return nil
 		})
 	})
 }

@@ -297,6 +297,70 @@ func BenchmarkPMapGetParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkShardedPMapPutParallel is the check for the write path through
+// the facade: a put of a key not yet present (box and node one allocation
+// run) and an update of a resident key (the box alone), every goroutine
+// on keys of its own. devlines/op and devfences/op are what the put
+// protocol costs the device — 4 / 3 and 3 / 3 plus the odd late sentinel
+// splice, PLAB refill and straddling box. ns/op at -cpu 2 against -cpu 1
+// shows what the facade's ctx-pool mutex costs two clients.
+func BenchmarkShardedPMapPutParallel(b *testing.B) {
+	for _, update := range []bool{false, true} {
+		name := "fresh"
+		if update {
+			name = "update"
+		}
+		b.Run(name, func(b *testing.B) {
+			rt, err := espresso.Open(espresso.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := rt.OpenSharded("bench", espresso.ShardedPMapOptions{
+				Shards: 4, ShardDataSize: 256 << 20,
+				// A fixed table, spliced by the resident keys below, so the
+				// window holds puts and not table growth.
+				Index: espresso.PMapOptions{InitialBuckets: 4096, MaxLoadFactor: 1 << 20}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			const resident = 1 << 16
+			for k := int64(0); k < resident; k++ {
+				if err := m.Put(k, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			devStats := func() (s nvm.Stats) {
+				for i := 0; i < m.NumShards(); i++ {
+					s = s.Add(m.Set().Shard(i).Heap().Device().Stats())
+				}
+				return s
+			}
+			lanes := int64(runtime.GOMAXPROCS(0))
+			var lane atomic.Int64
+			s0 := devStats()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				first := lane.Add(1) - 1
+				k := first
+				for pb.Next() {
+					k += lanes
+					key := resident + k // never seen before
+					if update {
+						key = k % resident
+					}
+					if err := m.Put(key, k); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			d := devStats().Sub(s0)
+			b.ReportMetric(float64(d.FlushedLines)/float64(b.N), "devlines/op")
+			b.ReportMetric(float64(d.Fences)/float64(b.N), "devfences/op")
+		})
+	}
+}
+
 // BenchmarkStringRoundTrip writes and reads back persistent strings. The
 // device-op count per round trip must be O(1), not O(len): the payload
 // moves with one bulk write and one bulk read.

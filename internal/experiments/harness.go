@@ -22,8 +22,8 @@ import (
 // (their own PLAB regions, their own publications, their own shard
 // devices), so their media time overlaps and the slowest one bounds
 // completion. runContract runs the workload twice, a feature off and
-// on, and hands both rows to the contract's check. Wall clock rides
-// along in every row and is never gated; docs/benchmarks.md has the
+// on, and hands both rows to the contract's check. Rows carry device
+// counts only — benchmark/ is the clock; docs/benchmarks.md has the
 // experiment index and the gate classes.
 
 // Row is one measurement of a device-cost workload. The same type
@@ -38,7 +38,6 @@ type Row struct {
 	Allocs          int     `json:"allocs,omitempty"`
 	Ops             int     `json:"ops,omitempty"`
 	Events          *int    `json:"events,omitempty"` // journal records appended in the window
-	WallNsPerOp     float64 `json:"wall_ns_per_op"`
 	ModeledNsPerOp  float64 `json:"modeled_ns_per_op,omitempty"`
 	ModeledSpeedup  float64 `json:"modeled_speedup_vs_1,omitempty"`
 	DevReads        float64 `json:"dev_reads_per_op"`
@@ -148,11 +147,9 @@ func (w *workload) measure(e env) (Row, *run, error) {
 		return Row{}, nil, err
 	}
 	s0, seq0 := r.sample()
-	t0 := time.Now()
 	if err := fanOut(e.mutators, r.body); err != nil {
 		return Row{}, nil, err
 	}
-	wall := time.Since(t0)
 	s1, seq1 := r.sample()
 	d := s1.Sub(s0)
 	ops := r.ops
@@ -162,7 +159,6 @@ func (w *workload) measure(e env) (Row, *run, error) {
 	n := float64(ops)
 	return Row{
 		Ops:          ops,
-		WallNsPerOp:  float64(wall.Nanoseconds()) / n,
 		DevReads:     float64(d.Reads) / n,
 		DevWrites:    float64(d.Writes) / n,
 		FlushedLines: float64(d.FlushedLines) / n,

@@ -183,25 +183,16 @@ func kvSetup(e env) (*run, error) {
 	for i := range ctxs {
 		ctxs[i] = ix.NewCtx()
 	}
-	// Lines each mutator flushes outside its ctx (the value-box
-	// persists), so the critical path charges them to their owner too.
-	boxLines := make([]int, e.mutators)
 	return &run{
 		heaps: []*pheap.Heap{h},
 		body: func(g int) error {
 			c := ctxs[g]
 			return servingMix(g, e.ops, func(k int64) error {
-				// Value box on the mutator's own PLAB, persisted before
-				// the put publishes a durable reference to it.
-				box, err := c.Allocator().Alloc(boxK, 0)
-				if err != nil {
-					return err
-				}
-				h.SetWord(box, layout.FieldOff(0), uint64(k))
-				n, off := boxK.SizeOf(0), h.OffOf(box)
-				boxLines[g] += (off+n-1)/layout.LineSize - off/layout.LineSize + 1
-				h.FlushRange(box, 0, n)
-				return c.Put(k, box)
+				// Value box built inside the put, on the mutator's own
+				// PLAB: one run with the node for a fresh key.
+				return c.PutNew(k, boxK, func(box layout.Ref) {
+					c.Allocator().SetWord(box, layout.FieldOff(0), uint64(k))
+				})
 			}, func(k int64) bool {
 				_, ok := c.Get(k)
 				return ok
@@ -209,8 +200,8 @@ func kvSetup(e env) (*run, error) {
 		},
 		critical: func() int {
 			lines := 0
-			for g, c := range ctxs {
-				lines = max(lines, c.Stats().FlushedLines+c.AllocStats().FlushedLines+boxLines[g])
+			for _, c := range ctxs {
+				lines = max(lines, c.Stats().FlushedLines+c.AllocStats().FlushedLines)
 			}
 			return lines
 		},

@@ -147,6 +147,28 @@ func (v *View) Stats() Stats {
 	return v.c.stats()
 }
 
+// Ops is a view's traffic counted in device operations only — the four
+// numbers owner-side attribution (AllocatorStats, telemetry's dev.*
+// counters) is kept in. It is cheap enough to take before and after every
+// operation, which is how an owner charges itself what the device saw
+// instead of what it expects to have issued.
+type Ops struct{ Reads, Writes, FlushedLines, Fences uint64 }
+
+// Ops reports the operations v's owner has issued through it. Owner-only,
+// like every access; zero for the Unowned view.
+func (v *View) Ops() Ops {
+	c := v.c
+	if c == nil {
+		return Ops{}
+	}
+	return Ops{
+		Reads:        c.readWords.Load() + c.readOps.Load(),
+		Writes:       c.writeWords.Load() + c.writeOps.Load(),
+		FlushedLines: c.flushedLines.Load(),
+		Fences:       c.fences.Load(),
+	}
+}
+
 // Release retires the view: its counts fold into the device's shared
 // counters and the cell leaves the list Stats sums, in one step, so no
 // snapshot sees them twice or not at all. The owner must not access the

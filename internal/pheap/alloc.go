@@ -28,9 +28,11 @@ import (
 // and strengthened the same way the seed strengthened it globally: for
 // every allocation,
 //
-//	(a) the object body is zeroed and its header written and persisted
-//	    (flush + fence) while the owning region's persisted top still
-//	    lies at or below the object start;
+//	(a) the object body is zeroed, its header written, the caller's
+//	    initializing stores (AllocInit's init, if any) run on the still
+//	    unpublished object, and header and body persist together — one
+//	    flush over the object, one fence — while the owning region's
+//	    persisted top still lies at or below the object start;
 //	(b) only then does that region's top word advance past the object
 //	    (write + flush + fence) — the publication point.
 //
@@ -38,12 +40,34 @@ import (
 // parseable run of objects at all times: a crash truncates each region
 // independently at its last persisted top and can never expose an
 // uninitialized header below one — the paper's "stale top value →
-// truncation" recovery rule, made unconditional and per-region. Tops of
-// different regions live on different cache lines (layout.RegionTopStride),
-// so concurrent mutators never contend on a shared persisted word; that
-// independence is exactly what lets allocation throughput scale with
-// cores while keeping the same two flush+fence pairs per object the
-// single-top allocator paid.
+// truncation" recovery rule, made unconditional and per-region. Folding
+// the body into (a) adds a second guarantee for free: an object a caller
+// goes on to link (pindex publishes a node with one CAS) is whole in the
+// image before any durable word can name it, without a flush of its own.
+// Alloc is AllocInit with no init: only the header has to beat the top,
+// so only the header is flushed, the same device ops as ever.
+//
+// AllocInit2 puts two small objects back to back under one (a) and one
+// (b): a single flush over both, a single fence, a single top advance.
+// Flushes of different lines issued before one fence persist in any
+// order, so a crash inside (a) can leave any subset of the run's lines
+// in the image. That is harmless exactly where nothing parses yet: above
+// the region's persisted top, which still lies at or below the run.
+// Below the top — in a recycled hole — it is not: the first object's
+// line could persist without the second's, and the region would parse
+// from a whole first object into the stale bytes behind it. So the pair
+// is a bump-path form only. While a recycled hole is attached (or the
+// heap has one to attach) the two objects go in one at a time, each
+// through the hole protocol below (covering filler first, then the
+// object, its init folded into its own persist), the first complete
+// before the second exists.
+//
+// Tops of different regions live on different cache lines
+// (layout.RegionTopStride), so concurrent mutators never contend on a
+// shared persisted word; that independence is exactly what lets
+// allocation throughput scale with cores while keeping the same two
+// flush+fence pairs per object (per run, for a pair) the single-top
+// allocator paid.
 //
 // Region-top table encoding (device offsets):
 //
@@ -110,10 +134,11 @@ type Allocator struct {
 	stats AllocatorStats
 
 	// cell is this mutator's telemetry counter block (nil when the heap
-	// has no registry). Allocation counts and device attribution for the
-	// alloc subsystem are tallied here at the call sites where the op
-	// counts are deterministic — the same owner-counting discipline as
-	// stats above, so the fast path gains no lock, fence, or device op.
+	// has no registry). Allocation counts are tallied here on the paths
+	// that take them, device attribution for the alloc subsystem once per
+	// call from what the view saw (account) — the same owner-counting
+	// discipline as stats above, so the fast path gains no lock, fence, or
+	// device op.
 	cell *telemetry.Cell
 }
 
@@ -144,95 +169,220 @@ func (a *Allocator) TelemetryCell() *telemetry.Cell { return a.cell }
 // zeroed; the header carries the current global timestamp. This is the
 // landing point of the pnew/panewarray/pnewarray bytecodes.
 func (a *Allocator) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
-	if k.IsArray() && arrayLen < 0 {
-		return 0, fmt.Errorf("pheap: negative array length %d", arrayLen)
-	}
-	if a.heap.gcActive.Load() {
-		return 0, fmt.Errorf("pheap: allocation while collection in progress")
-	}
-	size := k.SizeOf(arrayLen)
-	kaddr, err := a.klassAddr(k)
+	return a.AllocInit(k, arrayLen, nil)
+}
+
+// AllocInit is Alloc with the object's initializing stores folded into
+// its persist: init runs on the zeroed, headed, still unpublished object,
+// then header and body are flushed together and fenced once, and only
+// then does the object become parseable (see the ordering argument at
+// the top of this file). When AllocInit returns the object is durable as
+// init left it, so a caller about to link it needs no flush of its own.
+// init must only store into the object it is handed (through this
+// allocator); a nil init persists the header alone, which is Alloc.
+func (a *Allocator) AllocInit(k *klass.Klass, arrayLen int, init func(layout.Ref)) (layout.Ref, error) {
+	o, err := a.prepare(k, arrayLen)
 	if err != nil {
 		return 0, err
 	}
-	if size > HugeThreshold {
-		return a.allocHumongous(k, kaddr, arrayLen, size)
-	}
+	before := a.view.Ops()
+	ref, err := a.place(o, init)
+	a.account(before)
+	return ref, err
+}
 
-	// Recycled holes first, like the seed: refill collector-reported gaps
-	// below the region tops before claiming fresh regions.
+// AllocInit2 allocates two instances — a of k1, then b of k2 — as one
+// run where that is crash-safe: back to back on the bump path, init1(a)
+// and init2(a, b) run on both before anything is flushed, one flush over
+// the run, one fence, one region-top advance. b may therefore point at
+// a: a is durable no later than b. With a recycled hole to fill (or a
+// pair too large to share a PLAB) the same two objects go in one at a
+// time — AllocInit(k1, init1), then AllocInit(k2, init2 bound to a) —
+// because a torn run below a persisted top would not parse. On error a
+// may already be allocated (unreferenced garbage for the next
+// collection).
+func (a *Allocator) AllocInit2(k1, k2 *klass.Klass, init1 func(a layout.Ref), init2 func(a, b layout.Ref)) (layout.Ref, layout.Ref, error) {
+	o1, err := a.prepare(k1, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	o2, err := a.prepare(k2, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	before := a.view.Ops()
+	r1, r2, err := a.place2(o1, o2, init1, init2)
+	a.account(before)
+	return r1, r2, err
+}
+
+// allocObj is one object of an allocation: its klass, the klass record's
+// address for the header, and its resolved size.
+type allocObj struct {
+	k        *klass.Klass
+	kaddr    layout.Ref
+	arrayLen int
+	size     int
+}
+
+// prepare validates one allocation request and resolves what its header
+// needs, before any device work.
+func (a *Allocator) prepare(k *klass.Klass, arrayLen int) (allocObj, error) {
+	if k.IsArray() && arrayLen < 0 {
+		return allocObj{}, fmt.Errorf("pheap: negative array length %d", arrayLen)
+	}
+	if a.heap.gcActive.Load() {
+		return allocObj{}, fmt.Errorf("pheap: allocation while collection in progress")
+	}
+	kaddr, err := a.klassAddr(k)
+	if err != nil {
+		return allocObj{}, err
+	}
+	return allocObj{k: k, kaddr: kaddr, arrayLen: arrayLen, size: k.SizeOf(arrayLen)}, nil
+}
+
+// account closes an allocation call: whatever the view counted since
+// before — every path's zeroing, headers, init stores, fillers, top
+// publications, a PLAB retire or handoff plug on the way — is what the
+// call cost, in AllocatorStats and, attributed to the alloc subsystem, in
+// the telemetry cell. Derived, not tallied per site, so it cannot drift
+// from what the paths actually issue.
+func (a *Allocator) account(before nvm.Ops) {
+	now := a.view.Ops()
+	lines, fences := now.FlushedLines-before.FlushedLines, now.Fences-before.Fences
+	a.stats.FlushedLines += int(lines)
+	a.stats.Fences += int(fences)
+	a.cell.Dev(nvm.SubAlloc, now.Reads-before.Reads, now.Writes-before.Writes, lines, fences)
+}
+
+// place allocates one object on the path its size and the heap's state
+// select: a humongous run, a recycled hole (holes first, like the seed:
+// refill collector-reported gaps below the region tops before claiming
+// fresh regions), or the PLAB bump.
+func (a *Allocator) place(o allocObj, init func(layout.Ref)) (layout.Ref, error) {
+	if o.size > HugeThreshold {
+		return a.allocHumongous(o, init)
+	}
+	if a.holeFor(o.size) {
+		return a.allocInHole(o, init), nil
+	}
+	ref, _, err := a.bump(o, allocObj{}, init, nil)
+	return ref, err
+}
+
+// place2 allocates o1 then o2: as one bump run when no recycled hole is
+// waiting for o1 and the two can share a PLAB, one at a time otherwise.
+func (a *Allocator) place2(o1, o2 allocObj, init1 func(layout.Ref), init2 func(a, b layout.Ref)) (r1, r2 layout.Ref, err error) {
+	if o1.size+o2.size <= HugeThreshold && !a.holeFor(o1.size) {
+		return a.bump(o1, o2, init1, init2)
+	}
+	if r1, err = a.place(o1, init1); err != nil {
+		return 0, 0, err
+	}
+	var bound func(layout.Ref)
+	if init2 != nil {
+		bound = func(r2 layout.Ref) { init2(r1, r2) }
+	}
+	r2, err = a.place(o2, bound)
+	return r1, r2, err
+}
+
+// holeFor reports whether a recycled hole with room for size is attached,
+// attaching the heap's next one that fits if not.
+func (a *Allocator) holeFor(size int) bool {
 	if a.holeCur != 0 && a.holeCur+size <= a.holeEnd {
-		return a.allocInHole(k, kaddr, arrayLen, size), nil
+		return true
 	}
 	if a.heap.holeCount.Load() > 0 {
 		if hole, ok := a.heap.takeHole(size); ok {
 			a.holeCur, a.holeEnd = hole.Lo, hole.Hi
-			return a.allocInHole(k, kaddr, arrayLen, size), nil
+			return true
 		}
 	}
+	return false
+}
 
-	if a.cur+size > a.end {
-		if err := a.refill(size); err != nil {
-			return 0, err
+// persistSpan is how much of a freshly written object has to be durable
+// before it may become parseable: the whole object once init has stored
+// into it, the header alone otherwise (the body is zeroes nobody can
+// reach yet).
+func persistSpan(o allocObj, inited bool) int {
+	if inited {
+		return o.size
+	}
+	return headerBytesOf(o.k)
+}
+
+// bump allocates o1 — and o2 right behind it, when o2.k is set — at the
+// PLAB cursor: steps (a) and (b) of the ordering argument, once for the
+// run.
+func (a *Allocator) bump(o1, o2 allocObj, init1 func(layout.Ref), init2 func(a, b layout.Ref)) (r1, r2 layout.Ref, err error) {
+	total := o1.size + o2.size
+	if a.cur+total > a.end {
+		if err := a.refill(total); err != nil {
+			return 0, 0, err
 		}
 	}
 	off := a.cur
-	a.view.Zero(off, size)
-	a.writeHeader(off, kaddr, k, arrayLen)
-	a.view.Flush(off, headerBytesOf(k))
-	a.view.Fence()
-	a.cur = off + size
-	// Publication: the region's persisted top moves past the object only
-	// after its header is durable.
-	a.persistRegionTop(a.region, a.cur)
-	a.stats.Allocs++
-	a.stats.FlushedLines += lineSpan(off, headerBytesOf(k)) + 1
-	a.stats.Fences += 2
-	if c := a.cell; c != nil {
-		c.Inc(telemetry.CtrAllocObjects)
-		c.Add(telemetry.CtrAllocBytes, uint64(size))
-		// Zero + header words + top word; header lines + top line; two fences.
-		c.Dev(nvm.SubAlloc, 0, 2+headerWrites(k), uint64(lineSpan(off, headerBytesOf(k))+1), 2)
+	a.view.Zero(off, total)
+	a.writeHeader(off, o1.kaddr, o1.k, o1.arrayLen)
+	r1 = a.heap.AddrOf(off)
+	if init1 != nil {
+		init1(r1)
 	}
-	return a.heap.AddrOf(off), nil
+	span := persistSpan(o1, init1 != nil)
+	objs := uint64(1)
+	if o2.k != nil {
+		a.writeHeader(off+o1.size, o2.kaddr, o2.k, o2.arrayLen)
+		r2 = a.heap.AddrOf(off + o1.size)
+		if init2 != nil {
+			init2(r1, r2)
+		}
+		span = o1.size + persistSpan(o2, init2 != nil)
+		objs = 2
+	}
+	a.view.Flush(off, span)
+	a.view.Fence()
+	a.cur = off + total
+	// Publication: the region's persisted top moves past the run only
+	// after everything in it that must be durable is.
+	a.persistRegionTop(a.region, a.cur)
+	a.stats.Allocs += int(objs)
+	a.cell.Add(telemetry.CtrAllocObjects, objs)
+	a.cell.Add(telemetry.CtrAllocBytes, uint64(total))
+	return r1, r2, nil
 }
 
-// allocInHole claims size bytes from the attached hole. The hole is
+// allocInHole claims o.size bytes from the attached hole. The hole is
 // filler-covered, line-aligned (see pgc's gap split), and lies below its
 // region's persisted top, so the protocol is the seed's recycled-region
 // protocol: first persist a new tail filler for the remainder, then the
-// object header; a crash between the two leaves the old covering filler
-// in charge. The region top is untouched. (As in the seed, the
-// covering-filler handover is flush-ordered but not eviction-proof: an
-// adversarial eviction between the body zeroing and the header fence can
-// persist a half-rewritten filler header. Real x86 persists a line at
-// store granularity, so the klass-word store itself is never torn.)
-func (a *Allocator) allocInHole(k *klass.Klass, kaddr layout.Ref, arrayLen, size int) layout.Ref {
+// object (header, and body when init stored into it); a crash between
+// the two leaves the old covering filler in charge. The region top is
+// untouched. (As in the seed, the covering-filler handover is
+// flush-ordered but not eviction-proof: an adversarial eviction between
+// the body zeroing and the header fence can persist a half-rewritten
+// filler header. Real x86 persists a line at store granularity, so the
+// klass-word store itself is never torn.)
+func (a *Allocator) allocInHole(o allocObj, init func(layout.Ref)) layout.Ref {
 	off := a.holeCur
-	a.holeCur += size
-	var devW, devL, devF uint64
-	if tail := a.holeEnd - (off + size); tail > 0 {
-		a.fillGapRaw(off+size, tail)
-		a.stats.FlushedLines += lineSpan(off+size, layout.ArrayHdrBytes)
-		a.stats.Fences++
-		fw, fl := fillerCost(off+size, tail)
-		devW, devL, devF = fw, fl, 1
+	a.holeCur += o.size
+	if tail := a.holeEnd - a.holeCur; tail > 0 {
+		a.fillGapRaw(a.holeCur, tail)
 	}
-	a.view.Zero(off, size)
-	a.writeHeader(off, kaddr, k, arrayLen)
-	a.view.Flush(off, headerBytesOf(k))
+	a.view.Zero(off, o.size)
+	a.writeHeader(off, o.kaddr, o.k, o.arrayLen)
+	ref := a.heap.AddrOf(off)
+	if init != nil {
+		init(ref)
+	}
+	a.view.Flush(off, persistSpan(o, init != nil))
 	a.view.Fence()
 	a.stats.Allocs++
-	a.stats.FlushedLines += lineSpan(off, headerBytesOf(k))
-	a.stats.Fences++
-	if c := a.cell; c != nil {
-		c.Inc(telemetry.CtrAllocObjects)
-		c.Inc(telemetry.CtrHoleAllocs)
-		c.Add(telemetry.CtrAllocBytes, uint64(size))
-		c.Dev(nvm.SubAlloc, 0,
-			devW+1+headerWrites(k), devL+uint64(lineSpan(off, headerBytesOf(k))), devF+1)
-	}
-	return a.heap.AddrOf(off)
+	a.cell.Inc(telemetry.CtrAllocObjects)
+	a.cell.Inc(telemetry.CtrHoleAllocs)
+	a.cell.Add(telemetry.CtrAllocBytes, uint64(o.size))
+	return ref
 }
 
 // refill retires the attached PLAB and fetches a region with at least
@@ -254,7 +404,8 @@ func (a *Allocator) refill(size int) error {
 // retirePLAB seals the attached PLAB: the unused tail is plugged with a
 // persisted filler and the region's top advanced to the region end, so
 // the region is whole — it parses to its end and is never dispensed
-// again until the collector reclaims it.
+// again until the collector reclaims it. Only allocation calls retire, so
+// the device work lands in the caller's account.
 func (a *Allocator) retirePLAB() {
 	if a.region < 0 {
 		return
@@ -262,12 +413,6 @@ func (a *Allocator) retirePLAB() {
 	if gap := a.end - a.cur; gap > 0 {
 		a.fillGapRaw(a.cur, gap)
 		a.persistRegionTop(a.region, a.end)
-		a.stats.FlushedLines += lineSpan(a.cur, layout.ArrayHdrBytes) + 1
-		a.stats.Fences += 2
-		if c := a.cell; c != nil {
-			fw, fl := fillerCost(a.cur, gap)
-			c.Dev(nvm.SubAlloc, 0, fw+1, fl+1, 2)
-		}
 	}
 	a.cell.Inc(telemetry.CtrPLABRetires)
 	a.region = -1
@@ -355,8 +500,8 @@ func (h *Heap) dataLimit() int { return h.geo.ScratchOff }
 //
 // a is the requesting allocator: the handoff plug is device traffic
 // issued on its goroutine and on its behalf, so it goes through a's
-// view and is attributed to a's telemetry cell even though the heap
-// lock is held.
+// view — and so into the account of the allocation call that asked —
+// even though the heap lock is held.
 func (h *Heap) dispense(size int, a *Allocator) (region, cur int, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -378,10 +523,6 @@ func (h *Heap) dispense(size int, a *Allocator) (region, cur int, err error) {
 		if aligned > cur {
 			a.fillGapRaw(cur, aligned-cur)
 			a.persistRegionTop(r, aligned)
-			if a.cell != nil {
-				fw, fl := fillerCost(cur, aligned-cur)
-				a.cell.Dev(nvm.SubAlloc, 0, fw+1, fl+1, 2)
-			}
 			cur = aligned
 		}
 		// Journal the handoff: one line write + flush, no fence — the
@@ -437,13 +578,13 @@ func (h *Heap) freeRegionsInsert(r int) {
 // filler persist first, then the covered region-top entries — the head
 // region's top at the run end, interior regions at the sentinel — with
 // one flush+fence over the (contiguous) table span.
-func (a *Allocator) allocHumongous(k *klass.Klass, kaddr layout.Ref, arrayLen, size int) (layout.Ref, error) {
+func (a *Allocator) allocHumongous(o allocObj, init func(layout.Ref)) (layout.Ref, error) {
 	a.retirePLAB()
 	h := a.heap
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	start := h.geo.DataOff + h.frontier*layout.RegionSize
-	end := align(start+size, layout.RegionSize)
+	end := align(start+o.size, layout.RegionSize)
 	if end > h.dataLimit() {
 		return 0, ErrOutOfMemory
 	}
@@ -451,11 +592,15 @@ func (a *Allocator) allocHumongous(k *klass.Klass, kaddr layout.Ref, arrayLen, s
 	h.frontier += nRegions
 
 	dev := a.view
-	dev.Zero(start, size)
-	a.writeHeader(start, kaddr, k, arrayLen)
-	dev.Flush(start, headerBytesOf(k))
-	if end > start+size {
-		a.fillGapRawNoFence(start+size, end-start-size)
+	dev.Zero(start, o.size)
+	a.writeHeader(start, o.kaddr, o.k, o.arrayLen)
+	ref := h.AddrOf(start)
+	if init != nil {
+		init(ref)
+	}
+	dev.Flush(start, persistSpan(o, init != nil))
+	if end > start+o.size {
+		a.fillGapRawNoFence(start+o.size, end-start-o.size)
 	}
 	dev.Fence()
 
@@ -473,24 +618,10 @@ func (a *Allocator) allocHumongous(k *klass.Klass, kaddr layout.Ref, arrayLen, s
 		h.regionTops[r].Store(regionTopHumongousCont)
 	}
 	a.stats.Allocs++
-	a.stats.Fences += 2
-	a.stats.FlushedLines += lineSpan(start, headerBytesOf(k)) + nRegions
-	if c := a.cell; c != nil {
-		c.Inc(telemetry.CtrAllocObjects)
-		c.Inc(telemetry.CtrHumongous)
-		c.Add(telemetry.CtrAllocBytes, uint64(size))
-		var tw, tl uint64
-		if end > start+size {
-			tw, tl = fillerCost(start+size, end-start-size)
-		}
-		// Zero + header + tail filler + one top-table {value, checksum}
-		// pair per region; header lines + tail lines + one table line per
-		// region; two fences.
-		c.Dev(nvm.SubAlloc, 0,
-			1+headerWrites(k)+tw+2*uint64(nRegions),
-			uint64(lineSpan(start, headerBytesOf(k)))+tl+uint64(nRegions), 2)
-	}
-	return h.AddrOf(start), nil
+	a.cell.Inc(telemetry.CtrAllocObjects)
+	a.cell.Inc(telemetry.CtrHumongous)
+	a.cell.Add(telemetry.CtrAllocBytes, uint64(o.size))
+	return ref, nil
 }
 
 func headerBytesOf(k *klass.Klass) int {
@@ -498,32 +629,6 @@ func headerBytesOf(k *klass.Klass) int {
 		return layout.ArrayHdrBytes
 	}
 	return layout.HeaderBytes
-}
-
-// lineSpan counts the cache lines covering [off, off+n).
-func lineSpan(off, n int) int {
-	return (off+n-1)/layout.LineSize - off/layout.LineSize + 1
-}
-
-// headerWrites counts the device write ops writeHeader issues for k.
-func headerWrites(k *klass.Klass) uint64 {
-	if k.IsArray() {
-		return 3
-	}
-	return 2
-}
-
-// fillerCost counts the device write ops and flushed lines fillGapRawNoFence
-// issues to plug [off, off+n) — the attribution mirror of that function's
-// two shapes (2-word filler vs byte-array filler).
-func fillerCost(off, n int) (writes, lines uint64) {
-	if n == 0 {
-		return 0, 0
-	}
-	if n == layout.HeaderBytes {
-		return 2, uint64(lineSpan(off, layout.HeaderBytes))
-	}
-	return 3, uint64(lineSpan(off, layout.ArrayHdrBytes))
 }
 
 func (x Access) writeHeader(off int, kaddr layout.Ref, k *klass.Klass, arrayLen int) {

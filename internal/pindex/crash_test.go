@@ -24,6 +24,12 @@ type kvOp struct {
 	del bool
 	key int64
 	val int64 // boxed value for puts
+	// putNew builds the value box inside the operation (Ctx.PutNew) rather
+	// than boxing it first and handing Put the ref.
+	putNew bool
+	// under, on a putNew, is played on a second ctx from inside the
+	// value's init: after the put has searched, before it publishes.
+	under *kvOp
 }
 
 // script mixes fresh inserts, overwrites of seeded keys, and deletes of
@@ -47,18 +53,75 @@ func crashScript() []kvOp {
 		kvOp{del: true, key: 999}, // delete a key never present
 		kvOp{key: 0, val: 9999},   // second overwrite of key 0
 	)
-	return ops
+	return append(ops, putNewRows(1, 2, 400)...)
+}
+
+// putNewRows are the PutNew cases both sweeps run: over an existing key,
+// over an existing key that is deleted under the put (which re-inserts
+// with the value it already built), for a fresh key (box and node one
+// allocation run), and for fresh keys whose publication loses its CAS —
+// to the same key landing first, so the put finds it resident after all
+// and publishes the built value over it, and to a neighbour spliced in
+// just ahead, so the put repoints its node and publishes again.
+func putNewRows(existing, doomed, fresh int64) []kvOp {
+	return []kvOp{
+		{key: existing, val: 50000 + existing, putNew: true},
+		{key: doomed, val: 50000 + doomed, putNew: true, under: &kvOp{del: true, key: doomed}},
+		{key: fresh, val: 50000 + fresh, putNew: true},
+		{key: fresh + 1, val: 50001 + fresh, putNew: true, under: &kvOp{key: fresh + 1, val: 60001 + fresh}},
+		{key: fresh + 2, val: 50002 + fresh, putNew: true, under: &kvOp{key: justAhead(fresh + 2), val: 60002 + fresh}},
+	}
+}
+
+// justAhead picks, out of a candidate range no script uses, the key whose
+// data node sorts closest below key's — with 10^5 candidates against a
+// hundred resident nodes, between key's predecessor and key.
+func justAhead(key int64) int64 {
+	target := dataSort(mixHash(key))
+	best, bestSort := int64(0), uint64(0)
+	for y := int64(100000); y < 200000; y++ {
+		if s := dataSort(mixHash(y)); s < target && s > bestSort {
+			best, bestSort = y, s
+		}
+	}
+	return best
 }
 
 const absent = int64(-1)
 
-// apply plays op onto the model (value absent == deleted).
+// apply plays op (what ran under it first) onto the model (value absent
+// == deleted).
 func apply(model map[int64]int64, op kvOp) {
+	if op.under != nil {
+		apply(model, *op.under)
+	}
 	if op.del {
 		model[op.key] = absent
 	} else {
 		model[op.key] = op.val
 	}
+}
+
+// inFlight lists, for every key op touches, the values a crash during op
+// may leave it with: what the model holds now, or the outcome of any
+// step of op that could have been acknowledged or applied by then.
+func inFlight(model map[int64]int64, op kvOp) map[int64][]int64 {
+	allowed := map[int64][]int64{}
+	for _, o := range []*kvOp{op.under, &op} {
+		if o == nil {
+			continue
+		}
+		before, ok := model[o.key]
+		if !ok {
+			before = absent
+		}
+		after := o.val
+		if o.del {
+			after = absent
+		}
+		allowed[o.key] = append(allowed[o.key], before, after)
+	}
+	return allowed
 }
 
 func boxKlass(t *testing.T, h *pheap.Heap) *klass.Klass {
@@ -80,6 +143,43 @@ func putBoxed(t *testing.T, h *pheap.Heap, c *Ctx, bk *klass.Klass, key, v int64
 	h.SetWord(box, layout.FieldOff(0), uint64(v))
 	h.FlushRange(box, 0, bk.SizeOf(0))
 	return c.Put(key, box)
+}
+
+// play runs op on c: a delete, a put of a box built first (putBoxed), or
+// — putNew — a PutNew whose init stores the value and then, if op.under
+// is set, plays that on c2. A put run underneath must have cost the
+// outer publication its CAS, or the row did not test what it is for.
+func play(t *testing.T, h *pheap.Heap, c, c2 *Ctx, bk *klass.Klass, op kvOp) error {
+	switch {
+	case op.del:
+		c.Delete(op.key)
+		return nil
+	case !op.putNew:
+		return putBoxed(t, h, c, bk, op.key, op.val)
+	}
+	var underErr error
+	built := 0
+	retries := c.Stats().Retries
+	err := c.PutNew(op.key, bk, func(box layout.Ref) {
+		built++
+		c.Allocator().SetWord(box, layout.FieldOff(0), uint64(op.val))
+		if op.under != nil {
+			underErr = play(t, h, c2, nil, bk, *op.under)
+		}
+	})
+	if err == nil {
+		err = underErr
+	}
+	if err == nil && built != 1 {
+		err = fmt.Errorf("value built %d times", built)
+	}
+	if err == nil && op.under != nil && !op.under.del && c.Stats().Retries == retries {
+		err = fmt.Errorf("the put of %d underneath did not cost the publication its CAS", op.under.key)
+	}
+	if err != nil {
+		return fmt.Errorf("putNew %d: %v", op.key, err)
+	}
+	return nil
 }
 
 // buildCrashBase seeds a Tracked heap with keys 0..99 (value 10*key) and
@@ -108,9 +208,11 @@ func buildCrashBase(t *testing.T) ([]byte, map[int64]int64) {
 	return h.Device().CrashImage(nvm.CrashFlushedOnly, 0), model
 }
 
-// verifyExact checks the reloaded index against the model, with the
-// in-flight op (if any) allowed either its before or after state.
-func verifyExact(t *testing.T, tag string, h *pheap.Heap, model map[int64]int64, inflight *kvOp, before int64) {
+// verifyExact checks the reloaded index against the model. Keys the
+// in-flight operation touched (inFlight; nil when none was) may hold any
+// of the values listed for them, never anything else — in particular
+// never a box whose field was not yet stored.
+func verifyExact(t *testing.T, tag string, h *pheap.Heap, model map[int64]int64, inflight map[int64][]int64) {
 	t.Helper()
 	ix, err := Open(h, NoPin{}, "kv", Options{})
 	if err != nil {
@@ -130,8 +232,8 @@ func verifyExact(t *testing.T, tag string, h *pheap.Heap, model map[int64]int64,
 	}
 	live := 0
 	for key, want := range model {
-		if inflight != nil && key == inflight.key {
-			continue // checked below; may legitimately be either state
+		if _, ok := inflight[key]; ok {
+			continue // checked below; may legitimately be in several states
 		}
 		got := read(key)
 		if got != want {
@@ -141,15 +243,14 @@ func verifyExact(t *testing.T, tag string, h *pheap.Heap, model map[int64]int64,
 			live++
 		}
 	}
-	if inflight != nil {
-		after := absent
-		if !inflight.del {
-			after = inflight.val
+	for key, allowed := range inflight {
+		got := read(key)
+		ok := false
+		for _, v := range allowed {
+			ok = ok || got == v
 		}
-		got := read(inflight.key)
-		if got != before && got != after {
-			t.Fatalf("%s: in-flight key %d = %d, want %d (before) or %d (after)",
-				tag, inflight.key, got, before, after)
+		if !ok {
+			t.Fatalf("%s: in-flight key %d = %d, want one of %v", tag, key, got, allowed)
 		}
 		if got != absent {
 			live++
@@ -182,27 +283,19 @@ func TestCrashAtEveryFlushBoundary(t *testing.T) {
 			t.Fatalf("%s: open: %v", tag, err)
 		}
 		bk := boxKlass(t, h)
-		c := ix.NewCtx()
+		c, c2 := ix.NewCtx(), ix.NewCtx()
 
 		model := map[int64]int64{}
 		for key, v := range baseModel {
 			model[key] = v
 		}
 		faultdev.CrashIn(dev, k)
-		var inflight *kvOp
-		var beforeVal int64
+		var inflight map[int64][]int64
 		crashed, err := faultdev.Run(dev, func() error {
-			for i := range script {
-				op := script[i]
-				inflight = &op
-				beforeVal = absent
-				if v, ok := model[op.key]; ok {
-					beforeVal = v
-				}
-				if op.del {
-					c.Delete(op.key)
-				} else if err := putBoxed(t, h, c, bk, op.key, op.val); err != nil {
-					return fmt.Errorf("put %d: %v", op.key, err)
+			for _, op := range script {
+				inflight = inFlight(model, op)
+				if err := play(t, h, c, c2, bk, op); err != nil {
+					return err
 				}
 				apply(model, op)
 				inflight = nil
@@ -226,7 +319,7 @@ func TestCrashAtEveryFlushBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reload: %v", tag, err)
 		}
-		verifyExact(t, tag, h2, model, inflight, beforeVal)
+		verifyExact(t, tag, h2, model, inflight)
 	}
 }
 
@@ -272,26 +365,18 @@ func TestCrashDuringConcurrentGCWithIndexTraffic(t *testing.T) {
 			t.Fatalf("%s: open: %v", tag, err)
 		}
 		bk := boxKlass(t, h)
-		c := ix.NewCtx()
+		c, c2 := ix.NewCtx(), ix.NewCtx()
 
 		model := map[int64]int64{}
 		for key, v := range baseModel {
 			model[key] = v
 		}
-		var inflight *kvOp
-		var beforeVal int64
+		var inflight map[int64][]int64
 		world := &phasedWorld{onStart: []func(){func() {
-			for i := range script {
-				op := script[i]
-				inflight = &op
-				beforeVal = absent
-				if v, ok := model[op.key]; ok {
-					beforeVal = v
-				}
-				if op.del {
-					c.Delete(op.key)
-				} else if err := putBoxed(t, h, c, bk, op.key, op.val); err != nil {
-					panic(fmt.Sprintf("put %d: %v", op.key, err))
+			for _, op := range script {
+				inflight = inFlight(model, op)
+				if err := play(t, h, c, c2, bk, op); err != nil {
+					panic(err.Error())
 				}
 				apply(model, op)
 				inflight = nil
@@ -321,7 +406,7 @@ func TestCrashDuringConcurrentGCWithIndexTraffic(t *testing.T) {
 				t.Fatalf("%s: pgc recover: %v", tag, err)
 			}
 		}
-		verifyExact(t, tag, h2, model, inflight, beforeVal)
+		verifyExact(t, tag, h2, model, inflight)
 	}
 }
 
@@ -349,6 +434,16 @@ func warmHintScript() []hintStep {
 	}
 }
 
+// warmHintSteps is warmHintScript plus the PutNew rows: an update and a
+// deleted-under update through the hint, and fresh keys no hint names.
+func warmHintSteps() []hintStep {
+	steps := warmHintScript()
+	for _, op := range putNewRows(29, 31, 500) {
+		steps = append(steps, hintStep{kvOp: op})
+	}
+	return steps
+}
+
 // TestCrashWithWarmHints is the flush-boundary sweep with the volatile
 // shortcut in play: every seeded key is read once (its hint installed),
 // then updates, deletes, re-puts and helping gets run on hinted keys with
@@ -357,7 +452,7 @@ func warmHintScript() []hintStep {
 // index must start with no table: its first probe is a miss.
 func TestCrashWithWarmHints(t *testing.T) {
 	pristine, baseModel := buildCrashBase(t)
-	script := warmHintScript()
+	script := warmHintSteps()
 
 	for k := uint64(1); ; k++ {
 		tag := fmt.Sprintf("k=%d", k)
@@ -373,7 +468,7 @@ func TestCrashWithWarmHints(t *testing.T) {
 			t.Fatalf("%s: open: %v", tag, err)
 		}
 		bk := boxKlass(t, h)
-		c := ix.NewCtx()
+		c, c2 := ix.NewCtx(), ix.NewCtx()
 		model := map[int64]int64{}
 		for key, v := range baseModel {
 			model[key] = v
@@ -385,6 +480,9 @@ func TestCrashWithWarmHints(t *testing.T) {
 		// must not evict one another.
 		for pass := 0; pass < 2; pass++ {
 			for _, st := range script {
+				if _, seeded := baseModel[st.key]; !seeded {
+					continue // a fresh key: nothing to hint
+				}
 				if pass == 0 {
 					c.Get(st.key)
 				} else if c.probe(mixHash(st.key), uint64(st.key)) == layout.NullRef {
@@ -405,13 +503,12 @@ func TestCrashWithWarmHints(t *testing.T) {
 		}
 
 		faultdev.CrashIn(dev, k)
-		var inflight *kvOp
-		var beforeVal int64
+		var inflight map[int64][]int64
 		crashed, err := faultdev.Run(dev, func() error {
-			for i := range script {
-				st := script[i]
+			for i, st := range script {
 				op := st.kvOp
-				inflight, beforeVal = &op, model[op.key]
+				inflight = inFlight(model, op)
+				beforeVal := inflight[op.key][0]
 				hits := c.Stats().HintHits
 				switch {
 				case st.stall:
@@ -446,8 +543,8 @@ func TestCrashWithWarmHints(t *testing.T) {
 				case op.del:
 					c.Delete(op.key)
 				default:
-					if err := putBoxed(t, h, c, bk, op.key, op.val); err != nil {
-						return fmt.Errorf("put %d: %v", op.key, err)
+					if err := play(t, h, c, c2, bk, op); err != nil {
+						return fmt.Errorf("step %d: %v", i, err)
 					}
 					if beforeVal != absent && c.Stats().HintHits == hits {
 						return fmt.Errorf("step %d: update of key %d walked the chain", i, op.key)
@@ -478,7 +575,7 @@ func TestCrashWithWarmHints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reload: %v", tag, err)
 		}
-		verifyExact(t, tag, h2, model, inflight, beforeVal)
+		verifyExact(t, tag, h2, model, inflight)
 
 		ix2, err := Open(h2, NoPin{}, "kv", Options{})
 		if err != nil {
@@ -487,11 +584,11 @@ func TestCrashWithWarmHints(t *testing.T) {
 		if ix2.hints.Load() != nil {
 			t.Fatalf("%s: reopened index carries a hint table", tag)
 		}
-		c2 := ix2.NewCtx()
-		c2.Get(0)
-		if st := c2.Stats(); st.HintHits != 0 || st.HintMisses != 1 {
+		cold := ix2.NewCtx()
+		cold.Get(0)
+		if st := cold.Stats(); st.HintHits != 0 || st.HintMisses != 1 {
 			t.Fatalf("%s: first probe after reopen: %d hits, %d misses; want a miss", tag, st.HintHits, st.HintMisses)
 		}
-		c2.Release()
+		cold.Release()
 	}
 }

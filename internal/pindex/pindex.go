@@ -32,14 +32,21 @@
 // durable-linearizable with zero fences on the read path in steady
 // state and one flush+fence per update, instead of a fence per store.
 //
-// Node bodies (sort key, key, value, initial next) are written and
-// persisted, with one flush + fence, before the publishing CAS, so a
-// persisted link can never target a half-written node: crash recovery
-// (Recover) finds every durably linked node intact, prunes nodes whose
-// delete mark persisted, clears leftover dirty bits, and discards
-// half-linked nodes implicitly — an unpersisted link simply is not in
-// the reloaded image, and the orphan node body is unreachable garbage
-// for the next collection.
+// Node bodies (sort key, key, value, initial next) persist inside their
+// allocation: insert builds the node through pheap's AllocInit, which
+// runs the initializing stores on the still-unpublished object and
+// flushes header and body together, fenced, before the object becomes
+// parseable — so there is no separate node flush, and a persisted link
+// can never target a half-written node. PutNew extends that to the value:
+// for a fresh key the value object and the node are one allocation run
+// (AllocInit2: one flush, one fence, one region-top advance for both),
+// for an existing key the value object goes in alone; either way it is
+// whole in the image before the CAS that makes a durable word name it.
+// Crash recovery (Recover) finds every durably linked node intact, prunes
+// nodes whose delete mark persisted, clears leftover dirty bits, and
+// discards half-linked nodes implicitly — an unpersisted link simply is
+// not in the reloaded image, and the orphan node body is unreachable
+// garbage for the next collection.
 //
 // # GC integration
 //
@@ -573,26 +580,34 @@ restart:
 
 // insert splices a node with (sort, key, val) into the segment at head,
 // returning the resident node and whether it already existed. The node
-// body is fully persisted (one flush + fence) before the publishing CAS,
-// so a durable link always targets a durable node.
-func (c *Ctx) insert(head layout.Ref, sort, key uint64, val layout.Ref) (node layout.Ref, existed bool, err error) {
+// is built inside its allocation (AllocInit: body persisted with the
+// header, before the object is parseable), so a durable link always
+// targets a durable node. With val null and a value klass vk given, the
+// value object is built in the same run, just ahead of the node
+// (AllocInit2); value reports the node's value ref either way — val, or
+// the object just built, which stays built if the key turns out to exist.
+func (c *Ctx) insert(head layout.Ref, sort, key uint64, val layout.Ref, vk *klass.Klass, vinit func(layout.Ref)) (node, value layout.Ref, existed bool, err error) {
 	a := c.alloc
-	node = layout.NullRef
 	for {
 		pred, predW, curr, found := c.find(head, sort, key)
 		if found {
-			return curr, true, nil
+			return curr, val, true, nil
 		}
 		if node == layout.NullRef {
-			if node, err = c.alloc.Alloc(c.ix.nodeK, 0); err != nil {
-				return 0, false, fmt.Errorf("pindex: insert: %w", err)
+			initNode := func(v, n layout.Ref) {
+				a.SetWord(n, c.ix.fSort, sort)
+				a.SetWord(n, c.ix.fKey, key)
+				a.SetWord(n, c.ix.fVal, uint64(v))
+				a.SetWordAtomic(n, c.ix.fNext, uint64(curr))
 			}
-			a.SetWord(node, c.ix.fSort, sort)
-			a.SetWord(node, c.ix.fKey, key)
-			a.SetWord(node, c.ix.fVal, uint64(val))
-			a.SetWordAtomic(node, c.ix.fNext, uint64(curr))
-			c.cell.Dev(nvm.SubIndex, 0, 4, 0, 0)
-			c.flushRange(node, 0, c.ix.nodeSize)
+			if val == layout.NullRef && vk != nil {
+				val, node, err = a.AllocInit2(vk, c.ix.nodeK, vinit, initNode)
+			} else {
+				node, err = a.AllocInit(c.ix.nodeK, 0, func(n layout.Ref) { initNode(val, n) })
+			}
+			if err != nil {
+				return 0, val, false, fmt.Errorf("pindex: insert: %w", err)
+			}
 		} else {
 			// Retrying with a different successor: repoint and re-persist
 			// just the next word before republishing.
@@ -601,7 +616,7 @@ func (c *Ctx) insert(head layout.Ref, sort, key uint64, val layout.Ref) (node la
 			c.flushWord(node, c.ix.fNext)
 		}
 		if c.publish(pred, c.ix.fNext, predW, uint64(node)) {
-			return node, false, nil
+			return node, val, false, nil
 		}
 	}
 }
@@ -660,7 +675,7 @@ func (c *Ctx) bucketHead(arr layout.Ref, b uint64) (layout.Ref, error) {
 	if err != nil {
 		return 0, err
 	}
-	sent, _, err := c.insert(parent, sentSort(b), b, layout.NullRef)
+	sent, _, _, err := c.insert(parent, sentSort(b), b, layout.NullRef, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -749,7 +764,22 @@ func (c *Ctx) Put(key int64, val layout.Ref) error {
 	if val != layout.NullRef && !c.ix.h.Contains(val) {
 		return fmt.Errorf("pindex: value %#x is not an object in this persistent heap", uint64(val))
 	}
-	overloaded, err := c.putPinned(key, val)
+	return c.put(key, val, nil, nil)
+}
+
+// PutNew is Put for a value the operation builds itself: a fresh
+// instance of k, on this ctx's PLAB, with init's stores (made through
+// Allocator()) as its contents. Allocating inside the operation is what
+// lets the value share the node's persist — for a key not yet present
+// the two are one allocation run — and, for a key that exists, go in
+// whole with one flush. The value object is complete and durable before
+// any durable word names it; on error the mapping was not installed.
+func (c *Ctx) PutNew(key int64, k *klass.Klass, init func(val layout.Ref)) error {
+	return c.put(key, layout.NullRef, k, init)
+}
+
+func (c *Ctx) put(key int64, val layout.Ref, vk *klass.Klass, vinit func(layout.Ref)) error {
+	overloaded, err := c.putPinned(key, val, vk, vinit)
 	if overloaded {
 		// Table doubling runs in its own safepoint interval so the Put's
 		// pin — which a waiting collector pause must drain — stays short.
@@ -758,7 +788,10 @@ func (c *Ctx) Put(key int64, val layout.Ref) error {
 	return err
 }
 
-func (c *Ctx) putPinned(key int64, val layout.Ref) (overloaded bool, err error) {
+// putPinned maps key → val, or, with val null and a value klass vk, → a
+// new vk instance that vinit fills (PutNew), built at most once however
+// often the loop comes round.
+func (c *Ctx) putPinned(key int64, val layout.Ref, vk *klass.Klass, vinit func(layout.Ref)) (overloaded bool, err error) {
 	ix := c.ix
 	c.pin.Pin()
 	defer c.pin.Unpin()
@@ -775,7 +808,7 @@ func (c *Ctx) putPinned(key int64, val layout.Ref) (overloaded bool, err error) 
 				return false, err
 			}
 			var existed bool
-			if node, existed, err = c.insert(head, dataSort(hash), uint64(key), val); err != nil {
+			if node, val, existed, err = c.insert(head, dataSort(hash), uint64(key), val, vk, vinit); err != nil {
 				return false, err
 			}
 			c.hint(hash, node)
@@ -784,9 +817,16 @@ func (c *Ctx) putPinned(key int64, val layout.Ref) (overloaded bool, err error) 
 				return float64(ix.size.Load()) > ix.opts.MaxLoadFactor*float64(n), nil
 			}
 		}
-		// Existing key: publish the new value on its slot, then re-check
-		// the node was not deleted underneath — if it was, the delete
-		// linearized first and the put must re-insert.
+		if val == layout.NullRef && vk != nil {
+			// Existing key: the value object goes in alone, whole in the
+			// image before the slot below can name it.
+			if val, err = c.alloc.AllocInit(vk, 0, vinit); err != nil {
+				return false, fmt.Errorf("pindex: put: %w", err)
+			}
+		}
+		// Publish the new value on the node's slot, then re-check the node
+		// was not deleted underneath — if it was, the delete linearized
+		// first and the put must re-insert (with the value already built).
 		for {
 			vw := c.loadClean(node, ix.fVal)
 			if layout.UntagRef(layout.Ref(vw)) == val {

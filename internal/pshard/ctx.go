@@ -15,9 +15,9 @@ import (
 // on the ctx's own slot of that shard's safepoint — a line no other ctx
 // writes), so a shard collection waits for in-flight operations on
 // *its* shard only and never touches a sibling's. The interval covers
-// the whole operation — for Put, the value-box allocation, its persist,
-// and the index publication — so the shard's compactor can never move
-// the box between those steps. Operations must not nest (no Ctx or Set
+// the whole operation — for Put, the value box and node allocation and
+// the index publication — so the shard's compactor can never move the
+// box between those steps. Operations must not nest (no Ctx or Set
 // calls from inside a Scan callback): the second pin can deadlock behind
 // a waiting collector pause.
 //
@@ -32,7 +32,6 @@ type Ctx struct {
 	subs     []*pindex.Ctx
 	subShard []*Shard          // the Shard instance each sub was created against
 	slots    []*safepoint.Slot // this ctx's pin on subShard[i]'s safepoint, created with subs[i]
-	boxLines []int             // value-box cache lines flushed, per shard
 }
 
 // NewCtx attaches a per-goroutine operation handle.
@@ -42,7 +41,6 @@ func (s *Set) NewCtx() *Ctx {
 		subs:     make([]*pindex.Ctx, len(s.shards)),
 		subShard: make([]*Shard, len(s.shards)),
 		slots:    make([]*safepoint.Slot, len(s.shards)),
-		boxLines: make([]int, len(s.shards)),
 	}
 }
 
@@ -75,8 +73,10 @@ func (c *Ctx) acquire(i int) (*Shard, *pindex.Ctx, error) {
 }
 
 // Put durably maps key → val: the value is boxed on the owning shard's
-// mutator-local PLAB, persisted, and published through that shard's
-// index — durable-linearizable like pindex.Put, per shard.
+// mutator-local PLAB inside the index operation (pindex.PutNew: for a
+// fresh key box and node are one allocation run, one persist) and
+// published through that shard's index — durable-linearizable like
+// pindex.Put, per shard.
 func (c *Ctx) Put(key, val int64) error {
 	i := c.set.mani.ShardOf(key)
 	sh, sub, err := c.acquire(i)
@@ -85,16 +85,9 @@ func (c *Ctx) Put(key, val int64) error {
 	}
 	defer c.slots[i].Unpin()
 	a := sub.Allocator()
-	box, err := a.Alloc(sh.boxK, 0)
-	if err != nil {
-		return err
-	}
-	a.SetWord(box, layout.FieldOff(0), uint64(val))
-	n := sh.boxK.SizeOf(0)
-	off := sh.heap.OffOf(box)
-	c.boxLines[i] += (off+n-1)/layout.LineSize - off/layout.LineSize + 1
-	a.FlushRange(box, 0, n)
-	return sub.Put(key, box)
+	return sub.PutNew(key, sh.boxK, func(box layout.Ref) {
+		a.SetWord(box, layout.FieldOff(0), uint64(val))
+	})
 }
 
 // Get looks key up on its owning shard; the answer is durable before it
@@ -210,16 +203,17 @@ func (c *Ctx) Scan(fn func(key, val int64) bool) {
 }
 
 // ShardFlushedLines reports the cache lines this ctx flushed against
-// shard i — its index publications, help flushes, PLAB persists, and
-// value-box persists. The shardedkv experiment's modeled device critical
-// path is the slowest (ctx, shard) chain: chains flush disjoint lines on
-// disjoint devices, so their media time overlaps.
+// shard i — its index publications and help flushes plus everything its
+// allocator persisted (value boxes, nodes, region tops). The shardedkv
+// experiment's modeled device critical path is the slowest (ctx, shard)
+// chain: chains flush disjoint lines on disjoint devices, so their media
+// time overlaps.
 func (c *Ctx) ShardFlushedLines(i int) int {
-	lines := c.boxLines[i]
-	if sub := c.subs[i]; sub != nil {
-		lines += sub.Stats().FlushedLines + sub.AllocStats().FlushedLines
+	sub := c.subs[i]
+	if sub == nil {
+		return 0
 	}
-	return lines
+	return sub.Stats().FlushedLines + sub.AllocStats().FlushedLines
 }
 
 // Release retires every shard handle the ctx created: PLAB headroom

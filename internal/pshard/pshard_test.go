@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"espresso/internal/nvm"
+	"espresso/internal/pindex"
 )
 
 // setNames lists every device name a set of n shards registers.
@@ -348,6 +349,63 @@ func TestRecoveryWorkerCountByteIdentical(t *testing.T) {
 				t.Fatalf("workers=%d: device %q diverged from workers=1 image", workers, name)
 			}
 		}
+	}
+}
+
+// TestPutDeviceCost pins what a put costs the device on a quiet set: one
+// ctx, every bucket spliced, no table growth, PLAB attached. A fresh key
+// is one allocation run (box and node under one flush), the region top,
+// and the link — 4 lines, 3 fences. An update is the box alone, the
+// region top, and the value slot — 3 lines and 3 fences, plus a line
+// when the 32-byte box straddles two.
+func TestPutDeviceCost(t *testing.T) {
+	opts := testOptions(1)
+	opts.Index = pindex.Options{InitialBuckets: 8, MaxLoadFactor: 1 << 30}
+	set, err := OpenSet(NewMemStore(), "cost", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := set.Shard(0).Heap()
+	c := set.NewCtx()
+	defer c.Release()
+	const warm, measured = 256, 64
+	var dev0 nvm.Stats
+	var ctx0 int
+	for k := int64(0); k < warm; k++ {
+		if err := c.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 { // the box klass's record went in with the first put
+			dev0, ctx0 = h.Device().Stats(), c.ShardFlushedLines(0)
+		}
+	}
+	put := func(k, v int64) nvm.Stats {
+		before := h.Device().Stats()
+		if err := c.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		return h.Device().Stats().Sub(before)
+	}
+	for k := int64(warm); k < warm+measured; k++ {
+		if d := put(k, k); d.FlushedLines != 4 || d.Fences != 3 {
+			t.Fatalf("fresh key %d: %d lines / %d fences, want 4 / 3", k, d.FlushedLines, d.Fences)
+		}
+	}
+	for k := int64(0); k < measured; k++ {
+		d := put(k, -k)
+		box, ok := c.GetRef(k)
+		if !ok {
+			t.Fatalf("key %d lost", k)
+		}
+		want := uint64(2 + nvm.LineSpan(h.OffOf(box), set.Shard(0).boxK.SizeOf(0)))
+		if d.FlushedLines != want || want > 4 || d.Fences != 3 {
+			t.Fatalf("update of key %d: %d lines / %d fences, want %d / 3", k, d.FlushedLines, d.Fences, want)
+		}
+	}
+	// The ctx was the only thing flushing, so its own tally — index stats
+	// plus allocator stats, no separate box bookkeeping — is the device's.
+	if got, want := c.ShardFlushedLines(0)-ctx0, int(h.Device().Stats().FlushedLines-dev0.FlushedLines); got != want {
+		t.Fatalf("ShardFlushedLines = %d, the device counted %d", got, want)
 	}
 }
 

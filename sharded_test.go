@@ -103,7 +103,9 @@ func TestShardedPMapCtxPoolBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := rt.OpenSharded("burst", ShardedPMapOptions{Shards: 2, ShardDataSize: 2 << 20})
+	// Every ctx out at once holds a PLAB region (256 KB) per shard: size
+	// the shards for the whole burst, not for the idle cap.
+	m, err := rt.OpenSharded("burst", ShardedPMapOptions{Shards: 2, ShardDataSize: 16 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
