@@ -239,9 +239,7 @@ func main() {
 		// references die with their process); a multi-heap deployment's
 		// image also counts legal cross-heap NVM references here, since
 		// one image cannot tell a sibling heap's address from a dead DRAM
-		// one — hence "candidates". Per-buffer pending-delta counts show
-		// the write-combining barrier's unpublished records (always zero
-		// on a cold image; meaningful when inspecting a live heap).
+		// one — hence "candidates".
 		outRefs := 0
 		err := h.ForEachObject(func(off int, k *klass.Klass, size int) bool {
 			if pheap.IsFiller(k) {
@@ -259,17 +257,6 @@ func main() {
 			log.Fatalf("remset scan: %v", err)
 		}
 		fmt.Printf("remset slots   %d candidate(s) (out-of-heap refs; includes cross-heap refs on multi-heap images)\n", outRefs)
-		pending := h.RemsetDeltaStats()
-		total := 0
-		for _, n := range pending {
-			total += n
-		}
-		fmt.Printf("remset deltas  %d pending across %d buffers\n", total, len(pending))
-		for i, n := range pending {
-			if n > 0 {
-				fmt.Printf("  buffer %2d    %d pending deltas\n", i, n)
-			}
-		}
 		// Mark-bitmap view: what the last (or in-flight) collection knew.
 		// The high-water mark is the device offset one past the highest
 		// mark bit — on a mid-collection image it bounds how far marking

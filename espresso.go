@@ -59,22 +59,23 @@
 //	defer m.Release()
 //	p, _ := m.PNew(person, 0)      // arrayLen 0: lock-free after first use of a class
 //
-// A Mutator's reference stores are lock-free too: SetRef/SetRefFast
-// through a Mutator record remembered-set maintenance in a
-// mutator-local delta buffer (created and registered automatically)
-// that merges into the shared set only at publication points —
-// transaction commit, GC safepoints, buffer overflow — so the hot
-// store path touches no shared lock or cache line.
+// A Mutator's reference stores share nothing either: SetRef/SetRefFast
+// through a Mutator run the write barrier on the mutator's own buffers,
+// and the shared remembered set learns of them only at publication
+// points — transaction commit, GC safepoints, buffer overflow — so the
+// hot store path touches no shared lock or cache line. The same calls on
+// the Runtime go through one context per heap that every goroutine
+// shares: correct, and the slow path.
 //
 // # Concurrent persistent GC
 //
 // PersistentGC stops the world for the whole collection; with
-// Options.ConcurrentGC (or PersistentGCConcurrent) marking runs
-// concurrently with mutators under a snapshot-at-the-beginning barrier,
-// and only final remark + compaction pause them. Both phases are also
-// parallel: marking fans out over Options.GCWorkers work-stealing
-// tracers (default GOMAXPROCS) that drain the SATB and remembered-set
-// delta buffers alongside tracing, and the compaction pause shards its
+// PersistentGCConcurrent marking runs concurrently with mutators under a
+// snapshot-at-the-beginning barrier, and only final remark + compaction
+// pause them. Both phases are also parallel: marking fans out over
+// GOMAXPROCS work-stealing tracers (PersistentGCConcurrentWorkers picks
+// another count) that drain the mutators' barrier buffers alongside
+// tracing, and the compaction pause shards its
 // reference-fix and fill passes over the same pool — see docs/gc.md for
 // the pipeline and its crash rule. Compaction moves
 // objects and patches every root it can see — named roots, handles,
@@ -200,19 +201,6 @@ type Options struct {
 	NVMWriteLatency time.Duration
 	// StrictCast disables alias Klasses, reproducing paper Figure 10.
 	StrictCast bool
-	// ConcurrentGC makes PersistentGC collect with concurrent SATB
-	// marking: mutators keep allocating and storing (through the
-	// pre-write barrier) while the object graph is traced, and only
-	// final remark + compaction pause them. PersistentGCConcurrent
-	// selects the concurrent collector per call regardless.
-	ConcurrentGC bool
-	// GCWorkers sizes the parallel GC pool: concurrent marking fans out
-	// over this many work-stealing tracers, and the compaction pause
-	// shards its reference-fix and fill passes over the same count.
-	// Zero (the default) means GOMAXPROCS; 1 reproduces the serial
-	// collector exactly. The resulting heap image is identical for every
-	// value on a quiescent heap.
-	GCWorkers int
 	// VolatileHeap sizes the DRAM young/old generations.
 	VolatileHeap vheap.Config
 	// Telemetry enables the runtime's observability registry: per-mutator
@@ -257,8 +245,6 @@ func Open(opts Options) (*Runtime, error) {
 		NVMWriteLatency: opts.NVMWriteLatency,
 		PJHDataSize:     opts.DefaultHeapSize,
 		StrictCast:      opts.StrictCast,
-		ConcurrentGC:    opts.ConcurrentGC,
-		GCWorkers:       opts.GCWorkers,
 		Telemetry:       opts.Telemetry || opts.TelemetryAddr != "",
 		FlightRecorder:  opts.FlightRecorder,
 	})
@@ -351,9 +337,8 @@ func (rt *Runtime) LoadHeap(name string) error {
 	return err
 }
 
-// PersistentGC forces a crash-consistent collection of a heap
-// (System.gc() for the persistent space). With Options.ConcurrentGC it
-// runs the concurrent collector.
+// PersistentGC forces a stop-the-world crash-consistent collection of a
+// heap (System.gc() for the persistent space).
 func (rt *Runtime) PersistentGC(name string) (GCResult, error) {
 	return rt.Runtime.PersistentGC(name)
 }
@@ -362,13 +347,16 @@ func (rt *Runtime) PersistentGC(name string) (GCResult, error) {
 // concurrent marking: mutators on other goroutines keep running while
 // the graph is traced; only final remark + compaction + the redo-log
 // finish stop the world. GCResult.PauseTime reports that stop-the-world
-// portion, GCResult.MarkTime the overlapped marking.
+// portion, GCResult.MarkTime the overlapped marking. The GC pool has
+// GOMAXPROCS workers.
 func (rt *Runtime) PersistentGCConcurrent(name string) (GCResult, error) {
 	return rt.Runtime.PersistentGCConcurrent(name)
 }
 
 // PersistentGCConcurrentWorkers is PersistentGCConcurrent with an
-// explicit GC pool size, overriding Options.GCWorkers for this cycle.
+// explicit GC pool size; 1 reproduces the serial collector exactly, and
+// the resulting heap image is identical for every value on a quiescent
+// heap.
 func (rt *Runtime) PersistentGCConcurrentWorkers(name string, workers int) (GCResult, error) {
 	return rt.Runtime.PersistentGCConcurrentWorkers(name, workers)
 }

@@ -5,46 +5,47 @@ import (
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
-	"espresso/internal/nvm"
 	"espresso/internal/pheap"
-	"espresso/internal/telemetry"
 )
 
 // Field and array access with the write barriers that maintain the two
 // remembered sets and the concurrent collector's SATB invariant:
 //
 //   - old-generation slot ← young ref  → recorded for the scavenger;
-//   - persistent slot ← volatile ref   → recorded in the NVM-to-DRAM
-//     remembered set (used as volatile-GC roots, policed by type-based
-//     safety, nullified by the zeroing scan);
-//   - persistent slot overwritten while a concurrent mark runs → the old
-//     referent is recorded in a SATB buffer (pre-write barrier), so the
-//     snapshot-at-the-beginning marker never loses a reachable object.
+//   - persistent slot ← any ref        → pheap's reference-store barrier
+//     (pheap/barrier.go): the overwritten referent reaches a concurrent
+//     marker before it is lost, and the NVM-to-DRAM remembered set (used
+//     as volatile-GC roots, policed by type-based safety, nullified by
+//     the zeroing scan) learns whether the slot now holds a volatile
+//     reference.
 //
 // Public accessors run inside a safepoint interval; the lowercase helpers
 // assume the caller is in one and never enter another. Each takes the
 // calling mutator as its context (see Mutator), nil from the Runtime-level
 // accessors.
 
-// heapAccess resolves the persistent heap whose image holds ref, with the
-// object access m's operations on it go through: m's allocator's own
-// device view when ref is in m's heap, the heap's ownerless one
-// otherwise.
-func (rt *Runtime) heapAccess(m *Mutator, ref layout.Ref) (pheap.Access, bool) {
+// ctxOf is the one place an access's context is chosen: the mutator
+// context of the persistent heap whose image holds ref — m's own
+// allocator when that heap is m's, the heap's ownerless context
+// otherwise — or nil when no loaded heap holds ref. The context always
+// belongs to the heap holding ref: a mutator reaching into another heap
+// gets that heap's device view, barrier buffers and telemetry, whole, so
+// a store's records land where that heap's collector drains.
+func (rt *Runtime) ctxOf(m *Mutator, ref layout.Ref) *pheap.Allocator {
 	if m != nil && m.h.ContainsImage(ref) {
-		return m.alloc.Access, true
+		return m.alloc
 	}
 	if h := rt.heapOf(ref); h != nil {
-		return h.Access, true
+		return h.Ownerless()
 	}
-	return pheap.Access{}, false
+	return nil
 }
 
 func (rt *Runtime) getWord(m *Mutator, ref layout.Ref, boff int) uint64 {
 	if rt.vol.Contains(ref) {
 		return rt.vol.GetWord(ref, boff)
 	}
-	if x, ok := rt.heapAccess(m, ref); ok {
+	if x := rt.ctxOf(m, ref); x != nil {
 		return x.GetWord(ref, boff)
 	}
 	panic(fmt.Sprintf("core: load from non-object address %#x", uint64(ref)))
@@ -55,7 +56,7 @@ func (rt *Runtime) setWord(m *Mutator, ref layout.Ref, boff int, v uint64) {
 		rt.vol.SetWord(ref, boff, v)
 		return
 	}
-	if x, ok := rt.heapAccess(m, ref); ok {
+	if x := rt.ctxOf(m, ref); x != nil {
 		x.SetWord(ref, boff, v)
 		return
 	}
@@ -200,80 +201,31 @@ func (rt *Runtime) boundsCheck(m *Mutator, arr layout.Ref, i int) error {
 	return nil
 }
 
-// storeRef performs the reference store plus barrier bookkeeping. m
-// selects where everything owned lands: the calling mutator's SATB and
-// remembered-set delta buffers, its telemetry cell (owner-counted,
-// fence-free) and its device view — or, for nil, the heap's shared
-// default buffers, the heap registry's shared cell (atomic ops, so the
-// op mix stays complete either way) and the device's shared counters.
+// storeRef performs a reference store with its barrier. For a persistent
+// object that is pheap's, on the context ctxOf picks: the calling
+// mutator's own buffers, cell and device view, or the ownerless ones of
+// the heap holding obj. The paper permits NVM→DRAM references at the
+// language level (§3.2); type-based safety forbids them (§3.4).
 func (rt *Runtime) storeRef(m *Mutator, obj layout.Ref, boff int, val layout.Ref) error {
-	slot := obj + layout.Ref(boff)
-	if x, ok := rt.heapAccess(m, obj); ok {
-		h := x.Heap()
-		var satb *pheap.SATBBuffer
-		var rdelta *pheap.RemsetDeltaBuffer
-		var cell *telemetry.Cell
-		if m != nil {
-			satb, rdelta, cell = m.satb, m.rdelta, m.cell
-		}
-		// Persistent object. The paper permits NVM→DRAM references at the
-		// language level (§3.2); type-based safety forbids them (§3.4).
-		// Remembered-set maintenance is write-combined: the store appends
-		// one delta to a mutator-local buffer (before the device store,
-		// preserving the eager path's ordering) and the shared set learns
-		// about it at the next publication point — transaction commit,
-		// safepoint entry, or buffer overflow. See remset.go for the full
-		// lifecycle. The hot path therefore takes no shared lock and
-		// touches no shared cache line for the remembered set.
+	if x := rt.ctxOf(m, obj); x != nil {
 		isVol := val != layout.NullRef && rt.vol.Contains(val)
 		if isVol && rt.cfg.Safety == TypeBased {
 			return fmt.Errorf("core: type-based safety forbids storing a volatile reference into NVM")
 		}
-		if rdelta == nil {
-			rdelta = h.DefaultRemsetDeltaBuffer(slot)
-		}
-		// SATB pre-write barrier: while a concurrent mark runs, the old
-		// referent must reach the marker before it is overwritten, or a
-		// snapshot-reachable object could be hidden from the trace. Off
-		// the marking phase this costs one atomic flag load.
-		var satbReads uint64
-		if h.ConcurrentMarkActive() {
-			// Record the untagged old referent and dirty the card: the
-			// store may retarget this object at something the marker's
-			// outgoing-reference summary did not see, so its card must be
-			// rescanned in the compaction pause.
-			h.SATBRecordBarrier(obj, x.GetWordAtomic(obj, boff), satb)
-			satbReads = 1
-		}
-		// The store (a single atomic machine store, so the concurrent
-		// marker's slot loads never tear against it) and its delta land
-		// as one drain-atomic step: no publication can consume the delta
-		// before the value it must re-derive from is on the device.
-		rdelta.RecordStore(slot, isVol, func() {
-			x.SetWordAtomic(obj, boff, uint64(val))
-		})
-		if cell != nil {
-			cell.Inc(telemetry.CtrRefStores)
-			cell.Add(telemetry.CtrSATBRecords, satbReads)
-			cell.Dev(nvm.SubRefstore, satbReads, 1, 0, 0)
-		} else if sc := h.Telemetry().Shared(); sc != nil {
-			sc.AtomicInc(telemetry.CtrRefStores)
-			sc.AtomicAdd(telemetry.CtrSATBRecords, satbReads)
-			sc.AtomicDev(nvm.SubRefstore, satbReads, 1, 0, 0)
-		}
+		x.StoreRef(obj, boff, val, isVol)
 		return nil
 	}
 	// Volatile object: old→young stores feed the scavenger's remset.
 	if rt.vol.InOld(obj) && val != layout.NullRef && rt.vol.InYoung(val) {
-		rt.vol.RecordOldToYoung(slot)
+		rt.vol.RecordOldToYoung(obj + layout.Ref(boff))
 	}
 	rt.vol.SetWord(obj, boff, uint64(val))
 	return nil
 }
 
 // NVMToVolSlots snapshots the persistent-to-volatile remembered set
-// (diagnostics and tests). Pending per-mutator deltas are published
-// first, so the snapshot reflects every store issued before the call.
+// (diagnostics and tests). Pending deltas are published first, so the
+// snapshot reflects every store issued before the call.
 func (rt *Runtime) NVMToVolSlots() []layout.Ref {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
@@ -282,8 +234,8 @@ func (rt *Runtime) NVMToVolSlots() []layout.Ref {
 }
 
 // publishRemsetDeltas drains every heap's pending remembered-set deltas
-// into the shared set. Callers hold the safepoint read lock (a collector
-// drain is safe against concurrent owner appends: the per-buffer mutex
+// into the shared set. Callers hold the safepoint read lock (a drain is
+// safe against concurrent owner appends: each context's buffer mutex
 // serializes them, and a store that has not yet appended its delta has
 // not yet hit the device either).
 func (rt *Runtime) publishRemsetDeltas() {

@@ -112,10 +112,10 @@ func (rt *Runtime) getRefFast(m *Mutator, ref layout.Ref, f FieldRef) layout.Ref
 }
 
 // SetRefFast writes a reference field through a resolved handle, keeping
-// the full write barrier (remembered sets, type-based safety, SATB).
-// Remembered-set maintenance is a mutator-local delta append — no shared
-// lock, no shared cache line; route stores through a Mutator to give the
-// append a truly private buffer.
+// the full write barrier (remembered sets, type-based safety, SATB). At
+// the Runtime level that is the heap's ownerless context: one buffer pair
+// behind one mutex for every such store on the heap. Route stores through
+// a Mutator to give them buffers of their own.
 func (rt *Runtime) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()

@@ -26,8 +26,8 @@ func (rt *Runtime) FlushField(obj layout.Ref, field string) error {
 }
 
 func (rt *Runtime) flushField(m *Mutator, obj layout.Ref, field string) error {
-	x, ok := rt.heapAccess(m, obj)
-	if !ok {
+	x := rt.ctxOf(m, obj)
+	if x == nil {
 		return fmt.Errorf("core: flush of a non-persistent object")
 	}
 	boff, _, err := rt.fieldOff(m, obj, field)
@@ -47,8 +47,8 @@ func (rt *Runtime) FlushArrayElem(arr layout.Ref, i int) error {
 }
 
 func (rt *Runtime) flushArrayElem(m *Mutator, arr layout.Ref, i int) error {
-	x, ok := rt.heapAccess(m, arr)
-	if !ok {
+	x := rt.ctxOf(m, arr)
+	if x == nil {
 		return fmt.Errorf("core: flush of a non-persistent array")
 	}
 	k, err := rt.klassOf(m, arr)
@@ -76,8 +76,8 @@ func (rt *Runtime) FlushObject(obj layout.Ref) error {
 }
 
 func (rt *Runtime) flushObject(m *Mutator, obj layout.Ref) error {
-	x, ok := rt.heapAccess(m, obj)
-	if !ok {
+	x := rt.ctxOf(m, obj)
+	if x == nil {
 		return fmt.Errorf("core: flush of a non-persistent object")
 	}
 	k, err := rt.klassOf(m, obj)

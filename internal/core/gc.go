@@ -42,7 +42,10 @@ func (r volRoots) UpdateSlots(fn func(layout.Ref) layout.Ref) {
 		}
 	}
 	rt.mu.Unlock()
-	for _, slot := range rt.nvmToVol.Snapshot() {
+	rs := rt.nvmToVol
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for slot := range rs.m {
 		h := rt.heapOf(slot)
 		if h == nil {
 			continue
@@ -54,7 +57,7 @@ func (r volRoots) UpdateSlots(fn func(layout.Ref) layout.Ref) {
 			h.Device().WriteU64Atomic(boff, uint64(nv))
 			// The slot now points elsewhere; membership is re-derived.
 			if nv == layout.NullRef || !rt.vol.Contains(nv) {
-				rt.nvmToVol.Remove(slot)
+				delete(rs.m, slot)
 			}
 		}
 	}
@@ -168,12 +171,9 @@ func (w worldLocker) StartWorld() { w.rt.world.Start() }
 // PersistentGC runs the crash-consistent collection of paper §4 on the
 // named heap (System.gc() for the persistent space). Mutators on other
 // goroutines are paused through the safepoint lock for the whole
-// collection; with Config.ConcurrentGC set, the concurrent collector
-// runs instead and pauses them only for handshake and compaction.
+// collection; PersistentGCConcurrent pauses them only for handshake and
+// compaction.
 func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
-	if rt.cfg.ConcurrentGC {
-		return rt.PersistentGCConcurrent(name)
-	}
 	h, ok := rt.heapByName[name]
 	if !ok {
 		return pgc.Result{}, fmt.Errorf("core: heap %q is not loaded", name)
@@ -189,17 +189,20 @@ func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 
 // PersistentGCConcurrent collects the named heap with SATB concurrent
 // marking: the object graph is traced while mutators keep running (the
-// pre-write barrier in storeRef keeps the snapshot consistent, and
-// allocation proceeds above the snapshotted region tops), and only final
-// remark + compaction + the redo-log finish stop the world. The GC pool
-// size comes from Config.GCWorkers (zero means GOMAXPROCS).
+// reference-store barrier's pre-write half keeps the snapshot consistent,
+// and allocation proceeds above the snapshotted region tops), and only
+// final remark + compaction + the redo-log finish stop the world. The GC
+// pool has GOMAXPROCS workers.
 func (rt *Runtime) PersistentGCConcurrent(name string) (pgc.Result, error) {
-	return rt.PersistentGCConcurrentWorkers(name, rt.gcWorkers())
+	return rt.PersistentGCConcurrentWorkers(name, runtime.GOMAXPROCS(0))
 }
 
 // PersistentGCConcurrentWorkers is PersistentGCConcurrent with an
-// explicit GC pool size, overriding Config.GCWorkers for this cycle.
-// workers < 1 means 1.
+// explicit GC pool size: marking fans out over this many work-stealing
+// tracers and the compaction pause shards its reference-fix and fill
+// passes over the same count. One worker reproduces the serial collector
+// exactly; the heap image is byte-identical for every value on a
+// quiescent heap. workers < 1 means 1.
 func (rt *Runtime) PersistentGCConcurrentWorkers(name string, workers int) (pgc.Result, error) {
 	h, ok := rt.heapByName[name]
 	if !ok {
@@ -210,15 +213,6 @@ func (rt *Runtime) PersistentGCConcurrentWorkers(name string, workers int) (pgc.
 	return pgc.CollectConcurrentWorkers(h, persRoots{rt, h}, worldLocker{rt, h}, workers)
 }
 
-// gcWorkers resolves Config.GCWorkers: zero or negative means
-// GOMAXPROCS, the conventional "use the machine" default.
-func (rt *Runtime) gcWorkers() int {
-	if rt.cfg.GCWorkers > 0 {
-		return rt.cfg.GCWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // rebuildNVMRemset rescans one heap's live objects for volatile
 // references. Called after compaction invalidates slot addresses. The
 // remembered set is precise — every NVM→DRAM store passes the write
@@ -226,10 +220,17 @@ func (rt *Runtime) gcWorkers() int {
 // volatile reference and the whole-heap rescan (a pause-time cost
 // proportional to everything live) is skipped.
 func (rt *Runtime) rebuildNVMRemset(h *pheap.Heap) {
-	if rt.nvmToVol.Empty() {
+	rs := rt.nvmToVol
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if len(rs.m) == 0 {
 		return
 	}
-	rt.nvmToVol.RemoveIf(h.ContainsImage)
+	for slot := range rs.m {
+		if h.ContainsImage(slot) {
+			delete(rs.m, slot)
+		}
+	}
 	_ = h.ForEachObject(func(off int, k *klass.Klass, size int) bool {
 		if pheap.IsFiller(k) {
 			return true
@@ -237,7 +238,7 @@ func (rt *Runtime) rebuildNVMRemset(h *pheap.Heap) {
 		pheap.RefSlots(h.Device(), off, k, func(slotBoff int) {
 			v := layout.Ref(h.Device().ReadU64(off + slotBoff))
 			if v != layout.NullRef && rt.vol.Contains(v) {
-				rt.nvmToVol.Add(h.AddrOf(off + slotBoff))
+				rs.m[h.AddrOf(off+slotBoff)] = struct{}{}
 			}
 		})
 		return true

@@ -19,12 +19,11 @@ import (
 // a commit touched.
 //
 // Reference slots keep the full write barrier and the full access
-// discipline: each contributes a remembered-set delta landing
-// drain-atomically with its store (RecordStore — concurrent publications
-// re-read slots with atomic loads, which a bulk memmove over a reference
-// slot would tear against), plus a SATB pre-write record while a
-// concurrent mark runs, and type-based safety vets volatile values
-// before any byte lands.
+// discipline: each goes through pheap's StoreRef on the heap's ownerless
+// context (concurrent publications and the marker re-read slots with
+// atomic loads, which a bulk memmove over a reference slot would tear
+// against), and type-based safety vets volatile values before any byte
+// lands.
 
 // ReadFieldImage fills dst with the object's field area — starting at
 // the first instance field — using a single bulk device read. The caller
@@ -44,20 +43,17 @@ func (rt *Runtime) ReadFieldImage(ref layout.Ref, dst []byte) error {
 // WriteFieldImage stores img over the object's field area (starting at
 // the first instance field) and persists it with one FlushRange + fence.
 // refOffs lists the object-relative byte offsets of the reference-typed
-// slots inside the image; each gets the same barrier bookkeeping and
-// store discipline as storeRef — type-based safety, a drain-atomic
-// remembered-set delta, an atomic machine store (the concurrent marker
-// and delta publications read reference slots atomically; no bulk
-// memmove ever covers one), and the SATB pre-write barrier while marking
-// is active. The primitive spans between reference slots move with bulk
+// slots inside the image; each gets the same type-based safety check and
+// the same barrier as storeRef (no bulk memmove ever covers one). The
+// primitive spans between reference slots move with bulk
 // writes, so total device writes per call are bounded by the schema's
 // reference-column count plus its contiguous primitive runs — never by
 // the field count.
 func (rt *Runtime) WriteFieldImage(ref layout.Ref, img []byte, refOffs []int) error {
 	rt.world.RLock()
 	defer rt.world.RUnlock()
-	h := rt.heapOf(ref)
-	if h == nil {
+	x := rt.ctxOf(nil, ref)
+	if x == nil {
 		return fmt.Errorf("core: WriteFieldImage of a non-persistent object %#x", uint64(ref))
 	}
 	base := layout.FieldOff(0)
@@ -83,30 +79,21 @@ func (rt *Runtime) WriteFieldImage(ref layout.Ref, img []byte, refOffs []int) er
 			}
 		}
 	}
-	// Ship the image: bulk-write each primitive run, store each reference
-	// slot atomically with its drain-atomic delta (and the SATB barrier
-	// while marking — the armed flag cannot flip mid-call: marking arms
-	// only at a safepoint and this call holds the safepoint read lock).
-	marking := h.ConcurrentMarkActive()
+	// Ship the image: bulk-write each primitive run, send each reference
+	// slot through the barrier.
 	run := base
 	writeRun := func(upto int) {
 		if upto > run {
-			h.WriteBytesAt(ref, run, img[run-base:upto-base])
+			x.WriteBytesAt(ref, run, img[run-base:upto-base])
 		}
 	}
 	for _, boff := range sorted {
 		writeRun(boff)
 		run = boff + layout.WordSize
 		val := layout.Ref(binary.LittleEndian.Uint64(img[boff-base:]))
-		if marking {
-			h.SATBRecordBarrier(ref, h.GetWordAtomic(ref, boff), nil)
-		}
-		slot := ref + layout.Ref(boff)
-		h.DefaultRemsetDeltaBuffer(slot).RecordStore(slot, val != layout.NullRef && rt.vol.Contains(val), func() {
-			h.SetWordAtomic(ref, boff, uint64(val))
-		})
+		x.StoreRef(ref, boff, val, val != layout.NullRef && rt.vol.Contains(val))
 	}
 	writeRun(base + len(img))
-	h.FlushRange(ref, base, len(img))
+	x.FlushRange(ref, base, len(img))
 	return nil
 }

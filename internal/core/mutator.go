@@ -7,19 +7,16 @@ import (
 	"espresso/internal/layout"
 	"espresso/internal/pheap"
 	"espresso/internal/safepoint"
-	"espresso/internal/telemetry"
 )
 
 // Mutator is a per-goroutine allocation and mutation context: the runtime
 // analog of a JVM mutator thread with a thread-local allocation buffer
-// and a thread-local SATB barrier buffer. It pins the heap that was
-// active when it was created and routes PNew through its own
+// and thread-local barrier buffers. It pins the heap that was active when
+// it was created and does everything in that heap through its own
 // pheap.Allocator, so steady-state allocation touches no shared lock —
-// the PLAB bump path persists only the mutator's own region top. Its
-// reference stores feed the pre-write barrier through its own SATB
-// buffer, so barrier records contend with nothing while the concurrent
-// marker runs, and remembered-set maintenance through its own delta
-// buffer, so the hot ref-store path takes no shared lock at all — the
+// the PLAB bump path persists only the mutator's own region top — and
+// neither does a reference store: the barrier's pre-write records and
+// remembered-set deltas land in the allocator's own buffers, and the
 // shared NVM→DRAM set learns about the stores at the next publication
 // point (transaction commit, safepoint entry, or buffer overflow; see
 // remset.go).
@@ -52,18 +49,15 @@ import (
 // would enter a second safepoint interval and can deadlock against a
 // collector waiting to pause.
 //
-// The runtime's internal access helpers take a *Mutator as their context:
-// it carries the barrier buffers, the telemetry cell and (through alloc)
-// the device view an owned access uses. A nil *Mutator is the ownerless
-// context of the Runtime-level accessors: the heap's shared buffers and
-// the device's shared counters.
+// The runtime's internal access helpers take a *Mutator as their context
+// and resolve it to a pheap.Allocator (ctxOf): the mutator's own for an
+// object in its heap, the ownerless context of whichever heap holds the
+// object otherwise — which is also what a nil *Mutator, the context of
+// the Runtime-level accessors, always gets.
 type Mutator struct {
 	rt       *Runtime
 	h        *pheap.Heap
 	alloc    *pheap.Allocator
-	satb     *pheap.SATBBuffer
-	rdelta   *pheap.RemsetDeltaBuffer
-	cell     *telemetry.Cell // the allocator's counter cell, shared across this mutator's paths
 	slot     *safepoint.Slot
 	prepared map[*klass.Klass]bool
 	locked   bool // inside Do: already pinned
@@ -75,14 +69,10 @@ func (rt *Runtime) NewMutator() (*Mutator, error) {
 	if h == nil {
 		return nil, fmt.Errorf("core: no persistent heap loaded")
 	}
-	alloc := h.NewAllocator()
 	return &Mutator{
 		rt:       rt,
 		h:        h,
-		alloc:    alloc,
-		satb:     h.NewSATBBuffer(),
-		rdelta:   h.NewRemsetDeltaBuffer(),
-		cell:     alloc.TelemetryCell(),
+		alloc:    h.NewAllocator(),
 		slot:     rt.world.NewSlot(),
 		prepared: make(map[*klass.Klass]bool),
 	}, nil
@@ -165,8 +155,8 @@ func (m *Mutator) prepare(k *klass.Klass) error {
 	return nil
 }
 
-// SetRef writes a named reference field through the write barrier,
-// recording SATB entries in this mutator's own buffer.
+// SetRef writes a named reference field through the write barrier, on
+// this mutator's own buffers.
 func (m *Mutator) SetRef(ref layout.Ref, field string, val layout.Ref) error {
 	m.enter()
 	defer m.exit()
@@ -174,7 +164,7 @@ func (m *Mutator) SetRef(ref layout.Ref, field string, val layout.Ref) error {
 }
 
 // SetRefFast writes a reference field through a resolved handle, with
-// the full write barrier routed through this mutator's SATB buffer.
+// the full write barrier on this mutator's own buffers.
 func (m *Mutator) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
 	m.enter()
 	defer m.exit()
@@ -182,7 +172,7 @@ func (m *Mutator) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
 }
 
 // SetElem stores element i of a reference array through the write
-// barrier, SATB records going to this mutator's buffer.
+// barrier, on this mutator's own buffers.
 func (m *Mutator) SetElem(arr layout.Ref, i int, val layout.Ref) error {
 	m.enter()
 	defer m.exit()
@@ -261,26 +251,16 @@ func (m *Mutator) SetRoot(name string, ref layout.Ref) error {
 	return m.rt.setRoot(name, ref)
 }
 
-// PendingRemsetDeltas reports how many remembered-set deltas this
-// mutator has recorded but not yet published (diagnostics, tests).
-func (m *Mutator) PendingRemsetDeltas() int { return m.rdelta.Pending() }
-
 // Release retires the mutator: its PLAB headroom and recycled hole go
 // back to the heap's dispenser for the next mutator to continue filling,
-// its SATB buffer is unregistered (pending barrier records are handed to
-// the heap's shared buffer, so none are lost mid-mark), and its
-// remembered-set delta buffer is unregistered after publishing anything
-// still pending. Like every mutator operation it is a safepoint interval;
-// the safepoint slot is given up after the interval ends (or, inside Do,
-// keeps holding pauses off until Do returns).
+// pre-write records a running mark has not seen move to the heap's
+// ownerless context, and pending remembered-set deltas are published
+// (pheap.Allocator.Release). Like every mutator operation it is a
+// safepoint interval; the safepoint slot is given up after the interval
+// ends (or, inside Do, keeps holding pauses off until Do returns).
 func (m *Mutator) Release() {
 	defer m.slot.Retire()
 	m.enter()
 	defer m.exit()
 	m.alloc.Release()
-	m.cell = nil // released with the allocator; counts folded into the registry
-	m.h.ReleaseSATBBuffer(m.satb)
-	m.satb = nil
-	m.h.ReleaseRemsetDeltaBuffer(m.rdelta)
-	m.rdelta = nil
 }

@@ -14,45 +14,42 @@ import (
 // currently believed to hold DRAM references. It is consulted by the
 // volatile collectors (those slots are scavenge roots and get patched
 // when DRAM objects move), rebuilt by the persistent collector after
-// compaction, and policed by the safety levels. It is sharded, but since
-// PR 5 no mutator-hot path touches it directly: a shard lock per
-// reference store was the last shared-memory contention point left on the
-// mutator fast path after PLABs and the lock-free index.
+// compaction, and policed by the safety levels. No mutator path touches
+// it: it is a fold target only, one mutex and one map, taken once per
+// published batch.
 //
 // The lifecycle of one reference store is instead:
 //
 //	store        core.storeRef classifies the new value (volatile or
-//	             not) and appends a RemsetDelta{slot, add} to a buffer
-//	             owned by the storing mutator (pheap.RemsetDeltaBuffer,
-//	             the same owner-append/collector-drain shape as the SATB
-//	             buffers; stores outside a Mutator use the heap's shared
-//	             default buffer). The append happens before the device
-//	             store, preserving the eager path's ordering.
+//	             not) and pheap's reference-store barrier appends a
+//	             RemsetDelta{slot, add} to the storing context's buffer
+//	             (the mutator's pheap.Allocator; stores outside a
+//	             Mutator use the heap's ownerless context), under the
+//	             same mutex hold as the device store.
 //
-//	delta        The record sits in the mutator-local buffer — invisible
-//	             to the shared set, touching no shared cache line.
+//	delta        The record sits in the context's buffer — invisible to
+//	             the shared set, touching no shared cache line.
 //
 //	publication  Deltas merge into the shared set at exactly three
 //	             points:
 //	               1. transaction commit — ptx.Tx.Commit publishes the
-//	                  transaction's batch (Abort replays corrective
-//	                  records for the rolled-back slots instead, exactly
-//	                  like it replays SATB barrier records, so the set
-//	                  returns to its pre-tx contents);
+//	                  ownerless context its stores went through (Abort
+//	                  sends the rolled-back slots through the barrier
+//	                  again and publishes those, so the set returns to
+//	                  its pre-tx contents);
 //	               2. safepoint entry — pheap.PrepareForCollection drains
-//	                  every registered buffer with the world stopped, so
-//	                  both persistent collectors see a complete set
-//	                  before marking/compaction, and the runtime drains
-//	                  before every volatile collection for the same
-//	                  reason;
+//	                  every context with the world stopped, so both
+//	                  persistent collectors see a complete set before
+//	                  marking/compaction, and the runtime drains before
+//	                  every volatile collection for the same reason;
 //	               3. buffer overflow — the owner publishes its own
-//	                  buffer past RemsetDeltaOverflow records, amortized.
+//	                  deltas past RemsetDeltaOverflow records, amortized.
 //
 // A delta is a hint, not an instruction: membership is RE-DERIVED from
 // the slot's current device value when the delta is applied (see
-// applyRemsetDeltas). Within one buffer deltas arrive in program order,
-// but one slot can be stored through two buffers (a Runtime-routed store
-// and a Mutator-routed one, or a ptx transaction), and buffers drain in
+// applyRemsetDeltas). Within one context deltas arrive in program order,
+// but one slot can be stored through two contexts (a Runtime-routed store
+// and a Mutator-routed one, or a ptx transaction), and contexts drain in
 // registration order — trusting the hints alone could let an early
 // remove erase a later add and drop a live scavenge root. Re-derivation
 // makes publication order-independent and idempotent: after any full
@@ -67,87 +64,25 @@ import (
 // pending deltas; every consumer therefore publishes first (see
 // remsetSink and the publishRemsetDeltas calls in gc.go).
 
-// remset is sharded by slot address so publication batches from different
-// mutators do not serialize on one lock, and so the (rare) bufferless
-// paths stay cheap.
-const remsetShards = 64
-
+// remset is the shared set: one lock, taken once per batch whatever the
+// batch is — published deltas, a volatile collection's patch, a
+// persistent collection's rebuild.
 type remset struct {
-	shards [remsetShards]remsetShard
-}
-
-type remsetShard struct {
 	mu sync.Mutex
 	m  map[layout.Ref]struct{}
 }
 
-func newRemset() *remset {
-	r := &remset{}
-	for i := range r.shards {
-		r.shards[i].m = make(map[layout.Ref]struct{})
-	}
-	return r
-}
-
-// shard picks the shard for a slot address. Slots are word-aligned, so
-// the low three bits carry no entropy; a Fibonacci mix spreads nearby
-// slots (fields of one object) across shards.
-func (r *remset) shard(slot layout.Ref) *remsetShard {
-	h := uint64(slot) * 0x9e3779b97f4a7c15
-	return &r.shards[h>>(64-6)]
-}
-
-// Add records that slot holds a volatile reference.
-func (r *remset) Add(slot layout.Ref) {
-	s := r.shard(slot)
-	s.mu.Lock()
-	s.m[slot] = struct{}{}
-	s.mu.Unlock()
-}
-
-// Remove forgets slot. Removing an absent slot is a no-op.
-func (r *remset) Remove(slot layout.Ref) {
-	s := r.shard(slot)
-	s.mu.Lock()
-	delete(s.m, slot)
-	s.mu.Unlock()
-}
-
-// Empty reports whether no slot is recorded in any shard.
-func (r *remset) Empty() bool {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		n := len(s.m)
-		s.mu.Unlock()
-		if n > 0 {
-			return false
-		}
-	}
-	return true
-}
+func newRemset() *remset { return &remset{m: make(map[layout.Ref]struct{})} }
 
 // Snapshot returns every recorded slot (order unspecified).
 func (r *remset) Snapshot() []layout.Ref {
-	var out []layout.Ref
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for slot := range s.m {
-			out = append(out, slot)
-		}
-		s.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]layout.Ref, 0, len(r.m))
+	for slot := range r.m {
+		out = append(out, slot)
 	}
 	return out
-}
-
-// Contains reports whether slot is recorded.
-func (r *remset) Contains(slot layout.Ref) bool {
-	s := r.shard(slot)
-	s.mu.Lock()
-	_, ok := s.m[slot]
-	s.mu.Unlock()
-	return ok
 }
 
 // remsetSink adapts the runtime's remembered set to pheap.RemsetSink —
@@ -162,7 +97,7 @@ func (s remsetSink) RefIsVolatile(ref layout.Ref) bool { return s.rt.vol.Contain
 
 // applyRemsetDeltas merges one published batch. Membership is re-derived
 // from the slot's current device value, which makes application
-// order-independent across buffers (see the package comment): an add
+// order-independent across contexts (see the package comment): an add
 // hint always re-reads; a remove hint re-reads only when the slot is
 // actually in the set (an absent remove is a guaranteed no-op, so the
 // pure NVM→NVM workload publishes without device traffic). The batch is
@@ -175,20 +110,29 @@ func (rt *Runtime) applyRemsetDeltas(ds []pheap.RemsetDelta) {
 	if len(ds) == 0 {
 		return
 	}
+	// Deduplicate newest-first, in place (the batch is the publisher's
+	// drained slice, nobody else's) and before the lock is taken: what is
+	// left to do under it is one lookup per distinct slot.
 	seen := make(map[layout.Ref]struct{}, len(ds))
+	j := len(ds)
 	for i := len(ds) - 1; i >= 0; i-- {
-		d := ds[i]
-		if _, dup := seen[d.Slot]; dup {
-			continue
+		if _, dup := seen[ds[i].Slot]; !dup {
+			seen[ds[i].Slot] = struct{}{}
+			j--
+			ds[j] = ds[i]
 		}
-		seen[d.Slot] = struct{}{}
-		if !d.Add && !rt.nvmToVol.Contains(d.Slot) {
+	}
+	rs := rt.nvmToVol
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	for _, d := range ds[j:] {
+		if _, in := rs.m[d.Slot]; !d.Add && !in {
 			continue
 		}
 		if rt.slotHoldsVolatile(d.Slot) {
-			rt.nvmToVol.Add(d.Slot)
+			rs.m[d.Slot] = struct{}{}
 		} else {
-			rt.nvmToVol.Remove(d.Slot)
+			delete(rs.m, d.Slot)
 		}
 	}
 }
@@ -204,18 +148,4 @@ func (rt *Runtime) slotHoldsVolatile(slot layout.Ref) bool {
 	boff := int(slot) - int(h.Base())
 	v := layout.UntagRef(layout.Ref(h.Device().ReadU64Atomic(boff)))
 	return v != layout.NullRef && rt.vol.Contains(v)
-}
-
-// RemoveIf deletes every slot for which pred returns true.
-func (r *remset) RemoveIf(pred func(layout.Ref) bool) {
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for slot := range s.m {
-			if pred(slot) {
-				delete(s.m, slot)
-			}
-		}
-		s.mu.Unlock()
-	}
 }

@@ -77,17 +77,6 @@ type Config struct {
 	// StrictCast disables the alias-Klass extension, reproducing the
 	// spurious ClassCastException of paper Figure 10. For tests and demos.
 	StrictCast bool
-	// ConcurrentGC routes PersistentGC through the concurrent collector:
-	// marking overlaps the mutators and only final remark + compaction
-	// pause the world. PersistentGCConcurrent selects it per call.
-	ConcurrentGC bool
-	// GCWorkers is the parallel GC pool size: marking fans out over this
-	// many work-stealing tracers and the compaction pause shards its
-	// reference-fix and fill passes over the same count. Zero or negative
-	// means GOMAXPROCS. One worker reproduces the serial collector
-	// exactly; the heap image is byte-identical for every value on a
-	// quiescent heap.
-	GCWorkers int
 	// Telemetry enables the runtime's observability registry: per-mutator
 	// counter cells, GC phase spans, latency histograms. Off (the default)
 	// every instrumented path sees nil and records nothing; on, the mutator
@@ -151,9 +140,10 @@ type Runtime struct {
 	// addresses of NVM slots currently holding DRAM references. The
 	// volatile collectors treat these as roots and patch them; the
 	// zeroing scan and type-based safety police them. Mutator stores do
-	// not touch it directly: the write barrier appends to per-mutator
-	// delta buffers that merge here at publication points (see remset.go
-	// for the lifecycle), so consumers publish pending deltas first.
+	// not touch it directly: the write barrier appends deltas to the
+	// storing context's buffer, and those merge here at publication points
+	// (see remset.go for the lifecycle), so consumers publish pending
+	// deltas first.
 	nvmToVol *remset
 
 	// flushWork is FlushTransitive/FlushBatch's reusable traversal state
@@ -307,7 +297,7 @@ func (rt *Runtime) klassOf(m *Mutator, ref layout.Ref) (*klass.Klass, error) {
 	if rt.vol.Contains(ref) {
 		return rt.vol.KlassOf(ref)
 	}
-	if x, ok := rt.heapAccess(m, ref); ok {
+	if x := rt.ctxOf(m, ref); x != nil {
 		return x.KlassOf(ref)
 	}
 	return nil, fmt.Errorf("core: %#x is not an object address", uint64(ref))

@@ -160,60 +160,3 @@ func TestSATBMarkStress(t *testing.T) {
 	}
 	verify("after final STW GC")
 }
-
-// TestConcurrentGCConfigRoutesPersistentGC: with Config.ConcurrentGC,
-// the standard PersistentGC entry point runs the concurrent collector
-// (observable through the MarkTime/PauseTime split: marking happens
-// outside the pause).
-func TestConcurrentGCConfigRoutesPersistentGC(t *testing.T) {
-	rt, err := NewRuntime(Config{PJHDataSize: 16 << 20, ConcurrentGC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.CreateHeap("route", 0); err != nil {
-		t.Fatal(err)
-	}
-	node := klass.MustInstance("route/Node", nil,
-		klass.Field{Name: "next", Type: layout.FTRef, RefKlass: "route/Node"},
-	)
-	nextF := rt.MustResolveField(node, "next")
-	var head layout.Ref
-	for i := 0; i < 2000; i++ {
-		n, err := rt.PNew(node, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.SetRefFast(n, nextF, head); err != nil {
-			t.Fatal(err)
-		}
-		head = n
-	}
-	if err := rt.SetRoot("head", head); err != nil {
-		t.Fatal(err)
-	}
-	res, err := rt.PersistentGC("route")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LiveObjects != 2000 {
-		t.Fatalf("live = %d, want 2000", res.LiveObjects)
-	}
-	if res.MarkTime <= 0 {
-		t.Fatalf("concurrent route must report marking time, got %v", res.MarkTime)
-	}
-	// Under the concurrent collector the pause excludes marking, so the
-	// pause's device traffic must be a strict subset of the total.
-	if res.PauseDeviceStats.Reads >= res.DeviceStats.Reads {
-		t.Fatalf("pause reads %d not below total %d — marking ran inside the pause?",
-			res.PauseDeviceStats.Reads, res.DeviceStats.Reads)
-	}
-	ref, _ := rt.GetRoot("head")
-	n := 0
-	for ref != layout.NullRef {
-		n++
-		ref = rt.GetRefFast(ref, nextF)
-	}
-	if n != 2000 {
-		t.Fatalf("chain length %d after concurrent GC", n)
-	}
-}

@@ -23,10 +23,10 @@ var workloads = map[string]*workload{
 	"alloc": {name: "alloc", series: "plab", ops: 200000, curve: mutatorCurve, claim: point{mutators: 8},
 		setup: allocLoad{fields: 4, warm: true}.setup},
 	// The durable lock-free index under a serving mix, one operation
-	// context (PLAB allocator + SATB buffer) per mutator over disjoint
+	// context (its own pheap.Allocator) per mutator over disjoint
 	// key ranges: the CAS publication adds no shared persisted word.
 	"kv": {name: "kv", series: "pindex", ops: 160000, curve: mutatorCurve, claim: point{mutators: 8}, setup: kvSetup},
-	// Durable reference stores through per-mutator remset delta buffers.
+	// Durable reference stores through per-mutator barrier buffers.
 	"refstore": {name: "refstore", series: "refstore", ops: 320000, curve: mutatorCurve, claim: point{mutators: 8},
 		setup: refstoreSetup},
 	// The kv serving mix routed over independent shard heaps: a

@@ -4,9 +4,9 @@
 // array list, and a hash map. They are ordinary Java-object graphs
 // allocated with pnew; each mutating operation runs in a ptx undo-log
 // transaction so both sides of the comparison offer the same ACID
-// guarantee. Reference stores go through ptx.Tx.WriteRefWord — the SATB
-// pre-write barrier plus a single atomic machine store — so these legacy
-// collections stay correct while pgc.CollectConcurrent marks; the
+// guarantee. Reference stores go through ptx.Tx.WriteRefWord — pheap's
+// reference-store barrier on the heap's ownerless context — so these
+// legacy collections stay correct while pgc.CollectConcurrent marks; the
 // concurrent serving-oriented index lives in internal/pindex.
 package pcollections
 

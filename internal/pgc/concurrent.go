@@ -164,94 +164,28 @@ func CollectConcurrentWorkers(h *pheap.Heap, ext Rooter, w World, workers int) (
 	}
 	h.PrepareForCollection() // mutators attached fresh PLABs while marking ran
 	h.EndConcurrentMark()
-	dirtyRegions := h.SATBDirtyCards()
+	dirtyCards := h.SATBDirtyCards()
 	remarkStart := time.Now()
 	if err := mk.FinalRemark(h.SnapshotRegionTops()); err != nil {
 		return finalErr(err)
 	}
 	tel.RecordSpan(telemetry.SpanGCRemark, -1, -1, remarkStart, time.Since(remarkStart))
-	liveObjects, liveBytes := mk.Counts()
-	h.PersistMarkBitmapUsed()
-	h.RegionBitmap().Persist()
-	fr.Append(blackbox.EvGCMarkDone, uint64(liveObjects), uint64(liveBytes), 0)
-
-	// From here the tail is the STW collector's: stamp, summarize,
-	// compact, finish. The phase word retires once gcActive carries the
-	// cycle — the persisted bitmap is complete, so recovery resumes the
-	// compaction rather than discarding the mark.
-	cur := h.GlobalTS() + 1
-	h.SetGCState(cur, true)
-	h.SetGCPhase(pheap.GCPhaseIdle)
-	fr.Append(blackbox.EvGCStamp, cur, uint64(liveObjects), uint64(liveBytes))
-	sumStart := time.Now()
-	s, err := Summarize(h)
+	// From here the tail is the STW collector's.
+	t, err := runTail(h, ext, mk, dirtyCards, workers)
 	if err != nil {
-		h.SetGCState(cur, false)
 		return finalErr(err)
 	}
-	sumTime := time.Since(sumStart)
-	if s.LiveObjects != liveObjects || s.LiveBytes != liveBytes {
-		h.SetGCState(cur, false)
-		return finalErr(fmt.Errorf("pgc: summary disagrees with concurrent marking: %d/%d objects, %d/%d bytes",
-			s.LiveObjects, liveObjects, s.LiveBytes, liveBytes))
-	}
-	// The compactor skips reference fixing for regions the marker proved
-	// free of references to moved objects; the barrier's dirty cards veto
-	// regions mutated after their objects were traced. This is what keeps
-	// the pause proportional to churn + moves, not to everything live.
-	h.ResetFreeHoles()
-	compactStart := time.Now()
-	cr := compact(h, s, cur, buildCleanCards(s, mk.MaxOutgoing(), dirtyRegions), workers)
-	compactTime := time.Since(compactStart)
-	fr.Append(blackbox.EvGCCompactDone, uint64(s.MovedObjects), uint64(s.MovedBytes), 0)
-	redoBefore := dev.Stats()
-	redoStart := time.Now()
-	finish(h, s, cr.topEntries)
-	redoStats := dev.Stats().Sub(redoBefore)
-	redoTime := time.Since(redoStart)
-	ext.UpdateRoots(s.Forward)
-	h.SetFreeHoles(cr.holes)
-	fr.Append(blackbox.EvGCEnd, uint64(s.LiveObjects), uint64(s.MovedObjects), uint64(s.NewTop))
-	snapCounters(h, fr)
 	pauseStats = pauseStats.Add(dev.Stats().Sub(p2Before))
 	pause2 := time.Since(pause2Start)
 	w.StartWorld()
 
-	// Phase timeline + device attribution, recorded after the world
-	// restarts (the span ring is DRAM-only; nothing here holds the pause
-	// open). GC device traffic is the two pause windows plus the
-	// concurrent-phase worker traffic snapshotted above, minus the
-	// redo-log finish window, which gets its own subsystem.
-	tel.RecordSpan(telemetry.SpanGCSummarize, -1, -1, sumStart, sumTime)
-	tel.RecordSpan(telemetry.SpanGCCompact, -1, -1, compactStart, compactTime)
-	tel.RecordSpan(telemetry.SpanGCRedo, -1, -1, redoStart, redoTime)
+	// GC device traffic is the two pause windows plus the concurrent-phase
+	// worker traffic snapshotted above.
 	tel.RecordSpan(telemetry.SpanGCFinalPause, -1, -1, pause2Start, pause2)
-	for i, d := range mk.MarkWorkerTimes() {
-		tel.RecordSpan(telemetry.SpanGCMarkWorker, -1, i, markStart, d)
-	}
-	for i, d := range cr.fixWorkerTimes {
-		tel.RecordSpan(telemetry.SpanGCFixWorker, -1, i, compactStart, d)
-	}
-	if sc := tel.Shared(); sc != nil {
-		sc.AtomicInc(telemetry.CtrGCCycles)
-		sc.AtomicDevStats(nvm.SubGC, pauseStats.Add(concStats).Sub(redoStats))
-		sc.AtomicDevStats(nvm.SubRedo, redoStats)
-	}
-
-	return Result{
-		LiveObjects:           s.LiveObjects,
-		LiveBytes:             s.LiveBytes,
-		MovedObjects:          s.MovedObjects,
-		MovedBytes:            s.MovedBytes,
-		NewTop:                s.NewTop,
-		MarkTime:              markTime,
-		PauseTime:             pause1 + pause2,
-		DeviceStats:           dev.Stats().Sub(statsBefore),
-		PauseDeviceStats:      pauseStats,
-		MarkWorkerStats:       mk.MarkWorkerStats(),
-		CompactFixWorkerStats: cr.fixWorkerStats,
-		CompactSerialStats:    cr.serialStats,
-		MarkWorkerTimes:       mk.MarkWorkerTimes(),
-		CompactFixWorkerTimes: cr.fixWorkerTimes,
-	}, nil
+	res := t.report(h, mk, markStart, pauseStats.Add(concStats))
+	res.MarkTime = markTime
+	res.PauseTime = pause1 + pause2
+	res.DeviceStats = dev.Stats().Sub(statsBefore)
+	res.PauseDeviceStats = pauseStats
+	return res, nil
 }

@@ -7,18 +7,19 @@
 // bump allocation only ever advances tops, so everything the mutators
 // create after the snapshot lies above it and is implicitly live
 // (allocate-black). Reachability can only be hidden from the marker by
-// overwriting a reference slot; the pre-write barrier (core.storeRef via
-// pheap's SATB buffers) records every overwritten referent, and the
-// marker drains those buffers as extra gray roots — first concurrently,
-// then once more at the final remark with the world stopped again.
+// overwriting a reference slot; the pre-write half of pheap's
+// reference-store barrier records every overwritten referent in the
+// storing context's buffer, and the marker drains those buffers as extra
+// gray roots — first concurrently, then once more at the final remark
+// with the world stopped again.
 //
 // Tracing is parallel: N workers each own a work-stealing deque, seeded
 // from the root set by the region (under the snapshot top table) each
 // root points into. A worker scans objects popped from its own tail,
 // steals batches from other deques when it runs dry, and — before going
-// idle — drains its shard of the SATB and remset-delta buffers so
-// barrier traffic is consumed concurrently with tracing by the same
-// pool. Termination is a steal-failure + buffer-quiescence barrier: a
+// idle — drains its shard of the barrier buffers (pre-write records to
+// trace, remembered-set deltas to publish) so barrier traffic is consumed
+// concurrently with tracing by the same pool. Termination is a steal-failure + buffer-quiescence barrier: a
 // worker retires only after its own deque is empty, a steal sweep over
 // every other deque failed, and its SATB shard drained nothing (or the
 // drain budget ran out); the cycle is over when every worker has retired
@@ -377,10 +378,9 @@ func (m *Marker) anyWork() bool {
 }
 
 // workerLoop is one worker's trace-to-termination: scan own work, steal,
-// drain the worker's SATB + remset shards before parking, and retire
-// through the idle barrier.
+// drain the worker's shard of the barrier buffers before parking, and
+// retire through the idle barrier.
 func (m *Marker) workerLoop(w *workerState) {
-	remsetPending := true
 	for {
 		if m.failed.Load() {
 			return
@@ -410,11 +410,7 @@ func (m *Marker) workerLoop(w *workerState) {
 		// still buffered after the cap is simply remark work.
 		if w.drainBudget > 0 {
 			w.drainBudget--
-			if remsetPending {
-				remsetPending = false
-				m.h.PublishRemsetDeltasShard(w.id, m.workers)
-			}
-			n := m.h.DrainSATBShard(w.id, m.workers, func(r layout.Ref) { m.pushTo(w, r) })
+			n := m.h.DrainBarrierShard(w.id, m.workers, func(r layout.Ref) { m.pushTo(w, r) })
 			if n > 0 {
 				m.satbConsumed.Add(int64(n))
 				continue

@@ -6,6 +6,7 @@ import (
 
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
+	"espresso/internal/pgc/concurrent"
 	"espresso/internal/pheap"
 	"espresso/internal/telemetry"
 	"espresso/internal/telemetry/blackbox"
@@ -110,102 +111,148 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	fr := h.FlightRecorder()
 	fr.Append(blackbox.EvGCBegin, 0, h.GlobalTS(), 0)
 
-	// Phase 1: mark, then persist both bitmaps. The mark bitmap is the
-	// pre-collection sketch of the heap; the cleared region bitmap must be
-	// durable before the heap is stamped active, or recovery could trust
-	// stale region bits from a previous collection.
+	// Mark with the world stopped: the trace sees every store, so there
+	// are no dirty cards and nothing to remark.
 	markStart := time.Now()
 	mk, err := mark(h, ext, 1)
 	if err != nil {
 		return Result{}, err
 	}
 	defer mk.Release()
-	liveObjects, liveBytes := mk.Counts()
 	markTime := time.Since(markStart)
+	t, err := runTail(h, ext, mk, nil, 1)
+	if err != nil {
+		return Result{}, err
+	}
+
+	stats := h.Device().Stats().Sub(statsBefore)
+	// The world is stopped for the whole cycle, so the full stats delta is
+	// GC traffic and the whole cycle one pause.
+	tel.RecordSpan(telemetry.SpanGCMark, -1, -1, markStart, markTime)
+	tel.RecordSpan(telemetry.SpanGCSTW, -1, -1, start, time.Since(start))
+	res := t.report(h, mk, markStart, stats)
+	res.MarkTime = markTime
+	res.PauseTime = time.Since(start)
+	res.DeviceStats = stats
+	res.PauseDeviceStats = stats
+	return res, nil
+}
+
+// tail is what the part of a cycle both collectors share leaves behind
+// for their reports: the summary, the compactor's result, and the phase
+// windows.
+type tail struct {
+	s                                 *Summary
+	cr                                compactResult
+	sumStart, compactStart, redoStart time.Time
+	sumTime, compactTime, redoTime    time.Duration
+	redoStats                         nvm.Stats
+}
+
+// runTail takes a cycle from a complete mark to a republished heap, with
+// the world stopped — the one sequence both collectors end on, device op
+// for device op:
+//
+//  1. persist both bitmaps. The mark bitmap is the pre-collection sketch
+//     of the heap; the cleared region bitmap must be durable before the
+//     heap is stamped active, or recovery could trust stale region bits
+//     from a previous collection.
+//  2. stamp the heap mid-collection (timestamp first, flag second; see
+//     pheap.SetGCState for why the order matters). From here the
+//     persisted bitmap carries the cycle, so a concurrent cycle — the
+//     one that arrives with its phase word set — retires the word:
+//     recovery resumes the compaction rather than discarding the mark.
+//  3. summarize — idempotent, derived from the bitmap alone — and check
+//     it against the marker's counts. On failure nothing has moved: the
+//     heap is un-stamped and the error returned.
+//  4. compact. Recycling state refers to the pre-GC layout and is dropped
+//     before anything moves. The marker's outgoing-reference summary lets
+//     the compactor skip fixing cards that cannot reference moved
+//     objects; dirty vetoes cards mutated after their objects were traced
+//     (nil when the mark ran with the world stopped). This is what keeps
+//     a concurrent cycle's pause proportional to churn + moves, not to
+//     everything live.
+//  5. finish atomically via the redo log, then patch DRAM roots and hand
+//     the filler-covered gaps back to the allocator.
+func runTail(h *pheap.Heap, ext Rooter, mk *concurrent.Marker, dirty []bool, workers int) (*tail, error) {
+	fr := h.FlightRecorder()
+	liveObjects, liveBytes := mk.Counts()
 	h.PersistMarkBitmapUsed()
 	h.RegionBitmap().Persist()
 	fr.Append(blackbox.EvGCMarkDone, uint64(liveObjects), uint64(liveBytes), 0)
 
-	// Phase 2: stamp the heap mid-collection (timestamp first, flag second;
-	// see pheap.SetGCState for why the order matters).
 	cur := h.GlobalTS() + 1
 	h.SetGCState(cur, true)
+	if h.GCPhase() != pheap.GCPhaseIdle {
+		h.SetGCPhase(pheap.GCPhaseIdle)
+	}
 	fr.Append(blackbox.EvGCStamp, cur, uint64(liveObjects), uint64(liveBytes))
 
-	// Phase 3: summary — idempotent, derived from the bitmap alone.
-	sumStart := time.Now()
+	t := &tail{sumStart: time.Now()}
 	s, err := Summarize(h)
-	if err != nil {
-		// Nothing has moved; un-stamp the heap and report.
-		h.SetGCState(cur, false)
-		return Result{}, err
-	}
-	if s.LiveObjects != liveObjects || s.LiveBytes != liveBytes {
-		h.SetGCState(cur, false)
-		return Result{}, fmt.Errorf("pgc: summary disagrees with marking: %d/%d objects, %d/%d bytes",
+	if err == nil && (s.LiveObjects != liveObjects || s.LiveBytes != liveBytes) {
+		err = fmt.Errorf("pgc: summary disagrees with marking: %d/%d objects, %d/%d bytes",
 			s.LiveObjects, liveObjects, s.LiveBytes, liveBytes)
 	}
+	if err != nil {
+		h.SetGCState(cur, false)
+		return nil, err
+	}
+	t.s = s
+	t.sumTime = time.Since(t.sumStart)
 
-	// Phase 4: compact. Recycling state refers to the pre-GC layout and
-	// must be dropped before anything moves. The marker's outgoing-
-	// reference summary lets the compactor skip re-scanning regions that
-	// cannot reference moved objects (no dirty cards here: the world is
-	// stopped, so the trace saw every store).
-	sumTime := time.Since(sumStart)
 	h.ResetFreeHoles()
-	compactStart := time.Now()
-	cr := compact(h, s, cur, buildCleanCards(s, mk.MaxOutgoing(), nil), 1)
-	compactTime := time.Since(compactStart)
+	t.compactStart = time.Now()
+	t.cr = compact(h, s, cur, buildCleanCards(s, mk.MaxOutgoing(), dirty), workers)
+	t.compactTime = time.Since(t.compactStart)
 	fr.Append(blackbox.EvGCCompactDone, uint64(s.MovedObjects), uint64(s.MovedBytes), 0)
 
-	// Phase 5: finish atomically via the redo log, then patch DRAM roots
-	// and hand the filler-covered gaps back to the allocator.
 	redoBefore := h.Device().Stats()
-	redoStart := time.Now()
-	finish(h, s, cr.topEntries)
-	redoStats := h.Device().Stats().Sub(redoBefore)
-	redoTime := time.Since(redoStart)
+	t.redoStart = time.Now()
+	finish(h, s, t.cr.topEntries)
+	t.redoStats = h.Device().Stats().Sub(redoBefore)
+	t.redoTime = time.Since(t.redoStart)
 	ext.UpdateRoots(s.Forward)
-	h.SetFreeHoles(cr.holes)
+	h.SetFreeHoles(t.cr.holes)
 	fr.Append(blackbox.EvGCEnd, uint64(s.LiveObjects), uint64(s.MovedObjects), uint64(s.NewTop))
 	snapCounters(h, fr)
+	return t, nil
+}
 
-	stats := h.Device().Stats().Sub(statsBefore)
-	// Phase timeline + device attribution. The world is stopped for the
-	// whole cycle, so the full stats delta is GC traffic; the redo-log
-	// finish window is split out under its own subsystem.
-	tel.RecordSpan(telemetry.SpanGCMark, -1, -1, markStart, markTime)
-	tel.RecordSpan(telemetry.SpanGCSummarize, -1, -1, sumStart, sumTime)
-	tel.RecordSpan(telemetry.SpanGCCompact, -1, -1, compactStart, compactTime)
-	tel.RecordSpan(telemetry.SpanGCRedo, -1, -1, redoStart, redoTime)
-	tel.RecordSpan(telemetry.SpanGCSTW, -1, -1, start, time.Since(start))
+// report emits the tail's phase spans, the per-worker spans and the
+// cycle's counters, and assembles the part of the Result both collectors
+// fill the same way. gcStats is the cycle's whole GC device traffic; the
+// redo-log finish window is split out of it under its own subsystem.
+// The span ring is DRAM-only, so a concurrent cycle calls this after the
+// world restarts.
+func (t *tail) report(h *pheap.Heap, mk *concurrent.Marker, markStart time.Time, gcStats nvm.Stats) Result {
+	tel := h.Telemetry()
+	tel.RecordSpan(telemetry.SpanGCSummarize, -1, -1, t.sumStart, t.sumTime)
+	tel.RecordSpan(telemetry.SpanGCCompact, -1, -1, t.compactStart, t.compactTime)
+	tel.RecordSpan(telemetry.SpanGCRedo, -1, -1, t.redoStart, t.redoTime)
 	for i, d := range mk.MarkWorkerTimes() {
 		tel.RecordSpan(telemetry.SpanGCMarkWorker, -1, i, markStart, d)
 	}
-	for i, d := range cr.fixWorkerTimes {
-		tel.RecordSpan(telemetry.SpanGCFixWorker, -1, i, compactStart, d)
+	for i, d := range t.cr.fixWorkerTimes {
+		tel.RecordSpan(telemetry.SpanGCFixWorker, -1, i, t.compactStart, d)
 	}
 	if sc := tel.Shared(); sc != nil {
 		sc.AtomicInc(telemetry.CtrGCCycles)
-		sc.AtomicDevStats(nvm.SubGC, stats.Sub(redoStats))
-		sc.AtomicDevStats(nvm.SubRedo, redoStats)
+		sc.AtomicDevStats(nvm.SubGC, gcStats.Sub(t.redoStats))
+		sc.AtomicDevStats(nvm.SubRedo, t.redoStats)
 	}
 	return Result{
-		LiveObjects:           s.LiveObjects,
-		LiveBytes:             s.LiveBytes,
-		MovedObjects:          s.MovedObjects,
-		MovedBytes:            s.MovedBytes,
-		NewTop:                s.NewTop,
-		MarkTime:              markTime,
-		PauseTime:             time.Since(start),
-		DeviceStats:           stats,
-		PauseDeviceStats:      stats,
+		LiveObjects:           t.s.LiveObjects,
+		LiveBytes:             t.s.LiveBytes,
+		MovedObjects:          t.s.MovedObjects,
+		MovedBytes:            t.s.MovedBytes,
+		NewTop:                t.s.NewTop,
 		MarkWorkerStats:       mk.MarkWorkerStats(),
-		CompactFixWorkerStats: cr.fixWorkerStats,
-		CompactSerialStats:    cr.serialStats,
+		CompactFixWorkerStats: t.cr.fixWorkerStats,
+		CompactSerialStats:    t.cr.serialStats,
 		MarkWorkerTimes:       mk.MarkWorkerTimes(),
-		CompactFixWorkerTimes: cr.fixWorkerTimes,
-	}, nil
+		CompactFixWorkerTimes: t.cr.fixWorkerTimes,
+	}
 }
 
 // finish commits the collection's metadata transition — forwarded root

@@ -2,6 +2,7 @@ package pheap
 
 import (
 	"fmt"
+	"sync"
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
@@ -105,12 +106,16 @@ type AllocatorStats struct {
 	Dispenses    int // regions fetched from the dispenser
 }
 
-// Allocator is a mutator-local allocation context: an attached PLAB plus
-// an attached recycled hole. It is not safe for concurrent use — each
-// mutator (goroutine) owns its Allocator, which is the point: the bump
-// path touches only the allocator's own region and that region's line in
-// the top table. Obtain one with Heap.NewAllocator; release it with
-// Release when the mutator retires.
+// Allocator is the per-goroutine mutator context: an attached PLAB plus
+// an attached recycled hole, the owner's accounting view of the device,
+// its telemetry cell, and the reference-store barrier's two buffers
+// (barrier.go). It is not safe for concurrent use — each mutator
+// (goroutine) owns its Allocator, which is the point: the bump path
+// touches only the allocator's own region and that region's line in the
+// top table, and a reference store only state the owner writes. Obtain
+// one with Heap.NewAllocator; release it with Release when the mutator
+// retires. The heap keeps one ownerless twin for everything that runs
+// outside any mutator (Heap.Ownerless).
 type Allocator struct {
 	// Access reaches the heap's objects through this allocator's own
 	// accounting view of the device: the allocation path below and every
@@ -140,20 +145,42 @@ type Allocator struct {
 	// discipline as stats above, so the fast path gains no lock, fence, or
 	// device op.
 	cell *telemetry.Cell
+
+	// The barrier's buffers: overwritten referents the concurrent marker
+	// has yet to see, and remembered-set deltas the sink has yet to see.
+	// The owner appends, a collector or publication point drains; bufMu
+	// orders the two and is otherwise uncontended.
+	bufMu  sync.Mutex
+	satb   []layout.Ref
+	deltas []RemsetDelta
 }
 
 // NewAllocator creates and registers a mutator-local allocator.
 func (h *Heap) NewAllocator() *Allocator {
-	a := &Allocator{
+	return h.register(&Allocator{
 		Access: Access{heap: h, view: h.dev.NewView()},
-		region: -1, kaddrs: make(map[*klass.Klass]layout.Ref),
-	}
-	a.cell = h.tel.NewCell()
+		cell:   h.tel.NewCell(),
+	})
+}
+
+// register completes a and enters it in the list collectors walk.
+func (h *Heap) register(a *Allocator) *Allocator {
+	a.region, a.kaddrs = -1, make(map[*klass.Klass]layout.Ref)
 	h.mu.Lock()
 	h.allocators = append(h.allocators, a)
 	h.mu.Unlock()
 	return a
 }
+
+// Ownerless returns the heap's one context that belongs to nobody, for
+// code that runs outside any mutator: the runtime's Runtime-level
+// accessors, bulk image writes, ptx. It is safe for concurrent use where
+// an owned Allocator is not — its accesses count in the device's shared
+// counters (it is the heap's own Access), its reference stores in the
+// telemetry registry's shared cell, and every one of them takes the same
+// buffer mutex: the slow path. Its PLAB belongs to Heap.Alloc, which
+// serializes on a lock; do not allocate through it directly.
+func (h *Heap) Ownerless() *Allocator { return h.ownerless }
 
 // Stats returns a snapshot of the allocator's own-path counters.
 func (a *Allocator) Stats() AllocatorStats { return a.stats }
@@ -428,6 +455,17 @@ func (a *Allocator) retirePLAB() {
 // collection re-reports it.
 func (a *Allocator) Release() {
 	h := a.heap
+	// Barrier buffers first: overwritten referents the marker has not seen
+	// move to the ownerless context, so a mutator retiring mid-mark loses
+	// none, and pending deltas are published.
+	satb, deltas := a.takeBuffers()
+	if len(satb) > 0 {
+		o := h.ownerless
+		o.bufMu.Lock()
+		o.satb = append(o.satb, satb...)
+		o.bufMu.Unlock()
+	}
+	h.publishDeltas(deltas)
 	// Fold the cell's counts into the registry's retired accumulator
 	// before unregistering, so totals stay monotonic across mutator churn.
 	h.tel.ReleaseCell(a.cell)
@@ -471,14 +509,14 @@ func (a *Allocator) klassAddr(k *klass.Klass) (layout.Ref, error) {
 	return addr, nil
 }
 
-// Alloc allocates through the heap's shared default allocator — the
-// drop-in equivalent of the seed's single allocation entry point, safe
-// for concurrent use (serialized on the default allocator's lock).
-// Scalable callers attach their own Allocator via NewAllocator instead.
+// Alloc allocates through the heap's ownerless allocator — the drop-in
+// equivalent of the seed's single allocation entry point, safe for
+// concurrent use (serialized on a lock). Scalable callers attach their
+// own Allocator via NewAllocator instead.
 func (h *Heap) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
-	h.defMu.Lock()
-	defer h.defMu.Unlock()
-	return h.defAlloc.Alloc(k, arrayLen)
+	h.allocMu.Lock()
+	defer h.allocMu.Unlock()
+	return h.ownerless.Alloc(k, arrayLen)
 }
 
 // dataLimit is one past the last allocatable byte (the scratch region is

@@ -191,23 +191,15 @@ type Heap struct {
 	ksegUsed  int
 	arenaUsed int
 
-	// SATB concurrent-marking state (satb.go): the pre-write barrier's
-	// activation flag, the snapshotted region tops it filters against,
-	// and the registered per-mutator buffers the marker drains.
-	satbMu      sync.Mutex
-	satbBuffers []*SATBBuffer
-	satbDefault *SATBBuffer
-	satbActive  atomic.Bool
-	satbSnap    []int
-	satbDirty   []atomic.Bool
-
-	// Remembered-set delta state (remsetdelta.go): the write-combining
-	// reference-store barrier's per-mutator buffers and the sink core
-	// installs to receive them at publication points.
-	remsetMu      sync.Mutex
-	remsetBuffers []*RemsetDeltaBuffer
-	remsetDefault [remsetDefaultShards]atomic.Pointer[RemsetDeltaBuffer]
-	remsetSink    atomic.Pointer[RemsetSink]
+	// Reference-store barrier state (barrier.go): whether a concurrent
+	// mark has the pre-write half armed, the snapshotted region tops it
+	// filters against, the cards stores dirtied during the mark, and the
+	// sink core installs to receive remembered-set deltas. The buffers
+	// themselves live in the allocators.
+	satbActive atomic.Bool
+	satbSnap   []int
+	satbDirty  []atomic.Bool
+	remsetSink atomic.Pointer[RemsetSink]
 
 	// markBmpHi is the byte length of the mark bitmap's last persisted
 	// used prefix (see PersistMarkBitmapUsed). Volatile: a fresh process
@@ -258,11 +250,14 @@ type Heap struct {
 	fillerK, fillerArrK       *klass.Klass
 	fillerAddr, fillerArrAddr layout.Ref
 
-	// Registered allocators (guarded by mu); retired wholesale at the GC
-	// safepoint by PrepareForCollection.
+	// Registered allocators (guarded by mu): every mutator context there
+	// is. PrepareForCollection retires their PLABs wholesale at the GC
+	// safepoint, and collectors drain their barrier buffers through the
+	// list. ownerless is the first entry, created with the heap (see
+	// Ownerless); allocMu serializes Heap.Alloc on its PLAB.
 	allocators []*Allocator
-	defMu      sync.Mutex // serializes the shared Alloc entry point
-	defAlloc   *Allocator
+	ownerless  *Allocator
+	allocMu    sync.Mutex
 
 	// tel is the observability domain this heap reports into (nil =
 	// telemetry disabled; every record call no-ops). Installed by the
@@ -380,7 +375,7 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 		return nil, err
 	}
 	h.resolveFillers()
-	h.defAlloc = h.NewAllocator()
+	h.ownerless = h.register(&Allocator{Access: h.Access})
 	return h, nil
 }
 
@@ -467,7 +462,7 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	// Mid-collection images keep their raw tops — pgc.Recover rewrites
 	// them wholesale — while clean images get half-open PLABs sealed.
 	h.rebuildRegionState(!h.gcActive.Load())
-	h.defAlloc = h.NewAllocator()
+	h.ownerless = h.register(&Allocator{Access: h.Access})
 	return h, nil
 }
 
@@ -569,9 +564,10 @@ func (h *Heap) Device() *nvm.Device { return h.dev }
 
 // SetTelemetry installs the heap's telemetry registry. Call before
 // mutators attach allocators; a nil registry (the default) disables
-// recording. The default allocator predates installation and keeps a nil
-// cell — its traffic stays unattributed, which is the honest reading of
-// facade-routed allocations.
+// recording. The ownerless allocator has no cell of its own — its
+// allocation traffic stays unattributed, which is the honest reading of
+// facade-routed allocations, and its reference stores count in the
+// registry's shared cell.
 func (h *Heap) SetTelemetry(r *telemetry.Registry) {
 	h.tel = r
 	h.fr.SetTelemetry(r)

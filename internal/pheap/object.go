@@ -13,11 +13,12 @@ import (
 // type-aware convenience layer lives in internal/core.
 
 // Access is object access on one heap through one accounting view of its
-// device (nvm.View). The Heap embeds the ownerless one, so h.GetWord and
-// friends count in the device's shared counters; every Allocator embeds
-// its own, so a mutator that reaches objects through its allocator
-// (core.Mutator, pindex.Ctx, pshard.Ctx all hold exactly one) counts in a
-// cell no other goroutine writes. The access itself — checks, fault
+// device (nvm.View). The Heap embeds the ownerless one (and so does its
+// ownerless allocator), so h.GetWord and friends count in the device's
+// shared counters; every other Allocator embeds its own, so a mutator
+// that reaches objects through its allocator (core.Mutator, pindex.Ctx,
+// pshard.Ctx all hold exactly one) counts in a cell no other goroutine
+// writes. The access itself — checks, fault
 // hooks, dirty tracking — is the same either way.
 type Access struct {
 	heap *Heap

@@ -609,38 +609,3 @@ func TestLoadRejectsCorruptPhaseWord(t *testing.T) {
 		t.Fatal("corrupt phase word loaded without error")
 	}
 }
-
-// TestSATBBufferLifecycle: records survive a mid-mark buffer release by
-// migrating to the heap's shared buffer, and DrainSATB delivers every
-// record exactly once.
-func TestSATBBufferLifecycle(t *testing.T) {
-	reg := klass.NewRegistry()
-	h, err := Create(reg, Config{DataSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.BeginConcurrentMark(h.SnapshotRegionTops())
-	defer h.EndConcurrentMark()
-
-	b1 := h.NewSATBBuffer()
-	b2 := h.NewSATBBuffer()
-	b1.Record(layout.Ref(0x1000))
-	b2.Record(layout.Ref(0x2000))
-	h.ReleaseSATBBuffer(b1) // pending record must migrate, not vanish
-
-	var got []layout.Ref
-	n := h.DrainSATB(func(r layout.Ref) { got = append(got, r) })
-	if n != 2 || len(got) != 2 {
-		t.Fatalf("drained %d records (%v), want 2", n, got)
-	}
-	seen := map[layout.Ref]bool{}
-	for _, r := range got {
-		seen[r] = true
-	}
-	if !seen[0x1000] || !seen[0x2000] {
-		t.Fatalf("missing records: %v", got)
-	}
-	if n := h.DrainSATB(func(layout.Ref) {}); n != 0 {
-		t.Fatalf("second drain delivered %d records", n)
-	}
-}

@@ -53,9 +53,11 @@
 // The index header is a named heap root, so both collectors trace the
 // whole structure; the concurrent marker and the compactor understand
 // the tag bits (layout.RefTagMask) and preserve them across moves.
-// Mutating operations run the SATB pre-write barrier on every link
-// overwrite (through the Ctx's own buffer), so lookups stay correct
-// while pgc.CollectConcurrent marks. Each operation runs as one
+// Mutating operations run the pre-write half of pheap's reference-store
+// barrier on every link overwrite (Allocator.PreWrite on the Ctx's own
+// allocator; links are installed by CAS and never hold volatile
+// references, so the other half has nothing to do), so lookups stay
+// correct while pgc.CollectConcurrent marks. Each operation runs as one
 // safepoint interval through the Pinner, so compaction never moves a
 // node out from under an operation's local references.
 //
@@ -262,11 +264,11 @@ type CtxStats struct {
 	HintMisses          int // Gets and Puts that walked the bucket chain
 }
 
-// Ctx is a per-goroutine operation context: a PLAB allocator for node
-// bodies and a SATB buffer for the pre-write barrier, mirroring
-// core.Mutator. Every device access of an operation — traversal loads,
-// CAS publications, flushes, node initialisation — goes through the
-// allocator's own view of the device (pheap.Access), so contexts on
+// Ctx is a per-goroutine operation context around one pheap.Allocator,
+// mirroring core.Mutator: its PLAB holds the node bodies, its buffer the
+// pre-write barrier's records, and every device access of an operation —
+// traversal loads, CAS publications, flushes, node initialisation — goes
+// through its own view of the device (pheap.Access), so contexts on
 // different cores share no counter line. Not safe for concurrent use;
 // give each goroutine its own and Release it when done.
 type Ctx struct {
@@ -275,7 +277,6 @@ type Ctx struct {
 	// index's Pinner, or the owner's private one (NewCtxPinned).
 	pin   Pinner
 	alloc *pheap.Allocator
-	satb  *pheap.SATBBuffer
 	stats CtxStats
 	// cell is the allocator's telemetry counter cell (nil when the heap
 	// has no registry), shared across this ctx's paths like core.Mutator
@@ -401,18 +402,16 @@ func (ix *Index) NewCtx() *Ctx { return ix.NewCtxPinned(ix.pin) }
 // safepoint.Slot of the domain the index's Pinner belongs to.
 func (ix *Index) NewCtxPinned(pin Pinner) *Ctx {
 	alloc := ix.h.NewAllocator()
-	return &Ctx{ix: ix, pin: pin, alloc: alloc, satb: ix.h.NewSATBBuffer(), cell: alloc.TelemetryCell()}
+	return &Ctx{ix: ix, pin: pin, alloc: alloc, cell: alloc.TelemetryCell()}
 }
 
 // Release retires the ctx: PLAB headroom returns to the dispenser and
-// pending barrier records are handed to the heap's shared buffer.
+// pending barrier records are handed to the heap's ownerless context.
 func (c *Ctx) Release() {
 	c.pin.Pin()
 	defer c.pin.Unpin()
 	c.alloc.Release()
 	c.cell = nil // released with the allocator; counts folded into the registry
-	c.ix.h.ReleaseSATBBuffer(c.satb)
-	c.satb = nil
 }
 
 // Stats snapshots the ctx's own-path counters.
@@ -502,20 +501,17 @@ func (c *Ctx) loadClean(obj layout.Ref, boff int) uint64 {
 }
 
 // publish installs val into the slot with one CAS (dirty bit set), runs
-// the SATB pre-write barrier over the displaced value, persists the
-// link, and clears the dirty bit. False means the CAS lost a race and
+// the pre-write barrier over the displaced value, persists the link, and
+// clears the dirty bit. False means the CAS lost a race and
 // nothing happened. val may carry the deleted tag (a logical-delete
 // publication); expect must be a clean word previously returned by
 // loadClean or find.
 func (c *Ctx) publish(obj layout.Ref, boff int, expect, val uint64) bool {
-	h := c.ix.h
 	if !c.cas(obj, boff, expect, val|tagDirty) {
 		c.stats.Retries++
 		return false
 	}
-	if h.ConcurrentMarkActive() {
-		h.SATBRecordBarrier(obj, expect, c.satb)
-	}
+	c.alloc.PreWrite(obj, expect)
 	c.flushWord(obj, boff)
 	c.cas(obj, boff, val|tagDirty, val) // best effort: a helper may already have
 	return true
@@ -680,9 +676,7 @@ func (c *Ctx) bucketHead(arr layout.Ref, b uint64) (layout.Ref, error) {
 		return 0, err
 	}
 	a.SetWordAtomic(arr, boff, uint64(sent))
-	if c.ix.h.ConcurrentMarkActive() {
-		c.ix.h.SATBMarkDirtyCard(arr) // overwrites null: nothing to record
-	}
+	a.PreWrite(arr, 0) // overwrites null: nothing to record, the card is dirtied
 	c.flushWord(arr, boff)
 	return sent, nil
 }

@@ -15,24 +15,23 @@
 // Commit flushes the mutated words, fences, and resets the count.
 //
 // Primitive stores (WriteWord) write heap words directly; reference
-// stores go through WriteRefWord, which runs the SATB pre-write barrier
-// and a single atomic machine store, so ptx transactions — and the
-// legacy pcollections built on them — stay correct while
-// pgc.CollectConcurrent marks. Aborts and rollbacks re-run the barrier
-// for the reference entries they restore.
-//
-// Reference stores also feed the runtime's NVM→DRAM remembered set when
-// the heap is attached to one (pheap.RemsetSink): each WriteRefWord
-// records a delta in the manager's registered remset-delta buffer —
-// registered so a GC safepoint mid-transaction still drains it and sees
-// every edge already on the device — and Commit, the transaction's
-// durable publication point, publishes whatever the safepoints have not
-// already taken. Abort replays corrective records for the rolled-back
-// reference slots (exactly as it replays SATB barrier records) and
-// publishes those, so the transaction's own deltas are never trusted
-// after a rollback and the shared set returns to its pre-transaction
-// contents; publication re-derives membership from the restored slot
-// values, which is what makes the replay exact.
+// stores go through WriteRefWord, which is pheap's reference-store
+// barrier on the heap's ownerless context (pheap.Heap.Ownerless): the
+// pre-write record and card mark while a concurrent mark runs, a single
+// atomic machine store, and — when the heap is attached to a runtime
+// (pheap.RemsetSink) — a remembered-set delta. So ptx transactions, and
+// the legacy pcollections built on them, stay correct while
+// pgc.CollectConcurrent marks, and the runtime's NVM→DRAM remembered set
+// sees their edges: the ownerless context is drained at every GC
+// safepoint like any other, so a collection mid-transaction sees every
+// edge already on the device, and Commit, the transaction's durable
+// publication point, publishes whatever the safepoints have not already
+// taken. Abort sends every reference slot it restores through the same
+// barrier — the value being rolled back over is one the marker could
+// otherwise lose, and the restoring store's delta corrects the forward
+// one — and publishes too; publication re-derives membership from the
+// restored slot values, so the shared set leaves Abort exactly as it was
+// before the transaction.
 package ptx
 
 import (
@@ -57,18 +56,12 @@ type Manager struct {
 	h   *pheap.Heap
 	log layout.Ref // persistent long array
 	cap int
-
-	// rdelta is the manager's registered remset-delta buffer: WriteRefWord
-	// records into it, so a safepoint drain mid-transaction observes the
-	// transaction's NVM→DRAM edges (they are already on the device), and
-	// Commit/Abort publish it at their ends.
-	rdelta *pheap.RemsetDeltaBuffer
 }
 
 // NewManager creates (or re-attaches to) the heap's transaction log and
 // rolls back any transaction that was active when the heap last persisted.
 func NewManager(h *pheap.Heap) (*Manager, error) {
-	m := &Manager{h: h, cap: DefaultLogEntries, rdelta: h.NewRemsetDeltaBuffer()}
+	m := &Manager{h: h, cap: DefaultLogEntries}
 	if ref, ok := h.GetRoot(LogRootName); ok {
 		m.log = ref
 		if err := m.recover(); err != nil {
@@ -147,12 +140,10 @@ func (tx *Tx) WriteWord(obj layout.Ref, boff int, val uint64) error {
 	return tx.write(obj, boff, val, false)
 }
 
-// WriteRefWord is WriteWord for reference slots: the store runs through
-// the SATB pre-write barrier (the overwritten referent is recorded in
-// the heap's shared buffer and the object's card dirtied) and lands with
-// a single atomic machine store, so the concurrent marker never loses a
+// WriteRefWord is WriteWord for reference slots: the store goes through
+// the reference-store barrier, so the concurrent marker never loses a
 // snapshot-reachable object to a transactional overwrite and never reads
-// a torn slot.
+// a torn slot, and the remembered set learns of a volatile val.
 func (tx *Tx) WriteRefWord(obj layout.Ref, boff int, val layout.Ref) error {
 	return tx.write(obj, boff, uint64(val), true)
 }
@@ -174,23 +165,8 @@ func (tx *Tx) write(obj layout.Ref, boff int, val uint64, isRef bool) error {
 	// a line is preserved by the line-granular persistence model.
 	m.flushLogWordSpan(1, 2+2*count+1)
 	if isRef {
-		if m.h.ConcurrentMarkActive() {
-			m.h.SATBRecordBarrier(obj, old, nil)
-		}
-		// Remembered-set delta into the manager's registered buffer: a GC
-		// safepoint mid-transaction drains it, Commit publishes the rest.
-		// The sink classifies the new value (the heap itself cannot tell
-		// volatile from persistent); a heap outside any runtime has no
-		// sink and no remembered set. Store and delta land drain-atomically
-		// (RecordStore), as in core.storeRef.
-		if sink := m.h.RemsetSink(); sink != nil {
-			add := val != uint64(layout.NullRef) && sink.RefIsVolatile(layout.Ref(val))
-			m.rdelta.RecordStore(slot, add, func() {
-				m.h.SetWordAtomic(obj, boff, val)
-			})
-		} else {
-			m.h.SetWordAtomic(obj, boff, val)
-		}
+		// The barrier's pre-write half runs over the value just logged.
+		m.h.Ownerless().StoreRefOver(obj, boff, old, layout.Ref(val), m.h.RefIsVolatile(layout.Ref(val)))
 	} else {
 		m.h.SetWord(obj, boff, val)
 	}
@@ -220,39 +196,24 @@ func (tx *Tx) Commit() {
 	m.logStore(1, 0)
 	m.logStore(0, 1)
 	m.flushLogWords(0, 2)
-	m.rdelta.Publish()
+	m.h.Ownerless().PublishRemsetDeltas()
 	tx.closed = true
 	m.mu.Unlock()
 }
 
-// Abort rolls the transaction back. Restored reference slots re-run the
-// SATB barrier (the value being rolled back over is the one the marker
-// could otherwise lose) and land atomically, like the forward stores.
-// The transaction's own remembered-set deltas are never published as
-// truth: every restored reference slot gets a corrective record — the
-// same replay discipline as the SATB barrier records — and the final
-// publication re-derives membership from the restored values, so the
-// shared set leaves Abort exactly as it was before the transaction.
+// Abort rolls the transaction back. Restored reference slots go through
+// the reference-store barrier like the forward stores did (see the
+// package comment), the rest are plain stores.
 func (tx *Tx) Abort() {
 	m := tx.m
-	sink := m.h.RemsetSink()
 	count := int(m.logLoad(1))
 	for i := count - 1; i >= 0; i-- {
 		addr := layout.Ref(m.logLoad(2 + 2*i))
 		old := m.logLoad(2 + 2*i + 1)
 		off := m.h.OffOf(addr)
 		if i < len(tx.isRef) && tx.isRef[i] {
-			if m.h.ConcurrentMarkActive() {
-				m.h.SATBRecordBarrier(tx.objs[i], m.h.Device().ReadU64Atomic(off), nil)
-			}
-			if sink != nil {
-				add := layout.Ref(old) != layout.NullRef && sink.RefIsVolatile(layout.Ref(old))
-				m.rdelta.RecordStore(addr, add, func() {
-					m.h.Device().WriteU64Atomic(off, old)
-				})
-			} else {
-				m.h.Device().WriteU64Atomic(off, old)
-			}
+			obj := tx.objs[i]
+			m.h.Ownerless().StoreRef(obj, int(addr-obj), layout.Ref(old), m.h.RefIsVolatile(layout.Ref(old)))
 		} else {
 			m.h.Device().WriteU64(off, old)
 		}
@@ -262,7 +223,7 @@ func (tx *Tx) Abort() {
 	m.logStore(1, 0)
 	m.logStore(0, 1)
 	m.flushLogWords(0, 2)
-	m.rdelta.Publish()
+	m.h.Ownerless().PublishRemsetDeltas()
 	tx.closed = true
 	m.mu.Unlock()
 }

@@ -23,9 +23,9 @@ type PMapOptions struct {
 // serving-style concurrent index over the persistent heap
 // (internal/pindex), opened by name like any other root object. All
 // methods are safe for concurrent use from any goroutine: each call
-// borrows a per-goroutine operation context (PLAB allocator + SATB
-// barrier buffer + a private slot of the runtime's safepoint) from an
-// internal pool, runs as one safepoint interval on that slot — a line no
+// borrows a per-goroutine operation context (one pheap.Allocator — PLAB,
+// device view, barrier buffer — and a private slot of the runtime's
+// safepoint) from an internal pool, runs as one safepoint interval on that slot — a line no
 // other context writes — and is durable-linearizable — when Put or Delete returns, the mutation
 // has been persisted (no FlushObject call needed), and a reload after a
 // crash recovers exactly the committed mappings.

