@@ -47,25 +47,32 @@
 // trailing fence, so device cost is proportional to bytes touched, not
 // API calls made.
 //
-// # Scalable allocation
+// # One object model, two receivers
 //
-// PNew is safe for concurrent use but serializes on the heap's shared
-// allocator. Goroutines that allocate heavily should each attach a
-// mutator context — a persistent region-local allocation buffer (PLAB)
-// that bump-allocates lock-free and persists a per-region top word, so
-// allocation throughput scales with cores:
+// Everything above — pnew, field and array access, strings, bulk copies,
+// flushes, roots, casts — is one surface (core.Accessor) with two
+// receivers. Called on the Runtime it is safe from any goroutine and goes
+// through one context per heap that every goroutine shares: the heap's
+// lock-serialized allocator, one barrier-buffer pair behind one mutex, the
+// shared safepoint and device-counter lines. Correct, and the slow path.
+// Goroutines that allocate or mutate heavily should each attach a Mutator:
+// the same methods, same names and signatures, on a context of their own —
+// a persistent region-local allocation buffer (PLAB) that bump-allocates
+// lock-free and persists a per-region top word, barrier buffers, a
+// safepoint slot and a device-accounting view nobody else writes — so
+// throughput scales with cores:
 //
 //	m, _ := rt.NewMutator()        // one per goroutine
 //	defer m.Release()
 //	p, _ := m.PNew(person, 0)      // arrayLen 0: lock-free after first use of a class
+//	name, _ := m.NewString("Jimmy", true)
+//	m.SetRefFast(p, nameF, name)
 //
-// A Mutator's reference stores share nothing either: SetRef/SetRefFast
-// through a Mutator run the write barrier on the mutator's own buffers,
-// and the shared remembered set learns of them only at publication
-// points — transaction commit, GC safepoints, buffer overflow — so the
-// hot store path touches no shared lock or cache line. The same calls on
-// the Runtime go through one context per heap that every goroutine
-// shares: correct, and the slow path.
+// A Mutator's reference stores share nothing either: the write barrier
+// runs on the mutator's own buffers, and the shared remembered set learns
+// of the stores only at publication points — transaction commit, GC
+// safepoints, buffer overflow — so the hot store path touches no shared
+// lock or cache line.
 //
 // # Concurrent persistent GC
 //
@@ -82,7 +89,9 @@
 // heap and volatile slots — but never Go local variables, so code that
 // mutates concurrently with collections must hold its references inside
 // a Mutator.Do scope (which pins the world) or re-fetch them from roots
-// after it:
+// after it. Inside Do, call the mutator — every method of the surface is
+// re-entrant there, while the same call on the Runtime waits for a pause
+// that is waiting for Do:
 //
 //	m.Do(func() {
 //		head, _ := m.GetRoot("list")
@@ -170,8 +179,9 @@ type SpanEvent = telemetry.Span
 // once with ResolveField/MustResolveField, then use the *Fast accessors.
 type FieldRef = core.FieldRef
 
-// Mutator is a per-goroutine allocation context with its own persistent
-// region-local allocation buffer; obtain one with Runtime.NewMutator.
+// Mutator is a per-goroutine context carrying the whole object model on
+// buffers of its own (PLAB, barrier buffers, safepoint slot, device view);
+// obtain one with Runtime.NewMutator.
 type Mutator = core.Mutator
 
 // SafetyLevel selects the §3.4 memory-safety contract.

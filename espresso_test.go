@@ -1,10 +1,28 @@
 package espresso_test
 
 import (
+	"reflect"
 	"testing"
 
 	"espresso"
+	"espresso/internal/core"
 )
+
+// TestAccessorSurfaceParity: every method of the object-model surface
+// (core.Accessor) is callable on the facade's Runtime and on its Mutator,
+// by name — the facade's PNew(k) and New(k) keep their shorter signatures.
+// internal/core's test of the same name checks signatures and that the
+// surface is declared once.
+func TestAccessorSurfaceParity(t *testing.T) {
+	acc := reflect.TypeOf((*core.Accessor)(nil))
+	for _, recv := range []reflect.Type{reflect.TypeOf((*espresso.Runtime)(nil)), reflect.TypeOf((*espresso.Mutator)(nil))} {
+		for i := 0; i < acc.NumMethod(); i++ {
+			if _, ok := recv.MethodByName(acc.Method(i).Name); !ok {
+				t.Errorf("%s lacks %s", recv, acc.Method(i).Name)
+			}
+		}
+	}
+}
 
 // TestFacadeRoundTrip exercises the public API end to end: class
 // declaration, heap creation, pnew, flush, roots, reload from disk,

@@ -180,9 +180,6 @@ func PrintSeries(w io.Writer, xLabel, yLabel string, series []*Series) {
 	}
 }
 
-// Fmt rounds a ratio for table cells.
-func Fmt(v float64) string { return fmt.Sprintf("%.2f", v) }
-
 // SortedKeys returns map keys in sorted order (deterministic output).
 func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -6,9 +6,30 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/pheap"
+	"espresso/internal/safepoint"
 )
 
-// Field and array access with the write barriers that maintain the two
+// Accessor is the object-model surface — pnew, typed field and array
+// access with the write barriers, strings, bulk copies, the §3.5 flushes,
+// field images, named roots and the alias-Klass casts — written once and
+// embedded by value in its two receivers:
+//
+//   - a Runtime's is ownerless: every operation is a safepoint interval on
+//     the slot all ownerless readers of the runtime's safepoint share, and
+//     reaches an object through the ownerless context of the heap holding
+//     it (shared device
+//     counters, one barrier-buffer pair per heap behind one mutex). Safe
+//     from any goroutine, and the slow path.
+//   - a Mutator's is owned: operations pin the mutator's own safepoint
+//     slot — or nothing inside Do, which already has — and reach objects
+//     of the mutator's heap through its own pheap.Allocator (PLAB, device
+//     view, telemetry cell, barrier buffers), so the access path shares no
+//     lock and no cache line with another mutator.
+//
+// Exported methods run inside a safepoint interval; the lowercase helpers
+// assume the caller is in one and never enter another.
+//
+// Field and array stores keep the write barriers that maintain the two
 // remembered sets and the concurrent collector's SATB invariant:
 //
 //   - old-generation slot ← young ref  → recorded for the scavenger;
@@ -18,184 +39,225 @@ import (
 //     as volatile-GC roots, policed by type-based safety, nullified by
 //     the zeroing scan) learns whether the slot now holds a volatile
 //     reference.
-//
-// Public accessors run inside a safepoint interval; the lowercase helpers
-// assume the caller is in one and never enter another. Each takes the
-// calling mutator as its context (see Mutator), nil from the Runtime-level
-// accessors.
+type Accessor struct {
+	rt *Runtime
+
+	// slot is where operations pin the safepoint: a mutator's own, the
+	// safepoint's shared one (safepoint.Point.Shared) on a Runtime.
+	slot *safepoint.Slot
+	inDo bool // inside Mutator.Do: already pinned
+
+	// The owned context; all zero on a Runtime's accessor.
+	h        *pheap.Heap
+	alloc    *pheap.Allocator
+	prepared map[*klass.Klass]bool // classes whose metadata work is done
+
+	// flush is FlushTransitive/FlushBatch's traversal state: a mutator's
+	// own, or the one every ownerless caller of a runtime shares.
+	flush flushState
+}
+
+// enter begins the operation's safepoint interval unless Do already has,
+// on the accessor's slot: a mutator's own, or the one every ownerless
+// reader of the runtime's safepoint shares. exit is its paired release.
+// Both inline into every accessor, so inside Do an operation pays one flag
+// test each way.
+func (a *Accessor) enter() {
+	if !a.inDo {
+		a.slot.Pin()
+	}
+}
+
+func (a *Accessor) exit() {
+	if !a.inDo {
+		a.slot.Unpin()
+	}
+}
 
 // ctxOf is the one place an access's context is chosen: the mutator
-// context of the persistent heap whose image holds ref — m's own
-// allocator when that heap is m's, the heap's ownerless context
-// otherwise — or nil when no loaded heap holds ref. The context always
-// belongs to the heap holding ref: a mutator reaching into another heap
-// gets that heap's device view, barrier buffers and telemetry, whole, so
-// a store's records land where that heap's collector drains.
-func (rt *Runtime) ctxOf(m *Mutator, ref layout.Ref) *pheap.Allocator {
-	if m != nil && m.h.ContainsImage(ref) {
-		return m.alloc
+// context of the persistent heap whose image holds ref — the accessor's
+// own allocator when it has one and that heap is its heap, the heap's
+// ownerless context otherwise — or nil when no loaded heap holds ref. The
+// context always belongs to the heap holding ref: a mutator reaching into
+// another heap gets that heap's device view, barrier buffers and
+// telemetry, whole, so a store's records land where that heap's collector
+// drains.
+func (a *Accessor) ctxOf(ref layout.Ref) *pheap.Allocator {
+	if a.alloc != nil && a.h.ContainsImage(ref) {
+		return a.alloc
 	}
-	if h := rt.heapOf(ref); h != nil {
+	if h := a.rt.heapOf(ref); h != nil {
 		return h.Ownerless()
 	}
 	return nil
 }
 
-func (rt *Runtime) getWord(m *Mutator, ref layout.Ref, boff int) uint64 {
-	if rt.vol.Contains(ref) {
-		return rt.vol.GetWord(ref, boff)
+func (a *Accessor) getWord(ref layout.Ref, boff int) uint64 {
+	if a.rt.vol.Contains(ref) {
+		return a.rt.vol.GetWord(ref, boff)
 	}
-	if x := rt.ctxOf(m, ref); x != nil {
+	if x := a.ctxOf(ref); x != nil {
 		return x.GetWord(ref, boff)
 	}
 	panic(fmt.Sprintf("core: load from non-object address %#x", uint64(ref)))
 }
 
-func (rt *Runtime) setWord(m *Mutator, ref layout.Ref, boff int, v uint64) {
-	if rt.vol.Contains(ref) {
-		rt.vol.SetWord(ref, boff, v)
+func (a *Accessor) setWord(ref layout.Ref, boff int, v uint64) {
+	if a.rt.vol.Contains(ref) {
+		a.rt.vol.SetWord(ref, boff, v)
 		return
 	}
-	if x := rt.ctxOf(m, ref); x != nil {
+	if x := a.ctxOf(ref); x != nil {
 		x.SetWord(ref, boff, v)
 		return
 	}
 	panic(fmt.Sprintf("core: store to non-object address %#x", uint64(ref)))
 }
 
-func (rt *Runtime) arrayLen(m *Mutator, ref layout.Ref) int {
-	return int(rt.getWord(m, ref, layout.ArrayLenOff))
+func (a *Accessor) klassOf(ref layout.Ref) (*klass.Klass, error) {
+	if a.rt.vol.Contains(ref) {
+		return a.rt.vol.KlassOf(ref)
+	}
+	if x := a.ctxOf(ref); x != nil {
+		return x.KlassOf(ref)
+	}
+	return nil, fmt.Errorf("core: %#x is not an object address", uint64(ref))
+}
+
+func (a *Accessor) arrayLen(ref layout.Ref) int {
+	return int(a.getWord(ref, layout.ArrayLenOff))
+}
+
+// KlassOf resolves the class of any object, volatile or persistent.
+func (a *Accessor) KlassOf(ref layout.Ref) (*klass.Klass, error) {
+	a.enter()
+	defer a.exit()
+	return a.klassOf(ref)
 }
 
 // ArrayLen reports the length of the array at ref.
-func (rt *Runtime) ArrayLen(ref layout.Ref) int {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.arrayLen(nil, ref)
+func (a *Accessor) ArrayLen(ref layout.Ref) int {
+	a.enter()
+	defer a.exit()
+	return a.arrayLen(ref)
 }
 
-// fieldOff resolves a named field to its byte offset.
-func (rt *Runtime) fieldOff(m *Mutator, ref layout.Ref, name string) (int, *klass.Klass, error) {
-	k, err := rt.klassOf(m, ref)
-	if err != nil {
-		return 0, nil, err
-	}
-	i, ok := k.FieldIndex(name)
-	if !ok {
-		return 0, nil, fmt.Errorf("core: class %s has no field %q", k.Name, name)
-	}
-	return layout.FieldOff(i), k, nil
-}
-
-// GetLong reads a primitive field as a 64-bit integer.
-func (rt *Runtime) GetLong(ref layout.Ref, field string) (int64, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	boff, _, err := rt.fieldOff(nil, ref, field)
+// fieldOff resolves a named field to its byte offset; wantRef additionally
+// requires it to be reference-typed.
+func (a *Accessor) fieldOff(ref layout.Ref, name string, wantRef bool) (int, error) {
+	k, err := a.klassOf(ref)
 	if err != nil {
 		return 0, err
 	}
-	return int64(rt.getWord(nil, ref, boff)), nil
+	i, ok := k.FieldIndex(name)
+	if !ok {
+		return 0, fmt.Errorf("core: class %s has no field %q", k.Name, name)
+	}
+	if wantRef && k.FieldAt(i).Type != layout.FTRef {
+		return 0, fmt.Errorf("core: field %s.%s is not a reference", k.Name, name)
+	}
+	return layout.FieldOff(i), nil
+}
+
+// GetLong reads a primitive field as a 64-bit integer.
+func (a *Accessor) GetLong(ref layout.Ref, field string) (int64, error) {
+	a.enter()
+	defer a.exit()
+	boff, err := a.fieldOff(ref, field, false)
+	if err != nil {
+		return 0, err
+	}
+	return int64(a.getWord(ref, boff)), nil
 }
 
 // SetLong writes a primitive field as a 64-bit integer.
-func (rt *Runtime) SetLong(ref layout.Ref, field string, v int64) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	boff, _, err := rt.fieldOff(nil, ref, field)
+func (a *Accessor) SetLong(ref layout.Ref, field string, v int64) error {
+	a.enter()
+	defer a.exit()
+	boff, err := a.fieldOff(ref, field, false)
 	if err != nil {
 		return err
 	}
-	rt.setWord(nil, ref, boff, uint64(v))
+	a.setWord(ref, boff, uint64(v))
 	return nil
 }
 
 // GetRef reads a reference field.
-func (rt *Runtime) GetRef(ref layout.Ref, field string) (layout.Ref, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	boff, k, err := rt.fieldOff(nil, ref, field)
+func (a *Accessor) GetRef(ref layout.Ref, field string) (layout.Ref, error) {
+	a.enter()
+	defer a.exit()
+	boff, err := a.fieldOff(ref, field, true)
 	if err != nil {
 		return 0, err
 	}
-	if i, _ := k.FieldIndex(field); k.FieldAt(i).Type != layout.FTRef {
-		return 0, fmt.Errorf("core: field %s.%s is not a reference", k.Name, field)
-	}
-	return layout.Ref(rt.getWord(nil, ref, boff)), nil
+	return layout.Ref(a.getWord(ref, boff)), nil
 }
 
 // SetRef writes a reference field through the write barrier.
-func (rt *Runtime) SetRef(ref layout.Ref, field string, val layout.Ref) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.setRefNamed(nil, ref, field, val)
-}
-
-func (rt *Runtime) setRefNamed(m *Mutator, ref layout.Ref, field string, val layout.Ref) error {
-	boff, k, err := rt.fieldOff(m, ref, field)
+func (a *Accessor) SetRef(ref layout.Ref, field string, val layout.Ref) error {
+	a.enter()
+	defer a.exit()
+	boff, err := a.fieldOff(ref, field, true)
 	if err != nil {
 		return err
 	}
-	if i, _ := k.FieldIndex(field); k.FieldAt(i).Type != layout.FTRef {
-		return fmt.Errorf("core: field %s.%s is not a reference", k.Name, field)
-	}
-	return rt.storeRef(m, ref, boff, val)
+	return a.storeRef(ref, boff, val)
 }
 
 // GetElem reads element i of a reference array.
-func (rt *Runtime) GetElem(arr layout.Ref, i int) (layout.Ref, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	if err := rt.boundsCheck(nil, arr, i); err != nil {
+func (a *Accessor) GetElem(arr layout.Ref, i int) (layout.Ref, error) {
+	a.enter()
+	defer a.exit()
+	if err := a.boundsCheck(arr, i); err != nil {
 		return 0, err
 	}
-	return layout.Ref(rt.getWord(nil, arr, layout.ElemOff(layout.FTRef, i))), nil
+	return layout.Ref(a.getWord(arr, layout.ElemOff(layout.FTRef, i))), nil
 }
 
 // SetElem stores element i of a reference array through the write barrier.
-func (rt *Runtime) SetElem(arr layout.Ref, i int, val layout.Ref) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.setElem(nil, arr, i, val)
+func (a *Accessor) SetElem(arr layout.Ref, i int, val layout.Ref) error {
+	a.enter()
+	defer a.exit()
+	return a.setElem(arr, i, val)
 }
 
-func (rt *Runtime) setElem(m *Mutator, arr layout.Ref, i int, val layout.Ref) error {
-	if err := rt.boundsCheck(m, arr, i); err != nil {
+func (a *Accessor) setElem(arr layout.Ref, i int, val layout.Ref) error {
+	if err := a.boundsCheck(arr, i); err != nil {
 		return err
 	}
-	return rt.storeRef(m, arr, layout.ElemOff(layout.FTRef, i), val)
+	return a.storeRef(arr, layout.ElemOff(layout.FTRef, i), val)
 }
 
 // GetLongElem reads element i of a long array.
-func (rt *Runtime) GetLongElem(arr layout.Ref, i int) (int64, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	if err := rt.boundsCheck(nil, arr, i); err != nil {
+func (a *Accessor) GetLongElem(arr layout.Ref, i int) (int64, error) {
+	a.enter()
+	defer a.exit()
+	if err := a.boundsCheck(arr, i); err != nil {
 		return 0, err
 	}
-	return int64(rt.getWord(nil, arr, layout.ElemOff(layout.FTLong, i))), nil
+	return int64(a.getWord(arr, layout.ElemOff(layout.FTLong, i))), nil
 }
 
 // SetLongElem stores element i of a long array.
-func (rt *Runtime) SetLongElem(arr layout.Ref, i int, v int64) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	if err := rt.boundsCheck(nil, arr, i); err != nil {
+func (a *Accessor) SetLongElem(arr layout.Ref, i int, v int64) error {
+	a.enter()
+	defer a.exit()
+	if err := a.boundsCheck(arr, i); err != nil {
 		return err
 	}
-	rt.setWord(nil, arr, layout.ElemOff(layout.FTLong, i), uint64(v))
+	a.setWord(arr, layout.ElemOff(layout.FTLong, i), uint64(v))
 	return nil
 }
 
-func (rt *Runtime) boundsCheck(m *Mutator, arr layout.Ref, i int) error {
-	k, err := rt.klassOf(m, arr)
+func (a *Accessor) boundsCheck(arr layout.Ref, i int) error {
+	k, err := a.klassOf(arr)
 	if err != nil {
 		return err
 	}
 	if !k.IsArray() {
 		return fmt.Errorf("core: %s is not an array class", k.Name)
 	}
-	if n := rt.arrayLen(m, arr); i < 0 || i >= n {
+	if n := a.arrayLen(arr); i < 0 || i >= n {
 		return fmt.Errorf("core: index %d out of bounds for length %d", i, n)
 	}
 	return nil
@@ -206,8 +268,9 @@ func (rt *Runtime) boundsCheck(m *Mutator, arr layout.Ref, i int) error {
 // mutator's own buffers, cell and device view, or the ownerless ones of
 // the heap holding obj. The paper permits NVM→DRAM references at the
 // language level (§3.2); type-based safety forbids them (§3.4).
-func (rt *Runtime) storeRef(m *Mutator, obj layout.Ref, boff int, val layout.Ref) error {
-	if x := rt.ctxOf(m, obj); x != nil {
+func (a *Accessor) storeRef(obj layout.Ref, boff int, val layout.Ref) error {
+	rt := a.rt
+	if x := a.ctxOf(obj); x != nil {
 		isVol := val != layout.NullRef && rt.vol.Contains(val)
 		if isVol && rt.cfg.Safety == TypeBased {
 			return fmt.Errorf("core: type-based safety forbids storing a volatile reference into NVM")

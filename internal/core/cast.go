@@ -43,13 +43,15 @@ func (rt *Runtime) klassByAddr(addr layout.Ref) (*klass.Klass, bool) {
 // the stock JVM's address-equality check and the Figure 10 exception;
 // otherwise the alias-aware check accepts any incarnation of the class
 // (or a subclass).
-func (rt *Runtime) CheckCast(obj layout.Ref, className string) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+func (a *Accessor) CheckCast(obj layout.Ref, className string) error {
+	a.enter()
+	defer a.exit()
 	if obj == layout.NullRef {
 		return nil // casting null always succeeds
 	}
-	objKlassAddr := layout.Ref(rt.getWord(nil, obj, layout.KlassWordOff))
+	rt := a.rt
+	objKlassAddr := layout.Ref(a.getWord(obj, layout.KlassWordOff))
+	rt.mu.Lock()
 	slotAddr, resolved := rt.cp.Get(className)
 	if !resolved {
 		// First use of the symbol: resolve it against the object's own
@@ -57,6 +59,7 @@ func (rt *Runtime) CheckCast(obj layout.Ref, className string) error {
 		rt.cp.Resolve(className, objKlassAddr)
 		slotAddr = objKlassAddr
 	}
+	rt.mu.Unlock()
 	if rt.cfg.StrictCast {
 		if objKlassAddr == slotAddr {
 			return nil
@@ -79,17 +82,17 @@ func (rt *Runtime) CheckCast(obj layout.Ref, className string) error {
 }
 
 // InstanceOf reports whether obj is an instance of className (alias-aware).
-func (rt *Runtime) InstanceOf(obj layout.Ref, className string) (bool, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+func (a *Accessor) InstanceOf(obj layout.Ref, className string) (bool, error) {
+	a.enter()
+	defer a.exit()
 	if obj == layout.NullRef {
 		return false, nil
 	}
-	objK, err := rt.klassOf(nil, obj)
+	objK, err := a.klassOf(obj)
 	if err != nil {
 		return false, err
 	}
-	target, ok := rt.Reg.Lookup(className)
+	target, ok := a.rt.Reg.Lookup(className)
 	if !ok {
 		return false, fmt.Errorf("core: unknown class %q", className)
 	}

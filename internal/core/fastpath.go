@@ -68,65 +68,49 @@ func (rt *Runtime) MustResolveField(k *klass.Klass, name string) FieldRef {
 // device word read, no name map, no klass read, no error allocation.
 // Reading a ref-typed field this way is permitted (it returns the raw
 // slot bits; reads need no barrier).
-func (rt *Runtime) GetLongFast(ref layout.Ref, f FieldRef) int64 {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.getLongFast(nil, ref, f)
-}
-
-func (rt *Runtime) getLongFast(m *Mutator, ref layout.Ref, f FieldRef) int64 {
-	return int64(rt.getWord(m, ref, f.boff))
+func (a *Accessor) GetLongFast(ref layout.Ref, f FieldRef) int64 {
+	a.enter()
+	defer a.exit()
+	return int64(a.getWord(ref, f.boff))
 }
 
 // SetLongFast writes a primitive field through a resolved handle. A
 // ref-typed handle is rejected with a panic — a raw store to a
 // reference slot would bypass the write barrier (remembered sets,
 // type-based safety, SATB), the JVM-verifier-error analog.
-func (rt *Runtime) SetLongFast(ref layout.Ref, f FieldRef, v int64) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	rt.setLongFast(nil, ref, f, v)
-}
-
-func (rt *Runtime) setLongFast(m *Mutator, ref layout.Ref, f FieldRef, v int64) {
+func (a *Accessor) SetLongFast(ref layout.Ref, f FieldRef, v int64) {
+	a.enter()
+	defer a.exit()
 	if f.ftype == layout.FTRef {
 		panic("core: SetLongFast through a ref field handle; use SetRefFast")
 	}
-	rt.setWord(m, ref, f.boff, uint64(v))
+	a.setWord(ref, f.boff, uint64(v))
 }
 
 // GetRefFast reads a reference field through a resolved handle. The
 // handle's ref-ness is enforced here (one compare), so no klass read is
 // needed.
-func (rt *Runtime) GetRefFast(ref layout.Ref, f FieldRef) layout.Ref {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.getRefFast(nil, ref, f)
-}
-
-func (rt *Runtime) getRefFast(m *Mutator, ref layout.Ref, f FieldRef) layout.Ref {
+func (a *Accessor) GetRefFast(ref layout.Ref, f FieldRef) layout.Ref {
+	a.enter()
+	defer a.exit()
 	if f.ftype != layout.FTRef {
 		panic("core: GetRefFast through a " + f.ftype.String() + " field handle")
 	}
-	return layout.Ref(rt.getWord(m, ref, f.boff))
+	return layout.Ref(a.getWord(ref, f.boff))
 }
 
 // SetRefFast writes a reference field through a resolved handle, keeping
-// the full write barrier (remembered sets, type-based safety, SATB). At
-// the Runtime level that is the heap's ownerless context: one buffer pair
-// behind one mutex for every such store on the heap. Route stores through
-// a Mutator to give them buffers of their own.
-func (rt *Runtime) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.setRefFast(nil, ref, f, val)
-}
-
-func (rt *Runtime) setRefFast(m *Mutator, ref layout.Ref, f FieldRef, val layout.Ref) error {
+// the full write barrier (remembered sets, type-based safety, SATB). On a
+// Runtime that is the heap's ownerless context: one buffer pair behind one
+// mutex for every such store on the heap. A Mutator's stores land in
+// buffers of its own.
+func (a *Accessor) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
+	a.enter()
+	defer a.exit()
 	if f.ftype != layout.FTRef {
 		return fmt.Errorf("core: SetRefFast through a %s field handle", f.ftype)
 	}
-	return rt.storeRef(m, ref, f.boff, val)
+	return a.storeRef(ref, f.boff, val)
 }
 
 // --- Bulk primitive-array transfer ---
@@ -137,15 +121,15 @@ func (rt *Runtime) setRefFast(m *Mutator, ref layout.Ref, f FieldRef, val layout
 
 // bulkCheck validates arr as a t-typed array covering [start, start+n)
 // and returns the byte offset of element start.
-func (rt *Runtime) bulkCheck(arr layout.Ref, t layout.FieldType, start, n int) (int, error) {
-	k, err := rt.klassOf(nil, arr)
+func (a *Accessor) bulkCheck(arr layout.Ref, t layout.FieldType, start, n int) (int, error) {
+	k, err := a.klassOf(arr)
 	if err != nil {
 		return 0, err
 	}
 	if !k.IsArray() || k.ElemType() != t {
 		return 0, fmt.Errorf("core: %s is not a %s array class", k.Name, t)
 	}
-	if l := rt.arrayLen(nil, arr); start < 0 || n < 0 || start+n > l {
+	if l := a.arrayLen(arr); start < 0 || n < 0 || start+n > l {
 		return 0, fmt.Errorf("core: range [%d,%d) out of bounds for length %d", start, start+n, l)
 	}
 	return layout.ElemOff(t, start), nil
@@ -153,14 +137,14 @@ func (rt *Runtime) bulkCheck(arr layout.Ref, t layout.FieldType, start, n int) (
 
 // CopyLongs reads len(dst) elements of a long array starting at start
 // with a single bulk device read.
-func (rt *Runtime) CopyLongs(arr layout.Ref, start int, dst []int64) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	boff, err := rt.bulkCheck(arr, layout.FTLong, start, len(dst))
+func (a *Accessor) CopyLongs(arr layout.Ref, start int, dst []int64) error {
+	a.enter()
+	defer a.exit()
+	boff, err := a.bulkCheck(arr, layout.FTLong, start, len(dst))
 	if err != nil || len(dst) == 0 {
 		return err
 	}
-	b := rt.bulkBytes(arr, boff, len(dst)*8)
+	b := a.readBytes(arr, boff, len(dst)*8)
 	for i := range dst {
 		dst[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 	}
@@ -169,66 +153,76 @@ func (rt *Runtime) CopyLongs(arr layout.Ref, start int, dst []int64) error {
 
 // WriteLongs stores src into a long array starting at element start with
 // a single bulk device write.
-func (rt *Runtime) WriteLongs(arr layout.Ref, start int, src []int64) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	boff, err := rt.bulkCheck(arr, layout.FTLong, start, len(src))
+func (a *Accessor) WriteLongs(arr layout.Ref, start int, src []int64) error {
+	a.enter()
+	defer a.exit()
+	boff, err := a.bulkCheck(arr, layout.FTLong, start, len(src))
 	if err != nil || len(src) == 0 {
 		return err
 	}
-	if rt.vol.Contains(arr) {
-		b := rt.vol.Bytes(arr, boff, len(src)*8)
-		for i, v := range src {
-			binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
-		}
-		return nil
+	// Encoded in place for a volatile array, staged for one device write
+	// for a persistent one.
+	vol := a.rt.vol.Contains(arr)
+	var b []byte
+	if vol {
+		b = a.rt.vol.Bytes(arr, boff, len(src)*8)
+	} else {
+		b = make([]byte, len(src)*8)
 	}
-	b := make([]byte, len(src)*8)
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
 	}
-	rt.heapOf(arr).WriteBytesAt(arr, boff, b)
+	if !vol {
+		a.ctxOf(arr).WriteBytesAt(arr, boff, b)
+	}
 	return nil
 }
 
 // CopyBytes reads len(dst) elements of a byte array starting at start
 // with a single bulk device read.
-func (rt *Runtime) CopyBytes(arr layout.Ref, start int, dst []byte) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	boff, err := rt.bulkCheck(arr, layout.FTByte, start, len(dst))
+func (a *Accessor) CopyBytes(arr layout.Ref, start int, dst []byte) error {
+	a.enter()
+	defer a.exit()
+	boff, err := a.bulkCheck(arr, layout.FTByte, start, len(dst))
 	if err != nil || len(dst) == 0 {
 		return err
 	}
-	copy(dst, rt.bulkBytes(arr, boff, len(dst)))
+	copy(dst, a.readBytes(arr, boff, len(dst)))
 	return nil
 }
 
 // WriteBytes stores src into a byte array starting at element start with
 // a single bulk device write.
-func (rt *Runtime) WriteBytes(arr layout.Ref, start int, src []byte) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	boff, err := rt.bulkCheck(arr, layout.FTByte, start, len(src))
+func (a *Accessor) WriteBytes(arr layout.Ref, start int, src []byte) error {
+	a.enter()
+	defer a.exit()
+	boff, err := a.bulkCheck(arr, layout.FTByte, start, len(src))
 	if err != nil || len(src) == 0 {
 		return err
 	}
-	if rt.vol.Contains(arr) {
-		copy(rt.vol.Bytes(arr, boff, len(src)), src)
-		return nil
-	}
-	rt.heapOf(arr).WriteBytesAt(arr, boff, src)
+	a.writeBytes(arr, boff, src)
 	return nil
 }
 
-// bulkBytes returns n bytes at boff of the object at ref. For volatile
+// readBytes returns n bytes at boff of the object at ref. For volatile
 // objects it is a window over the backing store; for persistent objects
 // it is one accounted device read into a fresh buffer.
-func (rt *Runtime) bulkBytes(ref layout.Ref, boff, n int) []byte {
-	if rt.vol.Contains(ref) {
-		return rt.vol.Bytes(ref, boff, n)
+func (a *Accessor) readBytes(ref layout.Ref, boff, n int) []byte {
+	if a.rt.vol.Contains(ref) {
+		return a.rt.vol.Bytes(ref, boff, n)
 	}
 	b := make([]byte, n)
-	rt.heapOf(ref).ReadBytesAt(ref, boff, b)
+	a.ctxOf(ref).ReadBytesAt(ref, boff, b)
 	return b
+}
+
+// writeBytes stores p at boff of the object at ref: a copy into the
+// backing store for a volatile object, one accounted device write for a
+// persistent one.
+func (a *Accessor) writeBytes(ref layout.Ref, boff int, p []byte) {
+	if a.rt.vol.Contains(ref) {
+		copy(a.rt.vol.Bytes(ref, boff, len(p)), p)
+		return
+	}
+	a.ctxOf(ref).WriteBytesAt(ref, boff, p)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
@@ -19,18 +20,14 @@ import (
 
 // FlushField persists one named field of a persistent object — the
 // Field.flush(obj) reflection API of Figure 12.
-func (rt *Runtime) FlushField(obj layout.Ref, field string) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.flushField(nil, obj, field)
-}
-
-func (rt *Runtime) flushField(m *Mutator, obj layout.Ref, field string) error {
-	x := rt.ctxOf(m, obj)
+func (a *Accessor) FlushField(obj layout.Ref, field string) error {
+	a.enter()
+	defer a.exit()
+	x := a.ctxOf(obj)
 	if x == nil {
 		return fmt.Errorf("core: flush of a non-persistent object")
 	}
-	boff, _, err := rt.fieldOff(m, obj, field)
+	boff, err := a.fieldOff(obj, field, false)
 	if err != nil {
 		return err
 	}
@@ -40,25 +37,21 @@ func (rt *Runtime) flushField(m *Mutator, obj layout.Ref, field string) error {
 
 // FlushArrayElem persists element i of a persistent array — the
 // Array.flush(z, i) API of Figure 12.
-func (rt *Runtime) FlushArrayElem(arr layout.Ref, i int) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.flushArrayElem(nil, arr, i)
-}
-
-func (rt *Runtime) flushArrayElem(m *Mutator, arr layout.Ref, i int) error {
-	x := rt.ctxOf(m, arr)
+func (a *Accessor) FlushArrayElem(arr layout.Ref, i int) error {
+	a.enter()
+	defer a.exit()
+	x := a.ctxOf(arr)
 	if x == nil {
 		return fmt.Errorf("core: flush of a non-persistent array")
 	}
-	k, err := rt.klassOf(m, arr)
+	k, err := a.klassOf(arr)
 	if err != nil {
 		return err
 	}
 	if !k.IsArray() {
 		return fmt.Errorf("core: %s is not an array class", k.Name)
 	}
-	if err := rt.boundsCheck(m, arr, i); err != nil {
+	if err := a.boundsCheck(arr, i); err != nil {
 		return err
 	}
 	et := k.ElemType()
@@ -69,39 +62,48 @@ func (rt *Runtime) flushArrayElem(m *Mutator, arr layout.Ref, i int) error {
 // FlushObject persists every data field of a persistent object with a
 // single trailing sfence — the coarse-grained Object.flush for scenarios
 // where persist order among the fields does not matter.
-func (rt *Runtime) FlushObject(obj layout.Ref) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.flushObject(nil, obj)
-}
-
-func (rt *Runtime) flushObject(m *Mutator, obj layout.Ref) error {
-	x := rt.ctxOf(m, obj)
+func (a *Accessor) FlushObject(obj layout.Ref) error {
+	a.enter()
+	defer a.exit()
+	x := a.ctxOf(obj)
 	if x == nil {
 		return fmt.Errorf("core: flush of a non-persistent object")
 	}
-	k, err := rt.klassOf(m, obj)
+	size, err := sizeOf(x, obj)
 	if err != nil {
 		return err
 	}
+	x.FlushRange(obj, 0, size)
+	return nil
+}
+
+// sizeOf decodes the size of the object at ref through its context: the
+// klass word, and the length word of an array.
+func sizeOf(x *pheap.Allocator, ref layout.Ref) (int, error) {
+	k, err := x.KlassOf(ref)
+	if err != nil {
+		return 0, err
+	}
 	n := 0
 	if k.IsArray() {
-		n = rt.arrayLen(m, obj)
+		n = x.ArrayLen(ref)
 	}
-	x.FlushRange(obj, 0, k.SizeOf(n))
-	return nil
+	return k.SizeOf(n), nil
 }
 
 // flushState is the reusable traversal state behind FlushTransitive and
 // FlushBatch: a work stack and visited set (no recursion, no per-call
 // map churn after warmup), a scratch buffer for bulk object reads, and a
-// per-heap line-aligned range accumulator so each cache line is flushed
-// once per call with one trailing fence per device.
+// per-context line-aligned range accumulator so each cache line is
+// flushed once per call with one trailing fence per device. mu serializes
+// the callers that share one — every ownerless flusher of a runtime; on a
+// Mutator it is never contended.
 type flushState struct {
+	mu     sync.Mutex
 	stack  []layout.Ref
 	seen   map[layout.Ref]struct{}
 	buf    []byte
-	ranges map[*pheap.Heap][]nvm.Range
+	ranges map[*pheap.Allocator][]nvm.Range
 }
 
 func (fw *flushState) reset() {
@@ -112,26 +114,28 @@ func (fw *flushState) reset() {
 		clear(fw.seen)
 	}
 	if fw.ranges == nil {
-		fw.ranges = make(map[*pheap.Heap][]nvm.Range)
+		fw.ranges = make(map[*pheap.Allocator][]nvm.Range)
 	} else {
-		for h, rs := range fw.ranges {
-			fw.ranges[h] = rs[:0]
+		for x, rs := range fw.ranges {
+			fw.ranges[x] = rs[:0]
 		}
 	}
 }
 
-// addExtent records an object extent, widened to cache-line boundaries.
-func (fw *flushState) addExtent(h *pheap.Heap, off, size int) {
+// addExtent records the extent of an object reached through x, widened to
+// cache-line boundaries.
+func (fw *flushState) addExtent(x *pheap.Allocator, ref layout.Ref, size int) {
+	off := x.Heap().OffOf(ref)
 	lo := off &^ (nvm.LineSize - 1)
 	hi := (off + size + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
-	fw.ranges[h] = append(fw.ranges[h], nvm.Range{Off: lo, N: hi - lo})
+	fw.ranges[x] = append(fw.ranges[x], nvm.Range{Off: lo, N: hi - lo})
 }
 
-// flushAll merges the accumulated line ranges per heap and issues one
-// coalesced FlushBatch (single trailing fence) per device. Overlapping
+// flushAll merges the accumulated line ranges per context and issues one
+// coalesced FlushBatch (single trailing fence) through each. Overlapping
 // and adjacent extents collapse, so no line is written back twice.
 func (fw *flushState) flushAll() {
-	for h, rs := range fw.ranges {
+	for x, rs := range fw.ranges {
 		if len(rs) == 0 {
 			continue
 		}
@@ -156,22 +160,22 @@ func (fw *flushState) flushAll() {
 				merged = append(merged, r)
 			}
 		}
-		h.Device().FlushBatch(merged)
-		fw.ranges[h] = rs[:0]
+		x.FlushBatch(merged)
+		fw.ranges[x] = rs[:0]
 	}
 }
 
-// scanObject decodes the object at ref with at most two bulk device
-// reads (header, then body when it can hold references), records its
+// scan decodes the object at ref with at most two bulk device reads
+// through x (header, then body when it can hold references), records its
 // flush extent, and pushes its outgoing persistent references.
-func (rt *Runtime) scanObject(fw *flushState, h *pheap.Heap, ref layout.Ref) error {
+func (fw *flushState) scan(x *pheap.Allocator, ref layout.Ref) error {
 	if cap(fw.buf) < layout.ArrayHdrBytes {
 		fw.buf = make([]byte, 4096)
 	}
 	hdr := fw.buf[:layout.ArrayHdrBytes]
-	h.ReadBytesAt(ref, 0, hdr)
+	x.ReadBytesAt(ref, 0, hdr)
 	kaddr := layout.Ref(binary.LittleEndian.Uint64(hdr[layout.KlassWordOff:]))
-	k, ok := h.KlassByAddr(kaddr)
+	k, ok := x.Heap().KlassByAddr(kaddr)
 	if !ok {
 		return fmt.Errorf("core: object %#x has dangling klass word %#x", uint64(ref), uint64(kaddr))
 	}
@@ -180,7 +184,7 @@ func (rt *Runtime) scanObject(fw *flushState, h *pheap.Heap, ref layout.Ref) err
 		n = int(binary.LittleEndian.Uint64(hdr[layout.ArrayLenOff:]))
 	}
 	size := k.SizeOf(n)
-	fw.addExtent(h, h.OffOf(ref), size)
+	fw.addExtent(x, ref, size)
 
 	hasRefs := k.Kind == klass.KindObjArray && n > 0
 	if k.Kind == klass.KindInstance {
@@ -198,7 +202,7 @@ func (rt *Runtime) scanObject(fw *flushState, h *pheap.Heap, ref layout.Ref) err
 		fw.buf = make([]byte, size)
 	}
 	body := fw.buf[:size]
-	h.ReadBytesAt(ref, 0, body)
+	x.ReadBytesAt(ref, 0, body)
 	// Reuse the canonical ref-slot enumeration over the bulk buffer.
 	pheap.RefSlots(bufReader{body}, 0, k, func(slotBoff int) {
 		// Slot values may carry low link-state tag bits (layout.RefTagMask,
@@ -224,14 +228,14 @@ func (r bufReader) ReadU64(off int) uint64 { return binary.LittleEndian.Uint64(r
 // reusable work stack, objects are parsed with bulk reads, and the
 // covered cache lines are deduplicated and flushed once with a single
 // trailing fence per device — cost proportional to bytes reached, not
-// to references followed. Concurrent flushers serialize on the shared
-// traversal state.
-func (rt *Runtime) FlushTransitive(obj layout.Ref) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	rt.flushMu.Lock()
-	defer rt.flushMu.Unlock()
-	fw := &rt.flushWork
+// to references followed. Ownerless flushers serialize on the runtime's
+// shared traversal state; a mutator has its own.
+func (a *Accessor) FlushTransitive(obj layout.Ref) error {
+	a.enter()
+	defer a.exit()
+	fw := &a.flush
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
 	fw.reset()
 	fw.stack = append(fw.stack, obj)
 	for len(fw.stack) > 0 {
@@ -240,12 +244,12 @@ func (rt *Runtime) FlushTransitive(obj layout.Ref) error {
 		if _, ok := fw.seen[ref]; ok {
 			continue
 		}
-		h := rt.heapOf(ref)
-		if h == nil {
+		x := a.ctxOf(ref)
+		if x == nil {
 			continue
 		}
 		fw.seen[ref] = struct{}{}
-		if err := rt.scanObject(fw, h, ref); err != nil {
+		if err := fw.scan(x, ref); err != nil {
 			return err
 		}
 	}
@@ -256,25 +260,24 @@ func (rt *Runtime) FlushTransitive(obj layout.Ref) error {
 // FlushBatch persists the data of several persistent objects with
 // coalesced line flushes and a single trailing fence per device — the
 // bulk counterpart of FlushObject for commit paths that persist many
-// objects at once. Concurrent flushers serialize on the shared
-// traversal state.
-func (rt *Runtime) FlushBatch(refs []layout.Ref) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	rt.flushMu.Lock()
-	defer rt.flushMu.Unlock()
-	fw := &rt.flushWork
+// objects at once. It shares FlushTransitive's traversal state.
+func (a *Accessor) FlushBatch(refs []layout.Ref) error {
+	a.enter()
+	defer a.exit()
+	fw := &a.flush
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
 	fw.reset()
 	for _, ref := range refs {
-		h := rt.heapOf(ref)
-		if h == nil {
+		x := a.ctxOf(ref)
+		if x == nil {
 			return fmt.Errorf("core: flush of a non-persistent object %#x", uint64(ref))
 		}
-		_, size, err := h.SizeOfObjectAt(h.OffOf(ref))
+		size, err := sizeOf(x, ref)
 		if err != nil {
 			return err
 		}
-		fw.addExtent(h, h.OffOf(ref), size)
+		fw.addExtent(x, ref, size)
 	}
 	fw.flushAll()
 	return nil

@@ -42,6 +42,9 @@ func (rt *Runtime) CreateHeap(name string, size int) (*pheap.Heap, error) {
 		h.FlightRecorder().Append(blackbox.EvHeapCreate,
 			uint64(h.Geo().DataSize), uint64(h.Geo().DataRegions()), h.FormatVersion())
 	}
+	// The heap's allocators report into the runtime's telemetry registry
+	// (nil when disabled — pheap records nothing then).
+	h.SetTelemetry(rt.tel)
 	rt.attach(h)
 	return h, nil
 }
@@ -93,9 +96,12 @@ func (rt *Runtime) LoadHeap(name string) (*pheap.Heap, error) {
 			return nil, fmt.Errorf("core: remapping %q away from %q: %w", name, clash.Name(), err)
 		}
 	}
-	// The flight recorder attaches before recovery runs so the recovery
-	// narrative itself lands in the journal — the whole point of a black
-	// box is seeing what happened around the crash.
+	// The telemetry registry and the flight recorder attach before
+	// recovery runs, so the recovery itself — its span, its gc.recoveries
+	// count, its attributed device traffic — lands in the runtime's metrics
+	// and the recovery narrative in the journal: seeing what happened
+	// around the crash is the whole point of both.
+	h.SetTelemetry(rt.tel)
 	if rt.cfg.FlightRecorder {
 		if _, err := h.EnableFlightRecorder(); err != nil {
 			return nil, fmt.Errorf("core: flight recorder on %q: %w", name, err)
@@ -134,31 +140,23 @@ func (rt *Runtime) ExistsHeap(name string) bool { return rt.mgr.Exists(name) }
 
 // SetRoot marks an object as a named root in the heap that contains it
 // (Table 1: setRoot).
-func (rt *Runtime) SetRoot(name string, ref layout.Ref) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.setRoot(name, ref)
-}
-
-func (rt *Runtime) setRoot(name string, ref layout.Ref) error {
-	h := rt.heapOf(ref)
-	if h == nil {
+func (a *Accessor) SetRoot(name string, ref layout.Ref) error {
+	a.enter()
+	defer a.exit()
+	x := a.ctxOf(ref)
+	if x == nil {
 		return fmt.Errorf("core: setRoot %q: %#x is not a persistent object", name, uint64(ref))
 	}
-	return h.SetRoot(name, ref)
+	return x.Heap().SetRoot(name, ref)
 }
 
 // GetRoot fetches a root object by name, searching every loaded heap
 // (Table 1: getRoot). The result is an untyped object reference; the
 // caller casts, as in the paper.
-func (rt *Runtime) GetRoot(name string) (layout.Ref, bool) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.getRoot(name)
-}
-
-func (rt *Runtime) getRoot(name string) (layout.Ref, bool) {
-	for _, h := range rt.heaps {
+func (a *Accessor) GetRoot(name string) (layout.Ref, bool) {
+	a.enter()
+	defer a.exit()
+	for _, h := range a.rt.heaps {
 		if ref, ok := h.GetRoot(name); ok {
 			return ref, true
 		}
@@ -190,9 +188,6 @@ func (rt *Runtime) attach(h *pheap.Heap) {
 	// The heap's reference stores feed the runtime's remembered set
 	// through per-mutator delta buffers; the sink is their drain target.
 	h.SetRemsetSink(remsetSink{rt})
-	// And its allocators report into the runtime's telemetry registry
-	// (nil when disabled — pheap records nothing then).
-	h.SetTelemetry(rt.tel)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.heaps = append(rt.heaps, h)

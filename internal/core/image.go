@@ -19,9 +19,9 @@ import (
 // a commit touched.
 //
 // Reference slots keep the full write barrier and the full access
-// discipline: each goes through pheap's StoreRef on the heap's ownerless
-// context (concurrent publications and the marker re-read slots with
-// atomic loads, which a bulk memmove over a reference slot would tear
+// discipline: each goes through pheap's StoreRef on the context the
+// accessor chooses (concurrent publications and the marker re-read slots
+// with atomic loads, which a bulk memmove over a reference slot would tear
 // against), and type-based safety vets volatile values before any byte
 // lands.
 
@@ -29,14 +29,14 @@ import (
 // the first instance field — using a single bulk device read. The caller
 // sizes dst (nFields × WordSize for all-word layouts like pjo's
 // DBPersistables).
-func (rt *Runtime) ReadFieldImage(ref layout.Ref, dst []byte) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	h := rt.heapOf(ref)
-	if h == nil {
+func (a *Accessor) ReadFieldImage(ref layout.Ref, dst []byte) error {
+	a.enter()
+	defer a.exit()
+	x := a.ctxOf(ref)
+	if x == nil {
 		return fmt.Errorf("core: ReadFieldImage of a non-persistent object %#x", uint64(ref))
 	}
-	h.ReadBytesAt(ref, layout.FieldOff(0), dst)
+	x.ReadBytesAt(ref, layout.FieldOff(0), dst)
 	return nil
 }
 
@@ -49,10 +49,11 @@ func (rt *Runtime) ReadFieldImage(ref layout.Ref, dst []byte) error {
 // writes, so total device writes per call are bounded by the schema's
 // reference-column count plus its contiguous primitive runs — never by
 // the field count.
-func (rt *Runtime) WriteFieldImage(ref layout.Ref, img []byte, refOffs []int) error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	x := rt.ctxOf(nil, ref)
+func (a *Accessor) WriteFieldImage(ref layout.Ref, img []byte, refOffs []int) error {
+	a.enter()
+	defer a.exit()
+	rt := a.rt
+	x := a.ctxOf(ref)
 	if x == nil {
 		return fmt.Errorf("core: WriteFieldImage of a non-persistent object %#x", uint64(ref))
 	}

@@ -93,16 +93,19 @@ type Config struct {
 	FlightRecorder bool
 }
 
-// Runtime is one simulated JVM instance.
+// Runtime is one simulated JVM instance. Its object model is the embedded
+// Accessor's, ownerless.
 type Runtime struct {
+	Accessor
+
 	mu  sync.Mutex
 	cfg Config
 
 	// world is the safepoint — the mutator-handshake mechanism of the
 	// persistent GC. Every heap-touching public operation is a safepoint
 	// interval (mutators are "in" an op or parked between ops, never
-	// mid-op when a pause begins): Runtime-level accessors take world's
-	// read lock, a Mutator pins its own slot; the collector's pauses
+	// mid-op when a pause begins): Runtime-level accessors pin world's
+	// shared slot (its read lock), a Mutator its own; the collector's pauses
 	// Stop the world, which returns exactly when every in-flight
 	// operation has drained. It makes *persistent-heap* access safe
 	// against collector pauses; the volatile heap keeps the seed's
@@ -146,12 +149,6 @@ type Runtime struct {
 	// deltas first.
 	nvmToVol *remset
 
-	// flushWork is FlushTransitive/FlushBatch's reusable traversal state
-	// (work stack, visited set, line coalescer, object read buffer),
-	// serialized by flushMu so concurrent committers do not interleave.
-	flushMu   sync.Mutex
-	flushWork flushState
-
 	cp *klass.ConstantPool
 
 	stringKlass *klass.Klass
@@ -186,6 +183,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		cp:         klass.NewConstantPool(),
 		nextBase:   layout.DefaultPJHBase,
 	}
+	rt.Accessor.rt, rt.Accessor.slot = rt, rt.world.Shared()
 	if cfg.Telemetry {
 		rt.tel = telemetry.New()
 	}
@@ -286,36 +284,21 @@ func (rt *Runtime) InPersistent(ref layout.Ref) bool {
 // InVolatile reports whether ref points into the volatile heap.
 func (rt *Runtime) InVolatile(ref layout.Ref) bool { return rt.vol.Contains(ref) }
 
-// KlassOf resolves the class of any object, volatile or persistent.
-func (rt *Runtime) KlassOf(ref layout.Ref) (*klass.Klass, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.klassOf(nil, ref)
-}
-
-func (rt *Runtime) klassOf(m *Mutator, ref layout.Ref) (*klass.Klass, error) {
-	if rt.vol.Contains(ref) {
-		return rt.vol.KlassOf(ref)
-	}
-	if x := rt.ctxOf(m, ref); x != nil {
-		return x.KlassOf(ref)
-	}
-	return nil, fmt.Errorf("core: %#x is not an object address", uint64(ref))
-}
-
 // New allocates a volatile object — the plain Java `new`. Allocation
 // failure triggers a scavenge, then a full collection, before giving up.
-func (rt *Runtime) New(k *klass.Klass, arrayLen int) (layout.Ref, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.vnew(k, arrayLen)
+// The volatile heap keeps its single-volatile-mutator contract whichever
+// receiver allocates.
+func (a *Accessor) New(k *klass.Klass, arrayLen int) (layout.Ref, error) {
+	a.enter()
+	defer a.exit()
+	return a.rt.vnew(k, arrayLen)
 }
 
 func (rt *Runtime) vnew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 	if _, err := rt.Reg.Define(k); err != nil {
 		return 0, err
 	}
-	rt.cp.Resolve(k.Name, rt.Reg.MetaAddr(k))
+	rt.resolve(k.Name, rt.Reg.MetaAddr(k))
 	ref, err := rt.vol.Alloc(k, arrayLen)
 	if err == vheap.ErrNeedGC {
 		if err = rt.minorGC(); err != nil {
@@ -335,37 +318,66 @@ func (rt *Runtime) vnew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 	return ref, nil
 }
 
-// PNew allocates a persistent object in the active heap — the pnew
-// keyword (and, for arrays, the panewarray/pnewarray bytecodes). Under
-// type-based safety the class must be annotated persistent with a
-// persistent-closed field closure.
-func (rt *Runtime) PNew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.pnew(k, arrayLen)
+// resolve records a class symbol's resolved Klass address in the constant
+// pool. rt.mu guards the pool: every accessor of every goroutine resolves
+// through it.
+func (rt *Runtime) resolve(symbol string, addr layout.Ref) {
+	rt.mu.Lock()
+	rt.cp.Resolve(symbol, addr)
+	rt.mu.Unlock()
 }
 
-func (rt *Runtime) pnew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
-	h := rt.active
+// PNew allocates a persistent object — the pnew keyword (and, for arrays,
+// the panewarray/pnewarray bytecodes): in the active heap through its
+// shared, lock-serialized allocator on a Runtime; in the mutator's heap
+// through its own PLAB, whose bump path is lock-free, on a Mutator. Under
+// type-based safety the class must be annotated persistent with a
+// persistent-closed field closure.
+func (a *Accessor) PNew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
+	a.enter()
+	defer a.exit()
+	return a.pnew(k, arrayLen)
+}
+
+// pnew is the one allocation body. The class's metadata work — definition,
+// safety check, Klass-segment record, constant-pool resolution — runs on
+// every ownerless allocation and once per class on a mutator.
+func (a *Accessor) pnew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
+	rt, h := a.rt, a.h
 	if h == nil {
-		return 0, fmt.Errorf("core: pnew %s: no persistent heap loaded", k.Name)
-	}
-	if _, err := rt.Reg.Define(k); err != nil {
-		return 0, err
-	}
-	if rt.cfg.Safety == TypeBased {
-		if err := rt.checkPersistentClosure(k); err != nil {
-			return 0, err
+		if h = rt.active; h == nil {
+			return 0, fmt.Errorf("core: pnew %s: no persistent heap loaded", k.Name)
 		}
 	}
-	ref, err := h.Alloc(k, arrayLen)
+	if !a.prepared[k] {
+		if _, err := rt.Reg.Define(k); err != nil {
+			return 0, err
+		}
+		if rt.cfg.Safety == TypeBased {
+			if err := rt.checkPersistentClosure(k); err != nil {
+				return 0, err
+			}
+		}
+		kaddr, err := h.EnsureKlass(k)
+		if err != nil {
+			return 0, fmt.Errorf("core: pnew %s: %w", k.Name, err)
+		}
+		// Constant-pool resolution now caches the NVM Klass address — the
+		// overwrite that makes the strict (non-alias) check of Figure 10 fail.
+		rt.resolve(k.Name, kaddr)
+		if a.prepared != nil {
+			a.prepared[k] = true
+		}
+	}
+	var ref layout.Ref
+	var err error
+	if a.alloc != nil {
+		ref, err = a.alloc.Alloc(k, arrayLen)
+	} else {
+		ref, err = h.Alloc(k, arrayLen)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("core: pnew %s: %w", k.Name, err)
-	}
-	// Constant-pool resolution now caches the NVM Klass address — the
-	// overwrite that makes the strict (non-alias) check of Figure 10 fail.
-	if kaddr, ok := h.KlassAddr(k); ok {
-		rt.cp.Resolve(k.Name, kaddr)
 	}
 	return ref, nil
 }
@@ -374,26 +386,26 @@ func (rt *Runtime) pnew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 // pmultianewarray bytecode): dims gives the length at each level. The
 // array klass at every level is resolved once up front; the recursion
 // only allocates.
-func (rt *Runtime) PNewMultiArray(elem *klass.Klass, dims []int) (layout.Ref, error) {
+func (a *Accessor) PNewMultiArray(elem *klass.Klass, dims []int) (layout.Ref, error) {
 	if len(dims) == 0 {
 		return 0, fmt.Errorf("core: pmultianewarray needs at least one dimension")
 	}
 	chain := make([]*klass.Klass, len(dims))
 	leaf := elem
 	if elem.Kind != klass.KindPrimArray {
-		leaf = rt.Reg.ObjArray(elem.Name)
+		leaf = a.rt.Reg.ObjArray(elem.Name)
 	}
 	chain[len(dims)-1] = leaf
 	for i := len(dims) - 2; i >= 0; i-- {
-		chain[i] = rt.Reg.ObjArray(chain[i+1].Name)
+		chain[i] = a.rt.Reg.ObjArray(chain[i+1].Name)
 	}
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	return rt.pnewMulti(chain, dims)
+	a.enter()
+	defer a.exit()
+	return a.pnewMulti(chain, dims)
 }
 
-func (rt *Runtime) pnewMulti(chain []*klass.Klass, dims []int) (layout.Ref, error) {
-	arr, err := rt.pnew(chain[0], dims[0])
+func (a *Accessor) pnewMulti(chain []*klass.Klass, dims []int) (layout.Ref, error) {
+	arr, err := a.pnew(chain[0], dims[0])
 	if err != nil {
 		return 0, err
 	}
@@ -401,11 +413,11 @@ func (rt *Runtime) pnewMulti(chain []*klass.Klass, dims []int) (layout.Ref, erro
 		return arr, nil
 	}
 	for i := 0; i < dims[0]; i++ {
-		sub, err := rt.pnewMulti(chain[1:], dims[1:])
+		sub, err := a.pnewMulti(chain[1:], dims[1:])
 		if err != nil {
 			return 0, err
 		}
-		if err := rt.setElem(nil, arr, i, sub); err != nil {
+		if err := a.setElem(arr, i, sub); err != nil {
 			return 0, err
 		}
 	}
@@ -430,58 +442,48 @@ func (rt *Runtime) checkPersistentClosure(k *klass.Klass) error {
 }
 
 // NewString allocates a string. persistent selects pnew vs new — the
-// `pnew String(name, true)` constructor of paper Figure 9.
-func (rt *Runtime) NewString(s string, persistent bool) (layout.Ref, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+// `pnew String(name, true)` constructor of paper Figure 9. The payload
+// moves with one bulk store (one device write, or one DRAM memmove), not a
+// per-byte read-modify-write loop.
+func (a *Accessor) NewString(s string, persistent bool) (layout.Ref, error) {
+	a.enter()
+	defer a.exit()
+	sk := a.rt.stringKlass
 	var ref layout.Ref
 	var err error
 	if persistent {
-		ref, err = rt.pnew(rt.stringKlass, len(s))
+		ref, err = a.pnew(sk, len(s))
 	} else {
-		ref, err = rt.vnew(rt.stringKlass, len(s))
+		ref, err = a.rt.vnew(sk, len(s))
 	}
 	if err != nil {
 		return 0, err
 	}
-	// Bulk store: one device write (or one DRAM memmove) for the whole
-	// payload, not a per-byte read-modify-write loop.
 	if len(s) > 0 {
-		boff := layout.ElemOff(layout.FTByte, 0)
-		if persistent {
-			rt.heapOf(ref).WriteBytesAt(ref, boff, []byte(s))
-		} else {
-			copy(rt.vol.Bytes(ref, boff, len(s)), s)
-		}
+		a.writeBytes(ref, layout.ElemOff(layout.FTByte, 0), []byte(s))
 	}
 	if persistent {
 		// Strings are immutable: persist eagerly like the paper's string
 		// constructor does.
-		rt.heapOf(ref).FlushRange(ref, 0, rt.stringKlass.SizeOf(len(s)))
+		a.ctxOf(ref).FlushRange(ref, 0, sk.SizeOf(len(s)))
 	}
 	return ref, nil
 }
 
 // GetString reads a string object's contents with one bulk device read.
-func (rt *Runtime) GetString(ref layout.Ref) (string, error) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
-	k, err := rt.klassOf(nil, ref)
+func (a *Accessor) GetString(ref layout.Ref) (string, error) {
+	a.enter()
+	defer a.exit()
+	k, err := a.klassOf(ref)
 	if err != nil {
 		return "", err
 	}
-	if !klass.SameLogical(k, rt.stringKlass) {
+	if !klass.SameLogical(k, a.rt.stringKlass) {
 		return "", fmt.Errorf("core: %#x is a %s, not a string", uint64(ref), k.Name)
 	}
-	n := rt.arrayLen(nil, ref)
+	n := a.arrayLen(ref)
 	if n == 0 {
 		return "", nil
 	}
-	boff := layout.ElemOff(layout.FTByte, 0)
-	if rt.vol.Contains(ref) {
-		return string(rt.vol.Bytes(ref, boff, n)), nil
-	}
-	b := make([]byte, n)
-	rt.heapOf(ref).ReadBytesAt(ref, boff, b)
-	return string(b), nil
+	return string(a.readBytes(ref, layout.ElemOff(layout.FTByte, 0), n)), nil
 }

@@ -2,11 +2,12 @@ package nvm
 
 // Subsystem labels one attribution class for device traffic. The device
 // keeps one shared counter set (Stats); attribution by subsystem is
-// owner-counted above it — each mutator-owned path (allocator, ref-store
-// barrier, index context) tallies the traffic it issues into its own
-// telemetry cell at the call sites where the ops are deterministic, and
-// exclusive phases (GC, redo commit, recovery replay) attribute measured
-// Stats windows. The enum lives here, next to Stats, so every layer
+// owner-counted above it — a mutator-owned path charges its own telemetry
+// cell with what its own View counted across one call (an allocation, an
+// index operation: View.Ops deltas) or, where the ops are fixed by
+// protocol, at the call site (the ref-store barrier), and exclusive
+// phases (GC, redo commit, recovery replay) attribute measured Stats
+// windows. The enum lives here, next to Stats, so every layer
 // names the classes consistently.
 type Subsystem int
 
@@ -56,18 +57,4 @@ func LineSpan(off, n int) int {
 		return 0
 	}
 	return (off+n-1)/LineSize - off/LineSize + 1
-}
-
-// Each visits every counter of s with its stable snake_case name, in
-// declaration order — the iteration hook for exporters that render Stats
-// without reflection.
-func (s Stats) Each(fn func(name string, v uint64)) {
-	fn("reads", s.Reads)
-	fn("bytes_read", s.BytesRead)
-	fn("writes", s.Writes)
-	fn("bytes_written", s.BytesWritten)
-	fn("flushes", s.Flushes)
-	fn("flushed_lines", s.FlushedLines)
-	fn("fences", s.Fences)
-	fn("modeled_flush_ns", s.ModeledFlushNS)
 }

@@ -595,19 +595,9 @@ func (d *Device) flush(c *cell, off, n int) {
 // the persisted view and their dirty bits clear.
 func (d *Device) Flush(off, n int) { d.flush(nil, off, n) }
 
-// Range is a byte range [Off, Off+N) used by FlushBatch.
+// Range is a byte range [Off, Off+N) of the device, the unit of a
+// coalesced flush (pheap.Access.FlushBatch).
 type Range struct{ Off, N int }
-
-// FlushBatch writes back every range and issues a single trailing Fence —
-// the coalesced-persist idiom: clflush each line once, sfence once.
-// Callers are expected to pre-merge overlapping ranges (core's flush
-// coalescer does); the device flushes exactly what it is handed.
-func (d *Device) FlushBatch(ranges []Range) {
-	for _, r := range ranges {
-		d.Flush(r.Off, r.N)
-	}
-	d.Fence()
-}
 
 func (d *Device) fence(c *cell) {
 	if c == nil {

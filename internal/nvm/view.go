@@ -154,6 +154,12 @@ func (v *View) Stats() Stats {
 // instead of what it expects to have issued.
 type Ops struct{ Reads, Writes, FlushedLines, Fences uint64 }
 
+// Sub returns o - prev, field by field: what an owner issued between two
+// readings of its view.
+func (o Ops) Sub(prev Ops) Ops {
+	return Ops{o.Reads - prev.Reads, o.Writes - prev.Writes, o.FlushedLines - prev.FlushedLines, o.Fences - prev.Fences}
+}
+
 // Ops reports the operations v's owner has issued through it. Owner-only,
 // like every access; zero for the Unowned view.
 func (v *View) Ops() Ops {

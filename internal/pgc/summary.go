@@ -374,17 +374,3 @@ func (h *minIntHeap) pop() int {
 	}
 	return v
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -101,6 +101,8 @@ var ErrOutOfMemory = fmt.Errorf("pheap: out of persistent heap space")
 // uses FlushedLines to compute per-mutator device critical paths.
 type AllocatorStats struct {
 	Allocs       int // objects allocated
+	Reads        int // device reads its allocation calls issued
+	Writes       int // device writes its allocation calls issued
 	FlushedLines int // cache lines this allocator flushed
 	Fences       int // fences this allocator issued
 	Dispenses    int // regions fetched from the dispenser
@@ -212,7 +214,7 @@ func (a *Allocator) AllocInit(k *klass.Klass, arrayLen int, init func(layout.Ref
 	if err != nil {
 		return 0, err
 	}
-	before := a.view.Ops()
+	before := a.Ops()
 	ref, err := a.place(o, init)
 	a.account(before)
 	return ref, err
@@ -237,7 +239,7 @@ func (a *Allocator) AllocInit2(k1, k2 *klass.Klass, init1 func(a layout.Ref), in
 	if err != nil {
 		return 0, 0, err
 	}
-	before := a.view.Ops()
+	before := a.Ops()
 	r1, r2, err := a.place2(o1, o2, init1, init2)
 	a.account(before)
 	return r1, r2, err
@@ -275,11 +277,12 @@ func (a *Allocator) prepare(k *klass.Klass, arrayLen int) (allocObj, error) {
 // the telemetry cell. Derived, not tallied per site, so it cannot drift
 // from what the paths actually issue.
 func (a *Allocator) account(before nvm.Ops) {
-	now := a.view.Ops()
-	lines, fences := now.FlushedLines-before.FlushedLines, now.Fences-before.Fences
-	a.stats.FlushedLines += int(lines)
-	a.stats.Fences += int(fences)
-	a.cell.Dev(nvm.SubAlloc, now.Reads-before.Reads, now.Writes-before.Writes, lines, fences)
+	d := a.Ops().Sub(before)
+	a.stats.Reads += int(d.Reads)
+	a.stats.Writes += int(d.Writes)
+	a.stats.FlushedLines += int(d.FlushedLines)
+	a.stats.Fences += int(d.Fences)
+	a.cell.Dev(nvm.SubAlloc, d.Reads, d.Writes, d.FlushedLines, d.Fences)
 }
 
 // place allocates one object on the path its size and the heap's state

@@ -47,15 +47,6 @@ func (h *Heap) RegionBitmap() *Bitmap {
 	return &Bitmap{dev: h.dev, off: h.geo.RegionBmpOff, bits: h.geo.Regions()}
 }
 
-// markIndex converts a data-heap device offset to a mark-bitmap bit index.
-func (h *Heap) markIndex(off int) int { return (off - h.geo.DataOff) / layout.WordSize }
-
-// MarkObject sets the mark bit for the object at device offset off.
-func (h *Heap) MarkObject(off int) { h.MarkBitmap().Set(h.markIndex(off)) }
-
-// IsMarked reports the mark bit for the object at device offset off.
-func (h *Heap) IsMarked(off int) bool { return h.MarkBitmap().Get(h.markIndex(off)) }
-
 // Len reports the number of bits.
 func (b *Bitmap) Len() int { return b.bits }
 
@@ -124,15 +115,13 @@ func (b *Bitmap) NextSet(from int) int {
 	}
 }
 
-// ForEachSet invokes fn with every set bit index in ascending order,
-// reading each backing word exactly once — the bulk decode the summary
-// phase uses, where NextSet's per-bit word re-reads would multiply the
-// pause-time device traffic by the object count.
-func (b *Bitmap) ForEachSet(fn func(bit int)) { b.ForEachSetBelow(b.bits, fn) }
-
-// ForEachSetBelow is ForEachSet bounded to bits < limit, so a caller
-// that knows the bitmap's used prefix (mark bits never lie above the
-// allocation tops) pays for that prefix only, not the whole area.
+// ForEachSetBelow invokes fn with every set bit index below limit in
+// ascending order, reading each backing word exactly once — the bulk
+// decode the summary phase uses, where NextSet's per-bit word re-reads
+// would multiply the pause-time device traffic by the object count. The
+// bound lets a caller that knows the bitmap's used prefix (mark bits never
+// lie above the allocation tops) pay for that prefix only, not the whole
+// area.
 func (b *Bitmap) ForEachSetBelow(limit int, fn func(bit int)) {
 	if limit > b.bits {
 		limit = b.bits

@@ -165,6 +165,34 @@ func (g Geometry) Regions() int { return g.DataSize / layout.RegionSize }
 // the compactor's scratch region).
 func (g Geometry) DataRegions() int { return (g.ScratchOff - g.DataOff) / layout.RegionSize }
 
+// layOut places every component from the sizes alone, in image order —
+// each area starts where the previous one ends, the data heap at the next
+// region boundary, the scratch region last — and returns the image's total
+// size. Create lays a new image out with it; readGeometry lays a stored
+// one out again and rejects any stored offset that disagrees.
+func (g *Geometry) layOut() (total int) {
+	off := align(metadataBytes, 64)
+	for _, area := range []struct {
+		off  *int
+		size int
+	}{
+		{&g.NameTabOff, g.NameTabCap * nameEntryBytes},
+		{&g.ArenaOff, g.ArenaSize},
+		{&g.RedoOff, g.RedoSize},
+		{&g.MarkBmpOff, g.MarkBmpSize},
+		{&g.RegionBmpOff, g.RegionBmpSize},
+		{&g.RegionTopOff, g.RegionTopSize},
+		{&g.KsegOff, g.KsegSize},
+		{&g.BlackboxOff, g.BlackboxSize},
+	} {
+		*area.off = off
+		off += area.size
+	}
+	g.DataOff = align(off, layout.RegionSize)
+	g.ScratchOff = g.DataOff + g.DataSize - layout.RegionSize
+	return g.DataOff + g.DataSize
+}
+
 // Heap is a loaded PJH instance. Allocation is safe for concurrent use:
 // the shared Alloc entry point serializes on the heap's default
 // allocator, and NewAllocator hands out per-mutator PLAB contexts that
@@ -286,37 +314,20 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 	dataSize := align(cfg.DataSize, layout.RegionSize) + layout.RegionSize // + scratch
 	regions := dataSize / layout.RegionSize
 
-	geo := Geometry{NameTabCap: cfg.NameTabCap, ArenaSize: align(cfg.ArenaSize, 64)}
-	off := align(metadataBytes, 64)
-	geo.NameTabOff = off
-	off += cfg.NameTabCap * nameEntryBytes
-	geo.ArenaOff = off
-	off += geo.ArenaSize
-	geo.RedoOff = off
-	// The GC finish batch carries every root entry plus one top word per
-	// region; size the log for both.
-	geo.RedoSize = align(16+(cfg.NameTabCap+regions+8)*16+64, 64)
-	off += geo.RedoSize
-	geo.MarkBmpOff = off
-	geo.MarkBmpSize = align(dataSize/layout.WordSize/8, 64)
-	off += geo.MarkBmpSize
-	geo.RegionBmpOff = off
-	geo.RegionBmpSize = align((regions+7)/8, 64)
-	off += geo.RegionBmpSize
-	geo.RegionTopOff = off
-	geo.RegionTopSize = regions * layout.RegionTopStride
-	off += geo.RegionTopSize
-	geo.KsegOff = off
-	geo.KsegSize = align(cfg.KsegSize, 64)
-	off += geo.KsegSize
-	geo.BlackboxOff = off
-	geo.BlackboxSize = align(cfg.BlackboxSize, 64)
-	off += geo.BlackboxSize
-	off = align(off, layout.RegionSize)
-	geo.DataOff = off
-	geo.DataSize = dataSize
-	geo.ScratchOff = off + dataSize - layout.RegionSize
-	total := off + dataSize
+	geo := Geometry{
+		NameTabCap: cfg.NameTabCap,
+		ArenaSize:  align(cfg.ArenaSize, 64),
+		// The GC finish batch carries every root entry plus one top word per
+		// region; size the log for both.
+		RedoSize:      align(16+(cfg.NameTabCap+regions+8)*16+64, 64),
+		MarkBmpSize:   align(dataSize/layout.WordSize/8, 64),
+		RegionBmpSize: align((regions+7)/8, 64),
+		RegionTopSize: regions * layout.RegionTopStride,
+		KsegSize:      align(cfg.KsegSize, 64),
+		BlackboxSize:  align(cfg.BlackboxSize, 64),
+		DataSize:      dataSize,
+	}
+	total := geo.layOut()
 
 	dev := nvm.New(nvm.Config{Size: total, Mode: cfg.Mode, WriteLatency: cfg.WriteLatency})
 	h := &Heap{
@@ -402,6 +413,12 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	geo, err := readGeometry(dev)
 	if err != nil {
 		return nil, err
+	}
+	// The words no checksum covers, checked against the rest of the image
+	// (selfcheck.go). Nothing they can get wrong is repairable, so both
+	// modes refuse, before anything is written.
+	if findings := selfCheck(dev, geo); len(findings) > 0 {
+		return nil, fmt.Errorf("pheap: corrupt metadata: %s", findings[0])
 	}
 	if p := dev.ReadU64(mGCPhase); p > GCPhaseConcurrentMark || dev.ReadU64(mGCPhaseSum) != gcPhaseSum(p) {
 		if salv == nil {
@@ -506,39 +523,49 @@ func readGeometry(dev *nvm.Device) (Geometry, error) {
 	return geo, geo.sanity(dev.Size())
 }
 
-// sanity rejects geometry words that point outside the device — the
-// line between "an image we can validate" and "not an image": checksum
-// validation itself walks these areas, so they must be in bounds first.
+// sanity rejects geometry words that are not the layout Create gives an
+// image of this size — the line between "an image we can validate" and
+// "not an image": checksum validation itself walks these areas. None of
+// the words carries a checksum and none needs one: the offsets are a
+// function of the sizes (layOut), so every size is first bounded by the
+// device, then the layout is computed again from the sizes and must
+// reproduce each stored offset and end exactly at the device's end. A
+// rotted offset disagrees with its recomputed value; a rotted size moves
+// every offset after it.
 func (g Geometry) sanity(size int) error {
-	check := func(name string, off, n int) error {
-		if off < 0 || n < 0 || off+n > size {
-			return fmt.Errorf("pheap: unreadable image: %s [%d,%d) outside device of %d bytes", name, off, off+n, size)
-		}
-		return nil
+	if uint64(g.NameTabCap) > uint64(size)/nameEntryBytes {
+		return fmt.Errorf("pheap: unreadable image: name table of %d entries on a device of %d bytes", g.NameTabCap, size)
 	}
-	for _, s := range []struct {
-		name   string
-		off, n int
+	for _, n := range []int{g.ArenaSize, g.RedoSize, g.MarkBmpSize, g.RegionBmpSize,
+		g.RegionTopSize, g.KsegSize, g.BlackboxSize, g.DataSize} {
+		if n < 0 || n > size {
+			return fmt.Errorf("pheap: unreadable image: component of %d bytes on a device of %d", n, size)
+		}
+	}
+	want := g
+	total := want.layOut()
+	for _, at := range []struct {
+		name         string
+		stored, want int
 	}{
-		{"name table", g.NameTabOff, g.NameTabCap * nameEntryBytes},
-		{"arena", g.ArenaOff, g.ArenaSize},
-		{"redo log", g.RedoOff, g.RedoSize},
-		{"mark bitmap", g.MarkBmpOff, g.MarkBmpSize},
-		{"region bitmap", g.RegionBmpOff, g.RegionBmpSize},
-		{"region-top table", g.RegionTopOff, g.RegionTopSize},
-		{"klass segment", g.KsegOff, g.KsegSize},
-		{"blackbox ring", g.BlackboxOff, g.BlackboxSize},
-		{"data heap", g.DataOff, g.DataSize},
+		{"name table", g.NameTabOff, want.NameTabOff},
+		{"arena", g.ArenaOff, want.ArenaOff},
+		{"redo log", g.RedoOff, want.RedoOff},
+		{"mark bitmap", g.MarkBmpOff, want.MarkBmpOff},
+		{"region bitmap", g.RegionBmpOff, want.RegionBmpOff},
+		{"region-top table", g.RegionTopOff, want.RegionTopOff},
+		{"klass segment", g.KsegOff, want.KsegOff},
+		{"blackbox ring", g.BlackboxOff, want.BlackboxOff},
+		{"data heap", g.DataOff, want.DataOff},
+		{"scratch region", g.ScratchOff, want.ScratchOff},
+		{"end of image", size, total},
 	} {
-		if err := check(s.name, s.off, s.n); err != nil {
-			return err
+		if at.stored != at.want {
+			return fmt.Errorf("pheap: unreadable image: %s at %d, the component sizes put it at %d", at.name, at.stored, at.want)
 		}
 	}
-	if g.DataSize%layout.RegionSize != 0 || g.RegionTopSize < g.Regions()*layout.RegionTopStride {
+	if g.DataSize%layout.RegionSize != 0 || g.DataSize < 2*layout.RegionSize || g.RegionTopSize < g.Regions()*layout.RegionTopStride {
 		return fmt.Errorf("pheap: unreadable image: inconsistent region geometry")
-	}
-	if g.ScratchOff < g.DataOff || g.ScratchOff+layout.RegionSize > g.DataOff+g.DataSize {
-		return fmt.Errorf("pheap: unreadable image: scratch region outside data heap")
 	}
 	if g.RedoSize < 24 {
 		return fmt.Errorf("pheap: unreadable image: redo area too small")

@@ -28,6 +28,12 @@ type Access struct {
 // Heap reports the heap x reaches into.
 func (x Access) Heap() *Heap { return x.heap }
 
+// Ops reports the device operations issued through x so far, as its view
+// counted them: how an owner charges an operation what the device saw of
+// it (a delta of two Ops) instead of what it expects to have issued. Zero
+// for the ownerless Access, whose traffic lands in the shared counters.
+func (x Access) Ops() nvm.Ops { return x.view.Ops() }
+
 // KlassOf resolves the klass of the object at ref.
 func (x Access) KlassOf(ref layout.Ref) (*klass.Klass, error) {
 	kaddr := layout.Ref(x.view.ReadU64(x.heap.OffOf(ref) + layout.KlassWordOff))
@@ -56,17 +62,6 @@ func (h *Heap) SizeOfObjectAt(off int) (*klass.Klass, int, error) {
 // ArrayLen reads the length word of the array object at ref.
 func (x Access) ArrayLen(ref layout.Ref) int {
 	return int(x.view.ReadU64(x.heap.OffOf(ref) + layout.ArrayLenOff))
-}
-
-// MarkOf reads the mark word of the object at ref.
-func (h *Heap) MarkOf(ref layout.Ref) uint64 {
-	return h.dev.ReadU64(h.OffOf(ref) + layout.MarkWordOff)
-}
-
-// SetMark stores the mark word of the object at ref (volatile store; the
-// GC flushes explicitly where its protocol requires).
-func (h *Heap) SetMark(ref layout.Ref, mark uint64) {
-	h.dev.WriteU64(h.OffOf(ref)+layout.MarkWordOff, mark)
 }
 
 // GetWord loads the 8-byte slot at byte offset boff inside the object.
@@ -119,6 +114,17 @@ func (x Access) WriteBytesAt(ref layout.Ref, boff int, p []byte) {
 // APIs of paper §3.5.
 func (x Access) FlushRange(ref layout.Ref, boff, n int) {
 	x.view.Flush(x.heap.OffOf(ref)+boff, n)
+	x.view.Fence()
+}
+
+// FlushBatch writes back every device range and issues a single trailing
+// fence — the coalesced-persist idiom: clflush each line once, sfence
+// once. Callers are expected to pre-merge overlapping ranges (core's flush
+// coalescer does); exactly what is handed in is flushed.
+func (x Access) FlushBatch(ranges []nvm.Range) {
+	for _, r := range ranges {
+		x.view.Flush(r.Off, r.N)
+	}
 	x.view.Fence()
 }
 

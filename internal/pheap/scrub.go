@@ -24,9 +24,10 @@ type ScrubReport struct {
 // Corrupt reports whether the scrub found anything.
 func (r *ScrubReport) Corrupt() bool { return len(r.Findings) > 0 }
 
-// Scrub verifies a raw heap image's metadata checksums without loading
-// (or mutating) it — Load would apply redo batches and plug regions,
-// both wrong for an image under investigation. A committed-pending redo
+// Scrub verifies a raw heap image's metadata (its checksums, and the
+// self-check of the words that carry none) without loading or mutating
+// it — Load would apply redo batches and plug regions, both wrong for an
+// image under investigation. A committed-pending redo
 // batch with a valid checksum is healthy (a crash between commit and
 // apply is a designed-for state), so scrub validates it rather than
 // flagging it. Returns an error only for unreadable images (any format
@@ -46,6 +47,7 @@ func Scrub(dev *nvm.Device) (*ScrubReport, error) {
 	finding := func(format string, args ...any) {
 		rep.Findings = append(rep.Findings, fmt.Sprintf(format, args...))
 	}
+	rep.Findings = selfCheck(dev, geo)
 
 	phase := dev.ReadU64(mGCPhase)
 	if phase > GCPhaseConcurrentMark {

@@ -521,7 +521,7 @@ func TestCrashWithWarmHints(t *testing.T) {
 					want := absent
 					if op.del {
 						cw := c.loadClean(node, ix.fNext)
-						c.cas(node, ix.fNext, cw, cw|tagDel|tagDirty)
+						c.alloc.CasWord(node, ix.fNext, cw, cw|tagDel|tagDirty)
 						ix.size.Add(-1)
 					} else {
 						box, err := h.Alloc(bk, 0)
@@ -530,7 +530,7 @@ func TestCrashWithWarmHints(t *testing.T) {
 						}
 						h.SetWord(box, layout.FieldOff(0), uint64(op.val))
 						h.FlushRange(box, 0, bk.SizeOf(0))
-						c.cas(node, ix.fVal, c.loadClean(node, ix.fVal), uint64(box)|tagDirty)
+						c.alloc.CasWord(node, ix.fVal, c.loadClean(node, ix.fVal), uint64(box)|tagDirty)
 						want = op.val
 					}
 					helps := c.Stats().HelpFlushes

@@ -251,9 +251,9 @@ type Index struct {
 	fBuckets          int // header field
 }
 
-// CtxStats counts the device work one Ctx performed on its own paths
-// (the allocator's counters are separate; see Ctx.AllocStats). The kv
-// scaling experiment uses FlushedLines for per-mutator critical paths.
+// CtxStats counts the work one Ctx performed on its own paths (the
+// allocator's counters are separate; see Ctx.AllocStats). The kv scaling
+// experiment uses FlushedLines for per-mutator critical paths.
 type CtxStats struct {
 	Puts, Gets, Deletes int
 	FlushedLines        int // cache lines this ctx flushed
@@ -414,8 +414,13 @@ func (c *Ctx) Release() {
 	c.cell = nil // released with the allocator; counts folded into the registry
 }
 
-// Stats snapshots the ctx's own-path counters.
-func (c *Ctx) Stats() CtxStats { return c.stats }
+// Stats snapshots the ctx's own-path counters. The lines and fences are
+// read off the ctx's view of the device (own), not tallied.
+func (c *Ctx) Stats() CtxStats {
+	s, o := c.stats, c.own()
+	s.FlushedLines, s.Fences = int(o.FlushedLines), int(o.Fences)
+	return s
+}
 
 // AllocStats snapshots the ctx's allocator counters.
 func (c *Ctx) AllocStats() pheap.AllocatorStats { return c.alloc.Stats() }
@@ -448,38 +453,46 @@ func soLess(aSort, aKey, bSort, bKey uint64) bool {
 	return aSort < bSort || (aSort == bSort && aKey < bKey)
 }
 
-// --- device helpers (stat-counted) ---
+// --- device accounting ---
 
-// flushWord persists the slot's cache line and fences — the
-// link-and-persist flush, also used for helping.
-func (c *Ctx) flushWord(obj layout.Ref, boff int) {
-	c.alloc.FlushRange(obj, boff, 8)
-	c.stats.FlushedLines++
-	c.stats.Fences++
-	c.cell.Dev(nvm.SubIndex, 0, 0, 1, 1)
-}
-
-// flushRange persists [boff, boff+n) of obj with one flush+fence.
-func (c *Ctx) flushRange(obj layout.Ref, boff, n int) {
-	h := c.ix.h
-	off := h.OffOf(obj) + boff
-	lines := (off+n-1)/layout.LineSize - off/layout.LineSize + 1
-	c.stats.FlushedLines += lines
-	c.stats.Fences++
-	c.cell.Dev(nvm.SubIndex, 0, 0, uint64(lines), 1)
-	c.alloc.FlushRange(obj, boff, n)
-}
-
-// cas is CasWord with index-subsystem device attribution, matching the
-// device's own accounting: one read per attempt, one write when the swap
-// lands.
-func (c *Ctx) cas(obj layout.Ref, boff int, old, new uint64) bool {
-	if c.alloc.CasWord(obj, boff, old, new) {
-		c.cell.Dev(nvm.SubIndex, 1, 1, 0, 0)
-		return true
+// own is what the ctx's view of the device has counted so far, less what
+// its allocator charged to the alloc subsystem: the traffic of the index's
+// own paths (plus whatever the caller issued through Allocator() outside
+// any allocation — pshard's box reads).
+func (c *Ctx) own() nvm.Ops {
+	v, a := c.alloc.Ops(), c.alloc.Stats()
+	return nvm.Ops{
+		Reads:        v.Reads - uint64(a.Reads),
+		Writes:       v.Writes - uint64(a.Writes),
+		FlushedLines: v.FlushedLines - uint64(a.FlushedLines),
+		Fences:       v.Fences - uint64(a.Fences),
 	}
-	c.cell.Dev(nvm.SubIndex, 1, 0, 0, 0)
-	return false
+}
+
+// enter begins an operation: its safepoint interval and, when a telemetry
+// cell is attached, the reading of own that exit charges the operation
+// against. Every operation opens with defer c.exit(c.enter()).
+func (c *Ctx) enter() (before nvm.Ops) {
+	c.pin.Pin()
+	if c.cell != nil {
+		before = c.own()
+	}
+	return before
+}
+
+// exit closes the operation. What own has moved by since enter is the
+// operation's index traffic — every traversal load, hint probe, CAS
+// attempt, publication and help flush, whichever path issued it — and
+// goes to dev.index.* in the telemetry cell. Derived from what the device
+// saw, not tallied per site, so it cannot drift from what the paths issue,
+// and the lookup loop carries no accounting at all: a ctx without
+// telemetry pays two tests per operation.
+func (c *Ctx) exit(before nvm.Ops) {
+	if c.cell != nil {
+		d := c.own().Sub(before)
+		c.cell.Dev(nvm.SubIndex, d.Reads, d.Writes, d.FlushedLines, d.Fences)
+	}
+	c.pin.Unpin()
 }
 
 // loadClean returns the slot's current value with the dirty bit clear,
@@ -489,12 +502,11 @@ func (c *Ctx) cas(obj layout.Ref, boff int, old, new uint64) bool {
 func (c *Ctx) loadClean(obj layout.Ref, boff int) uint64 {
 	for {
 		w := c.alloc.GetWordAtomic(obj, boff)
-		c.cell.Dev(nvm.SubIndex, 1, 0, 0, 0)
 		if w&tagDirty == 0 {
 			return w
 		}
-		c.flushWord(obj, boff)
-		c.cas(obj, boff, w, w&^tagDirty)
+		c.alloc.FlushRange(obj, boff, 8)
+		c.alloc.CasWord(obj, boff, w, w&^tagDirty)
 		c.stats.HelpFlushes++
 		c.cell.Inc(telemetry.CtrIndexHelpFlushes)
 	}
@@ -507,13 +519,13 @@ func (c *Ctx) loadClean(obj layout.Ref, boff int) uint64 {
 // publication); expect must be a clean word previously returned by
 // loadClean or find.
 func (c *Ctx) publish(obj layout.Ref, boff int, expect, val uint64) bool {
-	if !c.cas(obj, boff, expect, val|tagDirty) {
+	if !c.alloc.CasWord(obj, boff, expect, val|tagDirty) {
 		c.stats.Retries++
 		return false
 	}
 	c.alloc.PreWrite(obj, expect)
-	c.flushWord(obj, boff)
-	c.cas(obj, boff, val|tagDirty, val) // best effort: a helper may already have
+	c.alloc.FlushRange(obj, boff, 8)              // the link-and-persist flush
+	c.alloc.CasWord(obj, boff, val|tagDirty, val) // best effort: a helper may already have
 	return true
 }
 
@@ -608,8 +620,7 @@ func (c *Ctx) insert(head layout.Ref, sort, key uint64, val layout.Ref, vk *klas
 			// Retrying with a different successor: repoint and re-persist
 			// just the next word before republishing.
 			a.SetWordAtomic(node, c.ix.fNext, uint64(curr))
-			c.cell.Dev(nvm.SubIndex, 0, 1, 0, 0)
-			c.flushWord(node, c.ix.fNext)
+			a.FlushRange(node, c.ix.fNext, 8)
 		}
 		if c.publish(pred, c.ix.fNext, predW, uint64(node)) {
 			return node, val, false, nil
@@ -677,7 +688,7 @@ func (c *Ctx) bucketHead(arr layout.Ref, b uint64) (layout.Ref, error) {
 	}
 	a.SetWordAtomic(arr, boff, uint64(sent))
 	a.PreWrite(arr, 0) // overwrites null: nothing to record, the card is dirtied
-	c.flushWord(arr, boff)
+	a.FlushRange(arr, boff, 8)
 	return sent, nil
 }
 
@@ -722,8 +733,7 @@ func (c *Ctx) grow() {
 		return
 	}
 	defer ix.growing.Store(false)
-	c.pin.Pin()
-	defer c.pin.Unpin()
+	defer c.exit(c.enter())
 	hdr := c.header()
 	w := c.loadClean(hdr, ix.fBuckets)
 	arr := layout.Ref(layout.UntagRef(layout.Ref(w)))
@@ -739,7 +749,7 @@ func (c *Ctx) grow() {
 		boff := layout.ElemOff(layout.FTRef, i)
 		a.SetWord(bigger, boff, a.GetWordAtomic(arr, boff))
 	}
-	c.flushRange(bigger, 0, ix.arrK.SizeOf(2*n))
+	a.FlushRange(bigger, 0, ix.arrK.SizeOf(2*n))
 	if c.publish(hdr, ix.fBuckets, w, uint64(bigger)) {
 		c.cell.Inc(telemetry.CtrIndexGrows)
 	}
@@ -787,8 +797,7 @@ func (c *Ctx) put(key int64, val layout.Ref, vk *klass.Klass, vinit func(layout.
 // often the loop comes round.
 func (c *Ctx) putPinned(key int64, val layout.Ref, vk *klass.Klass, vinit func(layout.Ref)) (overloaded bool, err error) {
 	ix := c.ix
-	c.pin.Pin()
-	defer c.pin.Unpin()
+	defer c.exit(c.enter())
 	c.stats.Puts++
 	c.cell.Inc(telemetry.CtrIndexPuts)
 	hash := mixHash(key)
@@ -844,8 +853,7 @@ func (c *Ctx) putPinned(key int64, val layout.Ref, vk *klass.Klass, vinit func(l
 // absent — never a masked failure.
 func (c *Ctx) Get(key int64) (layout.Ref, bool) {
 	ix := c.ix
-	c.pin.Pin()
-	defer c.pin.Unpin()
+	defer c.exit(c.enter())
 	c.stats.Gets++
 	c.cell.Inc(telemetry.CtrIndexGets)
 	hash := mixHash(key)
@@ -869,8 +877,7 @@ func (c *Ctx) Get(key int64) (layout.Ref, bool) {
 // recovery. Like Get, the path never allocates and so cannot fail.
 func (c *Ctx) Delete(key int64) bool {
 	ix := c.ix
-	c.pin.Pin()
-	defer c.pin.Unpin()
+	defer c.exit(c.enter())
 	c.stats.Deletes++
 	c.cell.Inc(telemetry.CtrIndexDeletes)
 	sort := dataSort(mixHash(key))
@@ -905,8 +912,7 @@ func (c *Ctx) Delete(key int64) bool {
 // seen — the usual weakly consistent lock-free iteration.
 func (c *Ctx) Scan(fn func(key int64, val layout.Ref) bool) {
 	ix := c.ix
-	c.pin.Pin()
-	defer c.pin.Unpin()
+	defer c.exit(c.enter())
 	c.cell.Inc(telemetry.CtrIndexScans)
 	a := c.alloc
 	arr, _ := c.buckets(c.header())

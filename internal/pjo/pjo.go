@@ -30,8 +30,13 @@ import (
 )
 
 // Provider is the PJO provider (the modified DataNucleus of the paper).
+// Like jpa.Provider it serves one goroutine at a time.
 type Provider struct {
-	rt   *core.Runtime
+	rt *core.Runtime
+	// m is the provider's mutator, attached to the runtime's active heap at
+	// first use: DBPersistables, their strings, image reads and writes all
+	// go through its own PLAB, device view and barrier buffers.
+	m    *core.Mutator
 	db   *h2.DB
 	prof *bench.Breakdown
 	ctx  []*jpa.Entity
@@ -68,6 +73,18 @@ type dbSchema struct {
 func NewProvider(rt *core.Runtime, db *h2.DB) *Provider {
 	return &Provider{rt: rt, db: db, klasses: map[*jpa.EntityDef]*dbSchema{},
 		Dedup: true, FieldTracking: true}
+}
+
+// mutator returns the provider's mutator, attaching it on first use.
+func (p *Provider) mutator() (*core.Mutator, error) {
+	if p.m == nil {
+		m, err := p.rt.NewMutator()
+		if err != nil {
+			return nil, err
+		}
+		p.m = m
+	}
+	return p.m, nil
 }
 
 // SetProfile installs a phase recorder ("Transformation"/"Database").
@@ -158,9 +175,13 @@ func (p *Provider) Find(def *jpa.EntityDef, id int64) (*jpa.Entity, error) {
 	if err != nil || !ok {
 		return nil, err
 	}
+	m, err := p.mutator()
+	if err != nil {
+		return nil, err
+	}
 	e := def.NewEntity(id)
 	e.SM = jpa.StateManager{State: jpa.StateManaged, PJORef: ref}
-	p.attachReadThrough(e, def, layout.Ref(ref))
+	attachReadThrough(m, e, p.klasses[def].fields, layout.Ref(ref))
 	return e, nil
 }
 
@@ -168,26 +189,24 @@ func (p *Provider) Find(def *jpa.EntityDef, id int64) (*jpa.Entity, error) {
 // copy (the dedup arrangement of Figure 14d). Reads go through the
 // resolved FieldRef handles: one device word op per field, plus one bulk
 // read for string payloads.
-func (p *Provider) attachReadThrough(e *jpa.Entity, def *jpa.EntityDef, ref layout.Ref) {
-	rt := p.rt
-	fields := def.AllFields()
-	frefs := p.klasses[def].fields
+func attachReadThrough(m *core.Mutator, e *jpa.Entity, frefs []core.FieldRef, ref layout.Ref) {
+	fields := e.Def.AllFields()
 	e.SM.ReadThrough = func(i int) h2.Value {
 		switch fields[i].Kind {
 		case jpa.FStr:
-			sref := rt.GetRefFast(ref, frefs[i])
+			sref := m.GetRefFast(ref, frefs[i])
 			if sref == layout.NullRef {
 				return h2.Null
 			}
-			s, err := rt.GetString(sref)
+			s, err := m.GetString(sref)
 			if err != nil {
 				return h2.Null
 			}
 			return h2.StrV(s)
 		case jpa.FFloat:
-			return h2.FloatV(math.Float64frombits(uint64(rt.GetLongFast(ref, frefs[i]))))
+			return h2.FloatV(math.Float64frombits(uint64(m.GetLongFast(ref, frefs[i]))))
 		default:
-			return h2.IntV(rt.GetLongFast(ref, frefs[i]))
+			return h2.IntV(m.GetLongFast(ref, frefs[i]))
 		}
 	}
 }
@@ -262,7 +281,7 @@ func (p *Provider) Commit() error {
 		s.e.SM.New = false
 		s.e.SM.Shadow = nil
 		if p.Dedup {
-			p.attachReadThrough(s.e, s.e.Def, s.ref)
+			attachReadThrough(p.m, s.e, p.klasses[s.e.Def].fields, s.ref)
 		} else {
 			s.e.SM.ReadThrough = nil
 		}
@@ -276,13 +295,17 @@ func (p *Provider) Commit() error {
 // bulk image encoder: the whole field area is assembled in a reusable
 // DRAM staging buffer — for updates, seeded by one bulk device read of
 // the existing image, so clean columns (including string references)
-// survive untouched — and lands through core.WriteFieldImage: bulk
+// survive untouched — and lands through the mutator's WriteFieldImage: bulk
 // writes for the primitive runs, one barriered atomic store per string
 // column, one FlushRange. Device cost per entity persist is O(1)
 // regardless of how many fields are dirty (it depends only on the
 // schema's column shape); only new string payloads add their own
 // (bulk, one-write) allocations.
 func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
+	m, err := p.mutator()
+	if err != nil {
+		return 0, 0, err
+	}
 	s := p.klasses[e.Def]
 	fields := e.Def.AllFields()
 	var ref layout.Ref
@@ -291,8 +314,7 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 	if !fresh {
 		ref = layout.Ref(e.SM.PJORef)
 	} else {
-		var err error
-		if ref, err = p.rt.PNew(s.k, 0); err != nil {
+		if ref, err = m.PNew(s.k, 0); err != nil {
 			return 0, 0, err
 		}
 		dirty = ^uint64(0) >> (64 - uint(len(fields))) // all fields
@@ -307,7 +329,7 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 	img := p.stage[:size]
 	if fresh {
 		clear(img)
-	} else if err := p.rt.ReadFieldImage(ref, img); err != nil {
+	} else if err := m.ReadFieldImage(ref, img); err != nil {
 		return 0, 0, err
 	}
 	base := layout.FieldOff(0)
@@ -320,7 +342,7 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		switch f.Kind {
 		case jpa.FStr:
 			if v.Kind == h2.KStr {
-				sref, err := p.rt.NewString(v.S, true)
+				sref, err := m.NewString(v.S, true)
 				if err != nil {
 					return 0, 0, err
 				}
@@ -336,7 +358,7 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		}
 		binary.LittleEndian.PutUint64(img[s.fields[i].Offset()-base:], bits)
 	}
-	if err := p.rt.WriteFieldImage(ref, img, s.refOffs); err != nil {
+	if err := m.WriteFieldImage(ref, img, s.refOffs); err != nil {
 		return 0, 0, err
 	}
 	return ref, dirty, nil

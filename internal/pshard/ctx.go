@@ -134,21 +134,6 @@ func (c *Ctx) Remove(key int64) (bool, error) {
 	return sub.Delete(key), nil
 }
 
-// PutRef durably maps key → an object reference. The referent must live
-// in the owning shard's heap (pindex rejects anything else): shards
-// never hold cross-shard references, which is what keeps their recovery
-// and GC independent. Use ShardOf + Shard(i).Heap() to allocate in the
-// right shard, inside a Do interval.
-func (c *Ctx) PutRef(key int64, val layout.Ref) error {
-	i := c.set.mani.ShardOf(key)
-	_, sub, err := c.acquire(i)
-	if err != nil {
-		return err
-	}
-	defer c.slots[i].Unpin()
-	return sub.Put(key, val)
-}
-
 // GetRef looks up the raw reference mapped to key. A quarantined shard
 // reads as absent.
 func (c *Ctx) GetRef(key int64) (layout.Ref, bool) {

@@ -44,19 +44,35 @@ func degradedOptions() Options {
 	return o
 }
 
-// TestDegradedOpenQuarantinesCorruptShard rots shard 0's heap magic —
-// permanent, unrecoverable damage — and checks the full fence-and-serve
-// contract: strict open fails outright, degraded open fences exactly the
-// rotten shard, every shard-0 operation bounces with ErrShardQuarantined
-// while shard 1 serves its committed keys exactly, and a manual retry
-// against still-rotten media leaves the quarantine in place.
+// TestDegradedOpenQuarantinesCorruptShard rots shard 0's heap image —
+// permanent, unrecoverable damage: its magic, or one high bit of its
+// gcActive word (neither 0 nor 1: whether a compaction was in flight is
+// unknowable, so no loader may guess) — and checks the full
+// fence-and-serve contract: strict open fails outright, degraded open
+// fences exactly the rotten shard, every shard-0 operation bounces with
+// ErrShardQuarantined while shard 1 serves its committed keys exactly, and
+// a manual retry against still-rotten media leaves the quarantine in
+// place.
 func TestDegradedOpenQuarantinesCorruptShard(t *testing.T) {
+	for _, rot := range []struct {
+		name string
+		off  int
+		bit  uint
+	}{
+		{"magic", 0, 6},
+		{"gc-active", 48 + 2, 1}, // pheap's gcActive word, bit 17
+	} {
+		t.Run(rot.name, func(t *testing.T) { degradedOpenQuarantines(t, rot.off, rot.bit) })
+	}
+}
+
+func degradedOpenQuarantines(t *testing.T, off int, bit uint) {
 	imgs, model := buildDegradedImages(t)
 	rotten := copyImages(imgs)
-	faultdev.FlipBitInImage(rotten[ShardHeapName("kv", 0)], 0, 6)
+	faultdev.FlipBitInImage(rotten[ShardHeapName("kv", 0)], off, bit)
 
 	if _, err := OpenSet(storeFrom(t, rotten), "kv", testOptions(2)); err == nil {
-		t.Fatal("strict OpenSet accepted a shard with a rotten magic")
+		t.Fatal("strict OpenSet accepted the rotten shard")
 	}
 
 	set, err := OpenSet(storeFrom(t, rotten), "kv", degradedOptions())

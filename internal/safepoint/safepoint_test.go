@@ -49,10 +49,21 @@ func TestStopExcludesEveryInterval(t *testing.T) {
 
 // TestStopWaitsForPinnedSlot pins a slot, starts a stop, and unpins only
 // once the stop has announced itself: the stop must finish after the
-// unpin, and a pin attempted meanwhile must wait for Start.
+// unpin, and a pin attempted meanwhile must wait for Start. Two owners'
+// slots, then two ownerless readers of the shared one (which counts them:
+// the second reader's backed-out pin must not release the first's).
 func TestStopWaitsForPinnedSlot(t *testing.T) {
-	var p Point
-	a, b := p.NewSlot(), p.NewSlot()
+	t.Run("own", func(t *testing.T) {
+		var p Point
+		stopWaitsForPinned(t, &p, p.NewSlot(), p.NewSlot())
+	})
+	t.Run("shared", func(t *testing.T) {
+		var p Point
+		stopWaitsForPinned(t, &p, p.Shared(), p.Shared())
+	})
+}
+
+func stopWaitsForPinned(t *testing.T, p *Point, a, b *Slot) {
 	a.Pin()
 	var unpinned atomic.Bool
 	stopped := make(chan bool)
