@@ -20,12 +20,20 @@
 //	espresso-bench -exp faults   media-fault matrix: fault kind × metadata structure vs a DRAM oracle
 //	espresso-bench -exp all      everything
 //
-// -scale N divides workload sizes by N for quick runs. -parallel N tops
-// the alloc/kv/refstore mutator curves and sets the gcpause and
-// shardedkv mutator count. -shards tops the shardedkv shard curve and
-// -recoverykeys sizes its restart population. -json FILE writes the
-// experiment's rows as JSON (the BENCH_*.json baselines that CI's bench
-// gate compares against); with -exp all it writes one object keyed by
+// fastpath through faults are the device-op contract: each runs from the table in
+// internal/experiments (experiments.Contracts) at the parameters its
+// committed BENCH_<name>.json was generated with, so
+//
+//	espresso-bench -exp <name> -json BENCH_<name>.json
+//
+// regenerates a baseline and `go test -run TestDeviceOpContract
+// ./internal/experiments` compares against it. -scale N divides workload
+// sizes by N for quick runs; -parallel N tops the alloc/kv/refstore
+// mutator curves and sets the gcpause and shardedkv mutator count;
+// -shards tops the shardedkv shard curve and -recoverykeys sizes its
+// restart population — each left at 0 keeps a contract experiment's
+// pinned value (and the figures at paper scale). -json FILE writes the
+// experiment's rows as JSON; with -exp all it writes one object keyed by
 // experiment name.
 package main
 
@@ -49,31 +57,15 @@ type experiment struct {
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (see the command doc), or all")
-	scale := flag.Int("scale", 1, "divide workload sizes by this factor")
+	scale := flag.Int("scale", 0, "divide workload sizes by this factor (0: the experiment's pinned value)")
 	gcMB := flag.Int("gcmb", 256, "live megabytes for the gcflush experiment")
-	parallel := flag.Int("parallel", 8, "top of the alloc/kv/refstore goroutine curves / gcpause and shardedkv mutator count")
-	shards := flag.Int("shards", 4, "top of the shardedkv shard curve")
-	recoveryKeys := flag.Int("recoverykeys", 1000000, "committed keys in the shardedkv restart series")
+	parallel := flag.Int("parallel", 0, "top of the alloc/kv/refstore goroutine curves / gcpause and shardedkv mutator count (0: pinned)")
+	shards := flag.Int("shards", 0, "top of the shardedkv shard curve (0: pinned)")
+	recoveryKeys := flag.Int("recoverykeys", 0, "committed keys in the shardedkv restart series (0: pinned)")
 	jsonPath := flag.String("json", "", "write the experiment's rows to this JSON file")
-	snapPath := flag.String("snapshotjson", "", "write the telemetry experiment's folded metrics snapshot to this JSON file")
-	timelinePath := flag.String("timelinejson", "", "write the blackbox experiment's decoded journal timeline to this JSON file")
-	faultDir := flag.String("faultdir", "", "faults experiment: also dump golden + corrupted images here for heaptool scrub checks")
 	flag.Parse()
 
 	s := experiments.Scale(*scale)
-	// table is an experiment whose whole report is its rows.
-	table := func(name, title string, run func() (any, error)) experiment {
-		return experiment{name, func(w io.Writer) (any, error) {
-			rows, err := run()
-			if err == nil {
-				experiments.PrintRows(w, title, rows)
-			}
-			return rows, err
-		}}
-	}
-	scaling := func(name, title string) experiment {
-		return table(name, title, func() (any, error) { return experiments.Scaling(name, s, *shards, *parallel) })
-	}
 	exps := []experiment{
 		{"fig4", func(w io.Writer) (any, error) { return nil, experiments.Fig4(w, s) }},
 		{"fig6", func(w io.Writer) (any, error) { return nil, experiments.Fig6(w, s) }},
@@ -106,63 +98,22 @@ func main() {
 			}
 			return r, err
 		}},
-		table("fastpath", "Fast path — resolved handles, bulk I/O, coalesced flushes (per op)",
-			func() (any, error) { return experiments.Fastpath(s) }),
-		scaling("alloc", "Allocation scaling — one PLAB (region-local allocation buffer) per mutator"),
-		table("gcpause", "GC pause — stop-the-world vs concurrent SATB marking vs parallel workers (ns)",
-			func() (any, error) { return experiments.GCPause(s, *parallel) }),
-		scaling("kv", "KV index scaling — durable lock-free persistent hash map (internal/pindex)"),
-		scaling("refstore", "Ref-store scaling — write-combining remset barrier (per-mutator delta buffers)"),
-		{"shardedkv", func(w io.Writer) (any, error) {
-			rows, err := experiments.Scaling("shardedkv", s, *shards, *parallel)
-			if err != nil {
-				return nil, err
-			}
-			// The restart series is deliberately not divided by -scale: the
-			// recovery-speedup claim is about a population large enough that
-			// per-shard replay dominates fixed open cost (CI runs 1M keys).
-			recovery, err := experiments.ShardedRecovery(*shards, *recoveryKeys, []int{1, 2, 4})
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintRows(w, "Sharded KV scaling — range-partitioned multi-heap sharding (internal/pshard)", rows)
-			experiments.PrintRows(w, "Sharded parallel recovery — restart time vs recovery workers", recovery)
-			// One array, both series: BENCH_shardedkv.json gates them together.
-			all := make([]any, 0, len(rows)+len(recovery))
-			for _, r := range rows {
-				all = append(all, r)
-			}
-			for _, r := range recovery {
-				all = append(all, r)
-			}
-			return all, nil
-		}},
-		{"telemetry", func(w io.Writer) (any, error) {
-			rows, report, err := experiments.TelemetryOverhead(s)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintRows(w, "Telemetry overhead — device ops per op must be identical off vs on", rows)
-			report.Print(w)
-			return rows, writeJSON(w, *snapPath, report.Snapshot)
-		}},
-		{"blackbox", func(w io.Writer) (any, error) {
-			rows, report, err := experiments.Blackbox(s)
-			// The decoded timeline is the failure evidence — write it even
-			// (especially) when the sweep or a gate fails; a failure to
-			// write it is secondary to the experiment's own result.
-			if werr := writeJSON(w, *timelinePath, report); werr != nil {
-				fmt.Fprintf(os.Stderr, "espresso-bench: writing timeline: %v\n", werr)
-			}
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintRows(w, "Flight recorder overhead — fences/reads identical off vs on; writes/lines +1 per event", rows)
-			report.Print(w)
-			return rows, nil
-		}},
-		table("faults", "Media-fault matrix, degraded serving, and fault-hook overhead",
-			func() (any, error) { return experiments.Faults(s, *faultDir) }),
+	}
+	for _, c := range experiments.Contracts {
+		p := c.Pinned
+		if *scale > 0 {
+			p.Scale = s
+		}
+		if *parallel > 0 {
+			p.Mutators = *parallel
+		}
+		if *shards > 0 {
+			p.Shards = *shards
+		}
+		if *recoveryKeys > 0 {
+			p.RecoveryKeys = *recoveryKeys
+		}
+		exps = append(exps, experiment{c.Name, func(w io.Writer) (any, error) { return c.Run(w, p) }})
 	}
 
 	w := os.Stdout

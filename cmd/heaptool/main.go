@@ -34,9 +34,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"strings"
 	"time"
@@ -58,12 +58,13 @@ const (
 	exitCorrupt    = 4 // image readable, integrity checks failed
 )
 
-func fatalf(code int, format string, args ...any) {
+// fail reports an error and returns the exit code to leave with.
+func fail(code int, format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "heaptool: "+format+"\n", args...)
-	os.Exit(code)
+	return code
 }
 
-func usage(code int) {
+func usage() int {
 	fmt.Fprintln(os.Stderr, `usage: heaptool -heap <image.pjh> info|verify|gc|inspect|postmortem|scrub [-last N] [-json]
        heaptool -addr <host:port> [-interval 2s] [-n 0] top
 
@@ -73,34 +74,45 @@ exit codes:
   2  usage error (bad flags, unknown command)
   3  image unreadable (bad magic, unsupported version, insane geometry)
   4  image corrupt (readable, but integrity checks failed)`)
-	os.Exit(code)
+	return exitUsage
 }
 
-func main() {
-	path := flag.String("heap", "", "heap image file (.pjh)")
-	addr := flag.String("addr", "", "telemetry endpoint for `top` (host:port of Options.TelemetryAddr)")
-	interval := flag.Duration("interval", 2*time.Second, "poll interval for `top`")
-	iters := flag.Int("n", 0, "number of `top` polls (0 = forever)")
-	lastN := flag.Int("last", 0, "`postmortem`: show only the last N timeline events (0 = all)")
-	asJSON := flag.Bool("json", false, "`postmortem`: emit the decoded timeline as JSON instead of text")
-	flag.Parse()
-	cmd := flag.Arg(0)
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command: it parses args (the command line without
+// the program name) and returns the exit code, so a test can classify
+// images in-process.
+func run(args []string) int {
+	flags := flag.NewFlagSet("heaptool", flag.ContinueOnError)
+	path := flags.String("heap", "", "heap image file (.pjh)")
+	addr := flags.String("addr", "", "telemetry endpoint for `top` (host:port of Options.TelemetryAddr)")
+	interval := flags.Duration("interval", 2*time.Second, "poll interval for `top`")
+	iters := flags.Int("n", 0, "number of `top` polls (0 = forever)")
+	lastN := flags.Int("last", 0, "`postmortem`: show only the last N timeline events (0 = all)")
+	asJSON := flags.Bool("json", false, "`postmortem`: emit the decoded timeline as JSON instead of text")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return exitUsage
+	}
+	cmd := flags.Arg(0)
 	if cmd == "top" {
 		// Live mode talks to a running runtime over HTTP; no image needed.
 		if *addr == "" {
-			usage(exitUsage)
+			return usage()
 		}
 		if err := runTop(*addr, *interval, *iters); err != nil {
-			log.Fatal(err)
+			return fail(exitErr, "%v", err)
 		}
-		return
+		return 0
 	}
 	if *path == "" || cmd == "" {
-		usage(exitUsage)
+		return usage()
 	}
 	dev, err := nvm.LoadFile(*path, nvm.Config{Mode: nvm.Tracked})
 	if err != nil {
-		fatalf(exitErr, "%v", err)
+		return fail(exitErr, "%v", err)
 	}
 	if pshard.IsManifest(dev) {
 		// A shard-set manifest is not a heap: describe (or scrub) it and
@@ -109,11 +121,11 @@ func main() {
 		if err != nil {
 			// The magic matched, so the device *is* a manifest — a parse
 			// failure past that point is corruption, not unreadability.
-			fatalf(exitCorrupt, "corrupt manifest: %v", err)
+			return fail(exitCorrupt, "corrupt manifest: %v", err)
 		}
 		if cmd == "scrub" {
 			fmt.Printf("manifest OK: %d shards, generation %d\n", m.Shards, m.Generation)
-			return
+			return 0
 		}
 		fmt.Printf("shard manifest (not a heap image)\n")
 		fmt.Printf("shards         %d\n", m.Shards)
@@ -127,7 +139,7 @@ func main() {
 			fmt.Printf("  shard %3d    hash range [%#x, %s)\n", i, b, hi)
 		}
 		fmt.Printf("inspect the per-shard heap images (<base>-s0.pjh ...) individually\n")
-		return
+		return 0
 	}
 	if cmd == "postmortem" {
 		// Post-mortem decodes straight off the raw device, before (and
@@ -135,9 +147,9 @@ func main() {
 		// clearing phase words, finishing redo — which is exactly the
 		// evidence a post-mortem wants intact.
 		if err := runPostmortem(dev, *lastN, *asJSON); err != nil {
-			log.Fatal(err)
+			return fail(exitErr, "%v", err)
 		}
-		return
+		return 0
 	}
 	if cmd == "scrub" {
 		// Scrub, like postmortem, works on the raw device: Load would
@@ -145,7 +157,7 @@ func main() {
 		// investigation must not suffer.
 		rep, err := pheap.Scrub(dev)
 		if err != nil {
-			fatalf(exitUnreadable, "unreadable image: %v", err)
+			return fail(exitUnreadable, "unreadable image: %v", err)
 		}
 		fmt.Printf("format version %d\n", rep.FormatVersion)
 		fmt.Printf("gc active      %v\n", rep.GCActive)
@@ -155,10 +167,10 @@ func main() {
 			fmt.Printf("CORRUPT: %s\n", f)
 		}
 		if rep.Corrupt() {
-			fatalf(exitCorrupt, "%d corruption finding(s)", len(rep.Findings))
+			return fail(exitCorrupt, "%d corruption finding(s)", len(rep.Findings))
 		}
 		fmt.Printf("OK: no corruption detected\n")
-		return
+		return 0
 	}
 	h, err := pheap.Load(dev, klass.NewRegistry())
 	if err != nil {
@@ -168,7 +180,7 @@ func main() {
 		if strings.Contains(err.Error(), "corrupt") {
 			code = exitCorrupt
 		}
-		fatalf(code, "%v", err)
+		return fail(code, "%v", err)
 	}
 
 	switch cmd {
@@ -196,27 +208,27 @@ func main() {
 			return true
 		})
 		if err != nil {
-			fatalf(exitCorrupt, "heap does not parse: %v", err)
+			return fail(exitCorrupt, "heap does not parse: %v", err)
 		}
 		fmt.Printf("OK: %d objects, %d fillers, %d bytes parseable\n", objects, fillers, bytes)
 	case "gc":
 		if h.GCActive() {
 			res, err := pgc.Recover(h)
 			if err != nil {
-				log.Fatal(err)
+				return fail(exitErr, "%v", err)
 			}
 			fmt.Printf("recovered interrupted collection: %d live objects, %d moved\n",
 				res.LiveObjects, res.MovedObjects)
 		} else {
 			res, err := pgc.Collect(h, pgc.NoRoots{})
 			if err != nil {
-				log.Fatal(err)
+				return fail(exitErr, "%v", err)
 			}
 			fmt.Printf("collected: %d live objects (%d bytes), %d moved, pause %v\n",
 				res.LiveObjects, res.LiveBytes, res.MovedObjects, res.PauseTime)
 		}
 		if err := dev.Save(*path); err != nil {
-			log.Fatal(err)
+			return fail(exitErr, "%v", err)
 		}
 	case "inspect":
 		// The GC/allocation state PRs 2–3 put into the image, surfaced:
@@ -254,7 +266,7 @@ func main() {
 			return true
 		})
 		if err != nil {
-			log.Fatalf("remset scan: %v", err)
+			return fail(exitErr, "remset scan: %v", err)
 		}
 		fmt.Printf("remset slots   %d candidate(s) (out-of-heap refs; includes cross-heap refs on multi-heap images)\n", outRefs)
 		// Mark-bitmap view: what the last (or in-flight) collection knew.
@@ -325,6 +337,7 @@ func main() {
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "heaptool: unknown command %q\n", cmd)
-		usage(exitUsage)
+		return usage()
 	}
+	return 0
 }

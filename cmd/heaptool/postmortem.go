@@ -17,11 +17,11 @@ import (
 func runPostmortem(dev *nvm.Device, lastN int, asJSON bool) error {
 	off, size, err := pheap.BlackboxRegion(dev)
 	if err != nil {
-		return fmt.Errorf("heaptool: postmortem: %w", err)
+		return fmt.Errorf("postmortem: %w", err)
 	}
 	tl, err := blackbox.Decode(dev, off, size)
 	if err != nil {
-		return fmt.Errorf("heaptool: postmortem: %w", err)
+		return fmt.Errorf("postmortem: %w", err)
 	}
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)

@@ -51,7 +51,7 @@ func fetchSnapshot(client *http.Client, url string) (telemetry.Snapshot, error) 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return s, fmt.Errorf("heaptool top: %s: %s", url, resp.Status)
+		return s, fmt.Errorf("top: %s: %s", url, resp.Status)
 	}
 	return s, json.NewDecoder(resp.Body).Decode(&s)
 }

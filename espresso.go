@@ -137,8 +137,6 @@
 package espresso
 
 import (
-	"time"
-
 	"espresso/internal/core"
 	"espresso/internal/klass"
 	"espresso/internal/layout"
@@ -207,8 +205,6 @@ type Options struct {
 	DefaultHeapSize int
 	// TrackedNVM enables crash-image support on heap devices (slower).
 	TrackedNVM bool
-	// NVMWriteLatency models media write cost per flushed line.
-	NVMWriteLatency time.Duration
 	// StrictCast disables alias Klasses, reproducing paper Figure 10.
 	StrictCast bool
 	// VolatileHeap sizes the DRAM young/old generations.
@@ -248,15 +244,14 @@ func Open(opts Options) (*Runtime, error) {
 		opts.DefaultHeapSize = 16 << 20
 	}
 	rt, err := core.NewRuntime(core.Config{
-		HeapDir:         opts.HeapDir,
-		Safety:          opts.Safety,
-		Volatile:        opts.VolatileHeap,
-		NVMMode:         mode,
-		NVMWriteLatency: opts.NVMWriteLatency,
-		PJHDataSize:     opts.DefaultHeapSize,
-		StrictCast:      opts.StrictCast,
-		Telemetry:       opts.Telemetry || opts.TelemetryAddr != "",
-		FlightRecorder:  opts.FlightRecorder,
+		HeapDir:        opts.HeapDir,
+		Safety:         opts.Safety,
+		Volatile:       opts.VolatileHeap,
+		NVMMode:        mode,
+		PJHDataSize:    opts.DefaultHeapSize,
+		StrictCast:     opts.StrictCast,
+		Telemetry:      opts.Telemetry || opts.TelemetryAddr != "",
+		FlightRecorder: opts.FlightRecorder,
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -178,14 +177,4 @@ func PrintSeries(w io.Writer, xLabel, yLabel string, series []*Series) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// SortedKeys returns map keys in sorted order (deterministic output).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

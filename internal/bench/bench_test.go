@@ -70,10 +70,3 @@ func TestPrintSeries(t *testing.T) {
 		t.Fatalf("series output:\n%s", out)
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]int{"b": 1, "a": 2, "c": 3})
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("SortedKeys = %v", got)
-	}
-}

@@ -23,11 +23,10 @@ func (rt *Runtime) CreateHeap(name string, size int) (*pheap.Heap, error) {
 		size = rt.cfg.PJHDataSize
 	}
 	h, err := pheap.Create(rt.Reg, pheap.Config{
-		Name:         name,
-		AddressHint:  rt.reserveBase(),
-		DataSize:     size,
-		Mode:         rt.cfg.NVMMode,
-		WriteLatency: rt.cfg.NVMWriteLatency,
+		Name:        name,
+		AddressHint: rt.reserveBase(),
+		DataSize:    size,
+		Mode:        rt.cfg.NVMMode,
 	})
 	if err != nil {
 		return nil, err

@@ -68,9 +68,8 @@ type Config struct {
 	Safety SafetyLevel
 	// Young configures the volatile heap.
 	Volatile vheap.Config
-	// NVMMode and NVMWriteLatency configure persistent devices.
-	NVMMode         nvm.Mode
-	NVMWriteLatency time.Duration
+	// NVMMode configures persistent devices.
+	NVMMode nvm.Mode
 	// PJHDataSize is the default data size for CreateHeap when the caller
 	// passes size 0.
 	PJHDataSize int

@@ -29,17 +29,14 @@ import (
 //     bit-identical off vs on, and writes/flushed-lines must differ by
 //     exactly the number of events journaled. These are hard in-run
 //     equalities; the absolute per-op device costs also land in the row
-//     JSON that CI's bench gate compares against BENCH_blackbox.json.
+//     JSON that the contract test compares against BENCH_blackbox.json.
 
-// BlackboxReport summarizes the crash sweep; Timeline is the full
-// (uncrashed) run's decoded journal — CI uploads it as the failure
-// artifact so a gate trip shows exactly what the recorder saw.
+// BlackboxReport summarizes the crash sweep.
 type BlackboxReport struct {
-	CrashPoints  int               `json:"crash_points"`  // flush boundaries swept
-	EvictionRuns int               `json:"eviction_runs"` // random-eviction crash images checked
-	OracleEvents int               `json:"oracle_events"` // events the clean run journals
-	ReloadChecks int               `json:"reload_checks"` // crash images reloaded + re-appended
-	Timeline     blackbox.Timeline `json:"timeline"`
+	CrashPoints  int // flush boundaries swept
+	EvictionRuns int // random-eviction crash images checked
+	OracleEvents int // events the clean run journals
+	ReloadChecks int // crash images reloaded + re-appended
 }
 
 // blackboxWorkload drives one deterministic recorder-instrumented run:
@@ -151,8 +148,7 @@ func crashRun(k uint64, policy nvm.CrashPolicy, seed int64) (img []byte, mirror 
 func BlackboxCrashSweep() (BlackboxReport, error) {
 	var report BlackboxReport
 
-	// Clean run: count flush boundaries, capture the oracle, and keep the
-	// full decoded timeline for the report/artifact.
+	// Clean run: count flush boundaries and capture the oracle.
 	var mirror []blackbox.Record
 	h, reg, err := newBlackboxHeap(&mirror)
 	if err != nil {
@@ -176,7 +172,6 @@ func BlackboxCrashSweep() (BlackboxReport, error) {
 		return report, fmt.Errorf("blackbox: clean run decoded %d of %d journaled events", len(tl.Events), len(mirror))
 	}
 	report.OracleEvents = len(mirror)
-	report.Timeline = tl
 
 	// crashCheck crashes a replay at boundary k and holds the decoded
 	// journal of its crash image to the prefix rule.

@@ -1,0 +1,168 @@
+package experiments
+
+import "io"
+
+// The device-op contract: nine experiments whose rows are committed as
+// BENCH_<name>.json at the repository root. Contracts is the one table
+// that pins each experiment's parameters; TestDeviceOpContract runs every
+// entry at them and compares the rows with the committed file, and
+//
+//	go run ./cmd/espresso-bench -exp <name> -json BENCH_<name>.json
+//
+// runs the same entry to regenerate the file when a change moves a count
+// on purpose. A row is in one of two classes:
+//
+//   - exact (the default): the row is a pure function of the code — one
+//     mutator, a quiescent collection, a replayed image, a fault cell —
+//     and every field must equal the baseline's, bit for bit. Any drift
+//     is a baseline diff reviewed in the same change.
+//   - scheduled: the row runs several goroutines over shared structures
+//     and its device counts depend on who got there first. The fields
+//     listed for it are not compared; what is held instead are the row's
+//     claims — every X_floor / X_ceiling the baseline carries bounds the
+//     fresh X — and every field not listed, exactly.
+//
+// Bounds are read from the baseline, so weakening a claim is a reviewed
+// diff of a BENCH file too.
+
+// Params are the knobs an experiment takes; zero fields are knobs it
+// does not have.
+type Params struct {
+	Scale        Scale // divides workload sizes
+	Mutators     int   // top of a mutator curve / the mutator count
+	Shards       int   // top of the shard curve
+	RecoveryKeys int   // committed keys of the restart series
+}
+
+// Contract is one experiment of the device-op contract.
+type Contract struct {
+	Name   string
+	Pinned Params // what the committed baseline was generated with
+	// Run executes the experiment, renders its tables and self-check
+	// summaries to w, and returns the rows the baseline holds.
+	Run func(w io.Writer, p Params) (rows any, err error)
+	// scheduled names the rows of the second class by row key (the
+	// identity fields joined with "/").
+	scheduled map[string]scheduled
+}
+
+// scheduled describes one scheduling-dependent row.
+type scheduled struct {
+	fields []string // not compared with the baseline
+	// cores, when set, is how many goroutines must really run at once
+	// for the row's floors to mean anything; with fewer schedulable cores
+	// (GOMAXPROCS) they are reported, not held.
+	cores int
+}
+
+// What goroutine scheduling moves on a multi-mutator index row: which
+// ctx splices the lazily created bucket sentinels and who helps whose
+// dirty link decide every per-op count and the slowest chain.
+var (
+	shardedRowFields = []string{"modeled_ns_per_op", "modeled_speedup_vs_1",
+		"dev_reads_per_op", "dev_writes_per_op", "flushed_lines_per_op", "fences_per_op"}
+	kvRowFields = append([]string{"help_flushes"}, shardedRowFields...)
+)
+
+// rowsOf adapts an experiment whose whole report is one table.
+func rowsOf[R any](w io.Writer, title string, rows []R, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	PrintRows(w, title, rows)
+	return rows, nil
+}
+
+func scalingRun(name, title string) func(io.Writer, Params) (any, error) {
+	return func(w io.Writer, p Params) (any, error) {
+		rows, err := Scaling(name, p.Scale, p.Shards, p.Mutators)
+		return rowsOf(w, title, rows, err)
+	}
+}
+
+// Contracts is the table, in espresso-bench's -exp all order.
+var Contracts = []Contract{
+	{Name: "fastpath", Pinned: Params{Scale: 10},
+		Run: func(w io.Writer, p Params) (any, error) {
+			rows, err := Fastpath(p.Scale)
+			return rowsOf(w, "Fast path — resolved handles, bulk I/O, coalesced flushes (per op)", rows, err)
+		}},
+	{Name: "alloc", Pinned: Params{Scale: 10, Mutators: 8},
+		Run: scalingRun("alloc", "Allocation scaling — one PLAB (region-local allocation buffer) per mutator")},
+	{Name: "gcpause", Pinned: Params{Scale: 1, Mutators: 8},
+		Run: func(w io.Writer, p Params) (any, error) {
+			rows, err := GCPause(p.Scale, p.Mutators)
+			return rowsOf(w, "GC pause — stop-the-world vs concurrent SATB marking vs parallel workers (modeled ns)", rows, err)
+		},
+		scheduled: map[string]scheduled{
+			// Mutators churn while the collector marks: how much of the
+			// churn lands inside the marking window decides the remark work.
+			"concurrent/8": {fields: []string{"live_objects", "modeled_max_pause_ns",
+				"pause_reduction_vs_stw", "modeled_max_pause_ns_ceiling"}},
+			// The cycle's device totals are exact; how the pool's workers
+			// split them is work stealing, and the ≥2x critical-path claim
+			// needs the four workers on four cores.
+			"parallel/8/4": {fields: []string{"modeled_critical_path_ns", "modeled_parallel_speedup"}, cores: 4},
+		}},
+	{Name: "kv", Pinned: Params{Scale: 10, Mutators: 8},
+		Run: scalingRun("kv", "KV index scaling — durable lock-free persistent hash map (internal/pindex)"),
+		scheduled: map[string]scheduled{
+			"pindex/2": {fields: kvRowFields}, "pindex/4": {fields: kvRowFields}, "pindex/8": {fields: kvRowFields},
+		}},
+	{Name: "refstore", Pinned: Params{Scale: 10, Mutators: 8},
+		Run: scalingRun("refstore", "Ref-store scaling — write-combining remset barrier (per-mutator delta buffers)")},
+	{Name: "shardedkv", Pinned: Params{Scale: 10, Shards: 4, Mutators: 2, RecoveryKeys: 1000000},
+		Run: func(w io.Writer, p Params) (any, error) {
+			rows, err := Scaling("shardedkv", p.Scale, p.Shards, p.Mutators)
+			if err != nil {
+				return nil, err
+			}
+			// The restart series is deliberately not divided by Scale: the
+			// recovery-speedup claim is about a population large enough that
+			// per-shard replay dominates fixed open cost.
+			recovery, err := ShardedRecovery(p.Shards, p.RecoveryKeys, []int{1, 2, 4})
+			if err != nil {
+				return nil, err
+			}
+			PrintRows(w, "Sharded KV scaling — range-partitioned multi-heap sharding (internal/pshard)", rows)
+			PrintRows(w, "Sharded parallel recovery — restart time vs recovery workers", recovery)
+			// One array, both series: BENCH_shardedkv.json holds them together.
+			all := make([]any, 0, len(rows)+len(recovery))
+			for _, r := range rows {
+				all = append(all, r)
+			}
+			for _, r := range recovery {
+				all = append(all, r)
+			}
+			return all, nil
+		},
+		scheduled: map[string]scheduled{
+			"sharded/1/2": {fields: shardedRowFields}, "sharded/2/2": {fields: shardedRowFields},
+			"sharded/4/2": {fields: shardedRowFields},
+		}},
+	{Name: "telemetry", Pinned: Params{Scale: 10},
+		Run: func(w io.Writer, p Params) (any, error) {
+			rows, report, err := TelemetryOverhead(p.Scale)
+			if err != nil {
+				return nil, err
+			}
+			PrintRows(w, "Telemetry overhead — device ops per op must be identical off vs on", rows)
+			report.Print(w)
+			return rows, nil
+		}},
+	{Name: "blackbox", Pinned: Params{Scale: 10},
+		Run: func(w io.Writer, p Params) (any, error) {
+			rows, report, err := Blackbox(p.Scale)
+			if err != nil {
+				return nil, err
+			}
+			PrintRows(w, "Flight recorder overhead — fences/reads identical off vs on; writes/lines +1 per event", rows)
+			report.Print(w)
+			return rows, nil
+		}},
+	{Name: "faults", Pinned: Params{Scale: 10},
+		Run: func(w io.Writer, p Params) (any, error) {
+			rows, err := Faults(p.Scale)
+			return rowsOf(w, "Media-fault matrix, degraded serving, and fault-hook overhead", rows, err)
+		}},
+}

@@ -6,12 +6,13 @@
 // Absolute numbers differ from the paper — the substrate is a simulated
 // NVM device, not a Xeon with Viking NVDIMMs — so experiments report the
 // *shape*: who wins, by what factor, and where time goes. NVM media cost
-// is modelled as write latency per flushed line and included in reported
-// times, since flush traffic is precisely what the paper's hardware
-// charges for.
+// is modelled as write latency per flushed line (nvm.ModeledLineLatency)
+// and included in reported times, since flush traffic is precisely what
+// the paper's hardware charges for.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -30,11 +31,6 @@ import (
 	"espresso/internal/pheap"
 	"espresso/internal/pjo"
 )
-
-// NVMWriteLatency models the media write cost per flushed cache line
-// (3D-XPoint-class media land in the 100–500 ns range; the paper's
-// NVDIMMs are DRAM-speed but flushes still pay the clflush round trip).
-const NVMWriteLatency = 300 * time.Nanosecond
 
 // Scale shrinks workload sizes uniformly (1 = paper-sized where feasible;
 // larger values divide the populations for quick runs and unit tests).
@@ -81,7 +77,7 @@ func Fig4(w io.Writer, scale Scale) error {
 // metadata (type-information memorization), allocation, and data.
 // Paper: Data 1.8%, Metadata 36.8%, GC 14.8% (+ allocation, transaction).
 func Fig6(w io.Writer, scale Scale) error {
-	h := pcj.New(pcj.Config{Size: 256 << 20, Mode: nvm.Direct, WriteLatency: NVMWriteLatency})
+	h := pcj.New(pcj.Config{Size: 256 << 20, Mode: nvm.Direct})
 	prof := bench.NewBreakdown()
 	h.SetProfile(prof)
 	n := scale.div(200000)
@@ -107,6 +103,122 @@ type Fig15Row struct {
 	Speedup  float64       `json:"speedup"`
 }
 
+// fig15System is the fifteen operations Figure 15 times, over a system's
+// own object handle H. *pcj.Heap and *pcollections.World have them all
+// under the same names; pcjSystem and espressoSystem even out the two
+// places their signatures differ.
+type fig15System[H any] interface {
+	NewLong(v int64) (H, error)
+	SetLongValue(o H, v int64) error
+	LongValue(o H) int64
+	NewTuple(elems ...H) (H, error)
+	TupleSet(o H, i int, v H) error
+	TupleGet(o H, i int) H
+	NewArray(n int) (H, error)
+	ArraySet(o H, i int, v H) error
+	ArrayGet(o H, i int) H
+	NewList() (H, error)
+	ListAdd(o H, v H) error
+	ListSet(o H, i int, v H) error
+	ListGet(o H, i int) (H, error)
+	NewMap() (H, error)
+	MapPut(m H, key int64, v H) error
+	MapGet(m H, key int64) (H, bool)
+}
+
+// pcjSystem gives PCJ's setters, which cannot fail, the error return
+// Espresso's have.
+type pcjSystem struct{ *pcj.Heap }
+
+func (s pcjSystem) SetLongValue(o pcj.Obj, v int64) error {
+	s.Heap.SetLongValue(o, v)
+	return nil
+}
+func (s pcjSystem) TupleSet(o pcj.Obj, i int, v pcj.Obj) error {
+	s.Heap.TupleSet(o, i, v)
+	return nil
+}
+func (s pcjSystem) ArraySet(o pcj.Obj, i int, v pcj.Obj) error {
+	s.Heap.ArraySet(o, i, v)
+	return nil
+}
+func (s pcjSystem) ListSet(o pcj.Obj, i int, v pcj.Obj) error {
+	s.Heap.ListSet(o, i, v)
+	return nil
+}
+func (s pcjSystem) ListGet(o pcj.Obj, i int) (pcj.Obj, error) { return s.Heap.ListGet(o, i), nil }
+
+// espressoSystem gives Espresso's sized constructors the sizes Figure 15
+// starts them at.
+type espressoSystem struct{ *pcollections.World }
+
+func (s espressoSystem) NewList() (layout.Ref, error) { return s.World.NewList(8) }
+func (s espressoSystem) NewMap() (layout.Ref, error)  { return s.World.NewMap(64) }
+
+// fig15Type is one data type's three timed loops — create, set, get —
+// each an iteration count and the loop body.
+type fig15Type struct {
+	name string
+	ops  [3]fig15Loop
+}
+
+type fig15Loop struct {
+	iters int
+	body  func(i int) error
+}
+
+var fig15Ops = [3]string{"Create", "Set", "Get"}
+
+// fig15Types builds the five data types of §6.2 on s — fixtures first,
+// then the table of loops over them — at n operations per loop.
+func fig15Types[H any](s fig15System[H], n int) ([]fig15Type, error) {
+	const arrLen, mapKeys = 1024, 4096
+	var errs []error
+	fixture := func(h H, err error) H {
+		errs = append(errs, err)
+		return h
+	}
+	box := fixture(s.NewLong(0))
+	list := fixture(s.NewList())
+	arr := fixture(s.NewArray(arrLen))
+	tup := fixture(s.NewTuple(box, box, box))
+	m := fixture(s.NewMap())
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	type loops = [3]fig15Loop
+	mapPut := func(i int) error { return s.MapPut(m, int64(i%mapKeys), box) }
+	return []fig15Type{
+		{"ArrayList", loops{
+			{n, func(int) error { return s.ListAdd(list, box) }},
+			{n, func(i int) error { return s.ListSet(list, i%n, box) }},
+			{n, func(i int) error { _, err := s.ListGet(list, i%n); return err }},
+		}},
+		{"Generic", loops{
+			{n/arrLen + 1, func(int) error { _, err := s.NewArray(arrLen); return err }},
+			{n, func(i int) error { return s.ArraySet(arr, i%arrLen, box) }},
+			{n, func(i int) error { s.ArrayGet(arr, i%arrLen); return nil }},
+		}},
+		{"Tuple", loops{
+			{n, func(int) error { _, err := s.NewTuple(box, box, box); return err }},
+			{n, func(i int) error { return s.TupleSet(tup, i%3, box) }},
+			{n, func(i int) error { s.TupleGet(tup, i%3); return nil }},
+		}},
+		// Boxed long, the PersistentLong case.
+		{"Primitive", loops{
+			{n, func(i int) error { _, err := s.NewLong(int64(i)); return err }},
+			{n, func(i int) error { return s.SetLongValue(box, int64(i)) }},
+			{n, func(int) error { s.LongValue(box); return nil }},
+		}},
+		// Create fills the map's key range; Set overwrites it.
+		{"Hashmap", loops{
+			{n, mapPut},
+			{n, mapPut},
+			{n, func(i int) error { s.MapGet(m, int64(i%mapKeys)); return nil }},
+		}},
+	}, nil
+}
+
 // Fig15 runs create/set/get on the five data types of §6.2 over both
 // systems, both with ACID semantics (PCJ's built-in transactions vs
 // Espresso's undo log), reporting normalized speedup PJH over PCJ.
@@ -114,9 +226,8 @@ type Fig15Row struct {
 func Fig15(scale Scale) ([]Fig15Row, error) {
 	n := scale.div(100000)
 
-	pcjHeap := pcj.New(pcj.Config{Size: 512 << 20, Mode: nvm.Direct, WriteLatency: NVMWriteLatency})
-	ph, err := pheap.Create(klass.NewRegistry(), pheap.Config{
-		DataSize: 256 << 20, Mode: nvm.Direct, WriteLatency: NVMWriteLatency})
+	pcjHeap := pcj.New(pcj.Config{Size: 512 << 20, Mode: nvm.Direct})
+	ph, err := pheap.Create(klass.NewRegistry(), pheap.Config{DataSize: 256 << 20, Mode: nvm.Direct})
 	if err != nil {
 		return nil, err
 	}
@@ -124,309 +235,41 @@ func Fig15(scale Scale) ([]Fig15Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	pcjTypes, err := fig15Types[pcj.Obj](pcjSystem{pcjHeap}, n)
+	if err != nil {
+		return nil, fmt.Errorf("fig15 pcj fixtures: %w", err)
+	}
+	espTypes, err := fig15Types[layout.Ref](espressoSystem{world}, n)
+	if err != nil {
+		return nil, fmt.Errorf("fig15 espresso fixtures: %w", err)
+	}
 
-	timeOp := func(dev *nvm.Device, fn func() error) (time.Duration, error) {
+	// A loop costs its wall time plus the modeled media time of the lines
+	// it flushed.
+	timeOp := func(dev *nvm.Device, iters int, body func(i int) error) (time.Duration, error) {
 		s0 := dev.Stats()
 		t0 := time.Now()
-		err := fn()
+		for i := 0; i < iters; i++ {
+			if err := body(i); err != nil {
+				return 0, err
+			}
+		}
 		wall := time.Since(t0)
-		return wall + dev.Stats().Sub(s0).ModeledFlushTime(), err
+		return wall + dev.Stats().Sub(s0).ModeledFlushTime(), nil
 	}
-
 	var rows []Fig15Row
-	add := func(typ, op string, pcjFn, espFn func() error) error {
-		tp, err := timeOp(pcjHeap.Device(), pcjFn)
-		if err != nil {
-			return fmt.Errorf("fig15 %s/%s pcj: %w", typ, op, err)
+	for t, typ := range pcjTypes {
+		for o, op := range fig15Ops {
+			tp, err := timeOp(pcjHeap.Device(), typ.ops[o].iters, typ.ops[o].body)
+			if err != nil {
+				return nil, fmt.Errorf("fig15 %s/%s pcj: %w", typ.name, op, err)
+			}
+			te, err := timeOp(ph.Device(), espTypes[t].ops[o].iters, espTypes[t].ops[o].body)
+			if err != nil {
+				return nil, fmt.Errorf("fig15 %s/%s espresso: %w", typ.name, op, err)
+			}
+			rows = append(rows, Fig15Row{typ.name, op, tp, te, float64(tp) / float64(te)})
 		}
-		te, err := timeOp(ph.Device(), espFn)
-		if err != nil {
-			return fmt.Errorf("fig15 %s/%s espresso: %w", typ, op, err)
-		}
-		rows = append(rows, Fig15Row{typ, op, tp, te, float64(tp) / float64(te)})
-		return nil
-	}
-
-	// Shared fixtures.
-	pcjBox, _ := pcjHeap.NewLong(0)
-	espBox, _ := world.NewLong(0)
-
-	// ArrayList.
-	pcjList, _ := pcjHeap.NewList()
-	espList, _ := world.NewList(8)
-	if err := add("ArrayList", "Create",
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := pcjHeap.ListAdd(pcjList, pcjBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := world.ListAdd(espList, espBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("ArrayList", "Set",
-		func() error {
-			for i := 0; i < n; i++ {
-				pcjHeap.ListSet(pcjList, i%n, pcjBox)
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := world.ListSet(espList, i%n, espBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("ArrayList", "Get",
-		func() error {
-			for i := 0; i < n; i++ {
-				pcjHeap.ListGet(pcjList, i%n)
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if _, err := world.ListGet(espList, i%n); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-
-	// Generic array.
-	const arrLen = 1024
-	pcjArr, _ := pcjHeap.NewArray(arrLen)
-	espArr, _ := world.NewArray(arrLen)
-	if err := add("Generic", "Create",
-		func() error {
-			for i := 0; i < n/arrLen+1; i++ {
-				if _, err := pcjHeap.NewArray(arrLen); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n/arrLen+1; i++ {
-				if _, err := world.NewArray(arrLen); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("Generic", "Set",
-		func() error {
-			for i := 0; i < n; i++ {
-				pcjHeap.ArraySet(pcjArr, i%arrLen, pcjBox)
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := world.ArraySet(espArr, i%arrLen, espBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("Generic", "Get",
-		func() error {
-			for i := 0; i < n; i++ {
-				pcjHeap.ArrayGet(pcjArr, i%arrLen)
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				world.ArrayGet(espArr, i%arrLen)
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-
-	// Tuple.
-	pcjTup, _ := pcjHeap.NewTuple(pcjBox, pcjBox, pcjBox)
-	espTup, _ := world.NewTuple(espBox, espBox, espBox)
-	if err := add("Tuple", "Create",
-		func() error {
-			for i := 0; i < n; i++ {
-				if _, err := pcjHeap.NewTuple(pcjBox, pcjBox, pcjBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if _, err := world.NewTuple(espBox, espBox, espBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("Tuple", "Set",
-		func() error {
-			for i := 0; i < n; i++ {
-				pcjHeap.TupleSet(pcjTup, i%3, pcjBox)
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := world.TupleSet(espTup, i%3, espBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("Tuple", "Get",
-		func() error {
-			for i := 0; i < n; i++ {
-				pcjHeap.TupleGet(pcjTup, i%3)
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				world.TupleGet(espTup, i%3)
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-
-	// Primitive (boxed long, the PersistentLong case).
-	if err := add("Primitive", "Create",
-		func() error {
-			for i := 0; i < n; i++ {
-				if _, err := pcjHeap.NewLong(int64(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if _, err := world.NewLong(int64(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("Primitive", "Set",
-		func() error {
-			for i := 0; i < n; i++ {
-				pcjHeap.SetLongValue(pcjBox, int64(i))
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := world.SetLongValue(espBox, int64(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("Primitive", "Get",
-		func() error {
-			for i := 0; i < n; i++ {
-				pcjHeap.LongValue(pcjBox)
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				world.LongValue(espBox)
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-
-	// Hashmap.
-	pcjMap, _ := pcjHeap.NewMap()
-	espMap, _ := world.NewMap(64)
-	if err := add("Hashmap", "Create",
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := pcjHeap.MapPut(pcjMap, int64(i%4096), pcjBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := world.MapPut(espMap, int64(i%4096), espBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("Hashmap", "Set",
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := pcjHeap.MapPut(pcjMap, int64(i%4096), pcjBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				if err := world.MapPut(espMap, int64(i%4096), espBox); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-		return nil, err
-	}
-	if err := add("Hashmap", "Get",
-		func() error {
-			for i := 0; i < n; i++ {
-				pcjHeap.MapGet(pcjMap, int64(i%4096))
-			}
-			return nil
-		},
-		func() error {
-			for i := 0; i < n; i++ {
-				world.MapGet(espMap, int64(i%4096))
-			}
-			return nil
-		}); err != nil {
-		return nil, err
 	}
 	return rows, nil
 }
@@ -826,8 +669,8 @@ func GCFlushCost(liveBytes int) (GCFlushResult, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			if d := r.PauseTime + r.DeviceStats.ModeledFlushTime(); d < bestD {
-				bestD = d
+			if r.PauseTime < bestD {
+				bestD = r.PauseTime
 			}
 			live = r.LiveBytes
 		}

@@ -138,7 +138,7 @@ func TestScalingCurves(t *testing.T) {
 				t.Fatalf("curve misses its endpoints: %+v", rows)
 			}
 			// The acceptance bar: ≥3x modeled throughput at the claim row,
-			// which carries the floor benchgate enforces.
+			// which carries the floor the contract test enforces.
 			if top.SpeedupFloor != 3 || top.ModeledSpeedup < top.SpeedupFloor {
 				t.Fatalf("modeled speedup at the top of the curve = %.2fx, floor %.0fx", top.ModeledSpeedup, top.SpeedupFloor)
 			}

@@ -28,7 +28,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -43,7 +42,8 @@ import (
 
 // FaultsRow is one JSON row of the faults experiment: a matrix cell, the
 // degraded-serving scenario, or an overhead measurement. The dev_*
-// fields (overhead series only) are the benchgate-gated device costs.
+// fields (overhead series only) are device costs; like every other
+// field they are held to BENCH_faults.json exactly.
 type FaultsRow struct {
 	Series string `json:"series"` // matrix | degraded | overhead
 	Op     string `json:"op"`     // matrix: structure/fault; overhead: workload variant
@@ -58,7 +58,7 @@ type FaultsRow struct {
 	RecoveredExact bool   `json:"recovered_exact"`
 	RetryFaults    int    `json:"retry_faults,omitempty"` // injected faults delivered before healing
 
-	// Overhead fields (dev_* are gated by benchgate).
+	// Overhead fields.
 	Ops                  int     `json:"ops,omitempty"`
 	DevWritesPerOp       float64 `json:"dev_writes_per_op,omitempty"`
 	DevFlushedLinesPerOp float64 `json:"dev_flushed_lines_per_op,omitempty"`
@@ -791,18 +791,12 @@ func runFaultsOverhead(s Scale) ([]FaultsRow, error) {
 
 // Faults runs the full experiment: the 16-cell matrix, the
 // degraded-serving backoff scenario, and the hook-overhead contract.
-// Any contract violation is a hard error, so CI fails on the violation
-// itself rather than on a drifted number. A non-empty dir also receives
-// the golden + corrupted images of heaptool's scrub exit-code checks.
-func Faults(s Scale, dir string) ([]FaultsRow, error) {
+// Any contract violation is a hard error, so the run fails on the
+// violation itself rather than on a drifted number.
+func Faults(s Scale) ([]FaultsRow, error) {
 	fx, err := buildFaultsFixture(s)
 	if err != nil {
 		return nil, err
-	}
-	if dir != "" {
-		if err := fx.WriteFaultImages(dir); err != nil {
-			return nil, fmt.Errorf("faults: writing scrub images: %w", err)
-		}
 	}
 	var rows []FaultsRow
 	for _, c := range faultsMatrix {
@@ -824,12 +818,14 @@ func Faults(s Scale, dir string) ([]FaultsRow, error) {
 	return append(rows, ovh...), nil
 }
 
-// WriteFaultImages dumps deterministic golden and corrupted images into
-// dir as .pjh files for heaptool's CI exit-code checks: a clean shard
-// image and manifest (scrub exits 0), checksum-corrupted variants
-// (exit 4), and an unreadable bad-magic variant (exit 3).
-func (fx *faultsFixture) WriteFaultImages(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// WriteFaultImages dumps the faults fixture's deterministic golden and
+// corrupted images into dir as .pjh files for heaptool's scrub exit-code
+// test: a clean shard image and manifest (scrub exits 0),
+// checksum-corrupted variants (exit 4), and an unreadable bad-magic
+// variant (exit 3).
+func WriteFaultImages(s Scale, dir string) error {
+	fx, err := buildFaultsFixture(s)
+	if err != nil {
 		return err
 	}
 	redoTorn, err := fx.imgRedoPending(false)

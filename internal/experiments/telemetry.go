@@ -20,9 +20,9 @@ import (
 // allocation, durable reference stores, index puts — run twice each,
 // telemetry off and on, and the experiment hard-fails (not a tolerance
 // check: exact equality) if any per-op device metric differs between
-// the two series. Wall clock is reported but never gated; the device
-// counts are deterministic and are what CI compares against the
-// committed BENCH_telemetry.json baseline.
+// the two series. The device counts are deterministic and are what the
+// contract test compares, exactly, against the committed
+// BENCH_telemetry.json baseline.
 //
 // The same run verifies that telemetry, while free, is also truthful:
 // the "on" series cross-checks the folded counters against the
@@ -38,12 +38,6 @@ type TelemetrySpanReport struct {
 	Mark       time.Duration
 	FinalPause time.Duration
 	Inner      time.Duration // remark + summarize + compact + redo
-
-	// Snapshot is the span-check runtime's full folded telemetry — CI
-	// uploads it alongside the row JSON when a gate fails, so the exact
-	// counter and span state behind a regression is inspectable without
-	// a local rerun.
-	Snapshot telemetry.Snapshot
 }
 
 // telemetryCells are the off/on matrix: each workload at its
@@ -147,7 +141,6 @@ func telemetrySpanCheck(scale Scale) (TelemetrySpanReport, error) {
 	wall := time.Since(t0)
 	snap := rt.Metrics()
 	r := TelemetrySpanReport{
-		Snapshot:   snap,
 		CycleWall:  wall,
 		Handshake:  snap.SpanTotal(telemetry.SpanGCHandshake),
 		Mark:       snap.SpanTotal(telemetry.SpanGCMark),

@@ -13,9 +13,9 @@
 // Crash-consistency protocols (flush-before-publish, undo logs, redo logs)
 // are *ordering* disciplines, so a faithful reproduction only needs the
 // line-granular distinction between the two views, not real hardware. The
-// device also accounts flush/fence/byte traffic and can model the write
-// latency of NVM media so benchmarks can report device-level cost next to
-// wall-clock time.
+// device also accounts flush/fence/byte traffic, and Stats prices those
+// counts with one fixed media-latency model so experiments can report
+// device-level cost next to wall-clock time.
 //
 // Accounting has two homes. An access made through the Device's own
 // methods counts in shared counters, with atomic adds on one cache line —
@@ -61,41 +61,56 @@ type Config struct {
 	Size int
 	// Mode selects Direct (fast) or Tracked (crash-simulation) operation.
 	Mode Mode
-	// WriteLatency, if nonzero, is the modelled media latency charged per
-	// flushed line. It accumulates in Stats.ModeledFlushTime; the device
-	// never sleeps.
-	WriteLatency time.Duration
 }
+
+// The device never sleeps; media cost is priced from the counts after
+// the fact, and these are the prices (3D-XPoint-class media: writes land
+// in the 100–500 ns range, reads in 100–350 ns; the paper's NVDIMMs are
+// DRAM-speed but a flush still pays the clflush round trip). Fences and
+// stores that stay in cache are free in this model.
+const (
+	ModeledLineLatency = 300 * time.Nanosecond // per flushed cache line
+	ModeledReadLatency = 100 * time.Nanosecond // per accounted device read
+)
 
 // Stats is the device traffic accounting. Counters are maintained by the
 // device on every access; callers snapshot them with Device.Stats.
 type Stats struct {
-	Writes         uint64 // store operations
-	BytesWritten   uint64 // bytes stored
-	Reads          uint64 // load operations
-	BytesRead      uint64 // bytes loaded
-	Flushes        uint64 // Flush calls
-	FlushedLines   uint64 // distinct lines written back by Flush calls
-	Fences         uint64 // Fence calls
-	ModeledFlushNS uint64 // Config.WriteLatency × FlushedLines, in nanoseconds
+	Writes       uint64 // store operations
+	BytesWritten uint64 // bytes stored
+	Reads        uint64 // load operations
+	BytesRead    uint64 // bytes loaded
+	Flushes      uint64 // Flush calls
+	FlushedLines uint64 // distinct lines written back by Flush calls
+	Fences       uint64 // Fence calls
 }
 
-// ModeledFlushTime converts the accumulated modelled latency to a Duration.
-func (s Stats) ModeledFlushTime() time.Duration { return time.Duration(s.ModeledFlushNS) }
+// ModeledFlushTime prices the interval's write-backs: flushed lines ×
+// ModeledLineLatency. It is the cost model of paths that persist and
+// barely read (allocation, index publication, reference stores).
+func (s Stats) ModeledFlushTime() time.Duration {
+	return time.Duration(s.FlushedLines) * ModeledLineLatency
+}
+
+// ModeledTime prices reads as well: ModeledFlushTime plus reads ×
+// ModeledReadLatency — the cost model of the read-dominated paths
+// (tracing, recovery).
+func (s Stats) ModeledTime() time.Duration {
+	return s.ModeledFlushTime() + time.Duration(s.Reads)*ModeledReadLatency
+}
 
 // Add returns the sum s + other, counter by counter — used to combine
 // the traffic of disjoint measured intervals (e.g. the two pauses of a
 // concurrent collection).
 func (s Stats) Add(other Stats) Stats {
 	return Stats{
-		Writes:         s.Writes + other.Writes,
-		BytesWritten:   s.BytesWritten + other.BytesWritten,
-		Reads:          s.Reads + other.Reads,
-		BytesRead:      s.BytesRead + other.BytesRead,
-		Flushes:        s.Flushes + other.Flushes,
-		FlushedLines:   s.FlushedLines + other.FlushedLines,
-		Fences:         s.Fences + other.Fences,
-		ModeledFlushNS: s.ModeledFlushNS + other.ModeledFlushNS,
+		Writes:       s.Writes + other.Writes,
+		BytesWritten: s.BytesWritten + other.BytesWritten,
+		Reads:        s.Reads + other.Reads,
+		BytesRead:    s.BytesRead + other.BytesRead,
+		Flushes:      s.Flushes + other.Flushes,
+		FlushedLines: s.FlushedLines + other.FlushedLines,
+		Fences:       s.Fences + other.Fences,
 	}
 }
 
@@ -103,14 +118,13 @@ func (s Stats) Add(other Stats) Stats {
 // way to account a measured interval.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
-		Writes:         s.Writes - prev.Writes,
-		BytesWritten:   s.BytesWritten - prev.BytesWritten,
-		Reads:          s.Reads - prev.Reads,
-		BytesRead:      s.BytesRead - prev.BytesRead,
-		Flushes:        s.Flushes - prev.Flushes,
-		FlushedLines:   s.FlushedLines - prev.FlushedLines,
-		Fences:         s.Fences - prev.Fences,
-		ModeledFlushNS: s.ModeledFlushNS - prev.ModeledFlushNS,
+		Writes:       s.Writes - prev.Writes,
+		BytesWritten: s.BytesWritten - prev.BytesWritten,
+		Reads:        s.Reads - prev.Reads,
+		BytesRead:    s.BytesRead - prev.BytesRead,
+		Flushes:      s.Flushes - prev.Flushes,
+		FlushedLines: s.FlushedLines - prev.FlushedLines,
+		Fences:       s.Fences - prev.Fences,
 	}
 }
 
@@ -118,20 +132,19 @@ func (s Stats) Sub(prev Stats) Stats {
 // counters every ownerless access bumps with an atomic add. Owned
 // accesses count in their view's cell instead (view.go).
 type counters struct {
-	writes, bytesWritten, reads, bytesRead   atomic.Uint64
-	flushes, flushedLines, fences, modeledNS atomic.Uint64
+	writes, bytesWritten, reads, bytesRead atomic.Uint64
+	flushes, flushedLines, fences          atomic.Uint64
 }
 
 func (c *counters) load() Stats {
 	return Stats{
-		Writes:         c.writes.Load(),
-		BytesWritten:   c.bytesWritten.Load(),
-		Reads:          c.reads.Load(),
-		BytesRead:      c.bytesRead.Load(),
-		Flushes:        c.flushes.Load(),
-		FlushedLines:   c.flushedLines.Load(),
-		Fences:         c.fences.Load(),
-		ModeledFlushNS: c.modeledNS.Load(),
+		Writes:       c.writes.Load(),
+		BytesWritten: c.bytesWritten.Load(),
+		Reads:        c.reads.Load(),
+		BytesRead:    c.bytesRead.Load(),
+		Flushes:      c.flushes.Load(),
+		FlushedLines: c.flushedLines.Load(),
+		Fences:       c.fences.Load(),
 	}
 }
 
@@ -144,12 +157,11 @@ func (c *counters) add(s Stats) {
 	c.bytesRead.Add(s.BytesRead)
 	c.flushedLines.Add(s.FlushedLines)
 	c.fences.Add(s.Fences)
-	c.modeledNS.Add(s.ModeledFlushNS)
 }
 
 func (c *counters) reset() {
 	for _, w := range []*atomic.Uint64{&c.writes, &c.bytesWritten, &c.reads, &c.bytesRead,
-		&c.flushes, &c.flushedLines, &c.fences, &c.modeledNS} {
+		&c.flushes, &c.flushedLines, &c.fences} {
 		w.Store(0)
 	}
 }
@@ -169,11 +181,10 @@ type Device struct {
 	mem       []byte
 	persisted []byte   // Tracked only: the power-loss view
 	dirty     []uint64 // Tracked only: bitmap, one bit per line (atomic)
-	latNS     uint64
 
 	// stats is what every ownerless access writes; the pads keep it off
-	// the lines holding the fields every access reads (mem, dirty, latNS,
-	// the hooks), so ownerless traffic does not slow owned accesses down.
+	// the lines holding the fields every access reads (mem, dirty, the
+	// hooks), so ownerless traffic does not slow owned accesses down.
 	_     [8]uint64
 	stats counters
 	_     [8]uint64
@@ -206,10 +217,9 @@ func New(cfg Config) *Device {
 	}
 	size := (cfg.Size + LineSize - 1) / LineSize * LineSize
 	d := &Device{
-		size:  size,
-		mode:  cfg.Mode,
-		mem:   alignedBytes(size),
-		latNS: uint64(cfg.WriteLatency.Nanoseconds()),
+		size: size,
+		mode: cfg.Mode,
+		mem:  alignedBytes(size),
 	}
 	d.unowned.d = d
 	if cfg.Mode == Tracked {
@@ -565,10 +575,8 @@ func (d *Device) flush(c *cell, off, n int) {
 	if !d.noFlush {
 		if c == nil {
 			d.stats.flushedLines.Add(lines)
-			d.stats.modeledNS.Add(lines * d.latNS)
 		} else {
 			bump(&c.flushedLines, lines)
-			bump(&c.modeledNS, lines*d.latNS)
 		}
 		if d.mode == Tracked && !dropped {
 			lo, hi := first*LineSize, (last+1)*LineSize

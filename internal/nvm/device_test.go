@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestRoundTripAccessors(t *testing.T) {
@@ -124,7 +123,7 @@ func TestFlushClearsDirtyBits(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	d := New(Config{Size: 1024, WriteLatency: 100 * time.Nanosecond})
+	d := New(Config{Size: 1024})
 	d.WriteU64(0, 1)
 	d.WriteBytes(64, make([]byte, 128))
 	d.Flush(0, 8) // 1 line
@@ -140,8 +139,11 @@ func TestStatsAccounting(t *testing.T) {
 	if s.Fences != 1 {
 		t.Fatalf("fences = %d", s.Fences)
 	}
-	if s.ModeledFlushTime() != 300*time.Nanosecond {
+	if s.ModeledFlushTime() != 3*ModeledLineLatency {
 		t.Fatalf("modeled flush time = %v", s.ModeledFlushTime())
+	}
+	if got, want := (Stats{Reads: 2, FlushedLines: 3}).ModeledTime(), 3*ModeledLineLatency+2*ModeledReadLatency; got != want {
+		t.Fatalf("modeled time = %v, want %v", got, want)
 	}
 	prev := s
 	d.WriteU64(0, 2)

@@ -70,8 +70,8 @@ type cell struct {
 	writeWords, writeOps, writeBytes atomic.Uint64
 	// flushes tallies the owner's own Flush calls for View.Stats only:
 	// the device-wide count is the shared ordinal, which counted them.
-	flushes                         atomic.Uint64
-	flushedLines, fences, modeledNS atomic.Uint64
+	flushes              atomic.Uint64
+	flushedLines, fences atomic.Uint64
 
 	_ [8]uint64 // cache-line pad
 }
@@ -82,14 +82,13 @@ func bump(w *atomic.Uint64, n uint64) { w.Store(w.Load() + n) }
 func (c *cell) stats() Stats {
 	rw, ww := c.readWords.Load(), c.writeWords.Load()
 	return Stats{
-		Writes:         ww + c.writeOps.Load(),
-		BytesWritten:   8*ww + c.writeBytes.Load(),
-		Reads:          rw + c.readOps.Load(),
-		BytesRead:      8*rw + c.readBytes.Load(),
-		Flushes:        c.flushes.Load(),
-		FlushedLines:   c.flushedLines.Load(),
-		Fences:         c.fences.Load(),
-		ModeledFlushNS: c.modeledNS.Load(),
+		Writes:       ww + c.writeOps.Load(),
+		BytesWritten: 8*ww + c.writeBytes.Load(),
+		Reads:        rw + c.readOps.Load(),
+		BytesRead:    8*rw + c.readBytes.Load(),
+		Flushes:      c.flushes.Load(),
+		FlushedLines: c.flushedLines.Load(),
+		Fences:       c.fences.Load(),
 	}
 }
 
@@ -104,7 +103,7 @@ func (c *cell) unfolded() Stats {
 func (c *cell) reset() {
 	for _, w := range []*atomic.Uint64{&c.readWords, &c.readOps, &c.readBytes,
 		&c.writeWords, &c.writeOps, &c.writeBytes,
-		&c.flushes, &c.flushedLines, &c.fences, &c.modeledNS} {
+		&c.flushes, &c.flushedLines, &c.fences} {
 		w.Store(0)
 	}
 }
@@ -231,8 +230,7 @@ func (v *View) Move(dst, src, n int) { v.d.move(v.c, dst, src, n) }
 // Zero is Device.Zero counted in v.
 func (v *View) Zero(off, n int) { v.d.zero(v.c, off, n) }
 
-// Flush is Device.Flush with the flushed lines and modeled latency
-// counted in v; the flush ordinal handed to the hooks is the device's.
+// Flush is Device.Flush with the flushed lines counted in v; the flush ordinal handed to the hooks is the device's.
 func (v *View) Flush(off, n int) { v.d.flush(v.c, off, n) }
 
 // Fence is Device.Fence counted in v.

@@ -124,13 +124,22 @@ func TestViewAccountingEquivalence(t *testing.T) {
 		{"view", func(d *Device) accessor { return d.NewView() }},
 		{"unowned", func(d *Device) accessor { return d.Unowned() }},
 	}
-	for _, cfg := range []Config{
-		{Size: size, Mode: Direct, WriteLatency: 300},
-		{Size: size, Mode: Tracked, WriteLatency: 300},
-		{Size: size, Mode: Tracked},
-	} {
+	// The third configuration is the no-flush device (§6.4's clflush-less
+	// baseline): flushes are counted but write nothing back, flush no
+	// lines, and so price at nothing — the owned and ownerless paths must
+	// agree on that too. A subtest's name carries the mode and what the
+	// configuration prices the warm-up's one-line flush at, in ns.
+	for _, cfg := range []struct {
+		mode    Mode
+		noFlush bool
+	}{{Direct, false}, {Tracked, false}, {Tracked, true}} {
+		warm := Stats{Writes: 2, BytesWritten: 16, Flushes: 1, FlushedLines: 1}
+		if cfg.noFlush {
+			warm.FlushedLines = 0
+		}
 		observe := func(pick func(d *Device) accessor, run func(a accessor) any) outcome {
-			d := New(cfg)
+			d := New(Config{Size: size, Mode: cfg.mode})
+			d.SetNoFlush(cfg.noFlush)
 			for i := range d.mem {
 				d.mem[i] = 1 // 0x0101…: CAS/hit matches, Or/no-op is a no-op
 			}
@@ -155,15 +164,13 @@ func TestViewAccountingEquivalence(t *testing.T) {
 			o.stats = d.Stats()
 			o.dirty = d.DirtyLines()
 			o.mem = append([]byte(nil), d.mem...)
-			if cfg.Mode == Tracked {
+			if cfg.mode == Tracked {
 				o.flushed = d.CrashImage(CrashFlushedOnly, 0)
 				o.evicted = d.CrashImage(CrashAllDirty, 0)
 			}
 			if v, ok := a.(*View); ok && v.c != nil {
 				// What the view says it did is what the device says
 				// happened beyond the three ownerless warm-up accesses.
-				warm := Stats{Writes: 2, BytesWritten: 16, Flushes: 1, FlushedLines: 1,
-					ModeledFlushNS: uint64(cfg.WriteLatency.Nanoseconds())}
 				if got, want := v.Stats(), o.stats.Sub(warm); got != want {
 					t.Errorf("view's own stats %+v, device delta %+v", got, want)
 				}
@@ -173,7 +180,7 @@ func TestViewAccountingEquivalence(t *testing.T) {
 		for _, op := range ops {
 			want := observe(func(d *Device) accessor { return d }, op.run)
 			for _, path := range paths {
-				t.Run(fmt.Sprintf("mode%d-lat%d/%s/%s", cfg.Mode, cfg.WriteLatency, op.name, path.name), func(t *testing.T) {
+				t.Run(fmt.Sprintf("mode%d-lat%d/%s/%s", cfg.mode, warm.ModeledFlushTime().Nanoseconds(), op.name, path.name), func(t *testing.T) {
 					if d := want.diff(observe(path.pick, op.run)); d != "" {
 						t.Errorf("device vs %s: %s", path.name, d)
 					}
@@ -196,7 +203,7 @@ func TestViewStatsSumIsExact(t *testing.T) {
 		span      = 4096 // bytes per goroutine, disjoint
 		opsEach   = 4000
 	)
-	d := New(Config{Size: (owners + ownerless) * span, Mode: Tracked, WriteLatency: 150})
+	d := New(Config{Size: (owners + ownerless) * span, Mode: Tracked})
 	views := make([]*View, owners)
 	for i := range views {
 		views[i] = d.NewView()
@@ -268,7 +275,6 @@ func TestViewStatsSumIsExact(t *testing.T) {
 						lines := uint64(LineSpan(off, n))
 						mine.Flushes++
 						mine.FlushedLines += lines
-						mine.ModeledFlushNS += 150 * lines
 					case 7:
 						a.Fence()
 						mine.Fences++

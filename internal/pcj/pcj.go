@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"time"
 
 	"espresso/internal/bench"
 	"espresso/internal/nvm"
@@ -63,10 +62,6 @@ type Heap struct {
 type Config struct {
 	Size int
 	Mode nvm.Mode
-	// WriteLatency is the modelled NVM media latency per flushed line; it
-	// is charged to the breakdown phases so device cost, not Go timer
-	// overhead, determines the Figure 6 split.
-	WriteLatency time.Duration
 }
 
 // New creates a PCJ heap.
@@ -74,7 +69,7 @@ func New(cfg Config) *Heap {
 	if cfg.Size == 0 {
 		cfg.Size = 64 << 20
 	}
-	dev := nvm.New(nvm.Config{Size: cfg.Size, Mode: cfg.Mode, WriteLatency: cfg.WriteLatency})
+	dev := nvm.New(nvm.Config{Size: cfg.Size, Mode: cfg.Mode})
 	h := &Heap{dev: dev}
 	h.alloc = newAllocator(dev)
 	var err error
@@ -111,16 +106,17 @@ func (h *Heap) FreeBytes() int { return h.alloc.freeBytes() }
 // phase times a breakdown phase, charging both wall time and the modelled
 // NVM cost of the lines the phase flushed (the paper measures on real
 // NVDIMMs, where the flush traffic *is* the cost; our wall clock alone
-// would mostly measure instrumentation).
+// would mostly measure instrumentation), so device cost, not Go timer
+// overhead, determines the Figure 6 split.
 func (h *Heap) phase(name string) func() {
 	if h.prof == nil {
 		return func() {}
 	}
-	before := h.dev.Stats().ModeledFlushNS
+	before := h.dev.Stats()
 	stop := h.prof.Phase(name)
 	return func() {
 		stop()
-		h.prof.Add(name, time.Duration(h.dev.Stats().ModeledFlushNS-before))
+		h.prof.Add(name, h.dev.Stats().Sub(before).ModeledFlushTime())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"espresso/internal/bench"
 	"espresso/internal/nvm"
@@ -184,7 +183,7 @@ func TestAllocatorSplitAndReuse(t *testing.T) {
 }
 
 func TestProfileRecordsAllPhases(t *testing.T) {
-	h := New(Config{Size: 16 << 20, Mode: nvm.Direct, WriteLatency: 300 * time.Nanosecond})
+	h := New(Config{Size: 16 << 20, Mode: nvm.Direct})
 	prof := bench.NewBreakdown()
 	h.SetProfile(prof)
 	for i := 0; i < 1000; i++ {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
@@ -117,9 +116,8 @@ type Config struct {
 	// can be post-mortemed regardless of how the writing process was
 	// configured.
 	BlackboxSize int
-	// Mode and WriteLatency configure the backing nvm.Device.
-	Mode         nvm.Mode
-	WriteLatency time.Duration
+	// Mode configures the backing nvm.Device.
+	Mode nvm.Mode
 }
 
 func (c *Config) fillDefaults() {
@@ -329,7 +327,7 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 	}
 	total := geo.layOut()
 
-	dev := nvm.New(nvm.Config{Size: total, Mode: cfg.Mode, WriteLatency: cfg.WriteLatency})
+	dev := nvm.New(nvm.Config{Size: total, Mode: cfg.Mode})
 	h := &Heap{
 		dev: dev, reg: reg, name: cfg.Name, base: cfg.AddressHint, geo: geo,
 		regionTops: make([]atomic.Int64, regions),

@@ -52,9 +52,8 @@ type Provider struct {
 	// DBPersistable images in before shipping them with one bulk write.
 	stage []byte
 
-	// Dedup and FieldTracking gate the §5 optimizations; both default on.
-	// The ablation benchmark switches them off individually.
-	Dedup         bool
+	// FieldTracking gates §5's field-level dirty tracking; default on. The
+	// ablation test switches it off.
 	FieldTracking bool
 }
 
@@ -72,7 +71,7 @@ type dbSchema struct {
 // the DBPersistable objects) and a backend database.
 func NewProvider(rt *core.Runtime, db *h2.DB) *Provider {
 	return &Provider{rt: rt, db: db, klasses: map[*jpa.EntityDef]*dbSchema{},
-		Dedup: true, FieldTracking: true}
+		FieldTracking: true}
 }
 
 // mutator returns the provider's mutator, attaching it on first use.
@@ -280,11 +279,7 @@ func (p *Provider) Commit() error {
 		s.e.SM.Dirty = 0
 		s.e.SM.New = false
 		s.e.SM.Shadow = nil
-		if p.Dedup {
-			attachReadThrough(p.m, s.e, p.klasses[s.e.Def].fields, s.ref)
-		} else {
-			s.e.SM.ReadThrough = nil
-		}
+		attachReadThrough(p.m, s.e, p.klasses[s.e.Def].fields, s.ref)
 	}
 	p.ctx = p.ctx[:0]
 	p.inTx = false

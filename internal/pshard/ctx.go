@@ -22,8 +22,8 @@ import (
 // a waiting collector pause.
 //
 // On a degraded set, operations routed to a quarantined shard fail
-// with an error matching ErrShardQuarantined (Put, PutRef, Lookup,
-// Remove) or report absence (Get, GetRef, Delete — their signatures
+// with an error matching ErrShardQuarantined (Put, Lookup,
+// Remove) or report absence (Get, Delete — their signatures
 // cannot carry the distinction; use the erroring variants when it
 // matters). A shard that reopens behind a ctx is picked up
 // transparently: the ctx notices the new instance and re-attaches.
@@ -132,33 +132,6 @@ func (c *Ctx) Remove(key int64) (bool, error) {
 	}
 	defer c.slots[i].Unpin()
 	return sub.Delete(key), nil
-}
-
-// GetRef looks up the raw reference mapped to key. A quarantined shard
-// reads as absent.
-func (c *Ctx) GetRef(key int64) (layout.Ref, bool) {
-	i := c.set.mani.ShardOf(key)
-	_, sub, err := c.acquire(i)
-	if err != nil {
-		return layout.NullRef, false
-	}
-	defer c.slots[i].Unpin()
-	return sub.Get(key)
-}
-
-// Do runs fn pinned on key's owning shard (no collection of that shard
-// can start), passing the shard index. References fn obtains are stable
-// for fn's duration only. fn must not call other Ctx or Set operations.
-// Returns without running fn when the owning shard is quarantined; the
-// error matches ErrShardQuarantined.
-func (c *Ctx) Do(key int64, fn func(shard int)) error {
-	i := c.set.mani.ShardOf(key)
-	if _, _, err := c.acquire(i); err != nil {
-		return err
-	}
-	defer c.slots[i].Unpin()
-	fn(i)
-	return nil
 }
 
 // Scan walks every entry of every shard until fn returns false (weakly

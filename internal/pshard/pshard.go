@@ -48,9 +48,8 @@ type Options struct {
 	// Index sizes each shard's pindex (per shard, not per set: a 4-shard
 	// set with InitialBuckets 1024 has 4096 buckets in total).
 	Index pindex.Options
-	// Mode and WriteLatency configure every device the set creates.
-	Mode         nvm.Mode
-	WriteLatency time.Duration
+	// Mode configures every device the set creates.
+	Mode nvm.Mode
 	// Telemetry attaches a telemetry registry to each shard's heap (plus
 	// one set-level registry for whole-set events), making counters,
 	// phase spans, and device attribution observable per shard and — via
@@ -227,11 +226,7 @@ func (s *Set) create() error {
 		ShardDataSize: s.opts.ShardDataSize,
 		Bounds:        EqualBounds(s.opts.Shards),
 	}
-	dev := nvm.New(nvm.Config{
-		Size:         ManifestDeviceSize,
-		Mode:         s.opts.Mode,
-		WriteLatency: s.opts.WriteLatency,
-	})
+	dev := nvm.New(nvm.Config{Size: ManifestDeviceSize, Mode: s.opts.Mode})
 	if err := WriteManifest(dev, mani); err != nil {
 		return err
 	}
@@ -253,11 +248,10 @@ func (s *Set) create() error {
 func (s *Set) createShard(i int) error {
 	name := ShardHeapName(s.base, i)
 	h, err := pheap.Create(klass.NewRegistry(), pheap.Config{
-		Name:         name,
-		AddressHint:  layout.DefaultPJHBase + layout.Ref(i)*shardAddressWindow,
-		DataSize:     s.mani.ShardDataSize,
-		Mode:         s.opts.Mode,
-		WriteLatency: s.opts.WriteLatency,
+		Name:        name,
+		AddressHint: layout.DefaultPJHBase + layout.Ref(i)*shardAddressWindow,
+		DataSize:    s.mani.ShardDataSize,
+		Mode:        s.opts.Mode,
 	})
 	if err != nil {
 		return fmt.Errorf("pshard: creating shard %d: %w", i, err)

@@ -393,7 +393,7 @@ func TestPutDeviceCost(t *testing.T) {
 	}
 	for k := int64(0); k < measured; k++ {
 		d := put(k, -k)
-		box, ok := c.GetRef(k)
+		box, ok := c.subs[0].Get(k) // nothing collects this set, so no pin
 		if !ok {
 			t.Fatalf("key %d lost", k)
 		}

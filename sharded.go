@@ -1,8 +1,6 @@
 package espresso
 
 import (
-	"time"
-
 	"espresso/internal/pgc"
 	"espresso/internal/pindex"
 	"espresso/internal/pshard"
@@ -22,9 +20,6 @@ type ShardedPMapOptions struct {
 	ShardDataSize int
 	// Index sizes each shard's hash index (per shard, not per set).
 	Index PMapOptions
-	// NVMWriteLatency models media write cost per flushed line on the
-	// set's devices.
-	NVMWriteLatency time.Duration
 	// Telemetry gives every shard its own observability registry plus a
 	// set-level one; ShardedPMap.Metrics aggregates them with spans
 	// re-tagged by shard. Independent of Options.Telemetry on the
@@ -83,10 +78,9 @@ func (rt *Runtime) OpenSharded(base string, opts ShardedPMapOptions) (*ShardedPM
 			MaxLoadFactor:  opts.Index.MaxLoadFactor,
 			MaxBuckets:     opts.Index.MaxBuckets,
 		},
-		Mode:         mgr.Mode(),
-		WriteLatency: opts.NVMWriteLatency,
-		Telemetry:    opts.Telemetry,
-		Degraded:     opts.Degraded,
+		Mode:      mgr.Mode(),
+		Telemetry: opts.Telemetry,
+		Degraded:  opts.Degraded,
 	})
 	if err != nil {
 		return nil, err
