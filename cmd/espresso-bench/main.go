@@ -10,6 +10,7 @@
 //	espresso-bench -exp fig18    heap loading time (UG vs zeroing)
 //	espresso-bench -exp gcflush  recoverable-GC flush overhead (§6.4)
 //	espresso-bench -exp fastpath resolved-handle / bulk-I/O / flush-coalescing costs
+//	espresso-bench -exp pjo      Figure 16 path in device ops: JPAB create/update/delete on heap and H2 devices
 //	espresso-bench -exp alloc    PLAB allocation scaling curve
 //	espresso-bench -exp gcpause  STW vs concurrent-marking GC pause times
 //	espresso-bench -exp kv       durable lock-free index (pindex) scaling curve

@@ -11,7 +11,10 @@ import (
 	"testing"
 
 	"espresso"
+	"espresso/internal/h2"
+	"espresso/internal/jpab"
 	"espresso/internal/nvm"
+	"espresso/internal/pjo"
 )
 
 func benchRT(b *testing.B) (*espresso.Runtime, *nvm.Device) {
@@ -355,6 +358,60 @@ func BenchmarkShardedPMapPutParallel(b *testing.B) {
 				}
 			})
 			d := devStats().Sub(s0)
+			b.ReportMetric(float64(d.FlushedLines)/float64(b.N), "devlines/op")
+			b.ReportMetric(float64(d.Fences)/float64(b.N), "devfences/op")
+		})
+	}
+}
+
+// BenchmarkPJOCommit is one PJO transaction over H2 per iteration — the
+// Figure 16 path — on a JPAB Person (three strings and a score): create
+// persists a fresh entity, update changes its score, delete removes it.
+// devlines/op and devfences/op sum the two devices under the provider. By
+// protocol the database's share of a one-row transaction is one log line,
+// the row's distinct dirty lines and the seq line behind three fences
+// (record, data, commit) — update 3–4 / 3, delete 3 / 3, create 5–6 / 3
+// (row, slot and page header are three places) — and the heap's is two
+// flushes and two fences per new object: create 9–10 / 8 for the three
+// strings and the image-initialized DBPersistable, update 1–2 / 1 for the
+// rewritten image, delete nothing.
+func BenchmarkPJOCommit(b *testing.B) {
+	test := jpab.BasicTest()
+	for _, phase := range []string{"create", "update", "delete"} {
+		b.Run(phase, func(b *testing.B) {
+			rt, heap := benchRT(b)
+			db, err := h2.New(64<<20, nvm.Direct)
+			if err != nil {
+				b.Fatal(err)
+			}
+			em := pjo.NewProvider(rt.Runtime, db)
+			if err := em.EnsureSchema(jpab.Person); err != nil {
+				b.Fatal(err)
+			}
+			// update cycles over a resident population; delete needs one
+			// entity per iteration.
+			resident := 1024
+			if phase == "delete" {
+				resident = b.N
+			}
+			if phase != "create" {
+				if err := test.MakeBatch(em, 0, resident); err != nil {
+					b.Fatal(err)
+				}
+			}
+			op := map[string]func(id int64) error{
+				"create": func(id int64) error { return test.MakeBatch(em, id, 1) },
+				"update": func(id int64) error { return test.Touch(em, id%int64(resident)) },
+				"delete": func(id int64) error { return test.Drop(em, id) },
+			}[phase]
+			s0 := heap.Stats().Add(db.Device().Stats())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := op(int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			d := heap.Stats().Add(db.Device().Stats()).Sub(s0)
 			b.ReportMetric(float64(d.FlushedLines)/float64(b.N), "devlines/op")
 			b.ReportMetric(float64(d.Fences)/float64(b.N), "devfences/op")
 		})

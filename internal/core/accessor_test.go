@@ -27,6 +27,7 @@ type surface interface {
 	KlassOf(layout.Ref) (*klass.Klass, error)
 	New(*klass.Klass, int) (layout.Ref, error)
 	PNew(*klass.Klass, int) (layout.Ref, error)
+	PNewImage(*klass.Klass, []byte, []int) (layout.Ref, error)
 	PNewMultiArray(*klass.Klass, []int) (layout.Ref, error)
 	NewString(string, bool) (layout.Ref, error)
 	GetString(layout.Ref) (string, error)
@@ -324,6 +325,20 @@ func surfaceRows() []surfaceRow {
 		{method: "PNew", call: func(s surface, w *surfaceWorld, fx fixture) string {
 			ref, err := s.PNew(w.person, 0)
 			return show(ref, err)
+		}},
+		{method: "PNewImage", call: func(s surface, w *surfaceWorld, fx fixture) string {
+			img := make([]byte, 2*layout.WordSize)
+			if err := s.ReadFieldImage(fx.person, img); err != nil {
+				return show(err)
+			}
+			ref, err := s.PNewImage(w.person, img, []int{w.nameF.Offset()})
+			copied := make([]byte, len(img))
+			if err == nil {
+				err = s.ReadFieldImage(ref, copied)
+			}
+			_, berr := s.PNewImage(w.person, img[:3], nil)
+			_, serr := s.PNewImage(w.person, make([]byte, 3*layout.WordSize), nil)
+			return show(ref, err, string(copied) == string(img), berr, serr)
 		}},
 		{method: "PNewMultiArray", call: func(s surface, w *surfaceWorld, fx fixture) string {
 			ref, err := s.PNewMultiArray(w.person, []int{2, 3})

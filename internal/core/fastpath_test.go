@@ -90,10 +90,10 @@ func TestStringRoundTripDeviceTraffic(t *testing.T) {
 		s := strings.Repeat("x", n)
 
 		// Write: header init is 3 word stores + 1 zeroing store, the
-		// payload is ONE bulk store, and the eager persist is one header
-		// flush + one top flush (top + its same-line checksum) + one
-		// whole-object flush — all constant in op count regardless of
-		// length.
+		// payload is ONE bulk store inside the allocation, and the eager
+		// persist is the allocation's: one flush over header and payload +
+		// one top flush (top + its same-line checksum) — all constant in
+		// op count regardless of length.
 		dev.ResetStats()
 		ref, err := rt.NewString(s, true)
 		if err != nil {
@@ -103,8 +103,11 @@ func TestStringRoundTripDeviceTraffic(t *testing.T) {
 		if st.Writes != 7 {
 			t.Fatalf("len %d: NewString writes = %d (want 7: zero, 3 header words, payload, top, top sum)", n, st.Writes)
 		}
-		if st.Flushes != 3 || st.Fences != 3 {
-			t.Fatalf("len %d: NewString flushes/fences = %d/%d (want 3/3)", n, st.Flushes, st.Fences)
+		if st.Flushes != 2 || st.Fences != 2 {
+			t.Fatalf("len %d: NewString flushes/fences = %d/%d (want 2/2)", n, st.Flushes, st.Fences)
+		}
+		if want := uint64((layout.ArrayHdrBytes+n+nvm.LineSize-1)/nvm.LineSize + 1); st.FlushedLines != want {
+			t.Fatalf("len %d: NewString flushed %d lines (want %d: the object's, once, and the top's)", n, st.FlushedLines, want)
 		}
 
 		// Read: klass word + length word + ONE bulk payload read.

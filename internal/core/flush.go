@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"espresso/internal/klass"
@@ -125,10 +124,7 @@ func (fw *flushState) reset() {
 // addExtent records the extent of an object reached through x, widened to
 // cache-line boundaries.
 func (fw *flushState) addExtent(x *pheap.Allocator, ref layout.Ref, size int) {
-	off := x.Heap().OffOf(ref)
-	lo := off &^ (nvm.LineSize - 1)
-	hi := (off + size + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
-	fw.ranges[x] = append(fw.ranges[x], nvm.Range{Off: lo, N: hi - lo})
+	fw.ranges[x] = append(fw.ranges[x], nvm.LineRange(x.Heap().OffOf(ref), size))
 }
 
 // flushAll merges the accumulated line ranges per context and issues one
@@ -139,28 +135,7 @@ func (fw *flushState) flushAll() {
 		if len(rs) == 0 {
 			continue
 		}
-		sorted := true
-		for i := 1; i < len(rs); i++ {
-			if rs[i].Off < rs[i-1].Off {
-				sorted = false
-				break
-			}
-		}
-		if !sorted {
-			sort.Slice(rs, func(i, j int) bool { return rs[i].Off < rs[j].Off })
-		}
-		merged := rs[:1]
-		for _, r := range rs[1:] {
-			last := &merged[len(merged)-1]
-			if r.Off <= last.Off+last.N {
-				if end := r.Off + r.N; end > last.Off+last.N {
-					last.N = end - last.Off
-				}
-			} else {
-				merged = append(merged, r)
-			}
-		}
-		x.FlushBatch(merged)
+		x.FlushBatch(nvm.MergeRanges(rs))
 		fw.ranges[x] = rs[:0]
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sort"
 
+	"espresso/internal/klass"
 	"espresso/internal/layout"
+	"espresso/internal/pheap"
 )
 
 // Bulk object materialization: the coalesced-device-I/O discipline of
@@ -16,7 +18,8 @@ import (
 // store (and, on the flush side, a line flush) per dirty field. Device
 // cost per entity persist is O(1) in the dirty-field count: it depends
 // only on the schema's reference-column count, never on how many fields
-// a commit touched.
+// a commit touched. A fresh object takes its image inside its allocation
+// (PNewImage), so the image's flush is the allocation's.
 //
 // Reference slots keep the full write barrier and the full access
 // discipline: each goes through pheap's StoreRef on the context the
@@ -52,36 +55,74 @@ func (a *Accessor) ReadFieldImage(ref layout.Ref, dst []byte) error {
 func (a *Accessor) WriteFieldImage(ref layout.Ref, img []byte, refOffs []int) error {
 	a.enter()
 	defer a.exit()
-	rt := a.rt
 	x := a.ctxOf(ref)
 	if x == nil {
 		return fmt.Errorf("core: WriteFieldImage of a non-persistent object %#x", uint64(ref))
 	}
+	sorted, err := a.rt.vetImage("WriteFieldImage", img, refOffs)
+	if err != nil {
+		return err
+	}
+	a.rt.shipImage(x, ref, img, sorted)
+	x.FlushRange(ref, layout.FieldOff(0), len(img))
+	return nil
+}
+
+// PNewImage allocates a persistent instance of k whose field area is img
+// — PNew and WriteFieldImage as one operation: the image ships inside the
+// allocation (the same validation, the same bulk runs and barriered
+// reference stores), so header and fields are persisted by the
+// allocation's one flush and fence, and the object is durable as imaged
+// when it becomes reachable.
+func (a *Accessor) PNewImage(k *klass.Klass, img []byte, refOffs []int) (layout.Ref, error) {
+	a.enter()
+	defer a.exit()
+	if k.IsArray() || layout.FieldOff(0)+len(img) > k.SizeOf(0) {
+		return 0, fmt.Errorf("core: PNewImage of %d bytes does not fit an instance of %s", len(img), k.Name)
+	}
+	sorted, err := a.rt.vetImage("PNewImage", img, refOffs)
+	if err != nil {
+		return 0, err
+	}
+	return a.pnew(k, 0, func(x *pheap.Allocator, ref layout.Ref) { a.rt.shipImage(x, ref, img, sorted) })
+}
+
+// vetImage validates an image and its reference slots before any barrier
+// bookkeeping or byte lands: a failure must leave no recorded delta for a
+// store that never happened, and no partially written image. It returns
+// refOffs in ascending order.
+func (rt *Runtime) vetImage(op string, img []byte, refOffs []int) ([]int, error) {
 	base := layout.FieldOff(0)
 	if len(img)%layout.WordSize != 0 {
-		return fmt.Errorf("core: WriteFieldImage of %d bytes (not word-aligned)", len(img))
+		return nil, fmt.Errorf("core: %s of %d bytes (not word-aligned)", op, len(img))
 	}
-	// Validate every ref slot before any barrier bookkeeping or byte
-	// lands: a failure must leave no recorded delta for a store that
-	// never happened, and no partially written image.
-	sorted := append([]int(nil), refOffs...)
-	sort.Ints(sorted)
+	sorted := refOffs
+	if !sort.IntsAreSorted(sorted) {
+		sorted = append([]int(nil), refOffs...)
+		sort.Ints(sorted)
+	}
 	for i, boff := range sorted {
 		if boff < base || boff+layout.WordSize > base+len(img) || (boff-base)%layout.WordSize != 0 {
-			return fmt.Errorf("core: WriteFieldImage ref slot offset %d outside image", boff)
+			return nil, fmt.Errorf("core: %s ref slot offset %d outside image", op, boff)
 		}
 		if i > 0 && sorted[i-1] == boff {
-			return fmt.Errorf("core: WriteFieldImage duplicate ref slot offset %d", boff)
+			return nil, fmt.Errorf("core: %s duplicate ref slot offset %d", op, boff)
 		}
 		if rt.cfg.Safety == TypeBased {
 			val := layout.Ref(binary.LittleEndian.Uint64(img[boff-base:]))
 			if val != layout.NullRef && rt.vol.Contains(val) {
-				return fmt.Errorf("core: type-based safety forbids storing a volatile reference into NVM")
+				return nil, fmt.Errorf("core: type-based safety forbids storing a volatile reference into NVM")
 			}
 		}
 	}
-	// Ship the image: bulk-write each primitive run, send each reference
-	// slot through the barrier.
+	return sorted, nil
+}
+
+// shipImage stores a vetted image into the object at ref through x:
+// bulk-write each primitive run, send each reference slot through the
+// barrier.
+func (rt *Runtime) shipImage(x *pheap.Allocator, ref layout.Ref, img []byte, sorted []int) {
+	base := layout.FieldOff(0)
 	run := base
 	writeRun := func(upto int) {
 		if upto > run {
@@ -95,6 +136,4 @@ func (a *Accessor) WriteFieldImage(ref layout.Ref, img []byte, refOffs []int) er
 		x.StoreRef(ref, boff, val, val != layout.NullRef && rt.vol.Contains(val))
 	}
 	writeRun(base + len(img))
-	x.FlushRange(ref, base, len(img))
-	return nil
 }

@@ -1,0 +1,102 @@
+package core
+
+import (
+	"encoding/binary"
+	"slices"
+	"testing"
+
+	"espresso/internal/klass"
+	"espresso/internal/layout"
+	"espresso/internal/nvm"
+)
+
+// TestPNewImage: a fresh object's image rides its allocation. The call
+// costs PNew's two flushes and fences and none of its own, the object is
+// durable as imaged the moment the call returns, its reference slots went
+// through the barrier, and a store type-based safety forbids fails before
+// anything is allocated.
+func TestPNewImage(t *testing.T) {
+	rt := newRT(t, Config{PJHDataSize: 1 << 20})
+	h, err := rt.CreateHeap("img", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := personKlass(t, rt)
+	nameF := rt.MustResolveField(k, "name")
+	name, err := rt.NewString("imaged", true) // and the klass records, outside the window
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.PNew(k, 0); err != nil {
+		t.Fatal(err)
+	}
+	image := func(id int64, name layout.Ref) []byte {
+		img := make([]byte, 2*layout.WordSize)
+		binary.LittleEndian.PutUint64(img, uint64(id))
+		binary.LittleEndian.PutUint64(img[nameF.Offset()-layout.FieldOff(0):], uint64(name))
+		return img
+	}
+
+	dev := h.Device()
+	s0 := dev.Stats()
+	ref, err := rt.PNewImage(k, image(42, name), []int{nameF.Offset()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := dev.Stats().Sub(s0); d.Flushes != 2 || d.Fences != 2 {
+		t.Fatalf("PNewImage flushes/fences = %d/%d, want 2/2 (the object, once, then the region top)", d.Flushes, d.Fences)
+	}
+
+	rt2 := newRT(t, Config{})
+	if err := rt2.NameManager().Register("img", nvm.FromImage(dev.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{Mode: nvm.Tracked})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt2.LoadHeap("img"); err != nil {
+		t.Fatal(err)
+	}
+	id, err := rt2.GetLong(ref, "id")
+	if err != nil || id != 42 {
+		t.Fatalf("after power loss: id = %d, %v", id, err)
+	}
+	if s, err := rt2.GetString(rt2.GetRefFast(ref, nameF)); err != nil || s != "imaged" {
+		t.Fatalf("after power loss: name = %q, %v", s, err)
+	}
+
+	// A volatile value is legal at this safety level and must reach the
+	// remembered set like any other reference store.
+	vname, err := rt.NewString("volatile", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vref, err := rt.PNewImage(k, image(43, vname), []int{nameF.Offset()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rt.NVMToVolSlots(), []layout.Ref{vref + layout.Ref(nameF.Offset())}; !slices.Equal(got, want) {
+		t.Fatalf("remembered set %#x, want %#x", got, want)
+	}
+
+	strict := newRT(t, Config{PJHDataSize: 1 << 20, Safety: TypeBased})
+	sh, err := strict.CreateHeap("strict", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := klass.MustInstance("Good", nil, klass.Field{Name: "name", Type: layout.FTRef, RefKlass: StringKlassName})
+	good.Persistent = true
+	if _, err := strict.PNew(good, 0); err != nil {
+		t.Fatal(err)
+	}
+	svol, err := strict.NewString("volatile", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := sh.Top()
+	img := make([]byte, layout.WordSize)
+	binary.LittleEndian.PutUint64(img, uint64(svol))
+	if _, err := strict.PNewImage(good, img, []int{layout.FieldOff(0)}); err == nil {
+		t.Fatal("type-based safety let a volatile reference into a fresh image")
+	}
+	if sh.Top() != top {
+		t.Fatalf("the refused PNewImage allocated: top %d → %d", top, sh.Top())
+	}
+}

@@ -335,13 +335,16 @@ func (rt *Runtime) resolve(symbol string, addr layout.Ref) {
 func (a *Accessor) PNew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 	a.enter()
 	defer a.exit()
-	return a.pnew(k, arrayLen)
+	return a.pnew(k, arrayLen, nil)
 }
 
 // pnew is the one allocation body. The class's metadata work — definition,
 // safety check, Klass-segment record, constant-pool resolution — runs on
-// every ownerless allocation and once per class on a mutator.
-func (a *Accessor) pnew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
+// every ownerless allocation and once per class on a mutator. init, when
+// set, runs on the unpublished object and is persisted with its header
+// (pheap's AllocInit): it stores into the object it is handed, through the
+// context it is handed, and nowhere else.
+func (a *Accessor) pnew(k *klass.Klass, arrayLen int, init func(x *pheap.Allocator, ref layout.Ref)) (layout.Ref, error) {
 	rt, h := a.rt, a.h
 	if h == nil {
 		if h = rt.active; h == nil {
@@ -368,12 +371,21 @@ func (a *Accessor) pnew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 			a.prepared[k] = true
 		}
 	}
+	// The allocating context is also the one init stores through.
+	x := a.alloc
+	if x == nil {
+		x = h.Ownerless()
+	}
+	var bound func(layout.Ref)
+	if init != nil {
+		bound = func(ref layout.Ref) { init(x, ref) }
+	}
 	var ref layout.Ref
 	var err error
 	if a.alloc != nil {
-		ref, err = a.alloc.Alloc(k, arrayLen)
+		ref, err = x.AllocInit(k, arrayLen, bound)
 	} else {
-		ref, err = h.Alloc(k, arrayLen)
+		ref, err = h.AllocInit(k, arrayLen, bound)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("core: pnew %s: %w", k.Name, err)
@@ -404,7 +416,7 @@ func (a *Accessor) PNewMultiArray(elem *klass.Klass, dims []int) (layout.Ref, er
 }
 
 func (a *Accessor) pnewMulti(chain []*klass.Klass, dims []int) (layout.Ref, error) {
-	arr, err := a.pnew(chain[0], dims[0])
+	arr, err := a.pnew(chain[0], dims[0], nil)
 	if err != nil {
 		return 0, err
 	}
@@ -448,23 +460,20 @@ func (a *Accessor) NewString(s string, persistent bool) (layout.Ref, error) {
 	a.enter()
 	defer a.exit()
 	sk := a.rt.stringKlass
-	var ref layout.Ref
-	var err error
 	if persistent {
-		ref, err = a.pnew(sk, len(s))
-	} else {
-		ref, err = a.rt.vnew(sk, len(s))
+		// Strings are immutable: persist eagerly like the paper's string
+		// constructor does — the payload lands in the allocation's init, so
+		// header and payload share one flush and one fence.
+		return a.pnew(sk, len(s), func(x *pheap.Allocator, ref layout.Ref) {
+			x.WriteBytesAt(ref, layout.ElemOff(layout.FTByte, 0), []byte(s))
+		})
 	}
+	ref, err := a.rt.vnew(sk, len(s))
 	if err != nil {
 		return 0, err
 	}
 	if len(s) > 0 {
 		a.writeBytes(ref, layout.ElemOff(layout.FTByte, 0), []byte(s))
-	}
-	if persistent {
-		// Strings are immutable: persist eagerly like the paper's string
-		// constructor does.
-		a.ctxOf(ref).FlushRange(ref, 0, sk.SizeOf(len(s)))
 	}
 	return ref, nil
 }

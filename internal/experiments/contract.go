@@ -2,7 +2,7 @@ package experiments
 
 import "io"
 
-// The device-op contract: nine experiments whose rows are committed as
+// The device-op contract: ten experiments whose rows are committed as
 // BENCH_<name>.json at the repository root. Contracts is the one table
 // that pins each experiment's parameters; TestDeviceOpContract runs every
 // entry at them and compares the rows with the committed file, and
@@ -86,6 +86,11 @@ var Contracts = []Contract{
 		Run: func(w io.Writer, p Params) (any, error) {
 			rows, err := Fastpath(p.Scale)
 			return rowsOf(w, "Fast path — resolved handles, bulk I/O, coalesced flushes (per op)", rows, err)
+		}},
+	{Name: "pjo", Pinned: Params{Scale: 1},
+		Run: func(w io.Writer, p Params) (any, error) {
+			rows, err := PJOCommit(p.Scale)
+			return rowsOf(w, "PJO commit — what a JPAB operation costs the heap and the database device (per op)", rows, err)
 		}},
 	{Name: "alloc", Pinned: Params{Scale: 10, Mutators: 8},
 		Run: scalingRun("alloc", "Allocation scaling — one PLAB (region-local allocation buffer) per mutator")},

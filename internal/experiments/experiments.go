@@ -313,19 +313,27 @@ func newJPAStack(scale Scale) (*jpa.Provider, error) {
 	return jpa.NewProvider(db), nil
 }
 
-func newPJOStack(scale Scale) (*pjo.Provider, error) {
+// pjoStack is a PJO provider with the two devices under it: the
+// persistent heap's and the database's.
+type pjoStack struct {
+	em       *pjo.Provider
+	heap, db *nvm.Device
+}
+
+func newPJOStack(scale Scale) (pjoStack, error) {
 	db, err := h2.New(stackSize(scale), nvm.Direct)
 	if err != nil {
-		return nil, err
+		return pjoStack{}, err
 	}
 	rt, err := core.NewRuntime(core.Config{PJHDataSize: stackSize(scale)})
 	if err != nil {
-		return nil, err
+		return pjoStack{}, err
 	}
-	if _, err := rt.CreateHeap("pjo-bench", 0); err != nil {
-		return nil, err
+	h, err := rt.CreateHeap("pjo-bench", 0)
+	if err != nil {
+		return pjoStack{}, err
 	}
-	return pjo.NewProvider(rt, db), nil
+	return pjoStack{em: pjo.NewProvider(rt, db), heap: h.Device(), db: db.Device()}, nil
 }
 
 // runBest runs a JPAB test several times on the same stack and keeps the
@@ -371,7 +379,7 @@ func Fig16(scale Scale) ([]Fig16Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rPJO, err := runBest(mk, pj, n, attempts)
+		rPJO, err := runBest(mk, pj.em, n, attempts)
 		if err != nil {
 			return nil, fmt.Errorf("fig16 %s PJO: %w", mk.Name, err)
 		}
@@ -404,11 +412,11 @@ func Fig17(w io.Writer, scale Scale) error {
 			}
 			em, setProf = p, p.SetProfile
 		} else {
-			p, err := newPJOStack(scale)
+			s, err := newPJOStack(scale)
 			if err != nil {
 				return err
 			}
-			em, setProf = p, p.SetProfile
+			em, setProf = s.em, s.em.SetProfile
 		}
 		test := jpab.BasicTest()
 		for _, def := range test.Defs {

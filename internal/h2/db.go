@@ -44,11 +44,9 @@ type DB struct {
 	mu      sync.Mutex
 	dev     *nvm.Device
 	store   *store
-	undo    undoLog
 	tables  map[string]*Table
 	byID    map[uint16]*Table
 	nextTID uint16
-	inTx    bool
 }
 
 // Open attaches to (or formats) a database on dev, rolling back any
@@ -58,13 +56,9 @@ func Open(dev *nvm.Device) (*DB, error) {
 	db := &DB{
 		dev:     dev,
 		store:   newStore(dev),
-		undo:    undoLog{dev},
 		tables:  make(map[string]*Table),
 		byID:    make(map[uint16]*Table),
 		nextTID: 1,
-	}
-	if db.undo.pending() {
-		db.undo.rollback()
 	}
 	// Pass 1: catalog records (table id 0).
 	err := db.store.forEach(func(id rowID, rec []byte) error {
@@ -187,9 +181,8 @@ func (db *DB) createTable(name string, cols []sql.ColumnDef, mode StorageMode) (
 	}
 	t := &Table{ID: db.nextTID, Name: name, Columns: cols, PKIdx: pk, Mode: mode, index: NewBTree()}
 	db.nextTID++
-	rec := append(make([]byte, 2), encodeCatalogRow(t)...)
-	// table id 0 tag is already the zero prefix
-	if _, err := db.store.insert(rec); err != nil {
+	// Catalog rows carry table id 0.
+	if _, err := db.store.insert(encodeRecord(0, encodeCatalogRow(t))); err != nil {
 		return nil, err
 	}
 	db.tables[name] = t
@@ -198,31 +191,37 @@ func (db *DB) createTable(name string, cols []sql.ColumnDef, mode StorageMode) (
 }
 
 // CreateRefTable creates a ModeRefs table for the PJO fast path: the
-// schema is (id BIGINT PRIMARY KEY, obj REF, dirty BIGINT).
+// schema is (id BIGINT PRIMARY KEY, obj REF, dirty BIGINT). Auto-commits.
 func (db *DB) CreateRefTable(name string) (*Table, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.createTable(name, []sql.ColumnDef{
+	tx := db.Begin()
+	t, err := db.createTable(name, []sql.ColumnDef{
 		{Name: "id", Type: sql.ColBigint, PrimaryKey: true},
 		{Name: "obj", Type: sql.ColBigint},
 		{Name: "dirty", Type: sql.ColBigint},
 	}, ModeRefs)
+	if err != nil {
+		tx.Rollback()
+		return nil, err
+	}
+	tx.Commit()
+	return t, nil
 }
 
 // --- Row mutations (shared by SQL execution and the fast path) ---
+
+// encodeRecord prefixes a serialized row with the id of its table.
+func encodeRecord(tid uint16, row []byte) []byte {
+	rec := make([]byte, 2, 2+len(row))
+	binary.LittleEndian.PutUint16(rec, tid)
+	return append(rec, row...)
+}
 
 func (db *DB) insertRow(t *Table, vals []Value) error {
 	pk := vals[t.PKIdx].I
 	if _, dup := t.index.Get(pk); dup {
 		return fmt.Errorf("h2: duplicate primary key %d in %s", pk, t.Name)
 	}
-	rec := make([]byte, 2)
-	binary.LittleEndian.PutUint16(rec, t.ID)
-	rec = append(rec, encodeRow(vals)...)
-	// Undo rule: before-image of the page region the insert will touch is
-	// the page header + slot dir; recording the header range suffices to
-	// logically erase the row on rollback.
-	id, err := db.insertLogged(rec)
+	id, err := db.store.insert(encodeRecord(t.ID, encodeRow(vals)))
 	if err != nil {
 		return err
 	}
@@ -230,43 +229,14 @@ func (db *DB) insertRow(t *Table, vals []Value) error {
 	return nil
 }
 
-func (db *DB) insertLogged(rec []byte) (rowID, error) {
-	// Find the page the insert will land on to log its header state.
-	p := db.store.fillPage
-	for ; p < db.store.pageCount; p++ {
-		nslots := db.store.slotCount(p)
-		free := db.store.freeOff(p)
-		if free+len(rec) <= pageSize-(nslots+1)*slotDirSize {
-			break
-		}
-	}
-	if p >= db.store.pageCount {
-		return 0, fmt.Errorf("h2: out of database pages")
-	}
-	off := db.store.pageOff(p)
-	if err := db.undo.record(off, pageHdrBytes); err != nil {
-		return 0, err
-	}
-	nslots := db.store.slotCount(p)
-	dirBase := off + pageSize - (nslots+1)*slotDirSize
-	if err := db.undo.record(dirBase, slotDirSize); err != nil {
-		return 0, err
-	}
-	return db.store.insert(rec)
-}
-
 func (db *DB) deleteRow(t *Table, pk int64) (bool, error) {
 	idU, ok := t.index.Get(pk)
 	if !ok {
 		return false, nil
 	}
-	id := rowID(idU)
-	p, slot := id.page(), id.slot()
-	dirBase := db.store.pageOff(p) + pageSize - (slot+1)*slotDirSize
-	if err := db.undo.record(dirBase, slotDirSize); err != nil {
+	if err := db.store.delete(rowID(idU)); err != nil {
 		return false, err
 	}
-	db.store.delete(id)
 	t.index.Delete(pk)
 	return true, nil
 }
@@ -290,11 +260,20 @@ func (db *DB) updateRow(t *Table, pk int64, apply func(vals []Value) error) (boo
 	if vals[t.PKIdx].I != pk {
 		return false, fmt.Errorf("h2: updating the primary key is not supported")
 	}
-	// Delete + reinsert (rows are variable length).
-	if _, err := db.deleteRow(t, pk); err != nil {
-		return false, err
+	return true, db.replaceRow(t, pk, rowID(idU), vals)
+}
+
+// replaceRow stores vals over the row of pk at id. The row moves, and the
+// index follows it, only when its encoding changes length.
+func (db *DB) replaceRow(t *Table, pk int64, id rowID, vals []Value) error {
+	moved, err := db.store.update(id, encodeRecord(t.ID, encodeRow(vals)))
+	if err != nil {
+		return err
 	}
-	return true, db.insertRow(t, vals)
+	if moved != id {
+		t.index.Put(pk, uint64(moved))
+	}
+	return nil
 }
 
 func (db *DB) getRow(t *Table, pk int64) ([]Value, bool, error) {
@@ -314,34 +293,39 @@ func (db *DB) getRow(t *Table, pk int64) ([]Value, bool, error) {
 
 // Tx is an open transaction. The database serializes transactions under
 // one lock, as the paper's single-node H2 deployment effectively does.
+// The first Commit or Rollback ends it; any later one does nothing.
 type Tx struct {
 	db   *DB
 	done bool
 }
 
-// Begin opens a transaction.
+// Begin opens a transaction. It costs the device nothing until the
+// transaction first stores.
 func (db *DB) Begin() *Tx {
 	db.mu.Lock()
-	db.inTx = true
-	db.undo.begin()
 	return &Tx{db: db}
 }
 
 // Commit makes the transaction durable.
 func (tx *Tx) Commit() {
-	tx.db.undo.commit()
-	tx.db.inTx = false
+	if tx.done {
+		return
+	}
 	tx.done = true
+	tx.db.store.commit()
 	tx.db.mu.Unlock()
 }
 
 // Rollback undoes the transaction.
 func (tx *Tx) Rollback() {
-	tx.db.undo.rollback()
-	// Indexes may now disagree with the pages; rebuild them.
-	tx.db.rebuildIndexes()
-	tx.db.inTx = false
+	if tx.done {
+		return
+	}
 	tx.done = true
+	if tx.db.store.rollback() {
+		// Indexes may now disagree with the pages; rebuild them.
+		tx.db.rebuildIndexes()
+	}
 	tx.db.mu.Unlock()
 }
 

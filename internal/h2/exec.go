@@ -322,13 +322,10 @@ func (db *DB) persistRefLocked(table string, pk int64, ref uint64, dirty uint64)
 	if t.Mode != ModeRefs {
 		return fmt.Errorf("h2: table %s does not store object references", table)
 	}
+	// The whole row is given: an existing one is replaced unread.
 	vals := []Value{IntV(pk), RefV(ref), IntV(int64(dirty))}
-	if _, exists := t.index.Get(pk); exists {
-		_, err := db.updateRow(t, pk, func(old []Value) error {
-			copy(old, vals)
-			return nil
-		})
-		return err
+	if id, exists := t.index.Get(pk); exists {
+		return db.replaceRow(t, pk, rowID(id), vals)
 	}
 	return db.insertRow(t, vals)
 }

@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -606,6 +607,39 @@ func (d *Device) Flush(off, n int) { d.flush(nil, off, n) }
 // Range is a byte range [Off, Off+N) of the device, the unit of a
 // coalesced flush (pheap.Access.FlushBatch).
 type Range struct{ Off, N int }
+
+// LineRange widens [off, off+n) to cache-line boundaries: the lines a
+// flush of it writes back.
+func LineRange(off, n int) Range {
+	lo := off &^ (LineSize - 1)
+	hi := (off + n + LineSize - 1) &^ (LineSize - 1)
+	return Range{Off: lo, N: hi - lo}
+}
+
+// MergeRanges sorts rs by offset and collapses overlapping and adjacent
+// ranges, in place: flushing the result writes each covered line back
+// once, provided the ranges went in line-aligned (LineRange). It is the
+// write-combining step of every deferred-flush path — core's transitive
+// and batch flushes, h2's commit.
+func MergeRanges(rs []Range) []Range {
+	if len(rs) < 2 {
+		return rs
+	}
+	byOff := func(a, b Range) int { return a.Off - b.Off }
+	if !slices.IsSortedFunc(rs, byOff) {
+		slices.SortFunc(rs, byOff)
+	}
+	merged := rs[:1]
+	for _, r := range rs[1:] {
+		last := &merged[len(merged)-1]
+		if r.Off > last.Off+last.N {
+			merged = append(merged, r)
+		} else if end := r.Off + r.N; end > last.Off+last.N {
+			last.N = end - last.Off
+		}
+	}
+	return merged
+}
 
 func (d *Device) fence(c *cell) {
 	if c == nil {

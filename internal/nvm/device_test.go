@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -295,6 +296,25 @@ func TestConcurrentDisjointLineTraffic(t *testing.T) {
 			if got := d.ReadU64((g*perG + i) * LineSize); got != uint64(g)<<32|uint64(i) {
 				t.Fatalf("word %d/%d = %#x", g, i, got)
 			}
+		}
+	}
+}
+
+// TestMergeRanges: line-widened ranges, handed in any order, come out
+// sorted with every overlap and adjacency collapsed — each line once.
+func TestMergeRanges(t *testing.T) {
+	if got, want := LineRange(70, 60), (Range{Off: 64, N: 128}); got != want {
+		t.Fatalf("LineRange(70, 60) = %+v, want %+v", got, want)
+	}
+	for _, tc := range []struct{ in, want []Range }{
+		{nil, nil},
+		{[]Range{{64, 64}}, []Range{{64, 64}}},
+		{[]Range{{256, 64}, {0, 64}, {64, 64}, {0, 128}, {512, 64}, {192, 128}}, []Range{{0, 128}, {192, 128}, {512, 64}}},
+		{[]Range{{0, 64}, {128, 64}}, []Range{{0, 64}, {128, 64}}},
+		{[]Range{{0, 256}, {64, 64}}, []Range{{0, 256}}},
+	} {
+		if got := MergeRanges(slices.Clone(tc.in)); !slices.Equal(got, tc.want) {
+			t.Errorf("MergeRanges(%v) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }

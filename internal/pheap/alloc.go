@@ -139,6 +139,11 @@ type Allocator struct {
 	kaddrs map[*klass.Klass]layout.Ref
 
 	stats AllocatorStats
+	// placing is set while an allocation call runs: the call's account
+	// charges everything the view counted meanwhile to the allocation, a
+	// barriered store in an init callback included, so the barrier does
+	// not charge that store a second time.
+	placing bool
 
 	// cell is this mutator's telemetry counter block (nil when the heap
 	// has no registry). Allocation counts are tallied here on the paths
@@ -215,7 +220,9 @@ func (a *Allocator) AllocInit(k *klass.Klass, arrayLen int, init func(layout.Ref
 		return 0, err
 	}
 	before := a.Ops()
+	a.placing = true
 	ref, err := a.place(o, init)
+	a.placing = false
 	a.account(before)
 	return ref, err
 }
@@ -240,7 +247,9 @@ func (a *Allocator) AllocInit2(k1, k2 *klass.Klass, init1 func(a layout.Ref), in
 		return 0, 0, err
 	}
 	before := a.Ops()
+	a.placing = true
 	r1, r2, err := a.place2(o1, o2, init1, init2)
+	a.placing = false
 	a.account(before)
 	return r1, r2, err
 }
@@ -517,9 +526,15 @@ func (a *Allocator) klassAddr(k *klass.Klass) (layout.Ref, error) {
 // concurrent use (serialized on a lock). Scalable callers attach their
 // own Allocator via NewAllocator instead.
 func (h *Heap) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
+	return h.AllocInit(k, arrayLen, nil)
+}
+
+// AllocInit is Allocator.AllocInit through the ownerless allocator, under
+// the same lock as Alloc; init stores through Heap.Ownerless.
+func (h *Heap) AllocInit(k *klass.Klass, arrayLen int, init func(layout.Ref)) (layout.Ref, error) {
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
-	return h.ownerless.Alloc(k, arrayLen)
+	return h.ownerless.AllocInit(k, arrayLen, init)
 }
 
 // dataLimit is one past the last allocatable byte (the scratch region is

@@ -381,6 +381,22 @@ func TestAllocAccountIsExact(t *testing.T) {
 	}
 	step("humongous", f.a, func() error { _, err := f.newBig(); return err })
 
+	// A barriered reference store inside init (core's PNewImage) is a
+	// reference store — counted — whose device ops are the allocation's:
+	// charged once, to dev.alloc.*, like the rest of the init.
+	refstore := func() [2]uint64 {
+		c := tel.Snapshot().Counters
+		return [2]uint64{c["refstore.stores"], c[telemetry.DevCounter(nvm.SubRefstore, 1).Name()]}
+	}
+	r0 := refstore()
+	step("AllocInit with a barriered store", f.a, func() error {
+		_, err := f.a.AllocInit(f.rec, 0, func(r layout.Ref) { f.a.StoreRef(r, layout.FieldOff(0), 0, false) })
+		return err
+	})
+	if r := refstore(); r != [2]uint64{r0[0] + 1, r0[1]} {
+		t.Fatalf("barriered store inside init: refstore.stores / dev.refstore.writes went %v → %v, want +1 / +0", r0, r)
+	}
+
 	// Hole paths on a second fixture-style PLAB of the same heap.
 	f.digHole(t, 192, 384)
 	step("hole Alloc", f.a, func() error { _, err := f.a.Alloc(f.box, 0); return err })

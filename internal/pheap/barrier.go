@@ -163,7 +163,9 @@ func (a *Allocator) storeRef(obj layout.Ref, boff int, val layout.Ref, volatile 
 	if c := a.cell; c != nil {
 		c.Inc(telemetry.CtrRefStores)
 		c.Add(telemetry.CtrSATBRecords, armed)
-		c.Dev(nvm.SubRefstore, reads, 1, 0, 0)
+		if !a.placing { // inside an allocation the device ops are the allocation's
+			c.Dev(nvm.SubRefstore, reads, 1, 0, 0)
+		}
 	} else if sc := h.tel.Shared(); sc != nil {
 		// No cell of its own: the ownerless context, counted in the
 		// registry's shared cell so the op mix stays complete.

@@ -246,10 +246,10 @@ func (p *Provider) Commit() error {
 		}
 		ships = append(ships, shipment{e, ref, dirty})
 	}
-	// Each shipment is already durable: materialize ships the image with
-	// one bulk write and one FlushRange (string payloads persist eagerly
-	// in NewString), so every reference the backend is about to learn
-	// points at persisted data — no second flush pass over the shipment.
+	// Each shipment is already durable: materialize persists the image as
+	// it ships it (string payloads persist eagerly in NewString), so every
+	// reference the backend is about to learn points at persisted data —
+	// no second flush pass over the shipment.
 	stopT()
 
 	// Database: one backend transaction covering the whole commit.
@@ -290,9 +290,11 @@ func (p *Provider) Commit() error {
 // bulk image encoder: the whole field area is assembled in a reusable
 // DRAM staging buffer — for updates, seeded by one bulk device read of
 // the existing image, so clean columns (including string references)
-// survive untouched — and lands through the mutator's WriteFieldImage: bulk
-// writes for the primitive runs, one barriered atomic store per string
-// column, one FlushRange. Device cost per entity persist is O(1)
+// survive untouched — and lands through the mutator: bulk writes for the
+// primitive runs, one barriered atomic store per string column. An update
+// goes over the existing object (WriteFieldImage, one FlushRange); a
+// fresh entity's image ships inside its allocation (PNewImage), whose one
+// flush covers header and fields. Device cost per entity persist is O(1)
 // regardless of how many fields are dirty (it depends only on the
 // schema's column shape); only new string payloads add their own
 // (bulk, one-write) allocations.
@@ -303,19 +305,11 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 	}
 	s := p.klasses[e.Def]
 	fields := e.Def.AllFields()
-	var ref layout.Ref
+	ref := layout.Ref(e.SM.PJORef)
+	fresh := ref == layout.NullRef
 	dirty := e.SM.Dirty
-	fresh := e.SM.PJORef == 0
-	if !fresh {
-		ref = layout.Ref(e.SM.PJORef)
-	} else {
-		if ref, err = m.PNew(s.k, 0); err != nil {
-			return 0, 0, err
-		}
+	if fresh || !p.FieldTracking {
 		dirty = ^uint64(0) >> (64 - uint(len(fields))) // all fields
-	}
-	if !p.FieldTracking {
-		dirty = ^uint64(0) >> (64 - uint(len(fields)))
 	}
 	size := len(fields) * layout.WordSize
 	if cap(p.stage) < size {
@@ -353,7 +347,12 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		}
 		binary.LittleEndian.PutUint64(img[s.fields[i].Offset()-base:], bits)
 	}
-	if err := m.WriteFieldImage(ref, img, s.refOffs); err != nil {
+	if fresh {
+		ref, err = m.PNewImage(s.k, img, s.refOffs)
+	} else {
+		err = m.WriteFieldImage(ref, img, s.refOffs)
+	}
+	if err != nil {
 		return 0, 0, err
 	}
 	return ref, dirty, nil
