@@ -4,7 +4,9 @@
 //	heaptool -heap /path/img.pjh verify    parse the whole heap
 //	heaptool -heap /path/img.pjh gc        run (or resume) a collection
 //	heaptool -heap /path/img.pjh inspect   GC-phase word, format version,
-//	                                       per-region top table
+//	                                       per-region top table: persisted
+//	                                       top, parsed frontier, bytes
+//	                                       validated above the top
 //	heaptool -heap /path/img.pjh postmortem   decode the flight-recorder
 //	                                       journal from a (possibly
 //	                                       crashed) image: event timeline,
@@ -17,7 +19,8 @@
 //	heaptool -heap /path/img.pjh scrub     read-only integrity walk:
 //	                                       verify metadata checksums
 //	                                       (GC-phase word, redo batch,
-//	                                       region-top table, manifest)
+//	                                       region-top table, global
+//	                                       timestamp, manifest)
 //	                                       without repairing anything
 //
 // Pointing any command at a shard-set manifest (<base>-manifest.pjh)
@@ -312,6 +315,13 @@ func run(args []string) int {
 		}
 		fmt.Printf("region top table (%d data regions of %d KB, stride %d B):\n",
 			g.DataRegions(), layout.RegionSize>>10, layout.RegionTopStride)
+		// A persisted top is a lower bound (the bump path does not write
+		// it): what this load found above each half-open region's, before
+		// it sealed the region.
+		recovered := map[int]pheap.RecoveredRegion{}
+		for _, rr := range h.RecoveredRegions() {
+			recovered[rr.Region] = rr
+		}
 		for r := 0; r < g.DataRegions(); r++ {
 			start := g.DataOff + r*layout.RegionSize
 			end := start + layout.RegionSize
@@ -320,7 +330,13 @@ func run(args []string) int {
 			if liveByRegion[r] > 0 {
 				live = fmt.Sprintf(", ~%d live bytes marked", liveByRegion[r])
 			}
+			rr, open := recovered[r]
 			switch {
+			case open && rr.Frontier == start:
+				fmt.Printf("  region %3d  opened, empty (persisted top +%d)%s\n", r, rr.Top, live)
+			case open:
+				fmt.Printf("  region %3d  half-open: persisted top +%d, parsed frontier +%d, %d bytes validated above top; sealed by this load (%d/%d bytes used)%s\n",
+					r, rr.Top, rr.Frontier, rr.Frontier-rr.Top, rr.Frontier-start, layout.RegionSize, live)
 			case top == 0:
 				fmt.Printf("  region %3d  untouched%s\n", r, live)
 			case !pheap.IsRealTop(top):

@@ -24,6 +24,7 @@ func TestScrubExitCodes(t *testing.T) {
 		{"manifest-golden", 0},
 		{"shard-gcphase-bitflip", exitCorrupt},
 		{"shard-regiontop-bitflip", exitCorrupt},
+		{"shard-timestamp-bitflip", exitCorrupt},
 		{"shard-redo-torn", exitCorrupt},
 		{"manifest-bitflip", exitCorrupt},
 		{"shard-badmagic", exitUnreadable},
@@ -31,6 +32,14 @@ func TestScrubExitCodes(t *testing.T) {
 		if got := run([]string{"-heap", filepath.Join(dir, tc.image+".pjh"), "scrub"}); got != tc.want {
 			t.Errorf("heaptool scrub %s: exit %d, want %d", tc.image, got, tc.want)
 		}
+	}
+	// The golden shard was never closed: its open regions' tops trail, and
+	// inspect reports what the load parsed above them.
+	if got := run([]string{"-heap", filepath.Join(dir, "shard-golden.pjh"), "inspect"}); got != 0 {
+		t.Errorf("heaptool inspect shard-golden: exit %d, want 0", got)
+	}
+	if got := run([]string{"-heap", filepath.Join(dir, "shard-timestamp-bitflip.pjh"), "inspect"}); got != exitCorrupt {
+		t.Errorf("heaptool inspect of a flipped timestamp: exit %d, want %d", got, exitCorrupt)
 	}
 	if got := run([]string{"-heap", filepath.Join(dir, "no-such-image.pjh"), "scrub"}); got != exitErr {
 		t.Errorf("heaptool scrub of a missing file: exit %d, want %d", got, exitErr)

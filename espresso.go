@@ -277,10 +277,13 @@ func (rt *Runtime) TelemetryAddr() string {
 	return rt.telHTTP.Addr()
 }
 
-// Close shuts the runtime's exporter listener down (a no-op without
-// TelemetryAddr). Heap images need no teardown — durability is
-// per-operation — so this is the runtime's only lifecycle call.
+// Close makes every loaded heap's region tops exact (core.Runtime.Close)
+// and shuts the runtime's exporter listener down (a no-op without
+// TelemetryAddr). Heap images do not depend on it — durability is
+// per-operation, and a load recovers what an unclosed image's tops trail
+// — so this is the runtime's only lifecycle call.
 func (rt *Runtime) Close() error {
+	rt.Runtime.Close()
 	if rt.telHTTP == nil {
 		return nil
 	}

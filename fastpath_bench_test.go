@@ -304,7 +304,7 @@ func BenchmarkPMapGetParallel(b *testing.B) {
 // the facade: a put of a key not yet present (box and node one allocation
 // run) and an update of a resident key (the box alone), every goroutine
 // on keys of its own. devlines/op and devfences/op are what the put
-// protocol costs the device — 4 / 3 and 3 / 3 plus the odd late sentinel
+// protocol costs the device — 3 / 2 and 2 / 2 plus the odd late sentinel
 // splice, PLAB refill and straddling box. ns/op at -cpu 2 against -cpu 1
 // shows what the facade's ctx-pool mutex costs two clients.
 func BenchmarkShardedPMapPutParallel(b *testing.B) {
@@ -371,10 +371,10 @@ func BenchmarkShardedPMapPutParallel(b *testing.B) {
 // protocol the database's share of a one-row transaction is one log line,
 // the row's distinct dirty lines and the seq line behind three fences
 // (record, data, commit) — update 3–4 / 3, delete 3 / 3, create 5–6 / 3
-// (row, slot and page header are three places) — and the heap's is two
-// flushes and two fences per new object: create 9–10 / 8 for the three
-// strings and the image-initialized DBPersistable, update 1–2 / 1 for the
-// rewritten image, delete nothing.
+// (row, slot and page header are three places) — and the heap's is one
+// flush and one fence per allocation: create ~3 / 1 for the one run of
+// three strings and the image-initialized DBPersistable, update 1–2 / 1
+// for the rewritten image, delete nothing.
 func BenchmarkPJOCommit(b *testing.B) {
 	test := jpab.BasicTest()
 	for _, phase := range []string{"create", "update", "delete"} {

@@ -27,7 +27,7 @@ type surface interface {
 	KlassOf(layout.Ref) (*klass.Klass, error)
 	New(*klass.Klass, int) (layout.Ref, error)
 	PNew(*klass.Klass, int) (layout.Ref, error)
-	PNewImage(*klass.Klass, []byte, []int) (layout.Ref, error)
+	PNewImage(*klass.Klass, []byte, []int, ...ImageString) (layout.Ref, error)
 	PNewMultiArray(*klass.Klass, []int) (layout.Ref, error)
 	NewString(string, bool) (layout.Ref, error)
 	GetString(layout.Ref) (string, error)
@@ -115,7 +115,7 @@ func TestAccessorSurfaceParity(t *testing.T) {
 		"Mutator": {"AllocStats", "Do", "Heap", "Release"},
 		"Runtime": {
 			// heap management (Table 1) and housekeeping
-			"ActiveHeap", "CreateHeap", "ExistsHeap", "Heaps", "LoadHeap", "SetActiveHeap", "SyncHeap",
+			"ActiveHeap", "Close", "CreateHeap", "ExistsHeap", "Heaps", "LoadHeap", "SetActiveHeap", "SyncHeap",
 			"NameManager", "StringKlass", "Volatile", "InPersistent", "InVolatile",
 			// collectors
 			"FullGC", "MinorGC", "PersistentGC", "PersistentGCConcurrent", "PersistentGCConcurrentWorkers",

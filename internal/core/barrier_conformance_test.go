@@ -322,9 +322,11 @@ func barrierRows() []barrierRow {
 			}},
 		// The first put into bucket 1 of a fresh index installs the bucket's
 		// sentinel in the bucket array over null: nothing to record, the
-		// array's card is dirtied.
+		// array's card is dirtied. (Sentinel and node are the ctx's first
+		// allocations: one persist each, and the opened mark of the region
+		// they dispense.)
 		barrierRow{name: "pindex bucket-array install", kinds: []valKind{toNVM, toNull},
-			dev: [2]devOps{{16, 23, 8, 7}, {16, 23, 8, 7}},
+			dev: [2]devOps{{16, 21, 7, 5}, {16, 21, 7, 5}},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				c := indexSite(w)
 				key := int64(1)

@@ -91,23 +91,22 @@ func TestStringRoundTripDeviceTraffic(t *testing.T) {
 
 		// Write: header init is 3 word stores + 1 zeroing store, the
 		// payload is ONE bulk store inside the allocation, and the eager
-		// persist is the allocation's: one flush over header and payload +
-		// one top flush (top + its same-line checksum) — all constant in
-		// op count regardless of length.
+		// persist is the allocation's: one flush over header and payload,
+		// one fence — all constant in op count regardless of length.
 		dev.ResetStats()
 		ref, err := rt.NewString(s, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := dev.Stats()
-		if st.Writes != 7 {
-			t.Fatalf("len %d: NewString writes = %d (want 7: zero, 3 header words, payload, top, top sum)", n, st.Writes)
+		if st.Writes != 5 {
+			t.Fatalf("len %d: NewString writes = %d (want 5: zero, 3 header words, payload)", n, st.Writes)
 		}
-		if st.Flushes != 2 || st.Fences != 2 {
-			t.Fatalf("len %d: NewString flushes/fences = %d/%d (want 2/2)", n, st.Flushes, st.Fences)
+		if st.Flushes != 1 || st.Fences != 1 {
+			t.Fatalf("len %d: NewString flushes/fences = %d/%d (want 1/1)", n, st.Flushes, st.Fences)
 		}
-		if want := uint64((layout.ArrayHdrBytes+n+nvm.LineSize-1)/nvm.LineSize + 1); st.FlushedLines != want {
-			t.Fatalf("len %d: NewString flushed %d lines (want %d: the object's, once, and the top's)", n, st.FlushedLines, want)
+		if want := uint64((layout.ArrayHdrBytes + n + nvm.LineSize - 1) / nvm.LineSize); st.FlushedLines != want {
+			t.Fatalf("len %d: NewString flushed %d lines (want %d: the object's, once)", n, st.FlushedLines, want)
 		}
 
 		// Read: klass word + length word + ONE bulk payload read.

@@ -9,7 +9,7 @@ import (
 	"espresso/internal/telemetry/blackbox"
 )
 
-// The five heap-management APIs of paper Table 1, plus Sync/Unload
+// The five heap-management APIs of paper Table 1, plus Sync/Close
 // housekeeping. createHeap/loadHeap register the heap in the runtime's
 // address map and make it the active target of pnew.
 
@@ -180,8 +180,25 @@ func (rt *Runtime) SetActiveHeap(name string) error {
 func (rt *Runtime) Heaps() []*pheap.Heap { return append([]*pheap.Heap(nil), rt.heaps...) }
 
 // SyncHeap writes a heap's persisted image to the name manager's backing
-// store (a shutdown msync; meaningful when HeapDir is configured).
+// store (a shutdown msync; meaningful when HeapDir is configured). It
+// does not stop mutators, so the image's region tops may trail what they
+// allocated; loading it recovers the rest (pheap.Load's forward parse).
 func (rt *Runtime) SyncHeap(name string) error { return rt.mgr.Sync(name) }
+
+// Close is the orderly shutdown of the loaded heaps: with the world
+// stopped, every heap's region tops are made exact (pheap.PersistTops), so
+// the next load of each image parses nothing forward. Durability never
+// depends on it — an operation persists what it acknowledges, and a load
+// after a crash finds it — and the runtime stays usable afterwards.
+func (rt *Runtime) Close() {
+	rt.gcMu.Lock()
+	defer rt.gcMu.Unlock()
+	rt.world.Stop()
+	defer rt.world.Start()
+	for _, h := range rt.heaps {
+		h.PersistTops()
+	}
+}
 
 func (rt *Runtime) attach(h *pheap.Heap) {
 	// The heap's reference stores feed the runtime's remembered set

@@ -68,13 +68,25 @@ func (a *Accessor) WriteFieldImage(ref layout.Ref, img []byte, refOffs []int) er
 	return nil
 }
 
+// ImageString is a string column of a PNewImage: S becomes a persistent
+// string allocated with the instance, and its reference lands in the
+// instance's reference slot at object-relative byte offset Boff (one of
+// the call's refOffs), over whatever img holds there.
+type ImageString struct {
+	Boff int
+	S    string
+}
+
 // PNewImage allocates a persistent instance of k whose field area is img
 // — PNew and WriteFieldImage as one operation: the image ships inside the
 // allocation (the same validation, the same bulk runs and barriered
 // reference stores), so header and fields are persisted by the
 // allocation's one flush and fence, and the object is durable as imaged
-// when it becomes reachable.
-func (a *Accessor) PNewImage(k *klass.Klass, img []byte, refOffs []int) (layout.Ref, error) {
+// when it becomes reachable. On a Mutator the strings of strs are part of
+// the same allocation run (pheap's AllocRun: the strings, then the
+// instance naming them, one flush and one fence for all); on a Runtime
+// they are allocated one at a time ahead of it.
+func (a *Accessor) PNewImage(k *klass.Klass, img []byte, refOffs []int, strs ...ImageString) (layout.Ref, error) {
 	a.enter()
 	defer a.exit()
 	if k.IsArray() || layout.FieldOff(0)+len(img) > k.SizeOf(0) {
@@ -84,7 +96,48 @@ func (a *Accessor) PNewImage(k *klass.Klass, img []byte, refOffs []int) (layout.
 	if err != nil {
 		return 0, err
 	}
-	return a.pnew(k, 0, func(x *pheap.Allocator, ref layout.Ref) { a.rt.shipImage(x, ref, img, sorted) })
+	for _, s := range strs {
+		if i := sort.SearchInts(sorted, s.Boff); i == len(sorted) || sorted[i] != s.Boff {
+			return 0, fmt.Errorf("core: PNewImage string at offset %d, which is not a reference slot of the image", s.Boff)
+		}
+	}
+	place := func(i int, sref layout.Ref) {
+		binary.LittleEndian.PutUint64(img[strs[i].Boff-layout.FieldOff(0):], uint64(sref))
+	}
+	ship := func(x *pheap.Allocator, ref layout.Ref) { a.rt.shipImage(x, ref, img, sorted) }
+	if a.alloc == nil || len(strs) == 0 {
+		for i, s := range strs {
+			sref, err := a.newPString(s.S)
+			if err != nil {
+				return 0, err
+			}
+			place(i, sref)
+		}
+		return a.pnew(k, 0, ship)
+	}
+	for _, rk := range []*klass.Klass{a.rt.stringKlass, k} {
+		if err := a.prepare(a.h, rk); err != nil {
+			return 0, err
+		}
+	}
+	objs := make([]pheap.RunObj, len(strs)+1)
+	refs := make([]layout.Ref, len(objs))
+	for i, s := range strs {
+		objs[i] = pheap.RunObj{K: a.rt.stringKlass, ArrayLen: len(s.S)}
+	}
+	objs[len(strs)] = pheap.RunObj{K: k}
+	x := a.alloc
+	if err := x.AllocRun(objs, refs, func(i int) {
+		if i < len(strs) {
+			x.WriteBytesAt(refs[i], layout.ElemOff(layout.FTByte, 0), []byte(strs[i].S))
+			place(i, refs[i])
+			return
+		}
+		ship(x, refs[i])
+	}); err != nil {
+		return 0, fmt.Errorf("core: pnew %s: %w", k.Name, err)
+	}
+	return refs[len(strs)], nil
 }
 
 // vetImage validates an image and its reference slots before any barrier

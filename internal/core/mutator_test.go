@@ -7,6 +7,7 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
+	"espresso/internal/pheap"
 )
 
 // TestMutatorParallelPNew: several mutator contexts allocate persistent
@@ -150,5 +151,59 @@ func TestMutatorAllocationsSurviveReboot(t *testing.T) {
 	}
 	if v := h2.GetWord(got, layout.FieldOff(0)); v != 777 {
 		t.Fatalf("field after reboot = %d", v)
+	}
+}
+
+// TestCloseMakesRegionTopsExact: a mutator's bump allocations leave its
+// region's persisted top behind; the image reloads either way, but after
+// Close the reload has nothing to parse forward, and the mutator goes on
+// allocating where it was.
+func TestCloseMakesRegionTopsExact(t *testing.T) {
+	rt := newRT(t, Config{PJHDataSize: 1 << 20})
+	h, err := rt.CreateHeap("close", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := personKlass(t, rt)
+	m, err := rt.NewMutator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	alloc := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := m.PNew(k, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	validated := func() int {
+		t.Helper()
+		re, err := pheap.Load(nvm.FromImage(h.Device().CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range re.RecoveredRegions() {
+			n += r.Frontier - r.Top
+		}
+		if re.UsedBytes() < h.UsedBytes() {
+			t.Fatalf("reload holds %d bytes, the running heap %d", re.UsedBytes(), h.UsedBytes())
+		}
+		return n
+	}
+	alloc(50)
+	if got := validated(); got != 50*k.SizeOf(0) {
+		t.Fatalf("reload of the open image validated %d bytes above the tops, want the 50 objects' %d", got, 50*k.SizeOf(0))
+	}
+	rt.Close()
+	if got := validated(); got != 0 {
+		t.Fatalf("reload after Close validated %d bytes above the tops", got)
+	}
+	used := h.UsedBytes()
+	alloc(1)
+	if got := h.UsedBytes(); got != used+k.SizeOf(0) {
+		t.Fatalf("allocation after Close moved UsedBytes %d → %d", used, got)
 	}
 }

@@ -345,31 +345,14 @@ func (a *Accessor) PNew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 // (pheap's AllocInit): it stores into the object it is handed, through the
 // context it is handed, and nowhere else.
 func (a *Accessor) pnew(k *klass.Klass, arrayLen int, init func(x *pheap.Allocator, ref layout.Ref)) (layout.Ref, error) {
-	rt, h := a.rt, a.h
+	h := a.h
 	if h == nil {
-		if h = rt.active; h == nil {
+		if h = a.rt.active; h == nil {
 			return 0, fmt.Errorf("core: pnew %s: no persistent heap loaded", k.Name)
 		}
 	}
-	if !a.prepared[k] {
-		if _, err := rt.Reg.Define(k); err != nil {
-			return 0, err
-		}
-		if rt.cfg.Safety == TypeBased {
-			if err := rt.checkPersistentClosure(k); err != nil {
-				return 0, err
-			}
-		}
-		kaddr, err := h.EnsureKlass(k)
-		if err != nil {
-			return 0, fmt.Errorf("core: pnew %s: %w", k.Name, err)
-		}
-		// Constant-pool resolution now caches the NVM Klass address — the
-		// overwrite that makes the strict (non-alias) check of Figure 10 fail.
-		rt.resolve(k.Name, kaddr)
-		if a.prepared != nil {
-			a.prepared[k] = true
-		}
+	if err := a.prepare(h, k); err != nil {
+		return 0, err
 	}
 	// The allocating context is also the one init stores through.
 	x := a.alloc
@@ -391,6 +374,35 @@ func (a *Accessor) pnew(k *klass.Klass, arrayLen int, init func(x *pheap.Allocat
 		return 0, fmt.Errorf("core: pnew %s: %w", k.Name, err)
 	}
 	return ref, nil
+}
+
+// prepare does a class's metadata work ahead of an allocation in h:
+// definition, safety check, Klass-segment record, constant-pool
+// resolution.
+func (a *Accessor) prepare(h *pheap.Heap, k *klass.Klass) error {
+	if a.prepared[k] {
+		return nil
+	}
+	rt := a.rt
+	if _, err := rt.Reg.Define(k); err != nil {
+		return err
+	}
+	if rt.cfg.Safety == TypeBased {
+		if err := rt.checkPersistentClosure(k); err != nil {
+			return err
+		}
+	}
+	kaddr, err := h.EnsureKlass(k)
+	if err != nil {
+		return fmt.Errorf("core: pnew %s: %w", k.Name, err)
+	}
+	// Constant-pool resolution now caches the NVM Klass address — the
+	// overwrite that makes the strict (non-alias) check of Figure 10 fail.
+	rt.resolve(k.Name, kaddr)
+	if a.prepared != nil {
+		a.prepared[k] = true
+	}
+	return nil
 }
 
 // PNewMultiArray allocates a persistent array of arrays (the
@@ -459,16 +471,10 @@ func (rt *Runtime) checkPersistentClosure(k *klass.Klass) error {
 func (a *Accessor) NewString(s string, persistent bool) (layout.Ref, error) {
 	a.enter()
 	defer a.exit()
-	sk := a.rt.stringKlass
 	if persistent {
-		// Strings are immutable: persist eagerly like the paper's string
-		// constructor does — the payload lands in the allocation's init, so
-		// header and payload share one flush and one fence.
-		return a.pnew(sk, len(s), func(x *pheap.Allocator, ref layout.Ref) {
-			x.WriteBytesAt(ref, layout.ElemOff(layout.FTByte, 0), []byte(s))
-		})
+		return a.newPString(s)
 	}
-	ref, err := a.rt.vnew(sk, len(s))
+	ref, err := a.rt.vnew(a.rt.stringKlass, len(s))
 	if err != nil {
 		return 0, err
 	}
@@ -476,6 +482,16 @@ func (a *Accessor) NewString(s string, persistent bool) (layout.Ref, error) {
 		a.writeBytes(ref, layout.ElemOff(layout.FTByte, 0), []byte(s))
 	}
 	return ref, nil
+}
+
+// newPString allocates a persistent string. Strings are immutable: persist
+// eagerly like the paper's string constructor does — the payload lands in
+// the allocation's init, so header and payload share one flush and one
+// fence.
+func (a *Accessor) newPString(s string) (layout.Ref, error) {
+	return a.pnew(a.rt.stringKlass, len(s), func(x *pheap.Allocator, ref layout.Ref) {
+		x.WriteBytesAt(ref, layout.ElemOff(layout.FTByte, 0), []byte(s))
+	})
 }
 
 // GetString reads a string object's contents with one bulk device read.

@@ -89,6 +89,7 @@ type faultsFixture struct {
 
 	// Shard-0 fault targets.
 	gcPhaseOff    int
+	globalTSOff   int
 	gcPhaseSumOff int
 	redoOff       int
 	frontier      int    // highest data region with a committed top
@@ -176,6 +177,7 @@ func buildFaultsFixture(s Scale) (*faultsFixture, error) {
 		return nil, fmt.Errorf("faults: golden shard 0 image does not load: %w", err)
 	}
 	fx.gcPhaseOff = h.GCPhaseMetaOff()
+	fx.globalTSOff = h.GlobalTSMetaOff()
 	fx.gcPhaseSumOff = h.GCPhaseSumMetaOff()
 	geo := h.Geo()
 	fx.redoOff = geo.RedoOff
@@ -842,6 +844,7 @@ func WriteFaultImages(s Scale, dir string) error {
 		"shard-golden":            fx.shards[0],
 		"shard-gcphase-bitflip":   flipped(fx.shards[0], fx.gcPhaseOff, 0),
 		"shard-regiontop-bitflip": flipped(fx.shards[0], fx.topOff, 2),
+		"shard-timestamp-bitflip": flipped(fx.shards[0], fx.globalTSOff, 1),
 		"shard-redo-torn":         redoTorn,
 		"shard-badmagic":          flipped(fx.shards[0], 0, 7),
 		"manifest-golden":         fx.manifest,

@@ -1,6 +1,7 @@
 package faultdev
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -273,5 +274,33 @@ func TestKitSweepDoubling(t *testing.T) {
 	wantErr := errors.New("verify failed")
 	if err := SweepDoubling(func(k uint64) (bool, error) { return false, wantErr }); err != wantErr {
 		t.Fatalf("sweep error = %v, want passthrough", err)
+	}
+}
+
+func TestKitCrashInsideFlush(t *testing.T) {
+	dev := nvm.New(nvm.Config{Size: 16 * nvm.LineSize, Mode: nvm.Tracked})
+	for l := 0; l < 8; l++ {
+		dev.WriteU64(l*nvm.LineSize, uint64(100+l))
+	}
+	dev.Flush(0, nvm.LineSize) // flush 1: line 0, whole
+	// Flush 2 covers lines 2..5 and is torn: only its lines 0 and 3 (device
+	// lines 2 and 5) reach the persisted view.
+	CrashInsideFlush(dev, dev.Stats().Flushes+1, func(line int) bool { return line == 0 || line == 3 })
+	crashed, err := Run(dev, func() error {
+		dev.Flush(2*nvm.LineSize, 4*nvm.LineSize)
+		t.Error("the torn flush returned")
+		return nil
+	})
+	if !crashed || err != nil {
+		t.Fatalf("crashed = %v, err = %v", crashed, err)
+	}
+	img := dev.CrashImage(nvm.CrashFlushedOnly, 0)
+	for l, want := range []uint64{100, 0, 102, 0, 0, 105, 0, 0} {
+		if got := binary.LittleEndian.Uint64(img[l*nvm.LineSize:]); got != want {
+			t.Errorf("line %d persisted %d, want %d", l, got, want)
+		}
+	}
+	if got := dev.DirtyLines(); got != 5 {
+		t.Errorf("%d lines still dirty, want 5 (1, 3, 4, 6, 7)", got)
 	}
 }

@@ -64,6 +64,35 @@ func CrashWhen(dev *nvm.Device, k uint64, cond func() bool) {
 	})
 }
 
+// CrashInsideFlush arms dev to crash inside the flush that takes its
+// running flush count to n: of the lines that flush covers, only those
+// keep selects (by position within the flush, 0 = its first line) are
+// written back before the crash; the rest stay dirty. It is the boundary
+// CrashAtFlush cannot reach — flushes of different lines issued before one
+// fence persist in any order, so power can fail with any subset of one
+// multi-line flush in the image — and is Tracked-mode only (a Direct
+// device has no persisted view to tear). Replaces any armed crash and any
+// installed flush fault; the fault it installs is spent once the crash
+// has fired.
+func CrashInsideFlush(dev *nvm.Device, n uint64, keep func(line int) bool) {
+	dev.SetFlushFault(func(off, size int, count uint64) bool {
+		if count != n {
+			return false
+		}
+		// The kept lines go back one at a time through flushes of their
+		// own (ordinals past n, which this hook and the crash below pass
+		// over); the flush under test itself is then dropped whole.
+		first := off / nvm.LineSize
+		for l := first; l <= (off+size-1)/nvm.LineSize; l++ {
+			if keep(l - first) {
+				dev.Flush(l*nvm.LineSize, nvm.LineSize)
+			}
+		}
+		return true
+	})
+	CrashAtFlush(dev, n)
+}
+
 // Run executes fn with a crash armed on dev, recovers an injected
 // Crash, and disarms the hook before returning. crashed reports whether
 // the injected crash fired — either as a recovered Crash panic or as an

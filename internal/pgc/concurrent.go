@@ -38,8 +38,8 @@ func (StoppedWorld) StartWorld() {}
 //
 // The protocol:
 //
-//  1. Initial handshake (brief pause): detach PLABs and recycled holes
-//     (pheap.PrepareForCollection — region tops are already persisted),
+//  1. Initial handshake (brief pause): persist the open region tops and
+//     detach PLABs and recycled holes (pheap.PrepareForCollection),
 //     snapshot the region-top table, capture the root set, clear both
 //     bitmaps, arm the SATB pre-write barrier, and persist the GC-phase
 //     word as mid-concurrent-mark.

@@ -103,10 +103,9 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 		h.SetGCPhase(pheap.GCPhaseIdle)
 	}
 
-	// Safepoint: detach every mutator's PLAB and recycled hole. Their
-	// region tops are already persisted (headers-before-top), so dropping
-	// the volatile bump state loses nothing; the finish step republishes
-	// all region tops from the summary.
+	// Safepoint: persist every open PLAB's region top, then detach the
+	// PLABs and recycled holes; the finish step republishes all region
+	// tops from the summary.
 	h.PrepareForCollection()
 	fr := h.FlightRecorder()
 	fr.Append(blackbox.EvGCBegin, 0, h.GlobalTS(), 0)
@@ -257,8 +256,8 @@ func (t *tail) report(h *pheap.Heap, mk *concurrent.Marker, markStart time.Time,
 
 // finish commits the collection's metadata transition — forwarded root
 // entries, the republished per-region tops (topEntries, accumulated by
-// the compactor's fill workers in region order), gcActive=0 — through
-// the redo log so the whole batch is atomic and idempotently
+// the compactor's fill workers in region order), and the next global
+// timestamp with gcActive=0 — through the redo log so the whole batch is atomic and idempotently
 // reapplicable: however many workers produced pieces of the batch, it
 // becomes durable through ONE RedoCommit, whose count+state flush is the
 // single commit point (the single-publish invariant — see compact).
@@ -266,13 +265,20 @@ func (t *tail) report(h *pheap.Heap, mk *concurrent.Marker, markStart time.Time,
 // so every region below it parses to its end (or to NewTop in the last,
 // partial region — which the dispenser then resumes filling), and every
 // region above it is reset to untouched.
+//
+// The timestamp moves on because it is the allocation epoch: pheap.Load
+// takes a header above a persisted top for an object when its mark word
+// carries the image's timestamp, and the compactor has just stamped every
+// processed source — the evacuated ones now lie above the reset tops —
+// with this cycle's. Ending the cycle on cur+1 makes a collection's stamp
+// something no allocation ever carries.
 func finish(h *pheap.Heap, s *Summary, topEntries []pheap.RedoEntry) {
 	var entries []pheap.RedoEntry
 	for _, root := range h.Roots() {
 		entries = append(entries, pheap.RedoEntry{Off: root.ValueOff, Val: uint64(s.Forward(root.Ref))})
 	}
 	entries = append(entries, topEntries...)
-	entries = append(entries, pheap.RedoEntry{Off: h.GCActiveMetaOff(), Val: 0})
+	entries = append(entries, h.GCStateEntries(h.GlobalTS()+1, false)...)
 	h.RedoCommit(entries)
 	h.RedoApply()
 	h.RefreshAfterRedo()

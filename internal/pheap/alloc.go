@@ -12,69 +12,95 @@ import (
 )
 
 // Crash-consistent allocation (paper §4.1), scaled out with persistent
-// region-local allocation buffers (PLABs). The paper's three phases are
+// region-local allocation buffers (PLABs), at one persist per object. The
+// paper's three phases are
 //
 //	(1) fetch the Klass pointer from the constant pool,
 //	(2) allocate memory and update top,
 //	(3) initialize the object header,
 //
 // with the persisted replica of top and the klass-pointer store ordered
-// by flush+fence. The paper bumps a single persisted top under one lock;
-// here a region dispenser hands each mutator a whole GC region under a
-// short lock, and the mutator then bump-allocates inside its PLAB
-// lock-free, publishing through a *per-region* persisted top word in the
-// region-top table (one cache line per region).
+// by flush+fence: two persists per object. The paper bumps a single
+// persisted top under one lock; here a region dispenser hands each mutator
+// a whole GC region under a short lock and the mutator bump-allocates
+// inside its PLAB lock-free. And where the paper — and this package
+// through format version 5 — persisted the top after every object, here
+// the object itself is the only durable thing an allocation writes, and it
+// is validated at recovery instead (the shape "Efficient Lock-Free Durable
+// Sets" gives a set member): the persisted top of a region is a lower
+// bound that moves only when somebody other than the owner has to read it.
 //
-// The crash-ordering argument is the paper's, applied region by region,
-// and strengthened the same way the seed strengthened it globally: for
-// every allocation,
+// For every bump allocation there is one step:
 //
-//	(a) the object body is zeroed, its header written, the caller's
-//	    initializing stores (AllocInit's init, if any) run on the still
-//	    unpublished object, and header and body persist together — one
-//	    flush over the object, one fence — while the owning region's
-//	    persisted top still lies at or below the object start;
-//	(b) only then does that region's top word advance past the object
-//	    (write + flush + fence) — the publication point.
+//	the object body is zeroed, its header written — its mark word carries
+//	the heap's allocation epoch, the global GC timestamp — the caller's
+//	initializing stores (AllocInit's init, if any) run on the still
+//	unacknowledged object, and header and body persist together: one
+//	flush over the object, one fence. Then the volatile top
+//	(Heap.regionTops, what heap walks, the marker and the space
+//	accounting read) moves past it and the call returns.
 //
-// The persisted prefix [regionStart, top) of every region is therefore a
-// parseable run of objects at all times: a crash truncates each region
-// independently at its last persisted top and can never expose an
-// uninitialized header below one — the paper's "stale top value →
-// truncation" recovery rule, made unconditional and per-region. Folding
-// the body into (a) adds a second guarantee for free: an object a caller
-// goes on to link (pindex publishes a node with one CAS) is whole in the
-// image before any durable word can name it, without a flush of its own.
-// Alloc is AllocInit with no init: only the header has to beat the top,
-// so only the header is flushed, the same device ops as ever.
+// and one recovery rule (Heap.recoverFrontier): Load parses each half-open
+// region forward from its persisted top while headers validate — epoch,
+// klass word, size — and stops at the first that does not. What makes the
+// rule sound:
 //
-// AllocInit2 puts two small objects back to back under one (a) and one
-// (b): a single flush over both, a single fence, a single top advance.
-// Flushes of different lines issued before one fence persist in any
-// order, so a crash inside (a) can leave any subset of the run's lines
-// in the image. That is harmless exactly where nothing parses yet: above
-// the region's persisted top, which still lies at or below the run.
-// Below the top — in a recycled hole — it is not: the first object's
-// line could persist without the second's, and the region would parse
-// from a whole first object into the stale bytes behind it. So the pair
-// is a bump-path form only. While a recycled hole is attached (or the
-// heap has one to attach) the two objects go in one at a time, each
-// through the hole protocol below (covering filler first, then the
-// object, its init folded into its own persist), the first complete
-// before the second exists.
+//   - An object any durable word names is whole, and so is every object
+//     between its region's persisted top and it: each was flushed and
+//     fenced before its owner's next store, so the parse walks real
+//     headers all the way to it.
+//   - Nothing older passes for an object of this epoch. A region's bytes
+//     above its persisted top were left by earlier epochs — a region is
+//     dispensed again only after a collection, every collection's finish
+//     publishes a fresh epoch (pgc.finish: the timestamp the compactor
+//     stamped processed sources with is retired in the same redo batch
+//     that ends the cycle, so the allocation epoch is never a collection's
+//     stamp) — and the epoch word carries a checksum.
+//   - What the parse may accept beyond the last acknowledged object is a
+//     torn one: flushes of different lines before one fence persist in any
+//     order, so a crash inside the step can leave the header line in and
+//     a later line out. Its allocation never returned, nothing durable
+//     names it, its body is never interpreted, and the next collection
+//     takes it — as harmless above the frontier as it was above the top.
+//
+// The persisted top word is written where the owner stops being the only
+// reader: once at dispense, as an "opened, empty" mark (top == region
+// start: the line rides the first object's fence, keeps the dispenser
+// frontier derivable from the table, and is why Load never probes an
+// untouched region); at PLAB retire, behind the tail filler; at Release,
+// for the next owner; at PrepareForCollection, before a cycle is stamped
+// (from then on recovery reads the table and the compactor owns the
+// timestamp, so no parse runs on a mid-collection image); and at
+// PersistTops, the orderly shutdown, after which a reload parses nothing.
+//
+// AllocInit folds a second guarantee into the step for free: an object a
+// caller goes on to link (pindex publishes a node with one CAS) is whole
+// in the image before any durable word can name it, without a flush of
+// its own. Alloc is AllocInit with no init: only the header has to be
+// durable, so only the header is flushed.
+//
+// AllocRun puts several small objects back to back under one step: a
+// single flush over all of them, a single fence. A crash inside it can
+// leave any subset of the run's lines in the image, which is harmless
+// exactly where the rule above applies: above the region's persisted top.
+// Below one — in a recycled hole — it is not: the first object's line
+// could persist without the second's, and the region would parse from a
+// whole first object into the stale bytes behind it. So the run is a
+// bump-path form only. While a recycled hole is attached (or the heap has
+// one to attach) the objects go in one at a time, each through the hole
+// protocol below (covering filler first, then the object, its init folded
+// into its own persist), each complete before the next exists.
 //
 // Tops of different regions live on different cache lines
 // (layout.RegionTopStride), so concurrent mutators never contend on a
-// shared persisted word; that independence is exactly what lets
-// allocation throughput scale with cores while keeping the same two
-// flush+fence pairs per object (per run, for a pair) the single-top
-// allocator paid.
+// shared persisted word, and the bump path touches no shared line at all.
 //
 // Region-top table encoding (device offsets):
 //
 //	0                          never used since the last GC reset
 //	1 (regionTopHumongousCont) interior region of a humongous run
-//	(start, start+RegionSize]  region parses up to this offset
+//	[start, start+RegionSize]  region parses at least up to this offset
+//	                           (start itself: opened, nothing known yet)
 //	> start+RegionSize         humongous run starts here; parses to run end
 //
 // Objects never straddle a region boundary; a PLAB that cannot fit the
@@ -113,8 +139,8 @@ type AllocatorStats struct {
 // its telemetry cell, and the reference-store barrier's two buffers
 // (barrier.go). It is not safe for concurrent use — each mutator
 // (goroutine) owns its Allocator, which is the point: the bump path
-// touches only the allocator's own region and that region's line in the
-// top table, and a reference store only state the owner writes. Obtain
+// touches only the allocator's own region, and a reference store only
+// state the owner writes. Obtain
 // one with Heap.NewAllocator; release it with Release when the mutator
 // retires. The heap keeps one ownerless twin for everything that runs
 // outside any mutator (Heap.Ownerless).
@@ -127,9 +153,12 @@ type Allocator struct {
 	Access
 
 	// Attached PLAB: bump-allocates in [cur, end) of region. region < 0
-	// means none attached.
-	region   int
-	cur, end int
+	// means none attached. durableTop is the region's persisted top word:
+	// it trails cur until somebody else has to read it (see the protocol
+	// at the top of this file).
+	region     int
+	cur, end   int
+	durableTop int
 
 	// Attached recycled hole (filler-covered space below a region top).
 	holeCur, holeEnd int
@@ -137,6 +166,8 @@ type Allocator struct {
 	// klass-record address cache, so steady-state allocation skips the
 	// segment maps entirely.
 	kaddrs map[*klass.Klass]layout.Ref
+	// run is AllocRun's scratch: the prepared objects of the call.
+	run []allocObj
 
 	stats AllocatorStats
 	// placing is set while an allocation call runs: the call's account
@@ -207,13 +238,12 @@ func (a *Allocator) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 }
 
 // AllocInit is Alloc with the object's initializing stores folded into
-// its persist: init runs on the zeroed, headed, still unpublished object,
-// then header and body are flushed together and fenced once, and only
-// then does the object become parseable (see the ordering argument at
-// the top of this file). When AllocInit returns the object is durable as
-// init left it, so a caller about to link it needs no flush of its own.
-// init must only store into the object it is handed (through this
-// allocator); a nil init persists the header alone, which is Alloc.
+// its persist: init runs on the zeroed, headed, still unacknowledged
+// object, then header and body are flushed together and fenced once (see
+// the protocol at the top of this file). When AllocInit returns the object
+// is durable as init left it, so a caller about to link it needs no flush
+// of its own. init must only store into the object it is handed (through
+// this allocator); a nil init persists the header alone, which is Alloc.
 func (a *Allocator) AllocInit(k *klass.Klass, arrayLen int, init func(layout.Ref)) (layout.Ref, error) {
 	o, err := a.prepare(k, arrayLen)
 	if err != nil {
@@ -227,31 +257,40 @@ func (a *Allocator) AllocInit(k *klass.Klass, arrayLen int, init func(layout.Ref
 	return ref, err
 }
 
-// AllocInit2 allocates two instances — a of k1, then b of k2 — as one
-// run where that is crash-safe: back to back on the bump path, init1(a)
-// and init2(a, b) run on both before anything is flushed, one flush over
-// the run, one fence, one region-top advance. b may therefore point at
-// a: a is durable no later than b. With a recycled hole to fill (or a
-// pair too large to share a PLAB) the same two objects go in one at a
-// time — AllocInit(k1, init1), then AllocInit(k2, init2 bound to a) —
-// because a torn run below a persisted top would not parse. On error a
-// may already be allocated (unreferenced garbage for the next
-// collection).
-func (a *Allocator) AllocInit2(k1, k2 *klass.Klass, init1 func(a layout.Ref), init2 func(a, b layout.Ref)) (layout.Ref, layout.Ref, error) {
-	o1, err := a.prepare(k1, 0)
-	if err != nil {
-		return 0, 0, err
+// RunObj is one object of an AllocRun: its klass and, for an array klass,
+// its element count.
+type RunObj struct {
+	K        *klass.Klass
+	ArrayLen int
+}
+
+// AllocRun allocates objs in order as one run where that is crash-safe:
+// back to back on the bump path, every header written and init(i) run on
+// every object before anything is flushed, then one flush over the run
+// and one fence. refs[i] receives object i's address before init(i) runs;
+// init(i) may store into object i only, and may store refs[j], j < i,
+// there: an earlier object is durable no later than a later one. With a
+// recycled hole to fill (or a run too large to share a PLAB) the same
+// objects go in one at a time, in order, each persisted with its init
+// before the next exists — a torn run below a persisted top would not
+// parse. A nil init persists headers only. On error a prefix of the run
+// may already be allocated (unreferenced garbage for the next collection).
+func (a *Allocator) AllocRun(objs []RunObj, refs []layout.Ref, init func(i int)) error {
+	run, total := a.run[:0], 0
+	for _, obj := range objs {
+		o, err := a.prepare(obj.K, obj.ArrayLen)
+		if err != nil {
+			return err
+		}
+		run, total = append(run, o), total+o.size
 	}
-	o2, err := a.prepare(k2, 0)
-	if err != nil {
-		return 0, 0, err
-	}
+	a.run = run
 	before := a.Ops()
 	a.placing = true
-	r1, r2, err := a.place2(o1, o2, init1, init2)
+	err := a.placeRun(run, total, refs, init)
 	a.placing = false
 	a.account(before)
-	return r1, r2, err
+	return err
 }
 
 // allocObj is one object of an allocation: its klass, the klass record's
@@ -305,25 +344,54 @@ func (a *Allocator) place(o allocObj, init func(layout.Ref)) (layout.Ref, error)
 	if a.holeFor(o.size) {
 		return a.allocInHole(o, init), nil
 	}
-	ref, _, err := a.bump(o, allocObj{}, init, nil)
-	return ref, err
+	off, err := a.reserve(o.size)
+	if err != nil {
+		return 0, err
+	}
+	ref := a.head(off, o)
+	if init != nil {
+		init(ref)
+	}
+	a.publish(off, persistSpan(o, init != nil), o.size, 1)
+	return ref, nil
 }
 
-// place2 allocates o1 then o2: as one bump run when no recycled hole is
-// waiting for o1 and the two can share a PLAB, one at a time otherwise.
-func (a *Allocator) place2(o1, o2 allocObj, init1 func(layout.Ref), init2 func(a, b layout.Ref)) (r1, r2 layout.Ref, err error) {
-	if o1.size+o2.size <= HugeThreshold && !a.holeFor(o1.size) {
-		return a.bump(o1, o2, init1, init2)
+// placeRun allocates run in order: as one bump run when no recycled hole
+// is waiting for its first object and it can share a PLAB, one object at a
+// time otherwise.
+func (a *Allocator) placeRun(run []allocObj, total int, refs []layout.Ref, init func(i int)) error {
+	if len(run) == 0 {
+		return nil
 	}
-	if r1, err = a.place(o1, init1); err != nil {
-		return 0, 0, err
+	if total > HugeThreshold || a.holeFor(run[0].size) {
+		for i, o := range run {
+			var one func(layout.Ref)
+			if init != nil {
+				one = func(ref layout.Ref) { refs[i] = ref; init(i) }
+			}
+			ref, err := a.place(o, one)
+			if err != nil {
+				return err
+			}
+			refs[i] = ref
+		}
+		return nil
 	}
-	var bound func(layout.Ref)
-	if init2 != nil {
-		bound = func(r2 layout.Ref) { init2(r1, r2) }
+	off, err := a.reserve(total)
+	if err != nil {
+		return err
 	}
-	r2, err = a.place(o2, bound)
-	return r1, r2, err
+	at := off
+	for i, o := range run {
+		refs[i] = a.head(at, o)
+		if init != nil {
+			init(i)
+		}
+		at += o.size
+	}
+	last := run[len(run)-1]
+	a.publish(off, total-last.size+persistSpan(last, init != nil), total, len(run))
+	return nil
 }
 
 // holeFor reports whether a recycled hole with room for size is attached,
@@ -352,44 +420,37 @@ func persistSpan(o allocObj, inited bool) int {
 	return headerBytesOf(o.k)
 }
 
-// bump allocates o1 — and o2 right behind it, when o2.k is set — at the
-// PLAB cursor: steps (a) and (b) of the ordering argument, once for the
-// run.
-func (a *Allocator) bump(o1, o2 allocObj, init1 func(layout.Ref), init2 func(a, b layout.Ref)) (r1, r2 layout.Ref, err error) {
-	total := o1.size + o2.size
-	if a.cur+total > a.end {
-		if err := a.refill(total); err != nil {
-			return 0, 0, err
+// reserve makes room for size bytes at the PLAB cursor — refilling the
+// PLAB when they do not fit — and zeroes them. The bytes are the owner's
+// alone until publish.
+func (a *Allocator) reserve(size int) (off int, err error) {
+	if a.cur+size > a.end {
+		if err := a.refill(size); err != nil {
+			return 0, err
 		}
 	}
-	off := a.cur
-	a.view.Zero(off, total)
-	a.writeHeader(off, o1.kaddr, o1.k, o1.arrayLen)
-	r1 = a.heap.AddrOf(off)
-	if init1 != nil {
-		init1(r1)
-	}
-	span := persistSpan(o1, init1 != nil)
-	objs := uint64(1)
-	if o2.k != nil {
-		a.writeHeader(off+o1.size, o2.kaddr, o2.k, o2.arrayLen)
-		r2 = a.heap.AddrOf(off + o1.size)
-		if init2 != nil {
-			init2(r1, r2)
-		}
-		span = o1.size + persistSpan(o2, init2 != nil)
-		objs = 2
-	}
+	a.view.Zero(a.cur, size)
+	return a.cur, nil
+}
+
+// head writes o's header at off inside reserved space.
+func (a *Allocator) head(off int, o allocObj) layout.Ref {
+	a.writeHeader(off, o.kaddr, o.k, o.arrayLen)
+	return a.heap.AddrOf(off)
+}
+
+// publish is the one persist of a bump allocation: the first span bytes
+// of the size reserved at off are flushed and fenced, and the volatile top
+// moves past the objs objects there. The region's persisted top stays
+// where it is.
+func (a *Allocator) publish(off, span, size, objs int) {
 	a.view.Flush(off, span)
 	a.view.Fence()
-	a.cur = off + total
-	// Publication: the region's persisted top moves past the run only
-	// after everything in it that must be durable is.
-	a.persistRegionTop(a.region, a.cur)
-	a.stats.Allocs += int(objs)
-	a.cell.Add(telemetry.CtrAllocObjects, objs)
-	a.cell.Add(telemetry.CtrAllocBytes, uint64(total))
-	return r1, r2, nil
+	a.cur = off + size
+	a.heap.regionTops[a.region].Store(int64(a.cur))
+	a.stats.Allocs += objs
+	a.cell.Add(telemetry.CtrAllocObjects, uint64(objs))
+	a.cell.Add(telemetry.CtrAllocBytes, uint64(size))
 }
 
 // allocInHole claims o.size bytes from the attached hole. The hole is
@@ -433,7 +494,7 @@ func (a *Allocator) refill(size int) error {
 		return err
 	}
 	a.region = r
-	a.cur = cur
+	a.cur, a.durableTop = cur, cur
 	a.end = a.heap.geo.DataOff + (r+1)*layout.RegionSize
 	a.stats.Dispenses++
 	a.cell.Inc(telemetry.CtrPLABRefills)
@@ -441,16 +502,19 @@ func (a *Allocator) refill(size int) error {
 }
 
 // retirePLAB seals the attached PLAB: the unused tail is plugged with a
-// persisted filler and the region's top advanced to the region end, so
-// the region is whole — it parses to its end and is never dispensed
-// again until the collector reclaims it. Only allocation calls retire, so
-// the device work lands in the caller's account.
+// persisted filler and the region's top advanced to the region end — a
+// full PLAB's top, still where dispense left it, included — so the region
+// is whole: it parses to its end and is never dispensed again until the
+// collector reclaims it. Only allocation calls retire, so the device work
+// lands in the caller's account.
 func (a *Allocator) retirePLAB() {
 	if a.region < 0 {
 		return
 	}
 	if gap := a.end - a.cur; gap > 0 {
 		a.fillGapRaw(a.cur, gap)
+	}
+	if a.durableTop != a.end {
 		a.persistRegionTop(a.region, a.end)
 	}
 	a.cell.Inc(telemetry.CtrPLABRetires)
@@ -458,11 +522,11 @@ func (a *Allocator) retirePLAB() {
 	a.cur, a.end = 0, 0
 }
 
-// Release retires the allocator: the attached PLAB's headroom is handed
-// back to the dispenser (its top is already persisted, so the next owner
-// resumes bumping where this one stopped, line-padded at handoff), and
-// the allocator is unregistered. A partially consumed hole is dropped,
-// not handed on: its remainder starts mid-line, flush-adjacent to this
+// Release retires the allocator: the attached PLAB's top is persisted and
+// its headroom handed back to the dispenser (the next owner resumes
+// bumping where this one stopped, line-padded at handoff), and the
+// allocator is unregistered. A partially consumed hole is dropped, not
+// handed on: its remainder starts mid-line, flush-adjacent to this
 // mutator's last object, and stays filler-covered until the next
 // collection re-reports it.
 func (a *Allocator) Release() {
@@ -478,16 +542,16 @@ func (a *Allocator) Release() {
 		o.bufMu.Unlock()
 	}
 	h.publishDeltas(deltas)
-	// Fold the cell's counts into the registry's retired accumulator
-	// before unregistering, so totals stay monotonic across mutator churn.
-	h.tel.ReleaseCell(a.cell)
-	a.cell = nil
-	// Likewise the device view: its counts move to the shared counters.
-	a.view.Release()
+	// The PLAB and the registry entry go under the heap lock, which a
+	// collector preparing a cycle holds while it reads both.
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if a.region >= 0 && a.cur < a.end {
-		h.freeRegionsInsert(a.region)
+	if a.region >= 0 {
+		if a.cur != a.durableTop {
+			a.persistRegionTop(a.region, a.cur)
+		}
+		if a.cur < a.end {
+			h.freeRegionsInsert(a.region)
+		}
 	}
 	a.region, a.cur, a.end = -1, 0, 0
 	a.holeCur, a.holeEnd = 0, 0
@@ -497,11 +561,18 @@ func (a *Allocator) Release() {
 			break
 		}
 	}
+	h.mu.Unlock()
+	// Fold the cell's counts into the registry's retired accumulator, so
+	// totals stay monotonic across mutator churn; likewise the device view:
+	// its counts move to the shared counters.
+	h.tel.ReleaseCell(a.cell)
+	a.cell = nil
+	a.view.Release()
 }
 
-// dropBuffersForGC detaches the PLAB and hole without touching the device
-// (the collector republishes all region state). Called under h.mu by
-// PrepareForCollection with the world stopped.
+// dropBuffersForGC detaches the PLAB and hole (the collector republishes
+// all region state). Called under h.mu by PrepareForCollection, which has
+// just persisted the PLAB's top, with the world stopped.
 func (a *Allocator) dropBuffersForGC() {
 	a.region, a.cur, a.end = -1, 0, 0
 	a.holeCur, a.holeEnd = 0, 0
@@ -543,8 +614,12 @@ func (h *Heap) dataLimit() int { return h.geo.ScratchOff }
 
 // dispense hands out a region with at least size bytes of bump headroom:
 // first from the free list (fully free regions, or partial regions whose
-// previous owner released them — bumping resumes at their persisted top),
-// then from the untouched frontier. Partial regions too small for the
+// previous owner released them — bumping resumes at their top, which
+// Release persisted), then from the untouched frontier. A region whose
+// table line still reads untouched gets the "opened, empty" mark: its top
+// word is written at the region start and flushed without a fence — the
+// line rides the new owner's first object persist — so the table says
+// which regions Load has to parse. Partial regions too small for the
 // request are skipped and abandoned until the next collection, like the
 // seed abandoned undersized holes.
 //
@@ -568,9 +643,9 @@ func (h *Heap) dispense(size int, a *Allocator) (region, cur int, err error) {
 		r := h.freeRegions[0]
 		h.freeRegions = h.freeRegions[1:]
 		start := h.geo.DataOff + r*layout.RegionSize
-		cur = start
-		if t := int(h.regionTops[r].Load()); t > regionTopHumongousCont {
-			cur = t
+		if cur = int(h.regionTops[r].Load()); cur == 0 {
+			cur = start // a whole region: it fits any PLAB request
+			a.writeRegionTop(r, cur)
 		}
 		aligned := (cur + layout.LineSize - 1) &^ (layout.LineSize - 1)
 		if start+layout.RegionSize-aligned < size {
@@ -590,6 +665,7 @@ func (h *Heap) dispense(size int, a *Allocator) (region, cur int, err error) {
 		r := h.frontier
 		h.frontier++
 		cur := h.geo.DataOff + r*layout.RegionSize
+		a.writeRegionTop(r, cur)
 		h.fr.Append(blackbox.EvPLABHandoff, uint64(r), uint64(cur), uint64(layout.RegionSize))
 		return r, cur, nil
 	}

@@ -11,7 +11,7 @@ import (
 	"espresso/internal/telemetry"
 )
 
-// AllocInit / AllocInit2 tests: a crash at every flush boundary of every
+// AllocInit / AllocRun tests: a crash at every flush boundary of every
 // path an allocation with folded init can take, and the exactness of the
 // allocation account (AllocatorStats and dev.alloc.* against the device).
 
@@ -72,8 +72,17 @@ func (f *initFixture) newRec() (layout.Ref, error) {
 	return f.a.AllocInit(f.rec, 0, func(r layout.Ref) { f.initRec(0, r) })
 }
 
+// pair allocates a box and a rec naming it as one AllocRun.
 func (f *initFixture) pair() (layout.Ref, layout.Ref, error) {
-	return f.a.AllocInit2(f.box, f.rec, f.initBox, f.initRec)
+	var refs [2]layout.Ref
+	err := f.a.AllocRun([]RunObj{{K: f.box}, {K: f.rec}}, refs[:], func(i int) {
+		if i == 0 {
+			f.initBox(refs[0])
+		} else {
+			f.initRec(refs[0], refs[1])
+		}
+	})
+	return refs[0], refs[1], err
 }
 
 // bigLen is an array length past the humongous threshold.
@@ -102,6 +111,7 @@ func (f *initFixture) digHole(t *testing.T, lo, n int) Hole {
 			first = r
 		}
 	}
+	f.h.PersistTops() // as the collection that reports a hole has
 	hole := Hole{Lo: f.h.OffOf(first) + lo, Hi: f.h.OffOf(first) + lo + n}
 	f.h.WriteFiller(hole.Lo, n)
 	f.h.SetFreeHoles([]Hole{hole})
@@ -180,8 +190,9 @@ var longArrayName = klass.NewRegistry().PrimArray(layout.FTLong).Name
 // not at all or complete: never a header over a zeroed body, never a rec
 // whose box is missing. On the bump path that has to hold under random
 // eviction of unflushed lines too (the objects sit above the persisted
-// top until everything is durable); in a hole it is checked against the
-// flush-ordered image, as the hole protocol's own comment explains.
+// top, where Load takes a header only with everything before it); in a
+// hole it is checked against the flush-ordered image, as the hole
+// protocol's own comment explains.
 func TestAllocInitCrashAtEveryFlushBoundary(t *testing.T) {
 	type outcome struct{ boxes, recs, bigs int }
 	// attach gives the allocator a PLAB with one rec in it.
@@ -202,10 +213,10 @@ func TestAllocInitCrashAtEveryFlushBoundary(t *testing.T) {
 	}{
 		{"bump/init", attach,
 			func(f *initFixture) error { _, err := f.newRec(); return err },
-			2, outcome{recs: 1}, true},
+			1, outcome{recs: 1}, true},
 		{"bump/pair", attach,
 			func(f *initFixture) error { _, _, err := f.pair(); return err },
-			2, outcome{boxes: 1, recs: 1}, true},
+			1, outcome{boxes: 1, recs: 1}, true},
 		{"hole/init", func(t *testing.T, f *initFixture) { f.digHole(t, 192, 384) },
 			func(f *initFixture) error { _, err := f.newRec(); return err },
 			2, outcome{recs: 1}, false},
@@ -226,13 +237,14 @@ func TestAllocInitCrashAtEveryFlushBoundary(t *testing.T) {
 				_, _, err := f.pair()
 				return err
 			},
-			5*2 + 1 + 2, outcome{boxes: 6, recs: 1}, false},
+			5*2 + 1 + 1, outcome{boxes: 6, recs: 1}, false},
+		// Retire (filler, top), the new region's opened mark, the object.
 		{"refill/init", func(t *testing.T, f *initFixture) { f.fillPLAB(t, 48) },
 			func(f *initFixture) error { _, err := f.newRec(); return err },
-			2 + 2, outcome{recs: 1}, true},
+			2 + 1 + 1, outcome{recs: 1}, true},
 		{"refill/pair", func(t *testing.T, f *initFixture) { f.fillPLAB(t, 80) },
 			func(f *initFixture) error { _, _, err := f.pair(); return err },
-			2 + 2, outcome{boxes: 1, recs: 1}, true},
+			2 + 1 + 1, outcome{boxes: 1, recs: 1}, true},
 		{"humongous/init", attach,
 			func(f *initFixture) error { _, err := f.newBig(); return err },
 			2 + 3, outcome{bigs: 1}, true},
@@ -281,11 +293,11 @@ func TestAllocInitCrashAtEveryFlushBoundary(t *testing.T) {
 	}
 }
 
-// TestAllocInit2InHoleGoesOneAtATime pins the rule that keeps a torn run
+// TestAllocRunInHoleGoesOneAtATime pins the rule that keeps a torn run
 // from ever sitting below a persisted top: with a hole attached the pair
 // is two hole allocations — covering filler, object, covering filler,
-// object, four fences — not one run with two.
-func TestAllocInit2InHoleGoesOneAtATime(t *testing.T) {
+// object, four fences — not one run with one.
+func TestAllocRunInHoleGoesOneAtATime(t *testing.T) {
 	f := newInitFixture(t, nil)
 	hole := f.digHole(t, 192, 384)
 	top := f.h.RegionTop(f.a.region)
@@ -313,20 +325,24 @@ func TestAllocInit2InHoleGoesOneAtATime(t *testing.T) {
 		t.Fatalf("allocator stats moved by %d allocs / %d fences, want 2 / 4", got.Allocs-st.Allocs, got.Fences-st.Fences)
 	}
 
-	// The same pair with no hole in play is one run: two flushes (run,
-	// top), two fences, and the top moves past both.
+	// The same pair with no hole in play is one run: one flush, one fence,
+	// the volatile top past both and the persisted top where it was.
 	f.h.ResetFreeHoles()
 	f.a.holeCur, f.a.holeEnd = 0, 0
 	vs = f.a.view.Stats()
+	durable := f.h.dev.ReadU64(f.h.RegionTopMetaOff(f.a.region))
 	b, r, err = f.pair()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := f.a.view.Stats().Sub(vs); d.Flushes != 2 || d.Fences != 2 || d.FlushedLines > 3 {
-		t.Fatalf("bump pair issued %d flushes / %d lines / %d fences, want 2 / ≤3 / 2", d.Flushes, d.FlushedLines, d.Fences)
+	if d := f.a.view.Stats().Sub(vs); d.Flushes != 1 || d.Fences != 1 || d.FlushedLines > 2 {
+		t.Fatalf("bump pair issued %d flushes / %d lines / %d fences, want 1 / ≤2 / 1", d.Flushes, d.FlushedLines, d.Fences)
 	}
 	if got, want := f.h.RegionTop(f.a.region), f.h.OffOf(r)+f.rec.SizeOf(0); got != want || f.h.OffOf(r) != f.h.OffOf(b)+f.box.SizeOf(0) {
 		t.Fatalf("bump pair: box %d, rec %d, top %d", f.h.OffOf(b), f.h.OffOf(r), got)
+	}
+	if got := f.h.dev.ReadU64(f.h.RegionTopMetaOff(f.a.region)); got != durable {
+		t.Fatalf("bump pair moved the persisted top %d → %d", durable, got)
 	}
 }
 
@@ -362,9 +378,10 @@ func TestAllocAccountIsExact(t *testing.T) {
 		return v
 	}
 
-	// Alloc's device ops, pinned: zero + mark + klass + {top, top sum} is
-	// five writes, header line + top line, two fences — per object, as
-	// before AllocInit existed.
+	// Alloc's device ops, pinned: zero + mark + klass is three writes, the
+	// header line, one fence — per object — plus, once, the opened mark of
+	// the region the first of them dispensed ({top, top sum}, one line, no
+	// fence of its own).
 	if v := step("100 × Alloc", f.a, func() error {
 		for i := 0; i < 100; i++ {
 			if _, err := f.a.Alloc(f.box, 0); err != nil {
@@ -372,12 +389,12 @@ func TestAllocAccountIsExact(t *testing.T) {
 			}
 		}
 		return nil
-	}); v.Writes != 500 || v.FlushedLines != 200 || v.Fences != 200 || v.Reads != 0 {
-		t.Fatalf("100 × Alloc of a one-field instance: %+v, want 500 writes / 200 lines / 200 fences", v)
+	}); v.Writes != 300+2 || v.FlushedLines != 100+1 || v.Fences != 100 || v.Reads != 0 {
+		t.Fatalf("100 × Alloc of a one-field instance: %+v, want 302 writes / 101 lines / 100 fences", v)
 	}
 	step("AllocInit", f.a, func() error { _, err := f.newRec(); return err })
-	if v := step("pair", f.a, func() error { _, _, err := f.pair(); return err }); v.Fences != 2 {
-		t.Fatalf("bump pair: %d fences, want 2", v.Fences)
+	if v := step("pair", f.a, func() error { _, _, err := f.pair(); return err }); v.Fences != 1 {
+		t.Fatalf("bump pair: %d fences, want 1", v.Fences)
 	}
 	step("humongous", f.a, func() error { _, err := f.newBig(); return err })
 
@@ -408,8 +425,8 @@ func TestAllocAccountIsExact(t *testing.T) {
 	// Retire: the next rec does not fit, the PLAB's tail is plugged and
 	// its top sealed inside the allocation that asked.
 	f.fillPLAB(t, 48)
-	if v := step("retire + refill", f.a, func() error { _, err := f.newRec(); return err }); v.Fences != 4 {
-		t.Fatalf("retire + refill + alloc: %d fences, want 4", v.Fences)
+	if v := step("retire + refill", f.a, func() error { _, err := f.newRec(); return err }); v.Fences != 3 {
+		t.Fatalf("retire + refill + alloc: %d fences, want 3 (filler, top, object)", v.Fences)
 	}
 
 	// Handoff: a released partial PLAB is taken over mid-line, so the new
@@ -420,7 +437,7 @@ func TestAllocAccountIsExact(t *testing.T) {
 	f.a.Release()
 	next := f.h.NewAllocator()
 	defer next.Release()
-	if v := step("handoff plug", next, func() error { _, err := next.Alloc(f.box, 0); return err }); v.Fences != 4 {
-		t.Fatalf("handoff plug + alloc: %d fences, want 4", v.Fences)
+	if v := step("handoff plug", next, func() error { _, err := next.Alloc(f.box, 0); return err }); v.Fences != 3 {
+		t.Fatalf("handoff plug + alloc: %d fences, want 3 (filler, top, object)", v.Fences)
 	}
 }

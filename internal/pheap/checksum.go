@@ -5,11 +5,13 @@ import (
 	"espresso/internal/nvm"
 )
 
-// Metadata checksums (heap format v5). Coverage is deliberately narrow:
-// only the words whose misinterpretation is *silent* — a rotted
-// region-top line changes where parsing stops, a rotted redo entry
-// rewrites an arbitrary word, a rotted GC-phase word changes which
-// recovery runs. Payload data stays checksum-free: object headers are
+// Metadata checksums (heap format v5, the timestamp's since v6). Coverage
+// is deliberately narrow: only the words whose misinterpretation is
+// *silent* — a rotted region-top line changes where parsing starts, a
+// rotted redo entry rewrites an arbitrary word, a rotted GC-phase word
+// changes which recovery runs, a rotted global timestamp changes which
+// bytes above a region top Load takes for objects. Payload data stays
+// checksum-free: object headers are
 // already structurally validated by parsing, and guarding every field
 // store would put fences back on the fast paths this codebase exists to
 // keep clean. Each checksum lives in the same cache line as the words
@@ -32,6 +34,12 @@ func sumMix(s, w uint64) uint64 {
 // offset so a word copied from elsewhere in the line cannot validate.
 func gcPhaseSum(phase uint64) uint64 {
 	return sumMix(heapMagic^mGCPhase, phase)
+}
+
+// globalTSSum covers the global GC timestamp — the allocation epoch Load
+// validates headers against — seeded like gcPhaseSum.
+func globalTSSum(ts uint64) uint64 {
+	return sumMix(heapMagic^mGlobalTS, ts)
 }
 
 // regionTopSum covers region r's top-table value. Salted with the

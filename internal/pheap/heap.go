@@ -10,7 +10,11 @@
 // global GC timestamp, and GC-active flag (paper Figure 8); the
 // region-top table holds one persisted allocation-top word per data
 // region (one cache line each) — the PLAB allocator's replacement for the
-// paper's single persisted top; the name table maps string constants to
+// paper's single persisted top, and, unlike the paper's (§4.1 persists
+// the top with every allocation), a lower bound only: an allocation
+// persists the object and nothing else, and Load finds what lies above a
+// persisted top by parsing forward while headers carry the image's
+// allocation epoch (alloc.go has the protocol); the name table maps string constants to
 // Klass entries and root entries; the Klass segment stores place-holder
 // Klass records that are re-initialized in place on load so class
 // pointers inside objects stay valid; the data heap is carved into
@@ -35,11 +39,19 @@ const (
 	// per-region top table, GC-phase word, flight-recorder ring, and
 	// checksums over the critical metadata (a checksum word beside each
 	// region-top value, a committed-batch checksum in the redo area's
-	// trailing word, a GC-phase checksum). Load, LoadSalvage, Scrub and
-	// BlackboxRegion reject every other version, which is what lets the
-	// version word go without a checksum of its own: any corruption of
-	// it lands on a rejected value (docs/robustness.md).
-	heapVersion = 5
+	// trailing word, a GC-phase checksum, a global-timestamp checksum).
+	// Scrub and BlackboxRegion reject every other version, which is what
+	// lets the version word go without a checksum of its own: a single
+	// flipped bit of it lands on a rejected value (docs/robustness.md).
+	//
+	// Version 6 is version 5 with the region tops demoted to lower bounds
+	// (so code that trusts them — every version 5 reader — must refuse the
+	// image) and the timestamp checksum in the slot version 5 kept zero.
+	heapVersion = 6
+	// heapVersionV5 is the one older format Load and LoadSalvage still
+	// open, once: its tops are exact, so the image is stamped version 6
+	// in place (upgradeV5) and never read as version 5 again.
+	heapVersionV5 = 5
 )
 
 // GC-phase word values (mGCPhase). The phase word records that a
@@ -55,15 +67,15 @@ const (
 )
 
 // Metadata field offsets (device-relative). The whole block fits in four
-// cache lines at the start of the device. mTopRetired is the slot that
-// held the global allocation top before the per-region top table replaced
-// it; it is kept zero.
+// cache lines at the start of the device. mGlobalTSSum checksums
+// mGlobalTS from the same cache line (the slot held the global allocation
+// top before the per-region top table, and zero through version 5).
 const (
 	mMagic         = 0
 	mVersion       = 8
 	mAddressHint   = 16
 	mDeviceSize    = 24
-	mTopRetired    = 32
+	mGlobalTSSum   = 32
 	mGlobalTS      = 40
 	mGCActive      = 48
 	mNameTabOff    = 56
@@ -296,6 +308,10 @@ type Heap struct {
 	// EnableFlightRecorder before mutators run.
 	fr *blackbox.Recorder
 
+	// recovered is what Load's forward parse found, per half-open region
+	// (RecoveredRegions).
+	recovered []RecoveredRegion
+
 	// quarantined marks data regions amputated by LoadSalvage (nil on a
 	// strict or clean load). Quarantined regions were zeroed and their
 	// top lines reset, so the heap itself needs no further guard; the
@@ -340,7 +356,7 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 	dev.WriteU64(mVersion, heapVersion)
 	dev.WriteU64(mAddressHint, uint64(cfg.AddressHint))
 	dev.WriteU64(mDeviceSize, uint64(total))
-	dev.WriteU64(mTopRetired, 0)
+	dev.WriteU64(mGlobalTSSum, globalTSSum(1))
 	dev.WriteU64(mGlobalTS, 1)
 	dev.WriteU64(mGCActive, 0)
 	dev.WriteU64(mNameTabOff, uint64(geo.NameTabOff))
@@ -391,9 +407,11 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 // Load opens an existing heap image. If the image was mid-GC when it was
 // last persisted, the heap reports GCActive()==true and the caller must
 // run pgc recovery before using it (core.LoadHeap does). On a clean
-// image, half-open PLAB regions — per-region tops strictly inside their
-// region — are plugged with fillers and sealed, so the reloaded data heap
-// parses region by region exactly up to each persisted top.
+// image, half-open PLAB regions — per-region tops inside their region —
+// are parsed forward from the persisted top while headers validate
+// (recoverFrontier), then plugged with fillers and sealed, so the
+// reloaded data heap parses region by region and holds every object an
+// allocation call returned for.
 //
 // Load is strict: any metadata checksum failure is an error. LoadSalvage
 // (salvage.go) opens such images by quarantining what cannot be
@@ -408,7 +426,7 @@ func Load(dev *nvm.Device, reg *klass.Registry) (*Heap, error) {
 func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, error) {
 	// Unreadable-image checks first: these reject images we cannot even
 	// interpret, and apply identically in both modes.
-	geo, err := readGeometry(dev)
+	geo, err := readGeometry(dev, heapVersionV5)
 	if err != nil {
 		return nil, err
 	}
@@ -467,39 +485,71 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	if h.RedoPending() {
 		h.RedoApply()
 		h.gcActive.Store(dev.ReadU64(mGCActive) != 0)
+		h.globalTS.Store(dev.ReadU64(mGlobalTS)) // the batch ends the cycle on a new epoch
 	}
 	// Region-top checksums, after redo processing so a batch that
 	// republished tops has already repaired the lines it covers.
 	if err := h.verifyRegionTops(salv); err != nil {
 		return nil, err
 	}
+	if dev.ReadU64(mVersion) == heapVersionV5 {
+		h.upgradeV5()
+	}
 	// Region recovery: rebuild the volatile mirrors and the dispenser.
-	// Mid-collection images keep their raw tops — pgc.Recover rewrites
-	// them wholesale — while clean images get half-open PLABs sealed.
+	// Mid-collection images keep their raw tops — they were made exact
+	// before the cycle was stamped, the compactor reads the timestamp the
+	// parse would, and pgc.Recover rewrites them wholesale — while clean
+	// images get half-open PLABs recovered and sealed.
 	h.rebuildRegionState(!h.gcActive.Load())
 	h.ownerless = h.register(&Allocator{Access: h.Access})
 	return h, nil
 }
 
-// checkHeader rejects what is not a heap image in the current format.
-func checkHeader(dev *nvm.Device) error {
+// checkHeader rejects what is not a heap image in a format from oldest to
+// the current one.
+func checkHeader(dev *nvm.Device, oldest uint64) error {
 	if dev.Size() < metadataBytes {
 		return fmt.Errorf("pheap: image too small")
 	}
 	if dev.ReadU64(mMagic) != heapMagic {
 		return fmt.Errorf("pheap: bad heap magic")
 	}
-	if v := dev.ReadU64(mVersion); v != heapVersion {
+	if v := dev.ReadU64(mVersion); v < oldest || v > heapVersion {
 		return fmt.Errorf("pheap: unsupported heap version %d (want %d)", v, heapVersion)
 	}
 	return nil
 }
 
+// upgradeV5 stamps a version 5 image version 6, in place and once. A
+// version 5 writer persisted the region top with every allocation, so the
+// tops are exact and nothing above them is an object; what the image
+// lacks is the timestamp checksum, and an allocation epoch that is not a
+// collection's stamp (a version 5 finish left the timestamp at the value
+// the compactor stamped every evacuated source with). So: timestamp + 1
+// on a clean image — the forward parse then validates nothing, by
+// construction — and as it is on a mid-collection one, whose recovery
+// publishes the next epoch itself. The three words share the block's
+// first line and the version goes last, so a torn stamp is still a
+// version 5 image.
+func (h *Heap) upgradeV5() {
+	ts := h.globalTS.Load()
+	if !h.gcActive.Load() {
+		ts++
+	}
+	h.dev.WriteU64(mGlobalTS, ts)
+	h.dev.WriteU64(mGlobalTSSum, globalTSSum(ts))
+	h.dev.WriteU64(mVersion, heapVersion)
+	h.dev.Flush(mVersion, mGlobalTS+8-mVersion)
+	h.dev.Fence()
+	h.globalTS.Store(ts)
+}
+
 // readGeometry is the shared front door of Load, LoadSalvage and Scrub:
-// it rejects what is not a current-format heap image of this device's
-// size (the "unreadable" class) and decodes the component layout.
-func readGeometry(dev *nvm.Device) (Geometry, error) {
-	if err := checkHeader(dev); err != nil {
+// it rejects what is not a heap image of this device's size in a format
+// from oldest on (the "unreadable" class) and decodes the component
+// layout.
+func readGeometry(dev *nvm.Device, oldest uint64) (Geometry, error) {
+	if err := checkHeader(dev, oldest); err != nil {
 		return Geometry{}, err
 	}
 	if sz := dev.ReadU64(mDeviceSize); int(sz) != dev.Size() {
@@ -629,7 +679,7 @@ func (h *Heap) FlightRecorder() *blackbox.Recorder { return h.fr }
 // batches and plug regions, both wrong for a crashed image being
 // post-mortemed. Only the magic, version, and ring coordinates are read.
 func BlackboxRegion(dev *nvm.Device) (off, size int, err error) {
-	if err := checkHeader(dev); err != nil {
+	if err := checkHeader(dev, heapVersion); err != nil {
 		return 0, 0, err
 	}
 	return int(dev.ReadU64(mBlackboxOff)), int(dev.ReadU64(mBlackboxSize)), nil
@@ -676,22 +726,28 @@ func (h *Heap) RegionTopMetaOff(r int) int {
 	return h.geo.RegionTopOff + r*layout.RegionTopStride
 }
 
-// RegionTop reports region r's current top (the volatile mirror of the
-// persisted table entry; see alloc.go for the encoding).
+// RegionTop reports region r's current top: the volatile frontier heap
+// walks, the marker's snapshot and the space accounting read (see alloc.go
+// for the encoding). The persisted table entry may lie below it.
 func (h *Heap) RegionTop(r int) int { return int(h.regionTops[r].Load()) }
 
-// persistRegionTop advances region r's persisted top and its mirror. The
-// caller must already have persisted every object header below the new
-// top — this store is the publication point. The line checksum rides
-// the same flush (value and checksum share the 64-byte table line), so
-// detection costs one extra store and zero extra flushes or fences.
-func (x Access) persistRegionTop(r, top int) {
+// writeRegionTop stores region r's top word and its line checksum, writes
+// the line back and moves the mirror — without a fence: the caller orders
+// the line with whatever it publishes next. Value and checksum share the
+// 64-byte table line, so detection costs one extra store and no flush.
+func (x Access) writeRegionTop(r, top int) {
 	off := x.heap.RegionTopMetaOff(r)
 	x.view.WriteU64(off, uint64(top))
 	x.view.WriteU64(off+8, regionTopSum(r, uint64(top)))
 	x.view.Flush(off, 16)
-	x.view.Fence()
 	x.heap.regionTops[r].Store(int64(top))
+}
+
+// persistRegionTop moves region r's persisted top and its mirror, fenced.
+// The caller must already have persisted every object below the new top.
+func (x Access) persistRegionTop(r, top int) {
+	x.writeRegionTop(r, top)
+	x.view.Fence()
 }
 
 // Top reports one past the highest allocated byte across all regions —
@@ -728,22 +784,35 @@ func (h *Heap) persistU64(off int, v uint64) {
 	h.dev.Fence()
 }
 
-// SetGCState persists the global timestamp and GC-active flag, in that
-// store order (timestamp first) so a partial persist can only yield
-// {new TS, inactive} — a harmless no-op — never {old TS, active}, which
-// would let stale timestamps masquerade as processed objects.
+// SetGCState persists the global timestamp, its checksum and the
+// GC-active flag, in that store order (timestamp first) so a partial
+// persist can only yield {new TS, inactive} — a harmless no-op — never
+// {old TS, active}, which would let stale timestamps masquerade as
+// processed objects. The three words share a cache line: one flush.
 func (h *Heap) SetGCState(ts uint64, active bool) {
-	h.dev.WriteU64(mGlobalTS, ts)
-	var a uint64
-	if active {
-		a = 1
+	for _, e := range h.GCStateEntries(ts, active) {
+		h.dev.WriteU64(e.Off, e.Val)
 	}
-	h.dev.WriteU64(mGCActive, a)
-	h.dev.Flush(mGlobalTS, 16)
+	h.dev.Flush(mGlobalTSSum, mGCActive+8-mGlobalTSSum)
 	h.dev.Fence()
 	h.globalTS.Store(ts)
 	h.gcActive.Store(active)
 }
+
+// GCStateEntries is SetGCState as redo-log entries, for the batch the
+// collector's finish commits: the cycle ends and the allocation epoch
+// moves in the same atomic step.
+func (h *Heap) GCStateEntries(ts uint64, active bool) []RedoEntry {
+	var a uint64
+	if active {
+		a = 1
+	}
+	return []RedoEntry{{Off: mGlobalTS, Val: ts}, {Off: mGlobalTSSum, Val: globalTSSum(ts)}, {Off: mGCActive, Val: a}}
+}
+
+// GlobalTSMetaOff exposes the metadata offset of the global timestamp for
+// fault-injection tests (its checksum is the word before it).
+func (h *Heap) GlobalTSMetaOff() int { return mGlobalTS }
 
 // GCActiveMetaOff exposes the metadata offset of the gcActive flag for
 // redo-log entries.
@@ -805,24 +874,56 @@ func (h *Heap) SnapshotRegionTops() []int {
 func IsRealTop(top int) bool { return top > regionTopHumongousCont }
 
 // PrepareForCollection is the mutator-state side of the GC safepoint:
-// every registered allocator's PLAB and recycled hole is dropped (their
-// region tops are already persisted, so nothing is lost), the dispenser
-// forgets its free list — the collector is about to rearrange the heap
-// and republish region tops through the redo log — and every pending
-// remembered-set delta is published through the heap's sink, so the
-// collector that is about to run (either flavor; both call this first)
-// observes a complete NVM→DRAM remembered set. The world must be
-// stopped, as for the collection itself.
+// every attached PLAB's region top is persisted — the bump path moves
+// only the mirror, and from the moment a cycle is stamped the table is
+// what recovery's summary reads, with no forward parse to fall back on
+// (the compactor owns the timestamp mid-cycle) — then every registered
+// allocator's PLAB and recycled hole is dropped, the dispenser forgets its
+// free list (the collector is about to rearrange the heap and republish
+// region tops through the redo log), and every pending remembered-set
+// delta is published through the heap's sink, so the collector that is
+// about to run (either flavor; both call this first) observes a complete
+// NVM→DRAM remembered set. The world must be stopped, as for the
+// collection itself.
 func (h *Heap) PrepareForCollection() {
 	h.PublishRemsetDeltas()
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.persistOpenTops()
 	for _, a := range h.allocators {
 		a.dropBuffersForGC()
 	}
 	h.freeRegions = nil
 	h.freeHoles = nil
 	h.holeCount.Store(0)
+}
+
+// PersistTops makes the persisted region-top table exact: the top of
+// every attached PLAB is written back, after which a reload parses
+// nothing forward. It is the heap's part of an orderly shutdown
+// (core.Runtime.Close); the allocators stay attached and usable. No
+// mutator may be allocating.
+func (h *Heap) PersistTops() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.persistOpenTops()
+}
+
+// persistOpenTops writes back the top of every PLAB whose owner has bumped
+// past the persisted word: one line each, one fence for all. Caller holds
+// h.mu with the allocators quiescent.
+func (h *Heap) persistOpenTops() {
+	stale := false
+	for _, a := range h.allocators {
+		if a.region >= 0 && a.cur != a.durableTop {
+			h.writeRegionTop(a.region, a.cur)
+			a.durableTop = a.cur
+			stale = true
+		}
+	}
+	if stale {
+		h.dev.Fence()
+	}
 }
 
 // RefreshAfterRedo re-reads the volatile mirrors of redo-applied fields
@@ -847,28 +948,32 @@ func (h *Heap) BumpLayoutEpoch() { h.layoutEpoch.Add(1) }
 
 // rebuildRegionState re-derives the volatile region mirrors and the
 // dispenser's free list from the persisted region-top table. With plug
-// set (load of a clean image), half-open PLAB regions — top strictly
-// inside the region — are sealed: their tail is plugged with a persisted
-// filler and the top advanced to the region end, so a region recovered
-// from a crash parses completely and the "stale top → truncation"
-// invariant is re-established with no dangling bump state.
+// set (load of a clean image), half-open PLAB regions — top inside the
+// region — are recovered and sealed: the frontier is found by parsing
+// forward from the persisted top (recoverFrontier), the tail behind it is
+// plugged with a persisted filler and the top advanced to the region end,
+// so a region recovered from a crash parses completely, holds every
+// object its owner was told is durable, and carries no dangling bump
+// state. A region that was opened and holds nothing stays as it is.
 func (h *Heap) rebuildRegionState(plug bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	dataRegions := h.geo.DataRegions()
 	h.freeRegions = h.freeRegions[:0]
 	h.frontier = 0
+	h.recovered = nil
 	for r := 0; r < h.geo.Regions(); r++ {
 		start := h.geo.DataOff + r*layout.RegionSize
 		end := start + layout.RegionSize
 		t := int(h.dev.ReadU64(h.RegionTopMetaOff(r)))
-		if plug && r < dataRegions && t > start && t < end {
-			// Half-open PLAB: everything below t parses (headers persist
-			// before tops); the bytes above are unordered garbage. Seal
-			// the region so it is whole-or-empty from here on.
-			h.fillGapRaw(t, end-t)
-			h.persistRegionTop(r, end)
-			t = end
+		if plug && r < dataRegions && t >= start && t < end {
+			at := h.recoverFrontier(t, end)
+			h.recovered = append(h.recovered, RecoveredRegion{Region: r, Top: t, Frontier: at})
+			if at > start {
+				h.fillGapRaw(at, end-at)
+				h.persistRegionTop(r, end)
+				t = end
+			}
 		}
 		h.regionTops[r].Store(int64(t))
 		if r < dataRegions && t != 0 {
@@ -885,6 +990,58 @@ func (h *Heap) rebuildRegionState(plug bool) {
 			h.freeRegions = append(h.freeRegions, r)
 		}
 	}
+}
+
+// RecoveredRegion is what Load found in one half-open region: the
+// persisted top it started from and the frontier the forward parse
+// reached (Frontier - Top bytes validated above the top).
+type RecoveredRegion struct{ Region, Top, Frontier int }
+
+// RecoveredRegions lists the half-open regions this Load recovered, in
+// region order (nil after a collection has rebuilt the region state).
+func (h *Heap) RecoveredRegions() []RecoveredRegion { return h.recovered }
+
+// recoverFrontier parses [top, end) of a half-open region forward and
+// returns where the run of this epoch's allocations stops: a header
+// validates when its mark-word timestamp is the image's allocation epoch,
+// its klass word addresses a record of the Klass segment, and its size
+// fits the region. Everything the region's owner was told is durable lies
+// in that run — each object was fenced before the owner's next store — and
+// nothing older can pass for part of it: the epoch is never a collection's
+// stamp (pgc's finish publishes the next one), and a region is only
+// dispensed again after a collection. What may be accepted beyond the
+// last acknowledged object is a torn one (header line in, a later line
+// out): its allocation never returned, no durable word names it, and the
+// next collection takes it. Cost: up to three reads per object found.
+func (h *Heap) recoverFrontier(top, end int) int {
+	epoch := h.globalTS.Load()
+	off := top
+	for off+layout.HeaderBytes <= end {
+		if layout.MarkTimestamp(h.dev.ReadU64(off+layout.MarkWordOff)) != epoch {
+			break
+		}
+		k, ok := h.KlassByAddr(layout.Ref(h.dev.ReadU64(off + layout.KlassWordOff)))
+		if !ok {
+			break
+		}
+		n := 0
+		if k.IsArray() {
+			if off+layout.ArrayHdrBytes > end {
+				break
+			}
+			// Bounded before it is multiplied: a length that cannot fit
+			// must not wrap into a size that does.
+			if n = int(h.dev.ReadU64(off + layout.ArrayLenOff)); n < 0 || n > end-off {
+				break
+			}
+		}
+		size := k.SizeOf(n)
+		if size < layout.MinObjectBytes || size > end-off {
+			break
+		}
+		off += size
+	}
+	return off
 }
 
 // Hole is a filler-covered gap below a region's top, reusable by the

@@ -69,7 +69,10 @@ func readContent(h *pheap.Heap) (c imageContent, err error) {
 // no panic, and either the image is refused (an error, or for Scrub a
 // finding) or what loads is exactly what was stored; and Scrub tells the
 // truth about the loaders — what they refuse it flags, what it cannot read
-// they do not load.
+// they do not load. The global timestamp is the one word whose flip used
+// to load intact; it now decides which bytes above a region top are
+// objects, so every flip of it or of its checksum word must be refused and
+// flagged.
 func TestMetadataBlockSingleBitFlips(t *testing.T) {
 	const metadataBytes = 240
 	reg := klass.NewRegistry()
@@ -155,6 +158,10 @@ func TestMetadataBlockSingleBitFlips(t *testing.T) {
 				rep, err = pheap.Scrub(shared)
 				return err
 			})
+			timestamp := off&^7 == 32 || off&^7 == 40 // the checksum word, the timestamp
+			if timestamp && (scrubErr != nil || !rep.Corrupt()) {
+				t.Errorf("word %d bit %d: Scrub does not flag a flipped timestamp (err %v)", off&^7, bit+8*uint(off&7), scrubErr)
+			}
 			for _, salvage := range []bool{false, true} {
 				what := map[bool]string{false: "Load", true: "LoadSalvage"}[salvage]
 				dev := shared
@@ -168,6 +175,9 @@ func TestMetadataBlockSingleBitFlips(t *testing.T) {
 					h, err = load(dev, salvage)
 					return err
 				})
+				if timestamp && err == nil {
+					t.Errorf("word %d bit %d: %s accepts a flipped timestamp", off&^7, bit+8*uint(off&7), what)
+				}
 				if err != nil && scrubErr == nil && !rep.Corrupt() {
 					t.Errorf("word %d bit %d: %s refuses an image Scrub reports clean: %v", off&^7, bit+8*uint(off&7), what, err)
 				}

@@ -109,9 +109,10 @@ func TestParallelAllocStress(t *testing.T) {
 // injector through PLAB region overflow and handoff: one mutator
 // allocates objects sized so each region fits only a few, forcing
 // retire-plug-redispense cycles; crashing at every flush boundary must
-// leave an image whose regions parse exactly up to their persisted tops,
-// exposing only fully allocated objects (plus at most the one in-flight
-// allocation whose top persist was the crash point).
+// leave an image whose regions parse — up to their persisted tops and
+// through what the reload recovers above them — exposing only fully
+// allocated objects (plus at most the one in-flight allocation whose
+// persist was the crash point).
 func TestPLABCrashAtEveryFlushDuringHandoff(t *testing.T) {
 	// 65 long fields → 544 bytes: does not divide the region size, so
 	// every region ends in a retire filler.
@@ -156,9 +157,9 @@ func TestPLABCrashAtEveryFlushDuringHandoff(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("crashAt=%d: crash image does not parse: %v", crashAt, err)
 		}
-		// Every allocation that returned before the crash was published
-		// (its region top persisted), so it must survive; the walk may
-		// additionally surface the single in-flight allocation.
+		// Every allocation that returned before the crash had its object
+		// flushed and fenced, so it must survive; the walk may additionally
+		// surface the single in-flight allocation.
 		for _, ref := range recorded {
 			if !surviving[ref] {
 				t.Fatalf("crashAt=%d: returned object %#x lost", crashAt, uint64(ref))
@@ -171,21 +172,32 @@ func TestPLABCrashAtEveryFlushDuringHandoff(t *testing.T) {
 	}
 }
 
-// TestReloadTruncatesAtPersistedRegionTop pins the publication order: an
-// object whose header is persisted but whose region top is not must be
-// invisible after reload — recovery truncates each region exactly at its
-// persisted top.
-func TestReloadTruncatesAtPersistedRegionTop(t *testing.T) {
+// TestReloadRecoversAbovePersistedRegionTop pins the recovery rule: the
+// bump path never writes the region top, so after two allocations the
+// persisted word still reads "opened, empty" — and a reload finds both
+// objects by parsing forward from it, plus the one whose persist had been
+// flushed when the crash cut its fence off (its call never returned;
+// accepting it is allowed, requiring it is not).
+func TestReloadRecoversAbovePersistedRegionTop(t *testing.T) {
 	h, reg := testHeap(t, Config{})
 	p := definePerson(t, reg)
 	a := h.NewAllocator()
-	first, err := a.Alloc(p, 0)
-	if err != nil {
-		t.Fatal(err)
+	var returned []layout.Ref
+	for i := 0; i < 2; i++ {
+		ref, err := a.Alloc(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		returned = append(returned, ref)
 	}
-	// Crash on the next flush after the header flush of the second
-	// allocation: the header is durable, the region top still points at
-	// the end of the first object.
+	start := h.Geo().DataOff
+	if got := int(h.Device().ReadU64(h.RegionTopMetaOff(0))); got != start {
+		t.Fatalf("persisted top of the open PLAB = %d, want the opened mark %d", got, start)
+	}
+	if got, want := h.RegionTop(0), start+2*p.SizeOf(0); got != want {
+		t.Fatalf("volatile top = %d, want %d", got, want)
+	}
+	// Crash on the flush of a third allocation, ahead of its fence.
 	faultdev.CrashIn(h.Device(), 1)
 	if _, err := faultdev.Run(h.Device(), func() error {
 		_, _ = a.Alloc(p, 0)
@@ -199,20 +211,20 @@ func TestReloadTruncatesAtPersistedRegionTop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
+	if got := re.RecoveredRegions(); len(got) != 1 || got[0].Top != start || got[0].Frontier != start+3*p.SizeOf(0) {
+		t.Fatalf("recovered regions = %+v, want region 0 parsed from %d over three objects", got, start)
+	}
+	var found []layout.Ref
 	if err := re.ForEachObject(func(off int, k *klass.Klass, size int) bool {
 		if !IsFiller(k) {
-			count++
-			if re.AddrOf(off) != first {
-				t.Fatalf("unexpected survivor at %d", off)
-			}
+			found = append(found, re.AddrOf(off))
 		}
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if count != 1 {
-		t.Fatalf("parsed %d objects below persisted top, want 1 (the published one)", count)
+	if len(found) != 3 || found[0] != returned[0] || found[1] != returned[1] {
+		t.Fatalf("reload parsed %v, want the two returned objects %v and the flushed third", found, returned)
 	}
 }
 
@@ -500,12 +512,13 @@ func TestAllocatorStatsCount(t *testing.T) {
 	if s.Allocs != 10 || s.Dispenses != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	// Two fences per bump allocation (header persist + top persist).
-	if s.Fences != 20 {
-		t.Fatalf("fences = %d, want 20", s.Fences)
+	// One fence and one line per bump allocation (the object's persist),
+	// and the one line of the dispensed region's opened mark.
+	if s.Fences != 10 {
+		t.Fatalf("fences = %d, want 10", s.Fences)
 	}
-	if s.FlushedLines < 20 {
-		t.Fatalf("flushed lines = %d, want ≥20", s.FlushedLines)
+	if s.FlushedLines != 11 {
+		t.Fatalf("flushed lines = %d, want 11", s.FlushedLines)
 	}
 	_ = fmt.Sprintf("%v", s)
 }

@@ -3,6 +3,7 @@ package pheap
 import (
 	"fmt"
 
+	"espresso/internal/layout"
 	"espresso/internal/telemetry/blackbox"
 )
 
@@ -71,23 +72,33 @@ func (h *Heap) RedoPending() bool {
 }
 
 // RedoApply replays the committed log and retires it. Entries that land
-// on a region-top table slot refresh the line checksum in the same
-// per-entry flush, so a batch that republishes tops (the GC finish)
-// leaves every covered line verifiable without carrying checksum
-// entries of its own.
+// on a region-top table slot refresh the line checksum beside them, so a
+// batch that republishes tops (the GC finish) leaves every covered line
+// verifiable without carrying checksum entries of its own. Consecutive
+// entries on one cache line share one flush, issued when the batch leaves
+// the line — stores to a line persist in program order, so the line still
+// goes from all-old to a prefix of the entries in order (the finish
+// batch's timestamp, checksum and gcActive words are such a run).
 func (h *Heap) RedoApply() {
 	base := h.geo.RedoOff
 	count := int(h.dev.ReadU64(base + 8))
+	line := -1
 	for i := 0; i < count; i++ {
 		off := int(h.dev.ReadU64(base + 16 + i*16))
 		val := h.dev.ReadU64(base + 16 + i*16 + 8)
+		if l := off / layout.LineSize; l != line {
+			if line >= 0 {
+				h.dev.Flush(line*layout.LineSize, layout.LineSize)
+			}
+			line = l
+		}
 		h.dev.WriteU64(off, val)
 		if r, ok := h.regionTopIndex(off); ok {
 			h.dev.WriteU64(off+8, regionTopSum(r, val))
-			h.dev.Flush(off, 16)
-		} else {
-			h.dev.Flush(off, 8)
 		}
+	}
+	if line >= 0 {
+		h.dev.Flush(line*layout.LineSize, layout.LineSize)
 	}
 	h.dev.Fence()
 	h.dev.WriteU64(base, 0)

@@ -34,7 +34,7 @@ func (r *ScrubReport) Corrupt() bool { return len(r.Findings) > 0 }
 // version but the current one included); corruption lands in the
 // report's findings.
 func Scrub(dev *nvm.Device) (*ScrubReport, error) {
-	geo, err := readGeometry(dev)
+	geo, err := readGeometry(dev, heapVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +84,8 @@ func Scrub(dev *nvm.Device) (*ScrubReport, error) {
 			continue
 		}
 		start := uint64(geo.DataOff + r*layout.RegionSize)
-		if top != 0 && top != regionTopHumongousCont && (top <= start || top > uint64(geo.DataOff+geo.DataSize)) {
+		// top == start is the dispenser's "opened, empty" mark.
+		if top != 0 && top != regionTopHumongousCont && (top < start || top > uint64(geo.DataOff+geo.DataSize)) {
 			finding("region %d: top %#x outside its plausible range", r, top)
 		}
 	}

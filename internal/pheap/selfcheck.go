@@ -9,11 +9,14 @@ import (
 	"espresso/internal/nvm"
 )
 
-// The metadata self-check. Format v5 puts checksums on the words whose
+// The metadata self-check. The format puts checksums on the words whose
 // misreading is silent and whose value nothing else determines (GC phase,
-// redo batch, region tops). The rest of the metadata block carries none
-// and is validated against what the image itself says elsewhere:
+// redo batch, region tops, global timestamp). The rest of the metadata
+// block carries none and is validated against what the image itself says
+// elsewhere:
 //
+//   - the global timestamp must carry its checksum (a version 5 image
+//     about to be upgraded must carry the zero it kept in that slot);
 //   - the component offsets are a function of the component sizes
 //     (Geometry.sanity recomputes them; a disagreement is an unreadable
 //     image);
@@ -34,12 +37,22 @@ import (
 // per fault. Load and LoadSalvage refuse an image with any finding — none
 // of them can be repaired or amputated at region granularity — and Scrub
 // lists them. What it cannot see: bit 0 of gcActive (both values are
-// legal), the global timestamp, and the retired top word, which nothing
-// reads (docs/robustness.md).
+// legal; docs/robustness.md).
 func selfCheck(dev *nvm.Device, geo Geometry) []string {
 	var findings []string
 	finding := func(format string, args ...any) {
 		findings = append(findings, fmt.Sprintf(format, args...))
+	}
+	// A version 5 image kept the checksum's slot zero: anything else under
+	// that version is a version 6 image whose version word rotted, and the
+	// upgrade must not bless its timestamp.
+	wantSum := uint64(0)
+	ts := dev.ReadU64(mGlobalTS)
+	if dev.ReadU64(mVersion) == heapVersion {
+		wantSum = globalTSSum(ts)
+	}
+	if dev.ReadU64(mGlobalTSSum) != wantSum {
+		finding("global timestamp: checksum mismatch (timestamp %d)", ts)
 	}
 	if a := dev.ReadU64(mGCActive); a > 1 {
 		finding("gc-active: word %#x is neither 0 nor 1", a)

@@ -34,13 +34,13 @@
 //
 // Node bodies (sort key, key, value, initial next) persist inside their
 // allocation: insert builds the node through pheap's AllocInit, which
-// runs the initializing stores on the still-unpublished object and
-// flushes header and body together, fenced, before the object becomes
-// parseable — so there is no separate node flush, and a persisted link
-// can never target a half-written node. PutNew extends that to the value:
-// for a fresh key the value object and the node are one allocation run
-// (AllocInit2: one flush, one fence, one region-top advance for both),
-// for an existing key the value object goes in alone; either way it is
+// runs the initializing stores on the still-unacknowledged object and
+// flushes header and body together, fenced, before it returns — so there
+// is no separate node flush, and a persisted link can never target a
+// half-written node. PutNew extends that to the value: for a fresh key
+// the value object and the node are one allocation run (AllocRun: one
+// flush, one fence for both), for an existing key the value object goes
+// in alone; either way it is
 // whole in the image before the CAS that makes a durable word name it.
 // Crash recovery (Recover) finds every durably linked node intact, prunes
 // nodes whose delete mark persisted, clears leftover dirty bits, and
@@ -592,7 +592,7 @@ restart:
 // header, before the object is parseable), so a durable link always
 // targets a durable node. With val null and a value klass vk given, the
 // value object is built in the same run, just ahead of the node
-// (AllocInit2); value reports the node's value ref either way — val, or
+// (AllocRun); value reports the node's value ref either way — val, or
 // the object just built, which stays built if the key turns out to exist.
 func (c *Ctx) insert(head layout.Ref, sort, key uint64, val layout.Ref, vk *klass.Klass, vinit func(layout.Ref)) (node, value layout.Ref, existed bool, err error) {
 	a := c.alloc
@@ -609,7 +609,17 @@ func (c *Ctx) insert(head layout.Ref, sort, key uint64, val layout.Ref, vk *klas
 				a.SetWordAtomic(n, c.ix.fNext, uint64(curr))
 			}
 			if val == layout.NullRef && vk != nil {
-				val, node, err = a.AllocInit2(vk, c.ix.nodeK, vinit, initNode)
+				objs := [2]pheap.RunObj{{K: vk}, {K: c.ix.nodeK}}
+				var refs [2]layout.Ref
+				err = a.AllocRun(objs[:], refs[:], func(i int) {
+					switch {
+					case i == 1:
+						initNode(refs[0], refs[1])
+					case vinit != nil:
+						vinit(refs[0])
+					}
+				})
+				val, node = refs[0], refs[1]
 			} else {
 				node, err = a.AllocInit(c.ix.nodeK, 0, func(n layout.Ref) { initNode(val, n) })
 			}

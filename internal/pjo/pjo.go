@@ -51,6 +51,9 @@ type Provider struct {
 	// stage is the reusable DRAM staging buffer materialize assembles
 	// DBPersistable images in before shipping them with one bulk write.
 	stage []byte
+	// strs is materialize's reusable list of a fresh entity's string
+	// columns.
+	strs []core.ImageString
 
 	// FieldTracking gates §5's field-level dirty tracking; default on. The
 	// ablation test switches it off.
@@ -293,11 +296,12 @@ func (p *Provider) Commit() error {
 // survive untouched — and lands through the mutator: bulk writes for the
 // primitive runs, one barriered atomic store per string column. An update
 // goes over the existing object (WriteFieldImage, one FlushRange); a
-// fresh entity's image ships inside its allocation (PNewImage), whose one
-// flush covers header and fields. Device cost per entity persist is O(1)
-// regardless of how many fields are dirty (it depends only on the
-// schema's column shape); only new string payloads add their own
-// (bulk, one-write) allocations.
+// fresh entity's image ships inside its allocation (PNewImage), together
+// with its string columns' payloads: one allocation run whose one flush
+// covers the strings and the entity's header and fields. Device cost per
+// entity persist is O(1) regardless of how many fields are dirty (it
+// depends only on the schema's column shape); an update's new string
+// payloads add their own (bulk, one-write) allocations.
 func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 	m, err := p.mutator()
 	if err != nil {
@@ -322,6 +326,7 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		return 0, 0, err
 	}
 	base := layout.FieldOff(0)
+	strs := p.strs[:0]
 	for i, f := range fields {
 		if dirty&(1<<uint(i)) == 0 {
 			continue
@@ -330,7 +335,10 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		var bits uint64
 		switch f.Kind {
 		case jpa.FStr:
-			if v.Kind == h2.KStr {
+			if v.Kind == h2.KStr && fresh {
+				// Allocated with the entity: one run, one flush, one fence.
+				strs = append(strs, core.ImageString{Boff: s.fields[i].Offset(), S: v.S})
+			} else if v.Kind == h2.KStr {
 				sref, err := m.NewString(v.S, true)
 				if err != nil {
 					return 0, 0, err
@@ -347,8 +355,9 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		}
 		binary.LittleEndian.PutUint64(img[s.fields[i].Offset()-base:], bits)
 	}
+	p.strs = strs
 	if fresh {
-		ref, err = m.PNewImage(s.k, img, s.refOffs)
+		ref, err = m.PNewImage(s.k, img, s.refOffs, strs...)
 	} else {
 		err = m.WriteFieldImage(ref, img, s.refOffs)
 	}

@@ -211,15 +211,23 @@ func (s *Set) kickRetry() {
 	}
 }
 
-// Close stops the background retry loop (if one is running) and waits
-// for it to exit. Idempotent; a nil-loop set closes trivially. The
-// shards themselves hold no OS resources — their devices stay readable
-// through the store after Close.
+// Close stops the background retry loop (if one is running), waits for it
+// to exit, and makes every live shard's region tops exact, one stopped
+// shard at a time (pheap.PersistTops: the next open parses nothing
+// forward). Idempotent. The shards themselves hold no OS resources —
+// their devices stay readable through the store after Close.
 func (s *Set) Close() {
 	s.closeOnce.Do(func() {
 		if s.retryStop != nil {
 			close(s.retryStop)
 			<-s.retryDone
+		}
+		for i := range s.shards {
+			if sh := s.shard(i); sh != nil {
+				sh.world.Stop()
+				sh.heap.PersistTops()
+				sh.world.Start()
+			}
 		}
 	})
 }

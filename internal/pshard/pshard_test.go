@@ -354,10 +354,9 @@ func TestRecoveryWorkerCountByteIdentical(t *testing.T) {
 
 // TestPutDeviceCost pins what a put costs the device on a quiet set: one
 // ctx, every bucket spliced, no table growth, PLAB attached. A fresh key
-// is one allocation run (box and node under one flush), the region top,
-// and the link — 4 lines, 3 fences. An update is the box alone, the
-// region top, and the value slot — 3 lines and 3 fences, plus a line
-// when the 32-byte box straddles two.
+// is one allocation run (box and node under one flush) and the link — 3
+// lines, 2 fences. An update is the box alone and the value slot — 2
+// lines and 2 fences, plus a line when the 32-byte box straddles two.
 func TestPutDeviceCost(t *testing.T) {
 	opts := testOptions(1)
 	opts.Index = pindex.Options{InitialBuckets: 8, MaxLoadFactor: 1 << 30}
@@ -387,8 +386,8 @@ func TestPutDeviceCost(t *testing.T) {
 		return h.Device().Stats().Sub(before)
 	}
 	for k := int64(warm); k < warm+measured; k++ {
-		if d := put(k, k); d.FlushedLines != 4 || d.Fences != 3 {
-			t.Fatalf("fresh key %d: %d lines / %d fences, want 4 / 3", k, d.FlushedLines, d.Fences)
+		if d := put(k, k); d.FlushedLines != 3 || d.Fences != 2 {
+			t.Fatalf("fresh key %d: %d lines / %d fences, want 3 / 2", k, d.FlushedLines, d.Fences)
 		}
 	}
 	for k := int64(0); k < measured; k++ {
@@ -397,9 +396,9 @@ func TestPutDeviceCost(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %d lost", k)
 		}
-		want := uint64(2 + nvm.LineSpan(h.OffOf(box), set.Shard(0).boxK.SizeOf(0)))
-		if d.FlushedLines != want || want > 4 || d.Fences != 3 {
-			t.Fatalf("update of key %d: %d lines / %d fences, want %d / 3", k, d.FlushedLines, d.Fences, want)
+		want := uint64(1 + nvm.LineSpan(h.OffOf(box), set.Shard(0).boxK.SizeOf(0)))
+		if d.FlushedLines != want || want > 3 || d.Fences != 2 {
+			t.Fatalf("update of key %d: %d lines / %d fences, want %d / 2", k, d.FlushedLines, d.Fences, want)
 		}
 	}
 	// The ctx was the only thing flushing, so its own tally — index stats
