@@ -11,6 +11,7 @@
 //	espresso-bench -exp gcflush  recoverable-GC flush overhead (§6.4)
 //	espresso-bench -exp fastpath resolved-handle / bulk-I/O / flush-coalescing costs
 //	espresso-bench -exp pjo      Figure 16 path in device ops: JPAB create/update/delete on heap and H2 devices
+//	espresso-bench -exp ptx      Figure 15's Espresso side in device ops: heap transactions and the pcollections on them
 //	espresso-bench -exp alloc    PLAB allocation scaling curve
 //	espresso-bench -exp gcpause  STW vs concurrent-marking GC pause times
 //	espresso-bench -exp kv       durable lock-free index (pindex) scaling curve

@@ -264,10 +264,11 @@ func barrierRows() []barrierRow {
 					return w.rt.WriteFieldImage(obj, img, []int{w.fF.Offset()})
 				})
 			}},
-		// One logged store inside an open transaction: the log entry and
-		// its count (one flush + fence), then the store.
+		// One logged store inside an open transaction: the word's
+		// before-image read and appended to the log (one flush + fence), then
+		// the store — and, armed, the barrier's own load of the slot.
 		barrierRow{name: "ptx.WriteRefWord", kinds: anyRef, black: true,
-			dev: [2]devOps{{2, 4, 1, 1}, {2, 4, 1, 1}},
+			dev: [2]devOps{{1, 2, 1, 1}, {2, 2, 1, 1}},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				m, err := ptx.NewManager(w.h)
 				w.check(err)
@@ -278,9 +279,11 @@ func barrierRows() []barrierRow {
 				return s
 			}},
 		// Abort restoring one reference slot: what it rolls back over is
-		// the overwritten referent, what it restores the value.
+		// the overwritten referent, what it restores the value. The
+		// before-image read back and stored (its line, fence), then the seq
+		// word (its line, fence).
 		barrierRow{name: "ptx.Abort", kinds: anyRef, publishes: true,
-			dev: [2]devOps{{3, 3, 3, 2}, {4, 3, 3, 2}},
+			dev: [2]devOps{{1, 2, 2, 2}, {2, 2, 2, 2}},
 			site: func(w *barrierWorld, val layout.Ref) barrierSite {
 				m, err := ptx.NewManager(w.h)
 				w.check(err)

@@ -2,7 +2,7 @@ package experiments
 
 import "io"
 
-// The device-op contract: ten experiments whose rows are committed as
+// The device-op contract: eleven experiments whose rows are committed as
 // BENCH_<name>.json at the repository root. Contracts is the one table
 // that pins each experiment's parameters; TestDeviceOpContract runs every
 // entry at them and compares the rows with the committed file, and
@@ -91,6 +91,11 @@ var Contracts = []Contract{
 		Run: func(w io.Writer, p Params) (any, error) {
 			rows, err := PJOCommit(p.Scale)
 			return rowsOf(w, "PJO commit — what a JPAB operation costs the heap and the database device (per op)", rows, err)
+		}},
+	{Name: "ptx", Pinned: Params{Scale: 1},
+		Run: func(w io.Writer, p Params) (any, error) {
+			rows, err := PtxCost(p.Scale)
+			return rowsOf(w, "ptx — what a heap transaction and the pcollections built on it cost the device (per op)", rows, err)
 		}},
 	{Name: "alloc", Pinned: Params{Scale: 10, Mutators: 8},
 		Run: scalingRun("alloc", "Allocation scaling — one PLAB (region-local allocation buffer) per mutator")},

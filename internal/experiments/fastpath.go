@@ -25,6 +25,13 @@ type FastpathRow struct {
 	Fences       float64 `json:"fences_per_op"`
 }
 
+// perOp is the row of an operation that cost the device d over iters runs.
+func perOp(op string, iters int, d nvm.Stats) FastpathRow {
+	n := float64(iters)
+	return FastpathRow{Op: op, DevReads: float64(d.Reads) / n, DevWrites: float64(d.Writes) / n,
+		FlushedLines: float64(d.FlushedLines) / n, Fences: float64(d.Fences) / n}
+}
+
 // Fastpath measures named vs resolved field access, persistent-string
 // round trips, and per-object vs coalesced transitive flushes.
 func Fastpath(scale Scale) ([]FastpathRow, error) {
@@ -53,15 +60,7 @@ func Fastpath(scale Scale) ([]FastpathRow, error) {
 	}
 
 	var rows []FastpathRow
-	record := func(op string, iters int, d nvm.Stats) {
-		rows = append(rows, FastpathRow{
-			Op:           op,
-			DevReads:     float64(d.Reads) / float64(iters),
-			DevWrites:    float64(d.Writes) / float64(iters),
-			FlushedLines: float64(d.FlushedLines) / float64(iters),
-			Fences:       float64(d.Fences) / float64(iters),
-		})
-	}
+	record := func(op string, iters int, d nvm.Stats) { rows = append(rows, perOp(op, iters, d)) }
 	measure := func(op string, iters int, fn func() error) error {
 		s0 := dev.Stats()
 		if err := fn(); err != nil {

@@ -11,6 +11,7 @@
 package pcollections
 
 import (
+	"errors"
 	"fmt"
 
 	"espresso/internal/klass"
@@ -147,6 +148,10 @@ func (w *World) NewTuple(elems ...layout.Ref) (layout.Ref, error) {
 		return 0, err
 	}
 	err = w.TX.Run(func(tx *ptx.Tx) error {
+		// The field area is one before-image, not one per element.
+		if err := tx.Declare(ref, layout.FieldOff(0), len(elems)*layout.WordSize); err != nil {
+			return err
+		}
 		for i, e := range elems {
 			if err := tx.WriteRefWord(ref, layout.FieldOff(i), e); err != nil {
 				return err
@@ -310,6 +315,14 @@ func (w *World) MapPut(m layout.Ref, key int64, value layout.Ref) error {
 	}
 	size := int64(w.H.GetWord(m, w.mapSizeOff))
 	return w.TX.Run(func(tx *ptx.Tx) error {
+		// One log batch for the three places the put stores to: the entry's
+		// four contiguous fields, the bucket slot and the size word.
+		if err := errors.Join(
+			tx.Declare(entry, w.entryHashOff, 4*layout.WordSize),
+			tx.Declare(buckets, layout.ElemOff(layout.FTRef, slot), layout.WordSize),
+			tx.Declare(m, w.mapSizeOff, layout.WordSize)); err != nil {
+			return err
+		}
 		if err := tx.WriteWord(entry, w.entryHashOff, mixHash(key)); err != nil {
 			return err
 		}

@@ -102,19 +102,7 @@ func (a *Allocator) StoreRef(obj layout.Ref, boff int, val layout.Ref, volatile 
 		a.preWrite(obj, a.GetWordAtomic(obj, boff))
 		armed = 1
 	}
-	a.storeRef(obj, boff, val, volatile, armed, armed)
-}
-
-// StoreRefOver is StoreRef for a caller that has just loaded the slot
-// itself — ptx, which logs the old value before it may overwrite it — so
-// the pre-write half runs over old instead of a second device load.
-func (a *Allocator) StoreRefOver(obj layout.Ref, boff int, old uint64, val layout.Ref, volatile bool) {
-	var armed uint64
-	if a.heap.satbActive.Load() {
-		a.preWrite(obj, old)
-		armed = 1
-	}
-	a.storeRef(obj, boff, val, volatile, armed, 0)
+	a.storeRef(obj, boff, val, volatile, armed)
 }
 
 // PreWrite is the pre-write half of the barrier alone, for a slot of obj
@@ -144,8 +132,8 @@ func (a *Allocator) preWrite(obj layout.Ref, old uint64) {
 
 // storeRef is steps 2 and 3 plus attribution: refstore.stores, armed (0
 // or 1) refstore.satb_records, and the barrier's own device ops — the
-// store, and reads (0 or 1) pre-write loads.
-func (a *Allocator) storeRef(obj layout.Ref, boff int, val layout.Ref, volatile bool, armed, reads uint64) {
+// store, and armed pre-write loads.
+func (a *Allocator) storeRef(obj layout.Ref, boff int, val layout.Ref, volatile bool, armed uint64) {
 	h := a.heap
 	off := h.OffOf(obj) + boff
 	if h.remsetSink.Load() == nil {
@@ -164,14 +152,14 @@ func (a *Allocator) storeRef(obj layout.Ref, boff int, val layout.Ref, volatile 
 		c.Inc(telemetry.CtrRefStores)
 		c.Add(telemetry.CtrSATBRecords, armed)
 		if !a.placing { // inside an allocation the device ops are the allocation's
-			c.Dev(nvm.SubRefstore, reads, 1, 0, 0)
+			c.Dev(nvm.SubRefstore, armed, 1, 0, 0)
 		}
 	} else if sc := h.tel.Shared(); sc != nil {
 		// No cell of its own: the ownerless context, counted in the
 		// registry's shared cell so the op mix stays complete.
 		sc.AtomicInc(telemetry.CtrRefStores)
 		sc.AtomicAdd(telemetry.CtrSATBRecords, armed)
-		sc.AtomicDev(nvm.SubRefstore, reads, 1, 0, 0)
+		sc.AtomicDev(nvm.SubRefstore, armed, 1, 0, 0)
 	}
 }
 

@@ -11,42 +11,29 @@ import (
 // rotted redo entry rewrites an arbitrary word, a rotted GC-phase word
 // changes which recovery runs, a rotted global timestamp changes which
 // bytes above a region top Load takes for objects. Payload data stays
-// checksum-free: object headers are
-// already structurally validated by parsing, and guarding every field
-// store would put fences back on the fast paths this codebase exists to
-// keep clean. Each checksum lives in the same cache line as the words
-// it covers, so persisting it rides the flush the protocol already
-// issues — zero extra fences anywhere.
-
-// sumInit / sumMix form a seeded xor-multiply-shift mixer (the same
-// construction as the flight recorder's record checksum): cheap, and a
-// single flipped bit avalanches through the remaining width.
-const sumMult = 0x9E3779B97F4A7C15
-
-func sumMix(s, w uint64) uint64 {
-	s ^= w
-	s *= sumMult
-	s ^= s >> 29
-	return s
-}
+// checksum-free: object headers are already structurally validated by
+// parsing, and guarding every field store would put fences back on the
+// fast paths this codebase exists to keep clean. Each checksum (an nvm.Mix
+// chain) lives in the same cache line as the words it covers, so persisting
+// it rides the flush the protocol already issues — zero extra fences.
 
 // gcPhaseSum covers the GC-phase word. Seeded with the word's metadata
 // offset so a word copied from elsewhere in the line cannot validate.
 func gcPhaseSum(phase uint64) uint64 {
-	return sumMix(heapMagic^mGCPhase, phase)
+	return nvm.Mix(heapMagic^mGCPhase, phase)
 }
 
 // globalTSSum covers the global GC timestamp — the allocation epoch Load
 // validates headers against — seeded like gcPhaseSum.
 func globalTSSum(ts uint64) uint64 {
-	return sumMix(heapMagic^mGlobalTS, ts)
+	return nvm.Mix(heapMagic^mGlobalTS, ts)
 }
 
 // regionTopSum covers region r's top-table value. Salted with the
 // region index so a line block-copied between regions fails — a top is
 // only meaningful for the region it bounds.
 func regionTopSum(r int, top uint64) uint64 {
-	return sumMix(sumMix(heapMagic, uint64(r)), top)
+	return nvm.Mix(nvm.Mix(heapMagic, uint64(r)), top)
 }
 
 // regionTopLineValid applies the top-line rule: an all-zero line is an
@@ -65,10 +52,10 @@ const redoSeed = heapMagic ^ 0x5245444F
 // provably covers the committed bytes); validation calls it on load.
 func redoSumAt(dev *nvm.Device, geo Geometry, count int) uint64 {
 	base := geo.RedoOff
-	s := sumMix(redoSeed, uint64(count))
+	s := nvm.Mix(redoSeed, uint64(count))
 	for i := 0; i < count; i++ {
-		s = sumMix(s, dev.ReadU64(base+16+i*16))
-		s = sumMix(s, dev.ReadU64(base+16+i*16+8))
+		s = nvm.Mix(s, dev.ReadU64(base+16+i*16))
+		s = nvm.Mix(s, dev.ReadU64(base+16+i*16+8))
 	}
 	return s
 }

@@ -93,20 +93,13 @@ const (
 // mutation, a single-word bump that must stay all-old-or-all-new with
 // no companion write. The version word needs no cover either: only
 // ManifestVersion parses, so any corruption of it is rejected outright.
-// Same mixer as the flight recorder and pheap metadata checksums.
+// An nvm.Mix chain, like the flight recorder's and pheap's metadata sums.
 func manifestSum(dev *nvm.Device, n int) uint64 {
-	const mult = 0x9E3779B97F4A7C15
-	mix := func(s, w uint64) uint64 {
-		s ^= w
-		s *= mult
-		s ^= s >> 29
-		return s
-	}
-	s := mix(ManifestMagic, dev.ReadU64(manState))
-	s = mix(s, dev.ReadU64(manShards))
-	s = mix(s, dev.ReadU64(manShardSize))
+	s := nvm.Mix(ManifestMagic, dev.ReadU64(manState))
+	s = nvm.Mix(s, dev.ReadU64(manShards))
+	s = nvm.Mix(s, dev.ReadU64(manShardSize))
 	for i := 0; i < n; i++ {
-		s = mix(s, dev.ReadU64(manBounds+8*i))
+		s = nvm.Mix(s, dev.ReadU64(manBounds+8*i))
 	}
 	return s
 }

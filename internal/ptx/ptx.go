@@ -1,235 +1,233 @@
 // Package ptx provides undo-log ACID transactions over persistent-heap
 // objects — the "simple undo log" the paper adds to its PJH collections
-// for a fair comparison with PCJ's always-transactional operations (§6.2),
-// and the building block PJO's providers can use for their own protocols.
+// for a fair comparison with PCJ's always-transactional operations (§6.2).
 //
-// The log lives in the heap itself (a persistent long array reachable from
-// a reserved root), so an interrupted transaction is rolled back by
-// recovery on the next load:
+// The protocol is internal/undolog's, the one H2 runs; ptx supplies the
+// log and the way a before-image is put back. The log lives in the heap
+// itself, a persistent long array reachable from a reserved root, so an
+// interrupted transaction is rolled back by NewManager on the next load:
 //
-//	log layout: [0]=committedFlag (0 active, 1 idle), [1]=entryCount,
-//	            then entryCount × (slotAddress, oldValue)
+//	word 0      logMagic (the format before this one kept its idle flag here)
+//	word 7      seq; the padding words 1-6 and 8-14 give it a cache line of
+//	            its own wherever a collection puts the array
+//	then        padding to the next line, and the records
 //
-// Write protocol per mutated word: append (addr, old) to the log, flush
-// the entry, fence, bump and flush the count, then perform the store.
-// Commit flushes the mutated words, fences, and resets the count.
+// Records name device offsets inside the heap's data area, so a rebased
+// heap changes nothing, and the array's own device range is looked up
+// again whenever the heap's layout epoch has moved. The write-ahead rule:
+// a word's before-image is flushed and fenced before the first store into
+// it, once per transaction (Declare batches whole ranges). Begin is free
+// because nothing marks a transaction open: the log is "the records that
+// validate for seq+1", and an empty transaction costs the device nothing.
 //
-// Primitive stores (WriteWord) write heap words directly; reference
-// stores go through WriteRefWord, which is pheap's reference-store
-// barrier on the heap's ownerless context (pheap.Heap.Ownerless): the
-// pre-write record and card mark while a concurrent mark runs, a single
-// atomic machine store, and — when the heap is attached to a runtime
-// (pheap.RemsetSink) — a remembered-set delta. So ptx transactions, and
-// the legacy pcollections built on them, stay correct while
-// pgc.CollectConcurrent marks, and the runtime's NVM→DRAM remembered set
-// sees their edges: the ownerless context is drained at every GC
-// safepoint like any other, so a collection mid-transaction sees every
-// edge already on the device, and Commit, the transaction's durable
-// publication point, publishes whatever the safepoints have not already
-// taken. Abort sends every reference slot it restores through the same
-// barrier — the value being rolled back over is one the marker could
-// otherwise lose, and the restoring store's delta corrects the forward
-// one — and publishes too; publication re-derives membership from the
-// restored slot values, so the shared set leaves Abort exactly as it was
-// before the transaction.
+// Primitive stores (WriteWord) write heap words directly; reference stores
+// (WriteRefWord) are pheap's reference-store barrier on the heap's
+// ownerless context (pheap/barrier.go), so transactions, and the
+// pcollections built on them, stay correct while pgc.CollectConcurrent
+// marks, and Commit, the durable publication point, publishes the
+// remembered-set deltas the safepoints have not already taken. The restore
+// hook keeps a live Abort inside that discipline: every reference slot the
+// transaction stored goes back through the barrier — the value rolled back
+// over is one the marker could otherwise lose, and the restoring store's
+// delta corrects the forward one — and Abort publishes too. Every other
+// word, and everything at recovery, goes back with a plain atomic store.
 package ptx
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"espresso/internal/layout"
+	"espresso/internal/nvm"
 	"espresso/internal/pheap"
+	"espresso/internal/undolog"
 )
 
-// LogRootName is the reserved root under which each heap's transaction
-// log array is registered.
-const LogRootName = "espresso/ptx-log"
+const (
+	// LogRootName is the reserved root of each heap's log array.
+	LogRootName = "espresso/ptx-log"
+	// DefaultLogEntries is how many separately logged words a transaction can hold.
+	DefaultLogEntries = 4096
 
-// DefaultLogEntries bounds the number of word-writes per transaction.
-const DefaultLogEntries = 4096
+	logMagic = 0x5054_584c_4f47_0002 // "PTXLOG", format 2
+	seqWord  = 7
+	logWords = 16 + 3*DefaultLogEntries
+)
+
+var (
+	// ErrTxDone is returned by writes to a committed or aborted Tx.
+	ErrTxDone = errors.New("ptx: transaction already finished")
+	// ErrLogFormat refuses a non-log under the log's root, and a log of the
+	// previous format with a transaction open: only its writer can roll it back.
+	ErrLogFormat = errors.New("ptx: log is of an older format with a transaction open, or not a log")
+)
 
 // Manager owns the transaction log of one heap. Transactions are globally
 // serialized (PCJ behaves the same way: one fat lock).
 type Manager struct {
-	mu  sync.Mutex
-	h   *pheap.Heap
-	log layout.Ref // persistent long array
-	cap int
+	mu      sync.Mutex
+	h       *pheap.Heap
+	epoch   uint64       // h.LayoutEpoch() when undo was bound to the log array's device range
+	undo    *undolog.Log // over that range
+	pending []nvm.Range  // the open transaction's declared, not yet logged ranges
+	refs    []refSlot    // and the reference slots it stored through the barrier
 }
+
+// refSlot is a reference slot's device offset and the object it lies in.
+type refSlot struct {
+	off int
+	obj layout.Ref
+}
+
+func elemOff(i int) int { return layout.ElemOff(layout.FTLong, i) }
 
 // NewManager creates (or re-attaches to) the heap's transaction log and
 // rolls back any transaction that was active when the heap last persisted.
+// An idle log of the previous format (word 0 reads 1) is replaced.
 func NewManager(h *pheap.Heap) (*Manager, error) {
-	m := &Manager{h: h, cap: DefaultLogEntries}
+	m := &Manager{h: h}
 	if ref, ok := h.GetRoot(LogRootName); ok {
-		m.log = ref
-		if err := m.recover(); err != nil {
-			return nil, err
+		if first := h.GetWord(ref, elemOff(0)); first == logMagic {
+			return m, m.recover()
+		} else if first != 1 {
+			return nil, ErrLogFormat
 		}
-		return m, nil
 	}
-	arr, err := h.Alloc(h.Registry().PrimArray(layout.FTLong), 2+2*m.cap)
+	arr, err := h.Alloc(h.Registry().PrimArray(layout.FTLong), logWords)
 	if err != nil {
 		return nil, fmt.Errorf("ptx: allocating log: %w", err)
 	}
-	m.log = arr
-	m.logStore(0, 1) // idle
-	m.logStore(1, 0)
-	h.FlushRange(arr, 0, 2*layout.WordSize+layout.ArrayHdrBytes)
+	h.SetWord(arr, elemOff(0), logMagic)
+	h.SetWord(arr, elemOff(seqWord), 0)
+	h.FlushRange(arr, elemOff(0), (seqWord+1)*layout.WordSize)
 	if err := h.SetRoot(LogRootName, arr); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return m, m.recover()
 }
 
-func (m *Manager) logStore(i int, v uint64) {
-	m.h.SetWord(m.log, layout.ElemOff(layout.FTLong, i), v)
-}
-
-func (m *Manager) logLoad(i int) uint64 {
-	return m.h.GetWord(m.log, layout.ElemOff(layout.FTLong, i))
-}
-
-func (m *Manager) flushLogWords(i, n int) {
-	m.h.FlushRange(m.log, layout.ElemOff(layout.FTLong, i), n*layout.WordSize)
-}
-
-// recover rolls back a transaction that did not commit before the crash.
+// recover binds the undo log to the array's current device range, rolling
+// back whatever transaction it holds.
 func (m *Manager) recover() error {
-	if m.logLoad(0) == 1 {
-		return nil // idle: nothing to do
+	m.epoch = m.h.LayoutEpoch()
+	ref, ok := m.h.GetRoot(LogRootName)
+	if !ok {
+		return fmt.Errorf("ptx: log root %q is gone", LogRootName)
 	}
-	count := int(m.logLoad(1))
-	for i := count - 1; i >= 0; i-- {
-		addr := layout.Ref(m.logLoad(2 + 2*i))
-		old := m.logLoad(2 + 2*i + 1)
-		off := m.h.OffOf(addr)
-		m.h.Device().WriteU64(off, old)
-		m.h.Device().Flush(off, 8)
-	}
-	m.h.Device().Fence()
-	m.logStore(1, 0)
-	m.logStore(0, 1)
-	m.flushLogWords(0, 2)
+	body, geo := m.h.OffOf(ref)+elemOff(0), m.h.Geo()
+	m.pending, m.refs = m.pending[:0], m.refs[:0]
+	m.undo = undolog.Open(m.h.Device(), body+seqWord*layout.WordSize, body+logWords*layout.WordSize,
+		geo.DataOff, geo.ScratchOff, m.restore)
 	return nil
 }
 
-// Tx is one open transaction.
-type Tx struct {
-	m       *Manager
-	touched []layout.Ref // slot addresses to flush on commit
-	isRef   []bool       // parallel to the log: entry restores a reference slot
-	objs    []layout.Ref // parallel: owning object (the barrier's card target)
-	closed  bool
+// restore puts a before-image back word by word (see the package comment).
+func (m *Manager) restore(off, src, n int) {
+	dev := m.h.Device()
+	for end := off + n; off < end; off, src = off+layout.WordSize, src+layout.WordSize {
+		old := dev.ReadU64(src)
+		if i := slices.IndexFunc(m.refs, func(s refSlot) bool { return s.off == off }); i >= 0 {
+			obj := m.refs[i].obj
+			m.h.Ownerless().StoreRef(obj, off-m.h.OffOf(obj), layout.Ref(old), m.h.RefIsVolatile(layout.Ref(old)))
+		} else {
+			dev.WriteU64Atomic(off, old)
+		}
+	}
 }
 
-// Begin opens a transaction, taking the global lock.
+// Tx is one transaction. Its first Commit or Abort ends it; later ones are no-ops.
+type Tx struct {
+	m    *Manager
+	done bool
+}
+
+// Begin opens a transaction, taking the global lock, at no device cost
+// unless a collection or a rebase has moved the heap since the last one.
 func (m *Manager) Begin() *Tx {
 	m.mu.Lock()
-	m.logStore(1, 0)
-	m.logStore(0, 0) // active
-	m.flushLogWords(0, 2)
+	if m.h.LayoutEpoch() != m.epoch && m.recover() != nil {
+		panic("ptx: the log's root was removed under its manager")
+	}
 	return &Tx{m: m}
 }
 
-// WriteWord performs a logged store of the 8-byte slot at byte offset
-// boff of the persistent object at obj. For reference slots use
-// WriteRefWord, which adds the concurrent collector's write barrier.
+// Declare announces stores into the n bytes (whole words) at byte offset
+// boff of obj. The range is logged, with anything else declared since, in
+// one batch ahead of the next store; stores into it then log nothing more.
+func (tx *Tx) Declare(obj layout.Ref, boff, n int) error {
+	if tx.done {
+		return ErrTxDone
+	}
+	if boff%layout.WordSize != 0 || n%layout.WordSize != 0 || n < 0 {
+		return fmt.Errorf("ptx: Declare(%#x, %d, %d): not whole words", uint64(obj), boff, n)
+	}
+	tx.m.pending = append(tx.m.pending, nvm.Range{Off: tx.m.h.OffOf(obj) + boff, N: n})
+	return nil
+}
+
+// WriteWord performs a logged store of the 8-byte slot at byte offset boff
+// of the persistent object at obj; reference slots take WriteRefWord.
 func (tx *Tx) WriteWord(obj layout.Ref, boff int, val uint64) error {
 	return tx.write(obj, boff, val, false)
 }
 
 // WriteRefWord is WriteWord for reference slots: the store goes through
-// the reference-store barrier, so the concurrent marker never loses a
-// snapshot-reachable object to a transactional overwrite and never reads
-// a torn slot, and the remembered set learns of a volatile val.
+// the reference-store barrier, so the concurrent marker loses no object to
+// a transactional overwrite, and the remembered set learns of a volatile val.
 func (tx *Tx) WriteRefWord(obj layout.Ref, boff int, val layout.Ref) error {
 	return tx.write(obj, boff, uint64(val), true)
 }
 
 func (tx *Tx) write(obj layout.Ref, boff int, val uint64, isRef bool) error {
-	m := tx.m
-	count := int(m.logLoad(1))
-	if count >= m.cap {
-		return fmt.Errorf("ptx: transaction log full (%d entries)", m.cap)
+	if tx.done {
+		return ErrTxDone
 	}
-	slot := obj + layout.Ref(boff)
-	old := m.h.GetWord(obj, boff)
-	m.logStore(2+2*count, uint64(slot))
-	m.logStore(2+2*count+1, old)
-	m.logStore(1, uint64(count+1))
-	// The count word and the entry often share a cache line; one flush
-	// covering both halves the log's persist cost (the kind of Java-side
-	// transaction-library optimization §2.2 anticipates). Ordering within
-	// a line is preserved by the line-granular persistence model.
-	m.flushLogWordSpan(1, 2+2*count+1)
+	m := tx.m
+	word := nvm.Range{Off: m.h.OffOf(obj) + boff, N: layout.WordSize}
+	m.pending = append(m.pending, word)
+	err := m.undo.Record(m.pending...)
+	m.pending = m.pending[:0]
+	if err != nil {
+		return fmt.Errorf("ptx: logging %#x+%d: %w", uint64(obj), boff, err)
+	}
 	if isRef {
-		// The barrier's pre-write half runs over the value just logged.
-		m.h.Ownerless().StoreRefOver(obj, boff, old, layout.Ref(val), m.h.RefIsVolatile(layout.Ref(val)))
+		m.h.Ownerless().StoreRef(obj, boff, layout.Ref(val), m.h.RefIsVolatile(layout.Ref(val)))
+		m.refs = append(m.refs, refSlot{word.Off, obj})
 	} else {
 		m.h.SetWord(obj, boff, val)
 	}
-	tx.touched = append(tx.touched, slot)
-	tx.isRef = append(tx.isRef, isRef)
-	tx.objs = append(tx.objs, obj)
+	m.undo.Touched(word)
 	return nil
 }
 
-// flushLogWordSpan persists log words [lo, hi] with one flush call.
-func (m *Manager) flushLogWordSpan(lo, hi int) {
-	m.h.FlushRange(m.log, layout.ElemOff(layout.FTLong, lo), (hi-lo+1)*layout.WordSize)
-}
-
-// Commit flushes the transaction's stores, retires the log, and
-// publishes the transaction's remembered-set deltas — the durable commit
-// is the write-combining barrier's transaction-level publication point.
-// (A GC safepoint mid-transaction may already have drained some; the
-// re-derivation at publication makes the double coverage harmless.)
-func (tx *Tx) Commit() {
-	m := tx.m
-	for _, slot := range tx.touched {
-		off := m.h.OffOf(slot)
-		m.h.Device().Flush(off, 8)
+// end finishes the transaction, once: the log commits or rolls back, the
+// remembered-set deltas are published (those a GC safepoint has not taken
+// mid-transaction), and the manager's lock is released.
+func (tx *Tx) end(commit bool) {
+	if tx.done {
+		return
 	}
-	m.h.Device().Fence()
-	m.logStore(1, 0)
-	m.logStore(0, 1)
-	m.flushLogWords(0, 2)
+	tx.done = true
+	m := tx.m
+	if commit {
+		m.undo.Commit()
+	} else {
+		m.undo.Rollback()
+	}
+	m.pending, m.refs = m.pending[:0], m.refs[:0]
 	m.h.Ownerless().PublishRemsetDeltas()
-	tx.closed = true
 	m.mu.Unlock()
 }
 
-// Abort rolls the transaction back. Restored reference slots go through
-// the reference-store barrier like the forward stores did (see the
-// package comment), the rest are plain stores.
-func (tx *Tx) Abort() {
-	m := tx.m
-	count := int(m.logLoad(1))
-	for i := count - 1; i >= 0; i-- {
-		addr := layout.Ref(m.logLoad(2 + 2*i))
-		old := m.logLoad(2 + 2*i + 1)
-		off := m.h.OffOf(addr)
-		if i < len(tx.isRef) && tx.isRef[i] {
-			obj := tx.objs[i]
-			m.h.Ownerless().StoreRef(obj, int(addr-obj), layout.Ref(old), m.h.RefIsVolatile(layout.Ref(old)))
-		} else {
-			m.h.Device().WriteU64(off, old)
-		}
-		m.h.Device().Flush(off, 8)
-	}
-	m.h.Device().Fence()
-	m.logStore(1, 0)
-	m.logStore(0, 1)
-	m.flushLogWords(0, 2)
-	m.h.Ownerless().PublishRemsetDeltas()
-	tx.closed = true
-	m.mu.Unlock()
-}
+// Commit makes the transaction durable: its dirty lines, fence, seq, fence.
+func (tx *Tx) Commit() { tx.end(true) }
 
-// Run executes fn inside a transaction, committing on nil and aborting on
-// error.
+// Abort rolls the transaction back, reference slots through the barrier.
+func (tx *Tx) Abort() { tx.end(false) }
+
+// Run executes fn in a transaction: commit on nil, abort on error.
 func (m *Manager) Run(fn func(tx *Tx) error) error {
 	tx := m.Begin()
 	if err := fn(tx); err != nil {

@@ -8,6 +8,7 @@ import (
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
 	"espresso/internal/pheap"
+	"espresso/internal/undolog"
 )
 
 func setup(t *testing.T) (*pheap.Heap, *Manager, layout.Ref) {
@@ -124,28 +125,61 @@ func TestCrashMidTransactionRollsBackOnRecovery(t *testing.T) {
 }
 
 func TestLogFullRejected(t *testing.T) {
-	_, m, ref := setup(t)
+	h, m, _ := setup(t)
+	arr, err := h.Alloc(h.Registry().PrimArray(layout.FTLong), DefaultLogEntries+64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tx := m.Begin()
 	defer tx.Abort()
-	var err error
-	for i := 0; i <= DefaultLogEntries; i++ {
-		if err = tx.WriteWord(ref, layout.FieldOff(0), uint64(i)); err != nil {
-			break
+	for i := 0; i < DefaultLogEntries+64 && err == nil; i++ {
+		if err = tx.WriteWord(arr, layout.ElemOff(layout.FTLong, i), uint64(i)); i < DefaultLogEntries && err != nil {
+			t.Fatalf("word %d of the %d the log has room for: %v", i, DefaultLogEntries, err)
 		}
 	}
-	if err == nil {
-		t.Fatal("expected log-full error")
+	if !errors.Is(err, undolog.ErrFull) {
+		t.Fatalf("overfull transaction: err = %v, want undolog.ErrFull", err)
 	}
 }
 
 func TestManagerReattachesToExistingLog(t *testing.T) {
 	h, _, _ := setup(t)
 	// A second manager on the same heap must find the same log root.
-	m2, err := NewManager(h)
-	if err != nil {
+	before, _ := h.GetRoot(LogRootName)
+	if _, err := NewManager(h); err != nil {
 		t.Fatal(err)
 	}
-	if ref, ok := h.GetRoot(LogRootName); !ok || ref != m2.log {
+	if ref, ok := h.GetRoot(LogRootName); !ok || ref != before {
 		t.Fatal("manager did not reattach to the existing log")
+	}
+}
+
+// TestWordLoggedOncePerTransaction: the first store into a word logs its
+// before-image; every later store into it, and every store into a
+// declared range after the first, is the store and nothing else.
+func TestWordLoggedOncePerTransaction(t *testing.T) {
+	h, m, ref := setup(t)
+	tx := m.Begin()
+	defer tx.Abort()
+	store := func(field int) nvm.Stats {
+		s0 := h.Device().Stats()
+		if err := tx.WriteWord(ref, layout.FieldOff(field), 7); err != nil {
+			t.Fatal(err)
+		}
+		return h.Device().Stats().Sub(s0)
+	}
+	if d := store(0); d.Flushes != 1 || d.Fences != 1 {
+		t.Fatalf("first store into a word: %+v, want one log flush and fence", d)
+	}
+	if err := tx.Declare(ref, layout.FieldOff(0), 2*layout.WordSize); err != nil {
+		t.Fatal(err)
+	}
+	if d := store(1); d.Flushes != 1 || d.Fences != 1 {
+		t.Fatalf("first store into a declared range: %+v, want one log flush and fence", d)
+	}
+	for field := 0; field < 2; field++ {
+		if d := store(field); d != (nvm.Stats{Writes: 1, BytesWritten: 8}) {
+			t.Fatalf("store into the logged word %d: %+v, want the store alone", field, d)
+		}
 	}
 }

@@ -184,9 +184,7 @@ func (r Record) KindName() string { return KindName(r.Kind) }
 func checksum(seq, kind, ts, p0, p1, p2 uint64) uint64 {
 	h := Magic
 	for _, w := range [...]uint64{seq, kind, ts, p0, p1, p2} {
-		h ^= w
-		h *= 0x9E3779B97F4A7C15
-		h ^= h >> 29
+		h = nvm.Mix(h, w)
 	}
 	return h
 }

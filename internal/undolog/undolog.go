@@ -1,0 +1,209 @@
+// Package undolog is the tree's one undo log: failure-atomic transactions
+// over a window of an nvm.Device, for H2's row pages and ptx's heap
+// objects. A transaction costs the device its distinct dirty lines, one
+// log flush per batch of before-images, and one commit line:
+//
+//   - before a range is first overwritten, its before-image is appended to
+//     the log, flushed and fenced (Record) — the write-ahead rule: a store
+//     may leave the cache at any moment, so the bytes that undo it must
+//     already be durable;
+//   - the stores themselves are not flushed one by one; Touched notes
+//     their lines, and Commit writes each distinct line back once, fences,
+//     and only then persists seq+1 — the commit point;
+//   - Open rolls back whatever the log holds for transaction seq+1.
+//
+// One word, seq, numbers the last finished transaction and has a cache
+// line to itself; the records of transaction seq+1 follow from the next
+// line, each
+//
+//	u32 deviceOff, u32 length, u64 tag, bytes (padded to a word)
+//
+// The tag covers the transaction number, the record's place in the log,
+// the range and the bytes, so recovery needs no count of records: it takes
+// the records that validate, in order, and stops at the first that does
+// not. A record cut short by the crash therefore reads as absent — and is
+// safe to lose, because the store it covers is issued only after the
+// record's fence. Records left by earlier transactions carry earlier
+// numbers and never validate, and every target is held to the window
+// before anything is stored through it.
+package undolog
+
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+	"slices"
+
+	"espresso/internal/nvm"
+)
+
+const (
+	recHdrBytes = 16
+	tagSeed     = 0x4832_4442 // "H2DB": the log began as H2's, and keeps its images valid
+)
+
+var (
+	// ErrFull rejects a before-image the log has no room left for.
+	ErrFull = errors.New("undolog: transaction too large for the undo log")
+	// ErrRange rejects a range outside the target window, or inside the log.
+	ErrRange = errors.New("undolog: range outside the transaction's target window")
+)
+
+// rec is one logged before-image: n bytes of [off, off+n), held at at.
+type rec struct{ at, off, n int }
+
+// Log is one undo log and the dirty-line set of its open transaction.
+type Log struct {
+	dev                  *nvm.Device
+	seqOff, dataOff, end int // the seq word; the records' area behind its line
+	lo, hi               int // the target window
+	// restore puts the n-byte before-image at log offset src back at off.
+	restore func(off, src, n int)
+	seq     uint64 // the device's seq word
+	used    int    // bytes of records logged by the open transaction
+	// recs lists those records, dirty the line ranges stored to and not
+	// written back; buf stages one batch. All are reused across transactions.
+	recs  []rec
+	dirty []nvm.Range
+	buf   []byte
+}
+
+// Open attaches to the log whose seq word is at seqOff and whose records
+// end at end, for targets in [lo, hi): it reads seq and the records of
+// transaction seq+1 that validate, and rolls that transaction back. restore
+// puts a before-image back, the one thing users do differently (H2: dev.Move).
+func Open(dev *nvm.Device, seqOff, end, lo, hi int, restore func(off, src, n int)) *Log {
+	l := &Log{dev: dev, seqOff: seqOff, dataOff: nvm.LineRange(seqOff, 8).Off + nvm.LineSize, end: end,
+		lo: lo, hi: min(hi, math.MaxUint32), restore: restore, seq: dev.ReadU64(seqOff)}
+	for at := l.dataOff; at+recHdrBytes <= end; {
+		off, n := int(dev.ReadU32(at)), int(dev.ReadU32(at+4))
+		size := padded(n)
+		if at+recHdrBytes+size > end || !l.accepts(off, n) {
+			break
+		}
+		l.buf = slices.Grow(l.buf[:0], size)[:size]
+		dev.ReadBytes(at+recHdrBytes, l.buf)
+		if dev.ReadU64(at+8) != tag(l.seq+1, at, off, n, l.buf) {
+			break
+		}
+		l.recs = append(l.recs, rec{at, off, n})
+		at += recHdrBytes + size
+	}
+	l.Rollback()
+	return l
+}
+
+// accepts reports whether [off, off+n) may be a record's target.
+func (l *Log) accepts(off, n int) bool {
+	return n > 0 && off >= l.lo && off+n <= l.hi && (off+n <= l.seqOff || off >= l.end)
+}
+
+func tag(seq uint64, at, off, n int, image []byte) uint64 {
+	s := nvm.Mix(nvm.Mix(nvm.Mix(tagSeed, seq), uint64(at)), uint64(off)<<32|uint64(n))
+	for ; len(image) >= 8; image = image[8:] {
+		s = nvm.Mix(s, binary.LittleEndian.Uint64(image))
+	}
+	return s
+}
+
+// padded rounds a before-image's length up to whole words.
+func padded(n int) int { return (n + 7) &^ 7 }
+
+// Record makes the before-images of the given ranges durable — one flush
+// and one fence for the batch — ahead of the caller's first store into
+// any of them. An empty range is skipped, and so is one inside a range
+// already logged: its first image is the one rollback wants. A batch with
+// a range the log cannot take is not logged at all.
+func (l *Log) Record(ranges ...nvm.Range) error {
+	buf, base, first := l.buf[:0], l.dataOff+l.used, len(l.recs)
+	for _, r := range ranges {
+		var err error
+		switch at := base + len(buf); {
+		case r.N == 0:
+		case !l.accepts(r.Off, r.N):
+			err = ErrRange
+		case slices.ContainsFunc(l.recs, func(c rec) bool { return c.off <= r.Off && r.Off+r.N <= c.off+c.n }):
+		case at+recHdrBytes+padded(r.N) > l.end:
+			err = ErrFull
+		default:
+			buf = append(buf, make([]byte, recHdrBytes+padded(r.N))...)
+			b := buf[at-base:]
+			l.dev.ReadBytes(r.Off, b[recHdrBytes:recHdrBytes+r.N])
+			binary.LittleEndian.PutUint32(b, uint32(r.Off))
+			binary.LittleEndian.PutUint32(b[4:], uint32(r.N))
+			binary.LittleEndian.PutUint64(b[8:], tag(l.seq+1, at, r.Off, r.N, b[recHdrBytes:]))
+			l.recs = append(l.recs, rec{at, r.Off, r.N})
+		}
+		if err != nil {
+			l.recs = l.recs[:first]
+			return err
+		}
+	}
+	l.buf = buf
+	if len(buf) == 0 {
+		return nil
+	}
+	l.dev.WriteBytes(base, buf)
+	l.dev.Flush(base, len(buf))
+	l.dev.Fence()
+	l.used += len(buf)
+	return nil
+}
+
+// Touched notes that the transaction stored into r, whose lines Commit
+// has to write back. A range overlapping or adjacent to a noted one grows
+// it, so the list stays a handful of entries (a batch of H2 inserts keeps
+// extending the same two) and small transactions never allocate.
+func (l *Log) Touched(r nvm.Range) {
+	r = nvm.LineRange(r.Off, r.N)
+	for i := len(l.dirty) - 1; i >= 0; i-- {
+		d := &l.dirty[i]
+		if r.Off <= d.Off+d.N && d.Off <= r.Off+r.N {
+			lo, hi := min(d.Off, r.Off), max(d.Off+d.N, r.Off+r.N)
+			d.Off, d.N = lo, hi-lo
+			return
+		}
+	}
+	l.dirty = append(l.dirty, r)
+}
+
+// Commit makes the open transaction durable: every line it stored to is
+// written back once, the fence orders them ahead of the seq word, and seq
+// moving on retires the log. One that logged nothing costs nothing.
+func (l *Log) Commit() {
+	if l.used == 0 {
+		return
+	}
+	for _, r := range nvm.MergeRanges(l.dirty) {
+		l.dev.Flush(r.Off, r.N)
+	}
+	l.dev.Fence()
+	l.finish()
+}
+
+// finish retires the open transaction's records by moving seq past it.
+func (l *Log) finish() {
+	l.seq++
+	l.dev.WriteU64(l.seqOff, l.seq)
+	l.dev.Flush(l.seqOff, 8)
+	l.dev.Fence()
+	l.used, l.recs, l.dirty = 0, l.recs[:0], l.dirty[:0]
+}
+
+// Rollback puts the open transaction's before-images back in reverse
+// order, from the log on the device, and retires them, reporting whether
+// there were any. It serves a live abort and, at Open, the transaction a
+// crash left behind alike; crashed part-way and reopened, it starts over.
+func (l *Log) Rollback() bool {
+	if len(l.recs) == 0 {
+		return false
+	}
+	for i := len(l.recs) - 1; i >= 0; i-- {
+		r := l.recs[i]
+		l.restore(r.off, r.at+recHdrBytes, r.n)
+		l.dev.Flush(r.off, r.n)
+	}
+	l.dev.Fence()
+	l.finish()
+	return true
+}
