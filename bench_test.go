@@ -70,11 +70,13 @@ func BenchmarkFig16JPABThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var sum float64
+		var speedup, allocs float64
 		for _, r := range rows {
-			sum += r.PJO / r.JPA
+			speedup += r.Speedup
+			allocs += r.AllocRatio
 		}
-		b.ReportMetric(sum/float64(len(rows)), "avg-PJO/JPA")
+		b.ReportMetric(speedup/float64(len(rows)), "avg-PJO/JPA")
+		b.ReportMetric(allocs/float64(len(rows)), "avg-PJO/JPA-allocs")
 	}
 }
 
@@ -93,13 +95,15 @@ func BenchmarkFig17BasicTestBreakdown(b *testing.B) {
 // objects).
 func BenchmarkFig18HeapLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig18(benchScale)
+		rows, err := experiments.Fig18(benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := points[len(points)-1]
+		last := rows[len(rows)-2] // the largest closed image; the unclosed one follows it
 		b.ReportMetric(last.UGMillis, "UG-ms")
-		b.ReportMetric(last.ZeroMs, "zero-ms")
+		b.ReportMetric(last.ZeroMillis, "zero-ms")
+		b.ReportMetric(last.UGReads, "UG-reads")
+		b.ReportMetric(last.ZeroReads, "zero-reads")
 	}
 }
 

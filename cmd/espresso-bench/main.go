@@ -4,13 +4,12 @@
 //
 //	espresso-bench -exp fig4     JPA commit breakdown
 //	espresso-bench -exp fig6     PCJ create breakdown
-//	espresso-bench -exp fig15    PJH vs PCJ microbenchmarks
-//	espresso-bench -exp fig16    JPAB throughput, H2-JPA vs H2-PJO
 //	espresso-bench -exp fig17    BasicTest time breakdown
-//	espresso-bench -exp fig18    heap loading time (UG vs zeroing)
 //	espresso-bench -exp gcflush  recoverable-GC flush overhead (§6.4)
+//	espresso-bench -exp fig15    PJH vs PCJ microbenchmarks: device ops per op on both sides, and the clock
+//	espresso-bench -exp fig16    JPAB on H2-JPA vs H2-PJO: device ops and Go allocations per op, and the clock
+//	espresso-bench -exp fig18    heap loading (UG vs zeroing): device reads per load, and the clock
 //	espresso-bench -exp fastpath resolved-handle / bulk-I/O / flush-coalescing costs
-//	espresso-bench -exp pjo      Figure 16 path in device ops: JPAB create/update/delete on heap and H2 devices
 //	espresso-bench -exp ptx      Figure 15's Espresso side in device ops: heap transactions and the pcollections on them
 //	espresso-bench -exp alloc    PLAB allocation scaling curve
 //	espresso-bench -exp gcpause  STW vs concurrent-marking GC pause times
@@ -22,9 +21,9 @@
 //	espresso-bench -exp faults   media-fault matrix: fault kind × metadata structure vs a DRAM oracle
 //	espresso-bench -exp all      everything
 //
-// fastpath through faults are the device-op contract: each runs from the table in
-// internal/experiments (experiments.Contracts) at the parameters its
-// committed BENCH_<name>.json was generated with, so
+// fig15 through faults are the device-op contract: each runs from the
+// table in internal/experiments (experiments.Contracts) at the parameters
+// its committed BENCH_<name>.json was generated with, so
 //
 //	espresso-bench -exp <name> -json BENCH_<name>.json
 //
@@ -34,9 +33,10 @@
 // mutator curves and sets the gcpause and shardedkv mutator count;
 // -shards tops the shardedkv shard curve and -recoverykeys sizes its
 // restart population — each left at 0 keeps a contract experiment's
-// pinned value (and the figures at paper scale). -json FILE writes the
-// experiment's rows as JSON; with -exp all it writes one object keyed by
-// experiment name.
+// pinned value (and fig4, fig6 and fig17 at paper scale). -json FILE
+// writes the experiment's rows as JSON — the counts; the wall-clock columns
+// of the three contract figures are printed only — and with -exp all one
+// object keyed by experiment name.
 package main
 
 import (
@@ -71,28 +71,7 @@ func main() {
 	exps := []experiment{
 		{"fig4", func(w io.Writer) (any, error) { return nil, experiments.Fig4(w, s) }},
 		{"fig6", func(w io.Writer) (any, error) { return nil, experiments.Fig6(w, s) }},
-		{"fig15", func(w io.Writer) (any, error) {
-			rows, err := experiments.Fig15(s)
-			if err == nil {
-				experiments.PrintFig15(w, rows)
-			}
-			return rows, err
-		}},
-		{"fig16", func(w io.Writer) (any, error) {
-			rows, err := experiments.Fig16(s)
-			if err == nil {
-				experiments.PrintFig16(w, rows)
-			}
-			return rows, err
-		}},
 		{"fig17", func(w io.Writer) (any, error) { return nil, experiments.Fig17(w, s) }},
-		{"fig18", func(w io.Writer) (any, error) {
-			points, err := experiments.Fig18(s)
-			if err == nil {
-				experiments.PrintFig18(w, points)
-			}
-			return points, err
-		}},
 		{"gcflush", func(w io.Writer) (any, error) {
 			r, err := experiments.GCFlushCost(*gcMB << 20)
 			if err == nil {

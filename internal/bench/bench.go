@@ -1,6 +1,6 @@
 // Package bench provides the measurement plumbing shared by the
-// evaluation harness: phase-time breakdowns (Figures 4, 6, 17), series
-// and table printers, and simple workload helpers.
+// evaluation harness: phase-time breakdowns (Figures 4, 6, 17) and the
+// table printer.
 package bench
 
 import (
@@ -16,15 +16,15 @@ type Breakdown struct {
 	phases map[string]time.Duration
 	order  []string
 	start  time.Time
-	// extra accumulates modelled (non-wall-clock) time charged via Add,
-	// e.g. NVM media latency for flushed lines; it extends the total so
-	// fractions stay coherent.
-	extra time.Duration
+	// modeled is the part of each phase charged via Add: modelled
+	// (non-wall-clock) time, e.g. NVM media latency for flushed lines. Its
+	// sum extends the total so fractions stay coherent.
+	modeled map[string]time.Duration
 }
 
 // NewBreakdown creates an empty breakdown and starts its total clock.
 func NewBreakdown() *Breakdown {
-	return &Breakdown{phases: make(map[string]time.Duration), start: time.Now()}
+	return &Breakdown{phases: make(map[string]time.Duration), modeled: make(map[string]time.Duration), start: time.Now()}
 }
 
 // Phase starts timing a phase; the returned func stops it. Usage:
@@ -53,15 +53,25 @@ func (b *Breakdown) Add(name string, d time.Duration) {
 		b.order = append(b.order, name)
 	}
 	b.phases[name] += d
-	b.extra += d
+	b.modeled[name] += d
 }
 
 // Get reports a phase's accumulated time.
 func (b *Breakdown) Get(name string) time.Duration { return b.phases[name] }
 
+// Modeled reports the part of a phase's time that was charged through
+// Add: a function of what the phase did, not of how long it took.
+func (b *Breakdown) Modeled(name string) time.Duration { return b.modeled[name] }
+
 // Total reports wall time since the breakdown started plus any modelled
 // time charged through Add.
-func (b *Breakdown) Total() time.Duration { return time.Since(b.start) + b.extra }
+func (b *Breakdown) Total() time.Duration {
+	total := time.Since(b.start)
+	for _, d := range b.modeled {
+		total += d
+	}
+	return total
+}
 
 // Phases returns phase names in first-use order.
 func (b *Breakdown) Phases() []string { return b.order }
@@ -145,36 +155,5 @@ func (t *Table) Print(w io.Writer) {
 	line(sep)
 	for _, r := range t.Rows {
 		line(r)
-	}
-}
-
-// Series is a named sequence of (x, y) points — a figure line.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Point is one measurement.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// PrintSeries writes aligned multi-series data (Figure 18 style).
-func PrintSeries(w io.Writer, xLabel, yLabel string, series []*Series) {
-	fmt.Fprintf(w, "%-14s", xLabel)
-	for _, s := range series {
-		fmt.Fprintf(w, "  %14s", s.Name)
-	}
-	fmt.Fprintln(w, "    ("+yLabel+")")
-	if len(series) == 0 {
-		return
-	}
-	for i := range series[0].Points {
-		fmt.Fprintf(w, "%-14.3g", series[0].Points[i].X)
-		for _, s := range series {
-			fmt.Fprintf(w, "  %14.4g", s.Points[i].Y)
-		}
-		fmt.Fprintln(w)
 	}
 }

@@ -36,6 +36,10 @@ func TestBreakdownAddExtendsTotal(t *testing.T) {
 	if fr := b.Fractions()["NVM"]; fr < 0.9 {
 		t.Fatalf("NVM fraction = %v", fr)
 	}
+	b.Phase("NVM")()
+	if got := b.Modeled("NVM"); got != 100*time.Millisecond {
+		t.Fatalf("Modeled = %v, want exactly what Add charged", got)
+	}
 }
 
 func TestNilBreakdownIsSafe(t *testing.T) {
@@ -56,17 +60,5 @@ func TestTablePrint(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(out), "\n")) != 4 { // header, sep, 2 rows
 		t.Fatalf("table lines:\n%s", out)
-	}
-}
-
-func TestPrintSeries(t *testing.T) {
-	var sb strings.Builder
-	PrintSeries(&sb, "x", "y", []*Series{
-		{Name: "a", Points: []Point{{1, 10}, {2, 20}}},
-		{Name: "b", Points: []Point{{1, 11}, {2, 21}}},
-	})
-	out := sb.String()
-	if !strings.Contains(out, "a") || !strings.Contains(out, "21") {
-		t.Fatalf("series output:\n%s", out)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"espresso/internal/bench"
@@ -92,15 +93,64 @@ func Fig6(w io.Writer, scale Scale) error {
 	return nil
 }
 
+// --- The observer Figures 15, 16 and 18 share ---
+
+// cell is one observed loop of ops operations: each watched device's
+// Stats delta, the process's Go-heap allocation delta, and the wall time.
+// The device deltas are exact, single-goroutine counts; the allocation
+// delta is repeatable on one Go release; the wall time is printed and
+// held by nothing.
+type cell struct {
+	series, op    string
+	ops           int
+	dev           []nvm.Stats // in the order the devices were given
+	mallocs, heap uint64      // runtime.MemStats Mallocs / TotalAlloc
+	wall          time.Duration
+}
+
+// observe runs one loop between two readings of devs and of the Go
+// allocator, both taken from outside the systems under test.
+func observe(series, op string, ops int, devs []*nvm.Device, run func() error) (cell, error) {
+	c := cell{series: series, op: op, ops: ops, dev: make([]nvm.Stats, len(devs))}
+	for i, d := range devs {
+		c.dev[i] = d.Stats()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	t0 := time.Now()
+	err := run()
+	c.wall = time.Since(t0)
+	runtime.ReadMemStats(&m1)
+	c.mallocs, c.heap = m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
+	for i, d := range devs {
+		c.dev[i] = d.Stats().Sub(c.dev[i])
+	}
+	return c, err
+}
+
+// per is a count per operation of the cell.
+func (c cell) per(count uint64) float64 { return float64(count) / float64(c.ops) }
+
 // --- Figure 15: PJH vs PCJ microbenchmarks ---
 
-// Fig15Row is one (data type, operation) speedup.
+// Fig15Row is one (data type, operation) cell: what an operation costs
+// each system's device, and — printed, not held — the time it took.
 type Fig15Row struct {
-	Type     string        `json:"type"`
-	Op       string        `json:"op"`
-	PCJ      time.Duration `json:"pcj"`
-	Espresso time.Duration `json:"espresso"`
-	Speedup  float64       `json:"speedup"`
+	Op        string  `json:"op"`
+	Series    string  `json:"series"` // the data type
+	PCJReads  float64 `json:"pcj_reads_per_op"`
+	PCJWrites float64 `json:"pcj_writes_per_op"`
+	PCJLines  float64 `json:"pcj_flushed_lines_per_op"`
+	PCJFences float64 `json:"pcj_fences_per_op"`
+	EspReads  float64 `json:"espresso_reads_per_op"`
+	EspWrites float64 `json:"espresso_writes_per_op"`
+	EspLines  float64 `json:"espresso_flushed_lines_per_op"`
+	EspFences float64 `json:"espresso_fences_per_op"`
+	PCJNs     float64 `json:"-" col:"pcj_ns_per_op"`
+	EspNs     float64 `json:"-" col:"espresso_ns_per_op"`
+	Speedup   float64 `json:"-" col:"speedup"`
+
+	pcj, esp nvm.Stats // the undivided deltas
 }
 
 // fig15System is the fifteen operations Figure 15 times, over a system's
@@ -155,7 +205,7 @@ type espressoSystem struct{ *pcollections.World }
 func (s espressoSystem) NewList() (layout.Ref, error) { return s.World.NewList(8) }
 func (s espressoSystem) NewMap() (layout.Ref, error)  { return s.World.NewMap(64) }
 
-// fig15Type is one data type's three timed loops — create, set, get —
+// fig15Type is one data type's three observed loops — create, set, get —
 // each an iteration count and the loop body.
 type fig15Type struct {
 	name string
@@ -219,13 +269,40 @@ func fig15Types[H any](s fig15System[H], n int) ([]fig15Type, error) {
 	}, nil
 }
 
+// fig15Side runs the whole table once on one system, observing its
+// device around every loop.
+func fig15Side[H any](s fig15System[H], dev *nvm.Device, n int) ([]cell, error) {
+	types, err := fig15Types(s, n)
+	if err != nil {
+		return nil, fmt.Errorf("fixtures: %w", err)
+	}
+	var cells []cell
+	for _, typ := range types {
+		for o, loop := range typ.ops {
+			c, err := observe(typ.name, fig15Ops[o], loop.iters, []*nvm.Device{dev}, func() error {
+				for i := 0; i < loop.iters; i++ {
+					if err := loop.body(i); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", c.series, c.op, err)
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells, nil
+}
+
 // Fig15 runs create/set/get on the five data types of §6.2 over both
 // systems, both with ACID semantics (PCJ's built-in transactions vs
-// Espresso's undo log), reporting normalized speedup PJH over PCJ.
-// Paper: up to 256.3x (tuple set), ≥6.0x on gets.
+// Espresso's undo log).
+// Paper: normalized speedup PJH over PCJ up to 256.3x (tuple set), ≥6.0x
+// on gets.
 func Fig15(scale Scale) ([]Fig15Row, error) {
 	n := scale.div(100000)
-
 	pcjHeap := pcj.New(pcj.Config{Size: 512 << 20, Mode: nvm.Direct})
 	ph, err := pheap.Create(klass.NewRegistry(), pheap.Config{DataSize: 256 << 20, Mode: nvm.Direct})
 	if err != nil {
@@ -235,61 +312,72 @@ func Fig15(scale Scale) ([]Fig15Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcjTypes, err := fig15Types[pcj.Obj](pcjSystem{pcjHeap}, n)
+	pcjCells, err := fig15Side[pcj.Obj](pcjSystem{pcjHeap}, pcjHeap.Device(), n)
 	if err != nil {
-		return nil, fmt.Errorf("fig15 pcj fixtures: %w", err)
+		return nil, fmt.Errorf("fig15 pcj %w", err)
 	}
-	espTypes, err := fig15Types[layout.Ref](espressoSystem{world}, n)
+	espCells, err := fig15Side[layout.Ref](espressoSystem{world}, ph.Device(), n)
 	if err != nil {
-		return nil, fmt.Errorf("fig15 espresso fixtures: %w", err)
+		return nil, fmt.Errorf("fig15 espresso %w", err)
 	}
-
-	// A loop costs its wall time plus the modeled media time of the lines
-	// it flushed.
-	timeOp := func(dev *nvm.Device, iters int, body func(i int) error) (time.Duration, error) {
-		s0 := dev.Stats()
-		t0 := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := body(i); err != nil {
-				return 0, err
-			}
-		}
-		wall := time.Since(t0)
-		return wall + dev.Stats().Sub(s0).ModeledFlushTime(), nil
-	}
-	var rows []Fig15Row
-	for t, typ := range pcjTypes {
-		for o, op := range fig15Ops {
-			tp, err := timeOp(pcjHeap.Device(), typ.ops[o].iters, typ.ops[o].body)
-			if err != nil {
-				return nil, fmt.Errorf("fig15 %s/%s pcj: %w", typ.name, op, err)
-			}
-			te, err := timeOp(ph.Device(), espTypes[t].ops[o].iters, espTypes[t].ops[o].body)
-			if err != nil {
-				return nil, fmt.Errorf("fig15 %s/%s espresso: %w", typ.name, op, err)
-			}
-			rows = append(rows, Fig15Row{typ.name, op, tp, te, float64(tp) / float64(te)})
-		}
+	rows := make([]Fig15Row, len(pcjCells))
+	for i, p := range pcjCells {
+		e := espCells[i]
+		pd, ed := p.dev[0], e.dev[0]
+		// A loop's reported time is its wall time plus the modeled media
+		// time of the lines it flushed.
+		ns := func(c cell) float64 { return c.per(uint64(c.wall + c.dev[0].ModeledFlushTime())) }
+		rows[i] = Fig15Row{Op: p.op, Series: p.series, pcj: pd, esp: ed,
+			PCJReads: p.per(pd.Reads), PCJWrites: p.per(pd.Writes), PCJLines: p.per(pd.FlushedLines), PCJFences: p.per(pd.Fences),
+			EspReads: e.per(ed.Reads), EspWrites: e.per(ed.Writes), EspLines: e.per(ed.FlushedLines), EspFences: e.per(ed.Fences),
+			PCJNs: ns(p), EspNs: ns(e), Speedup: ns(p) / ns(e)}
 	}
 	return rows, nil
 }
 
-// PrintFig15 renders the speedup table.
-func PrintFig15(w io.Writer, rows []Fig15Row) {
-	PrintRows(w, "Figure 15 — normalized speedup, PJH over PCJ (ACID on both sides)", rows)
-	fmt.Fprintln(w, "paper: speedups from 6.0x (gets) up to 256.3x (tuple sets)")
-}
-
 // --- Figures 16/17: JPAB, H2-JPA vs H2-PJO ---
 
-// Fig16Row is one (test, operation) throughput pair.
+// Fig16Row is one (JPAB test, phase) cell, per operation (one MakeBatch
+// entity, one Fetch, one Touch, one Drop — CollectionTest's Drop is five
+// transactions): what it costs the database device under H2-JPA, the
+// persistent heap's and the database's under H2-PJO, and the Go objects
+// each provider allocates for it — the transformation PJO deletes,
+// counted without a clock.
 type Fig16Row struct {
-	Test    string  `json:"test"`
-	Op      string  `json:"op"`
-	JPA     float64 `json:"h2_jpa_ops_per_s"`
-	PJO     float64 `json:"h2_pjo_ops_per_s"`
-	Speedup float64 `json:"pjo_over_jpa"`
+	Op            string  `json:"op"`
+	Series        string  `json:"series"` // the JPAB test
+	JPAReads      float64 `json:"jpa_reads_per_op"`
+	JPAWrites     float64 `json:"jpa_writes_per_op"`
+	JPALines      float64 `json:"jpa_flushed_lines_per_op"`
+	JPAFences     float64 `json:"jpa_fences_per_op"`
+	PJOReads      float64 `json:"pjo_reads_per_op"`  // both devices
+	PJOWrites     float64 `json:"pjo_writes_per_op"` // both devices
+	HeapLines     float64 `json:"pjo_heap_flushed_lines_per_op"`
+	HeapFences    float64 `json:"pjo_heap_fences_per_op"`
+	H2Lines       float64 `json:"pjo_h2_flushed_lines_per_op"`
+	H2Fences      float64 `json:"pjo_h2_fences_per_op"`
+	JPAAllocs     float64 `json:"jpa_allocs_per_op"`
+	PJOAllocs     float64 `json:"pjo_allocs_per_op"`
+	JPAAllocBytes float64 `json:"jpa_alloc_bytes_per_op"`
+	PJOAllocBytes float64 `json:"pjo_alloc_bytes_per_op"`
+	AllocRatio    float64 `json:"allocs_pjo_over_jpa"`
+	// AllocCeiling is the figure's claim in counts; the contract test
+	// bounds AllocRatio by the baseline's copy.
+	AllocCeiling float64 `json:"allocs_pjo_over_jpa_ceiling"`
+	JPARate      float64 `json:"-" col:"h2_jpa_ops_per_s"`
+	PJORate      float64 `json:"-" col:"h2_pjo_ops_per_s"`
+	Speedup      float64 `json:"-" col:"pjo_over_jpa"`
+
+	jpa, pjo nvm.Stats // the undivided deltas; pjo sums its two devices
 }
+
+// fig16AllocFields are the columns of every fig16 row that a Go release
+// may move; allocs_pjo_over_jpa_ceiling holds them instead.
+var fig16AllocFields = []string{"jpa_allocs_per_op", "pjo_allocs_per_op",
+	"jpa_alloc_bytes_per_op", "pjo_alloc_bytes_per_op", "allocs_pjo_over_jpa"}
+
+// fig16Batch is the create batch size, the wall-clock benchmark's.
+const fig16Batch = 50
 
 // stackSize scales the backing stores with the workload so small test
 // runs do not spend their time (and flush the page cache) zero-filling
@@ -305,177 +393,116 @@ func stackSize(scale Scale) int {
 	return size
 }
 
-func newJPAStack(scale Scale) (*jpa.Provider, error) {
+// jpabStack is a JPA provider of either kind with the devices under it
+// (the database's; for PJO the persistent heap's first) and its profile
+// hook.
+type jpabStack struct {
+	em      jpa.EntityManager
+	devs    []*nvm.Device
+	profile func(*bench.Breakdown)
+}
+
+func newJPAStack(scale Scale) (jpabStack, error) {
 	db, err := h2.New(stackSize(scale), nvm.Direct)
 	if err != nil {
-		return nil, err
+		return jpabStack{}, err
 	}
-	return jpa.NewProvider(db), nil
+	p := jpa.NewProvider(db)
+	return jpabStack{p, []*nvm.Device{db.Device()}, p.SetProfile}, nil
 }
 
-// pjoStack is a PJO provider with the two devices under it: the
-// persistent heap's and the database's.
-type pjoStack struct {
-	em       *pjo.Provider
-	heap, db *nvm.Device
-}
-
-func newPJOStack(scale Scale) (pjoStack, error) {
+func newPJOStack(scale Scale) (jpabStack, error) {
 	db, err := h2.New(stackSize(scale), nvm.Direct)
 	if err != nil {
-		return pjoStack{}, err
+		return jpabStack{}, err
 	}
 	rt, err := core.NewRuntime(core.Config{PJHDataSize: stackSize(scale)})
 	if err != nil {
-		return pjoStack{}, err
+		return jpabStack{}, err
 	}
 	h, err := rt.CreateHeap("pjo-bench", 0)
 	if err != nil {
-		return pjoStack{}, err
+		return jpabStack{}, err
 	}
-	return pjoStack{em: pjo.NewProvider(rt, db), heap: h.Device(), db: db.Device()}, nil
+	p := pjo.NewProvider(rt, db)
+	return jpabStack{p, []*nvm.Device{h.Device(), db.Device()}, p.SetProfile}, nil
 }
 
-// runBest runs a JPAB test several times on the same stack and keeps the
-// best rate per operation — the usual best-of-k discipline for wall-clock
-// microbenchmarks, applied identically to both providers.
-func runBest(t *jpab.Test, em jpa.EntityManager, n, attempts int) (map[string]float64, error) {
-	best := map[string]float64{}
-	for a := 0; a < attempts; a++ {
-		r, err := jpab.Run(t, em, n, 50)
-		if err != nil {
-			return nil, err
-		}
-		for op, v := range r.Ops() {
-			if v > best[op] {
-				best[op] = v
-			}
-		}
+// jpabCells walks test's four phases on a fresh stack, observing its
+// devices and the Go allocator around each.
+func jpabCells(test *jpab.Test, mk func(Scale) (jpabStack, error), scale Scale, n int) ([]cell, error) {
+	s, err := mk(scale)
+	if err != nil {
+		return nil, err
 	}
-	return best, nil
+	var cells []cell
+	err = jpab.Phases(test, s.em, n, fig16Batch, func(op string, ops int, run func() error) error {
+		c, err := observe(test.Name, op, ops, s.devs, run)
+		cells = append(cells, c)
+		return err
+	})
+	return cells, err
 }
 
 // Fig16 runs the four JPAB tests over both providers.
 // Paper: H2-PJO beats H2-JPA everywhere, up to 3.24x.
 func Fig16(scale Scale) ([]Fig16Row, error) {
-	n := scale.div(2000)
-	// Throughput cells need enough ops to rise above scheduler jitter;
-	// scaling below this floor measures noise, not providers.
-	if n < 250 {
-		n = 250
-	}
-	const attempts = 3
+	n := max(scale.div(6000), 2*fig16Batch)
 	var rows []Fig16Row
-	for _, mk := range jpab.AllTests() {
-		jp, err := newJPAStack(scale)
+	for _, test := range jpab.AllTests() {
+		jpaCells, err := jpabCells(test, newJPAStack, scale, n)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fig16 JPA %w", err)
 		}
-		rJPA, err := runBest(mk, jp, n, attempts)
+		pjoCells, err := jpabCells(test, newPJOStack, scale, n)
 		if err != nil {
-			return nil, fmt.Errorf("fig16 %s JPA: %w", mk.Name, err)
+			return nil, fmt.Errorf("fig16 PJO %w", err)
 		}
-		pj, err := newPJOStack(scale)
-		if err != nil {
-			return nil, err
-		}
-		rPJO, err := runBest(mk, pj.em, n, attempts)
-		if err != nil {
-			return nil, fmt.Errorf("fig16 %s PJO: %w", mk.Name, err)
-		}
-		for _, op := range []string{"Retrieve", "Update", "Delete", "Create"} {
-			rows = append(rows, Fig16Row{mk.Name, op, rJPA[op], rPJO[op], rPJO[op] / rJPA[op]})
+		for i, j := range jpaCells {
+			p := pjoCells[i]
+			db, heap, pdb := j.dev[0], p.dev[0], p.dev[1]
+			rate := func(c cell) float64 { return float64(c.ops) / c.wall.Seconds() }
+			rows = append(rows, Fig16Row{Op: j.op, Series: j.series, jpa: db, pjo: heap.Add(pdb),
+				JPAReads: j.per(db.Reads), JPAWrites: j.per(db.Writes),
+				JPALines: j.per(db.FlushedLines), JPAFences: j.per(db.Fences),
+				PJOReads: p.per(heap.Reads + pdb.Reads), PJOWrites: p.per(heap.Writes + pdb.Writes),
+				HeapLines: p.per(heap.FlushedLines), HeapFences: p.per(heap.Fences),
+				H2Lines: p.per(pdb.FlushedLines), H2Fences: p.per(pdb.Fences),
+				JPAAllocs: j.per(j.mallocs), PJOAllocs: p.per(p.mallocs),
+				JPAAllocBytes: j.per(j.heap), PJOAllocBytes: p.per(p.heap),
+				AllocRatio: float64(p.mallocs) / float64(j.mallocs), AllocCeiling: 0.5,
+				JPARate: rate(j), PJORate: rate(p), Speedup: rate(p) / rate(j)})
 		}
 	}
 	return rows, nil
-}
-
-// PrintFig16 renders the throughput table with speedups.
-func PrintFig16(w io.Writer, rows []Fig16Row) {
-	PrintRows(w, "Figure 16 — JPAB throughput, H2-JPA vs H2-PJO", rows)
-	fmt.Fprintln(w, "paper: H2-PJO wins every cell, up to 3.24x")
 }
 
 // Fig17 reruns BasicTest with phase profiles on both providers, printing
 // the execution/transformation/other split per operation (paper's
 // Figure 17 stacked bars).
 func Fig17(w io.Writer, scale Scale) error {
-	n := scale.div(2000)
 	fmt.Fprintln(w, "Figure 17 — BasicTest time breakdown (Execution = database, Transformation, Other)")
-	for _, sys := range []string{"H2-JPA", "H2-PJO"} {
-		var em jpa.EntityManager
-		var setProf func(*bench.Breakdown)
-		if sys == "H2-JPA" {
-			p, err := newJPAStack(scale)
-			if err != nil {
-				return err
-			}
-			em, setProf = p, p.SetProfile
-		} else {
-			s, err := newPJOStack(scale)
-			if err != nil {
-				return err
-			}
-			em, setProf = s.em, s.em.SetProfile
+	for _, sys := range []struct {
+		name string
+		mk   func(Scale) (jpabStack, error)
+	}{{"H2-JPA", newJPAStack}, {"H2-PJO", newPJOStack}} {
+		s, err := sys.mk(scale)
+		if err != nil {
+			return err
 		}
-		test := jpab.BasicTest()
-		for _, def := range test.Defs {
-			if err := em.EnsureSchema(def); err != nil {
-				return err
-			}
-		}
-		phases := []struct {
-			op  string
-			run func() error
-		}{
-			{"Create", func() error {
-				for base := 0; base < n; base += 50 {
-					sz := 50
-					if base+sz > n {
-						sz = n - base
-					}
-					if err := test.MakeBatch(em, int64(base), sz); err != nil {
-						return err
-					}
-				}
-				return nil
-			}},
-			{"Retrieve", func() error {
-				for id := 0; id < n; id++ {
-					if err := test.Fetch(em, int64(id)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}},
-			{"Update", func() error {
-				for id := 0; id < n; id++ {
-					if err := test.Touch(em, int64(id)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}},
-			{"Delete", func() error {
-				for id := 0; id < n; id++ {
-					if err := test.Drop(em, int64(id)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}},
-		}
-		for _, ph := range phases {
+		err = jpab.Phases(jpab.BasicTest(), s.em, scale.div(2000), fig16Batch, func(op string, _ int, run func() error) error {
 			prof := bench.NewBreakdown()
-			setProf(prof)
-			if err := ph.run(); err != nil {
-				return fmt.Errorf("fig17 %s %s: %w", sys, ph.op, err)
-			}
-			setProf(nil)
+			s.profile(prof)
+			err := run()
+			s.profile(nil)
 			fr := prof.Fractions()
 			fmt.Fprintf(w, "  %-7s %-9s total %-10v Execution %5.1f%%  Transformation %5.1f%%  Other %5.1f%%\n",
-				sys, ph.op, prof.Total().Round(time.Microsecond),
+				sys.name, op, prof.Total().Round(time.Microsecond),
 				fr["Database"]*100, fr["Transformation"]*100, fr["Other"]*100)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("fig17 %s %w", sys.name, err)
 		}
 	}
 	fmt.Fprintln(w, "paper: PJO removes nearly all transformation time; execution also drops for most ops")
@@ -484,58 +511,88 @@ func Fig17(w io.Writer, scale Scale) error {
 
 // --- Figure 18: heap loading time ---
 
-// Fig18Point is one (object count, load time) measurement per safety
-// level.
-type Fig18Point struct {
-	Objects  int
-	UGMillis float64
-	ZeroMs   float64
+// Fig18Row is loadHeap over one image under both safety levels: the
+// device reads a user-guaranteed load and a zeroing load (the load plus
+// the whole-heap scan) cost, and — printed, not held — how long each took.
+type Fig18Row struct {
+	Series  string  `json:"series"` // "closed": imaged after an orderly shutdown; "unclosed": with the last PLAB open
+	Objects int     `json:"objects"`
+	Regions int     `json:"regions"`
+	UGReads float64 `json:"ug_reads"`
+	// UGCeiling bounds an unclosed image's load: the closed image's reads
+	// plus three per object the forward parse can find above one region's
+	// persisted top.
+	UGCeiling          float64 `json:"ug_reads_ceiling,omitempty"`
+	ZeroReads          float64 `json:"zero_reads"`
+	ZeroReadsPerObject float64 `json:"zero_reads_per_object"`
+	UGMillis           float64 `json:"-" col:"ug_ms"`
+	ZeroMillis         float64 `json:"-" col:"zero_ms"`
 }
 
-// Fig18 builds heaps of 0.2M–2M objects across 20 Klasses and measures
-// loadHeap under user-guaranteed and zeroing safety.
+// fig18Objects is the figure's x axis: ten object counts up to 2M/scale.
+func fig18Objects(scale Scale) []int {
+	step := max(scale.div(2000000)/10, 1)
+	counts := make([]int, 10)
+	for i := range counts {
+		counts[i] = (i + 1) * step
+	}
+	return counts
+}
+
+// Fig18 builds heaps of 0.2M–2M objects across 20 Klasses and observes
+// loadHeap under user-guaranteed and zeroing safety, then once more on
+// the largest heap imaged without closing it.
 // Paper: UG flat (∝ #Klasses), Zero linear (whole-heap scan); ~72.76 ms
 // at 2M objects.
-func Fig18(scale Scale) ([]Fig18Point, error) {
-	var points []Fig18Point
-	maxObjs := Scale(1).div(2000000) / int(scale)
-	step := maxObjs / 10
-	if step == 0 {
-		step = 1
+func Fig18(scale Scale) ([]Fig18Row, error) {
+	var rows []Fig18Row
+	for _, n := range fig18Objects(scale) {
+		rows = append(rows, Fig18Row{Series: "closed", Objects: n})
 	}
-	for count := step; count <= maxObjs; count += step {
-		img, err := buildFig18Image(count)
+	closed := len(rows) - 1
+	rows = append(rows, Fig18Row{Series: "unclosed", Objects: rows[closed].Objects})
+	for i := range rows {
+		row := &rows[i]
+		img, err := buildFig18Image(row.Objects, row.Series == "closed")
 		if err != nil {
 			return nil, err
 		}
-		// User-guaranteed: metadata + Klass reinitialization only.
-		dev := nvm.FromImage(img, nvm.Config{})
-		t0 := time.Now()
-		if _, err := pheap.Load(dev, klass.NewRegistry()); err != nil {
+		// load observes loadHeap on the image — user-guaranteed: metadata +
+		// Klass reinitialization only — and, for zeroing, the whole-heap
+		// scan after it.
+		load := func(zeroing bool) (reads, ms float64, err error) {
+			dev := nvm.FromImage(img, nvm.Config{})
+			c, err := observe(row.Series, "load", row.Objects, []*nvm.Device{dev}, func() error {
+				h, err := pheap.Load(dev, klass.NewRegistry())
+				if err != nil || !zeroing {
+					return err
+				}
+				row.Regions = h.Geo().DataRegions()
+				_, err = h.ZeroingScan(h.Contains)
+				return err
+			})
+			return float64(c.dev[0].Reads), float64(c.wall.Microseconds()) / 1000, err
+		}
+		if row.UGReads, row.UGMillis, err = load(false); err != nil {
 			return nil, err
 		}
-		ug := time.Since(t0)
-		// Zeroing: plus the whole-heap scan.
-		dev2 := nvm.FromImage(img, nvm.Config{})
-		t0 = time.Now()
-		h2nd, err := pheap.Load(dev2, klass.NewRegistry())
-		if err != nil {
+		if row.ZeroReads, row.ZeroMillis, err = load(true); err != nil {
 			return nil, err
 		}
-		if _, err := h2nd.ZeroingScan(h2nd.Contains); err != nil {
-			return nil, err
-		}
-		zero := time.Since(t0)
-		points = append(points, Fig18Point{
-			Objects:  count,
-			UGMillis: float64(ug.Microseconds()) / 1000,
-			ZeroMs:   float64(zero.Microseconds()) / 1000,
-		})
+		row.ZeroReadsPerObject = row.ZeroReads / float64(row.Objects)
 	}
-	return points, nil
+	rows[closed+1].UGCeiling = rows[closed].UGReads + 3*float64(layout.RegionSize/fig18ObjectSize)
+	return rows, nil
 }
 
-func buildFig18Image(objects int) ([]byte, error) {
+// fig18ObjectSize is one of buildFig18Image's objects: a header and two
+// fields.
+const fig18ObjectSize = layout.HeaderBytes + 2*layout.WordSize
+
+// buildFig18Image allocates objects across 20 Klasses and images the
+// heap, after an orderly shutdown (closed: every region top persisted) or
+// with the last PLAB's top still trailing its objects.
+func buildFig18Image(objects int, closed bool) ([]byte, error) {
 	reg := klass.NewRegistry()
 	h, err := pheap.Create(reg, pheap.Config{DataSize: objects*48 + (8 << 20), Mode: nvm.Tracked})
 	if err != nil {
@@ -570,21 +627,11 @@ func buildFig18Image(objects int) ([]byte, error) {
 	if err := h.SetRoot("head", prev); err != nil {
 		return nil, err
 	}
+	if closed {
+		h.PersistTops()
+	}
 	h.Device().FlushAll()
 	return h.Device().CrashImage(nvm.CrashFlushedOnly, 0), nil
-}
-
-// PrintFig18 renders the two series.
-func PrintFig18(w io.Writer, points []Fig18Point) {
-	fmt.Fprintln(w, "Figure 18 — heap loading time vs object count")
-	ug := &bench.Series{Name: "UG (ms)"}
-	zero := &bench.Series{Name: "Zero (ms)"}
-	for _, p := range points {
-		ug.Points = append(ug.Points, bench.Point{X: float64(p.Objects) / 1e6, Y: p.UGMillis})
-		zero.Points = append(zero.Points, bench.Point{X: float64(p.Objects) / 1e6, Y: p.ZeroMs})
-	}
-	bench.PrintSeries(w, "objects (M)", "load time", []*bench.Series{ug, zero})
-	fmt.Fprintln(w, "paper: UG flat; Zero linear, ~72.76 ms at 2M objects")
 }
 
 // --- §6.4: recoverable GC flush cost ---

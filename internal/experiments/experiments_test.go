@@ -34,10 +34,10 @@ func TestFig6MetadataDominatesData(t *testing.T) {
 	}
 }
 
+// The three figure tests assert on device and allocation counts only:
+// they are the same at any scale, on any host, under the race detector.
+
 func TestFig15EspressoWinsEverywhere(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock provider comparison is meaningless under -race instrumentation")
-	}
 	rows, err := Fig15(tiny)
 	if err != nil {
 		t.Fatal(err)
@@ -46,16 +46,17 @@ func TestFig15EspressoWinsEverywhere(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Speedup <= 1 {
-			t.Errorf("%s/%s: PCJ beat Espresso (%.2fx)", r.Type, r.Op, r.Speedup)
+		p, e := r.pcj, r.esp
+		if e.Reads > p.Reads || e.Writes > p.Writes || e.FlushedLines > p.FlushedLines || e.Fences > p.Fences {
+			t.Errorf("%s/%s: Espresso costs the device more than PCJ: %+v vs %+v", r.Series, r.Op, e, p)
+		}
+		if r.Op != "Get" && e.FlushedLines >= p.FlushedLines {
+			t.Errorf("%s/%s: Espresso flushes %d lines, PCJ %d", r.Series, r.Op, e.FlushedLines, p.FlushedLines)
 		}
 	}
 }
 
 func TestFig16PJOWinsEverywhere(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock provider comparison is meaningless under -race instrumentation")
-	}
 	rows, err := Fig16(Scale(50))
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +64,26 @@ func TestFig16PJOWinsEverywhere(t *testing.T) {
 	if len(rows) != 16 { // 4 tests × 4 ops
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// The figure's four device columns (a JPA row is more bytes than the
+	// key and reference PJO stores; the counts are what is compared).
+	cols := func(d nvm.Stats) [4]uint64 { return [4]uint64{d.Reads, d.Writes, d.FlushedLines, d.Fences} }
 	for _, r := range rows {
-		if r.PJO <= r.JPA {
-			t.Errorf("%s/%s: JPA beat PJO (%.0f vs %.0f ops/s)", r.Test, r.Op, r.JPA, r.PJO)
+		// The win is host work: the objects the transformation allocates.
+		if r.AllocRatio > r.AllocCeiling {
+			t.Errorf("%s/%s: PJO allocates %.2fx JPA's objects (%.1f vs %.1f per op), ceiling %.2fx",
+				r.Series, r.Op, r.AllocRatio, r.PJOAllocs, r.JPAAllocs, r.AllocCeiling)
+		}
+		switch r.Op {
+		case "delete":
+			if cols(r.pjo) != cols(r.jpa) {
+				t.Errorf("%s/delete: the providers' device costs differ: PJO %+v, JPA %+v", r.Series, r.pjo, r.jpa)
+			}
+		case "retrieve":
+			for sys, d := range map[string]nvm.Stats{"JPA": r.jpa, "PJO": r.pjo} {
+				if d.Writes+d.Flushes+d.Fences != 0 {
+					t.Errorf("%s/retrieve: %s wrote to a device: %+v", r.Series, sys, d)
+				}
+			}
 		}
 	}
 }
@@ -77,21 +95,43 @@ func TestFig17Runs(t *testing.T) {
 }
 
 func TestFig18UGFlatZeroGrows(t *testing.T) {
-	points, err := Fig18(Scale(20)) // up to 100k objects
+	rows, err := Fig18(Scale(20)) // up to 100k objects
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) < 3 {
-		t.Fatalf("points = %d", len(points))
+	if len(rows) != 11 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	first, last := points[0], points[len(points)-1]
-	// Zeroing cost must grow with object count; UG must not grow with it
-	// (allow generous noise: 5x bound on a 10x object-count range).
-	if last.ZeroMs < first.ZeroMs {
-		t.Errorf("zeroing did not grow: %v → %v ms", first.ZeroMs, last.ZeroMs)
+	closed, unclosed := rows[:10], rows[10]
+	for i, r := range closed {
+		// Zeroing reads every object; UG reads the metadata, whose only part
+		// that grows with the heap is three words per region.
+		if r.ZeroReadsPerObject < 2 {
+			t.Errorf("%d objects: zeroing load read %.0f words, under 2 per object", r.Objects, r.ZeroReads)
+		}
+		if i > 0 {
+			prev := closed[i-1]
+			if grew, regions := r.UGReads-prev.UGReads, r.Regions-prev.Regions; grew > 3*float64(regions) {
+				t.Errorf("%d → %d objects: UG load grew by %.0f reads over %d more regions", prev.Objects, r.Objects, grew, regions)
+			}
+		}
 	}
-	if last.UGMillis > first.UGMillis*5+1 {
-		t.Errorf("UG load grew with objects: %v → %v ms", first.UGMillis, last.UGMillis)
+	// An image taken without closing the heap is parsed forward above the
+	// last persisted top, at most three reads per object of one region.
+	last := closed[9]
+	if unclosed.Objects != last.Objects || unclosed.UGReads <= last.UGReads || unclosed.UGReads > unclosed.UGCeiling {
+		t.Errorf("unclosed image: UG load read %.0f words, want in (%.0f, %.0f]", unclosed.UGReads, last.UGReads, unclosed.UGCeiling)
+	}
+}
+
+// TestFig18ObjectSchedule pins the figure's x axis, in particular at the
+// CLI's default -scale 0, which once divided by zero.
+func TestFig18ObjectSchedule(t *testing.T) {
+	for scale, top := range map[Scale]int{0: 2000000, 1: 2000000, 20: 100000} {
+		counts := fig18Objects(scale)
+		if len(counts) != 10 || counts[0] != top/10 || counts[9] != top {
+			t.Errorf("scale %d: object counts %v, want ten steps up to %d", scale, counts, top)
+		}
 	}
 }
 

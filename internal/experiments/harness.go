@@ -277,7 +277,9 @@ func Scaling(name string, scale Scale, shards, mutators int) ([]Row, error) {
 
 // PrintRows renders any experiment's row slice as one aligned table: a
 // column per JSON field, in struct order, skipping columns no row
-// fills; "-" marks a field the row omits from its JSON.
+// fills; "-" marks a field the row omits from its JSON. A field tagged
+// json:"-" col:"name" is a wall-clock column: printed, never written to a
+// baseline.
 func PrintRows(w io.Writer, title string, rows any) {
 	fmt.Fprintln(w, title)
 	rv := reflect.ValueOf(rows)
@@ -289,6 +291,9 @@ func PrintRows(w io.Writer, title string, rows any) {
 	var cols []int
 	for f := 0; f < rt.NumField(); f++ {
 		name, _, _ := strings.Cut(rt.Field(f).Tag.Get("json"), ",")
+		if name == "-" {
+			name = rt.Field(f).Tag.Get("col")
+		}
 		if name == "" {
 			continue
 		}

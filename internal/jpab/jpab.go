@@ -77,22 +77,12 @@ var (
 	nodeLabel       = fi(Node, "label")
 )
 
-// Result is one test's throughput per CRUD operation, in operations per
-// second (the y-axis of Figure 16).
+// Result is one test's throughput per phase, in operations per second
+// (the y-axis of Figure 16).
 type Result struct {
-	Test     string
-	Entities int
-	Retrieve float64
-	Update   float64
-	Delete   float64
-	Create   float64
-}
-
-// Ops returns the four throughputs keyed like the figure.
-func (r Result) Ops() map[string]float64 {
-	return map[string]float64{
-		"Retrieve": r.Retrieve, "Update": r.Update, "Delete": r.Delete, "Create": r.Create,
-	}
+	Test      string
+	Entities  int
+	OpsPerSec map[string]float64 // by Phases' op names
 }
 
 // Test is one JPAB test case.
@@ -321,58 +311,52 @@ func AllTests() []*Test {
 	return []*Test{BasicTest(), ExtTest(), CollectionTest(), NodeTest()}
 }
 
-// Run executes a test against an EntityManager: create n entities in
-// batches, retrieve each, update each, then delete each, reporting
-// operation throughputs.
-func Run(t *Test, em jpa.EntityManager, n, batch int) (Result, error) {
+// Phases walks a test's four phases over n entities on em — "create" in
+// batches of batch, then "retrieve", "update" and "delete" one id at a
+// time — after setting up the schema. Each phase is handed to around with
+// its name, its operation count and the func that runs its loop, so the
+// caller decides what to observe across it (a clock, a device's counters,
+// a profile).
+func Phases(t *Test, em jpa.EntityManager, n, batch int, around func(op string, ops int, run func() error) error) error {
 	for _, def := range t.Defs {
 		if err := em.EnsureSchema(def); err != nil {
-			return Result{}, err
+			return err
 		}
 	}
-	res := Result{Test: t.Name, Entities: n}
-
-	start := time.Now()
-	for base := 0; base < n; base += batch {
-		sz := batch
-		if base+sz > n {
-			sz = n - base
-		}
-		if err := t.MakeBatch(em, int64(base), sz); err != nil {
-			return res, fmt.Errorf("%s create: %w", t.Name, err)
-		}
-	}
-	res.Create = rate(n, time.Since(start))
-
-	start = time.Now()
-	for id := 0; id < n; id++ {
-		if err := t.Fetch(em, int64(id)); err != nil {
-			return res, fmt.Errorf("%s retrieve: %w", t.Name, err)
-		}
-	}
-	res.Retrieve = rate(n, time.Since(start))
-
-	start = time.Now()
-	for id := 0; id < n; id++ {
-		if err := t.Touch(em, int64(id)); err != nil {
-			return res, fmt.Errorf("%s update: %w", t.Name, err)
+	for _, p := range []struct {
+		op   string
+		step int
+		body func(id int64) error
+	}{
+		{"create", batch, func(id int64) error { return t.MakeBatch(em, id, min(batch, n-int(id))) }},
+		{"retrieve", 1, func(id int64) error { return t.Fetch(em, id) }},
+		{"update", 1, func(id int64) error { return t.Touch(em, id) }},
+		{"delete", 1, func(id int64) error { return t.Drop(em, id) }},
+	} {
+		err := around(p.op, n, func() error {
+			for id := 0; id < n; id += p.step {
+				if err := p.body(int64(id)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", t.Name, p.op, err)
 		}
 	}
-	res.Update = rate(n, time.Since(start))
-
-	start = time.Now()
-	for id := 0; id < n; id++ {
-		if err := t.Drop(em, int64(id)); err != nil {
-			return res, fmt.Errorf("%s delete: %w", t.Name, err)
-		}
-	}
-	res.Delete = rate(n, time.Since(start))
-	return res, nil
+	return nil
 }
 
-func rate(ops int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(ops) / d.Seconds()
+// Run executes a test against an EntityManager, reporting each phase's
+// throughput.
+func Run(t *Test, em jpa.EntityManager, n, batch int) (Result, error) {
+	res := Result{Test: t.Name, Entities: n, OpsPerSec: map[string]float64{}}
+	err := Phases(t, em, n, batch, func(op string, ops int, run func() error) error {
+		start := time.Now()
+		err := run()
+		res.OpsPerSec[op] = float64(ops) / time.Since(start).Seconds()
+		return err
+	})
+	return res, err
 }

@@ -106,7 +106,10 @@ func TestProvidersAgreeOnJPAB(t *testing.T) {
 				t.Fatalf("PJO: %v", err)
 			}
 			for _, r := range []jpab.Result{rJPA, rPJO} {
-				for op, v := range r.Ops() {
+				if len(r.OpsPerSec) != 4 {
+					t.Fatalf("%s ran phases %v, want four", r.Test, r.OpsPerSec)
+				}
+				for op, v := range r.OpsPerSec {
 					if v <= 0 {
 						t.Fatalf("%s %s throughput = %v", r.Test, op, v)
 					}
