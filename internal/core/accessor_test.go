@@ -54,7 +54,7 @@ type surface interface {
 	FlushTransitive(layout.Ref) error
 	FlushBatch([]layout.Ref) error
 	ReadFieldImage(layout.Ref, []byte) error
-	WriteFieldImage(layout.Ref, []byte, []int) error
+	WriteFieldImage(layout.Ref, []byte, []byte, []int) error
 	SetRoot(string, layout.Ref) error
 	GetRoot(string) (layout.Ref, bool)
 	CheckCast(layout.Ref, string) error
@@ -438,12 +438,16 @@ func surfaceRows() []surfaceRow {
 			return show(img[:layout.WordSize], err)
 		}},
 		{method: "WriteFieldImage", call: func(s surface, w *surfaceWorld, fx fixture) string {
-			img := make([]byte, 2*layout.WordSize)
-			if err := s.ReadFieldImage(fx.person, img); err != nil {
+			old := make([]byte, 2*layout.WordSize)
+			if err := s.ReadFieldImage(fx.person, old); err != nil {
 				return show(err)
 			}
-			return show(s.WriteFieldImage(fx.person, img, []int{w.nameF.Offset()}),
-				s.WriteFieldImage(fx.person, img[:3], nil))
+			img := slices.Clone(old)
+			img[w.idF.Offset()-layout.FieldOff(0)]++
+			refs := []int{w.nameF.Offset()}
+			return show(s.WriteFieldImage(fx.person, old, img, refs), s.WriteFieldImage(fx.person, img, old, refs),
+				s.WriteFieldImage(fx.person, old, old, refs),
+				s.WriteFieldImage(fx.person, old[:3], img[:3], nil), s.WriteFieldImage(fx.person, old[:8], img, nil))
 		}},
 		{method: "SetRoot", heapLevel: true, call: func(s surface, w *surfaceWorld, fx fixture) string {
 			return show(s.SetRoot("scratch", fx.person), s.SetRoot("vol", fx.vperson) != nil)

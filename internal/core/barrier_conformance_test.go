@@ -252,17 +252,22 @@ func barrierRows() []barrierRow {
 			}},
 		barrierRow{name: "Runtime.SetElem", kinds: anyRef, black: true, dev: plainElem,
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite { return elemSite(w, w.rt.SetElem) }},
-		// The whole field area as one image: the reference slot through the
-		// barrier, the long behind it as a bulk write, one flush + fence.
+		// The whole field area as one image, over the image read ahead of the
+		// store: the reference slot through the barrier, the long behind it
+		// as a bulk write, one flush + fence.
 		barrierRow{name: "WriteFieldImage", kinds: anyRef, black: true,
 			dev: [2]devOps{{0, 2, 1, 1}, {1, 2, 1, 1}},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
-				return holderSite(w, func(obj, val layout.Ref) error {
+				s := holderSite(w, nil)
+				old := make([]byte, 2*layout.WordSize)
+				w.check(w.rt.ReadFieldImage(s.obj, old))
+				s.store = func(val layout.Ref) {
 					img := make([]byte, 2*layout.WordSize)
 					binary.LittleEndian.PutUint64(img, uint64(val))
 					binary.LittleEndian.PutUint64(img[layout.WordSize:], 7)
-					return w.rt.WriteFieldImage(obj, img, []int{w.fF.Offset()})
-				})
+					w.check(w.rt.WriteFieldImage(s.obj, old, img, []int{w.fF.Offset()}))
+				}
+				return s
 			}},
 		// One logged store inside an open transaction: the word's
 		// before-image read and appended to the log (one flush + fence), then

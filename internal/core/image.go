@@ -7,6 +7,7 @@ import (
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
+	"espresso/internal/nvm"
 	"espresso/internal/pheap"
 )
 
@@ -44,7 +45,10 @@ func (a *Accessor) ReadFieldImage(ref layout.Ref, dst []byte) error {
 }
 
 // WriteFieldImage stores img over the object's field area (starting at
-// the first instance field) and persists it with one FlushRange + fence.
+// the first instance field), which held old — the caller's ReadFieldImage
+// of it — and persists what that changed with one FlushRange + fence: the
+// span of the image outside which the two agree, whose lines are the only
+// ones the store gave new contents. The same image again stores nothing.
 // refOffs lists the object-relative byte offsets of the reference-typed
 // slots inside the image; each gets the same type-based safety check and
 // the same barrier as storeRef (no bulk memmove ever covers one). The
@@ -52,19 +56,26 @@ func (a *Accessor) ReadFieldImage(ref layout.Ref, dst []byte) error {
 // writes, so total device writes per call are bounded by the schema's
 // reference-column count plus its contiguous primitive runs — never by
 // the field count.
-func (a *Accessor) WriteFieldImage(ref layout.Ref, img []byte, refOffs []int) error {
+func (a *Accessor) WriteFieldImage(ref layout.Ref, old, img []byte, refOffs []int) error {
 	a.enter()
 	defer a.exit()
 	x := a.ctxOf(ref)
 	if x == nil {
 		return fmt.Errorf("core: WriteFieldImage of a non-persistent object %#x", uint64(ref))
 	}
+	if len(old) != len(img) {
+		return fmt.Errorf("core: WriteFieldImage of %d bytes over an image of %d", len(img), len(old))
+	}
 	sorted, err := a.rt.vetImage("WriteFieldImage", img, refOffs)
 	if err != nil {
 		return err
 	}
+	lo, hi := nvm.DiffSpan(old, img)
+	if lo == hi {
+		return nil
+	}
 	a.rt.shipImage(x, ref, img, sorted)
-	x.FlushRange(ref, layout.FieldOff(0), len(img))
+	x.FlushRange(ref, layout.FieldOff(0)+lo, hi-lo)
 	return nil
 }
 

@@ -163,3 +163,62 @@ func TestPNewImageWithStrings(t *testing.T) {
 		t.Fatalf("the refused PNewImage allocated: top %d → %d", top, h.Top())
 	}
 }
+
+// TestWriteFieldImageFlushesWhatChanged: an image over a field area of
+// several lines costs the lines of the span it changed — one column, one
+// line — and is durable all the same; the image the object already holds
+// costs the device nothing.
+func TestWriteFieldImageFlushesWhatChanged(t *testing.T) {
+	rt := newRT(t, Config{PJHDataSize: 1 << 20})
+	h, err := rt.CreateHeap("img", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cols = 32 // four lines of longs
+	fields := make([]klass.Field, cols)
+	for i := range fields {
+		fields[i] = klass.Field{Name: string(rune('A' + i)), Type: layout.FTLong}
+	}
+	ref, err := rt.PNew(klass.MustInstance("Wide", nil, fields...), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := make([]byte, cols*layout.WordSize)
+	if err := rt.ReadFieldImage(ref, old); err != nil {
+		t.Fatal(err)
+	}
+	dev, base := h.Device(), h.OffOf(ref)+layout.FieldOff(0)
+	for _, c := range []struct {
+		name string
+		cols []int // ascending
+	}{
+		{"one column", []int{17}}, // one line, wherever the object lies
+		{"two neighbours", []int{17, 18}},
+		{"the first and the last", []int{0, cols - 1}},
+		{"none", nil},
+	} {
+		img := slices.Clone(old)
+		var want nvm.Stats
+		for _, i := range c.cols {
+			img[i*layout.WordSize]++
+		}
+		if c.cols != nil {
+			lo, hi := c.cols[0]*layout.WordSize, (c.cols[len(c.cols)-1]+1)*layout.WordSize
+			want.FlushedLines, want.Fences = uint64(nvm.LineSpan(base+lo, hi-lo)), 1
+		}
+		s0 := dev.Stats()
+		if err := rt.WriteFieldImage(ref, old, img, nil); err != nil {
+			t.Fatal(err)
+		}
+		d := dev.Stats().Sub(s0)
+		if d.FlushedLines != want.FlushedLines || d.Fences != want.Fences || (c.cols == nil && d != nvm.Stats{}) {
+			t.Fatalf("%s: %d lines / %d fences (%+v), want %d / %d", c.name, d.FlushedLines, d.Fences, d, want.FlushedLines, want.Fences)
+		}
+		got := make([]byte, len(img))
+		nvm.FromImage(dev.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{}).ReadBytes(base, got)
+		if !slices.Equal(got, img) {
+			t.Fatalf("%s: after power loss the field area is not the image", c.name)
+		}
+		old = img
+	}
+}

@@ -135,13 +135,19 @@ func TestFig18ObjectSchedule(t *testing.T) {
 	}
 }
 
-func TestGCFlushCostPositive(t *testing.T) {
+// TestGCFlushCostExact: what §6.4's collection writes back is a count, and
+// a function of the code — 4 MB of live 48-byte nodes, each behind a dead
+// one it slides down over.
+func TestGCFlushCostExact(t *testing.T) {
 	r, err := GCFlushCost(4 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LiveBytes == 0 || r.WithFlush == 0 || r.WithoutFlush == 0 {
+	if r.WithFlush == 0 || r.WithoutFlush == 0 {
 		t.Fatalf("degenerate result: %+v", r)
+	}
+	if r.LiveBytes != 4194336 || r.FlushedLines != 313277 {
+		t.Fatalf("collection of %d live bytes flushed %d lines, want 4194336 and 313277", r.LiveBytes, r.FlushedLines)
 	}
 }
 

@@ -312,7 +312,7 @@ func (tx *Tx) Commit() {
 		return
 	}
 	tx.done = true
-	tx.db.store.log.Commit()
+	tx.db.store.commit()
 	tx.db.mu.Unlock()
 }
 
@@ -322,7 +322,7 @@ func (tx *Tx) Rollback() {
 		return
 	}
 	tx.done = true
-	if tx.db.store.log.Rollback() {
+	if tx.db.store.rollback() {
 		// Indexes may now disagree with the pages; rebuild them.
 		tx.db.rebuildIndexes()
 	}

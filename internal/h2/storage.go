@@ -1,7 +1,9 @@
 package h2
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"espresso/internal/nvm"
 	"espresso/internal/undolog"
@@ -13,12 +15,33 @@ import (
 //	[4K, 4K+U)    undo log: the seq word, then the open transaction's records
 //	[4K+U, ...)   8 KB row pages
 //
-// Every store into a row page belongs to a transaction of the shared undo
-// log (internal/undolog has the protocol). Two choices are H2's own. An
-// insert logs one thing, the page header: the new record and its slot lie
+// A transaction's stores into the row pages go through the shared undo log
+// (internal/undolog has the protocol), with two choices that are H2's own.
+// An insert logs one thing, the page header: the new record and its slot lie
 // past the header's slot count and free offset, so rolling the header back
 // un-inserts them wherever their bytes got to. And an update that keeps a
 // row's length goes in place, under the old bytes' before-image (update).
+//
+// One transaction needs no log at all: the one whose whole write set is a
+// single store inside one aligned 8-byte word — a delete (the slot's u16
+// length becomes 0), or a same-length update whose new bytes differ from
+// the old inside one word (a reference row whose dirty column changed). The
+// hardware already makes that store atomic: an aligned word persists whole,
+// so every image holds the transaction entirely or not at all, which is all
+// the log would have bought. The store does not issue it when the operation
+// is called, though — a store may leave the cache at any moment, and until
+// Commit the transaction may still grow a second store or be rolled back.
+// It is held in DRAM (hold); reads overlay it (readAt), so the transaction
+// reads its own write; the transaction's next mutating operation first
+// settles it down the logged path (settle: before-image, store, dirty
+// line), after which the transaction is an ordinary logged one; Rollback
+// drops it; and Commit with only a held store is that one store, one flush
+// and one fence — no record, no seq. Nothing reaches the device before
+// commit, so recovery has nothing to learn: an image with no valid record
+// is a committed image, exactly as for logged transactions. (The premise is
+// a store the hardware does not tear. The simulator's crash images are whole
+// lines, so tearing below a word is outside what the sweeps can show — the
+// caveat pheap's allocInHole states.)
 const (
 	storeMagic  = 0x4832_4442 // "H2DB"
 	pageSize    = 8 << 10
@@ -37,6 +60,14 @@ type store struct {
 	pageCount int
 	fillPage  int // page currently receiving inserts
 	log       *undolog.Log
+	// held is the open transaction's one store while it is held back (n != 0):
+	// a natural u8/u16/u32/u64 store of b[:n] at off.
+	held struct {
+		off, n int
+		b      [8]byte
+	}
+	// buf is the scratch row that row reads into.
+	buf []byte
 }
 
 // rowID locates a record: page<<16 | slot.
@@ -81,11 +112,97 @@ func (s *store) slotRange(p, slot int) nvm.Range {
 	return nvm.Range{Off: s.pageOff(p) + pageSize - (slot+1)*slotDirSize, N: slotDirSize}
 }
 
+// readAt fills dst with the bytes at off as the open transaction sees them:
+// the device's, under the held store's.
+func (s *store) readAt(off int, dst []byte) {
+	s.dev.ReadBytes(off, dst)
+	h := &s.held
+	if lo, hi := max(off, h.off), min(off+len(dst), h.off+h.n); lo < hi {
+		copy(dst[lo-off:hi-off], h.b[lo-h.off:])
+	}
+}
+
+// row reads n bytes at off into the store's scratch buffer, which the next
+// call reuses.
+func (s *store) row(off, n int) []byte {
+	s.buf = slices.Grow(s.buf[:0], n)[:n]
+	s.readAt(off, s.buf)
+	return s.buf
+}
+
+// hold takes the store of b at off as the open transaction's held store,
+// if it may be one: the transaction has logged nothing — and so, every
+// operation settling first, holds nothing — and b lies inside one aligned
+// word. Bytes that no single instruction
+// stores alone (three of them, or a u16 across a u32 boundary) become the
+// containing word rewritten.
+func (s *store) hold(off int, b []byte) bool {
+	h, word := &s.held, off&^7
+	if !s.log.Idle() || (off+len(b)-1)&^7 != word {
+		return false
+	}
+	if n := len(b); n&(n-1) == 0 && off%n == 0 {
+		h.off, h.n = off, n
+		copy(h.b[:], b)
+		return true
+	}
+	s.dev.ReadBytes(word, h.b[:])
+	copy(h.b[off-word:], b)
+	h.off, h.n = word, 8
+	return true
+}
+
+// release stops holding the held store and issues it.
+func (s *store) release() nvm.Range {
+	h := &s.held
+	r := nvm.Range{Off: h.off, N: h.n}
+	s.dev.WriteBytes(r.Off, h.b[:r.N])
+	h.n = 0
+	return r
+}
+
+// settle turns a held store into the first logged store of the open
+// transaction, ahead of the transaction's second operation.
+func (s *store) settle() error {
+	h := &s.held
+	if h.n == 0 {
+		return nil
+	}
+	if err := s.log.Record(nvm.Range{Off: h.off, N: h.n}); err != nil {
+		return err
+	}
+	s.log.Touched(s.release())
+	return nil
+}
+
+// commit makes the open transaction durable: a held store by itself, one
+// line and one fence; anything else through the log.
+func (s *store) commit() {
+	if s.held.n == 0 {
+		s.log.Commit()
+		return
+	}
+	r := s.release()
+	s.dev.Flush(r.Off, r.N)
+	s.dev.Fence()
+}
+
+// rollback undoes the open transaction, reporting whether it had done
+// anything (the caller's indexes have then moved, and not moved back).
+func (s *store) rollback() bool {
+	if s.held.n != 0 {
+		s.held.n = 0
+		return true
+	}
+	return s.log.Rollback()
+}
+
 // slotEntry reads a slot directory entry (offset, length). Length 0 means
 // the slot is dead.
 func (s *store) slotEntry(p, slot int) (int, int) {
-	base := s.slotRange(p, slot).Off
-	return int(s.dev.ReadU16(base)), int(s.dev.ReadU16(base + 2))
+	var e [slotDirSize]byte
+	s.readAt(s.slotRange(p, slot).Off, e[:])
+	return int(binary.LittleEndian.Uint16(e[:])), int(binary.LittleEndian.Uint16(e[2:]))
 }
 
 func (s *store) setSlotEntry(p, slot, off, length int) {
@@ -129,6 +246,9 @@ func (s *store) place(sp spot, rec []byte) rowID {
 
 // insert stores a record, returning its rowID.
 func (s *store) insert(rec []byte) (rowID, error) {
+	if err := s.settle(); err != nil {
+		return 0, err
+	}
 	sp, err := s.pick(len(rec))
 	if err != nil {
 		return 0, err
@@ -139,7 +259,7 @@ func (s *store) insert(rec []byte) (rowID, error) {
 	return s.place(sp, rec), nil
 }
 
-// read fetches a record's bytes.
+// read fetches a record's bytes, into the scratch row.
 func (s *store) read(id rowID) ([]byte, error) {
 	p, slot := id.page(), id.slot()
 	if p >= s.pageCount || slot >= s.slotCount(p) {
@@ -149,15 +269,20 @@ func (s *store) read(id rowID) ([]byte, error) {
 	if length == 0 {
 		return nil, fmt.Errorf("h2: deleted row id %#x", uint64(id))
 	}
-	out := make([]byte, length)
-	s.dev.ReadBytes(s.pageOff(p)+off, out)
-	return out, nil
+	return s.row(s.pageOff(p)+off, length), nil
 }
 
-// delete kills a record's slot.
+// delete kills a record's slot: its length becomes 0.
 func (s *store) delete(id rowID) error {
+	if err := s.settle(); err != nil {
+		return err
+	}
 	p, slot := id.page(), id.slot()
-	if err := s.log.Record(s.slotRange(p, slot)); err != nil {
+	r := s.slotRange(p, slot)
+	if s.hold(r.Off+2, []byte{0, 0}) {
+		return nil
+	}
+	if err := s.log.Record(r); err != nil {
 		return err
 	}
 	off, _ := s.slotEntry(p, slot)
@@ -166,15 +291,24 @@ func (s *store) delete(id rowID) error {
 }
 
 // update replaces the record at id with rec and returns where it now
-// lives: in place, under the old bytes' before-image, when the length is
-// unchanged — every reference row, every fixed-width column — and
-// otherwise in a fresh slot, the old one killed (one batch of two
-// before-images: the old slot and the new page's header).
+// lives: in place when the length is unchanged — every reference row, every
+// fixed-width column — and otherwise in a fresh slot, the old one killed
+// (one batch of two before-images: the old slot and the new page's header).
+// In place, the same bytes again are no operation at all, bytes that differ
+// inside one aligned word are a store to hold, and any others go in under
+// the old row's before-image.
 func (s *store) update(id rowID, rec []byte) (rowID, error) {
+	if err := s.settle(); err != nil {
+		return 0, err
+	}
 	p, slot := id.page(), id.slot()
 	off, length := s.slotEntry(p, slot)
 	if len(rec) == length {
 		r := nvm.Range{Off: s.pageOff(p) + off, N: length}
+		lo, hi := nvm.DiffSpan(s.row(r.Off, r.N), rec)
+		if lo == hi || s.hold(r.Off+lo, rec[lo:hi]) {
+			return id, nil
+		}
 		if err := s.log.Record(r); err != nil {
 			return 0, err
 		}
@@ -193,7 +327,7 @@ func (s *store) update(id rowID, rec []byte) (rowID, error) {
 	return s.place(sp, rec), nil
 }
 
-// forEach visits every live record.
+// forEach visits every live record, each in the scratch row.
 func (s *store) forEach(fn func(id rowID, rec []byte) error) error {
 	for p := 0; p < s.pageCount; p++ {
 		n := s.slotCount(p)
@@ -202,9 +336,7 @@ func (s *store) forEach(fn func(id rowID, rec []byte) error) error {
 			if length == 0 {
 				continue
 			}
-			rec := make([]byte, length)
-			s.dev.ReadBytes(s.pageOff(p)+off, rec)
-			if err := fn(makeRowID(p, slot), rec); err != nil {
+			if err := fn(makeRowID(p, slot), s.row(s.pageOff(p)+off, length)); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package h2
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -52,29 +53,34 @@ func (s *crashSweep) reopen(tag string, img []byte, want ...string) {
 	}
 }
 
-// tx sweeps one transaction: run takes the live database from state pre to
-// state post, and every image must recover to one or the other — after
-// run returns, to post. A flush into the undo log (the seq word, a batch
-// of records) is additionally cut mid-line.
-func (s *crashSweep) tx(name, pre, post string, run func()) {
+// crash reopens what dev holds under every policy.
+func (s *crashSweep) crash(tag string, dev *nvm.Device, want ...string) {
 	s.t.Helper()
-	policies := []struct {
+	for _, p := range []struct {
 		name   string
 		policy nvm.CrashPolicy
 		seed   int64
 	}{
 		{"flushed-only", nvm.CrashFlushedOnly, 0}, {"all-dirty", nvm.CrashAllDirty, 0},
 		{"evict-1", nvm.CrashRandomEviction, 1}, {"evict-2", nvm.CrashRandomEviction, 2}, {"evict-3", nvm.CrashRandomEviction, 3},
+	} {
+		s.reopen(tag+" "+p.name, dev.CrashImage(p.policy, p.seed), want...)
 	}
+}
+
+// tx sweeps one transaction: run takes the live database from state pre to
+// state post, and every image must recover to one or the other — after
+// run returns, to post. A flush into the undo log (the seq word, a batch
+// of records) is additionally cut mid-line.
+func (s *crashSweep) tx(name, pre, post string, run func()) {
+	s.t.Helper()
 	// The fault hook runs ahead of each flush's writeback; it drops
 	// nothing, it is the sweep's crash point.
 	boundary := 0
 	s.dev.SetFlushFault(func(off, n int, _ uint64) bool {
 		boundary++
 		tag := fmt.Sprintf("%s, before flush %d [%d,%d)", name, boundary, off, off+n)
-		for _, p := range policies {
-			s.reopen(tag+" "+p.name, s.dev.CrashImage(p.policy, p.seed), pre, post)
-		}
+		s.crash(tag, s.dev, pre, post)
 		if off >= undoSeqOff && off < pagesOff {
 			for _, keep := range []int{4, 8, 16, 24, 40} {
 				s.reopen(fmt.Sprintf("%s torn at %d", tag, keep),
@@ -94,72 +100,94 @@ func (s *crashSweep) tx(name, pre, post string, run func()) {
 	s.reopen(name+", committed", s.dev.CrashImage(nvm.CrashFlushedOnly, 0), post)
 }
 
-// TestCrashSweepRefTx sweeps five ModeRefs transactions: ScanRefs on every
-// recovered image must equal the model before the transaction or after it.
+// refTable is the ModeRefs table of the reference-row sweeps.
+const refTable = "t"
+
+// refSweep is a sweep over refTable on dev: ScanRefs on every recovered
+// image must equal the model before the transaction or after it.
+func refSweep(t *testing.T, dev *nvm.Device) *crashSweep {
+	return &crashSweep{t: t, dev: dev,
+		dump: func(db *DB) string {
+			m := map[int64]uint64{} // printed in key order
+			if err := db.ScanRefs(refTable, func(pk int64, ref uint64) bool { m[pk] = ref; return true }); err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(m)
+		},
+		put: func(db *DB) error { return db.PersistRef(refTable, 1<<40, 0xfeed, 0) },
+	}
+}
+
+// refOp is one operation of a reference-row transaction: a put, or with
+// ref 0 a delete.
+type refOp struct {
+	pk  int64
+	ref uint64
+}
+
+func refSpan(lo, hi int64, base uint64) []refOp {
+	var ops []refOp
+	for k := lo; k < hi; k++ {
+		ops = append(ops, refOp{k, base + uint64(k)})
+	}
+	return ops
+}
+
+// refModelAfter is the model once ops have committed.
+func refModelAfter(model map[int64]uint64, ops []refOp) map[int64]uint64 {
+	after := map[int64]uint64{}
+	maps.Copy(after, model)
+	for _, o := range ops {
+		if o.ref != 0 {
+			after[o.pk] = o.ref
+		} else {
+			delete(after, o.pk)
+		}
+	}
+	return after
+}
+
+// runRefOps runs ops inside tx.
+func runRefOps(t *testing.T, tx *Tx, ops []refOp) {
+	t.Helper()
+	for _, o := range ops {
+		if o.ref != 0 {
+			if err := tx.PersistRef(refTable, o.pk, o.ref, 0); err != nil {
+				t.Fatalf("put %d: %v", o.pk, err)
+			}
+		} else if ok, err := tx.DeleteRef(refTable, o.pk); err != nil || !ok {
+			t.Fatalf("delete %d: %v %v", o.pk, ok, err)
+		}
+	}
+}
+
+// TestCrashSweepRefTx sweeps five ModeRefs transactions.
 func TestCrashSweepRefTx(t *testing.T) {
-	const table = "t"
 	dev := smallDevice(4)
 	db, err := Open(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateRefTable(table); err != nil {
+	if _, err := db.CreateRefTable(refTable); err != nil {
 		t.Fatal(err)
 	}
-	s := &crashSweep{t: t, dev: dev,
-		dump: func(db *DB) string {
-			m := map[int64]uint64{} // printed in key order
-			if err := db.ScanRefs(table, func(pk int64, ref uint64) bool { m[pk] = ref; return true }); err != nil {
-				t.Fatal(err)
-			}
-			return fmt.Sprint(m)
-		},
-		put: func(db *DB) error { return db.PersistRef(table, 1<<40, 0xfeed, 0) },
-	}
-
-	// A step is one transaction: puts (ref != 0) and deletes, in order.
-	type op struct {
-		pk  int64
-		ref uint64
-	}
-	span := func(lo, hi int64, base uint64) []op {
-		var ops []op
-		for k := lo; k < hi; k++ {
-			ops = append(ops, op{k, base + uint64(k)})
-		}
-		return ops
-	}
+	s := refSweep(t, dev)
 	model := map[int64]uint64{}
 	for _, step := range []struct {
 		name string
-		ops  []op
+		ops  []refOp
 	}{
-		{"batch of 20", span(0, 20, 0x1000)},
-		{"one update", []op{{7, 0xbeef}}},
-		{"one delete", []op{{3, 0}}},
-		{"mixed", []op{{5, 0xaaaa}, {9, 0}, {100, 0xbbbb}, {100, 0xcccc}, {100, 0}}},
-		{"batch of 300 across a page", span(200, 500, 0x2000)},
+		{"batch of 20", refSpan(0, 20, 0x1000)},
+		{"one update", []refOp{{7, 0xbeef}}},
+		{"one delete", []refOp{{3, 0}}},
+		{"mixed", []refOp{{5, 0xaaaa}, {9, 0}, {100, 0xbbbb}, {100, 0xcccc}, {100, 0}}},
+		{"batch of 300 across a page", refSpan(200, 500, 0x2000)},
 	} {
 		pre := fmt.Sprint(model)
-		for _, o := range step.ops {
-			if o.ref == 0 {
-				delete(model, o.pk)
-			} else {
-				model[o.pk] = o.ref
-			}
-		}
+		model = refModelAfter(model, step.ops)
 		s.tx(step.name, pre, fmt.Sprint(model), func() {
 			tx := db.Begin()
-			for _, o := range step.ops {
-				if o.ref != 0 {
-					err = tx.PersistRef(table, o.pk, o.ref, 0)
-				} else if ok, derr := tx.DeleteRef(table, o.pk); derr != nil || !ok {
-					err = fmt.Errorf("delete: %v %v", ok, derr)
-				}
-				if err != nil {
-					t.Fatalf("%s: key %d: %v", step.name, o.pk, err)
-				}
-			}
+			runRefOps(t, tx, step.ops)
 			tx.Commit()
 		})
 		if got := s.dump(db); got != fmt.Sprint(model) {
@@ -250,7 +278,8 @@ func TestRefUpdateDoesNotConsumePages(t *testing.T) {
 }
 
 // TestEmptyTransactionCostsNothing: a transaction that stores nothing —
-// none at all, or a delete that finds no row — issues no device operation.
+// none at all, or a delete that finds no row — issues no device operation,
+// and a put of the row a key already has reads it and stops there.
 func TestEmptyTransactionCostsNothing(t *testing.T) {
 	db := testDB(t)
 	if _, err := db.CreateRefTable("t"); err != nil {
@@ -266,6 +295,12 @@ func TestEmptyTransactionCostsNothing(t *testing.T) {
 	}
 	if d := db.Device().Stats().Sub(s0); d != (nvm.Stats{}) {
 		t.Fatalf("empty transactions cost the device %+v", d)
+	}
+	if err := db.PersistRef("t", 1, 0xabc, 0); err != nil {
+		t.Fatal(err)
+	}
+	if d := db.Device().Stats().Sub(s0); d.Writes != 0 || d.FlushedLines != 0 || d.Fences != 0 {
+		t.Fatalf("putting the same row again cost the device %+v", d)
 	}
 }
 

@@ -2,8 +2,9 @@
 // paper's H2 backend: slotted row pages stored on an NVM device, written
 // back once per transaction — a commit flushes each line the transaction
 // dirtied exactly once, behind a physical undo log of self-validating
-// before-images that makes the transaction atomic (storage.go has the
-// protocol) — a B+tree primary-key index per table (rebuilt at open, the
+// before-images that makes the transaction atomic, and a transaction that
+// is one store inside one aligned word commits with that store alone
+// (storage.go has the protocol) — a B+tree primary-key index per table (rebuilt at open, the
 // way H2 recovers its indexes), a SQL execution engine fed by package
 // sql, and a JDBC-like Conn/Stmt API.
 //

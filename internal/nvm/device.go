@@ -616,6 +616,21 @@ func LineRange(off, n int) Range {
 	return Range{Off: lo, N: hi - lo}
 }
 
+// DiffSpan trims the common prefix and suffix off two images of one
+// length: outside [lo, hi) they hold the same bytes, and lo == hi when they
+// are the same image. A writer that has read what it is about to overwrite
+// stores — or flushes — that span and nothing else.
+func DiffSpan(old, img []byte) (lo, hi int) {
+	hi = len(img)
+	for lo < hi && old[lo] == img[lo] {
+		lo++
+	}
+	for lo < hi && old[hi-1] == img[hi-1] {
+		hi--
+	}
+	return lo, hi
+}
+
 // MergeRanges sorts rs by offset and collapses overlapping and adjacent
 // ranges, in place: flushing the result writes each covered line back
 // once, provided the ranges went in line-aligned (LineRange). It is the

@@ -49,7 +49,8 @@ type Provider struct {
 	klasses map[*jpa.EntityDef]*dbSchema
 
 	// stage is the reusable DRAM staging buffer materialize assembles
-	// DBPersistable images in before shipping them with one bulk write.
+	// DBPersistable images in before shipping them with one bulk write; its
+	// second half keeps an update's image as read.
 	stage []byte
 	// strs is materialize's reusable list of a fresh entity's string
 	// columns.
@@ -295,7 +296,8 @@ func (p *Provider) Commit() error {
 // the existing image, so clean columns (including string references)
 // survive untouched — and lands through the mutator: bulk writes for the
 // primitive runs, one barriered atomic store per string column. An update
-// goes over the existing object (WriteFieldImage, one FlushRange); a
+// goes over the existing object (WriteFieldImage, one FlushRange of the
+// span the commit changed, found against the image as read); a
 // fresh entity's image ships inside its allocation (PNewImage), together
 // with its string columns' payloads: one allocation run whose one flush
 // covers the strings and the entity's header and fields. Device cost per
@@ -316,14 +318,17 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		dirty = ^uint64(0) >> (64 - uint(len(fields))) // all fields
 	}
 	size := len(fields) * layout.WordSize
-	if cap(p.stage) < size {
-		p.stage = make([]byte, size)
+	if cap(p.stage) < 2*size {
+		p.stage = make([]byte, 2*size)
 	}
-	img := p.stage[:size]
+	img, old := p.stage[:size], p.stage[size:2*size]
 	if fresh {
 		clear(img)
-	} else if err := m.ReadFieldImage(ref, img); err != nil {
-		return 0, 0, err
+	} else {
+		if err := m.ReadFieldImage(ref, old); err != nil {
+			return 0, 0, err
+		}
+		copy(img, old)
 	}
 	base := layout.FieldOff(0)
 	strs := p.strs[:0]
@@ -359,7 +364,7 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 	if fresh {
 		ref, err = m.PNewImage(s.k, img, s.refOffs, strs...)
 	} else {
-		err = m.WriteFieldImage(ref, img, s.refOffs)
+		err = m.WriteFieldImage(ref, old, img, s.refOffs)
 	}
 	if err != nil {
 		return 0, 0, err

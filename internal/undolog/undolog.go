@@ -1,7 +1,16 @@
 // Package undolog is the tree's one undo log: failure-atomic transactions
 // over a window of an nvm.Device, for H2's row pages and ptx's heap
-// objects. A transaction costs the device its distinct dirty lines, one
-// log flush per batch of before-images, and one commit line:
+// objects. What a log buys is atomicity over more than one store, and what
+// it costs the device, beside the transaction's distinct dirty lines, is
+// one log flush per batch of before-images and one commit line. A
+// transaction that is a single store inside one aligned word needs
+// neither — the hardware persists such a word whole — provided nothing of
+// it reaches the device before commit; a user that can hold the store back
+// until then commits it with no log at all, and this package's part in
+// that is to say whether the open transaction has logged anything yet
+// (Idle). H2 does (its reads go through the store, which overlays the held
+// bytes: h2/storage.go); ptx does not, its clients read heap words
+// directly. For everything else:
 //
 //   - before a range is first overwritten, its before-image is appended to
 //     the log, flushed and fenced (Record) — the write-ahead rule: a store
@@ -149,6 +158,9 @@ func (l *Log) Record(ranges ...nvm.Range) error {
 	l.used += len(buf)
 	return nil
 }
+
+// Idle reports whether the open transaction has logged nothing yet.
+func (l *Log) Idle() bool { return l.used == 0 }
 
 // Touched notes that the transaction stored into r, whose lines Commit
 // has to write back. A range overlapping or adjacent to a noted one grows
