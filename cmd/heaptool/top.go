@@ -72,20 +72,17 @@ func printFrame(snap, prev telemetry.Snapshot, prevSeq uint64, first bool, inter
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	// The hint-hit row carries a third column: the share of the frame's
-	// index probes (first frame: of all so far) that the volatile hint
-	// table answered without a chain walk.
-	const hits, misses = "index.hint_hits", "index.hint_misses"
-	hitRate := ""
-	if h, m := snap.Counters[hits]-prev.Counters[hits], snap.Counters[misses]-prev.Counters[misses]; h+m != 0 {
-		hitRate = fmt.Sprintf("  hit %.1f%%", 100*float64(h)/float64(h+m))
+	// Two rows carry a third column, a share of the frame's events (first
+	// frame: of all so far): the index probes the volatile hint table
+	// answered without a chain walk, and the deferred allocation headers a
+	// caller's flush made durable at no line of their own.
+	cols := map[string]string{
+		"index.hint_hits":             share("hit", snap, prev, "index.hint_hits", "index.hint_hits", "index.hint_misses"),
+		"alloc.headers_flush_covered": share("of deferred", snap, prev, "alloc.headers_flush_covered", "alloc.headers_deferred"),
 	}
 	for _, name := range names {
 		v := snap.Counters[name]
-		col := ""
-		if name == hits {
-			col = hitRate
-		}
+		col := cols[name]
 		if first {
 			if v != 0 {
 				fmt.Printf("  %-32s %d%s\n", name, v, col)
@@ -117,4 +114,19 @@ func printFrame(snap, prev telemetry.Snapshot, prevSeq uint64, first bool, inter
 		}
 		fmt.Printf("  span %-22s %12v%s\n", sp.Name, sp.Dur, loc)
 	}
+}
+
+// share renders what counter num moved by between prev and snap as a
+// percentage of what the counters dens moved by together, labelled; empty
+// when they did not move.
+func share(label string, snap, prev telemetry.Snapshot, num string, dens ...string) string {
+	moved := func(name string) uint64 { return snap.Counters[name] - prev.Counters[name] }
+	var den uint64
+	for _, d := range dens {
+		den += moved(d)
+	}
+	if den == 0 {
+		return ""
+	}
+	return fmt.Sprintf("  %s %.1f%%", label, 100*float64(moved(num))/float64(den))
 }

@@ -275,6 +275,9 @@ func (a *Accessor) storeRef(obj layout.Ref, boff int, val layout.Ref) error {
 		if isVol && rt.cfg.Safety == TypeBased {
 			return fmt.Errorf("core: type-based safety forbids storing a volatile reference into NVM")
 		}
+		if !isVol {
+			a.settleElsewhere(x, val)
+		}
 		x.StoreRef(obj, boff, val, isVol)
 		return nil
 	}
@@ -284,6 +287,20 @@ func (a *Accessor) storeRef(obj layout.Ref, boff int, val layout.Ref) error {
 	}
 	rt.vol.SetWord(obj, boff, uint64(val))
 	return nil
+}
+
+// settleElsewhere is the half of a store's settle pheap cannot do: x's
+// StoreRef settles a value of x's own heap, and a persistent val of
+// another heap is settled here, in the heap that holds it, on the context
+// ctxOf picks for it — before the store through x can make a durable word
+// name it (pheap's alloc.go, "deferred header").
+func (a *Accessor) settleElsewhere(x *pheap.Allocator, val layout.Ref) {
+	if val == layout.NullRef || x.Heap().Contains(val) {
+		return
+	}
+	if y := a.ctxOf(val); y != nil {
+		y.Settle(val)
+	}
 }
 
 // NVMToVolSlots snapshots the persistent-to-volatile remembered set

@@ -74,7 +74,7 @@ func (a *Accessor) WriteFieldImage(ref layout.Ref, old, img []byte, refOffs []in
 	if lo == hi {
 		return nil
 	}
-	a.rt.shipImage(x, ref, img, sorted)
+	a.shipImage(x, ref, img, sorted)
 	x.FlushRange(ref, layout.FieldOff(0)+lo, hi-lo)
 	return nil
 }
@@ -115,7 +115,7 @@ func (a *Accessor) PNewImage(k *klass.Klass, img []byte, refOffs []int, strs ...
 	place := func(i int, sref layout.Ref) {
 		binary.LittleEndian.PutUint64(img[strs[i].Boff-layout.FieldOff(0):], uint64(sref))
 	}
-	ship := func(x *pheap.Allocator, ref layout.Ref) { a.rt.shipImage(x, ref, img, sorted) }
+	ship := func(x *pheap.Allocator, ref layout.Ref) { a.shipImage(x, ref, img, sorted) }
 	if a.alloc == nil || len(strs) == 0 {
 		for i, s := range strs {
 			sref, err := a.newPString(s.S)
@@ -184,8 +184,9 @@ func (rt *Runtime) vetImage(op string, img []byte, refOffs []int) ([]int, error)
 
 // shipImage stores a vetted image into the object at ref through x:
 // bulk-write each primitive run, send each reference slot through the
-// barrier.
-func (rt *Runtime) shipImage(x *pheap.Allocator, ref layout.Ref, img []byte, sorted []int) {
+// barrier, settling its value as storeRef does.
+func (a *Accessor) shipImage(x *pheap.Allocator, ref layout.Ref, img []byte, sorted []int) {
+	rt := a.rt
 	base := layout.FieldOff(0)
 	run := base
 	writeRun := func(upto int) {
@@ -197,7 +198,11 @@ func (rt *Runtime) shipImage(x *pheap.Allocator, ref layout.Ref, img []byte, sor
 		writeRun(boff)
 		run = boff + layout.WordSize
 		val := layout.Ref(binary.LittleEndian.Uint64(img[boff-base:]))
-		x.StoreRef(ref, boff, val, val != layout.NullRef && rt.vol.Contains(val))
+		isVol := val != layout.NullRef && rt.vol.Contains(val)
+		if !isVol {
+			a.settleElsewhere(x, val)
+		}
+		x.StoreRef(ref, boff, val, isVol)
 	}
 	writeRun(base + len(img))
 }

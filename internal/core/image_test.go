@@ -27,7 +27,13 @@ func TestPNewImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.PNew(k, 0); err != nil {
+	// The set-up object is flushed, so no header of it is left deferred for
+	// the window's allocation to settle.
+	setup, err := rt.PNew(k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.FlushObject(setup); err != nil {
 		t.Fatal(err)
 	}
 	image := func(id int64, name layout.Ref) []byte {

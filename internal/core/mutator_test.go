@@ -170,12 +170,19 @@ func TestCloseMakesRegionTopsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release()
+	// alloc allocates n objects and names the last (each earlier one is
+	// settled by the allocation after it), so a reload must find them all.
 	alloc := func(n int) {
 		t.Helper()
+		var last layout.Ref
 		for i := 0; i < n; i++ {
-			if _, err := m.PNew(k, 0); err != nil {
+			var err error
+			if last, err = m.PNew(k, 0); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := m.SetRoot("last", last); err != nil {
+			t.Fatal(err)
 		}
 	}
 	validated := func() int {

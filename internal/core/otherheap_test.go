@@ -5,15 +5,16 @@ import (
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
+	"espresso/internal/nvm"
 	"espresso/internal/pheap"
 )
 
-// otherHeapWorld is a runtime with heaps A and B and a mutator attached
-// to A (the active heap when it was created) that is about to store into
-// objects of B.
-func otherHeapWorld(t *testing.T) (rt *Runtime, hb *pheap.Heap, m *Mutator, node *klass.Klass, nextF FieldRef) {
+// otherHeapWorld is a runtime with heaps A and B on devices of the given
+// mode and a mutator attached to A (the active heap when it was created)
+// that is about to store into objects of B.
+func otherHeapWorld(t *testing.T, mode nvm.Mode) (rt *Runtime, hb *pheap.Heap, m *Mutator, node *klass.Klass, nextF FieldRef) {
 	t.Helper()
-	rt, err := NewRuntime(Config{PJHDataSize: 8 << 20})
+	rt, err := NewRuntime(Config{PJHDataSize: 8 << 20, NVMMode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func otherHeapWorld(t *testing.T) (rt *Runtime, hb *pheap.Heap, m *Mutator, node
 // lose a live object and leave a dangling volatile root.
 func TestMutatorStoreIntoOtherHeap(t *testing.T) {
 	t.Run("satb", func(t *testing.T) {
-		rt, hb, m, node, nextF := otherHeapWorld(t)
+		rt, hb, m, node, nextF := otherHeapWorld(t, 0)
 		holder, err := rt.PNew(node, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +78,7 @@ func TestMutatorStoreIntoOtherHeap(t *testing.T) {
 	})
 
 	t.Run("remset", func(t *testing.T) {
-		rt, _, m, node, nextF := otherHeapWorld(t)
+		rt, _, m, node, nextF := otherHeapWorld(t, 0)
 		// Garbage first, so the collection below slides the rooted object.
 		for i := 0; i < 64; i++ {
 			if _, err := rt.PNew(node, 0); err != nil {
@@ -115,7 +116,7 @@ func TestMutatorStoreIntoOtherHeap(t *testing.T) {
 	// a mutator attached to A that keeps unlinking and relinking B's
 	// chain. Every node ever reachable must survive.
 	t.Run("concurrent-gc", func(t *testing.T) {
-		rt, _, m, node, nextF := otherHeapWorld(t)
+		rt, _, m, node, nextF := otherHeapWorld(t, 0)
 		idF := rt.MustResolveField(node, "id")
 		const n = 200
 		var head layout.Ref

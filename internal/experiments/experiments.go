@@ -270,8 +270,11 @@ func fig15Types[H any](s fig15System[H], n int) ([]fig15Type, error) {
 }
 
 // fig15Side runs the whole table once on one system, observing its
-// device around every loop.
-func fig15Side[H any](s fig15System[H], dev *nvm.Device, n int) ([]cell, error) {
+// device around every loop. settle runs ahead of each loop, outside its
+// window: on the Espresso side it settles the header the fixtures or the
+// previous loop's last allocation left deferred (pheap.Heap.PersistTops),
+// so each loop pays for its own objects only.
+func fig15Side[H any](s fig15System[H], dev *nvm.Device, n int, settle func()) ([]cell, error) {
 	types, err := fig15Types(s, n)
 	if err != nil {
 		return nil, fmt.Errorf("fixtures: %w", err)
@@ -279,6 +282,7 @@ func fig15Side[H any](s fig15System[H], dev *nvm.Device, n int) ([]cell, error) 
 	var cells []cell
 	for _, typ := range types {
 		for o, loop := range typ.ops {
+			settle()
 			c, err := observe(typ.name, fig15Ops[o], loop.iters, []*nvm.Device{dev}, func() error {
 				for i := 0; i < loop.iters; i++ {
 					if err := loop.body(i); err != nil {
@@ -312,11 +316,11 @@ func Fig15(scale Scale) ([]Fig15Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcjCells, err := fig15Side[pcj.Obj](pcjSystem{pcjHeap}, pcjHeap.Device(), n)
+	pcjCells, err := fig15Side[pcj.Obj](pcjSystem{pcjHeap}, pcjHeap.Device(), n, func() {})
 	if err != nil {
 		return nil, fmt.Errorf("fig15 pcj %w", err)
 	}
-	espCells, err := fig15Side[layout.Ref](espressoSystem{world}, ph.Device(), n)
+	espCells, err := fig15Side[layout.Ref](espressoSystem{world}, ph.Device(), n, ph.PersistTops)
 	if err != nil {
 		return nil, fmt.Errorf("fig15 espresso %w", err)
 	}

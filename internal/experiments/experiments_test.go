@@ -270,6 +270,7 @@ func seedRefStore(t *testing.T, n int) nvm.Stats {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h.PersistTops() // settles the last node's deferred header, as the workload's set-up does
 	s0 := h.Device().Stats()
 	for i := 0; i < n; i++ {
 		val := own[(i+1)%len(own)]

@@ -190,5 +190,91 @@ func Fastpath(scale Scale) ([]FastpathRow, error) {
 	}); err != nil {
 		return nil, err
 	}
+
+	d, err := pnewFlushPublish(pnewFlushPublishIters)
+	if err != nil {
+		return nil, fmt.Errorf("fastpath pnew-flush-publish: %w", err)
+	}
+	record("pnew-flush-publish", pnewFlushPublishIters, d)
 	return rows, nil
+}
+
+// pnewFlushPublishIters creates fit one PLAB (48 bytes each), so the row
+// holds no retire or dispense, and are a multiple of four, the period at
+// which 48-byte nodes cross cache lines (1.5 lines a node on average).
+const pnewFlushPublishIters = 4096
+
+// pnewFlushPublish is obj_graph's create (benchmark/obj_graph.go), on a
+// runtime of its own: a mutator PNews a 4-field node, stores two longs and
+// the reference that links it to the chain, the runtime flushes it
+// (FlushObject), the mutator publishes it in a directory slot (SetElem)
+// and the runtime flushes the slot (FlushArrayElem). The node's header is
+// deferred by PNew and settled by FlushObject, whose lines cover it, so a
+// create costs the node's lines and the slot's line under two fences.
+func pnewFlushPublish(iters int) (nvm.Stats, error) {
+	const slots = 64
+	rt, err := core.NewRuntime(core.Config{PJHDataSize: 4 << 20})
+	if err != nil {
+		return nvm.Stats{}, err
+	}
+	h, err := rt.CreateHeap("fastpath-graph", 0)
+	if err != nil {
+		return nvm.Stats{}, err
+	}
+	node := klass.MustInstance("fastpath/GraphNode", nil,
+		klass.Field{Name: "val", Type: layout.FTLong},
+		klass.Field{Name: "aux", Type: layout.FTLong},
+		klass.Field{Name: "next", Type: layout.FTRef, RefKlass: "fastpath/GraphNode"},
+		klass.Field{Name: "peer", Type: layout.FTRef, RefKlass: "fastpath/GraphNode"},
+	)
+	if _, err := rt.Reg.Define(node); err != nil {
+		return nvm.Stats{}, err
+	}
+	var fields [3]core.FieldRef
+	for i, name := range []string{"val", "aux", "next"} {
+		if fields[i], err = rt.ResolveField(node, name); err != nil {
+			return nvm.Stats{}, err
+		}
+	}
+	dir, err := rt.PNew(rt.Reg.ObjArray(node.Name), slots)
+	if err != nil {
+		return nvm.Stats{}, err
+	}
+	if err := rt.SetRoot("fastpath/graph", dir); err != nil {
+		return nvm.Stats{}, err
+	}
+	m, err := rt.NewMutator()
+	if err != nil {
+		return nvm.Stats{}, err
+	}
+	defer m.Release()
+	// The chain starts with the PLAB's first object, outside the window.
+	prev, err := m.PNew(node, 0)
+	if err != nil {
+		return nvm.Stats{}, err
+	}
+	dev := h.Device()
+	s0 := dev.Stats()
+	for i := 0; i < iters; i++ {
+		n, err := m.PNew(node, 0)
+		if err != nil {
+			return nvm.Stats{}, err
+		}
+		m.SetLongFast(n, fields[0], int64(i))
+		m.SetLongFast(n, fields[1], -int64(i))
+		if err := m.SetRefFast(n, fields[2], prev); err != nil {
+			return nvm.Stats{}, err
+		}
+		if err := rt.FlushObject(n); err != nil {
+			return nvm.Stats{}, err
+		}
+		if err := m.SetElem(dir, i%slots, n); err != nil {
+			return nvm.Stats{}, err
+		}
+		if err := rt.FlushArrayElem(dir, i%slots); err != nil {
+			return nvm.Stats{}, err
+		}
+		prev = n
+	}
+	return dev.Stats().Sub(s0), nil
 }

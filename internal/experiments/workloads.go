@@ -387,6 +387,9 @@ func refstoreSetup(e env) (*run, error) {
 			return nil, err
 		}
 	}
+	// Each mutator's last node is still a deferred header: settle it now,
+	// outside the window, rather than in the first store that names it.
+	h.PersistTops()
 	slots := 0 // published remembered-set size, counted by finish
 	return &run{
 		heaps: []*pheap.Heap{h},

@@ -175,13 +175,18 @@ func (c *counters) reset() {
 // enforces (each mutator owns its region and its region's line in the
 // top table). Accesses that may share lines (heap metadata, the klass
 // segment, the name table, GC) remain serialized by their callers,
-// mirroring the JVM's allocation locks and stop-the-world pauses.
+// mirroring the JVM's allocation locks and stop-the-world pauses. Two
+// flushes of one line may overlap — a header's owner and another thread
+// naming the object can both write it back (pheap's deferred header) — so
+// the Tracked-mode copy into the persisted view is serialized; a write
+// racing a flush of its line is still the caller's bug.
 type Device struct {
 	size      int
 	mode      Mode
 	mem       []byte
-	persisted []byte   // Tracked only: the power-loss view
-	dirty     []uint64 // Tracked only: bitmap, one bit per line (atomic)
+	persisted []byte     // Tracked only: the power-loss view
+	persistMu sync.Mutex // Tracked only: serializes flushes' copies into persisted
+	dirty     []uint64   // Tracked only: bitmap, one bit per line (atomic)
 
 	// stats is what every ownerless access writes; the pads keep it off
 	// the lines holding the fields every access reads (mem, dirty, the
@@ -581,7 +586,9 @@ func (d *Device) flush(c *cell, off, n int) {
 		}
 		if d.mode == Tracked && !dropped {
 			lo, hi := first*LineSize, (last+1)*LineSize
+			d.persistMu.Lock()
 			copy(d.persisted[lo:hi], d.mem[lo:hi])
+			d.persistMu.Unlock()
 			for l := first; l <= last; l++ {
 				w := &d.dirty[l/64]
 				bit := uint64(1) << (uint(l) % 64)

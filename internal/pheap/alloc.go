@@ -3,6 +3,7 @@ package pheap
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
@@ -12,8 +13,8 @@ import (
 )
 
 // Crash-consistent allocation (paper §4.1), scaled out with persistent
-// region-local allocation buffers (PLABs), at one persist per object. The
-// paper's three phases are
+// region-local allocation buffers (PLABs), at no persist of its own for a
+// plain allocation. The paper's three phases are
 //
 //	(1) fetch the Klass pointer from the constant pool,
 //	(2) allocate memory and update top,
@@ -23,32 +24,79 @@ import (
 // by flush+fence: two persists per object. The paper bumps a single
 // persisted top under one lock; here a region dispenser hands each mutator
 // a whole GC region under a short lock and the mutator bump-allocates
-// inside its PLAB lock-free. And where the paper — and this package
-// through format version 5 — persisted the top after every object, here
-// the object itself is the only durable thing an allocation writes, and it
-// is validated at recovery instead (the shape "Efficient Lock-Free Durable
-// Sets" gives a set member): the persisted top of a region is a lower
-// bound that moves only when somebody other than the owner has to read it.
+// inside its PLAB lock-free. Where the paper — and this package through
+// format version 5 — persisted the top after every object, here the top is
+// a lower bound that moves only when somebody other than the owner has to
+// read it, and objects are validated at recovery instead (the shape
+// "Efficient Lock-Free Durable Sets" gives a set member). And where the
+// paper persists the header inside pnew, here a plain allocation leaves
+// it to the first thing that needs it durable: the paper's own programming
+// model (§3.5, Figure 12) flushes an object before publishing it, so a
+// header persisted by pnew would be written back twice.
 //
-// For every bump allocation there is one step:
+// A bump allocation zeroes the object's body and writes its header — its
+// mark word carries the heap's allocation epoch, the global GC timestamp.
+// AllocInit then runs the caller's initializing stores on the still
+// unacknowledged object and persists header and body together: one flush
+// over the object, one fence. Alloc (no init) flushes and fences nothing:
+// the header becomes the region's one deferred header — a per-region word
+// (Heap.deferred) holding its offset — and is settled later. Either way
+// the volatile top (Heap.regionTops, what heap walks, the marker and the
+// space accounting read) then moves past the object and the call returns.
 //
-//	the object body is zeroed, its header written — its mark word carries
-//	the heap's allocation epoch, the global GC timestamp — the caller's
-//	initializing stores (AllocInit's init, if any) run on the still
-//	unacknowledged object, and header and body persist together: one
-//	flush over the object, one fence. Then the volatile top
-//	(Heap.regionTops, what heap walks, the marker and the space
-//	accounting read) moves past it and the call returns.
+// To settle a deferred header is to flush its lines, fence once, and clear
+// the word (unless it has moved on). It happens at the first of:
 //
-// and one recovery rule (Heap.recoverFrontier): Load parses each half-open
+//   - a flush whose lines cover the header, by any context: FlushRange and
+//     FlushBatch clear the word after their own fence, at no line of their
+//     own — the saving, for a program that flushes what it creates;
+//   - a store that names the object: StoreRef (so core's field and array
+//     stores, and ptx's), core's stores across heaps (in the value's
+//     heap), SetRoot, pindex's Put of a caller's value — each calls Settle
+//     before the store, one atomic load when there is nothing to settle;
+//   - the allocator's next allocation, which settles its PLAB's header
+//     before anything else, and Release and persistOpenTops, which do the
+//     same for a PLAB about to be handed on or to have its top persisted:
+//     PrepareForCollection at both pauses of a concurrent cycle (the
+//     allocator leaves the pause without a PLAB, so nothing else would),
+//     PersistTops and Close. No region top is ever persisted above a
+//     header that is not durable.
+//
+// So a PLAB holds at most one deferred header — its owner is the only
+// allocator in it, and settles the previous header before writing the
+// next — and a PLAB's headers become durable in allocation order. The one
+// exception to deferring is a PLAB's first object: the dispense left the
+// region's opened mark (and the handoff record) flushed without a fence,
+// and they ride that object's own persist, as they always have.
+//
+// Why a settle by another thread is sound (Px86, "Taming x86-TSO
+// Persistency": a flush writes back the line as the issuing thread sees
+// it, and a fence waits for the issuing thread's flushes): the settler
+// loads the word before it flushes, and a load that sees the owner's word
+// store sees the header stores the owner made before it (TSO keeps one
+// thread's stores in order), so the flush writes back a line that holds
+// the header, and the settler's fence completes it before its CAS clears
+// the word — before, in Settle's case, its own naming store. A covering
+// flush loads the word of the region its range starts in before flushing,
+// for the same reason, and clears only a header whose every line it wrote
+// back.
+// And why the owner may skip a header it finds cleared: the clear follows
+// the settler's fence, so a load that sees it follows the header's
+// persist, and the owner's next header, written after that load, cannot
+// be durable first.
+//
+// One recovery rule (Heap.recoverFrontier): Load parses each half-open
 // region forward from its persisted top while headers validate — epoch,
 // klass word, size — and stops at the first that does not. What makes the
 // rule sound:
 //
-//   - An object any durable word names is whole, and so is every object
-//     between its region's persisted top and it: each was flushed and
-//     fenced before its owner's next store, so the parse walks real
-//     headers all the way to it.
+//   - Every object a durable word names parses, and headers become
+//     durable in allocation order within a PLAB: a header is durable
+//     before any durable word names it and before the next header in its
+//     PLAB can be, so the parse walks real headers from the persisted top
+//     to every named object. What it may stop short of is a trailing
+//     object nothing names — its allocation returned, but its header was
+//     never settled — which nothing can reach.
 //   - Nothing older passes for an object of this epoch. A region's bytes
 //     above its persisted top were left by earlier epochs — a region is
 //     dispensed again only after a collection, every collection's finish
@@ -56,12 +104,12 @@ import (
 //     stamped processed sources with is retired in the same redo batch
 //     that ends the cycle, so the allocation epoch is never a collection's
 //     stamp) — and the epoch word carries a checksum.
-//   - What the parse may accept beyond the last acknowledged object is a
-//     torn one: flushes of different lines before one fence persist in any
-//     order, so a crash inside the step can leave the header line in and
-//     a later line out. Its allocation never returned, nothing durable
-//     names it, its body is never interpreted, and the next collection
-//     takes it — as harmless above the frontier as it was above the top.
+//   - What the parse may accept beyond the last named object is a torn
+//     one: flushes of different lines before one fence persist in any
+//     order, so a crash inside a persist can leave the header line in and
+//     a later line out. Nothing durable names it, its body is never
+//     interpreted, and the next collection takes it — as harmless above
+//     the frontier as it was above the top.
 //
 // The persisted top word is written where the owner stops being the only
 // reader: once at dispense, as an "opened, empty" mark (top == region
@@ -73,13 +121,12 @@ import (
 // timestamp, so no parse runs on a mid-collection image); and at
 // PersistTops, the orderly shutdown, after which a reload parses nothing.
 //
-// AllocInit folds a second guarantee into the step for free: an object a
-// caller goes on to link (pindex publishes a node with one CAS) is whole
+// AllocInit folds a second guarantee into its persist for free: an object
+// a caller goes on to link (pindex publishes a node with one CAS) is whole
 // in the image before any durable word can name it, without a flush of
-// its own. Alloc is AllocInit with no init: only the header has to be
-// durable, so only the header is flushed.
+// its own.
 //
-// AllocRun puts several small objects back to back under one step: a
+// AllocRun puts several small objects back to back under one persist: a
 // single flush over all of them, a single fence. A crash inside it can
 // leave any subset of the run's lines in the image, which is harmless
 // exactly where the rule above applies: above the region's persisted top.
@@ -89,11 +136,15 @@ import (
 // bump-path form only. While a recycled hole is attached (or the heap has
 // one to attach) the objects go in one at a time, each through the hole
 // protocol below (covering filler first, then the object, its init folded
-// into its own persist), each complete before the next exists.
+// into its own persist), each complete before the next exists. Hole and
+// humongous allocations, like AllocInit and AllocRun, never defer.
 //
 // Tops of different regions live on different cache lines
-// (layout.RegionTopStride), so concurrent mutators never contend on a
-// shared persisted word, and the bump path touches no shared line at all.
+// (layout.RegionTopStride), and so do their deferred-header words, so
+// concurrent mutators never contend on a shared persisted word, and the
+// bump path writes no line another mutator's bump path writes; a deferred
+// word is loaded by any context that flushes or names an object of its
+// region, and cleared by the one that settles its header.
 //
 // Region-top table encoding (device offsets):
 //
@@ -159,6 +210,11 @@ type Allocator struct {
 	region     int
 	cur, end   int
 	durableTop int
+	// opened is set from a refill until the PLAB's first bump allocation:
+	// the dispense left lines flushed without a fence (the opened mark, the
+	// handoff record) that ride that allocation's fence, so it is persisted
+	// at once, never deferred.
+	opened bool
 
 	// Attached recycled hole (filler-covered space below a region top).
 	holeCur, holeEnd int
@@ -232,7 +288,11 @@ func (a *Allocator) TelemetryCell() *telemetry.Cell { return a.cell }
 // Alloc allocates an object of klass k. arrayLen is the element count for
 // array klasses and ignored for instance klasses. The object body is
 // zeroed; the header carries the current global timestamp. This is the
-// landing point of the pnew/panewarray/pnewarray bytecodes.
+// landing point of the pnew/panewarray/pnewarray bytecodes. On the bump
+// path it flushes and fences nothing: the header is the region's deferred
+// one until something settles it (see the protocol at the top of this
+// file), so an object nothing names or flushes may be missing after a
+// crash.
 func (a *Allocator) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 	return a.AllocInit(k, arrayLen, nil)
 }
@@ -243,7 +303,9 @@ func (a *Allocator) Alloc(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 // the protocol at the top of this file). When AllocInit returns the object
 // is durable as init left it, so a caller about to link it needs no flush
 // of its own. init must only store into the object it is handed (through
-// this allocator); a nil init persists the header alone, which is Alloc.
+// this allocator). A nil init is Alloc: on the bump path the header is
+// left deferred, settled by the object's first covering flush or naming
+// store, or by this allocator's next allocation.
 func (a *Allocator) AllocInit(k *klass.Klass, arrayLen int, init func(layout.Ref)) (layout.Ref, error) {
 	o, err := a.prepare(k, arrayLen)
 	if err != nil {
@@ -251,6 +313,7 @@ func (a *Allocator) AllocInit(k *klass.Klass, arrayLen int, init func(layout.Ref
 	}
 	before := a.Ops()
 	a.placing = true
+	a.settleOwn()
 	ref, err := a.place(o, init)
 	a.placing = false
 	a.account(before)
@@ -287,6 +350,7 @@ func (a *Allocator) AllocRun(objs []RunObj, refs []layout.Ref, init func(i int))
 	a.run = run
 	before := a.Ops()
 	a.placing = true
+	a.settleOwn()
 	err := a.placeRun(run, total, refs, init)
 	a.placing = false
 	a.account(before)
@@ -349,10 +413,17 @@ func (a *Allocator) place(o allocObj, init func(layout.Ref)) (layout.Ref, error)
 		return 0, err
 	}
 	ref := a.head(off, o)
-	if init != nil {
-		init(ref)
+	if init == nil && !a.opened {
+		a.heap.deferred[a.region].Store(deferredWord(off, o.k))
+		a.tally(telemetry.CtrHeadersDeferred, 1)
+	} else {
+		if init != nil {
+			init(ref)
+		}
+		a.view.Flush(off, persistSpan(o, init != nil))
+		a.view.Fence()
 	}
-	a.publish(off, persistSpan(o, init != nil), o.size, 1)
+	a.advance(off+o.size, o.size, 1)
 	return ref, nil
 }
 
@@ -390,7 +461,9 @@ func (a *Allocator) placeRun(run []allocObj, total int, refs []layout.Ref, init 
 		at += o.size
 	}
 	last := run[len(run)-1]
-	a.publish(off, total-last.size+persistSpan(last, init != nil), total, len(run))
+	a.view.Flush(off, total-last.size+persistSpan(last, init != nil))
+	a.view.Fence()
+	a.advance(off+total, total, len(run))
 	return nil
 }
 
@@ -439,18 +512,124 @@ func (a *Allocator) head(off int, o allocObj) layout.Ref {
 	return a.heap.AddrOf(off)
 }
 
-// publish is the one persist of a bump allocation: the first span bytes
-// of the size reserved at off are flushed and fenced, and the volatile top
-// moves past the objs objects there. The region's persisted top stays
-// where it is.
-func (a *Allocator) publish(off, span, size, objs int) {
-	a.view.Flush(off, span)
-	a.view.Fence()
-	a.cur = off + size
-	a.heap.regionTops[a.region].Store(int64(a.cur))
+// advance ends a bump allocation of objs objects, size bytes in all: the
+// PLAB cursor and the volatile top move to cur. The region's persisted top
+// stays where it is.
+func (a *Allocator) advance(cur, size, objs int) {
+	a.cur, a.opened = cur, false
+	a.heap.regionTops[a.region].Store(int64(cur))
 	a.stats.Allocs += objs
 	a.cell.Add(telemetry.CtrAllocObjects, uint64(objs))
 	a.cell.Add(telemetry.CtrAllocBytes, uint64(size))
+}
+
+// deferredHeader is one region's deferred-header word (see the protocol
+// at the top of this file), alone on its cache line: the region's owner
+// stores it on every bump allocation, and every context that flushes an
+// object of the region or stores a reference to one loads it.
+type deferredHeader struct {
+	atomic.Uint64
+	_ [layout.LineSize - 8]byte
+}
+
+// deferredWord encodes the header at off of an object of klass k: the
+// offset, with bit 3 set for an array's longer header (objects are
+// 16-aligned, so the low four bits are free). Zero means none.
+func deferredWord(off int, k *klass.Klass) uint64 {
+	if k.IsArray() {
+		return uint64(off) | 8
+	}
+	return uint64(off)
+}
+
+// headerSpan decodes a deferred word: the header's offset and length.
+func headerSpan(w uint64) (off, n int) {
+	return int(w &^ 15), layout.HeaderBytes + int(w&8)
+}
+
+// coveredHeader is a deferred word w of region r as a flush found it.
+type coveredHeader struct {
+	r int
+	w uint64
+}
+
+// settle makes region r's deferred header w durable through x's view —
+// its lines flushed, one fence — and then clears the word, unless the
+// owner has moved on to a later header (or another context has settled
+// this one) in the meantime. It returns the lines flushed.
+func (x Access) settle(r int, w uint64) uint64 {
+	off, n := headerSpan(w)
+	x.view.Flush(off, n)
+	x.view.Fence()
+	x.heap.deferred[r].CompareAndSwap(w, 0)
+	return uint64(nvm.LineRange(off, n).N / layout.LineSize)
+}
+
+// settleOwn settles the header this allocator's PLAB last deferred, if
+// nothing has settled it yet: every allocation does this first, so a PLAB
+// never holds more than one deferred header and its headers become
+// durable in allocation order.
+func (a *Allocator) settleOwn() uint64 {
+	if a.region >= 0 {
+		if w := a.heap.deferred[a.region].Load(); w != 0 {
+			return a.settle(a.region, w)
+		}
+	}
+	return 0
+}
+
+// Settle makes ref's header durable if ref is its region's deferred
+// header — what a store that names ref owes it first: the flush, the fence
+// and the clear of settle when it is, one atomic load when it is not (a
+// NullRef, or an object of another heap, costs nothing). StoreRef calls it
+// for the value it stores; so must every other writer of a durable word
+// that names an object (pindex's Put, Heap.SetRoot, core's stores across
+// heaps). The settle is the allocation's persist wherever it happens, so
+// it is charged to the alloc subsystem and to AllocatorStats.
+func (a *Allocator) Settle(ref layout.Ref) {
+	off := a.heap.OffOf(layout.UntagRef(ref))
+	if r, w := a.heap.deferredAt(off); w != 0 {
+		if hoff, _ := headerSpan(w); hoff == off {
+			a.charge(a.settle(r, w))
+		}
+	}
+}
+
+// deferredAt loads the deferred word of the region holding device offset
+// off: 0 when there is none, or off lies outside the data area.
+func (h *Heap) deferredAt(off int) (r int, w uint64) {
+	if r = (off - h.geo.DataOff) / layout.RegionSize; off >= h.geo.DataOff && r < len(h.deferred) {
+		return r, h.deferred[r].Load()
+	}
+	return 0, 0
+}
+
+// charge books a settle of lines to the alloc subsystem (0 lines: there
+// was nothing to settle). The ownerless context is shared, so its settles
+// go to the registry's shared cell and skip AllocatorStats; inside an
+// owner's allocation call (an init's barriered store) the call's account
+// already sees the settle.
+func (a *Allocator) charge(lines uint64) {
+	switch {
+	case lines == 0:
+	case a == a.heap.ownerless:
+		a.heap.tel.Shared().AtomicDev(nvm.SubAlloc, 0, 0, lines, 1)
+	case a.placing:
+	default:
+		a.stats.FlushedLines += int(lines)
+		a.stats.Fences++
+		a.cell.Dev(nvm.SubAlloc, 0, 0, lines, 1)
+	}
+}
+
+// tally counts n of ctr in the allocator's own cell, or — for a context
+// without one — atomically in the registry's shared cell.
+func (a *Allocator) tally(ctr telemetry.Counter, n uint64) {
+	if a.cell != nil {
+		a.cell.Add(ctr, n)
+	} else {
+		a.heap.tel.Shared().AtomicAdd(ctr, n)
+	}
 }
 
 // allocInHole claims o.size bytes from the attached hole. The hole is
@@ -493,7 +672,7 @@ func (a *Allocator) refill(size int) error {
 	if err != nil {
 		return err
 	}
-	a.region = r
+	a.region, a.opened = r, true
 	a.cur, a.durableTop = cur, cur
 	a.end = a.heap.geo.DataOff + (r+1)*layout.RegionSize
 	a.stats.Dispenses++
@@ -505,8 +684,9 @@ func (a *Allocator) refill(size int) error {
 // persisted filler and the region's top advanced to the region end — a
 // full PLAB's top, still where dispense left it, included — so the region
 // is whole: it parses to its end and is never dispensed again until the
-// collector reclaims it. Only allocation calls retire, so the device work
-// lands in the caller's account.
+// collector reclaims it. Only allocation calls retire — after settling
+// their PLAB's deferred header, so every header below the new top is
+// durable — and the device work lands in the caller's account.
 func (a *Allocator) retirePLAB() {
 	if a.region < 0 {
 		return
@@ -522,8 +702,9 @@ func (a *Allocator) retirePLAB() {
 	a.cur, a.end = 0, 0
 }
 
-// Release retires the allocator: the attached PLAB's top is persisted and
-// its headroom handed back to the dispenser (the next owner resumes
+// Release retires the allocator: the attached PLAB's deferred header is
+// settled, its top persisted and its headroom handed back to the
+// dispenser (the next owner resumes
 // bumping where this one stopped, line-padded at handoff), and the
 // allocator is unregistered. A partially consumed hole is dropped, not
 // handed on: its remainder starts mid-line, flush-adjacent to this
@@ -546,6 +727,7 @@ func (a *Allocator) Release() {
 	// collector preparing a cycle holds while it reads both.
 	h.mu.Lock()
 	if a.region >= 0 {
+		a.charge(a.settleOwn())
 		if a.cur != a.durableTop {
 			a.persistRegionTop(a.region, a.cur)
 		}
@@ -618,10 +800,10 @@ func (h *Heap) dataLimit() int { return h.geo.ScratchOff }
 // Release persisted), then from the untouched frontier. A region whose
 // table line still reads untouched gets the "opened, empty" mark: its top
 // word is written at the region start and flushed without a fence — the
-// line rides the new owner's first object persist — so the table says
-// which regions Load has to parse. Partial regions too small for the
-// request are skipped and abandoned until the next collection, like the
-// seed abandoned undersized holes.
+// line rides the new owner's first object persist, which is therefore
+// never deferred — so the table says which regions Load has to parse.
+// Partial regions too small for the request are skipped and abandoned
+// until the next collection, like the seed abandoned undersized holes.
 //
 // A partial region is handed out at the next cache-line boundary, the
 // sliver plugged with a filler: the new owner must never write a line

@@ -378,19 +378,67 @@ func TestAllocAccountIsExact(t *testing.T) {
 		return v
 	}
 
-	// Alloc's device ops, pinned: zero + mark + klass is three writes, the
-	// header line, one fence — per object — plus, once, the opened mark of
-	// the region the first of them dispensed ({top, top sum}, one line, no
-	// fence of its own).
+	// Alloc's device ops, pinned: zero + mark + klass is three writes per
+	// object. The first, in the region it dispensed, persists its header
+	// (one line, one fence) and carries the region's opened mark ({top, top
+	// sum}, one line) under that fence; every later one flushes nothing of
+	// its own and settles the header the one before it deferred (its line,
+	// one fence), so the 2nd to 99th are settled and the last stays
+	// deferred.
+	var last layout.Ref
 	if v := step("100 × Alloc", f.a, func() error {
 		for i := 0; i < 100; i++ {
-			if _, err := f.a.Alloc(f.box, 0); err != nil {
+			var err error
+			if last, err = f.a.Alloc(f.box, 0); err != nil {
 				return err
 			}
 		}
 		return nil
-	}); v.Writes != 300+2 || v.FlushedLines != 100+1 || v.Fences != 100 || v.Reads != 0 {
-		t.Fatalf("100 × Alloc of a one-field instance: %+v, want 302 writes / 101 lines / 100 fences", v)
+	}); v.Writes != 300+2 || v.FlushedLines != 2+98 || v.Fences != 1+98 || v.Reads != 0 {
+		t.Fatalf("100 × Alloc of a one-field instance: %+v, want 302 writes / 100 lines / 99 fences", v)
+	}
+	// A store naming the last of them settles its header: that line and
+	// fence are the allocation's, charged to AllocatorStats and dev.alloc.*,
+	// and only the store itself is the barrier's. (The slot's object comes
+	// off the heap's own PLAB, so allocating it settles nothing of f.a's.)
+	{
+		rec, err := f.h.Alloc(f.rec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devCtrs := func() [3]uint64 {
+			s := tel.Snapshot()
+			return [3]uint64{devCtr(s, 2), devCtr(s, 3), s.Counters[telemetry.DevCounter(nvm.SubRefstore, 1).Name()]}
+		}
+		v0, s0, c0 := f.a.view.Stats(), f.a.Stats(), devCtrs()
+		f.a.StoreRef(rec, layout.FieldOff(0), last, false)
+		v, s, c := f.a.view.Stats().Sub(v0), f.a.Stats(), devCtrs()
+		if v.FlushedLines != 1 || v.Fences != 1 || v.Writes != 1 {
+			t.Fatalf("settling store: %+v, want 1 write / 1 line / 1 fence", v)
+		}
+		if s.FlushedLines-s0.FlushedLines != 1 || s.Fences-s0.Fences != 1 || c != [3]uint64{c0[0] + 1, c0[1] + 1, c0[2] + 1} {
+			t.Fatalf("settling store charged stats %d lines / %d fences, dev.alloc lines/fences + dev.refstore.writes %v → %v",
+				s.FlushedLines-s0.FlushedLines, s.Fences-s0.Fences, c0, c)
+		}
+
+		// A flush covering the next one's header settles it at no line of
+		// its own — a store naming it then flushes nothing — and the two
+		// counters show the deferral and the cover.
+		ctr := func(name string) uint64 { return tel.Snapshot().Counters[name] }
+		d0, k0 := ctr("alloc.headers_deferred"), ctr("alloc.headers_flush_covered")
+		box, err := f.a.Alloc(f.box, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.a.FlushRange(box, 0, f.box.SizeOf(0))
+		v0 = f.a.view.Stats()
+		f.a.StoreRef(rec, layout.FieldOff(0), box, false)
+		if v := f.a.view.Stats().Sub(v0); v.FlushedLines != 0 || v.Fences != 0 {
+			t.Fatalf("store naming a flushed object: %+v, want no flush", v)
+		}
+		if d, k := ctr("alloc.headers_deferred")-d0, ctr("alloc.headers_flush_covered")-k0; d != 1 || k != 1 {
+			t.Fatalf("alloc.headers_deferred / alloc.headers_flush_covered moved by %d / %d, want 1 / 1", d, k)
+		}
 	}
 	step("AllocInit", f.a, func() error { _, err := f.newRec(); return err })
 	if v := step("pair", f.a, func() error { _, _, err := f.pair(); return err }); v.Fences != 1 {
@@ -430,7 +478,8 @@ func TestAllocAccountIsExact(t *testing.T) {
 	}
 
 	// Handoff: a released partial PLAB is taken over mid-line, so the new
-	// owner plugs the sliver (filler + top) before its first object.
+	// owner plugs the sliver (filler + top) before its first object — which,
+	// first in the PLAB, persists its header at once.
 	if _, err := f.a.Alloc(f.box, 0); err != nil {
 		t.Fatal(err)
 	}

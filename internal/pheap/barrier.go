@@ -95,8 +95,13 @@ func (h *Heap) RefIsVolatile(ref layout.Ref) bool {
 // says whether val points into the volatile heap. On the owner's
 // allocator everything lands in state only the owner writes; on the
 // heap's ownerless context (Heap.Ownerless) the same code runs over the
-// shared counters and the one shared buffer pair.
+// shared counters and the one shared buffer pair. A persistent val is
+// settled first (Settle): the slot may be durable before the store
+// returns, and must not name a header that is not.
 func (a *Allocator) StoreRef(obj layout.Ref, boff int, val layout.Ref, volatile bool) {
+	if !volatile {
+		a.Settle(val)
+	}
 	var armed uint64
 	if a.heap.satbActive.Load() {
 		a.preWrite(obj, a.GetWordAtomic(obj, boff))

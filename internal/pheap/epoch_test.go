@@ -187,7 +187,8 @@ func TestTornRunEveryLineSubset(t *testing.T) {
 				}
 				// Two acknowledged links and the root naming them, then pad
 				// to a line boundary so the torn flush covers exactly
-				// op.lines lines.
+				// op.lines lines — and flush the last pad, so no deferred
+				// header is left for the torn operation to settle first.
 				var prev layout.Ref
 				for i := 1; i <= 2; i++ {
 					if prev, err = newLink(f.a, link, i, prev); err != nil {
@@ -198,9 +199,11 @@ func TestTornRunEveryLineSubset(t *testing.T) {
 					t.Fatal(err)
 				}
 				for f.a.cur%layout.LineSize != 0 {
-					if _, err := f.a.Alloc(f.box, 0); err != nil {
+					pad, err := f.a.Alloc(f.box, 0)
+					if err != nil {
 						t.Fatal(err)
 					}
+					f.a.FlushRange(pad, 0, f.box.SizeOf(0))
 				}
 				at := f.a.cur
 				dev := f.h.Device()

@@ -12,7 +12,8 @@
 // region (one cache line each) — the PLAB allocator's replacement for the
 // paper's single persisted top, and, unlike the paper's (§4.1 persists
 // the top with every allocation), a lower bound only: an allocation
-// persists the object and nothing else, and Load finds what lies above a
+// persists at most the object (a plain one not even its header until it
+// is flushed or named), and Load finds what lies above a
 // persisted top by parsing forward while headers carry the image's
 // allocation epoch (alloc.go has the protocol); the name table maps string constants to
 // Klass entries and root entries; the Klass segment stores place-holder
@@ -268,6 +269,11 @@ type Heap struct {
 	// the value encoding). Entries are atomic so heap walks can run
 	// concurrently with PLAB owners advancing their own region's top.
 	regionTops []atomic.Int64
+	// deferred holds each region's one deferred header: the last bump
+	// allocation of the region's PLAB, written and not yet settled (alloc.go
+	// has the protocol). Volatile, like every word of it: a reload settles
+	// nothing, it parses.
+	deferred []deferredHeader
 
 	// Region dispenser state (guarded by mu): regions below frontier have
 	// been handed out at some point; freeRegions lists regions below the
@@ -347,6 +353,7 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 	h := &Heap{
 		dev: dev, reg: reg, name: cfg.Name, base: cfg.AddressHint, geo: geo,
 		regionTops: make([]atomic.Int64, regions),
+		deferred:   make([]deferredHeader, regions),
 		segByAddr:  make(map[layout.Ref]*klass.Klass),
 		segByName:  make(map[string]layout.Ref),
 	}
@@ -410,8 +417,10 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 // image, half-open PLAB regions — per-region tops inside their region —
 // are parsed forward from the persisted top while headers validate
 // (recoverFrontier), then plugged with fillers and sealed, so the
-// reloaded data heap parses region by region and holds every object an
-// allocation call returned for.
+// reloaded data heap parses region by region and holds every object a
+// durable word names (alloc.go: a plain allocation's header is durable
+// once it is flushed, named, or followed by its allocator's next
+// allocation).
 //
 // Load is strict: any metadata checksum failure is an error. LoadSalvage
 // (salvage.go) opens such images by quarantining what cannot be
@@ -457,6 +466,7 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 		ksegUsed:   int(dev.ReadU64(mKsegUsed)),
 		arenaUsed:  int(dev.ReadU64(mArenaUsed)),
 		regionTops: make([]atomic.Int64, geo.Regions()),
+		deferred:   make([]deferredHeader, geo.Regions()),
 		segByAddr:  make(map[layout.Ref]*klass.Klass),
 		segByName:  make(map[string]layout.Ref),
 	}
@@ -874,10 +884,11 @@ func (h *Heap) SnapshotRegionTops() []int {
 func IsRealTop(top int) bool { return top > regionTopHumongousCont }
 
 // PrepareForCollection is the mutator-state side of the GC safepoint:
-// every attached PLAB's region top is persisted — the bump path moves
-// only the mirror, and from the moment a cycle is stamped the table is
-// what recovery's summary reads, with no forward parse to fall back on
-// (the compactor owns the timestamp mid-cycle) — then every registered
+// every attached PLAB's deferred header is settled and its region top
+// persisted — the bump path moves only the mirror, and from the moment a
+// cycle is stamped the table is what recovery's summary reads, with no
+// forward parse to fall back on (the compactor owns the timestamp
+// mid-cycle) — then every registered
 // allocator's PLAB and recycled hole is dropped, the dispenser forgets its
 // free list (the collector is about to rearrange the heap and republish
 // region tops through the redo log), and every pending remembered-set
@@ -898,11 +909,11 @@ func (h *Heap) PrepareForCollection() {
 	h.holeCount.Store(0)
 }
 
-// PersistTops makes the persisted region-top table exact: the top of
-// every attached PLAB is written back, after which a reload parses
-// nothing forward. It is the heap's part of an orderly shutdown
-// (core.Runtime.Close); the allocators stay attached and usable. No
-// mutator may be allocating.
+// PersistTops makes the persisted region-top table exact: the deferred
+// header of every attached PLAB is settled and its top written back,
+// after which a reload parses nothing forward. It is the heap's part of
+// an orderly shutdown (core.Runtime.Close); the allocators stay attached
+// and usable. No mutator may be allocating.
 func (h *Heap) PersistTops() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -910,9 +921,27 @@ func (h *Heap) PersistTops() {
 }
 
 // persistOpenTops writes back the top of every PLAB whose owner has bumped
-// past the persisted word: one line each, one fence for all. Caller holds
+// past the persisted word: one line each, one fence for all. The deferred
+// headers of those PLABs are settled first, under a fence of their own, so
+// no top is persisted above a header that is not durable. Caller holds
 // h.mu with the allocators quiescent.
 func (h *Heap) persistOpenTops() {
+	var seen []coveredHeader
+	for _, a := range h.allocators {
+		if a.region >= 0 {
+			if w := h.deferred[a.region].Load(); w != 0 {
+				off, n := headerSpan(w)
+				h.dev.Flush(off, n)
+				seen = append(seen, coveredHeader{a.region, w})
+			}
+		}
+	}
+	if len(seen) > 0 {
+		h.dev.Fence()
+		for _, c := range seen {
+			h.clearCovered(c)
+		}
+	}
 	stale := false
 	for _, a := range h.allocators {
 		if a.region >= 0 && a.cur != a.durableTop {
@@ -953,8 +982,8 @@ func (h *Heap) BumpLayoutEpoch() { h.layoutEpoch.Add(1) }
 // forward from the persisted top (recoverFrontier), the tail behind it is
 // plugged with a persisted filler and the top advanced to the region end,
 // so a region recovered from a crash parses completely, holds every
-// object its owner was told is durable, and carries no dangling bump
-// state. A region that was opened and holds nothing stays as it is.
+// object a durable word names, and carries no dangling bump state. A
+// region that was opened and holds nothing stays as it is.
 func (h *Heap) rebuildRegionState(plug bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -1005,14 +1034,14 @@ func (h *Heap) RecoveredRegions() []RecoveredRegion { return h.recovered }
 // returns where the run of this epoch's allocations stops: a header
 // validates when its mark-word timestamp is the image's allocation epoch,
 // its klass word addresses a record of the Klass segment, and its size
-// fits the region. Everything the region's owner was told is durable lies
-// in that run — each object was fenced before the owner's next store — and
-// nothing older can pass for part of it: the epoch is never a collection's
-// stamp (pgc's finish publishes the next one), and a region is only
-// dispensed again after a collection. What may be accepted beyond the
-// last acknowledged object is a torn one (header line in, a later line
-// out): its allocation never returned, no durable word names it, and the
-// next collection takes it. Cost: up to three reads per object found.
+// fits the region. Every object a durable word names lies in that run —
+// its header, and every header before it in its PLAB, was durable before
+// the word was (alloc.go) — and nothing older can pass for part of it: the
+// epoch is never a collection's stamp (pgc's finish publishes the next
+// one), and a region is only dispensed again after a collection. What may
+// be accepted beyond the last named object is a torn one (header line in,
+// a later line out): no durable word names it, and the next collection
+// takes it. Cost: up to three reads per object found.
 func (h *Heap) recoverFrontier(top, end int) int {
 	epoch := h.globalTS.Load()
 	off := top

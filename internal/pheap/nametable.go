@@ -139,11 +139,13 @@ func (h *Heap) getEntry(kind uint64, name string) (uint64, bool) {
 }
 
 // SetRoot marks the object at ref as a root under the given name
-// (Table 1: setRoot).
+// (Table 1: setRoot). The entry names ref, so a header ref's allocation
+// deferred is settled first.
 func (h *Heap) SetRoot(name string, ref layout.Ref) error {
 	if ref != layout.NullRef && !h.Contains(ref) {
 		return fmt.Errorf("pheap: setRoot %q: %#x is not in this heap", name, uint64(ref))
 	}
+	h.ownerless.Settle(ref)
 	return h.putEntry(EntryRoot, name, uint64(ref))
 }
 

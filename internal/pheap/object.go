@@ -6,6 +6,7 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
+	"espresso/internal/telemetry"
 )
 
 // Object access and heap parsing. All accessors take virtual addresses
@@ -111,21 +112,87 @@ func (x Access) WriteBytesAt(ref layout.Ref, boff int, p []byte) {
 
 // FlushRange persists n bytes at byte offset boff inside the object,
 // followed by a fence — the primitive under the field/array/object flush
-// APIs of paper §3.5.
+// APIs of paper §3.5. A deferred header whose lines the flush covers is
+// settled by it, at no line of its own (alloc.go).
 func (x Access) FlushRange(ref layout.Ref, boff, n int) {
-	x.view.Flush(x.heap.OffOf(ref)+boff, n)
-	x.view.Fence()
+	x.heap.tel.Shared().AtomicAdd(telemetry.CtrHeadersFlushCovered, x.flushRange(x.heap.OffOf(ref)+boff, n))
 }
 
 // FlushBatch writes back every device range and issues a single trailing
 // fence — the coalesced-persist idiom: clflush each line once, sfence
 // once. Callers are expected to pre-merge overlapping ranges (core's flush
-// coalescer does); exactly what is handed in is flushed.
+// coalescer does); exactly what is handed in is flushed. Like FlushRange,
+// it settles the deferred headers it covers.
 func (x Access) FlushBatch(ranges []nvm.Range) {
-	for _, r := range ranges {
-		x.view.Flush(r.Off, r.N)
+	x.heap.tel.Shared().AtomicAdd(telemetry.CtrHeadersFlushCovered, x.flushBatch(ranges))
+}
+
+// FlushRange is Access.FlushRange, counted in the allocator's own cell.
+func (a *Allocator) FlushRange(ref layout.Ref, boff, n int) {
+	a.tally(telemetry.CtrHeadersFlushCovered, a.flushRange(a.heap.OffOf(ref)+boff, n))
+}
+
+// FlushBatch is Access.FlushBatch, counted in the allocator's own cell.
+func (a *Allocator) FlushBatch(ranges []nvm.Range) {
+	a.tally(telemetry.CtrHeadersFlushCovered, a.flushBatch(ranges))
+}
+
+// flushRange writes back [off, off+n), fences, and then clears the
+// deferred header its lines covered, if any, reporting whether it did.
+// The word is loaded before the flush: a load that sees the owner's word
+// store also sees its header stores (TSO keeps the owner's stores in
+// order), so the flush issued after it writes back a line that holds the
+// header. A word loaded only after the fence could name a header the
+// flush ran ahead of.
+func (x Access) flushRange(off, n int) (cleared uint64) {
+	c := x.heap.coveredHeader(off, n)
+	x.view.Flush(off, n)
+	x.view.Fence()
+	return x.heap.clearCovered(c)
+}
+
+// flushBatch is flushRange over every range under one fence.
+func (x Access) flushBatch(ranges []nvm.Range) (cleared uint64) {
+	var buf [4]coveredHeader
+	seen := buf[:0]
+	for _, rg := range ranges {
+		// Merged ranges come sorted, so one region's header repeats in a row.
+		if c := x.heap.coveredHeader(rg.Off, rg.N); c.w != 0 && (len(seen) == 0 || seen[len(seen)-1] != c) {
+			seen = append(seen, c)
+		}
+	}
+	for _, rg := range ranges {
+		x.view.Flush(rg.Off, rg.N)
 	}
 	x.view.Fence()
+	for _, c := range seen {
+		cleared += x.heap.clearCovered(c)
+	}
+	return cleared
+}
+
+// coveredHeader is the deferred header of the region holding off if a
+// flush of [off, off+n) writes back every line of it (w == 0: none). A
+// range starting in one region and running into the next — only a merged
+// batch range can — leaves the second region's header to its other
+// settles: not clearing a word is always safe.
+func (h *Heap) coveredHeader(off, n int) coveredHeader {
+	if r, w := h.deferredAt(off); w != 0 {
+		lines := nvm.LineRange(off, n)
+		if hoff, hn := headerSpan(w); hoff >= lines.Off && hoff+hn <= lines.Off+lines.N {
+			return coveredHeader{r, w}
+		}
+	}
+	return coveredHeader{}
+}
+
+// clearCovered clears c's word once the flush that covered it is fenced,
+// unless its owner has moved on; it reports 1 if it cleared.
+func (h *Heap) clearCovered(c coveredHeader) uint64 {
+	if c.w != 0 && h.deferred[c.r].CompareAndSwap(c.w, 0) {
+		return 1
+	}
+	return 0
 }
 
 // ForEachObject walks the data heap in address order, region by region,

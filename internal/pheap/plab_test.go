@@ -173,11 +173,11 @@ func TestPLABCrashAtEveryFlushDuringHandoff(t *testing.T) {
 }
 
 // TestReloadRecoversAbovePersistedRegionTop pins the recovery rule: the
-// bump path never writes the region top, so after two allocations the
-// persisted word still reads "opened, empty" — and a reload finds both
-// objects by parsing forward from it, plus the one whose persist had been
-// flushed when the crash cut its fence off (its call never returned;
-// accepting it is allowed, requiring it is not).
+// bump path never writes the region top, so after two allocations, each
+// flushed by its caller, the persisted word still reads "opened, empty" —
+// and a reload finds both objects by parsing forward from it, plus a third
+// whose flush had written back when the crash cut its fence off (the call
+// never returned; accepting it is allowed, requiring it is not).
 func TestReloadRecoversAbovePersistedRegionTop(t *testing.T) {
 	h, reg := testHeap(t, Config{})
 	p := definePerson(t, reg)
@@ -188,6 +188,7 @@ func TestReloadRecoversAbovePersistedRegionTop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		a.FlushRange(ref, 0, p.SizeOf(0))
 		returned = append(returned, ref)
 	}
 	start := h.Geo().DataOff
@@ -197,11 +198,14 @@ func TestReloadRecoversAbovePersistedRegionTop(t *testing.T) {
 	if got, want := h.RegionTop(0), start+2*p.SizeOf(0); got != want {
 		t.Fatalf("volatile top = %d, want %d", got, want)
 	}
-	// Crash on the flush of a third allocation, ahead of its fence.
+	// Crash on the flush of a third object, ahead of its fence.
 	faultdev.CrashIn(h.Device(), 1)
 	if _, err := faultdev.Run(h.Device(), func() error {
-		_, _ = a.Alloc(p, 0)
-		return nil
+		ref, err := a.Alloc(p, 0)
+		if err == nil {
+			a.FlushRange(ref, 0, p.SizeOf(0))
+		}
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +247,11 @@ func TestReloadPlugsHalfOpenPLAB(t *testing.T) {
 			t.Fatal(err)
 		}
 		refs = append(refs, ref)
+	}
+	// A root names the last object; each earlier one was settled by the
+	// allocation after it.
+	if err := h.SetRoot("last", refs[len(refs)-1]); err != nil {
+		t.Fatal(err)
 	}
 	img := h.Device().CrashImage(nvm.CrashFlushedOnly, 0)
 	re, err := Load(nvm.FromImage(img, nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry())
@@ -350,6 +359,11 @@ func TestHumongousRegionTopEncoding(t *testing.T) {
 	}
 	small2, err := a.Alloc(p, 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// The last object is named (the others were settled by the allocation
+	// after each), so the reload below must find it too.
+	if err := h.SetRoot("small2", small2); err != nil {
 		t.Fatal(err)
 	}
 	hugeOff := h.OffOf(huge)
@@ -464,10 +478,15 @@ func TestCrashDuringLoadPlug(t *testing.T) {
 	h, reg := testHeap(t, Config{})
 	p := definePerson(t, reg)
 	a := h.NewAllocator()
+	var last layout.Ref
 	for i := 0; i < 5; i++ {
-		if _, err := a.Alloc(p, 0); err != nil {
+		var err error
+		if last, err = a.Alloc(p, 0); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := h.SetRoot("last", last); err != nil { // settles the fifth header
+		t.Fatal(err)
 	}
 	img := h.Device().CrashImage(nvm.CrashFlushedOnly, 0)
 	for crashAt := uint64(1); crashAt <= 2; crashAt++ {
@@ -512,13 +531,20 @@ func TestAllocatorStatsCount(t *testing.T) {
 	if s.Allocs != 10 || s.Dispenses != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	// One fence and one line per bump allocation (the object's persist),
-	// and the one line of the dispensed region's opened mark.
-	if s.Fences != 10 {
-		t.Fatalf("fences = %d, want 10", s.Fences)
+	// One fence and one line per bump allocation but the last (the first
+	// persists its header at once, each later one settles the header the
+	// one before it deferred), and the one line of the dispensed region's
+	// opened mark, under the first object's fence.
+	if s.Fences != 9 {
+		t.Fatalf("fences = %d, want 9", s.Fences)
 	}
-	if s.FlushedLines != 11 {
-		t.Fatalf("flushed lines = %d, want 11", s.FlushedLines)
+	if s.FlushedLines != 10 {
+		t.Fatalf("flushed lines = %d, want 10", s.FlushedLines)
+	}
+	// Release settles the last header, and books it here too.
+	a.Release()
+	if s := a.Stats(); s.Fences != 10 || s.FlushedLines != 11 {
+		t.Fatalf("after Release: %d lines / %d fences, want 11 / 10", s.FlushedLines, s.Fences)
 	}
 	_ = fmt.Sprintf("%v", s)
 }

@@ -810,6 +810,10 @@ func (c *Ctx) putPinned(key int64, val layout.Ref, vk *klass.Klass, vinit func(l
 	defer c.exit(c.enter())
 	c.stats.Puts++
 	c.cell.Inc(telemetry.CtrIndexPuts)
+	// A caller's value is about to be named by a durable slot: a header its
+	// allocation deferred is settled first, charged to the allocation
+	// (pheap's alloc.go).
+	c.alloc.Settle(val)
 	hash := mixHash(key)
 	node := c.probe(hash, uint64(key))
 	for {

@@ -42,12 +42,14 @@ type Counter int
 // Operation-mix counters.
 const (
 	// Allocation path (subsystem alloc).
-	CtrAllocObjects Counter = iota // objects allocated (PLAB + hole + humongous)
-	CtrAllocBytes                  // bytes allocated
-	CtrPLABRefills                 // regions fetched from the dispenser
-	CtrPLABRetires                 // PLABs sealed because the next object overflowed them
-	CtrHoleAllocs                  // allocations served from recycled holes
-	CtrHumongous                   // humongous (multi-region) allocations
+	CtrAllocObjects        Counter = iota // objects allocated (PLAB + hole + humongous)
+	CtrAllocBytes                         // bytes allocated
+	CtrPLABRefills                        // regions fetched from the dispenser
+	CtrPLABRetires                        // PLABs sealed because the next object overflowed them
+	CtrHoleAllocs                         // allocations served from recycled holes
+	CtrHumongous                          // humongous (multi-region) allocations
+	CtrHeadersDeferred                    // bump allocations that returned with their header unflushed
+	CtrHeadersFlushCovered                // deferred headers a covering flush made durable at no line of their own
 
 	// Reference-store barrier (subsystem refstore).
 	CtrRefStores      // reference stores into persistent objects
@@ -94,7 +96,7 @@ func DevCounter(sub nvm.Subsystem, metric int) Counter {
 // named dev.<subsystem>.<metric>.
 var opNames = [...]string{
 	"alloc.objects", "alloc.bytes", "alloc.plab_refills", "alloc.plab_retires",
-	"alloc.hole_allocs", "alloc.humongous",
+	"alloc.hole_allocs", "alloc.humongous", "alloc.headers_deferred", "alloc.headers_flush_covered",
 	"refstore.stores", "refstore.satb_records", "refstore.remset_publishes",
 	"refstore.remset_deltas", "safepoint.pauses",
 	"index.gets", "index.puts", "index.deletes", "index.scans",
