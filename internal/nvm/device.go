@@ -178,15 +178,19 @@ func (c *counters) reset() {
 // mirroring the JVM's allocation locks and stop-the-world pauses. Two
 // flushes of one line may overlap — a header's owner and another thread
 // naming the object can both write it back (pheap's deferred header) — so
-// the Tracked-mode copy into the persisted view is serialized; a write
-// racing a flush of its line is still the caller's bug.
+// the Tracked-mode copy of one line into the persisted view is serialized
+// with other copies of that line; a write racing a flush of its line is
+// still the caller's bug.
 type Device struct {
 	size      int
 	mode      Mode
 	mem       []byte
-	persisted []byte     // Tracked only: the power-loss view
-	persistMu sync.Mutex // Tracked only: serializes flushes' copies into persisted
-	dirty     []uint64   // Tracked only: bitmap, one bit per line (atomic)
+	persisted []byte   // Tracked only: the power-loss view
+	dirty     []uint64 // Tracked only: bitmap, one bit per line (atomic)
+	// lineMu (Tracked only) serializes the copies of one line into
+	// persisted, striped by line number: without it a slow copy of an
+	// older snapshot could land over a newer one another flush has fenced.
+	lineMu [lineStripes]paddedMutex
 
 	// stats is what every ownerless access writes; the pads keep it off
 	// the lines holding the fields every access reads (mem, dirty, the
@@ -213,6 +217,16 @@ type Device struct {
 	// flushFault returning true silently drops a flush's writeback.
 	readFault  func(off, n int) bool
 	flushFault func(off, n int, flushCount uint64) bool
+}
+
+// lineStripes is how many locks Device.lineMu spreads the lines over: two
+// flushers of different lines share one only by the line numbers' residue.
+const lineStripes = 64
+
+// paddedMutex is a mutex alone on its cache line.
+type paddedMutex struct {
+	sync.Mutex
+	_ [LineSize - 8]byte
 }
 
 // New creates a device of cfg.Size bytes, zero-filled (fresh NVM DIMMs and
@@ -585,11 +599,11 @@ func (d *Device) flush(c *cell, off, n int) {
 			bump(&c.flushedLines, lines)
 		}
 		if d.mode == Tracked && !dropped {
-			lo, hi := first*LineSize, (last+1)*LineSize
-			d.persistMu.Lock()
-			copy(d.persisted[lo:hi], d.mem[lo:hi])
-			d.persistMu.Unlock()
 			for l := first; l <= last; l++ {
+				lo, mu := l*LineSize, &d.lineMu[l%lineStripes]
+				mu.Lock()
+				copy(d.persisted[lo:lo+LineSize], d.mem[lo:lo+LineSize])
+				mu.Unlock()
 				w := &d.dirty[l/64]
 				bit := uint64(1) << (uint(l) % 64)
 				for {
@@ -612,7 +626,7 @@ func (d *Device) flush(c *cell, off, n int) {
 func (d *Device) Flush(off, n int) { d.flush(nil, off, n) }
 
 // Range is a byte range [Off, Off+N) of the device, the unit of a
-// coalesced flush (pheap.Access.FlushBatch).
+// coalesced flush (pheap.Allocator.FlushBatch).
 type Range struct{ Off, N int }
 
 // LineRange widens [off, off+n) to cache-line boundaries: the lines a

@@ -52,8 +52,10 @@ import (
 //     own — the saving, for a program that flushes what it creates;
 //   - a store that names the object: StoreRef (so core's field and array
 //     stores, and ptx's), core's stores across heaps (in the value's
-//     heap), SetRoot, pindex's Put of a caller's value — each calls Settle
-//     before the store, one atomic load when there is nothing to settle;
+//     heap), SetRoot, pindex's Put of a caller's value, and ptx's undo
+//     record of one of the object's words (recovery writes through it) —
+//     each calls Settle before the word can be durable, one atomic load
+//     when there is nothing to settle;
 //   - the allocator's next allocation, which settles its PLAB's header
 //     before anything else, and Release and persistOpenTops, which do the
 //     same for a PLAB about to be handed on or to have its top persisted:
@@ -92,11 +94,13 @@ import (
 //
 //   - Every object a durable word names parses, and headers become
 //     durable in allocation order within a PLAB: a header is durable
-//     before any durable word names it and before the next header in its
-//     PLAB can be, so the parse walks real headers from the persisted top
-//     to every named object. What it may stop short of is a trailing
+//     before any durable word names it — a reference slot, a root, an undo
+//     record that recovery writes through — and before the next header in
+//     its PLAB can be, so the parse walks real headers from the persisted
+//     top to every named object. What it may stop short of is a trailing
 //     object nothing names — its allocation returned, but its header was
-//     never settled — which nothing can reach.
+//     never settled — which nothing can reach, and whose plug no recovery
+//     step writes into.
 //   - Nothing older passes for an object of this epoch. A region's bytes
 //     above its persisted top were left by earlier epochs — a region is
 //     dispensed again only after a collection, every collection's finish
@@ -584,7 +588,7 @@ func (a *Allocator) settleOwn() uint64 {
 // NullRef, or an object of another heap, costs nothing). StoreRef calls it
 // for the value it stores; so must every other writer of a durable word
 // that names an object (pindex's Put, Heap.SetRoot, core's stores across
-// heaps). The settle is the allocation's persist wherever it happens, so
+// heaps, ptx's undo records). The settle is the allocation's persist wherever it happens, so
 // it is charged to the alloc subsystem and to AllocatorStats.
 func (a *Allocator) Settle(ref layout.Ref) {
 	off := a.heap.OffOf(layout.UntagRef(ref))

@@ -113,62 +113,46 @@ func (x Access) WriteBytesAt(ref layout.Ref, boff int, p []byte) {
 // FlushRange persists n bytes at byte offset boff inside the object,
 // followed by a fence — the primitive under the field/array/object flush
 // APIs of paper §3.5. A deferred header whose lines the flush covers is
-// settled by it, at no line of its own (alloc.go).
-func (x Access) FlushRange(ref layout.Ref, boff, n int) {
-	x.heap.tel.Shared().AtomicAdd(telemetry.CtrHeadersFlushCovered, x.flushRange(x.heap.OffOf(ref)+boff, n))
+// settled by it, at no line of its own (alloc.go), and counted in
+// alloc.headers_flush_covered. The word is loaded before the flush: a load
+// that sees the owner's word store also sees its header stores (TSO keeps
+// the owner's stores in order), so the flush issued after it writes back a
+// line that holds the header. A word loaded only after the fence could
+// name a header the flush ran ahead of.
+func (a *Allocator) FlushRange(ref layout.Ref, boff, n int) {
+	off := a.heap.OffOf(ref) + boff
+	c := a.heap.coveredHeader(off, n)
+	a.view.Flush(off, n)
+	a.view.Fence()
+	a.tally(telemetry.CtrHeadersFlushCovered, a.heap.clearCovered(c))
 }
+
+// FlushRange is Allocator.FlushRange on the heap's ownerless context.
+func (h *Heap) FlushRange(ref layout.Ref, boff, n int) { h.ownerless.FlushRange(ref, boff, n) }
 
 // FlushBatch writes back every device range and issues a single trailing
 // fence — the coalesced-persist idiom: clflush each line once, sfence
 // once. Callers are expected to pre-merge overlapping ranges (core's flush
 // coalescer does); exactly what is handed in is flushed. Like FlushRange,
 // it settles the deferred headers it covers.
-func (x Access) FlushBatch(ranges []nvm.Range) {
-	x.heap.tel.Shared().AtomicAdd(telemetry.CtrHeadersFlushCovered, x.flushBatch(ranges))
-}
-
-// FlushRange is Access.FlushRange, counted in the allocator's own cell.
-func (a *Allocator) FlushRange(ref layout.Ref, boff, n int) {
-	a.tally(telemetry.CtrHeadersFlushCovered, a.flushRange(a.heap.OffOf(ref)+boff, n))
-}
-
-// FlushBatch is Access.FlushBatch, counted in the allocator's own cell.
 func (a *Allocator) FlushBatch(ranges []nvm.Range) {
-	a.tally(telemetry.CtrHeadersFlushCovered, a.flushBatch(ranges))
-}
-
-// flushRange writes back [off, off+n), fences, and then clears the
-// deferred header its lines covered, if any, reporting whether it did.
-// The word is loaded before the flush: a load that sees the owner's word
-// store also sees its header stores (TSO keeps the owner's stores in
-// order), so the flush issued after it writes back a line that holds the
-// header. A word loaded only after the fence could name a header the
-// flush ran ahead of.
-func (x Access) flushRange(off, n int) (cleared uint64) {
-	c := x.heap.coveredHeader(off, n)
-	x.view.Flush(off, n)
-	x.view.Fence()
-	return x.heap.clearCovered(c)
-}
-
-// flushBatch is flushRange over every range under one fence.
-func (x Access) flushBatch(ranges []nvm.Range) (cleared uint64) {
 	var buf [4]coveredHeader
 	seen := buf[:0]
 	for _, rg := range ranges {
 		// Merged ranges come sorted, so one region's header repeats in a row.
-		if c := x.heap.coveredHeader(rg.Off, rg.N); c.w != 0 && (len(seen) == 0 || seen[len(seen)-1] != c) {
+		if c := a.heap.coveredHeader(rg.Off, rg.N); c.w != 0 && (len(seen) == 0 || seen[len(seen)-1] != c) {
 			seen = append(seen, c)
 		}
 	}
 	for _, rg := range ranges {
-		x.view.Flush(rg.Off, rg.N)
+		a.view.Flush(rg.Off, rg.N)
 	}
-	x.view.Fence()
+	a.view.Fence()
+	var cleared uint64
 	for _, c := range seen {
-		cleared += x.heap.clearCovered(c)
+		cleared += a.heap.clearCovered(c)
 	}
-	return cleared
+	a.tally(telemetry.CtrHeadersFlushCovered, cleared)
 }
 
 // coveredHeader is the deferred header of the region holding off if a

@@ -16,7 +16,12 @@
 // heap changes nothing, and the array's own device range is looked up
 // again whenever the heap's layout epoch has moved. The write-ahead rule:
 // a word's before-image is flushed and fenced before the first store into
-// it, once per transaction (Declare batches whole ranges). Begin is free
+// it, once per transaction (Declare batches whole ranges). A durable record
+// names its object as surely as a reference slot does — recovery writes
+// through it — so the object's header is settled before it is logged
+// (Declare, and every write): a fresh object's allocation may have left it
+// deferred (pheap's alloc.go), and Load would plug a filler where the
+// rollback then stores. Begin is free
 // because nothing marks a transaction open: the log is "the records that
 // validate for seq+1", and an empty transaction costs the device nothing.
 //
@@ -163,6 +168,7 @@ func (tx *Tx) Declare(obj layout.Ref, boff, n int) error {
 	if boff%layout.WordSize != 0 || n%layout.WordSize != 0 || n < 0 {
 		return fmt.Errorf("ptx: Declare(%#x, %d, %d): not whole words", uint64(obj), boff, n)
 	}
+	tx.m.h.Ownerless().Settle(obj)
 	tx.m.pending = append(tx.m.pending, nvm.Range{Off: tx.m.h.OffOf(obj) + boff, N: n})
 	return nil
 }
@@ -185,6 +191,7 @@ func (tx *Tx) write(obj layout.Ref, boff int, val uint64, isRef bool) error {
 		return ErrTxDone
 	}
 	m := tx.m
+	m.h.Ownerless().Settle(obj)
 	word := nvm.Range{Off: m.h.OffOf(obj) + boff, N: layout.WordSize}
 	m.pending = append(m.pending, word)
 	err := m.undo.Record(m.pending...)

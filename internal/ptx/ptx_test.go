@@ -29,6 +29,9 @@ func setup(t *testing.T) (*pheap.Heap, *Manager, layout.Ref) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The box's header, which Alloc left deferred, is settled here: a test
+	// that counts a transaction's device operations sees the log's alone.
+	h.PersistTops()
 	return h, m, ref
 }
 
