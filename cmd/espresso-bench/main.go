@@ -16,12 +16,9 @@
 //	espresso-bench -exp kv       durable lock-free index (pindex) scaling curve
 //	espresso-bench -exp refstore write-combining ref-store barrier scaling curve
 //	espresso-bench -exp shardedkv range-partitioned sharding (pshard): throughput + parallel recovery
-//	espresso-bench -exp telemetry telemetry overhead contract: device ops off vs on + GC span timeline
-//	espresso-bench -exp blackbox flight recorder: crash sweep at every flush boundary + recorder overhead
-//	espresso-bench -exp faults   media-fault matrix: fault kind × metadata structure vs a DRAM oracle
 //	espresso-bench -exp all      everything
 //
-// fig15 through faults are the device-op contract: each runs from the
+// fig15 through shardedkv are the device-op contract: each runs from the
 // table in internal/experiments (experiments.Contracts) at the parameters
 // its committed BENCH_<name>.json was generated with, so
 //

@@ -4,18 +4,87 @@ import (
 	"path/filepath"
 	"testing"
 
-	"espresso/internal/experiments"
+	"espresso/internal/klass"
+	"espresso/internal/nvm"
+	"espresso/internal/nvm/faultdev"
+	"espresso/internal/pheap"
+	"espresso/internal/pshard"
 )
 
-// TestScrubExitCodes holds `heaptool scrub` to the exit-code contract of
-// the package doc over the faults experiment's image gallery: clean
-// images exit 0, checksum-corrupted ones 4 (readable, integrity checks
-// failed), and a bad-magic one 3 (cannot be interpreted at all).
-func TestScrubExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	if err := experiments.WriteFaultImages(experiments.Scale(10), dir); err != nil {
+// writeScrubGallery commits a small 2-shard set and writes power-loss
+// images of its shard 0 and manifest into dir as .pjh files: each clean,
+// and with one checksummed structure damaged — the GC-phase word, a
+// region top, the global timestamp, a torn redo batch, the manifest's
+// bounds — plus a shard with a flipped magic that cannot be read at all.
+func writeScrubGallery(t *testing.T, dir string) {
+	t.Helper()
+	store := pshard.NewMemStore()
+	set, err := pshard.OpenSet(store, "gallery", pshard.Options{Shards: 2, ShardDataSize: 1 << 20, Mode: nvm.Tracked})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer set.Close()
+	ctx := set.NewCtx()
+	for k := int64(1); k <= 200; k++ {
+		if err := ctx.Put(k, k*7+11); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx.Release()
+	image := func(name string) []byte {
+		dev, err := store.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dev.CrashImage(nvm.CrashFlushedOnly, 0)
+	}
+	shard, manifest := image(pshard.ShardHeapName("gallery", 0)), image(pshard.ManifestName("gallery"))
+
+	// The targets' offsets, from a load of a copy; the same copy then
+	// commits a redo batch of six no-op entries (each republishes region
+	// 0's top) and is imaged with the batch's first line torn.
+	dev := nvm.FromImage(append([]byte(nil), shard...), nvm.Config{Mode: nvm.Tracked})
+	h, err := pheap.Load(dev, klass.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	topOff := h.RegionTopMetaOff(0)
+	entries := make([]pheap.RedoEntry, 6)
+	for i := range entries {
+		entries[i] = pheap.RedoEntry{Off: topOff, Val: dev.ReadU64(topOff)}
+	}
+	h.RedoCommit(entries)
+	redoTorn := dev.CrashImage(nvm.CrashFlushedOnly, 0)
+	faultdev.CorruptLineInImage(redoTorn, h.Geo().RedoOff, 99)
+
+	flipped := func(img []byte, off int, bit uint) []byte {
+		img = append([]byte(nil), img...)
+		faultdev.FlipBitInImage(img, off, bit)
+		return img
+	}
+	for name, img := range map[string][]byte{
+		"shard-golden":            shard,
+		"shard-gcphase-bitflip":   flipped(shard, h.GCPhaseMetaOff(), 0),
+		"shard-regiontop-bitflip": flipped(shard, topOff, 2),
+		"shard-timestamp-bitflip": flipped(shard, h.GlobalTSMetaOff(), 1),
+		"shard-redo-torn":         redoTorn,
+		"shard-badmagic":          flipped(shard, 0, 7),
+		"manifest-golden":         manifest,
+		"manifest-bitflip":        flipped(manifest, pshard.ManifestBoundsOff+8, 4),
+	} {
+		if err := nvm.FromImage(img, nvm.Config{Mode: nvm.Tracked}).Save(filepath.Join(dir, name+".pjh")); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScrubExitCodes holds `heaptool scrub` to the exit-code contract of
+// the package doc over writeScrubGallery's images: clean images exit 0,
+// checksum-corrupted ones 4 (readable, integrity checks failed), and a
+// bad-magic one 3 (cannot be interpreted at all).
+func TestScrubExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	writeScrubGallery(t, dir)
 	for _, tc := range []struct {
 		image string
 		want  int

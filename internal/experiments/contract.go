@@ -2,7 +2,7 @@ package experiments
 
 import "io"
 
-// The device-op contract: thirteen experiments whose rows are committed as
+// The device-op contract: ten experiments whose rows are committed as
 // BENCH_<name>.json at the repository root. Contracts is the one table
 // that pins each experiment's parameters; TestDeviceOpContract runs every
 // entry at them and compares the rows with the committed file, and
@@ -13,9 +13,9 @@ import "io"
 // on purpose. A row is in one of two classes:
 //
 //   - exact (the default): the row is a pure function of the code — one
-//     mutator, a quiescent collection, a replayed image, a fault cell —
-//     and every field must equal the baseline's, bit for bit. Any drift
-//     is a baseline diff reviewed in the same change.
+//     mutator, a quiescent collection, a replayed image — and every field
+//     must equal the baseline's, bit for bit. Any drift is a baseline
+//     diff reviewed in the same change.
 //   - scheduled: the row runs several goroutines over shared structures
 //     and its device counts depend on who got there first. The fields
 //     listed for it are not compared; what is held instead are the row's
@@ -163,30 +163,5 @@ var Contracts = []Contract{
 		scheduled: map[string]scheduled{
 			"sharded/1/2": {fields: shardedRowFields}, "sharded/2/2": {fields: shardedRowFields},
 			"sharded/4/2": {fields: shardedRowFields},
-		}},
-	{Name: "telemetry", Pinned: Params{Scale: 10},
-		Run: func(w io.Writer, p Params) (any, error) {
-			rows, report, err := TelemetryOverhead(p.Scale)
-			if err != nil {
-				return nil, err
-			}
-			PrintRows(w, "Telemetry overhead — device ops per op must be identical off vs on", rows)
-			report.Print(w)
-			return rows, nil
-		}},
-	{Name: "blackbox", Pinned: Params{Scale: 10},
-		Run: func(w io.Writer, p Params) (any, error) {
-			rows, report, err := Blackbox(p.Scale)
-			if err != nil {
-				return nil, err
-			}
-			PrintRows(w, "Flight recorder overhead — fences/reads identical off vs on; writes/lines +1 per event", rows)
-			report.Print(w)
-			return rows, nil
-		}},
-	{Name: "faults", Pinned: Params{Scale: 10},
-		Run: func(w io.Writer, p Params) (any, error) {
-			rows, err := Faults(p.Scale)
-			return rowsOf(w, "Media-fault matrix, degraded serving, and fault-hook overhead", rows, err)
 		}},
 }

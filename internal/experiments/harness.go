@@ -12,32 +12,26 @@ import (
 	"espresso/internal/pheap"
 )
 
-// The device-cost experiments (alloc, kv, refstore, shardedkv scaling;
-// telemetry, blackbox, faults overhead contracts) share one harness: a
-// workload builds its heaps and hands back a per-mutator body, and two
-// drivers run it. runScaling walks a (shards, mutators) curve and
-// reports the deterministic modeled critical path — the slowest
-// chain's flushed lines × nvm.ModeledLineLatency; chains flush disjoint
-// lines (their own PLAB regions, their own publications, their own
-// shard devices), so their media time overlaps and the slowest one
-// bounds completion. runContract runs the workload twice, a feature off and
-// on, and hands both rows to the contract's check. Rows carry device
-// counts only — benchmark/ is the clock; docs/benchmarks.md has the
-// experiment index and contract.go the table that pins each experiment
-// to its baseline.
+// The scaling experiments (alloc, kv, refstore, shardedkv) share one
+// harness: a workload builds its heaps and hands back a per-mutator body,
+// and runScaling walks a (shards, mutators) curve and reports the
+// deterministic modeled critical path — the slowest chain's flushed
+// lines × nvm.ModeledLineLatency; chains flush disjoint lines (their own
+// PLAB regions, their own publications, their own shard devices), so
+// their media time overlaps and the slowest one bounds completion. Rows
+// carry device counts only — benchmark/ is the clock; docs/benchmarks.md
+// has the experiment index and contract.go the table that pins each
+// experiment to its baseline.
 
-// Row is one measurement of a device-cost workload. The same type
-// serves every scaling curve and every off/on contract; fields a
-// workload does not report are omitted from its JSON. Events and
-// HelpFlushes are pointers because zero is a reported value for them.
+// Row is one measurement of a scaling curve; fields a workload does not
+// report are omitted from its JSON. HelpFlushes is a pointer because
+// zero is a reported value for it.
 type Row struct {
 	Series          string  `json:"series"`
-	Op              string  `json:"op,omitempty"`
 	Shards          int     `json:"shards,omitempty"`
 	Goroutines      int     `json:"goroutines,omitempty"`
 	Allocs          int     `json:"allocs,omitempty"`
 	Ops             int     `json:"ops,omitempty"`
-	Events          *int    `json:"events,omitempty"` // journal records appended in the window
 	ModeledNsPerOp  float64 `json:"modeled_ns_per_op,omitempty"`
 	ModeledSpeedup  float64 `json:"modeled_speedup_vs_1,omitempty"`
 	DevReads        float64 `json:"dev_reads_per_op"`
@@ -52,11 +46,9 @@ type Row struct {
 	// it; the contract test bounds ModeledSpeedup by the baseline's copy.
 	SpeedupFloor float64 `json:"modeled_speedup_vs_1_floor,omitempty"`
 
-	// raw is the undivided device delta and events the recorder sequence
-	// delta — contract checks compare these exactly, immune to per-op
-	// float rounding.
-	raw    nvm.Stats
-	events int
+	// raw is the undivided device delta, compared exactly by the tests,
+	// immune to per-op float rounding.
+	raw nvm.Stats
 }
 
 // point is one configuration of a scaling curve.
@@ -66,44 +58,30 @@ type point struct{ shards, mutators int }
 type env struct {
 	point
 	ops int // per mutator
-	// configure switches a contract's feature on. Setup applies it to
-	// every heap it creates, before any mutator context attaches; nil
-	// leaves the feature off.
-	configure func(*pheap.Heap) error
-}
-
-func (e env) arm(h *pheap.Heap) error {
-	if e.configure == nil {
-		return nil
-	}
-	return e.configure(h)
 }
 
 // run is a prepared workload instance.
 type run struct {
 	heaps []*pheap.Heap // every heap the bodies touch; their device stats are summed
-	ops   int           // measured ops when not mutators × env.ops (gccycle: one collection)
 	body  func(g int) error
 	// critical reports the flushed lines of the slowest chain, read
-	// after the bodies join; runScaling only.
+	// after the bodies join.
 	critical func() int
 	// finish runs the workload's self-checks and releases its mutator
-	// contexts (nil when there is nothing to do).
+	// contexts.
 	finish func() error
-	// report fills the workload's own scaling columns, after finish;
-	// runScaling only.
+	// report fills the workload's own columns, after finish.
 	report func(*Row)
 }
 
 // workload is one entry of the table in workloads.go.
 type workload struct {
-	name   string // scaling experiment name and contract rows' op
-	series string // scaling rows' series label
-	ops    int    // paper-scale op count of the scaling curve
+	name   string // scaling experiment name
+	series string // rows' series label
+	ops    int    // paper-scale op count of the curve
 	// curve lays out the scaling curve for Params.Shards and
-	// Params.Mutators (nil: contract-only workload), and claim is the
-	// point on it the ≥3x modeled-speedup floor is stated for (the pinned
-	// parameters reach it).
+	// Params.Mutators, and claim is the point on it the ≥3x
+	// modeled-speedup floor is stated for (the pinned parameters reach it).
 	curve func(shards, mutators int) []point
 	claim point
 	setup func(env) (*run, error)
@@ -129,51 +107,12 @@ func fanOut(n int, body func(g int) error) error {
 	return nil
 }
 
-// sample sums the device counters and recorder sequences of the run's
-// heaps (a disabled recorder reads as sequence 0).
-func (r *run) sample() (st nvm.Stats, seq uint64) {
+// sample sums the device counters of the run's heaps.
+func (r *run) sample() (st nvm.Stats) {
 	for _, h := range r.heaps {
 		st = st.Add(h.Device().Stats())
-		seq += h.FlightRecorder().Seq()
 	}
-	return st, seq
-}
-
-// measure sets the workload up, runs its bodies inside the measured
-// window, and returns the row with its common fields filled. The caller
-// owns the run's finish.
-func (w *workload) measure(e env) (Row, *run, error) {
-	r, err := w.setup(e)
-	if err != nil {
-		return Row{}, nil, err
-	}
-	s0, seq0 := r.sample()
-	if err := fanOut(e.mutators, r.body); err != nil {
-		return Row{}, nil, err
-	}
-	s1, seq1 := r.sample()
-	d := s1.Sub(s0)
-	ops := r.ops
-	if ops == 0 {
-		ops = e.mutators * e.ops
-	}
-	n := float64(ops)
-	return Row{
-		Ops:          ops,
-		DevReads:     float64(d.Reads) / n,
-		DevWrites:    float64(d.Writes) / n,
-		FlushedLines: float64(d.FlushedLines) / n,
-		Fences:       float64(d.Fences) / n,
-		raw:          d,
-		events:       int(seq1 - seq0),
-	}, r, nil
-}
-
-func (r *run) done() error {
-	if r.finish == nil {
-		return nil
-	}
-	return r.finish()
+	return st
 }
 
 // runScaling measures w at every point of curve; speedups are relative
@@ -182,18 +121,8 @@ func runScaling(w *workload, scale Scale, curve []point) ([]Row, error) {
 	n := scale.div(w.ops)
 	var rows []Row
 	for _, p := range curve {
-		perG := n / p.mutators
-		if perG < 1 {
-			perG = 1
-		}
-		row, r, err := w.measure(env{point: p, ops: perG})
-		if err == nil {
-			modeled := nvm.Stats{FlushedLines: uint64(r.critical())}.ModeledFlushTime()
-			row.ModeledNsPerOp = float64(modeled.Nanoseconds()) / float64(row.Ops)
-			if err = r.done(); err == nil {
-				r.report(&row)
-			}
-		}
+		perG := max(n/p.mutators, 1)
+		row, err := w.measure(env{point: p, ops: perG})
 		if err != nil {
 			return nil, fmt.Errorf("%s %d shards, %d mutators: %w", w.name, p.shards, p.mutators, err)
 		}
@@ -215,29 +144,36 @@ func runScaling(w *workload, scale Scale, curve []point) ([]Row, error) {
 	return rows, nil
 }
 
-// runContract measures ops operations of w on one mutator with the
-// feature off, then on, and hands both rows to check.
-func runContract(w *workload, ops int, configure func(*pheap.Heap) error, check func(off, on *Row) error) ([]Row, error) {
-	rows := make([]Row, 2)
-	for i, series := range []string{"off", "on"} {
-		e := env{point: point{shards: 1, mutators: 1}, ops: ops}
-		if series == "on" {
-			e.configure = configure
-		}
-		row, r, err := w.measure(e)
-		if err == nil {
-			err = r.done()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.name, series, err)
-		}
-		row.Series, row.Op = series, w.name
-		rows[i] = row
+// measure sets the workload up, runs its bodies inside the measured
+// window, then finishes it, and returns the row with its device counts,
+// its modeled critical path and the workload's own columns filled.
+func (w *workload) measure(e env) (Row, error) {
+	r, err := w.setup(e)
+	if err != nil {
+		return Row{}, err
 	}
-	if err := check(&rows[0], &rows[1]); err != nil {
-		return nil, fmt.Errorf("%s: %w", w.name, err)
+	s0 := r.sample()
+	if err := fanOut(e.mutators, r.body); err != nil {
+		return Row{}, err
 	}
-	return rows, nil
+	d := r.sample().Sub(s0)
+	ops := e.mutators * e.ops
+	n := float64(ops)
+	row := Row{
+		Ops:          ops,
+		DevReads:     float64(d.Reads) / n,
+		DevWrites:    float64(d.Writes) / n,
+		FlushedLines: float64(d.FlushedLines) / n,
+		Fences:       float64(d.Fences) / n,
+		raw:          d,
+	}
+	modeled := nvm.Stats{FlushedLines: uint64(r.critical())}.ModeledFlushTime()
+	row.ModeledNsPerOp = float64(modeled.Nanoseconds()) / n
+	if err := r.finish(); err != nil {
+		return Row{}, err
+	}
+	r.report(&row)
+	return row, nil
 }
 
 // mutatorCurve is 1, 2, 4, … up to `mutators` mutators on one heap.
@@ -269,7 +205,7 @@ func shardCurve(maxShards, mutators int) []point {
 // shards up to `shards` at a fixed mutator count.
 func Scaling(name string, scale Scale, shards, mutators int) ([]Row, error) {
 	w, ok := workloads[name]
-	if !ok || w.curve == nil {
+	if !ok {
 		return nil, fmt.Errorf("experiments: no scaling curve %q", name)
 	}
 	return runScaling(w, scale, w.curve(shards, mutators))

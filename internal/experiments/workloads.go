@@ -7,21 +7,19 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
-	"espresso/internal/pgc"
 	"espresso/internal/pheap"
 	"espresso/internal/pindex"
 	"espresso/internal/pshard"
 )
 
-// workloads is the one table every device-cost experiment draws from.
-// The first four carry a scaling curve (espresso-bench -exp <name>);
-// any entry can serve as an off/on contract body.
+// workloads is the table the scaling experiments draw from
+// (espresso-bench -exp <name>).
 var workloads = map[string]*workload{
 	// PLAB allocation: every mutator bump-allocates from its own region,
 	// flushing only its own objects and its own region-top line. The
 	// curve runs warm (klass already in the segment) on 4-long nodes.
 	"alloc": {name: "alloc", series: "plab", ops: 200000, curve: mutatorCurve, claim: point{mutators: 8},
-		setup: allocLoad{fields: 4, warm: true}.setup},
+		setup: allocSetup},
 	// The durable lock-free index under a serving mix, one operation
 	// context (its own pheap.Allocator) per mutator over disjoint
 	// key ranges: the CAS publication adds no shared persisted word.
@@ -33,31 +31,16 @@ var workloads = map[string]*workload{
 	// mutator's flushes to different shards land on different media.
 	"shardedkv": {name: "shardedkv", series: "sharded", ops: 160000, curve: shardCurve, claim: point{shards: 4, mutators: 2},
 		setup: shardedKVSetup},
-
-	// Contract-only bodies. The contract alloc runs cold on 2-long
-	// nodes, so klass registration and the first region dispense — where
-	// an observer is most likely to hook — fall inside the window.
-	"alloc-cold": {name: "alloc", setup: allocLoad{fields: 2}.setup},
-	"kvput":      {name: "kvput", setup: kvPutSetup},
-	"gccycle":    {name: "gccycle", setup: gcCycleSetup},
-	"kvmix":      {name: "kvmix", setup: kvMixSetup},
 }
 
-// allocLoad allocates fixed-size nodes through one PLAB allocator per
-// mutator.
-type allocLoad struct {
-	fields int  // longs per node
-	warm   bool // register the klass before the measured window
-}
-
-func (a allocLoad) setup(e env) (*run, error) {
+// allocSetup allocates 4-long nodes through one PLAB allocator per
+// mutator, the klass registered before the measured window.
+func allocSetup(e env) (*run, error) {
 	total := e.mutators * e.ops
-	fields := []klass.Field{
-		{Name: "a", Type: layout.FTLong}, {Name: "b", Type: layout.FTLong},
-		{Name: "c", Type: layout.FTLong}, {Name: "d", Type: layout.FTLong},
-	}[:a.fields]
 	reg := klass.NewRegistry()
-	nk, err := reg.Define(klass.MustInstance("alloc/Node", nil, fields...))
+	nk, err := reg.Define(klass.MustInstance("alloc/Node", nil,
+		klass.Field{Name: "a", Type: layout.FTLong}, klass.Field{Name: "b", Type: layout.FTLong},
+		klass.Field{Name: "c", Type: layout.FTLong}, klass.Field{Name: "d", Type: layout.FTLong}))
 	if err != nil {
 		return nil, err
 	}
@@ -68,16 +51,11 @@ func (a allocLoad) setup(e env) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.arm(h); err != nil {
+	warm := h.NewAllocator()
+	if _, err := warm.Alloc(nk, 0); err != nil {
 		return nil, err
 	}
-	if a.warm {
-		warm := h.NewAllocator()
-		if _, err := warm.Alloc(nk, 0); err != nil {
-			return nil, err
-		}
-		warm.Release()
-	}
+	warm.Release()
 	allocs := make([]*pheap.Allocator, e.mutators)
 	for i := range allocs {
 		allocs[i] = h.NewAllocator()
@@ -152,25 +130,19 @@ func servingMix(g, n int, put func(k int64) error, get, del func(k int64) bool) 
 	return nil
 }
 
-// kvIndex creates a heap with dataSize bytes of data and opens a
-// steady-state index on it (a fixed 1024-bucket table, so runs are
-// comparable).
-func kvIndex(e env, dataSize int) (*pheap.Heap, *pindex.Index, error) {
-	h, err := pheap.Create(klass.NewRegistry(), pheap.Config{DataSize: dataSize, Mode: nvm.Direct})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := e.arm(h); err != nil {
-		return nil, nil, err
-	}
-	ix, err := pindex.Open(h, pindex.NoPin{}, "bench", pindex.Options{InitialBuckets: 1024, MaxLoadFactor: 64})
-	return h, ix, err
-}
-
 func kvSetup(e env) (*run, error) {
 	// Node (48 B) + boxed value (32 B) per put, ~60% of ops are puts,
 	// plus PLAB slack per mutator and the bucket tables.
-	h, ix, err := kvIndex(e, e.mutators*e.ops*96+(e.mutators+16)*2*layout.RegionSize)
+	h, err := pheap.Create(klass.NewRegistry(), pheap.Config{
+		DataSize: e.mutators*e.ops*96 + (e.mutators+16)*2*layout.RegionSize,
+		Mode:     nvm.Direct,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A steady-state index: a fixed 1024-bucket table, so runs are
+	// comparable.
+	ix, err := pindex.Open(h, pindex.NoPin{}, "bench", pindex.Options{InitialBuckets: 1024, MaxLoadFactor: 64})
 	if err != nil {
 		return nil, err
 	}
@@ -216,28 +188,6 @@ func kvSetup(e env) (*run, error) {
 	}, nil
 }
 
-// kvPutSetup is the contracts' index body: sequential puts of a null
-// value through one context.
-func kvPutSetup(e env) (*run, error) {
-	h, ix, err := kvIndex(e, e.ops*64+16*layout.RegionSize)
-	if err != nil {
-		return nil, err
-	}
-	c := ix.NewCtx()
-	return &run{
-		heaps: []*pheap.Heap{h},
-		body: func(int) error {
-			for i := 0; i < e.ops; i++ {
-				if err := c.Put(int64(i), 0); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		finish: func() error { c.Release(); return nil },
-	}, nil
-}
-
 func shardedKVSetup(e env) (*run, error) {
 	// The aggregate bucket table is held constant across shard counts
 	// (1024 split over the shards) so per-op device costs are comparable:
@@ -258,9 +208,6 @@ func shardedKVSetup(e env) (*run, error) {
 	r := &run{}
 	for i := 0; i < e.shards; i++ {
 		r.heaps = append(r.heaps, set.Shard(i).Heap())
-		if err := e.arm(r.heaps[i]); err != nil {
-			return nil, err
-		}
 	}
 	ctxs := make([]*pshard.Ctx, e.mutators)
 	for i := range ctxs {
@@ -290,47 +237,6 @@ func shardedKVSetup(e env) (*run, error) {
 	return r, nil
 }
 
-// kvMixSetup is the fault-hook contract's body: put, read back, and
-// half-delete a key population through one ctx over a 2-shard set. The
-// ctx lives and dies inside the window.
-func kvMixSetup(e env) (*run, error) {
-	set, err := pshard.OpenSet(pshard.NewMemStore(), "faults-ovh", pshard.Options{
-		Shards:        2,
-		ShardDataSize: 4 << 20,
-		Mode:          nvm.Direct,
-		Index:         faultsIndexOpts(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	r := &run{ops: e.ops + e.ops + (e.ops+1)/2, finish: func() error { set.Close(); return nil }}
-	for i := 0; i < set.NumShards(); i++ {
-		r.heaps = append(r.heaps, set.Shard(i).Heap())
-		if err := e.arm(r.heaps[i]); err != nil {
-			return nil, err
-		}
-	}
-	r.body = func(int) error {
-		ctx := set.NewCtx()
-		defer ctx.Release()
-		for k := int64(1); k <= int64(e.ops); k++ {
-			if err := ctx.Put(k, k*3+1); err != nil {
-				return err
-			}
-		}
-		for k := int64(1); k <= int64(e.ops); k++ {
-			if _, ok := ctx.Get(k); !ok {
-				return fmt.Errorf("lost key %d", k)
-			}
-		}
-		for k := int64(1); k <= int64(e.ops); k += 2 {
-			ctx.Delete(k)
-		}
-		return nil
-	}
-	return r, nil
-}
-
 // refstoreSetup has every mutator hammer NVM→NVM and NVM→volatile
 // reference stores over its own objects, each made durable with a slot
 // flush (the paper's persistent write path: one word write, one line
@@ -353,9 +259,6 @@ func refstoreSetup(e env) (*run, error) {
 	}
 	h, err := rt.CreateHeap("refstore", 0)
 	if err != nil {
-		return nil, err
-	}
-	if err := e.arm(h); err != nil {
 		return nil, err
 	}
 	node := klass.MustInstance("refstore/Node", nil,
@@ -433,48 +336,6 @@ func refstoreSetup(e env) (*run, error) {
 				m.Release()
 			}
 			return nil
-		},
-	}, nil
-}
-
-// gcCycleSetup builds a rooted chain interleaved with garbage; the
-// measured op is one stop-the-world collection of it.
-func gcCycleSetup(e env) (*run, error) {
-	reg := klass.NewRegistry()
-	h, err := pheap.Create(reg, pheap.Config{DataSize: e.ops*96 + 8*layout.RegionSize, Mode: nvm.Direct})
-	if err != nil {
-		return nil, err
-	}
-	if err := e.arm(h); err != nil {
-		return nil, err
-	}
-	node, err := reg.Define(klass.MustInstance("gccycle/Node", nil,
-		klass.Field{Name: "next", Type: layout.FTRef},
-		klass.Field{Name: "pad", Type: layout.FTLong}))
-	if err != nil {
-		return nil, err
-	}
-	var prev layout.Ref
-	for i := 0; i < e.ops; i++ {
-		if _, err := h.Alloc(node, 0); err != nil { // garbage
-			return nil, err
-		}
-		ref, err := h.Alloc(node, 0)
-		if err != nil {
-			return nil, err
-		}
-		h.SetWord(ref, layout.FieldOff(0), uint64(prev))
-		prev = ref
-	}
-	if err := h.SetRoot("chain", prev); err != nil {
-		return nil, err
-	}
-	return &run{
-		heaps: []*pheap.Heap{h},
-		ops:   1, // per-op figures are per collection, not per object
-		body: func(int) error {
-			_, err := pgc.Collect(h, pgc.NoRoots{})
-			return err
 		},
 	}, nil
 }

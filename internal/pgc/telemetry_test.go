@@ -11,7 +11,8 @@ import (
 // TestParallelWorkerTimesAndSpans pins the per-worker observability of a
 // parallel concurrent collection: Result carries one mark duration and
 // one fix duration per worker, and the same cycle lands in the heap's
-// span recorder as a full phase timeline plus per-worker spans.
+// span recorder as a full phase timeline, nested inside the cycle's wall
+// time, plus per-worker spans.
 func TestParallelWorkerTimesAndSpans(t *testing.T) {
 	const workers = 4
 	h, reg := newHeap(t, 4<<20)
@@ -20,7 +21,9 @@ func TestParallelWorkerTimesAndSpans(t *testing.T) {
 	tel := telemetry.New()
 	h.SetTelemetry(tel)
 
+	t0 := time.Now()
 	r, err := CollectConcurrentWorkers(h, NoRoots{}, nil, workers)
+	wall := time.Since(t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +79,16 @@ func TestParallelWorkerTimesAndSpans(t *testing.T) {
 			t.Fatalf("phase span %s missing from the timeline", name)
 		}
 	}
-	// The inner final-pause phases must nest inside the recorded pause.
+	// The phases are disjoint intervals of the cycle, so they sum to no
+	// more than its measured wall time, and the inner final-pause phases
+	// nest inside the recorded pause.
+	fp := snap.SpanTotal(telemetry.SpanGCFinalPause)
+	if sum := snap.SpanTotal(telemetry.SpanGCHandshake) + snap.SpanTotal(telemetry.SpanGCMark) + fp; sum > wall {
+		t.Fatalf("handshake + mark + final pause = %v > the cycle's wall time %v", sum, wall)
+	}
 	inner := snap.SpanTotal(telemetry.SpanGCRemark) + snap.SpanTotal(telemetry.SpanGCSummarize) +
 		snap.SpanTotal(telemetry.SpanGCCompact) + snap.SpanTotal(telemetry.SpanGCRedo)
-	if fp := snap.SpanTotal(telemetry.SpanGCFinalPause); inner > fp {
+	if inner > fp {
 		t.Fatalf("inner phases sum to %v > final pause %v", inner, fp)
 	}
 

@@ -862,7 +862,7 @@ func (h *Heap) GCPhaseMetaOff() int { return mGCPhase }
 
 // GCPhaseSumMetaOff exposes the metadata offset of the GC-phase
 // checksum word (same cache line as the phase word) for fault-injection
-// tests and the faults experiment.
+// tests such as pshard's media-fault matrix.
 func (h *Heap) GCPhaseSumMetaOff() int { return mGCPhaseSum }
 
 // SnapshotRegionTops copies the current region-top table mirrors — the

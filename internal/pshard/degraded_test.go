@@ -179,9 +179,9 @@ func TestRetryQuarantinedHealsTransientFault(t *testing.T) {
 }
 
 // TestBackgroundRetryLoopHeals runs the real backoff loop: a transient
-// read fault quarantines shard 0 at open, and the background goroutine —
-// no manual retry — must reopen it within its capped-exponential
-// schedule.
+// read fault quarantines shard 0 at open, shard 0's keys bounce while the
+// loop waits out its first delay, and the background goroutine — no
+// manual retry — must reopen it within its capped-exponential schedule.
 func TestBackgroundRetryLoopHeals(t *testing.T) {
 	imgs, model := buildDegradedImages(t)
 	store := storeFrom(t, imgs)
@@ -194,8 +194,9 @@ func TestBackgroundRetryLoopHeals(t *testing.T) {
 
 	opts := testOptions(2)
 	opts.Degraded = true
-	opts.RetryBase = 2 * time.Millisecond
-	opts.RetryCap = 20 * time.Millisecond
+	opts.Telemetry = true
+	opts.RetryBase = 50 * time.Millisecond
+	opts.RetryCap = 200 * time.Millisecond
 	set, err := OpenSet(store, "kv", opts)
 	if err != nil {
 		t.Fatalf("degraded OpenSet: %v", err)
@@ -204,6 +205,20 @@ func TestBackgroundRetryLoopHeals(t *testing.T) {
 	if q := set.Quarantined(); len(q) != 1 || q[0] != 0 {
 		t.Fatalf("Quarantined() = %v, want [0]", q)
 	}
+	if got := set.Telemetry().Snapshot().Counters["shard.quarantined"]; got < 1 {
+		t.Fatalf("shard.quarantined counter = %d, want >= 1", got)
+	}
+	// The first retry is RetryBase away: until then shard 0 is fenced.
+	c := set.NewCtx()
+	for k := range model {
+		if set.ShardOf(k) == 0 {
+			if _, _, err := c.Lookup(k); !errors.Is(err, ErrShardQuarantined) {
+				t.Fatalf("Lookup(%d) while the loop waits: err = %v, want ErrShardQuarantined", k, err)
+			}
+			break
+		}
+	}
+	c.Release()
 	deadline := time.Now().Add(10 * time.Second)
 	for len(set.Quarantined()) != 0 {
 		if time.Now().After(deadline) {

@@ -69,9 +69,9 @@ const (
 	manSum = manBounds + 8*MaxShards
 )
 
-// Exported manifest field offsets for fault-injection tests and the
-// faults experiment: the state word, the boundary table, and the
-// checksum word are the checksummed structures corruption sweeps target.
+// Exported manifest field offsets for fault-injection tests (the
+// media-fault matrix, heaptool's scrub gallery): the state word, the
+// boundary table, and the checksum word are what corruption sweeps target.
 const (
 	ManifestStateOff  = manState
 	ManifestBoundsOff = manBounds

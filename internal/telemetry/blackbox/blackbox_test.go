@@ -183,7 +183,7 @@ func TestDecodeRejectsBadHeader(t *testing.T) {
 // DRAM mirror records what was appended; for every flush boundary k, the
 // run is crashed at flush k and the decoded timeline must be a strict
 // prefix of the mirror — checksum-valid, sequence-contiguous, never
-// fabricated. (The full-system sweep lives in the blackbox experiment.)
+// fabricated. (The full-system sweep is pgc's TestCrashSweepFlightRecorder.)
 func TestCrashAtEveryFlush(t *testing.T) {
 	const events = 20
 	type crashPoint struct{ k uint64 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"espresso/internal/nvm"
 )
 
 // TestTelemetryPoolGaugeBurst pins the ctx-pool gauges: a borrow burst
@@ -42,6 +44,106 @@ func TestTelemetryPoolGaugeBurst(t *testing.T) {
 	}
 	if got := snap.Gauges["pmap.burst.ctx.retired"]; got != burst-maxIdleCtxs {
 		t.Fatalf("retired gauge = %d, want %d", got, burst-maxIdleCtxs)
+	}
+}
+
+// TestObserversAddNoDeviceOps holds the observers' cost contract
+// (docs/observability.md). One single-goroutine body — a mutator's PNew,
+// ref store and flush per object; PMap puts, gets and deletes; one
+// PersistentGC — runs bare, with Options.Telemetry and with
+// Options.FlightRecorder, and each observed run's device window is held to
+// the bare run's:
+//
+//   - telemetry: every device counter is equal, and the folded counters
+//     carry the body's op counts;
+//   - flight recorder: reads and fences are equal, writes and flushed
+//     lines are each higher by exactly the events journaled, and the
+//     events stay at region and cycle granularity: at most one per
+//     hundred ops.
+func TestObserversAddNoDeviceOps(t *testing.T) {
+	const n = 2000                    // objects, and keys
+	const ops = 3*n + n + n + n/2 + 1 // the body's operations
+	type window struct {
+		dev    nvm.Stats
+		events uint64
+		// counters: alloc.objects and refstore.stores over the mutator's
+		// loop, index.puts over the map's.
+		allocs, stores, puts uint64
+	}
+	body := func(t *testing.T, opts Options) (w window) {
+		rt, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.CreateHeap("obs", 16<<20); err != nil {
+			t.Fatal(err)
+		}
+		h, _ := rt.Heap("obs")
+		node := MustClass("observers/Node", nil, RefTo("next", "observers/Node"), Long("v"))
+		nextF := rt.MustResolveField(node, "next")
+		pm, err := rt.OpenPMap("obs", "m", PMapOptions{InitialBuckets: 1024, MaxLoadFactor: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := rt.NewMutator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d0, seq0, s0 := h.Device().Stats(), h.FlightRecorder().Seq(), rt.Metrics()
+		var prev Ref
+		for i := 0; i < n; i++ {
+			ref, err := m.PNew(node, 0)
+			if err == nil {
+				err = m.SetRefFast(ref, nextF, prev)
+			}
+			if err == nil {
+				err = m.FlushObject(ref)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev = ref
+		}
+		m.Release()
+		s1 := rt.Metrics()
+		for k := int64(0); k < n; k++ {
+			if err := pm.Put(k, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := int64(0); k < n; k++ {
+			if _, ok := pm.Get(k); !ok {
+				t.Fatalf("key %d lost", k)
+			}
+		}
+		for k := int64(0); k < n; k += 2 {
+			if !pm.Delete(k) {
+				t.Fatalf("delete %d missed", k)
+			}
+		}
+		s2 := rt.Metrics()
+		if _, err := rt.PersistentGC("obs"); err != nil {
+			t.Fatal(err)
+		}
+		return window{dev: h.Device().Stats().Sub(d0), events: h.FlightRecorder().Seq() - seq0,
+			allocs: s1.Counters["alloc.objects"] - s0.Counters["alloc.objects"],
+			stores: s1.Counters["refstore.stores"] - s0.Counters["refstore.stores"],
+			puts:   s2.Counters["index.puts"] - s1.Counters["index.puts"]}
+	}
+	bare := body(t, Options{})
+	if tel := body(t, Options{Telemetry: true}); tel.dev != bare.dev {
+		t.Errorf("telemetry changed the device window: bare %+v, telemetry %+v", bare.dev, tel.dev)
+	} else if tel.allocs != n || tel.stores != n || tel.puts != n {
+		t.Errorf("alloc.objects %d, refstore.stores %d, index.puts %d; want %d each", tel.allocs, tel.stores, tel.puts, n)
+	}
+	fr := body(t, Options{FlightRecorder: true})
+	d, b, ev := fr.dev, bare.dev, fr.events
+	t.Logf("bare window %+v; the recorder journaled %d events", b, ev)
+	if ev == 0 || ev > ops/100 {
+		t.Errorf("%d events for %d ops, want 1..%d", ev, ops, ops/100)
+	}
+	if d.Reads != b.Reads || d.Fences != b.Fences || d.Writes != b.Writes+ev || d.FlushedLines != b.FlushedLines+ev {
+		t.Errorf("the recorder's %d events cost more than a write and a line each: bare %+v, recorder %+v", ev, b, d)
 	}
 }
 
