@@ -215,11 +215,11 @@ func run(args []string) int {
 		}
 		fmt.Printf("OK: %d objects, %d fillers, %d bytes parseable\n", objects, fillers, bytes)
 	case "gc":
-		if h.GCActive() {
-			res, err := pgc.Recover(h)
-			if err != nil {
-				return fail(exitErr, "%v", err)
-			}
+		res, _, err := pgc.RecoverIfNeeded(h)
+		if err != nil {
+			return fail(exitErr, "%v", err)
+		}
+		if res.Recovered {
 			fmt.Printf("recovered interrupted collection: %d live objects, %d moved\n",
 				res.LiveObjects, res.MovedObjects)
 		} else {

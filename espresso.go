@@ -76,17 +76,20 @@
 //
 // # Concurrent persistent GC
 //
-// PersistentGC stops the world for the whole collection; with
-// PersistentGCConcurrent marking runs concurrently with mutators under a
-// snapshot-at-the-beginning barrier, and only final remark + compaction
-// pause them. Both phases are also parallel: marking fans out over
-// GOMAXPROCS work-stealing tracers (PersistentGCConcurrentWorkers picks
-// another count) that drain the mutators' barrier buffers alongside
-// tracing, and the compaction pause shards its
-// reference-fix and fill passes over the same pool — see docs/gc.md for
-// the pipeline and its crash rule. Compaction moves
-// objects and patches every root it can see — named roots, handles,
-// heap and volatile slots — but never Go local variables, so code that
+// The Runtime has two persistent collectors, both returning a GCResult.
+// PersistentGC(name) stops the world for the whole collection (System.gc()
+// for the persistent space). With PersistentGCConcurrent(name, workers)
+// marking runs concurrently with mutators under a snapshot-at-the-beginning
+// barrier, and only final remark + compaction pause them; GCResult.PauseTime
+// reports that stop-the-world portion, GCResult.MarkTime the overlapped
+// marking. Both of its phases are also parallel: marking fans out over
+// workers work-stealing tracers that drain the mutators' barrier buffers
+// alongside tracing, and the compaction pause shards its reference-fix and
+// fill passes over the same pool. One worker reproduces the serial
+// collector, and the heap image is identical for every worker count on a
+// quiescent heap — see docs/gc.md for the pipeline and its crash rule.
+// Compaction moves objects and patches every root it can see — named
+// roots, handles, heap and volatile slots — but never Go local variables, so code that
 // mutates concurrently with collections must hold its references inside
 // a Mutator.Do scope (which pins the world) or re-fetch them from roots
 // after it. Inside Do, call the mutator — every method of the surface is
@@ -343,30 +346,6 @@ func (rt *Runtime) CreateHeap(name string, size int) error {
 func (rt *Runtime) LoadHeap(name string) error {
 	_, err := rt.Runtime.LoadHeap(name)
 	return err
-}
-
-// PersistentGC forces a stop-the-world crash-consistent collection of a
-// heap (System.gc() for the persistent space).
-func (rt *Runtime) PersistentGC(name string) (GCResult, error) {
-	return rt.Runtime.PersistentGC(name)
-}
-
-// PersistentGCConcurrent forces a crash-consistent collection with SATB
-// concurrent marking: mutators on other goroutines keep running while
-// the graph is traced; only final remark + compaction + the redo-log
-// finish stop the world. GCResult.PauseTime reports that stop-the-world
-// portion, GCResult.MarkTime the overlapped marking. The GC pool has
-// GOMAXPROCS workers.
-func (rt *Runtime) PersistentGCConcurrent(name string) (GCResult, error) {
-	return rt.Runtime.PersistentGCConcurrent(name)
-}
-
-// PersistentGCConcurrentWorkers is PersistentGCConcurrent with an
-// explicit GC pool size; 1 reproduces the serial collector exactly, and
-// the resulting heap image is identical for every value on a quiescent
-// heap.
-func (rt *Runtime) PersistentGCConcurrentWorkers(name string, workers int) (GCResult, error) {
-	return rt.Runtime.PersistentGCConcurrentWorkers(name, workers)
 }
 
 // Heap exposes a loaded heap by name (diagnostics, tooling).

@@ -76,7 +76,7 @@ func main() {
 	}
 	fmt.Printf("reloaded image: gcActive=%v (collection was interrupted)\n", reloaded.GCActive())
 
-	res, err := pgc.Recover(reloaded)
+	res, _, err := pgc.RecoverIfNeeded(reloaded)
 	if err != nil {
 		log.Fatal(err)
 	}

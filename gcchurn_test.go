@@ -120,7 +120,7 @@ func TestConcurrentGCChurn(t *testing.T) {
 	go func() {
 		defer stop.Store(true)
 		for c := 0; c < churnCycles; c++ {
-			if _, err := rt.PersistentGCConcurrent(heapName); err != nil {
+			if _, err := rt.PersistentGCConcurrent(heapName, runtime.GOMAXPROCS(0)); err != nil {
 				errs <- fmt.Errorf("concurrent cycle %d: %w", c, err)
 				return
 			}

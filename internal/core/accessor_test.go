@@ -118,7 +118,7 @@ func TestAccessorSurfaceParity(t *testing.T) {
 			"ActiveHeap", "Close", "CreateHeap", "ExistsHeap", "Heaps", "LoadHeap", "SetActiveHeap", "SyncHeap",
 			"NameManager", "StringKlass", "Volatile", "InPersistent", "InVolatile",
 			// collectors
-			"FullGC", "MinorGC", "PersistentGC", "PersistentGCConcurrent", "PersistentGCConcurrentWorkers",
+			"FullGC", "MinorGC", "PersistentGC", "PersistentGCConcurrent",
 			// handles
 			"Get", "NewHandle", "Release", "SetHandle",
 			// contexts, handles on classes, diagnostics
@@ -566,7 +566,9 @@ func TestEveryAccessorInsideDoWithPausePending(t *testing.T) {
 		collect func(rt *Runtime) (pgc.Result, error)
 	}{
 		{"PersistentGC", func(rt *Runtime) (pgc.Result, error) { return rt.PersistentGC("surface") }},
-		{"PersistentGCConcurrent", func(rt *Runtime) (pgc.Result, error) { return rt.PersistentGCConcurrent("surface") }},
+		{"PersistentGCConcurrent", func(rt *Runtime) (pgc.Result, error) {
+			return rt.PersistentGCConcurrent("surface", runtime.GOMAXPROCS(0))
+		}},
 	}
 	w := newSurfaceWorld(t)
 	m, err := w.rt.NewMutator()

@@ -7,6 +7,7 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
+	"espresso/internal/nvm/faultdev"
 	"espresso/internal/pheap"
 )
 
@@ -151,24 +152,11 @@ func runFlushCrashFuzz(t *testing.T, label string, doFlush func(rt *Runtime, ref
 			rt.SetLongFast(ref, aF, newA(i))
 			rt.SetLongFast(ref, bF, newB(i))
 		}
-		start := dev.Stats().Flushes
-		dev.SetFlushHook(func(n uint64) {
-			if n == start+k {
-				panic("flush fuzz crash")
-			}
-		})
-		crashed := false
-		func() {
-			defer func() {
-				if recover() != nil {
-					crashed = true
-				}
-			}()
-			if err := doFlush(rt, refs); err != nil {
-				t.Fatalf("%s k=%d: %v", label, k, err)
-			}
-		}()
-		dev.SetFlushHook(nil)
+		faultdev.CrashIn(dev, k)
+		crashed, err := faultdev.Run(dev, func() error { return doFlush(rt, refs) })
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", label, k, err)
+		}
 		when := fmt.Sprintf("%s k=%d", label, k)
 		// Adversarial eviction: a random subset of unflushed dirty lines
 		// persisted anyway. The contract must hold under every subset.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
@@ -180,10 +179,9 @@ func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 	}
 	rt.gcMu.Lock()
 	defer rt.gcMu.Unlock()
-	wait := rt.lockWorldCounted()
-	defer rt.world.Start()
-	h.FlightRecorder().Append(blackbox.EvSafepoint,
-		rt.spWaits.Load(), rt.spWaitNS.Load(), uint64(wait))
+	w := worldLocker{rt, h}
+	w.StopWorld()
+	defer w.StartWorld()
 	return pgc.Collect(h, persRoots{rt, h})
 }
 
@@ -191,26 +189,19 @@ func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 // marking: the object graph is traced while mutators keep running (the
 // reference-store barrier's pre-write half keeps the snapshot consistent,
 // and allocation proceeds above the snapshotted region tops), and only
-// final remark + compaction + the redo-log finish stop the world. The GC
-// pool has GOMAXPROCS workers.
-func (rt *Runtime) PersistentGCConcurrent(name string) (pgc.Result, error) {
-	return rt.PersistentGCConcurrentWorkers(name, runtime.GOMAXPROCS(0))
-}
-
-// PersistentGCConcurrentWorkers is PersistentGCConcurrent with an
-// explicit GC pool size: marking fans out over this many work-stealing
-// tracers and the compaction pause shards its reference-fix and fill
-// passes over the same count. One worker reproduces the serial collector
-// exactly; the heap image is byte-identical for every value on a
-// quiescent heap. workers < 1 means 1.
-func (rt *Runtime) PersistentGCConcurrentWorkers(name string, workers int) (pgc.Result, error) {
+// final remark + compaction + the redo-log finish stop the world. Marking
+// fans out over workers work-stealing tracers and the compaction pause
+// shards its reference-fix and fill passes over the same count. One worker
+// reproduces the serial collector exactly; the heap image is
+// byte-identical for every value on a quiescent heap. workers < 1 means 1.
+func (rt *Runtime) PersistentGCConcurrent(name string, workers int) (pgc.Result, error) {
 	h, ok := rt.heapByName[name]
 	if !ok {
 		return pgc.Result{}, fmt.Errorf("core: heap %q is not loaded", name)
 	}
 	rt.gcMu.Lock()
 	defer rt.gcMu.Unlock()
-	return pgc.CollectConcurrentWorkers(h, persRoots{rt, h}, worldLocker{rt, h}, workers)
+	return pgc.CollectConcurrent(h, persRoots{rt, h}, worldLocker{rt, h}, workers)
 }
 
 // rebuildNVMRemset rescans one heap's live objects for volatile

@@ -113,7 +113,7 @@ func (rt *Runtime) LoadHeap(name string) (*pheap.Heap, error) {
 	}
 	// Crash recovery (paper §4.3) runs before the heap is used. A
 	// persisted concurrent-mark phase with gcActive clear means the crash
-	// interrupted marking: Recover clears the word and the heap proceeds
+	// interrupted marking: recovery clears the word and the heap proceeds
 	// untouched (the STW-fallback contract — the next collection starts a
 	// fresh cycle).
 	if _, _, err := pgc.RecoverIfNeeded(h); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"espresso/internal/klass"
@@ -139,7 +140,7 @@ func TestMutatorStoreIntoOtherHeap(t *testing.T) {
 		go func() {
 			defer close(done)
 			for c := 0; c < cycles; c++ {
-				if _, err := rt.PersistentGCConcurrent("B"); err != nil {
+				if _, err := rt.PersistentGCConcurrent("B", runtime.GOMAXPROCS(0)); err != nil {
 					t.Errorf("concurrent GC of B: %v", err)
 					return
 				}
@@ -170,7 +171,7 @@ func TestMutatorStoreIntoOtherHeap(t *testing.T) {
 				}
 			})
 		}
-		if _, err := rt.PersistentGCConcurrent("B"); err != nil {
+		if _, err := rt.PersistentGCConcurrent("B", runtime.GOMAXPROCS(0)); err != nil {
 			t.Fatal(err)
 		}
 		seen := make(map[int64]bool)

@@ -49,7 +49,7 @@ func TestParallelMarkStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := rt.PersistentGCConcurrentWorkers("pmark", gcWorkers); err != nil {
+			if _, err := rt.PersistentGCConcurrent("pmark", gcWorkers); err != nil {
 				gcDone <- err
 				return
 			}
@@ -146,11 +146,11 @@ func TestParallelMarkStress(t *testing.T) {
 	// Quiescent cycles at both worker counts must agree with the models
 	// and with each other (the workers axis is byte-identical on a
 	// quiescent heap, so graph equality is the weakest consequence).
-	if _, err := rt.PersistentGCConcurrentWorkers("pmark", gcWorkers); err != nil {
+	if _, err := rt.PersistentGCConcurrent("pmark", gcWorkers); err != nil {
 		t.Fatal(err)
 	}
 	verify("after final parallel GC")
-	if _, err := rt.PersistentGCConcurrentWorkers("pmark", 1); err != nil {
+	if _, err := rt.PersistentGCConcurrent("pmark", 1); err != nil {
 		t.Fatal(err)
 	}
 	verify("after final single-worker GC")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -145,7 +146,7 @@ func TestRemsetDeltaGCStress(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := rt.PersistentGCConcurrent("remset"); err != nil {
+				if _, err := rt.PersistentGCConcurrent("remset", runtime.GOMAXPROCS(0)); err != nil {
 					gcDone <- err
 					return
 				}
@@ -203,7 +204,7 @@ func TestRemsetDeltaGCStress(t *testing.T) {
 		// safepoints, compaction may move every node), then a volatile
 		// scavenge (which consumes the set as roots and patches the moved
 		// targets), then the oracle comparison.
-		if _, err := rt.PersistentGCConcurrent("remset"); err != nil {
+		if _, err := rt.PersistentGCConcurrent("remset", runtime.GOMAXPROCS(0)); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		verify("after concurrent cycle", round)

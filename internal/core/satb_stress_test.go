@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestSATBMarkStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := rt.PersistentGCConcurrent("satb"); err != nil {
+			if _, err := rt.PersistentGCConcurrent("satb", runtime.GOMAXPROCS(0)); err != nil {
 				gcDone <- err
 				return
 			}
@@ -151,7 +152,7 @@ func TestSATBMarkStress(t *testing.T) {
 
 	// One quiescent concurrent cycle and one STW cycle: the floating
 	// garbage drains and the graphs still match both collectors.
-	if _, err := rt.PersistentGCConcurrent("satb"); err != nil {
+	if _, err := rt.PersistentGCConcurrent("satb", runtime.GOMAXPROCS(0)); err != nil {
 		t.Fatal(err)
 	}
 	verify("after final concurrent GC")

@@ -313,7 +313,7 @@ func runGCPauseSeries(series string, mutators, live, churnOps int) (GCPauseRow, 
 			}
 			churnErr := make(chan error, 1)
 			go func() { churnErr <- forEachMutator(rt, mutators, churn(churnOps-churnOps/2)) }()
-			if res, err = rt.PersistentGCConcurrentWorkers("gcpause", 1); err != nil {
+			if res, err = rt.PersistentGCConcurrent("gcpause", 1); err != nil {
 				return GCPauseRow{}, err
 			}
 			if err := <-churnErr; err != nil {
@@ -346,7 +346,7 @@ func runGCPauseParallelSeries(mutators, workers, live, churnOps int) (GCPauseRow
 		}); err != nil {
 			return GCPauseRow{}, err
 		}
-		res, err := rt.PersistentGCConcurrentWorkers("gcpause", workers)
+		res, err := rt.PersistentGCConcurrent("gcpause", workers)
 		if err != nil {
 			return GCPauseRow{}, err
 		}

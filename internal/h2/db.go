@@ -53,15 +53,19 @@ type DB struct {
 // transaction that was active at the crash and rebuilding the catalog and
 // every index from the row pages.
 func Open(dev *nvm.Device) (*DB, error) {
+	st, err := newStore(dev)
+	if err != nil {
+		return nil, err
+	}
 	db := &DB{
 		dev:     dev,
-		store:   newStore(dev),
+		store:   st,
 		tables:  make(map[string]*Table),
 		byID:    make(map[uint16]*Table),
 		nextTID: 1,
 	}
 	// Pass 1: catalog records (table id 0).
-	err := db.store.forEach(func(id rowID, rec []byte) error {
+	err = db.store.forEach(func(id rowID, rec []byte) error {
 		if binary.LittleEndian.Uint16(rec) != 0 {
 			return nil
 		}

@@ -79,17 +79,25 @@ func (r rowID) slot() int { return int(r & 0xffff) }
 func makeRowID(page, slot int) rowID { return rowID(page)<<16 | rowID(slot) }
 
 // newStore attaches to the device, formatting it if it is fresh and
-// rolling back the transaction a crash interrupted, if any.
-func newStore(dev *nvm.Device) *store {
-	s := &store{dev: dev}
-	s.pageCount = (dev.Size() - pagesOff) / pageSize
-	if dev.ReadU64(0) != storeMagic {
+// rolling back the transaction a crash interrupted, if any. It refuses,
+// writing nothing, a device too small for one page and one whose word 0 is
+// neither zero (fresh) nor the store's magic.
+func newStore(dev *nvm.Device) (*store, error) {
+	if dev.Size() < pagesOff+pageSize {
+		return nil, fmt.Errorf("h2: device of %d bytes has no room for a page past the header and undo log", dev.Size())
+	}
+	switch w := dev.ReadU64(0); w {
+	case 0:
 		dev.WriteU64(0, storeMagic)
 		dev.Flush(0, 8)
 		dev.Fence()
+	case storeMagic:
+	default:
+		return nil, fmt.Errorf("h2: word 0 is %#x, not a database", w)
 	}
+	s := &store{dev: dev, pageCount: (dev.Size() - pagesOff) / pageSize}
 	s.log = undolog.Open(dev, undoSeqOff, pagesOff, pagesOff, dev.Size(), dev.Move)
-	return s
+	return s, nil
 }
 
 func (s *store) pageOff(p int) int { return pagesOff + p*pageSize }
@@ -327,14 +335,24 @@ func (s *store) update(id rowID, rec []byte) (rowID, error) {
 	return s.place(sp, rec), nil
 }
 
-// forEach visits every live record, each in the scratch row.
+// forEach visits every live record, each in the scratch row. It is the
+// reopen path's one walk over the pages, so it is where a page header or
+// slot entry that reaches outside its page is refused; the operations
+// after it trust the pages.
 func (s *store) forEach(fn func(id rowID, rec []byte) error) error {
 	for p := 0; p < s.pageCount; p++ {
 		n := s.slotCount(p)
+		dirStart := pageSize - n*slotDirSize
+		if dirStart < pageHdrBytes {
+			return fmt.Errorf("h2: page %d claims %d slots", p, n)
+		}
 		for slot := 0; slot < n; slot++ {
 			off, length := s.slotEntry(p, slot)
 			if length == 0 {
 				continue
+			}
+			if off < pageHdrBytes || off+length > dirStart {
+				return fmt.Errorf("h2: page %d slot %d holds [%d,+%d), outside the page's records", p, slot, off, length)
 			}
 			if err := fn(makeRowID(p, slot), s.row(s.pageOff(p)+off, length)); err != nil {
 				return err

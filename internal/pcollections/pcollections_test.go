@@ -248,7 +248,7 @@ func TestLegacyCollectionsSafeDuringConcurrentGC(t *testing.T) {
 			}
 		}
 	}}}
-	if _, err := pgc.CollectConcurrent(h, pgc.NoRoots{}, world); err != nil {
+	if _, err := pgc.CollectConcurrent(h, pgc.NoRoots{}, world, 1); err != nil {
 		t.Fatal(err)
 	}
 	m, _ = h.GetRoot("map") // compaction may have moved everything

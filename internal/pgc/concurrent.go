@@ -56,28 +56,19 @@ func (StoppedWorld) StartWorld() {}
 //
 // Crash consistency: before gcActive is set the heap is untouched — a
 // crash leaves the phase word announcing the aborted mark, which
-// Recover/Load clear (fall back to a fresh cycle). After gcActive is set
-// the persisted bitmap drives the standard resumable recovery.
+// RecoverIfNeeded clears (fall back to a fresh cycle). After gcActive is
+// set the persisted bitmap drives the standard resumable recovery.
 //
-// The result's reachable post-GC heap is byte-identical to Collect's on
-// the same quiescent workload: both run the same tracer and the summary
-// is a pure function of the bitmap.
-//
-// CollectConcurrent runs with one GC worker; CollectConcurrentWorkers
-// fans marking and the parallel compaction passes over a pool.
-func CollectConcurrent(h *pheap.Heap, ext Rooter, w World) (Result, error) {
-	return CollectConcurrentWorkers(h, ext, w, 1)
-}
-
-// CollectConcurrentWorkers is CollectConcurrent with marking fanned over
-// workers work-stealing tracers (which also drain the SATB and
-// remset-delta buffers concurrently with tracing) and the compaction
-// pause's reference-fix and fill passes sharded over the same count.
-// The heap image it produces is byte-identical for every workers value
-// on a quiescent heap: marking publishes idempotent bitmap bits and a
-// commutative CAS-max card summary, and the compaction passes only
-// reorder operations on disjoint cache lines.
-func CollectConcurrentWorkers(h *pheap.Heap, ext Rooter, w World, workers int) (Result, error) {
+// Marking fans out over workers work-stealing tracers (which also drain
+// the SATB and remset-delta buffers concurrently with tracing), and the
+// compaction pause shards its reference-fix and fill passes over the same
+// count; workers < 1 means 1. The heap image it produces is byte-identical
+// to Collect's, and for every workers value, on a quiescent heap: both
+// collectors run the same tracer, the summary is a pure function of the
+// bitmap, marking publishes idempotent bitmap bits and a commutative
+// CAS-max card summary, and the compaction passes only reorder operations
+// on disjoint cache lines.
+func CollectConcurrent(h *pheap.Heap, ext Rooter, w World, workers int) (Result, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -86,7 +77,7 @@ func CollectConcurrentWorkers(h *pheap.Heap, ext Rooter, w World, workers int) (
 	}
 	defer h.EndCollection()
 	if h.GCActive() {
-		return Result{}, fmt.Errorf("pgc: heap is mid-collection; run Recover first")
+		return Result{}, fmt.Errorf("pgc: heap is mid-collection; run RecoverIfNeeded first")
 	}
 	if ext == nil {
 		ext = NoRoots{}

@@ -17,7 +17,7 @@ import (
 func TestCollectConcurrentPreservesGraph(t *testing.T) {
 	h, reg := newHeap(t, 4<<20)
 	m := buildGraph(t, h, reg, 42, 500, 5)
-	res, err := CollectConcurrent(h, NoRoots{}, nil)
+	res, err := CollectConcurrent(h, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCollectConcurrentRepeatedAndAllocateBetween(t *testing.T) {
 	m := buildGraph(t, h, reg, 13, 400, 4)
 	node := reg.MustLookup("Node")
 	for i := 0; i < 4; i++ {
-		if _, err := CollectConcurrent(h, NoRoots{}, nil); err != nil {
+		if _, err := CollectConcurrent(h, NoRoots{}, nil, 1); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 		verifyGraph(t, h, m)
@@ -70,7 +70,7 @@ func TestCollectConcurrentMatchesSTWByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rCon, err := CollectConcurrent(hCon, NoRoots{}, nil)
+	rCon, err := CollectConcurrent(hCon, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCollectConcurrentCrashAtEveryFlush(t *testing.T) {
 	buildGarbageBelt(t, h0, reg0, 120) // past the dead-wood budget: real moves
 	m := buildGraph(t, h0, reg0, seed, 120, 4)
 	base := h0.Device().Stats().Flushes
-	if res, err := CollectConcurrent(h0, NoRoots{}, nil); err != nil {
+	if res, err := CollectConcurrent(h0, NoRoots{}, nil, 1); err != nil {
 		t.Fatal(err)
 	} else if res.MovedObjects == 0 {
 		t.Fatal("workload compacted nothing; the sweep misses the move protocol")
@@ -144,7 +144,7 @@ func TestCollectConcurrentCrashAtEveryFlush(t *testing.T) {
 		}
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := CollectConcurrent(h, NoRoots{}, nil)
+			_, err := CollectConcurrent(h, NoRoots{}, nil, 1)
 			return err
 		})
 		if err != nil {
@@ -156,7 +156,7 @@ func TestCollectConcurrentCrashAtEveryFlush(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: reload: %v", k, err)
 		}
-		if _, err := Recover(h2); err != nil {
+		if _, _, err := RecoverIfNeeded(h2); err != nil {
 			t.Fatalf("k=%d: recover: %v", k, err)
 		}
 		if h2.GCActive() {
@@ -190,12 +190,12 @@ func TestRecoverClearsAbortedConcurrentMark(t *testing.T) {
 	if h2.GCPhase() != pheap.GCPhaseConcurrentMark {
 		t.Fatalf("loaded phase = %d, want mid-mark", h2.GCPhase())
 	}
-	res, err := Recover(h2)
+	res, ran, err := RecoverIfNeeded(h2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Recovered {
-		t.Fatal("aborted mark must not report a recovered compaction")
+	if !ran || res.Recovered {
+		t.Fatalf("ran %v, recovered %v: an aborted mark runs recovery, which reports no compaction", ran, res.Recovered)
 	}
 	if h2.GCPhase() != pheap.GCPhaseIdle {
 		t.Fatalf("phase = %d after recovery, want idle", h2.GCPhase())
@@ -242,7 +242,7 @@ func TestCollectConcurrentAllocateBlackDuringMark(t *testing.T) {
 		h.Device().Flush(h.Geo().DataOff, h.Top()-h.Geo().DataOff)
 		h.Device().Fence()
 	}
-	res, err := CollectConcurrent(h, NoRoots{}, w)
+	res, err := CollectConcurrent(h, NoRoots{}, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestEpochStampedSourcesStayDead(t *testing.T) {
 // of a heap whose PLABs are open — volatile tops ahead of the persisted
 // words, the state every collection now starts from — after each of its
 // flushes, the ones between PrepareForCollection and the gcActive stamp
-// included, and finishes the cycle the way a restart does: Load, Recover,
+// included, and finishes the cycle the way a restart does: Load, RecoverIfNeeded,
 // and, when the crash came before the stamp, the collection again. What a
 // reader can observe of the result — metadata block, roots, region-top
 // table, every object — is byte-identical to the same cycle run without a
@@ -241,7 +241,7 @@ func TestCrashRecoverMatchesUncrashedCycleWithOpenPLABs(t *testing.T) {
 			got := want
 			if re.GCActive() {
 				postStamp++
-				if got, err = Recover(re); err != nil {
+				if got, _, err = RecoverIfNeeded(re); err != nil {
 					t.Fatalf("%s: recover: %v", tag, err)
 				}
 			} else if re.GlobalTS() != ref.GlobalTS() { // not a finished cycle's image
@@ -324,7 +324,7 @@ func TestEpochConcurrentMarkRacesBumpingAllocators(t *testing.T) {
 			running = false // one more cycle over the finished chains
 		default:
 		}
-		if _, err := CollectConcurrentWorkers(h, NoRoots{}, w, 2); err != nil {
+		if _, err := CollectConcurrent(h, NoRoots{}, w, 2); err != nil {
 			t.Fatal(err)
 		}
 	}

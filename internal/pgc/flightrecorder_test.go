@@ -61,7 +61,7 @@ func recorderWorkload(h *pheap.Heap, reg *klass.Registry) error {
 	if err := burst("chain-b"); err != nil {
 		return err
 	}
-	_, err = CollectConcurrentWorkers(h, NoRoots{}, StoppedWorld{}, 1)
+	_, err = CollectConcurrent(h, NoRoots{}, StoppedWorld{}, 1)
 	return err
 }
 

@@ -39,8 +39,8 @@ type Result struct {
 	// stop-the-world collector, overlapped with mutators for the
 	// concurrent one.
 	MarkTime time.Duration
-	// PauseTime is the stop-the-world portion. For Collect and Recover it
-	// equals the whole collection; for CollectConcurrent it is the sum of
+	// PauseTime is the stop-the-world portion. For Collect and a recovery
+	// it equals the whole collection; for CollectConcurrent it is the sum of
 	// the initial handshake and the final remark+compaction pause.
 	PauseTime time.Duration
 	// DeviceStats is the device traffic of the whole collection;
@@ -75,7 +75,7 @@ type Result struct {
 	// registry attached.
 	MarkWorkerTimes       []time.Duration
 	CompactFixWorkerTimes []time.Duration
-	Recovered             bool // true when produced by Recover
+	Recovered             bool // true when RecoverIfNeeded replayed a compaction
 }
 
 // Collect runs a full crash-consistent collection of h. ext supplies (and
@@ -88,7 +88,7 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	}
 	defer h.EndCollection()
 	if h.GCActive() {
-		return Result{}, fmt.Errorf("pgc: heap is mid-collection; run Recover first")
+		return Result{}, fmt.Errorf("pgc: heap is mid-collection; run RecoverIfNeeded first")
 	}
 	if ext == nil {
 		ext = NoRoots{}
@@ -310,29 +310,28 @@ func recyclableOf(lo, hi int) (pheap.Hole, bool) {
 	return pheap.Hole{Lo: alignedLo, Hi: alignedHi}, true
 }
 
-// Recover finishes an interrupted collection on a freshly loaded heap
-// (paper §4.3): refetch the mark bitmap, redo the summary, process the
-// regions the region bitmap and source timestamps report unfinished, and
-// rerun the atomic finish. It is a no-op on a heap that is not
-// mid-collection — except that it clears a leftover concurrent-mark
-// phase word: with gcActive clear, that word means the crash interrupted
-// marking before anything moved, so the recovery is "discard the partial
-// mark, start the next cycle fresh" (the STW fallback). Recovery itself
-// may crash and be rerun: every step is idempotent.
-// RecoverIfNeeded runs Recover only when the heap's persisted state says
-// a collection (or a stale concurrent-mark announcement) was interrupted,
-// reporting whether recovery ran. A clean image pays nothing: the check
-// is two word reads, no collection slot is taken. core.LoadHeap and
-// pshard's parallel recovery fan-out both gate on this.
+// RecoverIfNeeded finishes whatever collection the heap's persisted state
+// says was interrupted, reporting whether recovery ran. A clean image pays
+// nothing: the check is two word reads, no collection slot is taken.
+// core.LoadHeap and pshard's parallel recovery fan-out both gate on this.
 func RecoverIfNeeded(h *pheap.Heap) (Result, bool, error) {
 	if !h.GCActive() && h.GCPhase() == pheap.GCPhaseIdle {
 		return Result{}, false, nil
 	}
-	r, err := Recover(h)
+	r, err := recoverCollection(h)
 	return r, true, err
 }
 
-func Recover(h *pheap.Heap) (Result, error) {
+// recoverCollection finishes an interrupted collection on a freshly
+// loaded heap (paper §4.3): refetch the mark bitmap, redo the summary,
+// process the regions the region bitmap and source timestamps report
+// unfinished, and rerun the atomic finish. On a heap that is not
+// mid-collection it only clears a leftover concurrent-mark phase word:
+// with gcActive clear, that word means the crash interrupted marking
+// before anything moved, so the recovery is "discard the partial mark,
+// start the next cycle fresh" (the STW fallback). Recovery itself may
+// crash and be rerun: every step is idempotent.
+func recoverCollection(h *pheap.Heap) (Result, error) {
 	if !h.TryBeginCollection() {
 		return Result{}, fmt.Errorf("pgc: another collection of this heap is already running")
 	}

@@ -222,7 +222,7 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 		return h
 	}
 	h1 := build()
-	r1, err := CollectConcurrentWorkers(h1, NoRoots{}, nil, 1)
+	r1, err := CollectConcurrent(h1, NoRoots{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 8} {
 		hN := build()
-		rN, err := CollectConcurrentWorkers(hN, NoRoots{}, nil, workers)
+		rN, err := CollectConcurrent(hN, NoRoots{}, nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -280,7 +280,7 @@ func TestCollectParallelCrashAtEveryFlush(t *testing.T) {
 	buildGarbageBelt(t, h0, reg0, 120)
 	m := buildGraph(t, h0, reg0, seed, 120, 4)
 	base := h0.Device().Stats().Flushes
-	if res, err := CollectConcurrentWorkers(h0, NoRoots{}, nil, 4); err != nil {
+	if res, err := CollectConcurrent(h0, NoRoots{}, nil, 4); err != nil {
 		t.Fatal(err)
 	} else if res.MovedObjects == 0 {
 		t.Fatal("workload compacted nothing; the sweep misses the move protocol")
@@ -310,7 +310,7 @@ func TestCollectParallelCrashAtEveryFlush(t *testing.T) {
 		}
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := CollectConcurrentWorkers(h, NoRoots{}, nil, 4)
+			_, err := CollectConcurrent(h, NoRoots{}, nil, 4)
 			return err
 		})
 		if err != nil {
@@ -322,7 +322,7 @@ func TestCollectParallelCrashAtEveryFlush(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: reload: %v", k, err)
 		}
-		if _, err := Recover(h2); err != nil {
+		if _, _, err := RecoverIfNeeded(h2); err != nil {
 			t.Fatalf("k=%d: recover: %v", k, err)
 		}
 		if h2.GCActive() {
@@ -373,7 +373,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 		preTops[r] = hClean.Device().ReadU64(hClean.RegionTopMetaOff(r))
 	}
 	base := hClean.Device().Stats().Flushes
-	res, err := CollectConcurrentWorkers(hClean, NoRoots{}, nil, 4)
+	res, err := CollectConcurrent(hClean, NoRoots{}, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 		}
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := CollectConcurrentWorkers(h, NoRoots{}, nil, 4)
+			_, err := CollectConcurrent(h, NoRoots{}, nil, 4)
 			return err
 		})
 		if err != nil {
@@ -436,7 +436,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: reload: %v", k, err)
 		}
-		if _, err := Recover(h2); err != nil {
+		if _, _, err := RecoverIfNeeded(h2); err != nil {
 			t.Fatalf("k=%d: recover: %v", k, err)
 		}
 		if h2.GCActive() {
@@ -450,7 +450,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 			}
 			// When the crash fell after the commit point, the reload
 			// replayed the redo log and retired the collection before
-			// Recover ran — and pheap.Load then sealed the half-open last
+			// RecoverIfNeeded ran — and pheap.Load then sealed the half-open last
 			// region (tail plugged, top advanced to the region end). That
 			// is load policy, not a finish-batch leak; only the sealed
 			// variant of the clean run's partial top is acceptable.
@@ -495,7 +495,7 @@ func TestReadErrorSurfacesFromPoolWorkers(t *testing.T) {
 			return err
 		},
 		"concurrent": func(h *pheap.Heap, workers int) error {
-			_, err := CollectConcurrentWorkers(h, NoRoots{}, nil, workers)
+			_, err := CollectConcurrent(h, NoRoots{}, nil, workers)
 			return err
 		},
 	}

@@ -411,9 +411,9 @@ func TestHumongousPinnedByGC(t *testing.T) {
 
 func TestRecoverNoopOnCleanHeap(t *testing.T) {
 	h, _ := newHeap(t, 1<<20)
-	res, err := Recover(h)
-	if err != nil || res.Recovered {
-		t.Fatalf("recover on clean heap: %+v %v", res, err)
+	res, ran, err := RecoverIfNeeded(h)
+	if err != nil || ran || res.Recovered {
+		t.Fatalf("recover on clean heap: ran %v, %+v %v", ran, res, err)
 	}
 }
 
@@ -475,7 +475,7 @@ func TestCrashDuringGCAtEveryFlush(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: reload: %v", k, err)
 		}
-		if _, err := Recover(h2); err != nil {
+		if _, _, err := RecoverIfNeeded(h2); err != nil {
 			t.Fatalf("k=%d: recover: %v", k, err)
 		}
 		if h2.GCActive() {
@@ -514,7 +514,7 @@ func TestCrashDuringRecoveryItself(t *testing.T) {
 		}
 		faultdev.CrashIn(dev, k)
 		if _, err := faultdev.Run(dev, func() error {
-			_, err := Recover(h2)
+			_, _, err := RecoverIfNeeded(h2)
 			return err
 		}); err != nil {
 			t.Fatalf("k=%d: recover: %v", k, err)
@@ -525,7 +525,7 @@ func TestCrashDuringRecoveryItself(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: second load: %v", k, err)
 		}
-		if _, err := Recover(h3); err != nil {
+		if _, _, err := RecoverIfNeeded(h3); err != nil {
 			t.Fatalf("k=%d: second recover: %v", k, err)
 		}
 		verifyGraph(t, h3, m)

@@ -31,6 +31,7 @@
 package pgc
 
 import (
+	"container/heap"
 	"errors"
 	"sort"
 
@@ -161,10 +162,10 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 	// regions, the tail of a region behind an in-place (dense or pinned)
 	// prefix, and — once fully evacuated — recycled source regions. Always
 	// drawing the lowest offset packs the heap downward.
-	var pool minIntHeap
+	var pool offHeap
 	for r := 0; r < regions; r++ {
 		if liveIn[r] == 0 {
-			pool.push(regionStart(r))
+			heap.Push(&pool, regionStart(r))
 		}
 	}
 
@@ -226,7 +227,7 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 			dst = o.src
 			tail := o.src + o.size
 			if last := lastObj[regionOf(tail-1)]; tail%layout.RegionSize != 0 && (last < 0 || last == i) {
-				pool.push(tail)
+				heap.Push(&pool, tail)
 			}
 		default:
 			// A pool entry is a whole region or the tail behind an
@@ -235,10 +236,10 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 			// overrun into the next region.
 			for destRegion < 0 || destFill+o.size > regionStart(destRegion)+layout.RegionSize {
 				retireDest()
-				if pool.empty() {
+				if pool.Len() == 0 {
 					return nil, ErrNoSpaceToCompact
 				}
-				destFill = pool.pop()
+				destFill = heap.Pop(&pool).(int)
 				destRegion = regionOf(destFill)
 			}
 			dst = destFill
@@ -266,7 +267,7 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 			// receive later objects.
 			free := regionStart(srcRegion) + inPlaceEnd[srcRegion]
 			if free < regionStart(srcRegion)+layout.RegionSize {
-				pool.push(free)
+				heap.Push(&pool, free)
 			}
 		}
 	}
@@ -333,44 +334,15 @@ func (s *Summary) Occupancy(r int) int { return s.occ[r] }
 // InteriorGaps reports region r's interior dead-wood gaps, ascending.
 func (s *Summary) InteriorGaps(r int) []GapSpan { return s.interior[r] }
 
-// minIntHeap is a small binary min-heap of region indexes.
-type minIntHeap struct{ a []int }
+// offHeap is a min-heap of device offsets under container/heap.
+type offHeap []int
 
-func (h *minIntHeap) empty() bool { return len(h.a) == 0 }
-
-func (h *minIntHeap) push(v int) {
-	h.a = append(h.a, v)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.a[p] <= h.a[i] {
-			break
-		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
-	}
-}
-
-func (h *minIntHeap) pop() int {
-	v := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.a) && h.a[l] < h.a[small] {
-			small = l
-		}
-		if r < len(h.a) && h.a[r] < h.a[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
-	}
+func (p offHeap) Len() int           { return len(p) }
+func (p offHeap) Less(i, j int) bool { return p[i] < p[j] }
+func (p offHeap) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+func (p *offHeap) Push(x any)        { *p = append(*p, x.(int)) }
+func (p *offHeap) Pop() any {
+	v := (*p)[len(*p)-1]
+	*p = (*p)[:len(*p)-1]
 	return v
 }

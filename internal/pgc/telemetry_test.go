@@ -22,7 +22,7 @@ func TestParallelWorkerTimesAndSpans(t *testing.T) {
 	h.SetTelemetry(tel)
 
 	t0 := time.Now()
-	r, err := CollectConcurrentWorkers(h, NoRoots{}, nil, workers)
+	r, err := CollectConcurrent(h, NoRoots{}, nil, workers)
 	wall := time.Since(t0)
 	if err != nil {
 		t.Fatal(err)

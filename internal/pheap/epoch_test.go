@@ -373,101 +373,6 @@ func TestEpochPersistTopsMakesReloadExact(t *testing.T) {
 	}
 }
 
-// TestEpochUpgradeV5InPlace: a version 5 image — exact tops, zero in the
-// checksum slot, a timestamp that may be a collection's stamp — opens
-// once: it is stamped version 6 with the next epoch and its checksum, its
-// half-open region sealed at the persisted top with no help from bytes
-// above it, and from then on it is a version 6 image like any other. The
-// other direction is what the version step is for: a version 6 image's
-// tops may trail, so a reader that trusts them (format 5: "v !=
-// heapVersion" with heapVersion == 5) must refuse it.
-func TestEpochUpgradeV5InPlace(t *testing.T) {
-	h, reg := testHeap(t, Config{})
-	link := chainKlass(t, reg)
-	a := h.NewAllocator()
-	var prev layout.Ref
-	for i := 1; i <= 5; i++ {
-		var err error
-		if prev, err = newLink(a, link, i, prev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.SetRoot("chain", prev); err != nil {
-		t.Fatal(err)
-	}
-	exact := h.RegionTop(0)
-	h.PersistTops() // a version 5 writer's tops were exact after every allocation
-	// Three more allocations a version 5 image could not have had above
-	// its top as objects — but as stale bytes carrying the image's
-	// timestamp, exactly what a version 5 collection's stamped sources are.
-	for i := 6; i <= 8; i++ {
-		if _, err := newLink(a, link, i, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.dev.FlushAll()
-	ts := h.GlobalTS()
-	v5 := nvm.FromImage(h.dev.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{Mode: nvm.Tracked})
-	v5.WriteU64(mVersion, heapVersionV5)
-	v5.WriteU64(mGlobalTSSum, 0)
-	v5.FlushAll()
-
-	if _, err := Scrub(v5); err == nil {
-		t.Fatal("Scrub read a version 5 image")
-	}
-	re, parsed := reloadChain(t, "v5", v5.CrashImage(nvm.CrashFlushedOnly, 0))
-	if len(parsed) != 5 {
-		t.Fatalf("upgraded image holds %d links, want the 5 below the exact top", len(parsed))
-	}
-	if got := re.RecoveredRegions(); len(got) != 1 || got[0].Top != exact || got[0].Frontier != exact {
-		t.Fatalf("upgrade recovered %+v, want region 0 sealed at its exact top %d", got, exact)
-	}
-	dev := re.Device()
-	if v, gotTS := dev.ReadU64(mVersion), dev.ReadU64(mGlobalTS); v != heapVersion || gotTS != ts+1 || re.GlobalTS() != ts+1 ||
-		dev.ReadU64(mGlobalTSSum) != globalTSSum(ts+1) {
-		t.Fatalf("upgraded image: version %d, timestamp %d (was %d), checksum valid = %v",
-			v, gotTS, ts, dev.ReadU64(mGlobalTSSum) == globalTSSum(gotTS))
-	}
-	// The stamp is durable, and what reopens is a plain version 6 image.
-	again := nvm.FromImage(dev.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{Mode: nvm.Tracked})
-	if rep, err := Scrub(again); err != nil || rep.Corrupt() {
-		t.Fatalf("scrub of the upgraded image: %v %+v", err, rep)
-	}
-	if re2, parsed := reloadChain(t, "upgraded", again.CrashImage(nvm.CrashFlushedOnly, 0)); len(parsed) != 5 || re2.GlobalTS() != ts+1 {
-		t.Fatalf("reopened upgrade: %d links, timestamp %d", len(parsed), re2.GlobalTS())
-	}
-	// A mid-collection version 5 image keeps its timestamp — the compactor
-	// is reading it — and is stamped all the same.
-	v5.WriteU64(mGCActive, 1)
-	v5.FlushAll()
-	mid, err := Load(nvm.FromImage(v5.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := mid.Device(); d.ReadU64(mVersion) != heapVersion || mid.GlobalTS() != ts || d.ReadU64(mGlobalTSSum) != globalTSSum(ts) || !mid.GCActive() {
-		t.Fatalf("mid-collection upgrade: version %d, timestamp %d (was %d)", d.ReadU64(mVersion), mid.GlobalTS(), ts)
-	}
-
-	// The rule a format 5 reader applies to the version word refuses every
-	// image this package writes, and this package refuses what is newer.
-	if v := h.dev.ReadU64(mVersion); v == heapVersionV5 {
-		t.Fatalf("a fresh image carries version %d: a format 5 reader would trust its tops", v)
-	}
-	newer := nvm.FromImage(h.dev.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{})
-	newer.WriteU64(mVersion, heapVersion+1)
-	if _, err := Load(newer, klass.NewRegistry()); err == nil {
-		t.Fatal("loaded an image of a newer format")
-	}
-	// And a version 6 image whose version word reads 5 is not a version 5
-	// image — the checksum slot is not the zero version 5 kept there — so
-	// the upgrade does not bless its tops and timestamp.
-	rotted := nvm.FromImage(h.dev.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{})
-	rotted.WriteU64(mVersion, heapVersionV5)
-	if _, err := Load(rotted, klass.NewRegistry()); err == nil {
-		t.Fatal("a version 6 image under a version 5 word was upgraded")
-	}
-}
-
 // TestEpochVolatileTopUnderConcurrentWalks runs heap walks against two
 // bumping allocators (run it under -race): the walkers see the volatile
 // top, which only ever covers persisted, whole objects, and the persisted

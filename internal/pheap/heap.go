@@ -41,18 +41,15 @@ const (
 	// checksums over the critical metadata (a checksum word beside each
 	// region-top value, a committed-batch checksum in the redo area's
 	// trailing word, a GC-phase checksum, a global-timestamp checksum).
-	// Scrub and BlackboxRegion reject every other version, which is what
-	// lets the version word go without a checksum of its own: a single
-	// flipped bit of it lands on a rejected value (docs/robustness.md).
+	// Load, LoadSalvage, Scrub and BlackboxRegion reject every other
+	// version, which is what lets the version word go without a checksum
+	// of its own: a single flipped bit of it lands on a rejected value
+	// (docs/robustness.md).
 	//
 	// Version 6 is version 5 with the region tops demoted to lower bounds
 	// (so code that trusts them — every version 5 reader — must refuse the
 	// image) and the timestamp checksum in the slot version 5 kept zero.
 	heapVersion = 6
-	// heapVersionV5 is the one older format Load and LoadSalvage still
-	// open, once: its tops are exact, so the image is stamped version 6
-	// in place (upgradeV5) and never read as version 5 again.
-	heapVersionV5 = 5
 )
 
 // GC-phase word values (mGCPhase). The phase word records that a
@@ -435,7 +432,7 @@ func Load(dev *nvm.Device, reg *klass.Registry) (*Heap, error) {
 func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, error) {
 	// Unreadable-image checks first: these reject images we cannot even
 	// interpret, and apply identically in both modes.
-	geo, err := readGeometry(dev, heapVersionV5)
+	geo, err := readGeometry(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -502,64 +499,36 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	if err := h.verifyRegionTops(salv); err != nil {
 		return nil, err
 	}
-	if dev.ReadU64(mVersion) == heapVersionV5 {
-		h.upgradeV5()
-	}
 	// Region recovery: rebuild the volatile mirrors and the dispenser.
 	// Mid-collection images keep their raw tops — they were made exact
 	// before the cycle was stamped, the compactor reads the timestamp the
-	// parse would, and pgc.Recover rewrites them wholesale — while clean
+	// parse would, and pgc.RecoverIfNeeded rewrites them wholesale — while clean
 	// images get half-open PLABs recovered and sealed.
 	h.rebuildRegionState(!h.gcActive.Load())
 	h.ownerless = h.register(&Allocator{Access: h.Access})
 	return h, nil
 }
 
-// checkHeader rejects what is not a heap image in a format from oldest to
-// the current one.
-func checkHeader(dev *nvm.Device, oldest uint64) error {
+// checkHeader rejects what is not a heap image in the current format.
+func checkHeader(dev *nvm.Device) error {
 	if dev.Size() < metadataBytes {
 		return fmt.Errorf("pheap: image too small")
 	}
 	if dev.ReadU64(mMagic) != heapMagic {
 		return fmt.Errorf("pheap: bad heap magic")
 	}
-	if v := dev.ReadU64(mVersion); v < oldest || v > heapVersion {
+	if v := dev.ReadU64(mVersion); v != heapVersion {
 		return fmt.Errorf("pheap: unsupported heap version %d (want %d)", v, heapVersion)
 	}
 	return nil
 }
 
-// upgradeV5 stamps a version 5 image version 6, in place and once. A
-// version 5 writer persisted the region top with every allocation, so the
-// tops are exact and nothing above them is an object; what the image
-// lacks is the timestamp checksum, and an allocation epoch that is not a
-// collection's stamp (a version 5 finish left the timestamp at the value
-// the compactor stamped every evacuated source with). So: timestamp + 1
-// on a clean image — the forward parse then validates nothing, by
-// construction — and as it is on a mid-collection one, whose recovery
-// publishes the next epoch itself. The three words share the block's
-// first line and the version goes last, so a torn stamp is still a
-// version 5 image.
-func (h *Heap) upgradeV5() {
-	ts := h.globalTS.Load()
-	if !h.gcActive.Load() {
-		ts++
-	}
-	h.dev.WriteU64(mGlobalTS, ts)
-	h.dev.WriteU64(mGlobalTSSum, globalTSSum(ts))
-	h.dev.WriteU64(mVersion, heapVersion)
-	h.dev.Flush(mVersion, mGlobalTS+8-mVersion)
-	h.dev.Fence()
-	h.globalTS.Store(ts)
-}
-
 // readGeometry is the shared front door of Load, LoadSalvage and Scrub:
-// it rejects what is not a heap image of this device's size in a format
-// from oldest on (the "unreadable" class) and decodes the component
+// it rejects what is not a heap image of this device's size in the
+// current format (the "unreadable" class) and decodes the component
 // layout.
-func readGeometry(dev *nvm.Device, oldest uint64) (Geometry, error) {
-	if err := checkHeader(dev, oldest); err != nil {
+func readGeometry(dev *nvm.Device) (Geometry, error) {
+	if err := checkHeader(dev); err != nil {
 		return Geometry{}, err
 	}
 	if sz := dev.ReadU64(mDeviceSize); int(sz) != dev.Size() {
@@ -689,7 +658,7 @@ func (h *Heap) FlightRecorder() *blackbox.Recorder { return h.fr }
 // batches and plug regions, both wrong for a crashed image being
 // post-mortemed. Only the magic, version, and ring coordinates are read.
 func BlackboxRegion(dev *nvm.Device) (off, size int, err error) {
-	if err := checkHeader(dev, heapVersion); err != nil {
+	if err := checkHeader(dev); err != nil {
 		return 0, 0, err
 	}
 	return int(dev.ReadU64(mBlackboxOff)), int(dev.ReadU64(mBlackboxSize)), nil

@@ -34,7 +34,7 @@ func (r *ScrubReport) Corrupt() bool { return len(r.Findings) > 0 }
 // version but the current one included); corruption lands in the
 // report's findings.
 func Scrub(dev *nvm.Device) (*ScrubReport, error) {
-	geo, err := readGeometry(dev, heapVersion)
+	geo, err := readGeometry(dev)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package pheap
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,30 +63,41 @@ func TestScrubRejectsUnreadableImage(t *testing.T) {
 }
 
 // TestFlippedVersionBitDoesNotBlessCorruption: the version word sits
-// outside every checksum, and 5→4 is one bit flip. With the upgrade
-// ladder that flip re-stamped every checksum from the media as read, so
-// a rotted region-top line loaded clean. Only the current version may
-// load, in either mode, and scrub must not report the image healthy.
+// outside every checksum, and one bit flip takes the current version to
+// its neighbours (6→7 is bit 0). An upgrade ladder re-stamped every
+// checksum from the media as read, so a rotted region-top line loaded
+// clean. Only the current version opens: every front door refuses a
+// version word of 5 or 7, on an otherwise valid image and on one with a
+// rotted region-top line alike.
 func TestFlippedVersionBitDoesNotBlessCorruption(t *testing.T) {
-	img := buildScrubImage(t)
-	h0, err := Load(imgDev(img), klass.NewRegistry())
+	clean := buildScrubImage(t)
+	h0, err := Load(imgDev(clean), klass.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultdev.CorruptLineInImage(img, h0.RegionTopMetaOff(1), 7)
-	faultdev.FlipBitInImage(img, mVersion, 0)
-
-	if _, err := Load(imgDev(img), klass.NewRegistry()); err == nil {
-		t.Fatal("strict load accepted a downgraded-version image with a corrupt region-top line")
-	}
-	if _, _, err := LoadSalvage(imgDev(img), klass.NewRegistry()); err == nil {
-		t.Fatal("salvage load accepted a non-current format version")
-	}
-	if rep, err := Scrub(imgDev(img)); err == nil && !rep.Corrupt() {
-		t.Fatalf("scrub reported the image healthy: %+v", rep)
-	}
-	if _, _, err := BlackboxRegion(imgDev(img)); err == nil {
-		t.Fatal("BlackboxRegion accepted a non-current format version")
+	rotted := append([]byte(nil), clean...)
+	faultdev.CorruptLineInImage(rotted, h0.RegionTopMetaOff(1), 7)
+	for _, version := range []uint64{heapVersion - 1, heapVersion + 1} {
+		for name, img := range map[string][]byte{"valid": clean, "rotted top": rotted} {
+			dev := func() *nvm.Device {
+				d := imgDev(img)
+				d.WriteU64(mVersion, version)
+				return d
+			}
+			tag := fmt.Sprintf("version %d, %s image", version, name)
+			if _, err := Load(dev(), klass.NewRegistry()); err == nil {
+				t.Errorf("%s: strict load accepted it", tag)
+			}
+			if _, _, err := LoadSalvage(dev(), klass.NewRegistry()); err == nil {
+				t.Errorf("%s: salvage load accepted it", tag)
+			}
+			if _, err := Scrub(dev()); err == nil {
+				t.Errorf("%s: scrub read it", tag)
+			}
+			if _, _, err := BlackboxRegion(dev()); err == nil {
+				t.Errorf("%s: BlackboxRegion accepted it", tag)
+			}
+		}
 	}
 }
 

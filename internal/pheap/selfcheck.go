@@ -15,8 +15,7 @@ import (
 // block carries none and is validated against what the image itself says
 // elsewhere:
 //
-//   - the global timestamp must carry its checksum (a version 5 image
-//     about to be upgraded must carry the zero it kept in that slot);
+//   - the global timestamp must carry its checksum;
 //   - the component offsets are a function of the component sizes
 //     (Geometry.sanity recomputes them; a disagreement is an unreadable
 //     image);
@@ -43,15 +42,8 @@ func selfCheck(dev *nvm.Device, geo Geometry) []string {
 	finding := func(format string, args ...any) {
 		findings = append(findings, fmt.Sprintf(format, args...))
 	}
-	// A version 5 image kept the checksum's slot zero: anything else under
-	// that version is a version 6 image whose version word rotted, and the
-	// upgrade must not bless its timestamp.
-	wantSum := uint64(0)
 	ts := dev.ReadU64(mGlobalTS)
-	if dev.ReadU64(mVersion) == heapVersion {
-		wantSum = globalTSSum(ts)
-	}
-	if dev.ReadU64(mGlobalTSSum) != wantSum {
+	if dev.ReadU64(mGlobalTSSum) != globalTSSum(ts) {
 		finding("global timestamp: checksum mismatch (timestamp %d)", ts)
 	}
 	if a := dev.ReadU64(mGCActive); a > 1 {

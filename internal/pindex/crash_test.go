@@ -385,7 +385,7 @@ func TestCrashDuringConcurrentGCWithIndexTraffic(t *testing.T) {
 
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := pgc.CollectConcurrent(h, pgc.NoRoots{}, world)
+			_, err := pgc.CollectConcurrent(h, pgc.NoRoots{}, world, 1)
 			return err
 		})
 		if err != nil {
@@ -401,10 +401,8 @@ func TestCrashDuringConcurrentGCWithIndexTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reload: %v", tag, err)
 		}
-		if h2.GCActive() || h2.GCPhase() != pheap.GCPhaseIdle {
-			if _, err := pgc.Recover(h2); err != nil {
-				t.Fatalf("%s: pgc recover: %v", tag, err)
-			}
+		if _, _, err := pgc.RecoverIfNeeded(h2); err != nil {
+			t.Fatalf("%s: pgc recover: %v", tag, err)
 		}
 		verifyExact(t, tag, h2, model, inflight)
 	}

@@ -2,6 +2,7 @@ package pindex
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestPIndexGCStress(t *testing.T) {
 	gcErr := make(chan error, 1)
 	go func() {
 		for cycle := 0; cycle < 3; cycle++ {
-			if _, err := rt.PersistentGCConcurrent("kv"); err != nil {
+			if _, err := rt.PersistentGCConcurrent("kv", runtime.GOMAXPROCS(0)); err != nil {
 				gcErr <- err
 				return
 			}
@@ -81,7 +82,7 @@ func TestPIndexGCStress(t *testing.T) {
 
 	// One quiescent cycle (compaction moves the whole structure), then
 	// verify contents exactly.
-	if _, err := rt.PersistentGCConcurrent("kv"); err != nil {
+	if _, err := rt.PersistentGCConcurrent("kv", runtime.GOMAXPROCS(0)); err != nil {
 		t.Fatal(err)
 	}
 	c := ix.NewCtx()

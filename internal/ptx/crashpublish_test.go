@@ -7,6 +7,7 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
+	"espresso/internal/nvm/faultdev"
 	"espresso/internal/pheap"
 )
 
@@ -68,32 +69,24 @@ func TestCrashAtEveryPublishCommitBoundary(t *testing.T) {
 
 	for crashAt := uint64(1); ; crashAt++ {
 		w := build()
-		base := w.h.Device().Stats().Flushes
-		w.h.Device().SetFlushHook(func(n uint64) {
-			if n == base+crashAt {
-				panic("crash")
-			}
-		})
-		crashed := false
-		func() {
-			defer func() {
-				if recover() != nil {
-					crashed = true
-				}
-			}()
+		faultdev.CrashIn(w.h.Device(), crashAt)
+		crashed, err := faultdev.Run(w.h.Device(), func() error {
 			tx := w.m.Begin()
 			if err := tx.WriteRefWord(w.obj, w.offs[0], w.vol); err != nil {
-				t.Fatal(err)
+				return err
 			}
 			if err := tx.WriteRefWord(w.obj, w.offs[1], w.per); err != nil {
-				t.Fatal(err)
+				return err
 			}
 			if err := tx.WriteWord(w.obj, w.offs[2], 42); err != nil {
-				t.Fatal(err)
+				return err
 			}
 			tx.Commit()
-		}()
-		w.h.Device().SetFlushHook(nil)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("crashAt=%d: %v", crashAt, err)
+		}
 
 		img := w.h.Device().CrashImage(nvm.CrashRandomEviction, int64(crashAt))
 		re, err := pheap.Load(nvm.FromImage(img, nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry())

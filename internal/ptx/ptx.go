@@ -7,7 +7,7 @@
 // itself, a persistent long array reachable from a reserved root, so an
 // interrupted transaction is rolled back by NewManager on the next load:
 //
-//	word 0      logMagic (the format before this one kept its idle flag here)
+//	word 0      logMagic
 //	word 7      seq; the padding words 1-6 and 8-14 give it a cache line of
 //	            its own wherever a collection puts the array
 //	then        padding to the next line, and the records
@@ -64,9 +64,9 @@ const (
 var (
 	// ErrTxDone is returned by writes to a committed or aborted Tx.
 	ErrTxDone = errors.New("ptx: transaction already finished")
-	// ErrLogFormat refuses a non-log under the log's root, and a log of the
-	// previous format with a transaction open: only its writer can roll it back.
-	ErrLogFormat = errors.New("ptx: log is of an older format with a transaction open, or not a log")
+	// ErrLogFormat refuses anything under the log's root that is not a log
+	// of this format, a log of an older one included.
+	ErrLogFormat = errors.New("ptx: log root names no log of this format")
 )
 
 // Manager owns the transaction log of one heap. Transactions are globally
@@ -90,15 +90,13 @@ func elemOff(i int) int { return layout.ElemOff(layout.FTLong, i) }
 
 // NewManager creates (or re-attaches to) the heap's transaction log and
 // rolls back any transaction that was active when the heap last persisted.
-// An idle log of the previous format (word 0 reads 1) is replaced.
 func NewManager(h *pheap.Heap) (*Manager, error) {
 	m := &Manager{h: h}
 	if ref, ok := h.GetRoot(LogRootName); ok {
-		if first := h.GetWord(ref, elemOff(0)); first == logMagic {
-			return m, m.recover()
-		} else if first != 1 {
+		if h.GetWord(ref, elemOff(0)) != logMagic {
 			return nil, ErrLogFormat
 		}
+		return m, m.recover()
 	}
 	arr, err := h.Alloc(h.Registry().PrimArray(layout.FTLong), logWords)
 	if err != nil {

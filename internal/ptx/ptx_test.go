@@ -7,6 +7,7 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
+	"espresso/internal/nvm/faultdev"
 	"espresso/internal/pheap"
 	"espresso/internal/undolog"
 )
@@ -78,25 +79,21 @@ func TestCrashMidTransactionRollsBackOnRecovery(t *testing.T) {
 	// Open a transaction, write, and crash before commit at several flush
 	// boundaries.
 	for crashAt := uint64(1); crashAt <= 8; crashAt++ {
-		base := h.Device().Stats().Flushes
-		h.Device().SetFlushHook(func(n uint64) {
-			if n == base+crashAt {
-				panic("crash")
-			}
-		})
-		crashed := false
-		func() {
-			defer func() {
-				if recover() != nil {
-					crashed = true
-				}
-			}()
+		faultdev.CrashIn(h.Device(), crashAt)
+		crashed, err := faultdev.Run(h.Device(), func() error {
 			tx := m.Begin()
-			tx.WriteWord(ref, layout.FieldOff(0), 777)
-			tx.WriteWord(ref, layout.FieldOff(1), 888)
+			if err := tx.WriteWord(ref, layout.FieldOff(0), 777); err != nil {
+				return err
+			}
+			if err := tx.WriteWord(ref, layout.FieldOff(1), 888); err != nil {
+				return err
+			}
 			tx.Commit()
-		}()
-		h.Device().SetFlushHook(nil)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("crashAt=%d: %v", crashAt, err)
+		}
 		img := h.Device().CrashImage(nvm.CrashRandomEviction, int64(crashAt))
 		re, err := pheap.Load(nvm.FromImage(img, nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry())
 		if err != nil {

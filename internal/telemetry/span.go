@@ -26,7 +26,7 @@ import (
 //
 //	safepoint.wait time from a pause request to world-stopped
 //
-// Recovery (emitted by pgc.Recover, pindex recovery, pshard.OpenSet):
+// Recovery (emitted by pgc.RecoverIfNeeded, pindex recovery, pshard.OpenSet):
 //
 //	recovery.gc     resumed compaction replay of a mid-GC crash
 //	recovery.index  index recovery pass (prune persisted deletes, recount)

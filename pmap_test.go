@@ -2,6 +2,7 @@ package espresso
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -96,7 +97,7 @@ func TestPMapSurvivesConcurrentGC(t *testing.T) {
 	gcDone := make(chan error, 1)
 	go func() {
 		for cycle := 0; cycle < 3; cycle++ {
-			if _, err := rt.PersistentGCConcurrent("kv"); err != nil {
+			if _, err := rt.PersistentGCConcurrent("kv", runtime.GOMAXPROCS(0)); err != nil {
 				gcDone <- err
 				return
 			}
@@ -113,7 +114,7 @@ func TestPMapSurvivesConcurrentGC(t *testing.T) {
 		}
 	}
 	// One more cycle against the quiescent map, then verify exactly.
-	if _, err := rt.PersistentGCConcurrent("kv"); err != nil {
+	if _, err := rt.PersistentGCConcurrent("kv", runtime.GOMAXPROCS(0)); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < goroutines; g++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -200,7 +201,7 @@ func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
 			if cycle == 0 {
 				close(started)
 			}
-			if _, err := rt.PersistentGCConcurrent("churn"); err != nil {
+			if _, err := rt.PersistentGCConcurrent("churn", runtime.GOMAXPROCS(0)); err != nil {
 				t.Errorf("concurrent GC: %v", err)
 				return
 			}
