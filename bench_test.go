@@ -3,13 +3,12 @@
 //
 //	go test -bench=. -benchmem
 //
-// cmd/espresso-bench runs the same experiments at paper-scale and prints
-// the tables/series; these benches keep each figure's workload under the
-// testing.B harness so regressions show up in CI.
+// cmd/espresso-bench runs the same experiments at their pinned parameters
+// and prints the tables; these benches keep each figure's workload under
+// the testing.B harness so regressions show up in CI.
 package espresso_test
 
 import (
-	"io"
 	"testing"
 
 	"espresso/internal/experiments"
@@ -18,26 +17,6 @@ import (
 // benchScale shrinks workloads so a full -bench=. pass stays fast; the
 // shapes (who wins, rough factors) are scale-invariant.
 const benchScale = experiments.Scale(20)
-
-// BenchmarkFig04JPABreakdown measures the JPA commit pipeline whose
-// phase split is Figure 4 (paper: transformation 41.9% of commit time).
-func BenchmarkFig04JPABreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Fig4(io.Discard, benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig06PCJBreakdown measures the PCJ create path whose phase
-// split is Figure 6 (paper: metadata 36.8%, data 1.8%).
-func BenchmarkFig06PCJBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Fig6(io.Discard, benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkFig15MicroPJHvsPCJ runs the five-type create/set/get
 // comparison of Figure 15 and reports the aggregate speedup (paper: 6.0x
@@ -80,16 +59,6 @@ func BenchmarkFig16JPABThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkFig17BasicTestBreakdown reruns BasicTest with phase profiles
-// on both providers (Figure 17's stacked bars).
-func BenchmarkFig17BasicTestBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := experiments.Fig17(io.Discard, benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFig18HeapLoad builds and reloads heaps under both safety
 // levels (Figure 18; paper: UG flat, zeroing linear, ~72.76 ms at 2M
 // objects).
@@ -107,14 +76,16 @@ func BenchmarkFig18HeapLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkGCRecoverableFlushCost measures the §6.4 experiment: the
-// crash-consistent GC's pause with and without clflush (paper: +17.8%).
+// BenchmarkGCRecoverableFlushCost runs the §6.4 experiment at 16 MB live:
+// one crash-consistent collection's flushed lines, and its pause with and
+// without clflush (paper: +17.8%).
 func BenchmarkGCRecoverableFlushCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.GCFlushCost(16 << 20)
+		rows, err := experiments.GCFlush(16)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.OverheadPct, "flush-overhead-%")
+		b.ReportMetric(float64(rows[0].FlushedLines), "flushed-lines")
+		b.ReportMetric(rows[0].OverheadPct, "flush-overhead-%")
 	}
 }

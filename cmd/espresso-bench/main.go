@@ -1,26 +1,23 @@
-// Command espresso-bench regenerates the paper's tables and figures and
-// the deterministic device-cost contracts (docs/benchmarks.md has the
-// experiment index):
+// Command espresso-bench runs the experiments of the device-op contract
+// (experiments.Contracts; docs/benchmarks.md has the index), in counts:
 //
-//	espresso-bench -exp fig4     JPA commit breakdown
-//	espresso-bench -exp fig6     PCJ create breakdown
-//	espresso-bench -exp fig17    BasicTest time breakdown
-//	espresso-bench -exp gcflush  recoverable-GC flush overhead (§6.4)
-//	espresso-bench -exp fig15    PJH vs PCJ microbenchmarks: device ops per op on both sides, and the clock
-//	espresso-bench -exp fig16    JPAB on H2-JPA vs H2-PJO: device ops and Go allocations per op, and the clock
-//	espresso-bench -exp fig18    heap loading (UG vs zeroing): device reads per load, and the clock
-//	espresso-bench -exp fastpath resolved-handle / bulk-I/O / flush-coalescing costs
-//	espresso-bench -exp ptx      Figure 15's Espresso side in device ops: heap transactions and the pcollections on them
-//	espresso-bench -exp alloc    PLAB allocation scaling curve
-//	espresso-bench -exp gcpause  STW vs concurrent-marking GC pause times
-//	espresso-bench -exp kv       durable lock-free index (pindex) scaling curve
-//	espresso-bench -exp refstore write-combining ref-store barrier scaling curve
+//	espresso-bench -exp fig6      PCJ create by phase: device ops per object
+//	espresso-bench -exp fig15     PJH vs PCJ microbenchmarks: device ops per op on both sides, and the clock
+//	espresso-bench -exp fig16     JPAB on H2-JPA vs H2-PJO: device ops and Go allocations per op, and the clock
+//	espresso-bench -exp fig17     BasicTest Go allocations per op by phase, both providers (Figures 4 and 17)
+//	espresso-bench -exp fig18     heap loading (UG vs zeroing): device reads per load, and the clock
+//	espresso-bench -exp gcflush   one recoverable-GC collection (§6.4): device ops, and the pause with and without clflush
+//	espresso-bench -exp fastpath  resolved-handle / bulk-I/O / flush-coalescing costs
+//	espresso-bench -exp ptx       Figure 15's Espresso side in device ops: heap transactions and the pcollections on them
+//	espresso-bench -exp alloc     PLAB allocation scaling curve
+//	espresso-bench -exp gcpause   STW vs concurrent-marking GC pause times
+//	espresso-bench -exp kv        durable lock-free index (pindex) scaling curve
+//	espresso-bench -exp refstore  write-combining ref-store barrier scaling curve
 //	espresso-bench -exp shardedkv range-partitioned sharding (pshard): throughput + parallel recovery
-//	espresso-bench -exp all      everything
+//	espresso-bench -exp all       everything, in that order
 //
-// fig15 through shardedkv are the device-op contract: each runs from the
-// table in internal/experiments (experiments.Contracts) at the parameters
-// its committed BENCH_<name>.json was generated with, so
+// Each runs at the parameters its committed BENCH_<name>.json was
+// generated with, so
 //
 //	espresso-bench -exp <name> -json BENCH_<name>.json
 //
@@ -29,11 +26,10 @@
 // sizes by N for quick runs; -parallel N tops the alloc/kv/refstore
 // mutator curves and sets the gcpause and shardedkv mutator count;
 // -shards tops the shardedkv shard curve and -recoverykeys sizes its
-// restart population — each left at 0 keeps a contract experiment's
-// pinned value (and fig4, fig6 and fig17 at paper scale). -json FILE
-// writes the experiment's rows as JSON — the counts; the wall-clock columns
-// of the three contract figures are printed only — and with -exp all one
-// object keyed by experiment name.
+// restart population — each left at 0 keeps the pinned value. -json FILE
+// writes the experiment's rows as JSON — the counts; the wall-clock
+// columns are printed only — and with -exp all one object keyed by
+// experiment name. An unknown -exp exits 2 with the valid names.
 package main
 
 import (
@@ -47,40 +43,24 @@ import (
 	"espresso/internal/experiments"
 )
 
-// experiment is one -exp entry: run prints its report to w and returns
-// the rows -json writes (nil for the print-only breakdowns).
-type experiment struct {
-	name string
-	run  func(w io.Writer) (rows any, err error)
-}
-
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (see the command doc), or all")
 	scale := flag.Int("scale", 0, "divide workload sizes by this factor (0: the experiment's pinned value)")
-	gcMB := flag.Int("gcmb", 256, "live megabytes for the gcflush experiment")
 	parallel := flag.Int("parallel", 0, "top of the alloc/kv/refstore goroutine curves / gcpause and shardedkv mutator count (0: pinned)")
 	shards := flag.Int("shards", 0, "top of the shardedkv shard curve (0: pinned)")
 	recoveryKeys := flag.Int("recoverykeys", 0, "committed keys in the shardedkv restart series (0: pinned)")
 	jsonPath := flag.String("json", "", "write the experiment's rows to this JSON file")
 	flag.Parse()
 
-	s := experiments.Scale(*scale)
-	exps := []experiment{
-		{"fig4", func(w io.Writer) (any, error) { return nil, experiments.Fig4(w, s) }},
-		{"fig6", func(w io.Writer) (any, error) { return nil, experiments.Fig6(w, s) }},
-		{"fig17", func(w io.Writer) (any, error) { return nil, experiments.Fig17(w, s) }},
-		{"gcflush", func(w io.Writer) (any, error) {
-			r, err := experiments.GCFlushCost(*gcMB << 20)
-			if err == nil {
-				experiments.PrintGCFlush(w, r)
-			}
-			return r, err
-		}},
-	}
+	w := os.Stdout
+	results := map[string]any{}
 	for _, c := range experiments.Contracts {
+		if *exp != "all" && *exp != c.Name {
+			continue
+		}
 		p := c.Pinned
 		if *scale > 0 {
-			p.Scale = s
+			p.Scale = experiments.Scale(*scale)
 		}
 		if *parallel > 0 {
 			p.Mutators = *parallel
@@ -91,27 +71,18 @@ func main() {
 		if *recoveryKeys > 0 {
 			p.RecoveryKeys = *recoveryKeys
 		}
-		exps = append(exps, experiment{c.Name, func(w io.Writer) (any, error) { return c.Run(w, p) }})
-	}
-
-	w := os.Stdout
-	results := map[string]any{}
-	for _, e := range exps {
-		if *exp != "all" && *exp != e.name {
-			continue
-		}
-		fmt.Fprintf(w, "\n=== %s ===\n", e.name)
-		rows, err := e.run(w)
+		fmt.Fprintf(w, "\n=== %s ===\n", c.Name)
+		rows, err := c.Run(w, p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", c.Name, err)
 			os.Exit(1)
 		}
-		results[e.name] = rows
+		results[c.Name] = rows
 	}
 	if len(results) == 0 {
-		names := make([]string, len(exps))
-		for i, e := range exps {
-			names[i] = e.name
+		names := make([]string, len(experiments.Contracts))
+		for i, c := range experiments.Contracts {
+			names[i] = c.Name
 		}
 		fmt.Fprintf(os.Stderr, "espresso-bench: unknown experiment %q (want %s, or all)\n", *exp, strings.Join(names, ", "))
 		os.Exit(2)

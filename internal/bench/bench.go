@@ -1,117 +1,155 @@
 // Package bench provides the measurement plumbing shared by the
-// evaluation harness: phase-time breakdowns (Figures 4, 6, 17) and the
-// table printer.
+// evaluation harness: the phase hook the JPA, PJO and PCJ code paths
+// report through (Figures 4, 6 and 17), its two implementations — a
+// wall-clock Breakdown and a Counter of allocations and device traffic —
+// and the table printer.
 package bench
 
 import (
 	"fmt"
 	"io"
+	"runtime/metrics"
+	"slices"
 	"time"
+
+	"espresso/internal/nvm"
 )
 
-// Breakdown accumulates wall time per named phase. It is how the harness
-// reproduces the paper's stacked-bar charts: instrument the real code
-// paths, run the real workload, report the split.
+// Profiler is the phase hook of an instrumented code path: Phase opens
+// the named phase and the returned func closes it. Phases do not nest.
+type Profiler interface {
+	Phase(name string) func()
+}
+
+// Start opens name on p; with no profiler installed it does nothing.
+func Start(p Profiler, name string) func() {
+	if p == nil {
+		return func() {}
+	}
+	return p.Phase(name)
+}
+
+// Breakdown accumulates wall time per named phase: the hook's
+// implementation for a clock (benchmark/'s traced jpab_pjo runs).
 type Breakdown struct {
 	phases map[string]time.Duration
-	order  []string
 	start  time.Time
-	// modeled is the part of each phase charged via Add: modelled
-	// (non-wall-clock) time, e.g. NVM media latency for flushed lines. Its
-	// sum extends the total so fractions stay coherent.
-	modeled map[string]time.Duration
 }
 
 // NewBreakdown creates an empty breakdown and starts its total clock.
 func NewBreakdown() *Breakdown {
-	return &Breakdown{phases: make(map[string]time.Duration), modeled: make(map[string]time.Duration), start: time.Now()}
+	return &Breakdown{phases: make(map[string]time.Duration), start: time.Now()}
 }
 
-// Phase starts timing a phase; the returned func stops it. Usage:
-//
-//	stop := b.Phase("Transformation")
-//	... work ...
-//	stop()
+// Phase starts timing a phase; the returned func stops it.
 func (b *Breakdown) Phase(name string) func() {
 	if b == nil {
 		return func() {}
-	}
-	if _, ok := b.phases[name]; !ok {
-		b.order = append(b.order, name)
 	}
 	t0 := time.Now()
 	return func() { b.phases[name] += time.Since(t0) }
 }
 
-// Add charges modelled (non-wall-clock) time to a phase; it extends the
-// breakdown's total as well.
-func (b *Breakdown) Add(name string, d time.Duration) {
-	if b == nil {
-		return
-	}
-	if _, ok := b.phases[name]; !ok {
-		b.order = append(b.order, name)
-	}
-	b.phases[name] += d
-	b.modeled[name] += d
-}
-
-// Get reports a phase's accumulated time.
-func (b *Breakdown) Get(name string) time.Duration { return b.phases[name] }
-
-// Modeled reports the part of a phase's time that was charged through
-// Add: a function of what the phase did, not of how long it took.
-func (b *Breakdown) Modeled(name string) time.Duration { return b.modeled[name] }
-
-// Total reports wall time since the breakdown started plus any modelled
-// time charged through Add.
-func (b *Breakdown) Total() time.Duration {
-	total := time.Since(b.start)
-	for _, d := range b.modeled {
-		total += d
-	}
-	return total
-}
-
-// Phases returns phase names in first-use order.
-func (b *Breakdown) Phases() []string { return b.order }
-
-// Other returns total minus the sum of recorded phases (the "Other" bar
-// segment of the paper's figures).
-func (b *Breakdown) Other() time.Duration {
-	sum := time.Duration(0)
-	for _, d := range b.phases {
-		sum += d
-	}
-	if t := b.Total(); t > sum {
-		return t - sum
-	}
-	return 0
-}
-
-// Fractions reports each phase (plus "Other") as a fraction of total.
+// Fractions reports each phase, plus "Other" (the time since the
+// breakdown started that no phase recorded), as a fraction of that time.
 func (b *Breakdown) Fractions() map[string]float64 {
-	total := b.Total()
+	total := time.Since(b.start)
 	out := make(map[string]float64, len(b.phases)+1)
 	if total == 0 {
 		return out
 	}
+	other := total
 	for name, d := range b.phases {
 		out[name] = float64(d) / float64(total)
+		other -= d
 	}
-	out["Other"] = float64(b.Other()) / float64(total)
+	out["Other"] = float64(max(other, 0)) / float64(total)
 	return out
 }
 
-// PrintFractions writes a one-bar breakdown like the paper's Figure 4/6.
-func (b *Breakdown) PrintFractions(w io.Writer, title string) {
-	fmt.Fprintf(w, "%s (total %v)\n", title, b.Total().Round(time.Microsecond))
-	names := append([]string(nil), b.order...)
-	names = append(names, "Other")
-	fr := b.Fractions()
-	for _, n := range names {
-		fmt.Fprintf(w, "  %-16s %6.1f%%\n", n, fr[n]*100)
+// Counter counts, per named phase, the Go heap objects allocated inside
+// it and, when given a device, that device's traffic. Nothing it reads is
+// a clock.
+//
+// The allocation count is runtime/metrics' objects plus tiny objects: no
+// stop-the-world, but the runtime publishes a size class's allocations
+// when its cached span is swapped out, so a short window's count can be
+// off by a span either way and only many windows' sum is meaningful. The
+// device delta is exact. The counter does not count itself: a phase's
+// slot and the closing func exist before its window opens.
+type Counter struct {
+	dev     *nvm.Device
+	phases  []PhaseCount
+	open    int // index into phases, -1 between phases
+	allocs0 uint64
+	dev0    nvm.Stats
+	samples [2]metrics.Sample
+	stop    func()
+}
+
+// PhaseCount is what one phase accumulated over all its windows.
+type PhaseCount struct {
+	Name   string
+	Allocs uint64
+	Dev    nvm.Stats
+}
+
+// NewCounter returns a counter; dev may be nil.
+func NewCounter(dev *nvm.Device) *Counter {
+	c := &Counter{dev: dev, open: -1}
+	c.samples[0].Name = "/gc/heap/allocs:objects"
+	c.samples[1].Name = "/gc/heap/tiny/allocs:objects"
+	c.stop = c.close
+	return c
+}
+
+// Phase opens a window on name.
+func (c *Counter) Phase(name string) func() {
+	if c.open >= 0 {
+		panic("bench: phase " + name + " opened inside " + c.phases[c.open].Name)
 	}
+	c.open = slices.IndexFunc(c.phases, func(p PhaseCount) bool { return p.Name == name })
+	if c.open < 0 {
+		c.open = len(c.phases)
+		c.phases = append(c.phases, PhaseCount{Name: name})
+	}
+	c.dev0 = c.devStats()
+	c.allocs0 = c.allocs()
+	return c.stop
+}
+
+// close ends the open window: the allocator first, so that reading the
+// device falls outside it.
+func (c *Counter) close() {
+	p := &c.phases[c.open]
+	p.Allocs += c.allocs() - c.allocs0
+	p.Dev = p.Dev.Add(c.devStats().Sub(c.dev0))
+	c.open = -1
+}
+
+func (c *Counter) allocs() uint64 {
+	metrics.Read(c.samples[:])
+	return c.samples[0].Value.Uint64() + c.samples[1].Value.Uint64()
+}
+
+func (c *Counter) devStats() nvm.Stats {
+	if c.dev == nil {
+		return nvm.Stats{}
+	}
+	return c.dev.Stats()
+}
+
+// Phases returns every phase's counts, in first-use order.
+func (c *Counter) Phases() []PhaseCount { return c.phases }
+
+// Get returns one phase's counts (zero if it never opened).
+func (c *Counter) Get(name string) PhaseCount {
+	for _, p := range c.phases {
+		if p.Name == name {
+			return p
+		}
+	}
+	return PhaseCount{Name: name}
 }
 
 // Table prints aligned rows (the harness's generic figure/table printer).

@@ -2,7 +2,7 @@ package experiments
 
 import "io"
 
-// The device-op contract: ten experiments whose rows are committed as
+// The device-op contract: thirteen experiments whose rows are committed as
 // BENCH_<name>.json at the repository root. Contracts is the one table
 // that pins each experiment's parameters; TestDeviceOpContract runs every
 // entry at them and compares the rows with the committed file, and
@@ -77,6 +77,15 @@ func rowsOf[R any](w io.Writer, title string, rows []R, err error) (any, error) 
 	return rows, nil
 }
 
+// table runs an experiment whose only knob is Scale and whose whole
+// report is one table.
+func table[R any](title string, run func(Scale) ([]R, error)) func(io.Writer, Params) (any, error) {
+	return func(w io.Writer, p Params) (any, error) {
+		rows, err := run(p.Scale)
+		return rowsOf(w, title, rows, err)
+	}
+}
+
 func scalingRun(name, title string) func(io.Writer, Params) (any, error) {
 	return func(w io.Writer, p Params) (any, error) {
 		rows, err := Scaling(name, p.Scale, p.Shards, p.Mutators)
@@ -86,31 +95,22 @@ func scalingRun(name, title string) func(io.Writer, Params) (any, error) {
 
 // Contracts is the table, in espresso-bench's -exp all order.
 var Contracts = []Contract{
+	{Name: "fig6", Pinned: Params{Scale: 100},
+		Run: table("Figure 6 — PCJ create by phase, per PersistentLong object (paper: Metadata 36.8%, GC 14.8%, Data 1.8% of a create)", Fig6)},
 	{Name: "fig15", Pinned: Params{Scale: 100},
-		Run: func(w io.Writer, p Params) (any, error) {
-			rows, err := Fig15(p.Scale)
-			return rowsOf(w, "Figure 15 — PJH vs PCJ, ACID on both sides, per op (paper: speedups from 6.0x on gets up to 256.3x on tuple sets)", rows, err)
-		}},
+		Run: table("Figure 15 — PJH vs PCJ, ACID on both sides, per op (paper: speedups from 6.0x on gets up to 256.3x on tuple sets)", Fig15)},
 	{Name: "fig16", Pinned: Params{Scale: 1}, unheld: fig16AllocFields,
-		Run: func(w io.Writer, p Params) (any, error) {
-			rows, err := Fig16(p.Scale)
-			return rowsOf(w, "Figure 16 — JPAB on H2-JPA vs H2-PJO, per op (paper: H2-PJO wins every cell on the clock, up to 3.24x)", rows, err)
-		}},
+		Run: table("Figure 16 — JPAB on H2-JPA vs H2-PJO, per op (paper: H2-PJO wins every cell on the clock, up to 3.24x)", Fig16)},
+	{Name: "fig17", Pinned: Params{Scale: 1}, unheld: fig17AllocFields,
+		Run: table("Figures 4 and 17 — BasicTest Go allocations per op by phase, H2-JPA vs H2-PJO (paper: transformation is 41.9% of a JPA persist; PJO removes nearly all of it)", Fig17)},
 	{Name: "fig18", Pinned: Params{Scale: 20},
-		Run: func(w io.Writer, p Params) (any, error) {
-			rows, err := Fig18(p.Scale)
-			return rowsOf(w, "Figure 18 — heap loading vs object count (paper: UG flat; Zero linear, ~72.76 ms at 2M objects)", rows, err)
-		}},
+		Run: table("Figure 18 — heap loading vs object count (paper: UG flat; Zero linear, ~72.76 ms at 2M objects)", Fig18)},
+	{Name: "gcflush", Pinned: Params{Scale: 64},
+		Run: table("§6.4 — one crash-consistent collection: device ops, and the pause with and without clflush (paper: +17.8%)", GCFlush)},
 	{Name: "fastpath", Pinned: Params{Scale: 10},
-		Run: func(w io.Writer, p Params) (any, error) {
-			rows, err := Fastpath(p.Scale)
-			return rowsOf(w, "Fast path — resolved handles, bulk I/O, coalesced flushes (per op)", rows, err)
-		}},
+		Run: table("Fast path — resolved handles, bulk I/O, coalesced flushes (per op)", Fastpath)},
 	{Name: "ptx", Pinned: Params{Scale: 1},
-		Run: func(w io.Writer, p Params) (any, error) {
-			rows, err := PtxCost(p.Scale)
-			return rowsOf(w, "ptx — what a heap transaction and the pcollections built on it cost the device (per op)", rows, err)
-		}},
+		Run: table("ptx — what a heap transaction and the pcollections built on it cost the device (per op)", PtxCost)},
 	{Name: "alloc", Pinned: Params{Scale: 10, Mutators: 8},
 		Run: scalingRun("alloc", "Allocation scaling — one PLAB (region-local allocation buffer) per mutator")},
 	{Name: "gcpause", Pinned: Params{Scale: 1, Mutators: 8},

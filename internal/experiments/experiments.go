@@ -1,21 +1,20 @@
-// Package experiments regenerates every table and figure of the paper's
+// Package experiments regenerates the tables and figures of the paper's
 // motivation and evaluation sections (the per-experiment index lives in
-// docs/benchmarks.md). Each experiment builds the real systems, runs the real
-// workloads, and prints rows/series shaped like the paper's plots.
+// docs/benchmarks.md; contract.go pins each to its BENCH_<name>.json).
+// Each experiment builds the real systems, runs the real workloads, and
+// reports rows of what they cost: device ops and Go allocations.
 //
 // Absolute numbers differ from the paper — the substrate is a simulated
 // NVM device, not a Xeon with Viking NVDIMMs — so experiments report the
-// *shape*: who wins, by what factor, and where time goes. NVM media cost
-// is modelled as write latency per flushed line (nvm.ModeledLineLatency)
-// and included in reported times, since flush traffic is precisely what
-// the paper's hardware charges for.
+// *shape*: who wins, by what factor, and where the work goes. Wall-clock
+// columns are printed and held by nothing.
 package experiments
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"espresso/internal/bench"
@@ -41,56 +40,51 @@ func (s Scale) div(n int) int {
 	if s <= 1 {
 		return n
 	}
-	v := n / int(s)
-	if v < 1 {
-		return 1
-	}
-	return v
-}
-
-// --- Figure 4: JPA commit breakdown ---
-
-// Fig4 reproduces the DataNucleus commit breakdown (§2.1): database
-// execution vs object→SQL transformation vs other, measured on the real
-// JPA provider running the JPAB BasicTest workload.
-// Paper: Database 24.0%, Transformation 41.9%, Other 34.1%.
-func Fig4(w io.Writer, scale Scale) error {
-	db, err := h2.New(64<<20, nvm.Direct)
-	if err != nil {
-		return err
-	}
-	p := jpa.NewProvider(db)
-	prof := bench.NewBreakdown()
-	p.SetProfile(prof)
-	test := jpab.BasicTest()
-	if _, err := jpab.Run(test, p, scale.div(4000), 50); err != nil {
-		return err
-	}
-	prof.PrintFractions(w, "Figure 4 — JPA (DataNucleus-style) commit breakdown")
-	fmt.Fprintln(w, "paper: Database 24.0%  Transformation 41.9%  Other 34.1%")
-	return nil
+	return max(n/int(s), 1)
 }
 
 // --- Figure 6: PCJ create breakdown ---
 
-// Fig6 reproduces the PCJ create-operation breakdown (§2.2): 200,000
-// PersistentLong objects, time split across transaction, GC (refcount),
-// metadata (type-information memorization), allocation, and data.
+// Fig6Row is one phase of a PCJ create (§2.2): what it costs PCJ's
+// device per PersistentLong object.
+type Fig6Row struct {
+	Series  string  `json:"series"` // the phase
+	Objects int     `json:"objects"`
+	Reads   float64 `json:"reads_per_object"`
+	Writes  float64 `json:"writes_per_object"`
+	Lines   float64 `json:"flushed_lines_per_object"`
+	Fences  float64 `json:"fences_per_object"`
+
+	dev, loop nvm.Stats // the phase's undivided delta, and the whole loop's
+}
+
+// Fig6 creates PersistentLong objects on PCJ with a phase counter
+// installed, splitting each create's device traffic across transaction,
+// allocation, metadata (type-information memorization), GC (refcount and
+// object directory) and data.
 // Paper: Data 1.8%, Metadata 36.8%, GC 14.8% (+ allocation, transaction).
-func Fig6(w io.Writer, scale Scale) error {
-	h := pcj.New(pcj.Config{Size: 256 << 20, Mode: nvm.Direct})
-	prof := bench.NewBreakdown()
-	h.SetProfile(prof)
+func Fig6(scale Scale) ([]Fig6Row, error) {
 	n := scale.div(200000)
+	h := pcj.New(pcj.Config{Size: n*128 + (4 << 20), Mode: nvm.Direct})
+	dev := h.Device()
+	prof := bench.NewCounter(dev)
+	h.SetProfile(prof)
+	s0 := dev.Stats()
 	for i := 0; i < n; i++ {
 		if _, err := h.NewLong(int64(i)); err != nil {
-			return err
+			return nil, fmt.Errorf("object %d: %w", i, err)
 		}
 	}
+	loop := dev.Stats().Sub(s0)
 	h.SetProfile(nil)
-	prof.PrintFractions(w, fmt.Sprintf("Figure 6 — PCJ create breakdown (%d PersistentLong objects)", n))
-	fmt.Fprintln(w, "paper: Data 1.8%  Metadata 36.8%  GC 14.8%  (rest: allocation, transaction, other)")
-	return nil
+	per := func(count uint64) float64 { return float64(count) / float64(n) }
+	var rows []Fig6Row
+	for _, p := range prof.Phases() {
+		d := p.Dev
+		rows = append(rows, Fig6Row{Series: p.Name, Objects: n, dev: d, loop: loop,
+			Reads: per(d.Reads), Writes: per(d.Writes), Lines: per(d.FlushedLines), Fences: per(d.Fences)})
+	}
+	return rows, nil
 }
 
 // --- The observer Figures 15, 16 and 18 share ---
@@ -403,7 +397,7 @@ func stackSize(scale Scale) int {
 type jpabStack struct {
 	em      jpa.EntityManager
 	devs    []*nvm.Device
-	profile func(*bench.Breakdown)
+	profile func(bench.Profiler)
 }
 
 func newJPAStack(scale Scale) (jpabStack, error) {
@@ -481,36 +475,75 @@ func Fig16(scale Scale) ([]Fig16Row, error) {
 	return rows, nil
 }
 
-// Fig17 reruns BasicTest with phase profiles on both providers, printing
-// the execution/transformation/other split per operation (paper's
-// Figure 17 stacked bars).
-func Fig17(w io.Writer, scale Scale) error {
-	fmt.Fprintln(w, "Figure 17 — BasicTest time breakdown (Execution = database, Transformation, Other)")
-	for _, sys := range []struct {
-		name string
-		mk   func(Scale) (jpabStack, error)
-	}{{"H2-JPA", newJPAStack}, {"H2-PJO", newPJOStack}} {
-		s, err := sys.mk(scale)
+// Fig17Row is one BasicTest operation's Figure 17 bars in counts: the Go
+// objects each provider allocates per operation inside its
+// transformation phase (entity to SQL text and back, or to a
+// DBPersistable) and its database phase (H2).
+type Fig17Row struct {
+	Op                string  `json:"op"`
+	Series            string  `json:"series"` // the JPAB test
+	JPATransformation float64 `json:"jpa_transformation_allocs_per_op"`
+	JPADatabase       float64 `json:"jpa_database_allocs_per_op"`
+	PJOTransformation float64 `json:"pjo_transformation_allocs_per_op"`
+	PJODatabase       float64 `json:"pjo_database_allocs_per_op"`
+	// Figure 4 in counts (its floor is on create), and Figure 17: what is
+	// left of JPA's transformation under PJO (its ceiling is on every op).
+	JPARatio   float64 `json:"jpa_transformation_over_database"`
+	JPAFloor   float64 `json:"jpa_transformation_over_database_floor,omitempty"`
+	PJORatio   float64 `json:"pjo_over_jpa_transformation"`
+	PJOCeiling float64 `json:"pjo_over_jpa_transformation_ceiling"`
+}
+
+// fig17AllocFields are the columns a Go release may move; the floor and
+// the ceiling hold them instead.
+var fig17AllocFields = []string{"jpa_transformation_allocs_per_op", "jpa_database_allocs_per_op",
+	"pjo_transformation_allocs_per_op", "pjo_database_allocs_per_op",
+	"jpa_transformation_over_database", "pjo_over_jpa_transformation"}
+
+// Fig17 walks BasicTest on a fresh stack of each provider with an
+// allocation counter installed in the provider's phase hook — a walk of
+// its own, so Figure 16's cells do not move.
+// Paper: transformation is 41.9% of a JPA persist (Figure 4); PJO removes
+// nearly all of it (Figure 17).
+func Fig17(scale Scale) ([]Fig17Row, error) {
+	n := max(scale.div(2000), 2*fig16Batch)
+	test := jpab.BasicTest()
+	var ops []string
+	var counts [2][]*bench.Counter // JPA's and PJO's, one per op
+	for i, mk := range []func(Scale) (jpabStack, error){newJPAStack, newPJOStack} {
+		s, err := mk(scale)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		err = jpab.Phases(jpab.BasicTest(), s.em, scale.div(2000), fig16Batch, func(op string, _ int, run func() error) error {
-			prof := bench.NewBreakdown()
-			s.profile(prof)
+		ops = ops[:0]
+		err = jpab.Phases(test, s.em, n, fig16Batch, func(op string, _ int, run func() error) error {
+			c := bench.NewCounter(nil)
+			s.profile(c)
 			err := run()
 			s.profile(nil)
-			fr := prof.Fractions()
-			fmt.Fprintf(w, "  %-7s %-9s total %-10v Execution %5.1f%%  Transformation %5.1f%%  Other %5.1f%%\n",
-				sys.name, op, prof.Total().Round(time.Microsecond),
-				fr["Database"]*100, fr["Transformation"]*100, fr["Other"]*100)
+			ops, counts[i] = append(ops, op), append(counts[i], c)
 			return err
 		})
 		if err != nil {
-			return fmt.Errorf("fig17 %s %w", sys.name, err)
+			return nil, fmt.Errorf("fig17 %w", err)
 		}
 	}
-	fmt.Fprintln(w, "paper: PJO removes nearly all transformation time; execution also drops for most ops")
-	return nil
+	rows := make([]Fig17Row, len(ops))
+	for k, op := range ops {
+		per := func(c *bench.Counter, phase string) float64 { return float64(c.Get(phase).Allocs) / float64(n) }
+		jpa, pjo := counts[0][k], counts[1][k]
+		r := Fig17Row{Op: op, Series: test.Name,
+			JPATransformation: per(jpa, "Transformation"), JPADatabase: per(jpa, "Database"),
+			PJOTransformation: per(pjo, "Transformation"), PJODatabase: per(pjo, "Database"),
+			PJOCeiling: 0.25}
+		r.JPARatio = r.JPATransformation / r.JPADatabase
+		r.PJORatio = r.PJOTransformation / r.JPATransformation
+		if op == "create" {
+			r.JPAFloor = 5
+		}
+		rows[k] = r
+	}
+	return rows, nil
 }
 
 // --- Figure 18: heap loading time ---
@@ -640,109 +673,81 @@ func buildFig18Image(objects int, closed bool) ([]byte, error) {
 
 // --- §6.4: recoverable GC flush cost ---
 
-// GCFlushResult compares the crash-consistent collection's pause with and
-// without clflush. FlushedLines is what the difference pays for: the lines
-// the collection writes back, a function of the heap alone.
-type GCFlushResult struct {
-	WithFlush    time.Duration
-	WithoutFlush time.Duration
-	OverheadPct  float64
-	LiveBytes    int
-	FlushedLines uint64
+// GCFlushRow is one crash-consistent collection (§6.4): what it costs the
+// device, and — printed, not held — its pause with and without clflush.
+type GCFlushRow struct {
+	Series        string  `json:"series"`
+	LiveBytes     int     `json:"live_bytes"`
+	Reads         uint64  `json:"reads"`
+	Writes        uint64  `json:"writes"`
+	FlushedLines  uint64  `json:"flushed_lines"`
+	Fences        uint64  `json:"fences"`
+	PauseMillis   float64 `json:"-" col:"pause_ms"`
+	NoFlushMillis float64 `json:"-" col:"no_clflush_pause_ms"`
+	OverheadPct   float64 `json:"-" col:"clflush_overhead_pct"`
 }
 
-// GCFlushCost allocates liveBytes of rooted objects plus garbage on PJH
-// and measures a forced collection twice: flushes on and off.
+// GCFlush allocates 256 MB / scale of rooted objects, each behind a dead
+// one it slides down over, on PJH and forces a collection: its device
+// counts, and the pause once more with flushes off.
 // Paper: flushes add 17.8% to the pause.
 //
 // The paper's device is a battery-backed NVDIMM — DRAM-speed media — so
 // a clflush costs the cache-line writeback, not slow-media latency. The
 // device therefore runs in Tracked mode (each flush really copies its
 // lines to the persisted view, the writeback analog) with no added media
-// latency; the measured overhead is the flush work itself. The two pauses
-// are one collection each, as timed as any wall clock here; the line count
-// beside them is exact.
-func GCFlushCost(liveBytes int) (GCFlushResult, error) {
-	build := func() (*pheap.Heap, error) {
-		reg := klass.NewRegistry()
-		h, err := pheap.Create(reg, pheap.Config{
-			DataSize: liveBytes*3 + (16 << 20), Mode: nvm.Tracked})
-		if err != nil {
-			return nil, err
-		}
-		node, err := reg.Define(klass.MustInstance("bench/GCNode", nil,
-			klass.Field{Name: "next", Type: layout.FTRef},
-			klass.Field{Name: "pad1", Type: layout.FTLong},
-			klass.Field{Name: "pad2", Type: layout.FTLong},
-			klass.Field{Name: "pad3", Type: layout.FTLong},
-		))
-		if err != nil {
-			return nil, err
-		}
-		size := node.SizeOf(0)
-		var prev layout.Ref
-		for allocated := 0; allocated < liveBytes; allocated += size {
-			// Interleave garbage so the collector has moving to do.
-			if _, err := h.Alloc(node, 0); err != nil {
-				return nil, err
-			}
-			ref, err := h.Alloc(node, 0)
-			if err != nil {
-				return nil, err
-			}
-			h.SetWord(ref, layout.FieldOff(0), uint64(prev))
-			prev = ref
-		}
-		if err := h.SetRoot("chain", prev); err != nil {
-			return nil, err
-		}
-		return h, nil
-	}
-
-	h0, err := build()
+// latency, and the printed overhead is the flush work itself; the
+// no-clflush run is nvm.Device.SetNoFlush.
+func GCFlush(scale Scale) ([]GCFlushRow, error) {
+	liveBytes := scale.div(256 << 20)
+	reg := klass.NewRegistry()
+	h0, err := pheap.Create(reg, pheap.Config{DataSize: liveBytes*3 + (16 << 20), Mode: nvm.Tracked})
 	if err != nil {
-		return GCFlushResult{}, err
+		return nil, err
+	}
+	node, err := reg.Define(klass.MustInstance("bench/GCNode", nil, klass.Field{Name: "next", Type: layout.FTRef},
+		klass.Field{Name: "pad1", Type: layout.FTLong}, klass.Field{Name: "pad2", Type: layout.FTLong},
+		klass.Field{Name: "pad3", Type: layout.FTLong}))
+	if err != nil {
+		return nil, err
+	}
+	var prev layout.Ref
+	for allocated := 0; allocated < liveBytes; allocated += node.SizeOf(0) {
+		// Interleave garbage so the collector has moving to do.
+		if _, err := h0.Alloc(node, 0); err != nil {
+			return nil, err
+		}
+		ref, err := h0.Alloc(node, 0)
+		if err != nil {
+			return nil, err
+		}
+		h0.SetWord(ref, layout.FieldOff(0), uint64(prev))
+		prev = ref
+	}
+	if err := h0.SetRoot("chain", prev); err != nil {
+		return nil, err
 	}
 	h0.Device().FlushAll()
 	img := h0.Device().CrashImage(nvm.CrashFlushedOnly, 0)
 
-	// Each measurement collects an identical copy of the image; a warmup
-	// run first touches the allocator and page cache.
-	collect := func(noFlush bool) (pgc.Result, error) {
-		cp := make([]byte, len(img))
-		copy(cp, img)
-		h, err := pheap.Load(nvm.FromImage(cp, nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry())
+	// Each run collects its own copy of the image: a warmup that touches
+	// the allocator and page cache, then with and without clflush.
+	var runs [3]pgc.Result
+	for i := range runs {
+		h, err := pheap.Load(nvm.FromImage(slices.Clone(img), nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry())
 		if err != nil {
-			return pgc.Result{}, err
+			return nil, err
 		}
-		h.Device().SetNoFlush(noFlush)
-		return pgc.Collect(h, pgc.NoRoots{})
+		h.Device().SetNoFlush(i == 2)
+		if runs[i], err = pgc.Collect(h, pgc.NoRoots{}); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := collect(false); err != nil { // warmup
-		return GCFlushResult{}, err
-	}
-	with, err := collect(false)
-	if err != nil {
-		return GCFlushResult{}, err
-	}
-	without, err := collect(true)
-	if err != nil {
-		return GCFlushResult{}, err
-	}
-	return GCFlushResult{
-		WithFlush:    with.PauseTime,
-		WithoutFlush: without.PauseTime,
-		OverheadPct:  (float64(with.PauseTime)/float64(without.PauseTime) - 1) * 100,
-		LiveBytes:    with.LiveBytes,
-		FlushedLines: with.DeviceStats.FlushedLines,
-	}, nil
-}
-
-// PrintGCFlush renders the §6.4 result.
-func PrintGCFlush(w io.Writer, r GCFlushResult) {
-	fmt.Fprintf(w, "Recoverable GC pause (§6.4), %d live bytes:\n", r.LiveBytes)
-	fmt.Fprintf(w, "  with clflush:    %v\n", r.WithFlush.Round(time.Microsecond))
-	fmt.Fprintf(w, "  without clflush: %v\n", r.WithoutFlush.Round(time.Microsecond))
-	fmt.Fprintf(w, "  overhead:        %.1f%%   (paper: 17.8%%)\n", r.OverheadPct)
-	fmt.Fprintf(w, "  lines flushed:   %d\n", r.FlushedLines)
+	with, without := runs[1], runs[2]
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	d := with.DeviceStats
+	return []GCFlushRow{{Series: "collect", LiveBytes: with.LiveBytes,
+		Reads: d.Reads, Writes: d.Writes, FlushedLines: d.FlushedLines, Fences: d.Fences,
+		PauseMillis: ms(with.PauseTime), NoFlushMillis: ms(without.PauseTime),
+		OverheadPct: (float64(with.PauseTime)/float64(without.PauseTime) - 1) * 100}}, nil
 }

@@ -13,10 +13,10 @@ import (
 // are transformed into SQL statement *text* at commit, lexed/parsed/
 // planned by the database, and executed against rows serialized into the
 // database's own pages. The transformation work is the 41.9% bar of
-// paper Figure 4; the Breakdown hook measures it on the real code path.
+// paper Figure 4; the SetProfile hook measures it on the real code path.
 type Provider struct {
 	db   *h2.DB
-	prof *bench.Breakdown
+	prof bench.Profiler
 	ctx  []*Entity // persistence context, in persist order
 	inTx bool
 }
@@ -24,15 +24,11 @@ type Provider struct {
 // NewProvider wires a JPA provider to a database.
 func NewProvider(db *h2.DB) *Provider { return &Provider{db: db} }
 
-// SetProfile installs a phase recorder ("Transformation" vs "Database").
-func (p *Provider) SetProfile(b *bench.Breakdown) { p.prof = b }
+// SetProfile installs a phase recorder ("Transformation" vs "Database");
+// nil removes it.
+func (p *Provider) SetProfile(prof bench.Profiler) { p.prof = prof }
 
-func (p *Provider) phase(name string) func() {
-	if p.prof == nil {
-		return func() {}
-	}
-	return p.prof.Phase(name)
-}
+func (p *Provider) phase(name string) func() { return bench.Start(p.prof, name) }
 
 // EnsureSchema creates the entity's table if missing.
 func (p *Provider) EnsureSchema(def *EntityDef) error {

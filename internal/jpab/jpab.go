@@ -7,13 +7,13 @@
 //	CollectionTest  classes containing collection members
 //	NodeTest        classes with foreign-key-like references
 //
-// Each test runs the four CRUD operations (retrieve, update, delete,
-// create) over a population of entities, reporting throughput.
+// Each test runs the four CRUD operations (create, retrieve, update,
+// delete) over a population of entities; Phases hands each to the caller,
+// who decides what to observe across it.
 package jpab
 
 import (
 	"fmt"
-	"time"
 
 	"espresso/internal/h2"
 	"espresso/internal/jpa"
@@ -76,14 +76,6 @@ var (
 	nodeNextID      = fi(Node, "nextId")
 	nodeLabel       = fi(Node, "label")
 )
-
-// Result is one test's throughput per phase, in operations per second
-// (the y-axis of Figure 16).
-type Result struct {
-	Test      string
-	Entities  int
-	OpsPerSec map[string]float64 // by Phases' op names
-}
 
 // Test is one JPAB test case.
 type Test struct {
@@ -346,17 +338,4 @@ func Phases(t *Test, em jpa.EntityManager, n, batch int, around func(op string, 
 		}
 	}
 	return nil
-}
-
-// Run executes a test against an EntityManager, reporting each phase's
-// throughput.
-func Run(t *Test, em jpa.EntityManager, n, batch int) (Result, error) {
-	res := Result{Test: t.Name, Entities: n, OpsPerSec: map[string]float64{}}
-	err := Phases(t, em, n, batch, func(op string, ops int, run func() error) error {
-		start := time.Now()
-		err := run()
-		res.OpsPerSec[op] = float64(ops) / time.Since(start).Seconds()
-		return err
-	})
-	return res, err
 }

@@ -272,9 +272,10 @@ func (d *Device) Mode() Mode { return d.mode }
 // device is quiescent.
 func (d *Device) SetFlushHook(fn func(flushCount uint64)) { d.flushHook = fn }
 
-// SetNoFlush disables the effect of Flush and Fence (they are still
-// counted). It models running the recoverable GC without clflush, the
-// baseline of the paper's §6.4 pause-time experiment.
+// SetNoFlush makes Flush count the flush and run the hook but write no
+// line back: no flushed lines, persisted view and dirty bits untouched.
+// FlushAll then counts one flush and no lines; Fence is unaffected. It
+// models the recoverable GC without clflush, §6.4's baseline.
 func (d *Device) SetNoFlush(v bool) { d.noFlush = v }
 
 func (d *Device) check(off, n int) {

@@ -2,6 +2,7 @@ package pcj
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -49,7 +50,7 @@ type Heap struct {
 	// updated (and flushed) on every create and free.
 	dirOff, dirCap int
 
-	prof *bench.Breakdown
+	prof bench.Profiler
 
 	// scratch is txAddRange's reusable log-assembly buffer (guarded by
 	// mu, like the log itself).
@@ -93,9 +94,9 @@ func New(cfg Config) *Heap {
 // Device exposes the backing device for stats.
 func (h *Heap) Device() *nvm.Device { return h.dev }
 
-// SetProfile installs a phase breakdown recorder (Figure 6). Pass nil to
-// stop profiling.
-func (h *Heap) SetProfile(b *bench.Breakdown) { h.prof = b }
+// SetProfile installs a phase recorder (Figure 6). Pass nil to stop
+// profiling.
+func (h *Heap) SetProfile(p bench.Profiler) { h.prof = p }
 
 // LiveObjects reports the number of allocated, unfreed objects.
 func (h *Heap) LiveObjects() int { return h.liveObjects }
@@ -103,22 +104,8 @@ func (h *Heap) LiveObjects() int { return h.liveObjects }
 // FreeBytes reports the allocator's free space.
 func (h *Heap) FreeBytes() int { return h.alloc.freeBytes() }
 
-// phase times a breakdown phase, charging both wall time and the modelled
-// NVM cost of the lines the phase flushed (the paper measures on real
-// NVDIMMs, where the flush traffic *is* the cost; our wall clock alone
-// would mostly measure instrumentation), so device cost, not Go timer
-// overhead, determines the Figure 6 split.
-func (h *Heap) phase(name string) func() {
-	if h.prof == nil {
-		return func() {}
-	}
-	before := h.dev.Stats()
-	stop := h.prof.Phase(name)
-	return func() {
-		stop()
-		h.prof.Add(name, h.dev.Stats().Sub(before).ModeledFlushTime())
-	}
-}
+// phase opens one of Figure 6's phases on the installed profiler.
+func (h *Heap) phase(name string) func() { return bench.Start(h.prof, name) }
 
 // --- NVML-style transactions ---
 //
@@ -186,6 +173,18 @@ func (h *Heap) txCommit() {
 	h.dev.Fence()
 }
 
+// txAbort rolls the open transaction back: each logged word gets its
+// before-image again, newest first, and the log retires as at commit.
+func (h *Heap) txAbort() {
+	for i := int(h.dev.ReadU64(h.logOff+8)) - 1; i >= 0; i-- {
+		e := h.logOff + 16 + i*16
+		off := int(h.dev.ReadU64(e))
+		h.dev.WriteU64(off, h.dev.ReadU64(e+8))
+		h.dev.Flush(off, 8)
+	}
+	h.txCommit()
+}
+
 // --- Object plumbing ---
 
 func (h *Heap) typeNamePad(name string) int { return align8(len(name)) }
@@ -230,9 +229,14 @@ func (h *Heap) create(typeName string, refMask uint64, fields []uint64) (Obj, er
 	// persistent directory.
 	stopGC := h.phase("GC")
 	h.txWrite(off+oRefcount, 1)
-	h.dirInsert(off)
-	h.liveObjects++
+	err = h.dirInsert(off)
 	stopGC()
+	if err != nil {
+		h.txAbort()
+		h.alloc.free(off)
+		return 0, err
+	}
+	h.liveObjects++
 
 	// Data: the payload the caller actually wanted stored.
 	stopData := h.phase("Data")
@@ -265,17 +269,21 @@ func (h *Heap) dirSlot(off int) int {
 	return int(x % uint64(h.dirCap))
 }
 
-func (h *Heap) dirInsert(off int) {
+// ErrDirectoryFull is a create's error when every slot of the object
+// directory holds a live object.
+var ErrDirectoryFull = errors.New("pcj: object directory full")
+
+func (h *Heap) dirInsert(off int) error {
 	s := h.dirSlot(off)
 	for i := 0; i < h.dirCap; i++ {
 		p := h.dirOff + ((s+i)%h.dirCap)*8
 		v := h.dev.ReadU64(p)
 		if v == 0 || v == ^uint64(0) {
 			h.txWrite(p, uint64(off))
-			return
+			return nil
 		}
 	}
-	panic("pcj: object directory full")
+	return fmt.Errorf("%w (%d live objects)", ErrDirectoryFull, h.liveObjects)
 }
 
 func (h *Heap) dirRemove(off int) {
@@ -461,7 +469,11 @@ func (h *Heap) NewString(s string) (Obj, error) {
 	h.dev.WriteBytes(raw+8, []byte(s))
 	h.dev.Flush(raw, 8+len(s))
 	h.txCommit()
-	return h.create("lib.util.persistent.PersistentString", 0, []uint64{uint64(raw)})
+	o, err := h.create("lib.util.persistent.PersistentString", 0, []uint64{uint64(raw)})
+	if err != nil {
+		h.alloc.free(raw)
+	}
+	return o, err
 }
 
 // StringValue reads a PersistentString.
@@ -530,11 +542,8 @@ func (h *Heap) NewList() (Obj, error) {
 	h.mu.Lock()
 	list, err := h.create("lib.util.persistent.PersistentArrayList", 1<<1, []uint64{0, uint64(arr)})
 	h.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	h.Release(arr) // the list owns the backing array now
-	return list, nil
+	h.Release(arr) // the list owns the backing array now, or nothing does
+	return list, err
 }
 
 // ListLen reads the element count.
@@ -593,11 +602,8 @@ func (h *Heap) NewMap() (Obj, error) {
 	h.mu.Lock()
 	m, err := h.create("lib.util.persistent.PersistentHashMap", 1<<1, []uint64{0, uint64(arr)})
 	h.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	h.Release(arr) // the map owns the bucket array now
-	return m, nil
+	h.Release(arr) // the map owns the bucket array now, or nothing does
+	return m, err
 }
 
 func pcjMix(k int64) uint64 {

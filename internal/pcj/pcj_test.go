@@ -1,6 +1,7 @@
 package pcj
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -184,25 +185,60 @@ func TestAllocatorSplitAndReuse(t *testing.T) {
 
 func TestProfileRecordsAllPhases(t *testing.T) {
 	h := New(Config{Size: 16 << 20, Mode: nvm.Direct})
-	prof := bench.NewBreakdown()
+	prof := bench.NewCounter(h.Device())
 	h.SetProfile(prof)
 	for i := 0; i < 1000; i++ {
-		o, err := h.NewLong(int64(i))
-		if err != nil {
+		if _, err := h.NewLong(int64(i)); err != nil {
 			t.Fatal(err)
 		}
-		_ = o
 	}
 	h.SetProfile(nil)
-	// Each phase is held by its modeled flush time — what it cost the
+	// Each phase is held by the lines it flushed — what it cost the
 	// device, the same every run — not by the wall time around it.
+	lines := func(phase string) uint64 { return prof.Get(phase).Dev.FlushedLines }
 	for _, phase := range []string{"Transaction", "Allocation", "Metadata", "GC", "Data"} {
-		if prof.Modeled(phase) == 0 {
-			t.Fatalf("phase %s not recorded: %v", phase, prof.Get(phase))
+		if lines(phase) == 0 {
+			t.Fatalf("phase %s flushed nothing: %+v", phase, prof.Phases())
 		}
 	}
 	// The paper's Figure 6 shape: metadata work dwarfs the payload store.
-	if prof.Modeled("Metadata") < prof.Modeled("Data") {
-		t.Fatalf("expected metadata ≥ data: %v vs %v", prof.Modeled("Metadata"), prof.Modeled("Data"))
+	if lines("Metadata") < lines("Data") {
+		t.Fatalf("expected metadata ≥ data: %d vs %d lines", lines("Metadata"), lines("Data"))
+	}
+}
+
+// TestCreateFailsWhenDirectoryFull: a create past the object directory's
+// capacity is an error, not a panic, and leaves the heap as it found it —
+// the transaction rolled back, the allocation returned, the log idle —
+// and usable once an object is released.
+func TestCreateFailsWhenDirectoryFull(t *testing.T) {
+	h := New(Config{Size: 16 << 20, Mode: nvm.Direct})
+	var first Obj
+	for i := 0; i < h.dirCap; i++ {
+		o, err := h.NewLong(int64(i))
+		if err != nil {
+			t.Fatalf("object %d: %v", i, err)
+		}
+		if i == 0 {
+			first = o
+		}
+	}
+	live, free, stats := h.LiveObjects(), h.FreeBytes(), h.Device().Stats()
+	if _, err := h.NewLong(-1); !errors.Is(err, ErrDirectoryFull) {
+		t.Fatalf("create into a full directory: %v, want ErrDirectoryFull", err)
+	}
+	if _, err := h.NewString("spilled"); !errors.Is(err, ErrDirectoryFull) {
+		t.Fatalf("string create into a full directory: %v, want ErrDirectoryFull", err)
+	}
+	if h.LiveObjects() != live || h.FreeBytes() != free {
+		t.Fatalf("failed creates left %d live objects and %d free bytes, want %d and %d",
+			h.LiveObjects(), h.FreeBytes(), live, free)
+	}
+	if d := h.Device().Stats().Sub(stats); d.Fences == 0 || h.dev.ReadU64(h.logOff) != 0 {
+		t.Fatalf("rollback fenced %d times and left the log active word at %d", d.Fences, h.dev.ReadU64(h.logOff))
+	}
+	h.Release(first)
+	if o, err := h.NewLong(7); err != nil || h.LongValue(o) != 7 {
+		t.Fatalf("create after a release: %v", err)
 	}
 }

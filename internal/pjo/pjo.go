@@ -38,7 +38,7 @@ type Provider struct {
 	// go through its own PLAB, device view and barrier buffers.
 	m    *core.Mutator
 	db   *h2.DB
-	prof *bench.Breakdown
+	prof bench.Profiler
 	ctx  []*jpa.Entity
 	inTx bool
 
@@ -90,17 +90,12 @@ func (p *Provider) mutator() (*core.Mutator, error) {
 	return p.m, nil
 }
 
-// SetProfile installs a phase recorder ("Transformation"/"Database").
-// PJO's transformation phase exists but is small: building the
-// DBPersistable is a few word stores, not SQL text.
-func (p *Provider) SetProfile(b *bench.Breakdown) { p.prof = b }
+// SetProfile installs a phase recorder ("Transformation"/"Database");
+// nil removes it. PJO's transformation phase exists but is small:
+// building the DBPersistable is a few word stores, not SQL text.
+func (p *Provider) SetProfile(prof bench.Profiler) { p.prof = prof }
 
-func (p *Provider) phase(name string) func() {
-	if p.prof == nil {
-		return func() {}
-	}
-	return p.prof.Phase(name)
-}
+func (p *Provider) phase(name string) func() { return bench.Start(p.prof, name) }
 
 // EnsureSchema creates the ModeRefs table and the DBPersistable klass for
 // an entity class.

@@ -1,6 +1,7 @@
 package pjo
 
 import (
+	"slices"
 	"testing"
 
 	"espresso/internal/core"
@@ -90,28 +91,29 @@ func TestCRUDOnBothProviders(t *testing.T) {
 	t.Run("PJO", func(t *testing.T) { crudSmoke(t, pj) })
 }
 
-// TestProvidersAgreeOnJPAB runs every JPAB test on both providers and
-// checks they both complete and leave empty tables (all deletes applied).
+// TestProvidersAgreeOnJPAB walks every JPAB test's four phases on both
+// providers and checks they both complete them in order and leave no
+// entity behind (all deletes applied).
 func TestProvidersAgreeOnJPAB(t *testing.T) {
 	for _, test := range jpab.AllTests() {
 		test := test
 		t.Run(test.Name, func(t *testing.T) {
 			jp, pj := newProviders(t)
-			rJPA, err := jpab.Run(test, jp, 40, 10)
-			if err != nil {
-				t.Fatalf("JPA: %v", err)
-			}
-			rPJO, err := jpab.Run(test, pj, 40, 10)
-			if err != nil {
-				t.Fatalf("PJO: %v", err)
-			}
-			for _, r := range []jpab.Result{rJPA, rPJO} {
-				if len(r.OpsPerSec) != 4 {
-					t.Fatalf("%s ran phases %v, want four", r.Test, r.OpsPerSec)
+			for name, em := range map[string]jpa.EntityManager{"JPA": jp, "PJO": pj} {
+				var ops []string
+				err := jpab.Phases(test, em, 40, 10, func(op string, _ int, run func() error) error {
+					ops = append(ops, op)
+					return run()
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				for op, v := range r.OpsPerSec {
-					if v <= 0 {
-						t.Fatalf("%s %s throughput = %v", r.Test, op, v)
+				if !slices.Equal(ops, []string{"create", "retrieve", "update", "delete"}) {
+					t.Fatalf("%s ran phases %v", name, ops)
+				}
+				for _, def := range test.Defs {
+					if e, err := em.Find(def, 0); err != nil || e != nil {
+						t.Fatalf("%s: %s 0 after the delete phase: %v, %v", name, def.Name, e, err)
 					}
 				}
 			}
