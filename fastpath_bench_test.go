@@ -5,6 +5,7 @@
 package espresso_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -241,6 +242,47 @@ func BenchmarkMutatorAccessParallel(b *testing.B) {
 			return n
 		})
 	})
+}
+
+// BenchmarkGetRootParallel is the same check for Table 1's getRoot: one
+// Mutator per goroutine, each looking up a root of its own inside Do, the
+// way every gc_churn op re-fetches its directory. A name the table's slot
+// index knows costs no lock and one device read counted in the mutator's
+// own view, so nothing shared is written; devreads/op reports the read
+// (plus each goroutine's set-up, amortized).
+func BenchmarkGetRootParallel(b *testing.B) {
+	rt, dev := benchRT(b)
+	node := espresso.MustClass("bench/RootNode", nil, espresso.Long("v"))
+	var lane atomic.Int64
+	s0 := dev.Stats()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		m, err := rt.NewMutator()
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer m.Release()
+		name := fmt.Sprintf("bench/root%d", lane.Add(1))
+		ref, err := m.PNew(node, 0)
+		if err == nil {
+			err = m.SetRoot(name, ref)
+		}
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		lookup := func() {
+			if got, ok := m.GetRoot(name); !ok || got != ref {
+				b.Errorf("GetRoot(%s) = %#x, %v", name, uint64(got), ok)
+			}
+		}
+		for pb.Next() {
+			m.Do(lookup)
+		}
+	})
+	d := dev.Stats().Sub(s0)
+	b.ReportMetric(float64(d.Reads)/float64(b.N), "devreads/op")
 }
 
 // BenchmarkPMapGetParallel is the same check for the index read path:

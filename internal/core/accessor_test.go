@@ -302,8 +302,8 @@ func (w *surfaceWorld) verify(s surface, when string) {
 
 // surfaceRow is one method of the surface aimed at the fixture. call
 // reports everything the method returned, rendered comparably. heapLevel
-// marks the rows whose device traffic is the heap's own metadata (name
-// table), which no context's view counts.
+// marks the rows whose device traffic is the heap's own metadata (a
+// name-table update), which no context's view counts.
 type surfaceRow struct {
 	method    string
 	call      func(s surface, w *surfaceWorld, fx fixture) string
@@ -452,7 +452,7 @@ func surfaceRows() []surfaceRow {
 		{method: "SetRoot", heapLevel: true, call: func(s surface, w *surfaceWorld, fx fixture) string {
 			return show(s.SetRoot("scratch", fx.person), s.SetRoot("vol", fx.vperson) != nil)
 		}},
-		{method: "GetRoot", heapLevel: true, call: func(s surface, w *surfaceWorld, fx fixture) string {
+		{method: "GetRoot", call: func(s surface, w *surfaceWorld, fx fixture) string {
 			ref, ok := s.GetRoot("person")
 			_, nok := s.GetRoot("nosuch")
 			return show(ref == fx.person, ok, nok)

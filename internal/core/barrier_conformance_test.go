@@ -332,9 +332,11 @@ func barrierRows() []barrierRow {
 		// sentinel in the bucket array over null: nothing to record, the
 		// array's card is dirtied. (Sentinel and node are the ctx's first
 		// allocations: one persist each, and the opened mark of the region
-		// they dispense.)
+		// they dispense.) The put's re-resolve of the index header after
+		// the epoch bump is one read: the site's own GetRoot below taught
+		// the name table's slot index the root.
 		barrierRow{name: "pindex bucket-array install", kinds: []valKind{toNVM, toNull},
-			dev: [2]devOps{{16, 21, 7, 5}, {16, 21, 7, 5}},
+			dev: [2]devOps{{11, 21, 7, 5}, {11, 21, 7, 5}},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				c := indexSite(w)
 				key := int64(1)

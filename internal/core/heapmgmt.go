@@ -151,12 +151,18 @@ func (a *Accessor) SetRoot(name string, ref layout.Ref) error {
 
 // GetRoot fetches a root object by name, searching every loaded heap
 // (Table 1: getRoot). The result is an untyped object reference; the
-// caller casts, as in the paper.
+// caller casts, as in the paper. The lookup counts where ctxOf would: in
+// a mutator's own view for its heap, in the heap's shared counters
+// otherwise.
 func (a *Accessor) GetRoot(name string) (layout.Ref, bool) {
 	a.enter()
 	defer a.exit()
 	for _, h := range a.rt.heaps {
-		if ref, ok := h.GetRoot(name); ok {
+		x := h.Access
+		if h == a.h {
+			x = a.alloc.Access
+		}
+		if ref, ok := x.GetRoot(name); ok {
 			return ref, true
 		}
 	}

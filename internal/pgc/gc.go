@@ -188,7 +188,7 @@ func runTail(h *pheap.Heap, ext Rooter, mk *concurrent.Marker, dirty []bool, wor
 	fr.Append(blackbox.EvGCStamp, cur, uint64(liveObjects), uint64(liveBytes))
 
 	t := &tail{sumStart: time.Now()}
-	s, err := Summarize(h)
+	s, err := summarizeInto(h, keptMoves(h, liveObjects))
 	if err == nil && (s.LiveObjects != liveObjects || s.LiveBytes != liveBytes) {
 		err = fmt.Errorf("pgc: summary disagrees with marking: %d/%d objects, %d/%d bytes",
 			s.LiveObjects, liveObjects, s.LiveBytes, liveBytes)
@@ -199,6 +199,7 @@ func runTail(h *pheap.Heap, ext Rooter, mk *concurrent.Marker, dirty []bool, wor
 	}
 	t.s = s
 	t.sumTime = time.Since(t.sumStart)
+	keepMoves(h, s.Moves)
 
 	h.ResetFreeHoles()
 	t.compactStart = time.Now()
@@ -284,6 +285,32 @@ func finish(h *pheap.Heap, s *Summary, topEntries []pheap.RedoEntry) {
 	h.RefreshAfterRedo()
 }
 
+// keptMoves returns the move list h's previous collection kept, emptied
+// and with room for n moves. The move list is a cycle's one buffer the
+// size of the live set; kept on the heap between cycles, a steady
+// collection allocates it once, not once per cycle, and a new one has
+// 1/16 to spare so a live set that grows a little does not replace it.
+// Only the holder of the collection slot calls keptMoves and keepMoves,
+// and a cycle's Summary is dead when the slot is released, so no two
+// cycles share it.
+func keptMoves(h *pheap.Heap, n int) []Move {
+	ms, _ := (*h.CollectorScratch()).(*[]Move)
+	if ms == nil || cap(*ms) < n {
+		return make([]Move, 0, n+n/16)
+	}
+	return (*ms)[:0]
+}
+
+// keepMoves stores a cycle's move list for keptMoves.
+func keepMoves(h *pheap.Heap, moves []Move) {
+	p := h.CollectorScratch()
+	if ms, ok := (*p).(*[]Move); ok {
+		*ms = moves
+		return
+	}
+	*p = &moves
+}
+
 // gapOf reports the filler-covered gap of region r below the new top.
 func gapOf(h *pheap.Heap, s *Summary, r int) (lo, hi int) {
 	start := h.Geo().DataOff + r*layout.RegionSize
@@ -347,10 +374,11 @@ func recoverCollection(h *pheap.Heap) (Result, error) {
 	h.PrepareForCollection()
 	fr := h.FlightRecorder()
 	fr.Append(blackbox.EvRecoveryGCBegin, h.GlobalTS(), 1, 0)
-	s, err := Summarize(h)
+	s, err := summarizeInto(h, keptMoves(h, 0))
 	if err != nil {
 		return Result{}, fmt.Errorf("pgc: recovery summary: %w", err)
 	}
+	keepMoves(h, s.Moves)
 	// Recovery has no marker state (the outgoing-reference summary died
 	// with the crashed process), so it conservatively rescans everything
 	// — and runs single-threaded: recovery is rare, and one worker keeps

@@ -234,11 +234,11 @@ func TestSummaryIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.MarkBitmap().Persist()
-	s1, err := Summarize(h)
+	s1, err := Summarize(h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Summarize(h)
+	s2, err := Summarize(h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSummaryInvariants(t *testing.T) {
 	if _, err := mark(h, NoRoots{}, 1); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Summarize(h)
+	s, err := Summarize(h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +312,34 @@ func TestRepeatedCollections(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if _, err := Collect(h, NoRoots{}); err != nil {
 			t.Fatalf("collection %d: %v", i, err)
+		}
+		verifyGraph(t, h, m)
+	}
+}
+
+// The move list, a cycle's one buffer the size of the live set, is
+// allocated by a heap's first collection and reused by the next ones.
+func TestCollectionsReuseTheMoveList(t *testing.T) {
+	h, reg := newHeap(t, 4<<20)
+	m := buildGraph(t, h, reg, 19, 400, 4)
+	array := func() *Move {
+		t.Helper()
+		ms, _ := (*h.CollectorScratch()).(*[]Move)
+		if ms == nil || cap(*ms) == 0 {
+			t.Fatal("no move list kept")
+		}
+		return &(*ms)[:1][0]
+	}
+	if _, err := Collect(h, NoRoots{}); err != nil {
+		t.Fatal(err)
+	}
+	first := array()
+	for i := 0; i < 3; i++ {
+		if _, err := Collect(h, NoRoots{}); err != nil {
+			t.Fatalf("collection %d: %v", i, err)
+		}
+		if array() != first {
+			t.Fatalf("collection %d allocated a new move list", i)
 		}
 		verifyGraph(t, h, m)
 	}
@@ -575,7 +603,7 @@ func summarizeMarks(t *testing.T, objs [][2]int) (*Summary, pheap.Geometry) {
 		bm.Set(o[0] / layout.WordSize)
 		bm.Set((o[0]+o[1])/layout.WordSize - 1)
 	}
-	s, err := Summarize(h)
+	s, err := Summarize(h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

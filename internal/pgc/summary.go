@@ -95,10 +95,21 @@ type Summary struct {
 }
 
 // Summarize runs the summary phase over h's persisted mark bitmap.
-func Summarize(h *pheap.Heap) (*Summary, error) {
+// liveObjects is the marker's count of live objects when the caller has
+// one (0 otherwise): it sizes Moves up front, which otherwise grows by
+// appends to several times its final size over a large heap. It changes
+// no result and no device access.
+func Summarize(h *pheap.Heap, liveObjects int) (*Summary, error) {
+	return summarizeInto(h, make([]Move, 0, liveObjects))
+}
+
+// summarizeInto is Summarize building Moves in moves' array (empty on
+// entry), which the collectors keep from one cycle to the next.
+func summarizeInto(h *pheap.Heap, moves []Move) (*Summary, error) {
 	geo := h.Geo()
 	regions := geo.Regions()
 	s := &Summary{
+		Moves:          moves,
 		regionLastMove: make([]int, regions),
 		occ:            make([]int, regions),
 		dataOff:        geo.DataOff,
@@ -108,20 +119,19 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 		s.regionLastMove[i] = -1
 	}
 
-	// Decode (begin,end) mark-bit pairs into (src,size) runs with one
-	// device read per bitmap word (ForEachSet), so the summary's cost is
-	// proportional to the bitmap, not to the object count. The size of
-	// every live object is recoverable from the bitmap alone, which is
-	// what makes this phase rerunnable after a crash even when source
-	// bytes have been overwritten.
+	// Decode (begin,end) mark-bit pairs into (src,size) runs — Moves whose
+	// destinations are assigned below — with one device read per bitmap
+	// word (ForEachSet), so the summary's cost is proportional to the
+	// bitmap, not to the object count. The size of every live object is
+	// recoverable from the bitmap alone, which is what makes this phase
+	// rerunnable after a crash even when source bytes have been
+	// overwritten.
 	// Mark bits never lie at or above the allocation tops, so the scan is
 	// bounded by the heap's used prefix — during recovery the tops come
 	// from the persisted region-top table, which the crashed collection
 	// had not yet republished.
 	bm := h.MarkBitmap()
 	usedBits := (h.Top() - geo.DataOff) / layout.WordSize
-	type liveObj struct{ src, size int }
-	var objs []liveObj
 	begin := -1
 	bm.ForEachSetBelow(usedBits, func(b int) {
 		if begin < 0 {
@@ -130,7 +140,7 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 		}
 		src := geo.DataOff + begin*layout.WordSize
 		size := (b - begin + 1) * layout.WordSize
-		objs = append(objs, liveObj{src, size})
+		s.Moves = append(s.Moves, Move{Src: src, Dst: src, Size: size})
 		s.LiveObjects++
 		s.LiveBytes += size
 		begin = -1
@@ -150,13 +160,13 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 	for i := range lastObj {
 		lastObj[i] = -1
 	}
-	for i, o := range objs {
-		for r := regionOf(o.src); r <= regionOf(o.src+o.size-1); r++ {
-			lo := max(o.src, regionStart(r))
-			hi := min(o.src+o.size, regionStart(r)+layout.RegionSize)
+	for i, o := range s.Moves {
+		for r := regionOf(o.Src); r <= regionOf(o.Src+o.Size-1); r++ {
+			lo := max(o.Src, regionStart(r))
+			hi := min(o.Src+o.Size, regionStart(r)+layout.RegionSize)
 			liveIn[r] += hi - lo
 		}
-		lastObj[regionOf(o.src)] = i
+		lastObj[regionOf(o.Src)] = i
 	}
 	// The destination pool holds *start offsets* of free space: whole empty
 	// regions, the tail of a region behind an in-place (dense or pinned)
@@ -184,9 +194,9 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 	densePrefixEnd := geo.DataOff
 	{
 		cursor, dead := geo.DataOff, 0
-		for _, o := range objs {
-			dead += o.src - cursor
-			cursor = o.src + o.size
+		for _, o := range s.Moves {
+			dead += o.Src - cursor
+			cursor = o.Src + o.Size
 			if dead*deadWoodDenominator <= cursor-geo.DataOff {
 				densePrefixEnd = cursor
 			}
@@ -210,13 +220,14 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 			destRegion = -1
 		}
 	}
-	for i, o := range objs {
-		srcRegion := regionOf(o.src)
+	for i := range s.Moves {
+		o := &s.Moves[i]
+		srcRegion := regionOf(o.Src)
 		var dst int
 		switch {
-		case o.src+o.size <= densePrefixEnd:
-			dst = o.src
-		case o.size > pheap.HugeThreshold:
+		case o.Src+o.Size <= densePrefixEnd:
+			dst = o.Src
+		case o.Size > pheap.HugeThreshold:
 			// Pinned humongous object: allocated on a region-aligned run
 			// of its own, stays put. Its final region's tail becomes
 			// destination space immediately only while nothing else lives
@@ -224,8 +235,8 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 			// the tail, and then the last of them releases it, below, like
 			// the space behind any other in-place prefix — releasing it
 			// here as well would hand the same bytes out twice.
-			dst = o.src
-			tail := o.src + o.size
+			dst = o.Src
+			tail := o.Src + o.Size
 			if last := lastObj[regionOf(tail-1)]; tail%layout.RegionSize != 0 && (last < 0 || last == i) {
 				heap.Push(&pool, tail)
 			}
@@ -234,7 +245,7 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 			// in-place prefix, and a tail can be shorter than the object:
 			// such an entry is dropped (the fill pass plugs it), never
 			// overrun into the next region.
-			for destRegion < 0 || destFill+o.size > regionStart(destRegion)+layout.RegionSize {
+			for destRegion < 0 || destFill+o.Size > regionStart(destRegion)+layout.RegionSize {
 				retireDest()
 				if pool.Len() == 0 {
 					return nil, ErrNoSpaceToCompact
@@ -243,15 +254,15 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 				destRegion = regionOf(destFill)
 			}
 			dst = destFill
-			destFill += o.size
+			destFill += o.Size
 		}
-		s.Moves = append(s.Moves, Move{Src: o.src, Dst: dst, Size: o.size})
-		if dst != o.src {
+		o.Dst = dst
+		if dst != o.Src {
 			s.MovedObjects++
-			s.MovedBytes += o.size
+			s.MovedBytes += o.Size
 		} else {
-			for r := srcRegion; r <= regionOf(o.src+o.size-1); r++ {
-				end := min(o.src+o.size, regionStart(r)+layout.RegionSize)
+			for r := srcRegion; r <= regionOf(o.Src+o.Size-1); r++ {
+				end := min(o.Src+o.Size, regionStart(r)+layout.RegionSize)
 				if pe := end - regionStart(r); pe > inPlaceEnd[r] {
 					inPlaceEnd[r] = pe
 				}
@@ -260,8 +271,8 @@ func Summarize(h *pheap.Heap) (*Summary, error) {
 				}
 			}
 		}
-		s.regionLastMove[srcRegion] = len(s.Moves) - 1
-		if i == lastObj[srcRegion] && srcRegion != destRegion && o.size <= pheap.HugeThreshold {
+		s.regionLastMove[srcRegion] = i
+		if i == lastObj[srcRegion] && srcRegion != destRegion && o.Size <= pheap.HugeThreshold {
 			// The region's sources are all assigned: the space behind its
 			// in-place prefix (the whole region if it has none) is free to
 			// receive later objects.

@@ -58,7 +58,8 @@ type RemsetDelta struct {
 // publish on overflow while collectors publish at safepoints.
 type RemsetSink interface {
 	// PublishRemsetDeltas applies a batch to the shared remembered set in
-	// slice order.
+	// slice order. The batch is lent: it may be reordered in place, and
+	// its publisher reuses the array once the call returns.
 	PublishRemsetDeltas([]RemsetDelta)
 	// RefIsVolatile reports whether ref points into the volatile heap —
 	// the membership predicate heap-level writers (ptx) cannot evaluate
@@ -180,13 +181,25 @@ func (a *Allocator) takeBuffers() (satb []layout.Ref, deltas []RemsetDelta) {
 // PublishRemsetDeltas drains this context's pending deltas into the
 // heap's sink — what a transaction commit and the owner's own overflow
 // call. Safe against the owner's concurrent stores: a store that has not
-// yet appended its delta has not yet hit the device either.
+// yet appended its delta has not yet hit the device either. The drained
+// slice goes back to the owner as its next buffer unless the owner has
+// started a new one meanwhile, so a steady overflow cycle allocates
+// nothing.
 func (a *Allocator) PublishRemsetDeltas() {
 	a.bufMu.Lock()
 	ds := a.deltas
+	if len(ds) == 0 {
+		a.bufMu.Unlock()
+		return
+	}
 	a.deltas = nil
 	a.bufMu.Unlock()
 	a.heap.publishDeltas(ds)
+	a.bufMu.Lock()
+	if a.deltas == nil {
+		a.deltas = ds[:0]
+	}
+	a.bufMu.Unlock()
 }
 
 // publishDeltas hands one drained batch to the sink. Publication is a

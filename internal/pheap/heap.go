@@ -218,8 +218,9 @@ type Heap struct {
 	geo  Geometry
 
 	// mu serializes heap metadata: the region dispenser, hole list, klass
-	// segment appends, name table, and arena. The object fast paths
-	// (PLAB bumps, field access) never take it.
+	// segment appends, name-table updates and misses, and arena. The object
+	// fast paths (PLAB bumps, field access) and a name-table lookup that
+	// hits the slot index never take it.
 	mu        sync.Mutex
 	gcActive  atomic.Bool
 	gcPhase   atomic.Uint64 // mirror of the persisted GC-phase word
@@ -255,6 +256,15 @@ type Heap struct {
 	// core serializes its GC entry points; this is the in-process
 	// defense for direct pgc callers.
 	collecting atomic.Bool
+	// collectorScratch is what a collector keeps from one cycle to the
+	// next (pgc's move list); only the holder of the collecting slot
+	// touches it.
+	collectorScratch any
+
+	// slots is the name table's volatile slot index (nametable.go):
+	// copy-on-write under mu, read without it. Nil until the first lookup
+	// finds a name.
+	slots atomic.Pointer[map[nameKey]int]
 
 	// kmu guards the klass-record address maps, which the allocation and
 	// parse fast paths read concurrently with EnsureKlass appends.
@@ -804,6 +814,11 @@ func (h *Heap) TryBeginCollection() bool { return h.collecting.CompareAndSwap(fa
 
 // EndCollection releases the single-collector slot.
 func (h *Heap) EndCollection() { h.collecting.Store(false) }
+
+// CollectorScratch is the slot a collector keeps its buffers in between
+// cycles of this heap, nil before the first. The caller holds the
+// single-collector slot (TryBeginCollection).
+func (h *Heap) CollectorScratch() *any { return &h.collectorScratch }
 
 // GCPhase reports the persisted GC-phase word (volatile mirror).
 func (h *Heap) GCPhase() uint64 { return h.gcPhase.Load() }

@@ -62,9 +62,9 @@ func (h *Heap) Rebase(newBase layout.Ref) error {
 		if h.dev.ReadU64(eoff) != entryStateCommitted {
 			continue
 		}
-		v := layout.Ref(h.dev.ReadU64(eoff + 40))
+		v := layout.Ref(h.dev.ReadU64(eoff + entryValueOff))
 		if v != layout.NullRef && inOld(v) {
-			h.dev.WriteU64(eoff+40, uint64(shift(v)))
+			h.dev.WriteU64(eoff+entryValueOff, uint64(shift(v)))
 		}
 	}
 
