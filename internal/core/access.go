@@ -59,18 +59,20 @@ type Accessor struct {
 
 // enter begins the operation's safepoint interval unless Do already has,
 // on the accessor's slot: a mutator's own, or the one every ownerless
-// reader of the runtime's safepoint shares. exit is its paired release.
-// Both inline into every accessor, so inside Do an operation pays one flag
-// test each way.
-func (a *Accessor) enter() {
-	if !a.inDo {
-		a.slot.Pin()
+// reader of the runtime's safepoint shares. exit is its paired release and
+// takes what enter returned (the shared slot's stripe), so every accessor
+// opens with defer a.exit(a.enter()). Both inline into every accessor, so
+// inside Do an operation pays one flag test each way.
+func (a *Accessor) enter() safepoint.Token {
+	if a.inDo {
+		return 0
 	}
+	return a.slot.Pin()
 }
 
-func (a *Accessor) exit() {
+func (a *Accessor) exit(t safepoint.Token) {
 	if !a.inDo {
-		a.slot.Unpin()
+		a.slot.Unpin(t)
 	}
 }
 
@@ -130,15 +132,13 @@ func (a *Accessor) arrayLen(ref layout.Ref) int {
 
 // KlassOf resolves the class of any object, volatile or persistent.
 func (a *Accessor) KlassOf(ref layout.Ref) (*klass.Klass, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	return a.klassOf(ref)
 }
 
 // ArrayLen reports the length of the array at ref.
 func (a *Accessor) ArrayLen(ref layout.Ref) int {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	return a.arrayLen(ref)
 }
 
@@ -161,8 +161,7 @@ func (a *Accessor) fieldOff(ref layout.Ref, name string, wantRef bool) (int, err
 
 // GetLong reads a primitive field as a 64-bit integer.
 func (a *Accessor) GetLong(ref layout.Ref, field string) (int64, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	boff, err := a.fieldOff(ref, field, false)
 	if err != nil {
 		return 0, err
@@ -172,8 +171,7 @@ func (a *Accessor) GetLong(ref layout.Ref, field string) (int64, error) {
 
 // SetLong writes a primitive field as a 64-bit integer.
 func (a *Accessor) SetLong(ref layout.Ref, field string, v int64) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	boff, err := a.fieldOff(ref, field, false)
 	if err != nil {
 		return err
@@ -184,8 +182,7 @@ func (a *Accessor) SetLong(ref layout.Ref, field string, v int64) error {
 
 // GetRef reads a reference field.
 func (a *Accessor) GetRef(ref layout.Ref, field string) (layout.Ref, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	boff, err := a.fieldOff(ref, field, true)
 	if err != nil {
 		return 0, err
@@ -195,8 +192,7 @@ func (a *Accessor) GetRef(ref layout.Ref, field string) (layout.Ref, error) {
 
 // SetRef writes a reference field through the write barrier.
 func (a *Accessor) SetRef(ref layout.Ref, field string, val layout.Ref) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	boff, err := a.fieldOff(ref, field, true)
 	if err != nil {
 		return err
@@ -206,8 +202,7 @@ func (a *Accessor) SetRef(ref layout.Ref, field string, val layout.Ref) error {
 
 // GetElem reads element i of a reference array.
 func (a *Accessor) GetElem(arr layout.Ref, i int) (layout.Ref, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if err := a.boundsCheck(arr, i); err != nil {
 		return 0, err
 	}
@@ -216,8 +211,7 @@ func (a *Accessor) GetElem(arr layout.Ref, i int) (layout.Ref, error) {
 
 // SetElem stores element i of a reference array through the write barrier.
 func (a *Accessor) SetElem(arr layout.Ref, i int, val layout.Ref) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	return a.setElem(arr, i, val)
 }
 
@@ -230,8 +224,7 @@ func (a *Accessor) setElem(arr layout.Ref, i int, val layout.Ref) error {
 
 // GetLongElem reads element i of a long array.
 func (a *Accessor) GetLongElem(arr layout.Ref, i int) (int64, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if err := a.boundsCheck(arr, i); err != nil {
 		return 0, err
 	}
@@ -240,8 +233,7 @@ func (a *Accessor) GetLongElem(arr layout.Ref, i int) (int64, error) {
 
 // SetLongElem stores element i of a long array.
 func (a *Accessor) SetLongElem(arr layout.Ref, i int, v int64) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if err := a.boundsCheck(arr, i); err != nil {
 		return err
 	}
@@ -307,8 +299,7 @@ func (a *Accessor) settleElsewhere(x *pheap.Allocator, val layout.Ref) {
 // (diagnostics and tests). Pending deltas are published first, so the
 // snapshot reflects every store issued before the call.
 func (rt *Runtime) NVMToVolSlots() []layout.Ref {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+	defer rt.world.RUnlock(rt.world.RLock())
 	rt.publishRemsetDeltas()
 	return rt.nvmToVol.Snapshot()
 }

@@ -44,8 +44,7 @@ func (rt *Runtime) klassByAddr(addr layout.Ref) (*klass.Klass, bool) {
 // otherwise the alias-aware check accepts any incarnation of the class
 // (or a subclass).
 func (a *Accessor) CheckCast(obj layout.Ref, className string) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if obj == layout.NullRef {
 		return nil // casting null always succeeds
 	}
@@ -83,8 +82,7 @@ func (a *Accessor) CheckCast(obj layout.Ref, className string) error {
 
 // InstanceOf reports whether obj is an instance of className (alias-aware).
 func (a *Accessor) InstanceOf(obj layout.Ref, className string) (bool, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if obj == layout.NullRef {
 		return false, nil
 	}

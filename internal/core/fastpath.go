@@ -69,8 +69,7 @@ func (rt *Runtime) MustResolveField(k *klass.Klass, name string) FieldRef {
 // Reading a ref-typed field this way is permitted (it returns the raw
 // slot bits; reads need no barrier).
 func (a *Accessor) GetLongFast(ref layout.Ref, f FieldRef) int64 {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	return int64(a.getWord(ref, f.boff))
 }
 
@@ -79,8 +78,7 @@ func (a *Accessor) GetLongFast(ref layout.Ref, f FieldRef) int64 {
 // reference slot would bypass the write barrier (remembered sets,
 // type-based safety, SATB), the JVM-verifier-error analog.
 func (a *Accessor) SetLongFast(ref layout.Ref, f FieldRef, v int64) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if f.ftype == layout.FTRef {
 		panic("core: SetLongFast through a ref field handle; use SetRefFast")
 	}
@@ -91,8 +89,7 @@ func (a *Accessor) SetLongFast(ref layout.Ref, f FieldRef, v int64) {
 // handle's ref-ness is enforced here (one compare), so no klass read is
 // needed.
 func (a *Accessor) GetRefFast(ref layout.Ref, f FieldRef) layout.Ref {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if f.ftype != layout.FTRef {
 		panic("core: GetRefFast through a " + f.ftype.String() + " field handle")
 	}
@@ -105,8 +102,7 @@ func (a *Accessor) GetRefFast(ref layout.Ref, f FieldRef) layout.Ref {
 // mutex for every such store on the heap. A Mutator's stores land in
 // buffers of its own.
 func (a *Accessor) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if f.ftype != layout.FTRef {
 		return fmt.Errorf("core: SetRefFast through a %s field handle", f.ftype)
 	}
@@ -138,8 +134,7 @@ func (a *Accessor) bulkCheck(arr layout.Ref, t layout.FieldType, start, n int) (
 // CopyLongs reads len(dst) elements of a long array starting at start
 // with a single bulk device read.
 func (a *Accessor) CopyLongs(arr layout.Ref, start int, dst []int64) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	boff, err := a.bulkCheck(arr, layout.FTLong, start, len(dst))
 	if err != nil || len(dst) == 0 {
 		return err
@@ -154,8 +149,7 @@ func (a *Accessor) CopyLongs(arr layout.Ref, start int, dst []int64) error {
 // WriteLongs stores src into a long array starting at element start with
 // a single bulk device write.
 func (a *Accessor) WriteLongs(arr layout.Ref, start int, src []int64) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	boff, err := a.bulkCheck(arr, layout.FTLong, start, len(src))
 	if err != nil || len(src) == 0 {
 		return err
@@ -181,8 +175,7 @@ func (a *Accessor) WriteLongs(arr layout.Ref, start int, src []int64) error {
 // CopyBytes reads len(dst) elements of a byte array starting at start
 // with a single bulk device read.
 func (a *Accessor) CopyBytes(arr layout.Ref, start int, dst []byte) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	boff, err := a.bulkCheck(arr, layout.FTByte, start, len(dst))
 	if err != nil || len(dst) == 0 {
 		return err
@@ -194,8 +187,7 @@ func (a *Accessor) CopyBytes(arr layout.Ref, start int, dst []byte) error {
 // WriteBytes stores src into a byte array starting at element start with
 // a single bulk device write.
 func (a *Accessor) WriteBytes(arr layout.Ref, start int, src []byte) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	boff, err := a.bulkCheck(arr, layout.FTByte, start, len(src))
 	if err != nil || len(src) == 0 {
 		return err

@@ -20,8 +20,7 @@ import (
 // FlushField persists one named field of a persistent object — the
 // Field.flush(obj) reflection API of Figure 12.
 func (a *Accessor) FlushField(obj layout.Ref, field string) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	x := a.ctxOf(obj)
 	if x == nil {
 		return fmt.Errorf("core: flush of a non-persistent object")
@@ -37,8 +36,7 @@ func (a *Accessor) FlushField(obj layout.Ref, field string) error {
 // FlushArrayElem persists element i of a persistent array — the
 // Array.flush(z, i) API of Figure 12.
 func (a *Accessor) FlushArrayElem(arr layout.Ref, i int) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	x := a.ctxOf(arr)
 	if x == nil {
 		return fmt.Errorf("core: flush of a non-persistent array")
@@ -62,8 +60,7 @@ func (a *Accessor) FlushArrayElem(arr layout.Ref, i int) error {
 // single trailing sfence — the coarse-grained Object.flush for scenarios
 // where persist order among the fields does not matter.
 func (a *Accessor) FlushObject(obj layout.Ref) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	x := a.ctxOf(obj)
 	if x == nil {
 		return fmt.Errorf("core: flush of a non-persistent object")
@@ -206,8 +203,7 @@ func (r bufReader) ReadU64(off int) uint64 { return binary.LittleEndian.Uint64(r
 // to references followed. Ownerless flushers serialize on the runtime's
 // shared traversal state; a mutator has its own.
 func (a *Accessor) FlushTransitive(obj layout.Ref) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	fw := &a.flush
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
@@ -237,8 +233,7 @@ func (a *Accessor) FlushTransitive(obj layout.Ref) error {
 // bulk counterpart of FlushObject for commit paths that persist many
 // objects at once. It shares FlushTransitive's traversal state.
 func (a *Accessor) FlushBatch(refs []layout.Ref) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	fw := &a.flush
 	fw.mu.Lock()
 	defer fw.mu.Unlock()

@@ -67,8 +67,7 @@ func (r volRoots) UpdateSlots(fn func(layout.Ref) layout.Ref) {
 // mutator: the safepoint read lock only orders them against persistent
 // GC pauses, not against other goroutines touching DRAM objects.
 func (rt *Runtime) MinorGC() error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+	defer rt.world.RUnlock(rt.world.RLock())
 	return rt.minorGC()
 }
 
@@ -84,8 +83,7 @@ func (rt *Runtime) minorGC() error {
 // FullGC collects the whole volatile heap; see MinorGC for the
 // single-volatile-mutator contract.
 func (rt *Runtime) FullGC() error {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+	defer rt.world.RUnlock(rt.world.RLock())
 	return rt.fullGC()
 }
 

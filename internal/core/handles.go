@@ -17,8 +17,7 @@ type Handle struct{ idx int }
 
 // NewHandle registers ref as a GC root and returns its handle.
 func (rt *Runtime) NewHandle(ref layout.Ref) Handle {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+	defer rt.world.RUnlock(rt.world.RLock())
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if n := len(rt.freeHandles); n > 0 {
@@ -37,8 +36,7 @@ func (rt *Runtime) NewHandle(ref layout.Ref) Handle {
 // shared among mutators, so it alone cannot order a reader against the
 // appender.
 func (rt *Runtime) Get(h Handle) layout.Ref {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+	defer rt.world.RUnlock(rt.world.RLock())
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.handles[h.idx]
@@ -46,8 +44,7 @@ func (rt *Runtime) Get(h Handle) layout.Ref {
 
 // SetHandle repoints a handle.
 func (rt *Runtime) SetHandle(h Handle, ref layout.Ref) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+	defer rt.world.RUnlock(rt.world.RLock())
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.handles[h.idx] = ref
@@ -55,8 +52,7 @@ func (rt *Runtime) SetHandle(h Handle, ref layout.Ref) {
 
 // Release drops the handle, letting its referent die.
 func (rt *Runtime) Release(h Handle) {
-	rt.world.RLock()
-	defer rt.world.RUnlock()
+	defer rt.world.RUnlock(rt.world.RLock())
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.handles[h.idx] = layout.NullRef

@@ -140,8 +140,7 @@ func (rt *Runtime) ExistsHeap(name string) bool { return rt.mgr.Exists(name) }
 // SetRoot marks an object as a named root in the heap that contains it
 // (Table 1: setRoot).
 func (a *Accessor) SetRoot(name string, ref layout.Ref) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	x := a.ctxOf(ref)
 	if x == nil {
 		return fmt.Errorf("core: setRoot %q: %#x is not a persistent object", name, uint64(ref))
@@ -155,8 +154,7 @@ func (a *Accessor) SetRoot(name string, ref layout.Ref) error {
 // a mutator's own view for its heap, in the heap's shared counters
 // otherwise.
 func (a *Accessor) GetRoot(name string) (layout.Ref, bool) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	for _, h := range a.rt.heaps {
 		x := h.Access
 		if h == a.h {

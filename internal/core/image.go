@@ -34,8 +34,7 @@ import (
 // sizes dst (nFields × WordSize for all-word layouts like pjo's
 // DBPersistables).
 func (a *Accessor) ReadFieldImage(ref layout.Ref, dst []byte) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	x := a.ctxOf(ref)
 	if x == nil {
 		return fmt.Errorf("core: ReadFieldImage of a non-persistent object %#x", uint64(ref))
@@ -57,8 +56,7 @@ func (a *Accessor) ReadFieldImage(ref layout.Ref, dst []byte) error {
 // reference-column count plus its contiguous primitive runs — never by
 // the field count.
 func (a *Accessor) WriteFieldImage(ref layout.Ref, old, img []byte, refOffs []int) error {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	x := a.ctxOf(ref)
 	if x == nil {
 		return fmt.Errorf("core: WriteFieldImage of a non-persistent object %#x", uint64(ref))
@@ -98,8 +96,7 @@ type ImageString struct {
 // instance naming them, one flush and one fence for all); on a Runtime
 // they are allocated one at a time ahead of it.
 func (a *Accessor) PNewImage(k *klass.Klass, img []byte, refOffs []int, strs ...ImageString) (layout.Ref, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if k.IsArray() || layout.FieldOff(0)+len(img) > k.SizeOf(0) {
 		return 0, fmt.Errorf("core: PNewImage of %d bytes does not fit an instance of %s", len(img), k.Name)
 	}

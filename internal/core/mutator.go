@@ -79,11 +79,11 @@ func (m *Mutator) AllocStats() pheap.AllocatorStats { return m.alloc.Stats() }
 // Keep fn short — it delays every collector pause (and any other caller
 // of a stop-the-world operation). Do must not nest.
 func (m *Mutator) Do(fn func()) {
-	m.slot.Pin()
+	t := m.slot.Pin()
 	m.inDo = true
 	defer func() {
 		m.inDo = false
-		m.slot.Unpin()
+		m.slot.Unpin(t)
 	}()
 	fn()
 }
@@ -97,7 +97,6 @@ func (m *Mutator) Do(fn func()) {
 // ends (or, inside Do, keeps holding pauses off until Do returns).
 func (m *Mutator) Release() {
 	defer m.slot.Retire()
-	m.enter()
-	defer m.exit()
+	defer m.exit(m.enter())
 	m.alloc.Release()
 }

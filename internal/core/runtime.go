@@ -240,11 +240,11 @@ type SafepointPin struct{ rt *Runtime }
 func (rt *Runtime) SafepointPinner() SafepointPin { return SafepointPin{rt} }
 
 // Pin enters a safepoint interval: no collector pause can begin until
-// the matching Unpin.
-func (p SafepointPin) Pin() { p.rt.world.RLock() }
+// the matching Unpin, which takes the Token Pin returns.
+func (p SafepointPin) Pin() safepoint.Token { return p.rt.world.RLock() }
 
 // Unpin leaves the safepoint interval.
-func (p SafepointPin) Unpin() { p.rt.world.RUnlock() }
+func (p SafepointPin) Unpin(t safepoint.Token) { p.rt.world.RUnlock(t) }
 
 // NewSafepointSlot registers an owner-local pin on the runtime's
 // safepoint for a context with an identity of its own (a pooled
@@ -288,8 +288,7 @@ func (rt *Runtime) InVolatile(ref layout.Ref) bool { return rt.vol.Contains(ref)
 // The volatile heap keeps its single-volatile-mutator contract whichever
 // receiver allocates.
 func (a *Accessor) New(k *klass.Klass, arrayLen int) (layout.Ref, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	return a.rt.vnew(k, arrayLen)
 }
 
@@ -333,8 +332,7 @@ func (rt *Runtime) resolve(symbol string, addr layout.Ref) {
 // type-based safety the class must be annotated persistent with a
 // persistent-closed field closure.
 func (a *Accessor) PNew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	return a.pnew(k, arrayLen, nil)
 }
 
@@ -422,8 +420,7 @@ func (a *Accessor) PNewMultiArray(elem *klass.Klass, dims []int) (layout.Ref, er
 	for i := len(dims) - 2; i >= 0; i-- {
 		chain[i] = a.rt.Reg.ObjArray(chain[i+1].Name)
 	}
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	return a.pnewMulti(chain, dims)
 }
 
@@ -469,8 +466,7 @@ func (rt *Runtime) checkPersistentClosure(k *klass.Klass) error {
 // moves with one bulk store (one device write, or one DRAM memmove), not a
 // per-byte read-modify-write loop.
 func (a *Accessor) NewString(s string, persistent bool) (layout.Ref, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	if persistent {
 		return a.newPString(s)
 	}
@@ -496,8 +492,7 @@ func (a *Accessor) newPString(s string) (layout.Ref, error) {
 
 // GetString reads a string object's contents with one bulk device read.
 func (a *Accessor) GetString(ref layout.Ref) (string, error) {
-	a.enter()
-	defer a.exit()
+	defer a.exit(a.enter())
 	k, err := a.klassOf(ref)
 	if err != nil {
 		return "", err

@@ -1,7 +1,7 @@
 package nvm
 
 // Subsystem labels one attribution class for device traffic. The device
-// keeps one shared counter set (Stats); attribution by subsystem is
+// keeps one set of counts (Stats); attribution by subsystem is
 // owner-counted above it — a mutator-owned path charges its own telemetry
 // cell with what its own View counted across one call (an allocation, an
 // index operation: View.Ops deltas) or, where the ops are fixed by

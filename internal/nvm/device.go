@@ -18,13 +18,14 @@
 // device-level cost next to wall-clock time.
 //
 // Accounting has two homes. An access made through the Device's own
-// methods counts in shared counters, with atomic adds on one cache line —
-// fine for tools, metadata and anything without an identity. A context
-// that is one goroutine at a time (a mutator's allocator, an index
-// context, a GC worker) takes a View (view.go): the same accesses through
-// the same code, counted in a padded cell only that owner writes. Stats
-// sums the shared counters and every live cell, so where a count is kept
-// never changes what it adds up to.
+// methods counts in the ownerless counters, with atomic adds on one of
+// stackstripe.Count line-padded stripes picked by the caller's stack —
+// fine for tools, metadata and anything without an identity, and two
+// goroutines rarely share a stripe. A context that is one goroutine at a
+// time (a mutator's allocator, an index context, a GC worker) takes a
+// View (view.go): the same accesses through the same code, counted in a
+// padded cell only that owner writes. Stats sums every stripe and every
+// live cell, so where a count is kept never changes what it adds up to.
 package nvm
 
 import (
@@ -36,6 +37,8 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
+
+	"espresso/internal/stackstripe"
 )
 
 // LineSize is the cache line size in bytes. Flush granularity, like
@@ -129,9 +132,9 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// counters is the device's internal atomic form of Stats: the shared
-// counters every ownerless access bumps with an atomic add. Owned
-// accesses count in their view's cell instead (view.go).
+// counters is the device's internal atomic form of Stats: one stripe of
+// the ownerless counters, which any goroutine bumps with an atomic add.
+// Owned accesses count in their view's cell instead (view.go).
 type counters struct {
 	writes, bytesWritten, reads, bytesRead atomic.Uint64
 	flushes, flushedLines, fences          atomic.Uint64
@@ -149,13 +152,13 @@ func (c *counters) load() Stats {
 	}
 }
 
-// add folds s into the counters. Flushes is left out: the flush ordinal
-// already counted every flush as it was issued.
+// add folds s into the counters.
 func (c *counters) add(s Stats) {
 	c.writes.Add(s.Writes)
 	c.bytesWritten.Add(s.BytesWritten)
 	c.reads.Add(s.Reads)
 	c.bytesRead.Add(s.BytesRead)
+	c.flushes.Add(s.Flushes)
 	c.flushedLines.Add(s.FlushedLines)
 	c.fences.Add(s.Fences)
 }
@@ -167,7 +170,7 @@ func (c *counters) reset() {
 	}
 }
 
-// Device is a simulated NVM device. Traffic counters (shared and
+// Device is a simulated NVM device. Traffic counters (ownerless and
 // per-View) and the Tracked-mode dirty bitmap are atomic, so concurrent
 // use is race-free provided the callers' protocol keeps concurrent
 // writers and flushers on *disjoint cache lines* — exactly the
@@ -192,17 +195,26 @@ type Device struct {
 	// older snapshot could land over a newer one another flush has fenced.
 	lineMu [lineStripes]paddedMutex
 
-	// stats is what every ownerless access writes; the pads keep it off
+	// stripes are the ownerless counters: an access counts in the stripe
+	// its caller's stack picks (ownerless). The leading pad keeps them off
 	// the lines holding the fields every access reads (mem, dirty, the
-	// hooks), so ownerless traffic does not slow owned accesses down.
-	_     [8]uint64
-	stats counters
-	_     [8]uint64
+	// hooks), so neither two ownerless clients nor an ownerless and an
+	// owned one write a line the other uses.
+	_       [LineSize]byte
+	stripes [stackstripe.Count]stripe
+
+	// ordinal is the running device-wide flush count handed to the flush
+	// hook and the flush fault. It is kept only while one is installed
+	// (hooked): installing either sets it to Stats().Flushes, which is
+	// exact because hooks are installed only while the device is
+	// quiescent, and every flush after that bumps it, owned or not.
+	ordinal atomic.Uint64
+	_       [LineSize - 8]byte
 
 	// views are the live per-owner accounting views (view.go); viewMu
-	// guards the list and makes a view's release (fold into stats, drop
+	// guards the list and makes a view's release (fold into a stripe, drop
 	// from the list) atomic against Stats. unowned is the view that
-	// counts in stats itself.
+	// counts in the stripes itself.
 	viewMu  sync.Mutex
 	views   []*View
 	unowned View
@@ -218,6 +230,19 @@ type Device struct {
 	readFault  func(off, n int) bool
 	flushFault func(off, n int, flushCount uint64) bool
 }
+
+// stripe is one stripe of the ownerless counters, padded to two lines:
+// whatever the array's alignment, no line holds words of two stripes, and
+// a stripe's address is its index shifted.
+type stripe struct {
+	counters
+	_ [2*LineSize - unsafe.Sizeof(counters{})]byte
+}
+
+// ownerless is the stripe the calling goroutine's ownerless accesses
+// count in. Any stripe would keep the sums exact; this one is, most of
+// the time, written by nobody else.
+func (d *Device) ownerless() *counters { return &d.stripes[stackstripe.Pick()].counters }
 
 // lineStripes is how many locks Device.lineMu spreads the lines over: two
 // flushers of different lines share one only by the line numbers' residue.
@@ -270,7 +295,23 @@ func (d *Device) Mode() Mode { return d.mode }
 // SetFlushHook installs fn to run after every Flush call with the running
 // flush count. Pass nil to remove the hook. Install hooks only while the
 // device is quiescent.
-func (d *Device) SetFlushHook(fn func(flushCount uint64)) { d.flushHook = fn }
+func (d *Device) SetFlushHook(fn func(flushCount uint64)) {
+	d.flushHook = fn
+	d.startOrdinal()
+}
+
+// hooked reports whether a flush hook or a flush fault is installed: the
+// flushes that need an ordinal.
+func (d *Device) hooked() bool { return d.flushHook != nil || d.flushFault != nil }
+
+// startOrdinal carries the flush ordinal on from the counts, after a hook
+// was installed or removed. While nothing is hooked the ordinal is not
+// kept, so a flush writes no line another client's flush writes.
+func (d *Device) startOrdinal() {
+	if d.hooked() {
+		d.ordinal.Store(d.Stats().Flushes)
+	}
+}
 
 // SetNoFlush makes Flush count the flush and run the hook but write no
 // line back: no flushed lines, persisted view and dirty bits untouched.
@@ -304,15 +345,16 @@ func (d *Device) markDirty(off, n int) {
 
 // The access bodies below are shared by the Device's own methods and by
 // View (view.go): each takes the cell its traffic counts in — nil for the
-// device's shared counters, an owner's cell otherwise — so an owned and an
-// ownerless access run the same bounds and alignment checks, consult the
-// same fault hooks and dirty the same lines, and differ only in where
+// device's ownerless counters, an owner's cell otherwise — so an owned and
+// an ownerless access run the same bounds and alignment checks, consult
+// the same fault hooks and dirty the same lines, and differ only in where
 // the count lands.
 
 func (d *Device) countWrite(c *cell, n int) {
 	if c == nil {
-		d.stats.writes.Add(1)
-		d.stats.bytesWritten.Add(uint64(n))
+		s := d.ownerless()
+		s.writes.Add(1)
+		s.bytesWritten.Add(uint64(n))
 		return
 	}
 	if n == 8 {
@@ -325,8 +367,9 @@ func (d *Device) countWrite(c *cell, n int) {
 
 func (d *Device) countRead(c *cell, n int) {
 	if c == nil {
-		d.stats.reads.Add(1)
-		d.stats.bytesRead.Add(uint64(n))
+		s := d.ownerless()
+		s.reads.Add(1)
+		s.bytesRead.Add(uint64(n))
 		return
 	}
 	if n == 8 {
@@ -581,12 +624,18 @@ func (d *Device) flush(c *cell, off, n int) {
 	first := off / LineSize
 	last := (off + n - 1) / LineSize
 	lines := uint64(last - first + 1)
-	// The flush ordinal stays one shared counter whoever issues the
-	// flush: crash-injection hooks and FlushIndex fault plans name a
-	// flush by its place in the device-wide order.
-	count := d.stats.flushes.Add(1)
-	if c != nil {
+	var s *counters
+	if c == nil {
+		s = d.ownerless()
+		s.flushes.Add(1)
+	} else {
 		bump(&c.flushes, 1)
+	}
+	// Crash-injection hooks and FlushIndex fault plans name a flush by its
+	// place in the device-wide order, so a hooked flush takes an ordinal.
+	var count uint64
+	if d.hooked() {
+		count = d.ordinal.Add(1)
 	}
 	// A dropped flush still accounts like an honest one: the CPU issued
 	// the clflush instructions, the loss happens downstream. Only the
@@ -595,7 +644,7 @@ func (d *Device) flush(c *cell, off, n int) {
 	dropped := d.flushFault != nil && d.flushFault(off, n, count)
 	if !d.noFlush {
 		if c == nil {
-			d.stats.flushedLines.Add(lines)
+			s.flushedLines.Add(lines)
 		} else {
 			bump(&c.flushedLines, lines)
 		}
@@ -680,7 +729,7 @@ func MergeRanges(rs []Range) []Range {
 
 func (d *Device) fence(c *cell) {
 	if c == nil {
-		d.stats.fences.Add(1)
+		d.ownerless().fences.Add(1)
 		return
 	}
 	bump(&c.fences, 1)
@@ -695,36 +744,46 @@ func (d *Device) Fence() { d.fence(nil) }
 // FlushAll persists the entire device, like a shutdown msync.
 func (d *Device) FlushAll() {
 	if d.noFlush {
-		d.stats.flushes.Add(1)
+		d.ownerless().flushes.Add(1)
+		if d.hooked() {
+			d.ordinal.Add(1)
+		}
 		return
 	}
 	d.Flush(0, d.size)
 }
 
-// Stats returns a snapshot of the traffic counters: the shared counters
-// plus every live view's cell. Each counter has exactly one writer path
-// and is published as it is bumped, so the snapshot is exact whenever
-// the device is quiescent; under concurrent traffic it is per-counter
-// atomic, not globally consistent.
+// Stats returns a snapshot of the traffic counters: every stripe of the
+// ownerless counters plus every live view's cell. Each count is published
+// as it is bumped, so the snapshot is exact whenever the device is
+// quiescent; under concurrent traffic it is per-counter atomic, not
+// globally consistent.
 func (d *Device) Stats() Stats {
 	d.viewMu.Lock()
 	defer d.viewMu.Unlock()
-	s := d.stats.load()
+	var s Stats
+	for i := range d.stripes {
+		s = s.Add(d.stripes[i].load())
+	}
 	for _, v := range d.views {
-		s = s.Add(v.c.unfolded())
+		s = s.Add(v.c.stats())
 	}
 	return s
 }
 
-// ResetStats zeroes the traffic counters, the views' cells included. Like
-// the hooks, call it only while the device is quiescent.
+// ResetStats zeroes the traffic counters, the views' cells and the flush
+// ordinal included. Like the hooks, call it only while the device is
+// quiescent.
 func (d *Device) ResetStats() {
 	d.viewMu.Lock()
 	defer d.viewMu.Unlock()
-	d.stats.reset()
+	for i := range d.stripes {
+		d.stripes[i].reset()
+	}
 	for _, v := range d.views {
 		v.c.reset()
 	}
+	d.ordinal.Store(0)
 }
 
 // DirtyLines reports how many lines are modified but not yet persisted.

@@ -32,7 +32,10 @@ func (d *Device) SetReadFault(fn func(off, n int) bool) { d.readFault = fn }
 // traffic counters still advance exactly as for an honest flush — the
 // fault is invisible until a crash image is taken. Only meaningful in
 // Tracked mode. Pass nil to remove.
-func (d *Device) SetFlushFault(fn func(off, n int, flushCount uint64) bool) { d.flushFault = fn }
+func (d *Device) SetFlushFault(fn func(off, n int, flushCount uint64) bool) {
+	d.flushFault = fn
+	d.startOrdinal()
+}
 
 // CorruptBit flips one bit of the byte at off in the memory view and, in
 // Tracked mode, the persisted view — simulating in-place media rot that

@@ -123,6 +123,51 @@ func TestDroppedFlushByIndex(t *testing.T) {
 	}
 }
 
+// TestDroppedFlushByIndexSweep drops each flush of a script in turn, on a
+// device that has already flushed through an owner's view and through the
+// device with no hook installed (so no flush ordinal was kept), and with
+// the script itself alternating the two paths. FlushIndex k must drop the
+// k-th flush after Install — the line it wrote back, and no other, is
+// missing from the crash image — exactly as when every flush counted in
+// one device-wide ordinal.
+func TestDroppedFlushByIndexSweep(t *testing.T) {
+	const script = 8
+	for k := uint64(1); k <= script; k++ {
+		dev := trackedDev(t, 4096)
+		v := dev.NewView()
+		for i := 0; i < 5; i++ {
+			v.WriteU64(2048+i*8, 1)
+			v.Flush(2048+i*8, 8)
+			dev.Flush(3072, 8)
+		}
+		in := Install(dev, Plan{Kind: DroppedFlush, FlushIndex: k})
+		for i := 0; i < script; i++ {
+			off := i * nvm.LineSize
+			if i%2 == 0 {
+				v.WriteU64(off, uint64(i+1))
+				v.Flush(off, 8)
+			} else {
+				dev.WriteU64(off, uint64(i+1))
+				dev.Flush(off, 8)
+			}
+		}
+		in.Remove()
+		img := nvm.FromImage(dev.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{Mode: nvm.Tracked})
+		for i := 0; i < script; i++ {
+			want := uint64(i + 1)
+			if uint64(i+1) == k {
+				want = 0
+			}
+			if got := img.ReadU64(i * nvm.LineSize); got != want {
+				t.Fatalf("FlushIndex %d: line %d persisted %d, want %d", k, i, got, want)
+			}
+		}
+		if in.Fired() != 1 {
+			t.Fatalf("FlushIndex %d: Fired() = %d, want 1", k, in.Fired())
+		}
+	}
+}
+
 func TestTornLineCrashImage(t *testing.T) {
 	dev := trackedDev(t, 4096)
 	// Persist an old line, then overwrite it without flushing: the torn

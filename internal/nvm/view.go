@@ -2,35 +2,35 @@ package nvm
 
 import "sync/atomic"
 
-// Per-owner device accounting. The device's shared counters sit on one
-// cache line and every ownerless access bumps them with locked adds —
-// correct, but with two goroutines on two cores that line ping-pongs on
-// every load and the bookkeeping becomes the thing being measured
-// (PR 11 measured a device read at 17 ns from one goroutine and 169 ns
-// from two). Neither can the shared counters say *who* issued the
-// traffic, and the parallel-GC speedup claim is a statement about the
-// busiest worker.
+// Per-owner device accounting. The device's ownerless counters are
+// bumped with locked adds by whoever comes. When they sat on one cache
+// line, that line ping-ponged between two goroutines on two cores on
+// every load and the bookkeeping became the thing being measured (a
+// device read measured 17 ns from one goroutine and 169 ns from two).
+// They are now spread over stripes picked by the caller's stack
+// (device.go), so two ownerless clients rarely meet; but the stripes
+// cannot say *who* issued the traffic, and the parallel-GC speedup claim
+// is a statement about the busiest worker.
 //
 // A View is one owner's accounting view of a Device: the same accesses,
 // through the same bodies (bounds and alignment checks, read-fault and
 // flush-fault hooks, dirty tracking, the persisted view), counted in a
-// cache-line-padded cell that only the owner writes. Cells are
-// registered with the device, so Device.Stats is always the shared
-// counters plus every live cell, ResetStats zeroes both, and Release
-// folds a cell into the shared counters as it leaves the list — there is
-// no point at which traffic is counted but not yet visible.
+// cache-line-padded cell that only the owner writes. Cells are registered with the device, so Device.Stats is
+// always the stripes plus every live cell, ResetStats zeroes both, and
+// Release folds a cell into a stripe as it leaves the list — there is no
+// point at which traffic is counted but not yet visible.
 //
 // Owners are the contexts that already are one-goroutine-at-a-time by
 // contract: a pheap.Allocator (and through it a core.Mutator, a
 // pindex.Ctx, a pshard.Ctx's per-shard handle) and a GC pool worker.
 // Everything else uses the Device's own methods, or the Unowned view
-// where code is written once for both, and pays the shared counters as
-// before.
+// where code is written once for both, and pays the stripes.
 //
-// The one counter that stays shared on an owned path is the flush
-// ordinal: crash-injection hooks and FlushIndex fault plans identify a
-// flush by its place in the device-wide order. Flushes are two orders
-// of magnitude rarer than loads.
+// No count is shared on an owned path. The flush ordinal, by which
+// crash-injection hooks and FlushIndex fault plans name a flush, is one
+// device-wide counter, but it is kept only while such a hook is
+// installed (Device.hooked), and a hooked flush then takes the same
+// ordinal it would have taken had every flush been counted in it.
 
 // cell is one owner's share of the traffic counters. The words are
 // atomic because Stats reads them from other goroutines, but only the
@@ -39,16 +39,18 @@ import "sync/atomic"
 //
 // Counts are published per access rather than tallied in plain fields
 // and published when the owner's operation ends. The number behind that
-// is BenchmarkAccounting, one ReadU64 per iteration from every goroutine
-// on lines nobody else touches (ns/op over five runs, on the 2-vCPU
-// sandbox this was written in, where a pure spin loop does not reliably
-// speed up at -cpu 2 either — read the columns against each other, not
-// against an ideal halving):
+// is BenchmarkAccounting's read/*, one ReadU64 per iteration from every
+// goroutine on lines nobody else touches (ns/op, on 2-vCPU VMs whose
+// second vCPU does not always give parallelism — read the columns against
+// each other, not against an ideal halving). The first row is the
+// ownerless counters before they were striped, measured beside the next
+// two; the last is a mock-up, measured on an older VM:
 //
-//	                      -cpu 1    -cpu 2
-//	shared counters        28–38    28–132 (median 75)
-//	view (this cell)       20–22    41–43
-//	plain fields (mock-up)   3–6      4–12
+//	                          -cpu 1    -cpu 2
+//	one shared counter line    21–23    53–57
+//	ownerless stripes          24–32    14–15
+//	view (this cell)           16–18     7–8
+//	plain fields (mock-up)       3–6     4–12
 //
 // An atomic store is an XCHG on amd64, implicitly locked, so a published
 // count costs about what an uncontended atomic add does and plain fields
@@ -68,10 +70,7 @@ type cell struct {
 
 	readWords, readOps, readBytes    atomic.Uint64
 	writeWords, writeOps, writeBytes atomic.Uint64
-	// flushes tallies the owner's own Flush calls for View.Stats only:
-	// the device-wide count is the shared ordinal, which counted them.
-	flushes              atomic.Uint64
-	flushedLines, fences atomic.Uint64
+	flushes, flushedLines, fences    atomic.Uint64
 
 	_ [8]uint64 // cache-line pad
 }
@@ -92,14 +91,6 @@ func (c *cell) stats() Stats {
 	}
 }
 
-// unfolded is the part of the cell the shared counters have not seen:
-// everything but the flush count.
-func (c *cell) unfolded() Stats {
-	s := c.stats()
-	s.Flushes = 0
-	return s
-}
-
 func (c *cell) reset() {
 	for _, w := range []*atomic.Uint64{&c.readWords, &c.readOps, &c.readBytes,
 		&c.writeWords, &c.writeOps, &c.writeBytes,
@@ -112,7 +103,7 @@ func (c *cell) reset() {
 // concurrent use: one goroutine at a time owns it (ownership may move
 // between goroutines through anything that orders them, such as a
 // mutex-guarded pool). The exception is the Unowned view, which counts
-// in the device's shared counters and is as concurrency-safe as the
+// in the device's ownerless counters and is as concurrency-safe as the
 // Device itself.
 type View struct {
 	d *Device
@@ -130,7 +121,7 @@ func (d *Device) NewView() *View {
 }
 
 // Unowned returns the view of d that belongs to nobody: its accesses
-// count in the shared counters exactly like the Device's own methods.
+// count in the ownerless counters exactly like the Device's own methods.
 // It lets code that serves both an owner and ownerless callers be
 // written once against *View.
 func (d *Device) Unowned() *View { return &d.unowned }
@@ -174,7 +165,7 @@ func (v *View) Ops() Ops {
 	}
 }
 
-// Release retires the view: its counts fold into the device's shared
+// Release retires the view: its counts fold into the device's ownerless
 // counters and the cell leaves the list Stats sums, in one step, so no
 // snapshot sees them twice or not at all. The owner must not access the
 // device through v afterwards; v.Stats keeps reporting the final tally.
@@ -192,7 +183,7 @@ func (v *View) Release() {
 			d.views[i] = d.views[last]
 			d.views[last] = nil
 			d.views = d.views[:last]
-			d.stats.add(v.c.unfolded())
+			d.ownerless().add(v.c.stats())
 			return
 		}
 	}
@@ -230,7 +221,8 @@ func (v *View) Move(dst, src, n int) { v.d.move(v.c, dst, src, n) }
 // Zero is Device.Zero counted in v.
 func (v *View) Zero(off, n int) { v.d.zero(v.c, off, n) }
 
-// Flush is Device.Flush with the flushed lines counted in v; the flush ordinal handed to the hooks is the device's.
+// Flush is Device.Flush counted in v; the flush ordinal handed to the
+// hooks is the device's.
 func (v *View) Flush(off, n int) { v.d.flush(v.c, off, n) }
 
 // Fence is Device.Fence counted in v.

@@ -192,7 +192,7 @@ func TestViewAccountingEquivalence(t *testing.T) {
 
 // TestViewStatsSumIsExact drives owned and ownerless traffic from many
 // goroutines at once, each counting what it issued, and checks that the
-// shared counters plus the live cells equal Stats() — the sum of those
+// ownerless stripes plus the live cells equal Stats() — the sum of those
 // tallies — at quiescence, again after views are released, and again
 // after ResetStats. A reader polls Stats throughout (it must never see a
 // counter go backwards across a release).
@@ -304,13 +304,14 @@ func TestViewStatsSumIsExact(t *testing.T) {
 		t.Fatalf("all views live: Stats %+v, issued %+v", got, want)
 	}
 	var sum Stats
-	for _, v := range views {
-		s := v.Stats()
-		s.Flushes = 0 // the shared ordinal has them
-		sum = sum.Add(s)
+	for i := range d.stripes {
+		sum = sum.Add(d.stripes[i].load())
 	}
-	if got := d.stats.load().Add(sum); got != want {
-		t.Fatalf("shared + cells %+v, Stats %+v", got, want)
+	for _, v := range views {
+		sum = sum.Add(v.Stats())
+	}
+	if got := sum; got != want {
+		t.Fatalf("stripes + cells %+v, Stats %+v", got, want)
 	}
 
 	// Releasing moves counts, it does not change them — also when the
@@ -333,7 +334,7 @@ func TestViewStatsSumIsExact(t *testing.T) {
 		t.Fatalf("%d views registered after releasing half of %d", n, owners)
 	}
 
-	// ResetStats zeroes the shared counters and the live cells alike.
+	// ResetStats zeroes the stripes and the live cells alike.
 	d.ResetStats()
 	if got := d.Stats(); got != (Stats{}) {
 		t.Fatalf("after ResetStats: %+v", got)
@@ -347,14 +348,135 @@ func TestViewStatsSumIsExact(t *testing.T) {
 	}
 }
 
+// grow calls fn from depth frames down: deep enough that the goroutine's
+// stack has to be copied to a bigger one, so an ownerless access before
+// and one after count on stacks at different addresses — and, often, in
+// different stripes.
+//
+//go:noinline
+func grow(depth int, fn func()) {
+	var pad [256]byte
+	if depth == 0 {
+		fn()
+		return
+	}
+	grow(depth-1, fn)
+	pad[depth%len(pad)]++
+}
+
+// TestTwoClientStatsAreExact runs an ownerless and an owned client side by
+// side, the ownerless one moving its stack between accesses, and requires
+// Stats to equal what the two issued once they stop: counts spread over
+// stripes, and over stripes picked by stacks that have since moved, still
+// sum exactly.
+func TestTwoClientStatsAreExact(t *testing.T) {
+	const rounds = 300
+	d := New(Config{Size: 2 * 4096, Mode: Tracked})
+	v := d.NewView()
+	client := func(a accessor, base, depth int) {
+		for i := 0; i < rounds; i++ {
+			off := base + i%32*LineSize
+			grow(depth*(i%3), func() {
+				a.WriteU64(off, uint64(i))
+				a.ReadBytes(off, make([]byte, 24))
+				a.Flush(off, 2*LineSize)
+				a.Fence()
+			})
+			a.ReadU64(off)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); client(d, 0, 64) }()
+	go func() { defer wg.Done(); client(v, 4096, 0) }()
+	wg.Wait()
+	each := Stats{Writes: rounds, BytesWritten: 8 * rounds, Reads: 2 * rounds, BytesRead: 32 * rounds,
+		Flushes: rounds, FlushedLines: 2 * rounds, Fences: rounds}
+	if got, want := d.Stats(), each.Add(each); got != want {
+		t.Fatalf("Stats %+v, the two clients issued %+v", got, want)
+	}
+	if got := v.Stats(); got != each {
+		t.Fatalf("owned client's view %+v, it issued %+v", got, each)
+	}
+	v.Release()
+	if got, want := d.Stats(), each.Add(each); got != want {
+		t.Fatalf("after Release: Stats %+v, want %+v", got, want)
+	}
+}
+
+// TestHookedFlushOrdinalFollowsTheCounts runs owned and ownerless traffic
+// with no hook installed — so no flush ordinal is kept — and then installs
+// a flush hook and a flush fault: the first hooked flush must be number
+// Stats().Flushes+1, the same ordinal it got when every flush counted in
+// one device-wide counter, and the ordinals must run on from there
+// whichever path issues the flush. ResetStats restarts them at 1.
+func TestHookedFlushOrdinalFollowsTheCounts(t *testing.T) {
+	for _, install := range []struct {
+		name string
+		arm  func(d *Device, got *[]uint64)
+	}{
+		{"hook", func(d *Device, got *[]uint64) {
+			d.SetFlushHook(func(n uint64) { *got = append(*got, n) })
+		}},
+		{"fault", func(d *Device, got *[]uint64) {
+			d.SetFlushFault(func(_, _ int, n uint64) bool { *got = append(*got, n); return false })
+		}},
+	} {
+		t.Run(install.name, func(t *testing.T) {
+			d := New(Config{Size: 4 * 4096, Mode: Tracked})
+			v := d.NewView()
+			var wg sync.WaitGroup
+			for g, a := range []accessor{d, v, d} {
+				wg.Add(1)
+				go func(g int, a accessor) {
+					defer wg.Done()
+					for i := 0; i < 50+g; i++ {
+						off := g*4096 + i%16*LineSize
+						a.WriteU64(off, uint64(i))
+						a.Flush(off, 8)
+					}
+				}(g, a)
+			}
+			wg.Wait()
+			d.FlushAll()
+			base := d.Stats().Flushes
+			if base != 50+51+52+1 {
+				t.Fatalf("%d flushes counted before the hook, want %d", base, 50+51+52+1)
+			}
+			var got []uint64
+			install.arm(d, &got)
+			d.Flush(0, 8)
+			v.Flush(4096, 8)
+			d.Unowned().Flush(64, 8)
+			v.Flush(4096+64, 64)
+			want := []uint64{base + 1, base + 2, base + 3, base + 4}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("hooked flushes got ordinals %v, want %v", got, want)
+			}
+			if n := d.Stats().Flushes; n != base+4 {
+				t.Fatalf("Stats().Flushes = %d after four hooked flushes, want %d", n, base+4)
+			}
+			d.ResetStats()
+			got = got[:0]
+			v.Flush(4096, 8)
+			if fmt.Sprint(got) != "[1]" {
+				t.Fatalf("first flush after ResetStats got ordinal %v, want [1]", got)
+			}
+		})
+	}
+}
+
 // BenchmarkAccounting is the number behind the cell's design note in
-// view.go: one ReadU64 per iteration from every goroutine, on lines no
-// other goroutine touches, counted in the shared counters or in the
-// goroutine's own view. Read it at -cpu 1,2.
+// view.go and the ownerless stripes in device.go: one access per
+// iteration from every goroutine, on lines no other goroutine touches,
+// counted in the ownerless stripes or in the goroutine's own view — a
+// ReadU64, or a one-line Flush, which also counts a flush and its lines.
+// Read it at -cpu 1,2: with nothing shared, -cpu 2 is about half of
+// -cpu 1.
 func BenchmarkAccounting(b *testing.B) {
 	const span = 1 << 16
 	var sink atomic.Uint64
-	run := func(b *testing.B, pick func(d *Device) accessor) {
+	run := func(b *testing.B, pick func(d *Device) accessor, op func(a accessor, off int) uint64) {
 		d := New(Config{Size: 64 * span})
 		var next atomic.Int64
 		b.RunParallel(func(pb *testing.PB) {
@@ -362,11 +484,17 @@ func BenchmarkAccounting(b *testing.B) {
 			base := int(next.Add(1)-1) % 64 * span
 			var s uint64
 			for off := 0; pb.Next(); off = (off + LineSize) % span {
-				s += a.ReadU64(base + off)
+				s += op(a, base+off)
 			}
 			sink.Add(s)
 		})
 	}
-	b.Run("shared", func(b *testing.B) { run(b, func(d *Device) accessor { return d }) })
-	b.Run("view", func(b *testing.B) { run(b, func(d *Device) accessor { return d.NewView() }) })
+	ownerless := func(d *Device) accessor { return d }
+	owned := func(d *Device) accessor { return d.NewView() }
+	read := func(a accessor, off int) uint64 { return a.ReadU64(off) }
+	flush := func(a accessor, off int) uint64 { a.Flush(off, 8); return 0 }
+	b.Run("read/ownerless", func(b *testing.B) { run(b, ownerless, read) })
+	b.Run("read/owned", func(b *testing.B) { run(b, owned, read) })
+	b.Run("flush/ownerless", func(b *testing.B) { run(b, ownerless, flush) })
+	b.Run("flush/owned", func(b *testing.B) { run(b, owned, flush) })
 }

@@ -165,7 +165,7 @@ func NewMarker(h *pheap.Heap, snapTops []int, workers int) *Marker {
 }
 
 // Release retires the workers' device views, folding their counts into
-// the device's shared counters. The per-worker accessors below keep
+// the device's ownerless counters. The per-worker accessors below keep
 // reporting the final tallies.
 func (m *Marker) Release() {
 	for _, w := range m.ws {

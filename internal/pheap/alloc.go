@@ -40,9 +40,10 @@ import (
 // unacknowledged object and persists header and body together: one flush
 // over the object, one fence. Alloc (no init) flushes and fences nothing:
 // the header becomes the region's one deferred header — a per-region word
-// (Heap.deferred) holding its offset — and is settled later. Either way
-// the volatile top (Heap.regionTops, what heap walks, the marker and the
-// space accounting read) then moves past the object and the call returns.
+// (regionLine.deferred) holding its offset — and is settled later. Either
+// way the volatile top (regionLine.top, what heap walks, the marker and
+// the space accounting read) then moves past the object and the call
+// returns.
 //
 // To settle a deferred header is to flush its lines, fence once, and clear
 // the word (unless it has moved on). It happens at the first of:
@@ -418,7 +419,7 @@ func (a *Allocator) place(o allocObj, init func(layout.Ref)) (layout.Ref, error)
 	}
 	ref := a.head(off, o)
 	if init == nil && !a.opened {
-		a.heap.deferred[a.region].Store(deferredWord(off, o.k))
+		a.heap.regions[a.region].deferred.Store(deferredWord(off, o.k))
 		a.tally(telemetry.CtrHeadersDeferred, 1)
 	} else {
 		if init != nil {
@@ -521,19 +522,27 @@ func (a *Allocator) head(off int, o allocObj) layout.Ref {
 // stays where it is.
 func (a *Allocator) advance(cur, size, objs int) {
 	a.cur, a.opened = cur, false
-	a.heap.regionTops[a.region].Store(int64(cur))
+	a.heap.regions[a.region].top.Store(int64(cur))
 	a.stats.Allocs += objs
 	a.cell.Add(telemetry.CtrAllocObjects, uint64(objs))
 	a.cell.Add(telemetry.CtrAllocBytes, uint64(size))
 }
 
-// deferredHeader is one region's deferred-header word (see the protocol
-// at the top of this file), alone on its cache line: the region's owner
-// stores it on every bump allocation, and every context that flushes an
-// object of the region or stores a reference to one loads it.
-type deferredHeader struct {
-	atomic.Uint64
-	_ [layout.LineSize - 8]byte
+// regionLine is one region's volatile state (Heap.regions), alone on its
+// cache line: the two words the region's owner stores on every bump
+// allocation, and no other region's.
+type regionLine struct {
+	// top mirrors the region's entry of the persisted region-top table
+	// ("Region-top table encoding" above), and may lie above it. Heap
+	// walks, the marker and the space accounting load it while the owner
+	// advances it.
+	top atomic.Int64
+	// deferred is the region's one deferred header (see the protocol at
+	// the top of this file): the last bump allocation of the region's
+	// PLAB, written and not yet settled. Every context that flushes an
+	// object of the region or stores a reference to one loads it.
+	deferred atomic.Uint64
+	_        [layout.LineSize - 16]byte
 }
 
 // deferredWord encodes the header at off of an object of klass k: the
@@ -565,7 +574,7 @@ func (x Access) settle(r int, w uint64) uint64 {
 	off, n := headerSpan(w)
 	x.view.Flush(off, n)
 	x.view.Fence()
-	x.heap.deferred[r].CompareAndSwap(w, 0)
+	x.heap.regions[r].deferred.CompareAndSwap(w, 0)
 	return uint64(nvm.LineRange(off, n).N / layout.LineSize)
 }
 
@@ -575,7 +584,7 @@ func (x Access) settle(r int, w uint64) uint64 {
 // durable in allocation order.
 func (a *Allocator) settleOwn() uint64 {
 	if a.region >= 0 {
-		if w := a.heap.deferred[a.region].Load(); w != 0 {
+		if w := a.heap.regions[a.region].deferred.Load(); w != 0 {
 			return a.settle(a.region, w)
 		}
 	}
@@ -602,8 +611,8 @@ func (a *Allocator) Settle(ref layout.Ref) {
 // deferredAt loads the deferred word of the region holding device offset
 // off: 0 when there is none, or off lies outside the data area.
 func (h *Heap) deferredAt(off int) (r int, w uint64) {
-	if r = (off - h.geo.DataOff) / layout.RegionSize; off >= h.geo.DataOff && r < len(h.deferred) {
-		return r, h.deferred[r].Load()
+	if r = (off - h.geo.DataOff) / layout.RegionSize; off >= h.geo.DataOff && r < len(h.regions) {
+		return r, h.regions[r].deferred.Load()
 	}
 	return 0, 0
 }
@@ -829,7 +838,7 @@ func (h *Heap) dispense(size int, a *Allocator) (region, cur int, err error) {
 		r := h.freeRegions[0]
 		h.freeRegions = h.freeRegions[1:]
 		start := h.geo.DataOff + r*layout.RegionSize
-		if cur = int(h.regionTops[r].Load()); cur == 0 {
+		if cur = int(h.regions[r].top.Load()); cur == 0 {
 			cur = start // a whole region: it fits any PLAB request
 			a.writeRegionTop(r, cur)
 		}
@@ -931,9 +940,9 @@ func (a *Allocator) allocHumongous(o allocObj, init func(layout.Ref)) (layout.Re
 	}
 	dev.Flush(h.RegionTopMetaOff(r0), nRegions*layout.RegionTopStride)
 	dev.Fence()
-	h.regionTops[r0].Store(int64(end))
+	h.regions[r0].top.Store(int64(end))
 	for r := r0 + 1; r < r0+nRegions; r++ {
-		h.regionTops[r].Store(regionTopHumongousCont)
+		h.regions[r].top.Store(regionTopHumongousCont)
 	}
 	a.stats.Allocs++
 	a.cell.Inc(telemetry.CtrAllocObjects)

@@ -266,21 +266,17 @@ type Heap struct {
 	// finds a name.
 	slots atomic.Pointer[map[nameKey]int]
 
-	// kmu guards the klass-record address maps, which the allocation and
-	// parse fast paths read concurrently with EnsureKlass appends.
-	kmu       sync.RWMutex
-	segByAddr map[layout.Ref]*klass.Klass
-	segByName map[string]layout.Ref
+	// kseg is the klass segment's address maps (kseg.go): copy-on-write
+	// under mu, or before the heap is published; read without a lock by
+	// every KlassOf.
+	kseg atomic.Pointer[klassMaps]
 
-	// regionTops mirrors the persisted region-top table (see alloc.go for
-	// the value encoding). Entries are atomic so heap walks can run
-	// concurrently with PLAB owners advancing their own region's top.
-	regionTops []atomic.Int64
-	// deferred holds each region's one deferred header: the last bump
-	// allocation of the region's PLAB, written and not yet settled (alloc.go
-	// has the protocol). Volatile, like every word of it: a reload settles
+	// regions is each region's volatile top and deferred header, one
+	// padded line per region (alloc.go): two PLABs are often adjacent
+	// regions, and their owners store both words on every bump
+	// allocation. Volatile, like every word of it: a reload settles
 	// nothing, it parses.
-	deferred []deferredHeader
+	regions []regionLine
 
 	// Region dispenser state (guarded by mu): regions below frontier have
 	// been handed out at some point; freeRegions lists regions below the
@@ -359,11 +355,9 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 	dev := nvm.New(nvm.Config{Size: total, Mode: cfg.Mode})
 	h := &Heap{
 		dev: dev, reg: reg, name: cfg.Name, base: cfg.AddressHint, geo: geo,
-		regionTops: make([]atomic.Int64, regions),
-		deferred:   make([]deferredHeader, regions),
-		segByAddr:  make(map[layout.Ref]*klass.Klass),
-		segByName:  make(map[string]layout.Ref),
+		regions: make([]regionLine, regions),
 	}
+	h.kseg.Store(&klassMaps{})
 	h.Access = Access{heap: h, view: dev.Unowned()}
 
 	dev.WriteU64(mMagic, heapMagic)
@@ -468,14 +462,11 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	}
 	h := &Heap{
 		dev: dev, reg: reg,
-		base:       layout.Ref(dev.ReadU64(mAddressHint)),
-		geo:        geo,
-		ksegUsed:   int(dev.ReadU64(mKsegUsed)),
-		arenaUsed:  int(dev.ReadU64(mArenaUsed)),
-		regionTops: make([]atomic.Int64, geo.Regions()),
-		deferred:   make([]deferredHeader, geo.Regions()),
-		segByAddr:  make(map[layout.Ref]*klass.Klass),
-		segByName:  make(map[string]layout.Ref),
+		base:      layout.Ref(dev.ReadU64(mAddressHint)),
+		geo:       geo,
+		ksegUsed:  int(dev.ReadU64(mKsegUsed)),
+		arenaUsed: int(dev.ReadU64(mArenaUsed)),
+		regions:   make([]regionLine, geo.Regions()),
 	}
 	h.Access = Access{heap: h, view: dev.Unowned()}
 	h.globalTS.Store(dev.ReadU64(mGlobalTS))
@@ -616,10 +607,8 @@ func (g Geometry) sanity(size int) error {
 func (h *Heap) resolveFillers() {
 	h.fillerK = h.reg.Filler()
 	h.fillerArrK = h.reg.FillerArray()
-	h.kmu.RLock()
-	h.fillerAddr = h.segByName[h.fillerK.Name]
-	h.fillerArrAddr = h.segByName[h.fillerArrK.Name]
-	h.kmu.RUnlock()
+	h.fillerAddr, _ = h.KlassAddr(h.fillerK)
+	h.fillerArrAddr, _ = h.KlassAddr(h.fillerArrK)
 }
 
 // Device exposes the backing device (benchmarks read its stats; the GC
@@ -718,7 +707,7 @@ func (h *Heap) RegionTopMetaOff(r int) int {
 // RegionTop reports region r's current top: the volatile frontier heap
 // walks, the marker's snapshot and the space accounting read (see alloc.go
 // for the encoding). The persisted table entry may lie below it.
-func (h *Heap) RegionTop(r int) int { return int(h.regionTops[r].Load()) }
+func (h *Heap) RegionTop(r int) int { return int(h.regions[r].top.Load()) }
 
 // writeRegionTop stores region r's top word and its line checksum, writes
 // the line back and moves the mirror — without a fence: the caller orders
@@ -729,7 +718,7 @@ func (x Access) writeRegionTop(r, top int) {
 	x.view.WriteU64(off, uint64(top))
 	x.view.WriteU64(off+8, regionTopSum(r, uint64(top)))
 	x.view.Flush(off, 16)
-	x.heap.regionTops[r].Store(int64(top))
+	x.heap.regions[r].top.Store(int64(top))
 }
 
 // persistRegionTop moves region r's persisted top and its mirror, fenced.
@@ -746,7 +735,7 @@ func (x Access) persistRegionTop(r, top int) {
 func (h *Heap) Top() int {
 	top := h.geo.DataOff
 	for r := 0; r < h.geo.DataRegions(); r++ {
-		if t := int(h.regionTops[r].Load()); t > regionTopHumongousCont && t > top {
+		if t := int(h.regions[r].top.Load()); t > regionTopHumongousCont && t > top {
 			top = t
 		}
 	}
@@ -856,9 +845,9 @@ func (h *Heap) GCPhaseSumMetaOff() int { return mGCPhaseSum }
 // otherwise a parse limit); IsRealTop distinguishes them. Callers take
 // the snapshot with the world stopped.
 func (h *Heap) SnapshotRegionTops() []int {
-	tops := make([]int, len(h.regionTops))
+	tops := make([]int, len(h.regions))
 	for i := range tops {
-		tops[i] = int(h.regionTops[i].Load())
+		tops[i] = int(h.regions[i].top.Load())
 	}
 	return tops
 }
@@ -913,7 +902,7 @@ func (h *Heap) persistOpenTops() {
 	var seen []coveredHeader
 	for _, a := range h.allocators {
 		if a.region >= 0 {
-			if w := h.deferred[a.region].Load(); w != 0 {
+			if w := h.regions[a.region].deferred.Load(); w != 0 {
 				off, n := headerSpan(w)
 				h.dev.Flush(off, n)
 				seen = append(seen, coveredHeader{a.region, w})
@@ -988,14 +977,14 @@ func (h *Heap) rebuildRegionState(plug bool) {
 				t = end
 			}
 		}
-		h.regionTops[r].Store(int64(t))
+		h.regions[r].top.Store(int64(t))
 		if r < dataRegions && t != 0 {
 			h.frontier = r + 1
 		}
 	}
 	for r := 0; r < h.frontier; r++ {
 		start := h.geo.DataOff + r*layout.RegionSize
-		t := int(h.regionTops[r].Load())
+		t := int(h.regions[r].top.Load())
 		// Dispensable: fully free regions and partial regions with bump
 		// headroom. Sentinel (humongous interior) and overlong tops
 		// (humongous heads) are excluded.
@@ -1113,7 +1102,7 @@ func (h *Heap) FreeBytes() int {
 	free := (h.geo.DataRegions() - h.frontier) * layout.RegionSize
 	for _, r := range h.freeRegions {
 		start := h.geo.DataOff + r*layout.RegionSize
-		t := int(h.regionTops[r].Load())
+		t := int(h.regions[r].top.Load())
 		if t <= regionTopHumongousCont {
 			t = start
 		}

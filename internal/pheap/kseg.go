@@ -2,6 +2,7 @@ package pheap
 
 import (
 	"fmt"
+	"maps"
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
@@ -16,6 +17,33 @@ import (
 // persist the bumped ksegUsed. A crash before the bump leaves the bytes
 // unreachable (the next append overwrites them); a crash after the bump
 // exposes only fully persisted records.
+//
+// The volatile side is two address maps, record address → Klass and name
+// → record address, read by every KlassOf. They are copy-on-write: every
+// writer holds h.mu (EnsureKlass, Rebase) or runs before the heap is
+// published (Load's reinitKlasses), builds new maps and swaps one pointer,
+// so a lookup is a pointer load and a map read, with no lock and no
+// shared line written.
+
+// klassMaps is the segment's address maps at one point in time. It is
+// replaced whole, never modified.
+type klassMaps struct {
+	byAddr map[layout.Ref]*klass.Klass
+	byName map[string]layout.Ref
+}
+
+// with returns a copy of m with k's record at addr added.
+func (m *klassMaps) with(addr layout.Ref, k *klass.Klass) *klassMaps {
+	n := &klassMaps{
+		byAddr: make(map[layout.Ref]*klass.Klass, len(m.byAddr)+1),
+		byName: make(map[string]layout.Ref, len(m.byName)+1),
+	}
+	maps.Copy(n.byAddr, m.byAddr)
+	maps.Copy(n.byName, m.byName)
+	n.byAddr[addr] = k
+	n.byName[k.Name] = addr
+	return n
+}
 
 // EnsureKlass returns the Klass-record address for k, appending a record
 // (and its superclasses' records, transitively) on first use — the paper's
@@ -28,10 +56,7 @@ func (h *Heap) EnsureKlass(k *klass.Klass) (layout.Ref, error) {
 }
 
 func (h *Heap) ensureKlassLocked(k *klass.Klass) (layout.Ref, error) {
-	h.kmu.RLock()
-	addr, ok := h.segByName[k.Name]
-	h.kmu.RUnlock()
-	if ok {
+	if addr, ok := h.KlassAddr(k); ok {
 		return addr, nil
 	}
 	if k.Super != nil {
@@ -50,11 +75,8 @@ func (h *Heap) ensureKlassLocked(k *klass.Klass) (layout.Ref, error) {
 	h.ksegUsed += len(rec)
 	h.persistU64(mKsegUsed, uint64(h.ksegUsed))
 
-	addr = h.AddrOf(off)
-	h.kmu.Lock()
-	h.segByAddr[addr] = k
-	h.segByName[k.Name] = addr
-	h.kmu.Unlock()
+	addr := h.AddrOf(off)
+	h.kseg.Store(h.kseg.Load().with(addr, k))
 	if err := h.putEntryLocked(EntryKlass, k.Name, uint64(addr)); err != nil {
 		return 0, err
 	}
@@ -65,6 +87,8 @@ func (h *Heap) ensureKlassLocked(k *klass.Klass) (layout.Ref, error) {
 // a registry Klass (defining it if the application has not) and rebuilding
 // the address maps. Load cost is proportional to the number of Klasses.
 func (h *Heap) reinitKlasses() error {
+	m := &klassMaps{byAddr: make(map[layout.Ref]*klass.Klass), byName: make(map[string]layout.Ref)}
+	h.kseg.Store(m)
 	off := h.geo.KsegOff
 	end := h.geo.KsegOff + h.ksegUsed
 	for off < end {
@@ -88,11 +112,10 @@ func (h *Heap) reinitKlasses() error {
 		if err != nil {
 			return fmt.Errorf("pheap: reinitializing %s: %w", ri.Name, err)
 		}
+		// Nobody else has the heap yet: fill the maps in place.
 		addr := h.AddrOf(off)
-		h.kmu.Lock()
-		h.segByAddr[addr] = canon
-		h.segByName[canon.Name] = addr
-		h.kmu.Unlock()
+		m.byAddr[addr] = canon
+		m.byName[canon.Name] = addr
 		off += size
 	}
 	return nil
@@ -101,24 +124,16 @@ func (h *Heap) reinitKlasses() error {
 // KlassByAddr resolves a Klass-record address (an object's klass word)
 // to its runtime descriptor.
 func (h *Heap) KlassByAddr(addr layout.Ref) (*klass.Klass, bool) {
-	h.kmu.RLock()
-	k, ok := h.segByAddr[addr]
-	h.kmu.RUnlock()
+	k, ok := h.kseg.Load().byAddr[addr]
 	return k, ok
 }
 
 // KlassAddr reports the record address of a klass already present in the
 // segment.
 func (h *Heap) KlassAddr(k *klass.Klass) (layout.Ref, bool) {
-	h.kmu.RLock()
-	addr, ok := h.segByName[k.Name]
-	h.kmu.RUnlock()
+	addr, ok := h.kseg.Load().byName[k.Name]
 	return addr, ok
 }
 
 // KlassCount reports how many Klass records the segment holds.
-func (h *Heap) KlassCount() int {
-	h.kmu.RLock()
-	defer h.kmu.RUnlock()
-	return len(h.segByAddr)
-}
+func (h *Heap) KlassCount() int { return len(h.kseg.Load().byAddr) }

@@ -16,7 +16,7 @@ import (
 // Access is object access on one heap through one accounting view of its
 // device (nvm.View). The Heap embeds the ownerless one (and so does its
 // ownerless allocator), so h.GetWord and friends count in the device's
-// shared counters; every other Allocator embeds its own, so a mutator
+// ownerless counters; every other Allocator embeds its own, so a mutator
 // that reaches objects through its allocator (core.Mutator, pindex.Ctx,
 // pshard.Ctx all hold exactly one) counts in a cell no other goroutine
 // writes. The access itself — checks, fault
@@ -173,7 +173,7 @@ func (h *Heap) coveredHeader(off, n int) coveredHeader {
 // clearCovered clears c's word once the flush that covered it is fenced,
 // unless its owner has moved on; it reports 1 if it cleared.
 func (h *Heap) clearCovered(c coveredHeader) uint64 {
-	if c.w != 0 && h.deferred[c.r].CompareAndSwap(c.w, 0) {
+	if c.w != 0 && h.regions[c.r].deferred.CompareAndSwap(c.w, 0) {
 		return 1
 	}
 	return 0
@@ -194,7 +194,7 @@ func (h *Heap) ForEachObject(fn func(off int, k *klass.Klass, size int) bool) er
 		if off < start {
 			off = start
 		}
-		top := int(h.regionTops[r].Load())
+		top := int(h.regions[r].top.Load())
 		if top <= regionTopHumongousCont || top <= off {
 			continue
 		}

@@ -72,14 +72,16 @@ func (h *Heap) Rebase(newBase layout.Ref) error {
 	// not virtual addresses, so the table is untouched by a rebase.
 	h.dev.WriteU64(mAddressHint, uint64(newBase))
 	h.base = newBase
-	h.kmu.Lock()
-	newByAddr := make(map[layout.Ref]*klass.Klass, len(h.segByAddr))
-	for addr, k := range h.segByAddr {
-		newByAddr[shift(addr)] = k
-		h.segByName[k.Name] = shift(addr)
+	old := h.kseg.Load()
+	m := &klassMaps{
+		byAddr: make(map[layout.Ref]*klass.Klass, len(old.byAddr)),
+		byName: make(map[string]layout.Ref, len(old.byName)),
 	}
-	h.segByAddr = newByAddr
-	h.kmu.Unlock()
+	for addr, k := range old.byAddr {
+		m.byAddr[shift(addr)] = k
+		m.byName[k.Name] = shift(addr)
+	}
+	h.kseg.Store(m)
 	// The cached filler record addresses shifted with the maps.
 	h.resolveFillers()
 

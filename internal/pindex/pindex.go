@@ -130,6 +130,7 @@ import (
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
 	"espresso/internal/pheap"
+	"espresso/internal/safepoint"
 	"espresso/internal/telemetry"
 )
 
@@ -201,13 +202,14 @@ func (o *Options) fillDefaults() error {
 // concurrently with index traffic pass NoPin. The index's Pinner is the
 // default for its contexts; one created with NewCtxPinned pins through
 // a Pinner of its own instead (PMap gives each pooled ctx a private slot
-// of the runtime's safepoint). Operations must not nest
+// of the runtime's safepoint). Unpin takes back the Token its Pin
+// returned. Operations must not nest
 // on one goroutine (e.g. calling Get from inside a Scan callback): the
 // second Pin can deadlock behind a collector pause waiting on the
 // first.
 type Pinner interface {
-	Pin()
-	Unpin()
+	Pin() safepoint.Token
+	Unpin(safepoint.Token)
 }
 
 // NoPin is the Pinner for single-collector-free use (tests, tools, and
@@ -215,10 +217,10 @@ type Pinner interface {
 type NoPin struct{}
 
 // Pin is a no-op.
-func (NoPin) Pin() {}
+func (NoPin) Pin() safepoint.Token { return 0 }
 
 // Unpin is a no-op.
-func (NoPin) Unpin() {}
+func (NoPin) Unpin(safepoint.Token) {}
 
 // Index is one opened persistent hash map. The persistent state lives
 // entirely in the heap (reachable from the named root); the Index value
@@ -305,8 +307,7 @@ func Open(h *pheap.Heap, pin Pinner, name string, opts Options) (*Index, error) 
 	if err := ix.resolveKlasses(); err != nil {
 		return nil, err
 	}
-	pin.Pin()
-	defer pin.Unpin()
+	defer pin.Unpin(pin.Pin())
 	if _, ok := h.GetRoot(name); ok {
 		st, err := recoverLocked(h, name, ix)
 		if err != nil {
@@ -408,8 +409,7 @@ func (ix *Index) NewCtxPinned(pin Pinner) *Ctx {
 // Release retires the ctx: PLAB headroom returns to the dispenser and
 // pending barrier records are handed to the heap's ownerless context.
 func (c *Ctx) Release() {
-	c.pin.Pin()
-	defer c.pin.Unpin()
+	defer c.pin.Unpin(c.pin.Pin())
 	c.alloc.Release()
 	c.cell = nil // released with the allocator; counts folded into the registry
 }
@@ -469,15 +469,16 @@ func (c *Ctx) own() nvm.Ops {
 	}
 }
 
-// enter begins an operation: its safepoint interval and, when a telemetry
-// cell is attached, the reading of own that exit charges the operation
-// against. Every operation opens with defer c.exit(c.enter()).
-func (c *Ctx) enter() (before nvm.Ops) {
-	c.pin.Pin()
+// enter begins an operation: its safepoint interval (t is the pin's
+// Token) and, when a telemetry cell is attached, the reading of own that
+// exit charges the operation against. Every operation opens with
+// defer c.exit(c.enter()).
+func (c *Ctx) enter() (before nvm.Ops, t safepoint.Token) {
+	t = c.pin.Pin()
 	if c.cell != nil {
 		before = c.own()
 	}
-	return before
+	return before, t
 }
 
 // exit closes the operation. What own has moved by since enter is the
@@ -487,12 +488,12 @@ func (c *Ctx) enter() (before nvm.Ops) {
 // saw, not tallied per site, so it cannot drift from what the paths issue,
 // and the lookup loop carries no accounting at all: a ctx without
 // telemetry pays two tests per operation.
-func (c *Ctx) exit(before nvm.Ops) {
+func (c *Ctx) exit(before nvm.Ops, t safepoint.Token) {
 	if c.cell != nil {
 		d := c.own().Sub(before)
 		c.cell.Dev(nvm.SubIndex, d.Reads, d.Writes, d.FlushedLines, d.Fences)
 	}
-	c.pin.Unpin()
+	c.pin.Unpin(t)
 }
 
 // loadClean returns the slot's current value with the dirty bit clear,

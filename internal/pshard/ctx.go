@@ -48,11 +48,11 @@ func (s *Set) NewCtx() *Ctx {
 // it with the ctx's handle for it, re-attaching if the shard was
 // reopened since the handle was created. Fails without pinning anything
 // when the shard is quarantined; on success the caller must
-// c.slots[i].Unpin().
-func (c *Ctx) acquire(i int) (*Shard, *pindex.Ctx, error) {
-	sh := c.set.shard(i)
+// c.slots[i].Unpin(t).
+func (c *Ctx) acquire(i int) (sh *Shard, sub *pindex.Ctx, t safepoint.Token, err error) {
+	sh = c.set.shard(i)
 	if sh == nil {
-		return nil, nil, &QuarantinedError{Shard: i, Cause: c.set.QuarantineCause(i)}
+		return nil, nil, 0, &QuarantinedError{Shard: i, Cause: c.set.QuarantineCause(i)}
 	}
 	// First touch, or the shard was rebuilt (quarantine + reopen) since
 	// this ctx last saw it. The old sub's heap is gone — drop the handle
@@ -64,12 +64,12 @@ func (c *Ctx) acquire(i int) (*Shard, *pindex.Ctx, error) {
 	if fresh {
 		c.slots[i] = sh.world.NewSlot()
 	}
-	c.slots[i].Pin()
+	t = c.slots[i].Pin()
 	if fresh {
 		c.subs[i] = sh.ix.NewCtx()
 		c.subShard[i] = sh
 	}
-	return sh, c.subs[i], nil
+	return sh, c.subs[i], t, nil
 }
 
 // Put durably maps key → val: the value is boxed on the owning shard's
@@ -79,11 +79,11 @@ func (c *Ctx) acquire(i int) (*Shard, *pindex.Ctx, error) {
 // pindex.Put, per shard.
 func (c *Ctx) Put(key, val int64) error {
 	i := c.set.mani.ShardOf(key)
-	sh, sub, err := c.acquire(i)
+	sh, sub, t, err := c.acquire(i)
 	if err != nil {
 		return err
 	}
-	defer c.slots[i].Unpin()
+	defer c.slots[i].Unpin(t)
 	a := sub.Allocator()
 	return sub.PutNew(key, sh.boxK, func(box layout.Ref) {
 		a.SetWord(box, layout.FieldOff(0), uint64(val))
@@ -102,11 +102,11 @@ func (c *Ctx) Get(key int64) (int64, bool) {
 // ErrShardQuarantined when the owning shard is fenced off.
 func (c *Ctx) Lookup(key int64) (int64, bool, error) {
 	i := c.set.mani.ShardOf(key)
-	_, sub, err := c.acquire(i)
+	_, sub, t, err := c.acquire(i)
 	if err != nil {
 		return 0, false, err
 	}
-	defer c.slots[i].Unpin()
+	defer c.slots[i].Unpin(t)
 	box, ok := sub.Get(key)
 	if !ok || box == layout.NullRef {
 		return 0, false, nil
@@ -126,11 +126,11 @@ func (c *Ctx) Delete(key int64) bool {
 // ErrShardQuarantined when the owning shard is fenced off.
 func (c *Ctx) Remove(key int64) (bool, error) {
 	i := c.set.mani.ShardOf(key)
-	_, sub, err := c.acquire(i)
+	_, sub, t, err := c.acquire(i)
 	if err != nil {
 		return false, err
 	}
-	defer c.slots[i].Unpin()
+	defer c.slots[i].Unpin(t)
 	return sub.Delete(key), nil
 }
 
@@ -140,7 +140,7 @@ func (c *Ctx) Remove(key int64) (bool, error) {
 // shards are skipped — their entries are unreachable, not invented.
 func (c *Ctx) Scan(fn func(key, val int64) bool) {
 	for i := range c.set.shards {
-		_, sub, err := c.acquire(i)
+		_, sub, t, err := c.acquire(i)
 		if err != nil {
 			continue
 		}
@@ -153,7 +153,7 @@ func (c *Ctx) Scan(fn func(key, val int64) bool) {
 			more = fn(key, v)
 			return more
 		})
-		c.slots[i].Unpin()
+		c.slots[i].Unpin(t)
 		if !more {
 			return
 		}
@@ -189,9 +189,9 @@ func (c *Ctx) Release() {
 			c.subs[i], c.subShard[i], c.slots[i] = nil, nil, nil
 			continue
 		}
-		c.slots[i].Pin()
+		t := c.slots[i].Pin()
 		sub.Release()
-		c.slots[i].Unpin()
+		c.slots[i].Unpin(t)
 		c.slots[i].Retire()
 		c.subs[i], c.subShard[i], c.slots[i] = nil, nil, nil
 	}

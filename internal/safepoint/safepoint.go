@@ -11,17 +11,24 @@
 // unpinning stores 0. A HotSpot safepoint poll is thread-local for the
 // same reason. Ownerless readers (Runtime-level accessors, tools) all pin
 // the Point's one shared slot (Shared; RLock and RUnlock are its Pin and
-// Unpin), which counts them instead: an atomic add each way, two locked
-// read-modify-writes on a line every such reader shares — what the read
-// side of a lock would cost, and the slow path. A caller written once for
-// both kinds holds a *Slot and does not care which it is.
+// Unpin), which counts them instead: an atomic add each way, on one of
+// stackstripe.Count line-padded stripes picked by the reader's stack, so
+// two readers on two cores rarely write one line. A reader's stack can
+// move between its pin and its unpin, so Pin returns the stripe it
+// counted in as a Token and Unpin takes it back; on an owner's slot the
+// Token carries nothing. A caller written once for both kinds holds a
+// *Slot, passes Pin's Token to Unpin (defer s.Unpin(s.Pin())) and does
+// not care which kind it holds.
 //
 // The two sides are Dekker's algorithm. A pin writes its slot, then
 // loads stopping; a stop stores stopping, then loads every slot. Go's
 // atomics are sequentially consistent, so of a racing pin and stop at
 // least one sees the other: either the pin sees stopping and backs out,
-// or the stop sees the slot set (the count above zero) and waits for it
-// to clear.
+// or the stop sees the slot set (a stripe's count above zero) and waits
+// for it to clear. A stop reads the stripes one at a time, and that is
+// enough: every unpin leaves the stripe its pin entered, so no stripe
+// ever reads below the readers inside it, and a reader that has left
+// cannot come back while stopping is raised.
 package safepoint
 
 import (
@@ -29,6 +36,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"espresso/internal/stackstripe"
 )
 
 // Point is one safepoint domain. The zero value is ready to use.
@@ -54,9 +63,23 @@ type Point struct {
 	_        [8]uint64
 
 	// shared is the slot every ownerless reader pins; it is not in slots.
+	// Its readers count in pins, in the stripe of their stack at Pin.
 	shared     Slot
 	sharedOnce sync.Once
+	_          [8]uint64 // keep the stripes off the lines every pin reads
+	pins       [stackstripe.Count]pinStripe
 }
+
+// pinStripe is one stripe of the shared slot's reader count, a line from
+// the next.
+type pinStripe struct {
+	n atomic.Uint32
+	_ [60]byte
+}
+
+// Token is what Pin returns and the matching Unpin takes back: on the
+// shared slot, the stripe the pin counted in; on an owner's slot, zero.
+type Token uint32
 
 // Shared returns the slot of the readers that have none of their own. It
 // is safe for concurrent use, unlike an owner's slot, and is never
@@ -67,13 +90,13 @@ func (p *Point) Shared() *Slot {
 }
 
 // RLock enters a safepoint interval as an ownerless reader: no stop can
-// complete until the matching RUnlock. Intervals must not nest on one
-// goroutine — a stop arriving between the two deadlocks the second
-// behind the first.
-func (p *Point) RLock() { p.Shared().Pin() }
+// complete until the matching RUnlock, which takes the Token RLock
+// returned. Intervals must not nest on one goroutine — a stop arriving
+// between the two deadlocks the second behind the first.
+func (p *Point) RLock() Token { return p.Shared().Pin() }
 
 // RUnlock leaves an ownerless reader's safepoint interval.
-func (p *Point) RUnlock() { p.Shared().Unpin() }
+func (p *Point) RUnlock(t Token) { p.Shared().Unpin(t) }
 
 // Stop stops the world: it returns once every safepoint interval in
 // flight has ended, and no new one begins until Start. Stops from
@@ -83,10 +106,10 @@ func (p *Point) Stop() {
 	p.stopping.Store(true)
 	if slots := p.slots.Load(); slots != nil {
 		for _, s := range *slots {
-			s.drain()
+			drain(s.held)
 		}
 	}
-	p.shared.drain()
+	drain(p.sharedHeld)
 }
 
 // Stopping reports whether a stop is requested or holding the world: from
@@ -106,8 +129,8 @@ func (p *Point) Start() {
 // exception on both counts.)
 type Slot struct {
 	_ [8]uint64 // cache-line pad
-	// pinned is 1 while the owner is inside an interval; on the shared
-	// slot, the number of readers that are.
+	// pinned is 1 while the owner is inside an interval. The shared slot
+	// leaves it zero and counts in the Point's pins.
 	pinned atomic.Uint32
 	// retired is set once by Retire; a retired slot that reads unpinned
 	// is dropped from the Point's list by the next registration.
@@ -140,30 +163,36 @@ func (p *Point) NewSlot() *Slot {
 }
 
 // Pin enters a safepoint interval: no stop can complete until the
-// matching Unpin. Intervals must not nest.
-func (s *Slot) Pin() {
+// matching Unpin, which must be handed the Token Pin returns. Intervals
+// must not nest.
+func (s *Slot) Pin() Token {
+	var t Token
+	if s.shared {
+		t = Token(stackstripe.Pick())
+	}
 	for {
 		if s.shared {
-			s.pinned.Add(1)
+			s.p.pins[t].n.Add(1)
 		} else {
 			s.pinned.Store(1)
 		}
 		if !s.p.stopping.Load() {
-			return
+			return t
 		}
 		// A stop is in progress and may already have read this slot as
 		// clear: back out, then wait for the world to start by passing
 		// through the lock the stopper holds.
-		s.Unpin()
+		s.Unpin(t)
 		s.p.mu.RLock()
 		s.p.mu.RUnlock() // nothing to do inside: acquiring was the wait
 	}
 }
 
-// Unpin leaves the safepoint interval.
-func (s *Slot) Unpin() {
+// Unpin leaves the safepoint interval Pin entered; t is what Pin
+// returned.
+func (s *Slot) Unpin(t Token) {
 	if s.shared {
-		s.pinned.Add(^uint32(0))
+		s.p.pins[t].n.Add(^uint32(0))
 	} else {
 		s.pinned.Store(0)
 	}
@@ -175,11 +204,24 @@ func (s *Slot) Unpin() {
 // owner must not pin it again.
 func (s *Slot) Retire() { s.retired.Store(true) }
 
-// drain waits for the slot's interval, if any, to end. Intervals are a
-// handful of device accesses except under Mutator.Do, so it yields a
-// few times before it starts sleeping.
-func (s *Slot) drain() {
-	for i := 0; s.pinned.Load() != 0; i++ {
+// held reports whether the slot's owner is inside an interval.
+func (s *Slot) held() bool { return s.pinned.Load() != 0 }
+
+// sharedHeld reports whether any reader of the shared slot is inside an
+// interval: whether its stripes sum above zero.
+func (p *Point) sharedHeld() bool {
+	var n uint32
+	for i := range p.pins {
+		n += p.pins[i].n.Load()
+	}
+	return n != 0
+}
+
+// drain waits for held to report false: a slot's interval, or the shared
+// slot's, to end. Intervals are a handful of device accesses except under
+// Mutator.Do, so it yields a few times before it starts sleeping.
+func drain(held func() bool) {
+	for i := 0; held(); i++ {
 		if i < 128 {
 			runtime.Gosched()
 		} else {

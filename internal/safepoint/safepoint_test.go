@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"espresso/internal/stackstripe"
 )
 
 // TestStopExcludesEveryInterval runs slot owners and ownerless readers
@@ -17,14 +19,14 @@ func TestStopExcludesEveryInterval(t *testing.T) {
 		done   atomic.Bool
 		wg     sync.WaitGroup
 	)
-	interval := func(enter, exit func()) {
+	interval := func(pin func() Token, unpin func(Token)) {
 		defer wg.Done()
 		for !done.Load() {
-			enter()
+			t := pin()
 			inside.Add(1)
 			runtime.Gosched()
 			inside.Add(-1)
-			exit()
+			unpin(t)
 		}
 	}
 	for i := 0; i < 4; i++ {
@@ -64,7 +66,7 @@ func TestStopWaitsForPinnedSlot(t *testing.T) {
 }
 
 func stopWaitsForPinned(t *testing.T, p *Point, a, b *Slot) {
-	a.Pin()
+	ta := a.Pin()
 	var unpinned atomic.Bool
 	stopped := make(chan bool)
 	go func() {
@@ -76,12 +78,12 @@ func stopWaitsForPinned(t *testing.T, p *Point, a, b *Slot) {
 	}
 	late := make(chan struct{})
 	go func() {
-		b.Pin() // must park: a stop is in progress
+		tb := b.Pin() // must park: a stop is in progress
 		close(late)
-		b.Unpin()
+		b.Unpin(tb)
 	}()
 	unpinned.Store(true)
-	a.Unpin()
+	a.Unpin(ta)
 	if !<-stopped {
 		t.Fatal("Stop returned while a slot was still pinned")
 	}
@@ -100,7 +102,7 @@ func stopWaitsForPinned(t *testing.T, p *Point, a, b *Slot) {
 func TestRetireInsideOwnInterval(t *testing.T) {
 	var p Point
 	s := p.NewSlot()
-	s.Pin()
+	tok := s.Pin()
 	stopped := make(chan struct{})
 	go func() {
 		p.Stop()
@@ -118,11 +120,86 @@ func TestRetireInsideOwnInterval(t *testing.T) {
 		t.Fatal("Stop ignored a retired slot that was still pinned")
 	default:
 	}
-	s.Unpin()
+	s.Unpin(tok)
 	<-stopped
 	p.Start()
 	p.NewSlot()
 	if n := len(*p.slots.Load()); n != 1 {
 		t.Fatalf("%d slots registered after the retiree unpinned, want 1", n)
+	}
+}
+
+// grow calls fn from depth frames down, deep enough that a goroutine
+// started with a small stack must have it copied to a bigger one first.
+//
+//go:noinline
+func grow(depth int, fn func()) {
+	var pad [256]byte
+	if depth == 0 {
+		fn()
+		return
+	}
+	grow(depth-1, fn)
+	pad[depth%len(pad)]++
+}
+
+// TestSharedPinAcrossStackGrowth pins the shared slot from fresh
+// goroutines, each of which copies its stack to a bigger one by deep
+// recursion before it unpins — so the stack it unpins on hashes, nearly
+// always, to another stripe than the one it pinned on — while a loop
+// stops and starts the world. No stop may overlap an interval, and once
+// every reader has left each stripe must read zero: the unpin went back
+// to the stripe the pin counted in, whatever the stack did in between.
+func TestSharedPinAcrossStackGrowth(t *testing.T) {
+	var (
+		p      Point
+		inside atomic.Int64
+		moved  atomic.Int64
+		done   atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				var one sync.WaitGroup
+				one.Add(1)
+				go func() { // a fresh goroutine: a small stack, not yet grown
+					defer one.Done()
+					tok := p.RLock()
+					inside.Add(1)
+					grow(64, func() {
+						if stackstripe.Pick() != int(tok) {
+							moved.Add(1)
+						}
+						runtime.Gosched()
+					})
+					inside.Add(-1)
+					p.RUnlock(tok)
+				}()
+				one.Wait()
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		p.Stop()
+		for k := 0; k < 10; k++ {
+			if n := inside.Load(); n != 0 {
+				t.Fatalf("stop %d: %d shared intervals in flight inside the pause", i, n)
+			}
+			runtime.Gosched()
+		}
+		p.Start()
+	}
+	done.Store(true)
+	wg.Wait()
+	for i := range p.pins {
+		if n := p.pins[i].n.Load(); n != 0 {
+			t.Fatalf("stripe %d reads %d with every reader gone", i, int32(n))
+		}
+	}
+	if moved.Load() == 0 {
+		t.Fatal("no interval ended on another stripe than it began on: the test moved no stack")
 	}
 }
