@@ -168,8 +168,8 @@ func (w worldLocker) StartWorld() { w.rt.world.Start() }
 // PersistentGC runs the crash-consistent collection of paper §4 on the
 // named heap (System.gc() for the persistent space). Mutators on other
 // goroutines are paused through the safepoint lock for the whole
-// collection; PersistentGCConcurrent pauses them only for handshake and
-// compaction.
+// collection, which marks on GOMAXPROCS workers and compacts on one;
+// PersistentGCConcurrent pauses them only for handshake and compaction.
 func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 	h, ok := rt.heapByName[name]
 	if !ok {

@@ -11,9 +11,9 @@ import (
 // TestParallelMarkStress is TestSATBMarkStress's worker-pool arm: the
 // same mutator churn (prepend + unlink through the SATB barrier), but
 // every collection runs with an explicit 4-worker marking pool, so the
-// work-stealing deques, the shared CAS-claimed mark bitmap, the
-// per-worker SATB/remset shard drains, and the parallel compaction
-// passes all race against live mutator stores. Run under -race in CI,
+// shared and stolen halves of the workers' stacks, the shared CAS-claimed
+// mark bitmap, the per-worker SATB/remset shard drains, and the parallel
+// compaction passes all race against live mutator stores. Run under -race in CI,
 // it proves the pool adds no data races over the single-worker marker;
 // the model check proves it loses no reachable objects either.
 func TestParallelMarkStress(t *testing.T) {

@@ -7,71 +7,48 @@ import (
 	"espresso/internal/layout"
 )
 
-// deque is one worker's gray-object queue. The owner pushes and pops at
-// the tail (LIFO, for the locality a depth-first trace wants); thieves
-// take a batch from the head (FIFO), which hands them the oldest —
-// typically widest — subgraphs and leaves the owner its hot tail. A
-// plain mutex serializes both ends: marking work units are whole-object
-// scans, several device reads each, so the lock is never the bottleneck
-// and keeps the termination reasoning simple. The length is mirrored in
-// an atomic so probes (steal candidate checks, the idle barrier's
-// anyWork sweep) never touch the lock — with more thieves than work,
-// probe traffic would otherwise serialize the owner's own pops behind
-// the thieves' polling.
+// deque is the part of a worker's gray work other workers can take. The
+// owner marks from a private stack (workerState.stack) with no lock, and
+// moves the older half of it here only when some worker is idle and this
+// deque is empty (Marker.share); thieves take half of what is here.
+// Stealing the older entries hands a thief the widest pending subgraphs
+// and leaves the owner its hot, newest work. A plain mutex serializes
+// both ends: the deque is touched once per shared batch, not once per
+// object. The length is mirrored in an atomic so probes (a thief's
+// candidate check, the idle barrier's anyWork sweep) never touch the
+// lock.
 type deque struct {
 	mu  sync.Mutex
 	buf []layout.Ref
 	n   atomic.Int64
 }
 
-// push appends ref at the tail. Only the owning worker pushes — the
-// invariant the termination barrier leans on: a deque can only grow
-// while its owner is active.
-func (d *deque) push(ref layout.Ref) {
+// pushAll appends refs. Only the owning worker pushes — the invariant
+// the termination barrier leans on: a deque can only grow while its
+// owner is active.
+func (d *deque) pushAll(refs []layout.Ref) {
 	d.mu.Lock()
-	d.buf = append(d.buf, ref)
+	d.buf = append(d.buf, refs...)
 	d.n.Store(int64(len(d.buf)))
 	d.mu.Unlock()
 }
 
-// popTail removes the newest entry (owner side).
-func (d *deque) popTail() (layout.Ref, bool) {
-	d.mu.Lock()
-	n := len(d.buf)
-	if n == 0 {
-		d.mu.Unlock()
-		return layout.NullRef, false
-	}
-	ref := d.buf[n-1]
-	d.buf = d.buf[:n-1]
-	d.n.Store(int64(n - 1))
-	d.mu.Unlock()
-	return ref, true
-}
-
-// stealHalf removes up to half of the entries (at least one) from the
-// head and returns them — batch stealing, so one successful steal keeps
-// a thief busy instead of sending it back per object. Deques holding a
-// single entry are left alone: a linked-chain walk keeps exactly one
-// pending node, and stealing it would only migrate the chain between
-// workers (mutex ping-pong, cache transfer) without creating any
-// parallelism — the owner is about to pop it anyway.
-func (d *deque) stealHalf() []layout.Ref {
-	if d.n.Load() < 2 {
-		return nil
+// stealHalf moves half of the entries (at least one) from the head onto
+// dst and returns it. The owner takes its own deque back the same way.
+// One successful steal keeps a thief busy for a batch instead of sending
+// it back per object.
+func (d *deque) stealHalf(dst []layout.Ref) []layout.Ref {
+	if d.n.Load() == 0 {
+		return dst
 	}
 	d.mu.Lock()
 	n := len(d.buf)
-	if n < 2 {
-		d.mu.Unlock()
-		return nil
-	}
 	k := (n + 1) / 2
-	stolen := append([]layout.Ref(nil), d.buf[:k]...)
+	dst = append(dst, d.buf[:k]...)
 	d.buf = append(d.buf[:0], d.buf[k:]...)
 	d.n.Store(int64(len(d.buf)))
 	d.mu.Unlock()
-	return stolen
+	return dst
 }
 
 // size reports the current length without taking the lock (exact, since

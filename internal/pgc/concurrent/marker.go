@@ -13,21 +13,28 @@
 // gray roots — first concurrently, then once more at the final remark
 // with the world stopped again.
 //
-// Tracing is parallel: N workers each own a work-stealing deque, seeded
-// from the root set by the region (under the snapshot top table) each
-// root points into. A worker scans objects popped from its own tail,
-// steals batches from other deques when it runs dry, and — before going
-// idle — drains its shard of the barrier buffers (pre-write records to
-// trace, remembered-set deltas to publish) so barrier traffic is consumed
-// concurrently with tracing by the same pool. Termination is a steal-failure + buffer-quiescence barrier: a
-// worker retires only after its own deque is empty, a steal sweep over
-// every other deque failed, and its SATB shard drained nothing (or the
-// drain budget ran out); the cycle is over when every worker has retired
-// at once. That is sound because workers push only to their own deques —
-// a deque can be non-empty only while its owner is active, so "all
-// workers idle" implies "all deques empty" implies no marking work can
+// Tracing is parallel: N workers each mark from a private gray stack,
+// seeded from the root set by the region (under the snapshot top table)
+// each root points into. A worker pushes and pops its own stack with no
+// lock and no store another worker reads. Work is shared only on demand:
+// while some worker is idle and a busy worker's deque is empty, the busy
+// worker moves the older half of its stack into its deque, and idle
+// workers steal half of a deque at a time. A worker that runs dry takes
+// its own deque back, then steals, and — before going idle — drains its
+// shard of the barrier buffers (pre-write records to trace,
+// remembered-set deltas to publish) so barrier traffic is consumed
+// concurrently with tracing by the same pool. Termination is a
+// steal-failure + buffer-quiescence barrier: a worker retires only after
+// its stack and its deque are empty, a steal sweep over every other deque
+// failed, and its SATB shard drained nothing (or the drain budget ran
+// out); the cycle is over when every worker has retired at once. That is
+// sound because workers push only to their own stacks and deques — both
+// can be non-empty only while their owner is active, so "all workers
+// idle" implies "no gray object anywhere" implies no marking work can
 // ever appear again except via mutator barriers, which the final remark
-// collects.
+// collects. A linked-chain walk keeps one pending node at a time, so it
+// stays on its worker's stack and is never shared: the chain is serial
+// work wherever it runs.
 //
 // Race discipline: the marker reads reference slots with single atomic
 // machine loads (nvm.ReadU64Atomic) and mutators store them with single
@@ -36,13 +43,14 @@
 // reads suffice there. The mark bitmap is shared between workers and
 // written with atomic fetch-OR word operations; a worker claims an
 // object by flipping its begin bit from clear to set, so every object is
-// scanned (and counted) by exactly one worker no matter how many deques
+// scanned (and counted) by exactly one worker no matter how many stacks
 // it was pushed onto.
 //
-// The same engine runs the stop-the-world mark phase: with the snapshot
-// taken at the current tops, no mutators running, and workers=1, tracing
-// degenerates to the seed's mark loop, which is how pgc shares one
-// tracer between both collectors.
+// The same engine runs the stop-the-world mark phase, with the snapshot
+// taken at the current tops and no mutators running, which is how pgc
+// shares one tracer between both collectors. With workers=1 no goroutine
+// is started and nothing is ever shared: the worker pops its stack until
+// it is empty.
 package concurrent
 
 import (
@@ -70,14 +78,25 @@ type Marker struct {
 
 	ws []*workerState
 
+	// Every worker reads the fields above on every scan; the two
+	// counters below are written when a worker parks or drains, so they
+	// keep a line of their own.
+	_ [layout.LineSize]byte
+
 	// idle counts workers currently parked in the termination barrier;
-	// a trace call completes when it reaches the pool size. Reset per
-	// trace call.
+	// a trace call completes when it reaches the pool size. A busy worker
+	// shares work only while it is positive. Reset per trace call.
 	idle atomic.Int64
 
 	// satbConsumed tallies SATB records delivered during the current
 	// trace call (DrainOnce's return value). Reset per trace call.
 	satbConsumed atomic.Int64
+	_            [layout.LineSize]byte
+
+	// wake holds up to one token per worker for the parked workers: a
+	// share sends one, the end of the trace and a failure fill it. A
+	// token left over from one trace call costs the next one a re-check.
+	wake chan struct{}
 
 	// maxOut[c] is the highest device offset any traced object starting
 	// in card c (pheap.SATBCardBytes granularity) points at (NoOutgoing
@@ -103,13 +122,16 @@ type Marker struct {
 	sweptObjects, sweptBytes int
 }
 
-// workerState is one worker's private half: its deque, its accounting
-// view of the device, its bitmap view through that device, and its
-// share of the live counts. Only its owning goroutine touches the
-// counts and budgets; the deque has its own lock.
+// workerState is one worker's state: its private gray stack, its
+// accounting view of the device, its bitmap view through that device,
+// its share of the live counts, and its deque. Only its owning goroutine
+// touches the fields above the deque; the deque is what other workers
+// read and lock, so padding keeps it off their lines and off the next
+// worker's.
 type workerState struct {
-	id          int
-	dq          *deque
+	id int
+	// stack is the worker's gray objects, pushed and popped at the end.
+	stack       []layout.Ref
 	wd          *nvm.View
 	bm          *pheap.Bitmap
 	liveObjects int
@@ -122,6 +144,10 @@ type workerState struct {
 	// signal Result.MarkWorkerTimes reports (every worker's total wall
 	// time is roughly equal by construction: all retire together).
 	busy, parked time.Duration
+
+	_  [layout.LineSize]byte
+	dq deque
+	_  [layout.LineSize]byte
 }
 
 // yieldEvery is how many scans a worker performs between voluntary
@@ -156,10 +182,11 @@ func NewMarker(h *pheap.Heap, snapTops []int, workers int) *Marker {
 	for i := range maxOut {
 		maxOut[i] = NoOutgoing
 	}
-	m := &Marker{h: h, snap: snapTops, dataOff: h.Geo().DataOff, workers: workers, maxOut: maxOut}
+	m := &Marker{h: h, snap: snapTops, dataOff: h.Geo().DataOff, workers: workers, maxOut: maxOut,
+		wake: make(chan struct{}, workers)}
 	for i := 0; i < workers; i++ {
 		wd := h.Device().NewView()
-		m.ws = append(m.ws, &workerState{id: i, dq: &deque{}, wd: wd, bm: h.MarkBitmapOn(wd)})
+		m.ws = append(m.ws, &workerState{id: i, wd: wd, bm: h.MarkBitmapOn(wd)})
 	}
 	return m
 }
@@ -245,14 +272,14 @@ func (m *Marker) belowSnapshot(off int) bool {
 	return pheap.IsRealTop(top) && off < top
 }
 
-// pushTo grays ref onto w's deque if it is a heap object below the
+// pushTo grays ref onto w's stack if it is a heap object below the
 // snapshot. Slot values may carry low tag bits (the persistent index's
 // link-state marks); the tag is stripped before the value is treated as
 // an address.
 func (m *Marker) pushTo(w *workerState, ref layout.Ref) {
 	ref = layout.UntagRef(ref)
 	if ref != layout.NullRef && m.h.Contains(ref) && m.belowSnapshot(m.h.OffOf(ref)) {
-		w.dq.push(ref)
+		w.stack = append(w.stack, ref)
 	}
 }
 
@@ -295,7 +322,7 @@ func (m *Marker) sizeOf(w *workerState, off int) (*klass.Klass, int, error) {
 
 // scan blackens the object at ref on worker w: claim its begin mark bit,
 // set its end bit, count it, summarize and gray its referents. The claim
-// is the dedup — of all workers holding ref on some deque, exactly one
+// is the dedup — of all workers holding ref on some stack, exactly one
 // sees the bit flip and scans.
 func (m *Marker) scan(w *workerState, ref layout.Ref) error {
 	off := m.h.OffOf(ref)
@@ -317,7 +344,7 @@ func (m *Marker) scan(w *workerState, ref layout.Ref) error {
 			tgt := m.h.OffOf(v)
 			m.noteOutgoing(srcCard, tgt)
 			if m.belowSnapshot(tgt) {
-				w.dq.push(v)
+				w.stack = append(w.stack, v)
 			}
 		}
 	})
@@ -332,6 +359,7 @@ func (m *Marker) fail(err error) {
 	}
 	m.errMu.Unlock()
 	m.failed.Store(true)
+	m.wakeAll()
 }
 
 // notePanic forwards a worker panic: remember the first value, release
@@ -345,41 +373,59 @@ func (m *Marker) notePanic(p any) {
 	}
 	m.errMu.Unlock()
 	m.failed.Store(true)
+	m.wakeAll()
 }
 
-// steal sweeps the other deques once, moving a batch from the first
-// non-empty victim into w's deque and returning one entry to scan.
-func (m *Marker) steal(w *workerState) (layout.Ref, bool) {
-	for i := 1; i < m.workers; i++ {
-		victim := m.ws[(w.id+i)%m.workers]
-		if stolen := victim.dq.stealHalf(); len(stolen) > 0 {
-			for _, r := range stolen[1:] {
-				w.dq.push(r)
-			}
-			return stolen[0], true
+// share moves the older half of w's stack, rounded up, into its deque,
+// where idle workers can steal it, and wakes one of them. A worker
+// walking a chain with one other root pending hands that root over.
+func (m *Marker) share(w *workerState) {
+	k := (len(w.stack) + 1) / 2
+	w.dq.pushAll(w.stack[:k])
+	w.stack = w.stack[:copy(w.stack, w.stack[k:])]
+	select {
+	case m.wake <- struct{}{}:
+	default:
+	}
+}
+
+// wakeAll wakes every parked worker: the pool is done or has failed.
+func (m *Marker) wakeAll() {
+	for i := 0; i < m.workers; i++ {
+		select {
+		case m.wake <- struct{}{}:
+		default:
+			return
 		}
 	}
-	return layout.NullRef, false
 }
 
-// anyWork reports whether any deque holds stealable gray work. The
-// threshold matches stealHalf's: a single-entry deque belongs to an
-// active owner mid-chain (the owner-push invariant), so waking an idle
-// worker for it would only fail a steal and burn a drain round. This
-// does not weaken termination — the barrier exits on the idle count,
-// and "all workers idle" still implies "all deques empty".
-func (m *Marker) anyWork() bool {
-	for _, w := range m.ws {
-		if w.dq.size() >= 2 {
+// steal sweeps the other deques once, moving half of the first non-empty
+// victim's onto w's stack, and reports whether it found any.
+func (m *Marker) steal(w *workerState) bool {
+	for i := 1; i < m.workers; i++ {
+		victim := m.ws[(w.id+i)%m.workers]
+		if w.stack = victim.dq.stealHalf(w.stack); len(w.stack) > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// workerLoop is one worker's trace-to-termination: scan own work, steal,
-// drain the worker's shard of the barrier buffers before parking, and
-// retire through the idle barrier.
+// anyWork reports whether any deque holds gray work to steal.
+func (m *Marker) anyWork() bool {
+	for _, w := range m.ws {
+		if w.dq.size() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// workerLoop is one worker's trace-to-termination: scan its own stack
+// (sharing half of it when a worker is idle and its deque is empty), take
+// its deque back, steal, drain the worker's shard of the barrier buffers
+// before parking, and retire through the idle barrier.
 func (m *Marker) workerLoop(w *workerState) {
 	for {
 		if m.failed.Load() {
@@ -389,18 +435,19 @@ func (m *Marker) workerLoop(w *workerState) {
 			w.scanTick = 0
 			runtime.Gosched()
 		}
-		if ref, ok := w.dq.popTail(); ok {
+		if n := len(w.stack); n > 0 {
+			ref := w.stack[n-1]
+			w.stack = w.stack[:n-1]
+			if n > 1 && m.idle.Load() > 0 && w.dq.size() == 0 {
+				m.share(w)
+			}
 			if err := m.scan(w, ref); err != nil {
 				m.fail(err)
 				return
 			}
 			continue
 		}
-		if ref, ok := m.steal(w); ok {
-			if err := m.scan(w, ref); err != nil {
-				m.fail(err)
-				return
-			}
+		if w.stack = w.dq.stealHalf(w.stack); len(w.stack) > 0 || m.steal(w) {
 			continue
 		}
 		// Out of tracing work: consume barrier traffic before parking —
@@ -416,18 +463,21 @@ func (m *Marker) workerLoop(w *workerState) {
 				continue
 			}
 		}
-		// Idle barrier: park, but watch for work stolen-from-able deques
-		// (a still-active worker may push) and for pool completion. The
-		// first few re-checks just yield; after that the worker sleeps in
-		// naps that back off exponentially, so a long wait (another
-		// worker deep in a big chain) neither burns a CPU that mutators
-		// could be using nor — the subtler failure — preempts the busy
-		// workers tens of thousands of times a second with its wakeups.
+		// Idle barrier: park until a deque holds work (a still-active
+		// worker shares once it sees idle > 0, and wakes one parked
+		// worker when it does) or the pool is done. The first few
+		// re-checks just yield; after that the worker blocks on the wake
+		// channel, so a long wait (another worker deep in a big chain)
+		// neither burns a CPU that mutators could be using nor preempts
+		// the busy workers with wakeups of its own. It blocks rather than
+		// naps because work is shared only for an idle worker to take:
+		// with naps of up to a millisecond, a mark at gc_churn's shape
+		// took 0.4–2 ms longer on two workers (BenchmarkPersistentGC).
 		m.idle.Add(1)
 		parkStart := time.Now()
-		nap := 20 * time.Microsecond
 		for spins := 0; ; spins++ {
 			if m.idle.Load() == int64(m.workers) {
+				m.wakeAll()
 				w.parked += time.Since(parkStart)
 				return
 			}
@@ -443,10 +493,7 @@ func (m *Marker) workerLoop(w *workerState) {
 			if spins < 32 {
 				runtime.Gosched()
 			} else {
-				time.Sleep(nap)
-				if nap *= 2; nap > time.Millisecond {
-					nap = time.Millisecond
-				}
+				<-m.wake
 			}
 		}
 	}
@@ -461,7 +508,7 @@ func (m *Marker) runWorker(w *workerState) {
 	m.workerLoop(w)
 }
 
-// trace runs the pool to termination over whatever the deques currently
+// trace runs the pool to termination over whatever the stacks currently
 // hold, giving each worker drainBudget SATB-shard drain attempts. Worker
 // 0 runs on the calling goroutine; with workers=1 no goroutine is ever
 // spawned and the engine is the seed's serial trace.
@@ -509,8 +556,9 @@ func (m *Marker) trace(drainBudget int) error {
 
 // MarkRoots grays the root set and traces to the termination barrier.
 // Roots are the snapshot-time root references, captured by the collector
-// during the initial handshake; each is seeded onto the deque owning its
-// region, so the snapshot partitions the initial work across the pool.
+// during the initial handshake; each is seeded onto the stack of the
+// worker owning its region, so the snapshot partitions the initial work
+// across the pool.
 func (m *Marker) MarkRoots(roots []layout.Ref) error {
 	for _, r := range roots {
 		ref := layout.UntagRef(r)
@@ -522,7 +570,7 @@ func (m *Marker) MarkRoots(roots []layout.Ref) error {
 			continue
 		}
 		w := m.ws[((off-m.dataOff)/layout.RegionSize)%m.workers]
-		w.dq.push(ref)
+		w.stack = append(w.stack, ref)
 	}
 	return m.trace(maxDrainRounds)
 }

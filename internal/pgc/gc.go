@@ -2,6 +2,7 @@ package pgc
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"espresso/internal/layout"
@@ -82,6 +83,13 @@ type Result struct {
 // receives updates for) DRAM references into the heap; pass NoRoots{} if
 // none exist. The world must be stopped: no allocation or mutation may run
 // concurrently, as with the JVM's stop-the-world old GC.
+//
+// Marking runs on runtime.GOMAXPROCS(0) workers, as Parallel Scavenge's
+// old-generation mark runs on its GC threads; it issues no flush, and its
+// result — the mark bitmap, the counts, the outgoing-reference summary —
+// is the same for every worker count. Summary and compaction run on one
+// worker, so a collection's flushes come in one fixed order, which the
+// crash sweeps that crash Collect at its k-th flush rely on.
 func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	if !h.TryBeginCollection() {
 		return Result{}, fmt.Errorf("pgc: another collection of this heap is already running")
@@ -113,7 +121,7 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	// Mark with the world stopped: the trace sees every store, so there
 	// are no dirty cards and nothing to remark.
 	markStart := time.Now()
-	mk, err := mark(h, ext, 1)
+	mk, err := mark(h, ext, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return Result{}, err
 	}

@@ -53,8 +53,8 @@ func heapRoots(h *pheap.Heap, ext Rooter) []layout.Ref {
 // and returns the marker (counts, outgoing-reference summary), which the
 // caller releases. The
 // tracer is the shared SATB engine run with the snapshot at the current
-// tops — with the world stopped that covers every object, so with one
-// worker it degenerates to the seed's stop-the-world mark.
+// tops: with the world stopped that covers every object, so nothing is
+// allocate-black and there is nothing to remark.
 func mark(h *pheap.Heap, ext Rooter, workers int) (*concurrent.Marker, error) {
 	h.MarkBitmap().ClearAll()
 	h.RegionBitmap().ClearAll()

@@ -3,6 +3,8 @@ package pgc
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"espresso/internal/klass"
@@ -214,13 +216,52 @@ func TestParallelMarkCountsWideGraph(t *testing.T) {
 // produce the same heap image bit for bit — marking publishes idempotent
 // bitmap bits, the summary is a pure function of the bitmap, and the
 // parallel compaction passes only reorder writes on disjoint lines.
+// Collect marks on GOMAXPROCS workers and compacts on one, so under it
+// the flushes must also be the same ones in the same order at every
+// GOMAXPROCS: the crash sweeps that crash Collect at its k-th flush
+// depend on that.
 func TestCollectParallelWorkersByteIdentical(t *testing.T) {
+	// A large graph with scattered garbage spans three regions, so the
+	// fill pass writes fillers in several; the belt above it makes the
+	// graph above the belt move.
 	build := func() *pheap.Heap {
 		h, reg := newHeap(t, 4<<20)
-		buildGarbageBelt(t, h, reg, 250)
+		buildGraph(t, h, reg, 76, 12000, 12)
+		buildGarbageBelt(t, h, reg, 6000)
 		buildGraph(t, h, reg, 77, 600, 6)
 		return h
 	}
+	sameImage := func(what string, a, b *pheap.Heap) {
+		t.Helper()
+		geo := a.Geo()
+		for _, sec := range []struct {
+			name   string
+			off, n int
+		}{
+			{"data area", geo.DataOff, geo.DataSize},
+			{"region-top table", geo.RegionTopOff, geo.RegionTopSize},
+			{"name table", geo.NameTabOff, geo.NameTabCap * 64},
+			{"mark bitmap", geo.MarkBmpOff, geo.MarkBmpSize},
+		} {
+			x, y := a.Device().View(sec.off, sec.n), b.Device().View(sec.off, sec.n)
+			if !bytes.Equal(x, y) {
+				for i := range x {
+					if x[i] != y[i] {
+						t.Fatalf("%s: %s differs at byte %d (abs %d): %#x vs %#x",
+							what, sec.name, i, sec.off+i, x[i], y[i])
+					}
+				}
+			}
+		}
+	}
+	sameResult := func(what string, a, b Result) {
+		t.Helper()
+		if a.LiveObjects != b.LiveObjects || a.LiveBytes != b.LiveBytes ||
+			a.MovedObjects != b.MovedObjects || a.NewTop != b.NewTop {
+			t.Fatalf("%s: results differ: %+v vs %+v", what, a, b)
+		}
+	}
+
 	h1 := build()
 	r1, err := CollectConcurrent(h1, NoRoots{}, nil, 1)
 	if err != nil {
@@ -229,41 +270,118 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 	if r1.MovedObjects == 0 {
 		t.Fatal("workload compacted nothing; the parallel fix pass is untested")
 	}
-	geo := h1.Geo()
-	sections := []struct {
-		name   string
-		off, n int
-	}{
-		{"data area", geo.DataOff, geo.DataSize},
-		{"region-top table", geo.RegionTopOff, geo.RegionTopSize},
-		{"name table", geo.NameTabOff, geo.NameTabCap * 64},
-		{"mark bitmap", geo.MarkBmpOff, geo.MarkBmpSize},
-	}
 	for _, workers := range []int{2, 4, 8} {
 		hN := build()
 		rN, err := CollectConcurrent(hN, NoRoots{}, nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if r1.LiveObjects != rN.LiveObjects || r1.LiveBytes != rN.LiveBytes ||
-			r1.MovedObjects != rN.MovedObjects || r1.NewTop != rN.NewTop {
-			t.Fatalf("workers=%d results differ: %+v vs %+v", workers, r1, rN)
-		}
+		what := fmt.Sprintf("CollectConcurrent, workers=%d", workers)
+		sameResult(what, r1, rN)
 		if len(rN.MarkWorkerStats) != workers || len(rN.CompactFixWorkerStats) != workers {
-			t.Fatalf("workers=%d: per-worker stats have %d/%d entries",
-				workers, len(rN.MarkWorkerStats), len(rN.CompactFixWorkerStats))
+			t.Fatalf("%s: per-worker stats have %d/%d entries",
+				what, len(rN.MarkWorkerStats), len(rN.CompactFixWorkerStats))
 		}
-		for _, sec := range sections {
-			a := h1.Device().View(sec.off, sec.n)
-			b := hN.Device().View(sec.off, sec.n)
-			if !bytes.Equal(a, b) {
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("workers=%d: %s differs at byte %d (abs %d): %#x vs %#x",
-							workers, sec.name, i, sec.off+i, a[i], b[i])
-					}
-				}
+		sameImage(what, h1, hN)
+	}
+
+	type flush struct{ off, n int }
+	collect := func(procs int) (*pheap.Heap, Result, []flush) {
+		h := build()
+		var flushes []flush
+		h.Device().SetFlushFault(func(off, n int, _ uint64) bool {
+			flushes = append(flushes, flush{off, n})
+			return false
+		})
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, err := Collect(h, NoRoots{})
+		if err != nil {
+			t.Fatalf("Collect at GOMAXPROCS %d: %v", procs, err)
+		}
+		h.Device().SetFlushFault(nil)
+		if len(r.MarkWorkerStats) != procs {
+			t.Fatalf("Collect at GOMAXPROCS %d marked on %d workers", procs, len(r.MarkWorkerStats))
+		}
+		return h, r, flushes
+	}
+	hS, rS, fS := collect(1)
+	sameResult("Collect against CollectConcurrent", r1, rS)
+	sameImage("Collect against CollectConcurrent", h1, hS)
+	for _, procs := range []int{2, 4, 8} {
+		h, r, f := collect(procs)
+		what := fmt.Sprintf("Collect at GOMAXPROCS %d", procs)
+		sameResult(what, rS, r)
+		sameImage(what, hS, h)
+		if len(f) != len(fS) {
+			t.Fatalf("%s: %d flushes, %d at GOMAXPROCS 1", what, len(f), len(fS))
+		}
+		for i := range f {
+			if f[i] != fS[i] {
+				t.Fatalf("%s: flush %d is [%d,+%d), at GOMAXPROCS 1 [%d,+%d)",
+					what, i+1, f[i].off, f[i].n, fS[i].off, fS[i].n)
 			}
+		}
+	}
+}
+
+// TestParallelMarkSharesAChainOffAFanOut runs four mark workers on one
+// P, so they interleave only where they yield, over a wide fan-out — a
+// root array of short lists — with one long chain hung off its last
+// slot. The fan-out is what the busy worker shares once the others go
+// idle; the chain stays on whichever stack reaches it. Each object must
+// be counted by exactly one worker, and the fan-out must have been
+// spread over more than one.
+func TestParallelMarkSharesAChainOffAFanOut(t *testing.T) {
+	const (
+		fanOut   = 1000
+		shortLen = 3
+		chainLen = 3000
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	h, reg := newHeap(t, 4<<20)
+	node := nodeKlass(reg)
+	arr, err := h.Alloc(reg.ObjArray("Node"), fanOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := func(n int) layout.Ref {
+		var head layout.Ref
+		for i := 0; i < n; i++ {
+			ref, err := h.Alloc(node, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.SetWord(ref, layout.FieldOff(fNext), uint64(head))
+			head = ref
+		}
+		return head
+	}
+	for i := 0; i < fanOut-1; i++ {
+		h.SetWord(arr, layout.ElemOff(layout.FTRef, i), uint64(list(shortLen)))
+	}
+	h.SetWord(arr, layout.ElemOff(layout.FTRef, fanOut-1), uint64(list(chainLen)))
+	if err := h.SetRoot("fan", arr); err != nil {
+		t.Fatal(err)
+	}
+	const live = 1 + (fanOut-1)*shortLen + chainLen
+
+	for round := 0; round < 3; round++ {
+		mk := runMark(t, h, 4)
+		objs, _ := mk.Counts()
+		sum, busy := 0, 0
+		for _, c := range mk.WorkerObjectCounts() {
+			sum += c
+			if c > 0 {
+				busy++
+			}
+		}
+		mk.Release()
+		if objs != live || sum != live {
+			t.Fatalf("round %d: counted %d objects (per-worker sum %d), want %d", round, objs, sum, live)
+		}
+		if busy < 2 {
+			t.Fatalf("round %d: one worker marked everything (%v); the fan-out was never shared",
+				round, mk.WorkerObjectCounts())
 		}
 	}
 }

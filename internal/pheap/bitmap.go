@@ -1,6 +1,8 @@
 package pheap
 
 import (
+	"math/bits"
+
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
 )
@@ -101,7 +103,7 @@ func (b *Bitmap) NextSet(from int) int {
 	w := b.dev.ReadU64(b.off+wi*8) >> (uint(from) % 64) << (uint(from) % 64)
 	for {
 		if w != 0 {
-			bit := wi*64 + tz64(w)
+			bit := wi*64 + bits.TrailingZeros64(w)
 			if bit >= b.bits {
 				return -1
 			}
@@ -133,7 +135,7 @@ func (b *Bitmap) ForEachSetBelow(limit int, fn func(bit int)) {
 	for wi := 0; wi <= lastW; wi++ {
 		w := b.dev.ReadU64(b.off + wi*8)
 		for w != 0 {
-			bit := wi*64 + tz64(w)
+			bit := wi*64 + bits.TrailingZeros64(w)
 			if bit >= limit {
 				return
 			}
@@ -184,13 +186,4 @@ func (h *Heap) PersistMarkBitmapUsed() {
 	}
 	h.dev.Fence()
 	h.markBmpHi = usedBytes
-}
-
-func tz64(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
 }

@@ -38,8 +38,8 @@ func (e *QuarantinedError) Unwrap() error        { return e.Cause }
 // the whole attempt, which mu must not be).
 type quarShard struct {
 	mu       sync.Mutex
-	err      error // why the shard is fenced off; nil when healthy
-	attempts int   // consecutive failures
+	err      error     // why the shard is fenced off; nil when healthy
+	attempts int       // consecutive failures
 	next     time.Time // earliest automatic retry
 	retryMu  sync.Mutex
 }

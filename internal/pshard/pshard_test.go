@@ -110,11 +110,11 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestManifestRejectsBadBounds(t *testing.T) {
 	dev := nvm.New(nvm.Config{Size: ManifestDeviceSize, Mode: nvm.Tracked})
 	bad := []*Manifest{
-		{Shards: 2, ShardDataSize: 1 << 20, Bounds: []uint64{1, 100}},    // first bound must be 0
-		{Shards: 2, ShardDataSize: 1 << 20, Bounds: []uint64{0, 0}},      // not increasing
-		{Shards: 3, ShardDataSize: 1 << 20, Bounds: []uint64{0, 5}},      // wrong count
-		{Shards: 0, ShardDataSize: 1 << 20, Bounds: nil},                 // no shards
-		{Shards: MaxShards + 1, ShardDataSize: 1 << 20, Bounds: nil},     // too many
+		{Shards: 2, ShardDataSize: 1 << 20, Bounds: []uint64{1, 100}}, // first bound must be 0
+		{Shards: 2, ShardDataSize: 1 << 20, Bounds: []uint64{0, 0}},   // not increasing
+		{Shards: 3, ShardDataSize: 1 << 20, Bounds: []uint64{0, 5}},   // wrong count
+		{Shards: 0, ShardDataSize: 1 << 20, Bounds: nil},              // no shards
+		{Shards: MaxShards + 1, ShardDataSize: 1 << 20, Bounds: nil},  // too many
 	}
 	for i, m := range bad {
 		if err := WriteManifest(dev, m); err == nil {
