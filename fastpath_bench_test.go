@@ -176,7 +176,9 @@ func BenchmarkSetRefFast(b *testing.B) {
 // so nothing the program itself shares is touched — whatever one
 // goroutine's accessor costs at -cpu 2 beyond what it costs at -cpu 1
 // is the runtime's own bookkeeping (safepoint pin, device accounting)
-// bouncing a cache line. Read it at -cpu 1,2: ns/op should halve.
+// bouncing a cache line. Read it at -cpu 1,2: ns/op should halve. walk
+// sums what it reads in a per-goroutine accumulator, published once when
+// the goroutine ends, so the benchmark itself shares no line either.
 func BenchmarkMutatorAccessParallel(b *testing.B) {
 	rt, dev := benchRT(b)
 	node := espresso.MustClass("bench/AccessNode", nil,
@@ -185,9 +187,10 @@ func BenchmarkMutatorAccessParallel(b *testing.B) {
 	nextF := rt.MustResolveField(node, "next")
 	const chain = 64
 
-	// run hands every goroutine a Mutator and the head of a private
-	// chain, and times op(m, head, node i of the chain) per iteration.
-	run := func(b *testing.B, op func(m *espresso.Mutator, n espresso.Ref, i int) espresso.Ref) {
+	// run hands every goroutine a Mutator, the head of a private chain and
+	// a private accumulator, and times op(m, node, i, &acc) per iteration.
+	var sink atomic.Int64
+	run := func(b *testing.B, op func(m *espresso.Mutator, n espresso.Ref, i int, acc *int64) espresso.Ref) {
 		s0 := dev.Stats()
 		b.RunParallel(func(pb *testing.PB) {
 			m, err := rt.NewMutator()
@@ -210,32 +213,32 @@ func BenchmarkMutatorAccessParallel(b *testing.B) {
 				}
 				head = n
 			}
-			n := head
+			n, acc := head, int64(0)
 			for i := 0; pb.Next(); i++ {
-				if n = op(m, n, i); n == 0 {
+				if n = op(m, n, i, &acc); n == 0 {
 					n = head
 				}
 			}
+			sink.Add(acc)
 		})
 		d := dev.Stats().Sub(s0)
 		b.ReportMetric(float64(d.Reads+d.Writes)/float64(b.N), "devops/op")
 	}
 
-	var sink int64
 	b.Run("walk", func(b *testing.B) { // GetLongFast + GetRefFast per node
-		run(b, func(m *espresso.Mutator, n espresso.Ref, _ int) espresso.Ref {
-			sink += m.GetLongFast(n, vF)
+		run(b, func(m *espresso.Mutator, n espresso.Ref, _ int, acc *int64) espresso.Ref {
+			*acc += m.GetLongFast(n, vF)
 			return m.GetRefFast(n, nextF)
 		})
 	})
 	b.Run("set-long", func(b *testing.B) {
-		run(b, func(m *espresso.Mutator, n espresso.Ref, i int) espresso.Ref {
+		run(b, func(m *espresso.Mutator, n espresso.Ref, i int, _ *int64) espresso.Ref {
 			m.SetLongFast(n, vF, int64(i))
 			return n
 		})
 	})
 	b.Run("set-ref", func(b *testing.B) {
-		run(b, func(m *espresso.Mutator, n espresso.Ref, _ int) espresso.Ref {
+		run(b, func(m *espresso.Mutator, n espresso.Ref, _ int, _ *int64) espresso.Ref {
 			if err := m.SetRefFast(n, nextF, n); err != nil {
 				b.Error(err)
 			}

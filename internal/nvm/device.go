@@ -268,7 +268,7 @@ func New(cfg Config) *Device {
 	}
 	d.unowned.d = d
 	if cfg.Mode == Tracked {
-		d.persisted = make([]byte, size)
+		d.persisted = alignedBytes(size)
 		d.dirty = make([]uint64, (size/LineSize+63)/64)
 	}
 	return d
@@ -408,8 +408,9 @@ func (d *Device) WriteU64(off int, v uint64) { d.writeU64(nil, off, v) }
 func (d *Device) ReadU64(off int) uint64 { return d.readU64(nil, off) }
 
 // alignedBytes allocates a zero-filled byte slice whose backing array is
-// 8-byte aligned, so the word-atomic accessors below may point straight
-// into it. n is always a multiple of LineSize here.
+// 8-byte aligned, so the word-atomic accessors below (and a Tracked
+// flush's word-by-word copy) may point straight into it. n is always a
+// multiple of LineSize here.
 func alignedBytes(n int) []byte {
 	words := make([]uint64, n/8)
 	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
@@ -652,7 +653,13 @@ func (d *Device) flush(c *cell, off, n int) {
 			for l := first; l <= last; l++ {
 				lo, mu := l*LineSize, &d.lineMu[l%lineStripes]
 				mu.Lock()
-				copy(d.persisted[lo:lo+LineSize], d.mem[lo:lo+LineSize])
+				// Word by word with atomic loads: another thread may be
+				// storing into this line with WriteU64Atomic (two objects
+				// can share a line), and a clflush snapshots each word
+				// whole.
+				for w := lo; w < lo+LineSize; w += 8 {
+					*(*uint64)(unsafe.Pointer(&d.persisted[w])) = atomic.LoadUint64((*uint64)(unsafe.Pointer(&d.mem[w])))
+				}
 				mu.Unlock()
 				w := &d.dirty[l/64]
 				bit := uint64(1) << (uint(l) % 64)

@@ -1,6 +1,10 @@
 package nvm
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"espresso/internal/asym"
+)
 
 // Per-owner device accounting. The device's ownerless counters are
 // bumped with locked adds by whoever comes. When they sat on one cache
@@ -34,32 +38,38 @@ import "sync/atomic"
 
 // cell is one owner's share of the traffic counters. The words are
 // atomic because Stats reads them from other goroutines, but only the
-// owner writes them, with a load and a store and never an add, so the
-// owner's line stays Modified in its own cache.
+// owner writes them, with a load and a plain store (asym.Store64) and
+// never an add, so the owner's line stays Modified in its own cache and
+// no count takes a lock.
 //
-// Counts are published per access rather than tallied in plain fields
-// and published when the owner's operation ends. The number behind that
-// is BenchmarkAccounting's read/*, one ReadU64 per iteration from every
-// goroutine on lines nobody else touches (ns/op, on 2-vCPU VMs whose
-// second vCPU does not always give parallelism — read the columns against
-// each other, not against an ideal halving). The first row is the
-// ownerless counters before they were striped, measured beside the next
-// two; the last is a mock-up, measured on an older VM:
+// Counts are published per access rather than tallied in fields and
+// published when the owner's operation ends. A publish call at the end of
+// every operation of every owner kind (accessor, Do, index op, shard op,
+// raw Alloc, GC phase) would be a window, each one forgotten, in which
+// Stats is wrong — the Fold this type replaced, under another name.
+// sync/atomic's Store would be an XCHG on amd64 (implicitly locked) and
+// cost about what an uncontended atomic add does; a plain store makes the
+// per-access publication cost what plain fields would, and leaves the
+// count exact for any reader that synchronised with the owner (wg.Wait,
+// Release, a stop), which is what Stats promises. The number
+// behind that is BenchmarkAccounting's read/*, one ReadU64 per iteration
+// from every goroutine on lines nobody else touches (ns/op, on 2-vCPU VMs
+// whose second vCPU does not always give parallelism — read the columns
+// against each other, not against an ideal halving). The first two rows
+// were measured together when the ownerless counters were striped (the
+// first is them before); the last two are the cell with each store, three
+// alternating runs each on one VM:
 //
 //	                          -cpu 1    -cpu 2
 //	one shared counter line    21–23    53–57
 //	ownerless stripes          24–32    14–15
-//	view (this cell)           16–18     7–8
-//	plain fields (mock-up)       3–6     4–12
+//	view, XCHG store           15–19    8–10
+//	view, plain store (this)   14–15    5–7
 //
-// An atomic store is an XCHG on amd64, implicitly locked, so a published
-// count costs about what an uncontended atomic add does and plain fields
-// would save ~15 ns a load. They would also need a publish call at the
-// end of every operation of every owner kind (accessor, Do, index op,
-// shard op, raw Alloc, GC phase), and every one forgotten is a window in
-// which Stats is wrong — the Fold this type replaced, under another
-// name. What made two clients slower than one was the shared line, and
-// that is gone either way; the rest is not worth a count that can lag.
+// (An earlier mock-up of plain fields, published at op end, read 3–6 and
+// 4–12; a read's checks and hooks, not its count, are most of what is
+// left.) Under -race, and on hosts without membarrier, asym's store is
+// the atomic one again.
 //
 // Almost every access is one 8-byte word, so those are counted in a
 // word of their own that stands for an operation and its eight bytes at
@@ -76,7 +86,7 @@ type cell struct {
 }
 
 // bump adds n to a word only its owner writes.
-func bump(w *atomic.Uint64, n uint64) { w.Store(w.Load() + n) }
+func bump(w *atomic.Uint64, n uint64) { asym.Store64(w, w.Load()+n) }
 
 func (c *cell) stats() Stats {
 	rw, ww := c.readWords.Load(), c.writeWords.Load()

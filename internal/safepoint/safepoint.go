@@ -21,14 +21,29 @@
 // not care which kind it holds.
 //
 // The two sides are Dekker's algorithm. A pin writes its slot, then
-// loads stopping; a stop stores stopping, then loads every slot. Go's
-// atomics are sequentially consistent, so of a racing pin and stop at
-// least one sees the other: either the pin sees stopping and backs out,
-// or the stop sees the slot set (a stripe's count above zero) and waits
-// for it to clear. A stop reads the stripes one at a time, and that is
-// enough: every unpin leaves the stripe its pin entered, so no stripe
-// ever reads below the readers inside it, and a reader that has left
-// cannot come back while stopping is raised.
+// loads stopping; a stop stores stopping, then loads every slot. Of a
+// racing pin and stop at least one must see the other: either the pin
+// sees stopping and backs out, or the stop sees the slot set (a stripe's
+// count above zero) and waits for it to clear. A stop reads the stripes
+// one at a time, and that is enough: every unpin leaves the stripe its
+// pin entered, so no stripe ever reads below the readers inside it, and a
+// reader that has left cannot come back while stopping is raised.
+//
+// Only the stop is fenced. A stop is rare and a pin is on every access,
+// so an owner writes its slot with a plain store (asym.Store32) and a
+// stop calls asym.Heavy between raising stopping and loading the slots:
+// a barrier on every CPU running this process, the asymmetric Dekker of
+// liburcu and of HotSpot's serialization page. That suffices because a
+// pin's store being overtaken by its own load of stopping is the one
+// reordering x86-TSO allows. A pin whose store the stop's loads missed
+// had not issued it before the barrier, so its load of stopping comes
+// after the barrier too and sees the flag; and an unpin's plain store is
+// ordered after every load and store of the interval, so a stop that
+// reads the slot clear finds the interval over. The shared slot keeps
+// sequentially consistent atomic adds, which it needs for its many
+// writers anyway. Where asym has no fast path (-race, other hosts) the
+// owner's store is atomic and Heavy does nothing: the same protocol with
+// the fence on both sides.
 package safepoint
 
 import (
@@ -37,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"espresso/internal/asym"
 	"espresso/internal/stackstripe"
 )
 
@@ -104,6 +120,9 @@ func (p *Point) RUnlock(t Token) { p.Shared().Unpin(t) }
 func (p *Point) Stop() {
 	p.mu.Lock()
 	p.stopping.Store(true)
+	// Owners pin with plain stores: make every store issued before this
+	// point visible, and every load after it see stopping.
+	asym.Heavy()
 	if slots := p.slots.Load(); slots != nil {
 		for _, s := range *slots {
 			drain(s.held)
@@ -174,7 +193,7 @@ func (s *Slot) Pin() Token {
 		if s.shared {
 			s.p.pins[t].n.Add(1)
 		} else {
-			s.pinned.Store(1)
+			asym.Store32(&s.pinned, 1)
 		}
 		if !s.p.stopping.Load() {
 			return t
@@ -194,7 +213,7 @@ func (s *Slot) Unpin(t Token) {
 	if s.shared {
 		s.p.pins[t].n.Add(^uint32(0))
 	} else {
-		s.pinned.Store(0)
+		asym.Store32(&s.pinned, 0)
 	}
 }
 

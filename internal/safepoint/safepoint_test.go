@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"espresso/internal/asym"
 	"espresso/internal/stackstripe"
 )
 
@@ -202,4 +203,100 @@ func TestSharedPinAcrossStackGrowth(t *testing.T) {
 	if moved.Load() == 0 {
 		t.Fatal("no interval ended on another stripe than it began on: the test moved no stack")
 	}
+}
+
+// TestPinStopExclusion is the owner slots' handshake at full speed, the
+// race the stop's asym.Heavy exists for: owners pin and unpin in a tight
+// loop and raise a private word while pinned, and a stopper stops the
+// world over and over. Between Stop and Start it raises paused and checks
+// that every word is clear, and an owner that reads paused inside its
+// interval counts a breach: a pin a stop missed — its store still in the
+// store buffer while its load of stopping read the old flag — runs inside
+// the pause and shows on one side or the other. An owner that met a stop
+// parks until Start, so after each Start the stopper waits for every
+// owner to finish two more intervals: the next stop then lands on owners
+// that are pinning, not on owners still waking up. Without -race this is
+// the plain-store path (asym.Fast); under it, atomic stores on both sides.
+func TestPinStopExclusion(t *testing.T) {
+	const stops = 20000
+	type owner struct {
+		up   atomic.Uint32 // 1 while inside an interval
+		laps atomic.Uint64 // intervals finished
+		_    [52]byte
+	}
+	var (
+		p      Point
+		owners = make([]owner, max(runtime.GOMAXPROCS(0)-1, 1))
+		paused atomic.Bool
+		breach atomic.Int64
+		done   atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for i := range owners {
+		s, o := p.NewSlot(), &owners[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				tok := s.Pin()
+				o.up.Store(1)
+				for k := 0; k < 16; k++ {
+					if paused.Load() {
+						breach.Add(1)
+					}
+				}
+				o.up.Store(0)
+				s.Unpin(tok)
+				o.laps.Add(1)
+			}
+		}()
+	}
+	for i := 0; i < stops; i++ {
+		p.Stop()
+		paused.Store(true)
+		for k := range owners {
+			if owners[k].up.Load() != 0 {
+				breach.Add(1)
+			}
+		}
+		paused.Store(false)
+		p.Start()
+		for k := range owners {
+			for from := owners[k].laps.Load(); owners[k].laps.Load() < from+2; {
+				runtime.Gosched()
+			}
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if n := breach.Load(); n != 0 {
+		t.Fatalf("%d breaches in %d stops: an owner ran inside the pause (fast path %v)", n, stops, asym.Fast())
+	}
+}
+
+// BenchmarkPin is one interval's pin and unpin and nothing inside it:
+// owned on a slot of the goroutine's own (two plain stores and a load of
+// stopping where asym has its fast path), shared on the Point's striped
+// shared slot (two atomic adds). Read it at -cpu 1,2: neither writes a
+// line another goroutine writes, so ns/op should halve.
+func BenchmarkPin(b *testing.B) {
+	b.Run("owned", func(b *testing.B) {
+		var p Point
+		b.RunParallel(func(pb *testing.PB) {
+			s := p.NewSlot()
+			defer s.Retire()
+			for pb.Next() {
+				s.Unpin(s.Pin())
+			}
+		})
+	})
+	b.Run("shared", func(b *testing.B) {
+		var p Point
+		b.RunParallel(func(pb *testing.PB) {
+			s := p.Shared()
+			for pb.Next() {
+				s.Unpin(s.Pin())
+			}
+		})
+	})
 }

@@ -9,14 +9,15 @@
 // So the hot-path primitive here is the Cell — a cache-line-padded block
 // of counters owned by exactly one mutator, registered with the Registry
 // the same way remembered-set delta buffers register with their heap.
-// The owner bumps counters with a load and a store on atomic words and a
-// snapshot folds every registered cell with atomic loads. The store is
-// not free — sync/atomic's Store is an XCHG on amd64, which is implicitly
-// locked, so a bump costs about what an uncontended atomic add does.
-// What the contract buys is what matters at scale: each word has exactly
-// one writer, on a line no other thread writes, so the line never leaves
-// the owner's cache and a second mutator on a second core costs the
-// first nothing. Nothing on the mutator fast path takes a lock, issues a
+// The owner bumps counters with a load and a plain store (asym.Store64:
+// one writer per word needs neither a locked add nor sync/atomic's Store,
+// which is an XCHG on amd64) and a snapshot folds every registered cell
+// with atomic loads. A snapshot taken after the owner synchronised with
+// the reader (a Release, a WaitGroup, a stop) is exact; one taken while
+// the owner runs reads recent counts. Each word has
+// exactly one writer, on a line no other thread writes, so the line never
+// leaves the owner's cache and a second mutator on a second core costs
+// the first nothing. Nothing on the mutator fast path takes a lock, issues a
 // device fence, allocates, or touches a cache line another thread
 // writes.
 //
@@ -32,6 +33,7 @@ package telemetry
 import (
 	"sync/atomic"
 
+	"espresso/internal/asym"
 	"espresso/internal/nvm"
 )
 
@@ -136,7 +138,7 @@ func (c *Cell) Inc(ctr Counter) {
 		return
 	}
 	w := &c.v[ctr]
-	w.Store(w.Load() + 1)
+	asym.Store64(w, w.Load()+1)
 }
 
 // Add bumps ctr by n. Owner-only, like Inc.
@@ -145,7 +147,7 @@ func (c *Cell) Add(ctr Counter, n uint64) {
 		return
 	}
 	w := &c.v[ctr]
-	w.Store(w.Load() + n)
+	asym.Store64(w, w.Load()+n)
 }
 
 // Dev attributes device traffic to sub. Owner-only, like Inc.
