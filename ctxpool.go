@@ -1,9 +1,10 @@
 package espresso
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"espresso/internal/layout"
+	"espresso/internal/stackstripe"
 	"espresso/internal/telemetry"
 )
 
@@ -23,12 +24,19 @@ const maxIdleCtxs = 32
 // leaks its attached PLAB region until the next persistent collection
 // — a quarter-megabyte per drop, per shard the ctx touched. Releasing
 // past the cap is explicit instead: the ctx hands its PLAB headroom
-// back to the heap first.
-type ctxPool[C interface{ Release() }] struct {
+// back to the heap first. Idle ctxs sit in slots of a cache line each
+// (nil = empty), probed from the one the caller's stack picks
+// (stackstripe): a borrow is one Swap, a put one CompareAndSwap, and two
+// clients seldom share a line.
+type ctxPool[T any, C interface {
+	*T
+	Release()
+}] struct {
 	newCtx func() C
-
-	mu   sync.Mutex
-	idle []C
+	slots  [maxIdleCtxs]struct {
+		c atomic.Pointer[T]
+		_ [layout.LineSize - 8]byte
+	}
 
 	// created counts every newCtx call, retired every release past the
 	// cap. created − retired − idle is the number checked out right now;
@@ -38,44 +46,46 @@ type ctxPool[C interface{ Release() }] struct {
 	retired atomic.Int64
 }
 
-func (p *ctxPool[C]) borrow() C {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		c := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-		return c
+func (p *ctxPool[T, C]) borrow() C {
+	for i, s := 0, stackstripe.Pick(); i < maxIdleCtxs; i++ {
+		slot := &p.slots[(s+i)%maxIdleCtxs].c
+		if slot.Load() != nil {
+			if c := slot.Swap(nil); c != nil {
+				return c
+			}
+		}
 	}
-	p.mu.Unlock()
 	p.created.Add(1)
 	return p.newCtx()
 }
 
-func (p *ctxPool[C]) put(c C) {
-	p.mu.Lock()
-	if len(p.idle) < maxIdleCtxs {
-		p.idle = append(p.idle, c)
-		p.mu.Unlock()
-		return
+func (p *ctxPool[T, C]) put(c C) {
+	for i, s := 0, stackstripe.Pick(); i < maxIdleCtxs; i++ {
+		slot := &p.slots[(s+i)%maxIdleCtxs].c
+		if slot.Load() == nil && slot.CompareAndSwap(nil, c) {
+			return
+		}
 	}
-	p.mu.Unlock()
 	// Past the cap: retire the ctx properly so its PLAB regions unpin now
 	// rather than at the next collection.
 	p.retired.Add(1)
 	c.Release()
 }
 
-func (p *ctxPool[C]) idleCount() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int64(len(p.idle))
+func (p *ctxPool[T, C]) idleCount() int64 {
+	var n int64
+	for i := range p.slots {
+		if p.slots[i].c.Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // registerGauges publishes the pool's occupancy on reg (nil = telemetry
-// off) as prefix.{idle,created,retired}. idle is sampled at snapshot
-// time — gauge callbacks run outside the registry lock precisely so
-// this can take the pool lock.
-func (p *ctxPool[C]) registerGauges(reg *telemetry.Registry, prefix string) {
+// off) as prefix.{idle,created,retired}. idle counts the full slots at
+// snapshot time, without a lock: a ctx moving meanwhile may count 0 or 2.
+func (p *ctxPool[T, C]) registerGauges(reg *telemetry.Registry, prefix string) {
 	reg.RegisterGauge(prefix+".idle", p.idleCount)
 	reg.RegisterGauge(prefix+".created", p.created.Load)
 	reg.RegisterGauge(prefix+".retired", p.retired.Load)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"espresso/internal/layout"
@@ -16,7 +17,10 @@ import (
 // shows on the heap side as its region's headroom returning to the free
 // estimate (an idle ctx keeps its region pinned; a dropped-but-not-
 // released one would too).
-func burstThroughPool[C interface{ Release() }](t *testing.T, p *ctxPool[C], use func(c C, i int) error, free func() int) {
+func burstThroughPool[T any, C interface {
+	*T
+	Release()
+}](t *testing.T, p *ctxPool[T, C], use func(c C, i int) error, free func() int) {
 	t.Helper()
 	const burst = maxIdleCtxs + 8
 	ctxs := make([]C, burst)
@@ -56,7 +60,7 @@ func TestCtxPoolBurstRetiresAndReleases(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, _ := rt.Heap("kv")
-		burstThroughPool(t, &m.pool, func(c pmapCtx, i int) error { return c.Put(int64(i), 0) }, h.FreeBytes)
+		burstThroughPool(t, &m.pool, func(c *pmapCtx, i int) error { return c.Put(int64(i), 0) }, h.FreeBytes)
 	})
 	t.Run("ShardedPMap", func(t *testing.T) {
 		m, err := rt.OpenSharded("burst", ShardedPMapOptions{Shards: 2, ShardDataSize: 16 << 20})
@@ -75,25 +79,29 @@ func TestCtxPoolBurstRetiresAndReleases(t *testing.T) {
 
 // stressPool has 8 goroutines borrow, use and hand back ctxs of p — one
 // to three at a time — as fast as they can while another goroutine keeps
-// sampling the gauges. Each starts by holding five at once until all do
-// — 40 out against a cap of 32 — so handing those back races the retire
-// path as well. id names a
-// ctx; no ctx may be out with two borrowers at once, and once everyone is
-// done nothing may be missing: created − retired − idle, the number
-// checked out, is 0.
-func stressPool[C interface{ Release() }](t *testing.T, p *ctxPool[C], id func(C) any, use func(c C, g, i int) error) {
+// sampling the gauges. Every four rounds each holds five at once until
+// all do — 40 out against a cap of 32 — and then all hand theirs back at
+// once (they wait by yielding, not parking, so two cores leave the
+// barrier together), so puts race each other for the same free slots and
+// the retire path. No ctx may be out with two borrowers at once, and once
+// everyone is done nothing may be missing: created − retired − idle, the
+// number checked out, is 0.
+func stressPool[T any, C interface {
+	*T
+	Release()
+}](t *testing.T, p *ctxPool[T, C], use func(c C, g, i int) error) {
 	t.Helper()
-	const goroutines, rounds = 8, 400
+	const goroutines, bursts, rounds = 8, 100, 4
 	var held sync.Map
 	take := func(g int) C {
 		c := p.borrow()
-		if other, dup := held.LoadOrStore(id(c), g); dup {
+		if other, dup := held.LoadOrStore(c, g); dup {
 			t.Errorf("goroutine %d was handed a ctx goroutine %d still holds", g, other)
 		}
 		return c
 	}
 	give := func(c C) {
-		held.Delete(id(c))
+		held.Delete(c)
 		p.put(c)
 	}
 	done := make(chan struct{})
@@ -118,31 +126,33 @@ func stressPool[C interface{ Release() }](t *testing.T, p *ctxPool[C], id func(C
 			runtime.Gosched()
 		}
 	}()
-	var allHolding sync.WaitGroup
-	allHolding.Add(goroutines)
+	var holding [bursts]atomic.Int32
 	for g := 0; g < goroutines; g++ {
 		workers.Add(1)
 		go func(g int) {
 			defer workers.Done()
 			var cs [5]C
-			for j := range cs {
-				cs[j] = take(g)
-			}
-			allHolding.Done()
-			allHolding.Wait()
-			for j := range cs {
-				give(cs[j])
-			}
-			for i := 0; i < rounds; i++ {
-				n := 1 + i%3
-				for j := 0; j < n; j++ {
+			for b := 0; b < bursts; b++ {
+				for j := range cs {
 					cs[j] = take(g)
 				}
-				for j := 0; j < n; j++ {
-					if err := use(cs[j], g, i*3+j); err != nil {
-						t.Errorf("goroutine %d: %v", g, err)
-					}
+				for holding[b].Add(1); holding[b].Load() < goroutines; {
+					runtime.Gosched()
+				}
+				for j := range cs {
 					give(cs[j])
+				}
+				for i := b * rounds; i < (b+1)*rounds; i++ {
+					n := 1 + i%3
+					for j := 0; j < n; j++ {
+						cs[j] = take(g)
+					}
+					for j := 0; j < n; j++ {
+						if err := use(cs[j], g, i*3+j); err != nil {
+							t.Errorf("goroutine %d: %v", g, err)
+						}
+						give(cs[j])
+					}
 				}
 			}
 		}(g)
@@ -174,7 +184,7 @@ func TestCtxPoolStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stressPool(t, &m.pool, func(c pmapCtx) any { return c.Ctx }, func(c pmapCtx, g, i int) error {
+		stressPool(t, &m.pool, func(c *pmapCtx, g, i int) error {
 			k := int64(g)<<32 | int64(i)
 			if err := c.Put(k, 0); err != nil {
 				return err
@@ -190,12 +200,96 @@ func TestCtxPoolStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stressPool(t, &m.pool, func(c *pshard.Ctx) any { return c }, func(c *pshard.Ctx, g, i int) error {
+		stressPool(t, &m.pool, func(c *pshard.Ctx, g, i int) error {
 			k := int64(g)<<32 | int64(i)
 			if err := c.Put(k, k); err != nil {
 				return err
 			}
 			if v, ok := c.Get(k); !ok || v != k {
+				return fmt.Errorf("key %d = (%d, %v)", k, v, ok)
+			}
+			return nil
+		})
+	})
+}
+
+// steadyPool runs op through a facade whose pool is p: first 10 000 ops
+// on one goroutine, which must reuse a single ctx (created 1, retired 0,
+// idle 1), then k ∈ {2, 4} goroutines that each hold at most one ctx at
+// a time, which must never find the slots full: at rest, retired is 0
+// and every ctx created is idle.
+func steadyPool[T any, C interface {
+	*T
+	Release()
+}](t *testing.T, p *ctxPool[T, C], op func(g, i int) error) {
+	t.Helper()
+	for i := 0; i < 10000; i++ {
+		if err := op(0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if created, idle, retired := p.created.Load(), p.idleCount(), p.retired.Load(); created != 1 || idle != 1 || retired != 0 {
+		t.Fatalf("after serial ops created/idle/retired = %d/%d/%d, want 1/1/0", created, idle, retired)
+	}
+	for _, k := range []int{2, 4} {
+		var wg sync.WaitGroup
+		for g := 1; g <= k; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 2000; i++ {
+					if err := op(g, i); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if created, idle, retired := p.created.Load(), p.idleCount(), p.retired.Load(); idle != created-retired || retired != 0 {
+			t.Fatalf("at rest after %d clients created/idle/retired = %d/%d/%d, want idle = created and none retired",
+				k, created, idle, retired)
+		}
+	}
+}
+
+// TestCtxPoolSteadyState runs steadyPool through both facades' public
+// operations, a put then a get of the same key.
+func TestCtxPoolSteadyState(t *testing.T) {
+	rt, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(g, i int) int64 { return int64(g)<<32 | int64(i) }
+	t.Run("PMap", func(t *testing.T) {
+		if err := rt.CreateHeap("kv", 16<<20); err != nil {
+			t.Fatal(err)
+		}
+		m, err := rt.OpenPMap("kv", "steady", PMapOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steadyPool(t, &m.pool, func(g, i int) error {
+			if err := m.Put(key(g, i), 0); err != nil {
+				return err
+			}
+			if _, ok := m.Get(key(g, i)); !ok {
+				return fmt.Errorf("key %d lost", key(g, i))
+			}
+			return nil
+		})
+	})
+	t.Run("ShardedPMap", func(t *testing.T) {
+		m, err := rt.OpenSharded("steady", ShardedPMapOptions{Shards: 2, ShardDataSize: 16 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steadyPool(t, &m.pool, func(g, i int) error {
+			k := key(g, i)
+			if err := m.Put(k, k); err != nil {
+				return err
+			}
+			if v, ok := m.Get(k); !ok || v != k {
 				return fmt.Errorf("key %d = (%d, %v)", k, v, ok)
 			}
 			return nil

@@ -290,13 +290,14 @@ func BenchmarkGetRootParallel(b *testing.B) {
 
 // BenchmarkPMapGetParallel is the same check for the index read path:
 // every goroutine looks up its own keys (one residue class each) of one
-// shared PMap through pooled contexts that pin their own safepoint slot;
-// the ctx pool's lock is what remains shared. hot re-reads keys whose
-// hints are in place — three device loads a get where the key owns its
-// hint slot, the chain walk for the few that share one; cold bumps the
-// heap's layout epoch at the end of every lap, so each get is the first
-// touch of its key in a new epoch and walks its bucket's chain (four
-// nodes at this load). Both report devreads/op; read them at -cpu 1,2.
+// shared PMap through pooled contexts that pin their own safepoint slot
+// and rest between ops in a ctx-pool slot the goroutine's stack picks, so
+// two clients seldom write one line. hot re-reads keys whose hints are in
+// place — three device loads a get where the key owns its hint slot, the
+// chain walk for the few that share one; cold bumps the heap's layout
+// epoch at the end of every lap, so each get is the first touch of its
+// key in a new epoch and walks its bucket's chain (four nodes at this
+// load). Both report devreads/op; read them at -cpu 1,2.
 func BenchmarkPMapGetParallel(b *testing.B) {
 	for _, cold := range []bool{false, true} {
 		name := "hot"
@@ -350,8 +351,8 @@ func BenchmarkPMapGetParallel(b *testing.B) {
 // run) and an update of a resident key (the box alone), every goroutine
 // on keys of its own. devlines/op and devfences/op are what the put
 // protocol costs the device — 3 / 2 and 2 / 2 plus the odd late sentinel
-// splice, PLAB refill and straddling box. ns/op at -cpu 2 against -cpu 1
-// shows what the facade's ctx-pool mutex costs two clients.
+// splice, PLAB refill and straddling box. ns/op at -cpu 2 should be about
+// half of -cpu 1: two clients borrow from and return to two ctx-pool slots.
 func BenchmarkShardedPMapPutParallel(b *testing.B) {
 	for _, update := range []bool{false, true} {
 		name := "fresh"

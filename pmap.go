@@ -37,7 +37,7 @@ type PMapOptions struct {
 // the process.
 type PMap struct {
 	ix   *pindex.Index
-	pool ctxPool[pmapCtx]
+	pool ctxPool[pmapCtx, *pmapCtx]
 }
 
 // pmapCtx is a pooled operation context: a pindex.Ctx that pins through
@@ -50,7 +50,7 @@ type pmapCtx struct {
 
 // Release retires the context and then its slot (Ctx.Release pins
 // through it one last time).
-func (c pmapCtx) Release() {
+func (c *pmapCtx) Release() {
 	c.Ctx.Release()
 	c.slot.Retire()
 }
@@ -73,9 +73,9 @@ func (rt *Runtime) OpenPMap(heapName, mapName string, opts PMapOptions) (*PMap, 
 		return nil, err
 	}
 	m := &PMap{ix: ix}
-	m.pool.newCtx = func() pmapCtx {
+	m.pool.newCtx = func() *pmapCtx {
 		slot := rt.Runtime.NewSafepointSlot()
-		return pmapCtx{ix.NewCtxPinned(slot), slot}
+		return &pmapCtx{ix.NewCtxPinned(slot), slot}
 	}
 	m.pool.registerGauges(h.Telemetry(), "pmap."+mapName+".ctx")
 	return m, nil

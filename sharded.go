@@ -53,7 +53,7 @@ var ErrShardQuarantined = pshard.ErrShardQuarantined
 // type doc).
 type ShardedPMap struct {
 	set  *pshard.Set
-	pool ctxPool[*pshard.Ctx]
+	pool ctxPool[pshard.Ctx, *pshard.Ctx]
 }
 
 // OpenSharded opens (or creates) the sharded persistent map registered

@@ -29,7 +29,7 @@ func TestTelemetryPoolGaugeBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	const burst = maxIdleCtxs + 8
-	ctxs := make([]pmapCtx, 0, burst)
+	ctxs := make([]*pmapCtx, 0, burst)
 	for i := 0; i < burst; i++ {
 		ctxs = append(ctxs, m.pool.borrow())
 	}
