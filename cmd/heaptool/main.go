@@ -3,7 +3,7 @@
 //	heaptool -heap /path/img.pjh info      geometry, klasses, roots
 //	heaptool -heap /path/img.pjh verify    parse the whole heap
 //	heaptool -heap /path/img.pjh gc        run (or resume) a collection
-//	heaptool -heap /path/img.pjh inspect   GC-phase word, format version,
+//	heaptool -heap /path/img.pjh inspect   format version, GC state,
 //	                                       per-region top table: persisted
 //	                                       top, parsed frontier, bytes
 //	                                       validated above the top
@@ -147,7 +147,7 @@ func run(args []string) int {
 	if cmd == "postmortem" {
 		// Post-mortem decodes straight off the raw device, before (and
 		// without) pheap.Load: loading repairs a torn image in place —
-		// clearing phase words, finishing redo — which is exactly the
+		// finishing redo, plugging regions — which is exactly the
 		// evidence a post-mortem wants intact.
 		if err := runPostmortem(dev, *lastN, *asJSON); err != nil {
 			return fail(exitErr, "%v", err)
@@ -234,17 +234,12 @@ func run(args []string) int {
 			return fail(exitErr, "%v", err)
 		}
 	case "inspect":
-		// The GC/allocation state PRs 2–3 put into the image, surfaced:
-		// format version, the concurrent collector's phase word, the
-		// PLAB allocator's per-region persisted top table, and (PR 5)
-		// the remembered-set footprint of the write-combining barrier.
+		// The GC/allocation state in the image, surfaced: format
+		// version, the collection flags, the PLAB allocator's per-region
+		// persisted top table, and the remembered-set footprint of the
+		// write-combining barrier.
 		g := h.Geo()
 		fmt.Printf("format version %d\n", h.FormatVersion())
-		phase := "idle"
-		if h.GCPhase() == pheap.GCPhaseConcurrentMark {
-			phase = "concurrent-mark (mark was in flight; next load discards it)"
-		}
-		fmt.Printf("gc phase       %s\n", phase)
 		fmt.Printf("gc active      %v\n", h.GCActive())
 		fmt.Printf("global ts      %d\n", h.GlobalTS())
 		fmt.Printf("redo pending   %v\n", h.RedoPending())

@@ -64,7 +64,7 @@ func writeScrubGallery(t *testing.T, dir string) {
 	}
 	for name, img := range map[string][]byte{
 		"shard-golden":            shard,
-		"shard-gcphase-bitflip":   flipped(shard, h.GCPhaseMetaOff(), 0),
+		"shard-gcphase-bitflip":   flipped(shard, 208, 0), // the reserved GC-phase word
 		"shard-regiontop-bitflip": flipped(shard, topOff, 2),
 		"shard-timestamp-bitflip": flipped(shard, h.GlobalTSMetaOff(), 1),
 		"shard-redo-torn":         redoTorn,

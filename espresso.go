@@ -74,20 +74,13 @@
 // safepoints, buffer overflow — so the hot store path touches no shared
 // lock or cache line.
 //
-// # Concurrent persistent GC
+// # Persistent GC
 //
-// The Runtime has two persistent collectors, both returning a GCResult.
-// PersistentGC(name) stops the world for the whole collection (System.gc()
-// for the persistent space). With PersistentGCConcurrent(name, workers)
-// marking runs concurrently with mutators under a snapshot-at-the-beginning
-// barrier, and only final remark + compaction pause them; GCResult.PauseTime
-// reports that stop-the-world portion, GCResult.MarkTime the overlapped
-// marking. Both of its phases are also parallel: marking fans out over
-// workers work-stealing tracers that drain the mutators' barrier buffers
-// alongside tracing, and the compaction pause shards its reference-fix and
-// fill passes over the same pool. One worker reproduces the serial
-// collector, and the heap image is identical for every worker count on a
-// quiescent heap — see docs/gc.md for the pipeline and its crash rule.
+// PersistentGC(name) is the persistent collector (System.gc() for the
+// persistent space), returning a GCResult. It stops the world for the
+// whole collection: it marks on GOMAXPROCS work-stealing workers and
+// compacts on one, and the heap image is identical for every worker count
+// — see docs/gc.md for the pipeline and its crash rule.
 // Compaction moves objects and patches every root it can see — named
 // roots, handles, heap and volatile slots — but never Go local variables, so code that
 // mutates concurrently with collections must hold its references inside
@@ -120,7 +113,7 @@
 // When one heap's collector pauses or one device's flush chain becomes
 // the bottleneck, OpenSharded range-partitions a map over N independent
 // persistent heaps (internal/pshard). Each shard owns its own device,
-// region-top table, index, GC phase word, and safepoint domain, so
+// region-top table, index, collector state, and safepoint domain, so
 // collections pause one shard at a time and nothing — no lock, no fence,
 // no cache line — is shared between shards. Reopening recovers all
 // shards in parallel; restart time tracks the slowest shard:

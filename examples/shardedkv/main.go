@@ -6,8 +6,8 @@
 //
 // # Why shards
 //
-// Each shard owns its own device, region-top table, redo log, index, GC
-// phase word, and safepoint domain — no lock, cache line, or fence is
+// Each shard owns its own device, region-top table, redo log, index,
+// collector state, and safepoint domain — no lock, cache line, or fence is
 // shared between shards. That buys two things this example demonstrates:
 //
 //   - GCShard(i) pauses only shard i's operations; the other three

@@ -14,14 +14,11 @@ import (
 	"espresso/internal/nvm"
 )
 
-// TestConcurrentGCChurn is gc_churn (benchmark/gc_churn.go) under the
-// concurrent collector: live nodes in rooted lists, two mutators that,
-// inside Do, churn short-lived nodes and relink live ones, and
-// PersistentGCConcurrent cycles back to back beside them. At this shape
-// the collector once failed its second cycle ("marking ...: dangling klass
-// word 0x0" on an object a mutator had allocated during the previous
-// cycle's marking and stored into a directory older than the snapshot);
-// nothing else pins that it no longer does.
+// TestConcurrentGCChurn is gc_churn (benchmark/gc_churn.go) with the
+// collector on a goroutine of its own: live nodes in rooted lists, two
+// mutators that, inside Do, churn short-lived nodes and relink live ones,
+// and PersistentGC cycles back to back beside them, each stopping the
+// world between two of their operations.
 //
 // Half the churned nodes are never named: each is a deferred header (the
 // heap's alloc.go) until its allocator's next allocation settles it — or,
@@ -38,7 +35,7 @@ var churnFull = flag.Bool("churn.full", false, "run TestConcurrentGCChurn at gc_
 const (
 	churnListLen  = 100 // nodes per list
 	churnScratch  = 64  // directory slots each mutator publishes churned nodes in
-	churnCycles   = 10  // concurrent collections, back to back
+	churnCycles   = 10  // collections, back to back
 	churnWalkLen  = 16  // nodes a read op checks
 	churnMutators = 2
 )
@@ -120,8 +117,8 @@ func TestConcurrentGCChurn(t *testing.T) {
 	go func() {
 		defer stop.Store(true)
 		for c := 0; c < churnCycles; c++ {
-			if _, err := rt.PersistentGCConcurrent(heapName, runtime.GOMAXPROCS(0)); err != nil {
-				errs <- fmt.Errorf("concurrent cycle %d: %w", c, err)
+			if _, err := rt.PersistentGC(heapName); err != nil {
+				errs <- fmt.Errorf("cycle %d: %w", c, err)
 				return
 			}
 			if used := capacity - h.FreeBytes(); used > capacity*3/4 {

@@ -30,12 +30,11 @@ import (
 // assume the caller is in one and never enter another.
 //
 // Field and array stores keep the write barriers that maintain the two
-// remembered sets and the concurrent collector's SATB invariant:
+// remembered sets:
 //
 //   - old-generation slot ← young ref  → recorded for the scavenger;
 //   - persistent slot ← any ref        → pheap's reference-store barrier
-//     (pheap/barrier.go): the overwritten referent reaches a concurrent
-//     marker before it is lost, and the NVM-to-DRAM remembered set (used
+//     (pheap/barrier.go): the NVM-to-DRAM remembered set (used
 //     as volatile-GC roots, policed by type-based safety, nullified by
 //     the zeroing scan) learns whether the slot now holds a volatile
 //     reference.

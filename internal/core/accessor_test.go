@@ -16,7 +16,6 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
-	"espresso/internal/pgc"
 	"espresso/internal/pheap"
 	"espresso/internal/vheap"
 )
@@ -118,7 +117,7 @@ func TestAccessorSurfaceParity(t *testing.T) {
 			"ActiveHeap", "Close", "CreateHeap", "ExistsHeap", "Heaps", "LoadHeap", "SetActiveHeap", "SyncHeap",
 			"NameManager", "StringKlass", "Volatile", "InPersistent", "InVolatile",
 			// collectors
-			"FullGC", "MinorGC", "PersistentGC", "PersistentGCConcurrent",
+			"FullGC", "MinorGC", "PersistentGC",
 			// handles
 			"Get", "NewHandle", "Release", "SetHandle",
 			// contexts, handles on classes, diagnostics
@@ -556,20 +555,10 @@ func TestOwnedOwnerlessEquivalence(t *testing.T) {
 // every collector pause off, so anything it calls there that waits for a
 // safepoint interval of its own waits forever — the pause for Do, the call
 // for the pause. Every method of the surface, called on the mutator inside
-// Do while a stop-the-world (then a concurrent) collection's stop is
-// already pending, must return; the collection then completes and the
+// Do while a collection's stop is already pending, must return; the collection then completes and the
 // fixture it moved is intact. (The same call on the Runtime inside Do
 // deadlocks, by contract.)
 func TestEveryAccessorInsideDoWithPausePending(t *testing.T) {
-	collectors := []struct {
-		name    string
-		collect func(rt *Runtime) (pgc.Result, error)
-	}{
-		{"PersistentGC", func(rt *Runtime) (pgc.Result, error) { return rt.PersistentGC("surface") }},
-		{"PersistentGCConcurrent", func(rt *Runtime) (pgc.Result, error) {
-			return rt.PersistentGCConcurrent("surface", runtime.GOMAXPROCS(0))
-		}},
-	}
 	w := newSurfaceWorld(t)
 	m, err := w.rt.NewMutator()
 	if err != nil {
@@ -577,33 +566,31 @@ func TestEveryAccessorInsideDoWithPausePending(t *testing.T) {
 	}
 	defer m.Release()
 	w.build(m)
-	for _, c := range collectors {
-		for _, row := range surfaceRows() {
-			finished := make(chan error, 1)
-			go func() {
-				collected := make(chan error, 1)
-				m.Do(func() {
-					fx := w.fixture(m)
-					go func() {
-						_, err := c.collect(w.rt)
-						collected <- err
-					}()
-					for !w.rt.world.Stopping() {
-						runtime.Gosched()
-					}
-					row.call(m, w, fx)
-				})
-				finished <- <-collected
-			}()
-			select {
-			case err := <-finished:
-				if err != nil {
-					t.Fatalf("%s with %s pending: collection failed: %v", row.method, c.name, err)
+	for _, row := range surfaceRows() {
+		finished := make(chan error, 1)
+		go func() {
+			collected := make(chan error, 1)
+			m.Do(func() {
+				fx := w.fixture(m)
+				go func() {
+					_, err := w.rt.PersistentGC("surface")
+					collected <- err
+				}()
+				for !w.rt.world.Stopping() {
+					runtime.Gosched()
 				}
-			case <-time.After(20 * time.Second):
-				t.Fatalf("%s inside Do with %s pending: no return after 20s", row.method, c.name)
+				row.call(m, w, fx)
+			})
+			finished <- <-collected
+		}()
+		select {
+		case err := <-finished:
+			if err != nil {
+				t.Fatalf("%s with a collection pending: collection failed: %v", row.method, err)
 			}
-			w.verify(m, row.method+" under "+c.name)
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s inside Do with a collection pending: no return after 20s", row.method)
 		}
+		w.verify(m, row.method+" under PersistentGC")
 	}
 }

@@ -16,20 +16,13 @@ import (
 )
 
 // The reference-store barrier's conformance table: every entry point
-// that can overwrite a persistent reference slot, with the concurrent
-// mark disarmed and armed, for every kind of value the entry point may
-// legally store. Whatever the entry point, the same four things must
-// hold (see pheap/barrier.go for why):
+// that can overwrite a persistent reference slot, for every kind of
+// value the entry point may legally store. Whatever the entry point, the
+// same two things must hold (see pheap/barrier.go for why):
 //
 //   - the device traffic is what the entry point has always issued (the
 //     counts in the table are those of the commit before the barrier
-//     moved into pheap; for the plain accessors that is one write, plus
-//     one read iff armed);
-//   - armed, the overwritten referent reaches the drain of the heap that
-//     holds the slot exactly once if it lies below the mark's snapshot,
-//     and not at all if it was allocated after it; disarmed, nothing is
-//     recorded;
-//   - the object's card is dirty iff armed;
+//     moved into pheap; for the plain accessors that is one write);
 //   - after publication the remembered set is exactly the slots that
 //     hold a volatile reference.
 
@@ -139,9 +132,6 @@ func (w *barrierWorld) check(err error) {
 type barrierSite struct {
 	obj  layout.Ref
 	boff int
-	// old is what an armed drain must deliver for the store, each referent
-	// once: the below-snapshot referents it overwrites.
-	old []layout.Ref
 	// store runs the entry point, leaving val in the slot.
 	store func(val layout.Ref)
 }
@@ -149,17 +139,13 @@ type barrierSite struct {
 type barrierRow struct {
 	name  string
 	kinds []valKind
-	// site builds the slot, before the mark is armed; val is what the
-	// measured store will write.
+	// site builds the slot; val is what the measured store will write.
 	site func(w *barrierWorld, val layout.Ref) barrierSite
-	// dev is the device traffic of one store, disarmed and armed.
-	dev [2]devOps
+	// dev is the device traffic of one store.
+	dev devOps
 	// publishes: the entry point is a publication point itself, so a
 	// volatile val costs it the one load publication re-derives from.
 	publishes bool
-	// black: the site can store again, so the allocate-black half of the
-	// pre-write rule is checked through it too.
-	black bool
 }
 
 var anyRef = []valKind{toNVM, toVolatile, toNull}
@@ -168,7 +154,7 @@ var anyRef = []valKind{toNVM, toVolatile, toNull}
 func holderSite(w *barrierWorld, store func(obj, val layout.Ref) error) barrierSite {
 	obj, old := w.pnew(), w.pnew()
 	w.check(w.rt.SetRefFast(obj, w.fF, old))
-	return barrierSite{obj: obj, boff: w.fF.Offset(), old: []layout.Ref{old},
+	return barrierSite{obj: obj, boff: w.fF.Offset(),
 		store: func(val layout.Ref) { w.check(store(obj, val)) }}
 }
 
@@ -178,7 +164,7 @@ func elemSite(w *barrierWorld, store func(arr layout.Ref, i int, val layout.Ref)
 	w.check(err)
 	old := w.pnew()
 	w.check(w.rt.SetElem(arr, 1, old))
-	return barrierSite{obj: arr, boff: layout.ElemOff(layout.FTRef, 1), old: []layout.Ref{old},
+	return barrierSite{obj: arr, boff: layout.ElemOff(layout.FTRef, 1),
 		store: func(val layout.Ref) { w.check(store(arr, 1, val)) }}
 }
 
@@ -186,17 +172,17 @@ func elemSite(w *barrierWorld, store func(arr layout.Ref, i int, val layout.Ref)
 // heap.
 func mutatorRows(heap string) []barrierRow {
 	return []barrierRow{
-		{name: "Mutator(" + heap + ").SetRef", kinds: anyRef, black: true, dev: plainNamed,
+		{name: "Mutator(" + heap + ").SetRef", kinds: anyRef, dev: plainNamed,
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				m := w.mutator(heap)
 				return holderSite(w, func(obj, val layout.Ref) error { return m.SetRef(obj, "f", val) })
 			}},
-		{name: "Mutator(" + heap + ").SetRefFast", kinds: anyRef, black: true, dev: plain,
+		{name: "Mutator(" + heap + ").SetRefFast", kinds: anyRef, dev: plain,
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				m := w.mutator(heap)
 				return holderSite(w, func(obj, val layout.Ref) error { return m.SetRefFast(obj, w.fF, val) })
 			}},
-		{name: "Mutator(" + heap + ").SetElem", kinds: anyRef, black: true, dev: plainElem,
+		{name: "Mutator(" + heap + ").SetElem", kinds: anyRef, dev: plainElem,
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				return elemSite(w, w.mutator(heap).SetElem)
 			}},
@@ -231,9 +217,9 @@ func indexNode(w *barrierWorld, key int64) layout.Ref {
 }
 
 var (
-	plain      = [2]devOps{{0, 1, 0, 0}, {1, 1, 0, 0}}
-	plainNamed = [2]devOps{{1, 1, 0, 0}, {2, 1, 0, 0}} // + the klass word
-	plainElem  = [2]devOps{{2, 1, 0, 0}, {3, 1, 0, 0}} // + klass word and length
+	plain      = devOps{0, 1, 0, 0}
+	plainNamed = devOps{1, 1, 0, 0} // + the klass word
+	plainElem  = devOps{2, 1, 0, 0} // + klass word and length
 )
 
 func barrierRows() []barrierRow {
@@ -242,21 +228,21 @@ func barrierRows() []barrierRow {
 	// everything must land in B all the same.
 	rows = append(rows, mutatorRows("A")...)
 	rows = append(rows,
-		barrierRow{name: "Runtime.SetRef", kinds: anyRef, black: true, dev: plainNamed,
+		barrierRow{name: "Runtime.SetRef", kinds: anyRef, dev: plainNamed,
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				return holderSite(w, func(obj, val layout.Ref) error { return w.rt.SetRef(obj, "f", val) })
 			}},
-		barrierRow{name: "Runtime.SetRefFast", kinds: anyRef, black: true, dev: plain,
+		barrierRow{name: "Runtime.SetRefFast", kinds: anyRef, dev: plain,
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				return holderSite(w, func(obj, val layout.Ref) error { return w.rt.SetRefFast(obj, w.fF, val) })
 			}},
-		barrierRow{name: "Runtime.SetElem", kinds: anyRef, black: true, dev: plainElem,
+		barrierRow{name: "Runtime.SetElem", kinds: anyRef, dev: plainElem,
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite { return elemSite(w, w.rt.SetElem) }},
 		// The whole field area as one image, over the image read ahead of the
 		// store: the reference slot through the barrier, the long behind it
 		// as a bulk write, one flush + fence.
-		barrierRow{name: "WriteFieldImage", kinds: anyRef, black: true,
-			dev: [2]devOps{{0, 2, 1, 1}, {1, 2, 1, 1}},
+		barrierRow{name: "WriteFieldImage", kinds: anyRef,
+			dev: devOps{0, 2, 1, 1},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				s := holderSite(w, nil)
 				old := make([]byte, 2*layout.WordSize)
@@ -271,9 +257,9 @@ func barrierRows() []barrierRow {
 			}},
 		// One logged store inside an open transaction: the word's
 		// before-image read and appended to the log (one flush + fence), then
-		// the store — and, armed, the barrier's own load of the slot.
-		barrierRow{name: "ptx.WriteRefWord", kinds: anyRef, black: true,
-			dev: [2]devOps{{1, 2, 1, 1}, {2, 2, 1, 1}},
+		// the store.
+		barrierRow{name: "ptx.WriteRefWord", kinds: anyRef,
+			dev: devOps{1, 2, 1, 1},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				m, err := ptx.NewManager(w.h)
 				w.check(err)
@@ -283,12 +269,11 @@ func barrierRows() []barrierRow {
 				s.store = func(val layout.Ref) { w.check(tx.WriteRefWord(s.obj, s.boff, val)) }
 				return s
 			}},
-		// Abort restoring one reference slot: what it rolls back over is
-		// the overwritten referent, what it restores the value. The
-		// before-image read back and stored (its line, fence), then the seq
-		// word (its line, fence).
+		// Abort restoring one reference slot to the value. The before-image
+		// read back and stored (its line, fence), then the seq word (its
+		// line, fence).
 		barrierRow{name: "ptx.Abort", kinds: anyRef, publishes: true,
-			dev: [2]devOps{{1, 2, 2, 2}, {2, 2, 2, 2}},
+			dev: devOps{1, 2, 2, 2},
 			site: func(w *barrierWorld, val layout.Ref) barrierSite {
 				m, err := ptx.NewManager(w.h)
 				w.check(err)
@@ -296,23 +281,23 @@ func barrierRows() []barrierRow {
 				w.check(w.rt.SetRefFast(obj, w.fF, val))
 				tx := m.Begin()
 				w.check(tx.WriteRefWord(obj, w.fF.Offset(), old))
-				return barrierSite{obj: obj, boff: w.fF.Offset(), old: []layout.Ref{old},
+				return barrierSite{obj: obj, boff: w.fF.Offset(),
 					store: func(layout.Ref) { tx.Abort() }}
 			}},
-		// pindex installs by CAS and runs the pre-write half only; its
-		// values are never volatile (Put rejects them).
-		barrierRow{name: "pindex.Put over resident", kinds: []valKind{toNVM, toNull}, black: true,
-			dev: [2]devOps{{6, 2, 1, 1}, {6, 2, 1, 1}},
+		// pindex installs by CAS; its values are never volatile (Put
+		// rejects them), so it records no delta.
+		barrierRow{name: "pindex.Put over resident", kinds: []valKind{toNVM, toNull},
+			dev: devOps{6, 2, 1, 1},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				c, old := indexSite(w), w.pnew()
 				w.check(c.Put(7, old))
-				return barrierSite{obj: indexNode(w, 7), boff: layout.FieldOff(2), old: []layout.Ref{old},
+				return barrierSite{obj: indexNode(w, 7), boff: layout.FieldOff(2),
 					store: func(val layout.Ref) { w.check(c.Put(7, val)) }}
 			}},
-		// Delete of the list's last node: the mark over its null next
-		// records nothing, the unlink from its predecessor records the node.
+		// Delete of the list's last node: the mark over its null next, then
+		// the unlink from its predecessor.
 		barrierRow{name: "pindex.Delete unlink", kinds: []valKind{toNull},
-			dev: [2]devOps{{12, 4, 2, 2}, {12, 4, 2, 2}},
+			dev: devOps{12, 4, 2, 2},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				c := indexSite(w)
 				for k := int64(1); k <= 3; k++ {
@@ -321,7 +306,7 @@ func barrierRows() []barrierRow {
 				var last int64
 				c.Scan(func(k int64, _ layout.Ref) bool { last = k; return true })
 				node := indexNode(w, last)
-				return barrierSite{obj: node, boff: layout.FieldOff(3), old: []layout.Ref{node},
+				return barrierSite{obj: node, boff: layout.FieldOff(3),
 					store: func(layout.Ref) {
 						if !c.Delete(last) {
 							w.t.Fatalf("delete of %d missed", last)
@@ -329,14 +314,13 @@ func barrierRows() []barrierRow {
 					}}
 			}},
 		// The first put into bucket 1 of a fresh index installs the bucket's
-		// sentinel in the bucket array over null: nothing to record, the
-		// array's card is dirtied. (Sentinel and node are the ctx's first
+		// sentinel in the bucket array over null. (Sentinel and node are the ctx's first
 		// allocations: one persist each, and the opened mark of the region
 		// they dispense.) The put's re-resolve of the index header after
 		// the epoch bump is one read: the site's own GetRoot below taught
 		// the name table's slot index the root.
 		barrierRow{name: "pindex bucket-array install", kinds: []valKind{toNVM, toNull},
-			dev: [2]devOps{{11, 21, 7, 5}, {11, 21, 7, 5}},
+			dev: devOps{11, 21, 7, 5},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				c := indexSite(w)
 				key := int64(1)
@@ -355,78 +339,32 @@ func barrierRows() []barrierRow {
 	return rows
 }
 
-// drainAll empties every barrier buffer of h and returns the pre-write
-// records, sorted.
-func drainAll(h *pheap.Heap) []layout.Ref {
-	var got []layout.Ref
-	h.DrainBarrierShard(0, 1, func(r layout.Ref) { got = append(got, r) })
-	slices.Sort(got)
-	return got
-}
-
 func TestRefStoreBarrierConformance(t *testing.T) {
 	for _, row := range barrierRows() {
-		for armed := 0; armed < 2; armed++ {
-			for _, kind := range row.kinds {
-				row, armed, kind := row, armed == 1, kind
-				t.Run(fmt.Sprintf("%s/armed=%v/%v", row.name, armed, kind), func(t *testing.T) {
-					w := newBarrierWorld(t)
-					val := w.value(kind)
-					site := row.site(w, val)
-					want := row.dev[0]
-					if armed {
-						w.h.BeginConcurrentMark(w.h.SnapshotRegionTops())
-						defer w.h.EndConcurrentMark()
-						want = row.dev[1]
-					}
-					if row.publishes && kind == toVolatile {
-						want.reads++
-					}
+		for _, kind := range row.kinds {
+			t.Run(fmt.Sprintf("%s/%v", row.name, kind), func(t *testing.T) {
+				w := newBarrierWorld(t)
+				val := w.value(kind)
+				site := row.site(w, val)
+				want := row.dev
+				if row.publishes && kind == toVolatile {
+					want.reads++
+				}
 
-					before := w.h.Device().Stats()
-					site.store(val)
-					if got := opsOf(w.h.Device().Stats().Sub(before)); got != want {
-						t.Errorf("device traffic %+v, want %+v", got, want)
-					}
+				before := w.h.Device().Stats()
+				site.store(val)
+				if got := opsOf(w.h.Device().Stats().Sub(before)); got != want {
+					t.Errorf("device traffic %+v, want %+v", got, want)
+				}
 
-					slices.Sort(site.old)
-					wantDrain := site.old
-					if !armed {
-						wantDrain = nil
-					}
-					if got := drainAll(w.h); !slices.Equal(got, wantDrain) {
-						t.Errorf("drain delivered %#x, want %#x", got, wantDrain)
-					}
-					if got := drainAll(w.rt.heapByName["A"]); len(got) != 0 {
-						t.Errorf("heap A's drain delivered %#x for a store into B", got)
-					}
-
-					cards := w.h.SATBDirtyCards()
-					card := (w.h.OffOf(site.obj) - w.h.Geo().DataOff) / pheap.SATBCardBytes
-					if dirty := card < len(cards) && cards[card]; dirty != armed {
-						t.Errorf("card dirty = %v with the mark armed = %v", dirty, armed)
-					}
-
-					var oracle []layout.Ref
-					if kind == toVolatile {
-						oracle = []layout.Ref{site.obj + layout.Ref(site.boff)}
-					}
-					if got := w.rt.NVMToVolSlots(); !slices.Equal(got, oracle) {
-						t.Errorf("remembered set %#x, want %#x", got, oracle)
-					}
-
-					if armed && row.black {
-						// Allocate-black: a referent born after the snapshot
-						// is live by construction and is not recorded.
-						site.store(w.pnew())
-						drainAll(w.h)
-						site.store(val)
-						if got := drainAll(w.h); len(got) != 0 {
-							t.Errorf("drain delivered %#x for an overwritten allocate-black referent", got)
-						}
-					}
-				})
-			}
+				var oracle []layout.Ref
+				if kind == toVolatile {
+					oracle = []layout.Ref{site.obj + layout.Ref(site.boff)}
+				}
+				if got := w.rt.NVMToVolSlots(); !slices.Equal(got, oracle) {
+					t.Errorf("remembered set %#x, want %#x", got, oracle)
+				}
+			})
 		}
 	}
 }

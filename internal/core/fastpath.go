@@ -76,7 +76,7 @@ func (a *Accessor) GetLongFast(ref layout.Ref, f FieldRef) int64 {
 // SetLongFast writes a primitive field through a resolved handle. A
 // ref-typed handle is rejected with a panic — a raw store to a
 // reference slot would bypass the write barrier (remembered sets,
-// type-based safety, SATB), the JVM-verifier-error analog.
+// type-based safety), the JVM-verifier-error analog.
 func (a *Accessor) SetLongFast(ref layout.Ref, f FieldRef, v int64) {
 	defer a.exit(a.enter())
 	if f.ftype == layout.FTRef {
@@ -97,8 +97,8 @@ func (a *Accessor) GetRefFast(ref layout.Ref, f FieldRef) layout.Ref {
 }
 
 // SetRefFast writes a reference field through a resolved handle, keeping
-// the full write barrier (remembered sets, type-based safety, SATB). On a
-// Runtime that is the heap's ownerless context: one buffer pair behind one
+// the full write barrier (remembered sets, type-based safety). On a
+// Runtime that is the heap's ownerless context: one buffer behind one
 // mutex for every such store on the heap. A Mutator's stores land in
 // buffers of its own.
 func (a *Accessor) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {

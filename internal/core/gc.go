@@ -28,8 +28,8 @@ type volRoots struct{ rt *Runtime }
 
 // UpdateSlots feeds every handle and NVM-resident slot through fn. NVM
 // slots are read and patched with atomic word accesses: a volatile
-// collection may run (under the safepoint read lock) while the
-// concurrent persistent marker is loading the same slots. The handle
+// collection runs under the safepoint read lock, beside mutators and
+// lock-free index readers that may load the same slots. The handle
 // patch takes rt.mu so it cannot race a concurrent NewHandle growing
 // the table.
 func (r volRoots) UpdateSlots(fn func(layout.Ref) layout.Ref) {
@@ -74,7 +74,7 @@ func (rt *Runtime) MinorGC() error {
 // Volatile collections consume the NVM→DRAM remembered set as their
 // root set, so pending per-mutator deltas are published first — the
 // write-combining barrier's "drain before scavenging" obligation. (The
-// persistent collectors get the same drain from PrepareForCollection.)
+// persistent collector gets the same drain from PrepareForCollection.)
 func (rt *Runtime) minorGC() error {
 	rt.publishRemsetDeltas()
 	return rt.vol.MinorGC(volRoots{rt})
@@ -119,9 +119,8 @@ func (r persRoots) Roots(visit func(layout.Ref)) {
 
 // UpdateRoots patches every such slot through the forwarding function,
 // then rebuilds the NVM→DRAM remembered set (remembered slots moved with
-// their objects). The collector calls it inside the pause — before
-// mutators resume under the concurrent collector — so no mutator ever
-// observes unpatched roots or a stale remembered set.
+// their objects). The collector calls it inside the pause, so no mutator
+// ever observes unpatched roots or a stale remembered set.
 func (r persRoots) UpdateRoots(fwd func(layout.Ref) layout.Ref) {
 	rt := r.rt
 	for i, v := range rt.handles {
@@ -146,8 +145,8 @@ func (r persRoots) UpdateRoots(fwd func(layout.Ref) layout.Ref) {
 	rt.rebuildNVMRemset(r.h)
 }
 
-// worldLocker adapts the runtime's safepoint to pgc.World: stopping
-// the world means waiting out every in-flight mutator operation and
+// worldLocker stops the world on the runtime's safepoint for a
+// collection of h: stopping the world means waiting out every in-flight mutator operation and
 // holding new ones at the safepoint — the mutator handshake. Each stop is
 // timed into the telemetry safepoint.wait histogram, so handshake delays
 // caused by long mutator ops are observable, and journaled as an
@@ -168,8 +167,7 @@ func (w worldLocker) StartWorld() { w.rt.world.Start() }
 // PersistentGC runs the crash-consistent collection of paper §4 on the
 // named heap (System.gc() for the persistent space). Mutators on other
 // goroutines are paused through the safepoint lock for the whole
-// collection, which marks on GOMAXPROCS workers and compacts on one;
-// PersistentGCConcurrent pauses them only for handshake and compaction.
+// collection, which marks on GOMAXPROCS workers and compacts on one.
 func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 	h, ok := rt.heapByName[name]
 	if !ok {
@@ -181,25 +179,6 @@ func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 	w.StopWorld()
 	defer w.StartWorld()
 	return pgc.Collect(h, persRoots{rt, h})
-}
-
-// PersistentGCConcurrent collects the named heap with SATB concurrent
-// marking: the object graph is traced while mutators keep running (the
-// reference-store barrier's pre-write half keeps the snapshot consistent,
-// and allocation proceeds above the snapshotted region tops), and only
-// final remark + compaction + the redo-log finish stop the world. Marking
-// fans out over workers work-stealing tracers and the compaction pause
-// shards its reference-fix and fill passes over the same count. One worker
-// reproduces the serial collector exactly; the heap image is
-// byte-identical for every value on a quiescent heap. workers < 1 means 1.
-func (rt *Runtime) PersistentGCConcurrent(name string, workers int) (pgc.Result, error) {
-	h, ok := rt.heapByName[name]
-	if !ok {
-		return pgc.Result{}, fmt.Errorf("core: heap %q is not loaded", name)
-	}
-	rt.gcMu.Lock()
-	defer rt.gcMu.Unlock()
-	return pgc.CollectConcurrent(h, persRoots{rt, h}, worldLocker{rt, h}, workers)
 }
 
 // rebuildNVMRemset rescans one heap's live objects for volatile

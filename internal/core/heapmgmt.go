@@ -109,13 +109,9 @@ func (rt *Runtime) LoadHeap(name string) (*pheap.Heap, error) {
 		if h.GCActive() {
 			active = 1
 		}
-		h.FlightRecorder().Append(blackbox.EvHeapLoad, h.GlobalTS(), active, uint64(h.GCPhase()))
+		h.FlightRecorder().Append(blackbox.EvHeapLoad, h.GlobalTS(), active, 0)
 	}
-	// Crash recovery (paper §4.3) runs before the heap is used. A
-	// persisted concurrent-mark phase with gcActive clear means the crash
-	// interrupted marking: recovery clears the word and the heap proceeds
-	// untouched (the STW-fallback contract — the next collection starts a
-	// fresh cycle).
+	// Crash recovery (paper §4.3) runs before the heap is used.
 	if _, _, err := pgc.RecoverIfNeeded(h); err != nil {
 		return nil, fmt.Errorf("core: recovering %q: %w", name, err)
 	}

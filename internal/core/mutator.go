@@ -15,8 +15,8 @@ import (
 // everything in that heap through its own pheap.Allocator, so
 // steady-state allocation touches no shared lock — the PLAB bump path
 // persists only the mutator's own region top — and neither does a
-// reference store: the barrier's pre-write records and remembered-set
-// deltas land in the allocator's own buffers, and the shared NVM→DRAM set
+// reference store: the barrier's remembered-set deltas land in the
+// allocator's own buffer, and the shared NVM→DRAM set
 // learns about the stores at the next publication point (transaction
 // commit, safepoint entry, or buffer overflow; see remset.go). Strings,
 // bulk copies, field images and the flushes go the same way: its own
@@ -90,8 +90,7 @@ func (m *Mutator) Do(fn func()) {
 
 // Release retires the mutator: its PLAB headroom and recycled hole go
 // back to the heap's dispenser for the next mutator to continue filling,
-// pre-write records a running mark has not seen move to the heap's
-// ownerless context, and pending remembered-set deltas are published
+// and pending remembered-set deltas are published
 // (pheap.Allocator.Release). Like every mutator operation it is a
 // safepoint interval; the safepoint slot is given up after the interval
 // ends (or, inside Do, keeps holding pauses off until Do returns).

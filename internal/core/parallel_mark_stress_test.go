@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -8,14 +9,15 @@ import (
 	"espresso/internal/layout"
 )
 
-// TestParallelMarkStress is TestSATBMarkStress's worker-pool arm: the
-// same mutator churn (prepend + unlink through the SATB barrier), but
-// every collection runs with an explicit 4-worker marking pool, so the
-// shared and stolen halves of the workers' stacks, the shared CAS-claimed
-// mark bitmap, the per-worker SATB/remset shard drains, and the parallel
-// compaction passes all race against live mutator stores. Run under -race in CI,
-// it proves the pool adds no data races over the single-worker marker;
-// the model check proves it loses no reachable objects either.
+// TestParallelMarkStress is the collector's correctness stress with a
+// 4-worker marking pool: mutator goroutines churn rooted chains
+// (prepend, and unlink through the reference-store barrier) inside Do
+// while PersistentGC collects in a loop at GOMAXPROCS 4, so the shared
+// and stolen halves of the workers' stacks, the shared CAS-claimed mark
+// bitmap and the per-worker remset shard drains all run between live
+// mutator operations. Run under -race in CI, it proves the pool and the
+// safepoint hand the heap back and forth without a data race; the model
+// check proves no reachable object is lost.
 func TestParallelMarkStress(t *testing.T) {
 	rt, err := NewRuntime(Config{PJHDataSize: 48 << 20})
 	if err != nil {
@@ -34,6 +36,7 @@ func TestParallelMarkStress(t *testing.T) {
 	const goroutines = 6
 	const iters = 300
 	const gcWorkers = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gcWorkers))
 	rootName := func(g int) string { return "chain" + string(rune('A'+g)) }
 
 	models := make([][]int64, goroutines) // surviving ids, head first
@@ -49,7 +52,7 @@ func TestParallelMarkStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := rt.PersistentGCConcurrent("pmark", gcWorkers); err != nil {
+			if _, err := rt.PersistentGC("pmark"); err != nil {
 				gcDone <- err
 				return
 			}
@@ -91,8 +94,7 @@ func TestParallelMarkStress(t *testing.T) {
 				models[g] = append([]int64{id}, models[g]...)
 
 				if i%3 == 2 && len(models[g]) >= 2 {
-					// Unlink the second node: the overwrite the SATB barrier
-					// must report to whichever worker owns the shard.
+					// Unlink the second node.
 					m.Do(func() {
 						head, _ := m.GetRoot(name)
 						second := m.GetRefFast(head, nextF)
@@ -114,7 +116,7 @@ func TestParallelMarkStress(t *testing.T) {
 	wg.Wait()
 	close(stopGC)
 	if err := <-gcDone; err != nil {
-		t.Fatalf("parallel concurrent GC: %v", err)
+		t.Fatalf("parallel-mark GC: %v", err)
 	}
 	if t.Failed() {
 		t.FailNow()
@@ -144,18 +146,15 @@ func TestParallelMarkStress(t *testing.T) {
 	verify("after churn")
 
 	// Quiescent cycles at both worker counts must agree with the models
-	// and with each other (the workers axis is byte-identical on a
-	// quiescent heap, so graph equality is the weakest consequence).
-	if _, err := rt.PersistentGCConcurrent("pmark", gcWorkers); err != nil {
-		t.Fatal(err)
-	}
-	verify("after final parallel GC")
-	if _, err := rt.PersistentGCConcurrent("pmark", 1); err != nil {
-		t.Fatal(err)
-	}
-	verify("after final single-worker GC")
+	// (the workers axis is byte-identical on a quiescent heap, so graph
+	// equality is the weakest consequence).
 	if _, err := rt.PersistentGC("pmark"); err != nil {
 		t.Fatal(err)
 	}
-	verify("after final STW GC")
+	verify("after final parallel GC")
+	runtime.GOMAXPROCS(1)
+	if _, err := rt.PersistentGC("pmark"); err != nil {
+		t.Fatal(err)
+	}
+	verify("after final single-worker GC")
 }

@@ -106,7 +106,7 @@ func (s remsetSink) RefIsVolatile(ref layout.Ref) bool { return s.rt.vol.Contain
 // read per slot bounds the publication's device cost by the working set,
 // not the store count. Safe to run concurrently with mutators (overflow
 // publications race collector drains): the slot load is a single atomic
-// device read, exactly the discipline the concurrent marker uses.
+// device read.
 func (rt *Runtime) applyRemsetDeltas(ds []pheap.RemsetDelta) {
 	if len(ds) == 0 {
 		return

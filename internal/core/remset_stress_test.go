@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -13,9 +12,9 @@ import (
 // TestRemsetDeltaGCStress is the write-combining barrier's correctness
 // stress: mutator goroutines churn NVM→volatile and NVM→NVM reference
 // stores through their per-mutator delta buffers while a collector
-// goroutine runs back-to-back concurrent persistent collections (each
-// safepoint draining whatever deltas happen to be pending). After every
-// round the world quiesces, one more concurrent cycle plus a volatile
+// goroutine runs back-to-back persistent collections (each safepoint
+// draining whatever deltas happen to be pending). After every round the
+// world quiesces, one more cycle plus a volatile
 // scavenge consume the remembered set, and the published set must equal
 // the single-threaded oracle exactly — the slot set whose last store was
 // a volatile reference. No delta may be lost, duplicated, or misordered
@@ -135,7 +134,7 @@ func TestRemsetDeltaGCStress(t *testing.T) {
 
 	for round := 0; round < rounds; round++ {
 		// Collector goroutine races the round's churn with back-to-back
-		// concurrent cycles.
+		// cycles.
 		stopGC := make(chan struct{})
 		gcDone := make(chan error, 1)
 		go func() {
@@ -146,7 +145,7 @@ func TestRemsetDeltaGCStress(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := rt.PersistentGCConcurrent("remset", runtime.GOMAXPROCS(0)); err != nil {
+				if _, err := rt.PersistentGC("remset"); err != nil {
 					gcDone <- err
 					return
 				}
@@ -194,20 +193,20 @@ func TestRemsetDeltaGCStress(t *testing.T) {
 		wg.Wait()
 		close(stopGC)
 		if err := <-gcDone; err != nil {
-			t.Fatalf("round %d concurrent GC: %v", round, err)
+			t.Fatalf("round %d GC: %v", round, err)
 		}
 		if t.Failed() {
 			t.FailNow()
 		}
 
-		// Quiesced: one more concurrent cycle (pending deltas drain at its
-		// safepoints, compaction may move every node), then a volatile
+		// Quiesced: one more cycle (pending deltas drain at its safepoint,
+		// compaction may move every node), then a volatile
 		// scavenge (which consumes the set as roots and patches the moved
 		// targets), then the oracle comparison.
-		if _, err := rt.PersistentGCConcurrent("remset", runtime.GOMAXPROCS(0)); err != nil {
+		if _, err := rt.PersistentGC("remset"); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		verify("after concurrent cycle", round)
+		verify("after a cycle", round)
 		if err := rt.MinorGC(); err != nil {
 			t.Fatalf("round %d minor GC: %v", round, err)
 		}

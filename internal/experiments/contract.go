@@ -116,14 +116,10 @@ var Contracts = []Contract{
 	{Name: "gcpause", Pinned: Params{Scale: 1, Mutators: 8},
 		Run: func(w io.Writer, p Params) (any, error) {
 			rows, err := GCPause(p.Scale, p.Mutators)
-			return rowsOf(w, "GC pause — stop-the-world vs concurrent SATB marking vs parallel workers (modeled ns)", rows, err)
+			return rowsOf(w, "GC pause — stop-the-world, and its mark on parallel workers (modeled ns)", rows, err)
 		},
 		scheduled: map[string]scheduled{
-			// Mutators churn while the collector marks: how much of the
-			// churn lands inside the marking window decides the remark work.
-			"concurrent/8": {fields: []string{"live_objects", "modeled_max_pause_ns",
-				"pause_reduction_vs_stw", "modeled_max_pause_ns_ceiling"}},
-			// The cycle's device totals are exact; how the pool's workers
+			// The cycle's device totals are exact; how the mark workers
 			// split them is work stealing, and the ≥2x critical-path claim
 			// needs the four workers on four cores.
 			"parallel/8/4": {fields: []string{"modeled_critical_path_ns", "modeled_parallel_speedup"}, cores: 4},

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"espresso/internal/core"
 	"espresso/internal/klass"
@@ -13,36 +14,28 @@ import (
 // The gcpause experiment measures persistent-GC pause times under a
 // multi-mutator allocation workload: G mutator goroutines churn rooted
 // chains (allocate, prepend, unlink — through the PLAB allocator and the
-// SATB write barrier) against a large stable live graph, and the
-// collector runs either stop-the-world (the whole collection is the
-// pause) or concurrently (marking overlaps the mutators; only the
-// handshake and remark+compaction pause them).
+// reference-store barrier) against a large stable live graph, and the
+// stop-the-world collector runs between churn phases: the whole
+// collection is the pause.
 //
 // The metric is the modeled pause (nvm.Stats.ModeledTime of the device
 // traffic inside the pause: tracing is read-dominated, compaction
 // flush-dominated, and both counters come from the device, not the host
-// clock — benchmark/'s gc_churn is where pauses meet a clock). The headline claim
-// matches the ROADMAP item: moving marking (and, via the marker's
-// outgoing-reference summary, most of the pause-time reference rescan)
-// out of the pause cuts the max stop-the-world pause by well over 3x on
-// the 8-mutator workload.
+// clock — benchmark/'s gc_churn is where pauses meet a clock).
 
 // GCPauseRow is one (series, workers) measurement over several
-// collection cycles. The dev_* fields are emitted only for the stw
-// series (deterministic: its cycles run against a quiescent heap); the
-// concurrent row carries the absolute pause ceiling and the reduction
-// ratio with its ≥2x floor instead; the parallel rows carry the modeled
-// device critical path of mark+compact and (on the largest-workers row)
-// the speedup over one worker with its ≥2x floor. The contract test
-// bounds each by the baseline's copy of the _ceiling/_floor field —
-// absolute claims, because the concurrent row's in-pause work and the
-// parallel row's per-worker maxima depend on goroutine scheduling; the
-// stw and one-worker rows are a pure function of the code and are held
-// to their baseline exactly (contract.go).
+// collection cycles. The stw series carries the in-pause device
+// counters; the parallel rows carry the modeled device critical path of
+// mark+compact, the per-cycle device totals, and (on the largest-workers
+// row) the speedup over one worker with its ≥2x floor. The contract test
+// bounds the speedup by the baseline's copy of the _floor field — an
+// absolute claim, because the per-worker maxima depend on goroutine
+// scheduling; every other field is a pure function of the code and is
+// held to its baseline exactly (contract.go).
 type GCPauseRow struct {
-	Series            string  `json:"series"` // "stw", "concurrent", or "parallel"
+	Series            string  `json:"series"` // "stw" or "parallel"
 	Mutators          int     `json:"mutators"`
-	Workers           int     `json:"workers,omitempty"` // GC pool size (parallel series)
+	Workers           int     `json:"workers,omitempty"` // mark workers (parallel series)
 	Cycles            int     `json:"cycles"`
 	LiveObjects       int     `json:"live_objects"`
 	ModeledMaxPauseNs float64 `json:"modeled_max_pause_ns"`
@@ -50,18 +43,13 @@ type GCPauseRow struct {
 	DevReadsInPause float64 `json:"dev_reads_in_pause_per_cycle,omitempty"`
 	DevLinesInPause float64 `json:"dev_flushed_lines_in_pause_per_cycle,omitempty"`
 
-	PauseReduction float64 `json:"pause_reduction_vs_stw,omitempty"`
-	ModeledCeiling float64 `json:"modeled_max_pause_ns_ceiling,omitempty"`
-	ReductionFloor float64 `json:"pause_reduction_vs_stw_floor,omitempty"`
-
 	// Parallel-series fields. The critical path models the device time a
 	// real NVM would charge the slowest worker: max over mark workers +
-	// max over compaction fix workers + the serial compaction residue
-	// (the evacuation pass is serial by design — contiguous destinations
-	// share cache lines, and each source region must stay intact until
-	// its evacuation is durable). The per-cycle totals (reads, flushed
-	// lines) are identical across worker counts — parallelism splits the
-	// work, it must not add device traffic — so the speedup is pure
+	// the compact phase, which runs on one (contiguous destinations share
+	// cache lines, and each source region must stay intact until its
+	// evacuation is durable). The per-cycle totals (reads, flushed lines)
+	// are identical across worker counts — parallelism splits the work,
+	// it must not add device traffic — so the speedup is pure
 	// critical-path reduction.
 	ModeledCritPathNs      float64 `json:"modeled_critical_path_ns,omitempty"`
 	DevReadsPerCycle       float64 `json:"dev_reads_per_cycle,omitempty"`
@@ -72,82 +60,44 @@ type GCPauseRow struct {
 
 const gcPauseCycles = 3
 
-// gcPauseCeilingNs is the absolute modeled-pause budget for a concurrent
-// cycle: a fixed 3 ms floor plus a 250 ns/live-object allowance. The
-// budget covers the worst goroutine schedule (all churn landing inside
-// the marking window, maximizing remark + dirty-card rescans) yet stays
-// a third of what the same workload costs stop-the-world (~800 ns/obj
-// of tracing plus compaction), so regressions that drag marking or the
-// reference rescan back into the pause trip the gate long before they
-// reach parity. Measured against it (8 mutators, 44 000 live objects,
-// ceiling 14 ms; 60 consecutive runs on a 2-vCPU host): 5.63–6.21 ms.
-func gcPauseCeilingNs(liveObjects int) float64 {
-	return 3e6 + 250*float64(liveObjects)
-}
-
 // statNs is one accounting bucket's modeled device time, reads and
 // write-backs both, in the row types' float nanoseconds.
 func statNs(s nvm.Stats) float64 { return float64(s.ModeledTime().Nanoseconds()) }
 
 // modeledCritPathNs is the modeled device critical path of mark+compact:
-// the busiest mark worker, plus the busiest compaction fix worker, plus
-// the serial compaction residue. With one worker it degenerates to the
-// serial mark+compact device time.
+// the busiest mark worker plus the compact phase. With one worker it
+// degenerates to the serial mark+compact device time.
 func modeledCritPathNs(res pgc.Result) float64 {
-	maxNs := func(ws []nvm.Stats) float64 {
-		m := 0.0
-		for _, s := range ws {
-			m = max(m, statNs(s))
-		}
-		return m
+	m := 0.0
+	for _, s := range res.MarkWorkerStats {
+		m = max(m, statNs(s))
 	}
-	return maxNs(res.MarkWorkerStats) + maxNs(res.CompactFixWorkerStats) + statNs(res.CompactSerialStats)
+	return m + statNs(res.CompactStats)
 }
 
-// gcPauseParallelWorkers are the GC pool sizes of the parallel series:
+// gcPauseParallelWorkers are the mark pool sizes of the parallel series:
 // the serial baseline and the pool size the speedup claim is made at.
 var gcPauseParallelWorkers = []int{1, 4}
 
-// GCPause runs the stw and concurrent series at the given mutator
-// count, then the parallel series (quiescent, mark-heavy) across
-// gcPauseParallelWorkers.
+// GCPause runs the stw series at the given mutator count, then the
+// parallel series (mark-heavy) across gcPauseParallelWorkers.
 func GCPause(scale Scale, mutators int) ([]GCPauseRow, error) {
 	if mutators < 1 {
 		mutators = 1
 	}
 	live := scale.div(40000)
 	churn := scale.div(600)
-	var rows []GCPauseRow
-	var stwModeledMax float64
-	for _, series := range []string{"stw", "concurrent"} {
-		row, err := runGCPauseSeries(series, mutators, live, churn)
-		if err != nil {
-			return nil, err
-		}
-		if series == "stw" {
-			stwModeledMax = row.ModeledMaxPauseNs
-		} else {
-			if row.ModeledMaxPauseNs > 0 {
-				row.PauseReduction = stwModeledMax / row.ModeledMaxPauseNs
-			}
-			row.ModeledCeiling = gcPauseCeilingNs(row.LiveObjects)
-			// Moving marking out of the pause at least halves it; the same
-			// 60 runs read 3.26–3.60.
-			row.ReductionFloor = 2
-			// Only the stw row's in-pause device counters are
-			// deterministic; drop them here.
-			row.DevReadsInPause = 0
-			row.DevLinesInPause = 0
-		}
-		rows = append(rows, row)
+	stw, err := runGCPauseSTWSeries(mutators, live, churn)
+	if err != nil {
+		return nil, err
 	}
+	rows := []GCPauseRow{stw}
 
 	// Parallel series: same workload family but mark-heavy — a larger
 	// stable live set and lighter churn — because the parallelism claim
 	// is about the tracing-dominated device critical path (the serial
-	// evacuation pass is a fixed Amdahl residue that light churn keeps
-	// small). Cycles are quiescent so per-cycle device totals are exactly
-	// reproducible.
+	// compact phase is a fixed Amdahl residue that light churn keeps
+	// small).
 	var serial GCPauseRow
 	for _, workers := range gcPauseParallelWorkers {
 		row, err := runGCPauseParallelSeries(mutators, workers, 2*live, scale.div(150))
@@ -213,7 +163,7 @@ func newGCPauseHeap(mutators, live, churnOps int) (*core.Runtime, gcPauseNode, e
 	// compaction work differs by several ms (whether a low recycled hole
 	// ends up hosting a cyclically-replaced root-index node decides if
 	// the sliding compactor re-evacuates everything above it each
-	// cycle). The measured churn phases stay concurrent.
+	// cycle).
 	perM := live / mutators
 	if perM < 1 {
 		perM = 1
@@ -248,91 +198,49 @@ func newGCPauseHeap(mutators, live, churnOps int) (*core.Runtime, gcPauseNode, e
 }
 
 // record folds one measured cycle into the row: the modeled pause
-// maximum, plus the per-cycle maxima of dev (the bucket the series
-// reports — in-pause traffic for stw/concurrent, whole-cycle traffic for
-// parallel) into reads/lines.
-func (row *GCPauseRow) record(res pgc.Result, dev nvm.Stats, reads, lines *float64) {
+// maximum, plus the per-cycle maxima of the pause's device traffic into
+// reads/lines.
+func (row *GCPauseRow) record(res pgc.Result, reads, lines *float64) {
 	row.Cycles++
 	row.LiveObjects = res.LiveObjects
 	row.ModeledMaxPauseNs = max(row.ModeledMaxPauseNs, statNs(res.PauseDeviceStats))
-	*reads = max(*reads, float64(dev.Reads))
-	*lines = max(*lines, float64(dev.FlushedLines))
+	*reads = max(*reads, float64(res.PauseDeviceStats.Reads))
+	*lines = max(*lines, float64(res.PauseDeviceStats.FlushedLines))
 }
 
-func runGCPauseSeries(series string, mutators, live, churnOps int) (GCPauseRow, error) {
+// runGCPauseSTWSeries measures the stop-the-world collector on the
+// churn workload: churn completes, then the whole collection is one
+// pause. The churn runs sequentially — this row's in-pause device
+// counters are held to the baseline exactly, and concurrent churn hands
+// the heap layout to the goroutine scheduler (occasionally flipping how
+// much the compactor slides per cycle, a ~30% swing in flushed lines).
+func runGCPauseSTWSeries(mutators, live, churnOps int) (GCPauseRow, error) {
 	rt, n, err := newGCPauseHeap(mutators, live, churnOps)
 	if err != nil {
 		return GCPauseRow{}, err
 	}
-	row := GCPauseRow{Series: series, Mutators: mutators}
+	row := GCPauseRow{Series: "stw", Mutators: mutators}
 	for c := 0; c < gcPauseCycles; c++ {
-		churn := func(ops int) func(g int, m *core.Mutator) error {
-			return func(g int, m *core.Mutator) error {
-				return runChurn(m, n, fmt.Sprintf("churn%d", g), ops, g, c)
-			}
+		if err := forEachMutatorSeq(rt, mutators, func(g int, m *core.Mutator) error {
+			return runChurn(m, n, fmt.Sprintf("churn%d", g), churnOps, g, c)
+		}); err != nil {
+			return GCPauseRow{}, err
 		}
-		var res pgc.Result
-		if series == "stw" {
-			// Quiescent baseline: churn completes, then the whole
-			// collection is one pause. The churn runs sequentially — this
-			// row's in-pause device counters are held to the baseline
-			// exactly, and concurrent churn hands the heap layout to the
-			// goroutine scheduler (occasionally flipping how much the
-			// compactor slides per cycle, a ~30% swing in flushed lines).
-			// Concurrency lives in the concurrent and parallel series,
-			// whose scheduling-dependent columns are held by floors and
-			// ceilings instead.
-			if err := forEachMutatorSeq(rt, mutators, churn(churnOps)); err != nil {
-				return GCPauseRow{}, err
-			}
-			if res, err = rt.PersistentGC("gcpause"); err != nil {
-				return GCPauseRow{}, err
-			}
-		} else {
-			// Concurrent: half the churn runs quiescently first — a
-			// mutator running between collections, refilling the holes
-			// the previous cycle published, which is what keeps the heap
-			// top (and hence the dead-wood budget) in steady state — and
-			// half overlaps the collection, exercising the SATB barrier,
-			// the dirty-card rescans, and the floating-garbage path.
-			// (Allocation during marking is allocate-black above the
-			// snapshot tops and cannot reuse holes, so a series that
-			// overlaps all of its churn measures an ever-growing top and
-			// the periodic slide that reclaims it, not the barrier.) The
-			// safepoint lock inside the runtime provides the handshakes.
-			// One tracer, pinned: this series isolates what the barrier
-			// buys over stop-the-world, so it keeps the seed's
-			// single-tracer shape. (On a host with fewer cores than the
-			// default pool, extra tracers competing with the mutators
-			// stretch the marking window, which inflates churn-driven
-			// remark work — the row would measure the host, not the
-			// collector. The workers axis lives in the parallel series
-			// below.)
-			if err := forEachMutator(rt, mutators, churn(churnOps/2)); err != nil {
-				return GCPauseRow{}, err
-			}
-			churnErr := make(chan error, 1)
-			go func() { churnErr <- forEachMutator(rt, mutators, churn(churnOps-churnOps/2)) }()
-			if res, err = rt.PersistentGCConcurrent("gcpause", 1); err != nil {
-				return GCPauseRow{}, err
-			}
-			if err := <-churnErr; err != nil {
-				return GCPauseRow{}, err
-			}
+		res, err := rt.PersistentGC("gcpause")
+		if err != nil {
+			return GCPauseRow{}, err
 		}
-		row.record(res, res.PauseDeviceStats, &row.DevReadsInPause, &row.DevLinesInPause)
+		row.record(res, &row.DevReadsInPause, &row.DevLinesInPause)
 	}
 	return row, nil
 }
 
-// runGCPauseParallelSeries measures one GC pool size on the mark-heavy
-// quiescent workload: churn completes — sequentially, like the stw
-// series' and for the same reason: the heap layout a cycle meets must
-// not be the scheduler's choice — then the concurrent collector runs
-// with an explicit worker count (no mutators overlap it, so the
-// per-cycle device totals are exactly reproducible; only the split of
-// work across workers — and hence the critical path — depends on
-// stealing order).
+// runGCPauseParallelSeries measures one mark pool size on the mark-heavy
+// workload: churn completes — sequentially, like the stw series' and for
+// the same reason — then rt.PersistentGC runs with GOMAXPROCS set to
+// workers, which is the pool pgc.Collect marks on. The per-cycle device
+// totals are exactly reproducible; only the split of work across workers
+// — and hence the critical path — depends on stealing order.
 func runGCPauseParallelSeries(mutators, workers, live, churnOps int) (GCPauseRow, error) {
 	rt, n, err := newGCPauseHeap(mutators, live, churnOps)
 	if err != nil {
@@ -346,11 +254,13 @@ func runGCPauseParallelSeries(mutators, workers, live, churnOps int) (GCPauseRow
 		}); err != nil {
 			return GCPauseRow{}, err
 		}
-		res, err := rt.PersistentGCConcurrent("gcpause", workers)
+		prev := runtime.GOMAXPROCS(workers)
+		res, err := rt.PersistentGC("gcpause")
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			return GCPauseRow{}, err
 		}
-		row.record(res, res.DeviceStats, &row.DevReadsPerCycle, &row.DevLinesPerCycle)
+		row.record(res, &row.DevReadsPerCycle, &row.DevLinesPerCycle)
 		row.ModeledCritPathNs = max(row.ModeledCritPathNs, modeledCritPathNs(res))
 	}
 	return row, nil
@@ -447,17 +357,4 @@ func forEachMutatorSeq(rt *core.Runtime, count int, fn func(g int, m *core.Mutat
 		}
 	}
 	return nil
-}
-
-// forEachMutator runs fn on count parallel mutator goroutines, each with
-// its own Mutator context, and joins them.
-func forEachMutator(rt *core.Runtime, count int, fn func(g int, m *core.Mutator) error) error {
-	return fanOut(count, func(g int) error {
-		m, err := rt.NewMutator()
-		if err != nil {
-			return err
-		}
-		defer m.Release()
-		return fn(g, m)
-	})
 }

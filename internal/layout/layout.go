@@ -66,8 +66,8 @@ const (
 // object address zero; lock-free persistent structures (internal/pindex)
 // store their link-state marks there, HotSpot-tagged-pointer style. Any
 // code that interprets a reference slot's value as an object address —
-// the concurrent marker, the compactor's reference fixing, the SATB
-// barrier — must strip the tag first and, when rewriting the slot,
+// the marker, the compactor's reference fixing — must strip the tag
+// first and, when rewriting the slot,
 // carry the tag over unchanged.
 const RefTagMask = Ref(ObjAlign - 1)
 

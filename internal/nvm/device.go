@@ -104,8 +104,7 @@ func (s Stats) ModeledTime() time.Duration {
 }
 
 // Add returns the sum s + other, counter by counter — used to combine
-// the traffic of disjoint measured intervals (e.g. the two pauses of a
-// concurrent collection).
+// the traffic of disjoint measured intervals.
 func (s Stats) Add(other Stats) Stats {
 	return Stats{
 		Writes:       s.Writes + other.Writes,
@@ -435,8 +434,8 @@ func (d *Device) writeU64Atomic(c *cell, off int, v uint64) {
 
 // WriteU64Atomic stores v at the 8-aligned byte offset off with a single
 // atomic machine store. It is the word-store variant for slots that a
-// concurrent reader (the SATB marker) may load while the owning mutator
-// stores — the same pair of accesses an x86 CPU makes atomic for aligned
+// concurrent reader (a lock-free index reader, a volatile collection
+// patching remembered slots) may load while the owning mutator stores — the same pair of accesses an x86 CPU makes atomic for aligned
 // words. Accounting and dirty tracking match WriteU64.
 func (d *Device) WriteU64Atomic(off int, v uint64) { d.writeU64Atomic(nil, off, v) }
 

@@ -48,7 +48,7 @@ func CrashIn(dev *nvm.Device, k uint64) {
 // cond is evaluated once per flush until it fires; the crash then lands
 // k flushes later (k = 0 crashes on the triggering flush itself). Use
 // it to target a window that only opens mid-run, e.g. "8 flushes after
-// the GC phase word goes active".
+// the GC-active flag is set".
 func CrashWhen(dev *nvm.Device, k uint64, cond func() bool) {
 	var armedAt uint64
 	dev.SetFlushHook(func(count uint64) {

@@ -5,9 +5,9 @@
 // allocated with pnew; each mutating operation runs in a ptx undo-log
 // transaction so both sides of the comparison offer the same ACID
 // guarantee. Reference stores go through ptx.Tx.WriteRefWord — pheap's
-// reference-store barrier on the heap's ownerless context — so these
-// legacy collections stay correct while pgc.CollectConcurrent marks; the
-// concurrent serving-oriented index lives in internal/pindex.
+// reference-store barrier on the heap's ownerless context — so the
+// remembered set sees their stores; the concurrent serving-oriented index
+// lives in internal/pindex.
 package pcollections
 
 import (

@@ -197,26 +197,10 @@ func TestCollectionsSurviveReload(t *testing.T) {
 	}
 }
 
-// midMarkWorld runs the queued callback when CollectConcurrent releases
-// the world after its initial handshake — i.e. with the SATB barrier
-// armed and the snapshot taken — so the mutations exercise exactly the
-// window where an unbarriered store could hide a snapshot-reachable
-// object from the marker.
-type midMarkWorld struct{ onStart []func() }
-
-func (w *midMarkWorld) StopWorld() {}
-func (w *midMarkWorld) StartWorld() {
-	if len(w.onStart) > 0 {
-		fn := w.onStart[0]
-		w.onStart = w.onStart[1:]
-		fn()
-	}
-}
-
-// TestLegacyCollectionsSafeDuringConcurrentGC mutates the map and list
-// mid-concurrent-mark (through the barrier-aware transactional stores)
-// and verifies nothing is lost or corrupted by the cycle's compaction.
-func TestLegacyCollectionsSafeDuringConcurrentGC(t *testing.T) {
+// TestLegacyCollectionsSafeAcrossGC mutates the map and list through
+// the transactional stores, collects, and verifies nothing is lost or
+// corrupted by the cycle's compaction.
+func TestLegacyCollectionsSafeAcrossGC(t *testing.T) {
 	w := world(t)
 	h := w.H
 	m, err := w.NewMap(16)
@@ -232,23 +216,20 @@ func TestLegacyCollectionsSafeDuringConcurrentGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	world := &midMarkWorld{onStart: []func(){func() {
-		// Overwrites + removals mid-mark: each store's old referent must
-		// reach the marker through the SATB barrier or compaction would
-		// operate on a lost-object summary.
-		for k := int64(0); k < 32; k++ {
-			b, _ := w.NewLong(k * 1000)
-			if err := w.MapPut(m, k, b); err != nil {
-				panic(err)
-			}
+	// Overwrites + removals: the overwritten and removed boxes become
+	// garbage the collection reclaims, the new ones must survive it.
+	for k := int64(0); k < 32; k++ {
+		b, _ := w.NewLong(k * 1000)
+		if err := w.MapPut(m, k, b); err != nil {
+			t.Fatal(err)
 		}
-		for k := int64(48); k < 64; k++ {
-			if _, err := w.MapRemove(m, k); err != nil {
-				panic(err)
-			}
+	}
+	for k := int64(48); k < 64; k++ {
+		if _, err := w.MapRemove(m, k); err != nil {
+			t.Fatal(err)
 		}
-	}}}
-	if _, err := pgc.CollectConcurrent(h, pgc.NoRoots{}, world, 1); err != nil {
+	}
+	if _, err := pgc.Collect(h, pgc.NoRoots{}); err != nil {
 		t.Fatal(err)
 	}
 	m, _ = h.GetRoot("map") // compaction may have moved everything

@@ -269,19 +269,12 @@ func TestCrashRecoverMatchesUncrashedCycleWithOpenPLABs(t *testing.T) {
 	}
 }
 
-// rwWorld stops the world with a read-write lock: mutators hold the read
-// side around each operation.
-type rwWorld struct{ mu sync.RWMutex }
-
-func (w *rwWorld) StopWorld()  { w.mu.Lock() }
-func (w *rwWorld) StartWorld() { w.mu.Unlock() }
-
-// TestEpochConcurrentMarkRacesBumpingAllocators runs concurrent
-// collections against two allocators that keep bumping (run it under
-// -race): the marker's snapshots and its allocate-black sweep read the
-// volatile tops the bump path moves, the handshakes persist the open
-// PLABs' tops, and every chain built under it survives every cycle.
-func TestEpochConcurrentMarkRacesBumpingAllocators(t *testing.T) {
+// TestEpochCollectionsRaceBumpingAllocators runs collections between
+// the operations of two allocators that keep bumping (run it under
+// -race): each collection's pause persists the open PLABs' tops and
+// reads the volatile tops the bump path moves, and every chain built
+// under it survives every cycle.
+func TestEpochCollectionsRaceBumpingAllocators(t *testing.T) {
 	reg := klass.NewRegistry()
 	h, err := pheap.Create(reg, pheap.Config{DataSize: 16 << 20})
 	if err != nil {
@@ -289,7 +282,7 @@ func TestEpochConcurrentMarkRacesBumpingAllocators(t *testing.T) {
 	}
 	node := nodeKlass(reg)
 	const mutators, perMutator = 2, 4000
-	w := &rwWorld{}
+	var world sync.RWMutex // mutators hold the read side around each operation
 	var wg sync.WaitGroup
 	for g := 0; g < mutators; g++ {
 		a := h.NewAllocator()
@@ -298,7 +291,7 @@ func TestEpochConcurrentMarkRacesBumpingAllocators(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 1; i <= perMutator; i++ {
-				w.mu.RLock()
+				world.RLock()
 				head, _ := h.GetRoot(name)
 				r, err := a.AllocInit(node, 0, func(r layout.Ref) {
 					a.SetWord(r, layout.FieldOff(fID), uint64(i))
@@ -307,7 +300,7 @@ func TestEpochConcurrentMarkRacesBumpingAllocators(t *testing.T) {
 				if err == nil {
 					err = h.SetRoot(name, r)
 				}
-				w.mu.RUnlock()
+				world.RUnlock()
 				if err != nil {
 					t.Error(err)
 					return
@@ -324,7 +317,10 @@ func TestEpochConcurrentMarkRacesBumpingAllocators(t *testing.T) {
 			running = false // one more cycle over the finished chains
 		default:
 		}
-		if _, err := CollectConcurrent(h, NoRoots{}, w, 2); err != nil {
+		world.Lock()
+		_, err := Collect(h, NoRoots{})
+		world.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -26,9 +26,8 @@ func recorderHeap(t *testing.T, mirror *[]blackbox.Record) (*pheap.Heap, *klass.
 	return h, reg
 }
 
-// recorderWorkload is an allocation burst (PLAB handoffs), a
-// stop-the-world collection, a second burst and a one-worker concurrent
-// collection, so that its flushes cross allocation, marking, compaction
+// recorderWorkload is an allocation burst (PLAB handoffs), a collection,
+// a second burst and a second collection, so that its flushes cross allocation, marking, compaction
 // and redo-commit boundaries.
 func recorderWorkload(h *pheap.Heap, reg *klass.Registry) error {
 	node, err := reg.Define(klass.MustInstance("recorder/Node", nil,
@@ -61,7 +60,7 @@ func recorderWorkload(h *pheap.Heap, reg *klass.Registry) error {
 	if err := burst("chain-b"); err != nil {
 		return err
 	}
-	_, err = CollectConcurrent(h, NoRoots{}, StoppedWorld{}, 1)
+	_, err = Collect(h, NoRoots{})
 	return err
 }
 

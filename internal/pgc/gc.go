@@ -7,7 +7,7 @@ import (
 
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
-	"espresso/internal/pgc/concurrent"
+	"espresso/internal/pgc/marker"
 	"espresso/internal/pheap"
 	"espresso/internal/telemetry"
 	"espresso/internal/telemetry/blackbox"
@@ -36,47 +36,32 @@ type Result struct {
 	MovedObjects int
 	MovedBytes   int
 	NewTop       int
-	// MarkTime is the wall time spent marking: inside the pause for the
-	// stop-the-world collector, overlapped with mutators for the
-	// concurrent one.
+	// MarkTime is the wall time spent marking.
 	MarkTime time.Duration
-	// PauseTime is the stop-the-world portion. For Collect and a recovery
-	// it equals the whole collection; for CollectConcurrent it is the sum of
-	// the initial handshake and the final remark+compaction pause.
+	// PauseTime is the wall time of the whole collection, which stops
+	// the world throughout.
 	PauseTime time.Duration
 	// DeviceStats is the device traffic of the whole collection;
 	// PauseDeviceStats is the subset issued inside the stop-the-world
-	// windows (they coincide for the STW collector). Under a concurrent
-	// collection DeviceStats also absorbs whatever traffic mutators issue
-	// while marking runs, since the device counters are shared.
+	// window, which is the same thing.
 	DeviceStats      nvm.Stats
 	PauseDeviceStats nvm.Stats
-	// Per-worker device accounting for the parallel phases — index w is
-	// worker w's share. MarkWorkerStats covers tracing (the busiest
+	// MarkWorkerStats[w] is mark worker w's device traffic (the busiest
 	// worker bounds the marking wall clock on a real device);
-	// CompactFixWorkerStats covers the parallel reference-fix pass of
-	// compaction; CompactSerialStats is the rest of the compact phase
-	// (the serial move pass, region-bit publication, fillers). The
-	// modeled device critical path of mark+compact is
-	// max(MarkWorkerStats) + max(CompactFixWorkerStats) +
-	// CompactSerialStats, which the gcpause experiment's workers axis
-	// gates on.
-	MarkWorkerStats       []nvm.Stats
-	CompactFixWorkerStats []nvm.Stats
-	CompactSerialStats    nvm.Stats
-	// Per-worker wall times for the same parallel phases.
-	// MarkWorkerTimes is each mark worker's productive tracing time
-	// (loop wall time minus termination-barrier parking), accumulated
-	// over every trace round of the cycle; CompactFixWorkerTimes is each
-	// fix worker's shard wall time. Skew across a slice means uneven
-	// work division — the signal the device-stat splits above cannot
-	// show when the imbalance is in host work (deque contention,
-	// scheduling) rather than device traffic. Both are also emitted as
-	// gc.mark.worker / gc.fix.worker telemetry spans when the heap has a
+	// CompactStats is the compact phase's. The modeled device critical
+	// path of mark+compact is max(MarkWorkerStats) + CompactStats, which
+	// the gcpause experiment's workers axis gates on.
+	MarkWorkerStats []nvm.Stats
+	CompactStats    nvm.Stats
+	// MarkWorkerTimes[w] is mark worker w's productive tracing time
+	// (loop wall time minus termination-barrier parking). Skew across
+	// the slice means uneven work division — the signal the device-stat
+	// split above cannot show when the imbalance is in host work (deque
+	// contention, scheduling) rather than device traffic. Each is also
+	// emitted as a gc.mark.worker telemetry span when the heap has a
 	// registry attached.
-	MarkWorkerTimes       []time.Duration
-	CompactFixWorkerTimes []time.Duration
-	Recovered             bool // true when RecoverIfNeeded replayed a compaction
+	MarkWorkerTimes []time.Duration
+	Recovered       bool // true when RecoverIfNeeded replayed a compaction
 }
 
 // Collect runs a full crash-consistent collection of h. ext supplies (and
@@ -105,12 +90,6 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	statsBefore := h.Device().Stats()
 	tel := h.Telemetry() // nil when telemetry is disabled; every method no-ops
 
-	// A persisted concurrent-mark phase from an aborted cycle is stale —
-	// the bitmap it announced is about to be rebuilt from scratch.
-	if h.GCPhase() != pheap.GCPhaseIdle {
-		h.SetGCPhase(pheap.GCPhaseIdle)
-	}
-
 	// Safepoint: persist every open PLAB's region top, then detach the
 	// PLABs and recycled holes; the finish step republishes all region
 	// tops from the summary.
@@ -118,8 +97,6 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	fr := h.FlightRecorder()
 	fr.Append(blackbox.EvGCBegin, 0, h.GlobalTS(), 0)
 
-	// Mark with the world stopped: the trace sees every store, so there
-	// are no dirty cards and nothing to remark.
 	markStart := time.Now()
 	mk, err := mark(h, ext, runtime.GOMAXPROCS(0))
 	if err != nil {
@@ -127,7 +104,7 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	}
 	defer mk.Release()
 	markTime := time.Since(markStart)
-	t, err := runTail(h, ext, mk, nil, 1)
+	t, err := runTail(h, ext, mk)
 	if err != nil {
 		return Result{}, err
 	}
@@ -145,9 +122,8 @@ func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	return res, nil
 }
 
-// tail is what the part of a cycle both collectors share leaves behind
-// for their reports: the summary, the compactor's result, and the phase
-// windows.
+// tail is what the part of a cycle after the mark leaves behind for its
+// report: the summary, the compactor's result, and the phase windows.
 type tail struct {
 	s                                 *Summary
 	cr                                compactResult
@@ -157,8 +133,7 @@ type tail struct {
 }
 
 // runTail takes a cycle from a complete mark to a republished heap, with
-// the world stopped — the one sequence both collectors end on, device op
-// for device op:
+// the world stopped:
 //
 //  1. persist both bitmaps. The mark bitmap is the pre-collection sketch
 //     of the heap; the cleared region bitmap must be durable before the
@@ -166,22 +141,18 @@ type tail struct {
 //     from a previous collection.
 //  2. stamp the heap mid-collection (timestamp first, flag second; see
 //     pheap.SetGCState for why the order matters). From here the
-//     persisted bitmap carries the cycle, so a concurrent cycle — the
-//     one that arrives with its phase word set — retires the word:
-//     recovery resumes the compaction rather than discarding the mark.
+//     persisted bitmap carries the cycle: recovery resumes the
+//     compaction.
 //  3. summarize — idempotent, derived from the bitmap alone — and check
 //     it against the marker's counts. On failure nothing has moved: the
 //     heap is un-stamped and the error returned.
 //  4. compact. Recycling state refers to the pre-GC layout and is dropped
 //     before anything moves. The marker's outgoing-reference summary lets
 //     the compactor skip fixing cards that cannot reference moved
-//     objects; dirty vetoes cards mutated after their objects were traced
-//     (nil when the mark ran with the world stopped). This is what keeps
-//     a concurrent cycle's pause proportional to churn + moves, not to
-//     everything live.
+//     objects.
 //  5. finish atomically via the redo log, then patch DRAM roots and hand
 //     the filler-covered gaps back to the allocator.
-func runTail(h *pheap.Heap, ext Rooter, mk *concurrent.Marker, dirty []bool, workers int) (*tail, error) {
+func runTail(h *pheap.Heap, ext Rooter, mk *marker.Marker) (*tail, error) {
 	fr := h.FlightRecorder()
 	liveObjects, liveBytes := mk.Counts()
 	h.PersistMarkBitmapUsed()
@@ -190,9 +161,6 @@ func runTail(h *pheap.Heap, ext Rooter, mk *concurrent.Marker, dirty []bool, wor
 
 	cur := h.GlobalTS() + 1
 	h.SetGCState(cur, true)
-	if h.GCPhase() != pheap.GCPhaseIdle {
-		h.SetGCPhase(pheap.GCPhaseIdle)
-	}
 	fr.Append(blackbox.EvGCStamp, cur, uint64(liveObjects), uint64(liveBytes))
 
 	t := &tail{sumStart: time.Now()}
@@ -211,7 +179,7 @@ func runTail(h *pheap.Heap, ext Rooter, mk *concurrent.Marker, dirty []bool, wor
 
 	h.ResetFreeHoles()
 	t.compactStart = time.Now()
-	t.cr = compact(h, s, cur, buildCleanCards(s, mk.MaxOutgoing(), dirty), workers)
+	t.cr = compact(h, s, cur, buildCleanCards(s, mk.MaxOutgoing()))
 	t.compactTime = time.Since(t.compactStart)
 	fr.Append(blackbox.EvGCCompactDone, uint64(s.MovedObjects), uint64(s.MovedBytes), 0)
 
@@ -227,13 +195,11 @@ func runTail(h *pheap.Heap, ext Rooter, mk *concurrent.Marker, dirty []bool, wor
 	return t, nil
 }
 
-// report emits the tail's phase spans, the per-worker spans and the
-// cycle's counters, and assembles the part of the Result both collectors
-// fill the same way. gcStats is the cycle's whole GC device traffic; the
-// redo-log finish window is split out of it under its own subsystem.
-// The span ring is DRAM-only, so a concurrent cycle calls this after the
-// world restarts.
-func (t *tail) report(h *pheap.Heap, mk *concurrent.Marker, markStart time.Time, gcStats nvm.Stats) Result {
+// report emits the tail's phase spans, the mark-worker spans and the
+// cycle's counters, and assembles the Result's counts. gcStats is the
+// cycle's whole GC device traffic; the redo-log finish window is split
+// out of it under its own subsystem.
+func (t *tail) report(h *pheap.Heap, mk *marker.Marker, markStart time.Time, gcStats nvm.Stats) Result {
 	tel := h.Telemetry()
 	tel.RecordSpan(telemetry.SpanGCSummarize, -1, -1, t.sumStart, t.sumTime)
 	tel.RecordSpan(telemetry.SpanGCCompact, -1, -1, t.compactStart, t.compactTime)
@@ -241,35 +207,29 @@ func (t *tail) report(h *pheap.Heap, mk *concurrent.Marker, markStart time.Time,
 	for i, d := range mk.MarkWorkerTimes() {
 		tel.RecordSpan(telemetry.SpanGCMarkWorker, -1, i, markStart, d)
 	}
-	for i, d := range t.cr.fixWorkerTimes {
-		tel.RecordSpan(telemetry.SpanGCFixWorker, -1, i, t.compactStart, d)
-	}
 	if sc := tel.Shared(); sc != nil {
 		sc.AtomicInc(telemetry.CtrGCCycles)
 		sc.AtomicDevStats(nvm.SubGC, gcStats.Sub(t.redoStats))
 		sc.AtomicDevStats(nvm.SubRedo, t.redoStats)
 	}
 	return Result{
-		LiveObjects:           t.s.LiveObjects,
-		LiveBytes:             t.s.LiveBytes,
-		MovedObjects:          t.s.MovedObjects,
-		MovedBytes:            t.s.MovedBytes,
-		NewTop:                t.s.NewTop,
-		MarkWorkerStats:       mk.MarkWorkerStats(),
-		CompactFixWorkerStats: t.cr.fixWorkerStats,
-		CompactSerialStats:    t.cr.serialStats,
-		MarkWorkerTimes:       mk.MarkWorkerTimes(),
-		CompactFixWorkerTimes: t.cr.fixWorkerTimes,
+		LiveObjects:     t.s.LiveObjects,
+		LiveBytes:       t.s.LiveBytes,
+		MovedObjects:    t.s.MovedObjects,
+		MovedBytes:      t.s.MovedBytes,
+		NewTop:          t.s.NewTop,
+		MarkWorkerStats: mk.MarkWorkerStats(),
+		CompactStats:    t.cr.stats,
+		MarkWorkerTimes: mk.MarkWorkerTimes(),
 	}
 }
 
 // finish commits the collection's metadata transition — forwarded root
 // entries, the republished per-region tops (topEntries, accumulated by
-// the compactor's fill workers in region order), and the next global
-// timestamp with gcActive=0 — through the redo log so the whole batch is atomic and idempotently
-// reapplicable: however many workers produced pieces of the batch, it
-// becomes durable through ONE RedoCommit, whose count+state flush is the
-// single commit point (the single-publish invariant — see compact).
+// the compactor's fill pass in region order), and the next global
+// timestamp with gcActive=0 — through the redo log so the whole batch
+// is atomic and idempotently reapplicable: it becomes durable through
+// ONE RedoCommit, whose count+state flush is the single commit point.
 // After compaction the heap is dense below NewTop (gap fillers included),
 // so every region below it parses to its end (or to NewTop in the last,
 // partial region — which the dispenser then resumes filling), and every
@@ -347,10 +307,10 @@ func recyclableOf(lo, hi int) (pheap.Hole, bool) {
 
 // RecoverIfNeeded finishes whatever collection the heap's persisted state
 // says was interrupted, reporting whether recovery ran. A clean image pays
-// nothing: the check is two word reads, no collection slot is taken.
+// nothing: the check is one flag read, no collection slot is taken.
 // core.LoadHeap and pshard's parallel recovery fan-out both gate on this.
 func RecoverIfNeeded(h *pheap.Heap) (Result, bool, error) {
-	if !h.GCActive() && h.GCPhase() == pheap.GCPhaseIdle {
+	if !h.GCActive() {
 		return Result{}, false, nil
 	}
 	r, err := recoverCollection(h)
@@ -361,20 +321,14 @@ func RecoverIfNeeded(h *pheap.Heap) (Result, bool, error) {
 // loaded heap (paper §4.3): refetch the mark bitmap, redo the summary,
 // process the regions the region bitmap and source timestamps report
 // unfinished, and rerun the atomic finish. On a heap that is not
-// mid-collection it only clears a leftover concurrent-mark phase word:
-// with gcActive clear, that word means the crash interrupted marking
-// before anything moved, so the recovery is "discard the partial mark,
-// start the next cycle fresh" (the STW fallback). Recovery itself may
-// crash and be rerun: every step is idempotent.
+// mid-collection it does nothing. Recovery itself may crash and be
+// rerun: every step is idempotent.
 func recoverCollection(h *pheap.Heap) (Result, error) {
 	if !h.TryBeginCollection() {
 		return Result{}, fmt.Errorf("pgc: another collection of this heap is already running")
 	}
 	defer h.EndCollection()
 	if !h.GCActive() {
-		if h.GCPhase() != pheap.GCPhaseIdle {
-			h.SetGCPhase(pheap.GCPhaseIdle)
-		}
 		return Result{}, nil
 	}
 	start := time.Now()
@@ -388,18 +342,9 @@ func recoverCollection(h *pheap.Heap) (Result, error) {
 	}
 	keepMoves(h, s.Moves)
 	// Recovery has no marker state (the outgoing-reference summary died
-	// with the crashed process), so it conservatively rescans everything
-	// — and runs single-threaded: recovery is rare, and one worker keeps
-	// its flush ordering identical to the historical serial compactor.
+	// with the crashed process), so it conservatively rescans everything.
 	h.ResetFreeHoles()
-	cr := compact(h, s, h.GlobalTS(), nil, 1)
-	// The mark bitmap was fully persisted before gcActive was set, so a
-	// phase word still announcing the concurrent mark is stale — clear it
-	// before the finish batch retires gcActive. A crash in between leaves
-	// gcActive set and reruns this recovery.
-	if h.GCPhase() != pheap.GCPhaseIdle {
-		h.SetGCPhase(pheap.GCPhaseIdle)
-	}
+	cr := compact(h, s, h.GlobalTS(), nil)
 	finish(h, s, cr.topEntries)
 	h.SetFreeHoles(cr.holes)
 	fr.Append(blackbox.EvRecoveryGCEnd, uint64(s.LiveObjects), uint64(s.MovedObjects), uint64(s.NewTop))

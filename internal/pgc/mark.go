@@ -2,7 +2,7 @@ package pgc
 
 import (
 	"espresso/internal/layout"
-	"espresso/internal/pgc/concurrent"
+	"espresso/internal/pgc/marker"
 	"espresso/internal/pheap"
 )
 
@@ -29,9 +29,8 @@ func (NoRoots) Roots(func(layout.Ref)) {}
 // UpdateRoots is a no-op: there are no external slots to patch.
 func (NoRoots) UpdateRoots(func(layout.Ref) layout.Ref) {}
 
-// heapRoots collects the snapshot root set: name-table roots plus ext's
-// roots, filtered to references into h. Both collectors capture roots
-// through it with the world stopped.
+// heapRoots collects the root set: name-table roots plus ext's roots,
+// filtered to references into h.
 func heapRoots(h *pheap.Heap, ext Rooter) []layout.Ref {
 	var roots []layout.Ref
 	add := func(ref layout.Ref) {
@@ -51,14 +50,11 @@ func heapRoots(h *pheap.Heap, ext Rooter) []layout.Ref {
 // mark traces the heap from the name-table roots plus ext's roots,
 // setting begin and end bits in the mark bitmap for every live object,
 // and returns the marker (counts, outgoing-reference summary), which the
-// caller releases. The
-// tracer is the shared SATB engine run with the snapshot at the current
-// tops: with the world stopped that covers every object, so nothing is
-// allocate-black and there is nothing to remark.
-func mark(h *pheap.Heap, ext Rooter, workers int) (*concurrent.Marker, error) {
+// caller releases.
+func mark(h *pheap.Heap, ext Rooter, workers int) (*marker.Marker, error) {
 	h.MarkBitmap().ClearAll()
 	h.RegionBitmap().ClearAll()
-	mk := concurrent.NewMarker(h, h.SnapshotRegionTops(), workers)
+	mk := marker.NewMarker(h, workers)
 	if err := mk.MarkRoots(heapRoots(h, ext)); err != nil {
 		mk.Release()
 		return nil, err

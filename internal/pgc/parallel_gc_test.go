@@ -11,7 +11,7 @@ import (
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
 	"espresso/internal/nvm/faultdev"
-	"espresso/internal/pgc/concurrent"
+	"espresso/internal/pgc/marker"
 	"espresso/internal/pheap"
 )
 
@@ -32,15 +32,15 @@ func buildGarbageBelt(t testing.TB, h *pheap.Heap, reg *klass.Registry, g int) {
 	}
 }
 
-// runMark clears the bitmaps, snapshots the tops, and runs one full
-// parallel marking pass over the quiescent heap — the marker driven the
-// way the collectors drive it, minus summary and compaction.
-func runMark(t *testing.T, h *pheap.Heap, workers int) *concurrent.Marker {
+// runMark clears the bitmaps and runs one full parallel marking pass
+// over the quiescent heap — the marker driven the way Collect drives it,
+// minus summary and compaction.
+func runMark(t *testing.T, h *pheap.Heap, workers int) *marker.Marker {
 	t.Helper()
 	h.PrepareForCollection()
 	h.MarkBitmap().ClearAll()
 	h.RegionBitmap().ClearAll()
-	mk := concurrent.NewMarker(h, h.SnapshotRegionTops(), workers)
+	mk := marker.NewMarker(h, workers)
 	if err := mk.MarkRoots(heapRoots(h, NoRoots{})); err != nil {
 		t.Fatalf("mark (workers=%d): %v", workers, err)
 	}
@@ -134,7 +134,7 @@ func TestSummaryDeadWoodBudget(t *testing.T) {
 // test for the work-stealing barrier's hardest shape: a single deep
 // chain holds exactly one gray object at any moment, so only the worker
 // owning it ever has work — the other workers must spin through failed
-// steals and SATB-shard drains, park in the idle barrier, and the pool
+// steals, park in the idle barrier, and the pool
 // must still quiesce with every object marked exactly once. If the
 // barrier exited early (idle count racing the owner's pushes) the counts
 // would come up short; if claiming raced, the per-worker counts would
@@ -212,13 +212,11 @@ func TestParallelMarkCountsWideGraph(t *testing.T) {
 }
 
 // TestCollectParallelWorkersByteIdentical is the worker-count
-// differential oracle: on a quiescent heap every workers value must
-// produce the same heap image bit for bit — marking publishes idempotent
-// bitmap bits, the summary is a pure function of the bitmap, and the
-// parallel compaction passes only reorder writes on disjoint lines.
-// Collect marks on GOMAXPROCS workers and compacts on one, so under it
-// the flushes must also be the same ones in the same order at every
-// GOMAXPROCS: the crash sweeps that crash Collect at its k-th flush
+// differential oracle: Collect marks on GOMAXPROCS workers and compacts
+// on one, so on a quiescent heap every GOMAXPROCS must produce the same
+// heap image bit for bit — marking publishes idempotent bitmap bits and
+// the summary is a pure function of the bitmap — and the same flushes in
+// the same order: the crash sweeps that crash Collect at its k-th flush
 // depend on that.
 func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 	// A large graph with scattered garbage spans three regions, so the
@@ -262,29 +260,6 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 		}
 	}
 
-	h1 := build()
-	r1, err := CollectConcurrent(h1, NoRoots{}, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.MovedObjects == 0 {
-		t.Fatal("workload compacted nothing; the parallel fix pass is untested")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		hN := build()
-		rN, err := CollectConcurrent(hN, NoRoots{}, nil, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		what := fmt.Sprintf("CollectConcurrent, workers=%d", workers)
-		sameResult(what, r1, rN)
-		if len(rN.MarkWorkerStats) != workers || len(rN.CompactFixWorkerStats) != workers {
-			t.Fatalf("%s: per-worker stats have %d/%d entries",
-				what, len(rN.MarkWorkerStats), len(rN.CompactFixWorkerStats))
-		}
-		sameImage(what, h1, hN)
-	}
-
 	type flush struct{ off, n int }
 	collect := func(procs int) (*pheap.Heap, Result, []flush) {
 		h := build()
@@ -305,8 +280,9 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 		return h, r, flushes
 	}
 	hS, rS, fS := collect(1)
-	sameResult("Collect against CollectConcurrent", r1, rS)
-	sameImage("Collect against CollectConcurrent", h1, hS)
+	if rS.MovedObjects == 0 {
+		t.Fatal("workload compacted nothing; the fix pass is untested")
+	}
 	for _, procs := range []int{2, 4, 8} {
 		h, r, f := collect(procs)
 		what := fmt.Sprintf("Collect at GOMAXPROCS %d", procs)
@@ -386,84 +362,16 @@ func TestParallelMarkSharesAChainOffAFanOut(t *testing.T) {
 	}
 }
 
-// TestCollectParallelCrashAtEveryFlush is the workers=4 arm of the
-// crash sweep: the parallel fix and fill passes interleave their flushes
-// nondeterministically across workers, so crashing at the k-th flush
-// samples genuinely different partial states than the serial sweep —
-// recovery (always single-threaded) must still restore the graph from
-// any of them.
-func TestCollectParallelCrashAtEveryFlush(t *testing.T) {
-	const seed = 173
-	h0, reg0 := newHeap(t, 2<<20)
-	buildGarbageBelt(t, h0, reg0, 120)
-	m := buildGraph(t, h0, reg0, seed, 120, 4)
-	base := h0.Device().Stats().Flushes
-	if res, err := CollectConcurrent(h0, NoRoots{}, nil, 4); err != nil {
-		t.Fatal(err)
-	} else if res.MovedObjects == 0 {
-		t.Fatal("workload compacted nothing; the sweep misses the move protocol")
-	}
-	totalFlushes := h0.Device().Stats().Flushes - base
-	if totalFlushes < 20 {
-		t.Fatalf("suspiciously few flushes in a parallel GC: %d", totalFlushes)
-	}
-
-	hSnap, regSnap := newHeap(t, 2<<20)
-	buildGarbageBelt(t, hSnap, regSnap, 120)
-	buildGraph(t, hSnap, regSnap, seed, 120, 4)
-	hSnap.Device().FlushAll()
-	pristine := hSnap.Device().CrashImage(nvm.CrashFlushedOnly, 0)
-
-	step := uint64(1)
-	if totalFlushes > 200 {
-		step = totalFlushes / 200
-	}
-	for k := uint64(1); k <= totalFlushes; k += step {
-		img := make([]byte, len(pristine))
-		copy(img, pristine)
-		dev := nvm.FromImage(img, nvm.Config{Mode: nvm.Tracked})
-		h, err := pheap.Load(dev, klass.NewRegistry())
-		if err != nil {
-			t.Fatalf("k=%d: load pristine: %v", k, err)
-		}
-		faultdev.CrashIn(dev, k)
-		crashed, err := faultdev.Run(dev, func() error {
-			_, err := CollectConcurrent(h, NoRoots{}, nil, 4)
-			return err
-		})
-		if err != nil {
-			t.Fatalf("k=%d: collect: %v", k, err)
-		}
-
-		after := nvm.FromImage(dev.CrashImage(nvm.CrashRandomEviction, int64(k)), nvm.Config{Mode: nvm.Tracked})
-		h2, err := pheap.Load(after, klass.NewRegistry())
-		if err != nil {
-			t.Fatalf("k=%d: reload: %v", k, err)
-		}
-		if _, _, err := RecoverIfNeeded(h2); err != nil {
-			t.Fatalf("k=%d: recover: %v", k, err)
-		}
-		if h2.GCActive() {
-			t.Fatalf("k=%d: gcActive after recovery", k)
-		}
-		verifyGraph(t, h2, m)
-		if !crashed {
-			break // k beyond the GC's flush count: clean finish
-		}
-	}
-}
-
 // TestRecoverSplitFinishBatch is the single-publish regression test: the
-// finish batch is accumulated by several fill workers (each stamps the
-// top entries of the regions it owns), and nothing any of them produced
-// may become durable before the ONE RedoCommit's count+state flush. The
-// test crashes a workers=4 collection at every flush of the finish tail
-// — redo entries written but uncommitted, the commit point itself, and
-// every step of the replay — and asserts the all-old-or-all-new rule on
-// the crash image: an uncommitted log must leave every persisted region
-// top and root at its exact pre-GC value (a single leaked worker batch
-// would show as a mixed table), a committed one is completed by
-// load+recovery. Either way recovery must converge to the clean run's
+// finish batch holds every root and every region's top entry, and
+// nothing in it may become durable before the ONE RedoCommit's
+// count+state flush. The test crashes a collection at every flush of the
+// finish tail — redo entries written but uncommitted, the commit point
+// itself, and every step of the replay — and asserts the
+// all-old-or-all-new rule on the crash image: an uncommitted log must
+// leave every persisted region top and root at its exact pre-GC value (a
+// single leaked entry would show as a mixed table), a committed one is
+// completed by load+recovery. Either way recovery must converge to the clean run's
 // image, byte for byte.
 func TestRecoverSplitFinishBatch(t *testing.T) {
 	const seed = 58
@@ -491,7 +399,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 		preTops[r] = hClean.Device().ReadU64(hClean.RegionTopMetaOff(r))
 	}
 	base := hClean.Device().Stats().Flushes
-	res, err := CollectConcurrent(hClean, NoRoots{}, nil, 4)
+	res, err := Collect(hClean, NoRoots{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +431,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 		}
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := CollectConcurrent(h, NoRoots{}, nil, 4)
+			_, err := Collect(h, NoRoots{})
 			return err
 		})
 		if err != nil {
@@ -532,7 +440,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 
 		// Inspect the raw crash image before any recovery runs. With no
 		// committed log pending, the metadata must be all-old (collection
-		// still active — no worker's top entries may have leaked) or
+		// still active — no top entry may have leaked) or
 		// all-new (the crash fell after the log was fully replayed and
 		// retired, gcActive cleared with it). Anything mixed is a
 		// single-publish violation.
@@ -599,52 +507,45 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 	}
 }
 
-// TestReadErrorSurfacesFromPoolWorkers pins that a GC pool worker's loads
+// TestReadErrorSurfacesFromPoolWorkers pins that a mark worker's loads
 // consult the device's read-fault hook like any other load. A hard read
 // error sits on the line of a live object only the tracers and the
-// compactor's workers and copy loop ever load (the summary works from the
-// bitmap alone); the collection must die of the media error in the mark
-// phase — at every pool size, on both collectors — instead of quietly
-// marking bytes the device said it could not read.
+// compactor ever load (the summary works from the bitmap alone); the
+// collection must die of the media error in the mark phase — at every
+// pool size — instead of quietly marking bytes the device said it could
+// not read.
 func TestReadErrorSurfacesFromPoolWorkers(t *testing.T) {
-	collectors := map[string]func(h *pheap.Heap, workers int) error{
-		"stw": func(h *pheap.Heap, _ int) error {
+	for _, workers := range []int{1, 4} {
+		h, reg := newHeap(t, 4<<20)
+		buildGarbageBelt(t, h, reg, 200) // everything live moves
+		buildGraph(t, h, reg, 11, 400, 4)
+		victim, ok := h.GetRoot("root0")
+		if !ok {
+			t.Fatal("root0 missing")
+		}
+		line := h.OffOf(victim) &^ (nvm.LineSize - 1)
+		in := faultdev.Install(h.Device(), faultdev.Plan{Kind: faultdev.ReadError, Off: line, N: nvm.LineSize})
+		prev := runtime.GOMAXPROCS(workers)
+		err := nvm.CatchMedia(func() error {
 			_, err := Collect(h, NoRoots{})
 			return err
-		},
-		"concurrent": func(h *pheap.Heap, workers int) error {
-			_, err := CollectConcurrent(h, NoRoots{}, nil, workers)
-			return err
-		},
-	}
-	for name, collect := range collectors {
-		for _, workers := range []int{1, 4} {
-			h, reg := newHeap(t, 4<<20)
-			buildGarbageBelt(t, h, reg, 200) // everything live moves
-			buildGraph(t, h, reg, 11, 400, 4)
-			victim, ok := h.GetRoot("root0")
-			if !ok {
-				t.Fatal("root0 missing")
-			}
-			line := h.OffOf(victim) &^ (nvm.LineSize - 1)
-			in := faultdev.Install(h.Device(), faultdev.Plan{Kind: faultdev.ReadError, Off: line, N: nvm.LineSize})
-			err := nvm.CatchMedia(func() error { return collect(h, workers) })
-			in.Remove()
-			var me *nvm.MediaError
-			if !errors.As(err, &me) {
-				t.Fatalf("%s, %d workers: collection over an unreadable live line returned %v, want a media error", name, workers, err)
-			}
-			if me.Off >= line+nvm.LineSize || me.Off+me.N <= line {
-				t.Fatalf("%s, %d workers: media error at [%d,%d), fault planted at line %d", name, workers, me.Off, me.Off+me.N, line)
-			}
-			if in.Fired() == 0 {
-				t.Fatalf("%s, %d workers: fault never delivered", name, workers)
-			}
-			// The victim is a root, so the tracers load it first; the heap
-			// is stamped mid-collection only after marking.
-			if h.GCActive() {
-				t.Fatalf("%s, %d workers: the error surfaced only after marking — the tracers read the line without noticing", name, workers)
-			}
+		})
+		runtime.GOMAXPROCS(prev)
+		in.Remove()
+		var me *nvm.MediaError
+		if !errors.As(err, &me) {
+			t.Fatalf("%d workers: collection over an unreadable live line returned %v, want a media error", workers, err)
+		}
+		if me.Off >= line+nvm.LineSize || me.Off+me.N <= line {
+			t.Fatalf("%d workers: media error at [%d,%d), fault planted at line %d", workers, me.Off, me.Off+me.N, line)
+		}
+		if in.Fired() == 0 {
+			t.Fatalf("%d workers: fault never delivered", workers)
+		}
+		// The victim is a root, so the tracers load it first; the heap is
+		// stamped mid-collection only after marking.
+		if h.GCActive() {
+			t.Fatalf("%d workers: the error surfaced only after marking — the tracers read the line without noticing", workers)
 		}
 	}
 }

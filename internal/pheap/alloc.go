@@ -60,8 +60,8 @@ import (
 //   - the allocator's next allocation, which settles its PLAB's header
 //     before anything else, and Release and persistOpenTops, which do the
 //     same for a PLAB about to be handed on or to have its top persisted:
-//     PrepareForCollection at both pauses of a concurrent cycle (the
-//     allocator leaves the pause without a PLAB, so nothing else would),
+//     PrepareForCollection at a collection's pause (the allocator
+//     leaves the pause without a PLAB, so nothing else would),
 //     PersistTops and Close. No region top is ever persisted above a
 //     header that is not durable.
 //
@@ -245,12 +245,10 @@ type Allocator struct {
 	// device op.
 	cell *telemetry.Cell
 
-	// The barrier's buffers: overwritten referents the concurrent marker
-	// has yet to see, and remembered-set deltas the sink has yet to see.
-	// The owner appends, a collector or publication point drains; bufMu
-	// orders the two and is otherwise uncontended.
+	// The barrier's buffer: remembered-set deltas the sink has yet to
+	// see. The owner appends, a collector or publication point drains;
+	// bufMu orders the two and is otherwise uncontended.
 	bufMu  sync.Mutex
-	satb   []layout.Ref
 	deltas []RemsetDelta
 }
 
@@ -725,17 +723,8 @@ func (a *Allocator) retirePLAB() {
 // collection re-reports it.
 func (a *Allocator) Release() {
 	h := a.heap
-	// Barrier buffers first: overwritten referents the marker has not seen
-	// move to the ownerless context, so a mutator retiring mid-mark loses
-	// none, and pending deltas are published.
-	satb, deltas := a.takeBuffers()
-	if len(satb) > 0 {
-		o := h.ownerless
-		o.bufMu.Lock()
-		o.satb = append(o.satb, satb...)
-		o.bufMu.Unlock()
-	}
-	h.publishDeltas(deltas)
+	// Pending deltas first.
+	a.PublishRemsetDeltas()
 	// The PLAB and the registry entry go under the heap lock, which a
 	// collector preparing a cycle holds while it reads both.
 	h.mu.Lock()

@@ -1,44 +1,33 @@
 package pheap
 
 import (
-	"sync/atomic"
-
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
 	"espresso/internal/telemetry"
 )
 
 // The reference-store barrier. Every store of a reference into a
-// persistent object owes the runtime three things, in this order:
+// persistent object owes the runtime two things, in this order:
 //
-//  1. pre-write: while a concurrent mark runs (the barrier is armed), the
-//     overwritten referent is recorded for the marker if it lies below
-//     the mark's snapshot — the snapshot-at-the-beginning invariant: every
-//     object reachable at the snapshot stays reachable to the marker —
-//     and the object's card is dirtied, because the store may point the
-//     object at something the marker's outgoing-reference summary never
-//     saw. Objects above the snapshot tops are allocate-black and need no
-//     record.
-//  2. the store itself, one atomic machine store, so the marker's slot
-//     loads never tear against it.
-//  3. a remembered-set delta: the slot's address and whether it now holds
+//  1. the store itself, one atomic machine store, so a concurrent load of
+//     the slot (a lock-free index reader, a volatile collection patching
+//     remembered slots) never tears against it.
+//  2. a remembered-set delta: the slot's address and whether it now holds
 //     a volatile reference. The runtime above (internal/core) keeps the
 //     precise NVM→DRAM remembered set; touching it on every store would
 //     put a shared lock on the hot path, so deltas are buffered per
 //     context and merged at publication points only — transaction commit,
 //     safepoint entry (PrepareForCollection), and buffer overflow.
 //
-// Both buffers belong to the storing context, the Allocator, behind one
-// mutex that only the owner and a draining collector ever take. Steps 2
-// and 3 happen under one hold of it: publication re-derives membership
+// The buffer belongs to the storing context, the Allocator, behind one
+// mutex that only the owner and a publishing collector ever take. Both
+// steps happen under one hold of it: publication re-derives membership
 // from the slot's current value, so a delta drained before its store had
 // landed would be judged by the stale value and the edge lost for good.
 // Under the mutex no drain can come between them.
 //
-// StoreRef is the whole sequence. PreWrite is step 1 alone, for
-// publishers that install their values by CAS and never store volatile
-// references (pindex's link-and-persist). The heap cannot tell volatile
-// from persistent itself, so callers pass the classification in and core
+// StoreRef is the whole sequence. The heap cannot tell volatile from
+// persistent itself, so callers pass the classification in and core
 // installs a RemsetSink per heap to receive the deltas; a heap without a
 // sink (standalone pheap, every pshard heap) has no remembered set and
 // records none.
@@ -92,54 +81,17 @@ func (h *Heap) RefIsVolatile(ref layout.Ref) bool {
 }
 
 // StoreRef stores val into the reference slot at byte offset boff of the
-// persistent object at obj, with the full barrier around it. volatile
+// persistent object at obj, with the barrier around it. volatile
 // says whether val points into the volatile heap. On the owner's
 // allocator everything lands in state only the owner writes; on the
 // heap's ownerless context (Heap.Ownerless) the same code runs over the
-// shared counters and the one shared buffer pair. A persistent val is
+// shared counters and the one shared buffer. A persistent val is
 // settled first (Settle): the slot may be durable before the store
 // returns, and must not name a header that is not.
 func (a *Allocator) StoreRef(obj layout.Ref, boff int, val layout.Ref, volatile bool) {
 	if !volatile {
 		a.Settle(val)
 	}
-	var armed uint64
-	if a.heap.satbActive.Load() {
-		a.preWrite(obj, a.GetWordAtomic(obj, boff))
-		armed = 1
-	}
-	a.storeRef(obj, boff, val, volatile, armed)
-}
-
-// PreWrite is the pre-write half of the barrier alone, for a slot of obj
-// whose previous raw value was old and that the caller overwrites by
-// other means (a CAS). A no-op costing one atomic load while no
-// concurrent mark runs.
-func (a *Allocator) PreWrite(obj layout.Ref, old uint64) {
-	if a.heap.satbActive.Load() {
-		a.preWrite(obj, old)
-	}
-}
-
-// preWrite records the untagged old referent if the snapshot needs it and
-// dirties obj's card. old may carry low tag bits (layout.RefTagMask) that
-// are not part of the address.
-func (a *Allocator) preWrite(obj layout.Ref, old uint64) {
-	h := a.heap
-	if ref := layout.UntagRef(layout.Ref(old)); h.satbRecordNeeded(ref) {
-		a.bufMu.Lock()
-		a.satb = append(a.satb, ref)
-		a.bufMu.Unlock()
-	}
-	if c := (h.OffOf(obj) - h.geo.DataOff) / SATBCardBytes; c >= 0 && c < len(h.satbDirty) {
-		h.satbDirty[c].Store(true)
-	}
-}
-
-// storeRef is steps 2 and 3 plus attribution: refstore.stores, armed (0
-// or 1) refstore.satb_records, and the barrier's own device ops — the
-// store, and armed pre-write loads.
-func (a *Allocator) storeRef(obj layout.Ref, boff int, val layout.Ref, volatile bool, armed uint64) {
 	h := a.heap
 	off := h.OffOf(obj) + boff
 	if h.remsetSink.Load() == nil {
@@ -154,28 +106,19 @@ func (a *Allocator) storeRef(obj layout.Ref, boff int, val layout.Ref, volatile 
 			a.PublishRemsetDeltas()
 		}
 	}
+	// Attribution: refstore.stores and the barrier's own device op, the
+	// store.
 	if c := a.cell; c != nil {
 		c.Inc(telemetry.CtrRefStores)
-		c.Add(telemetry.CtrSATBRecords, armed)
 		if !a.placing { // inside an allocation the device ops are the allocation's
-			c.Dev(nvm.SubRefstore, armed, 1, 0, 0)
+			c.Dev(nvm.SubRefstore, 0, 1, 0, 0)
 		}
 	} else if sc := h.tel.Shared(); sc != nil {
 		// No cell of its own: the ownerless context, counted in the
 		// registry's shared cell so the op mix stays complete.
 		sc.AtomicInc(telemetry.CtrRefStores)
-		sc.AtomicAdd(telemetry.CtrSATBRecords, armed)
-		sc.AtomicDev(nvm.SubRefstore, armed, 1, 0, 0)
+		sc.AtomicDev(nvm.SubRefstore, 0, 1, 0, 0)
 	}
-}
-
-// takeBuffers moves both buffers out, leaving them empty.
-func (a *Allocator) takeBuffers() (satb []layout.Ref, deltas []RemsetDelta) {
-	a.bufMu.Lock()
-	satb, deltas = a.satb, a.deltas
-	a.satb, a.deltas = nil, nil
-	a.bufMu.Unlock()
-	return satb, deltas
 }
 
 // PublishRemsetDeltas drains this context's pending deltas into the
@@ -229,7 +172,7 @@ func (h *Heap) contexts() []*Allocator {
 // PublishRemsetDeltas drains every context's pending deltas through the
 // sink. PrepareForCollection calls it with the world stopped — the
 // safepoint publication point that makes the shared remembered set
-// complete before either collector consults it — and the runtime calls
+// complete before the collector consults it — and the runtime calls
 // it before volatile collections and remembered-set snapshots, which run
 // inside a safepoint interval beside running mutators.
 func (h *Heap) PublishRemsetDeltas() {
@@ -238,81 +181,13 @@ func (h *Heap) PublishRemsetDeltas() {
 	}
 }
 
-// DrainBarrierShard empties the barrier buffers of the contexts whose
-// registry index ≡ worker (mod workers): pre-write records go to visit,
-// deltas to the sink. It reports how many records it delivered. A
-// parallel marking pool drains all contexts concurrently this way without
-// two workers contending on one; a context registered after the snapshot
-// is picked up by whichever worker owns its index on a later round, and
-// with the world stopped (the final remark) the shards cover every
-// context exactly. (0, 1) is the full drain.
-func (h *Heap) DrainBarrierShard(worker, workers int, visit func(layout.Ref)) int {
+// DrainBarrierShard publishes the pending deltas of the contexts whose
+// registry index ≡ worker (mod workers) through the sink, so a parallel
+// marking pool drains all contexts without two workers contending on
+// one. (0, 1) is the full drain, PublishRemsetDeltas.
+func (h *Heap) DrainBarrierShard(worker, workers int) {
 	ctxs := h.contexts()
-	n := 0
 	for i := worker; i < len(ctxs); i += workers {
-		satb, deltas := ctxs[i].takeBuffers()
-		for _, ref := range satb {
-			visit(ref)
-		}
-		n += len(satb)
-		h.publishDeltas(deltas)
+		ctxs[i].PublishRemsetDeltas()
 	}
-	return n
-}
-
-// BeginConcurrentMark publishes the snapshot tops, resets the dirty
-// cards, and arms the pre-write barrier. Must run with the world stopped
-// (the initial handshake), so mutators observe a consistent (armed,
-// snapshot) pair on every store.
-func (h *Heap) BeginConcurrentMark(snapTops []int) {
-	h.satbSnap = append([]int(nil), snapTops...)
-	if cards := h.geo.DataSize / SATBCardBytes; len(h.satbDirty) != cards {
-		h.satbDirty = make([]atomic.Bool, cards)
-	} else {
-		for i := range h.satbDirty {
-			h.satbDirty[i].Store(false)
-		}
-	}
-	h.satbActive.Store(true)
-}
-
-// EndConcurrentMark disarms the barrier. Must run with the world stopped
-// (the final pause), so no store can be mid-barrier.
-func (h *Heap) EndConcurrentMark() {
-	h.satbActive.Store(false)
-}
-
-// satbRecordNeeded reports whether an overwritten referent must be
-// recorded: old points into this heap and the object lies below its
-// region's snapshot top (objects above it were allocated after the
-// snapshot and are allocate-black). Callers have seen the barrier armed.
-func (h *Heap) satbRecordNeeded(old layout.Ref) bool {
-	if old == layout.NullRef || !h.Contains(old) {
-		return false
-	}
-	off := h.OffOf(old)
-	r := (off - h.geo.DataOff) / layout.RegionSize
-	if r < 0 || r >= len(h.satbSnap) {
-		return false
-	}
-	top := h.satbSnap[r]
-	return IsRealTop(top) && off < top
-}
-
-// SATBCardBytes is the granularity of the dirty-card table and of the
-// marker's outgoing-reference summary: fine enough that a region shared
-// between a stable graph and an active allocation area does not drag the
-// whole stable part back into the pause-time rescan, coarse enough that
-// the tables stay a few words per megabyte.
-const SATBCardBytes = 16 << 10
-
-// SATBDirtyCards snapshots the dirty cards (final pause, world stopped):
-// cards whose objects received reference stores during the concurrent
-// mark and whose outgoing-reference summary is therefore stale.
-func (h *Heap) SATBDirtyCards() []bool {
-	dirty := make([]bool, len(h.satbDirty))
-	for i := range h.satbDirty {
-		dirty[i] = h.satbDirty[i].Load()
-	}
-	return dirty
 }

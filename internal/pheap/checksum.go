@@ -17,7 +17,7 @@ import (
 // chain) lives in the same cache line as the words it covers, so persisting
 // it rides the flush the protocol already issues — zero extra fences.
 
-// gcPhaseSum covers the GC-phase word. Seeded with the word's metadata
+// gcPhaseSum covers the reserved GC-phase word. Seeded with the word's metadata
 // offset so a word copied from elsewhere in the line cannot validate.
 func gcPhaseSum(phase uint64) uint64 {
 	return nvm.Mix(heapMagic^mGCPhase, phase)

@@ -52,17 +52,14 @@ const (
 	heapVersion = 6
 )
 
-// GC-phase word values (mGCPhase). The phase word records that a
-// concurrent mark was in flight: unlike gcActive — which is set only
-// after the mark bitmap is fully persisted and therefore promises a
-// resumable compaction — a persisted phase of GCPhaseConcurrentMark with
-// gcActive clear means the crash interrupted marking itself. Nothing has
-// moved then, so recovery simply clears the word and the next collection
-// starts a fresh cycle (STW or concurrent).
-const (
-	GCPhaseIdle           uint64 = 0
-	GCPhaseConcurrentMark uint64 = 1
-)
+// The reserved phase word (mGCPhase) and its checksum (mGCPhaseSum).
+// Images written before the concurrent collector was removed used the
+// word to announce an in-flight concurrent mark (1); every image now
+// holds it idle (0) under a valid checksum, Create writes exactly that,
+// and Load refuses anything else as corruption (LoadSalvage resets it,
+// Scrub reports it). Keeping the words reserved keeps every image
+// byte-identical at format 6.
+const gcPhaseIdle uint64 = 0
 
 // Metadata field offsets (device-relative). The whole block fits in four
 // cache lines at the start of the device. mGlobalTSSum checksums
@@ -223,19 +220,13 @@ type Heap struct {
 	// hits the slot index never take it.
 	mu        sync.Mutex
 	gcActive  atomic.Bool
-	gcPhase   atomic.Uint64 // mirror of the persisted GC-phase word
 	globalTS  atomic.Uint64
 	ksegUsed  int
 	arenaUsed int
 
-	// Reference-store barrier state (barrier.go): whether a concurrent
-	// mark has the pre-write half armed, the snapshotted region tops it
-	// filters against, the cards stores dirtied during the mark, and the
-	// sink core installs to receive remembered-set deltas. The buffers
-	// themselves live in the allocators.
-	satbActive atomic.Bool
-	satbSnap   []int
-	satbDirty  []atomic.Bool
+	// The sink core installs to receive the reference-store barrier's
+	// remembered-set deltas (barrier.go). The buffers themselves live in
+	// the allocators.
 	remsetSink atomic.Pointer[RemsetSink]
 
 	// markBmpHi is the byte length of the mark bitmap's last persisted
@@ -386,10 +377,10 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 	dev.WriteU64(mScratchOff, uint64(geo.ScratchOff))
 	dev.WriteU64(mRegionTopOff, uint64(geo.RegionTopOff))
 	dev.WriteU64(mRegionTopSize, uint64(geo.RegionTopSize))
-	dev.WriteU64(mGCPhase, GCPhaseIdle)
+	dev.WriteU64(mGCPhase, gcPhaseIdle)
 	dev.WriteU64(mBlackboxOff, uint64(geo.BlackboxOff))
 	dev.WriteU64(mBlackboxSize, uint64(geo.BlackboxSize))
-	dev.WriteU64(mGCPhaseSum, gcPhaseSum(GCPhaseIdle))
+	dev.WriteU64(mGCPhaseSum, gcPhaseSum(gcPhaseIdle))
 	// The region-top table needs no stamping: all-zero lines are the
 	// valid untouched-region state (see regionTopLineValid).
 	dev.Flush(0, metadataBytes)
@@ -446,16 +437,16 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	if findings := selfCheck(dev, geo); len(findings) > 0 {
 		return nil, fmt.Errorf("pheap: corrupt metadata: %s", findings[0])
 	}
-	if p := dev.ReadU64(mGCPhase); p > GCPhaseConcurrentMark || dev.ReadU64(mGCPhaseSum) != gcPhaseSum(p) {
+	if p := dev.ReadU64(mGCPhase); p != gcPhaseIdle || dev.ReadU64(mGCPhaseSum) != gcPhaseSum(p) {
 		if salv == nil {
 			return nil, fmt.Errorf("pheap: corrupt GC-phase word %d", p)
 		}
-		// Resetting to idle is always sound: an interrupted concurrent
-		// mark is discardable by design, and an interrupted compaction
-		// re-announces itself through the gcActive flag regardless of
-		// the phase word.
-		dev.WriteU64(mGCPhase, GCPhaseIdle)
-		dev.WriteU64(mGCPhaseSum, gcPhaseSum(GCPhaseIdle))
+		// Resetting to idle is always sound: a valid 1 is an older
+		// process's interrupted concurrent mark, which moved nothing,
+		// and an interrupted compaction re-announces itself through the
+		// gcActive flag regardless of the phase word.
+		dev.WriteU64(mGCPhase, gcPhaseIdle)
+		dev.WriteU64(mGCPhaseSum, gcPhaseSum(gcPhaseIdle))
 		dev.Flush(mGCPhase, 8) // the sum shares the phase word's line
 		dev.Fence()
 		salv.GCPhaseRepaired = true
@@ -471,7 +462,6 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	h.Access = Access{heap: h, view: dev.Unowned()}
 	h.globalTS.Store(dev.ReadU64(mGlobalTS))
 	h.gcActive.Store(dev.ReadU64(mGCActive) != 0)
-	h.gcPhase.Store(dev.ReadU64(mGCPhase))
 	// An earlier process may have persisted mark bits anywhere in the
 	// bitmap area; the first persist of this process must cover it all.
 	h.markBmpHi = geo.MarkBmpSize
@@ -809,41 +799,11 @@ func (h *Heap) EndCollection() { h.collecting.Store(false) }
 // single-collector slot (TryBeginCollection).
 func (h *Heap) CollectorScratch() *any { return &h.collectorScratch }
 
-// GCPhase reports the persisted GC-phase word (volatile mirror).
-func (h *Heap) GCPhase() uint64 { return h.gcPhase.Load() }
-
-// SetGCPhase persists the GC-phase word (write + flush + fence — it is a
-// single word, so the store is atomic on the media) and updates the
-// mirror. The concurrent collector sets GCPhaseConcurrentMark before the
-// first trace step and clears it only once the collection has either
-// aborted or transitioned to the gcActive compaction protocol, so a
-// reloaded image can always tell an interrupted mark (discard, restart
-// fresh) from an interrupted compaction (resume via the mark bitmap).
-func (h *Heap) SetGCPhase(p uint64) {
-	h.dev.WriteU64(mGCPhase, p)
-	h.dev.WriteU64(mGCPhaseSum, gcPhaseSum(p))
-	// One flush covers both: the checksum word lives in the phase
-	// word's cache line by construction.
-	h.dev.Flush(mGCPhase, 8)
-	h.dev.Fence()
-	h.gcPhase.Store(p)
-}
-
-// GCPhaseMetaOff exposes the metadata offset of the GC-phase word for
-// crash tests.
-func (h *Heap) GCPhaseMetaOff() int { return mGCPhase }
-
-// GCPhaseSumMetaOff exposes the metadata offset of the GC-phase
-// checksum word (same cache line as the phase word) for fault-injection
-// tests such as pshard's media-fault matrix.
-func (h *Heap) GCPhaseSumMetaOff() int { return mGCPhaseSum }
-
 // SnapshotRegionTops copies the current region-top table mirrors — the
-// snapshot-at-the-beginning boundary the concurrent marker traces below
-// while mutators keep bump-allocating above (allocate-black). Entries
-// keep the table's raw encoding (0 untouched, 1 humongous interior,
-// otherwise a parse limit); IsRealTop distinguishes them. Callers take
-// the snapshot with the world stopped.
+// boundary below which the marker finds objects. Entries keep the
+// table's raw encoding (0 untouched, 1 humongous interior, otherwise a
+// parse limit); IsRealTop distinguishes them. Callers take the snapshot
+// with the world stopped.
 func (h *Heap) SnapshotRegionTops() []int {
 	tops := make([]int, len(h.regions))
 	for i := range tops {
@@ -1064,34 +1024,6 @@ func (h *Heap) SetFreeHoles(holes []Hole) {
 // ResetFreeHoles drops the recycling state; the collector calls it before
 // it starts rearranging the heap.
 func (h *Heap) ResetFreeHoles() { h.SetFreeHoles(nil) }
-
-// MergeHoleLists combines per-worker hole lists into one ascending list.
-// Parallel compaction shards gap discovery by region, so each worker's
-// list is already sorted and no two lists overlap; the merge is a k-way
-// pick of the smallest head. The result satisfies SetFreeHoles's
-// ascending contract.
-func MergeHoleLists(lists [][]Hole) []Hole {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Hole, 0, n)
-	idx := make([]int, len(lists))
-	for len(out) < n {
-		best := -1
-		for i, l := range lists {
-			if idx[i] < len(l) && (best < 0 || l[idx[i]].Lo < lists[best][idx[best]].Lo) {
-				best = i
-			}
-		}
-		out = append(out, lists[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}
 
 // FreeBytes estimates the allocatable capacity: untouched frontier
 // regions, headroom in dispensable regions, and recycled holes. Space

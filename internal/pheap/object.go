@@ -84,8 +84,8 @@ func (x Access) CasWord(ref layout.Ref, boff int, old, new uint64) bool {
 }
 
 // GetWordAtomic loads an 8-byte object slot with a single atomic machine
-// load; the concurrent marker reads reference slots this way while
-// mutators may be storing to them.
+// load, for slots another goroutine may be storing to (a lock-free
+// index's links, a remembered slot a volatile collection patches).
 func (x Access) GetWordAtomic(ref layout.Ref, boff int) uint64 {
 	return x.view.ReadU64Atomic(x.heap.OffOf(ref) + boff)
 }

@@ -593,7 +593,7 @@ func TestNameTableFillsUp(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCorruptPhaseWord: an out-of-range phase word is a
+// TestLoadRejectsCorruptPhaseWord: a phase word that is not idle is a
 // corrupt image, not a silently-misread one.
 func TestLoadRejectsCorruptPhaseWord(t *testing.T) {
 	reg := klass.NewRegistry()

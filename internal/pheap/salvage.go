@@ -20,9 +20,10 @@ import (
 
 // SalvageReport records what LoadSalvage repaired and what it gave up.
 type SalvageReport struct {
-	// GCPhaseRepaired notes an undecodable GC-phase word reset to idle.
-	// Always safe: an interrupted mark is discardable by design, and an
-	// interrupted compaction is re-detected via the gcActive flag.
+	// GCPhaseRepaired notes a reserved GC-phase word that was not idle
+	// under a valid checksum, reset to idle. Always safe: nothing reads
+	// the word, and an interrupted compaction is re-detected via the
+	// gcActive flag.
 	GCPhaseRepaired bool `json:"gc_phase_repaired,omitempty"`
 	// RedoDiscarded notes a committed redo batch whose checksum failed
 	// and was dropped. Safe in every reachable state: the batch's final

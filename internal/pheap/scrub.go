@@ -50,8 +50,8 @@ func Scrub(dev *nvm.Device) (*ScrubReport, error) {
 	rep.Findings = selfCheck(dev, geo)
 
 	phase := dev.ReadU64(mGCPhase)
-	if phase > GCPhaseConcurrentMark {
-		finding("gc-phase: word %d out of range", phase)
+	if phase != gcPhaseIdle {
+		finding("gc-phase: word %d not idle", phase)
 	} else if dev.ReadU64(mGCPhaseSum) != gcPhaseSum(phase) {
 		finding("gc-phase: checksum mismatch (word %d)", phase)
 	}

@@ -1,6 +1,7 @@
 package pheap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -101,36 +102,51 @@ func TestFlippedVersionBitDoesNotBlessCorruption(t *testing.T) {
 	}
 }
 
+// TestGCPhaseCorruptionDetectedAndSalvaged: the reserved phase word must
+// read idle under a valid checksum. Anything else — a rotted checksum, or
+// the valid-checksum 1 an older process persisted when it crashed during
+// a concurrent mark — is corruption: scrub reports it, strict load
+// refuses it, salvage resets the word to idle without amputating.
 func TestGCPhaseCorruptionDetectedAndSalvaged(t *testing.T) {
-	img := buildScrubImage(t)
-	h0, err := Load(imgDev(img), klass.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultdev.FlipBitInImage(img, h0.GCPhaseSumMetaOff(), 0)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(img []byte)
+	}{
+		{"checksum-bit-flip", func(img []byte) { faultdev.FlipBitInImage(img, mGCPhaseSum, 0) }},
+		{"valid-concurrent-mark-word", func(img []byte) {
+			binary.LittleEndian.PutUint64(img[mGCPhase:], 1)
+			binary.LittleEndian.PutUint64(img[mGCPhaseSum:], gcPhaseSum(1))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := buildScrubImage(t)
+			tc.corrupt(img)
 
-	rep, err := Scrub(imgDev(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Corrupt() || !strings.Contains(rep.Findings[0], "gc-phase") {
-		t.Fatalf("findings = %v, want a gc-phase checksum finding", rep.Findings)
-	}
-	if _, err := Load(imgDev(img), klass.NewRegistry()); err == nil {
-		t.Fatal("strict load accepted a corrupt gc-phase checksum")
-	}
-	h, salv, err := LoadSalvage(imgDev(img), klass.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !salv.GCPhaseRepaired || !salv.Dirty() {
-		t.Fatalf("salvage report %+v, want GCPhaseRepaired", salv)
-	}
-	if len(salv.RegionsLost) != 0 {
-		t.Fatalf("gc-phase repair lost regions %v; repair must not amputate", salv.RegionsLost)
-	}
-	if h.GCPhase() != GCPhaseIdle {
-		t.Fatalf("repaired phase = %d, want idle", h.GCPhase())
+			rep, err := Scrub(imgDev(img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Corrupt() || !strings.Contains(rep.Findings[0], "gc-phase") {
+				t.Fatalf("findings = %v, want a gc-phase finding", rep.Findings)
+			}
+			if _, err := Load(imgDev(img), klass.NewRegistry()); err == nil {
+				t.Fatal("strict load accepted the phase word")
+			}
+			h, salv, err := LoadSalvage(imgDev(img), klass.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !salv.GCPhaseRepaired || !salv.Dirty() {
+				t.Fatalf("salvage report %+v, want GCPhaseRepaired", salv)
+			}
+			if len(salv.RegionsLost) != 0 {
+				t.Fatalf("gc-phase repair lost regions %v; repair must not amputate", salv.RegionsLost)
+			}
+			dev := h.Device()
+			if p, sum := dev.ReadU64(mGCPhase), dev.ReadU64(mGCPhaseSum); p != gcPhaseIdle || sum != gcPhaseSum(gcPhaseIdle) {
+				t.Fatalf("repaired phase word = %d (checksum %#x), want idle under a valid checksum", p, sum)
+			}
+		})
 	}
 }
 

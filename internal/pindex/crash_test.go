@@ -323,27 +323,11 @@ func TestCrashAtEveryFlushBoundary(t *testing.T) {
 	}
 }
 
-// phasedWorld lets the test run index mutations inside the concurrent
-// collection cycle: CollectConcurrent calls StartWorld right after the
-// initial handshake (snapshot taken, SATB barrier armed) and the queued
-// callback runs there — so its operations hit the armed barrier and the
-// allocate-black window, and the flush-hook crash can land anywhere in
-// op or collector work.
-type phasedWorld struct{ onStart []func() }
-
-func (w *phasedWorld) StopWorld() {}
-func (w *phasedWorld) StartWorld() {
-	if len(w.onStart) > 0 {
-		fn := w.onStart[0]
-		w.onStart = w.onStart[1:]
-		fn()
-	}
-}
-
-// TestCrashDuringConcurrentGCWithIndexTraffic crashes CollectConcurrent
-// at every flush boundary while index mutations run inside the cycle;
-// after pgc crash recovery plus the index recovery pass, the reloaded
-// index must hold exactly the committed mappings.
+// TestCrashDuringConcurrentGCWithIndexTraffic crashes a run of index
+// mutations with a collection in the middle — half the script, Collect,
+// the other half — at every flush boundary; after pgc crash recovery
+// plus the index recovery pass, the reloaded index must hold exactly the
+// committed mappings.
 func TestCrashDuringConcurrentGCWithIndexTraffic(t *testing.T) {
 	pristine, baseModel := buildCrashBase(t)
 	script := crashScript()
@@ -372,24 +356,30 @@ func TestCrashDuringConcurrentGCWithIndexTraffic(t *testing.T) {
 			model[key] = v
 		}
 		var inflight map[int64][]int64
-		world := &phasedWorld{onStart: []func(){func() {
-			for _, op := range script {
+		run := func(ops []kvOp) error {
+			for _, op := range ops {
 				inflight = inFlight(model, op)
 				if err := play(t, h, c, c2, bk, op); err != nil {
-					panic(err.Error())
+					return err
 				}
 				apply(model, op)
 				inflight = nil
 			}
-		}}}
+			return nil
+		}
 
 		faultdev.CrashIn(dev, k)
 		crashed, err := faultdev.Run(dev, func() error {
-			_, err := pgc.CollectConcurrent(h, pgc.NoRoots{}, world, 1)
-			return err
+			if err := run(script[:len(script)/2]); err != nil {
+				return err
+			}
+			if _, err := pgc.Collect(h, pgc.NoRoots{}); err != nil {
+				return err
+			}
+			return run(script[len(script)/2:])
 		})
 		if err != nil {
-			t.Fatalf("%s: collect: %v", tag, err)
+			t.Fatalf("%s: ops and collect: %v", tag, err)
 		}
 		if !crashed {
 			t.Logf("covered flush boundaries up to %d (cycle complete)", k)

@@ -2,7 +2,6 @@ package pindex
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -12,10 +11,10 @@ import (
 
 // TestPIndexGCStress runs mixed get/put/delete traffic from several
 // goroutines — each a safepoint-pinned lock-free context — while
-// concurrent collections cycle underneath, then verifies the map's
-// exact contents. Run under -race in CI: it exercises the CAS
-// publication paths against the SATB marker's atomic slot loads and the
-// compactor's tag-preserving reference fixing.
+// collections cycle between their operations, then verifies the map's
+// exact contents. Run under -race in CI: it exercises the safepoint pins
+// against the collector's pauses, the marker's tag-stripping trace and
+// the compactor's tag-preserving reference fixing.
 func TestPIndexGCStress(t *testing.T) {
 	rt, err := core.NewRuntime(core.Config{PJHDataSize: 24 << 20})
 	if err != nil {
@@ -63,7 +62,7 @@ func TestPIndexGCStress(t *testing.T) {
 	gcErr := make(chan error, 1)
 	go func() {
 		for cycle := 0; cycle < 3; cycle++ {
-			if _, err := rt.PersistentGCConcurrent("kv", runtime.GOMAXPROCS(0)); err != nil {
+			if _, err := rt.PersistentGC("kv"); err != nil {
 				gcErr <- err
 				return
 			}
@@ -72,7 +71,7 @@ func TestPIndexGCStress(t *testing.T) {
 	}()
 	wg.Wait()
 	if err := <-gcErr; err != nil {
-		t.Fatalf("concurrent GC: %v", err)
+		t.Fatalf("GC: %v", err)
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -82,7 +81,7 @@ func TestPIndexGCStress(t *testing.T) {
 
 	// One quiescent cycle (compaction moves the whole structure), then
 	// verify contents exactly.
-	if _, err := rt.PersistentGCConcurrent("kv", runtime.GOMAXPROCS(0)); err != nil {
+	if _, err := rt.PersistentGC("kv"); err != nil {
 		t.Fatal(err)
 	}
 	c := ix.NewCtx()

@@ -50,16 +50,14 @@
 //
 // # GC integration
 //
-// The index header is a named heap root, so both collectors trace the
-// whole structure; the concurrent marker and the compactor understand
-// the tag bits (layout.RefTagMask) and preserve them across moves.
-// Mutating operations run the pre-write half of pheap's reference-store
-// barrier on every link overwrite (Allocator.PreWrite on the Ctx's own
-// allocator; links are installed by CAS and never hold volatile
-// references, so the other half has nothing to do), so lookups stay
-// correct while pgc.CollectConcurrent marks. Each operation runs as one
-// safepoint interval through the Pinner, so compaction never moves a
-// node out from under an operation's local references.
+// The index header is a named heap root, so the collector traces the
+// whole structure; the marker and the compactor understand the tag bits
+// (layout.RefTagMask) and preserve them across moves. Links are
+// installed by CAS and never hold volatile references, so they owe
+// pheap's reference-store barrier nothing. Each operation runs as one
+// safepoint interval through the Pinner, so a collection never runs
+// inside an operation and compaction never moves a node out from under
+// its local references.
 //
 // # Volatile shortcut
 //
@@ -195,7 +193,7 @@ func (o *Options) fillDefaults() error {
 }
 
 // Pinner makes each index operation a safepoint interval: Pin is held
-// for the operation's duration, so a concurrent collector's pause (which
+// for the operation's duration, so a collector's pause (which
 // moves objects and patches only the slots it can see, never Go locals)
 // waits for the operation to finish. core.Runtime's SafepointPinner
 // adapts the runtime's safepoint lock; callers whose heap never collects
@@ -267,8 +265,8 @@ type CtxStats struct {
 }
 
 // Ctx is a per-goroutine operation context around one pheap.Allocator,
-// mirroring core.Mutator: its PLAB holds the node bodies, its buffer the
-// pre-write barrier's records, and every device access of an operation —
+// mirroring core.Mutator: its PLAB holds the node bodies, and every
+// device access of an operation —
 // traversal loads, CAS publications, flushes, node initialisation — goes
 // through its own view of the device (pheap.Access), so contexts on
 // different cores share no counter line. Not safe for concurrent use;
@@ -513,9 +511,8 @@ func (c *Ctx) loadClean(obj layout.Ref, boff int) uint64 {
 	}
 }
 
-// publish installs val into the slot with one CAS (dirty bit set), runs
-// the pre-write barrier over the displaced value, persists the link, and
-// clears the dirty bit. False means the CAS lost a race and
+// publish installs val into the slot with one CAS (dirty bit set),
+// persists the link, and clears the dirty bit. False means the CAS lost a race and
 // nothing happened. val may carry the deleted tag (a logical-delete
 // publication); expect must be a clean word previously returned by
 // loadClean or find.
@@ -524,7 +521,6 @@ func (c *Ctx) publish(obj layout.Ref, boff int, expect, val uint64) bool {
 		c.stats.Retries++
 		return false
 	}
-	c.alloc.PreWrite(obj, expect)
 	c.alloc.FlushRange(obj, boff, 8)              // the link-and-persist flush
 	c.alloc.CasWord(obj, boff, val|tagDirty, val) // best effort: a helper may already have
 	return true
@@ -557,9 +553,7 @@ restart:
 			cw := c.loadClean(curr, c.ix.fNext)
 			succ := uint64(layout.UntagRef(layout.Ref(cw)))
 			if cw&tagDel != 0 {
-				// curr is committed-deleted: unlink it. The displaced node
-				// stays reachable to the marker via the SATB record inside
-				// publish.
+				// curr is committed-deleted: unlink it.
 				if !c.publish(pred, c.ix.fNext, predW, succ) {
 					continue restart
 				}
@@ -698,7 +692,6 @@ func (c *Ctx) bucketHead(arr layout.Ref, b uint64) (layout.Ref, error) {
 		return 0, err
 	}
 	a.SetWordAtomic(arr, boff, uint64(sent))
-	a.PreWrite(arr, 0) // overwrites null: nothing to record, the card is dirtied
 	a.FlushRange(arr, boff, 8)
 	return sent, nil
 }

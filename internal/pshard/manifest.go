@@ -1,7 +1,7 @@
 // Package pshard implements range-partitioned multi-heap sharding: a
 // consistent-hash-range router over N fully independent persistent heaps.
 // Each shard owns its own nvm.Device, klass registry, pheap region-top
-// table and redo log, pindex map, GC phase word, and safepoint domain —
+// table and redo log, pindex map, collector state, and safepoint domain —
 // no lock, cache line, or fence is ever shared between shards, so GC
 // pauses stagger across shards instead of stacking and restart-time
 // recovery fans out across them.

@@ -115,7 +115,9 @@ func buildFaultFixture(t *testing.T) *faultFixture {
 	if err != nil {
 		t.Fatalf("shard 0's image does not load: %v", err)
 	}
-	fx.gcPhase, fx.gcPhaseSum, fx.redo = h.GCPhaseMetaOff(), h.GCPhaseSumMetaOff(), h.Geo().RedoOff
+	// The reserved GC-phase word and its same-line checksum sit at fixed
+	// offsets of heap format 6's metadata block; the word must read idle.
+	fx.gcPhase, fx.gcPhaseSum, fx.redo = 208, 232, h.Geo().RedoOff
 	frontier := -1
 	for r := 0; r < h.Geo().DataRegions(); r++ {
 		if h.RegionTop(r) > 1 { // a committed top, not untouched or a humongous interior

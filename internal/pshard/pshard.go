@@ -105,7 +105,7 @@ func (o *Options) fillDefaults() error {
 
 // Shard is one independent persistent heap plus its index. Nothing in a
 // Shard is shared with its siblings: the device, the klass registry, the
-// region-top table, the redo log, the GC phase word, and the safepoint
+// region-top table, the redo log, the collector state, and the safepoint
 // domain below are all per-shard.
 type Shard struct {
 	// world is the shard's safepoint: every Ctx operation on this shard

@@ -22,8 +22,7 @@ type RecoveryStats struct {
 	// creation — see the manifest crash rule).
 	Created bool
 	// GCRecovered: the image carried an interrupted collection that
-	// pgc recovery finished (or a stale concurrent-mark phase word it
-	// cleared).
+	// pgc recovery finished.
 	GCRecovered bool
 	// WallNS is this shard's recovery wall time. Shards recover in
 	// parallel, so the set's restart time tracks the slowest shard, not

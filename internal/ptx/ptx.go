@@ -27,14 +27,13 @@
 //
 // Primitive stores (WriteWord) write heap words directly; reference stores
 // (WriteRefWord) are pheap's reference-store barrier on the heap's
-// ownerless context (pheap/barrier.go), so transactions, and the
-// pcollections built on them, stay correct while pgc.CollectConcurrent
-// marks, and Commit, the durable publication point, publishes the
-// remembered-set deltas the safepoints have not already taken. The restore
-// hook keeps a live Abort inside that discipline: every reference slot the
-// transaction stored goes back through the barrier — the value rolled back
-// over is one the marker could otherwise lose, and the restoring store's
-// delta corrects the forward one — and Abort publishes too. Every other
+// ownerless context (pheap/barrier.go), so the remembered set sees every
+// store of transactions and of the pcollections built on them, and
+// Commit, the durable publication point, publishes the remembered-set
+// deltas the safepoints have not already taken. The restore hook keeps a
+// live Abort inside that discipline: every reference slot the transaction
+// stored goes back through the barrier — the restoring store's delta
+// corrects the forward one — and Abort publishes too. Every other
 // word, and everything at recovery, goes back with a plain atomic store.
 package ptx
 
@@ -178,8 +177,8 @@ func (tx *Tx) WriteWord(obj layout.Ref, boff int, val uint64) error {
 }
 
 // WriteRefWord is WriteWord for reference slots: the store goes through
-// the reference-store barrier, so the concurrent marker loses no object to
-// a transactional overwrite, and the remembered set learns of a volatile val.
+// the reference-store barrier, so the remembered set learns of a volatile
+// val.
 func (tx *Tx) WriteRefWord(obj layout.Ref, boff int, val layout.Ref) error {
 	return tx.write(obj, boff, uint64(val), true)
 }

@@ -102,8 +102,8 @@ func wordsWorld(t *testing.T, n int, declare, abort bool) *sweepWorld {
 
 // refsWorld is TestCrashAtEveryPublishCommitBoundary's holder on a
 // runtime-attached heap — an NVM→volatile store, an NVM→NVM store and a
-// primitive — with a concurrent mark open, so every reference store and
-// every restored reference slot runs the armed barrier.
+// primitive — so every reference store and every restored reference
+// slot runs the barrier with a remembered set behind it.
 func refsWorld(t *testing.T) *sweepWorld {
 	t.Helper()
 	rt, err := core.NewRuntime(core.Config{PJHDataSize: 1 << 20, NVMMode: nvm.Tracked})
@@ -143,8 +143,6 @@ func refsWorld(t *testing.T) *sweepWorld {
 	for i := 0; i < 3; i++ {
 		w.slots = append(w.slots, slot{obj, layout.FieldOff(i)})
 	}
-	h.BeginConcurrentMark(h.SnapshotRegionTops())
-	t.Cleanup(h.EndConcurrentMark)
 	w.run = func(tx *ptx.Tx) error {
 		for i, s := range w.slots[:2] {
 			if err := tx.WriteRefWord(s.obj, s.boff, layout.Ref(w.want[i])); err != nil {

@@ -70,15 +70,16 @@ const (
 	// EvHeapCreate: heap formatted. p0=data bytes, p1=regions, p2=format version.
 	EvHeapCreate
 	// EvHeapLoad: heap reopened from an image. p0=global TS, p1=GC-active
-	// word, p2=persisted GC phase.
+	// word, p2=0 (rings written before the concurrent collector was
+	// removed carry its persisted GC phase here).
 	EvHeapLoad
 	// EvFormatUpgrade: in-place heap format upgrade. p0=from, p1=to. No
 	// longer emitted (only the current format loads); the slot stays
 	// because kinds are persisted numbers and rings written before the
 	// ladder went may still carry it.
 	EvFormatUpgrade
-	// EvGCBegin: collection cycle entered. p0=mode (0 STW, 1 concurrent),
-	// p1=global TS at begin.
+	// EvGCBegin: collection cycle entered. p0=0 (older rings carry 1 for a
+	// concurrent cycle), p1=global TS at begin.
 	EvGCBegin
 	// EvGCMarkDone: mark bitmaps persisted. p0=live objects, p1=live bytes.
 	EvGCMarkDone
@@ -92,8 +93,10 @@ const (
 	EvRedoCommit
 	// EvGCEnd: cycle finished. p0=live objects, p1=moved objects, p2=new top.
 	EvGCEnd
-	// EvGCAbort: concurrent cycle aborted (mutator raced the stamp).
-	// p0=global TS at abort.
+	// EvGCAbort: concurrent cycle aborted. p0=global TS at abort. No
+	// longer written (the concurrent collector is gone); the slot stays
+	// because kinds are persisted numbers and removing it would renumber
+	// every later kind in existing rings.
 	EvGCAbort
 	// EvCounterSnap: folded registry totals. p0=alloc.objects,
 	// p1=refstore.stores, p2=index.puts.

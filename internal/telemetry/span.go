@@ -11,14 +11,10 @@ import (
 //
 // GC (emitted by internal/pgc):
 //
-//	gc.handshake   initial safepoint handshake (concurrent cycles)
-//	gc.mark        marking — concurrent with mutators, or in-pause (STW)
-//	gc.mark.worker one per mark worker: that worker's loop wall time
-//	gc.finalpause  the whole remark+compact pause (concurrent cycles)
-//	gc.remark      final SATB drain + allocate-black sweep (inside finalpause)
-//	gc.summarize   bitmap summary (inside finalpause, or the STW pause)
-//	gc.compact     move + reference-fix + fill passes
-//	gc.fix.worker  one per compaction fix worker
+//	gc.mark        marking (inside the pause)
+//	gc.mark.worker one per mark worker: that worker's productive time
+//	gc.summarize   bitmap summary
+//	gc.compact     reference-fix + move + fill passes
 //	gc.redo        redo-log finish batch append + commit
 //	gc.stw         the whole pause of a stop-the-world collection
 //
@@ -33,14 +29,10 @@ import (
 //	shard.recover   one shard's full reopen (load + GC recover + index)
 //	shard.open      the whole set reopen, all shards joined
 const (
-	SpanGCHandshake  = "gc.handshake"
 	SpanGCMark       = "gc.mark"
 	SpanGCMarkWorker = "gc.mark.worker"
-	SpanGCFinalPause = "gc.finalpause"
-	SpanGCRemark     = "gc.remark"
 	SpanGCSummarize  = "gc.summarize"
 	SpanGCCompact    = "gc.compact"
-	SpanGCFixWorker  = "gc.fix.worker"
 	SpanGCRedo       = "gc.redo"
 	SpanGCSTW        = "gc.stw"
 	SpanSafepoint    = "safepoint.wait"

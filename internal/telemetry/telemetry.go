@@ -55,7 +55,6 @@ const (
 
 	// Reference-store barrier (subsystem refstore).
 	CtrRefStores      // reference stores into persistent objects
-	CtrSATBRecords    // pre-write barrier records while concurrent mark ran
 	CtrRemsetPublish  // remset delta-buffer publications (commit/safepoint/overflow)
 	CtrRemsetDeltas   // individual deltas published
 	CtrSafepointWaits // collector pauses begun (safepoint write-lock acquisitions)
@@ -99,7 +98,7 @@ func DevCounter(sub nvm.Subsystem, metric int) Counter {
 var opNames = [...]string{
 	"alloc.objects", "alloc.bytes", "alloc.plab_refills", "alloc.plab_retires",
 	"alloc.hole_allocs", "alloc.humongous", "alloc.headers_deferred", "alloc.headers_flush_covered",
-	"refstore.stores", "refstore.satb_records", "refstore.remset_publishes",
+	"refstore.stores", "refstore.remset_publishes",
 	"refstore.remset_deltas", "safepoint.pauses",
 	"index.gets", "index.puts", "index.deletes", "index.scans",
 	"index.help_flushes", "index.grows", "index.hint_hits", "index.hint_misses",

@@ -110,7 +110,7 @@ func (m *PMap) Delete(key int64) bool {
 
 // Scan walks every entry until fn returns false (weakly consistent, as
 // lock-free iteration always is). It pins the world for its duration;
-// prefer short scans while a concurrent collection runs, and never call
+// prefer short scans while collections run beside it, and never call
 // other PMap or Runtime operations from fn (see the type doc: nested
 // safepoint intervals can deadlock against a waiting collector pause).
 func (m *PMap) Scan(fn func(key int64, val Ref) bool) {

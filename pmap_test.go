@@ -2,7 +2,6 @@ package espresso
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -55,9 +54,9 @@ func TestPMapBasics(t *testing.T) {
 }
 
 // TestPMapSurvivesConcurrentGC runs mixed map traffic on several
-// goroutines while concurrent collections cycle, then verifies exact
-// contents — the index's safepoint pinning, SATB barrier, and tag-aware
-// compaction all under load.
+// goroutines while collections cycle on another, then verifies exact
+// contents — the index's safepoint pinning and tag-aware compaction
+// under load.
 func TestPMapSurvivesConcurrentGC(t *testing.T) {
 	rt, err := Open(Options{})
 	if err != nil {
@@ -97,7 +96,7 @@ func TestPMapSurvivesConcurrentGC(t *testing.T) {
 	gcDone := make(chan error, 1)
 	go func() {
 		for cycle := 0; cycle < 3; cycle++ {
-			if _, err := rt.PersistentGCConcurrent("kv", runtime.GOMAXPROCS(0)); err != nil {
+			if _, err := rt.PersistentGC("kv"); err != nil {
 				gcDone <- err
 				return
 			}
@@ -106,7 +105,7 @@ func TestPMapSurvivesConcurrentGC(t *testing.T) {
 	}()
 	wg.Wait()
 	if err := <-gcDone; err != nil {
-		t.Fatalf("concurrent GC: %v", err)
+		t.Fatalf("GC: %v", err)
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -114,7 +113,7 @@ func TestPMapSurvivesConcurrentGC(t *testing.T) {
 		}
 	}
 	// One more cycle against the quiescent map, then verify exactly.
-	if _, err := rt.PersistentGCConcurrent("kv", runtime.GOMAXPROCS(0)); err != nil {
+	if _, err := rt.PersistentGC("kv"); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < goroutines; g++ {

@@ -41,8 +41,8 @@ var ErrShardQuarantined = pshard.ErrShardQuarantined
 
 // ShardedPMap is a range-partitioned persistent map over N independent
 // persistent heaps (internal/pshard): keys route by hash range to a
-// shard that owns its own device, region-top table, index, GC phase
-// word, and safepoint domain — no lock or fence is shared between
+// shard that owns its own device, region-top table, index, collector
+// state, and safepoint domain — no lock or fence is shared between
 // shards. Collections run one shard at a time (staggered pauses), and
 // reopening recovers all shards in parallel, so restart time tracks the
 // slowest shard rather than the sum.

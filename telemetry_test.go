@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -150,7 +149,7 @@ func TestObserversAddNoDeviceOps(t *testing.T) {
 
 // TestTelemetryConcurrentFoldExactTotals is the end-to-end race check of
 // the telemetry design: 8 mutators churn allocations, barriered ref
-// stores, and durable index puts while concurrent collections cycle and
+// stores, and durable index puts while collections cycle beside them and
 // a folding goroutine snapshots continuously, asserting every counter is
 // monotonic across folds. When the dust settles the deltas must equal
 // the oracle exactly — lock-free cells may not lose a single update.
@@ -201,8 +200,8 @@ func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
 			if cycle == 0 {
 				close(started)
 			}
-			if _, err := rt.PersistentGCConcurrent("churn", runtime.GOMAXPROCS(0)); err != nil {
-				t.Errorf("concurrent GC: %v", err)
+			if _, err := rt.PersistentGC("churn"); err != nil {
+				t.Errorf("GC: %v", err)
 				return
 			}
 		}
@@ -304,7 +303,7 @@ func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
 		t.Fatalf("alloc.objects delta = %d, want >= %d", got, 3*ops)
 	}
 	if delta("gc.cycles") == 0 {
-		t.Fatal("no concurrent collection completed during the churn")
+		t.Fatal("no collection completed during the churn")
 	}
 }
 
