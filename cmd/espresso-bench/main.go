@@ -12,7 +12,7 @@
 //	espresso-bench -exp alloc     PLAB allocation scaling curve
 //	espresso-bench -exp gcpause   STW vs concurrent-marking GC pause times
 //	espresso-bench -exp kv        durable lock-free index (pindex) scaling curve
-//	espresso-bench -exp refstore  write-combining ref-store barrier scaling curve
+//	espresso-bench -exp refstore  ref-store barrier scaling curve
 //	espresso-bench -exp shardedkv range-partitioned sharding (pshard): throughput + parallel recovery
 //	espresso-bench -exp all       everything, in that order
 //

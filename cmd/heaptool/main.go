@@ -237,7 +237,7 @@ func run(args []string) int {
 		// The GC/allocation state in the image, surfaced: format
 		// version, the collection flags, the PLAB allocator's per-region
 		// persisted top table, and the remembered-set footprint of the
-		// write-combining barrier.
+		// reference-store barrier.
 		g := h.Geo()
 		fmt.Printf("format version %d\n", h.FormatVersion())
 		fmt.Printf("gc active      %v\n", h.GCActive())

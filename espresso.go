@@ -53,13 +53,12 @@
 // flushes, roots, casts — is one surface (core.Accessor) with two
 // receivers. Called on the Runtime it is safe from any goroutine and goes
 // through one context per heap that every goroutine shares: the heap's
-// lock-serialized allocator, one barrier-buffer pair behind one mutex, the
-// shared safepoint and device-counter lines. Correct, and the slow path.
+// lock-serialized allocator, the shared safepoint and device-counter
+// lines. Correct, and the slow path.
 // Goroutines that allocate or mutate heavily should each attach a Mutator:
 // the same methods, same names and signatures, on a context of their own —
 // a persistent region-local allocation buffer (PLAB) that bump-allocates
-// lock-free and persists a per-region top word, barrier buffers, a
-// safepoint slot and a device-accounting view nobody else writes — so
+// lock-free and persists a per-region top word, a safepoint slot and a device-accounting view nobody else writes — so
 // throughput scales with cores:
 //
 //	m, _ := rt.NewMutator()        // one per goroutine
@@ -69,10 +68,9 @@
 //	m.SetRefFast(p, nameF, name)
 //
 // A Mutator's reference stores share nothing either: the write barrier
-// runs on the mutator's own buffers, and the shared remembered set learns
-// of the stores only at publication points — transaction commit, GC
-// safepoints, buffer overflow — so the hot store path touches no shared
-// lock or cache line.
+// touches the shared remembered set only for a store of a volatile
+// reference, so the hot store path — persistent values — touches no
+// shared lock or cache line.
 //
 // # Persistent GC
 //
@@ -174,7 +172,7 @@ type SpanEvent = telemetry.Span
 type FieldRef = core.FieldRef
 
 // Mutator is a per-goroutine context carrying the whole object model on
-// buffers of its own (PLAB, barrier buffers, safepoint slot, device view);
+// buffers of its own (PLAB, safepoint slot, device view);
 // obtain one with Runtime.NewMutator.
 type Mutator = core.Mutator
 

@@ -87,10 +87,8 @@ func BenchmarkFieldAccess(b *testing.B) {
 
 // BenchmarkSetRefFast measures the reference-store write barrier: named
 // vs resolved-handle stores, and resolved stores routed through a
-// Mutator, whose remembered-set maintenance is an append to a
-// mutator-local delta buffer (no shared lock, no shared cache line; the
-// shared set learns about the stores at publication points). The
-// parallel variant runs one Mutator per goroutine — the lock-free hot
+// Mutator, which owe the remembered set nothing when the value is
+// persistent (no shared lock, no shared cache line). The parallel variant runs one Mutator per goroutine — the lock-free hot
 // path the refstore experiment gates in CI. Every variant must cost
 // exactly one device write per store.
 func BenchmarkSetRefFast(b *testing.B) {
@@ -154,7 +152,7 @@ func BenchmarkSetRefFast(b *testing.B) {
 			}
 			defer m.Release()
 			// Each goroutine stores into its own object: disjoint slots,
-			// disjoint delta buffers — the contention-free shape.
+			// disjoint lines — the contention-free shape.
 			own, err := m.PNew(node, 0)
 			if err != nil {
 				b.Error(err)

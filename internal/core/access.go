@@ -17,14 +17,15 @@ import (
 //   - a Runtime's is ownerless: every operation is a safepoint interval on
 //     the slot all ownerless readers of the runtime's safepoint share, and
 //     reaches an object through the ownerless context of the heap holding
-//     it (shared device
-//     counters, one barrier-buffer pair per heap behind one mutex). Safe
-//     from any goroutine, and the slow path.
+//     it (shared device counters). Safe from any goroutine, and the slow
+//     path.
 //   - a Mutator's is owned: operations pin the mutator's own safepoint
 //     slot — or nothing inside Do, which already has — and reach objects
 //     of the mutator's heap through its own pheap.Allocator (PLAB, device
-//     view, telemetry cell, barrier buffers), so the access path shares no
-//     lock and no cache line with another mutator.
+//     view, telemetry cell), so the access path shares no lock and no
+//     cache line with another mutator — a store of a volatile reference
+//     into a persistent slot aside, which adds the slot to the shared
+//     remembered set.
 //
 // Exported methods run inside a safepoint interval; the lowercase helpers
 // assume the caller is in one and never enter another.
@@ -33,11 +34,9 @@ import (
 // remembered sets:
 //
 //   - old-generation slot ← young ref  → recorded for the scavenger;
-//   - persistent slot ← any ref        → pheap's reference-store barrier
-//     (pheap/barrier.go): the NVM-to-DRAM remembered set (used
-//     as volatile-GC roots, policed by type-based safety, nullified by
-//     the zeroing scan) learns whether the slot now holds a volatile
-//     reference.
+//   - persistent slot ← volatile ref   → pheap's reference-store barrier
+//     (pheap/barrier.go) adds the slot to the NVM-to-DRAM remembered set
+//     (volatile-GC roots; remset.go), after the store.
 type Accessor struct {
 	rt *Runtime
 
@@ -80,9 +79,8 @@ func (a *Accessor) exit(t safepoint.Token) {
 // own allocator when it has one and that heap is its heap, the heap's
 // ownerless context otherwise — or nil when no loaded heap holds ref. The
 // context always belongs to the heap holding ref: a mutator reaching into
-// another heap gets that heap's device view, barrier buffers and
-// telemetry, whole, so a store's records land where that heap's collector
-// drains.
+// another heap gets that heap's device view and telemetry, whole, so a
+// store's device ops count where that heap's do.
 func (a *Accessor) ctxOf(ref layout.Ref) *pheap.Allocator {
 	if a.alloc != nil && a.h.ContainsImage(ref) {
 		return a.alloc
@@ -256,8 +254,8 @@ func (a *Accessor) boundsCheck(arr layout.Ref, i int) error {
 
 // storeRef performs a reference store with its barrier. For a persistent
 // object that is pheap's, on the context ctxOf picks: the calling
-// mutator's own buffers, cell and device view, or the ownerless ones of
-// the heap holding obj. The paper permits NVM→DRAM references at the
+// mutator's own cell and device view, or the ownerless ones of the heap
+// holding obj. The paper permits NVM→DRAM references at the
 // language level (§3.2); type-based safety forbids them (§3.4).
 func (a *Accessor) storeRef(obj layout.Ref, boff int, val layout.Ref) error {
 	rt := a.rt
@@ -291,25 +289,5 @@ func (a *Accessor) settleElsewhere(x *pheap.Allocator, val layout.Ref) {
 	}
 	if y := a.ctxOf(val); y != nil {
 		y.Settle(val)
-	}
-}
-
-// NVMToVolSlots snapshots the persistent-to-volatile remembered set
-// (diagnostics and tests). Pending deltas are published first, so the
-// snapshot reflects every store issued before the call.
-func (rt *Runtime) NVMToVolSlots() []layout.Ref {
-	defer rt.world.RUnlock(rt.world.RLock())
-	rt.publishRemsetDeltas()
-	return rt.nvmToVol.Snapshot()
-}
-
-// publishRemsetDeltas drains every heap's pending remembered-set deltas
-// into the shared set. Callers hold the safepoint read lock (a drain is
-// safe against concurrent owner appends: each context's buffer mutex
-// serializes them, and a store that has not yet appended its delta has
-// not yet hit the device either).
-func (rt *Runtime) publishRemsetDeltas() {
-	for _, h := range rt.heaps {
-		h.PublishRemsetDeltas()
 	}
 }

@@ -23,8 +23,8 @@ import (
 //   - the device traffic is what the entry point has always issued (the
 //     counts in the table are those of the commit before the barrier
 //     moved into pheap; for the plain accessors that is one write);
-//   - after publication the remembered set is exactly the slots that
-//     hold a volatile reference.
+//   - the remembered set, as NVMToVolSlots reads it, is exactly the slots
+//     that hold a volatile reference.
 
 type valKind int
 
@@ -143,9 +143,6 @@ type barrierRow struct {
 	site func(w *barrierWorld, val layout.Ref) barrierSite
 	// dev is the device traffic of one store.
 	dev devOps
-	// publishes: the entry point is a publication point itself, so a
-	// volatile val costs it the one load publication re-derives from.
-	publishes bool
 }
 
 var anyRef = []valKind{toNVM, toVolatile, toNull}
@@ -272,7 +269,7 @@ func barrierRows() []barrierRow {
 		// Abort restoring one reference slot to the value. The before-image
 		// read back and stored (its line, fence), then the seq word (its
 		// line, fence).
-		barrierRow{name: "ptx.Abort", kinds: anyRef, publishes: true,
+		barrierRow{name: "ptx.Abort", kinds: anyRef,
 			dev: devOps{1, 2, 2, 2},
 			site: func(w *barrierWorld, val layout.Ref) barrierSite {
 				m, err := ptx.NewManager(w.h)
@@ -285,7 +282,7 @@ func barrierRows() []barrierRow {
 					store: func(layout.Ref) { tx.Abort() }}
 			}},
 		// pindex installs by CAS; its values are never volatile (Put
-		// rejects them), so it records no delta.
+		// rejects them), so it remembers no slot.
 		barrierRow{name: "pindex.Put over resident", kinds: []valKind{toNVM, toNull},
 			dev: devOps{6, 2, 1, 1},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
@@ -351,15 +348,11 @@ func TestRefStoreBarrierConformance(t *testing.T) {
 				w := newBarrierWorld(t)
 				val := w.value(kind)
 				site := row.site(w, val)
-				want := row.dev
-				if row.publishes && kind == toVolatile {
-					want.reads++
-				}
 
 				before := w.h.Device().Stats()
 				site.store(val)
-				if got := opsOf(w.h.Device().Stats().Sub(before)); got != want {
-					t.Errorf("device traffic %+v, want %+v", got, want)
+				if got := opsOf(w.h.Device().Stats().Sub(before)); got != row.dev {
+					t.Errorf("device traffic %+v, want %+v", got, row.dev)
 				}
 
 				var oracle []layout.Ref

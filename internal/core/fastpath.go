@@ -98,9 +98,7 @@ func (a *Accessor) GetRefFast(ref layout.Ref, f FieldRef) layout.Ref {
 
 // SetRefFast writes a reference field through a resolved handle, keeping
 // the full write barrier (remembered sets, type-based safety). On a
-// Runtime that is the heap's ownerless context: one buffer behind one
-// mutex for every such store on the heap. A Mutator's stores land in
-// buffers of its own.
+// Runtime that is the heap's ownerless context, on a Mutator its own.
 func (a *Accessor) SetRefFast(ref layout.Ref, f FieldRef, val layout.Ref) error {
 	defer a.exit(a.enter())
 	if f.ftype != layout.FTRef {

@@ -26,12 +26,13 @@ import (
 // volRoots adapts handles + the NVM remembered set to vheap.RootSet.
 type volRoots struct{ rt *Runtime }
 
-// UpdateSlots feeds every handle and NVM-resident slot through fn. NVM
-// slots are read and patched with atomic word accesses: a volatile
-// collection runs under the safepoint read lock, beside mutators and
-// lock-free index readers that may load the same slots. The handle
-// patch takes rt.mu so it cannot race a concurrent NewHandle growing
-// the table.
+// UpdateSlots feeds every handle and every remembered NVM slot that
+// still holds a volatile reference through fn, and deletes a remembered
+// slot that no longer does (remset.go). NVM slots are read and patched
+// with atomic word accesses: a volatile collection runs under the
+// safepoint read lock, beside mutators and lock-free index readers that
+// may load the same slots. The handle patch takes rt.mu so it cannot
+// race a concurrent NewHandle growing the table.
 func (r volRoots) UpdateSlots(fn func(layout.Ref) layout.Ref) {
 	rt := r.rt
 	rt.mu.Lock()
@@ -51,11 +52,13 @@ func (r volRoots) UpdateSlots(fn func(layout.Ref) layout.Ref) {
 		}
 		boff := int(slot) - int(h.Base())
 		v := layout.Ref(h.Device().ReadU64Atomic(boff))
-		nv := fn(v)
-		if nv != v {
+		if !rt.isVolatile(v) {
+			delete(rs.m, slot) // overwritten since it was remembered
+			continue
+		}
+		if nv := fn(v); nv != v {
 			h.Device().WriteU64Atomic(boff, uint64(nv))
-			// The slot now points elsewhere; membership is re-derived.
-			if nv == layout.NullRef || !rt.vol.Contains(nv) {
+			if !rt.isVolatile(nv) {
 				delete(rs.m, slot)
 			}
 		}
@@ -71,12 +74,7 @@ func (rt *Runtime) MinorGC() error {
 	return rt.minorGC()
 }
 
-// Volatile collections consume the NVM→DRAM remembered set as their
-// root set, so pending per-mutator deltas are published first — the
-// write-combining barrier's "drain before scavenging" obligation. (The
-// persistent collector gets the same drain from PrepareForCollection.)
 func (rt *Runtime) minorGC() error {
-	rt.publishRemsetDeltas()
 	return rt.vol.MinorGC(volRoots{rt})
 }
 
@@ -88,7 +86,6 @@ func (rt *Runtime) FullGC() error {
 }
 
 func (rt *Runtime) fullGC() error {
-	rt.publishRemsetDeltas()
 	return rt.vol.FullGC(volRoots{rt})
 }
 
@@ -167,7 +164,9 @@ func (w worldLocker) StartWorld() { w.rt.world.Start() }
 // PersistentGC runs the crash-consistent collection of paper §4 on the
 // named heap (System.gc() for the persistent space). Mutators on other
 // goroutines are paused through the safepoint lock for the whole
-// collection, which marks on GOMAXPROCS workers and compacts on one.
+// collection, which marks on GOMAXPROCS workers and compacts on one. The
+// remembered set is pruned first, with the world stopped and outside the
+// collection's device window, for rebuildNVMRemset.
 func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 	h, ok := rt.heapByName[name]
 	if !ok {
@@ -178,15 +177,17 @@ func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 	w := worldLocker{rt, h}
 	w.StopWorld()
 	defer w.StartWorld()
+	rt.pruneNVMRemset()
 	return pgc.Collect(h, persRoots{rt, h})
 }
 
 // rebuildNVMRemset rescans one heap's live objects for volatile
 // references. Called after compaction invalidates slot addresses. The
-// remembered set is precise — every NVM→DRAM store passes the write
-// barrier — so an empty set means no persistent slot anywhere holds a
-// volatile reference and the whole-heap rescan (a pause-time cost
-// proportional to everything live) is skipped.
+// remembered set is exact here — every NVM→DRAM store passes the write
+// barrier, and PersistentGC pruned the set with the world stopped — so
+// an empty set means no persistent slot anywhere holds a volatile
+// reference and the whole-heap rescan (a pause-time cost proportional to
+// everything live) is skipped.
 func (rt *Runtime) rebuildNVMRemset(h *pheap.Heap) {
 	rs := rt.nvmToVol
 	rs.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
-	"espresso/internal/pheap"
 )
 
 // TestMutatorGetRootCostsOneOwnRead: a repeated GetRoot through a mutator
@@ -63,10 +62,9 @@ func TestMutatorGetRootCostsOneOwnRead(t *testing.T) {
 }
 
 // TestRemsetOverflowCycleAllocatesNothing: after one warm-up, a cycle of
-// RemsetDeltaOverflow NVM→NVM reference stores through a mutator — the
-// stores, the overflow publication, the sink's dedup — allocates nothing:
-// the drained buffer goes back to the mutator, and the sink dedups in
-// place against a set on its stack.
+// 512 NVM→NVM reference stores through a mutator allocates nothing and
+// leaves the remembered set empty: a store of a persistent value owes the
+// set nothing.
 func TestRemsetOverflowCycleAllocatesNothing(t *testing.T) {
 	rt := newRT(t, Config{NVMMode: nvm.Direct})
 	if _, err := rt.CreateHeap("remset", 0); err != nil {
@@ -89,8 +87,9 @@ func TestRemsetOverflowCycleAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	const stores = 512
 	cycle := func() {
-		for i := 0; i < pheap.RemsetDeltaOverflow; i++ {
+		for i := 0; i < stores; i++ {
 			if err := m.SetRefFast(objs[i%len(objs)], nextF, objs[(i+1)%len(objs)]); err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +97,7 @@ func TestRemsetOverflowCycleAllocatesNothing(t *testing.T) {
 	}
 	cycle()
 	if n := testing.AllocsPerRun(10, cycle); n != 0 {
-		t.Fatalf("an overflow cycle of %d stores allocates %.1f", pheap.RemsetDeltaOverflow, n)
+		t.Fatalf("a cycle of %d stores allocates %.1f", stores, n)
 	}
 	if slots := rt.NVMToVolSlots(); len(slots) != 0 {
 		t.Fatalf("NVM→NVM stores left %d slots in the remembered set", len(slots))

@@ -201,8 +201,8 @@ func (rt *Runtime) Close() {
 }
 
 func (rt *Runtime) attach(h *pheap.Heap) {
-	// The heap's reference stores feed the runtime's remembered set
-	// through per-mutator delta buffers; the sink is their drain target.
+	// The heap's volatile reference stores add their slots to the
+	// runtime's remembered set through the sink.
 	h.SetRemsetSink(remsetSink{rt})
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -149,8 +149,8 @@ func (a *Accessor) PNewImage(k *klass.Klass, img []byte, refOffs []int, strs ...
 }
 
 // vetImage validates an image and its reference slots before any barrier
-// bookkeeping or byte lands: a failure must leave no recorded delta for a
-// store that never happened, and no partially written image. It returns
+// bookkeeping or byte lands: a failure must leave no remembered slot for
+// a store that never happened, and no partially written image. It returns
 // refOffs in ascending order.
 func (rt *Runtime) vetImage(op string, img []byte, refOffs []int) ([]int, error) {
 	base := layout.FieldOff(0)

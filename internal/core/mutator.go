@@ -7,22 +7,20 @@ import (
 	"espresso/internal/pheap"
 )
 
-// Mutator is a per-goroutine allocation and mutation context: the runtime
-// analog of a JVM mutator thread with a thread-local allocation buffer
-// and thread-local barrier buffers. Its object model is the embedded
-// Accessor's — the same surface, names and signatures as a Runtime's —
-// owned: it pins the heap that was active when it was created and does
-// everything in that heap through its own pheap.Allocator, so
-// steady-state allocation touches no shared lock — the PLAB bump path
-// persists only the mutator's own region top — and neither does a
-// reference store: the barrier's remembered-set deltas land in the
-// allocator's own buffer, and the shared NVM→DRAM set
-// learns about the stores at the next publication point (transaction
-// commit, safepoint entry, or buffer overflow; see remset.go). Strings,
-// bulk copies, field images and the flushes go the same way: its own
-// device view, its own PLAB, a traversal state of its own. An object of
-// another heap is reached through that heap's ownerless context, exactly
-// as a Runtime reaches it.
+// Mutator is a per-goroutine allocation and mutation context: the
+// runtime analog of a JVM mutator thread with a thread-local allocation
+// buffer. Its object model is the embedded Accessor's — the same
+// surface, names and signatures as a Runtime's — owned: it pins the
+// heap that was active when it was created and does everything in that
+// heap through its own pheap.Allocator, so steady-state allocation
+// touches no shared lock — the PLAB bump path persists only the
+// mutator's own region top — and neither does a reference store of a
+// persistent value; a volatile one adds its slot to the shared NVM→DRAM
+// set (see remset.go). Strings, bulk copies, field images and the
+// flushes go the same way: its own device view, its own PLAB, a
+// traversal state of its own. An object of another heap is reached
+// through that heap's ownerless context, exactly as a Runtime reaches
+// it.
 //
 // A Mutator is not safe for concurrent use; give each goroutine its own.
 // Class metadata work (Define, safety checks, Klass-segment append,
@@ -89,8 +87,7 @@ func (m *Mutator) Do(fn func()) {
 }
 
 // Release retires the mutator: its PLAB headroom and recycled hole go
-// back to the heap's dispenser for the next mutator to continue filling,
-// and pending remembered-set deltas are published
+// back to the heap's dispenser for the next mutator to continue filling
 // (pheap.Allocator.Release). Like every mutator operation it is a
 // safepoint interval; the safepoint slot is given up after the interval
 // ends (or, inside Do, keeps holding pauses off until Do returns).

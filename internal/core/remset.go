@@ -1,73 +1,51 @@
 package core
 
 import (
-	"math/bits"
 	"sync"
 
 	"espresso/internal/layout"
-	"espresso/internal/pheap"
 )
 
-// The persistent-to-volatile remembered set and its write-combining
-// barrier lifecycle.
+// The persistent-to-volatile remembered set.
 //
-// The shared set (remset below) holds the absolute addresses of NVM slots
-// currently believed to hold DRAM references. It is consulted by the
-// volatile collectors (those slots are scavenge roots and get patched
-// when DRAM objects move), rebuilt by the persistent collector after
-// compaction, and policed by the safety levels. No mutator path touches
-// it: it is a fold target only, one mutex and one map, taken once per
-// published batch.
+// The set (remset below) holds the absolute addresses of NVM slots that
+// may hold DRAM references: the volatile collectors treat those slots as
+// scavenge roots and patch them when DRAM objects move, and the
+// persistent collector rebuilds them after compaction. It keeps vheap's
+// old→young idiom: a slot is added when the store happens, and
+// membership is re-derived from the slot's current value when a
+// collection reads the set.
 //
-// The lifecycle of one reference store is instead:
+//	add    pheap's reference-store barrier stores a volatile reference,
+//	       then calls the sink's Remember with the slot (remsetSink). A
+//	       store of any other value does nothing, so the set may keep a
+//	       slot that has been overwritten since: it is a superset of the
+//	       slots that hold a volatile reference.
 //
-//	store        core.storeRef classifies the new value (volatile or
-//	             not) and pheap's reference-store barrier appends a
-//	             RemsetDelta{slot, add} to the storing context's buffer
-//	             (the mutator's pheap.Allocator; stores outside a
-//	             Mutator use the heap's ownerless context), under the
-//	             same mutex hold as the device store.
+//	read   every reader checks each slot's current value:
+//	         - a volatile collection (volRoots.UpdateSlots) deletes a slot
+//	           that no longer holds a volatile reference and patches the
+//	           rest;
+//	         - PersistentGC prunes the set with the world stopped, before
+//	           pgc.Collect, so rebuildNVMRemset sees it exact and skips its
+//	           whole-heap rescan when no slot holds a volatile reference;
+//	         - NVMToVolSlots filters by current value and never prunes.
 //
-//	delta        The record sits in the context's buffer — invisible to
-//	             the shared set, touching no shared cache line.
-//
-//	publication  Deltas merge into the shared set at exactly three
-//	             points:
-//	               1. transaction commit — ptx.Tx.Commit publishes the
-//	                  ownerless context its stores went through (Abort
-//	                  sends the rolled-back slots through the barrier
-//	                  again and publishes those, so the set returns to
-//	                  its pre-tx contents);
-//	               2. safepoint entry — pheap.PrepareForCollection drains
-//	                  every context with the world stopped, so both
-//	                  persistent collectors see a complete set before
-//	                  marking/compaction, and the runtime drains before
-//	                  every volatile collection for the same reason;
-//	               3. buffer overflow — the owner publishes its own
-//	                  deltas past RemsetDeltaOverflow records, amortized.
-//
-// A delta is a hint, not an instruction: membership is RE-DERIVED from
-// the slot's current device value when the delta is applied (see
-// applyRemsetDeltas). Within one context deltas arrive in program order,
-// but one slot can be stored through two contexts (a Runtime-routed store
-// and a Mutator-routed one, or a ptx transaction), and contexts drain in
-// registration order — trusting the hints alone could let an early
-// remove erase a later add and drop a live scavenge root. Re-derivation
-// makes publication order-independent and idempotent: after any full
-// drain the set equals exactly {slots whose current value is volatile}
-// among slots that ever saw a delta. The hints still pay their way by
-// gating the device read — a remove hint for a slot the set does not
-// contain is dropped without touching the device, so workloads that
-// never store a volatile reference (the common case) publish with zero
-// device traffic, matching the eager path's cost.
-//
-// Between publications the shared set can be stale for slots with
-// pending deltas; every consumer therefore publishes first (see
-// remsetSink and the publishRemsetDeltas calls in gc.go).
+// Why no add is lost. An add comes after its store, and both happen
+// inside one safepoint interval, so a stopped world has no slot that
+// holds a volatile reference and is not yet in the set. A prune reads
+// and deletes under the set's lock, and runs only with the world stopped
+// (PersistentGC) or under vheap's single-volatile-mutator contract (a
+// volatile collection: no other goroutine stores a volatile reference
+// while it runs). A prune running beside mutators could drop a slot that
+// another mutator is adding again: it reads the slot before that
+// mutator's store lands and deletes it after, and the slot survives only
+// if that mutator's Remember re-adds it behind the prune — true of a
+// Remember that always takes the lock, but not a guarantee the set
+// rests on. NVMToVolSlots runs beside mutators, so it only filters.
 
-// remset is the shared set: one lock, taken once per batch whatever the
-// batch is — published deltas, a volatile collection's patch, a
-// persistent collection's rebuild.
+// remset is the set behind one lock, taken once per add and once per
+// whole pass of a reader.
 type remset struct {
 	mu sync.Mutex
 	m  map[layout.Ref]struct{}
@@ -75,94 +53,65 @@ type remset struct {
 
 func newRemset() *remset { return &remset{m: make(map[layout.Ref]struct{})} }
 
-// Snapshot returns every recorded slot (order unspecified).
-func (r *remset) Snapshot() []layout.Ref {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]layout.Ref, 0, len(r.m))
-	for slot := range r.m {
-		out = append(out, slot)
+// remsetSink adapts the runtime's remembered set to pheap.RemsetSink,
+// the hook the reference-store barrier adds slots through. Installed on
+// every heap at attach time.
+type remsetSink struct{ rt *Runtime }
+
+func (s remsetSink) Remember(slot layout.Ref) {
+	rs := s.rt.nvmToVol
+	rs.mu.Lock()
+	rs.m[slot] = struct{}{}
+	rs.mu.Unlock()
+}
+
+func (s remsetSink) RefIsVolatile(ref layout.Ref) bool { return s.rt.vol.Contains(ref) }
+
+// NVMToVolSlots returns the remembered slots that hold a volatile
+// reference now (diagnostics and tests; order unspecified): one device
+// read per remembered slot. It runs beside mutators, so it filters and
+// leaves the set as it is.
+func (rt *Runtime) NVMToVolSlots() []layout.Ref {
+	defer rt.world.RUnlock(rt.world.RLock())
+	rs := rt.nvmToVol
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	out := make([]layout.Ref, 0, len(rs.m))
+	for slot := range rs.m {
+		if rt.slotHoldsVolatile(slot) {
+			out = append(out, slot)
+		}
 	}
 	return out
 }
 
-// remsetSink adapts the runtime's remembered set to pheap.RemsetSink —
-// the hook heap-level publication points (safepoint drains, transaction
-// commits, buffer overflows) deliver deltas through. Installed on every
-// heap at attach time.
-type remsetSink struct{ rt *Runtime }
-
-func (s remsetSink) PublishRemsetDeltas(ds []pheap.RemsetDelta) { s.rt.applyRemsetDeltas(ds) }
-
-func (s remsetSink) RefIsVolatile(ref layout.Ref) bool { return s.rt.vol.Contains(ref) }
-
-// applyRemsetDeltas merges one published batch. Membership is re-derived
-// from the slot's current device value, which makes application
-// order-independent across contexts (see the package comment): an add
-// hint always re-reads; a remove hint re-reads only when the slot is
-// actually in the set (an absent remove is a guaranteed no-op, so the
-// pure NVM→NVM workload publishes without device traffic). The batch is
-// deduplicated by slot first — only its final record matters, and one
-// read per slot bounds the publication's device cost by the working set,
-// not the store count. Safe to run concurrently with mutators (overflow
-// publications race collector drains): the slot load is a single atomic
-// device read.
-func (rt *Runtime) applyRemsetDeltas(ds []pheap.RemsetDelta) {
-	if len(ds) == 0 {
-		return
-	}
-	// Deduplicate newest-first, in place (the batch is lent to the sink)
-	// and before the lock is taken: what is left to do under it is one
-	// lookup per distinct slot. The slots already decided go in an
-	// open-addressing set at most half full (a slot is never 0), on the
-	// stack for any batch an owner's overflow publishes, so the dedup
-	// allocates nothing. On a 2-vCPU Xeon VM it costs ~3 ns a record,
-	// where a map cost ~50 and a stable sort by slot ~190 (512 records,
-	// half of them to 100 slots).
-	var buf [2 * pheap.RemsetDeltaOverflow]layout.Ref // a power of two
-	seen := buf[:]
-	if len(ds) > pheap.RemsetDeltaOverflow {
-		seen = make([]layout.Ref, 2<<bits.Len(uint(len(ds))))
-	}
-	mask := uint64(len(seen) - 1)
-	j := len(ds)
-	for i := len(ds) - 1; i >= 0; i-- {
-		slot := ds[i].Slot
-		h := layout.MixHash64(int64(slot)) & mask
-		for seen[h] != 0 && seen[h] != slot {
-			h = (h + 1) & mask
-		}
-		if seen[h] == slot {
-			continue
-		}
-		seen[h] = slot
-		j--
-		ds[j] = ds[i]
-	}
+// pruneNVMRemset deletes every slot that no longer holds a volatile
+// reference, leaving the set exact. The world must be stopped.
+func (rt *Runtime) pruneNVMRemset() {
 	rs := rt.nvmToVol
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	for _, d := range ds[j:] {
-		if _, in := rs.m[d.Slot]; !d.Add && !in {
-			continue
-		}
-		if rt.slotHoldsVolatile(d.Slot) {
-			rs.m[d.Slot] = struct{}{}
-		} else {
-			delete(rs.m, d.Slot)
+	for slot := range rs.m {
+		if !rt.slotHoldsVolatile(slot) {
+			delete(rs.m, slot)
 		}
 	}
 }
 
 // slotHoldsVolatile re-reads an NVM slot and reports whether its current
-// value points into the volatile heap. Tag bits (layout.RefTagMask) are
-// stripped, as everywhere slot values are interpreted as addresses.
+// value points into the volatile heap.
 func (rt *Runtime) slotHoldsVolatile(slot layout.Ref) bool {
 	h := rt.heapOf(slot)
 	if h == nil {
 		return false
 	}
-	boff := int(slot) - int(h.Base())
-	v := layout.UntagRef(layout.Ref(h.Device().ReadU64Atomic(boff)))
+	return rt.isVolatile(layout.Ref(h.Device().ReadU64Atomic(int(slot - h.Base()))))
+}
+
+// isVolatile reports whether a slot value points into the volatile heap.
+// Tag bits (layout.RefTagMask) are stripped, as everywhere slot values
+// are interpreted as addresses.
+func (rt *Runtime) isVolatile(v layout.Ref) bool {
+	v = layout.UntagRef(v)
 	return v != layout.NullRef && rt.vol.Contains(v)
 }

@@ -7,13 +7,12 @@ import (
 	"espresso/internal/layout"
 )
 
-// TestRemsetDeltaCrossBufferOrder pins the publication-order hazard: one
-// slot stored through two different contexts (a Runtime-routed store
-// uses the heap's ownerless context, a Mutator-routed one its own
-// allocator), where drain order disagrees with store order. Publication
-// re-derives membership from the device, so the later store must win
-// regardless of which context drains first.
-func TestRemsetDeltaCrossBufferOrder(t *testing.T) {
+// TestRemsetCrossContextOrder: one slot stored through two different
+// contexts (a Runtime-routed store uses the heap's ownerless context, a
+// Mutator-routed one its own allocator). The set's readers re-derive
+// membership from the slot, so the later store wins whichever context
+// made it.
+func TestRemsetCrossContextOrder(t *testing.T) {
 	rt, err := NewRuntime(Config{PJHDataSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -42,12 +41,9 @@ func TestRemsetDeltaCrossBufferOrder(t *testing.T) {
 	}
 	defer m.Release()
 
-	// Contexts drain in registration order, the ownerless one first. Every
-	// pairing of (who stores last) x (what the last store leaves) follows,
-	// so half the cases have a drain order that disagrees with the store
-	// order whichever way the registry happens to be ordered: a drain
-	// trusting hints would apply add-then-remove and drop a live edge, or
-	// remove-then-add and keep a dead one.
+	// Every pairing of (who stores last) x (what the last store leaves):
+	// a set that trusted the order of its adds and removes over the slot's
+	// value would drop a live edge or keep a dead one.
 	type store func(layout.Ref, FieldRef, layout.Ref) error
 	for _, c := range []struct {
 		name          string
@@ -56,17 +52,17 @@ func TestRemsetDeltaCrossBufferOrder(t *testing.T) {
 		{"Runtime then Mutator", rt.SetRefFast, m.SetRefFast},
 		{"Mutator then Runtime", m.SetRefFast, rt.SetRefFast},
 	} {
-		if err := c.first(a, refF, b); err != nil { // NVM ref → remove hint
+		if err := c.first(a, refF, b); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.second(a, refF, vol); err != nil { // volatile → add hint
+		if err := c.second(a, refF, vol); err != nil { // remembered
 			t.Fatal(err)
 		}
 		if got := rt.NVMToVolSlots(); len(got) != 1 {
 			t.Fatalf("%s: remset = %v after NVM-then-vol mixed routing, want the live slot", c.name, got)
 		}
 		// And the mirror image: the final store is NVM→NVM, so the slot
-		// must end absent whichever hint drains last.
+		// must read absent although it was remembered.
 		if err := c.first(a, refF, vol); err != nil {
 			t.Fatal(err)
 		}

@@ -139,13 +139,10 @@ type Runtime struct {
 	freeHandles []int
 
 	// nvmToVol is the persistent-to-volatile remembered set: absolute
-	// addresses of NVM slots currently holding DRAM references. The
-	// volatile collectors treat these as roots and patch them; the
-	// zeroing scan and type-based safety police them. Mutator stores do
-	// not touch it directly: the write barrier appends deltas to the
-	// storing context's buffer, and those merge here at publication points
-	// (see remset.go for the lifecycle), so consumers publish pending
-	// deltas first.
+	// addresses of NVM slots that have held DRAM references since the set
+	// last read them. The write barrier adds a slot after each volatile
+	// store; the volatile collectors treat the slots that still hold one
+	// as roots and patch them (see remset.go).
 	nvmToVol *remset
 
 	cp *klass.ConstantPool

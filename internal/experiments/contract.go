@@ -130,7 +130,7 @@ var Contracts = []Contract{
 			"pindex/2": {fields: kvRowFields}, "pindex/4": {fields: kvRowFields}, "pindex/8": {fields: kvRowFields},
 		}},
 	{Name: "refstore", Pinned: Params{Scale: 10, Mutators: 8},
-		Run: scalingRun("refstore", "Ref-store scaling — write-combining remset barrier (per-mutator delta buffers)")},
+		Run: scalingRun("refstore", "Ref-store scaling — reference-store barrier (a volatile store remembers its slot)")},
 	{Name: "shardedkv", Pinned: Params{Scale: 10, Shards: 4, Mutators: 2, RecoveryKeys: 1000000},
 		Run: func(w io.Writer, p Params) (any, error) {
 			rows, err := Scaling("shardedkv", p.Scale, p.Shards, p.Mutators)

@@ -264,8 +264,7 @@ func seedAlloc(t *testing.T, n int) nvm.Stats {
 }
 
 // seedRefStore issues the refstore workload's n durable stores through
-// Runtime.SetRefFast, which funnels remembered-set maintenance through
-// the heap's one shared delta buffer.
+// Runtime.SetRefFast, on the heap's one ownerless context.
 func seedRefStore(t *testing.T, n int) nvm.Stats {
 	rt, err := core.NewRuntime(core.Config{PJHDataSize: 20 * layout.RegionSize, NVMMode: nvm.Direct})
 	if err != nil {

@@ -24,7 +24,7 @@ var workloads = map[string]*workload{
 	// context (its own pheap.Allocator) per mutator over disjoint
 	// key ranges: the CAS publication adds no shared persisted word.
 	"kv": {name: "kv", series: "pindex", ops: 160000, curve: mutatorCurve, claim: point{mutators: 8}, setup: kvSetup},
-	// Durable reference stores through per-mutator barrier buffers.
+	// Durable reference stores through the barrier, one mutator each.
 	"refstore": {name: "refstore", series: "refstore", ops: 320000, curve: mutatorCurve, claim: point{mutators: 8},
 		setup: refstoreSetup},
 	// The kv serving mix routed over independent shard heaps: a
@@ -241,13 +241,11 @@ func shardedKVSetup(e env) (*run, error) {
 // reference stores over its own objects, each made durable with a slot
 // flush (the paper's persistent write path: one word write, one line
 // flush, one fence). Stores route through the mutator's own
-// core.Mutator, so remembered-set maintenance is an append to a
-// mutator-local delta buffer — no shared lock, no shared cache line;
-// the shared set learns of them at publication points (buffer overflow
-// and the final snapshot). The run ends with a self-check: the
-// published remembered set must equal the single-threaded oracle (the
-// slots whose last store was volatile), proving no delta was lost or
-// misordered on the way.
+// core.Mutator; a volatile one also adds its slot to the shared
+// remembered set, and a persistent one owes the set nothing. The run
+// ends with a self-check: the remembered set as NVMToVolSlots reads it
+// must equal the single-threaded oracle (the slots whose last store was
+// volatile), proving no add was lost on the way.
 func refstoreSetup(e env) (*run, error) {
 	const nodesPerG = 64
 	rt, err := core.NewRuntime(core.Config{
@@ -303,9 +301,8 @@ func refstoreSetup(e env) (*run, error) {
 				// 4:1 NVM→NVM vs NVM→volatile mix. The mix period (5) is
 				// coprime with nodesPerG (64), so every slot alternates
 				// between volatile and persistent values over the run —
-				// the remset churns (adds and removes) through the delta
-				// buffers, and the oracle below would catch a lost or
-				// stale delta.
+				// the remset churns, and the oracle below would catch a
+				// lost add or a stale slot read as live.
 				val := own[(i+1)%nodesPerG]
 				if i%5 == 4 {
 					val = vols[g]

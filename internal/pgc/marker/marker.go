@@ -437,14 +437,12 @@ func (m *Marker) workerLoop(w *workerState) {
 func (m *Marker) runWorker(w *workerState) {
 	start := time.Now()
 	defer func() { w.busy += time.Since(start) }()
-	m.h.DrainBarrierShard(w.id, m.workers)
 	m.workerLoop(w)
 }
 
 // trace runs the pool to termination over whatever the stacks hold.
-// Each worker first publishes its shard of the contexts' remembered-set
-// deltas. Worker 0 runs on the calling goroutine; with workers=1 no
-// goroutine is ever spawned.
+// Worker 0 runs on the calling goroutine; with workers=1 no goroutine
+// is ever spawned.
 func (m *Marker) trace() error {
 	if m.workers == 1 {
 		m.runWorker(m.ws[0]) // panics propagate natively

@@ -2,7 +2,6 @@ package pheap
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"espresso/internal/klass"
@@ -192,15 +191,20 @@ type AllocatorStats struct {
 
 // Allocator is the per-goroutine mutator context: an attached PLAB plus
 // an attached recycled hole, the owner's accounting view of the device,
-// its telemetry cell, and the reference-store barrier's two buffers
-// (barrier.go). It is not safe for concurrent use — each mutator
-// (goroutine) owns its Allocator, which is the point: the bump path
-// touches only the allocator's own region, and a reference store only
-// state the owner writes. Obtain
-// one with Heap.NewAllocator; release it with Release when the mutator
-// retires. The heap keeps one ownerless twin for everything that runs
-// outside any mutator (Heap.Ownerless).
+// and its telemetry cell. It is not safe for concurrent use — each
+// mutator (goroutine) owns its Allocator, which is the point: the bump
+// path touches only the allocator's own region, and a reference store
+// only state the owner writes, unless it stores a volatile reference
+// (barrier.go). Obtain one with Heap.NewAllocator; release it with
+// Release when the mutator retires. The heap keeps one ownerless twin for
+// everything that runs outside any mutator (Heap.Ownerless).
+//
+// The pads keep the words the owner touches on every access and
+// allocation off the lines of the objects the Go allocator places
+// beside it, typically other mutators' allocators.
 type Allocator struct {
+	_ [8]uint64 // cache-line pad
+
 	// Access reaches the heap's objects through this allocator's own
 	// accounting view of the device: the allocation path below and every
 	// accessor the owning mutator calls on the allocator count in a cell
@@ -245,11 +249,7 @@ type Allocator struct {
 	// device op.
 	cell *telemetry.Cell
 
-	// The barrier's buffer: remembered-set deltas the sink has yet to
-	// see. The owner appends, a collector or publication point drains;
-	// bufMu orders the two and is otherwise uncontended.
-	bufMu  sync.Mutex
-	deltas []RemsetDelta
+	_ [8]uint64 // cache-line pad
 }
 
 // NewAllocator creates and registers a mutator-local allocator.
@@ -274,9 +274,9 @@ func (h *Heap) register(a *Allocator) *Allocator {
 // accessors, bulk image writes, ptx. It is safe for concurrent use where
 // an owned Allocator is not — its accesses count in the device's shared
 // counters (it is the heap's own Access), its reference stores in the
-// telemetry registry's shared cell, and every one of them takes the same
-// buffer mutex: the slow path. Its PLAB belongs to Heap.Alloc, which
-// serializes on a lock; do not allocate through it directly.
+// telemetry registry's shared cell: the slow path. Its PLAB belongs to
+// Heap.Alloc, which serializes on a lock; do not allocate through it
+// directly.
 func (h *Heap) Ownerless() *Allocator { return h.ownerless }
 
 // Stats returns a snapshot of the allocator's own-path counters.
@@ -723,8 +723,6 @@ func (a *Allocator) retirePLAB() {
 // collection re-reports it.
 func (a *Allocator) Release() {
 	h := a.heap
-	// Pending deltas first.
-	a.PublishRemsetDeltas()
 	// The PLAB and the registry entry go under the heap lock, which a
 	// collector preparing a cycle holds while it reads both.
 	h.mu.Lock()

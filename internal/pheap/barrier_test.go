@@ -1,94 +1,79 @@
 package pheap
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
 	"espresso/internal/layout"
 )
 
-// recordingSink is a RemsetSink that keeps what it is handed. Refs at or
-// above volBase count as volatile.
+// recordingSink is a RemsetSink that keeps every remembered slot with the
+// value the slot held when Remember ran. Refs at or above volBase count
+// as volatile.
 type recordingSink struct {
-	mu      sync.Mutex
-	batches [][]RemsetDelta
+	h    *Heap
+	mu   sync.Mutex
+	got  []layout.Ref
+	vals []layout.Ref
 }
 
 const volBase = layout.Ref(1) << 60
 
-func (s *recordingSink) PublishRemsetDeltas(ds []RemsetDelta) {
+func (s *recordingSink) Remember(slot layout.Ref) {
 	s.mu.Lock()
-	s.batches = append(s.batches, append([]RemsetDelta(nil), ds...))
+	s.got = append(s.got, slot)
+	s.vals = append(s.vals, layout.Ref(s.h.GetWord(slot, 0)))
 	s.mu.Unlock()
 }
 
 func (s *recordingSink) RefIsVolatile(ref layout.Ref) bool { return ref >= volBase }
 
-// slots flattens and forgets the published batches.
-func (s *recordingSink) slots() []layout.Ref {
+// take returns and forgets what the sink was handed.
+func (s *recordingSink) take() (slots, vals []layout.Ref) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []layout.Ref
-	for _, b := range s.batches {
-		for _, d := range b {
-			out = append(out, d.Slot)
-		}
-	}
-	s.batches = nil
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slots, vals, s.got, s.vals = s.got, s.vals, nil, nil
+	return slots, vals
 }
 
-// TestRemsetDeltaLifecycle follows the barrier's delta buffers through
-// the life of their allocators: nothing is published before a
-// publication point, deltas pending at Release are published by it, an
-// allocator registered later is drained by some shard, and every delta
-// is published exactly once.
-func TestRemsetDeltaLifecycle(t *testing.T) {
+// TestStoreRefRemembersVolatileSlots: on the owned and the ownerless
+// context alike, a store of a volatile value hands its slot to the sink
+// at once, after the value has landed, and a store of anything else
+// hands nothing; retiring a context leaves nothing to hand on.
+func TestStoreRefRemembersVolatileSlots(t *testing.T) {
 	h, reg := testHeap(t, Config{DataSize: 1 << 20})
-	sink := &recordingSink{}
+	sink := &recordingSink{h: h}
 	h.SetRemsetSink(sink)
 	person := definePerson(t, reg)
 	nameOff := layout.FieldOff(1)
 
-	var holders [3]layout.Ref
-	for i := range holders {
-		var err error
-		if holders[i], err = h.Alloc(person, 0); err != nil {
+	a := h.NewAllocator()
+	for _, x := range []*Allocator{a, h.Ownerless()} {
+		obj, err := h.Alloc(person, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		slot := obj + layout.Ref(nameOff)
+		x.StoreRef(obj, nameOff, volBase, true)
+		if slots, vals := sink.take(); !slices.Equal(slots, []layout.Ref{slot}) || vals[0] != volBase {
+			t.Fatalf("volatile store remembered %#x holding %#x, want %#x holding %#x", slots, vals, slot, volBase)
+		}
+		x.StoreRef(obj, nameOff, obj, false)
+		x.StoreRef(obj, nameOff, layout.NullRef, false)
+		if slots, _ := sink.take(); len(slots) != 0 {
+			t.Fatalf("persistent and null stores remembered %#x", slots)
+		}
 	}
-
-	a1, a2 := h.NewAllocator(), h.NewAllocator()
-	a1.StoreRef(holders[0], nameOff, layout.NullRef, false)
-	a2.StoreRef(holders[1], nameOff, volBase, true)
-	if got := sink.slots(); len(got) != 0 {
-		t.Fatalf("deltas published before any publication point: %v", got)
-	}
-	a1.Release() // its delta must be published
-	if got, want := sink.slots(), []layout.Ref{holders[0] + layout.Ref(nameOff)}; len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("Release published %v, want %v", got, want)
-	}
-	a3 := h.NewAllocator() // registered after the first stores
-	a3.StoreRef(holders[2], nameOff, layout.NullRef, false)
-
-	const workers = 2
-	for w := 0; w < workers; w++ {
-		h.DrainBarrierShard(w, workers)
-	}
-	want := []layout.Ref{holders[1] + layout.Ref(nameOff), holders[2] + layout.Ref(nameOff)}
-	if got := sink.slots(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("drain published %v, want %v", got, want)
-	}
-	h.DrainBarrierShard(0, 1)
-	if got := sink.slots(); len(got) != 0 {
-		t.Fatalf("second drain published %v", got)
+	a.Release()
+	if slots, _ := sink.take(); len(slots) != 0 {
+		t.Fatalf("Release remembered %#x", slots)
 	}
 }
 
 // TestStoreRefWithoutSinkRecordsNoDeltas: a heap nobody installed a sink
-// on has no remembered set, and its stores buffer nothing for one.
+// on has no remembered set: a store the caller calls volatile still
+// lands, and nothing classifies as volatile.
 func TestStoreRefWithoutSinkRecordsNoDeltas(t *testing.T) {
 	h, reg := testHeap(t, Config{DataSize: 1 << 20})
 	person := definePerson(t, reg)
@@ -99,12 +84,12 @@ func TestStoreRefWithoutSinkRecordsNoDeltas(t *testing.T) {
 	a := h.NewAllocator()
 	defer a.Release()
 	for _, x := range []*Allocator{a, h.Ownerless()} {
-		x.StoreRef(obj, layout.FieldOff(1), obj, false)
-		if len(x.deltas) != 0 {
-			t.Fatalf("%d deltas buffered on a heap without a sink", len(x.deltas))
+		x.StoreRef(obj, layout.FieldOff(1), volBase, true)
+		if got := layout.Ref(h.GetWord(obj, layout.FieldOff(1))); got != volBase {
+			t.Fatalf("slot holds %#x, want %#x", uint64(got), uint64(volBase))
 		}
 	}
-	if got := layout.Ref(h.GetWord(obj, layout.FieldOff(1))); got != obj {
-		t.Fatalf("slot holds %#x, want %#x", uint64(got), uint64(obj))
+	if h.RefIsVolatile(volBase) {
+		t.Fatal("a heap without a sink classified a reference as volatile")
 	}
 }

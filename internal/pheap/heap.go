@@ -225,8 +225,7 @@ type Heap struct {
 	arenaUsed int
 
 	// The sink core installs to receive the reference-store barrier's
-	// remembered-set deltas (barrier.go). The buffers themselves live in
-	// the allocators.
+	// remembered slots (barrier.go).
 	remsetSink atomic.Pointer[RemsetSink]
 
 	// markBmpHi is the byte length of the mark bitmap's last persisted
@@ -290,9 +289,9 @@ type Heap struct {
 
 	// Registered allocators (guarded by mu): every mutator context there
 	// is. PrepareForCollection retires their PLABs wholesale at the GC
-	// safepoint, and collectors drain their barrier buffers through the
-	// list. ownerless is the first entry, created with the heap (see
-	// Ownerless); allocMu serializes Heap.Alloc on its PLAB.
+	// safepoint through the list. ownerless is the first entry, created
+	// with the heap (see Ownerless); allocMu serializes Heap.Alloc on its
+	// PLAB.
 	allocators []*Allocator
 	ownerless  *Allocator
 	allocMu    sync.Mutex
@@ -824,13 +823,9 @@ func IsRealTop(top int) bool { return top > regionTopHumongousCont }
 // mid-cycle) — then every registered
 // allocator's PLAB and recycled hole is dropped, the dispenser forgets its
 // free list (the collector is about to rearrange the heap and republish
-// region tops through the redo log), and every pending remembered-set
-// delta is published through the heap's sink, so the collector that is
-// about to run (either flavor; both call this first) observes a complete
-// NVM→DRAM remembered set. The world must be stopped, as for the
-// collection itself.
+// region tops through the redo log). The world must be stopped, as for
+// the collection itself.
 func (h *Heap) PrepareForCollection() {
-	h.PublishRemsetDeltas()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.persistOpenTops()

@@ -35,7 +35,7 @@ type Provider struct {
 	rt *core.Runtime
 	// m is the provider's mutator, attached to the runtime's active heap at
 	// first use: DBPersistables, their strings, image reads and writes all
-	// go through its own PLAB, device view and barrier buffers.
+	// go through its own PLAB and device view.
 	m    *core.Mutator
 	db   *h2.DB
 	prof bench.Profiler

@@ -8,7 +8,7 @@ import (
 
 // Ctx is a per-goroutine operation handle over the whole set: one lazily
 // created pindex context per shard, each around its own pheap.Allocator
-// (PLAB, device view, barrier buffer) on that shard's heap. Not safe for concurrent use; give
+// (PLAB, device view) on that shard's heap. Not safe for concurrent use; give
 // each goroutine its own and Release it when done.
 //
 // Every operation is one safepoint interval on the owning shard (a pin

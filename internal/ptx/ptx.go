@@ -28,12 +28,10 @@
 // Primitive stores (WriteWord) write heap words directly; reference stores
 // (WriteRefWord) are pheap's reference-store barrier on the heap's
 // ownerless context (pheap/barrier.go), so the remembered set sees every
-// store of transactions and of the pcollections built on them, and
-// Commit, the durable publication point, publishes the remembered-set
-// deltas the safepoints have not already taken. The restore hook keeps a
-// live Abort inside that discipline: every reference slot the transaction
-// stored goes back through the barrier — the restoring store's delta
-// corrects the forward one — and Abort publishes too. Every other
+// store of transactions and of the pcollections built on them the moment
+// it lands. The restore hook keeps a live Abort inside that discipline:
+// every reference slot the transaction stored goes back through the
+// barrier, so a restored volatile value is remembered again. Every other
 // word, and everything at recovery, goes back with a plain atomic store.
 package ptx
 
@@ -206,9 +204,8 @@ func (tx *Tx) write(obj layout.Ref, boff int, val uint64, isRef bool) error {
 	return nil
 }
 
-// end finishes the transaction, once: the log commits or rolls back, the
-// remembered-set deltas are published (those a GC safepoint has not taken
-// mid-transaction), and the manager's lock is released.
+// end finishes the transaction, once: the log commits or rolls back, and
+// the manager's lock is released.
 func (tx *Tx) end(commit bool) {
 	if tx.done {
 		return
@@ -221,7 +218,6 @@ func (tx *Tx) end(commit bool) {
 		m.undo.Rollback()
 	}
 	m.pending, m.refs = m.pending[:0], m.refs[:0]
-	m.h.Ownerless().PublishRemsetDeltas()
 	m.mu.Unlock()
 }
 

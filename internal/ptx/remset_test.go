@@ -46,12 +46,12 @@ func sortedSlots(rt *core.Runtime) []layout.Ref {
 	return slots
 }
 
-// TestCommitPublishesRemsetDeltas: NVM→volatile reference stores inside
-// a transaction reach the shared remembered set at the commit point —
-// and, because the manager's delta buffer is registered on the heap, a
-// safepoint drain mid-transaction already sees the edge (it is on the
-// device, so a GC running before commit must treat it as a root).
-func TestCommitPublishesRemsetDeltas(t *testing.T) {
+// TestTxStoresRememberVolatileSlots: an NVM→volatile reference store
+// inside a transaction reaches the remembered set as it lands, before
+// the commit (it is on the device, so a GC running before commit must
+// treat it as a root), and a committed overwrite with a persistent
+// reference takes the slot out of what the set's readers see.
+func TestTxStoresRememberVolatileSlots(t *testing.T) {
 	rt, m, obj, offs := remsetWorld(t)
 	vol, err := rt.NewString("volatile", false)
 	if err != nil {
@@ -62,9 +62,8 @@ func TestCommitPublishesRemsetDeltas(t *testing.T) {
 	if err := tx.WriteRefWord(obj, offs[0], vol); err != nil {
 		t.Fatal(err)
 	}
-	// Mid-transaction, a publication point (here the snapshot's drain —
-	// the same drain a GC safepoint runs) must already observe the edge:
-	// the volatile ref is on the device and a collector cannot miss it.
+	// Mid-transaction the set already holds the edge: the volatile ref is
+	// on the device and a collector cannot miss it.
 	if n := len(rt.NVMToVolSlots()); n != 1 {
 		t.Fatalf("remset has %d slots mid-transaction, want 1 (the in-flight store is a live edge)", n)
 	}
@@ -75,8 +74,7 @@ func TestCommitPublishesRemsetDeltas(t *testing.T) {
 		t.Fatalf("remset after commit = %v, want %v", got, want)
 	}
 
-	// Overwriting with a persistent ref publishes the removal at the next
-	// commit.
+	// Overwriting with a persistent ref: the slot reads absent.
 	pers, err := rt.NewString("persistent", true)
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +89,12 @@ func TestCommitPublishesRemsetDeltas(t *testing.T) {
 	}
 }
 
-// TestAbortDiscardsRemsetDeltas: an aborted transaction's NVM→volatile
-// stores leave the remembered set exactly as it was before the
-// transaction — adds are discarded, and removals of pre-existing entries
-// are discarded too (the rollback restores the volatile value).
-func TestAbortDiscardsRemsetDeltas(t *testing.T) {
+// TestAbortRestoresRemset: an aborted transaction leaves the remembered
+// set as its readers see it exactly as it was before the transaction —
+// a slot the transaction made volatile reads absent again, and a
+// volatile slot it overwrote is volatile again (the rollback restores
+// the volatile value through the barrier).
+func TestAbortRestoresRemset(t *testing.T) {
 	rt, m, obj, offs := remsetWorld(t)
 	volA, err := rt.NewString("volA", false)
 	if err != nil {
@@ -121,12 +120,10 @@ func TestAbortDiscardsRemsetDeltas(t *testing.T) {
 		t.Fatalf("pre-state remset = %v, want 1 slot", before)
 	}
 
-	// The doomed transaction flips both slots: a volatile→persistent
-	// (a remove delta), b null→volatile (an add delta). A mid-transaction
-	// publication (the safepoint-drain case: a GC while the tx is open)
-	// sees the in-flight state — and Abort must still restore the
-	// pre-transaction set afterwards, even though its own deltas were
-	// already consumed.
+	// The doomed transaction flips both slots: a volatile→persistent,
+	// b null→volatile. A read mid-transaction (what a GC while the tx is
+	// open sees) finds the in-flight state — and Abort must still restore
+	// the pre-transaction set afterwards.
 	tx := m.Begin()
 	if err := tx.WriteRefWord(obj, offs[0], pers); err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@ import (
 )
 
 // Registry is one observability domain: a runtime, or one shard of a
-// sharded set. Cells register with it like remembered-set delta buffers
-// register with their heap — created per owner, folded only when a
+// sharded set. Cells register with it like mutators' allocators register
+// with their heap — created per owner, folded only when a
 // snapshot asks, handed back on release so no count is ever lost.
 //
 // A nil *Registry is the disabled state: every method no-ops (or

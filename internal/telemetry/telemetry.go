@@ -8,7 +8,7 @@
 // be fence-free and allocation-free, or it invalidates what it measures.
 // So the hot-path primitive here is the Cell — a cache-line-padded block
 // of counters owned by exactly one mutator, registered with the Registry
-// the same way remembered-set delta buffers register with their heap.
+// the same way a mutator's allocator registers with its heap.
 // The owner bumps counters with a load and a plain store (asym.Store64:
 // one writer per word needs neither a locked add nor sync/atomic's Store,
 // which is an XCHG on amd64) and a snapshot folds every registered cell
@@ -55,8 +55,6 @@ const (
 
 	// Reference-store barrier (subsystem refstore).
 	CtrRefStores      // reference stores into persistent objects
-	CtrRemsetPublish  // remset delta-buffer publications (commit/safepoint/overflow)
-	CtrRemsetDeltas   // individual deltas published
 	CtrSafepointWaits // collector pauses begun (safepoint write-lock acquisitions)
 
 	// Index operation mix (subsystem index).
@@ -98,8 +96,7 @@ func DevCounter(sub nvm.Subsystem, metric int) Counter {
 var opNames = [...]string{
 	"alloc.objects", "alloc.bytes", "alloc.plab_refills", "alloc.plab_retires",
 	"alloc.hole_allocs", "alloc.humongous", "alloc.headers_deferred", "alloc.headers_flush_covered",
-	"refstore.stores", "refstore.remset_publishes",
-	"refstore.remset_deltas", "safepoint.pauses",
+	"refstore.stores", "safepoint.pauses",
 	"index.gets", "index.puts", "index.deletes", "index.scans",
 	"index.help_flushes", "index.grows", "index.hint_hits", "index.hint_misses",
 	"gc.cycles", "gc.recoveries",

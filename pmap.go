@@ -24,7 +24,7 @@ type PMapOptions struct {
 // (internal/pindex), opened by name like any other root object. All
 // methods are safe for concurrent use from any goroutine: each call
 // borrows a per-goroutine operation context (one pheap.Allocator — PLAB,
-// device view, barrier buffer — and a private slot of the runtime's
+// device view — and a private slot of the runtime's
 // safepoint) from an internal pool, runs as one safepoint interval on that slot — a line no
 // other context writes — and is durable-linearizable — when Put or Delete returns, the mutation
 // has been persisted (no FlushObject call needed), and a reload after a
