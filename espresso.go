@@ -136,7 +136,6 @@ import (
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
 	"espresso/internal/pgc"
-	"espresso/internal/pheap"
 	"espresso/internal/telemetry"
 	"espresso/internal/vheap"
 )
@@ -337,14 +336,4 @@ func (rt *Runtime) CreateHeap(name string, size int) error {
 func (rt *Runtime) LoadHeap(name string) error {
 	_, err := rt.Runtime.LoadHeap(name)
 	return err
-}
-
-// Heap exposes a loaded heap by name (diagnostics, tooling).
-func (rt *Runtime) Heap(name string) (*pheap.Heap, bool) {
-	for _, h := range rt.Heaps() {
-		if h.Name() == name {
-			return h, true
-		}
-	}
-	return nil, false
 }

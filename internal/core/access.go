@@ -74,13 +74,14 @@ func (a *Accessor) exit(t safepoint.Token) {
 	}
 }
 
-// ctxOf is the one place an access's context is chosen: the mutator
-// context of the persistent heap whose image holds ref — the accessor's
-// own allocator when it has one and that heap is its heap, the heap's
-// ownerless context otherwise — or nil when no loaded heap holds ref. The
-// context always belongs to the heap holding ref: a mutator reaching into
-// another heap gets that heap's device view and telemetry, whole, so a
-// store's device ops count where that heap's do.
+// ctxOf is the one place an access's context is chosen, and the first
+// step of every access's address decode: the accessor's own allocator
+// when ref is in its heap, else the ownerless context of the heap the
+// runtime's snapshot finds for ref, else nil — and only then do callers
+// test the volatile heap. The context always belongs to the heap holding
+// ref: a mutator reaching into another heap gets that heap's device view
+// and telemetry, whole, so a store's device ops count where that heap's
+// do.
 func (a *Accessor) ctxOf(ref layout.Ref) *pheap.Allocator {
 	if a.alloc != nil && a.h.ContainsImage(ref) {
 		return a.alloc
@@ -92,33 +93,33 @@ func (a *Accessor) ctxOf(ref layout.Ref) *pheap.Allocator {
 }
 
 func (a *Accessor) getWord(ref layout.Ref, boff int) uint64 {
-	if a.rt.vol.Contains(ref) {
-		return a.rt.vol.GetWord(ref, boff)
-	}
 	if x := a.ctxOf(ref); x != nil {
 		return x.GetWord(ref, boff)
+	}
+	if a.rt.vol.Contains(ref) {
+		return a.rt.vol.GetWord(ref, boff)
 	}
 	panic(fmt.Sprintf("core: load from non-object address %#x", uint64(ref)))
 }
 
 func (a *Accessor) setWord(ref layout.Ref, boff int, v uint64) {
-	if a.rt.vol.Contains(ref) {
-		a.rt.vol.SetWord(ref, boff, v)
-		return
-	}
 	if x := a.ctxOf(ref); x != nil {
 		x.SetWord(ref, boff, v)
+		return
+	}
+	if a.rt.vol.Contains(ref) {
+		a.rt.vol.SetWord(ref, boff, v)
 		return
 	}
 	panic(fmt.Sprintf("core: store to non-object address %#x", uint64(ref)))
 }
 
 func (a *Accessor) klassOf(ref layout.Ref) (*klass.Klass, error) {
-	if a.rt.vol.Contains(ref) {
-		return a.rt.vol.KlassOf(ref)
-	}
 	if x := a.ctxOf(ref); x != nil {
 		return x.KlassOf(ref)
+	}
+	if a.rt.vol.Contains(ref) {
+		return a.rt.vol.KlassOf(ref)
 	}
 	return nil, fmt.Errorf("core: %#x is not an object address", uint64(ref))
 }

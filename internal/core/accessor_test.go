@@ -114,7 +114,7 @@ func TestAccessorSurfaceParity(t *testing.T) {
 		"Mutator": {"AllocStats", "Do", "Heap", "Release"},
 		"Runtime": {
 			// heap management (Table 1) and housekeeping
-			"ActiveHeap", "Close", "CreateHeap", "ExistsHeap", "Heaps", "LoadHeap", "SetActiveHeap", "SyncHeap",
+			"ActiveHeap", "Close", "CreateHeap", "ExistsHeap", "Heap", "Heaps", "LoadHeap", "SetActiveHeap", "SyncHeap",
 			"NameManager", "StringKlass", "Volatile", "InPersistent", "InVolatile",
 			// collectors
 			"FullGC", "MinorGC", "PersistentGC",
@@ -156,29 +156,38 @@ func TestAccessorSurfaceParity(t *testing.T) {
 
 // --- one table of the whole surface, driven two ways below ---
 
-// surfaceWorld is a runtime with one heap and a fixture every row of the
-// table operates on, built through the receiver under test and reachable
-// from named roots (a collection may move it).
+// surfaceWorld is a runtime with the heap under test and a fixture every
+// row of the table operates on, built through the receiver under test and
+// reachable from named roots (a collection may move it). Beside them is
+// one address of each other kind the decode tells apart: a person in
+// another loaded heap and one in the volatile old generation, both built
+// ownerless, and two addresses nothing maps.
 type surfaceWorld struct {
-	t      testing.TB
-	rt     *Runtime
-	h      *pheap.Heap
-	person *klass.Klass
-	node   *klass.Klass
-	idF    FieldRef
-	nameF  FieldRef
-	nextF  FieldRef
+	t        testing.TB
+	rt       *Runtime
+	h        *pheap.Heap
+	other    *pheap.Heap
+	person   *klass.Klass
+	node     *klass.Klass
+	idF      FieldRef
+	nameF    FieldRef
+	nextF    FieldRef
+	vold     Handle
+	unmapped []layout.Ref
 }
 
 // fixture is the world's objects as currently placed.
 type fixture struct {
 	person, name, people, longs, bytes, chain layout.Ref // persistent
-	vperson                                   layout.Ref // volatile
+	operson                                   layout.Ref // in the other heap
+	vperson, vold                             layout.Ref // volatile: eden, old
 }
 
 const (
 	fxName     = "Jimmy Woo"
 	fxID       = 1001
+	fxOtherID  = 2002
+	fxOldID    = 3003
 	fxChainLen = 4
 )
 
@@ -189,16 +198,31 @@ var (
 
 func newSurfaceWorld(t testing.TB) *surfaceWorld {
 	t.Helper()
-	rt, err := NewRuntime(Config{PJHDataSize: 1 << 20, NVMMode: nvm.Tracked,
-		Volatile: vheap.Config{EdenSize: 256 << 10, SurvivorSize: 64 << 10, OldSize: 256 << 10}})
+	vcfg := vheap.Config{EdenSize: 256 << 10, SurvivorSize: 64 << 10, OldSize: 256 << 10}
+	rt, err := NewRuntime(Config{PJHDataSize: 1 << 20, NVMMode: nvm.Tracked, Volatile: vcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := rt.CreateHeap("surface", 0)
-	if err != nil {
+	w := &surfaceWorld{t: t, rt: rt, person: personKlass(t, rt), unmapped: []layout.Ref{
+		layout.YoungBase + layout.Ref(vcfg.EdenSize+2*vcfg.SurvivorSize), // past the survivors, below old
+		layout.DefaultPJHBase - 8, // below the first heap
+	}}
+	if w.other, err = rt.CreateHeap("other", 0); err != nil {
 		t.Fatal(err)
 	}
-	w := &surfaceWorld{t: t, rt: rt, h: h, person: personKlass(t, rt)}
+	operson := w.ref(rt.PNew(w.person, 0))
+	w.must(rt.SetLong(operson, "id", fxOtherID))
+	w.must(rt.SetRoot("other", operson))
+	vold := w.ref(rt.New(w.person, 0))
+	w.must(rt.SetLong(vold, "id", fxOldID))
+	w.vold = rt.NewHandle(vold)
+	w.must(rt.FullGC()) // tenures it
+	if !rt.Volatile().InOld(rt.Get(w.vold)) {
+		t.Fatal("the volatile person is not in the old generation")
+	}
+	if w.h, err = rt.CreateHeap("surface", 0); err != nil {
+		t.Fatal(err)
+	}
 	w.node = klass.MustInstance("surface/Node", nil,
 		klass.Field{Name: "v", Type: layout.FTLong},
 		klass.Field{Name: "next", Type: layout.FTRef, RefKlass: "surface/Node"})
@@ -252,8 +276,10 @@ func (w *surfaceWorld) build(s surface) {
 	}
 }
 
-// fixture finds the world's objects where they are now; the volatile
-// person is made fresh (nothing roots one across calls).
+// fixture finds the world's objects where they are now; the eden person
+// is made fresh (nothing roots one across calls). The old one is read
+// through its handle, a safepoint interval of the runtime's own: fixture
+// runs where no pause is pending.
 func (w *surfaceWorld) fixture(s surface) fixture {
 	w.t.Helper()
 	root := func(name string) layout.Ref {
@@ -264,10 +290,28 @@ func (w *surfaceWorld) fixture(s surface) fixture {
 		return ref
 	}
 	fx := fixture{person: root("person"), people: root("people"), longs: root("longs"),
-		bytes: root("bytes"), chain: root("chain")}
+		bytes: root("bytes"), chain: root("chain"), operson: root("other"), vold: w.rt.Get(w.vold)}
 	fx.name = w.ref(s.GetRef(fx.person, "name"))
 	fx.vperson = w.ref(s.New(w.person, 0))
 	return fx
+}
+
+// decodeRefs is one address of each kind the decode tells apart: four
+// persons — the heap under test's, the other heap's, eden's, old's — then
+// the unmapped addresses.
+func (w *surfaceWorld) decodeRefs(fx fixture) []layout.Ref {
+	return append([]layout.Ref{fx.person, fx.operson, fx.vperson, fx.vold}, w.unmapped...)
+}
+
+// panicOf runs f and returns what it panicked with, "" if it returned.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 // verify checks the fixture still holds what build put there (every row
@@ -313,9 +357,20 @@ func surfaceRows() []surfaceRow {
 	show := func(vs ...any) string { return fmt.Sprint(vs...) }
 	return []surfaceRow{
 		{method: "KlassOf", call: func(s surface, w *surfaceWorld, fx fixture) string {
-			k, err := s.KlassOf(fx.person)
-			vk, verr := s.KlassOf(fx.vperson)
-			return show(k.Name, err, vk.Name, verr)
+			var out []any
+			for i, ref := range w.decodeRefs(fx) {
+				k, err := s.KlassOf(ref)
+				name := ""
+				if k != nil {
+					name = k.Name
+				}
+				if mapped := i < 4; mapped && (err != nil || name != w.person.Name) ||
+					!mapped && (err == nil || !strings.Contains(err.Error(), "not an object address")) {
+					w.t.Errorf("KlassOf(%#x) = %q, %v", uint64(ref), name, err)
+				}
+				out = append(out, name, err)
+			}
+			return show(out...)
 		}},
 		{method: "New", call: func(s surface, w *surfaceWorld, fx fixture) string {
 			ref, err := s.New(w.person, 0)
@@ -359,7 +414,13 @@ func surfaceRows() []surfaceRow {
 		{method: "GetLong", call: func(s surface, w *surfaceWorld, fx fixture) string {
 			v, err := s.GetLong(fx.person, "id")
 			_, nerr := s.GetLong(fx.person, "nosuch")
-			return show(v, err, nerr)
+			ov, oerr := s.GetLong(fx.operson, "id")
+			vv, verr := s.GetLong(fx.vold, "id")
+			_, uerr := s.GetLong(w.unmapped[0], "id")
+			if ov != fxOtherID || oerr != nil || vv != fxOldID || verr != nil || uerr == nil {
+				w.t.Errorf("GetLong: other heap %d, %v; old %d, %v; unmapped %v", ov, oerr, vv, verr, uerr)
+			}
+			return show(v, err, nerr, ov, oerr, vv, verr, uerr)
 		}},
 		{method: "SetLong", call: func(s surface, w *surfaceWorld, fx fixture) string {
 			return show(s.SetLong(fx.person, "id", fxID), s.SetLong(fx.vperson, "id", 7))
@@ -388,7 +449,19 @@ func surfaceRows() []surfaceRow {
 			return show(s.SetLongElem(fx.longs, 3, fxLongs[3]), s.SetLongElem(fx.person, 0, 1))
 		}},
 		{method: "GetLongFast", call: func(s surface, w *surfaceWorld, fx fixture) string {
-			return show(s.GetLongFast(fx.person, w.idF))
+			got := []int64{s.GetLongFast(fx.person, w.idF), s.GetLongFast(fx.operson, w.idF), s.GetLongFast(fx.vold, w.idF)}
+			if !slices.Equal(got, []int64{fxID, fxOtherID, fxOldID}) {
+				w.t.Errorf("GetLongFast ids %v", got)
+			}
+			var panics []string
+			for _, ref := range w.unmapped {
+				msg := panicOf(func() { s.GetLongFast(ref, w.idF) })
+				if !strings.Contains(msg, "non-object address") {
+					w.t.Errorf("GetLongFast(unmapped %#x) panicked with %q", uint64(ref), msg)
+				}
+				panics = append(panics, msg)
+			}
+			return show(got, panics)
 		}},
 		{method: "SetLongFast", call: func(s surface, w *surfaceWorld, fx fixture) string {
 			s.SetLongFast(fx.person, w.idF, fxID)
@@ -486,11 +559,14 @@ func TestSurfaceTableIsWhole(t *testing.T) {
 // identically built heaps: what the method returns and what it costs the
 // device must not depend on the receiver, and on a mutator the traffic
 // must be in its own view — the device total moves by exactly what the
-// view counted, so nothing took the ownerless path.
+// view counted, so nothing took the ownerless path. Traffic on the other
+// heap is the other way round: no context owns a view of its device, so
+// all of it is that heap's ownerless traffic, and it must be the same
+// whoever reads — none of it in the mutator's view.
 func TestOwnedOwnerlessEquivalence(t *testing.T) {
 	type outcome struct {
-		result string
-		dev    nvm.Stats
+		result     string
+		dev, other nvm.Stats
 	}
 	run := func(owned, inDo bool) []outcome {
 		w := newSurfaceWorld(t)
@@ -509,14 +585,14 @@ func TestOwnedOwnerlessEquivalence(t *testing.T) {
 		for _, row := range surfaceRows() {
 			do := func() {
 				fx := w.fixture(s)
-				dev0 := w.h.Device().Stats()
+				dev0, other0 := w.h.Device().Stats(), w.other.Device().Stats()
 				var own0 nvm.Ops
 				if owned {
 					own0 = m.alloc.Ops()
 				}
 				result := row.call(s, w, fx)
-				dev := w.h.Device().Stats().Sub(dev0)
-				out = append(out, outcome{result, dev})
+				dev, other := w.h.Device().Stats().Sub(dev0), w.other.Device().Stats().Sub(other0)
+				out = append(out, outcome{result, dev, other})
 				if owned && !row.heapLevel {
 					own := m.alloc.Ops()
 					got := devOps{own.Reads - own0.Reads, own.Writes - own0.Writes,
@@ -546,6 +622,9 @@ func TestOwnedOwnerlessEquivalence(t *testing.T) {
 			}
 			if other.got.dev != ownerless[i].dev {
 				t.Errorf("%s: device delta\n Runtime %+v\n %s %+v", row.method, ownerless[i].dev, other.name, other.got.dev)
+			}
+			if other.got.other != ownerless[i].other {
+				t.Errorf("%s: other heap's device delta\n Runtime %+v\n %s %+v", row.method, ownerless[i].other, other.name, other.got.other)
 			}
 		}
 	}

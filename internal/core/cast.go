@@ -30,7 +30,7 @@ func (rt *Runtime) klassByAddr(addr layout.Ref) (*klass.Klass, bool) {
 	if klass.IsMetaAddr(addr) {
 		return rt.Reg.ByMetaAddr(addr)
 	}
-	for _, h := range rt.heaps {
+	for _, h := range rt.Heaps() {
 		if k, ok := h.KlassByAddr(addr); ok {
 			return k, ok
 		}

@@ -479,7 +479,7 @@ func TestRebaseOnAddressCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ha := rt.heapByName["alpha"]
+	ha, _ := rt.Heap("alpha")
 	if hb.Base() < ha.Limit() && ha.Base() < hb.Limit() {
 		t.Fatal("loaded heaps overlap after rebase")
 	}

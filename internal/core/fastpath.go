@@ -154,18 +154,18 @@ func (a *Accessor) WriteLongs(arr layout.Ref, start int, src []int64) error {
 	}
 	// Encoded in place for a volatile array, staged for one device write
 	// for a persistent one.
-	vol := a.rt.vol.Contains(arr)
+	x := a.ctxOf(arr)
 	var b []byte
-	if vol {
-		b = a.rt.vol.Bytes(arr, boff, len(src)*8)
-	} else {
+	if x != nil {
 		b = make([]byte, len(src)*8)
+	} else {
+		b = a.rt.vol.Bytes(arr, boff, len(src)*8)
 	}
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
 	}
-	if !vol {
-		a.ctxOf(arr).WriteBytesAt(arr, boff, b)
+	if x != nil {
+		x.WriteBytesAt(arr, boff, b)
 	}
 	return nil
 }
@@ -198,21 +198,21 @@ func (a *Accessor) WriteBytes(arr layout.Ref, start int, src []byte) error {
 // objects it is a window over the backing store; for persistent objects
 // it is one accounted device read into a fresh buffer.
 func (a *Accessor) readBytes(ref layout.Ref, boff, n int) []byte {
-	if a.rt.vol.Contains(ref) {
-		return a.rt.vol.Bytes(ref, boff, n)
+	if x := a.ctxOf(ref); x != nil {
+		b := make([]byte, n)
+		x.ReadBytesAt(ref, boff, b)
+		return b
 	}
-	b := make([]byte, n)
-	a.ctxOf(ref).ReadBytesAt(ref, boff, b)
-	return b
+	return a.rt.vol.Bytes(ref, boff, n)
 }
 
 // writeBytes stores p at boff of the object at ref: a copy into the
 // backing store for a volatile object, one accounted device write for a
 // persistent one.
 func (a *Accessor) writeBytes(ref layout.Ref, boff int, p []byte) {
-	if a.rt.vol.Contains(ref) {
-		copy(a.rt.vol.Bytes(ref, boff, len(p)), p)
+	if x := a.ctxOf(ref); x != nil {
+		x.WriteBytesAt(ref, boff, p)
 		return
 	}
-	a.ctxOf(ref).WriteBytesAt(ref, boff, p)
+	copy(a.rt.vol.Bytes(ref, boff, len(p)), p)
 }

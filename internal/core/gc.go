@@ -168,7 +168,7 @@ func (w worldLocker) StartWorld() { w.rt.world.Start() }
 // remembered set is pruned first, with the world stopped and outside the
 // collection's device window, for rebuildNVMRemset.
 func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
-	h, ok := rt.heapByName[name]
+	h, ok := rt.Heap(name)
 	if !ok {
 		return pgc.Result{}, fmt.Errorf("core: heap %q is not loaded", name)
 	}

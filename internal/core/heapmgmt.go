@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"espresso/internal/layout"
 	"espresso/internal/pgc"
@@ -58,7 +60,7 @@ func (rt *Runtime) reserveBase() layout.Ref {
 		base := rt.nextBase
 		rt.nextBase += window
 		occupied := false
-		for _, h := range rt.heaps {
+		for _, h := range rt.Heaps() {
 			if base < h.Limit() && h.Base() < base+window {
 				occupied = true
 				break
@@ -75,8 +77,8 @@ func (rt *Runtime) reserveBase() layout.Ref {
 // records in place, finish any interrupted collection, and apply the
 // configured safety level. The loaded heap becomes the active pnew target.
 func (rt *Runtime) LoadHeap(name string) (*pheap.Heap, error) {
-	if h, ok := rt.heapByName[name]; ok {
-		rt.active = h
+	if h, ok := rt.Heap(name); ok {
+		rt.active.Store(h)
 		return h, nil // already mapped in this runtime
 	}
 	dev, err := rt.mgr.Device(name)
@@ -151,7 +153,7 @@ func (a *Accessor) SetRoot(name string, ref layout.Ref) error {
 // otherwise.
 func (a *Accessor) GetRoot(name string) (layout.Ref, bool) {
 	defer a.exit(a.enter())
-	for _, h := range a.rt.heaps {
+	for _, h := range a.rt.Heaps() {
 		x := h.Access
 		if h == a.h {
 			x = a.alloc.Access
@@ -164,20 +166,31 @@ func (a *Accessor) GetRoot(name string) (layout.Ref, bool) {
 }
 
 // ActiveHeap returns the current pnew target.
-func (rt *Runtime) ActiveHeap() *pheap.Heap { return rt.active }
+func (rt *Runtime) ActiveHeap() *pheap.Heap { return rt.active.Load() }
 
 // SetActiveHeap selects which loaded heap pnew allocates into.
 func (rt *Runtime) SetActiveHeap(name string) error {
-	h, ok := rt.heapByName[name]
+	h, ok := rt.Heap(name)
 	if !ok {
 		return fmt.Errorf("core: heap %q is not loaded", name)
 	}
-	rt.active = h
+	rt.active.Store(h)
 	return nil
 }
 
-// Heaps lists the loaded persistent heaps.
-func (rt *Runtime) Heaps() []*pheap.Heap { return append([]*pheap.Heap(nil), rt.heaps...) }
+// Heaps lists the loaded persistent heaps, sorted by base address. It is
+// the runtime's own snapshot, not a copy: callers must not modify it.
+func (rt *Runtime) Heaps() []*pheap.Heap { return *rt.heaps.Load() }
+
+// Heap finds a loaded heap by name.
+func (rt *Runtime) Heap(name string) (*pheap.Heap, bool) {
+	for _, h := range rt.Heaps() {
+		if h.Name() == name {
+			return h, true
+		}
+	}
+	return nil, false
+}
 
 // SyncHeap writes a heap's persisted image to the name manager's backing
 // store (a shutdown msync; meaningful when HeapDir is configured). It
@@ -195,7 +208,7 @@ func (rt *Runtime) Close() {
 	defer rt.gcMu.Unlock()
 	rt.world.Stop()
 	defer rt.world.Start()
-	for _, h := range rt.heaps {
+	for _, h := range rt.Heaps() {
 		h.PersistTops()
 	}
 }
@@ -206,16 +219,14 @@ func (rt *Runtime) attach(h *pheap.Heap) {
 	h.SetRemsetSink(remsetSink{rt})
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.heaps = append(rt.heaps, h)
-	for i := len(rt.heaps) - 1; i > 0 && rt.heaps[i-1].Base() > rt.heaps[i].Base(); i-- {
-		rt.heaps[i-1], rt.heaps[i] = rt.heaps[i], rt.heaps[i-1]
-	}
-	rt.heapByName[h.Name()] = h
-	rt.active = h
+	hs := append(slices.Clone(rt.Heaps()), h)
+	slices.SortFunc(hs, func(x, y *pheap.Heap) int { return cmp.Compare(x.Base(), y.Base()) })
+	rt.heaps.Store(&hs)
+	rt.active.Store(h)
 }
 
 func (rt *Runtime) overlaps(h *pheap.Heap) *pheap.Heap {
-	for _, other := range rt.heaps {
+	for _, other := range rt.Heaps() {
 		if h.Base() < other.Limit() && other.Base() < h.Limit() {
 			return other
 		}

@@ -53,7 +53,7 @@ type Mutator struct {
 
 // NewMutator attaches a new mutator context to the active heap.
 func (rt *Runtime) NewMutator() (*Mutator, error) {
-	h := rt.active
+	h := rt.active.Load()
 	if h == nil {
 		return nil, fmt.Errorf("core: no persistent heap loaded")
 	}

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"espresso/internal/klass"
@@ -156,4 +160,107 @@ func TestMutatorStoreIntoOtherHeap(t *testing.T) {
 			t.Fatalf("%d of %d chain nodes survived B's collections", len(seen), n)
 		}
 	})
+}
+
+// TestHeapAttachBesideAccessors: the runtime's heap list is read on every
+// ownerless access and allocation, from any goroutine, while CreateHeap,
+// LoadHeap and SetActiveHeap change it. One goroutine reads objects of
+// two heaps in turn, so each read looks its heap up again; another
+// allocates in whatever heap is active; the test goroutine meanwhile
+// attaches five heaps and switches the active one. Under -race, any
+// unsynchronised read of the list or of the active heap is reported.
+func TestHeapAttachBesideAccessors(t *testing.T) {
+	dir := t.TempDir()
+	src := newRT(t, Config{HeapDir: dir, PJHDataSize: 1 << 20})
+	if _, err := src.CreateHeap("synced", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SyncHeap("synced"); err != nil {
+		t.Fatal(err)
+	}
+
+	rt := newRT(t, Config{HeapDir: dir})
+	p := personKlass(t, rt)
+	var objs [2]layout.Ref
+	for i, name := range []string{"a", "b"} {
+		if _, err := rt.CreateHeap(name, 0); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := rt.PNew(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.SetLong(ref, "id", int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		objs[i] = ref
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var started sync.WaitGroup
+	wg.Add(2)
+	started.Add(2)
+	go func() {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			i := n % 2
+			if id, err := rt.GetLong(objs[i], "id"); err != nil || id != int64(i) {
+				t.Errorf("object in heap %d read id %d, err %v", i, id, err)
+				return
+			}
+			if n == 1 {
+				started.Done()
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			if _, err := rt.PNew(p, 0); err != nil {
+				t.Errorf("pnew beside attach: %v", err)
+				return
+			}
+			if n == 0 {
+				started.Done()
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	started.Wait()
+	for i := 0; i < 4; i++ {
+		if _, err := rt.CreateHeap(fmt.Sprintf("c%d", i), 0); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, err := rt.LoadHeap("synced"); err != nil {
+		t.Error(err)
+	}
+	if err := rt.SetActiveHeap("b"); err != nil {
+		t.Error(err)
+	}
+	close(stop)
+	wg.Wait()
+
+	heaps := rt.Heaps()
+	if len(heaps) != 7 || !slices.IsSortedFunc(heaps, func(x, y *pheap.Heap) int { return cmp.Compare(x.Base(), y.Base()) }) {
+		t.Fatalf("%d heaps, sorted by base: want 7, sorted", len(heaps))
+	}
+	for _, name := range []string{"a", "b", "c0", "c1", "c2", "c3", "synced"} {
+		if h, ok := rt.Heap(name); !ok || h.Name() != name {
+			t.Errorf("heap %q not found by name", name)
+		}
+	}
+	if h := rt.ActiveHeap(); h == nil || h.Name() != "b" {
+		t.Errorf("active heap %v, want b", h)
+	}
 }

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,15 +124,14 @@ type Runtime struct {
 	vol *vheap.Heap
 	mgr *namemgr.Manager
 
-	heaps      []*pheap.Heap // sorted by base address
-	heapByName map[string]*pheap.Heap
-	active     *pheap.Heap // target of PNew
-	nextBase   layout.Ref
-
-	// lastHeap is a one-entry cache over heapOf's binary search: almost
-	// every access run stays within one heap, so the common case is a
-	// pair of bounds checks instead of a sort.Search.
-	lastHeap atomic.Pointer[pheap.Heap]
+	// heaps is the runtime's address map: the loaded persistent heaps,
+	// sorted by base address, as an immutable snapshot. attach publishes
+	// a new one under mu and never edits a published one, so readers on
+	// any goroutine scan it without a lock. The volatile heap's fixed
+	// ranges are not in it: an access tests them only after a miss here.
+	heaps    atomic.Pointer[[]*pheap.Heap]
+	active   atomic.Pointer[pheap.Heap] // target of an ownerless PNew
+	nextBase layout.Ref
 
 	handles     []layout.Ref
 	freeHandles []int
@@ -170,15 +168,15 @@ const StringKlassName = "java/lang/String"
 func NewRuntime(cfg Config) (*Runtime, error) {
 	reg := klass.NewRegistry()
 	rt := &Runtime{
-		cfg:        cfg,
-		Reg:        reg,
-		vol:        vheap.New(reg, cfg.Volatile),
-		mgr:        namemgr.New(cfg.HeapDir, cfg.NVMMode),
-		heapByName: make(map[string]*pheap.Heap),
-		nvmToVol:   newRemset(),
-		cp:         klass.NewConstantPool(),
-		nextBase:   layout.DefaultPJHBase,
+		cfg:      cfg,
+		Reg:      reg,
+		vol:      vheap.New(reg, cfg.Volatile),
+		mgr:      namemgr.New(cfg.HeapDir, cfg.NVMMode),
+		nvmToVol: newRemset(),
+		cp:       klass.NewConstantPool(),
+		nextBase: layout.DefaultPJHBase,
 	}
+	rt.heaps.Store(new([]*pheap.Heap))
 	rt.Accessor.rt, rt.Accessor.slot = rt, rt.world.Shared()
 	if cfg.Telemetry {
 		rt.tel = telemetry.New()
@@ -256,17 +254,14 @@ func (rt *Runtime) NameManager() *namemgr.Manager { return rt.mgr }
 // StringKlass returns the built-in string class.
 func (rt *Runtime) StringKlass() *klass.Klass { return rt.stringKlass }
 
-// heapOf locates the persistent heap containing ref, or nil. A one-entry
-// last-heap cache short-circuits the binary search: the bounds are
-// re-checked on every hit, so a stale entry can only miss, never lie.
+// heapOf locates the loaded persistent heap whose image holds ref, or nil:
+// a scan of the heap snapshot. Each heap sits at its own address hint
+// (paper §3), so the scan is a few bounds tests.
 func (rt *Runtime) heapOf(ref layout.Ref) *pheap.Heap {
-	if h := rt.lastHeap.Load(); h != nil && ref >= h.Base() && ref < h.Limit() {
-		return h
-	}
-	i := sort.Search(len(rt.heaps), func(i int) bool { return rt.heaps[i].Limit() > ref })
-	if i < len(rt.heaps) && ref >= rt.heaps[i].Base() {
-		rt.lastHeap.Store(rt.heaps[i])
-		return rt.heaps[i]
+	for _, h := range rt.Heaps() {
+		if h.ContainsImage(ref) {
+			return h
+		}
 	}
 	return nil
 }
@@ -342,7 +337,7 @@ func (a *Accessor) PNew(k *klass.Klass, arrayLen int) (layout.Ref, error) {
 func (a *Accessor) pnew(k *klass.Klass, arrayLen int, init func(x *pheap.Allocator, ref layout.Ref)) (layout.Ref, error) {
 	h := a.h
 	if h == nil {
-		if h = a.rt.active; h == nil {
+		if h = a.rt.active.Load(); h == nil {
 			return 0, fmt.Errorf("core: pnew %s: no persistent heap loaded", k.Name)
 		}
 	}
