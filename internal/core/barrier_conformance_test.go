@@ -291,10 +291,11 @@ func barrierRows() []barrierRow {
 				return barrierSite{obj: indexNode(w, 7), boff: layout.FieldOff(2),
 					store: func(val layout.Ref) { w.check(c.Put(7, val)) }}
 			}},
-		// Delete of the list's last node: the mark over its null next, then
-		// the unlink from its predecessor.
+		// Delete of the list's last node: the mark over its null next (one
+		// line, one fence), then the unlink from its predecessor, a lazy CAS
+		// that flushes nothing.
 		barrierRow{name: "pindex.Delete unlink", kinds: []valKind{toNull},
-			dev: devOps{12, 4, 2, 2},
+			dev: devOps{11, 3, 1, 1},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
 				c := indexSite(w)
 				for k := int64(1); k <= 3; k++ {

@@ -71,6 +71,14 @@ const (
 // carry the tag over unchanged.
 const RefTagMask = Ref(ObjAlign - 1)
 
+// RefLazy is the one tag the persistent collector acts on: this slot's
+// current value may not be durable, and its persisted value reaches the
+// same live objects only through objects whose delete marks are durable
+// (a pindex unlink, which skips a logically deleted node without
+// flushing). A collection persists every RefLazy slot it traces, clearing
+// the tag, before it frees or moves anything (internal/pgc).
+const RefLazy Ref = 4
+
 // UntagRef strips the low tag bits, yielding the object address.
 func UntagRef(r Ref) Ref { return r &^ RefTagMask }
 

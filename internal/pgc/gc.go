@@ -53,6 +53,9 @@ type Result struct {
 	// the gcpause experiment's workers axis gates on.
 	MarkWorkerStats []nvm.Stats
 	CompactStats    nvm.Stats
+	// LazyPersisted is how many layout.RefLazy slots the cycle persisted
+	// before it moved anything (runTail).
+	LazyPersisted int
 	// MarkWorkerTimes[w] is mark worker w's productive tracing time
 	// (loop wall time minus termination-barrier parking). Skew across
 	// the slice means uneven work division — the signal the device-stat
@@ -71,10 +74,11 @@ type Result struct {
 //
 // Marking runs on runtime.GOMAXPROCS(0) workers, as Parallel Scavenge's
 // old-generation mark runs on its GC threads; it issues no flush, and its
-// result — the mark bitmap, the counts, the outgoing-reference summary —
-// is the same for every worker count. Summary and compaction run on one
-// worker, so a collection's flushes come in one fixed order, which the
-// crash sweeps that crash Collect at its k-th flush rely on.
+// result — the mark bitmap, the counts, the outgoing-reference summary,
+// the lazy slots — is the same for every worker count. The lazy-slot
+// batch, summary and compaction run on one goroutine, so a collection's
+// flushes come in one fixed order, which the crash sweeps that crash
+// Collect at its k-th flush rely on.
 func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	if !h.TryBeginCollection() {
 		return Result{}, fmt.Errorf("pgc: another collection of this heap is already running")
@@ -130,11 +134,47 @@ type tail struct {
 	sumStart, compactStart, redoStart time.Time
 	sumTime, compactTime, redoTime    time.Duration
 	redoStats                         nvm.Stats
+	lazy                              int // slots persistLazy persisted
+}
+
+// persistLazy makes every lazy link the marker traced durable: it clears
+// RefLazy in each slot and writes the slots' lines back in ascending
+// device order, then fences once. It runs on the collector's goroutine,
+// so the order is the same at every GOMAXPROCS, and issues no device op
+// when there is nothing to persist.
+//
+// Why this is the only flush a lazy link ever needs (Px86): a lazy link
+// (internal/pindex) skips only nodes whose delete marks were read durable,
+// so the slot's persisted value reaches the same live objects through
+// them, and recovery prunes them. The skipped nodes are unreachable now,
+// so this cycle frees them — but only after the fence below: the
+// summary and compaction come later, and a crash before the fence
+// leaves the heap as it was, not mid-collection. The marker read each
+// word with the world stopped, so the word it recorded is still the
+// slot's value.
+func persistLazy(h *pheap.Heap, slots []marker.LazySlot) int {
+	if len(slots) == 0 {
+		return 0
+	}
+	dev := h.Device()
+	lines := make([]nvm.Range, len(slots))
+	for i, sl := range slots {
+		dev.WriteU64(sl.Off, sl.W&^uint64(layout.RefLazy))
+		lines[i] = nvm.LineRange(sl.Off, 8)
+	}
+	for _, r := range nvm.MergeRanges(lines) {
+		dev.Flush(r.Off, r.N)
+	}
+	dev.Fence()
+	return len(slots)
 }
 
 // runTail takes a cycle from a complete mark to a republished heap, with
 // the world stopped:
 //
+//  0. persist the lazy links the marker found (persistLazy). Nothing
+//     after this may free or move an object the persisted links still
+//     reach and the volatile ones skip.
 //  1. persist both bitmaps. The mark bitmap is the pre-collection sketch
 //     of the heap; the cleared region bitmap must be durable before the
 //     heap is stamped active, or recovery could trust stale region bits
@@ -155,6 +195,7 @@ type tail struct {
 func runTail(h *pheap.Heap, ext Rooter, mk *marker.Marker) (*tail, error) {
 	fr := h.FlightRecorder()
 	liveObjects, liveBytes := mk.Counts()
+	t := &tail{lazy: persistLazy(h, mk.LazySlots())}
 	h.PersistMarkBitmapUsed()
 	h.RegionBitmap().Persist()
 	fr.Append(blackbox.EvGCMarkDone, uint64(liveObjects), uint64(liveBytes), 0)
@@ -163,7 +204,7 @@ func runTail(h *pheap.Heap, ext Rooter, mk *marker.Marker) (*tail, error) {
 	h.SetGCState(cur, true)
 	fr.Append(blackbox.EvGCStamp, cur, uint64(liveObjects), uint64(liveBytes))
 
-	t := &tail{sumStart: time.Now()}
+	t.sumStart = time.Now()
 	s, err := summarizeInto(h, keptMoves(h, liveObjects))
 	if err == nil && (s.LiveObjects != liveObjects || s.LiveBytes != liveBytes) {
 		err = fmt.Errorf("pgc: summary disagrees with marking: %d/%d objects, %d/%d bytes",
@@ -220,6 +261,7 @@ func (t *tail) report(h *pheap.Heap, mk *marker.Marker, markStart time.Time, gcS
 		NewTop:          t.s.NewTop,
 		MarkWorkerStats: mk.MarkWorkerStats(),
 		CompactStats:    t.cr.stats,
+		LazyPersisted:   t.lazy,
 		MarkWorkerTimes: mk.MarkWorkerTimes(),
 	}
 }

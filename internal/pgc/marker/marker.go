@@ -30,11 +30,17 @@
 // by exactly one worker no matter how many stacks it was pushed onto.
 // With workers=1 no goroutine is started and nothing is ever shared: the
 // worker pops its stack until it is empty.
+//
+// The marker writes nothing to the heap. What it notes on the way is the
+// slots that carry layout.RefLazy — links whose current value may not be
+// durable — each on its worker's private list, so the collector can
+// persist them, in one fixed order, before anything moves (LazySlots).
 package marker
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,7 +110,8 @@ type workerState struct {
 	bm          *pheap.Bitmap
 	liveObjects int
 	liveBytes   int
-	scanTick    int // scans since the last voluntary yield
+	lazy        []LazySlot // the RefLazy slots this worker scanned
+	scanTick    int        // scans since the last voluntary yield
 	// busy is this worker's wall time inside workerLoop; parked is the
 	// portion spent in the idle barrier. busy − parked is the worker's
 	// productive time — the skew signal Result.MarkWorkerTimes reports
@@ -214,6 +221,26 @@ func (m *Marker) MarkWorkerTimes() []time.Duration {
 	return times
 }
 
+// LazySlot is a reference slot the trace read with layout.RefLazy set:
+// its device offset and the word it held.
+type LazySlot struct {
+	Off int
+	W   uint64
+}
+
+// LazySlots merges the workers' lazy-slot lists in ascending device
+// order. Every slot is scanned by exactly one worker, so the list has no
+// duplicates and is the same for every pool size. Valid once marking is
+// complete.
+func (m *Marker) LazySlots() []LazySlot {
+	var all []LazySlot
+	for _, w := range m.ws {
+		all = append(all, w.lazy...)
+	}
+	slices.SortFunc(all, func(a, b LazySlot) int { return a.Off - b.Off })
+	return all
+}
+
 // MaxOutgoing exposes the per-card outgoing-reference summary (see the
 // Marker field docs). Valid once marking is complete.
 func (m *Marker) MaxOutgoing() []int {
@@ -267,9 +294,9 @@ func (m *Marker) sizeOf(w *workerState, off int) (*klass.Klass, int, error) {
 }
 
 // scan blackens the object at ref on worker w: claim its begin mark bit,
-// set its end bit, count it, summarize and gray its referents. The claim
-// is the dedup — of all workers holding ref on some stack, exactly one
-// sees the bit flip and scans.
+// set its end bit, count it, note its lazy slots, summarize and gray its
+// referents. The claim is the dedup — of all workers holding ref on some
+// stack, exactly one sees the bit flip and scans.
 func (m *Marker) scan(w *workerState, ref layout.Ref) error {
 	off := m.h.OffOf(ref)
 	bit := (off - m.dataOff) / layout.WordSize
@@ -285,7 +312,11 @@ func (m *Marker) scan(w *workerState, ref layout.Ref) error {
 	w.liveBytes += size
 	srcCard := (off - m.dataOff) / CardBytes
 	pheap.RefSlots(w.wd, off, k, func(slotBoff int) {
-		v := layout.UntagRef(layout.Ref(w.wd.ReadU64(off + slotBoff)))
+		raw := w.wd.ReadU64(off + slotBoff)
+		if layout.Ref(raw)&layout.RefLazy != 0 { // a null successor can be lazy too
+			w.lazy = append(w.lazy, LazySlot{off + slotBoff, raw})
+		}
+		v := layout.UntagRef(layout.Ref(raw))
 		if v != layout.NullRef && m.h.Contains(v) {
 			tgt := m.h.OffOf(v)
 			m.noteOutgoing(srcCard, tgt)

@@ -217,8 +217,17 @@ func TestParallelMarkCountsWideGraph(t *testing.T) {
 // heap image bit for bit — marking publishes idempotent bitmap bits and
 // the summary is a pure function of the bitmap — and the same flushes in
 // the same order: the crash sweeps that crash Collect at its k-th flush
-// depend on that.
+// depend on that. The second heap holds lazy links — every third
+// reference slot, null ones included, tagged layout.RefLazy and left
+// unflushed — which the workers find in whatever order they trace and
+// the collector persists in one.
 func TestCollectParallelWorkersByteIdentical(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) { collectByteIdentical(t, lazy) })
+	}
+}
+
+func collectByteIdentical(t *testing.T, lazy bool) {
 	// A large graph with scattered garbage spans three regions, so the
 	// fill pass writes fillers in several; the belt above it makes the
 	// graph above the belt move.
@@ -227,6 +236,17 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 		buildGraph(t, h, reg, 76, 12000, 12)
 		buildGarbageBelt(t, h, reg, 6000)
 		buildGraph(t, h, reg, 77, 600, 6)
+		if lazy {
+			dev, i := h.Device(), 0
+			h.ForEachObject(func(off int, k *klass.Klass, _ int) bool {
+				pheap.RefSlots(dev, off, k, func(boff int) {
+					if i++; i%3 == 0 {
+						dev.WriteU64(off+boff, dev.ReadU64(off+boff)|uint64(layout.RefLazy))
+					}
+				})
+				return true
+			})
+		}
 		return h
 	}
 	sameImage := func(what string, a, b *pheap.Heap) {
@@ -255,7 +275,8 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 	sameResult := func(what string, a, b Result) {
 		t.Helper()
 		if a.LiveObjects != b.LiveObjects || a.LiveBytes != b.LiveBytes ||
-			a.MovedObjects != b.MovedObjects || a.NewTop != b.NewTop {
+			a.MovedObjects != b.MovedObjects || a.NewTop != b.NewTop ||
+			a.LazyPersisted != b.LazyPersisted {
 			t.Fatalf("%s: results differ: %+v vs %+v", what, a, b)
 		}
 	}
@@ -283,6 +304,17 @@ func TestCollectParallelWorkersByteIdentical(t *testing.T) {
 	if rS.MovedObjects == 0 {
 		t.Fatal("workload compacted nothing; the fix pass is untested")
 	}
+	if lazy != (rS.LazyPersisted > 0) {
+		t.Fatalf("the collection persisted %d lazy links", rS.LazyPersisted)
+	}
+	hS.ForEachObject(func(off int, k *klass.Klass, _ int) bool {
+		pheap.RefSlots(hS.Device(), off, k, func(boff int) {
+			if layout.Ref(hS.Device().ReadU64(off+boff))&layout.RefLazy != 0 {
+				t.Fatalf("live slot at %d still carries RefLazy after the collection", off+boff)
+			}
+		})
+		return true
+	})
 	for _, procs := range []int{2, 4, 8} {
 		h, r, f := collect(procs)
 		what := fmt.Sprintf("Collect at GOMAXPROCS %d", procs)

@@ -22,15 +22,33 @@
 //	bit 0 (deleted): Harris mark — the node owning this slot is
 //	  logically deleted; set by the same CAS that commits the delete.
 //	bit 1 (dirty):   the slot's current value has not been flushed yet.
+//	bit 2 (lazy):    layout.RefLazy — a physical unlink installed this
+//	  value and nobody flushed it; the collector will.
 //
-// A CAS always installs the new value with the dirty bit set; the
-// publishing thread then flushes the slot's cache line, clears the bit
-// with a second CAS, and fences before returning. Any thread that
-// *observes* a dirty slot helps: it flushes the line and clears the bit
-// before acting on the value. Because no operation returns — and no
-// reader acts on a link — before that link is persisted, the map is
-// durable-linearizable with zero fences on the read path in steady
-// state and one flush+fence per update, instead of a fence per store.
+// A publication — a delete mark, an insert link, a value, a table — CASes
+// the new value in with the dirty bit set; the publishing thread then
+// flushes the slot's cache line, clears the bit with a second CAS, and
+// fences before returning. Any thread that *observes* a dirty slot
+// helps: it flushes the line and clears the bit before acting on the
+// value. Because no operation returns — and no reader acts on a link —
+// before that link is persisted, the map is durable-linearizable with
+// zero fences on the read path in steady state and one flush+fence per
+// update, instead of a fence per store.
+//
+// A physical unlink (Delete's own, and the one find does when it meets a
+// marked node) is not a publication: it only tidies the list. It CASes
+// the successor in with the lazy bit and flushes nothing. That is safe
+// under Px86 because an unlink only ever skips nodes whose delete marks
+// it read clean, i.e. durable: whatever value of the slot persisted —
+// the skipped node, or an earlier lazy value that skipped less — leads to
+// the new successor through nodes recovery prunes, so the reloaded list
+// holds the same keys either way. Readers strip the bit and never help
+// it. The skipped nodes stay in the heap until a collection frees them,
+// and a collection first persists every lazy slot it traced (GC
+// integration, below). A publication that replaces a lazy value
+// (an insert in front of the successor, a delete mark on the slot's
+// owner) installs its value without the bit and persists it, link
+// included.
 //
 // Node bodies (sort key, key, value, initial next) persist inside their
 // allocation: insert builds the node through pheap's AllocInit, which
@@ -43,21 +61,28 @@
 // in alone; either way it is
 // whole in the image before the CAS that makes a durable word name it.
 // Crash recovery (Recover) finds every durably linked node intact, prunes
-// nodes whose delete mark persisted, clears leftover dirty bits, and
-// discards half-linked nodes implicitly — an unpersisted link simply is
-// not in the reloaded image, and the orphan node body is unreachable
-// garbage for the next collection.
+// nodes whose delete mark persisted (with a lazy link, like any unlink),
+// clears leftover dirty bits in memory, and discards half-linked
+// nodes implicitly — an unpersisted link simply is not in the reloaded
+// image, and the orphan node body is unreachable garbage for the next
+// collection.
 //
 // # GC integration
 //
 // The index header is a named heap root, so the collector traces the
 // whole structure; the marker and the compactor understand the tag bits
-// (layout.RefTagMask) and preserve them across moves. Links are
-// installed by CAS and never hold volatile references, so they owe
-// pheap's reference-store barrier nothing. Each operation runs as one
-// safepoint interval through the Pinner, so a collection never runs
-// inside an operation and compaction never moves a node out from under
-// its local references.
+// (layout.RefTagMask) and preserve them across moves. The marker notes
+// every slot it reads with the lazy bit, and the collector, on one
+// goroutine, clears the bit in each and persists them all — one batch
+// flush in ascending device order, one fence — before it persists the
+// mark bitmap and stamps the heap mid-collection, so before anything
+// moves or is freed. A collection therefore never frees a node the
+// persisted list still passes through, and a crash inside it finds the
+// links already durable. Links are installed by CAS and never hold
+// volatile references, so they owe pheap's reference-store barrier
+// nothing. Each operation runs as one safepoint interval through the
+// Pinner, so a collection never runs inside an operation and compaction
+// never moves a node out from under its local references.
 //
 // # Volatile shortcut
 //
@@ -88,17 +113,20 @@
 // Why acting on a hinted node is durable-linearizable:
 //
 //   - A hint is recorded only for a node whose inbound link is known
-//     durable: find returned it (every link find crosses was read clean)
-//     or insert's publish of it returned. From then on the node stays
+//     durable: find returned it (every link find crosses was read clean,
+//     or lazy over durably marked nodes) or insert's publish of it
+//     returned. From then on the node stays
 //     durably reachable until its own delete mark persists. Every CAS on
 //     the path to it either splices a new node in front (the new node's
 //     next, pointing onward, is persisted before the CAS, and the old
-//     link stays in the image until the new one is flushed) or unlinks a
-//     neighbour (whose successor link led here and was clean); the only
-//     CAS that disconnects the node itself is its own unlink, which find
-//     and Delete issue only after reading its mark clean, i.e. durable.
-//     So "key matches, mark clear" read from the node implies what the
-//     walk would have established: the node is in the durable list.
+//     link stays in the image until the new one is flushed) or lazily
+//     unlinks a marked neighbour (the persisted link still leads to the
+//     neighbour, whose durable next leads on here, and recovery prunes
+//     it); the only CAS that disconnects the node itself is its own
+//     unlink, which find and Delete issue only after reading its mark
+//     clean, i.e. durable. So "key matches, mark clear" read from the
+//     node implies what the walk would have established: the node is in
+//     the durable list, as recovery will rebuild it.
 //   - Within one layout epoch an offset can never name reused memory.
 //     Nodes are freed only by a collection and moved only by a collection
 //     or a rebase, both of which bump pheap.LayoutEpoch before the world
@@ -133,11 +161,11 @@ import (
 )
 
 // Link-state tag bits, stored in the low bits of reference slots (see
-// layout.RefTagMask; bits 2–3 stay free).
+// layout.RefTagMask; bit 3 stays free).
 const (
-	tagDel   = 1 // Harris deletion mark: the owning node is logically deleted
-	tagDirty = 2 // link-and-persist mark: slot value not yet known durable
-	tagMask  = tagDel | tagDirty
+	tagDel   = 1                      // Harris deletion mark: the owning node is logically deleted
+	tagDirty = 2                      // link-and-persist mark: slot value not yet known durable
+	tagLazy  = uint64(layout.RefLazy) // unlink left unflushed: the collector persists it
 )
 
 // Klass names of the index's persistent objects.
@@ -497,7 +525,9 @@ func (c *Ctx) exit(before nvm.Ops, t safepoint.Token) {
 // loadClean returns the slot's current value with the dirty bit clear,
 // helping persist it first if some in-flight publication left it dirty —
 // the reader half of link-and-persist: no caller ever acts on a link
-// that is not durable.
+// that is not durable. A lazy bit is returned as read (it is part of the
+// word a CAS must expect) and never helped: the value it tags reaches,
+// after recovery's prune, what the persisted one does.
 func (c *Ctx) loadClean(obj layout.Ref, boff int) uint64 {
 	for {
 		w := c.alloc.GetWordAtomic(obj, boff)
@@ -526,6 +556,19 @@ func (c *Ctx) publish(obj layout.Ref, boff int, expect, val uint64) bool {
 	return true
 }
 
+// unlink swings pred's next from predW (the clean word find read) past
+// deleted nodes to succ, tagged lazy and unflushed (package doc: a
+// physical unlink is not a publication). The caller read the delete
+// mark of every node it skips clean, i.e. durable. False means the CAS
+// lost a race and nothing happened.
+func (c *Ctx) unlink(pred layout.Ref, predW, succ uint64) bool {
+	if !c.alloc.CasWord(pred, c.ix.fNext, predW, succ|tagLazy) {
+		c.stats.Retries++
+		return false
+	}
+	return true
+}
+
 // --- traversal ---
 
 // find locates the insertion point for (sort, key) in the segment
@@ -533,9 +576,10 @@ func (c *Ctx) publish(obj layout.Ref, boff int, expect, val uint64) bool {
 // it, predW pred's clean next word (the CAS expectation), curr the first
 // node at or after it (NullRef at segment end), found whether curr
 // matches exactly. Logically deleted nodes encountered on the way are
-// helped out of the list (their delete mark is durable by then — a
-// loadClean preceded the unlink — so unlinking can never lose an
-// uncommitted delete).
+// unlinked (their delete mark is durable by then — a loadClean preceded
+// the unlink — so unlinking can never lose an uncommitted delete). Every
+// node find steps to has its tag bits stripped; predW keeps them, lazy
+// included, since it is what a CAS on pred must expect.
 func (c *Ctx) find(head layout.Ref, sort, key uint64) (pred layout.Ref, predW uint64, curr layout.Ref, found bool) {
 	a := c.alloc
 restart:
@@ -548,20 +592,20 @@ restart:
 			// but restarting is always safe.
 			continue restart
 		}
-		curr = layout.Ref(predW)
+		curr = layout.UntagRef(layout.Ref(predW))
 		for curr != layout.NullRef {
 			cw := c.loadClean(curr, c.ix.fNext)
 			succ := uint64(layout.UntagRef(layout.Ref(cw)))
 			if cw&tagDel != 0 {
 				// curr is committed-deleted: unlink it.
-				if !c.publish(pred, c.ix.fNext, predW, succ) {
+				if !c.unlink(pred, predW, succ) {
 					continue restart
 				}
 				predW = c.loadClean(pred, c.ix.fNext)
 				if predW&tagDel != 0 {
 					continue restart
 				}
-				curr = layout.Ref(predW)
+				curr = layout.UntagRef(layout.Ref(predW))
 				continue
 			}
 			// The list's total order is (sort, key); key only breaks a
@@ -880,9 +924,11 @@ func (c *Ctx) Get(key int64) (layout.Ref, bool) {
 }
 
 // Delete removes key, reporting whether it was present. The delete is
-// committed — durable — by the flush of the logical delete mark; the
-// physical unlink is best-effort and finished by later traversals or by
-// recovery. Like Get, the path never allocates and so cannot fail.
+// committed — durable — by the flush of the logical delete mark, its one
+// line and one fence; the physical unlink is lazy (unflushed, persisted
+// by the next collection) and best-effort, finished by later traversals
+// or by recovery if it loses its CAS. Like Get, the path never allocates
+// and so cannot fail.
 func (c *Ctx) Delete(key int64) bool {
 	ix := c.ix
 	defer c.exit(c.enter())
@@ -901,13 +947,14 @@ func (c *Ctx) Delete(key int64) bool {
 			return false // concurrently deleted: linearize after it
 		}
 		// Logical delete: one CAS sets the mark; its flush inside publish
-		// is the durable commit point.
-		if !c.publish(curr, ix.fNext, cw, cw|tagDel) {
+		// is the durable commit point. It persists the link too, so a
+		// lazy bit the word carried goes.
+		if !c.publish(curr, ix.fNext, cw, cw&^tagLazy|tagDel) {
 			continue // interference on curr: re-find
 		}
 		ix.size.Add(-1)
 		// Best-effort physical unlink (find/recovery mop up failures).
-		c.publish(pred, ix.fNext, predW, uint64(layout.UntagRef(layout.Ref(cw))))
+		c.unlink(pred, predW, uint64(layout.UntagRef(layout.Ref(cw))))
 		return true
 	}
 }

@@ -34,10 +34,15 @@ func (st RecoverStats) Salvaged() bool {
 // in-flight publication left persisted (the link itself is durable —
 // only the "known durable" bit is missing), physically unlinking every
 // node whose delete mark persisted (the delete committed; the unlink
-// just had not happened yet), and recounting live entries. Nodes whose
-// link never persisted are not reachable from the reloaded image at all
-// — they are unreachable allocation garbage the next collection
-// reclaims — which is exactly the no-half-linked-nodes guarantee.
+// just had not happened yet, or had not persisted), and recounting live
+// entries. None of those repairs is flushed: a dirty bit that persists
+// again is stripped again by the next pass, and a prune is a lazy unlink
+// like any other, persisted by the next collection or redone by the next
+// pass. Only salvage's amputations, which drop entries the image still
+// holds, are flushed. Nodes whose link never persisted are not reachable
+// from the reloaded image at all — they are unreachable allocation
+// garbage the next collection reclaims — which is exactly the
+// no-half-linked-nodes guarantee.
 //
 // The pass is idempotent and single-threaded: run it before index
 // traffic starts (Open does, on attach). It must run after pgc crash
@@ -56,14 +61,16 @@ func Recover(h *pheap.Heap, name string) (RecoverStats, error) {
 	return recoverLocked(h, name, ix)
 }
 
-// cleanSlot strips a persisted dirty mark from the slot, persisting the
-// repair. Returns the slot's (clean) value.
+// cleanSlot strips a persisted dirty mark from the slot in memory and
+// returns the slot's value without it. The value came from the image, so
+// it is durable as it stands: the repair needs no flush. A lazy bit stays
+// (readers strip it): it may be a prune this pass just installed, which
+// the next collection must persist.
 func cleanSlot(h *pheap.Heap, st *RecoverStats, obj layout.Ref, boff int) uint64 {
 	w := h.GetWord(obj, boff)
 	if w&tagDirty != 0 {
 		w &^= tagDirty
 		h.SetWord(obj, boff, w)
-		h.FlushRange(obj, boff, 8)
 		st.DirtyCleared++
 	}
 	return w
@@ -144,9 +151,10 @@ func recoverLocked(h *pheap.Heap, name string, ix *Index) (RecoverStats, error) 
 			cw := cleanSlot(h, &st, curr, ix.fNext)
 			if cw&tagDel != 0 {
 				// The delete mark persisted: the delete committed before the
-				// crash. Finish its unlink so the key cannot resurrect.
-				h.SetWord(prev, ix.fNext, uint64(layout.UntagRef(layout.Ref(cw))))
-				h.FlushRange(prev, ix.fNext, 8)
+				// crash. Finish its unlink — lazily, as Delete would — so
+				// the key cannot resurrect; the image still reaches the
+				// successor through the marked node.
+				h.SetWord(prev, ix.fNext, uint64(layout.UntagRef(layout.Ref(cw)))|tagLazy)
 				st.Pruned++
 				continue
 			}
@@ -211,8 +219,9 @@ func recoverLocked(h *pheap.Heap, name string, ix *Index) (RecoverStats, error) 
 		}
 	}
 
-	// Journal the walk's verdict. Every repair above ended in its own
-	// flush; the append needs no fence of its own.
+	// Journal the walk's verdict. The amputations above ended in their own
+	// flush, and the other repairs are redone by the next pass if they are
+	// lost, so the append needs no fence of its own.
 	h.FlightRecorder().Append(blackbox.EvRecoveryIndex,
 		uint64(st.Entries), uint64(st.Pruned), uint64(st.DirtyCleared))
 	return st, nil

@@ -356,7 +356,9 @@ func TestRecoveryWorkerCountByteIdentical(t *testing.T) {
 // ctx, every bucket spliced, no table growth, PLAB attached. A fresh key
 // is one allocation run (box and node under one flush) and the link — 3
 // lines, 2 fences. An update is the box alone and the value slot — 2
-// lines and 2 fences, plus a line when the 32-byte box straddles two.
+// lines and 2 fences, plus a line when the 32-byte box straddles two. A
+// delete of a present key is its mark alone — 1 line, 1 fence: the
+// unlink is lazy (pindex) — and of an absent key nothing.
 func TestPutDeviceCost(t *testing.T) {
 	opts := testOptions(1)
 	opts.Index = pindex.Options{InitialBuckets: 8, MaxLoadFactor: 1 << 30}
@@ -399,6 +401,21 @@ func TestPutDeviceCost(t *testing.T) {
 		want := uint64(1 + nvm.LineSpan(h.OffOf(box), set.Shard(0).boxK.SizeOf(0)))
 		if d.FlushedLines != want || want > 3 || d.Fences != 2 {
 			t.Fatalf("update of key %d: %d lines / %d fences, want %d / 2", k, d.FlushedLines, d.Fences, want)
+		}
+	}
+	del := func(k int64, want bool) nvm.Stats {
+		before := h.Device().Stats()
+		if got := c.Delete(k); got != want {
+			t.Fatalf("Delete(%d) = %v, want %v", k, got, want)
+		}
+		return h.Device().Stats().Sub(before)
+	}
+	for k := int64(0); k < measured; k++ {
+		if d := del(k, true); d.FlushedLines != 1 || d.Fences != 1 {
+			t.Fatalf("delete of present key %d: %d lines / %d fences, want 1 / 1", k, d.FlushedLines, d.Fences)
+		}
+		if d := del(k, false); d.FlushedLines != 0 || d.Fences != 0 {
+			t.Fatalf("delete of absent key %d: %d lines / %d fences, want 0 / 0", k, d.FlushedLines, d.Fences)
 		}
 	}
 	// The ctx was the only thing flushing, so its own tally — index stats

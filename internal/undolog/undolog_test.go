@@ -2,7 +2,10 @@ package undolog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"espresso/internal/nvm"
@@ -105,5 +108,108 @@ func TestRecordRejectsWhole(t *testing.T) {
 	fill(dev, ok, 0xff)
 	if !l.Rollback() || dev.ReadU64(logEnd) != 0 {
 		t.Fatalf("the range of the rejected batches was not logged afresh: it reads %#x after rollback", dev.ReadU64(logEnd))
+	}
+}
+
+// TestRecordSkipsAsTheLinearRuleDoes holds Record's containment lookup to
+// the rule it replaced — a range is skipped when it lies inside one range
+// logged before it, found by a scan of every record — on batches built
+// from nested, equal, adjacent and overlapping ranges, with a rejected
+// batch now and then. After every batch the log image must be byte for
+// byte what the linear rule logs, and the batch must cost what it did:
+// nothing, or one flush of its records and one fence.
+func TestRecordSkipsAsTheLinearRuleDoes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dev := nvm.New(nvm.Config{Size: winEnd})
+	l := open(dev)
+	fill(dev, nvm.Range{Off: logEnd, N: winEnd - logEnd}, 0x5a)
+	for i := logEnd; i < winEnd; i += 8 {
+		dev.WriteU64(i, uint64(i)*0x9e3779b97f4a7c15)
+	}
+	pick := func(logged []rec) nvm.Range {
+		if len(logged) == 0 || rng.Intn(5) == 0 {
+			return nvm.Range{Off: logEnd + rng.Intn(winEnd-logEnd-32), N: 1 + rng.Intn(24)}
+		}
+		p := logged[rng.Intn(len(logged))]
+		switch rng.Intn(5) {
+		case 0: // equal
+			return nvm.Range{Off: p.off, N: p.n}
+		case 1: // nested
+			lo := p.off + rng.Intn(p.n)
+			return nvm.Range{Off: lo, N: 1 + rng.Intn(p.off+p.n-lo)}
+		case 2: // adjacent behind
+			if p.off+p.n < winEnd {
+				return nvm.Range{Off: p.off + p.n, N: 1 + rng.Intn(min(16, winEnd-p.off-p.n))}
+			}
+			fallthrough
+		case 3: // adjacent in front
+			if p.off == logEnd {
+				return nvm.Range{Off: p.off, N: p.n}
+			}
+			n := 1 + rng.Intn(min(16, p.off-logEnd))
+			return nvm.Range{Off: p.off - n, N: n}
+		default: // containing
+			lo, hi := max(logEnd, p.off-rng.Intn(8)), min(winEnd, p.off+p.n+rng.Intn(8))
+			return nvm.Range{Off: lo, N: hi - lo}
+		}
+	}
+	skipped := 0
+	for tx := 0; tx < 200; tx++ {
+		var logged []rec // what the linear rule has logged in this transaction
+		used := 0
+		for batch := 0; used < 600; batch++ {
+			rs := make([]nvm.Range, 1+rng.Intn(4))
+			for i := range rs {
+				rs[i] = pick(logged)
+			}
+			reject := rng.Intn(10) == 0
+			if reject {
+				rs[rng.Intn(len(rs))] = nvm.Range{Off: winEnd - 4, N: 8}
+			}
+			var want []rec
+			at := l.dataOff + used
+			for _, r := range rs {
+				if slices.ContainsFunc(append(logged, want...), func(c rec) bool { return c.off <= r.Off && r.Off+r.N <= c.off+c.n }) {
+					skipped++
+					continue
+				}
+				want = append(want, rec{at, r.Off, r.N})
+				at += recHdrBytes + padded(r.N)
+			}
+			s0 := dev.Stats()
+			err := l.Record(rs...)
+			d := dev.Stats().Sub(s0)
+			if reject {
+				if !errors.Is(err, ErrRange) || d.Writes+d.Flushes+d.Fences != 0 {
+					t.Fatalf("tx %d batch %d: a rejected batch returned %v and cost %+v", tx, batch, err, d)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("tx %d batch %d: %v", tx, batch, err)
+			}
+			n := at - (l.dataOff + used)
+			if wantFences := min(1, len(want)); d.Fences != uint64(wantFences) || d.FlushedLines != uint64(nvm.LineSpan(l.dataOff+used, n)*wantFences) {
+				t.Fatalf("tx %d batch %d: %d lines / %d fences for %d records", tx, batch, d.FlushedLines, d.Fences, len(want))
+			}
+			img := make([]byte, 0, n)
+			for _, w := range want {
+				b := make([]byte, recHdrBytes+padded(w.n))
+				copy(b[recHdrBytes:], dev.View(w.off, w.n))
+				binary.LittleEndian.PutUint32(b, uint32(w.off))
+				binary.LittleEndian.PutUint32(b[4:], uint32(w.n))
+				binary.LittleEndian.PutUint64(b[8:], tag(l.seq+1, w.at, w.off, w.n, b[recHdrBytes:]))
+				img = append(img, b...)
+			}
+			if got := dev.View(l.dataOff+used, n); !bytes.Equal(got, img) {
+				t.Fatalf("tx %d batch %d: log image differs from the linear rule's", tx, batch)
+			}
+			logged = append(logged, want...)
+			used += n
+		}
+		l.Commit()
+	}
+	if skipped < 1000 {
+		t.Fatalf("only %d ranges were skipped: the rule is barely exercised", skipped)
 	}
 }
