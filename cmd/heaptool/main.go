@@ -2,8 +2,11 @@
 //
 //	heaptool -heap /path/img.pjh info      geometry, klasses, roots
 //	heaptool -heap /path/img.pjh verify    parse the whole heap
-//	heaptool -heap /path/img.pjh gc        run (or resume) a collection
-//	heaptool -heap /path/img.pjh inspect   format version, GC state,
+//	heaptool -heap /path/img.pjh gc        run (or resume) a collection,
+//	                                       print its flushed lines, fences
+//	heaptool -heap /path/img.pjh inspect   format version, GC state (and
+//	                                       mid-collection, the progress
+//	                                       word),
 //	                                       per-region top table: persisted
 //	                                       top, parsed frontier, bytes
 //	                                       validated above the top
@@ -20,7 +23,8 @@
 //	                                       verify metadata checksums
 //	                                       (GC-phase word, redo batch,
 //	                                       region-top table, global
-//	                                       timestamp, manifest)
+//	                                       timestamp, compaction progress
+//	                                       mid-collection, manifest)
 //	                                       without repairing anything
 //
 // Pointing any command at a shard-set manifest (<base>-manifest.pjh)
@@ -223,13 +227,13 @@ func run(args []string) int {
 			fmt.Printf("recovered interrupted collection: %d live objects, %d moved\n",
 				res.LiveObjects, res.MovedObjects)
 		} else {
-			res, err := pgc.Collect(h, pgc.NoRoots{})
-			if err != nil {
+			if res, err = pgc.Collect(h, pgc.NoRoots{}); err != nil {
 				return fail(exitErr, "%v", err)
 			}
 			fmt.Printf("collected: %d live objects (%d bytes), %d moved, pause %v\n",
 				res.LiveObjects, res.LiveBytes, res.MovedObjects, res.PauseTime)
 		}
+		fmt.Printf("device: %d lines flushed, %d fences\n", res.DeviceStats.FlushedLines, res.DeviceStats.Fences)
 		if err := dev.Save(*path); err != nil {
 			return fail(exitErr, "%v", err)
 		}
@@ -241,6 +245,11 @@ func run(args []string) int {
 		g := h.Geo()
 		fmt.Printf("format version %d\n", h.FormatVersion())
 		fmt.Printf("gc active      %v\n", h.GCActive())
+		if h.GCActive() {
+			// How far the interrupted compaction got: recovery redoes
+			// the summary's moves from this index on.
+			fmt.Printf("progress       %d moves durable\n", h.CompactProgress())
+		}
 		fmt.Printf("global ts      %d\n", h.GlobalTS())
 		fmt.Printf("redo pending   %v\n", h.RedoPending())
 		// Remembered-set footprint: slots whose persisted value points

@@ -48,11 +48,14 @@ func main() {
 	heap.Device().FlushAll()
 	fmt.Println("built 1000-node list (plus 1000 garbage nodes)")
 
-	// Start a collection and kill it at its 200th flush — mid-compaction,
-	// after the mark bitmap persisted and the heap was stamped active.
-	base := heap.Device().Stats().Flushes
+	// Start a collection and kill it two flushes after the heap was
+	// stamped active — mid-compaction, after the mark bitmap persisted.
+	var stamped uint64
 	heap.Device().SetFlushHook(func(n uint64) {
-		if n == base+200 {
+		if stamped == 0 && heap.GCActive() {
+			stamped = n
+		}
+		if stamped != 0 && n == stamped+2 {
 			panic("simulated power loss during GC")
 		}
 	})

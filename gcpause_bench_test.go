@@ -17,6 +17,9 @@ import (
 // objects to move as well as garbage to free. pause-ms and mark-ms are
 // GCResult's PauseTime and MarkTime per collection: the host-CPU cost of a
 // cycle, which the marking pool spreads over GOMAXPROCS workers.
+// devlines/op and devfences/op are a collection's flushed lines and
+// fences (GCResult's DeviceStats): the mark bitmap's changed lines, the
+// evacuation windows' destinations, and a handful of fences a cycle.
 func BenchmarkPersistentGC(b *testing.B) {
 	const (
 		heapName = "gcbench"
@@ -77,6 +80,7 @@ func BenchmarkPersistentGC(b *testing.B) {
 
 	capacity := float64(h.Geo().DataRegions() * layout.RegionSize)
 	var pause, mark time.Duration
+	var lines, fences uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -100,10 +104,14 @@ func BenchmarkPersistentGC(b *testing.B) {
 		res := collect()
 		pause += res.PauseTime
 		mark += res.MarkTime
+		lines += res.DeviceStats.FlushedLines
+		fences += res.DeviceStats.Fences
 		if res.LiveObjects != live+1 {
 			b.Fatalf("collection kept %d objects, want %d", res.LiveObjects, live+1)
 		}
 	}
 	b.ReportMetric(float64(pause.Microseconds())/1e3/float64(b.N), "pause-ms")
 	b.ReportMetric(float64(mark.Microseconds())/1e3/float64(b.N), "mark-ms")
+	b.ReportMetric(float64(lines)/float64(b.N), "devlines/op")
+	b.ReportMetric(float64(fences)/float64(b.N), "devfences/op")
 }

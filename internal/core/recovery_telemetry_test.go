@@ -38,7 +38,7 @@ func TestLoadHeapRecoveryReachesTelemetry(t *testing.T) {
 		}
 	}
 	h.Device().FlushAll()
-	faultdev.CrashWhen(h.Device(), 8, h.GCActive)
+	faultdev.CrashWhen(h.Device(), 2, h.GCActive)
 	crashed, err := faultdev.Run(h.Device(), func() error {
 		_, err := rt.PersistentGC("crashed")
 		return err

@@ -1,6 +1,9 @@
 package pgc
 
 import (
+	"fmt"
+	"sort"
+
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
 	"espresso/internal/pgc/marker"
@@ -22,9 +25,9 @@ type compactResult struct {
 
 // compact executes (or, after a crash, resumes) the compact phase
 // described by the summary. It is safe to run the same summary twice:
-// the region bitmap skips fully evacuated source regions, and the
-// source-header timestamp skips individual objects that already reached
-// their destination. cur is the collection's global timestamp.
+// in-place objects carry the timestamp of the cycle that fixed them, and
+// the heap's progress word says how many moves are durable. cur is the
+// collection's global timestamp.
 //
 // The phase runs as three passes, all on the calling goroutine, so a
 // collection's flushes come in one fixed order:
@@ -33,14 +36,22 @@ type compactResult struct {
 //     humongous objects) get their references rewritten through the
 //     summary's forwarding table. Each object runs the per-object
 //     protocol — fix, flush, fence, stamp, flush, fence.
-//  2. Move: evacuations in ascending source order, with the region
-//     bitmap published as each source region empties (the source is the
-//     undo log: a region's space is reusable only after its evacuation
-//     is durable).
-//  3. Fill: gap fillers, the recyclable-hole list, and the per-region
-//     top entries of the finish batch. Nothing the pass produces becomes
-//     durable until finish publishes the whole batch — roots, every
+//  2. Move: evacuations in ascending source order, one window at a time
+//     (windowEnd): copy, fix and stamp every object of the window, flush
+//     the window's destination lines as one batch, fence, then move the
+//     progress word past the window and fence again.
+//  3. Fill: gap fillers, written unflushed and persisted with one batch
+//     and one fence, the recyclable-hole list, and the per-region top
+//     entries of the finish batch. Nothing the pass produces is
+//     published until finish commits the whole batch — roots, every
 //     region top, gcActive — through ONE RedoCommit.
+//
+// Why a window needs no per-object record (Px86): a destination lands
+// only on space whose objects moved earlier (the summary's pool rule) and
+// never on a source of its own window, so while a window is open its
+// sources are intact and every earlier move is durable, fenced before the
+// progress word. Any subset of its lines may persist before its fence;
+// recovery resumes at the progress word and copies it again.
 //
 // cleanCard, when non-nil, reports cards (marker.CardBytes each) whose
 // objects provably hold no reference to any moved object (the marker's
@@ -49,36 +60,23 @@ type compactResult struct {
 // no-op, so recovery — which always runs with cleanCard nil and rescans
 // everything — remains sound; their headers simply keep a stale
 // timestamp, which the next cycle's fresh timestamp treats like any
-// other unprocessed object. Moved objects of a clean card still run the
-// full copy protocol, just without the reference scan. This keeps the
+// other unprocessed object. Moved objects of a clean card are copied
+// like the rest, just without the reference scan. This keeps the
 // compaction pause proportional to the moved part of the heap rather
 // than to everything live.
 func compact(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool) compactResult {
 	dev := h.Device()
 	geo := h.Geo()
 	statsBefore := dev.Stats()
-	regionBm := h.RegionBitmap()
-	regionOf := func(off int) int { return (off - geo.DataOff) / layout.RegionSize }
 	cardOf := func(off int) int { return (off - geo.DataOff) / marker.CardBytes }
 	clean := func(c int) bool { return cleanCard != nil && c < len(cleanCard) && cleanCard[c] }
-
-	// Snapshot the region bitmap for every source region (moves ascend
-	// by source): bit-set regions are recovery resuming past completed
-	// work — their source bytes may be garbage, so their objects are
-	// skipped wholesale before any header read.
-	bitSet := make([]bool, geo.Regions())
-	for i, m := range s.Moves {
-		if r := regionOf(m.Src); i == 0 || r != regionOf(s.Moves[i-1].Src) {
-			bitSet[r] = regionBm.Get(r)
-		}
-	}
 
 	// Pass 1: in-place reference fixing. When nothing moved the
 	// forwarding relation is the identity and the whole pass is provably
 	// a no-op, so it is skipped outright.
 	if s.MovedObjects > 0 {
 		for _, m := range s.Moves {
-			if m.Dst != m.Src || bitSet[regionOf(m.Src)] || clean(cardOf(m.Src)) {
+			if m.Dst != m.Src || clean(cardOf(m.Src)) {
 				continue
 			}
 			srcMark := dev.ReadU64(m.Src + layout.MarkWordOff)
@@ -102,52 +100,35 @@ func compact(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool) compactRes
 		}
 	}
 
-	// Pass 2: evacuations in ascending source order. In-place moves were
-	// handled above and are skipped structurally (no header
-	// read), but still drive the region-bit publication points.
-	bmRegion, bmSet := -1, false
-	for i, m := range s.Moves {
-		r := regionOf(m.Src)
-		if r != bmRegion {
-			bmRegion, bmSet = r, bitSet[r]
-		}
-		if !bmSet && m.Dst != m.Src {
-			srcMark := dev.ReadU64(m.Src + layout.MarkWordOff)
-			if layout.MarkTimestamp(srcMark) != cur {
-				// Evacuation: copy, fix references in the copy (the source
-				// stays pristine — it is the undo log), persist the copy,
-				// then stamp destination first, source second (§4.2 step 3).
-				dev.Move(m.Dst, m.Src, m.Size)
-				if !clean(cardOf(m.Src)) {
-					fixRefs(dev, h, s, m.Dst, m.Size)
-				}
-				dev.Flush(m.Dst, m.Size)
-				dev.Fence()
-				dev.WriteU64(m.Dst+layout.MarkWordOff, layout.WithTimestamp(srcMark, cur))
-				dev.Flush(m.Dst+layout.MarkWordOff, 8)
-				dev.Fence()
-				dev.WriteU64(m.Src+layout.MarkWordOff, layout.WithTimestamp(srcMark, cur))
-				dev.Flush(m.Src+layout.MarkWordOff, 8)
-				dev.Fence()
+	// Pass 2: evacuations, window by window, from the first move the
+	// progress word does not cover.
+	var lines []nvm.Range
+	for i := h.CompactProgress(); i < len(s.Moves); {
+		end := windowEnd(s.Moves, i)
+		lines = lines[:0]
+		for _, m := range s.Moves[i:end] {
+			if m.Dst == m.Src {
+				continue
 			}
+			dev.Move(m.Dst, m.Src, m.Size)
+			if !clean(cardOf(m.Src)) {
+				fixRefs(dev, h, s, m.Dst, m.Size)
+			}
+			dev.WriteU64(m.Dst+layout.MarkWordOff, layout.WithTimestamp(dev.ReadU64(m.Dst+layout.MarkWordOff), cur))
+			lines = append(lines, nvm.LineRange(m.Dst, m.Size))
 		}
-		if i == s.RegionLastMove(r) && !bmSet {
-			// The region is fully evacuated (or fully processed in place);
-			// from here on it may be overwritten as a destination, so the
-			// fact must be durable first. Regions whose bit was already set
-			// (recovery resuming past completed work) skip the re-persist.
-			regionBm.Set(r)
-			bmSet = true
-			bitSet[r] = true
-			dev.Flush(geo.RegionBmpOff, geo.RegionBmpSize)
-			dev.Fence()
+		if len(lines) > 0 {
+			persistBatch(dev, lines)
+			h.PersistCompactProgress(end)
 		}
+		i = end
 	}
 
 	// Pass 3: fillers, the hole list, and finish-batch top entries,
 	// region by region, so the hole list comes out ascending.
 	topEntries := make([]pheap.RedoEntry, geo.DataRegions())
 	var holes []pheap.Hole
+	lines = lines[:0]
 	for r := 0; r < geo.DataRegions(); r++ {
 		start := geo.DataOff + r*layout.RegionSize
 		var top uint64
@@ -163,19 +144,20 @@ func compact(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool) compactRes
 		// aligned middle, edge sliver — so the middle filler handed to
 		// allocators starts on a line no live object shares. Rerunning
 		// after a crash rewrites the same fillers.
+		fill := func(lo, hi int) {
+			if lo < hi {
+				lines = append(lines, h.WriteFiller(lo, hi-lo))
+			}
+		}
 		plug := func(gapLo, gapHi int) {
 			hole, ok := recyclableOf(gapLo, gapHi)
 			if !ok {
-				h.WriteFiller(gapLo, gapHi-gapLo) // persists internally
+				fill(gapLo, gapHi)
 				return
 			}
-			if hole.Lo > gapLo {
-				h.WriteFiller(gapLo, hole.Lo-gapLo)
-			}
-			h.WriteFiller(hole.Lo, hole.Hi-hole.Lo)
-			if gapHi > hole.Hi {
-				h.WriteFiller(hole.Hi, gapHi-hole.Hi)
-			}
+			fill(gapLo, hole.Lo)
+			fill(hole.Lo, hole.Hi)
+			fill(hole.Hi, gapHi)
 			holes = append(holes, hole)
 		}
 		// Interior dead wood first (it lies below the tail), keeping the
@@ -187,8 +169,33 @@ func compact(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool) compactRes
 			plug(gapLo, gapHi)
 		}
 	}
+	// The fillers are durable before finish publishes the tops above them.
+	if len(lines) > 0 {
+		persistBatch(dev, lines)
+	}
 
 	return compactResult{topEntries: topEntries, holes: holes, stats: dev.Stats().Sub(statsBefore)}
+}
+
+// windowEnd returns the end of the window that starts at move i: the
+// first evacuation whose destination overlaps a source of the window, its
+// own included, or len(moves). Sources ascend and are disjoint, so only
+// the last one starting below a destination's end can overlap it.
+func windowEnd(moves []Move, i int) int {
+	for j := i; j < len(moves); j++ {
+		m := moves[j]
+		if m.Dst == m.Src {
+			continue
+		}
+		k := i + sort.Search(j+1-i, func(k int) bool { return moves[i+k].Src >= m.Dst+m.Size }) - 1
+		if k >= i && moves[k].Src+moves[k].Size > m.Dst {
+			if j == i { // the pool rule forbids it: it could not be redone
+				panic(fmt.Sprintf("pgc: move %d lands on its own source", j))
+			}
+			return j
+		}
+	}
+	return len(moves)
 }
 
 // buildCleanCards combines the marker's per-card outgoing-reference

@@ -42,14 +42,15 @@ func slabKlass(reg *klass.Registry) *klass.Klass {
 // The collection slides region 1's live slabs into region 0's tail,
 // recycles the emptied region 1 as the destination of region 2's, and
 // ends with its new top a quarter into region 1 — directly below 2048 of
-// region 1's own evacuated sources, each stamped with the cycle's
-// timestamp and intact. The machine stops before any allocation. On
-// reopen the half-open region is parsed forward from the new top and must
-// validate nothing: the allocation epoch finish published is one past the
-// stamp. The second half plants the bug (the image's timestamp put back to
-// the cycle's, checksum and all — what a finish without the epoch step
-// leaves) and requires the same reopen to resurrect stamped sources — so
-// the first half fails if finish ever keeps globalTS = cur.
+// region 1's own evacuated sources, intact, each with the timestamp it
+// was allocated under. The machine stops before any allocation. On reopen
+// the half-open region is parsed forward from the new top and must
+// validate nothing: the allocation epoch finish published is newer than
+// every source's timestamp. The second half plants the bug (the image's
+// timestamp put back to the sources', checksum and all — what a
+// collection that never moved the epoch leaves) and requires the same
+// reopen to resurrect the sources — so the first half fails if finish
+// ever publishes an epoch an evacuated source carries.
 func TestEpochStampedSourcesStayDead(t *testing.T) {
 	reg := klass.NewRegistry()
 	h, err := pheap.Create(reg, pheap.Config{DataSize: 3 * layout.RegionSize, Mode: nvm.Tracked})
@@ -89,11 +90,11 @@ func TestEpochStampedSourcesStayDead(t *testing.T) {
 	if got := h.UsedBytes(); got != res.NewTop-h.Geo().DataOff {
 		t.Fatalf("UsedBytes after the cycle = %d, want NewTop's %d", got, res.NewTop-h.Geo().DataOff)
 	}
-	// The cycle's stamp, read off an evacuated source: the slab right above
-	// the new top, which was allocated under timestamp 1.
-	cur := layout.MarkTimestamp(h.Device().ReadU64(res.NewTop + layout.MarkWordOff))
-	if cur < 2 {
-		t.Fatalf("the bytes at the new top carry timestamp %d: the fixture no longer leaves a stamped source there", cur)
+	// An evacuated source's timestamp, read off the slab right above the
+	// new top, which was allocated under timestamp 1.
+	src := layout.MarkTimestamp(h.Device().ReadU64(res.NewTop + layout.MarkWordOff))
+	if src >= h.GlobalTS() {
+		t.Fatalf("the source at the new top carries timestamp %d, not older than the epoch %d the collection published", src, h.GlobalTS())
 	}
 	img := h.Device().CrashImage(nvm.CrashFlushedOnly, 0)
 
@@ -123,11 +124,11 @@ func TestEpochStampedSourcesStayDead(t *testing.T) {
 	}
 
 	planted := bytes.Clone(img)
-	for _, e := range h.GCStateEntries(cur, false) {
+	for _, e := range h.GCStateEntries(src, false) {
 		binary.LittleEndian.PutUint64(planted[e.Off:], e.Val)
 	}
-	if frontier, slabs := reopen(planted); frontier != res.NewTop+2048*64 || slabs != nLive+2048 {
-		t.Fatalf("with the timestamp left at the cycle's stamp the reopen takes %d bytes above the top and finds %d slabs, want the 2048 stamped sources: the test above cannot see the bug it is for",
+	if frontier, slabs := reopen(planted); frontier != res.NewTop+3072*64 || slabs != nLive+3072 {
+		t.Fatalf("with the timestamp put back to the sources' the reopen takes %d bytes above the top and finds %d slabs, want the 2048 evacuated sources and the 1024 dead slabs behind them: the test above cannot see the bug it is for",
 			frontier-res.NewTop, slabs)
 	}
 }

@@ -73,12 +73,12 @@ type Result struct {
 // concurrently, as with the JVM's stop-the-world old GC.
 //
 // Marking runs on runtime.GOMAXPROCS(0) workers, as Parallel Scavenge's
-// old-generation mark runs on its GC threads; it issues no flush, and its
+// old-generation mark runs on its GC threads, into a volatile bitmap; its
 // result — the mark bitmap, the counts, the outgoing-reference summary,
-// the lazy slots — is the same for every worker count. The lazy-slot
-// batch, summary and compaction run on one goroutine, so a collection's
-// flushes come in one fixed order, which the crash sweeps that crash
-// Collect at its k-th flush rely on.
+// the lazy slots — is the same for every worker count. The bitmap's
+// persist, the lazy-slot batch, summary and compaction run on one
+// goroutine, so a collection's flushes come in one fixed order, which the
+// crash sweeps that crash Collect at its k-th flush rely on.
 func Collect(h *pheap.Heap, ext Rooter) (Result, error) {
 	if !h.TryBeginCollection() {
 		return Result{}, fmt.Errorf("pgc: another collection of this heap is already running")
@@ -156,17 +156,22 @@ func persistLazy(h *pheap.Heap, slots []marker.LazySlot) int {
 	if len(slots) == 0 {
 		return 0
 	}
-	dev := h.Device()
 	lines := make([]nvm.Range, len(slots))
 	for i, sl := range slots {
-		dev.WriteU64(sl.Off, sl.W&^uint64(layout.RefLazy))
+		h.Device().WriteU64(sl.Off, sl.W&^uint64(layout.RefLazy))
 		lines[i] = nvm.LineRange(sl.Off, 8)
 	}
+	persistBatch(h.Device(), lines)
+	return len(slots)
+}
+
+// persistBatch writes lines back in ascending device order, each line
+// once, and fences.
+func persistBatch(dev *nvm.Device, lines []nvm.Range) {
 	for _, r := range nvm.MergeRanges(lines) {
 		dev.Flush(r.Off, r.N)
 	}
 	dev.Fence()
-	return len(slots)
 }
 
 // runTail takes a cycle from a complete mark to a republished heap, with
@@ -174,30 +179,25 @@ func persistLazy(h *pheap.Heap, slots []marker.LazySlot) int {
 //
 //  0. persist the lazy links the marker found (persistLazy). Nothing
 //     after this may free or move an object the persisted links still
-//     reach and the volatile ones skip.
-//  1. persist both bitmaps. The mark bitmap is the pre-collection sketch
-//     of the heap; the cleared region bitmap must be durable before the
-//     heap is stamped active, or recovery could trust stale region bits
-//     from a previous collection.
-//  2. stamp the heap mid-collection (timestamp first, flag second; see
+//     reach and the volatile ones skip. (mark has persisted the bitmap
+//     and zeroed the progress word.)
+//  1. stamp the heap mid-collection (timestamp first, flag second; see
 //     pheap.SetGCState for why the order matters). From here the
 //     persisted bitmap carries the cycle: recovery resumes the
-//     compaction.
-//  3. summarize — idempotent, derived from the bitmap alone — and check
-//     it against the marker's counts. On failure nothing has moved: the
-//     heap is un-stamped and the error returned.
-//  4. compact. Recycling state refers to the pre-GC layout and is dropped
+//     compaction at the progress word.
+//  2. summarize the volatile bitmap, which the persisted one equals, and
+//     check it against the marker's counts. On failure nothing has moved:
+//     the heap is un-stamped and the error returned.
+//  3. compact. Recycling state refers to the pre-GC layout and is dropped
 //     before anything moves. The marker's outgoing-reference summary lets
 //     the compactor skip fixing cards that cannot reference moved
 //     objects.
-//  5. finish atomically via the redo log, then patch DRAM roots and hand
+//  4. finish atomically via the redo log, then patch DRAM roots and hand
 //     the filler-covered gaps back to the allocator.
 func runTail(h *pheap.Heap, ext Rooter, mk *marker.Marker) (*tail, error) {
 	fr := h.FlightRecorder()
 	liveObjects, liveBytes := mk.Counts()
 	t := &tail{lazy: persistLazy(h, mk.LazySlots())}
-	h.PersistMarkBitmapUsed()
-	h.RegionBitmap().Persist()
 	fr.Append(blackbox.EvGCMarkDone, uint64(liveObjects), uint64(liveBytes), 0)
 
 	cur := h.GlobalTS() + 1
@@ -205,7 +205,7 @@ func runTail(h *pheap.Heap, ext Rooter, mk *marker.Marker) (*tail, error) {
 	fr.Append(blackbox.EvGCStamp, cur, uint64(liveObjects), uint64(liveBytes))
 
 	t.sumStart = time.Now()
-	s, err := summarizeInto(h, keptMoves(h, liveObjects))
+	s, err := summarizeInto(h, mk.Marks().ForEachSetBelow, keptMoves(h, liveObjects))
 	if err == nil && (s.LiveObjects != liveObjects || s.LiveBytes != liveBytes) {
 		err = fmt.Errorf("pgc: summary disagrees with marking: %d/%d objects, %d/%d bytes",
 			s.LiveObjects, liveObjects, s.LiveBytes, liveBytes)
@@ -279,10 +279,11 @@ func (t *tail) report(h *pheap.Heap, mk *marker.Marker, markStart time.Time, gcS
 //
 // The timestamp moves on because it is the allocation epoch: pheap.Load
 // takes a header above a persisted top for an object when its mark word
-// carries the image's timestamp, and the compactor has just stamped every
-// processed source — the evacuated ones now lie above the reset tops —
-// with this cycle's. Ending the cycle on cur+1 makes a collection's stamp
-// something no allocation ever carries.
+// carries the image's timestamp, and the evacuated sources now lie above
+// the reset tops, intact, each with a timestamp below cur (the headers
+// this cycle wrote carry cur and lie below the new top). Ending the cycle
+// on cur+1 makes the new epoch one no header carries, so no evacuated
+// source is ever taken for an allocation.
 func finish(h *pheap.Heap, s *Summary, topEntries []pheap.RedoEntry) {
 	var entries []pheap.RedoEntry
 	for _, root := range h.Roots() {
@@ -360,9 +361,9 @@ func RecoverIfNeeded(h *pheap.Heap) (Result, bool, error) {
 }
 
 // recoverCollection finishes an interrupted collection on a freshly
-// loaded heap (paper §4.3): refetch the mark bitmap, redo the summary,
-// process the regions the region bitmap and source timestamps report
-// unfinished, and rerun the atomic finish. On a heap that is not
+// loaded heap (paper §4.3): redo the summary from the persisted bitmap,
+// fix the in-place objects not yet stamped, redo the moves from the
+// progress word on, and rerun the atomic finish. On a heap that is not
 // mid-collection it does nothing. Recovery itself may crash and be
 // rerun: every step is idempotent.
 func recoverCollection(h *pheap.Heap) (Result, error) {
@@ -378,7 +379,7 @@ func recoverCollection(h *pheap.Heap) (Result, error) {
 	h.PrepareForCollection()
 	fr := h.FlightRecorder()
 	fr.Append(blackbox.EvRecoveryGCBegin, h.GlobalTS(), 1, 0)
-	s, err := summarizeInto(h, keptMoves(h, 0))
+	s, err := summarizeInto(h, h.MarkBitmap().ForEachSetBelow, keptMoves(h, 0))
 	if err != nil {
 		return Result{}, fmt.Errorf("pgc: recovery summary: %w", err)
 	}

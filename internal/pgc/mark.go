@@ -48,16 +48,16 @@ func heapRoots(h *pheap.Heap, ext Rooter) []layout.Ref {
 }
 
 // mark traces the heap from the name-table roots plus ext's roots,
-// setting begin and end bits in the mark bitmap for every live object,
-// and returns the marker (counts, outgoing-reference summary), which the
+// setting begin and end bits in the volatile mark bitmap for every live
+// object, persists the lines of the device's bitmap that differ, and
+// returns the marker (counts, outgoing-reference summary), which the
 // caller releases.
 func mark(h *pheap.Heap, ext Rooter, workers int) (*marker.Marker, error) {
-	h.MarkBitmap().ClearAll()
-	h.RegionBitmap().ClearAll()
 	mk := marker.NewMarker(h, workers)
 	if err := mk.MarkRoots(heapRoots(h, ext)); err != nil {
 		mk.Release()
 		return nil, err
 	}
+	h.PersistMarkBitmap()
 	return mk, nil
 }

@@ -1,7 +1,7 @@
 // Package marker is the persistent collector's mark phase: a parallel
-// trace of the object graph, with the world stopped, that sets the mark
-// bitmap's begin and end bits for every live object and summarizes, per
-// card, how far each card's objects point.
+// trace of the object graph, with the world stopped, that sets the
+// volatile mark bitmap's begin and end bits for every live object and
+// summarizes, per card, how far each card's objects point.
 //
 // The marker traces below the region tops taken at the pause: an object
 // starts below its region's top, so a slot value above it is not an
@@ -25,7 +25,7 @@
 // it runs.
 //
 // The mark bitmap is shared between workers and written with atomic
-// fetch-OR word operations; a worker claims an object by flipping its
+// word operations; a worker claims an object by flipping its
 // begin bit from clear to set, so every object is scanned (and counted)
 // by exactly one worker no matter how many stacks it was pushed onto.
 // With workers=1 no goroutine is started and nothing is ever shared: the
@@ -57,6 +57,7 @@ import (
 // returning.
 type Marker struct {
 	h       *pheap.Heap
+	marks   pheap.MarkBits
 	tops    []int // region tops at the pause (raw table encoding)
 	dataOff int
 	workers int
@@ -97,17 +98,15 @@ type Marker struct {
 }
 
 // workerState is one worker's state: its private gray stack, its
-// accounting view of the device, its bitmap view through that device,
-// its share of the live counts, and its deque. Only its owning goroutine
-// touches the fields above the deque; the deque is what other workers
-// read and lock, so padding keeps it off their lines and off the next
-// worker's.
+// accounting view of the device, its share of the live counts, and its
+// deque. Only its owning goroutine touches the fields above the deque;
+// the deque is what other workers read and lock, so padding keeps it off
+// their lines and off the next worker's.
 type workerState struct {
 	id int
 	// stack is the worker's gray objects, pushed and popped at the end.
 	stack       []layout.Ref
 	wd          *nvm.View
-	bm          *pheap.Bitmap
 	liveObjects int
 	liveBytes   int
 	lazy        []LazySlot // the RefLazy slots this worker scanned
@@ -144,10 +143,9 @@ const CardBytes = 16 << 10
 // reference.
 const NoOutgoing = -1
 
-// NewMarker prepares a marker over h's current region tops with a pool
-// of workers tracing goroutines (values < 1 mean 1). The world is
-// stopped and the caller has already cleared the mark and region
-// bitmaps; it calls Release when the cycle is over.
+// NewMarker prepares a marker over h's current region tops and cleared
+// volatile mark bitmap with a pool of workers tracing goroutines (values
+// < 1 mean 1). The world is stopped; the caller calls Release after.
 func NewMarker(h *pheap.Heap, workers int) *Marker {
 	if workers < 1 {
 		workers = 1
@@ -156,11 +154,10 @@ func NewMarker(h *pheap.Heap, workers int) *Marker {
 	for i := range maxOut {
 		maxOut[i] = NoOutgoing
 	}
-	m := &Marker{h: h, tops: h.SnapshotRegionTops(), dataOff: h.Geo().DataOff, workers: workers, maxOut: maxOut,
-		wake: make(chan struct{}, workers)}
+	m := &Marker{h: h, marks: h.ResetMarkBits(), tops: h.SnapshotRegionTops(), dataOff: h.Geo().DataOff,
+		workers: workers, maxOut: maxOut, wake: make(chan struct{}, workers)}
 	for i := 0; i < workers; i++ {
-		wd := h.Device().NewView()
-		m.ws = append(m.ws, &workerState{id: i, wd: wd, bm: h.MarkBitmapOn(wd)})
+		m.ws = append(m.ws, &workerState{id: i, wd: h.Device().NewView()})
 	}
 	return m
 }
@@ -173,6 +170,9 @@ func (m *Marker) Release() {
 		w.wd.Release()
 	}
 }
+
+// Marks is the mark bitmap the trace sets.
+func (m *Marker) Marks() pheap.MarkBits { return m.marks }
 
 // Workers reports the pool size.
 func (m *Marker) Workers() int { return m.workers }
@@ -300,14 +300,14 @@ func (m *Marker) sizeOf(w *workerState, off int) (*klass.Klass, int, error) {
 func (m *Marker) scan(w *workerState, ref layout.Ref) error {
 	off := m.h.OffOf(ref)
 	bit := (off - m.dataOff) / layout.WordSize
-	if !w.bm.TrySetAtomic(bit) {
+	if !m.marks.TrySet(bit) {
 		return nil // already claimed (object starts are never interior words)
 	}
 	k, size, err := m.sizeOf(w, off)
 	if err != nil {
 		return fmt.Errorf("marker: marking %#x: %w", uint64(ref), err)
 	}
-	w.bm.SetAtomic(bit + size/layout.WordSize - 1)
+	m.marks.TrySet(bit + size/layout.WordSize - 1)
 	w.liveObjects++
 	w.liveBytes += size
 	srcCard := (off - m.dataOff) / CardBytes

@@ -32,16 +32,14 @@ func buildGarbageBelt(t testing.TB, h *pheap.Heap, reg *klass.Registry, g int) {
 	}
 }
 
-// runMark clears the bitmaps and runs one full parallel marking pass
-// over the quiescent heap — the marker driven the way Collect drives it,
+// runMark runs one full parallel marking pass over the quiescent heap —
+// the marker driven the way Collect drives it, its bitmap persisted,
 // minus summary and compaction.
 func runMark(t *testing.T, h *pheap.Heap, workers int) *marker.Marker {
 	t.Helper()
 	h.PrepareForCollection()
-	h.MarkBitmap().ClearAll()
-	h.RegionBitmap().ClearAll()
-	mk := marker.NewMarker(h, workers)
-	if err := mk.MarkRoots(heapRoots(h, NoRoots{})); err != nil {
+	mk, err := mark(h, NoRoots{}, workers)
+	if err != nil {
 		t.Fatalf("mark (workers=%d): %v", workers, err)
 	}
 	return mk
@@ -430,7 +428,7 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 	for r := range preTops {
 		preTops[r] = hClean.Device().ReadU64(hClean.RegionTopMetaOff(r))
 	}
-	base := hClean.Device().Stats().Flushes
+	base, preTS := hClean.Device().Stats().Flushes, hClean.GlobalTS()
 	res, err := Collect(hClean, NoRoots{})
 	if err != nil {
 		t.Fatal(err)
@@ -472,14 +470,14 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 
 		// Inspect the raw crash image before any recovery runs. With no
 		// committed log pending, the metadata must be all-old (collection
-		// still active — no top entry may have leaked) or
-		// all-new (the crash fell after the log was fully replayed and
-		// retired, gcActive cleared with it). Anything mixed is a
-		// single-publish violation.
+		// not stamped yet, or still active — no top entry may have leaked)
+		// or all-new (the crash fell after the log was fully replayed and
+		// retired, gcActive cleared with it and the timestamp moved on).
+		// Anything mixed is a single-publish violation.
 		after := nvm.FromImage(dev.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{Mode: nvm.Tracked})
 		if after.ReadU64(geo.RedoOff) != 1 {
 			want, label := preTops, "pre-GC"
-			if after.ReadU64(hClean.GCActiveMetaOff()) == 0 {
+			if after.ReadU64(hClean.GCActiveMetaOff()) == 0 && after.ReadU64(hClean.GlobalTSMetaOff()) != preTS {
 				want, label = postTops, "post-GC"
 			}
 			for r := range want {
@@ -499,6 +497,11 @@ func TestRecoverSplitFinishBatch(t *testing.T) {
 		}
 		if h2.GCActive() {
 			t.Fatalf("k=%d: gcActive after recovery", k)
+		}
+		if h2.GlobalTS() == preTS { // crashed before the stamp: the restart collects again
+			if _, err := Collect(h2, NoRoots{}); err != nil {
+				t.Fatalf("k=%d: collect after a crash before the stamp: %v", k, err)
+			}
 		}
 		verifyGraph(t, h2, m)
 		for r := range postTops {

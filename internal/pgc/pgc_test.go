@@ -520,17 +520,22 @@ func TestCrashDuringGCAtEveryFlush(t *testing.T) {
 // re-recovers; recovery must be idempotent.
 func TestCrashDuringRecoveryItself(t *testing.T) {
 	const seed = 123
-	// Build and crash a GC mid-compact.
+	// Build and crash a GC mid-compact: two flushes after the stamp, with
+	// a belt below the graph so that recovery has moves to redo.
 	h, reg := newHeap(t, 2<<20)
+	buildGarbageBelt(t, h, reg, 120)
 	m := buildGraph(t, h, reg, seed, 100, 3)
-	faultdev.CrashIn(h.Device(), 40)
-	if _, err := faultdev.Run(h.Device(), func() error {
+	faultdev.CrashWhen(h.Device(), 2, h.GCActive)
+	if crashed, err := faultdev.Run(h.Device(), func() error {
 		_, err := Collect(h, NoRoots{})
 		return err
-	}); err != nil {
-		t.Fatal(err)
+	}); err != nil || !crashed {
+		t.Fatalf("collection crashed = %v, err = %v; want a crash mid-compaction", crashed, err)
 	}
 	crashImg := h.Device().CrashImage(nvm.CrashRandomEviction, 1)
+	if re, err := pheap.Load(nvm.FromImage(append([]byte(nil), crashImg...), nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry()); err != nil || !re.GCActive() {
+		t.Fatalf("the crash image is not mid-collection (err %v); the sweep below would recover nothing", err)
+	}
 
 	for k := uint64(1); k < 60; k += 3 {
 		img := make([]byte, len(crashImg))

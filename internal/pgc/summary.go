@@ -5,29 +5,27 @@
 //
 // The protocol, as in the paper:
 //
-//  1. Marking records live objects in the persistent mark bitmap; the
-//     bitmap is persisted before anything moves.
+//  1. Marking records live objects in a volatile mark bitmap; before
+//     anything moves, the persistent bitmap's lines that differ from it,
+//     and a zeroed progress word, are flushed as one batch and fenced.
 //  2. The heap is stamped mid-collection: the global timestamp is bumped
 //     and the gcActive flag set (in that store order), making every object
 //     "stale".
 //  3. The summary phase is a pure function of the mark bitmap — idempotent,
 //     so recovery can simply rerun it.
-//  4. The compact phase copies each live object to its destination, fixes
-//     its references, persists it, and then writes the current timestamp
-//     into both headers, destination first. Until a source region is fully
-//     evacuated, its data is the undo log for its objects; a region bitmap
-//     records full evacuation, after which (and only after which) a region
-//     may be reused as a destination.
+//  4. The compact phase fixes the objects that stay, each fixed header
+//     stamped with the timestamp, then evacuates the rest one window at
+//     a time: copy, fix and stamp each object, flush the window's
+//     destinations as one batch, fence, and persist the progress word —
+//     the moves now durable — behind a second fence. A window never
+//     writes onto its own sources: they are its undo log.
 //  5. The finish step — forwarded root entries, the new top, clearing
 //     gcActive — commits atomically through the metadata redo log.
 //
-// Recovery reruns summary from the persisted bitmap and resumes compaction:
-// objects in bitmap-marked regions are done wholesale (their source bytes
-// may be overwritten); elsewhere the source header's timestamp — a real
-// header, intact by the undo-log invariant — tells exactly which objects
-// were processed. The timestamp check deliberately reads the *source*
-// header: destination bytes of an unfinished copy are arbitrary, and a
-// payload word there could forge a timestamp.
+// Recovery reruns summary from the persisted bitmap and resumes
+// compaction: an in-place object whose header carries the timestamp is
+// done, and the moves from the progress word on are redone from their
+// sources, window by window; nothing below it is read from its source.
 package pgc
 
 import (
@@ -75,10 +73,6 @@ type Move struct {
 type Summary struct {
 	Moves []Move // ascending by Src
 
-	// regionLastMove[r] is the index in Moves of the last object whose
-	// source lies in region r, or -1. The compactor sets r's region-bitmap
-	// bit after processing that move.
-	regionLastMove []int
 	// occ[r] is the final occupied prefix of region r in bytes.
 	occ []int
 	// interior[r] is region r's ascending interior dead-wood gaps.
@@ -100,23 +94,20 @@ type Summary struct {
 // appends to several times its final size over a large heap. It changes
 // no result and no device access.
 func Summarize(h *pheap.Heap, liveObjects int) (*Summary, error) {
-	return summarizeInto(h, make([]Move, 0, liveObjects))
+	return summarizeInto(h, h.MarkBitmap().ForEachSetBelow, make([]Move, 0, liveObjects))
 }
 
-// summarizeInto is Summarize building Moves in moves' array (empty on
-// entry), which the collectors keep from one cycle to the next.
-func summarizeInto(h *pheap.Heap, moves []Move) (*Summary, error) {
+// summarizeInto is Summarize over the bits marks visits (Collect's are
+// volatile), building Moves in moves' array (empty on entry), which the
+// collectors keep from one cycle to the next.
+func summarizeInto(h *pheap.Heap, marks func(limit int, fn func(bit int)), moves []Move) (*Summary, error) {
 	geo := h.Geo()
 	regions := geo.Regions()
 	s := &Summary{
-		Moves:          moves,
-		regionLastMove: make([]int, regions),
-		occ:            make([]int, regions),
-		dataOff:        geo.DataOff,
-		base:           h.Base(),
-	}
-	for i := range s.regionLastMove {
-		s.regionLastMove[i] = -1
+		Moves:   moves,
+		occ:     make([]int, regions),
+		dataOff: geo.DataOff,
+		base:    h.Base(),
 	}
 
 	// Decode (begin,end) mark-bit pairs into (src,size) runs — Moves whose
@@ -130,10 +121,9 @@ func summarizeInto(h *pheap.Heap, moves []Move) (*Summary, error) {
 	// bounded by the heap's used prefix — during recovery the tops come
 	// from the persisted region-top table, which the crashed collection
 	// had not yet republished.
-	bm := h.MarkBitmap()
 	usedBits := (h.Top() - geo.DataOff) / layout.WordSize
 	begin := -1
-	bm.ForEachSetBelow(usedBits, func(b int) {
+	marks(usedBits, func(b int) {
 		if begin < 0 {
 			begin = b
 			return
@@ -153,8 +143,7 @@ func summarizeInto(h *pheap.Heap, moves []Move) (*Summary, error) {
 	regionStart := func(r int) int { return geo.DataOff + r*layout.RegionSize }
 
 	// Per-region live bytes (seeds the destination pool with empty
-	// regions) and last-object index (drives the region bitmap and the
-	// pool recycling).
+	// regions) and last-object index (drives the pool recycling).
 	liveIn := make([]int, regions)
 	lastObj := make([]int, regions)
 	for i := range lastObj {
@@ -271,7 +260,6 @@ func summarizeInto(h *pheap.Heap, moves []Move) (*Summary, error) {
 				}
 			}
 		}
-		s.regionLastMove[srcRegion] = i
 		if i == lastObj[srcRegion] && srcRegion != destRegion && o.Size <= pheap.HugeThreshold {
 			// The region's sources are all assigned: the space behind its
 			// in-place prefix (the whole region if it has none) is free to
@@ -334,10 +322,6 @@ func (s *Summary) Forward(ref layout.Ref) layout.Ref {
 	}
 	return ref
 }
-
-// RegionLastMove exposes the per-region last-move index (see the compact
-// phase).
-func (s *Summary) RegionLastMove(r int) int { return s.regionLastMove[r] }
 
 // Occupancy reports the final occupied prefix of region r.
 func (s *Summary) Occupancy(r int) int { return s.occ[r] }

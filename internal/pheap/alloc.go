@@ -965,9 +965,16 @@ func (x Access) fillGapRaw(off, n int) {
 }
 
 func (x Access) fillGapRawNoFence(off, n int) {
+	x.view.Flush(off, x.writeFiller(off, n))
+}
+
+// writeFiller writes a filler header covering exactly [off, off+n) and
+// returns the length to flush to persist it: the header's (a filler's
+// body is never read).
+func (x Access) writeFiller(off, n int) int {
 	h := x.heap
 	if n == 0 {
-		return
+		return 0
 	}
 	if n < layout.MinObjectBytes || n%layout.ObjAlign != 0 {
 		panic(fmt.Sprintf("pheap: unfillable gap of %d bytes", n))
@@ -977,8 +984,7 @@ func (x Access) fillGapRawNoFence(off, n int) {
 	}
 	if n == layout.HeaderBytes {
 		x.writeHeader(off, h.fillerAddr, h.fillerK, 0)
-		x.view.Flush(off, layout.HeaderBytes)
-		return
+		return layout.HeaderBytes
 	}
 	// Choose the largest length whose aligned size equals n exactly.
 	elems := n - layout.ArrayHdrBytes
@@ -986,7 +992,7 @@ func (x Access) fillGapRawNoFence(off, n int) {
 		elems -= layout.ArrayBytes(layout.FTByte, elems) - n
 	}
 	x.writeHeader(off, h.fillerArrAddr, h.fillerArrK, elems)
-	x.view.Flush(off, layout.ArrayHdrBytes)
+	return layout.ArrayHdrBytes
 }
 
 // IsFiller reports whether k is one of the gap-filler klasses.
@@ -994,10 +1000,11 @@ func IsFiller(k *klass.Klass) bool {
 	return k.Name == klass.FillerName || k.Name == klass.FillerArrayName
 }
 
-// WriteFiller writes a persisted filler object covering exactly
-// [off, off+n). The garbage collector uses it to plug evacuated holes so
-// the compacted heap still parses; the caller must own the covered bytes
-// (the world is stopped during collection).
-func (h *Heap) WriteFiller(off, n int) {
-	h.fillGapRaw(off, n)
+// WriteFiller writes a filler object covering exactly [off, off+n) and
+// returns the lines that persist it, unflushed: the garbage collector
+// plugs every gap of a compacted heap this way so that it parses, and
+// persists all of them with one batch and one fence. The caller must own
+// the covered bytes (the world is stopped during collection); n > 0.
+func (h *Heap) WriteFiller(off, n int) nvm.Range {
+	return nvm.LineRange(off, h.writeFiller(off, n))
 }

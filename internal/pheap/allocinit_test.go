@@ -113,7 +113,9 @@ func (f *initFixture) digHole(t *testing.T, lo, n int) Hole {
 	}
 	f.h.PersistTops() // as the collection that reports a hole has
 	hole := Hole{Lo: f.h.OffOf(first) + lo, Hi: f.h.OffOf(first) + lo + n}
-	f.h.WriteFiller(hole.Lo, n)
+	r := f.h.WriteFiller(hole.Lo, n)
+	f.h.Device().Flush(r.Off, r.N)
+	f.h.Device().Fence()
 	f.h.SetFreeHoles([]Hole{hole})
 	return hole
 }

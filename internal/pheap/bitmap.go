@@ -1,52 +1,32 @@
 package pheap
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/bits"
+	"sync/atomic"
 
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
 )
 
-// Bitmap is a device-backed bitset. The mark bitmap keeps one bit per
-// heap word (an object is marked at its starting word); the region bitmap
-// keeps one bit per region. Both live in the heap image so they survive a
-// crash once flushed (paper §4.2: "the mark bitmap can be seen as a sketch
-// of the whole heap before the real collection").
+// Bitmap is the heap's persisted mark bitmap: one bit per data-heap word,
+// an object marked at its first and last words. It lives in the heap image
+// so that a crashed collection's recovery can summarize from it (paper
+// §4.2: "the mark bitmap can be seen as a sketch of the whole heap before
+// the real collection"). The collector marks into MarkBits, its volatile
+// twin, and PersistMarkBitmap writes what changed to the device before the
+// cycle is stamped.
 type Bitmap struct {
-	dev  bitmapDevice
+	dev  *nvm.Device
 	off  int // device offset of the first word
 	bits int
 }
 
-// bitmapDevice is the device surface a Bitmap needs — satisfied by both
-// *nvm.Device and a GC worker's own *nvm.View, so parallel GC workers
-// can operate on the shared bitmap while their word traffic is counted
-// per worker.
-type bitmapDevice interface {
-	ReadU64(off int) uint64
-	WriteU64(off int, v uint64)
-	OrU64Atomic(off int, mask uint64) uint64
-	Zero(off, n int)
-	Flush(off, n int)
-	Fence()
-}
-
-// MarkBitmap returns the heap's mark bitmap (one bit per data-heap word).
+// MarkBitmap returns the heap's persisted mark bitmap (one bit per
+// data-heap word).
 func (h *Heap) MarkBitmap() *Bitmap {
 	return &Bitmap{dev: h.dev, off: h.geo.MarkBmpOff, bits: h.geo.DataSize / layout.WordSize}
-}
-
-// MarkBitmapOn is MarkBitmap with the word operations routed through a
-// parallel marking worker's view, so its bitmap traffic lands in its own
-// Stats. All of them share the one device-backed bit array; only the
-// accounting differs.
-func (h *Heap) MarkBitmapOn(dev *nvm.View) *Bitmap {
-	return &Bitmap{dev: dev, off: h.geo.MarkBmpOff, bits: h.geo.DataSize / layout.WordSize}
-}
-
-// RegionBitmap returns the heap's processed-region bitmap.
-func (h *Heap) RegionBitmap() *Bitmap {
-	return &Bitmap{dev: h.dev, off: h.geo.RegionBmpOff, bits: h.geo.Regions()}
 }
 
 // Len reports the number of bits.
@@ -56,22 +36,6 @@ func (b *Bitmap) Len() int { return b.bits }
 func (b *Bitmap) Set(i int) {
 	woff := b.off + i/64*8
 	b.dev.WriteU64(woff, b.dev.ReadU64(woff)|1<<(uint(i)%64))
-}
-
-// SetAtomic sets bit i with an atomic fetch-OR on the backing word, safe
-// against concurrent setters of other bits in the same word (parallel
-// marking publishes end bits this way).
-func (b *Bitmap) SetAtomic(i int) {
-	b.dev.OrU64Atomic(b.off+i/64*8, 1<<(uint(i)%64))
-}
-
-// TrySetAtomic sets bit i and reports whether this call flipped it from
-// clear to set — the claim operation parallel marking dedups through: of
-// N workers racing to mark one object's begin bit, exactly one observes
-// it clear and owns scanning that object.
-func (b *Bitmap) TrySetAtomic(i int) bool {
-	bit := uint64(1) << (uint(i) % 64)
-	return b.dev.OrU64Atomic(b.off+i/64*8, bit)&bit == 0
 }
 
 // Clear clears bit i.
@@ -125,15 +89,16 @@ func (b *Bitmap) NextSet(from int) int {
 // lie above the allocation tops) pay for that prefix only, not the whole
 // area.
 func (b *Bitmap) ForEachSetBelow(limit int, fn func(bit int)) {
-	if limit > b.bits {
-		limit = b.bits
-	}
+	forEachSetBelow(min(limit, b.bits), func(wi int) uint64 { return b.dev.ReadU64(b.off + wi*8) }, fn)
+}
+
+func forEachSetBelow(limit int, word func(wi int) uint64, fn func(bit int)) {
 	if limit <= 0 {
 		return
 	}
 	lastW := (limit - 1) / 64
 	for wi := 0; wi <= lastW; wi++ {
-		w := b.dev.ReadU64(b.off + wi*8)
+		w := word(wi)
 		for w != 0 {
 			bit := wi*64 + bits.TrailingZeros64(w)
 			if bit >= limit {
@@ -160,30 +125,92 @@ func (b *Bitmap) Persist() {
 	b.dev.Fence()
 }
 
-// PersistMarkBitmapUsed persists the mark bitmap's used prefix — the
-// words covering bits up to the allocation top — plus whatever earlier
-// prefix this process persisted (high-water), instead of the whole
-// area. The invariant is that the persisted view beyond the last
-// recorded prefix is all zeros: true at Create (the device is born
-// zeroed), re-established after every persist (ClearAll zeroes the
-// memory view before marking, and the flush covers the previous
-// prefix), and forced by a one-time full flush after Load, when an
-// earlier process's history is unknown. Collections over small live
-// sets in large heaps therefore stop paying a pause-time flush of the
-// entire bitmap area.
-func (h *Heap) PersistMarkBitmapUsed() {
+// MarkBits is the collector's volatile mark bitmap, word for word the
+// layout of the device's. Parallel markers set its bits with atomic word
+// operations; the heap keeps it from one collection to the next, so a
+// steady collector allocates it once.
+type MarkBits []uint64
+
+// ResetMarkBits returns the heap's volatile mark bitmap with every bit
+// clear. Only the holder of the collection slot calls it.
+func (h *Heap) ResetMarkBits() MarkBits {
+	if h.marks == nil {
+		h.marks = make(MarkBits, h.geo.MarkBmpSize/8)
+	}
+	clear(h.marks)
+	return h.marks
+}
+
+// TrySet sets bit i and reports whether this call flipped it from clear
+// to set — the claim parallel marking dedups through: of N workers racing
+// to mark one object's begin bit, exactly one observes it clear.
+func (m MarkBits) TrySet(i int) bool {
+	w, bit := &m[i/64], uint64(1)<<(uint(i)%64)
+	for {
+		old := atomic.LoadUint64(w)
+		if old&bit != 0 {
+			return false
+		}
+		if atomic.CompareAndSwapUint64(w, old, old|bit) {
+			return true
+		}
+	}
+}
+
+// ForEachSetBelow is Bitmap.ForEachSetBelow over the volatile words.
+func (m MarkBits) ForEachSetBelow(limit int, fn func(bit int)) {
+	forEachSetBelow(min(limit, len(m)*64), func(wi int) uint64 { return m[wi] }, fn)
+}
+
+// PersistMarkBitmap makes the device's mark bitmap equal the volatile one
+// ResetMarkBits handed out, and the compaction progress word read 0: what
+// recovery starts from once the cycle is stamped. It compares the two
+// bitmaps over the prefix either may hold set bits in — the used prefix
+// of the heap, and the device's marked extent from the last persist (all
+// of the area after Load) — writes only the lines that differ, flushes
+// them, the progress line first, in ascending order, and fences once: no
+// bitmap line when the marks did not change.
+//
+// Why comparing with the device's bitmap area is comparing with what is
+// durable (Px86): nothing else writes the area, and every line this
+// writes it flushes and fences before it returns, so between calls the
+// area's memory view is its persisted view. A crash inside the batch
+// leaves some lines new and some old before the cycle is stamped, and a
+// restarted process compares the whole area again.
+func (h *Heap) PersistMarkBitmap() {
 	usedBits := (h.Top() - h.geo.DataOff) / layout.WordSize
-	usedBytes := align((usedBits+7)/8, 64)
-	if usedBytes > h.geo.MarkBmpSize {
-		usedBytes = h.geo.MarkBmpSize
+	used := min(align((usedBits+7)/8, layout.LineSize), h.geo.MarkBmpSize)
+	var batch []nvm.Range
+	if h.CompactProgress() != 0 || h.dev.ReadU64(mProgressSum) != progressSum(0) {
+		h.writeProgress(0)
+		batch = append(batch, nvm.LineRange(mProgress, 16))
 	}
-	cover := usedBytes
-	if h.markBmpHi > cover {
-		cover = h.markBmpHi
+	var chunk [64 * layout.LineSize]byte
+	var line [layout.LineSize]byte
+	for off, cover := 0, max(used, h.marksHi); off < cover; off += len(chunk) {
+		old := chunk[:min(len(chunk), cover-off)]
+		h.dev.ReadBytes(h.geo.MarkBmpOff+off, old)
+		for l := 0; l < len(old); l += layout.LineSize {
+			for i, w := range h.marks[(off+l)/8:][:layout.LineSize/8] {
+				binary.LittleEndian.PutUint64(line[8*i:], w)
+			}
+			if bytes.Equal(line[:], old[l:l+layout.LineSize]) {
+				continue
+			}
+			at := h.geo.MarkBmpOff + off + l
+			h.dev.WriteBytes(at, line[:])
+			if last := len(batch) - 1; last >= 0 && batch[last].Off+batch[last].N == at {
+				batch[last].N += layout.LineSize
+			} else {
+				batch = append(batch, nvm.Range{Off: at, N: layout.LineSize})
+			}
+		}
 	}
-	if cover > 0 {
-		h.dev.Flush(h.geo.MarkBmpOff, cover)
+	for _, r := range batch {
+		h.dev.Flush(r.Off, r.N)
 	}
-	h.dev.Fence()
-	h.markBmpHi = usedBytes
+	if len(batch) > 0 {
+		h.dev.Fence()
+	}
+	h.marksHi = used
 }

@@ -10,7 +10,8 @@ import (
 // *silent* — a rotted region-top line changes where parsing starts, a
 // rotted redo entry rewrites an arbitrary word, a rotted GC-phase word
 // changes which recovery runs, a rotted global timestamp changes which
-// bytes above a region top Load takes for objects. Payload data stays
+// bytes above a region top Load takes for objects, a rotted progress word
+// changes which moves recovery redoes. Payload data stays
 // checksum-free: object headers are already structurally validated by
 // parsing, and guarding every field store would put fences back on the
 // fast paths this codebase exists to keep clean. Each checksum (an nvm.Mix
@@ -21,6 +22,13 @@ import (
 // offset so a word copied from elsewhere in the line cannot validate.
 func gcPhaseSum(phase uint64) uint64 {
 	return nvm.Mix(heapMagic^mGCPhase, phase)
+}
+
+// progressSum covers the compaction progress word (v7): a rotted one
+// would resume a compaction past moves that never became durable.
+// Seeded like gcPhaseSum.
+func progressSum(p uint64) uint64 {
+	return nvm.Mix(heapMagic^mProgress, p)
 }
 
 // globalTSSum covers the global GC timestamp — the allocation epoch Load

@@ -2,7 +2,7 @@
 // §3–§4: an NVM-resident space holding Java objects, laid out as
 //
 //	metadata area | name table | string arena | redo log |
-//	mark bitmap | region bitmap | region-top table | Klass segment |
+//	mark bitmap | region-top table | Klass segment |
 //	data heap (+ scratch region)
 //
 // All components live on one nvm.Device so the whole heap is a single
@@ -40,7 +40,8 @@ const (
 	// per-region top table, GC-phase word, flight-recorder ring, and
 	// checksums over the critical metadata (a checksum word beside each
 	// region-top value, a committed-batch checksum in the redo area's
-	// trailing word, a GC-phase checksum, a global-timestamp checksum).
+	// trailing word, a GC-phase checksum, a global-timestamp checksum, a
+	// compaction-progress checksum).
 	// Load, LoadSalvage, Scrub and BlackboxRegion reject every other
 	// version, which is what lets the version word go without a checksum
 	// of its own: a single flipped bit of it lands on a rejected value
@@ -49,7 +50,12 @@ const (
 	// Version 6 is version 5 with the region tops demoted to lower bounds
 	// (so code that trusts them — every version 5 reader — must refuse the
 	// image) and the timestamp checksum in the slot version 5 kept zero.
-	heapVersion = 6
+	// Version 7 drops the region bitmap: the words that located it hold
+	// the compaction progress word and its checksum, which a version 6
+	// reader would take for the bitmap's offset and size, and a version 7
+	// reader must not resume a version 6 compaction from a region bitmap
+	// it no longer reads.
+	heapVersion = 7
 )
 
 // The reserved phase word (mGCPhase) and its checksum (mGCPhaseSum).
@@ -57,8 +63,7 @@ const (
 // word to announce an in-flight concurrent mark (1); every image now
 // holds it idle (0) under a valid checksum, Create writes exactly that,
 // and Load refuses anything else as corruption (LoadSalvage resets it,
-// Scrub reports it). Keeping the words reserved keeps every image
-// byte-identical at format 6.
+// Scrub reports it).
 const gcPhaseIdle uint64 = 0
 
 // Metadata field offsets (device-relative). The whole block fits in four
@@ -82,8 +87,8 @@ const (
 	mRedoSize      = 104
 	mMarkBmpOff    = 112
 	mMarkBmpSize   = 120
-	mRegionBmpOff  = 128
-	mRegionBmpSize = 136
+	mProgress      = 128 // compaction progress (compact.go in pgc), sum beside it
+	mProgressSum   = 136
 	mKsegOff       = 144
 	mKsegSize      = 152
 	mKsegUsed      = 160
@@ -154,7 +159,6 @@ type Geometry struct {
 	ArenaOff, ArenaSize         int
 	RedoOff, RedoSize           int
 	MarkBmpOff, MarkBmpSize     int
-	RegionBmpOff, RegionBmpSize int
 	RegionTopOff, RegionTopSize int
 	KsegOff, KsegSize           int
 	BlackboxOff, BlackboxSize   int // flight-recorder ring
@@ -185,7 +189,6 @@ func (g *Geometry) layOut() (total int) {
 		{&g.ArenaOff, g.ArenaSize},
 		{&g.RedoOff, g.RedoSize},
 		{&g.MarkBmpOff, g.MarkBmpSize},
-		{&g.RegionBmpOff, g.RegionBmpSize},
 		{&g.RegionTopOff, g.RegionTopSize},
 		{&g.KsegOff, g.KsegSize},
 		{&g.BlackboxOff, g.BlackboxSize},
@@ -228,10 +231,10 @@ type Heap struct {
 	// remembered slots (barrier.go).
 	remsetSink atomic.Pointer[RemsetSink]
 
-	// markBmpHi is the byte length of the mark bitmap's last persisted
-	// used prefix (see PersistMarkBitmapUsed). Volatile: a fresh process
-	// starts conservative.
-	markBmpHi int
+	// marksHi is the byte length of the device mark bitmap's prefix that
+	// may hold set bits (bitmap.go). Only the holder of the collecting
+	// slot touches it, and marks at the end of the struct.
+	marksHi int
 
 	// layoutEpoch counts the events that can move objects — collection
 	// finishes and rebases. Callers holding the safepoint read lock can
@@ -317,6 +320,10 @@ type Heap struct {
 	// slice exists for the index layer's never-fabricate walk and for
 	// reporting.
 	quarantined []bool
+
+	// marks is the collector's volatile mark bitmap, kept from one
+	// collection to the next (bitmap.go).
+	marks MarkBits
 }
 
 func align(n, a int) int { return (n + a - 1) &^ (a - 1) }
@@ -334,7 +341,6 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 		// region; size the log for both.
 		RedoSize:      align(16+(cfg.NameTabCap+regions+8)*16+64, 64),
 		MarkBmpSize:   align(dataSize/layout.WordSize/8, 64),
-		RegionBmpSize: align((regions+7)/8, 64),
 		RegionTopSize: regions * layout.RegionTopStride,
 		KsegSize:      align(cfg.KsegSize, 64),
 		BlackboxSize:  align(cfg.BlackboxSize, 64),
@@ -366,8 +372,8 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 	dev.WriteU64(mRedoSize, uint64(geo.RedoSize))
 	dev.WriteU64(mMarkBmpOff, uint64(geo.MarkBmpOff))
 	dev.WriteU64(mMarkBmpSize, uint64(geo.MarkBmpSize))
-	dev.WriteU64(mRegionBmpOff, uint64(geo.RegionBmpOff))
-	dev.WriteU64(mRegionBmpSize, uint64(geo.RegionBmpSize))
+	dev.WriteU64(mProgress, 0)
+	dev.WriteU64(mProgressSum, progressSum(0))
 	dev.WriteU64(mKsegOff, uint64(geo.KsegOff))
 	dev.WriteU64(mKsegSize, uint64(geo.KsegSize))
 	dev.WriteU64(mKsegUsed, 0)
@@ -461,9 +467,9 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 	h.Access = Access{heap: h, view: dev.Unowned()}
 	h.globalTS.Store(dev.ReadU64(mGlobalTS))
 	h.gcActive.Store(dev.ReadU64(mGCActive) != 0)
-	// An earlier process may have persisted mark bits anywhere in the
-	// bitmap area; the first persist of this process must cover it all.
-	h.markBmpHi = geo.MarkBmpSize
+	// An earlier process may have left mark bits anywhere in the bitmap
+	// area; this process's first persist compares all of it.
+	h.marksHi = geo.MarkBmpSize
 	// Class re-initialization in place: cost ∝ number of Klasses, not
 	// objects — the property behind Figure 18's flat UG line.
 	if err := h.reinitKlasses(); err != nil {
@@ -530,7 +536,6 @@ func readGeometry(dev *nvm.Device) (Geometry, error) {
 		ArenaOff: word(mArenaOff), ArenaSize: word(mArenaSize),
 		RedoOff: word(mRedoOff), RedoSize: word(mRedoSize),
 		MarkBmpOff: word(mMarkBmpOff), MarkBmpSize: word(mMarkBmpSize),
-		RegionBmpOff: word(mRegionBmpOff), RegionBmpSize: word(mRegionBmpSize),
 		RegionTopOff: word(mRegionTopOff), RegionTopSize: word(mRegionTopSize),
 		KsegOff: word(mKsegOff), KsegSize: word(mKsegSize),
 		BlackboxOff: word(mBlackboxOff), BlackboxSize: word(mBlackboxSize),
@@ -553,8 +558,8 @@ func (g Geometry) sanity(size int) error {
 	if uint64(g.NameTabCap) > uint64(size)/nameEntryBytes {
 		return fmt.Errorf("pheap: unreadable image: name table of %d entries on a device of %d bytes", g.NameTabCap, size)
 	}
-	for _, n := range []int{g.ArenaSize, g.RedoSize, g.MarkBmpSize, g.RegionBmpSize,
-		g.RegionTopSize, g.KsegSize, g.BlackboxSize, g.DataSize} {
+	for _, n := range []int{g.ArenaSize, g.RedoSize, g.MarkBmpSize, g.RegionTopSize,
+		g.KsegSize, g.BlackboxSize, g.DataSize} {
 		if n < 0 || n > size {
 			return fmt.Errorf("pheap: unreadable image: component of %d bytes on a device of %d", n, size)
 		}
@@ -569,7 +574,6 @@ func (g Geometry) sanity(size int) error {
 		{"arena", g.ArenaOff, want.ArenaOff},
 		{"redo log", g.RedoOff, want.RedoOff},
 		{"mark bitmap", g.MarkBmpOff, want.MarkBmpOff},
-		{"region bitmap", g.RegionBmpOff, want.RegionBmpOff},
 		{"region-top table", g.RegionTopOff, want.RegionTopOff},
 		{"klass segment", g.KsegOff, want.KsegOff},
 		{"blackbox ring", g.BlackboxOff, want.BlackboxOff},
@@ -776,6 +780,30 @@ func (h *Heap) GCStateEntries(ts uint64, active bool) []RedoEntry {
 	}
 	return []RedoEntry{{Off: mGlobalTS, Val: ts}, {Off: mGlobalTSSum, Val: globalTSSum(ts)}, {Off: mGCActive, Val: a}}
 }
+
+// CompactProgress reports the compaction progress word: how many of the
+// stamped cycle's moves (pgc's summary, in order) are durable at their
+// destinations. PersistMarkBitmap arms it at 0 before a cycle is stamped;
+// a mid-collection image's word is checksum-verified by Load.
+func (h *Heap) CompactProgress() int { return int(h.dev.ReadU64(mProgress)) }
+
+// PersistCompactProgress moves the progress word to p: word and checksum
+// on one line, one flush, one fence. The caller has made every move below
+// p durable, fenced, before it calls.
+func (h *Heap) PersistCompactProgress(p int) {
+	h.writeProgress(p)
+	h.dev.Flush(mProgress, 16)
+	h.dev.Fence()
+}
+
+func (h *Heap) writeProgress(p int) {
+	h.dev.WriteU64(mProgress, uint64(p))
+	h.dev.WriteU64(mProgressSum, progressSum(uint64(p)))
+}
+
+// ProgressMetaOff exposes the metadata offset of the compaction progress
+// word for crash tests (its checksum is the word after it).
+func (h *Heap) ProgressMetaOff() int { return mProgress }
 
 // GlobalTSMetaOff exposes the metadata offset of the global timestamp for
 // fault-injection tests (its checksum is the word before it).

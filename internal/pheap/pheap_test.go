@@ -492,8 +492,8 @@ func TestBitmapBasics(t *testing.T) {
 }
 
 func TestQuickBitmapMatchesModel(t *testing.T) {
-	h, _ := testHeap(t, Config{})
-	bm := h.RegionBitmap()
+	h, _ := testHeap(t, Config{DataSize: 2 * layout.RegionSize})
+	bm := h.MarkBitmap()
 	f := func(ops []uint16) bool {
 		bm.ClearAll()
 		model := map[int]bool{}

@@ -65,10 +65,10 @@ func TestScrubRejectsUnreadableImage(t *testing.T) {
 
 // TestFlippedVersionBitDoesNotBlessCorruption: the version word sits
 // outside every checksum, and one bit flip takes the current version to
-// its neighbours (6→7 is bit 0). An upgrade ladder re-stamped every
+// its neighbours (7→6 is bit 0). An upgrade ladder re-stamped every
 // checksum from the media as read, so a rotted region-top line loaded
 // clean. Only the current version opens: every front door refuses a
-// version word of 5 or 7, on an otherwise valid image and on one with a
+// version word of 6 or 8, on an otherwise valid image and on one with a
 // rotted region-top line alike.
 func TestFlippedVersionBitDoesNotBlessCorruption(t *testing.T) {
 	clean := buildScrubImage(t)
@@ -147,6 +147,41 @@ func TestGCPhaseCorruptionDetectedAndSalvaged(t *testing.T) {
 				t.Fatalf("repaired phase word = %d (checksum %#x), want idle under a valid checksum", p, sum)
 			}
 		})
+	}
+}
+
+// TestProgressWordCorruptionRefusedMidCollection: on a mid-collection
+// image the compaction progress word says which moves recovery redoes,
+// and nothing can re-derive it — a flipped bit of the word or of its
+// checksum is refused by both loaders and flagged by scrub. On a clean
+// image the word is never read, and the same flip loads.
+func TestProgressWordCorruptionRefusedMidCollection(t *testing.T) {
+	h, _ := testHeap(t, Config{DataSize: 1 << 20})
+	h.SetGCState(h.GlobalTS()+1, true)
+	h.PersistCompactProgress(5)
+	mid := h.Device().CrashImage(nvm.CrashFlushedOnly, 0)
+	if re, err := Load(imgDev(mid), klass.NewRegistry()); err != nil {
+		t.Fatalf("intact mid-collection image: %v", err)
+	} else if p := re.CompactProgress(); p != 5 {
+		t.Fatalf("intact mid-collection image: progress %d, want 5", p)
+	}
+	for _, off := range []int{mProgress, mProgressSum} {
+		img := append([]byte(nil), mid...)
+		faultdev.FlipBitInImage(img, off, 1)
+		if rep, err := Scrub(imgDev(img)); err != nil || !rep.Corrupt() || !strings.Contains(rep.Findings[0], "compaction progress") {
+			t.Fatalf("flip at +%d: scrub %v, %v; want a compaction-progress finding", off, rep, err)
+		}
+		if _, err := Load(imgDev(img), klass.NewRegistry()); err == nil {
+			t.Fatalf("flip at +%d: strict load accepted the progress word", off)
+		}
+		if _, _, err := LoadSalvage(imgDev(img), klass.NewRegistry()); err == nil {
+			t.Fatalf("flip at +%d: salvage accepted the progress word", off)
+		}
+	}
+	clean := buildScrubImage(t)
+	faultdev.FlipBitInImage(clean, mProgress, 1)
+	if _, err := Load(imgDev(clean), klass.NewRegistry()); err != nil {
+		t.Fatalf("a clean image's unread progress word refused the load: %v", err)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 
 // The metadata self-check. The format puts checksums on the words whose
 // misreading is silent and whose value nothing else determines (GC phase,
-// redo batch, region tops, global timestamp). The rest of the metadata
-// block carries none and is validated against what the image itself says
-// elsewhere:
+// redo batch, region tops, global timestamp, compaction progress). The
+// rest of the metadata block carries none and is validated against what
+// the image itself says elsewhere:
 //
 //   - the global timestamp must carry its checksum;
 //   - the component offsets are a function of the component sizes
@@ -26,6 +26,11 @@ import (
 //   - gcActive is a boolean: any value but 0 and 1 is rot, and whether a
 //     compaction was in flight is then unknowable — neither resuming
 //     recovery off a possibly stale mark bitmap nor skipping it is safe;
+//   - mid-collection (gcActive 1), the compaction progress word must
+//     carry its checksum: recovery redoes the moves from it on, and no
+//     other word says how far the crashed cycle got. A clean image's
+//     progress word is never read (the next cycle rewrites it), so it is
+//     not checked there;
 //   - the address hint is the base every stored address was formed under:
 //     each Klass entry of the name table must address the record of the
 //     class it names (the filler classes are in every image, so a rotted
@@ -46,8 +51,13 @@ func selfCheck(dev *nvm.Device, geo Geometry) []string {
 	if dev.ReadU64(mGlobalTSSum) != globalTSSum(ts) {
 		finding("global timestamp: checksum mismatch (timestamp %d)", ts)
 	}
-	if a := dev.ReadU64(mGCActive); a > 1 {
+	switch a := dev.ReadU64(mGCActive); {
+	case a > 1:
 		finding("gc-active: word %#x is neither 0 nor 1", a)
+	case a == 1:
+		if p := dev.ReadU64(mProgress); dev.ReadU64(mProgressSum) != progressSum(p) {
+			finding("compaction progress: checksum mismatch (move %d)", p)
+		}
 	}
 	ksegUsed, arenaUsed := dev.ReadU64(mKsegUsed), dev.ReadU64(mArenaUsed)
 	if ksegUsed > uint64(geo.KsegSize) {

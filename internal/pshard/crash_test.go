@@ -45,11 +45,11 @@ func buildCrashedScenario(t *testing.T) (map[string][]byte, map[int64]int64, int
 	c.Release()
 
 	// Crash shard crashShard mid-collection: wait until the persisted
-	// gcActive flag is up, then let a handful more flushes land and cut
+	// gcActive flag is up, then let two more flushes land and cut
 	// power. The crash image is then guaranteed to need pgc recovery.
 	sh := set.Shard(crashShard)
 	dev := sh.Heap().Device()
-	faultdev.CrashWhen(dev, 8, sh.Heap().GCActive)
+	faultdev.CrashWhen(dev, 2, sh.Heap().GCActive)
 	crashed, err := faultdev.Run(dev, func() error {
 		_, err := set.GCShard(crashShard)
 		return err

@@ -116,7 +116,7 @@ func buildFaultFixture(t *testing.T) *faultFixture {
 		t.Fatalf("shard 0's image does not load: %v", err)
 	}
 	// The reserved GC-phase word and its same-line checksum sit at fixed
-	// offsets of heap format 6's metadata block; the word must read idle.
+	// offsets of the heap format's metadata block; the word must read idle.
 	fx.gcPhase, fx.gcPhaseSum, fx.redo = 208, 232, h.Geo().RedoOff
 	frontier := -1
 	for r := 0; r < h.Geo().DataRegions(); r++ {
