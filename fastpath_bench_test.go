@@ -416,11 +416,12 @@ func BenchmarkShardedPMapPutParallel(b *testing.B) {
 // its distinct dirty lines and the seq line behind three fences (record,
 // data, commit) — create 5–6 / 3: row, slot and page header are three
 // places — and of a transaction that is one store inside one aligned word,
-// that store's line and fence and no log: delete 1 / 1 (the slot's length),
-// update 1 / 1 (the row's dirty column). The heap's is one flush and one
-// fence per allocation: create ~3 / 1 for the one run of three strings and
+// that store's line and fence and no log: delete 1 / 1 (the slot's length);
+// an update stores the row it already has (its DBPersistable did not move),
+// which costs the database nothing. The heap's is one flush and one fence
+// per allocation run: create ~3 / 1 for the one run of three strings and
 // the image-initialized DBPersistable; update 1 / 1, the line of the image
-// that holds the new score; delete nothing.
+// that holds the new score; delete nothing. So update is 1 / 1 in all.
 //
 // At most pjoResident entities are alive at once, so any b.N fits the
 // fixed heap and database: the loop runs in rounds of at most pjoResident

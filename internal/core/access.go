@@ -53,6 +53,8 @@ type Accessor struct {
 	// flush is FlushTransitive/FlushBatch's traversal state: a mutator's
 	// own, or the one every ownerless caller of a runtime shares.
 	flush flushState
+	// run is PNewImage's allocation-run scratch; a Runtime's stays unused.
+	run imageRun
 }
 
 // enter begins the operation's safepoint interval unless Do already has,

@@ -26,7 +26,7 @@ type surface interface {
 	KlassOf(layout.Ref) (*klass.Klass, error)
 	New(*klass.Klass, int) (layout.Ref, error)
 	PNew(*klass.Klass, int) (layout.Ref, error)
-	PNewImage(*klass.Klass, []byte, []int, ...ImageString) (layout.Ref, error)
+	PNewImage([]NewImage, []layout.Ref) error
 	PNewMultiArray(*klass.Klass, []int) (layout.Ref, error)
 	NewString(string, bool) (layout.Ref, error)
 	GetString(layout.Ref) (string, error)
@@ -385,13 +385,13 @@ func surfaceRows() []surfaceRow {
 			if err := s.ReadFieldImage(fx.person, img); err != nil {
 				return show(err)
 			}
-			ref, err := s.PNewImage(w.person, img, []int{w.nameF.Offset()})
+			ref, err := pnewImage(s, w.person, img, []int{w.nameF.Offset()})
 			copied := make([]byte, len(img))
 			if err == nil {
 				err = s.ReadFieldImage(ref, copied)
 			}
-			_, berr := s.PNewImage(w.person, img[:3], nil)
-			_, serr := s.PNewImage(w.person, make([]byte, 3*layout.WordSize), nil)
+			_, berr := pnewImage(s, w.person, img[:3], nil)
+			_, serr := pnewImage(s, w.person, make([]byte, 3*layout.WordSize), nil)
 			return show(ref, err, string(copied) == string(img), berr, serr)
 		}},
 		{method: "PNewMultiArray", call: func(s surface, w *surfaceWorld, fx fixture) string {

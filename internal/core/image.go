@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"espresso/internal/klass"
@@ -77,75 +78,144 @@ func (a *Accessor) WriteFieldImage(ref layout.Ref, old, img []byte, refOffs []in
 	return nil
 }
 
-// ImageString is a string column of a PNewImage: S becomes a persistent
+// ImageString is a string column of a fresh image: S becomes a persistent
 // string allocated with the instance, and its reference lands in the
 // instance's reference slot at object-relative byte offset Boff (one of
-// the call's refOffs), over whatever img holds there.
+// the image's RefOffs), over whatever Img holds there.
 type ImageString struct {
 	Boff int
 	S    string
 }
 
-// PNewImage allocates a persistent instance of k whose field area is img
-// — PNew and WriteFieldImage as one operation: the image ships inside the
-// allocation (the same validation, the same bulk runs and barriered
-// reference stores), so header and fields are persisted by the
-// allocation's one flush and fence, and the object is durable as imaged
-// when it becomes reachable. On a Mutator the strings of strs are part of
-// the same allocation run (pheap's AllocRun: the strings, then the
-// instance naming them, one flush and one fence for all); on a Runtime
-// they are allocated one at a time ahead of it.
-func (a *Accessor) PNewImage(k *klass.Klass, img []byte, refOffs []int, strs ...ImageString) (layout.Ref, error) {
+// NewImage is one instance of a PNewImage call: an instance of K whose
+// field area is Img, RefOffs the object-relative byte offsets of its
+// reference slots (PNewImage leaves them in ascending order), and Strs its
+// string columns.
+type NewImage struct {
+	K       *klass.Klass
+	Img     []byte
+	RefOffs []int
+	Strs    []ImageString
+}
+
+// imageRun is PNewImage's scratch on a Mutator: one allocation run's
+// objects, their addresses, and which image and string each one is (str
+// == len(Strs) for the instance).
+type imageRun struct {
+	objs []pheap.RunObj
+	refs []layout.Ref
+	of   []struct{ img, str int }
+}
+
+// PNewImage allocates a persistent instance per image, refs[i] receiving
+// image i's — PNew and WriteFieldImage as one operation: each image ships
+// inside its allocation (the same validation, the same bulk runs and
+// barriered reference stores), so header and fields are persisted by the
+// allocation's flush and fence, and every object is durable as imaged
+// when the call returns. Every image is vetted before any is allocated.
+//
+// On a Mutator the images go out in order, each as its strings and then
+// the instance naming them, in allocation runs (pheap's AllocRun: one
+// flush and one fence per run) as long as the PLAB has room: a run closes
+// before the next image's objects would overflow the PLAB's headroom, and
+// an image that does not fit an empty run goes alone, refilling the PLAB
+// as a call for that image alone would. So the objects land where one call
+// per image would have put them. On a Runtime each image's strings, then
+// its instance, are allocated one at a time.
+func (a *Accessor) PNewImage(imgs []NewImage, refs []layout.Ref) error {
 	defer a.exit(a.enter())
-	if k.IsArray() || layout.FieldOff(0)+len(img) > k.SizeOf(0) {
-		return 0, fmt.Errorf("core: PNewImage of %d bytes does not fit an instance of %s", len(img), k.Name)
+	if len(refs) != len(imgs) {
+		return fmt.Errorf("core: PNewImage of %d images into %d references", len(imgs), len(refs))
 	}
-	sorted, err := a.rt.vetImage("PNewImage", img, refOffs)
-	if err != nil {
-		return 0, err
-	}
-	for _, s := range strs {
-		if i := sort.SearchInts(sorted, s.Boff); i == len(sorted) || sorted[i] != s.Boff {
-			return 0, fmt.Errorf("core: PNewImage string at offset %d, which is not a reference slot of the image", s.Boff)
+	for i := range imgs {
+		im := &imgs[i]
+		if im.K.IsArray() || layout.FieldOff(0)+len(im.Img) > im.K.SizeOf(0) {
+			return fmt.Errorf("core: PNewImage of %d bytes does not fit an instance of %s", len(im.Img), im.K.Name)
 		}
-	}
-	place := func(i int, sref layout.Ref) {
-		binary.LittleEndian.PutUint64(img[strs[i].Boff-layout.FieldOff(0):], uint64(sref))
-	}
-	ship := func(x *pheap.Allocator, ref layout.Ref) { a.shipImage(x, ref, img, sorted) }
-	if a.alloc == nil || len(strs) == 0 {
-		for i, s := range strs {
-			sref, err := a.newPString(s.S)
-			if err != nil {
-				return 0, err
+		sorted, err := a.rt.vetImage("PNewImage", im.Img, im.RefOffs)
+		if err != nil {
+			return err
+		}
+		im.RefOffs = sorted
+		for _, s := range im.Strs {
+			if j := sort.SearchInts(sorted, s.Boff); j == len(sorted) || sorted[j] != s.Boff {
+				return fmt.Errorf("core: PNewImage string at offset %d, which is not a reference slot of the image", s.Boff)
 			}
-			place(i, sref)
-		}
-		return a.pnew(k, 0, ship)
-	}
-	for _, rk := range []*klass.Klass{a.rt.stringKlass, k} {
-		if err := a.prepare(a.h, rk); err != nil {
-			return 0, err
 		}
 	}
-	objs := make([]pheap.RunObj, len(strs)+1)
-	refs := make([]layout.Ref, len(objs))
-	for i, s := range strs {
-		objs[i] = pheap.RunObj{K: a.rt.stringKlass, ArrayLen: len(s.S)}
-	}
-	objs[len(strs)] = pheap.RunObj{K: k}
-	x := a.alloc
-	if err := x.AllocRun(objs, refs, func(i int) {
-		if i < len(strs) {
-			x.WriteBytesAt(refs[i], layout.ElemOff(layout.FTByte, 0), []byte(strs[i].S))
-			place(i, refs[i])
-			return
+	if a.alloc == nil {
+		for i := range imgs {
+			im := &imgs[i]
+			for _, s := range im.Strs {
+				sref, err := a.newPString(s.S)
+				if err != nil {
+					return err
+				}
+				im.place(s.Boff, sref)
+			}
+			ref, err := a.pnew(im.K, 0, func(x *pheap.Allocator, ref layout.Ref) { a.shipImage(x, ref, im.Img, im.RefOffs) })
+			if err != nil {
+				return err
+			}
+			refs[i] = ref
 		}
-		ship(x, refs[i])
-	}); err != nil {
-		return 0, fmt.Errorf("core: pnew %s: %w", k.Name, err)
+		return nil
 	}
-	return refs[len(strs)], nil
+	if err := a.prepare(a.h, a.rt.stringKlass); err != nil {
+		return err
+	}
+	for i := range imgs {
+		if err := a.prepare(a.h, imgs[i].K); err != nil {
+			return err
+		}
+	}
+	x, run := a.alloc, &a.run
+	for lo := 0; lo < len(imgs); {
+		room := min(x.Headroom(), pheap.HugeThreshold)
+		run.objs, run.of = run.objs[:0], run.of[:0]
+		hi, size := lo, 0
+		for hi < len(imgs) {
+			im := &imgs[hi]
+			n := im.K.SizeOf(0)
+			for _, s := range im.Strs {
+				n += a.rt.stringKlass.SizeOf(len(s.S))
+			}
+			if size+n > room && hi > lo {
+				break
+			}
+			for j, s := range im.Strs {
+				run.objs = append(run.objs, pheap.RunObj{K: a.rt.stringKlass, ArrayLen: len(s.S)})
+				run.of = append(run.of, struct{ img, str int }{hi, j})
+			}
+			run.objs = append(run.objs, pheap.RunObj{K: im.K})
+			run.of = append(run.of, struct{ img, str int }{hi, len(im.Strs)})
+			size += n
+			hi++
+			if size > room {
+				break
+			}
+		}
+		run.refs = slices.Grow(run.refs[:0], len(run.objs))[:len(run.objs)]
+		if err := x.AllocRun(run.objs, run.refs, func(i int) {
+			ref, im := run.refs[i], &imgs[run.of[i].img]
+			if j := run.of[i].str; j < len(im.Strs) {
+				x.WriteBytesAt(ref, layout.ElemOff(layout.FTByte, 0), []byte(im.Strs[j].S))
+				im.place(im.Strs[j].Boff, ref)
+				return
+			}
+			a.shipImage(x, ref, im.Img, im.RefOffs)
+			refs[run.of[i].img] = ref
+		}); err != nil {
+			return fmt.Errorf("core: pnew %s: %w", imgs[lo].K.Name, err)
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// place stores a string's reference into the image's slot at boff.
+func (im *NewImage) place(boff int, sref layout.Ref) {
+	binary.LittleEndian.PutUint64(im.Img[boff-layout.FieldOff(0):], uint64(sref))
 }
 
 // vetImage validates an image and its reference slots before any barrier

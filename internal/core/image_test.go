@@ -3,11 +3,13 @@ package core
 import (
 	"encoding/binary"
 	"slices"
+	"strings"
 	"testing"
 
 	"espresso/internal/klass"
 	"espresso/internal/layout"
 	"espresso/internal/nvm"
+	"espresso/internal/pheap"
 )
 
 // TestPNewImage: a fresh object's image rides its allocation. The call
@@ -45,7 +47,7 @@ func TestPNewImage(t *testing.T) {
 
 	dev := h.Device()
 	s0 := dev.Stats()
-	ref, err := rt.PNewImage(k, image(42, name), []int{nameF.Offset()})
+	ref, err := pnewImage(rt, k, image(42, name), []int{nameF.Offset()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func TestPNewImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vref, err := rt.PNewImage(k, image(43, vname), []int{nameF.Offset()})
+	vref, err := pnewImage(rt, k, image(43, vname), []int{nameF.Offset()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestPNewImage(t *testing.T) {
 	top := sh.Top()
 	img := make([]byte, layout.WordSize)
 	binary.LittleEndian.PutUint64(img, uint64(svol))
-	if _, err := strict.PNewImage(good, img, []int{layout.FieldOff(0)}); err == nil {
+	if _, err := pnewImage(strict, good, img, []int{layout.FieldOff(0)}); err == nil {
 		t.Fatal("type-based safety let a volatile reference into a fresh image")
 	}
 	if sh.Top() != top {
@@ -127,7 +129,7 @@ func TestPNewImageWithStrings(t *testing.T) {
 	}
 	defer m.Release()
 	for _, s := range []surface{rt, m} { // klass records and PLABs, outside the windows
-		if _, err := s.PNewImage(k, make([]byte, 2*layout.WordSize), []int{nameF.Offset()}, ImageString{nameF.Offset(), "warm"}); err != nil {
+		if _, err := pnewImage(s, k, make([]byte, 2*layout.WordSize), []int{nameF.Offset()}, ImageString{nameF.Offset(), "warm"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +142,7 @@ func TestPNewImageWithStrings(t *testing.T) {
 		img := make([]byte, 2*layout.WordSize)
 		binary.LittleEndian.PutUint64(img, 7)
 		s0 := dev.Stats()
-		ref, err := tc.s.PNewImage(k, img, []int{nameF.Offset()}, ImageString{nameF.Offset(), "columnar " + tc.who})
+		ref, err := pnewImage(tc.s, k, img, []int{nameF.Offset()}, ImageString{nameF.Offset(), "columnar " + tc.who})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,11 +164,116 @@ func TestPNewImageWithStrings(t *testing.T) {
 		}
 	}
 	top := h.Top()
-	if _, err := m.PNewImage(k, make([]byte, 2*layout.WordSize), []int{nameF.Offset()}, ImageString{layout.FieldOff(0), "id is a long"}); err == nil {
+	if _, err := pnewImage(m, k, make([]byte, 2*layout.WordSize), []int{nameF.Offset()}, ImageString{layout.FieldOff(0), "id is a long"}); err == nil {
 		t.Fatal("a string aimed at a long column was accepted")
 	}
 	if h.Top() != top {
 		t.Fatalf("the refused PNewImage allocated: top %d → %d", top, h.Top())
+	}
+}
+
+// pnewImage is PNewImage of one image.
+func pnewImage(s surface, k *klass.Klass, img []byte, refOffs []int, strs ...ImageString) (layout.Ref, error) {
+	refs := []layout.Ref{0}
+	err := s.PNewImage([]NewImage{{K: k, Img: img, RefOffs: refOffs, Strs: strs}}, refs)
+	return refs[0], err
+}
+
+// TestPNewImageRuns: many images in one call on a mutator go out as
+// allocation runs bounded by the PLAB's headroom. Every object lands at
+// the address one call per image gives it — the PLAB retired and refilled
+// where those calls retire and refill it — so the heap uses the same
+// bytes; the call fences once per run instead of once per image, and
+// flushes no more lines; and every image reads back after a power loss.
+func TestPNewImageRuns(t *testing.T) {
+	const n = 100 // about 85 KB of strings, crossing a PLAB left ~56 KB
+	name := func(i int) string { return strings.Repeat(string(rune('a'+i%26)), 700+i%300) }
+	type world struct {
+		h     *pheap.Heap
+		m     *Mutator
+		k     *klass.Klass
+		nameF FieldRef
+	}
+	newWorld := func() world {
+		rt := newRT(t, Config{PJHDataSize: 2 << 20})
+		h, err := rt.CreateHeap("img", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := world{h: h, k: personKlass(t, rt)}
+		w.nameF = rt.MustResolveField(w.k, "name")
+		if w.m, err = rt.NewMutator(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.m.Release)
+		// Klass records and a PLAB with about 56 KB left, outside the window.
+		for range 2 {
+			if _, err := pnewImage(w.m, w.k, make([]byte, 2*layout.WordSize), []int{w.nameF.Offset()}, ImageString{w.nameF.Offset(), strings.Repeat("w", 100_000)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+	image := func(w world, i int) NewImage {
+		img := make([]byte, 2*layout.WordSize)
+		binary.LittleEndian.PutUint64(img, uint64(i))
+		return NewImage{K: w.k, Img: img, RefOffs: []int{w.nameF.Offset()}, Strs: []ImageString{{w.nameF.Offset(), name(i)}}}
+	}
+
+	batch, single := newWorld(), newWorld()
+	imgs, refs := make([]NewImage, n), make([]layout.Ref, n)
+	for i := range imgs {
+		imgs[i] = image(batch, i)
+	}
+	s0, a0 := batch.h.Device().Stats(), batch.m.AllocStats()
+	if err := batch.m.PNewImage(imgs, refs); err != nil {
+		t.Fatal(err)
+	}
+	d, dispenses := batch.h.Device().Stats().Sub(s0), batch.m.AllocStats().Dispenses-a0.Dispenses
+	if dispenses == 0 {
+		t.Fatal("the call never refilled the PLAB")
+	}
+
+	s0 = single.h.Device().Stats()
+	for i := range n {
+		im := image(single, i)
+		ref, err := pnewImage(single.m, im.K, im.Img, im.RefOffs, im.Strs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref != refs[i] {
+			t.Fatalf("image %d landed at %#x in one call, %#x in a call of its own", i, refs[i], ref)
+		}
+	}
+	one := single.h.Device().Stats().Sub(s0)
+	if batch.h.UsedBytes() != single.h.UsedBytes() {
+		t.Fatalf("the heap uses %d bytes after one call, %d after one call per image", batch.h.UsedBytes(), single.h.UsedBytes())
+	}
+	// A refill's retire and dispense cost both sides the same; beside them,
+	// one call per image fences n times, the runs 1 + 2·dispenses times (a
+	// run up to each refill, the image that refills alone, and the last:
+	// none reaches the humongous threshold that would also close one).
+	if runs := 1 + 2*uint64(dispenses); d.Fences+n != one.Fences+runs {
+		t.Fatalf("%d fences in one call, %d in one call per image: want %d runs' worth fewer than %d", d.Fences, one.Fences, runs, n)
+	}
+	if d.FlushedLines > one.FlushedLines {
+		t.Fatalf("one call flushed %d lines, one call per image %d", d.FlushedLines, one.FlushedLines)
+	}
+
+	rt2 := newRT(t, Config{})
+	if err := rt2.NameManager().Register("img", nvm.FromImage(batch.h.Device().CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{Mode: nvm.Tracked})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt2.LoadHeap("img"); err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range refs {
+		if id, err := rt2.GetLong(ref, "id"); err != nil || id != int64(i) {
+			t.Fatalf("image %d after power loss: id = %d, %v", i, id, err)
+		}
+		if s, err := rt2.GetString(rt2.GetRefFast(ref, batch.nameF)); err != nil || s != name(i) {
+			t.Fatalf("image %d after power loss: name of %d bytes, %v", i, len(s), err)
+		}
 	}
 }
 

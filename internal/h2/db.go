@@ -195,13 +195,15 @@ func (db *DB) createTable(name string, cols []sql.ColumnDef, mode StorageMode) (
 }
 
 // CreateRefTable creates a ModeRefs table for the PJO fast path: the
-// schema is (id BIGINT PRIMARY KEY, obj REF, dirty BIGINT). Auto-commits.
+// schema is (id BIGINT PRIMARY KEY, obj REF), the index entry of one
+// persistent object. Tables an older database declared with a third
+// column, a dirty-field bitmap nothing read, open and take writes as
+// before (PersistRef fills it with 0). Auto-commits.
 func (db *DB) CreateRefTable(name string) (*Table, error) {
 	tx := db.Begin()
 	t, err := db.createTable(name, []sql.ColumnDef{
 		{Name: "id", Type: sql.ColBigint, PrimaryKey: true},
 		{Name: "obj", Type: sql.ColBigint},
-		{Name: "dirty", Type: sql.ColBigint},
 	}, ModeRefs)
 	if err != nil {
 		tx.Rollback()

@@ -296,12 +296,12 @@ func (db *DB) queryStmtLocked(st sql.Statement, params []Value) (*Rows, error) {
 // --- PJO fast path (DBPersistable shipping) ---
 
 // PersistRef inserts or updates a ModeRefs row: the persistent-object
-// reference plus the dirty-field bitmap the PJO provider tracked
-// (field-level tracking, §5). No SQL is built or parsed. Auto-commits;
-// use Tx.PersistRef to batch several under one transaction.
-func (db *DB) PersistRef(table string, pk int64, ref uint64, dirty uint64) error {
+// reference stored for pk. No SQL is built or parsed. A row that already
+// names ref is stored again unchanged, which costs the device nothing.
+// Auto-commits; use Tx.PersistRef to batch several under one transaction.
+func (db *DB) PersistRef(table string, pk int64, ref uint64) error {
 	tx := db.Begin()
-	if err := db.persistRefLocked(table, pk, ref, dirty); err != nil {
+	if err := db.persistRefLocked(table, pk, ref); err != nil {
 		tx.Rollback()
 		return err
 	}
@@ -310,11 +310,11 @@ func (db *DB) PersistRef(table string, pk int64, ref uint64, dirty uint64) error
 }
 
 // PersistRef is the transactional form of DB.PersistRef.
-func (tx *Tx) PersistRef(table string, pk int64, ref uint64, dirty uint64) error {
-	return tx.db.persistRefLocked(table, pk, ref, dirty)
+func (tx *Tx) PersistRef(table string, pk int64, ref uint64) error {
+	return tx.db.persistRefLocked(table, pk, ref)
 }
 
-func (db *DB) persistRefLocked(table string, pk int64, ref uint64, dirty uint64) error {
+func (db *DB) persistRefLocked(table string, pk int64, ref uint64) error {
 	t, ok := db.tables[table]
 	if !ok {
 		return fmt.Errorf("h2: no table %s", table)
@@ -322,8 +322,9 @@ func (db *DB) persistRefLocked(table string, pk int64, ref uint64, dirty uint64)
 	if t.Mode != ModeRefs {
 		return fmt.Errorf("h2: table %s does not store object references", table)
 	}
-	// The whole row is given: an existing one is replaced unread.
-	vals := []Value{IntV(pk), RefV(ref), IntV(int64(dirty))}
+	// The whole row is given: an existing one is replaced unread. A table
+	// an older database declared with a third (dirty) column gets 0 there.
+	vals := []Value{IntV(pk), RefV(ref), IntV(0)}[:len(t.Columns)]
 	if id, exists := t.index.Get(pk); exists {
 		return db.replaceRow(t, pk, rowID(id), vals)
 	}

@@ -166,7 +166,7 @@ func TestRefTableFastPath(t *testing.T) {
 	if _, err := db.CreateRefTable("objstore"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.PersistRef("objstore", 10, 0xdeadbeef, 0b101); err != nil {
+	if err := db.PersistRef("objstore", 10, 0xdeadbeef); err != nil {
 		t.Fatal(err)
 	}
 	ref, ok, err := db.GetRef("objstore", 10)
@@ -174,7 +174,7 @@ func TestRefTableFastPath(t *testing.T) {
 		t.Fatalf("GetRef = %#x %v %v", ref, ok, err)
 	}
 	// Update through the same call.
-	if err := db.PersistRef("objstore", 10, 0xcafe, 0b1); err != nil {
+	if err := db.PersistRef("objstore", 10, 0xcafe); err != nil {
 		t.Fatal(err)
 	}
 	ref, _, _ = db.GetRef("objstore", 10)
@@ -184,7 +184,7 @@ func TestRefTableFastPath(t *testing.T) {
 	// Batch under one transaction.
 	tx := db.Begin()
 	for i := int64(0); i < 5; i++ {
-		if err := tx.PersistRef("objstore", 100+i, uint64(i), 0); err != nil {
+		if err := tx.PersistRef("objstore", 100+i, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

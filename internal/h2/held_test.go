@@ -8,7 +8,9 @@ import (
 	"os"
 	"testing"
 
+	"espresso/internal/nvm"
 	"espresso/internal/nvm/faultdev"
+	"espresso/internal/sql"
 )
 
 // heldWorld is a fresh database whose refTable holds keys 0..19, key k
@@ -199,14 +201,14 @@ func TestHeldStoreReadYourWrites(t *testing.T) {
 	if _, err := db.CreateRefTable("r"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.PersistRef("r", 1, 0xabc, 0); err != nil {
+	if err := db.PersistRef("r", 1, 0xabc); err != nil {
 		t.Fatal(err)
 	}
 	tx = db.Begin()
 	if ok, err := tx.DeleteRef("r", 1); !ok || err != nil {
 		t.Fatalf("DeleteRef: %v %v", ok, err)
 	}
-	if err := tx.PersistRef("r", 1, 0xdef, 0); err != nil {
+	if err := tx.PersistRef("r", 1, 0xdef); err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
@@ -223,25 +225,40 @@ func TestHeldStoreReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestUpdateAcrossWordsIsLogged: 31-byte reference rows lie at every
-// alignment, so of eight neighbours exactly one has its reference column
-// on an aligned word. Replacing all eight bytes of the column is a held
-// store there (1 line, 1 fence) and a logged update — record, data, seq —
-// in the seven rows where the bytes straddle two words.
-func TestUpdateAcrossWordsIsLogged(t *testing.T) {
-	db := testDB(t)
-	if _, err := db.CreateRefTable("t"); err != nil {
+// createThreeColumnRefTable declares name the way an older database
+// declared every ModeRefs table: (id, obj, dirty).
+func createThreeColumnRefTable(t *testing.T, db *DB, name string) {
+	t.Helper()
+	tx := db.Begin()
+	if _, err := db.createTable(name, []sql.ColumnDef{
+		{Name: "id", Type: sql.ColBigint, PrimaryKey: true},
+		{Name: "obj", Type: sql.ColBigint},
+		{Name: "dirty", Type: sql.ColBigint},
+	}, ModeRefs); err != nil {
 		t.Fatal(err)
 	}
+	tx.Commit()
+}
+
+// TestUpdateAcrossWordsIsLogged: the 31-byte rows of a three-column
+// reference table lie at every alignment, so of eight neighbours exactly
+// one has its reference column on an aligned word. Replacing all eight
+// bytes of the column is a held store there (1 line, 1 fence) and a logged
+// update — record, data, seq — in the seven rows where the bytes straddle
+// two words. (A two-column row is 22 bytes, so a table's rows share one
+// parity and the geometry depends on where its first row lies.)
+func TestUpdateAcrossWordsIsLogged(t *testing.T) {
+	db := testDB(t)
+	createThreeColumnRefTable(t, db, "t")
 	for pk := int64(0); pk < 8; pk++ {
-		if err := db.PersistRef("t", pk, 0x1111_1111_1111_1111, 0); err != nil {
+		if err := db.PersistRef("t", pk, 0x1111_1111_1111_1111); err != nil {
 			t.Fatal(err)
 		}
 	}
 	held, logged := 0, 0
 	for pk := int64(0); pk < 8; pk++ {
 		s0 := db.Device().Stats()
-		if err := db.PersistRef("t", pk, 0x2222_2222_2222_2222, 0); err != nil {
+		if err := db.PersistRef("t", pk, 0x2222_2222_2222_2222); err != nil {
 			t.Fatal(err)
 		}
 		switch d := db.Device().Stats().Sub(s0); {
@@ -273,19 +290,71 @@ func TestUpdateAcrossWordsIsLogged(t *testing.T) {
 // update and insert open, which rolls back as it always did.
 func TestOpensImagesOfTheLoggedOnlyStore(t *testing.T) {
 	want := refModelAfter(nil, append(refSpan(0, 20, 0x1000), refOp{3, 0}, refOp{7, 0xbeef}))
-	for _, name := range []string{"h2_pr23_idle.img.gz", "h2_pr23_open.img.gz"} {
-		gz, err := os.ReadFile("testdata/" + name)
+	for _, name := range loggedOnlyImages {
+		refSweep(t, nil).reopen(name, loggedOnlyImage(t, name), fmt.Sprint(want))
+	}
+}
+
+// loggedOnlyImages are the images TestOpensImagesOfTheLoggedOnlyStore
+// opens; their refTable has the three columns (id, obj, dirty).
+var loggedOnlyImages = []string{"h2_pr23_idle.img.gz", "h2_pr23_open.img.gz"}
+
+// loggedOnlyImage reads one of loggedOnlyImages.
+func loggedOnlyImage(t *testing.T, name string) []byte {
+	t.Helper()
+	gz, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestThreeColumnRefTablesTakeWrites: a reference table declared with the
+// dirty column that rows no longer carry still takes every write. On the
+// logged-only store's images, one transaction puts an existing key and a
+// new one and deletes a third; all three read back, live and after a power
+// loss, and the rows keep three columns, the third 0.
+func TestThreeColumnRefTablesTakeWrites(t *testing.T) {
+	for _, name := range loggedOnlyImages {
+		db, err := Open(nvm.FromImage(loggedOnlyImage(t, name), nvm.Config{Mode: nvm.Tracked}))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		r, err := gzip.NewReader(bytes.NewReader(gz))
+		if tbl, ok := db.TableByName(refTable); !ok || len(tbl.Columns) != 3 {
+			t.Fatalf("%s: the image's reference table is not the three-column one", name)
+		}
+		tx := db.Begin()
+		runRefOps(t, tx, []refOp{{7, 0xcafe}, {50, 0xf00d}, {5, 0}})
+		tx.Commit()
+		again, err := Open(nvm.FromImage(db.Device().CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{Mode: nvm.Tracked}))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: reopen: %v", name, err)
 		}
-		img, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
+		for _, d := range []*DB{db, again} {
+			for _, c := range []struct {
+				pk  int64
+				ref uint64
+				ok  bool
+			}{{7, 0xcafe, true}, {50, 0xf00d, true}, {5, 0, false}} {
+				if ref, ok, err := d.GetRef(refTable, c.pk); err != nil || ok != c.ok || ref != c.ref {
+					t.Fatalf("%s: key %d reads %#x %v %v, want %#x %v", name, c.pk, ref, ok, err, c.ref, c.ok)
+				}
+			}
+			rows, err := d.Query("SELECT * FROM t WHERE id = 50")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rows.Next() || fmt.Sprint(rows.Row()) != fmt.Sprint([]Value{IntV(50), RefV(0xf00d), IntV(0)}) {
+				t.Fatalf("%s: the new row does not carry three columns", name)
+			}
 		}
-		refSweep(t, nil).reopen(name, img, fmt.Sprint(want))
 	}
 }

@@ -25,7 +25,8 @@ import (
 // One transaction needs no log at all: the one whose whole write set is a
 // single store inside one aligned 8-byte word — a delete (the slot's u16
 // length becomes 0), or a same-length update whose new bytes differ from
-// the old inside one word (a reference row whose dirty column changed). The
+// the old inside one word (a reference row whose reference changed inside
+// one word; a PJO update stores the row it has, which is no store). The
 // hardware already makes that store atomic: an aligned word persists whole,
 // so every image holds the transaction entirely or not at all, which is all
 // the log would have bought. The store does not issue it when the operation

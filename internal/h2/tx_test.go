@@ -114,7 +114,7 @@ func refSweep(t *testing.T, dev *nvm.Device) *crashSweep {
 			}
 			return fmt.Sprint(m)
 		},
-		put: func(db *DB) error { return db.PersistRef(refTable, 1<<40, 0xfeed, 0) },
+		put: func(db *DB) error { return db.PersistRef(refTable, 1<<40, 0xfeed) },
 	}
 }
 
@@ -152,7 +152,7 @@ func runRefOps(t *testing.T, tx *Tx, ops []refOp) {
 	t.Helper()
 	for _, o := range ops {
 		if o.ref != 0 {
-			if err := tx.PersistRef(refTable, o.pk, o.ref, 0); err != nil {
+			if err := tx.PersistRef(refTable, o.pk, o.ref); err != nil {
 				t.Fatalf("put %d: %v", o.pk, err)
 			}
 		} else if ok, err := tx.DeleteRef(refTable, o.pk); err != nil || !ok {
@@ -268,7 +268,7 @@ func TestRefUpdateDoesNotConsumePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5000; i++ {
-		if err := db.PersistRef("t", 1, uint64(i), 0); err != nil {
+		if err := db.PersistRef("t", 1, uint64(i)); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestEmptyTransactionCostsNothing(t *testing.T) {
 	if _, err := db.CreateRefTable("t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.PersistRef("t", 1, 0xabc, 0); err != nil {
+	if err := db.PersistRef("t", 1, 0xabc); err != nil {
 		t.Fatal(err)
 	}
 	s0 := db.Device().Stats()
@@ -296,7 +296,7 @@ func TestEmptyTransactionCostsNothing(t *testing.T) {
 	if d := db.Device().Stats().Sub(s0); d != (nvm.Stats{}) {
 		t.Fatalf("empty transactions cost the device %+v", d)
 	}
-	if err := db.PersistRef("t", 1, 0xabc, 0); err != nil {
+	if err := db.PersistRef("t", 1, 0xabc); err != nil {
 		t.Fatal(err)
 	}
 	if d := db.Device().Stats().Sub(s0); d.Writes != 0 || d.FlushedLines != 0 || d.Fences != 0 {
@@ -313,7 +313,7 @@ func TestTxEndsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := db.Begin()
-	if err := tx.PersistRef("t", 1, 0xabc, 0); err != nil {
+	if err := tx.PersistRef("t", 1, 0xabc); err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
@@ -323,7 +323,7 @@ func TestTxEndsOnce(t *testing.T) {
 		t.Fatalf("after commit, commit, rollback: GetRef = %#x %v %v", ref, ok, err)
 	}
 	tx = db.Begin()
-	if err := tx.PersistRef("t", 2, 0xdef, 0); err != nil {
+	if err := tx.PersistRef("t", 2, 0xdef); err != nil {
 		t.Fatal(err)
 	}
 	tx.Rollback()
@@ -333,7 +333,7 @@ func TestTxEndsOnce(t *testing.T) {
 		t.Fatalf("after rollback, rollback, commit: key 2 present (%v, %v)", ok, err)
 	}
 	// The lock is free and the database still takes transactions.
-	if err := db.PersistRef("t", 3, 0x123, 0); err != nil {
+	if err := db.PersistRef("t", 3, 0x123); err != nil {
 		t.Fatal(err)
 	}
 }

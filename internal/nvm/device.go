@@ -466,39 +466,6 @@ func (d *Device) CompareAndSwapU64(off int, old, new uint64) bool {
 	return d.compareAndSwapU64(nil, off, old, new)
 }
 
-func (d *Device) orU64Atomic(c *cell, off int, mask uint64) uint64 {
-	d.checkWord(off, "or")
-	d.countRead(c, 8)
-	if !hostLittleEndian {
-		mask = bits.ReverseBytes64(mask)
-	}
-	addr := (*uint64)(unsafe.Pointer(&d.mem[off]))
-	for {
-		old := atomic.LoadUint64(addr)
-		if old|mask != old {
-			if !atomic.CompareAndSwapUint64(addr, old, old|mask) {
-				continue
-			}
-			d.countWrite(c, 8)
-			d.markDirty(off, 8)
-		}
-		if !hostLittleEndian {
-			old = bits.ReverseBytes64(old)
-		}
-		return old
-	}
-}
-
-// OrU64Atomic atomically ORs mask into the word at the 8-aligned byte
-// offset off and returns the word's previous value — the bitmap
-// publication primitive under parallel GC marking, where N workers set
-// begin/end mark bits in shared bitmap words and a worker claims an
-// object by observing its begin bit clear in the returned value.
-// Accounting: one read per call; one write (and a dirtied line) only
-// when the stored value actually changed, so re-marking an already-set
-// bit costs exactly what the racing Get would have.
-func (d *Device) OrU64Atomic(off int, mask uint64) uint64 { return d.orU64Atomic(nil, off, mask) }
-
 func (d *Device) readU64Atomic(c *cell, off int) uint64 {
 	d.checkWord(off, "load")
 	d.failRead(off, 8)

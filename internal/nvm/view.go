@@ -216,9 +216,6 @@ func (v *View) CompareAndSwapU64(off int, old, new uint64) bool {
 	return v.d.compareAndSwapU64(v.c, off, old, new)
 }
 
-// OrU64Atomic is Device.OrU64Atomic counted in v.
-func (v *View) OrU64Atomic(off int, mask uint64) uint64 { return v.d.orU64Atomic(v.c, off, mask) }
-
 // ReadBytes is Device.ReadBytes counted in v.
 func (v *View) ReadBytes(off int, p []byte) { v.d.readBytes(v.c, off, p) }
 

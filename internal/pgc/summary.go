@@ -48,9 +48,8 @@ var ErrNoSpaceToCompact = errors.New("pgc: no empty region available for compact
 // line-aligned gap back to the allocators as a recyclable hole, so
 // tolerated garbage becomes allocatable immediately (only the sub-line
 // edge slivers are true waste until the next slide). 3 keeps a
-// steadily-churning heap — including the floating garbage a concurrent
-// cycle necessarily retains — in the cheap hole-recycling regime, while
-// a heap more than a third dead still gets a real slide. Compare G1,
+// steadily-churning heap in the cheap hole-recycling regime, while a
+// heap more than a third dead still gets a real slide. Compare G1,
 // which never evacuates regions above ~85% liveness at all.
 const deadWoodDenominator = 3
 

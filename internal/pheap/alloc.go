@@ -282,6 +282,11 @@ func (h *Heap) Ownerless() *Allocator { return h.ownerless }
 // Stats returns a snapshot of the allocator's own-path counters.
 func (a *Allocator) Stats() AllocatorStats { return a.stats }
 
+// Headroom is how many bytes the attached PLAB can still bump-allocate
+// without a refill: zero with none attached. A caller that sizes its runs
+// by it keeps AllocRun from retiring the PLAB early.
+func (a *Allocator) Headroom() int { return a.end - a.cur }
+
 // TelemetryCell returns the allocator's counter cell (nil when telemetry
 // is disabled). The owning mutator's other instrumented paths — the
 // ref-store barrier, index contexts — share this cell so one goroutine

@@ -283,11 +283,6 @@ func (h *Heap) Roots() []Root {
 	return roots
 }
 
-// setKlassEntry records a class-name → Klass-record-address mapping.
-func (h *Heap) setKlassEntry(name string, recAddr layout.Ref) error {
-	return h.putEntry(EntryKlass, name, uint64(recAddr))
-}
-
 // KlassEntry looks up the Klass record address for a class name.
 func (h *Heap) KlassEntry(name string) (layout.Ref, bool) {
 	v, ok := h.getEntry(EntryKlass, name)

@@ -10,8 +10,11 @@
 //   - data deduplication: after commit, the volatile entity's fields are
 //     redirected to the persisted copy, so the DRAM values can be
 //     reclaimed (Figure 14d);
-//   - field-level tracking: the enhancer's dirty bitmap travels with the
-//     DBPersistable so the backend updates only modified columns;
+//   - field-level tracking: the enhancer's dirty bitmap picks the columns
+//     an update encodes into its DBPersistable's image, and the heap
+//     persists only the span of the object those columns changed; the
+//     backend's row names the same object before and after, so an update
+//     stores nothing there;
 //   - copy-on-write: once deduplicated, a field write goes to a volatile
 //     shadow slot, protecting the persistent copy until the next commit.
 package pjo
@@ -20,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"espresso/internal/bench"
 	"espresso/internal/core"
@@ -48,17 +52,29 @@ type Provider struct {
 	// these handles instead of re-resolving field names per access.
 	klasses map[*jpa.EntityDef]*dbSchema
 
-	// stage is the reusable DRAM staging buffer materialize assembles
-	// DBPersistable images in before shipping them with one bulk write; its
-	// second half keeps an update's image as read.
+	// stage is the reusable DRAM buffer materialize assembles an update's
+	// image in before shipping it with one bulk write; its second half keeps
+	// the image as read.
 	stage []byte
-	// strs is materialize's reusable list of a fresh entity's string
-	// columns.
-	strs []core.ImageString
+	// fresh holds the commit's fresh images, each staged by materialize in
+	// a buffer of its own and all shipped by Commit in one PNewImage; ships
+	// is the commit's list of entities to register, removals its deletes,
+	// refs the fresh images' addresses. All are reused across commits.
+	fresh    []core.NewImage
+	ships    []shipment
+	removals []*jpa.Entity
+	refs     []layout.Ref
 
 	// FieldTracking gates §5's field-level dirty tracking; default on. The
 	// ablation test switches it off.
 	FieldTracking bool
+}
+
+// shipment is one entity a commit registers with the backend, and its
+// DBPersistable.
+type shipment struct {
+	e   *jpa.Entity
+	ref layout.Ref
 }
 
 // dbSchema is the resolved persistence schema of one entity class.
@@ -212,19 +228,31 @@ func attachReadThrough(m *core.Mutator, e *jpa.Entity, frefs []core.FieldRef, re
 // Commit ships each dirty entity's data to NVM as a DBPersistable and
 // registers it with the backend — index plus transaction control only,
 // no SQL (Figure 13's persistInTable path).
+//
+// Every DBPersistable is durable before the backend transaction begins,
+// so every reference the backend learns points at persisted data. Where
+// each kind of operation takes effect:
+//
+//   - a create's images ship together, after the commit's updates, as
+//     PNewImage's allocation runs (a few flushes and fences for the whole
+//     commit); nothing names them until the backend's row does, so its
+//     commit point is the backend's commit, and a crash keeps all of the
+//     commit's fresh entities or none;
+//   - an update rewrites its DBPersistable in place (WriteFieldImage), so
+//     its commit point is that write's fence, ahead of the backend
+//     transaction; the row still names the same object, so the backend
+//     stores, flushes and fences nothing for it — an update is atomic per
+//     entity, not with the rest of its commit, exactly as when the row
+//     carried a dirty column nothing read;
+//   - a delete's commit point is the backend's commit.
 func (p *Provider) Commit() error {
 	if !p.inTx {
 		return fmt.Errorf("pjo: commit outside a transaction")
 	}
-	// Transformation (much smaller than JPA's): allocate/refresh the
-	// DBPersistable copies.
-	type shipment struct {
-		e     *jpa.Entity
-		ref   layout.Ref
-		dirty uint64
-	}
-	var ships []shipment
-	var removals []*jpa.Entity
+	// Transformation (much smaller than JPA's): stage the fresh images,
+	// write the updates, ship the fresh images.
+	ships, removals := p.ships[:0], p.removals[:0]
+	p.fresh = p.fresh[:0]
 	stopT := p.phase("Transformation")
 	for _, e := range p.ctx {
 		if e.SM.State == jpa.StateRemoved {
@@ -238,24 +266,34 @@ func (p *Provider) Commit() error {
 			stopT()
 			return err
 		}
-		ref, dirty, err := p.materialize(e)
+		ref, err := p.materialize(e)
 		if err != nil {
 			stopT()
 			return err
 		}
-		ships = append(ships, shipment{e, ref, dirty})
+		ships = append(ships, shipment{e, ref})
 	}
-	// Each shipment is already durable: materialize persists the image as
-	// it ships it (string payloads persist eagerly in NewString), so every
-	// reference the backend is about to learn points at persisted data —
-	// no second flush pass over the shipment.
+	p.ships, p.removals = ships, removals
+	if n := len(p.fresh); n > 0 {
+		p.refs = slices.Grow(p.refs[:0], n)[:n]
+		if err := p.m.PNewImage(p.fresh, p.refs); err != nil {
+			stopT()
+			return err
+		}
+		refs := p.refs
+		for i := range ships {
+			if ships[i].ref == layout.NullRef {
+				ships[i].ref, refs = refs[0], refs[1:]
+			}
+		}
+	}
 	stopT()
 
 	// Database: one backend transaction covering the whole commit.
 	stopD := p.phase("Database")
 	tx := p.db.Begin()
 	for _, s := range ships {
-		if err := tx.PersistRef(s.e.Def.Table, s.e.ID(), uint64(s.ref), s.dirty); err != nil {
+		if err := tx.PersistRef(s.e.Def.Table, s.e.ID(), uint64(s.ref)); err != nil {
 			tx.Rollback()
 			stopD()
 			return err
@@ -280,29 +318,31 @@ func (p *Provider) Commit() error {
 		s.e.SM.Shadow = nil
 		attachReadThrough(p.m, s.e, p.klasses[s.e.Def].fields, s.ref)
 	}
+	clear(ships)
+	clear(removals)
 	p.ctx = p.ctx[:0]
 	p.inTx = false
 	return nil
 }
 
-// materialize ships the entity's fields to its DBPersistable through the
-// bulk image encoder: the whole field area is assembled in a reusable
-// DRAM staging buffer — for updates, seeded by one bulk device read of
-// the existing image, so clean columns (including string references)
-// survive untouched — and lands through the mutator: bulk writes for the
-// primitive runs, one barriered atomic store per string column. An update
-// goes over the existing object (WriteFieldImage, one FlushRange of the
-// span the commit changed, found against the image as read); a
-// fresh entity's image ships inside its allocation (PNewImage), together
-// with its string columns' payloads: one allocation run whose one flush
-// covers the strings and the entity's header and fields. Device cost per
-// entity persist is O(1) regardless of how many fields are dirty (it
-// depends only on the schema's column shape); an update's new string
-// payloads add their own (bulk, one-write) allocations.
-func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
+// materialize encodes the entity's fields into its DBPersistable's image
+// through the bulk image encoder. A fresh entity's whole image is staged
+// in a buffer of its own in p.fresh, with its string columns, for Commit
+// to ship; materialize returns NullRef for it. An update encodes only the
+// columns field-level tracking marked dirty (all of them with tracking
+// off) over one bulk device read of the existing image, so clean columns,
+// string references included, survive untouched; it lands through the
+// mutator over the existing object (WriteFieldImage: bulk writes for the
+// primitive runs, one barriered store per string column, and one
+// FlushRange of the span the commit changed, found against the image as
+// read), and materialize returns the object. Device cost per entity
+// persist is O(1) regardless of how many fields are dirty (it depends only
+// on the schema's column shape); an update's new string payloads add their
+// own (bulk, one-write) allocations.
+func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, error) {
 	m, err := p.mutator()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	s := p.klasses[e.Def]
 	fields := e.Def.AllFields()
@@ -313,20 +353,29 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		dirty = ^uint64(0) >> (64 - uint(len(fields))) // all fields
 	}
 	size := len(fields) * layout.WordSize
-	if cap(p.stage) < 2*size {
-		p.stage = make([]byte, 2*size)
-	}
-	img, old := p.stage[:size], p.stage[size:2*size]
+	var img, old []byte
+	var im *core.NewImage
 	if fresh {
+		if n := len(p.fresh); n < cap(p.fresh) {
+			p.fresh = p.fresh[:n+1]
+		} else {
+			p.fresh = append(p.fresh, core.NewImage{})
+		}
+		im = &p.fresh[len(p.fresh)-1]
+		img = slices.Grow(im.Img[:0], size)[:size]
 		clear(img)
+		*im = core.NewImage{K: s.k, Img: img, RefOffs: s.refOffs, Strs: im.Strs[:0]}
 	} else {
+		if cap(p.stage) < 2*size {
+			p.stage = make([]byte, 2*size)
+		}
+		img, old = p.stage[:size], p.stage[size:2*size]
 		if err := m.ReadFieldImage(ref, old); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		copy(img, old)
 	}
 	base := layout.FieldOff(0)
-	strs := p.strs[:0]
 	for i, f := range fields {
 		if dirty&(1<<uint(i)) == 0 {
 			continue
@@ -336,12 +385,12 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		switch f.Kind {
 		case jpa.FStr:
 			if v.Kind == h2.KStr && fresh {
-				// Allocated with the entity: one run, one flush, one fence.
-				strs = append(strs, core.ImageString{Boff: s.fields[i].Offset(), S: v.S})
+				// Allocated with the entity, in the same run.
+				im.Strs = append(im.Strs, core.ImageString{Boff: s.fields[i].Offset(), S: v.S})
 			} else if v.Kind == h2.KStr {
 				sref, err := m.NewString(v.S, true)
 				if err != nil {
-					return 0, 0, err
+					return 0, err
 				}
 				bits = uint64(sref)
 			}
@@ -355,16 +404,10 @@ func (p *Provider) materialize(e *jpa.Entity) (layout.Ref, uint64, error) {
 		}
 		binary.LittleEndian.PutUint64(img[s.fields[i].Offset()-base:], bits)
 	}
-	p.strs = strs
 	if fresh {
-		ref, err = m.PNewImage(s.k, img, s.refOffs, strs...)
-	} else {
-		err = m.WriteFieldImage(ref, old, img, s.refOffs)
+		return layout.NullRef, nil
 	}
-	if err != nil {
-		return 0, 0, err
-	}
-	return ref, dirty, nil
+	return ref, m.WriteFieldImage(ref, old, img, s.refOffs)
 }
 
 var _ jpa.EntityManager = (*Provider)(nil)

@@ -58,9 +58,9 @@ type Options struct {
 	Telemetry bool
 	// FlightRecorder enables the per-shard NVM flight recorder: each
 	// shard's heap journals its publication points (open, recovery, GC)
-	// into the ring its image always carries, and Set.FlightTimelines
-	// decodes them post-mortem. Off by default; the disabled state is a
-	// nil recorder, which appends nothing.
+	// into the ring its image always carries, for heaptool's postmortem to
+	// decode. Off by default; the disabled state is a nil recorder, which
+	// appends nothing.
 	FlightRecorder bool
 	// Degraded switches OpenSet from fail-fast to fence-and-serve: a
 	// shard whose image cannot be loaded or recovered is quarantined
@@ -467,33 +467,6 @@ func (s *Set) Metrics() telemetry.Snapshot {
 		agg.Add(snap)
 	}
 	return agg
-}
-
-// FlightTimelines decodes every shard's flight-recorder ring into one
-// merged, sequence-preserving view: each shard's timeline is returned in
-// shard order, with every event re-tagged with its shard index (the
-// on-media records carry no shard — the device identifies the shard, and
-// the re-tag keeps that identity once timelines leave their devices).
-// Decoding is read-only and works whether or not recording was enabled
-// this run; an all-zero ring simply decodes to an empty timeline.
-func (s *Set) FlightTimelines() ([]blackbox.Timeline, error) {
-	out := make([]blackbox.Timeline, len(s.shards))
-	for i := range s.shards {
-		sh := s.shard(i)
-		if sh == nil {
-			continue // quarantined: its ring is unreachable until reopen
-		}
-		geo := sh.heap.Geo()
-		tl, err := blackbox.Decode(sh.heap.Device(), geo.BlackboxOff, geo.BlackboxSize)
-		if err != nil {
-			return nil, fmt.Errorf("pshard: decoding shard %d journal: %w", i, err)
-		}
-		for j := range tl.Events {
-			tl.Events[j].Shard = i
-		}
-		out[i] = tl
-	}
-	return out, nil
 }
 
 // GCShard runs a crash-consistent collection of one shard. Only that
