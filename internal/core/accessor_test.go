@@ -119,7 +119,7 @@ func TestAccessorSurfaceParity(t *testing.T) {
 			// collectors
 			"FullGC", "MinorGC", "PersistentGC",
 			// handles
-			"Get", "NewHandle", "Release", "SetHandle",
+			"Get", "NewHandle", "Release",
 			// contexts, handles on classes, diagnostics
 			"NewMutator", "NewSafepointSlot", "SafepointPinner", "ResolveField", "MustResolveField",
 			"NVMToVolSlots", "Metrics", "Telemetry",

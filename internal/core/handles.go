@@ -42,14 +42,6 @@ func (rt *Runtime) Get(h Handle) layout.Ref {
 	return rt.handles[h.idx]
 }
 
-// SetHandle repoints a handle.
-func (rt *Runtime) SetHandle(h Handle, ref layout.Ref) {
-	defer rt.world.RUnlock(rt.world.RLock())
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.handles[h.idx] = ref
-}
-
 // Release drops the handle, letting its referent die.
 func (rt *Runtime) Release(h Handle) {
 	defer rt.world.RUnlock(rt.world.RLock())

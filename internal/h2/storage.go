@@ -90,8 +90,7 @@ func newStore(dev *nvm.Device) (*store, error) {
 	switch w := dev.ReadU64(0); w {
 	case 0:
 		dev.WriteU64(0, storeMagic)
-		dev.Flush(0, 8)
-		dev.Fence()
+		dev.Persist(0, 8)
 	case storeMagic:
 	default:
 		return nil, fmt.Errorf("h2: word 0 is %#x, not a database", w)
@@ -192,8 +191,7 @@ func (s *store) commit() {
 		return
 	}
 	r := s.release()
-	s.dev.Flush(r.Off, r.N)
-	s.dev.Fence()
+	s.dev.Persist(r.Off, r.N)
 }
 
 // rollback undoes the open transaction, reporting whether it had done

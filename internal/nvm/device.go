@@ -648,8 +648,8 @@ func (d *Device) flush(c *cell, off, n int) {
 // the persisted view and their dirty bits clear.
 func (d *Device) Flush(off, n int) { d.flush(nil, off, n) }
 
-// Range is a byte range [Off, Off+N) of the device, the unit of a
-// coalesced flush (pheap.Allocator.FlushBatch).
+// Range is a byte range [Off, Off+N) of the device: one write-back of a
+// protocol step (PersistRanges).
 type Range struct{ Off, N int }
 
 // LineRange widens [off, off+n) to cache-line boundaries: the lines a
@@ -711,8 +711,33 @@ func (d *Device) fence(c *cell) {
 // Fence orders earlier flushes before later stores, like sfence. Flush is
 // synchronous in this simulator, so Fence only accounts the instruction;
 // protocols still call it wherever real hardware would need it so the
-// counted cost is honest.
+// counted cost is honest. A protocol step calls Persist or PersistRanges,
+// which close the step's own write-backs with the fence.
 func (d *Device) Fence() { d.fence(nil) }
+
+// persist and persistRanges are the bodies of Persist and PersistRanges,
+// shared with View like the access bodies above.
+func (d *Device) persist(c *cell, off, n int) {
+	d.flush(c, off, n)
+	d.fence(c)
+}
+
+func (d *Device) persistRanges(c *cell, rs []Range) {
+	for _, r := range rs {
+		d.flush(c, r.Off, r.N)
+	}
+	d.fence(c)
+}
+
+// Persist is one protocol step (a set of write-backs closed by one sfence,
+// in Px86's terms): Flush(off, n), then Fence. n <= 0 flushes nothing and
+// still fences — a step that orders write-backs issued before it.
+func (d *Device) Persist(off, n int) { d.persist(nil, off, n) }
+
+// PersistRanges is Persist over several ranges: each is flushed as given,
+// in order, and one fence follows. Nothing is merged (MergeRanges does
+// that); an empty rs flushes nothing and still fences.
+func (d *Device) PersistRanges(rs []Range) { d.persistRanges(nil, rs) }
 
 // FlushAll persists the entire device, like a shutdown msync.
 func (d *Device) FlushAll() {

@@ -234,3 +234,9 @@ func (v *View) Flush(off, n int) { v.d.flush(v.c, off, n) }
 
 // Fence is Device.Fence counted in v.
 func (v *View) Fence() { v.d.fence(v.c) }
+
+// Persist is Device.Persist counted in v.
+func (v *View) Persist(off, n int) { v.d.persist(v.c, off, n) }
+
+// PersistRanges is Device.PersistRanges counted in v.
+func (v *View) PersistRanges(rs []Range) { v.d.persistRanges(v.c, rs) }

@@ -23,6 +23,8 @@ type accessor interface {
 	Zero(off, n int)
 	Flush(off, n int)
 	Fence()
+	Persist(off, n int)
+	PersistRanges(rs []Range)
 }
 
 var (
@@ -65,9 +67,13 @@ func (o outcome) diff(p outcome) string {
 // TestViewAccountingEquivalence runs every operation through the Device,
 // through an owner's View and through the Unowned view, from identical
 // starting states, and requires identical results, Stats, dirty and
-// persisted state, crash images, flush-hook ordinals and panics.
+// persisted state, crash images, flush-hook ordinals and panics. An
+// operation with a spelled-out form (spelledOut: Persist as its flushes
+// and a fence) must also leave exactly what that form leaves, on each of
+// the three.
 func TestViewAccountingEquivalence(t *testing.T) {
 	const size = 1024
+	multi := []Range{{Off: 600, N: 8}, {Off: 190, N: 30}, {Off: 192, N: 8}, {Off: 512, N: 0}}
 	ops := []struct {
 		name string
 		run  func(a accessor) any
@@ -93,6 +99,12 @@ func TestViewAccountingEquivalence(t *testing.T) {
 		{"Flush/empty", func(a accessor) any { a.Flush(512, 0); return nil }},
 		{"Flush/twice", func(a accessor) any { a.Flush(0, 64); a.WriteU64(8, 1); a.Flush(0, 128); return nil }},
 		{"Fence", func(a accessor) any { a.Fence(); return nil }},
+		{"Persist/dirty", func(a accessor) any { a.WriteU64(200, 7); a.Persist(190, 30); return nil }},
+		{"Persist/empty", func(a accessor) any { a.Persist(512, 0); return nil }},
+		{"Persist/dropped", func(a accessor) any { a.WriteU64(960, 3); a.Persist(960, 8); return nil }},
+		{"Persist/out-of-range", func(a accessor) any { a.Persist(size-8, 16); return nil }},
+		{"PersistRanges/multi", func(a accessor) any { a.WriteU64(200, 7); a.WriteU64(600, 3); a.PersistRanges(multi); return nil }},
+		{"PersistRanges/empty", func(a accessor) any { a.PersistRanges(nil); return nil }},
 		{"persist", func(a accessor) any {
 			a.WriteU64(640, 1)
 			a.Flush(640, 8)
@@ -117,10 +129,30 @@ func TestViewAccountingEquivalence(t *testing.T) {
 		{"media-error/move", func(a accessor) any { a.Move(0, 896, 32); return nil }},
 		{"dropped-flush", func(a accessor) any { a.WriteU64(960, 3); a.Flush(960, 8); return nil }},
 	}
+	fence := func(a accessor) any { a.Fence(); return nil } // an empty step flushes nothing and still fences
+	spelledOut := map[string]func(a accessor) any{
+		"Persist/dirty":        func(a accessor) any { a.WriteU64(200, 7); a.Flush(190, 30); a.Fence(); return nil },
+		"Persist/empty":        fence,
+		"Persist/dropped":      func(a accessor) any { a.WriteU64(960, 3); a.Flush(960, 8); a.Fence(); return nil },
+		"Persist/out-of-range": func(a accessor) any { a.Flush(size-8, 16); a.Fence(); return nil },
+		// In order and unmerged: the line flushed twice is two flushes.
+		"PersistRanges/multi": func(a accessor) any {
+			a.WriteU64(200, 7)
+			a.WriteU64(600, 3)
+			for _, r := range multi {
+				a.Flush(r.Off, r.N)
+			}
+			a.Fence()
+			return nil
+		},
+		"PersistRanges/empty": fence,
+	}
+	// paths[0], the device's own methods, is what the views are held to.
 	paths := []struct {
 		name string
 		pick func(d *Device) accessor
 	}{
+		{"device", func(d *Device) accessor { return d }},
 		{"view", func(d *Device) accessor { return d.NewView() }},
 		{"unowned", func(d *Device) accessor { return d.Unowned() }},
 	}
@@ -178,11 +210,23 @@ func TestViewAccountingEquivalence(t *testing.T) {
 			return o
 		}
 		for _, op := range ops {
-			want := observe(func(d *Device) accessor { return d }, op.run)
-			for _, path := range paths {
-				t.Run(fmt.Sprintf("mode%d-lat%d/%s/%s", cfg.mode, warm.ModeledFlushTime().Nanoseconds(), op.name, path.name), func(t *testing.T) {
+			prefix := fmt.Sprintf("mode%d-lat%d/%s", cfg.mode, warm.ModeledFlushTime().Nanoseconds(), op.name)
+			want := observe(paths[0].pick, op.run)
+			for _, path := range paths[1:] {
+				t.Run(prefix+"/"+path.name, func(t *testing.T) {
 					if d := want.diff(observe(path.pick, op.run)); d != "" {
 						t.Errorf("device vs %s: %s", path.name, d)
+					}
+				})
+			}
+			same, ok := spelledOut[op.name]
+			if !ok {
+				continue
+			}
+			for _, path := range paths {
+				t.Run(prefix+"/spelled-out/"+path.name, func(t *testing.T) {
+					if d := observe(path.pick, op.run).diff(observe(path.pick, same)); d != "" {
+						t.Errorf("%s vs its spelled-out form: %s", path.name, d)
 					}
 				})
 			}

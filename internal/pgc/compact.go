@@ -91,11 +91,9 @@ func compact(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool) compactRes
 			// unaffected — and the pause stops paying two flushes and two
 			// fences per untouched live object.
 			if fixRefs(dev, h, s, m.Dst, m.Size) {
-				dev.Flush(m.Dst, m.Size)
-				dev.Fence()
+				dev.Persist(m.Dst, m.Size)
 				dev.WriteU64(m.Src+layout.MarkWordOff, layout.WithTimestamp(srcMark, cur))
-				dev.Flush(m.Src+layout.MarkWordOff, 8)
-				dev.Fence()
+				dev.Persist(m.Src+layout.MarkWordOff, 8)
 			}
 		}
 	}
@@ -118,7 +116,7 @@ func compact(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool) compactRes
 			lines = append(lines, nvm.LineRange(m.Dst, m.Size))
 		}
 		if len(lines) > 0 {
-			persistBatch(dev, lines)
+			dev.PersistRanges(nvm.MergeRanges(lines))
 			h.PersistCompactProgress(end)
 		}
 		i = end
@@ -171,7 +169,7 @@ func compact(h *pheap.Heap, s *Summary, cur uint64, cleanCard []bool) compactRes
 	}
 	// The fillers are durable before finish publishes the tops above them.
 	if len(lines) > 0 {
-		persistBatch(dev, lines)
+		dev.PersistRanges(nvm.MergeRanges(lines))
 	}
 
 	return compactResult{topEntries: topEntries, holes: holes, stats: dev.Stats().Sub(statsBefore)}

@@ -161,17 +161,8 @@ func persistLazy(h *pheap.Heap, slots []marker.LazySlot) int {
 		h.Device().WriteU64(sl.Off, sl.W&^uint64(layout.RefLazy))
 		lines[i] = nvm.LineRange(sl.Off, 8)
 	}
-	persistBatch(h.Device(), lines)
+	h.Device().PersistRanges(nvm.MergeRanges(lines))
 	return len(slots)
-}
-
-// persistBatch writes lines back in ascending device order, each line
-// once, and fences.
-func persistBatch(dev *nvm.Device, lines []nvm.Range) {
-	for _, r := range nvm.MergeRanges(lines) {
-		dev.Flush(r.Off, r.N)
-	}
-	dev.Fence()
 }
 
 // runTail takes a cycle from a complete mark to a republished heap, with

@@ -428,8 +428,7 @@ func (a *Allocator) place(o allocObj, init func(layout.Ref)) (layout.Ref, error)
 		if init != nil {
 			init(ref)
 		}
-		a.view.Flush(off, persistSpan(o, init != nil))
-		a.view.Fence()
+		a.view.Persist(off, persistSpan(o, init != nil))
 	}
 	a.advance(off+o.size, o.size, 1)
 	return ref, nil
@@ -469,8 +468,7 @@ func (a *Allocator) placeRun(run []allocObj, total int, refs []layout.Ref, init 
 		at += o.size
 	}
 	last := run[len(run)-1]
-	a.view.Flush(off, total-last.size+persistSpan(last, init != nil))
-	a.view.Fence()
+	a.view.Persist(off, total-last.size+persistSpan(last, init != nil))
 	a.advance(off+total, total, len(run))
 	return nil
 }
@@ -575,8 +573,7 @@ type coveredHeader struct {
 // this one) in the meantime. It returns the lines flushed.
 func (x Access) settle(r int, w uint64) uint64 {
 	off, n := headerSpan(w)
-	x.view.Flush(off, n)
-	x.view.Fence()
+	x.view.Persist(off, n)
 	x.heap.regions[r].deferred.CompareAndSwap(w, 0)
 	return uint64(nvm.LineRange(off, n).N / layout.LineSize)
 }
@@ -663,7 +660,7 @@ func (a *Allocator) allocInHole(o allocObj, init func(layout.Ref)) layout.Ref {
 	off := a.holeCur
 	a.holeCur += o.size
 	if tail := a.holeEnd - a.holeCur; tail > 0 {
-		a.fillGapRaw(a.holeCur, tail)
+		a.view.Persist(a.holeCur, a.writeFiller(a.holeCur, tail))
 	}
 	a.view.Zero(off, o.size)
 	a.writeHeader(off, o.kaddr, o.k, o.arrayLen)
@@ -671,8 +668,7 @@ func (a *Allocator) allocInHole(o allocObj, init func(layout.Ref)) layout.Ref {
 	if init != nil {
 		init(ref)
 	}
-	a.view.Flush(off, persistSpan(o, init != nil))
-	a.view.Fence()
+	a.view.Persist(off, persistSpan(o, init != nil))
 	a.stats.Allocs++
 	a.cell.Inc(telemetry.CtrAllocObjects)
 	a.cell.Inc(telemetry.CtrHoleAllocs)
@@ -708,7 +704,7 @@ func (a *Allocator) retirePLAB() {
 		return
 	}
 	if gap := a.end - a.cur; gap > 0 {
-		a.fillGapRaw(a.cur, gap)
+		a.view.Persist(a.cur, a.writeFiller(a.cur, gap))
 	}
 	if a.durableTop != a.end {
 		a.persistRegionTop(a.region, a.end)
@@ -832,14 +828,14 @@ func (h *Heap) dispense(size int, a *Allocator) (region, cur int, err error) {
 		start := h.geo.DataOff + r*layout.RegionSize
 		if cur = int(h.regions[r].top.Load()); cur == 0 {
 			cur = start // a whole region: it fits any PLAB request
-			a.writeRegionTop(r, cur)
+			a.view.Flush(a.writeRegionTop(r, cur))
 		}
 		aligned := (cur + layout.LineSize - 1) &^ (layout.LineSize - 1)
 		if start+layout.RegionSize-aligned < size {
 			continue // abandoned until the next collection
 		}
 		if aligned > cur {
-			a.fillGapRaw(cur, aligned-cur)
+			a.view.Persist(cur, a.writeFiller(cur, aligned-cur))
 			a.persistRegionTop(r, aligned)
 			cur = aligned
 		}
@@ -852,7 +848,7 @@ func (h *Heap) dispense(size int, a *Allocator) (region, cur int, err error) {
 		r := h.frontier
 		h.frontier++
 		cur := h.geo.DataOff + r*layout.RegionSize
-		a.writeRegionTop(r, cur)
+		a.view.Flush(a.writeRegionTop(r, cur))
 		h.fr.Append(blackbox.EvPLABHandoff, uint64(r), uint64(cur), uint64(layout.RegionSize))
 		return r, cur, nil
 	}
@@ -918,10 +914,7 @@ func (a *Allocator) allocHumongous(o allocObj, init func(layout.Ref)) (layout.Re
 		init(ref)
 	}
 	dev.Flush(start, persistSpan(o, init != nil))
-	if end > start+o.size {
-		a.fillGapRawNoFence(start+o.size, end-start-o.size)
-	}
-	dev.Fence()
+	dev.Persist(start+o.size, a.writeFiller(start+o.size, end-start-o.size))
 
 	r0 := (start - h.geo.DataOff) / layout.RegionSize
 	dev.WriteU64(h.RegionTopMetaOff(r0), uint64(end))
@@ -930,8 +923,7 @@ func (a *Allocator) allocHumongous(o allocObj, init func(layout.Ref)) (layout.Re
 		dev.WriteU64(h.RegionTopMetaOff(r), regionTopHumongousCont)
 		dev.WriteU64(h.RegionTopMetaOff(r)+8, regionTopSum(r, regionTopHumongousCont))
 	}
-	dev.Flush(h.RegionTopMetaOff(r0), nRegions*layout.RegionTopStride)
-	dev.Fence()
+	dev.Persist(h.RegionTopMetaOff(r0), nRegions*layout.RegionTopStride)
 	h.regions[r0].top.Store(int64(end))
 	for r := r0 + 1; r < r0+nRegions; r++ {
 		h.regions[r].top.Store(regionTopHumongousCont)
@@ -958,24 +950,13 @@ func (x Access) writeHeader(off int, kaddr layout.Ref, k *klass.Klass, arrayLen 
 	}
 }
 
-// fillGapRaw writes and persists a filler object covering exactly
-// [off, off+n), through x's view (an allocator plugging its own PLAB, or
-// the heap for the collector). It is lock-free: the filler klass addresses
-// are resolved once at create/load, and the caller owns the covered bytes. n must be
-// 16-aligned; a 16-byte gap takes the 2-word filler, larger gaps a
-// byte-array filler.
-func (x Access) fillGapRaw(off, n int) {
-	x.fillGapRawNoFence(off, n)
-	x.view.Fence()
-}
-
-func (x Access) fillGapRawNoFence(off, n int) {
-	x.view.Flush(off, x.writeFiller(off, n))
-}
-
-// writeFiller writes a filler header covering exactly [off, off+n) and
-// returns the length to flush to persist it: the header's (a filler's
-// body is never read).
+// writeFiller writes a filler header covering exactly [off, off+n),
+// through x's view (an allocator plugging its own PLAB, or the heap for
+// the collector), and returns the length to flush to persist it: the
+// header's (a filler's body is never read), 0 for an empty gap. It is
+// lock-free: the filler klass addresses are resolved once at create/load,
+// and the caller owns the covered bytes. n must be 16-aligned; a 16-byte
+// gap takes the 2-word filler, larger gaps a byte-array filler.
 func (x Access) writeFiller(off, n int) int {
 	h := x.heap
 	if n == 0 {

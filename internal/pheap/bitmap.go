@@ -119,11 +119,8 @@ func (b *Bitmap) CountSet() int {
 	return n
 }
 
-// Persist flushes the bitmap's backing words.
-func (b *Bitmap) Persist() {
-	b.dev.Flush(b.off, (b.bits+63)/64*8)
-	b.dev.Fence()
-}
+// Persist flushes the bitmap's backing words, fenced.
+func (b *Bitmap) Persist() { b.dev.Persist(b.off, (b.bits+63)/64*8) }
 
 // MarkBits is the collector's volatile mark bitmap, word for word the
 // layout of the device's. Parallel markers set its bits with atomic word
@@ -206,11 +203,8 @@ func (h *Heap) PersistMarkBitmap() {
 			}
 		}
 	}
-	for _, r := range batch {
-		h.dev.Flush(r.Off, r.N)
-	}
 	if len(batch) > 0 {
-		h.dev.Fence()
+		h.dev.PersistRanges(batch)
 	}
 	h.marksHi = used
 }

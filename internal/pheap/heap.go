@@ -388,8 +388,7 @@ func Create(reg *klass.Registry, cfg Config) (*Heap, error) {
 	dev.WriteU64(mGCPhaseSum, gcPhaseSum(gcPhaseIdle))
 	// The region-top table needs no stamping: all-zero lines are the
 	// valid untouched-region state (see regionTopLineValid).
-	dev.Flush(0, metadataBytes)
-	dev.Fence()
+	dev.Persist(0, metadataBytes)
 	// Ring header after the metadata that points at it (manifest-first).
 	if err := blackbox.Format(dev, geo.BlackboxOff, geo.BlackboxSize); err != nil {
 		return nil, err
@@ -452,8 +451,7 @@ func load(dev *nvm.Device, reg *klass.Registry, salv *SalvageReport) (*Heap, err
 		// gcActive flag regardless of the phase word.
 		dev.WriteU64(mGCPhase, gcPhaseIdle)
 		dev.WriteU64(mGCPhaseSum, gcPhaseSum(gcPhaseIdle))
-		dev.Flush(mGCPhase, 8) // the sum shares the phase word's line
-		dev.Fence()
+		dev.Persist(mGCPhase, 8) // the sum shares the phase word's line
 		salv.GCPhaseRepaired = true
 	}
 	h := &Heap{
@@ -702,24 +700,22 @@ func (h *Heap) RegionTopMetaOff(r int) int {
 // for the encoding). The persisted table entry may lie below it.
 func (h *Heap) RegionTop(r int) int { return int(h.regions[r].top.Load()) }
 
-// writeRegionTop stores region r's top word and its line checksum, writes
-// the line back and moves the mirror — without a fence: the caller orders
-// the line with whatever it publishes next. Value and checksum share the
-// 64-byte table line, so detection costs one extra store and no flush.
-func (x Access) writeRegionTop(r, top int) {
-	off := x.heap.RegionTopMetaOff(r)
+// writeRegionTop stores region r's top word and its line checksum and
+// moves the mirror, and returns the span the caller writes back — Flush
+// when the line rides whatever it publishes next, Persist to fence it.
+// Value and checksum share the 64-byte table line, so detection costs one
+// extra store and no flush.
+func (x Access) writeRegionTop(r, top int) (off, n int) {
+	off = x.heap.RegionTopMetaOff(r)
 	x.view.WriteU64(off, uint64(top))
 	x.view.WriteU64(off+8, regionTopSum(r, uint64(top)))
-	x.view.Flush(off, 16)
 	x.heap.regions[r].top.Store(int64(top))
+	return off, 16
 }
 
 // persistRegionTop moves region r's persisted top and its mirror, fenced.
 // The caller must already have persisted every object below the new top.
-func (x Access) persistRegionTop(r, top int) {
-	x.writeRegionTop(r, top)
-	x.view.Fence()
-}
+func (x Access) persistRegionTop(r, top int) { x.view.Persist(x.writeRegionTop(r, top)) }
 
 // Top reports one past the highest allocated byte across all regions —
 // the successor of the paper's single top pointer, derived from the
@@ -749,12 +745,6 @@ func (h *Heap) GlobalTS() uint64 { return h.globalTS.Load() }
 // GCActive reports whether the image is marked as mid-collection.
 func (h *Heap) GCActive() bool { return h.gcActive.Load() }
 
-func (h *Heap) persistU64(off int, v uint64) {
-	h.dev.WriteU64(off, v)
-	h.dev.Flush(off, 8)
-	h.dev.Fence()
-}
-
 // SetGCState persists the global timestamp, its checksum and the
 // GC-active flag, in that store order (timestamp first) so a partial
 // persist can only yield {new TS, inactive} — a harmless no-op — never
@@ -764,8 +754,7 @@ func (h *Heap) SetGCState(ts uint64, active bool) {
 	for _, e := range h.GCStateEntries(ts, active) {
 		h.dev.WriteU64(e.Off, e.Val)
 	}
-	h.dev.Flush(mGlobalTSSum, mGCActive+8-mGlobalTSSum)
-	h.dev.Fence()
+	h.dev.Persist(mGlobalTSSum, mGCActive+8-mGlobalTSSum)
 	h.globalTS.Store(ts)
 	h.gcActive.Store(active)
 }
@@ -792,8 +781,7 @@ func (h *Heap) CompactProgress() int { return int(h.dev.ReadU64(mProgress)) }
 // p durable, fenced, before it calls.
 func (h *Heap) PersistCompactProgress(p int) {
 	h.writeProgress(p)
-	h.dev.Flush(mProgress, 16)
-	h.dev.Fence()
+	h.dev.Persist(mProgress, 16)
 }
 
 func (h *Heap) writeProgress(p int) {
@@ -883,31 +871,34 @@ func (h *Heap) PersistTops() {
 // h.mu with the allocators quiescent.
 func (h *Heap) persistOpenTops() {
 	var seen []coveredHeader
+	var headers []nvm.Range
 	for _, a := range h.allocators {
 		if a.region >= 0 {
 			if w := h.regions[a.region].deferred.Load(); w != 0 {
 				off, n := headerSpan(w)
-				h.dev.Flush(off, n)
+				headers = append(headers, nvm.Range{Off: off, N: n})
 				seen = append(seen, coveredHeader{a.region, w})
 			}
 		}
 	}
 	if len(seen) > 0 {
-		h.dev.Fence()
+		h.dev.PersistRanges(headers)
 		for _, c := range seen {
 			h.clearCovered(c)
 		}
 	}
-	stale := false
+	// Each top line is written back before the next top is stored, the
+	// last one by the closing Persist.
+	var last nvm.Range
 	for _, a := range h.allocators {
 		if a.region >= 0 && a.cur != a.durableTop {
-			h.writeRegionTop(a.region, a.cur)
+			h.dev.Flush(last.Off, last.N)
+			last.Off, last.N = h.writeRegionTop(a.region, a.cur)
 			a.durableTop = a.cur
-			stale = true
 		}
 	}
-	if stale {
-		h.dev.Fence()
+	if last.N > 0 {
+		h.dev.Persist(last.Off, last.N)
 	}
 }
 
@@ -955,7 +946,7 @@ func (h *Heap) rebuildRegionState(plug bool) {
 			at := h.recoverFrontier(t, end)
 			h.recovered = append(h.recovered, RecoveredRegion{Region: r, Top: t, Frontier: at})
 			if at > start {
-				h.fillGapRaw(at, end-at)
+				h.view.Persist(at, h.writeFiller(at, end-at))
 				h.persistRegionTop(r, end)
 				t = end
 			}

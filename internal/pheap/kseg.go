@@ -70,10 +70,10 @@ func (h *Heap) ensureKlassLocked(k *klass.Klass) (layout.Ref, error) {
 	}
 	off := h.geo.KsegOff + h.ksegUsed
 	h.dev.WriteBytes(off, rec)
-	h.dev.Flush(off, len(rec))
-	h.dev.Fence()
+	h.dev.Persist(off, len(rec))
 	h.ksegUsed += len(rec)
-	h.persistU64(mKsegUsed, uint64(h.ksegUsed))
+	h.dev.WriteU64(mKsegUsed, uint64(h.ksegUsed))
+	h.dev.Persist(mKsegUsed, 8)
 
 	addr := h.AddrOf(off)
 	h.kseg.Store(h.kseg.Load().with(addr, k))

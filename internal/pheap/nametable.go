@@ -133,8 +133,7 @@ func (h *Heap) putEntryLocked(kind uint64, name string, value uint64) error {
 	off := h.entryOff(slot)
 	if found {
 		h.dev.WriteU64Atomic(off+entryValueOff, value)
-		h.dev.Flush(off+entryValueOff, 8)
-		h.dev.Fence()
+		h.dev.Persist(off+entryValueOff, 8)
 		return nil
 	}
 	// New entry: persist the name bytes first, then the entry line with
@@ -144,10 +143,10 @@ func (h *Heap) putEntryLocked(kind uint64, name string, value uint64) error {
 	}
 	nameOff := h.geo.ArenaOff + h.arenaUsed
 	h.dev.WriteBytes(nameOff, []byte(name))
-	h.dev.Flush(nameOff, len(name))
-	h.dev.Fence()
+	h.dev.Persist(nameOff, len(name))
 	h.arenaUsed += len(name)
-	h.persistU64(mArenaUsed, uint64(h.arenaUsed))
+	h.dev.WriteU64(mArenaUsed, uint64(h.arenaUsed))
+	h.dev.Persist(mArenaUsed, 8)
 
 	h.dev.WriteU64(off+8, nameHash(name))
 	h.dev.WriteU64(off+16, kind)
@@ -157,8 +156,7 @@ func (h *Heap) putEntryLocked(kind uint64, name string, value uint64) error {
 	// RemoveRoot may be loading this word; it will discard what it reads.
 	h.dev.WriteU64Atomic(off+entryValueOff, value)
 	h.dev.WriteU64(off, entryStateCommitted) // commit point
-	h.dev.Flush(off, nameEntryBytes)
-	h.dev.Fence()
+	h.dev.Persist(off, nameEntryBytes)
 	return nil
 }
 
@@ -248,8 +246,7 @@ func (h *Heap) RemoveRoot(name string) bool {
 	off := h.entryOff(slot)
 	h.dev.WriteU64(off, entryStateTombstone)
 	h.unindexLocked(nameKey{EntryRoot, name})
-	h.dev.Flush(off, 8)
-	h.dev.Fence()
+	h.dev.Persist(off, 8)
 	return true
 }
 

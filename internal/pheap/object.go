@@ -122,19 +122,18 @@ func (x Access) WriteBytesAt(ref layout.Ref, boff int, p []byte) {
 func (a *Allocator) FlushRange(ref layout.Ref, boff, n int) {
 	off := a.heap.OffOf(ref) + boff
 	c := a.heap.coveredHeader(off, n)
-	a.view.Flush(off, n)
-	a.view.Fence()
+	a.view.Persist(off, n)
 	a.tally(telemetry.CtrHeadersFlushCovered, a.heap.clearCovered(c))
 }
 
 // FlushRange is Allocator.FlushRange on the heap's ownerless context.
 func (h *Heap) FlushRange(ref layout.Ref, boff, n int) { h.ownerless.FlushRange(ref, boff, n) }
 
-// FlushBatch writes back every device range and issues a single trailing
-// fence — the coalesced-persist idiom: clflush each line once, sfence
-// once. Callers are expected to pre-merge overlapping ranges (core's flush
-// coalescer does); exactly what is handed in is flushed. Like FlushRange,
-// it settles the deferred headers it covers.
+// FlushBatch persists every device range as one step (nvm.View's
+// PersistRanges) — the coalesced-persist idiom: clflush each line once,
+// sfence once. Callers are expected to pre-merge overlapping ranges
+// (core's flush coalescer does); exactly what is handed in is flushed.
+// Like FlushRange, it settles the deferred headers it covers.
 func (a *Allocator) FlushBatch(ranges []nvm.Range) {
 	var buf [4]coveredHeader
 	seen := buf[:0]
@@ -144,10 +143,7 @@ func (a *Allocator) FlushBatch(ranges []nvm.Range) {
 			seen = append(seen, c)
 		}
 	}
-	for _, rg := range ranges {
-		a.view.Flush(rg.Off, rg.N)
-	}
-	a.view.Fence()
+	a.view.PersistRanges(ranges)
 	var cleared uint64
 	for _, c := range seen {
 		cleared += a.heap.clearCovered(c)
@@ -241,9 +237,10 @@ func RefSlots(dev interface{ ReadU64(int) uint64 }, off int, k *klass.Klass, fn 
 // persistent heap, so stale DRAM pointers surface as NullPointerException
 // rather than undefined behaviour. keep reports whether a ref is still
 // valid (i.e., points into persistent memory). Returns the number of
-// nullified slots.
+// nullified slots. The lines of the nulled slots, and no others, are
+// persisted with one fence.
 func (h *Heap) ZeroingScan(keep func(layout.Ref) bool) (int, error) {
-	nulled := 0
+	var lines []nvm.Range
 	err := h.ForEachObject(func(off int, k *klass.Klass, size int) bool {
 		if IsFiller(k) {
 			return true
@@ -258,18 +255,16 @@ func (h *Heap) ZeroingScan(keep func(layout.Ref) bool) (int, error) {
 			v := layout.UntagRef(raw)
 			if v != layout.NullRef && !keep(v) {
 				h.dev.WriteU64(off+slotBoff, uint64(layout.RefTag(raw)))
-				nulled++
+				lines = append(lines, nvm.LineRange(off+slotBoff, 8))
 			}
 		})
 		return true
 	})
 	if err != nil {
-		return nulled, err
+		return len(lines), err
 	}
-	if nulled > 0 {
-		// One bulk persist for the scan's stores.
-		h.dev.Flush(h.geo.DataOff, h.Top()-h.geo.DataOff)
-		h.dev.Fence()
+	if len(lines) > 0 {
+		h.dev.PersistRanges(nvm.MergeRanges(lines))
 	}
-	return nulled, nil
+	return len(lines), nil
 }

@@ -440,6 +440,10 @@ func TestRedoAppliedOnLoad(t *testing.T) {
 	}
 }
 
+// TestZeroingScanNullsForeignRefs: the scan nulls the DRAM references and
+// keeps the heap's own, and persists what it nulled as one step — the
+// nulled slots' lines and no others, one fence — so that every nulled slot
+// reads null in a crash image and the scan leaves no line dirty.
 func TestZeroingScanNullsForeignRefs(t *testing.T) {
 	h, reg := testHeap(t, Config{})
 	p := definePerson(t, reg)
@@ -448,18 +452,58 @@ func TestZeroingScanNullsForeignRefs(t *testing.T) {
 	nameOff := layout.FieldOff(1)
 	h.SetWord(a, nameOff, uint64(b))                    // intra-heap: kept
 	h.SetWord(b, nameOff, uint64(layout.YoungBase+128)) // DRAM: nulled
+	foreign := []layout.Ref{b}
+	for i := 0; i < 6; i++ { // two to a line: fewer lines than slots
+		x, err := h.Alloc(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetWord(x, nameOff, uint64(layout.YoungBase+256))
+		foreign = append(foreign, x)
+	}
+	for i := 0; i < 16; i++ { // lines the scan has no business writing back
+		if _, err := h.Alloc(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := map[int]bool{}
+	for _, x := range foreign {
+		lines[(h.OffOf(x)+nameOff)/layout.LineSize] = true
+	}
+	// The scan starts from a heap with nothing left to write back.
+	dev := h.Device()
+	dev.FlushAll()
+	before := dev.Stats()
 	nulled, err := h.ZeroingScan(h.Contains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nulled != 1 {
-		t.Fatalf("nulled = %d, want 1", nulled)
+	if nulled != len(foreign) {
+		t.Fatalf("nulled = %d, want %d", nulled, len(foreign))
 	}
 	if layout.Ref(h.GetWord(a, nameOff)) != b {
 		t.Fatal("intra-heap ref was nulled")
 	}
-	if h.GetWord(b, nameOff) != 0 {
-		t.Fatal("DRAM ref survived zeroing scan")
+	for _, x := range foreign {
+		if h.GetWord(x, nameOff) != 0 {
+			t.Fatal("DRAM ref survived zeroing scan")
+		}
+	}
+	if d := dev.Stats().Sub(before); d.FlushedLines != uint64(len(lines)) || d.FlushedLines > uint64(nulled) || d.Fences != 1 {
+		t.Fatalf("scan persisted %d lines with %d fences; want the %d lines of %d nulled slots, one fence",
+			d.FlushedLines, d.Fences, len(lines), nulled)
+	}
+	if n := dev.DirtyLines(); n != 0 {
+		t.Fatalf("scan left %d lines dirty", n)
+	}
+	img := nvm.FromImage(dev.CrashImage(nvm.CrashFlushedOnly, 0), nvm.Config{})
+	for _, x := range foreign {
+		if v := img.ReadU64(h.OffOf(x) + nameOff); v != 0 {
+			t.Fatalf("nulled slot of %#x reads %#x in the flushed-only image", x, v)
+		}
+	}
+	if v := img.ReadU64(h.OffOf(a) + nameOff); layout.Ref(v) != b {
+		t.Fatalf("kept slot reads %#x in the flushed-only image, want %#x", v, b)
 	}
 }
 

@@ -85,8 +85,7 @@ func (h *Heap) Rebase(newBase layout.Ref) error {
 	// The cached filler record addresses shifted with the maps.
 	h.resolveFillers()
 
-	h.dev.FlushAll()
-	h.dev.Fence()
+	h.dev.Persist(0, h.dev.Size())
 	h.BumpLayoutEpoch()
 	return nil
 }

@@ -3,7 +3,7 @@ package pheap
 import (
 	"fmt"
 
-	"espresso/internal/layout"
+	"espresso/internal/nvm"
 	"espresso/internal/telemetry/blackbox"
 )
 
@@ -52,15 +52,11 @@ func (h *Heap) RedoCommit(entries []RedoEntry) {
 		h.dev.WriteU64(base+16+i*16+8, e.Val)
 	}
 	h.dev.WriteU64(h.redoSumOff(), h.redoSumFromDevice(len(entries)))
-	if len(entries) > 0 {
-		h.dev.Flush(base+16, len(entries)*16)
-	}
-	h.dev.Flush(h.redoSumOff(), 8)
-	h.dev.Fence()
+	h.dev.Flush(base+16, len(entries)*16) // no entries: nothing flushed
+	h.dev.Persist(h.redoSumOff(), 8)
 	h.dev.WriteU64(base+8, uint64(len(entries)))
 	h.dev.WriteU64(base, 1)
-	h.dev.Flush(base, 16)
-	h.dev.Fence()
+	h.dev.Persist(base, 16)
 	// Journal after the commit fence: the batch is durable, and the
 	// record rides the apply step's trailing fence.
 	h.fr.Append(blackbox.EvRedoCommit, uint64(len(entries)), 0, 0)
@@ -82,14 +78,12 @@ func (h *Heap) RedoPending() bool {
 func (h *Heap) RedoApply() {
 	base := h.geo.RedoOff
 	count := int(h.dev.ReadU64(base + 8))
-	line := -1
+	var line nvm.Range // the line the batch is in, not yet written back
 	for i := 0; i < count; i++ {
 		off := int(h.dev.ReadU64(base + 16 + i*16))
 		val := h.dev.ReadU64(base + 16 + i*16 + 8)
-		if l := off / layout.LineSize; l != line {
-			if line >= 0 {
-				h.dev.Flush(line*layout.LineSize, layout.LineSize)
-			}
+		if l := nvm.LineRange(off, 8); l != line {
+			h.dev.Flush(line.Off, line.N)
 			line = l
 		}
 		h.dev.WriteU64(off, val)
@@ -97,13 +91,9 @@ func (h *Heap) RedoApply() {
 			h.dev.WriteU64(off+8, regionTopSum(r, val))
 		}
 	}
-	if line >= 0 {
-		h.dev.Flush(line*layout.LineSize, layout.LineSize)
-	}
-	h.dev.Fence()
+	h.dev.Persist(line.Off, line.N)
 	h.dev.WriteU64(base, 0)
-	h.dev.Flush(base, 8)
-	h.dev.Fence()
+	h.dev.Persist(base, 8)
 }
 
 // redoValidate checks the redo state word and, for a committed batch,
@@ -139,8 +129,7 @@ func (h *Heap) redoValidate(salv *SalvageReport) error {
 		return fmt.Errorf("pheap: corrupt committed redo batch (state %d)", state)
 	}
 	h.dev.WriteU64(base, 0)
-	h.dev.Flush(base, 8)
-	h.dev.Fence()
+	h.dev.Persist(base, 8)
 	salv.RedoDiscarded = true
 	return nil
 }

@@ -174,26 +174,31 @@ func (h *Heap) verifyRegionTops(salv *SalvageReport) error {
 	}
 
 	h.quarantined = make([]bool, dataRegions)
+	// Each region's last span is written back before the next region's
+	// first store, the very last by the closing Persist.
+	var last nvm.Range
 	for r := 0; r < regions; r++ {
 		if !bad[r] {
 			continue
 		}
+		h.dev.Flush(last.Off, last.N)
 		off := h.RegionTopMetaOff(r)
 		h.dev.WriteU64(off, 0)
 		h.dev.WriteU64(off+8, 0)
-		h.dev.Flush(off, 16)
+		last = nvm.Range{Off: off, N: 16}
 		if r < dataRegions {
 			// Zero the data so the region reads as untouched NVM: no
 			// stale garbage can ever be re-parsed, and the dispenser may
 			// hand the region out again safely.
+			h.dev.Flush(last.Off, last.N)
 			start := h.geo.DataOff + r*layout.RegionSize
 			h.dev.Zero(start, layout.RegionSize)
-			h.dev.Flush(start, layout.RegionSize)
+			last = nvm.Range{Off: start, N: layout.RegionSize}
 			h.quarantined[r] = true
 			salv.RegionsLost = append(salv.RegionsLost, r)
 			salv.BytesLost += layout.RegionSize
 		}
 	}
-	h.dev.Fence()
+	h.dev.Persist(last.Off, last.N)
 	return nil
 }

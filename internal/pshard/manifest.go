@@ -174,9 +174,7 @@ func WriteManifest(dev *nvm.Device, m *Manifest) error {
 		dev.WriteU64(manBounds+8*i, b)
 	}
 	dev.WriteU64(manSum, manifestSum(dev, m.Shards))
-	dev.Flush(0, manBounds+8*m.Shards)
-	dev.Flush(manSum, 8)
-	dev.Fence()
+	dev.PersistRanges([]nvm.Range{{Off: 0, N: manBounds + 8*m.Shards}, {Off: manSum, N: 8}})
 	return nil
 }
 
@@ -222,6 +220,5 @@ func ReadManifest(dev *nvm.Device) (*Manifest, error) {
 // line, one fence — the manifest's only post-creation mutation.
 func bumpGeneration(dev *nvm.Device, gen uint64) {
 	dev.WriteU64(manGeneration, gen)
-	dev.Flush(manGeneration, 8)
-	dev.Fence()
+	dev.Persist(manGeneration, 8)
 }

@@ -208,8 +208,7 @@ func Format(dev *nvm.Device, off, size int) error {
 	dev.WriteU64(off+hVersion, Version)
 	dev.WriteU64(off+hCapacity, capacity)
 	dev.WriteU64(off+hEpochNS, uint64(time.Now().UnixNano()))
-	dev.Flush(off, HeaderSize)
-	dev.Fence()
+	dev.Persist(off, HeaderSize)
 	return nil
 }
 
@@ -249,16 +248,20 @@ func Attach(dev *nvm.Device, off, size int) (*Recorder, error) {
 	}
 	r.seq.Store(last)
 	if tl.Discarded > 0 {
+		// Each scrubbed slot is written back before the next one is
+		// zeroed, the last by the closing Persist.
 		var buf [RecordSize]byte
+		var scrubbed nvm.Range
 		for i := uint64(0); i < tl.Capacity; i++ {
 			slotOff := off + HeaderSize + int(i)*RecordSize
 			dev.ReadBytes(slotOff, buf[:])
 			if seq := binary.LittleEndian.Uint64(buf[rSeq:]); seq > last {
+				dev.Flush(scrubbed.Off, scrubbed.N)
 				dev.Zero(slotOff, RecordSize)
-				dev.Flush(slotOff, RecordSize)
+				scrubbed = nvm.Range{Off: slotOff, N: RecordSize}
 			}
 		}
-		dev.Fence()
+		dev.Persist(scrubbed.Off, scrubbed.N)
 	}
 	return r, nil
 }

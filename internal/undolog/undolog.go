@@ -165,8 +165,7 @@ func (l *Log) Record(ranges ...nvm.Range) error {
 		return nil
 	}
 	l.dev.WriteBytes(base, buf)
-	l.dev.Flush(base, len(buf))
-	l.dev.Fence()
+	l.dev.Persist(base, len(buf))
 	l.used += len(buf)
 	return nil
 }
@@ -222,10 +221,7 @@ func (l *Log) Commit() {
 	if l.used == 0 {
 		return
 	}
-	for _, r := range nvm.MergeRanges(l.dirty) {
-		l.dev.Flush(r.Off, r.N)
-	}
-	l.dev.Fence()
+	l.dev.PersistRanges(nvm.MergeRanges(l.dirty))
 	l.finish()
 }
 
@@ -233,8 +229,7 @@ func (l *Log) Commit() {
 func (l *Log) finish() {
 	l.seq++
 	l.dev.WriteU64(l.seqOff, l.seq)
-	l.dev.Flush(l.seqOff, 8)
-	l.dev.Fence()
+	l.dev.Persist(l.seqOff, 8)
 	l.used, l.recs, l.dirty, l.cover = 0, l.recs[:0], l.dirty[:0], l.cover[:0]
 }
 
@@ -246,12 +241,16 @@ func (l *Log) Rollback() bool {
 	if len(l.recs) == 0 {
 		return false
 	}
+	// Each image is written back before the next one is restored, the
+	// last by the closing Persist.
+	var last nvm.Range
 	for i := len(l.recs) - 1; i >= 0; i-- {
+		l.dev.Flush(last.Off, last.N)
 		r := l.recs[i]
 		l.restore(r.off, r.at+recHdrBytes, r.n)
-		l.dev.Flush(r.off, r.n)
+		last = nvm.Range{Off: r.off, N: r.n}
 	}
-	l.dev.Fence()
+	l.dev.Persist(last.Off, last.N)
 	l.finish()
 	return true
 }
