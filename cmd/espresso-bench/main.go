@@ -1,16 +1,19 @@
 // Command espresso-bench runs the experiments of the device-op contract
-// (experiments.Contracts; docs/benchmarks.md has the index), in counts:
+// (experiments.Contracts; docs/benchmarks.md has the index). Its tables
+// are counts. A row's time is BenchmarkContract's (go test -bench
+// Contract ./internal/experiments), which runs the body the count comes
+// from.
 //
 //	espresso-bench -exp fig6      PCJ create by phase: device ops per object
-//	espresso-bench -exp fig15     PJH vs PCJ microbenchmarks: device ops per op on both sides, and the clock
-//	espresso-bench -exp fig16     JPAB on H2-JPA vs H2-PJO: device ops and Go allocations per op, and the clock
+//	espresso-bench -exp fig15     PJH vs PCJ microbenchmarks: device ops per op on both sides
+//	espresso-bench -exp fig16     JPAB on H2-JPA vs H2-PJO: device ops and Go allocations per op
 //	espresso-bench -exp fig17     BasicTest Go allocations per op by phase, both providers (Figures 4 and 17)
-//	espresso-bench -exp fig18     heap loading (UG vs zeroing): device reads per load, and the clock
-//	espresso-bench -exp gcflush   one recoverable-GC collection (§6.4): device ops, and the pause with and without clflush
+//	espresso-bench -exp fig18     heap loading (UG vs zeroing): device reads per load
+//	espresso-bench -exp gcflush   one recoverable-GC collection (§6.4): device ops
 //	espresso-bench -exp fastpath  resolved-handle / bulk-I/O / flush-coalescing costs
 //	espresso-bench -exp ptx       Figure 15's Espresso side in device ops: heap transactions and the pcollections on them
 //	espresso-bench -exp alloc     PLAB allocation scaling curve
-//	espresso-bench -exp gcpause   STW vs concurrent-marking GC pause times
+//	espresso-bench -exp gcpause   stop-the-world GC pause and its mark on parallel workers, modeled from device ops
 //	espresso-bench -exp kv        durable lock-free index (pindex) scaling curve
 //	espresso-bench -exp refstore  ref-store barrier scaling curve
 //	espresso-bench -exp shardedkv range-partitioned sharding (pshard): throughput + parallel recovery
@@ -27,9 +30,9 @@
 // mutator curves and sets the gcpause and shardedkv mutator count;
 // -shards tops the shardedkv shard curve and -recoverykeys sizes its
 // restart population — each left at 0 keeps the pinned value. -json FILE
-// writes the experiment's rows as JSON — the counts; the wall-clock
-// columns are printed only — and with -exp all one object keyed by
-// experiment name. An unknown -exp exits 2 with the valid names.
+// writes the experiment's rows, the table's counts, as JSON, and with
+// -exp all one object keyed by experiment name. An unknown -exp exits 2
+// with the valid names.
 package main
 
 import (

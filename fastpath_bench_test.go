@@ -1,13 +1,14 @@
-// Microbenchmarks for the resolved-accessor fast path: field access with
-// and without resolved handles, bulk string round trips, and coalesced
-// transitive flushes. Each reports accounted device traffic per op next
-// to wall time, since device ops are what NVM hardware charges for.
+// Microbenchmarks of the public facade that no contract row has the shape
+// of (internal/experiments' BenchmarkContract times the rows): the
+// reference-store barrier, the mutator access paths and the index facades
+// at one and more CPUs, and one PJO commit. Each reports accounted device
+// traffic per op next to wall time, since device ops are what NVM
+// hardware charges for.
 package espresso_test
 
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -29,60 +30,6 @@ func benchRT(b *testing.B) (*espresso.Runtime, *nvm.Device) {
 	}
 	h, _ := rt.Heap("bench")
 	return rt, h.Device()
-}
-
-// BenchmarkFieldAccess compares the name-resolving accessors against the
-// FieldRef fast path. The acceptance bar for this repo: the resolved
-// variants do ≥3x fewer ns/op and ≥2x fewer device reads than the named
-// ones.
-func BenchmarkFieldAccess(b *testing.B) {
-	rt, dev := benchRT(b)
-	person := espresso.MustClass("bench/Person", nil,
-		espresso.Long("id"), espresso.Long("age"), espresso.Str("name"))
-	p, err := rt.PNew(person)
-	if err != nil {
-		b.Fatal(err)
-	}
-	idF := rt.MustResolveField(person, "id")
-
-	reportReads := func(b *testing.B, s0 nvm.Stats) {
-		d := dev.Stats().Sub(s0)
-		b.ReportMetric(float64(d.Reads)/float64(b.N), "devreads/op")
-		b.ReportMetric(float64(d.Writes)/float64(b.N), "devwrites/op")
-	}
-
-	b.Run("named-get", func(b *testing.B) {
-		s0 := dev.Stats()
-		for i := 0; i < b.N; i++ {
-			if _, err := rt.GetLong(p, "id"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportReads(b, s0)
-	})
-	b.Run("resolved-get", func(b *testing.B) {
-		s0 := dev.Stats()
-		for i := 0; i < b.N; i++ {
-			_ = rt.GetLongFast(p, idF)
-		}
-		reportReads(b, s0)
-	})
-	b.Run("named-set", func(b *testing.B) {
-		s0 := dev.Stats()
-		for i := 0; i < b.N; i++ {
-			if err := rt.SetLong(p, "id", int64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportReads(b, s0)
-	})
-	b.Run("resolved-set", func(b *testing.B) {
-		s0 := dev.Stats()
-		for i := 0; i < b.N; i++ {
-			rt.SetLongFast(p, idF, int64(i))
-		}
-		reportReads(b, s0)
-	})
 }
 
 // BenchmarkSetRefFast measures the reference-store write barrier: named
@@ -424,34 +371,34 @@ func BenchmarkShardedPMapPutParallel(b *testing.B) {
 // that holds the new score; delete nothing. So update is 1 / 1 in all.
 //
 // At most pjoResident entities are alive at once, so any b.N fits the
-// fixed heap and database: the loop runs in rounds of at most pjoResident
-// ops, and between rounds, with the timer stopped, it drops what the round
-// left and collects the heap. Only the rounds' own ops are counted. Up to
-// pjoResident iterations (CI's 200000x) it is one round.
+// heap and the database: the loop runs in rounds of at most pjoResident
+// ops, each on a fresh runtime, database and provider built with the
+// timer stopped (H2 reuses no deleted row's pages, so a round cannot
+// follow another on the same database). Only the rounds' own ops are
+// counted. Up to pjoResident iterations (CI's 200000x) it is one round.
 func BenchmarkPJOCommit(b *testing.B) {
 	const pjoResident = 200_000
 	test := jpab.BasicTest()
 	for _, phase := range []string{"create", "update", "delete"} {
 		b.Run(phase, func(b *testing.B) {
-			rt, heap := benchRT(b)
-			db, err := h2.New(64<<20, nvm.Direct)
-			if err != nil {
-				b.Fatal(err)
-			}
-			em := pjo.NewProvider(rt.Runtime, db)
-			if err := em.EnsureSchema(jpab.Person); err != nil {
-				b.Fatal(err)
-			}
-			op := map[string]func(id int64) error{
-				"create": func(id int64) error { return test.MakeBatch(em, id, 1) },
-				"update": func(id int64) error { return test.Touch(em, id) },
-				"delete": func(id int64) error { return test.Drop(em, id) },
-			}[phase]
+			b.StopTimer()
 			var d nvm.Stats
-			b.ResetTimer()
 			for done := 0; done < b.N; {
 				n := min(pjoResident, b.N-done)
-				b.StopTimer()
+				rt, heap := benchRT(b)
+				db, err := h2.New(64<<20, nvm.Direct)
+				if err != nil {
+					b.Fatal(err)
+				}
+				em := pjo.NewProvider(rt.Runtime, db)
+				if err := em.EnsureSchema(jpab.Person); err != nil {
+					b.Fatal(err)
+				}
+				op := map[string]func(id int64) error{
+					"create": func(id int64) error { return test.MakeBatch(em, id, 1) },
+					"update": func(id int64) error { return test.Touch(em, id) },
+					"delete": func(id int64) error { return test.Drop(em, id) },
+				}[phase]
 				// update and delete need one entity per iteration: the
 				// second Touch of an entity stores the score it already
 				// has, which costs neither device anything.
@@ -469,103 +416,11 @@ func BenchmarkPJOCommit(b *testing.B) {
 				}
 				b.StopTimer()
 				d = d.Add(heap.Stats().Add(db.Device().Stats()).Sub(s0))
-				if done += n; done < b.N {
-					for i := 0; phase != "delete" && i < n; i++ {
-						if err := test.Drop(em, int64(i)); err != nil {
-							b.Fatal(err)
-						}
-					}
-					if _, err := rt.PersistentGC("bench"); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
+				rt.Close()
+				done += n
 			}
 			b.ReportMetric(float64(d.FlushedLines)/float64(b.N), "devlines/op")
 			b.ReportMetric(float64(d.Fences)/float64(b.N), "devfences/op")
 		})
 	}
-}
-
-// BenchmarkStringRoundTrip writes and reads back persistent strings. The
-// device-op count per round trip must be O(1), not O(len): the payload
-// moves with one bulk write and one bulk read.
-func BenchmarkStringRoundTrip(b *testing.B) {
-	rt, dev := benchRT(b)
-	payload := strings.Repeat("s", 256)
-	s0 := dev.Stats()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref, err := rt.NewString(payload, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := rt.GetString(ref)
-		if err != nil || len(got) != len(payload) {
-			b.Fatalf("round trip failed: %v", err)
-		}
-		// The bench heap holds ~200k dead strings per GC cycle; collect
-		// outside the measured window when it fills.
-		if i%100000 == 99999 {
-			b.StopTimer()
-			if _, err := rt.PersistentGC("bench"); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	}
-	d := dev.Stats().Sub(s0)
-	b.ReportMetric(float64(d.Reads+d.Writes)/float64(b.N), "devops/op")
-}
-
-// BenchmarkFlushTransitive flushes a 64-node object graph, comparing the
-// coalesced traversal (each covered cache line flushed once, one trailing
-// fence) against a per-object FlushObject loop (one flush+fence each).
-func BenchmarkFlushTransitive(b *testing.B) {
-	rt, dev := benchRT(b)
-	node := espresso.MustClass("bench/Node", nil,
-		espresso.RefTo("next", "bench/Node"), espresso.Long("v"))
-	const graph = 64
-	refs := make([]espresso.Ref, graph)
-	var prev espresso.Ref
-	for i := range refs {
-		r, err := rt.PNew(node)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rt.SetRef(r, "next", prev); err != nil {
-			b.Fatal(err)
-		}
-		refs[i] = r
-		prev = r
-	}
-	head := refs[len(refs)-1]
-
-	report := func(b *testing.B, s0 nvm.Stats) {
-		d := dev.Stats().Sub(s0)
-		b.ReportMetric(float64(d.FlushedLines)/float64(b.N), "lines/op")
-		b.ReportMetric(float64(d.Fences)/float64(b.N), "fences/op")
-		b.ReportMetric(float64(d.Reads)/float64(b.N), "devreads/op")
-	}
-
-	b.Run("coalesced", func(b *testing.B) {
-		s0 := dev.Stats()
-		for i := 0; i < b.N; i++ {
-			if err := rt.FlushTransitive(head); err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, s0)
-	})
-	b.Run("per-object", func(b *testing.B) {
-		s0 := dev.Stats()
-		for i := 0; i < b.N; i++ {
-			for _, r := range refs {
-				if err := rt.FlushObject(r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		report(b, s0)
-	})
 }

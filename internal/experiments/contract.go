@@ -24,6 +24,12 @@ import "io"
 //
 // Bounds are read from the baseline, so weakening a claim is a reviewed
 // diff of a BENCH file too.
+//
+// The contract counts; it reads no clock. A row that times an operation
+// has one body — a loop of a walk (experiments.go), or a scaling
+// workload's per-mutator body — which the contract runs at the pinned
+// parameters and BenchmarkContract/<experiment>/<row key>[/<side>] times.
+// The rows no body times say why in untimed.
 
 // Params are the knobs an experiment takes; zero fields are knobs it
 // does not have.
@@ -48,6 +54,13 @@ type Contract struct {
 	// exact on one Go release and move with the next. The baseline's
 	// _floor / _ceiling claims still bound them.
 	unheld []string
+	// walks are the experiment's bodies at a scale: every loop of every
+	// walk is one row's (or one side of a row's), and BenchmarkContract
+	// times it. The scaling curves' bodies are their workloads' instead.
+	walks func(Scale) []builder
+	// untimed names the rows no body times, by row-key prefix ("" is
+	// every row), with the reason.
+	untimed map[string]string
 }
 
 // scheduled describes one scheduling-dependent row.
@@ -96,21 +109,31 @@ func scalingRun(name, title string) func(io.Writer, Params) (any, error) {
 // Contracts is the table, in espresso-bench's -exp all order.
 var Contracts = []Contract{
 	{Name: "fig6", Pinned: Params{Scale: 100},
-		Run: table("Figure 6 — PCJ create by phase, per PersistentLong object (paper: Metadata 36.8%, GC 14.8%, Data 1.8% of a create)", Fig6)},
+		Run:     table("Figure 6 — PCJ create by phase, per PersistentLong object (paper: Metadata 36.8%, GC 14.8%, Data 1.8% of a create)", Fig6),
+		untimed: map[string]string{"": "phases of one PCJ create loop, which fig15's Create/Primitive/pcj times whole"}},
 	{Name: "fig15", Pinned: Params{Scale: 100},
-		Run: table("Figure 15 — PJH vs PCJ, ACID on both sides, per op (paper: speedups from 6.0x on gets up to 256.3x on tuple sets)", Fig15)},
+		Run:   table("Figure 15 — PJH vs PCJ, ACID on both sides, per op (paper: speedups from 6.0x on gets up to 256.3x on tuple sets)", Fig15),
+		walks: fig15Walks},
 	{Name: "fig16", Pinned: Params{Scale: 1}, unheld: fig16AllocFields,
-		Run: table("Figure 16 — JPAB on H2-JPA vs H2-PJO, per op (paper: H2-PJO wins every cell on the clock, up to 3.24x)", Fig16)},
+		Run:   table("Figure 16 — JPAB on H2-JPA vs H2-PJO, per op (paper: H2-PJO wins every cell on the clock, up to 3.24x)", Fig16),
+		walks: fig16Walks},
 	{Name: "fig17", Pinned: Params{Scale: 1}, unheld: fig17AllocFields,
-		Run: table("Figures 4 and 17 — BasicTest Go allocations per op by phase, H2-JPA vs H2-PJO (paper: transformation is 41.9% of a JPA persist; PJO removes nearly all of it)", Fig17)},
+		Run:     table("Figures 4 and 17 — BasicTest Go allocations per op by phase, H2-JPA vs H2-PJO (paper: transformation is 41.9% of a JPA persist; PJO removes nearly all of it)", Fig17),
+		untimed: map[string]string{"": "phases of fig16's BasicTest loops, which fig16's <op>/BasicTest/{jpa,pjo} time whole"}},
 	{Name: "fig18", Pinned: Params{Scale: 20},
-		Run: table("Figure 18 — heap loading vs object count (paper: UG flat; Zero linear, ~72.76 ms at 2M objects)", Fig18)},
+		Run:   table("Figure 18 — heap loading vs object count (paper: UG flat; Zero linear, ~72.76 ms at 2M objects)", Fig18),
+		walks: func(s Scale) []builder { return fig18Walks(fig18Rows(s)) }},
 	{Name: "gcflush", Pinned: Params{Scale: 64},
-		Run: table("§6.4 — one crash-consistent collection: device ops, and the pause with and without clflush (paper: +17.8%)", GCFlush)},
+		Run:   table("§6.4 — one crash-consistent collection's device ops (paper: clflush adds 17.8% to the pause)", GCFlush),
+		walks: gcflushWalks},
 	{Name: "fastpath", Pinned: Params{Scale: 10},
-		Run: table("Fast path — resolved handles, bulk I/O, coalesced flushes (per op)", Fastpath)},
+		Run:   table("Fast path — resolved handles, bulk I/O, coalesced flushes (per op)", Fastpath),
+		walks: func(s Scale) []builder { return []builder{func() (*walk, error) { return fastpathWalk(s) }} }},
 	{Name: "ptx", Pinned: Params{Scale: 1},
-		Run: table("ptx — what a heap transaction and the pcollections built on it cost the device (per op)", PtxCost)},
+		Run: table("ptx — what a heap transaction and the pcollections built on it cost the device (per op)", PtxCost),
+		walks: func(s Scale) []builder {
+			return []builder{func() (*walk, error) { w, _, err := ptxWalk(s.div(1000)); return w, err }}
+		}},
 	{Name: "alloc", Pinned: Params{Scale: 10, Mutators: 8},
 		Run: scalingRun("alloc", "Allocation scaling — one PLAB (region-local allocation buffer) per mutator")},
 	{Name: "gcpause", Pinned: Params{Scale: 1, Mutators: 8},
@@ -118,6 +141,7 @@ var Contracts = []Contract{
 			rows, err := GCPause(p.Scale, p.Mutators)
 			return rowsOf(w, "GC pause — stop-the-world, and its mark on parallel workers (modeled ns)", rows, err)
 		},
+		untimed: map[string]string{"": "collection cycles between churn phases; BenchmarkPersistentGC in the root package is a cycle's clock"},
 		scheduled: map[string]scheduled{
 			// The cycle's device totals are exact; how the mark workers
 			// split them is work stealing, and the ≥2x critical-path claim
@@ -156,6 +180,7 @@ var Contracts = []Contract{
 			}
 			return all, nil
 		},
+		untimed: map[string]string{"recovery/": "restarts; benchmark/'s restart passes report restart_ms"},
 		scheduled: map[string]scheduled{
 			"sharded/1/2": {fields: shardedRowFields}, "sharded/2/2": {fields: shardedRowFields},
 			"sharded/4/2": {fields: shardedRowFields},

@@ -6,16 +6,16 @@
 //
 // Absolute numbers differ from the paper — the substrate is a simulated
 // NVM device, not a Xeon with Viking NVDIMMs — so experiments report the
-// *shape*: who wins, by what factor, and where the work goes. Wall-clock
-// columns are printed and held by nothing.
+// *shape*: who wins, by what factor, and where the work goes. No
+// experiment reads a clock: BenchmarkContract times each row's loop, the
+// same body the contract counts.
 package experiments
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
-	"time"
+	"strings"
 
 	"espresso/internal/bench"
 	"espresso/internal/core"
@@ -87,48 +87,124 @@ func Fig6(scale Scale) ([]Fig6Row, error) {
 	return rows, nil
 }
 
-// --- The observer Figures 15, 16 and 18 share ---
+// --- The walks every timed row runs ---
 
-// cell is one observed loop of ops operations: each watched device's
-// Stats delta, the process's Go-heap allocation delta, and the wall time.
-// The device deltas are exact, single-goroutine counts; the allocation
-// delta is repeatable on one Go release; the wall time is printed and
-// held by nothing.
-type cell struct {
-	series, op    string
-	ops           int
-	dev           []nvm.Stats // in the order the devices were given
-	mallocs, heap uint64      // runtime.MemStats Mallocs / TotalAlloc
-	wall          time.Duration
+// loop is one operation a row times: the row's key (its identity fields
+// joined with "/", as the contract test keys rows), its side — the system
+// or variant — when the row has more than one, how many times the
+// contract runs it, and its body, run with i = 0 … iters-1.
+// BenchmarkContract times the same body as <key>[/<side>].
+type loop struct {
+	key, side string
+	iters     int
+	body      func(i int) error
 }
 
-// observe runs one loop between two readings of devs and of the Go
-// allocator, both taken from outside the systems under test.
-func observe(series, op string, ops int, devs []*nvm.Device, run func() error) (cell, error) {
-	c := cell{series: series, op: op, ops: ops, dev: make([]nvm.Stats, len(devs))}
-	for i, d := range devs {
-		c.dev[i] = d.Stats()
+func (l loop) run() error {
+	for i := 0; i < l.iters; i++ {
+		if err := l.body(i); err != nil {
+			return err
+		}
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	err := run()
-	c.wall = time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	c.mallocs, c.heap = m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
-	for i, d := range devs {
-		c.dev[i] = d.Stats().Sub(c.dev[i])
+	return nil
+}
+
+// walk is one system's fixtures, already built, and the loops over them
+// in the order they run. Every loop is observed on devs; settle, when
+// set, runs ahead of each loop, outside its window.
+type walk struct {
+	devs   []*nvm.Device
+	settle func()
+	loops  []loop
+}
+
+// builder builds a fresh walk. A contract lists its experiment's builders
+// so that BenchmarkContract can rebuild a walk as often as it needs.
+type builder func() (*walk, error)
+
+// ready settles what the walk left for the next loop to pay, if anything.
+func (w *walk) ready() {
+	if w.settle != nil {
+		w.settle()
 	}
-	return c, err
+}
+
+// sumStats sums the devices' counters.
+func sumStats(devs []*nvm.Device) (s nvm.Stats) {
+	for _, d := range devs {
+		s = s.Add(d.Stats())
+	}
+	return s
+}
+
+// cell is one observed loop: each device's Stats delta, in the order of
+// the walk's devs, and the process's Go-heap allocation delta. The device
+// deltas are exact, single-goroutine counts; the allocation delta is
+// repeatable on one Go release.
+type cell struct {
+	key           string
+	ops           int
+	dev           []nvm.Stats
+	mallocs, heap uint64 // runtime.MemStats Mallocs / TotalAlloc
+}
+
+// observe runs every loop at its iters between two readings of the
+// devices and of the Go allocator, both taken from outside the systems
+// under test.
+func (w *walk) observe() ([]cell, error) {
+	cells := make([]cell, 0, len(w.loops))
+	for _, l := range w.loops {
+		w.ready()
+		c := cell{key: l.key, ops: l.iters, dev: make([]nvm.Stats, len(w.devs))}
+		for i, d := range w.devs {
+			c.dev[i] = d.Stats()
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := l.run()
+		runtime.ReadMemStats(&m1)
+		c.mallocs, c.heap = m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
+		for i, d := range w.devs {
+			c.dev[i] = d.Stats().Sub(c.dev[i])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", l.key, err)
+		}
+		cells = append(cells, c)
+	}
+	return cells, nil
+}
+
+// observeAll builds and observes each walk in turn, one cell list each.
+func observeAll(bs []builder) ([][]cell, error) {
+	all := make([][]cell, len(bs))
+	for i, b := range bs {
+		w, err := b()
+		if err != nil {
+			return nil, err
+		}
+		if all[i], err = w.observe(); err != nil {
+			return nil, err
+		}
+	}
+	return all, nil
 }
 
 // per is a count per operation of the cell.
 func (c cell) per(count uint64) float64 { return float64(count) / float64(c.ops) }
 
+// total sums the cell's device deltas.
+func (c cell) total() (s nvm.Stats) {
+	for _, d := range c.dev {
+		s = s.Add(d)
+	}
+	return s
+}
+
 // --- Figure 15: PJH vs PCJ microbenchmarks ---
 
 // Fig15Row is one (data type, operation) cell: what an operation costs
-// each system's device, and — printed, not held — the time it took.
+// each system's device.
 type Fig15Row struct {
 	Op        string  `json:"op"`
 	Series    string  `json:"series"` // the data type
@@ -140,9 +216,6 @@ type Fig15Row struct {
 	EspWrites float64 `json:"espresso_writes_per_op"`
 	EspLines  float64 `json:"espresso_flushed_lines_per_op"`
 	EspFences float64 `json:"espresso_fences_per_op"`
-	PCJNs     float64 `json:"-" col:"pcj_ns_per_op"`
-	EspNs     float64 `json:"-" col:"espresso_ns_per_op"`
-	Speedup   float64 `json:"-" col:"speedup"`
 
 	pcj, esp nvm.Stats // the undivided deltas
 }
@@ -199,23 +272,15 @@ type espressoSystem struct{ *pcollections.World }
 func (s espressoSystem) NewList() (layout.Ref, error) { return s.World.NewList(8) }
 func (s espressoSystem) NewMap() (layout.Ref, error)  { return s.World.NewMap(64) }
 
-// fig15Type is one data type's three observed loops — create, set, get —
-// each an iteration count and the loop body.
-type fig15Type struct {
-	name string
-	ops  [3]fig15Loop
-}
-
-type fig15Loop struct {
-	iters int
-	body  func(i int) error
-}
-
 var fig15Ops = [3]string{"Create", "Set", "Get"}
 
-// fig15Types builds the five data types of §6.2 on s — fixtures first,
-// then the table of loops over them — at n operations per loop.
-func fig15Types[H any](s fig15System[H], n int) ([]fig15Type, error) {
+// fig15Walk builds the five data types of §6.2 on s — fixtures first,
+// then each type's create, set and get loops over them, keyed
+// <op>/<type> — at n operations a loop, as side. settle runs ahead of
+// each loop: on the Espresso side it settles the header the fixtures or
+// the previous loop's last allocation left deferred
+// (pheap.Heap.PersistTops), so each loop pays for its own objects only.
+func fig15Walk[H any](s fig15System[H], side string, dev *nvm.Device, settle func(), n int) (*walk, error) {
 	const arrLen, mapKeys = 1024, 4096
 	var errs []error
 	fixture := func(h H, err error) H {
@@ -228,70 +293,71 @@ func fig15Types[H any](s fig15System[H], n int) ([]fig15Type, error) {
 	tup := fixture(s.NewTuple(box, box, box))
 	m := fixture(s.NewMap())
 	if err := errors.Join(errs...); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s fixtures: %w", side, err)
 	}
-	type loops = [3]fig15Loop
 	mapPut := func(i int) error { return s.MapPut(m, int64(i%mapKeys), box) }
-	return []fig15Type{
-		{"ArrayList", loops{
-			{n, func(int) error { return s.ListAdd(list, box) }},
-			{n, func(i int) error { return s.ListSet(list, i%n, box) }},
-			{n, func(i int) error { _, err := s.ListGet(list, i%n); return err }},
+	w := &walk{devs: []*nvm.Device{dev}, settle: settle}
+	for _, typ := range []struct {
+		name string
+		ops  [3]loop // iters and body; the key and side are filled in
+	}{
+		{"ArrayList", [3]loop{
+			{iters: n, body: func(int) error { return s.ListAdd(list, box) }},
+			{iters: n, body: func(i int) error { return s.ListSet(list, i%n, box) }},
+			{iters: n, body: func(i int) error { _, err := s.ListGet(list, i%n); return err }},
 		}},
-		{"Generic", loops{
-			{n/arrLen + 1, func(int) error { _, err := s.NewArray(arrLen); return err }},
-			{n, func(i int) error { return s.ArraySet(arr, i%arrLen, box) }},
-			{n, func(i int) error { s.ArrayGet(arr, i%arrLen); return nil }},
+		{"Generic", [3]loop{
+			{iters: n/arrLen + 1, body: func(int) error { _, err := s.NewArray(arrLen); return err }},
+			{iters: n, body: func(i int) error { return s.ArraySet(arr, i%arrLen, box) }},
+			{iters: n, body: func(i int) error { s.ArrayGet(arr, i%arrLen); return nil }},
 		}},
-		{"Tuple", loops{
-			{n, func(int) error { _, err := s.NewTuple(box, box, box); return err }},
-			{n, func(i int) error { return s.TupleSet(tup, i%3, box) }},
-			{n, func(i int) error { s.TupleGet(tup, i%3); return nil }},
+		{"Tuple", [3]loop{
+			{iters: n, body: func(int) error { _, err := s.NewTuple(box, box, box); return err }},
+			{iters: n, body: func(i int) error { return s.TupleSet(tup, i%3, box) }},
+			{iters: n, body: func(i int) error { s.TupleGet(tup, i%3); return nil }},
 		}},
 		// Boxed long, the PersistentLong case.
-		{"Primitive", loops{
-			{n, func(i int) error { _, err := s.NewLong(int64(i)); return err }},
-			{n, func(i int) error { return s.SetLongValue(box, int64(i)) }},
-			{n, func(int) error { s.LongValue(box); return nil }},
+		{"Primitive", [3]loop{
+			{iters: n, body: func(i int) error { _, err := s.NewLong(int64(i)); return err }},
+			{iters: n, body: func(i int) error { return s.SetLongValue(box, int64(i)) }},
+			{iters: n, body: func(int) error { s.LongValue(box); return nil }},
 		}},
 		// Create fills the map's key range; Set overwrites it.
-		{"Hashmap", loops{
-			{n, mapPut},
-			{n, mapPut},
-			{n, func(i int) error { s.MapGet(m, int64(i%mapKeys)); return nil }},
+		{"Hashmap", [3]loop{
+			{iters: n, body: mapPut},
+			{iters: n, body: mapPut},
+			{iters: n, body: func(i int) error { s.MapGet(m, int64(i%mapKeys)); return nil }},
 		}},
-	}, nil
-}
-
-// fig15Side runs the whole table once on one system, observing its
-// device around every loop. settle runs ahead of each loop, outside its
-// window: on the Espresso side it settles the header the fixtures or the
-// previous loop's last allocation left deferred (pheap.Heap.PersistTops),
-// so each loop pays for its own objects only.
-func fig15Side[H any](s fig15System[H], dev *nvm.Device, n int, settle func()) ([]cell, error) {
-	types, err := fig15Types(s, n)
-	if err != nil {
-		return nil, fmt.Errorf("fixtures: %w", err)
-	}
-	var cells []cell
-	for _, typ := range types {
-		for o, loop := range typ.ops {
-			settle()
-			c, err := observe(typ.name, fig15Ops[o], loop.iters, []*nvm.Device{dev}, func() error {
-				for i := 0; i < loop.iters; i++ {
-					if err := loop.body(i); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", c.series, c.op, err)
-			}
-			cells = append(cells, c)
+	} {
+		for o, l := range typ.ops {
+			l.key, l.side = fig15Ops[o]+"/"+typ.name, side
+			w.loops = append(w.loops, l)
 		}
 	}
-	return cells, nil
+	return w, nil
+}
+
+// fig15Walks are Figure 15's two sides: PCJ with its built-in
+// transactions, and Espresso's pcollections on the heap's undo log.
+func fig15Walks(scale Scale) []builder {
+	n := scale.div(100000)
+	return []builder{
+		func() (*walk, error) {
+			h := pcj.New(pcj.Config{Size: 512 << 20, Mode: nvm.Direct})
+			return fig15Walk[pcj.Obj](pcjSystem{h}, "pcj", h.Device(), nil, n)
+		},
+		func() (*walk, error) {
+			ph, err := pheap.Create(klass.NewRegistry(), pheap.Config{DataSize: 256 << 20, Mode: nvm.Direct})
+			if err != nil {
+				return nil, err
+			}
+			world, err := pcollections.NewWorld(ph)
+			if err != nil {
+				return nil, err
+			}
+			return fig15Walk[layout.Ref](espressoSystem{world}, "espresso", ph.Device(), ph.PersistTops, n)
+		},
+	}
 }
 
 // Fig15 runs create/set/get on the five data types of §6.2 over both
@@ -300,35 +366,18 @@ func fig15Side[H any](s fig15System[H], dev *nvm.Device, n int, settle func()) (
 // Paper: normalized speedup PJH over PCJ up to 256.3x (tuple set), ≥6.0x
 // on gets.
 func Fig15(scale Scale) ([]Fig15Row, error) {
-	n := scale.div(100000)
-	pcjHeap := pcj.New(pcj.Config{Size: 512 << 20, Mode: nvm.Direct})
-	ph, err := pheap.Create(klass.NewRegistry(), pheap.Config{DataSize: 256 << 20, Mode: nvm.Direct})
+	sides, err := observeAll(fig15Walks(scale))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig15 %w", err)
 	}
-	world, err := pcollections.NewWorld(ph)
-	if err != nil {
-		return nil, err
-	}
-	pcjCells, err := fig15Side[pcj.Obj](pcjSystem{pcjHeap}, pcjHeap.Device(), n, func() {})
-	if err != nil {
-		return nil, fmt.Errorf("fig15 pcj %w", err)
-	}
-	espCells, err := fig15Side[layout.Ref](espressoSystem{world}, ph.Device(), n, ph.PersistTops)
-	if err != nil {
-		return nil, fmt.Errorf("fig15 espresso %w", err)
-	}
-	rows := make([]Fig15Row, len(pcjCells))
-	for i, p := range pcjCells {
-		e := espCells[i]
+	rows := make([]Fig15Row, len(sides[0]))
+	for i, p := range sides[0] {
+		e := sides[1][i]
 		pd, ed := p.dev[0], e.dev[0]
-		// A loop's reported time is its wall time plus the modeled media
-		// time of the lines it flushed.
-		ns := func(c cell) float64 { return c.per(uint64(c.wall + c.dev[0].ModeledFlushTime())) }
-		rows[i] = Fig15Row{Op: p.op, Series: p.series, pcj: pd, esp: ed,
+		op, series, _ := strings.Cut(p.key, "/")
+		rows[i] = Fig15Row{Op: op, Series: series, pcj: pd, esp: ed,
 			PCJReads: p.per(pd.Reads), PCJWrites: p.per(pd.Writes), PCJLines: p.per(pd.FlushedLines), PCJFences: p.per(pd.Fences),
-			EspReads: e.per(ed.Reads), EspWrites: e.per(ed.Writes), EspLines: e.per(ed.FlushedLines), EspFences: e.per(ed.Fences),
-			PCJNs: ns(p), EspNs: ns(e), Speedup: ns(p) / ns(e)}
+			EspReads: e.per(ed.Reads), EspWrites: e.per(ed.Writes), EspLines: e.per(ed.FlushedLines), EspFences: e.per(ed.Fences)}
 	}
 	return rows, nil
 }
@@ -362,9 +411,6 @@ type Fig16Row struct {
 	// AllocCeiling is the figure's claim in counts; the contract test
 	// bounds AllocRatio by the baseline's copy.
 	AllocCeiling float64 `json:"allocs_pjo_over_jpa_ceiling"`
-	JPARate      float64 `json:"-" col:"h2_jpa_ops_per_s"`
-	PJORate      float64 `json:"-" col:"h2_pjo_ops_per_s"`
-	Speedup      float64 `json:"-" col:"pjo_over_jpa"`
 
 	jpa, pjo nvm.Stats // the undivided deltas; pjo sums its two devices
 }
@@ -391,14 +437,17 @@ func stackSize(scale Scale) int {
 	return size
 }
 
-// jpabStack is a JPA provider of either kind with the devices under it
-// (the database's; for PJO the persistent heap's first) and its profile
-// hook.
+// jpabStack is a JPA provider of either kind — Figure 16's side — with
+// the devices under it (the database's; for PJO the persistent heap's
+// first) and its profile hook.
 type jpabStack struct {
+	side    string
 	em      jpa.EntityManager
 	devs    []*nvm.Device
 	profile func(bench.Profiler)
 }
+
+var jpabStacks = []func(Scale) (jpabStack, error){newJPAStack, newPJOStack}
 
 func newJPAStack(scale Scale) (jpabStack, error) {
 	db, err := h2.New(stackSize(scale), nvm.Direct)
@@ -406,7 +455,7 @@ func newJPAStack(scale Scale) (jpabStack, error) {
 		return jpabStack{}, err
 	}
 	p := jpa.NewProvider(db)
-	return jpabStack{p, []*nvm.Device{db.Device()}, p.SetProfile}, nil
+	return jpabStack{"jpa", p, []*nvm.Device{db.Device()}, p.SetProfile}, nil
 }
 
 func newPJOStack(scale Scale) (jpabStack, error) {
@@ -423,44 +472,66 @@ func newPJOStack(scale Scale) (jpabStack, error) {
 		return jpabStack{}, err
 	}
 	p := pjo.NewProvider(rt, db)
-	return jpabStack{p, []*nvm.Device{h.Device(), db.Device()}, p.SetProfile}, nil
+	return jpabStack{"pjo", p, []*nvm.Device{h.Device(), db.Device()}, p.SetProfile}, nil
 }
 
-// jpabCells walks test's four phases on a fresh stack, observing its
-// devices and the Go allocator around each.
-func jpabCells(test *jpab.Test, mk func(Scale) (jpabStack, error), scale Scale, n int) ([]cell, error) {
-	s, err := mk(scale)
-	if err != nil {
-		return nil, err
+// jpabWalk sets test's schema up on s and walks its four phases over n
+// entities: create in batches of fig16Batch (a batch's first entity
+// persists it), then retrieve, update and delete one entity at a time,
+// each keyed <phase>/<test>.
+func jpabWalk(test *jpab.Test, s jpabStack, n int) (*walk, error) {
+	em, side := s.em, s.side
+	for _, def := range test.Defs {
+		if err := em.EnsureSchema(def); err != nil {
+			return nil, err
+		}
 	}
-	var cells []cell
-	err = jpab.Phases(test, s.em, n, fig16Batch, func(op string, ops int, run func() error) error {
-		c, err := observe(test.Name, op, ops, s.devs, run)
-		cells = append(cells, c)
-		return err
-	})
-	return cells, err
+	return &walk{devs: s.devs, loops: []loop{
+		{"create/" + test.Name, side, n, func(i int) error {
+			if i%fig16Batch != 0 {
+				return nil
+			}
+			return test.MakeBatch(em, int64(i), min(fig16Batch, n-i))
+		}},
+		{"retrieve/" + test.Name, side, n, func(i int) error { return test.Fetch(em, int64(i)) }},
+		{"update/" + test.Name, side, n, func(i int) error { return test.Touch(em, int64(i)) }},
+		{"delete/" + test.Name, side, n, func(i int) error { return test.Drop(em, int64(i)) }},
+	}}, nil
+}
+
+// fig16Walks are each JPAB test on a fresh H2-JPA stack, then on a fresh
+// H2-PJO one.
+func fig16Walks(scale Scale) []builder {
+	n := max(scale.div(6000), 2*fig16Batch)
+	var bs []builder
+	for _, test := range jpab.AllTests() {
+		for _, mk := range jpabStacks {
+			bs = append(bs, func() (*walk, error) {
+				s, err := mk(scale)
+				if err != nil {
+					return nil, err
+				}
+				return jpabWalk(test, s, n)
+			})
+		}
+	}
+	return bs
 }
 
 // Fig16 runs the four JPAB tests over both providers.
 // Paper: H2-PJO beats H2-JPA everywhere, up to 3.24x.
 func Fig16(scale Scale) ([]Fig16Row, error) {
-	n := max(scale.div(6000), 2*fig16Batch)
+	walks, err := observeAll(fig16Walks(scale))
+	if err != nil {
+		return nil, fmt.Errorf("fig16 %w", err)
+	}
 	var rows []Fig16Row
-	for _, test := range jpab.AllTests() {
-		jpaCells, err := jpabCells(test, newJPAStack, scale, n)
-		if err != nil {
-			return nil, fmt.Errorf("fig16 JPA %w", err)
-		}
-		pjoCells, err := jpabCells(test, newPJOStack, scale, n)
-		if err != nil {
-			return nil, fmt.Errorf("fig16 PJO %w", err)
-		}
-		for i, j := range jpaCells {
-			p := pjoCells[i]
+	for t := 0; t < len(walks); t += 2 {
+		for i, j := range walks[t] {
+			p := walks[t+1][i]
 			db, heap, pdb := j.dev[0], p.dev[0], p.dev[1]
-			rate := func(c cell) float64 { return float64(c.ops) / c.wall.Seconds() }
-			rows = append(rows, Fig16Row{Op: j.op, Series: j.series, jpa: db, pjo: heap.Add(pdb),
+			op, series, _ := strings.Cut(j.key, "/")
+			rows = append(rows, Fig16Row{Op: op, Series: series, jpa: db, pjo: heap.Add(pdb),
 				JPAReads: j.per(db.Reads), JPAWrites: j.per(db.Writes),
 				JPALines: j.per(db.FlushedLines), JPAFences: j.per(db.Fences),
 				PJOReads: p.per(heap.Reads + pdb.Reads), PJOWrites: p.per(heap.Writes + pdb.Writes),
@@ -468,8 +539,7 @@ func Fig16(scale Scale) ([]Fig16Row, error) {
 				H2Lines: p.per(pdb.FlushedLines), H2Fences: p.per(pdb.Fences),
 				JPAAllocs: j.per(j.mallocs), PJOAllocs: p.per(p.mallocs),
 				JPAAllocBytes: j.per(j.heap), PJOAllocBytes: p.per(p.heap),
-				AllocRatio: float64(p.mallocs) / float64(j.mallocs), AllocCeiling: 0.5,
-				JPARate: rate(j), PJORate: rate(p), Speedup: rate(p) / rate(j)})
+				AllocRatio: float64(p.mallocs) / float64(j.mallocs), AllocCeiling: 0.5})
 		}
 	}
 	return rows, nil
@@ -500,9 +570,10 @@ var fig17AllocFields = []string{"jpa_transformation_allocs_per_op", "jpa_databas
 	"pjo_transformation_allocs_per_op", "pjo_database_allocs_per_op",
 	"jpa_transformation_over_database", "pjo_over_jpa_transformation"}
 
-// Fig17 walks BasicTest on a fresh stack of each provider with an
-// allocation counter installed in the provider's phase hook — a walk of
-// its own, so Figure 16's cells do not move.
+// Fig17 runs BasicTest's four loops — Figure 16's bodies — on a fresh
+// stack of each provider with an allocation counter installed in the
+// provider's phase hook: a walk of its own, so Figure 16's cells do not
+// move.
 // Paper: transformation is 41.9% of a JPA persist (Figure 4); PJO removes
 // nearly all of it (Figure 17).
 func Fig17(scale Scale) ([]Fig17Row, error) {
@@ -510,22 +581,26 @@ func Fig17(scale Scale) ([]Fig17Row, error) {
 	test := jpab.BasicTest()
 	var ops []string
 	var counts [2][]*bench.Counter // JPA's and PJO's, one per op
-	for i, mk := range []func(Scale) (jpabStack, error){newJPAStack, newPJOStack} {
+	for i, mk := range jpabStacks {
 		s, err := mk(scale)
 		if err != nil {
 			return nil, err
 		}
-		ops = ops[:0]
-		err = jpab.Phases(test, s.em, n, fig16Batch, func(op string, _ int, run func() error) error {
-			c := bench.NewCounter(nil)
-			s.profile(c)
-			err := run()
-			s.profile(nil)
-			ops, counts[i] = append(ops, op), append(counts[i], c)
-			return err
-		})
+		w, err := jpabWalk(test, s, n)
 		if err != nil {
 			return nil, fmt.Errorf("fig17 %w", err)
+		}
+		ops = ops[:0]
+		for _, l := range w.loops {
+			c := bench.NewCounter(nil)
+			s.profile(c)
+			err := l.run()
+			s.profile(nil)
+			if err != nil {
+				return nil, fmt.Errorf("fig17 %s: %w", l.key, err)
+			}
+			op, _, _ := strings.Cut(l.key, "/")
+			ops, counts[i] = append(ops, op), append(counts[i], c)
 		}
 	}
 	rows := make([]Fig17Row, len(ops))
@@ -550,7 +625,7 @@ func Fig17(scale Scale) ([]Fig17Row, error) {
 
 // Fig18Row is loadHeap over one image under both safety levels: the
 // device reads a user-guaranteed load and a zeroing load (the load plus
-// the whole-heap scan) cost, and — printed, not held — how long each took.
+// the whole-heap scan) cost.
 type Fig18Row struct {
 	Series  string  `json:"series"` // "closed": imaged after an orderly shutdown; "unclosed": with the last PLAB open
 	Objects int     `json:"objects"`
@@ -562,18 +637,51 @@ type Fig18Row struct {
 	UGCeiling          float64 `json:"ug_reads_ceiling,omitempty"`
 	ZeroReads          float64 `json:"zero_reads"`
 	ZeroReadsPerObject float64 `json:"zero_reads_per_object"`
-	UGMillis           float64 `json:"-" col:"ug_ms"`
-	ZeroMillis         float64 `json:"-" col:"zero_ms"`
 }
 
-// fig18Objects is the figure's x axis: ten object counts up to 2M/scale.
-func fig18Objects(scale Scale) []int {
+// fig18Rows lays the figure's x axis out: ten closed images of up to
+// 2M/scale objects, then the largest once more, unclosed.
+func fig18Rows(scale Scale) []Fig18Row {
 	step := max(scale.div(2000000)/10, 1)
-	counts := make([]int, 10)
-	for i := range counts {
-		counts[i] = (i + 1) * step
+	rows := make([]Fig18Row, 11)
+	for i := range rows {
+		rows[i] = Fig18Row{Series: "closed", Objects: (i + 1) * step}
 	}
-	return counts
+	rows[10] = Fig18Row{Series: "unclosed", Objects: 10 * step}
+	return rows
+}
+
+// fig18Walks image each row's heap and load two copies of the image,
+// keyed <series>/<objects>: user-guaranteed — metadata + Klass
+// reinitialization only — and zeroing, the load and the whole-heap scan
+// after it, which fills the row's Regions.
+func fig18Walks(rows []Fig18Row) []builder {
+	var bs []builder
+	for i := range rows {
+		row := &rows[i]
+		bs = append(bs, func() (*walk, error) {
+			img, err := buildFig18Image(row.Objects, row.Series == "closed")
+			if err != nil {
+				return nil, err
+			}
+			ug, zero := nvm.FromImage(img, nvm.Config{}), nvm.FromImage(img, nvm.Config{})
+			load := func(dev *nvm.Device, zeroing bool) func(int) error {
+				return func(int) error {
+					h, err := pheap.Load(dev, klass.NewRegistry())
+					if err != nil || !zeroing {
+						return err
+					}
+					row.Regions = h.Geo().DataRegions()
+					_, err = h.ZeroingScan(h.Contains)
+					return err
+				}
+			}
+			key := fmt.Sprintf("%s/%d", row.Series, row.Objects)
+			return &walk{devs: []*nvm.Device{ug, zero},
+				loops: []loop{{key, "ug", 1, load(ug, false)}, {key, "zero", 1, load(zero, true)}}}, nil
+		})
+	}
+	return bs
 }
 
 // Fig18 builds heaps of 0.2M–2M objects across 20 Klasses and observes
@@ -582,43 +690,17 @@ func fig18Objects(scale Scale) []int {
 // Paper: UG flat (∝ #Klasses), Zero linear (whole-heap scan); ~72.76 ms
 // at 2M objects.
 func Fig18(scale Scale) ([]Fig18Row, error) {
-	var rows []Fig18Row
-	for _, n := range fig18Objects(scale) {
-		rows = append(rows, Fig18Row{Series: "closed", Objects: n})
+	rows := fig18Rows(scale)
+	walks, err := observeAll(fig18Walks(rows))
+	if err != nil {
+		return nil, err
 	}
-	closed := len(rows) - 1
-	rows = append(rows, Fig18Row{Series: "unclosed", Objects: rows[closed].Objects})
-	for i := range rows {
+	for i, cells := range walks {
 		row := &rows[i]
-		img, err := buildFig18Image(row.Objects, row.Series == "closed")
-		if err != nil {
-			return nil, err
-		}
-		// load observes loadHeap on the image — user-guaranteed: metadata +
-		// Klass reinitialization only — and, for zeroing, the whole-heap
-		// scan after it.
-		load := func(zeroing bool) (reads, ms float64, err error) {
-			dev := nvm.FromImage(img, nvm.Config{})
-			c, err := observe(row.Series, "load", row.Objects, []*nvm.Device{dev}, func() error {
-				h, err := pheap.Load(dev, klass.NewRegistry())
-				if err != nil || !zeroing {
-					return err
-				}
-				row.Regions = h.Geo().DataRegions()
-				_, err = h.ZeroingScan(h.Contains)
-				return err
-			})
-			return float64(c.dev[0].Reads), float64(c.wall.Microseconds()) / 1000, err
-		}
-		if row.UGReads, row.UGMillis, err = load(false); err != nil {
-			return nil, err
-		}
-		if row.ZeroReads, row.ZeroMillis, err = load(true); err != nil {
-			return nil, err
-		}
+		row.UGReads, row.ZeroReads = float64(cells[0].total().Reads), float64(cells[1].total().Reads)
 		row.ZeroReadsPerObject = row.ZeroReads / float64(row.Objects)
 	}
-	rows[closed+1].UGCeiling = rows[closed].UGReads + 3*float64(layout.RegionSize/fig18ObjectSize)
+	rows[10].UGCeiling = rows[9].UGReads + 3*float64(layout.RegionSize/fig18ObjectSize)
 	return rows, nil
 }
 
@@ -674,31 +756,29 @@ func buildFig18Image(objects int, closed bool) ([]byte, error) {
 // --- §6.4: recoverable GC flush cost ---
 
 // GCFlushRow is one crash-consistent collection (§6.4): what it costs the
-// device, and — printed, not held — its pause with and without clflush.
+// device.
 type GCFlushRow struct {
-	Series        string  `json:"series"`
-	LiveBytes     int     `json:"live_bytes"`
-	Reads         uint64  `json:"reads"`
-	Writes        uint64  `json:"writes"`
-	FlushedLines  uint64  `json:"flushed_lines"`
-	Fences        uint64  `json:"fences"`
-	PauseMillis   float64 `json:"-" col:"pause_ms"`
-	NoFlushMillis float64 `json:"-" col:"no_clflush_pause_ms"`
-	OverheadPct   float64 `json:"-" col:"clflush_overhead_pct"`
+	Series       string `json:"series"`
+	LiveBytes    int    `json:"live_bytes"`
+	Reads        uint64 `json:"reads"`
+	Writes       uint64 `json:"writes"`
+	FlushedLines uint64 `json:"flushed_lines"`
+	Fences       uint64 `json:"fences"`
 }
 
-// GCFlush allocates 256 MB / scale of rooted objects, each behind a dead
-// one it slides down over, on PJH and forces a collection: its device
-// counts, and the pause once more with flushes off.
-// Paper: flushes add 17.8% to the pause.
+// gcflushWalk allocates 256 MB / scale of rooted objects, each behind a
+// dead one it slides down over, on PJH, loads a crash image of that heap
+// and collects it once, keyed collect, as side: "clflush", or
+// "no-clflush" with the device's flushes off (nvm.Device.SetNoFlush). The
+// collection fills row.LiveBytes.
 //
 // The paper's device is a battery-backed NVDIMM — DRAM-speed media — so
 // a clflush costs the cache-line writeback, not slow-media latency. The
 // device therefore runs in Tracked mode (each flush really copies its
 // lines to the persisted view, the writeback analog) with no added media
-// latency, and the printed overhead is the flush work itself; the
-// no-clflush run is nvm.Device.SetNoFlush.
-func GCFlush(scale Scale) ([]GCFlushRow, error) {
+// latency, and the clflush overhead is the flush work itself: the two
+// sides' ns/op in BenchmarkContract/gcflush.
+func gcflushWalk(scale Scale, side string, row *GCFlushRow) (*walk, error) {
 	liveBytes := scale.div(256 << 20)
 	reg := klass.NewRegistry()
 	h0, err := pheap.Create(reg, pheap.Config{DataSize: liveBytes*3 + (16 << 20), Mode: nvm.Tracked})
@@ -729,25 +809,39 @@ func GCFlush(scale Scale) ([]GCFlushRow, error) {
 	}
 	h0.Device().FlushAll()
 	img := h0.Device().CrashImage(nvm.CrashFlushedOnly, 0)
-
-	// Each run collects its own copy of the image: a warmup that touches
-	// the allocator and page cache, then with and without clflush.
-	var runs [3]pgc.Result
-	for i := range runs {
-		h, err := pheap.Load(nvm.FromImage(slices.Clone(img), nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry())
-		if err != nil {
-			return nil, err
-		}
-		h.Device().SetNoFlush(i == 2)
-		if runs[i], err = pgc.Collect(h, pgc.NoRoots{}); err != nil {
-			return nil, err
-		}
+	h, err := pheap.Load(nvm.FromImage(img, nvm.Config{Mode: nvm.Tracked}), klass.NewRegistry())
+	if err != nil {
+		return nil, err
 	}
-	with, without := runs[1], runs[2]
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	d := with.DeviceStats
-	return []GCFlushRow{{Series: "collect", LiveBytes: with.LiveBytes,
-		Reads: d.Reads, Writes: d.Writes, FlushedLines: d.FlushedLines, Fences: d.Fences,
-		PauseMillis: ms(with.PauseTime), NoFlushMillis: ms(without.PauseTime),
-		OverheadPct: (float64(with.PauseTime)/float64(without.PauseTime) - 1) * 100}}, nil
+	h.Device().SetNoFlush(side == "no-clflush")
+	return &walk{devs: []*nvm.Device{h.Device()}, loops: []loop{{"collect", side, 1, func(int) error {
+		res, err := pgc.Collect(h, pgc.NoRoots{})
+		row.LiveBytes = res.LiveBytes
+		return err
+	}}}}, nil
+}
+
+func gcflushWalks(scale Scale) []builder {
+	var bs []builder
+	for _, side := range []string{"clflush", "no-clflush"} {
+		bs = append(bs, func() (*walk, error) { return gcflushWalk(scale, side, &GCFlushRow{}) })
+	}
+	return bs
+}
+
+// GCFlush counts one crash-consistent collection's device ops.
+// Paper: flushes add 17.8% to the pause.
+func GCFlush(scale Scale) ([]GCFlushRow, error) {
+	row := GCFlushRow{Series: "collect"}
+	w, err := gcflushWalk(scale, "clflush", &row)
+	if err != nil {
+		return nil, err
+	}
+	cells, err := w.observe()
+	if err != nil {
+		return nil, err
+	}
+	d := cells[0].total()
+	row.Reads, row.Writes, row.FlushedLines, row.Fences = d.Reads, d.Writes, d.FlushedLines, d.Fences
+	return []GCFlushRow{row}, nil
 }

@@ -163,9 +163,9 @@ func TestFig18UGFlatZeroGrows(t *testing.T) {
 // CLI's default -scale 0, which once divided by zero.
 func TestFig18ObjectSchedule(t *testing.T) {
 	for scale, top := range map[Scale]int{0: 2000000, 1: 2000000, 20: 100000} {
-		counts := fig18Objects(scale)
-		if len(counts) != 10 || counts[0] != top/10 || counts[9] != top {
-			t.Errorf("scale %d: object counts %v, want ten steps up to %d", scale, counts, top)
+		rows := fig18Rows(scale)
+		if len(rows) != 11 || rows[0].Objects != top/10 || rows[9].Objects != top || rows[10].Objects != top {
+			t.Errorf("scale %d: rows %+v, want ten steps up to %d and the last once more", scale, rows, top)
 		}
 	}
 }

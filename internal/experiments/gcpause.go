@@ -87,7 +87,7 @@ func GCPause(scale Scale, mutators int) ([]GCPauseRow, error) {
 	}
 	live := scale.div(40000)
 	churn := scale.div(600)
-	stw, err := runGCPauseSTWSeries(mutators, live, churn)
+	stw, err := runGCPauseSeries(mutators, 0, live, churn)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func GCPause(scale Scale, mutators int) ([]GCPauseRow, error) {
 	// small).
 	var serial GCPauseRow
 	for _, workers := range gcPauseParallelWorkers {
-		row, err := runGCPauseParallelSeries(mutators, workers, 2*live, scale.div(150))
+		row, err := runGCPauseSeries(mutators, workers, 2*live, scale.div(150))
 		if err != nil {
 			return nil, err
 		}
@@ -208,60 +208,42 @@ func (row *GCPauseRow) record(res pgc.Result, reads, lines *float64) {
 	*lines = max(*lines, float64(res.PauseDeviceStats.FlushedLines))
 }
 
-// runGCPauseSTWSeries measures the stop-the-world collector on the
-// churn workload: churn completes, then the whole collection is one
-// pause. The churn runs sequentially — this row's in-pause device
-// counters are held to the baseline exactly, and concurrent churn hands
-// the heap layout to the goroutine scheduler (occasionally flipping how
-// much the compactor slides per cycle, a ~30% swing in flushed lines).
-func runGCPauseSTWSeries(mutators, live, churnOps int) (GCPauseRow, error) {
+// runGCPauseSeries measures the collector on the churn workload: churn
+// completes, then the whole collection is one pause. The churn runs
+// sequentially — the rows' device counters are held to the baseline
+// exactly, and concurrent churn hands the heap layout to the goroutine
+// scheduler (occasionally flipping how much the compactor slides per
+// cycle, a ~30% swing in flushed lines). workers 0 is the stw series;
+// otherwise rt.PersistentGC runs with GOMAXPROCS set to workers, which is
+// the pool pgc.Collect marks on. The per-cycle device totals are exactly
+// reproducible; only the split of work across workers — and hence the
+// critical path — depends on stealing order.
+func runGCPauseSeries(mutators, workers, live, churnOps int) (GCPauseRow, error) {
 	rt, n, err := newGCPauseHeap(mutators, live, churnOps)
 	if err != nil {
 		return GCPauseRow{}, err
 	}
-	row := GCPauseRow{Series: "stw", Mutators: mutators}
+	row := GCPauseRow{Series: "stw", Mutators: mutators, Workers: workers}
+	reads, lines := &row.DevReadsInPause, &row.DevLinesInPause
+	if workers > 0 {
+		row.Series, reads, lines = "parallel", &row.DevReadsPerCycle, &row.DevLinesPerCycle
+	}
 	for c := 0; c < gcPauseCycles; c++ {
 		if err := forEachMutatorSeq(rt, mutators, func(g int, m *core.Mutator) error {
 			return runChurn(m, n, fmt.Sprintf("churn%d", g), churnOps, g, c)
 		}); err != nil {
 			return GCPauseRow{}, err
 		}
-		res, err := rt.PersistentGC("gcpause")
-		if err != nil {
-			return GCPauseRow{}, err
-		}
-		row.record(res, &row.DevReadsInPause, &row.DevLinesInPause)
-	}
-	return row, nil
-}
-
-// runGCPauseParallelSeries measures one mark pool size on the mark-heavy
-// workload: churn completes — sequentially, like the stw series' and for
-// the same reason — then rt.PersistentGC runs with GOMAXPROCS set to
-// workers, which is the pool pgc.Collect marks on. The per-cycle device
-// totals are exactly reproducible; only the split of work across workers
-// — and hence the critical path — depends on stealing order.
-func runGCPauseParallelSeries(mutators, workers, live, churnOps int) (GCPauseRow, error) {
-	rt, n, err := newGCPauseHeap(mutators, live, churnOps)
-	if err != nil {
-		return GCPauseRow{}, err
-	}
-
-	row := GCPauseRow{Series: "parallel", Mutators: mutators, Workers: workers}
-	for c := 0; c < gcPauseCycles; c++ {
-		if err := forEachMutatorSeq(rt, mutators, func(g int, m *core.Mutator) error {
-			return runChurn(m, n, fmt.Sprintf("churn%d", g), churnOps, g, c)
-		}); err != nil {
-			return GCPauseRow{}, err
-		}
-		prev := runtime.GOMAXPROCS(workers)
+		prev := runtime.GOMAXPROCS(workers) // 0 leaves it as it is
 		res, err := rt.PersistentGC("gcpause")
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			return GCPauseRow{}, err
 		}
-		row.record(res, &row.DevReadsPerCycle, &row.DevLinesPerCycle)
-		row.ModeledCritPathNs = max(row.ModeledCritPathNs, modeledCritPathNs(res))
+		row.record(res, reads, lines)
+		if workers > 0 {
+			row.ModeledCritPathNs = max(row.ModeledCritPathNs, modeledCritPathNs(res))
+		}
 	}
 	return row, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"espresso/internal/bench"
 	"espresso/internal/nvm"
-	"espresso/internal/pheap"
 )
 
 // The scaling experiments (alloc, kv, refstore, shardedkv) share one
@@ -19,8 +18,9 @@ import (
 // lines × nvm.ModeledLineLatency; chains flush disjoint lines (their own
 // PLAB regions, their own publications, their own shard devices), so
 // their media time overlaps and the slowest one bounds completion. Rows
-// carry device counts only — benchmark/ is the clock; docs/benchmarks.md
-// has the experiment index and contract.go the table that pins each
+// carry device counts only — BenchmarkContract/<curve> times each point's
+// bodies, and benchmark/ is the end-to-end clock; docs/benchmarks.md has
+// the experiment index and contract.go the table that pins each
 // experiment to its baseline.
 
 // Row is one measurement of a scaling curve; fields a workload does not
@@ -62,8 +62,8 @@ type env struct {
 
 // run is a prepared workload instance.
 type run struct {
-	heaps []*pheap.Heap // every heap the bodies touch; their device stats are summed
-	body  func(g int) error
+	devs []*nvm.Device // every device the bodies touch; their stats are summed
+	body func(g int) error
 	// critical reports the flushed lines of the slowest chain, read
 	// after the bodies join.
 	critical func() int
@@ -107,22 +107,12 @@ func fanOut(n int, body func(g int) error) error {
 	return nil
 }
 
-// sample sums the device counters of the run's heaps.
-func (r *run) sample() (st nvm.Stats) {
-	for _, h := range r.heaps {
-		st = st.Add(h.Device().Stats())
-	}
-	return st
-}
-
 // runScaling measures w at every point of curve; speedups are relative
 // to the first point.
 func runScaling(w *workload, scale Scale, curve []point) ([]Row, error) {
-	n := scale.div(w.ops)
 	var rows []Row
 	for _, p := range curve {
-		perG := max(n/p.mutators, 1)
-		row, err := w.measure(env{point: p, ops: perG})
+		row, err := w.measure(env{point: p, ops: w.perMutator(scale, p)}, func(bodies func() error) error { return bodies() })
 		if err != nil {
 			return nil, fmt.Errorf("%s %d shards, %d mutators: %w", w.name, p.shards, p.mutators, err)
 		}
@@ -144,19 +134,25 @@ func runScaling(w *workload, scale Scale, curve []point) ([]Row, error) {
 	return rows, nil
 }
 
+// perMutator is each mutator's op count at point p of the curve.
+func (w *workload) perMutator(scale Scale, p point) int {
+	return max(scale.div(w.ops)/p.mutators, 1)
+}
+
 // measure sets the workload up, runs its bodies inside the measured
-// window, then finishes it, and returns the row with its device counts,
+// window — through timed, where BenchmarkContract starts and stops its
+// clock — then finishes it, and returns the row with its device counts,
 // its modeled critical path and the workload's own columns filled.
-func (w *workload) measure(e env) (Row, error) {
+func (w *workload) measure(e env, timed func(bodies func() error) error) (Row, error) {
 	r, err := w.setup(e)
 	if err != nil {
 		return Row{}, err
 	}
-	s0 := r.sample()
-	if err := fanOut(e.mutators, r.body); err != nil {
+	s0 := sumStats(r.devs)
+	if err := timed(func() error { return fanOut(e.mutators, r.body) }); err != nil {
 		return Row{}, err
 	}
-	d := r.sample().Sub(s0)
+	d := sumStats(r.devs).Sub(s0)
 	ops := e.mutators * e.ops
 	n := float64(ops)
 	row := Row{
@@ -213,9 +209,9 @@ func Scaling(name string, scale Scale, shards, mutators int) ([]Row, error) {
 
 // PrintRows renders any experiment's row slice as one aligned table: a
 // column per JSON field, in struct order, skipping columns no row
-// fills; "-" marks a field the row omits from its JSON. A field tagged
-// json:"-" col:"name" is a wall-clock column: printed, never written to a
-// baseline.
+// fills; "-" marks a field the row omits from its JSON. The table is the
+// rows' counts, exactly what -json writes; BenchmarkContract has their
+// clock.
 func PrintRows(w io.Writer, title string, rows any) {
 	fmt.Fprintln(w, title)
 	rv := reflect.ValueOf(rows)
@@ -227,9 +223,6 @@ func PrintRows(w io.Writer, title string, rows any) {
 	var cols []int
 	for f := 0; f < rt.NumField(); f++ {
 		name, _, _ := strings.Cut(rt.Field(f).Tag.Get("json"), ",")
-		if name == "-" {
-			name = rt.Field(f).Tag.Get("col")
-		}
 		if name == "" {
 			continue
 		}

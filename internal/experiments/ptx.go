@@ -20,18 +20,31 @@ import (
 
 // PtxCost runs every row n = 1000/scale times on one heap.
 func PtxCost(scale Scale) ([]FastpathRow, error) {
+	w, check, err := ptxWalk(scale.div(1000))
+	if err != nil {
+		return nil, fmt.Errorf("ptx fixtures: %w", err)
+	}
+	cells, err := w.observe()
+	if err != nil {
+		return nil, fmt.Errorf("ptx %w", err)
+	}
+	return perOpRows(cells), check()
+}
+
+// ptxWalk builds the fixtures — a long array and the transfer's two
+// accounts among them — and returns the loops, n operations each, with
+// the accounts' check to run after the last. A header the fixtures or
+// the previous loop left deferred is settled ahead of each loop: each
+// row pays for its own objects.
+func ptxWalk(n int) (*walk, func() error, error) {
 	h, err := pheap.Create(klass.NewRegistry(), pheap.Config{DataSize: 64 << 20, Mode: nvm.Direct})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w, err := pcollections.NewWorld(h)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	n := scale.div(1000)
-
-	// Fixtures, ahead of every measured loop. a and b are the transfer's
-	// two accounts.
 	const balance = 1 << 40
 	words, e0 := h.Alloc(h.Registry().PrimArray(layout.FTLong), 256)
 	a, e1 := w.NewLong(balance)
@@ -41,7 +54,7 @@ func PtxCost(scale Scale) ([]FastpathRow, error) {
 	list, e5 := w.NewList(n)
 	m, e6 := w.NewMap(n)
 	if err := errors.Join(e0, e1, e2, e3, e4, e5, e6); err != nil {
-		return nil, fmt.Errorf("ptx fixtures: %w", err)
+		return nil, nil, err
 	}
 	elem := func(i int) int { return layout.ElemOff(layout.FTLong, i) }
 	value := func(ref layout.Ref) uint64 { return uint64(w.LongValue(ref)) }
@@ -84,8 +97,7 @@ func PtxCost(scale Scale) ([]FastpathRow, error) {
 		}
 	}
 
-	var rows []FastpathRow
-	dev := h.Device()
+	wk := &walk{devs: []*nvm.Device{h.Device()}, settle: h.PersistTops}
 	for _, r := range []struct {
 		op   string
 		body func(i int) error
@@ -106,19 +118,13 @@ func PtxCost(scale Scale) ([]FastpathRow, error) {
 		{"PHashMap/put-update", func(i int) error { return w.MapPut(m, int64(i), b) }},
 		{"PHashMap/remove", func(i int) error { _, err := w.MapRemove(m, int64(i)); return err }},
 	} {
-		// A header the fixtures or the previous row left deferred is
-		// settled outside the window: each row pays for its own objects.
-		h.PersistTops()
-		s0 := dev.Stats()
-		for i := 0; i < n; i++ {
-			if err := r.body(i); err != nil {
-				return nil, fmt.Errorf("ptx %s: %w", r.op, err)
-			}
+		wk.loops = append(wk.loops, loop{r.op, "", n, r.body})
+	}
+	check := func() error {
+		if value(b) != uint64(n) || value(a)+value(b) != balance {
+			return fmt.Errorf("ptx: after %d transfers and %d aborted ones the accounts hold %d and %d", n, n, value(a), value(b))
 		}
-		rows = append(rows, perOp(r.op, n, dev.Stats().Sub(s0)))
+		return nil
 	}
-	if value(b) != uint64(n) || value(a)+value(b) != balance {
-		return nil, fmt.Errorf("ptx: after %d transfers and %d aborted ones the accounts hold %d and %d", n, n, value(a), value(b))
-	}
-	return rows, nil
+	return wk, check, nil
 }

@@ -61,7 +61,7 @@ func allocSetup(e env) (*run, error) {
 		allocs[i] = h.NewAllocator()
 	}
 	return &run{
-		heaps: []*pheap.Heap{h},
+		devs: []*nvm.Device{h.Device()},
 		body: func(g int) error {
 			for i := 0; i < e.ops; i++ {
 				if _, err := allocs[g].Alloc(nk, 0); err != nil {
@@ -156,7 +156,7 @@ func kvSetup(e env) (*run, error) {
 		ctxs[i] = ix.NewCtx()
 	}
 	return &run{
-		heaps: []*pheap.Heap{h},
+		devs: []*nvm.Device{h.Device()},
 		body: func(g int) error {
 			c := ctxs[g]
 			return servingMix(g, e.ops, func(k int64) error {
@@ -207,7 +207,7 @@ func shardedKVSetup(e env) (*run, error) {
 	}
 	r := &run{}
 	for i := 0; i < e.shards; i++ {
-		r.heaps = append(r.heaps, set.Shard(i).Heap())
+		r.devs = append(r.devs, set.Shard(i).Heap().Device())
 	}
 	ctxs := make([]*pshard.Ctx, e.mutators)
 	for i := range ctxs {
@@ -293,7 +293,7 @@ func refstoreSetup(e env) (*run, error) {
 	h.PersistTops()
 	slots := 0 // published remembered-set size, counted by finish
 	return &run{
-		heaps: []*pheap.Heap{h},
+		devs: []*nvm.Device{h.Device()},
 		body: func(g int) error {
 			m, own, boff := muts[g], nodes[g], refF.Offset()
 			for i := 0; i < e.ops; i++ {
