@@ -238,11 +238,11 @@ func BenchmarkGetRootParallel(b *testing.B) {
 // shared PMap through pooled contexts that pin their own safepoint slot
 // and rest between ops in a ctx-pool slot the goroutine's stack picks, so
 // two clients seldom write one line. hot re-reads keys whose hints are in
-// place — three device loads a get where the key owns its hint slot, the
-// chain walk for the few that share one; cold bumps the heap's layout
-// epoch at the end of every lap, so each get is the first touch of its
-// key in a new epoch and walks its bucket's chain (four nodes at this
-// load). Both report devreads/op; read them at -cpu 1,2.
+// place — three device loads a get where the key holds a slot of its hint
+// set, the chain walk for the few its set had no room for; cold bumps the
+// heap's layout epoch at the end of every lap, so each get is the first
+// touch of its key in a new epoch and walks its bucket's chain (four
+// nodes at this load). Both report devreads/op; read them at -cpu 1,2.
 func BenchmarkPMapGetParallel(b *testing.B) {
 	for _, cold := range []bool{false, true} {
 		name := "hot"

@@ -117,7 +117,7 @@ func TestAccessorSurfaceParity(t *testing.T) {
 			"ActiveHeap", "Close", "CreateHeap", "ExistsHeap", "Heap", "Heaps", "LoadHeap", "SetActiveHeap", "SyncHeap",
 			"NameManager", "StringKlass", "Volatile", "InPersistent", "InVolatile",
 			// collectors
-			"FullGC", "MinorGC", "PersistentGC",
+			"FullGC", "MinorGC", "PersistentGC", "NameFromElsewhere",
 			// handles
 			"Get", "NewHandle", "Release",
 			// contexts, handles on classes, diagnostics

@@ -195,6 +195,17 @@ func indexSite(w *barrierWorld) *pindex.Ctx {
 	return c
 }
 
+// indexLastKey puts keys 1–3 through c and returns the one last in the
+// list.
+func indexLastKey(w *barrierWorld, c *pindex.Ctx) int64 {
+	for k := int64(1); k <= 3; k++ {
+		w.check(c.Put(k, layout.NullRef))
+	}
+	var last int64
+	c.Scan(func(k int64, _ layout.Ref) bool { last = k; return true })
+	return last
+}
+
 // indexNode finds the data node of key in B.
 func indexNode(w *barrierWorld, key int64) layout.Ref {
 	w.t.Helper()
@@ -291,20 +302,33 @@ func barrierRows() []barrierRow {
 				return barrierSite{obj: indexNode(w, 7), boff: layout.FieldOff(2),
 					store: func(val layout.Ref) { w.check(c.Put(7, val)) }}
 			}},
-		// Delete of the list's last node: the mark over its null next (one
-		// line, one fence), then the unlink from its predecessor, a lazy CAS
-		// that flushes nothing.
+		// Delete of the list's last node after a walk: the mark over its
+		// null next (one line, one fence), then the unlink from its
+		// predecessor, a lazy CAS that flushes nothing. The index is opened
+		// again for the delete, so it has no hint table to take instead; a
+		// get of an absent key, which hints nothing, caches its header.
 		barrierRow{name: "pindex.Delete unlink", kinds: []valKind{toNull},
 			dev: devOps{11, 3, 1, 1},
 			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
+				last := indexLastKey(w, indexSite(w))
 				c := indexSite(w)
-				for k := int64(1); k <= 3; k++ {
-					w.check(c.Put(k, layout.NullRef))
-				}
-				var last int64
-				c.Scan(func(k int64, _ layout.Ref) bool { last = k; return true })
-				node := indexNode(w, last)
-				return barrierSite{obj: node, boff: layout.FieldOff(3),
+				c.Get(0)
+				return barrierSite{obj: indexNode(w, last), boff: layout.FieldOff(3),
+					store: func(layout.Ref) {
+						if !c.Delete(last) {
+							w.t.Fatalf("delete of %d missed", last)
+						}
+					}}
+			}},
+		// The same delete through the hint table the puts filled: the key
+		// and next words of the hinted node, then the mark (one line, one
+		// fence), and no unlink.
+		barrierRow{name: "pindex.Delete hinted", kinds: []valKind{toNull},
+			dev: devOps{4, 2, 1, 1},
+			site: func(w *barrierWorld, _ layout.Ref) barrierSite {
+				c := indexSite(w)
+				last := indexLastKey(w, c)
+				return barrierSite{obj: indexNode(w, last), boff: layout.FieldOff(3),
 					store: func(layout.Ref) {
 						if !c.Delete(last) {
 							w.t.Fatalf("delete of %d missed", last)

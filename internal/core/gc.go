@@ -161,16 +161,37 @@ func (w worldLocker) StopWorld() {
 }
 func (w worldLocker) StartWorld() { w.rt.world.Start() }
 
+// NamedElsewhereError is PersistentGC's refusal of a heap whose objects
+// are named from another device, such as a PJO provider's rows in H2.
+// The collector's roots do not reach those names, so it would free the
+// objects behind them and let later allocations reuse the space.
+type NamedElsewhereError struct{ Heap string }
+
+func (e *NamedElsewhereError) Error() string {
+	return fmt.Sprintf("core: heap %q is named from another device, which the collector cannot trace; not collected", e.Heap)
+}
+
+// NameFromElsewhere records that objects of h are named from outside
+// the runtime's roots; PersistentGC refuses h from then on. The record
+// is volatile: it lasts while the runtime does.
+func (rt *Runtime) NameFromElsewhere(h *pheap.Heap) { rt.namedElsewhere.Store(h, struct{}{}) }
+
 // PersistentGC runs the crash-consistent collection of paper §4 on the
 // named heap (System.gc() for the persistent space). Mutators on other
 // goroutines are paused through the safepoint lock for the whole
 // collection, which marks on GOMAXPROCS workers and compacts on one. The
 // remembered set is pruned first, with the world stopped and outside the
 // collection's device window, for rebuildNVMRemset.
+//
+// A heap registered with NameFromElsewhere is refused with a
+// *NamedElsewhereError, and nothing is collected.
 func (rt *Runtime) PersistentGC(name string) (pgc.Result, error) {
 	h, ok := rt.Heap(name)
 	if !ok {
 		return pgc.Result{}, fmt.Errorf("core: heap %q is not loaded", name)
+	}
+	if _, named := rt.namedElsewhere.Load(h); named {
+		return pgc.Result{}, &NamedElsewhereError{Heap: name}
 	}
 	rt.gcMu.Lock()
 	defer rt.gcMu.Unlock()

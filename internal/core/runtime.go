@@ -158,6 +158,10 @@ type Runtime struct {
 	// per heap) because the safepoint domain is the runtime.
 	spWaits  atomic.Uint64
 	spWaitNS atomic.Uint64
+
+	// namedElsewhere holds the heaps whose objects a store on another
+	// device names (NameFromElsewhere); PersistentGC refuses them.
+	namedElsewhere sync.Map // *pheap.Heap → struct{}
 }
 
 // StringKlassName is the name of the built-in string class (a packed byte

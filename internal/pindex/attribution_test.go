@@ -136,7 +136,7 @@ func TestIndexDeviceAttributionIsExact(t *testing.T) {
 	// dirty. Whoever reads it next persists it on the publisher's behalf.
 	ix.hints.Store(nil)
 	a.Get(1) // hints key 1 afresh
-	node := a.probe(mixHash(1), 1)
+	node, _ := a.probe(mixHash(1), 1)
 	if node == layout.NullRef {
 		t.Fatal("key 1 has no hint")
 	}

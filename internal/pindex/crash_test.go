@@ -411,8 +411,8 @@ func warmHintScript() []hintStep {
 	return []hintStep{
 		{kvOp: kvOp{key: 3, val: 7003}},               // put-update through the hint
 		{kvOp: kvOp{key: 7, val: 7007}, stall: true},  // get helps a stalled value publication
-		{kvOp: kvOp{del: true, key: 20}},              // delete of a hinted key
-		{kvOp: kvOp{key: 20, val: 7020}},              // re-put: the hint names the marked node
+		{kvOp: kvOp{del: true, key: 20}},              // delete of a hinted key, through the hint
+		{kvOp: kvOp{key: 20, val: 7020}},              // re-put: the delete cleared the slot, the walk unlinks the node
 		{kvOp: kvOp{del: true, key: 23}, stall: true}, // get helps a stalled delete mark
 		{kvOp: kvOp{key: 23, val: 7023}},              // and the key comes back
 		{kvOp: kvOp{key: 3, val: 7103}},               // second update, same hinted node
@@ -464,8 +464,8 @@ func TestCrashWithWarmHints(t *testing.T) {
 				t.Fatalf("%s: seeded key %d missing", tag, key)
 			}
 		}
-		// 100 keys share 128 slots: the script's own keys go in last, and
-		// must not evict one another.
+		// 100 keys share 32 sets of 8 slots: the script's own keys go in
+		// last, and must not evict one another.
 		for pass := 0; pass < 2; pass++ {
 			for _, st := range script {
 				if _, seeded := baseModel[st.key]; !seeded {
@@ -473,7 +473,7 @@ func TestCrashWithWarmHints(t *testing.T) {
 				}
 				if pass == 0 {
 					c.Get(st.key)
-				} else if c.probe(mixHash(st.key), uint64(st.key)) == layout.NullRef {
+				} else if node, _ := c.probe(mixHash(st.key), uint64(st.key)); node == layout.NullRef {
 					t.Fatalf("%s: scripted key %d lost its slot to another scripted key", tag, st.key)
 				}
 			}
@@ -502,7 +502,7 @@ func TestCrashWithWarmHints(t *testing.T) {
 				case st.stall:
 					// The dead publisher: CAS only, on the node the hint
 					// table names (read back through the walk-free path).
-					node := c.probe(mixHash(op.key), uint64(op.key))
+					node, _ := c.probe(mixHash(op.key), uint64(op.key))
 					if node == layout.NullRef {
 						return fmt.Errorf("step %d: key %d not hinted", i, op.key)
 					}

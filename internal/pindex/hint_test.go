@@ -2,7 +2,6 @@ package pindex
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -153,27 +152,42 @@ func TestHintedSameKeyStress(t *testing.T) {
 	}
 }
 
-// TestHintSlotCollision forces two keys into one slot. A fingerprint
-// mismatch must be told apart in DRAM (the lookup costs exactly the
-// device reads of the bare chain walk); equal fingerprints cost the one
-// key read; and neither ever returns the other key's value.
+// TestHintSlotCollision crowds one set: nine keys with distinct tags,
+// one more than its ways, then a key whose tag ties with one of them. A
+// slot of another tag must be told apart in DRAM — a lookup that finds
+// none of its own costs exactly the device reads of the bare chain walk;
+// a tied tag costs the one key read of the other key's node; a hit costs
+// three (key, next, value); and no lookup ever returns another key's
+// value.
 func TestHintSlotCollision(t *testing.T) {
-	// The first Put sizes the table at minHintSlots; three keys keep it.
-	shift := uint(64 - bits.TrailingZeros(minHintSlots))
+	// Ten keys keep the table at minHintSlots: 8 sets, picked by tag & 7.
+	tag := func(k int64) uint64 { return mixHash(k) >> hintTagShift }
+	// The tie is the key whose hash differs from base's in bit 0 alone:
+	// the hash inverts (each xor-shift is its own inverse, and the odd
+	// multiplier has one mod 2^64).
+	inv := uint64(0xff51afd7ed558ccd)
+	for i := 0; i < 5; i++ {
+		inv *= 2 - 0xff51afd7ed558ccd*inv
+	}
+	unmix := func(h uint64) int64 {
+		h ^= h >> 33
+		h *= inv
+		return int64(h ^ h>>33)
+	}
 	base := int64(1)
-	var otherFP, sameFP int64
-	for k := base + 1; otherFP == 0 || sameFP == 0; k++ {
-		if mixHash(k)>>shift != mixHash(base)>>shift {
-			continue
-		}
-		if hintFP(mixHash(k)) == hintFP(mixHash(base)) {
-			if sameFP == 0 {
-				sameFP = k
-			}
-		} else if otherFP == 0 {
-			otherFP = k
+	tie := unmix(mixHash(base) ^ 1)
+	if tie == base || tag(tie) != tag(base) {
+		t.Fatalf("key %d does not tie with key %d", tie, base)
+	}
+	crowd := []int64{base} // nine distinct tags in base's set, base first
+	tags := map[uint64]bool{tag(base): true}
+	for k := int64(1); len(crowd) < hintWays+1; k++ {
+		if tag(k)%8 == tag(base)%8 && !tags[tag(k)] {
+			tags[tag(k)] = true
+			crowd = append(crowd, k)
 		}
 	}
+	keys := append(append([]int64(nil), crowd...), tie)
 
 	h := newHeap(t, nvm.Direct, 8)
 	ix, err := Open(h, NoPin{}, "kv", Options{})
@@ -182,7 +196,7 @@ func TestHintSlotCollision(t *testing.T) {
 	}
 	c := ix.NewCtx()
 	defer c.Release()
-	for _, k := range []int64{base, otherFP, sameFP} {
+	for _, k := range keys {
 		if err := c.Put(k, val(t, h, k*10)); err != nil {
 			t.Fatal(err)
 		}
@@ -199,26 +213,100 @@ func TestHintSlotCollision(t *testing.T) {
 		return n
 	}
 	walk := map[int64]uint64{}
-	for _, k := range []int64{base, otherFP, sameFP} {
+	for _, k := range keys {
 		ix.hints.Store(nil) // no table: the bare walk
 		walk[k] = reads(k)
 	}
+	if s := ix.hints.Load().slots(); s != minHintSlots {
+		t.Fatalf("table of %d slots, want %d", s, minHintSlots)
+	}
+
+	// Nine keys, eight ways: every lookup is a hit or a walk that reads no
+	// other key's node (no slot of the set carries its tag).
+	ix.hints.Store(nil)
+	hitOrWalk := func(k int64) bool {
+		t.Helper()
+		switch got := reads(k); got {
+		case 3:
+			return true
+		case walk[k]:
+			return false
+		default:
+			t.Fatalf("key %d cost %d device reads: neither a hit (3) nor its bare walk (%d)", k, got, walk[k])
+			return false
+		}
+	}
+	for pass := 0; pass < 3; pass++ {
+		for _, k := range crowd {
+			hitOrWalk(k)
+		}
+	}
+	// The last eight settle into the eight ways and then stay.
+	for pass := 0; pass < 3; pass++ {
+		for _, k := range crowd[1:] {
+			hitOrWalk(k)
+		}
+	}
+	for _, k := range crowd[1:] {
+		if !hitOrWalk(k) {
+			t.Fatalf("key %d missed with eight keys in an eight-way set", k)
+		}
+	}
+	if hitOrWalk(base) {
+		t.Fatalf("key %d hit, a ninth key in a full set", base)
+	}
+
+	// base holds a slot now; tie shares its tag.
 	for round := 0; round < 3; round++ {
-		reads(base) // the slot is base's now
-		if got := reads(otherFP); got != walk[otherFP] {
-			t.Fatalf("fingerprint mismatch cost %d device reads, the bare walk %d", got, walk[otherFP])
+		if got := reads(tie); got != walk[tie]+1 {
+			t.Fatalf("tag tie cost %d device reads, want the walk's %d plus the key read", got, walk[tie])
 		}
-		reads(base)
-		if got := reads(sameFP); got != walk[sameFP]+1 {
-			t.Fatalf("fingerprint tie cost %d device reads, want the walk's %d plus the key read", got, walk[sameFP])
-		}
-		if got := reads(sameFP); got != 3 {
+		if got := reads(tie); got != 3 {
 			t.Fatalf("re-read of a hinted key cost %d device reads, want 3: key, next, value", got)
 		}
+		if got := reads(base); got != walk[base]+1 {
+			t.Fatalf("tag tie cost %d device reads, want the walk's %d plus the key read", got, walk[base])
+		}
 	}
-	if st := c.Stats(); st.HintHits == 0 {
-		t.Fatal("no hint hit in the whole test")
+}
+
+// TestHintsKeptAcrossGrowth grows one index's table through four
+// doublings while it fills, then re-reads every key: re-filing keeps
+// what the smaller tables held, so at least 95 % of the keys hit.
+func TestHintsKeptAcrossGrowth(t *testing.T) {
+	h := newHeap(t, nvm.Direct, 16)
+	ix, err := Open(h, NoPin{}, "kv", Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	bk := boxKlass(t, h)
+	c := ix.NewCtx()
+	defer c.Release()
+	const n = 3000
+	var sizes []int
+	for k := int64(0); k < n; k++ {
+		if err := putVal(c, bk, k, k); err != nil {
+			t.Fatal(err)
+		}
+		if s := ix.hints.Load().slots(); len(sizes) == 0 || sizes[len(sizes)-1] != s {
+			sizes = append(sizes, s)
+		}
+	}
+	if len(sizes) < 4 {
+		t.Fatalf("table sizes %v: fewer than three doublings", sizes)
+	}
+	before := c.Stats()
+	for k := int64(0); k < n; k++ {
+		if got := getVal(c, k); got != k {
+			t.Fatalf("key %d reads %d", k, got)
+		}
+	}
+	st := c.Stats()
+	hits, misses := st.HintHits-before.HintHits, st.HintMisses-before.HintMisses
+	if hits+misses != n || float64(hits) < 0.95*n {
+		t.Fatalf("re-read after table sizes %v: %d hits, %d misses of %d keys; want at least 95 %% hits", sizes, hits, misses, n)
+	}
+	t.Logf("table sizes %v; re-read hit %d of %d", sizes, hits, n)
 }
 
 // TestHintsForgottenAcrossRebase: a rebase moves every address and bumps

@@ -186,18 +186,7 @@ func TestLazyUnlinkPersistedByCollect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lazyLinks := func() int {
-		n := 0
-		head := c.bucketHeadRead(layout.Ref(layout.UntagRef(layout.Ref(h.GetWord(c.header(), ix.fBuckets)))), 0)
-		for node := head; node != layout.NullRef; {
-			w := h.GetWord(node, ix.fNext)
-			if w&tagLazy != 0 {
-				n++
-			}
-			node = layout.UntagRef(layout.Ref(w))
-		}
-		return n
-	}
+	lazyLinks := func() int { n, _ := chainLinks(h, c, -1); return n }
 	before := h.Device().Stats()
 	for key := int64(0); key < 32; key += 2 {
 		if !c.Delete(key) {
@@ -207,15 +196,17 @@ func TestLazyUnlinkPersistedByCollect(t *testing.T) {
 	if d := h.Device().Stats().Sub(before); d.FlushedLines != 16 || d.Fences != 16 {
 		t.Fatalf("16 deletes: %d lines / %d fences, want 16 / 16", d.FlushedLines, d.Fences)
 	}
-	// A run of deleted neighbours shares one lazy link: its predecessor's.
-	lazy := lazyLinks()
-	if lazy == 0 {
-		t.Fatal("16 deletes left no lazy link")
-	}
+	// The deletes went through the hint table and unlinked nothing; the
+	// Gets' walks do. A run of deleted neighbours shares one lazy link:
+	// its predecessor's.
 	for key := int64(0); key < 32; key++ {
 		if _, ok := c.Get(key); ok != (key%2 == 1) {
 			t.Fatalf("Get(%d) present = %v after the deletes", key, ok)
 		}
+	}
+	lazy := lazyLinks()
+	if lazy == 0 {
+		t.Fatal("16 deletes and the walks after them left no lazy link")
 	}
 	res, err := pgc.Collect(h, pgc.NoRoots{})
 	if err != nil {
@@ -226,5 +217,81 @@ func TestLazyUnlinkPersistedByCollect(t *testing.T) {
 	}
 	if res, err = pgc.Collect(h, pgc.NoRoots{}); err != nil || res.LazyPersisted != 0 {
 		t.Fatalf("second collection: %d lazy links persisted, err %v; want 0", res.LazyPersisted, err)
+	}
+}
+
+// chainLinks walks the list raw, from bucket 0's sentinel, counting the
+// links tagged RefLazy and reporting how key's node is linked: 0 not at
+// all, 1 live, 2 with its delete mark (key -1 asks for no node).
+func chainLinks(h *pheap.Heap, c *Ctx, key int64) (lazy, state int) {
+	ix := c.ix
+	head := c.bucketHeadRead(layout.Ref(layout.UntagRef(layout.Ref(h.GetWord(c.header(), ix.fBuckets)))), 0)
+	for node := head; node != layout.NullRef; {
+		w := h.GetWord(node, ix.fNext)
+		if w&tagLazy != 0 {
+			lazy++
+		}
+		if node != head && h.GetWord(node, ix.fSort)&1 == 1 && int64(h.GetWord(node, ix.fKey)) == key {
+			state = 1 + int(w&tagDel)
+		}
+		node = layout.UntagRef(layout.Ref(w))
+	}
+	return lazy, state
+}
+
+// TestHintedDeleteUnlinkedByNextWalk: a delete the hint table serves
+// publishes the mark on the hinted node (one line, one fence) and leaves
+// the node linked; the next walk of its bucket unlinks it, lazily; the
+// collection after that persists that link and frees the node and its
+// value.
+func TestHintedDeleteUnlinkedByNextWalk(t *testing.T) {
+	h, err := pheap.Create(klass.NewRegistry(), pheap.Config{DataSize: 4 << 20, Mode: nvm.Tracked})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(h, NoPin{}, "kv", Options{InitialBuckets: 1, MaxLoadFactor: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bk := boxKlass(t, h)
+	c := ix.NewCtx()
+	defer c.Release()
+	for key := int64(0); key < 32; key++ {
+		if err := putBoxed(t, h, c, bk, key, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, err := pgc.Collect(h, pgc.NoRoots{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const doomed = 5
+	c.Get(doomed) // the collection forgot the table: hint the key again
+	st, dev := c.Stats(), h.Device().Stats()
+	if !c.Delete(doomed) {
+		t.Fatalf("key %d missing", doomed)
+	}
+	if got := c.Stats(); got.HintHits != st.HintHits+1 {
+		t.Fatal("the delete did not reach its node through the hint table")
+	}
+	if d := h.Device().Stats().Sub(dev); d.FlushedLines != 1 || d.Fences != 1 {
+		t.Fatalf("hinted delete: %d lines / %d fences, want 1 / 1", d.FlushedLines, d.Fences)
+	}
+	if lazy, state := chainLinks(h, c, doomed); lazy != 0 || state != 2 {
+		t.Fatalf("after the delete: %d lazy links, node state %d; want 0 and linked with its mark (2)", lazy, state)
+	}
+	if _, ok := c.Get(doomed); ok {
+		t.Fatalf("key %d present after its delete", doomed)
+	}
+	if lazy, state := chainLinks(h, c, doomed); lazy != 1 || state != 0 {
+		t.Fatalf("after the next walk: %d lazy links, node state %d; want 1 and unlinked (0)", lazy, state)
+	}
+	res, err := pgc.Collect(h, pgc.NoRoots{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LazyPersisted != 1 || res.LiveObjects != base.LiveObjects-2 {
+		t.Fatalf("collection persisted %d lazy links and kept %d objects; want 1 and %d (node and value freed)",
+			res.LazyPersisted, res.LiveObjects, base.LiveObjects-2)
 	}
 }

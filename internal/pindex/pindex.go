@@ -35,19 +35,19 @@
 // zero fences on the read path in steady state and one flush+fence per
 // update, instead of a fence per store.
 //
-// A physical unlink (Delete's own, and the one find does when it meets a
-// marked node) is not a publication: it only tidies the list. It CASes
-// the successor in with the lazy bit and flushes nothing. That is safe
-// under Px86 because an unlink only ever skips nodes whose delete marks
-// it read clean, i.e. durable: whatever value of the slot persisted —
-// the skipped node, or an earlier lazy value that skipped less — leads to
-// the new successor through nodes recovery prunes, so the reloaded list
-// holds the same keys either way. Readers strip the bit and never help
-// it. The skipped nodes stay in the heap until a collection frees them,
-// and a collection first persists every lazy slot it traced (GC
-// integration, below). A publication that replaces a lazy value
-// (an insert in front of the successor, a delete mark on the slot's
-// owner) installs its value without the bit and persists it, link
+// A physical unlink (Delete's own after a walk, and the one find does
+// when it meets a marked node) is not a publication: it only tidies the
+// list. It CASes the successor in with the lazy bit and flushes nothing.
+// That is safe under Px86 because an unlink only ever skips nodes whose
+// delete marks it read clean, i.e. durable: whatever value of the slot
+// persisted — the skipped node, or an earlier lazy value that skipped
+// less — leads to the new successor through nodes recovery prunes, so
+// the reloaded list holds the same keys either way. Readers strip the
+// bit and never help it. The skipped nodes stay in the heap until a
+// collection frees them, and a collection first persists every lazy slot
+// it traced (GC integration, below). A publication that replaces a lazy
+// value (an insert in front of the successor, a delete mark on the
+// slot's owner) installs its value without the bit and persists it, link
 // included.
 //
 // Node bodies (sort key, key, value, initial next) persist inside their
@@ -58,14 +58,13 @@
 // half-written node. PutNew extends that to the value: for a fresh key
 // the value object and the node are one allocation run (AllocRun: one
 // flush, one fence for both), for an existing key the value object goes
-// in alone; either way it is
-// whole in the image before the CAS that makes a durable word name it.
-// Crash recovery (Recover) finds every durably linked node intact, prunes
-// nodes whose delete mark persisted (with a lazy link, like any unlink),
-// clears leftover dirty bits in memory, and discards half-linked
-// nodes implicitly — an unpersisted link simply is not in the reloaded
-// image, and the orphan node body is unreachable garbage for the next
-// collection.
+// in alone; either way it is whole in the image before the CAS that
+// makes a durable word name it. Crash recovery (Open's pass, recover.go)
+// finds every durably linked node intact, prunes nodes whose delete mark
+// persisted (with a lazy link, like any unlink), clears leftover dirty
+// bits in memory, and discards half-linked nodes implicitly — an
+// unpersisted link simply is not in the reloaded image, and the orphan
+// node body is unreachable garbage for the next collection.
 //
 // # GC integration
 //
@@ -88,45 +87,82 @@
 //
 // The list is the only durable search structure, and with the bucket
 // table capped a lookup in a large map walks a chain of device loads. On
-// top of it the Index keeps a volatile, direct-mapped hint table in DRAM
-// (hint.go): one word per slot naming a data node — its heap offset plus
-// a 16-bit fingerprint of the key's hash — in the slot the hash's top
-// bits select (the bucket index uses the low ones, so keys of one chain
-// spread over the table). Nothing about it is persisted, flushed or
-// recovered, following the split Zuriel et al. use for their fastest
-// durable set: search structure volatile, members durable.
+// top of it the Index keeps a volatile hint table in DRAM (hint.go),
+// following the split Zuriel et al. use for their fastest durable set:
+// search structure volatile, members durable. Nothing about it is
+// persisted, flushed or recovered.
 //
-// Protocol. Get and Put probe the table first, inside their pin. A slot
-// whose fingerprint matches is checked against the node itself: its key
+// Layout. The table is sets of 8 slots, each set one 64-byte cache line.
+// A slot names a data node: the key's hash>>32 (the tag) above the
+// node's heap offset>>4, so a slot of another key is told apart by the
+// tag in DRAM, before any device load. A key's set is its tag's low
+// bits, i.e. hash bits 32 and up: pshard routes by the hash's top bits
+// and the bucket index takes its low ones, so neither the shard a key
+// lives in nor its chain narrows the sets it can use. A slot is filled
+// with the one already holding the key's tag (its older node, or another
+// key with the same tag, which loses its hint), else an empty one, else
+// the recording ctx's next victim in turn.
+//
+// Sizing and growth. The table has the smallest power of two ≥ 2·Len
+// slots (at least 64): 8 bytes of DRAM per slot, at most 32 per entry.
+// At that load an 8-way set overflows for under 1 % of the keys that
+// fall into it; at one slot per entry it would for 14 %. The first
+// operation to record a hint makes the table, empty, inside its pin, as
+// it does after a collection or rebase moved the layout epoch. When Len
+// outgrows it, the operation that notices re-files it after dropping its
+// pin: one sequential pass copies each old set's entries into the sets
+// that extend its index by the tag's next bits (each new set takes
+// entries of one old set only, so nothing is dropped), and one CAS
+// publishes the copy. The pass reads no device word, so it needs no pin;
+// the copy carries the old table's epoch and reads as empty if a
+// collection moved it meanwhile. Hints the old table takes during the
+// copy are lost, which costs only a later walk.
+//
+// Protocol. Get, Put and Delete probe the table first, inside their pin.
+// A slot whose tag matches is checked against the node itself: its key
 // must be the key, and its next word — read through loadClean, so helped
 // durable first — must carry no delete mark. That read is the
 // linearization point, the same one the chain walk ends on: an unmarked
 // data node is the one live resident for its key. From there the
-// operation continues exactly as after find (Get reads the value clean;
+// operation continues exactly as after find: Get reads the value clean;
 // Put publishes the value, then re-checks the mark and falls back to the
-// walk if a delete won). Every other outcome — no table, empty slot,
-// other fingerprint, other key, mark set (the slot is cleared) — is a
-// miss: the operation walks the chain unchanged and then records the
-// node it ended on. Delete, Scan, grow and Recover neither read nor
-// write the table.
+// walk if a delete won; Delete publishes the mark on the node with the
+// next word it read as the CAS expectation, falling back to the walk if
+// that CAS loses, and clears the slot. A hinted Delete does not unlink:
+// it does not know the node's predecessor, so the node stays linked,
+// marked, until the next find that crosses it unlinks it (lazily, as any
+// unlink) and the collection after that frees it, as happens also to a
+// walked Delete whose own unlink CAS loses. Every other outcome of a
+// probe — no table, no slot with the tag, another key behind it, a mark
+// (the slot is cleared) — is a miss: the operation walks the chain
+// unchanged, and Get and Put then record the node they ended on. Scan,
+// grow and recovery neither read nor write the table.
 //
 // Why acting on a hinted node is durable-linearizable:
 //
 //   - A hint is recorded only for a node whose inbound link is known
 //     durable: find returned it (every link find crosses was read clean,
 //     or lazy over durably marked nodes) or insert's publish of it
-//     returned. From then on the node stays
-//     durably reachable until its own delete mark persists. Every CAS on
-//     the path to it either splices a new node in front (the new node's
-//     next, pointing onward, is persisted before the CAS, and the old
-//     link stays in the image until the new one is flushed) or lazily
-//     unlinks a marked neighbour (the persisted link still leads to the
-//     neighbour, whose durable next leads on here, and recovery prunes
-//     it); the only CAS that disconnects the node itself is its own
-//     unlink, which find and Delete issue only after reading its mark
-//     clean, i.e. durable. So "key matches, mark clear" read from the
-//     node implies what the walk would have established: the node is in
-//     the durable list, as recovery will rebuild it.
+//     returned. From then on the node stays durably reachable until its
+//     own delete mark persists. Every CAS on the path to it either
+//     splices a new node in front (the new node's next, pointing onward,
+//     is persisted before the CAS, and the old link stays in the image
+//     until the new one is flushed) or lazily unlinks a marked neighbour
+//     (the persisted link still leads to the neighbour, whose durable
+//     next leads on here, and recovery prunes it); the only CAS that
+//     disconnects the node itself is its own unlink, which find and
+//     Delete issue only after reading its mark clean, i.e. durable. So
+//     "key matches, mark clear" read from the node implies what the walk
+//     would have established: the node is in the durable list, as
+//     recovery will rebuild it.
+//   - A hinted Delete's mark CAS expects the clean, unmarked word the
+//     probe read, so it succeeds only if the node was still the live
+//     resident at that instant; the delete linearizes at the CAS and is
+//     durable at the flush inside publish, before Delete returns, exactly
+//     as after a walk. Leaving the node linked changes no key the image
+//     holds: a linked node whose mark persisted is pruned by recovery, and
+//     a collection persists the lazy unlink that finally skips it before
+//     it frees the node.
 //   - Within one layout epoch an offset can never name reused memory.
 //     Nodes are freed only by a collection and moved only by a collection
 //     or a rebase, both of which bump pheap.LayoutEpoch before the world
@@ -134,17 +170,11 @@
 //     and a table of another epoch reads as empty (the same rule the
 //     cached header ref follows). A pin holds the epoch still, so a probe
 //     that saw the current epoch dereferences only nodes of this epoch —
-//     live, or unlinked and still carrying their mark.
+//     live, or unlinked and still carrying their mark. A re-filed copy
+//     keeps its source's epoch, so it never vouches for a later one.
 //   - A crash forgets the table. Open starts without one, and since no
 //     decision was ever taken on a hint alone, nothing the image holds
 //     depends on what the table said.
-//
-// Sizing. The code sizes the table from Len: the smallest power of two
-// ≥ Len (at least 64 slots), allocated empty on the first record and
-// started over empty when Len outgrows it or the epoch moves — 8 bytes
-// of DRAM per slot, under 16 per entry. A direct-mapped table this size
-// keeps roughly the most recently touched two thirds of a uniformly
-// hashed population; which entries those are is only a matter of speed.
 package pindex
 
 import (
@@ -269,8 +299,10 @@ type Index struct {
 	root atomic.Pointer[rootCache]
 
 	// hints is the volatile shortcut over the durable list (hint.go):
-	// key → data node, epoch-tagged like root, never persisted.
-	hints atomic.Pointer[hintTable]
+	// key → data node, epoch-tagged like root, never persisted; refiling
+	// makes its growth single-flight.
+	hints    atomic.Pointer[hintTable]
+	refiling atomic.Bool
 
 	nodeK, hdrK, arrK *klass.Klass
 	nodeSize          int
@@ -288,8 +320,8 @@ type CtxStats struct {
 	Fences              int // fences this ctx issued
 	HelpFlushes         int // dirty links persisted on behalf of other threads
 	Retries             int // CAS publications that lost a race
-	HintHits            int // Gets and Puts that reached their node through the hint table
-	HintMisses          int // Gets and Puts that walked the bucket chain
+	HintHits            int // Gets, Puts and Deletes that reached their node through the hint table
+	HintMisses          int // Gets, Puts and Deletes that walked the bucket chain
 }
 
 // Ctx is a per-goroutine operation context around one pheap.Allocator,
@@ -311,6 +343,10 @@ type Ctx struct {
 	// shares its allocator's cell. Owner-only ops — the ctx is
 	// single-goroutine by contract.
 	cell *telemetry.Cell
+	// refile asks exit to grow the hint table once the pin is dropped;
+	// victim picks the slot a hint takes in a full set, in turn.
+	refile bool
+	victim uint32
 }
 
 // Open attaches to (or creates) the persistent index registered under
@@ -513,13 +549,17 @@ func (c *Ctx) enter() (before nvm.Ops, t safepoint.Token) {
 // goes to dev.index.* in the telemetry cell. Derived from what the device
 // saw, not tallied per site, so it cannot drift from what the paths issue,
 // and the lookup loop carries no accounting at all: a ctx without
-// telemetry pays two tests per operation.
+// telemetry pays three tests per operation. A hint table the operation
+// found outgrown is re-filed after the pin is dropped.
 func (c *Ctx) exit(before nvm.Ops, t safepoint.Token) {
 	if c.cell != nil {
 		d := c.own().Sub(before)
 		c.cell.Dev(nvm.SubIndex, d.Reads, d.Writes, d.FlushedLines, d.Fences)
 	}
 	c.pin.Unpin(t)
+	if c.refile {
+		c.refileHints()
+	}
 }
 
 // loadClean returns the slot's current value with the dirty bit clear,
@@ -853,7 +893,7 @@ func (c *Ctx) putPinned(key int64, val layout.Ref, vk *klass.Klass, vinit func(l
 	// (pheap's alloc.go).
 	c.alloc.Settle(val)
 	hash := mixHash(key)
-	node := c.probe(hash, uint64(key))
+	node, _ := c.probe(hash, uint64(key))
 	for {
 		if node == layout.NullRef {
 			hdr := c.header()
@@ -909,7 +949,7 @@ func (c *Ctx) Get(key int64) (layout.Ref, bool) {
 	c.stats.Gets++
 	c.cell.Inc(telemetry.CtrIndexGets)
 	hash := mixHash(key)
-	node := c.probe(hash, uint64(key))
+	node, _ := c.probe(hash, uint64(key))
 	if node == layout.NullRef {
 		arr, n := c.buckets(c.header())
 		head := c.bucketHeadRead(arr, hash&uint64(n-1))
@@ -927,17 +967,30 @@ func (c *Ctx) Get(key int64) (layout.Ref, bool) {
 // committed — durable — by the flush of the logical delete mark, its one
 // line and one fence; the physical unlink is lazy (unflushed, persisted
 // by the next collection) and best-effort, finished by later traversals
-// or by recovery if it loses its CAS. Like Get, the path never allocates
-// and so cannot fail.
+// or by recovery if it loses its CAS. A key the hint table serves is
+// marked on its hinted node and not unlinked here at all: the next find
+// that crosses the node does it. Like Get, the path never allocates and
+// so cannot fail.
 func (c *Ctx) Delete(key int64) bool {
 	ix := c.ix
 	defer c.exit(c.enter())
 	c.stats.Deletes++
 	c.cell.Inc(telemetry.CtrIndexDeletes)
-	sort := dataSort(mixHash(key))
+	hash := mixHash(key)
+	if node, cw := c.probe(hash, uint64(key)); node != layout.NullRef {
+		// The probe read cw clean and unmarked: the same point find's
+		// return establishes, so the mark is published exactly as below.
+		if c.publish(node, ix.fNext, cw, cw&^tagLazy|tagDel) {
+			ix.size.Add(-1)
+			c.unhint(hash, node)
+			return true
+		}
+		// Interference on the node: walk to it (or past it) instead.
+	}
+	sort := dataSort(hash)
 	for {
 		arr, n := c.buckets(c.header())
-		head := c.bucketHeadRead(arr, mixHash(key)&uint64(n-1))
+		head := c.bucketHeadRead(arr, hash&uint64(n-1))
 		pred, predW, curr, found := c.find(head, sort, uint64(key))
 		if !found {
 			return false

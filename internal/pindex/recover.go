@@ -29,38 +29,6 @@ func (st RecoverStats) Salvaged() bool {
 	return st.Truncated || st.LostValues > 0 || st.BucketsReset > 0
 }
 
-// Recover repairs the index registered under name after a reload: it
-// walks the split-ordered list once, clearing dirty marks that an
-// in-flight publication left persisted (the link itself is durable —
-// only the "known durable" bit is missing), physically unlinking every
-// node whose delete mark persisted (the delete committed; the unlink
-// just had not happened yet, or had not persisted), and recounting live
-// entries. None of those repairs is flushed: a dirty bit that persists
-// again is stripped again by the next pass, and a prune is a lazy unlink
-// like any other, persisted by the next collection or redone by the next
-// pass. Only salvage's amputations, which drop entries the image still
-// holds, are flushed. Nodes whose link never persisted are not reachable
-// from the reloaded image at all — they are unreachable allocation
-// garbage the next collection reclaims — which is exactly the
-// no-half-linked-nodes guarantee.
-//
-// The pass is idempotent and single-threaded: run it before index
-// traffic starts (Open does, on attach). It must run after pgc crash
-// recovery if the heap was mid-collection.
-func Recover(h *pheap.Heap, name string) (RecoverStats, error) {
-	if h.GCActive() {
-		return RecoverStats{}, fmt.Errorf("pindex: heap is mid-collection; recover it first")
-	}
-	ix := &Index{h: h, name: name, pin: NoPin{}}
-	if err := ix.resolveKlasses(); err != nil {
-		return RecoverStats{}, err
-	}
-	if _, ok := h.GetRoot(name); !ok {
-		return RecoverStats{}, fmt.Errorf("pindex: no index %q in this heap", name)
-	}
-	return recoverLocked(h, name, ix)
-}
-
 // cleanSlot strips a persisted dirty mark from the slot in memory and
 // returns the slot's value without it. The value came from the image, so
 // it is durable as it stands: the repair needs no flush. A lazy bit stays
@@ -76,8 +44,23 @@ func cleanSlot(h *pheap.Heap, st *RecoverStats, obj layout.Ref, boff int) uint64
 	return w
 }
 
-// recoverLocked is the shared walk behind Recover and Open-attach; ix
-// supplies resolved klasses and field offsets (and, via its options,
+// recoverLocked is the recovery pass Open runs on attach, repairing the
+// index registered under name after a reload: it walks the split-ordered
+// list once, clearing dirty marks that an in-flight publication left
+// persisted (the link itself is durable — only the "known durable" bit
+// is missing), physically unlinking every node whose delete mark
+// persisted (the delete committed; the unlink just had not happened yet,
+// or had not persisted), and recounting live entries. None of those
+// repairs is flushed: a dirty bit that persists again is stripped again
+// by the next pass, and a prune is a lazy unlink like any other,
+// persisted by the next collection or redone by the next pass. Only
+// salvage's amputations, which drop entries the image still holds, are
+// flushed. Nodes whose link never persisted are not reachable from the
+// reloaded image at all — they are unreachable allocation garbage the
+// next collection reclaims — which is exactly the no-half-linked-nodes
+// guarantee. The pass is idempotent.
+//
+// ix supplies resolved klasses and field offsets (and, via its options,
 // whether the walk salvages). The caller guarantees quiescence (load
 // time, or Open's pin).
 //

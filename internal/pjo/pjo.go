@@ -95,12 +95,16 @@ func NewProvider(rt *core.Runtime, db *h2.DB) *Provider {
 }
 
 // mutator returns the provider's mutator, attaching it on first use.
+// Attaching registers the heap as named from elsewhere: H2's rows name
+// its DBPersistables, and the persistent collector cannot trace them yet,
+// so core.Runtime.PersistentGC refuses the heap rather than free them.
 func (p *Provider) mutator() (*core.Mutator, error) {
 	if p.m == nil {
 		m, err := p.rt.NewMutator()
 		if err != nil {
 			return nil, err
 		}
+		p.rt.NameFromElsewhere(m.Heap())
 		p.m = m
 	}
 	return p.m, nil

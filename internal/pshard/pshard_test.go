@@ -494,3 +494,39 @@ func ExampleSet() {
 	fmt.Println(v, ok, set.NumShards())
 	// Output: 1000 true 2
 }
+
+// TestHintsServeEveryShard re-reads every key of a 4-shard set once: the
+// hint table's set index is independent of the hash bits a shard's keys
+// share, so each shard's table serves all of its keys and every shard
+// hits at least 95 % of its re-reads.
+func TestHintsServeEveryShard(t *testing.T) {
+	set, err := OpenSet(NewMemStore(), "kv", Options{Shards: 4, ShardDataSize: 4 << 20, Mode: nvm.Direct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	c := set.NewCtx()
+	defer c.Release()
+	const n = 6000
+	for k := int64(0); k < n; k++ {
+		if err := c.Put(k, k*3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before [4]pindex.CtxStats
+	for i := range before {
+		before[i] = c.subs[i].Stats()
+	}
+	for k := int64(0); k < n; k++ {
+		if v, ok := c.Get(k); !ok || v != k*3 {
+			t.Fatalf("key %d = (%d, %v), want %d", k, v, ok, k*3)
+		}
+	}
+	for i := range before {
+		st := c.subs[i].Stats()
+		hits, misses := st.HintHits-before[i].HintHits, st.HintMisses-before[i].HintMisses
+		if hits+misses == 0 || float64(hits) < 0.95*float64(hits+misses) {
+			t.Errorf("shard %d: %d hits, %d misses on re-reading its keys; want at least 95 %% hits", i, hits, misses)
+		}
+	}
+}

@@ -64,8 +64,8 @@ const (
 	CtrIndexScans       // Scan operations
 	CtrIndexHelpFlushes // dirty links persisted on behalf of other threads
 	CtrIndexGrows       // bucket-table doublings
-	CtrIndexHintHits    // Gets and Puts that reached their node through the volatile hint table
-	CtrIndexHintMisses  // Gets and Puts that walked the bucket chain instead
+	CtrIndexHintHits    // Gets, Puts and Deletes that reached their node through the volatile hint table
+	CtrIndexHintMisses  // Gets, Puts and Deletes that walked the bucket chain instead
 
 	// GC event counters (subsystem gc).
 	CtrGCCycles     // persistent collections completed

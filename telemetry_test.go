@@ -149,7 +149,7 @@ func TestObserversAddNoDeviceOps(t *testing.T) {
 
 // TestTelemetryConcurrentFoldExactTotals is the end-to-end race check of
 // the telemetry design: 8 mutators churn allocations, barriered ref
-// stores, and durable index puts while collections cycle beside them and
+// stores, and durable index puts, gets and deletes while collections cycle beside them and
 // a folding goroutine snapshots continuously, asserting every counter is
 // monotonic across folds. When the dust settles the deltas must equal
 // the oracle exactly — lock-free cells may not lose a single update.
@@ -257,6 +257,12 @@ func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
 				if opErr == nil {
 					opErr = pm.Put(base+i, 0)
 				}
+				if _, ok := pm.Get(base + i); opErr == nil && !ok {
+					opErr = fmt.Errorf("key %d absent after its put", base+i)
+				}
+				if i%2 == 1 && opErr == nil && !pm.Delete(base+i-1) {
+					opErr = fmt.Errorf("key %d absent at its delete", base+i-1)
+				}
 				if opErr != nil {
 					errs[g] = fmt.Errorf("iter %d: %w", i, opErr)
 					return
@@ -287,9 +293,15 @@ func TestTelemetryConcurrentFoldExactTotals(t *testing.T) {
 	if got := delta("index.puts"); got != ops {
 		t.Fatalf("index.puts delta = %d, want %d", got, ops)
 	}
-	// Every Put (and Get) probes the hint table exactly once.
-	if got := delta("index.hint_hits") + delta("index.hint_misses"); got != ops {
-		t.Fatalf("index.hint_hits + index.hint_misses delta = %d, want %d", got, ops)
+	if got := delta("index.gets"); got != ops {
+		t.Fatalf("index.gets delta = %d, want %d", got, ops)
+	}
+	if got := delta("index.deletes"); got != ops/2 {
+		t.Fatalf("index.deletes delta = %d, want %d", got, ops/2)
+	}
+	// Every Get, Put and Delete probes the hint table exactly once.
+	if got := delta("index.hint_hits") + delta("index.hint_misses"); got != ops+ops+ops/2 {
+		t.Fatalf("index.hint_hits + index.hint_misses delta = %d, want gets + puts + deletes = %d", got, ops+ops+ops/2)
 	}
 	if got := delta("index.grows"); got != 0 {
 		t.Fatalf("index.grows delta = %d, want 0 (oracle assumes no table growth)", got)
